@@ -25,7 +25,7 @@ COVER_FLOOR_PKGS = ./internal/core ./internal/interval ./internal/member \
                    ./internal/lint ./internal/hlc ./internal/txn
 COVER_FLOOR     ?= 85
 
-.PHONY: all build vet lint noalloc-audit test check test-race cover cover-check chaos chaos-replay byz-smoke obs-smoke churn-smoke txn-smoke scale-smoke udp-smoke fuzz-smoke bench bench-scale bench-udp experiments ablations examples clean
+.PHONY: all build vet lint noalloc-audit test check test-race cover cover-check chaos chaos-replay byz-smoke obs-smoke churn-smoke txn-smoke scale-smoke udp-smoke fuzz-smoke bench bench-scale experiments ablations examples clean
 
 all: build vet lint test
 
@@ -101,18 +101,24 @@ chaos-replay:
 		$(GO) run ./cmd/timesim -chaos -replay $$repro || exit 1; \
 	done
 
+# The determinism contract every seeded timesim mode is held to: run
+# it twice with the same arguments, each run leaving its output in the
+# directory it is given as $$out, and compare the two directories byte
+# for byte. $(1) is the timesim arguments, $(2) the smoke's name.
+define run-twice-and-cmp
+	@tmp=$$(mktemp -d) && mkdir $$tmp/1 $$tmp/2 && \
+	for out in $$tmp/1 $$tmp/2; do $(GO) run ./cmd/timesim $(1) > $$out/stdout || exit 1; done && \
+	diff -r $$tmp/1 $$tmp/2 && rm -rf $$tmp && echo "$(2): two seeded runs byte-identical"
+endef
+
 # Byzantine-tier smoke: a seeded batch of adversarial hill-climb
-# searches (DESIGN.md §17) run twice and diffed byte-for-byte — the
-# search, like every chaos mode, is a pure function of its seeds — then
-# a replay of the committed two-faced reproducer, which must pass under
-# the real byzIM rules (it fails only under the planted BuggyIM).
+# searches (DESIGN.md §17) — the search, like every chaos mode, is a
+# pure function of its seeds — then a replay of the committed two-faced
+# reproducer, which must pass under the real byzIM rules (it fails only
+# under the planted BuggyIM).
 byz-smoke:
-	@tmp=$$(mktemp -d) && \
-	$(GO) run ./cmd/timesim -chaos -adversarial -campaigns 10 -adv-steps 15 -chaos-seed 1 > $$tmp/b1.txt && \
-	$(GO) run ./cmd/timesim -chaos -adversarial -campaigns 10 -adv-steps 15 -chaos-seed 1 > $$tmp/b2.txt && \
-	cmp $$tmp/b1.txt $$tmp/b2.txt && \
-	$(GO) run ./cmd/timesim -chaos -replay internal/chaos/corpus/buggy-byz-twoface.repro && \
-	rm -rf $$tmp && echo "byz-smoke: adversarial searches byte-identical, two-faced reproducer ok"
+	$(call run-twice-and-cmp,-chaos -adversarial -campaigns 10 -adv-steps 15 -chaos-seed 1,byz-smoke)
+	$(GO) run ./cmd/timesim -chaos -replay internal/chaos/corpus/buggy-byz-twoface.repro
 
 # Sharded-kernel scale smoke: the S1 sweep at its CI-sized topology (the
 # full 10k/50k/100k sweep is `timesim -scale` / `make bench-scale`).
@@ -125,43 +131,38 @@ scale-smoke:
 udp-smoke:
 	$(GO) test ./cmd/timeload -run TestUDPSmoke
 
-# Observability smoke: the obs package under -race, then two seeded
-# `timesim -metrics -trace-out` runs diffed byte-for-byte — the
-# determinism contract of DESIGN.md §12 (sorted snapshot keys, shortest
-# round-trip floats, passive observation).
+# Observability smoke: the obs package under -race, then the seeded
+# `timesim -metrics -trace-out` snapshot and span log — the determinism
+# contract of DESIGN.md §12 (sorted snapshot keys, shortest round-trip
+# floats, passive observation).
 obs-smoke:
 	$(GO) test -race ./internal/obs
-	@tmp=$$(mktemp -d) && \
-	$(GO) run ./cmd/timesim -metrics $$tmp/m1.json -trace-out $$tmp/t1.jsonl > /dev/null && \
-	$(GO) run ./cmd/timesim -metrics $$tmp/m2.json -trace-out $$tmp/t2.jsonl > /dev/null && \
-	cmp $$tmp/m1.json $$tmp/m2.json && cmp $$tmp/t1.jsonl $$tmp/t2.jsonl && \
-	rm -rf $$tmp && echo "obs-smoke: seeded snapshots and span logs byte-identical"
+	$(call run-twice-and-cmp,-metrics $$out/m.json -trace-out $$out/t.jsonl,obs-smoke)
 
-# Membership smoke: two seeded `timesim -churn` runs diffed
-# byte-for-byte — the dynamic-membership timeline (joins, voluntary
+# Membership smoke: the dynamic-membership timeline (joins, voluntary
 # departures, rejoins, detector verdicts) is a pure function of the seed.
 churn-smoke:
-	@tmp=$$(mktemp -d) && \
-	$(GO) run ./cmd/timesim -churn 2 -churn-seed 7 > $$tmp/c1.txt && \
-	$(GO) run ./cmd/timesim -churn 2 -churn-seed 7 > $$tmp/c2.txt && \
-	cmp $$tmp/c1.txt $$tmp/c2.txt && \
-	rm -rf $$tmp && echo "churn-smoke: seeded membership timelines byte-identical"
+	$(call run-twice-and-cmp,-churn 2 -churn-seed 7,churn-smoke)
 
-# Transaction smoke: two seeded `timesim -txn` runs diffed
-# byte-for-byte — the commit-wait timeline (HLC stamps, wait lengths,
+# Transaction smoke: the commit-wait timeline (HLC stamps, wait lengths,
 # the external-consistency verdict) is a pure function of the seed.
 txn-smoke:
-	@tmp=$$(mktemp -d) && \
-	$(GO) run ./cmd/timesim -txn -txn-seed 7 > $$tmp/t1.txt && \
-	$(GO) run ./cmd/timesim -txn -txn-seed 7 > $$tmp/t2.txt && \
-	cmp $$tmp/t1.txt $$tmp/t2.txt && \
-	rm -rf $$tmp && echo "txn-smoke: seeded commit timelines byte-identical"
+	$(call run-twice-and-cmp,-txn -txn-seed 7,txn-smoke)
 
-# Short coverage-guided fuzz pass over the M-of-N interval sweep (vs the
-# naive oracle). CI-sized; run with a larger -fuzztime when hunting.
+# Short coverage-guided fuzz passes: the M-of-N interval sweep against
+# the naive oracle, and every parser a datagram reaches on the serving
+# path. FUZZTIME is the budget of the whole smoke in seconds, split
+# evenly over the targets; run one target with a larger -fuzztime when
+# hunting.
 FUZZTIME ?= 10s
+FUZZ_TARGETS = interval:FuzzIntersectMofN wire:FuzzParseRequest wire:FuzzParseRequestHLC \
+               wire:FuzzParseResponse hlc:FuzzTimestampCodec
 fuzz-smoke:
-	$(GO) test ./internal/interval -run '^$$' -fuzz FuzzIntersectMofN -fuzztime $(FUZZTIME)
+	@each=$$(( $(FUZZTIME:s=) / $(words $(FUZZ_TARGETS)) ))s; \
+	for t in $(FUZZ_TARGETS); do \
+		echo "fuzz-smoke: $$t for $$each"; \
+		$(GO) test ./internal/$${t%%:*} -run '^$$' -fuzz "^$${t##*:}\$$" -fuzztime $$each || exit 1; \
+	done
 
 # One benchmark per paper figure/claim plus the ablations; doubles as the
 # reproduction gate (a benchmark fails if its paper-shape stops holding).
@@ -186,18 +187,6 @@ bench-scale:
 	$(GO) run ./cmd/benchjson < bench-scale.out > BENCH_SCALE.json
 	@rm -f bench-scale.out
 	@echo "wrote BENCH_SCALE.json"
-
-# The UDP serving-path benchmarks: the per-packet baseline (serial
-# Client.Query against the classic Server), the windowed legacy path,
-# and the batched sharded path, each pushing the same fixed request
-# quantum per iteration so the ns/op ratios are throughput ratios. The
-# batched path must land at no more than one fifth of the per-packet
-# baseline's ns/op (>= 5x throughput).
-bench-udp:
-	$(GO) test -run '^$$' -bench 'BenchmarkUDPServe' -benchmem -benchtime=$(BENCHTIME) . | tee bench-udp.out
-	$(GO) run ./cmd/benchjson < bench-udp.out > BENCH_UDP.json
-	@rm -f bench-udp.out
-	@echo "wrote BENCH_UDP.json"
 
 # Regenerate the EXPERIMENTS.md data.
 experiments:

@@ -453,9 +453,9 @@ func BenchmarkAblationAdaptiveDelta(b *testing.B) {
 // BenchmarkServeBatch measures the batched serving transform — parse a
 // full batch of requests, read the per-tick cached clock, encode every
 // reply into retained buffers — with no sockets in the way. It must
-// report 0 allocs/op: the //lint:noalloc annotations on the batch
-// serving path (responder.respond, TickCache.Now, Server.respondOne)
-// are audited against this benchmark.
+// report 0 allocs/op: the //lint:noalloc annotations on the serving
+// path (Server.respond, Server.reading, TickCache.Now) are audited
+// against this benchmark.
 func BenchmarkServeBatch(b *testing.B) {
 	const batch = 64
 	pump := udptime.NewServeBatchBench(batch)

@@ -29,6 +29,20 @@ func main() {
 }
 
 func run(args []string) error {
+	srv, err := start(args)
+	if err != nil {
+		return err
+	}
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	<-stop
+	log.Printf("shutting down after %d requests (%d malformed datagrams)",
+		srv.Requests(), srv.MalformedDatagrams())
+	return srv.Close()
+}
+
+// start parses the flags and brings the server up.
+func start(args []string) (*udptime.Server, error) {
 	fs := flag.NewFlagSet("timeserver", flag.ContinueOnError)
 	var (
 		addr       = fs.String("addr", "127.0.0.1:3123", "UDP address to listen on")
@@ -40,7 +54,7 @@ func run(args []string) error {
 		health = fs.String("health", "",
 			"HTTP health listener address (e.g. 127.0.0.1:9123): /healthz, Prometheus /metrics, and pprof")
 		shards = fs.Int("shards", 0,
-			"batched serving shards (0 = classic per-packet server; >0 enables the batch path)")
+			"batched serving shards (0 = one per-packet loop reading the clock per request; >0 = batched I/O and a tick cache)")
 		batch = fs.Int("batch", 0,
 			"datagrams per recvmmsg/sendmmsg batch in shard mode (0 = default)")
 		tick = fs.Duration("tick", 0,
@@ -48,18 +62,15 @@ func run(args []string) error {
 		verbose = fs.Bool("v", false, "log malformed datagrams")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
+	}
+	if *shards <= 0 && (*batch != 0 || *tick != 0) {
+		return nil, fmt.Errorf("-batch and -tick require -shards >= 1")
 	}
 
 	src, err := udptime.NewSystemClock(*initialErr, *driftPPM)
 	if err != nil {
-		return err
-	}
-	if *shards > 0 {
-		return runBatch(*addr, *id, src, *shards, *batch, *tick, *health, *verbose)
-	}
-	if *batch != 0 || *tick != 0 {
-		return fmt.Errorf("-batch and -tick require -shards >= 1")
+		return nil, err
 	}
 	var opts []udptime.ServerOption
 	if *verbose {
@@ -68,45 +79,20 @@ func run(args []string) error {
 	if *health != "" {
 		opts = append(opts, udptime.WithHealthListener(*health))
 	}
-	srv, err := udptime.NewServer(*addr, *id, src, opts...)
-	if err != nil {
-		return err
+	var srv *udptime.Server
+	if *shards > 0 {
+		srv, err = udptime.NewBatchServer(*addr, *id, src,
+			udptime.BatchConfig{Shards: *shards, Batch: *batch, Tick: *tick}, opts...)
+	} else {
+		srv, err = udptime.NewServer(*addr, *id, src, opts...)
 	}
-	log.Printf("timeserver %d listening on %v (initial error %v, drift bound %v ppm)",
-		*id, srv.Addr(), *initialErr, *driftPPM)
+	if err != nil {
+		return nil, err
+	}
+	log.Printf("timeserver %d listening on %v (%d shards, initial error %v, drift bound %v ppm)",
+		*id, srv.Addr(), srv.Shards(), *initialErr, *driftPPM)
 	if ha := srv.HealthAddr(); ha != nil {
 		log.Printf("health listener on http://%v (/healthz, /metrics, /debug/pprof/)", ha)
 	}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	<-stop
-	log.Printf("shutting down after %d requests (%d malformed datagrams)",
-		srv.Requests(), srv.MalformedDatagrams())
-	return srv.Close()
-}
-
-// runBatch serves with the batched sharded path. The health listener is
-// a feature of the classic server; shard mode rejects it rather than
-// silently ignoring the flag.
-func runBatch(addr string, id uint64, src udptime.ClockSource, shards, batch int, tick time.Duration, health string, verbose bool) error {
-	if health != "" {
-		return fmt.Errorf("-health is not supported with -shards; run the classic server or scrape the process externally")
-	}
-	cfg := udptime.BatchConfig{Shards: shards, Batch: batch, Tick: tick}
-	if verbose {
-		cfg.Logger = log.New(os.Stderr, "", log.LstdFlags)
-	}
-	srv, err := udptime.NewBatchServer(addr, id, src, cfg)
-	if err != nil {
-		return err
-	}
-	log.Printf("timeserver %d listening on %v (%d shards, batched)", id, srv.Addr(), srv.Shards())
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	<-stop
-	log.Printf("shutting down after %d requests (%d malformed datagrams)",
-		srv.Requests(), srv.MalformedDatagrams())
-	return srv.Close()
+	return srv, nil
 }

@@ -1,10 +1,18 @@
 package main
 
-import "testing"
+import (
+	"io"
+	"net/http"
+	"strings"
+	"testing"
+	"time"
 
-// run blocks until a signal once the server starts, so only the error
-// paths are testable directly; the happy path is covered by the udptime
-// package tests and the examples.
+	"disttime/internal/hlc"
+	"disttime/internal/udptime"
+)
+
+// run blocks until a signal once the server starts, so the error paths
+// are tested through run and the happy path through start.
 func TestRunErrors(t *testing.T) {
 	tests := []struct {
 		name string
@@ -16,7 +24,6 @@ func TestRunErrors(t *testing.T) {
 		{name: "negative drift", args: []string{"-drift-ppm", "-5"}},
 		{name: "batch without shards", args: []string{"-batch", "16"}},
 		{name: "tick without shards", args: []string{"-tick", "5ms"}},
-		{name: "health with shards", args: []string{"-shards", "2", "-health", "127.0.0.1:0"}},
 		{name: "bad address sharded", args: []string{"-shards", "2", "-addr", "not an address"}},
 	}
 	for _, tt := range tests {
@@ -25,5 +32,35 @@ func TestRunErrors(t *testing.T) {
 				t.Errorf("run(%v) accepted", tt.args)
 			}
 		})
+	}
+}
+
+// TestShardedHealth scrapes /healthz from a sharded server and asks it
+// a version-3 question: -health, -shards and the whole protocol are one
+// server's.
+func TestShardedHealth(t *testing.T) {
+	srv, err := start([]string{"-addr", "127.0.0.1:0", "-id", "9", "-shards", "2", "-health", "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if srv.Shards() != 2 {
+		t.Fatalf("Shards() = %d, want 2", srv.Shards())
+	}
+	cl := udptime.NewClient(time.Second, nil, udptime.WithHLC(hlc.New(100)))
+	if m, err := cl.Query(srv.Addr().String()); err != nil || m.TS.Node != 9 {
+		t.Fatalf("v3 query: %+v, %v", m, err)
+	}
+	resp, err := http.Get("http://" + srv.HealthAddr().String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"server_id":9,"requests":1`) {
+		t.Fatalf("/healthz = %d %q", resp.StatusCode, body)
 	}
 }

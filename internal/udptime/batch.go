@@ -2,6 +2,7 @@ package udptime
 
 import (
 	"net"
+	"net/netip"
 	"time"
 )
 
@@ -11,8 +12,9 @@ import (
 const maxDatagram = 2048
 
 // Batch I/O size limits. A batch is one recvmmsg/sendmmsg vector on the
-// Linux fast path; the portable fallback degrades to per-packet I/O but
-// keeps the same slot discipline so the serving code is identical.
+// Linux fast path; the per-packet backend moves one datagram per system
+// call but keeps the same slot discipline so the serving code is
+// identical.
 const (
 	defaultBatch = 32
 	maxBatch     = 512
@@ -50,7 +52,10 @@ type batchIO interface {
 	Recv() (n int, err error)
 	// Send transmits Batch().send[i] for i < n, skipping empty slots.
 	Send(n int) error
-	LocalAddr() *net.UDPAddr
+	// Peer returns the source address of the datagram in receive slot i
+	// of an unconnected socket, for the paths that need it as a value
+	// (logging, the advertise handler); Send addresses replies itself.
+	Peer(i int) netip.AddrPort
 	SetReadDeadline(t time.Time) error
 	Close() error
 }

@@ -4,8 +4,9 @@ package udptime
 
 import (
 	"bytes"
-	"errors"
+	"encoding/binary"
 	"net"
+	"net/netip"
 	"os"
 	"syscall"
 	"time"
@@ -37,31 +38,38 @@ const sockaddrStorage = 128
 // UDP generalized segmentation offload. Batching system calls with
 // sendmmsg amortizes only the syscall entry: on the loopback (and on
 // most NICs) each datagram still traverses the full IP send path
-// inline. Because every message of this protocol has a fixed size
-// (requests 16 bytes, responses 40), a whole run of them to one peer
-// can instead be handed to the kernel as a single UDP_SEGMENT
-// super-datagram — one stack traversal that the kernel splits back
-// into wire-identical individual datagrams at the device layer. That
-// is where the batched path's throughput multiple over per-packet
-// serving comes from.
+// inline. Because every message of this protocol has one of a few
+// fixed sizes (requests 16 or 32 bytes, responses 40 or 56), a run of
+// equal-length datagrams to one peer can instead be handed to the
+// kernel as a single super-datagram — one stack traversal that the
+// kernel splits back into wire-identical individual datagrams at the
+// device layer. That is where the batch backend's throughput multiple
+// over per-packet serving comes from. The segment size rides on each
+// multi-segment message as a UDP_SEGMENT control message, not on the
+// socket, so runs of different lengths share a sendmmsg vector and a
+// lone datagram of any length goes out plain.
 const (
 	solUDP     = 17  // SOL_UDP
 	udpSegment = 103 // UDP_SEGMENT (Linux 4.18+)
 	maxGSOSegs = 64  // UDP_MAX_SEGMENTS floor across supported kernels
 )
 
-// errOversizedSegment reports a send slot longer than the socket's GSO
-// segment size — a programming error, since GSO sockets carry only
-// fixed-size protocol messages.
-var errOversizedSegment = errors.New("udptime: datagram exceeds GSO segment size")
+// gsoCmsg is one UDP_SEGMENT control message: a cmsghdr, the 16-bit
+// segment size, and padding up to CMSG_SPACE(2).
+type gsoCmsg struct {
+	hdr syscall.Cmsghdr
+	seg uint16
+	_   [6]byte
+}
 
-// trySetGSO arms UDP_SEGMENT on the socket; false when the kernel (or
-// address family) does not support it, in which case the caller keeps
-// plain per-datagram sendmmsg.
-func trySetGSO(rc syscall.RawConn, seg int) bool {
+// gsoSupported reports whether the kernel knows UDP_SEGMENT on this
+// socket's address family, by writing the option's off value: the one
+// probe made at construction. Without it every datagram is its own
+// message.
+func gsoSupported(rc syscall.RawConn) bool {
 	var serr error
 	cerr := rc.Control(func(fd uintptr) {
-		serr = syscall.SetsockoptInt(int(fd), solUDP, udpSegment, seg)
+		serr = syscall.SetsockoptInt(int(fd), solUDP, udpSegment, 0)
 	})
 	return cerr == nil && serr == nil
 }
@@ -82,7 +90,7 @@ type mmsgConn struct {
 	rc        syscall.RawConn
 	bt        ioBatch
 	connected bool
-	segSize   int // GSO segment size; 0 = per-datagram sends
+	maxSegs   int // datagrams per message: maxGSOSegs with GSO, else 1
 
 	rbufs  [][]byte // full-length receive backing arrays
 	rnames [][]byte // per-slot sockaddr storage
@@ -90,6 +98,7 @@ type mmsgConn struct {
 	rhdrs  []mmsghdr
 	siovs  []syscall.Iovec
 	shdrs  []mmsghdr
+	sctls  []gsoCmsg // per-message control buffers, headers prefilled
 
 	// Results ferried out of the raw-access callbacks, which are built
 	// once here so the hot path never allocates a closure.
@@ -102,18 +111,17 @@ type mmsgConn struct {
 	writeFn func(fd uintptr) bool
 }
 
-// newBatchConn wraps conn for batch I/O. gsoSeg, when nonzero, is the
-// fixed wire size of every datagram this connection will send; if the
-// kernel supports UDP_SEGMENT the connection coalesces same-peer runs
-// of sends into GSO super-datagrams of that segment size.
-func newBatchConn(conn *net.UDPConn, size int, connected bool, gsoSeg int) (batchIO, error) {
+// newBatchConn wraps conn for batch I/O. Where the kernel supports
+// UDP_SEGMENT the connection coalesces runs of equal-length sends to
+// one peer into GSO super-datagrams.
+func newBatchConn(conn *net.UDPConn, size int, connected bool) (batchIO, error) {
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return nil, err
 	}
-	c := &mmsgConn{conn: conn, rc: rc, connected: connected}
-	if gsoSeg > 0 && trySetGSO(rc, gsoSeg) {
-		c.segSize = gsoSeg
+	c := &mmsgConn{conn: conn, rc: rc, connected: connected, maxSegs: 1}
+	if gsoSupported(rc) {
+		c.maxSegs = maxGSOSegs
 	}
 	c.bt, c.rbufs = newIOBatch(size)
 	c.rnames = make([][]byte, size)
@@ -124,6 +132,12 @@ func newBatchConn(conn *net.UDPConn, size int, connected bool, gsoSeg int) (batc
 	c.rhdrs = make([]mmsghdr, size)
 	c.siovs = make([]syscall.Iovec, size)
 	c.shdrs = make([]mmsghdr, size)
+	c.sctls = make([]gsoCmsg, size)
+	for i := range c.sctls {
+		h := &c.sctls[i].hdr
+		h.Level, h.Type = solUDP, udpSegment
+		h.SetLen(syscall.CmsgLen(2))
+	}
 
 	c.readFn = func(fd uintptr) bool {
 		for {
@@ -163,11 +177,22 @@ func newBatchConn(conn *net.UDPConn, size int, connected bool, gsoSeg int) (batc
 }
 
 func (c *mmsgConn) Batch() *ioBatch { return &c.bt }
-func (c *mmsgConn) LocalAddr() *net.UDPAddr {
-	addr, _ := c.conn.LocalAddr().(*net.UDPAddr)
-	return addr
+func (c *mmsgConn) Close() error    { return c.conn.Close() }
+
+// Peer decodes receive slot i's sockaddr. The IPv6 zone is dropped: the
+// value is for logs and the advertise handler, and replies are
+// addressed from the raw sockaddr.
+func (c *mmsgConn) Peer(i int) netip.AddrPort {
+	name := c.rnames[i]
+	port := binary.BigEndian.Uint16(name[2:4])
+	switch (*syscall.RawSockaddr)(unsafe.Pointer(&name[0])).Family {
+	case syscall.AF_INET:
+		return netip.AddrPortFrom(netip.AddrFrom4([4]byte(name[4:8])), port)
+	case syscall.AF_INET6:
+		return netip.AddrPortFrom(netip.AddrFrom16([16]byte(name[8:24])).Unmap(), port)
+	}
+	return netip.AddrPort{}
 }
-func (c *mmsgConn) Close() error { return c.conn.Close() }
 
 func (c *mmsgConn) SetReadDeadline(t time.Time) error { return c.conn.SetReadDeadline(t) }
 
@@ -203,20 +228,9 @@ func (c *mmsgConn) Recv() (int, error) {
 // Send transmits the prepared reply slots with as few sendmmsg calls as
 // the kernel allows. On an unconnected socket each reply is addressed
 // to the sockaddr its request arrived from; a connected socket sends to
-// its dialed peer. With GSO armed, consecutive same-peer slots coalesce
-// into scatter-gather super-datagrams. Partial sends resume where they
-// left off.
+// its dialed peer. Partial sends resume where they left off.
 func (c *mmsgConn) Send(n int) error {
-	var cnt int
-	var err error
-	if c.segSize > 0 {
-		cnt, err = c.packGSO(n)
-		if err != nil {
-			return err
-		}
-	} else {
-		cnt = c.packPerDatagram(n)
-	}
+	cnt := c.pack(n)
 	if cnt == 0 {
 		return nil
 	}
@@ -230,67 +244,40 @@ func (c *mmsgConn) Send(n int) error {
 	return nil
 }
 
-// packPerDatagram fills shdrs with one message per non-empty slot and
-// returns the message count.
-func (c *mmsgConn) packPerDatagram(n int) int {
-	cnt := 0
-	for i := 0; i < n; i++ {
-		if len(c.bt.send[i]) == 0 {
-			continue
-		}
-		c.siovs[cnt] = syscall.Iovec{Base: &c.bt.send[i][0]}
-		c.siovs[cnt].SetLen(len(c.bt.send[i]))
-		h := &c.shdrs[cnt]
-		h.hdr = syscall.Msghdr{Iov: &c.siovs[cnt], Iovlen: 1}
-		if !c.connected {
-			h.hdr.Name = &c.rnames[i][0]
-			h.hdr.Namelen = c.rhdrs[i].hdr.Namelen
-		}
-		h.n = 0
-		cnt++
-	}
-	return cnt
-}
-
-// packGSO fills shdrs with one message per run of consecutive non-empty
-// slots addressed to the same peer, each message a scatter-gather list
-// of up to maxGSOSegs fixed-size segments the kernel splits back into
-// individual wire datagrams. A slot shorter than the segment size may
-// only close a run (GSO requires equal segments except the last); a
-// longer one is a protocol violation and fails the send.
-func (c *mmsgConn) packGSO(n int) (int, error) {
+// pack fills shdrs with one message per run and returns the message
+// count. A run is up to maxSegs consecutive non-empty slots of one
+// length addressed to one peer; a run of several leaves as a
+// scatter-gather list with a UDP_SEGMENT control message naming the
+// common length, which the kernel splits back into individual wire
+// datagrams, and a run of one leaves plain.
+func (c *mmsgConn) pack(n int) int {
 	cnt, iov := 0, 0
 	for i := 0; i < n; {
 		if len(c.bt.send[i]) == 0 {
 			i++
 			continue
 		}
-		first := i
-		start := iov
-		segs := 0
-		for i < n {
+		first, start := i, iov
+		for ; i < n && iov-start < c.maxSegs; i++ {
 			b := c.bt.send[i]
 			if len(b) == 0 {
-				i++
 				continue
 			}
-			if len(b) > c.segSize {
-				return 0, errOversizedSegment
-			}
-			if segs > 0 && !c.samePeer(first, i) {
+			if i != first && (len(b) != len(c.bt.send[first]) || !c.samePeer(first, i)) {
 				break
 			}
 			c.siovs[iov] = syscall.Iovec{Base: &b[0]}
 			c.siovs[iov].SetLen(len(b))
 			iov++
-			segs++
-			i++
-			if len(b) < c.segSize || segs == maxGSOSegs {
-				break
-			}
 		}
 		h := &c.shdrs[cnt]
-		h.hdr = syscall.Msghdr{Iov: &c.siovs[start], Iovlen: uint64(segs)}
+		h.hdr = syscall.Msghdr{Iov: &c.siovs[start], Iovlen: uint64(iov - start)}
+		if iov-start > 1 {
+			ctl := &c.sctls[cnt]
+			ctl.seg = uint16(len(c.bt.send[first]))
+			h.hdr.Control = (*byte)(unsafe.Pointer(ctl))
+			h.hdr.SetControllen(int(unsafe.Sizeof(*ctl)))
+		}
 		if !c.connected {
 			h.hdr.Name = &c.rnames[first][0]
 			h.hdr.Namelen = c.rhdrs[first].hdr.Namelen
@@ -298,7 +285,7 @@ func (c *mmsgConn) packGSO(n int) (int, error) {
 		h.n = 0
 		cnt++
 	}
-	return cnt, nil
+	return cnt
 }
 
 // samePeer reports whether receive slots a and b carried the same

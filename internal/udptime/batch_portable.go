@@ -1,5 +1,3 @@
-//go:build !(linux && (amd64 || arm64))
-
 package udptime
 
 import (
@@ -8,14 +6,16 @@ import (
 	"time"
 )
 
-// The portable batch fallback: plain per-packet reads and writes behind
-// the same slot discipline as the Linux fast path, so the serving and
-// load-generation code is identical on every platform. Recv returns one
-// datagram per call (the stdlib offers no way to drain a socket without
-// extra syscalls); Send walks the prepared slots one write at a time.
-// netip.AddrPort keeps the per-packet path allocation-free — the value
-// type carries the peer address without the *net.UDPAddr heap churn of
-// ReadFromUDP.
+// The per-packet backend: plain reads and writes behind the same slot
+// discipline as the Linux fast path, so the serving and load-generation
+// code is identical on every backend. It is what NewServer serves on
+// everywhere, what NewBatchServer and RunLoad fall back to off
+// linux/amd64 and linux/arm64, and the reference the differential tests
+// hold the batch backend to. Recv returns one datagram per call (the
+// stdlib offers no way to drain a socket without extra syscalls); Send
+// walks the prepared slots one write at a time. netip.AddrPort keeps
+// the path allocation-free — the value type carries the peer address
+// without the *net.UDPAddr heap churn of ReadFromUDP.
 
 type packetBatchConn struct {
 	conn      *net.UDPConn
@@ -25,9 +25,8 @@ type packetBatchConn struct {
 	connected bool
 }
 
-// newBatchConn wraps conn for slot-based I/O; the GSO segment hint is
-// meaningless without the Linux fast path and is ignored.
-func newBatchConn(conn *net.UDPConn, size int, connected bool, _ int) (batchIO, error) {
+// newPacketConn wraps conn for slot-based per-packet I/O.
+func newPacketConn(conn *net.UDPConn, size int, connected bool) (batchIO, error) {
 	c := &packetBatchConn{conn: conn, connected: connected}
 	c.bt, c.rbufs = newIOBatch(size)
 	c.peers = make([]netip.AddrPort, size)
@@ -36,10 +35,7 @@ func newBatchConn(conn *net.UDPConn, size int, connected bool, _ int) (batchIO, 
 
 func (c *packetBatchConn) Batch() *ioBatch { return &c.bt }
 
-func (c *packetBatchConn) LocalAddr() *net.UDPAddr {
-	addr, _ := c.conn.LocalAddr().(*net.UDPAddr)
-	return addr
-}
+func (c *packetBatchConn) Peer(i int) netip.AddrPort { return c.peers[i] }
 
 func (c *packetBatchConn) Close() error { return c.conn.Close() }
 

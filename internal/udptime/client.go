@@ -321,8 +321,12 @@ func (c *Client) query(addr string, timeout time.Duration, local ClockSource, op
 		return Measurement{}, fmt.Errorf("udptime: deadline: %w", err)
 	}
 
-	sentLocal := localNow(local)
+	// Monotonic first: a descheduling of g between the two reads then
+	// lands inside RTT, and widens the offset interval by g below and
+	// delta*g above. In the other order it back-dates LocalRecv by g and
+	// shifts the interval off the true offset.
 	sentMono := time.Now()
+	sentLocal := localNow(local)
 	if _, err := conn.Write(out); err != nil {
 		return Measurement{}, fmt.Errorf("udptime: send to %q: %w", addr, err)
 	}

@@ -5,15 +5,17 @@ import (
 	"encoding/binary"
 	"math/rand/v2"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"disttime/internal/hlc"
 	"disttime/internal/wire"
 )
 
 // fixedSource is a deterministic clock: every read returns the same
 // <C, E, synced> triple, which is what makes byte-identity across two
-// server implementations assertable at all.
+// serving backends assertable at all.
 type fixedSource struct {
 	c      time.Time
 	e      time.Duration
@@ -22,27 +24,41 @@ type fixedSource struct {
 
 func (f fixedSource) Now() (time.Time, time.Duration, bool) { return f.c, f.e, f.synced }
 
-// diffDatagram is one corpus element: the raw bytes and, for well-formed
-// requests, the reqID a reply will echo.
+// diffDatagram is one corpus element: the raw bytes and what a server
+// owes it.
 type diffDatagram struct {
-	raw   []byte
-	reqID uint64 // nonzero only for datagrams that must be answered
+	raw       []byte
+	reqID     uint64 // nonzero only for datagrams that must be answered
+	advertise bool   // a well-formed advertisement: the handler's, if one is installed
 }
 
-// diffCorpus builds a randomized datagram corpus cycling through ten
-// kinds: valid version-1 requests plus nine malformed or non-request
-// shapes (truncations, bad magic/version/type, nonzero reserved byte,
-// flagged requests, version-2 advertise both valid and truncated, stray
-// responses, and raw garbage). Only the valid requests may be answered.
-func diffCorpus(t *testing.T, rng *rand.Rand, n int) []diffDatagram {
+// diffCorpus builds a randomized datagram corpus cycling through
+// fourteen kinds over all three wire versions: valid version-1 and
+// version-3 requests, a valid version-2 advertisement, and eleven
+// malformed or non-request shapes (truncations of each, bad
+// magic/version/type, nonzero reserved byte, flagged requests, stray
+// responses of both versions, and raw garbage). Only the valid requests
+// may be answered. The version-3 requests carry hybrid-logical-clock
+// walls drawn below maxWall.
+func diffCorpus(t *testing.T, rng *rand.Rand, n int, maxWall int64) []diffDatagram {
 	t.Helper()
 	corpus := make([]diffDatagram, 0, n)
 	for i := 0; i < n; i++ {
 		// Request IDs stay clear of zero so reqID==0 can mean "no reply".
 		id := rng.Uint64() | 1
 		valid := wire.AppendRequest(nil, wire.Request{ReqID: id})
+		validHLC := wire.AppendRequestHLC(nil, wire.RequestHLC{ReqID: id, TS: hlc.Timestamp{
+			Wall: rng.Int64N(maxWall), Logical: rng.Uint32N(1 << 16), Node: 1 + rng.Uint32N(8),
+		}})
+		response := wire.Response{
+			ReqID:    id,
+			ServerID: rng.Uint64(),
+			Clock:    time.Unix(0, int64(rng.Uint64N(1<<62))),
+			MaxError: time.Duration(rng.Uint64N(1 << 30)),
+		}
 		var d diffDatagram
-		switch i % 10 {
+		var err error
+		switch i % 14 {
 		case 0: // well-formed request
 			d = diffDatagram{raw: valid, reqID: id}
 		case 1: // truncated request
@@ -56,24 +72,16 @@ func diffCorpus(t *testing.T, rng *rand.Rand, n int) []diffDatagram {
 				d.raw[4] = byte(rng.IntN(256))
 			}
 		case 4: // stray response sent as a query
-			resp, err := wire.AppendResponse(nil, wire.Response{
-				ReqID:    id,
-				ServerID: rng.Uint64(),
-				Clock:    time.Unix(0, int64(rng.Uint64N(1<<62))),
-				MaxError: time.Duration(rng.Uint64N(1 << 30)),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			d.raw = resp
+			d.raw, err = wire.AppendResponse(nil, response)
 		case 5: // nonzero reserved byte
 			d.raw = bytes.Clone(valid)
 			d.raw[7] = 1 + byte(rng.IntN(255))
 		case 6: // request with flags set
 			d.raw = bytes.Clone(valid)
 			d.raw[6] = 1 + byte(rng.IntN(255))
-		case 7: // valid version-2 advertise (both servers are pre-membership)
-			adv, err := wire.AppendAdvertise(nil, id, []wire.MemberEntry{{
+		case 7: // valid version-2 advertise
+			d.advertise = true
+			d.raw, err = wire.AppendAdvertise(nil, id, []wire.MemberEntry{{
 				Addr:   "10.0.0.1:3123",
 				Gen:    1,
 				Seq:    uint64(i),
@@ -82,19 +90,15 @@ func diffCorpus(t *testing.T, rng *rand.Rand, n int) []diffDatagram {
 				E:      rng.Float64(),
 				Delta:  rng.Float64() / 1e3,
 			}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			d.raw = adv
 		case 8: // truncated advertise
-			adv, err := wire.AppendAdvertise(nil, id, []wire.MemberEntry{{
+			var adv []byte
+			adv, err = wire.AppendAdvertise(nil, id, []wire.MemberEntry{{
 				Addr: "10.0.0.2:3123", Gen: 2, Seq: uint64(i), Status: 2,
 				C: 1e9, E: 0.25, Delta: 1e-4,
 			}})
-			if err != nil {
-				t.Fatal(err)
+			if err == nil {
+				d.raw = adv[:wire.RequestSize+1+rng.IntN(len(adv)-wire.RequestSize-1)]
 			}
-			d.raw = adv[:wire.RequestSize+1+rng.IntN(len(adv)-wire.RequestSize-1)]
 		case 9: // raw garbage
 			d.raw = make([]byte, 1+rng.IntN(64))
 			for j := range d.raw {
@@ -103,57 +107,78 @@ func diffCorpus(t *testing.T, rng *rand.Rand, n int) []diffDatagram {
 			if len(d.raw) >= 4 {
 				d.raw[0] = 0 // never a plausible magic
 			}
+		case 10: // well-formed version-3 request
+			d = diffDatagram{raw: validHLC, reqID: id}
+		case 11: // version-3 request cut inside its timestamp
+			d.raw = validHLC[:wire.RequestSize+rng.IntN(hlc.TimestampSize)]
+		case 12: // stray version-3 response sent as a query
+			d.raw, err = wire.AppendResponseHLC(nil, wire.ResponseHLC{Response: response, TS: hlc.Timestamp{Wall: 1, Node: 2}})
+		case 13: // version-3 type under the version-1 number
+			d.raw = bytes.Clone(validHLC)
+			d.raw[4] = wire.Version
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 		corpus = append(corpus, d)
 	}
 	return corpus
 }
 
-// sendCorpusCollect fires every corpus datagram at addr from one
-// connected socket and collects the replies until want distinct request
-// IDs have answered (or the deadline passes), returning raw reply bytes
-// keyed by echoed reqID.
-func sendCorpusCollect(t *testing.T, addr string, corpus []diffDatagram, want int) map[uint64][]byte {
+// sendCorpusCollect fires every corpus datagram at addr, dealing them
+// round-robin over socks connected sockets (one 4-tuple reaches one
+// SO_REUSEPORT shard, so it takes several to reach them all), and
+// collects the replies until every answerable datagram has its own,
+// returning raw reply bytes keyed by echoed reqID.
+func sendCorpusCollect(t *testing.T, addr string, corpus []diffDatagram, socks int) map[uint64][]byte {
 	t.Helper()
 	raddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.DialUDP("udp", nil, raddr)
-	if err != nil {
-		t.Fatal(err)
+	conns := make([]*net.UDPConn, socks)
+	want := make([]int, socks)
+	for k := range conns {
+		if conns[k], err = net.DialUDP("udp", nil, raddr); err != nil {
+			t.Fatal(err)
+		}
+		defer conns[k].Close()
 	}
-	defer conn.Close()
 	for i, d := range corpus {
 		if len(d.raw) == 0 {
 			continue // zero-length write is a no-op datagram; skip
 		}
-		if _, err := conn.Write(d.raw); err != nil {
+		if _, err := conns[i%socks].Write(d.raw); err != nil {
 			t.Fatal(err)
 		}
-		// Pace the blast: the per-packet server drains one datagram per
-		// loop, and an unpaced 300-datagram burst overflows its default
-		// receive buffer (the kernel charges skb truesize, not payload).
+		if d.reqID != 0 {
+			want[i%socks]++
+		}
+		// Pace the blast: the per-packet backend drains one datagram per
+		// loop, and a dropped version-3 request would shift every later
+		// logical counter.
 		if i%24 == 23 {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-	got := make(map[uint64][]byte, want)
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got := make(map[uint64][]byte)
 	buf := make([]byte, maxDatagram)
-	for len(got) < want {
-		n, err := conn.Read(buf)
-		if err != nil {
-			t.Fatalf("after %d/%d replies: %v", len(got), want, err)
+	for k, conn := range conns {
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for ; want[k] > 0; want[k]-- {
+			n, err := conn.Read(buf)
+			if err != nil {
+				t.Fatalf("socket %d, %d replies still owed: %v", k, want[k], err)
+			}
+			if n < wire.RequestSize {
+				t.Fatalf("short reply: %d bytes", n)
+			}
+			id := binary.BigEndian.Uint64(buf[8:16])
+			if prev, dup := got[id]; dup {
+				t.Fatalf("duplicate reply for reqID %d (prev %x)", id, prev)
+			}
+			got[id] = bytes.Clone(buf[:n])
 		}
-		if n < wire.RequestSize {
-			t.Fatalf("short reply: %d bytes", n)
-		}
-		id := binary.BigEndian.Uint64(buf[8:16])
-		if prev, dup := got[id]; dup {
-			t.Fatalf("duplicate reply for reqID %d (prev %x)", id, prev)
-		}
-		got[id] = bytes.Clone(buf[:n])
 	}
 	return got
 }
@@ -173,12 +198,17 @@ func waitCounter(t *testing.T, name string, get func() uint64, want uint64) {
 	}
 }
 
-// TestDifferentialServing is the serving-path equivalence proof: the
-// legacy per-packet server and the batched sharded server, run over the
-// same deterministic clock, must answer an adversarial corpus with
-// byte-identical responses and identical served/malformed accounting.
-// The batched server runs with the tick cache disabled (negative Tick),
-// which is its exact-parity mode.
+// TestDifferentialServing is the serving-backend equivalence proof: the
+// per-packet reference (NewServer) and the batch backend
+// (NewBatchServer, tick cache off so both read the same deterministic
+// clock) must answer an adversarial corpus of all three wire versions
+// with byte-identical responses, identical served/malformed accounting
+// and the same advertisements handed to the membership handler. On one
+// shard fed from one socket, arrival order fixes the hybrid logical
+// clock's counter and the version-3 replies compare whole; across
+// shards fed from several sockets the order is the kernel's, so the
+// logical counter alone is masked and the request walls stay below the
+// servers' own, which keeps the stamped wall independent of order.
 func TestDifferentialServing(t *testing.T) {
 	src := fixedSource{
 		c:      time.Unix(0, 1_700_000_000_123_456_789),
@@ -186,55 +216,68 @@ func TestDifferentialServing(t *testing.T) {
 		synced: true,
 	}
 	const serverID = 42
-
-	legacy, err := NewServer("127.0.0.1:0", serverID, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-	batched, err := NewBatchServer("127.0.0.1:0", serverID, src,
-		BatchConfig{Shards: 2, Batch: 8, Tick: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer batched.Close()
-
-	rng := rand.New(rand.NewPCG(0xd1ff, 0x5e4e))
-	const n = 300
-	corpus := diffCorpus(t, rng, n)
-	var wantReplies, wantMalformed uint64
-	for _, d := range corpus {
-		if d.reqID != 0 {
-			wantReplies++
-		} else if len(d.raw) > 0 {
-			wantMalformed++
-		}
-	}
-
-	fromLegacy := sendCorpusCollect(t, legacy.Addr().String(), corpus, int(wantReplies))
-	fromBatched := sendCorpusCollect(t, batched.Addr().String(), corpus, int(wantReplies))
-
-	for _, d := range corpus {
-		if d.reqID == 0 {
-			if _, ok := fromLegacy[d.reqID]; ok {
-				t.Fatalf("legacy answered a malformed datagram")
+	for _, tc := range []struct {
+		name          string
+		shards, socks int
+		handler       bool
+		maxWall       int64
+	}{
+		{name: "one shard", shards: 1, socks: 1, handler: true, maxWall: 2 * src.c.UnixNano()},
+		{name: "four shards", shards: 4, socks: 8, handler: false, maxWall: src.c.UnixNano()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			corpus := diffCorpus(t, rand.New(rand.NewPCG(0xd1ff, 0x5e4e)), 420, tc.maxWall)
+			var wantReplies, wantMalformed, wantHandled uint64
+			for _, d := range corpus {
+				switch {
+				case d.reqID != 0:
+					wantReplies++
+				case d.advertise && tc.handler:
+					wantHandled++
+				case len(d.raw) > 0:
+					wantMalformed++
+				}
 			}
-			continue
-		}
-		l, okL := fromLegacy[d.reqID]
-		b, okB := fromBatched[d.reqID]
-		if !okL || !okB {
-			t.Fatalf("reqID %d: legacy answered %v, batched answered %v", d.reqID, okL, okB)
-		}
-		if !bytes.Equal(l, b) {
-			t.Fatalf("reqID %d: responses differ\nlegacy:  %x\nbatched: %x", d.reqID, l, b)
-		}
-	}
 
-	waitCounter(t, "legacy requests", legacy.Requests, wantReplies)
-	waitCounter(t, "batched requests", batched.Requests, wantReplies)
-	waitCounter(t, "legacy malformed", legacy.MalformedDatagrams, wantMalformed)
-	waitCounter(t, "batched malformed", batched.MalformedDatagrams, wantMalformed)
+			replies := make(map[string]map[uint64][]byte)
+			for _, b := range []backend{
+				{"per-packet", NewServer},
+				{"batch", batchBackend(BatchConfig{Shards: tc.shards, Batch: 8, Tick: -1})},
+			} {
+				var handled atomic.Uint64
+				var opts []ServerOption
+				if tc.handler {
+					opts = append(opts, advertiseOption{handler: func(_ *net.UDPAddr, entries []wire.MemberEntry) {
+						handled.Add(uint64(len(entries)))
+					}})
+				}
+				srv, err := b.new("127.0.0.1:0", serverID, src, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer srv.Close()
+				replies[b.name] = sendCorpusCollect(t, srv.Addr().String(), corpus, tc.socks)
+				waitCounter(t, b.name+" requests", srv.Requests, wantReplies)
+				waitCounter(t, b.name+" malformed", srv.MalformedDatagrams, wantMalformed)
+				waitCounter(t, b.name+" advertisements handled", handled.Load, wantHandled)
+			}
+
+			for _, d := range corpus {
+				if d.reqID == 0 {
+					continue
+				}
+				ref, got := replies["per-packet"][d.reqID], replies["batch"][d.reqID]
+				if tc.shards > 1 && len(ref) == wire.ResponseHLCSize && len(got) == wire.ResponseHLCSize {
+					logical := wire.ResponseSize + 8 // hlc.Timestamp: wall, logical, node
+					clear(ref[logical : logical+4])
+					clear(got[logical : logical+4])
+				}
+				if len(ref) == 0 || !bytes.Equal(ref, got) {
+					t.Fatalf("reqID %d: responses differ\nper-packet: %x\nbatch:      %x", d.reqID, ref, got)
+				}
+			}
+		})
+	}
 }
 
 // TestDifferentialTickWidening pins the cached mode's only permitted
@@ -261,34 +304,8 @@ func TestDifferentialTickWidening(t *testing.T) {
 	}
 	defer batched.Close()
 
-	query := func(addr string, id uint64) wire.Response {
-		raddr, err := net.ResolveUDPAddr("udp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn, err := net.DialUDP("udp", nil, raddr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if _, err := conn.Write(wire.AppendRequest(nil, wire.Request{ReqID: id})); err != nil {
-			t.Fatal(err)
-		}
-		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		buf := make([]byte, maxDatagram)
-		n, err := conn.Read(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := wire.ParseResponse(buf[:n])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	l := query(legacy.Addr().String(), 11)
-	b := query(batched.Addr().String(), 11)
+	l := queryOne(t, legacy.Addr().String(), 11)
+	b := queryOne(t, batched.Addr().String(), 11)
 	// fixedSource reports no drift bound, so the widening is exactly the
 	// tick itself.
 	widen := tickWiden(tick, 0)

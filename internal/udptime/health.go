@@ -18,14 +18,15 @@ func (o serverObsOption) applyServer(s *Server) {
 	if o.reg != nil {
 		s.obsRequests = o.reg.Counter("udptime_server_requests_total")
 		s.obsMalformed = o.reg.Counter("udptime_server_malformed_total")
+		s.obsBatches = o.reg.Counter("udptime_server_batches_total")
 		s.obsSendErrs = o.reg.Counter("udptime_server_send_errors_total")
 	}
 }
 
 // WithServerObservability resolves the server's request, malformed-
-// datagram, and send-error counters in reg, and makes reg the registry
-// the health listener's /metrics endpoint exposes. The registry may be
-// shared with clients and syncers in the same process.
+// datagram, batch, and send-error counters in reg, and makes reg the
+// registry the health listener's /metrics endpoint exposes. The registry
+// may be shared with clients and syncers in the same process.
 func WithServerObservability(reg *obs.Registry) ServerOption {
 	return serverObsOption{reg: reg}
 }
@@ -52,7 +53,7 @@ func WithHealthListener(addr string) ServerOption {
 }
 
 // startHealth binds and serves the health listener. Called from
-// NewServer after options are applied.
+// newServer after options are applied.
 func (s *Server) startHealth() error {
 	if s.healthAddr == "" {
 		return nil
@@ -90,7 +91,7 @@ func (s *Server) HealthAddr() net.Addr {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, `{"status":"ok","server_id":%d,"requests":%d,"malformed":%d}`+"\n",
-		s.id, s.requests.Load(), s.errsSeen.Load())
+		s.id, s.requests.Load(), s.malformed.Load())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -58,41 +58,46 @@ func TestWaitUntilAfterPastTargetReturnsImmediately(t *testing.T) {
 	}
 }
 
-// TestQueryHLC drives one version-3 exchange end to end: the client's
-// timestamp reaches the server, the server's reply timestamp dominates
-// it, and the client folds the reply back into its own clock.
+// TestQueryHLC drives one version-3 exchange end to end on each serving
+// backend: the client's timestamp reaches the server, the server's
+// reply timestamp dominates it, and the client folds the reply back
+// into its own clock.
 func TestQueryHLC(t *testing.T) {
 	src, err := NewSystemClock(time.Millisecond, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer("127.0.0.1:0", 7, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			srv, err := b.new("127.0.0.1:0", 7, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
 
-	clock := hlc.New(99)
-	c := NewClient(time.Second, nil, WithHLC(clock))
-	before := clock.Last()
-	m, err := c.Query(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.TS.IsZero() {
-		t.Fatal("v3 measurement carries no timestamp")
-	}
-	if m.TS.Node != 7 {
-		t.Errorf("server timestamp node = %d, want 7", m.TS.Node)
-	}
-	if !before.Before(m.TS) {
-		t.Errorf("server timestamp %v does not dominate client send %v", m.TS, before)
-	}
-	if after := clock.Last(); !m.TS.Before(after) {
-		t.Errorf("client clock %v did not advance past server timestamp %v", after, m.TS)
-	}
-	if srv.Requests() != 1 {
-		t.Errorf("server answered %d requests, want 1", srv.Requests())
+			clock := hlc.New(99)
+			c := NewClient(time.Second, nil, WithHLC(clock))
+			before := clock.Last()
+			m, err := c.Query(srv.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.TS.IsZero() {
+				t.Fatal("v3 measurement carries no timestamp")
+			}
+			if m.TS.Node != 7 {
+				t.Errorf("server timestamp node = %d, want 7", m.TS.Node)
+			}
+			if !before.Before(m.TS) {
+				t.Errorf("server timestamp %v does not dominate client send %v", m.TS, before)
+			}
+			if after := clock.Last(); !m.TS.Before(after) {
+				t.Errorf("client clock %v did not advance past server timestamp %v", after, m.TS)
+			}
+			if srv.Requests() != 1 {
+				t.Errorf("server answered %d requests, want 1", srv.Requests())
+			}
+		})
 	}
 }
 

@@ -195,9 +195,9 @@ func (g *loadGen) runConn() error {
 	}
 	_ = conn.SetReadBuffer(1 << 20)
 	_ = conn.SetWriteBuffer(1 << 20)
-	// Requests are always exactly RequestSize; a connected socket has a
-	// single peer, so whole windows can leave as GSO super-datagrams.
-	bc, err := newBatchConn(conn, g.cfg.Batch, true, wire.RequestSize)
+	// Requests are all one size and a connected socket has a single
+	// peer, so whole windows can leave as GSO super-datagrams.
+	bc, err := newBatchConn(conn, g.cfg.Batch, true)
 	if err != nil {
 		conn.Close()
 		g.errs.Add(1)
@@ -268,7 +268,7 @@ func (g *loadGen) runConn() error {
 
 	for {
 		if err := launch(); err != nil {
-			if isClosedErr(err) {
+			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			g.errs.Add(1)
@@ -291,7 +291,7 @@ func (g *loadGen) runConn() error {
 		_ = bc.SetReadDeadline(deadline)
 		n, err := bc.Recv()
 		if err != nil {
-			if isClosedErr(err) {
+			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			var nerr net.Error

@@ -80,8 +80,16 @@ func aliveView(p *Peer) int {
 // over real UDP sockets: five peers started with only seed addresses
 // converge to the full roster through gossip, evict a killed peer
 // within the detector bound, and re-admit it after a restart as a
-// fresh incarnation.
+// fresh incarnation — once with every peer serving per-packet, once
+// with every peer's heartbeats and version-3 syncs spread over batched
+// shards.
 func TestClusterConvergeEvictReadmit(t *testing.T) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) { testClusterConvergeEvictReadmit(t, b.new) })
+	}
+}
+
+func testClusterConvergeEvictReadmit(t *testing.T, listen newServerFunc) {
 	const n = 5
 	addrs := reserveAddrs(t, n)
 	reg := obs.NewRegistry()
@@ -105,7 +113,7 @@ func TestClusterConvergeEvictReadmit(t *testing.T) {
 		if i == 0 {
 			cfg.Metrics = reg
 		}
-		p, err := NewPeer(cfg)
+		p, err := newPeer(cfg, listen)
 		if err != nil {
 			t.Fatalf("peer %d: %v", i, err)
 		}
@@ -205,7 +213,7 @@ func TestClusterConvergeEvictReadmit(t *testing.T) {
 
 	// Restart the victim at the same address: its wall-clock incarnation
 	// number supersedes the eviction, and every survivor re-admits it.
-	reborn, err := NewPeer(PeerConfig{
+	reborn, err := newPeer(PeerConfig{
 		Addr:       addrs[2],
 		ID:         3,
 		DriftPPM:   100,
@@ -213,7 +221,7 @@ func TestClusterConvergeEvictReadmit(t *testing.T) {
 		Membership: fastMembership(),
 		Interval:   100 * time.Millisecond,
 		Timeout:    200 * time.Millisecond,
-	})
+	}, listen)
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}

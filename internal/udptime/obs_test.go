@@ -93,6 +93,34 @@ func TestClientStampsDelta(t *testing.T) {
 	}
 }
 
+// descheduledClock reads the host clock and hands the reading back 5 ms
+// late: a goroutine descheduled between taking a reading and using it.
+type descheduledClock struct{}
+
+func (descheduledClock) Now() (time.Time, time.Duration, bool) {
+	now := time.Now()
+	time.Sleep(5 * time.Millisecond)
+	return now, 0, true
+}
+
+// TestQuerySurvivesDeschedulingBetweenClockReads pins the order of the
+// client's two send-side clock reads. Client and server share the host
+// clock, so the true offset is zero. Whatever the gap between the local
+// reading and the monotonic one, it must land in the round trip, where
+// it widens the offset interval, and not in LocalRecv, where it would
+// shift the interval off zero by the gap.
+func TestQuerySurvivesDeschedulingBetweenClockReads(t *testing.T) {
+	srv := startServer(t, 1, shiftedClock{err: 100 * time.Microsecond, synced: true})
+	client := NewClient(2*time.Second, descheduledClock{})
+	m, err := client.Query(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if iv := m.OffsetInterval(); iv.Lo > 0 || iv.Hi < 0 {
+		t.Fatalf("offset interval [%v, %v] excludes the true offset 0 (RTT %v)", iv.Lo, iv.Hi, m.RTT)
+	}
+}
+
 // TestSplitmix64KnownVectors pins the fallback seeder to the reference
 // splitmix64 sequence for seed 0 (the published test vectors), so the
 // derivation cannot silently regress to a weaker mix.

@@ -73,7 +73,14 @@ type PeerConfig struct {
 
 // NewPeer starts a peer: a server answering on Addr and a syncer
 // disciplining its clock against Peers, the roster, or both.
-func NewPeer(cfg PeerConfig) (*Peer, error) {
+func NewPeer(cfg PeerConfig) (*Peer, error) { return newPeer(cfg, NewServer) }
+
+// newServerFunc is the shape of NewServer.
+type newServerFunc = func(addr string, id uint64, src ClockSource, opts ...ServerOption) (*Server, error)
+
+// newPeer is NewPeer over either server constructor; the membership
+// tests run the cluster once per serving backend through it.
+func newPeer(cfg PeerConfig, listen newServerFunc) (*Peer, error) {
 	if len(cfg.Peers) == 0 && len(cfg.Seeds) == 0 {
 		return nil, errors.New("udptime: peer needs at least one peer address")
 	}
@@ -92,7 +99,7 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 			m.handleAdvertise(entries)
 		}})
 	}
-	server, err := NewServer(cfg.Addr, cfg.ID, dc, opts...)
+	server, err := listen(cfg.Addr, cfg.ID, dc, opts...)
 	if err != nil {
 		return nil, err
 	}

@@ -6,56 +6,80 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/netip"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"disttime/internal/hlc"
 	"disttime/internal/obs"
 	"disttime/internal/wire"
 )
 
-// dgramPool recycles full-size datagram scratch buffers across server
-// loops and client queries, so short-lived readers (clients issue one
-// query per sync round) stop allocating a fresh buffer each time.
+// dgramPool recycles full-size datagram scratch buffers across client
+// queries, so short-lived readers (clients issue one query per sync
+// round) stop allocating a fresh buffer each time.
 var dgramPool = sync.Pool{
 	New: func() any { return new([maxDatagram]byte) },
 }
 
-// Server is a UDP time server: it answers each wire.Request with the
-// reading of its ClockSource at the moment the request was processed
-// (rule MM-1). With WithHealthListener it also serves /healthz,
+// Server is a UDP time server: it answers each request with the reading
+// of its ClockSource taken between the request's arrival and the reply
+// (rule MM-1). It speaks every wire version — version-1 requests,
+// version-3 requests carrying a hybrid-logical-clock timestamp, and
+// version-2 membership advertisements when a Peer installs their
+// handler — on one serving loop per shard: receive a batch of datagrams
+// through a batchIO, answer the well-formed requests, send the replies.
+//
+// The two constructors differ only in what they put under that loop.
+// NewServer runs one shard on the per-packet backend and reads the
+// source once per request. NewBatchServer runs BatchConfig.Shards shards
+// on the platform's batch backend (recvmmsg/sendmmsg with GSO on
+// linux/amd64 and linux/arm64) and answers from a TickCache.
+//
+// With WithHealthListener the server also serves /healthz,
 // Prometheus-style /metrics, and pprof over HTTP.
 type Server struct {
-	id     uint64
-	src    ClockSource
-	conn   *net.UDPConn
-	done   chan struct{}
-	logger *log.Logger
+	id uint64
+	// src is what the responder reads: the tick cache when there is
+	// one, the caller's source otherwise.
+	src   ClockSource
+	cache *TickCache
 
 	// hlc is the server's hybrid logical clock, always on: every
 	// version-3 exchange folds the client's timestamp in and stamps the
 	// reply, so RPCs double as hlc.Update edges.
 	hlc *hlc.Clock
 
-	requests atomic.Uint64
-	errsSeen atomic.Uint64
+	// conn is shard 0's socket: the bound address, and the socket a
+	// Peer's membership manager sends its gossip from.
+	conn   *net.UDPConn
+	shards []batchIO
+	loops  sync.WaitGroup
+	logger *log.Logger
+
+	requests  atomic.Uint64
+	malformed atomic.Uint64
 
 	// advertise, when non-nil, receives parsed membership heartbeats
-	// (wire.TypeAdvertise datagrams); without it they count as malformed,
-	// which is exactly how a pre-membership server treats them.
+	// (wire.TypeAdvertise datagrams) from whichever shard they reach;
+	// without it they count as malformed, which is exactly how a
+	// pre-membership server treats them.
 	advertise func(from *net.UDPAddr, entries []wire.MemberEntry)
 
 	// Observability (see health.go). The obs handles are nil without a
-	// registry; obs methods are nil-safe, so the serve loop bumps them
+	// registry; obs methods are nil-safe, so the loop bumps them
 	// unconditionally.
 	reg          *obs.Registry
 	obsRequests  *obs.Counter
 	obsMalformed *obs.Counter
+	obsBatches   *obs.Counter
 	obsSendErrs  *obs.Counter
 	healthAddr   string
 	healthLn     net.Listener
 	health       *http.Server
+
+	closeOnce sync.Once
+	closeErr  error
 }
 
 // ServerOption configures a Server.
@@ -83,30 +107,111 @@ func WithServerLogger(logger *log.Logger) ServerOption {
 	return serverLoggerOption{logger: logger}
 }
 
+// BatchConfig sizes a NewBatchServer server.
+type BatchConfig struct {
+	// Shards is the number of serving loops, each bound to its own
+	// SO_REUSEPORT listener on the serving port; the kernel hashes
+	// incoming datagrams across them. Zero means one shard. More than
+	// one shard requires SO_REUSEPORT support (Linux and the BSDs).
+	Shards int
+	// Batch is the number of datagrams moved per recvmmsg/sendmmsg
+	// vector on the Linux fast path (zero means 32, capped at 512). The
+	// per-packet backend moves one whatever the value.
+	Batch int
+	// Tick is the cached-response refresh interval (zero means one
+	// millisecond). A negative Tick disables the cache: every reply
+	// reads the clock source directly, exactly as NewServer's do — the
+	// mode the differential serving tests compare the backends in.
+	Tick time.Duration
+	// Registry resolves the server's metrics (nil leaves them inert);
+	// shorthand for WithServerObservability.
+	Registry *obs.Registry
+}
+
+// driftReporter is implemented by clock sources that know their own
+// drift bound; the tick cache charges it into its widening.
+type driftReporter interface {
+	DriftPPM() float64
+}
+
 // NewServer starts a time server listening on addr (e.g. "127.0.0.1:0")
-// answering with readings from src, identifying itself as id. The server
-// runs until Close.
+// answering with readings from src, identifying itself as id: one
+// shard, one datagram per system call, one clock read per request. The
+// server runs until Close.
 func NewServer(addr string, id uint64, src ClockSource, opts ...ServerOption) (*Server, error) {
+	return newServer(addr, id, src, BatchConfig{Shards: 1, Batch: 1, Tick: -1}, newPacketConn, opts)
+}
+
+// NewBatchServer starts a sharded server on addr that moves datagrams
+// in batches where the platform can and answers from a per-tick cached
+// <C, E> reading, so replies under load touch neither the clock lock
+// nor a per-packet system call. It answers the same protocol, byte for
+// byte, as a NewServer server. A bind failure on any shard (for example
+// a busy port) tears down the shards already bound and returns the
+// listener's error.
+func NewBatchServer(addr string, id uint64, src ClockSource, cfg BatchConfig, opts ...ServerOption) (*Server, error) {
+	if cfg.Registry != nil {
+		opts = append([]ServerOption{WithServerObservability(cfg.Registry)}, opts...)
+	}
+	cfg.Batch = clampBatch(cfg.Batch)
+	return newServer(addr, id, src, cfg, newBatchConn, opts)
+}
+
+// newServer is the one constructor: cfg gives the shape, newConn the
+// backend each shard's socket is wrapped in.
+func newServer(addr string, id uint64, src ClockSource, cfg BatchConfig,
+	newConn func(conn *net.UDPConn, size int, connected bool) (batchIO, error), opts []ServerOption) (*Server, error) {
 	if src == nil {
 		return nil, errors.New("udptime: nil clock source")
 	}
-	udpAddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("udptime: resolve %q: %w", addr, err)
-	}
-	conn, err := net.ListenUDP("udp", udpAddr)
-	if err != nil {
-		return nil, fmt.Errorf("udptime: listen %q: %w", addr, err)
-	}
-	s := &Server{id: id, src: src, conn: conn, done: make(chan struct{}), hlc: hlc.New(uint32(id))}
+	shards := max(cfg.Shards, 1)
+	s := &Server{id: id, src: src, hlc: hlc.New(uint32(id))}
 	for _, o := range opts {
 		o.applyServer(s)
 	}
+	if s.reg != nil {
+		s.reg.Gauge("udptime_server_shards").Set(float64(shards))
+	}
+
+	bindTo := addr
+	for i := 0; i < shards; i++ {
+		conn, err := listenUDP(bindTo, shards > 1)
+		if err != nil {
+			s.closeShards()
+			return nil, fmt.Errorf("udptime: bind shard %d of %d on %q: %w", i, shards, bindTo, err)
+		}
+		_ = conn.SetReadBuffer(1 << 20)
+		_ = conn.SetWriteBuffer(1 << 20)
+		bc, err := newConn(conn, cfg.Batch, false)
+		if err != nil {
+			conn.Close()
+			s.closeShards()
+			return nil, fmt.Errorf("udptime: shard %d raw conn: %w", i, err)
+		}
+		s.shards = append(s.shards, bc)
+		if i == 0 {
+			s.conn = conn
+			// Later shards must join the concrete port shard 0 got,
+			// even when addr asked for :0.
+			bindTo = conn.LocalAddr().String()
+		}
+	}
 	if err := s.startHealth(); err != nil {
-		conn.Close()
+		s.closeShards()
 		return nil, err
 	}
-	go s.serve()
+	if cfg.Tick >= 0 {
+		var drift float64
+		if dr, ok := src.(driftReporter); ok {
+			drift = dr.DriftPPM()
+		}
+		s.cache = NewTickCache(src, cfg.Tick, drift)
+		s.src = s.cache
+	}
+	for _, bc := range s.shards {
+		s.loops.Add(1)
+		go s.serve(bc)
+	}
 	return s, nil
 }
 
@@ -116,143 +221,202 @@ func (s *Server) Addr() *net.UDPAddr {
 	return addr
 }
 
-// Requests returns how many well-formed requests the server has answered.
+// Shards returns the number of serving loops.
+func (s *Server) Shards() int { return len(s.shards) }
+
+// Requests returns how many well-formed requests the server has
+// answered across all shards.
 func (s *Server) Requests() uint64 { return s.requests.Load() }
 
 // HLC returns the server's hybrid logical clock.
 func (s *Server) HLC() *hlc.Clock { return s.hlc }
 
 // MalformedDatagrams returns how many datagrams failed to parse.
-func (s *Server) MalformedDatagrams() uint64 { return s.errsSeen.Load() }
+func (s *Server) MalformedDatagrams() uint64 { return s.malformed.Load() }
 
-// Close stops the server (and its health listener, if any) and waits
-// for its loop to exit.
+// Close stops every shard, the tick cache and the health listener (if
+// any) and waits for the serving loops to drain, including batches in
+// flight. It is idempotent and safe to call from several goroutines at
+// once; every call returns the same result.
 func (s *Server) Close() error {
-	s.closeHealth()
-	err := s.conn.Close()
-	<-s.done
-	return err
+	s.closeOnce.Do(func() {
+		s.closeHealth()
+		s.closeErr = s.closeShards()
+		s.loops.Wait()
+		if s.cache != nil {
+			s.cache.Stop()
+		}
+	})
+	return s.closeErr
 }
 
-func (s *Server) serve() {
-	defer close(s.done)
-	bufp := dgramPool.Get().(*[maxDatagram]byte)
-	buf := bufp[:]
-	defer dgramPool.Put(bufp)
-	out := make([]byte, 0, wire.ResponseHLCSize)
+// closeShards closes every bound socket and returns the first error.
+func (s *Server) closeShards() error {
+	var first error
+	for _, bc := range s.shards {
+		if err := bc.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// serve drains one shard's socket until it is closed: receive a batch,
+// answer every well-formed request, send the replies. It is the only
+// code that reads a server socket.
+func (s *Server) serve(bc batchIO) {
+	defer s.loops.Done()
+	bt := bc.Batch()
 	for {
-		// ReadFromUDPAddrPort keeps the receive path allocation-free: the
-		// peer address comes back as a value, not the *net.UDPAddr (plus
-		// IP slice) that ReadFromUDP heap-allocates per datagram.
-		n, peer, err := s.conn.ReadFromUDPAddrPort(buf)
+		n, err := bc.Recv()
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return
 			}
-			s.errsSeen.Add(1)
+			// Transient receive failure (spurious ICMP, truncation):
+			// count it and keep serving.
+			s.malformed.Add(1)
+			s.obsMalformed.Inc()
 			continue
 		}
-		typ, ok := wire.PeekType(buf[:n])
-		if ok && typ == wire.TypeAdvertise && s.advertise != nil {
-			s.handleAdvertise(buf[:n], peer)
+		s.obsBatches.Inc()
+		if s.cache != nil {
+			// Every request of the batch was sent before this check, and
+			// after it the snapshot is less than a tick old: the one-tick
+			// widening covers them however late the refresher runs.
+			s.cache.refreshIfStale()
+		}
+		served := s.respond(bt, n)
+		if served < n {
+			s.unanswered(bc, n)
+		}
+		if served == 0 {
 			continue
 		}
-		if ok && typ == wire.TypeRequestHLC {
-			out = s.respondHLC(buf[:n], out)
-		} else {
-			out = s.respondOne(buf[:n], out)
-		}
-		if len(out) == 0 {
-			if s.logger != nil {
-				s.logger.Printf("udptime: bad request from %v (%d bytes)", peer, n)
-			}
-			continue
-		}
-		if _, err := s.conn.WriteToUDPAddrPort(out, peer); err != nil {
+		if err := bc.Send(n); err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return
 			}
-			s.errsSeen.Add(1)
 			s.obsSendErrs.Inc()
+		}
+	}
+}
+
+// respond fills bt.send[i] for every well-formed request in
+// bt.recv[0:n], dispatching on the wire type — a version-1 reply, or a
+// version-3 reply that folds the client's timestamp into the server's
+// hybrid logical clock and stamps the receive event — and returns how
+// many replies it prepared. The HLC wall is the reading's latest bound
+// C+E, so the stamped physical component never trails true time while
+// the clock is contained. Everything else leaves its slot empty:
+// malformed datagrams are counted here, once per batch; advertisements
+// with a handler installed are left for unanswered.
+//
+//lint:noalloc BenchmarkServeBatch
+func (s *Server) respond(bt *ioBatch, n int) int {
+	served := 0
+	var bad uint64
+	for i := 0; i < n; i++ {
+		slot := bt.send[i][:0]
+		bt.send[i] = slot
+		in := bt.recv[i]
+		typ, _ := wire.PeekType(in)
+		if typ == wire.TypeAdvertise && s.advertise != nil {
 			continue
 		}
-		s.requests.Add(1)
-		s.obsRequests.Inc()
-	}
-}
-
-// respondOne is the per-datagram fast path: parse the request, read the
-// clock, encode the reply into out's backing array. An empty result
-// means the datagram was malformed (already counted). Shares its
-// allocation audit with the batched path — the transform is the same.
-//
-//lint:noalloc BenchmarkServeBatch
-func (s *Server) respondOne(in, out []byte) []byte {
-	req, err := wire.ParseRequest(in)
-	if err != nil {
-		s.errsSeen.Add(1)
-		s.obsMalformed.Inc()
-		return out[:0]
-	}
-	c, maxErr, synced := s.src.Now()
-	res, err := wire.AppendResponse(out[:0], wire.Response{
-		ReqID:          req.ReqID,
-		ServerID:       s.id,
-		Clock:          c,
-		MaxError:       maxErr,
-		Unsynchronized: !synced,
-	})
-	if err != nil {
-		s.errsSeen.Add(1)
-		return out[:0]
-	}
-	return res
-}
-
-// respondHLC is the version-3 fast path: parse the request, fold the
-// client's timestamp into the server's hybrid logical clock, and answer
-// with the reading plus the receive event's timestamp. The HLC wall is
-// the reading's latest bound C+E, so the stamped physical component
-// never trails true time while the clock is contained.
-//
-//lint:noalloc BenchmarkServeBatch
-func (s *Server) respondHLC(in, out []byte) []byte {
-	req, err := wire.ParseRequestHLC(in)
-	if err != nil {
-		s.errsSeen.Add(1)
-		s.obsMalformed.Inc()
-		return out[:0]
-	}
-	c, maxErr, synced := s.src.Now()
-	ts := s.hlc.Update(c.Add(maxErr).UnixNano(), req.TS)
-	res, err := wire.AppendResponseHLC(out[:0], wire.ResponseHLC{
-		Response: wire.Response{
-			ReqID:          req.ReqID,
+		v3 := typ == wire.TypeRequestHLC
+		var reqID uint64
+		var remote hlc.Timestamp
+		var err error
+		if v3 {
+			var req wire.RequestHLC
+			req, err = wire.ParseRequestHLC(in)
+			reqID, remote = req.ReqID, req.TS
+		} else {
+			var req wire.Request
+			req, err = wire.ParseRequest(in)
+			reqID = req.ReqID
+		}
+		if err != nil {
+			bad++
+			continue
+		}
+		c, maxErr, synced := s.src.Now()
+		resp := wire.Response{
+			ReqID:          reqID,
 			ServerID:       s.id,
 			Clock:          c,
 			MaxError:       maxErr,
 			Unsynchronized: !synced,
-		},
-		TS: ts,
-	})
-	if err != nil {
-		s.errsSeen.Add(1)
-		return out[:0]
+		}
+		var out []byte
+		if v3 {
+			ts := s.hlc.Update(c.Add(maxErr).UnixNano(), remote)
+			out, err = wire.AppendResponseHLC(slot, wire.ResponseHLC{Response: resp, TS: ts})
+		} else {
+			out, err = wire.AppendResponse(slot, resp)
+		}
+		if err != nil {
+			bad++
+			continue
+		}
+		bt.send[i] = out
+		served++
 	}
-	return res
+	if served > 0 {
+		s.requests.Add(uint64(served))
+		s.obsRequests.Add(uint64(served))
+	}
+	if bad > 0 {
+		s.malformed.Add(bad)
+		s.obsMalformed.Add(bad)
+	}
+	return served
 }
 
-// handleAdvertise dispatches a membership heartbeat; the *net.UDPAddr
-// conversion allocates, which is fine on this rare, unannotated path.
-func (s *Server) handleAdvertise(pkt []byte, peer netip.AddrPort) {
-	_, entries, err := wire.ParseAdvertise(pkt)
-	if err != nil {
-		s.errsSeen.Add(1)
-		s.obsMalformed.Inc()
-		if s.logger != nil {
-			s.logger.Printf("udptime: bad advertise from %v: %v", peer, err)
+// unanswered is the cold path over the slots respond left empty:
+// membership heartbeats go to the advertise handler, and the rest are
+// logged when a logger is configured. It may allocate, which is why it
+// sits outside the annotated responder.
+func (s *Server) unanswered(bc batchIO, n int) {
+	bt := bc.Batch()
+	for i := 0; i < n; i++ {
+		if len(bt.send[i]) != 0 {
+			continue
 		}
-		return
+		in := bt.recv[i]
+		if typ, _ := wire.PeekType(in); typ == wire.TypeAdvertise && s.advertise != nil {
+			_, entries, err := wire.ParseAdvertise(in)
+			if err == nil {
+				s.advertise(net.UDPAddrFromAddrPort(bc.Peer(i)), entries)
+				continue
+			}
+			s.malformed.Add(1)
+			s.obsMalformed.Inc()
+		}
+		if s.logger != nil {
+			s.logger.Printf("udptime: bad datagram from %v (%d bytes)", bc.Peer(i), len(in))
+		}
 	}
-	s.advertise(net.UDPAddrFromAddrPort(peer), entries)
+}
+
+// NewServeBatchBench builds a detached serving pipeline — tick cache
+// over a fixed reading, responder, one preassembled batch of well-formed
+// version-1 requests — and returns a pump that pushes the whole batch
+// through the responder once, returning the number of replies prepared.
+// It exists for the repo-level BenchmarkServeBatch, which pins the
+// pipeline at zero allocations per batch; the cache is not
+// auto-refreshed so the measurement sees only the serving path.
+func NewServeBatchBench(batch int) func() int {
+	batch = clampBatch(batch)
+	src, err := NewSystemClock(0, 50)
+	if err != nil {
+		panic(err)
+	}
+	s := &Server{id: 1, src: newTickCacheStopped(src, 0, 50), hlc: hlc.New(1)}
+	bt, rbufs := newIOBatch(batch)
+	for i := range rbufs {
+		bt.recv[i] = wire.AppendRequest(rbufs[i][:0], wire.Request{ReqID: uint64(i) + 1})
+	}
+	return func() int { return s.respond(&bt, batch) }
 }

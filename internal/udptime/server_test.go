@@ -7,19 +7,46 @@ import (
 	"testing"
 	"time"
 
+	"disttime/internal/hlc"
 	"disttime/internal/wire"
 )
 
+// batchBackend is NewBatchServer under cfg in the shape of NewServer.
+func batchBackend(cfg BatchConfig) newServerFunc {
+	return func(addr string, id uint64, src ClockSource, opts ...ServerOption) (*Server, error) {
+		return NewBatchServer(addr, id, src, cfg, opts...)
+	}
+}
+
+type backend struct {
+	name string
+	new  newServerFunc
+}
+
+// backends are the two constructors as the lifecycle, version-3 and
+// cluster tests run them: one per-packet loop, and four shards on the
+// platform's batch backend behind a tick cache.
+var backends = []backend{
+	{"per-packet", NewServer},
+	{"batch", batchBackend(BatchConfig{Shards: 4, Batch: 16})},
+}
+
 // TestBatchServerConcurrentClose hammers Close from many goroutines
 // while a load run still has batches in flight: every Close must return
-// the same result, the shard loops must drain, and nothing may hang or
-// race (this test is part of the -race pass over RACE_PKGS).
+// the same result, the serving loops must drain, and nothing may hang
+// or race (this test is part of the -race pass over RACE_PKGS).
 func TestBatchServerConcurrentClose(t *testing.T) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) { testConcurrentClose(t, b.new) })
+	}
+}
+
+func testConcurrentClose(t *testing.T, newServer newServerFunc) {
 	src, err := NewSystemClock(time.Millisecond, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewBatchServer("127.0.0.1:0", 3, src, BatchConfig{Shards: 4, Batch: 16})
+	srv, err := newServer("127.0.0.1:0", 3, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,14 +91,18 @@ func TestBatchServerDoubleClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewBatchServer("127.0.0.1:0", 1, src, BatchConfig{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := srv.Close()
-	second := srv.Close()
-	if !errors.Is(second, first) {
-		t.Fatalf("second Close returned %v, first returned %v", second, first)
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			srv, err := b.new("127.0.0.1:0", 1, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := srv.Close()
+			second := srv.Close()
+			if first != nil || second != nil {
+				t.Fatalf("Close returned %v, then %v", first, second)
+			}
+		})
 	}
 }
 
@@ -91,10 +122,11 @@ func TestBatchServerBindBusyPort(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, shards := range []int{1, 4} {
+	plain := backend{"batch one shard", batchBackend(BatchConfig{Shards: 1})} // no SO_REUSEPORT
+	for _, b := range append([]backend{plain}, backends...) {
 		done := make(chan error, 1)
 		go func() {
-			srv, err := NewBatchServer(addr, 1, src, BatchConfig{Shards: shards})
+			srv, err := b.new(addr, 1, src)
 			if err == nil {
 				srv.Close()
 			}
@@ -103,17 +135,16 @@ func TestBatchServerBindBusyPort(t *testing.T) {
 		select {
 		case err := <-done:
 			if err == nil {
-				t.Fatalf("shards=%d: bind on busy %s succeeded, want error", shards, addr)
+				t.Fatalf("%s: bind on busy %s succeeded, want error", b.name, addr)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("shards=%d: NewBatchServer hung on busy port", shards)
+			t.Fatalf("%s: constructor hung on busy port", b.name)
 		}
 	}
 }
 
-// TestBatchServerServesAfterPartialTraffic is a plain end-to-end check
-// of the multi-shard path: requests answered, counters advancing, Close
-// after traffic clean.
+// TestBatchServerServes is a plain end-to-end check of the multi-shard
+// path: requests answered, counters advancing, Close after traffic clean.
 func TestBatchServerServes(t *testing.T) {
 	src, err := NewSystemClock(time.Millisecond, 50)
 	if err != nil {
@@ -200,5 +231,84 @@ func TestBatchServerDirectRead(t *testing.T) {
 	if !resp.Clock.Equal(c1) || resp.MaxError != 75*time.Microsecond || !resp.Unsynchronized {
 		t.Fatalf("second reply <%v, %v, unsync=%v>, want immediate narrowed reading <%v, %v, unsync=true>",
 			resp.Clock, resp.MaxError, resp.Unsynchronized, c1, 75*time.Microsecond)
+	}
+}
+
+// TestServerRefreshesStaleSnapshot is the containment guard: the tick
+// cache's refresher is only as punctual as the scheduler, so here it
+// does not run at all. After several idle ticks the published snapshot
+// is far staler than its one-tick widening; the serving loop must
+// notice and refresh before it answers, so that the reply's interval
+// still reaches forward to the instant the request was sent.
+func TestServerRefreshesStaleSnapshot(t *testing.T) {
+	const tick = 20 * time.Millisecond
+	src, err := NewSystemClock(0, 50) // the host clock, the oracle below
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewBatchServer("127.0.0.1:0", 3, src, BatchConfig{Tick: tick})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.cache.Stop() // a refresher that never gets the CPU
+	time.Sleep(5 * tick)
+
+	send := time.Now()
+	resp := queryOne(t, srv.Addr().String(), 1)
+	recv := time.Now()
+	if lo, hi := resp.Clock.Add(-resp.MaxError), resp.Clock.Add(resp.MaxError); hi.Before(send) || lo.After(recv) {
+		t.Fatalf("reply [%v, %v] misses the exchange [%v, %v]: snapshot %v stale at send",
+			lo, hi, send, recv, send.Sub(resp.Clock))
+	}
+}
+
+// TestRespondMixedBatchAllocs pins the responder at zero allocations
+// over a batch that mixes the wire versions: version-1 and version-3
+// requests (the latter through hlc.Update), an advertisement left for
+// the cold path, and a malformed datagram.
+func TestRespondMixedBatchAllocs(t *testing.T) {
+	const batch = 32
+	src, err := NewSystemClock(0, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Server{id: 1, src: newTickCacheStopped(src, 0, 50), hlc: hlc.New(1),
+		advertise: func(*net.UDPAddr, []wire.MemberEntry) {}}
+	adv, err := wire.AppendAdvertise(nil, 1, []wire.MemberEntry{{Addr: "10.0.0.1:3123", Gen: 1, Status: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt, rbufs := newIOBatch(batch)
+	want := 0
+	for i := range rbufs {
+		id := uint64(i) + 1
+		switch i % 4 {
+		case 0:
+			bt.recv[i] = wire.AppendRequest(rbufs[i][:0], wire.Request{ReqID: id})
+			want++
+		case 1, 2:
+			bt.recv[i] = wire.AppendRequestHLC(rbufs[i][:0], wire.RequestHLC{ReqID: id, TS: hlc.Timestamp{Wall: int64(i), Node: 9}})
+			want++
+		case 3:
+			bt.recv[i] = append(rbufs[i][:0], adv[:len(adv)>>(i/4%2)]...) // whole, or cut short
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if got := s.respond(&bt, batch); got != want {
+			t.Fatalf("respond prepared %d replies, want %d", got, want)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("respond allocates %v times per mixed batch, want 0", allocs)
+	}
+	for i := range rbufs {
+		wantLen := [4]int{wire.ResponseSize, wire.ResponseHLCSize, wire.ResponseHLCSize, 0}[i%4]
+		if len(bt.send[i]) != wantLen {
+			t.Fatalf("slot %d: reply of %d bytes, want %d", i, len(bt.send[i]), wantLen)
+		}
+	}
+	if got := s.MalformedDatagrams(); got != 0 {
+		t.Fatalf("responder counted %d malformed datagrams; advertisements are the cold path's to judge", got)
 	}
 }

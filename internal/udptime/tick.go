@@ -26,8 +26,11 @@ import (
 // of DESIGN.md §16: within a tick E is constant (it never decreases),
 // and at each tick boundary the cached reading equals a fresh read of
 // the source plus exactly the one-tick widening. The bound assumes the
-// refresher honors its cadence; a late refresh stretches the true
-// staleness beyond one tick, which Lateness exposes for monitoring.
+// snapshot served is less than a tick old, and the refresher goroutine
+// alone cannot promise that: it is only as punctual as the scheduler
+// (Lateness reports how late it has run). A reader with a loop of its
+// own — the serving loop — therefore calls refreshIfStale before it
+// reads, and refreshes inline when the refresher has fallen behind.
 type TickCache struct {
 	src   ClockSource
 	tick  time.Duration
@@ -44,6 +47,7 @@ type TickCache struct {
 
 // tickReading is one frozen snapshot; e carries the widening already.
 type tickReading struct {
+	at     time.Time // monotonic instant just before the source was read
 	c      time.Time
 	e      time.Duration
 	synced bool
@@ -128,13 +132,35 @@ func (tc *TickCache) Stop() {
 // reply served exactly at a tick boundary observes either the complete
 // old triple or the complete new one — never a mix of the two, and in
 // both cases an error bound no narrower than a fresh read of the source
-// at the instant that snapshot was taken (the widening only adds).
+// at the instant that snapshot was taken (the widening only adds). The
+// refresher and the serving loops may refresh at once; a reading taken
+// earlier never replaces one taken later, so the published snapshot
+// only ever gets younger.
 func (tc *TickCache) refresh() {
+	at := time.Now()
 	c, e, synced := tc.src.Now()
 	if e < 0 {
 		e = 0
 	}
-	tc.cur.Store(&tickReading{c: c, e: e + tc.widen, synced: synced})
+	r := &tickReading{at: at, c: c, e: e + tc.widen, synced: synced}
+	for {
+		old := tc.cur.Load()
+		if old != nil && at.Before(old.at) {
+			return
+		}
+		if tc.cur.CompareAndSwap(old, r) {
+			return
+		}
+	}
+}
+
+// refreshIfStale refreshes inline when the published snapshot is a tick
+// old or more, so that on return it is less than a tick old whatever
+// the refresher goroutine's punctuality.
+func (tc *TickCache) refreshIfStale() {
+	if time.Since(tc.cur.Load().at) >= tc.tick {
+		tc.refresh()
+	}
 }
 
 func (tc *TickCache) run() {
