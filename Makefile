@@ -25,7 +25,7 @@ COVER_FLOOR_PKGS = ./internal/core ./internal/interval ./internal/member \
                    ./internal/lint ./internal/hlc ./internal/txn
 COVER_FLOOR     ?= 85
 
-.PHONY: all build vet lint noalloc-audit test check test-race cover cover-check chaos chaos-replay byz-smoke obs-smoke churn-smoke txn-smoke scale-smoke udp-smoke fuzz-smoke bench bench-scale experiments ablations examples clean
+.PHONY: all build vet lint noalloc-audit test check test-race cover cover-check chaos chaos-replay byz-smoke obs-smoke churn-smoke txn-smoke scale-smoke udp-smoke fuzz-smoke bench experiments ablations examples clean
 
 all: build vet lint test
 
@@ -121,7 +121,8 @@ byz-smoke:
 	$(GO) run ./cmd/timesim -chaos -replay internal/chaos/corpus/buggy-byz-twoface.repro
 
 # Sharded-kernel scale smoke: the S1 sweep at its CI-sized topology (the
-# full 10k/50k/100k sweep is `timesim -scale` / `make bench-scale`).
+# full 10k/50k/100k sweep is `timesim -scale`; its speed is tracked by the
+# sim_scale_* workloads of `bash cmd/bench/run.sh`).
 scale-smoke:
 	$(GO) run ./cmd/timesim -experiment S1
 
@@ -177,16 +178,6 @@ bench:
 	$(GO) run ./cmd/benchjson < bench.out > BENCH_BASELINE.json
 	@rm -f bench.out
 	@echo "wrote BENCH_BASELINE.json"
-
-# The planet-scale sweep benchmarks (10k/50k/100k servers on the sharded
-# kernel), recorded separately so the scale trajectory travels next to
-# the per-figure baseline. The 100k size must stay in single-digit
-# seconds per iteration.
-bench-scale:
-	$(GO) test -run '^$$' -bench 'BenchmarkScaleSweep' -benchmem -benchtime=$(BENCHTIME) . | tee bench-scale.out
-	$(GO) run ./cmd/benchjson < bench-scale.out > BENCH_SCALE.json
-	@rm -f bench-scale.out
-	@echo "wrote BENCH_SCALE.json"
 
 # Regenerate the EXPERIMENTS.md data.
 experiments:

@@ -12,7 +12,6 @@ import (
 	"disttime/internal/obs"
 	"disttime/internal/service"
 	"disttime/internal/simnet"
-	"disttime/internal/trace"
 	"disttime/internal/txn"
 	"disttime/internal/udptime"
 )
@@ -354,32 +353,18 @@ type (
 // AttachTxns schedules a transaction workload on a Simulation.
 var AttachTxns = txn.Attach
 
-// Simulation tracing (internal/trace).
+// Simulation tracing (internal/obs): attach a Tracer with
+// Simulation.Observe and every synchronization round is emitted as one
+// SyncSpan.
 type (
-	// TraceLog is a bounded structured event log for simulations.
-	TraceLog = trace.Log
-	// TraceEvent is one recorded occurrence.
-	TraceEvent = trace.Event
-	// TraceKind classifies trace events.
-	TraceKind = trace.Kind
+	// Tracer serializes sync-round spans as JSONL, one span per line.
+	Tracer = obs.Tracer
+	// SyncSpan is the structured record of one synchronization round.
+	SyncSpan = obs.SyncSpan
 )
 
-// Trace kinds.
-const (
-	TraceSync         = trace.KindSync
-	TraceReset        = trace.KindReset
-	TraceInconsistent = trace.KindInconsistent
-	TraceRecovery     = trace.KindRecovery
-	TraceNote         = trace.KindNote
-)
-
-// Trace constructors.
-var (
-	// NewTraceLog returns a bounded event log.
-	NewTraceLog = trace.New
-	// AttachTrace wires a log to a simulation's synchronization passes.
-	AttachTrace = trace.Attach
-)
+// NewTracer returns a tracer writing JSONL to w.
+var NewTracer = obs.NewTracer
 
 // TimeReading is an absolute-time reading <C, E> for IntersectReadings.
 type TimeReading struct {

@@ -1,6 +1,8 @@
 package disttime_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 	"time"
@@ -143,30 +145,74 @@ func TestSelectFacade(t *testing.T) {
 	}
 }
 
+// TestTraceFacade traces a service with one server drifting far past its
+// bound, so rounds reset, reject replies and run the Section 3 recovery:
+// every round must come out as one JSONL span, in time order, and the
+// spans must tell the same story as the nodes' own counters.
 func TestTraceFacade(t *testing.T) {
-	specs := make([]disttime.ServerSpec, 3)
-	for i := range specs {
-		specs[i] = disttime.ServerSpec{
-			Delta:        1e-4,
-			Drift:        float64(i-1) * 5e-5,
-			InitialError: 0.05,
-			SyncEvery:    10,
-		}
-	}
+	const day = 86400.0
 	sim, err := disttime.NewSimulation(disttime.SimulationConfig{
-		Seed:    3,
-		Delay:   disttime.UniformDelay{Max: 0.01},
-		Fn:      disttime.IM{},
-		Servers: specs,
+		Seed:  5,
+		Delay: disttime.UniformDelay{Max: 0.02},
+		Fn:    disttime.MM{},
+		Servers: []disttime.ServerSpec{
+			{Delta: 2.0 / day, Drift: 1.0 / day, InitialError: 0.5, SyncEvery: 60, Recovery: true},
+			{Delta: 1.0 / day, Drift: 0.04, InitialError: 0.5, SyncEvery: 60, Recovery: true},
+			{Delta: 2.0 / day, Drift: -1.0 / day, InitialError: 0.5, SyncEvery: 60},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := disttime.NewTraceLog(1000)
-	disttime.AttachTrace(sim, log)
-	sim.Run(100)
-	if log.Count(disttime.TraceSync) == 0 {
-		t.Error("no sync events traced through the facade")
+	var out bytes.Buffer
+	tr := disttime.NewTracer(&out)
+	sim.Observe(nil, tr)
+	sim.Run(3600)
+	if tr.Spans() == 0 || tr.Err() != nil {
+		t.Fatalf("spans = %d, err = %v: no sync rounds traced through the facade", tr.Spans(), tr.Err())
+	}
+
+	var spans, resets, rejecting, recovered uint64
+	prev := -1.0
+	dec := json.NewDecoder(&out)
+	for dec.More() {
+		var span struct {
+			T         float64
+			Node      int
+			Rejected  []int
+			Reset     bool
+			Recovered bool
+		}
+		if err := dec.Decode(&span); err != nil {
+			t.Fatal(err)
+		}
+		if span.T < prev || span.Node < 0 || span.Node >= len(sim.Nodes) {
+			t.Fatalf("span %+v out of order (after t=%v) or from no node", span, prev)
+		}
+		prev = span.T
+		spans++
+		if span.Reset {
+			resets++
+		}
+		if len(span.Rejected) > 0 {
+			rejecting++
+		}
+		if span.Recovered {
+			recovered++
+		}
+	}
+	if spans != tr.Spans() {
+		t.Errorf("%d JSONL spans for %d emitted", spans, tr.Spans())
+	}
+	if resets == 0 || rejecting == 0 {
+		t.Errorf("%d resetting and %d rejecting rounds: the faulty server must cause both", resets, rejecting)
+	}
+	var want uint64
+	for _, n := range sim.Nodes {
+		want += uint64(n.Recoveries)
+	}
+	if recovered == 0 || recovered != want {
+		t.Errorf("%d recovered rounds, node counters say %d", recovered, want)
 	}
 }
 

@@ -1,0 +1,108 @@
+package core
+
+import (
+	"math"
+	"math/rand/v2"
+	"sort"
+	"testing"
+)
+
+// incrementalIM runs rule IM-2 the way scale.Engine runs it, one rule
+// call at a time instead of one batch at the sync instant: the own
+// interval opens the intersection when the round starts, each reply is
+// charged, checked and folded in as it arrives (Age before the sync
+// instant t), the intersection is widened by the local clock's progress
+// between contributions, and the round closes on the midpoint. It returns
+// the <C, eps> the close installs, and false when the round ends with
+// nothing to adopt.
+func incrementalIM(s *Server, t float64, replies []Reply) (c, eps float64, ok bool) {
+	arrivals := append([]Reply(nil), replies...)
+	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].Age > arrivals[j].Age })
+	ci := s.Read(t)
+	errAt := func(c float64) float64 { return AgedError(s.epsilon, c-s.resetRef, s.delta) }
+
+	last := ci // clock reading when the round opened: before the first reply left
+	for _, r := range arrivals {
+		last = math.Min(last, ci-r.Age-r.RTT)
+	}
+	a, b := -errAt(last), errAt(last)
+	used := 0
+	for _, r := range arrivals {
+		ck := ci - r.Age
+		trail, lead := Charge(r.E, r.RTT, 0, s.delta)
+		lo, hi := Offset(r.C, trail, lead, ck)
+		if !Consistent(lo, hi, errAt(ck)) {
+			continue
+		}
+		a, b = Widen(a, b, ck-last, s.delta)
+		a, b = Fold(a, b, lo, hi)
+		last = ck
+		used++
+	}
+	a, b = Widen(a, b, ci-last, s.delta)
+	if used == 0 || b < a {
+		return 0, 0, false
+	}
+	shift, eps := Midpoint(a, b)
+	return ci + shift, eps, true
+}
+
+// TestPropertyIncrementalIMMatchesBatch puts the engine's use of the rules
+// under the oracle the batch form already answers to. For every reply
+// family, with random arrival ages, the incremental sequence and
+// IM{DropInconsistent: true}.Sync must leave the same <C, eps>; and the
+// incremental result must itself satisfy Theorem 5 (it contains the true
+// time when every input is honest) and Theorem 6 (it is no wider than the
+// narrowest input).
+func TestPropertyIncrementalIMMatchesBatch(t *testing.T) {
+	const tol = 1e-9
+	for _, fam := range replyFamilies() {
+		rng := rand.New(rand.NewPCG(37, 38))
+		resets := 0
+		for trial := 0; trial < 400; trial++ {
+			truth := 500 + rng.Float64()*1000
+			// The server was last reset before the round opened, so its
+			// error deteriorates over the whole round.
+			born := truth - 4
+			ownErr := 0.01 + rng.Float64()*2
+			s := newServer(t, 0, born, born+(rng.Float64()*2-1)*ownErr, rng.Float64()*1e-4, ownErr)
+			replies := fam.gen(rng, truth)
+
+			narrowest := s.ErrorAt(truth)
+			c, eps, ok := incrementalIM(s, truth, replies)
+			res := IM{DropInconsistent: true}.Sync(s, truth, replies)
+			dropped := make(map[int]bool)
+			for _, i := range res.Inconsistent {
+				dropped[i] = true
+			}
+			for i, r := range replies {
+				if _, trail, lead := s.effective(r); !dropped[i] {
+					narrowest = math.Min(narrowest, (trail+lead)/2)
+				}
+			}
+
+			if ok != res.Reset {
+				t.Fatalf("%s trial %d: incremental adopts=%v, batch reset=%v", fam.name, trial, ok, res.Reset)
+			}
+			if !ok {
+				continue
+			}
+			resets++
+			if math.Abs(c-s.Read(truth)) > tol || math.Abs(eps-s.Epsilon()) > tol {
+				t.Fatalf("%s trial %d: incremental <%.12g, %.12g>, batch <%.12g, %.12g>",
+					fam.name, trial, c, eps, s.Read(truth), s.Epsilon())
+			}
+			if fam.name != "liars" && (truth < c-eps-tol || truth > c+eps+tol) {
+				t.Fatalf("%s trial %d: incremental <%.12g, %.12g> excludes true time %.12g",
+					fam.name, trial, c, eps, truth)
+			}
+			if eps > narrowest+tol {
+				t.Fatalf("%s trial %d: incremental eps %.12g wider than the narrowest input %.12g",
+					fam.name, trial, eps, narrowest)
+			}
+		}
+		if resets == 0 {
+			t.Fatalf("%s: no trial reset; the property was never exercised", fam.name)
+		}
+	}
+}

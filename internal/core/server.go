@@ -166,11 +166,7 @@ type pendingCorrector interface {
 // deterioration term is clamped at zero; error never shrinks by drift. A
 // slewing clock's unabsorbed correction is added in full.
 func (s *Server) ErrorAt(t float64) float64 {
-	elapsed := s.clk.Read(t) - s.resetRef
-	if elapsed < 0 {
-		elapsed = 0
-	}
-	e := s.epsilon + elapsed*s.delta
+	e := AgedError(s.epsilon, s.clk.Read(t)-s.resetRef, s.delta)
 	if p, ok := s.clk.(pendingCorrector); ok {
 		e += math.Abs(p.PendingCorrection())
 	}
@@ -188,40 +184,24 @@ func (s *Server) Interval(t float64) interval.Interval {
 }
 
 // effective translates a reply to the sync instant. It returns the remote
-// clock estimate advanced by the local clock time since arrival, the
-// trailing-edge error, and the leading-edge error:
-//
-//	c     = C_j + Age
-//	trail = E_j + delta_i*Age
-//	lead  = E_j + (1+delta_i)*xi^i_j + delta_i*Age
-//
-// With Age = 0 these are exactly the paper's quantities: the transit
-// charge (1+delta_i)*xi^i_j on the leading edge (rule IM-2's transform,
-// and MM-2's error adjustment) and the raw reading on the trailing edge.
+// clock estimate advanced by the local clock time since arrival, and the
+// trailing- and leading-edge errors Charge adds for the transit and the
+// wait (with Age = 0, exactly the paper's quantities).
 func (s *Server) effective(r Reply) (c, trail, lead float64) {
 	age := r.Age
 	if age < 0 {
 		age = 0
 	}
-	drift := s.delta * age
-	c = r.C + age
-	trail = r.E + drift
-	lead = r.E + (1+s.delta)*r.RTT + drift
-	return c, trail, lead
-}
-
-// transitError is the error charged when adopting a reply's clock: the
-// leading-edge error (E_j + (1+delta_i)*xi^i_j for a fresh reply).
-func (s *Server) transitError(r Reply) float64 {
-	_, _, lead := s.effective(r)
-	return lead
+	trail, lead = Charge(r.E, r.RTT, age, s.delta)
+	return r.C + age, trail, lead
 }
 
 // replyInterval is the reply's interval as the requester must treat it at
 // the sync instant: [c - trail, c + lead].
 func (s *Server) replyInterval(r Reply) interval.Interval {
 	c, trail, lead := s.effective(r)
-	return interval.Interval{Lo: c - trail, Hi: c + lead}
+	lo, hi := Offset(c, trail, lead, 0)
+	return interval.Interval{Lo: lo, Hi: hi}
 }
 
 // ConsistentWith reports whether the reply is consistent with the server's
@@ -230,7 +210,9 @@ func (s *Server) replyInterval(r Reply) interval.Interval {
 // S_i is ignored") and signal that at least one of the two servers is
 // incorrect.
 func (s *Server) ConsistentWith(t float64, r Reply) bool {
-	return interval.Consistent(s.Interval(t), s.replyInterval(r))
+	c, trail, lead := s.effective(r)
+	lo, hi := Offset(c, trail, lead, s.clk.Read(t))
+	return Consistent(lo, hi, s.ErrorAt(t))
 }
 
 // SetClock resets the server's clock and bookkeeping to value with
@@ -259,11 +241,7 @@ func (s *Server) RaiseDelta(t, newDelta float64) error {
 	if newDelta < s.delta {
 		return fmt.Errorf("core: server %d: cannot lower delta %v -> %v", s.id, s.delta, newDelta)
 	}
-	elapsed := s.clk.Read(t) - s.resetRef
-	if elapsed < 0 {
-		elapsed = 0
-	}
-	s.epsilon += elapsed * (newDelta - s.delta)
+	s.epsilon = AgedError(s.epsilon, s.clk.Read(t)-s.resetRef, newDelta-s.delta)
 	s.delta = newDelta
 	return nil
 }

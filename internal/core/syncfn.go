@@ -97,24 +97,21 @@ func (IM) Name() string { return "IM" }
 // Sync applies rule IM-2 over the reply set.
 func (f IM) Sync(s *Server, t float64, replies []Reply) Result {
 	var res Result
-	ci := s.Read(t)
+	ci, ei := s.Read(t), s.ErrorAt(t)
 	a, b := math.Inf(-1), math.Inf(1)
 	if !f.ExcludeSelf {
-		ei := s.ErrorAt(t)
 		a, b = -ei, ei
 	}
 	used := 0
 	for i, r := range replies {
-		if f.DropInconsistent && !s.ConsistentWith(t, r) {
+		c, trail, lead := s.effective(r)
+		lo, hi := Offset(c, trail, lead, ci)
+		if f.DropInconsistent && !Consistent(lo, hi, ei) {
 			s.noteInconsistent()
 			res.Inconsistent = append(res.Inconsistent, i)
 			continue
 		}
-		c, trail, lead := s.effective(r)
-		lo := c - trail - ci
-		hi := c + lead - ci
-		a = math.Max(a, lo)
-		b = math.Min(b, hi)
+		a, b = Fold(a, b, lo, hi)
 		used++
 	}
 	if used == 0 || b < a || math.IsInf(a, -1) {
@@ -126,11 +123,11 @@ func (f IM) Sync(s *Server, t float64, replies []Reply) Result {
 		}
 		return res
 	}
-	eps := (b - a) / 2
+	shift, eps := Midpoint(a, b)
 	if f.FloorError > eps {
 		eps = f.FloorError
 	}
-	s.SetClock(t, ci+(a+b)/2, eps)
+	s.SetClock(t, ci+shift, eps)
 	res.Reset = true
 	res.Accepted = used
 	return res

@@ -94,8 +94,7 @@ func (f SelectIM) Sync(s *Server, t float64, replies []Reply) Result {
 		ivs = append(ivs, interval.FromEstimate(ci, ei))
 	}
 	for _, r := range replies {
-		c, trail, lead := s.effective(r)
-		ivs = append(ivs, interval.Interval{Lo: c - trail, Hi: c + lead})
+		ivs = append(ivs, s.replyInterval(r))
 	}
 	if len(ivs) == 0 {
 		return res
@@ -182,8 +181,7 @@ func (f ByzIM) Sync(s *Server, t float64, replies []Reply) Result {
 	ei := s.ErrorAt(t)
 	ivs := []interval.Interval{interval.FromEstimate(ci, ei)}
 	for _, r := range replies {
-		c, trail, lead := s.effective(r)
-		ivs = append(ivs, interval.Interval{Lo: c - trail, Hi: c + lead})
+		ivs = append(ivs, s.replyInterval(r))
 	}
 	budget := f.F
 	if budget <= 0 {

@@ -125,8 +125,8 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 
 // ScaleSweepSmoke is the registry entry (S1): the same sweep at a
 // CI-sized 2k-server topology so `-experiment S1` and the test suite
-// stay fast. The full 10k/50k/100k sweep runs via `timesim -scale` and
-// the BenchmarkScaleSweep* suite recorded in BENCH_SCALE.json.
+// stay fast. The full 10k/50k/100k sweep runs via `timesim -scale`; its
+// speed is tracked by the sim_scale_* workloads of `bash cmd/bench/run.sh`.
 func ScaleSweepSmoke() (Table, error) {
 	return ScaleSweep(ScaleConfig{
 		Sizes: []ScaleSize{{Name: "2k", Regions: 8, Clusters: 10, Members: 25}},

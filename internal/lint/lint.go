@@ -144,7 +144,6 @@ func DefaultConfig() *Config {
 		MapIterScope: []string{
 			// Packages whose output must be byte-identical run-to-run.
 			"disttime/internal/experiments",
-			"disttime/internal/trace",
 			// Chaos verdicts, reproducer lines, and shrink results are
 			// determinism contracts (equal campaigns => equal bytes).
 			"disttime/internal/chaos",

@@ -10,7 +10,7 @@ import (
 // sinks — formatted output (fmt.Print*/Fprint*), writer methods
 // (Write/WriteString/Encode/...), or slice accumulation via append — in
 // the packages whose artifacts must be byte-identical run-to-run
-// (internal/experiments, internal/trace, cmd/). Go randomizes map
+// (internal/experiments, cmd/). Go randomizes map
 // iteration order, so a single such loop makes CSV rows, trace dumps, and
 // returned slices differ between runs even under a fixed seed.
 //

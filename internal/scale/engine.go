@@ -1,9 +1,9 @@
 // Package scale runs the paper's time-service protocol at planet scale on
 // the sharded simulation kernel. Where internal/service builds real
 // Server objects, a message network, and per-reply bookkeeping — the
-// right fidelity for hundreds of servers — this engine specializes the
-// same three rules into flat per-node arrays so that runs of 10^5 servers
-// finish in seconds:
+// right fidelity for hundreds of servers — this engine calls the same
+// rule functions (core/rules.go) over flat per-node arrays so that runs of
+// 10^5 servers finish in seconds:
 //
 //   - MM-1: a node answers a request with <C_j(t), E_j(t)> where
 //     E_j(t) = epsilon_j + (C_j(t) - r_j) * delta.
@@ -35,6 +35,7 @@ import (
 	"math"
 	"math/rand/v2"
 
+	"disttime/internal/core"
 	"disttime/internal/obs"
 	"disttime/internal/sim/shard"
 )
@@ -354,11 +355,7 @@ func (e *Engine) read(i int32, t float64) float64 {
 }
 
 func (e *Engine) errAt(i int32, t float64) float64 {
-	el := e.read(i, t) - e.resetRef[i]
-	if el < 0 {
-		el = 0
-	}
-	return e.eps[i] + el*e.cfg.Delta
+	return core.AgedError(e.eps[i], e.read(i, t)-e.resetRef[i], e.cfg.Delta)
 }
 
 func (e *Engine) setClock(i int32, t, c, err float64) {
@@ -480,12 +477,10 @@ func (e *Engine) reply(p *shard.Proc, i, from int32, tag uint32, cj, ej float64)
 	if rtt < 0 {
 		rtt = 0
 	}
-	trail := ej
-	lead := ej + (1+e.cfg.Delta)*rtt
-	lo := cj - trail - ci
-	hi := cj + lead - ci
+	trail, lead := core.Charge(ej, rtt, 0, e.cfg.Delta)
+	lo, hi := core.Offset(cj, trail, lead, ci)
 	ei := e.errAt(i, t)
-	if lo > ei || hi < -ei {
+	if !core.Consistent(lo, hi, ei) {
 		// Disjoint from the own interval: at least one of the two servers
 		// is incorrect; the reply is ignored (MM-2's rule, IM's
 		// DropInconsistent pre-filter).
@@ -501,21 +496,10 @@ func (e *Engine) reply(p *shard.Proc, i, from int32, tag uint32, cj, ej float64)
 	case RuleIM:
 		// Age the running intersection by the local clock's progress
 		// since the last contribution (core.Server's Age machinery,
-		// applied incrementally): offsets keep their reference at the
-		// current reading, widening by delta per elapsed clock-second.
-		dc := ci - e.lastC[i]
-		if dc < 0 {
-			dc = 0
-		}
-		e.a[i] -= e.cfg.Delta * dc
-		e.b[i] += e.cfg.Delta * dc
+		// applied incrementally), then fold the reply in.
+		a, b := core.Widen(e.a[i], e.b[i], ci-e.lastC[i], e.cfg.Delta)
+		e.a[i], e.b[i] = core.Fold(a, b, lo, hi)
 		e.lastC[i] = ci
-		if lo > e.a[i] {
-			e.a[i] = lo
-		}
-		if hi < e.b[i] {
-			e.b[i] = hi
-		}
 		e.used[i]++
 	}
 }
@@ -529,18 +513,14 @@ func (e *Engine) close(p *shard.Proc, i int32, tag uint32) {
 	}
 	t := p.Now()
 	ci := e.read(i, t)
-	dc := ci - e.lastC[i]
-	if dc < 0 {
-		dc = 0
-	}
-	aa := e.a[i] - e.cfg.Delta*dc
-	bb := e.b[i] + e.cfg.Delta*dc
-	if bb < aa {
+	a, b := core.Widen(e.a[i], e.b[i], ci-e.lastC[i], e.cfg.Delta)
+	if b < a {
 		e.incons[i]++
 		e.obsIncons.Inc()
 		return
 	}
-	e.setClock(i, t, ci+(aa+bb)/2, (bb-aa)/2)
+	shift, eps := core.Midpoint(a, b)
+	e.setClock(i, t, ci+shift, eps)
 }
 
 // --- sampling ---
@@ -573,30 +553,7 @@ type TierSkew struct {
 
 // Skew returns the per-tier mean |C_i(t) - t|.
 func (e *Engine) Skew(t float64) TierSkew {
-	var sums [3]float64
-	var counts [3]int
-	for i := 0; i < e.n; i++ {
-		id := int32(i)
-		tier := 2
-		if e.isHub(id) {
-			tier = 0
-		} else if e.isGateway(id) {
-			tier = 1
-		}
-		sums[tier] += math.Abs(e.read(id, t) - t)
-		counts[tier]++
-	}
-	out := TierSkew{}
-	if counts[0] > 0 {
-		out.Hub = sums[0] / float64(counts[0])
-	}
-	if counts[1] > 0 {
-		out.Gateway = sums[1] / float64(counts[1])
-	}
-	if counts[2] > 0 {
-		out.Member = sums[2] / float64(counts[2])
-	}
-	return out
+	return e.tierMean(func(i int32) float64 { return math.Abs(e.read(i, t) - t) })
 }
 
 // ErrorByTier returns the per-tier mean reported error E_i(t). Unlike
@@ -605,6 +562,12 @@ func (e *Engine) Skew(t float64) TierSkew {
 // synchronizes over (Theorems 2 and 8), so its gradient across tiers is
 // a stable property of the topology, not of the seed.
 func (e *Engine) ErrorByTier(t float64) TierSkew {
+	return e.tierMean(func(i int32) float64 { return e.errAt(i, t) })
+}
+
+// tierMean averages a per-node value over each hierarchy tier; a tier
+// with no nodes reads zero.
+func (e *Engine) tierMean(value func(i int32) float64) TierSkew {
 	var sums [3]float64
 	var counts [3]int
 	for i := 0; i < e.n; i++ {
@@ -615,20 +578,15 @@ func (e *Engine) ErrorByTier(t float64) TierSkew {
 		} else if e.isGateway(id) {
 			tier = 1
 		}
-		sums[tier] += e.errAt(id, t)
+		sums[tier] += value(id)
 		counts[tier]++
 	}
-	out := TierSkew{}
-	if counts[0] > 0 {
-		out.Hub = sums[0] / float64(counts[0])
+	for tier, n := range counts {
+		if n > 0 {
+			sums[tier] /= float64(n)
+		}
 	}
-	if counts[1] > 0 {
-		out.Gateway = sums[1] / float64(counts[1])
-	}
-	if counts[2] > 0 {
-		out.Member = sums[2] / float64(counts[2])
-	}
-	return out
+	return TierSkew{Hub: sums[0], Gateway: sums[1], Member: sums[2]}
 }
 
 // Resets returns the total clock resets across all nodes.

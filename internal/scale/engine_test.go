@@ -85,28 +85,63 @@ func TestDeterminismSeedSensitivity(t *testing.T) {
 	}
 }
 
-// TestCorrectnessHonestRun checks Theorem 1 at scale: in a fault-free run
-// with valid drift bounds, every node's true offset stays inside its
-// reported error at every sample.
-func TestCorrectnessHonestRun(t *testing.T) {
-	cfg := testConfig(Plain, 4, 7)
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	for _, ts := range []float64{60, 300, 900, 1800} {
-		e.Run(ts)
-		for i := 0; i < e.Nodes(); i++ {
-			off := math.Abs(e.read(int32(i), ts) - ts)
-			bound := e.errAt(int32(i), ts)
-			if off > bound {
-				t.Fatalf("t=%v node %d: |C-t| = %v exceeds E = %v", ts, i, off, bound)
-			}
+// TestGoldenFingerprints pins the final state of one seeded run per rule
+// and scenario to the digest the engine produced when the rules were still
+// written out inline in reply and close (PR 13). The rule functions in
+// core keep that floating-point operation order; a digest that moves means
+// a rule's arithmetic changed, which is a change of behaviour to justify
+// and re-pin, never a refactoring.
+func TestGoldenFingerprints(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"im", testConfig(Plain, 2, 42), "19a100b23d4cf9bb"},
+		{"mm", withRule(testConfig(Plain, 2, 42), RuleMM), "401659ca30f43655"},
+		{"chaos", testConfig(Chaos, 2, 42), "5ddc21f3e3a92c85"},
+		{"churn", testConfig(Churn, 2, 42), "21323feb065355b5"},
+	} {
+		if got := runFingerprint(t, tc.cfg, 1800); got != tc.want {
+			t.Errorf("%s: fingerprint %s, pinned %s", tc.name, got, tc.want)
 		}
 	}
-	if e.Resets() == 0 {
-		t.Fatal("no clock resets in an IM run")
+}
+
+// TestCorrectnessHonestRun checks Theorem 1 (MM) and Theorem 5 (IM) at
+// scale: in a run with valid drift bounds — nodes leaving and rejoining
+// included — every node's true offset stays inside its reported error at
+// every sample.
+func TestCorrectnessHonestRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"im", testConfig(Plain, 4, 7)},
+		{"mm", withRule(testConfig(Plain, 4, 7), RuleMM)},
+		{"im-churn", testConfig(Churn, 4, 7)},
+		{"mm-churn", withRule(testConfig(Churn, 4, 7), RuleMM)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			for _, ts := range []float64{60, 300, 900, 1800} {
+				e.Run(ts)
+				for i := 0; i < e.Nodes(); i++ {
+					off := math.Abs(e.read(int32(i), ts) - ts)
+					bound := e.errAt(int32(i), ts)
+					if off > bound {
+						t.Fatalf("t=%v node %d: |C-t| = %v exceeds E = %v", ts, i, off, bound)
+					}
+				}
+			}
+			if e.Resets() == 0 {
+				t.Fatal("no clock resets")
+			}
+		})
 	}
 }
 

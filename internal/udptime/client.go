@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"net"
 	"sync"
 	"time"
 
+	"disttime/internal/core"
 	"disttime/internal/hlc"
 	"disttime/internal/interval"
 	"disttime/internal/ntp"
@@ -55,21 +57,37 @@ type Measurement struct {
 	// version-3 exchanges; zero on version-1 queries (client without
 	// WithHLC).
 	TS hlc.Timestamp
+
+	// recv is the monotonic instant the response arrived, from which a
+	// synchronization pass reads how long it has held the measurement.
+	// Zero in a Measurement built by hand, which then never ages.
+	recv time.Time
 }
 
 // OffsetInterval returns the interval, in seconds, known to contain the
-// true offset between the server's timeline and the local clock: rule
-// IM-2's transform [C - E - local, C + E + (1+delta)*xi - local]. The
-// server's reading was taken at some point during the round trip, so by
-// arrival it can lag the measured receive instant by up to the full
-// round trip plus the local clock's own drift over it — dropping the
-// (1+delta) factor shrinks the upper edge by delta*xi and can exclude
-// the true offset whenever xi is large.
-func (m Measurement) OffsetInterval() interval.Interval {
-	base := m.C.Sub(m.LocalRecv).Seconds()
-	e := m.E.Seconds()
-	xi := m.RTT.Seconds()
-	return interval.Interval{Lo: base - e, Hi: base + e + (1+m.Delta)*xi}
+// true offset between the server's timeline and the local clock as the
+// response arrived: rule IM-2's transform
+// [C - E - local, C + E + (1+delta)*xi - local]. The server's reading was
+// taken at some point during the round trip, so by arrival it can lag the
+// measured receive instant by up to the full round trip plus the local
+// clock's own drift over it — dropping the (1+delta) factor shrinks the
+// upper edge by delta*xi and can exclude the true offset whenever xi is
+// large.
+func (m Measurement) OffsetInterval() interval.Interval { return m.offsetAt(m.recv) }
+
+// offsetAt is OffsetInterval as it must be treated at the monotonic
+// instant now: while the measurement was held the local clock may have
+// drifted by Delta per second against the server's, so both edges move
+// out by Delta*age (core.Charge). The subtraction of time.Time values
+// stays in the Duration domain; core sees seconds.
+func (m Measurement) offsetAt(now time.Time) interval.Interval {
+	var age time.Duration
+	if !m.recv.IsZero() {
+		age = now.Sub(m.recv)
+	}
+	trail, lead := core.Charge(m.E.Seconds(), m.RTT.Seconds(), age.Seconds(), m.Delta)
+	lo, hi := core.Offset(m.C.Sub(m.LocalRecv).Seconds(), trail, lead, 0)
+	return interval.Interval{Lo: lo, Hi: hi}
 }
 
 // clientMetrics is the resolved metric-handle set of an observed client.
@@ -368,6 +386,7 @@ func (c *Client) query(addr string, timeout time.Duration, local ClockSource, op
 			Delta:          opts.Delta,
 			Unsynchronized: resp.Unsynchronized,
 			TS:             ts,
+			recv:           sentMono.Add(rtt),
 		}, nil
 	}
 }
@@ -411,48 +430,46 @@ var (
 )
 
 // SyncIM disciplines dc with the intersection algorithm (rule IM-2): the
-// offset intervals of all synchronized measurements, intersected with the
-// clock's own current interval when it is synchronized, yield the new
-// offset and inherited error. It returns the applied offset interval.
+// offset intervals of all synchronized measurements, aged to the sync
+// instant and intersected with the clock's own current interval when it
+// is synchronized, yield the new offset and inherited error. It returns
+// the applied offset interval.
 func SyncIM(dc *DisciplinedClock, ms []Measurement) (interval.Interval, error) {
-	ivs := usableOffsets(ms)
+	now := time.Now()
+	var ivs []interval.Interval
+	for _, m := range ms {
+		if !m.Unsynchronized {
+			ivs = append(ivs, m.offsetAt(now))
+		}
+	}
 	if len(ivs) == 0 {
 		return interval.Interval{}, ErrNoMeasurements
 	}
 	if _, e, synced := dc.Now(); synced {
 		ivs = append(ivs, interval.FromEstimate(0, e.Seconds()))
 	}
-	common, ok := interval.IntersectAll(ivs)
-	if !ok {
-		return interval.Interval{}, ErrInconsistent
-	}
-	if err := applyOffset(dc, common); err != nil {
-		return interval.Interval{}, err
-	}
-	return common, nil
+	return adopt(dc, ivs)
 }
 
 // SyncSelect disciplines dc with falseticker rejection: ntp.Select over
-// the measurements' offset intervals, clustering to at most keep
-// survivors, then the intersection of the survivors. Use it when some
-// servers may hold invalid drift bounds (the Section 5 failure mode).
+// the measurements' offset intervals (aged to the sync instant),
+// clustering to at most keep survivors, then the intersection of the
+// survivors. Use it when some servers may hold invalid drift bounds (the
+// Section 5 failure mode).
 func SyncSelect(dc *DisciplinedClock, ms []Measurement, keep int) (ntp.Selection, error) {
-	usable := make([]Measurement, 0, len(ms))
+	now := time.Now()
+	var readings []ntp.Reading
 	for _, m := range ms {
 		if !m.Unsynchronized {
-			usable = append(usable, m)
+			readings = append(readings, ntp.Reading{
+				ID:       m.Addr,
+				Interval: m.offsetAt(now),
+				RTT:      m.RTT.Seconds(),
+			})
 		}
 	}
-	if len(usable) == 0 {
+	if len(readings) == 0 {
 		return ntp.Selection{}, ErrNoMeasurements
-	}
-	readings := make([]ntp.Reading, len(usable))
-	for i, m := range usable {
-		readings[i] = ntp.Reading{
-			ID:       m.Addr,
-			Interval: m.OffsetInterval(),
-			RTT:      m.RTT.Seconds(),
-		}
 	}
 	sel, err := ntp.Select(readings, ntp.Options{})
 	if err != nil {
@@ -463,11 +480,8 @@ func SyncSelect(dc *DisciplinedClock, ms []Measurement, keep int) (ntp.Selection
 	for i, idx := range survivors {
 		member[i] = readings[idx].Interval
 	}
-	common, ok := interval.IntersectAll(member)
-	if !ok {
-		return ntp.Selection{}, ErrInconsistent
-	}
-	if err := applyOffset(dc, common); err != nil {
+	common, err := adopt(dc, member)
+	if err != nil {
 		return ntp.Selection{}, err
 	}
 	sel.Survivors = survivors
@@ -475,21 +489,23 @@ func SyncSelect(dc *DisciplinedClock, ms []Measurement, keep int) (ntp.Selection
 	return sel, nil
 }
 
-func usableOffsets(ms []Measurement) []interval.Interval {
-	var ivs []interval.Interval
-	for _, m := range ms {
-		if m.Unsynchronized {
-			continue
-		}
-		ivs = append(ivs, m.OffsetInterval())
+// adopt is rule IM-2's reset over offset intervals, of which there is at
+// least one: fold them into their intersection and move dc to its
+// midpoint, inheriting its half-width. It returns the intersection.
+func adopt(dc *DisciplinedClock, ivs []interval.Interval) (interval.Interval, error) {
+	a, b := math.Inf(-1), math.Inf(1)
+	for _, iv := range ivs {
+		a, b = core.Fold(a, b, iv.Lo, iv.Hi)
 	}
-	return ivs
-}
-
-func applyOffset(dc *DisciplinedClock, common interval.Interval) error {
-	offset := time.Duration(common.Midpoint() * float64(time.Second))
-	maxErr := time.Duration(common.HalfWidth() * float64(time.Second))
-	return dc.Adjust(offset, maxErr)
+	if b < a {
+		return interval.Interval{}, ErrInconsistent
+	}
+	shift, eps := core.Midpoint(a, b)
+	err := dc.Adjust(time.Duration(shift*float64(time.Second)), time.Duration(eps*float64(time.Second)))
+	if err != nil {
+		return interval.Interval{}, err
+	}
+	return interval.Interval{Lo: a, Hi: b}, nil
 }
 
 // QueryBurst queries addr up to k times back-to-back and returns the

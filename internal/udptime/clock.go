@@ -15,6 +15,8 @@ import (
 	"math"
 	"sync"
 	"time"
+
+	"disttime/internal/core"
 )
 
 // ClockSource yields clock readings with an error bound: the <C, E> pair
@@ -22,6 +24,23 @@ import (
 // Implementations must be safe for concurrent use.
 type ClockSource interface {
 	Now() (c time.Time, maxErr time.Duration, synchronized bool)
+}
+
+// agedError is rule MM-1 on a clock trusted to driftPPM, in the Duration
+// domain: eps plus core.AgedError's deterioration over elapsed. The
+// deterioration rounds up to the nanosecond — a bound that truncates
+// toward zero is a bound that lies — and eps is added as an integer, so
+// it stays exact however large it is.
+func agedError(eps, elapsed time.Duration, driftPPM float64) time.Duration {
+	return eps + time.Duration(math.Ceil(core.AgedError(0, float64(elapsed), driftPPM/1e6)))
+}
+
+// stretch is how far true time may advance while a clock trusted to
+// driftPPM measures d: (1 + driftPPM·1e-6)·d, rounded up to the
+// nanosecond. It is the staleness a frozen reading accrues per tick and
+// the sleep that carries C − E across a commit-wait distance.
+func stretch(d time.Duration, driftPPM float64) time.Duration {
+	return time.Duration(math.Ceil(float64(d) * (1 + driftPPM/1e6)))
 }
 
 // SystemClock reads the operating-system clock, reporting an error that
@@ -52,9 +71,7 @@ func NewSystemClock(initialErr time.Duration, driftPPM float64) (*SystemClock, e
 // Now implements ClockSource.
 func (c *SystemClock) Now() (time.Time, time.Duration, bool) {
 	now := time.Now()
-	elapsed := now.Sub(c.start)
-	deterioration := time.Duration(float64(elapsed) * c.driftPPM / 1e6)
-	return now, c.initialErr + deterioration, true
+	return now, agedError(c.initialErr, now.Sub(c.start), c.driftPPM), true
 }
 
 // DriftPPM returns the drift bound the OS clock is trusted to, in parts
@@ -93,8 +110,7 @@ func (c *DisciplinedClock) Now() (time.Time, time.Duration, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	elapsed := time.Since(c.anchor)
-	deterioration := time.Duration(float64(elapsed) * c.driftPPM / 1e6)
-	return c.value.Add(elapsed), c.epsilon + deterioration, c.synced
+	return c.value.Add(elapsed), agedError(c.epsilon, elapsed, c.driftPPM), c.synced
 }
 
 // Set disciplines the clock: from now on it reads value (advancing with
@@ -153,9 +169,7 @@ func (c *DisciplinedClock) WaitUntilAfter(t time.Time) error {
 		if earliest.After(t) {
 			return nil
 		}
-		need := t.Sub(earliest) + time.Nanosecond
-		sleep := time.Duration(math.Ceil(float64(need) * (1 + c.DriftPPM()/1e6)))
-		time.Sleep(sleep)
+		time.Sleep(stretch(t.Sub(earliest)+time.Nanosecond, c.DriftPPM()))
 	}
 }
 

@@ -308,7 +308,7 @@ func TestDifferentialTickWidening(t *testing.T) {
 	b := queryOne(t, batched.Addr().String(), 11)
 	// fixedSource reports no drift bound, so the widening is exactly the
 	// tick itself.
-	widen := tickWiden(tick, 0)
+	widen := stretch(tick, 0)
 	if !b.Clock.Equal(l.Clock) {
 		t.Fatalf("cached clock %v differs from legacy %v", b.Clock, l.Clock)
 	}

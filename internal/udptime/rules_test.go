@@ -1,0 +1,116 @@
+package udptime
+
+import (
+	"math"
+	"testing"
+	"time"
+)
+
+// TestHeldMeasurementAges is the regression test for measurements applied
+// unaged: rule IM-2 lets a reply wait for the sync instant only if both
+// edges widen by delta per second waited (core.Server does so through
+// Reply.Age, the scale engine incrementally). A measurement that waited
+// 10 s for a slow sibling query, on an oscillator trusted to 1e-3, must
+// be applied at least 10 ms wider on each edge than it arrived.
+func TestHeldMeasurementAges(t *testing.T) {
+	const held, delta = 10 * time.Second, 1e-3
+	local := time.Now()
+	m := Measurement{
+		Addr:      "a",
+		C:         local.Add(time.Second),
+		E:         5 * time.Millisecond,
+		RTT:       2 * time.Millisecond,
+		LocalRecv: local,
+		Delta:     delta,
+	}
+	fresh := m.OffsetInterval()
+	m.recv = time.Now().Add(-held)
+	if got := m.OffsetInterval(); got != fresh {
+		t.Errorf("OffsetInterval describes the arrival and must not age: %v, fresh %v", got, fresh)
+	}
+	want := delta * held.Seconds()
+
+	dc := mustClock(t)
+	applied, err := SyncIM(dc, []Measurement{m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Lo-applied.Lo < want || applied.Hi-fresh.Hi < want {
+		t.Errorf("SyncIM applied %v: want each edge of %v moved out by >= %v s", applied, fresh, want)
+	}
+
+	sel, err := SyncSelect(dc, []Measurement{m, m}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Lo-sel.Interval.Lo < want || sel.Interval.Hi-fresh.Hi < want {
+		t.Errorf("SyncSelect applied %v: want each edge of %v moved out by >= %v s", sel.Interval, fresh, want)
+	}
+
+	// A measurement built by hand carries no receive instant and ages 0.
+	m.recv = time.Time{}
+	applied, err = SyncIM(mustClock(t), []Measurement{m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied != fresh {
+		t.Errorf("hand-built measurement applied as %v, want %v", applied, fresh)
+	}
+}
+
+// TestBoundsRoundOutward pins the two Duration-domain helpers at 1 ns
+// granularity: an error bound or a staleness charge that falls between
+// two nanoseconds takes the larger, and an exact one is left alone.
+func TestBoundsRoundOutward(t *testing.T) {
+	for _, tc := range []struct {
+		eps, elapsed time.Duration
+		ppm          float64
+		want         time.Duration
+	}{
+		{0, 0, 100, 0},
+		{0, time.Second, 0, 0},
+		{0, time.Second, 100, 100 * time.Microsecond},       // exact
+		{0, time.Nanosecond, 1, time.Nanosecond},            // 1e-6 ns
+		{0, 10 * time.Microsecond, 50, time.Nanosecond},     // 0.5 ns
+		{0, 10*time.Microsecond + 1, 100, 2},                // 1.0001 ns
+		{time.Second, time.Nanosecond, 1, time.Second + 1},  // below float64's spacing at 1e9
+		{7, 999 * time.Millisecond, 1, 7 + 999},             // exact
+		{math.MaxInt64 / 2, 3, 500000, math.MaxInt64/2 + 2}, // eps stays exact: 1.5 ns
+		{5, -time.Second, 100, 5},                           // a clock behind its anchor accrues nothing
+	} {
+		if got := agedError(tc.eps, tc.elapsed, tc.ppm); got != tc.want {
+			t.Errorf("agedError(%d ns, %d ns, %v ppm) = %d ns, want %d", tc.eps, tc.elapsed, tc.ppm, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		d    time.Duration
+		ppm  float64
+		want time.Duration
+	}{
+		{0, 100, 0},
+		{time.Millisecond, 0, time.Millisecond},
+		{time.Millisecond, 100, time.Millisecond + 100}, // exact
+		{time.Nanosecond, 1, 2},                         // 1.000001 ns
+		{time.Millisecond, 0.5, time.Millisecond + 1},   // 0.5 ns over
+	} {
+		if got := stretch(tc.d, tc.ppm); got != tc.want {
+			t.Errorf("stretch(%d ns, %v ppm) = %d ns, want %d", tc.d, tc.ppm, got, tc.want)
+		}
+	}
+
+	// The two clock sources are agedError's callers: any drift bound over
+	// any elapsed time shows as at least a nanosecond of error.
+	sys, err := NewSystemClock(0, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc := mustClock(t)
+	dc.driftPPM = 1e-3
+	time.Sleep(time.Millisecond)
+	if _, e, _ := sys.Now(); e < time.Nanosecond {
+		t.Errorf("SystemClock error after 1 ms at 1e-3 ppm = %v, want >= 1 ns", e)
+	}
+	if _, e, _ := dc.Now(); e < time.Nanosecond {
+		t.Errorf("DisciplinedClock error after 1 ms at 1e-3 ppm = %v, want >= 1 ns", e)
+	}
+}

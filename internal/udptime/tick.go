@@ -1,7 +1,6 @@
 package udptime
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +17,7 @@ import (
 // byte-identical on the wire). Freezing C makes the reading stale by up
 // to the refresh interval, so E is widened once per refresh by
 //
-//	widen = ceil((1 + driftPPM·1e-6) · tick)
+//	widen = stretch(tick, driftPPM) = ceil((1 + driftPPM·1e-6) · tick)
 //
 // — the true time can advance past the frozen C by at most the
 // snapshot's age times (1+delta) on the server's own error scale, so
@@ -55,16 +54,6 @@ type tickReading struct {
 
 var _ ClockSource = (*TickCache)(nil)
 
-// tickWiden returns the per-tick error widening for a clock trusted to
-// driftPPM: the staleness charge (1+delta)·tick, rounded up a
-// nanosecond so truncation never thins the bound.
-func tickWiden(tick time.Duration, driftPPM float64) time.Duration {
-	if tick <= 0 {
-		return 0
-	}
-	return time.Duration(math.Ceil(float64(tick) * (1 + driftPPM/1e6)))
-}
-
 // NewTickCache returns a started cache over src refreshing every tick
 // (default one millisecond when tick <= 0). driftPPM is the drift bound
 // of the clock behind src, charged into the per-tick widening. Stop
@@ -86,7 +75,7 @@ func newTickCacheStopped(src ClockSource, tick time.Duration, driftPPM float64) 
 	tc := &TickCache{
 		src:   src,
 		tick:  tick,
-		widen: tickWiden(tick, driftPPM),
+		widen: stretch(tick, driftPPM),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}

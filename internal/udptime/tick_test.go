@@ -41,7 +41,7 @@ func TestTickCacheProperty(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x71c4, 0xcafe))
 	const tick = 10 * time.Millisecond
 	const driftPPM = 100.0
-	widen := tickWiden(tick, driftPPM)
+	widen := stretch(tick, driftPPM)
 	if widen <= tick {
 		t.Fatalf("widening %v must exceed the tick %v for a positive drift bound", widen, tick)
 	}
@@ -112,7 +112,7 @@ func TestTickCacheBoundaryConcurrent(t *testing.T) {
 	const tick = 5 * time.Millisecond
 	const driftPPM = 200.0
 	const rounds = 400
-	widen := tickWiden(tick, driftPPM)
+	widen := stretch(tick, driftPPM)
 
 	// Pre-publish every round's reading so readers can verify without
 	// coordinating with the writer.
