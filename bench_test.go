@@ -470,3 +470,39 @@ func BenchmarkServeBatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkClientQueryMany measures the client's round on real sockets:
+// three version-3 requests sent and their replies matched over one
+// long-lived socket, against three loopback servers. It must report
+// 0 allocs/op: the //lint:noalloc annotations on the client's
+// send/collect loop (clientSock.exchange, clientSock.match) are audited
+// against this benchmark.
+func BenchmarkClientQueryMany(b *testing.B) {
+	src, err := udptime.NewSystemClock(time.Millisecond, 50)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var addrs []string
+	for id := uint64(1); id <= 3; id++ {
+		srv, err := udptime.NewServer("127.0.0.1:0", id, src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		addrs = append(addrs, srv.Addr().String())
+	}
+	client := udptime.NewClient(time.Second, nil, udptime.WithHLC(hlc.New(100)))
+	defer client.Close()
+	pump := udptime.NewQueryManyBench(client, addrs)
+	if got := pump(); got != len(addrs) {
+		b.Fatalf("%d of %d servers answered", got, len(addrs))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if pump() != len(addrs) {
+			b.Fatal("round not fully answered")
+		}
+	}
+	b.StopTimer() // the deferred Closes allocate, which at -benchtime=1x would show
+}

@@ -48,6 +48,7 @@ func run(args []string, out io.Writer) error {
 	addrs := strings.Split(*servers, ",")
 
 	client := udptime.NewClient(*timeout, nil)
+	defer client.Close()
 	ms, err := client.QueryMany(addrs)
 	if err != nil && len(ms) == 0 {
 		return fmt.Errorf("all queries failed: %w", err)

@@ -167,6 +167,7 @@ func run() error {
 
 	// A client queries the whole service and intersects the answers.
 	client := disttime.NewUDPClient(time.Second, nil)
+	defer client.Close()
 	ms, err := client.QueryMany(addrs)
 	if err != nil {
 		return err

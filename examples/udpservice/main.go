@@ -81,6 +81,7 @@ func run() error {
 	client := disttime.NewUDPClient(2*time.Second, dc,
 		disttime.WithSyncOptions(disttime.SyncOptions{Delta: 100e-6}),
 		disttime.WithClientObservability(reg))
+	defer client.Close()
 
 	ms, err := client.QueryMany(addrs)
 	if err != nil {

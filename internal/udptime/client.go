@@ -8,6 +8,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"net"
+	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -101,19 +103,32 @@ type clientMetrics struct {
 	rtt      *obs.LogHistogram // udptime_client_rtt_seconds
 }
 
-// Client queries time servers. It is safe for concurrent use: all
-// mutable state — the request-ID generator, the timeout, the local clock
-// source, the sync options, and the metric handles — is guarded by one
-// mutex, and Query reads a consistent snapshot of the configuration at
-// its start.
+// maxIdleSocks caps the sockets a Client keeps between rounds: that many
+// concurrent rounds reuse one, and any further round closes its own.
+const maxIdleSocks = 4
+
+// Client queries time servers over a few long-lived UDP sockets
+// (DESIGN.md §16, "The client"). It is safe for concurrent use: one mutex
+// guards the configuration and the idle sockets, and a round runs under
+// the configuration it found at its start. Close releases the sockets;
+// a Client dropped without Close leaves them to the finalizer the net
+// package sets on every descriptor, so they last until a collection
+// finds the Client unreachable.
 type Client struct {
-	mu         sync.Mutex
-	timeoutDur time.Duration
-	local      ClockSource
-	opts       SyncOptions
-	metrics    clientMetrics
-	rng        *rand.Rand
-	hclock     *hlc.Clock
+	mu     sync.Mutex
+	cfg    clientConfig
+	idle   []*clientSock
+	closed bool
+}
+
+// clientConfig is what SetTimeout, SetLocalClock, SetSyncOptions, Observe
+// and WithHLC set, and what one round runs under.
+type clientConfig struct {
+	timeout time.Duration
+	local   ClockSource
+	opts    SyncOptions
+	metrics clientMetrics
+	hclock  *hlc.Clock
 }
 
 // ClientOption configures a Client.
@@ -125,7 +140,7 @@ type clientSyncOptions struct{ o SyncOptions }
 
 func (c clientSyncOptions) applyClient(cl *Client) {
 	//lint:ignore guardedby options are applied inside NewClient before the client is published, so no other goroutine can observe the write
-	cl.opts = c.o
+	cl.cfg.opts = c.o
 }
 
 // WithSyncOptions sets the IM-2 transform parameters (notably the local
@@ -136,7 +151,7 @@ type clientHLCOption struct{ c *hlc.Clock }
 
 func (o clientHLCOption) applyClient(cl *Client) {
 	//lint:ignore guardedby options are applied inside NewClient before the client is published, so no other goroutine can observe the write
-	cl.hclock = o.c
+	cl.cfg.hclock = o.c
 }
 
 // WithHLC attaches a hybrid logical clock: every query switches to the
@@ -157,13 +172,10 @@ func (c clientObsOption) applyClient(cl *Client) { cl.resolveMetrics(c.reg) }
 func WithClientObservability(reg *obs.Registry) ClientOption { return clientObsOption{reg: reg} }
 
 // NewClient returns a client with the given per-query timeout (zero means
-// one second) measuring against local (nil means the system clock).
+// one second; the queries of one round share it) measuring against local
+// (nil means the system clock).
 func NewClient(timeout time.Duration, local ClockSource, opts ...ClientOption) *Client {
-	c := &Client{
-		timeoutDur: timeout,
-		local:      local,
-		rng:        newReqIDRNG(),
-	}
+	c := &Client{cfg: clientConfig{timeout: timeout, local: local}}
 	for _, o := range opts {
 		o.applyClient(c)
 	}
@@ -176,7 +188,7 @@ func NewClient(timeout time.Duration, local ClockSource, opts ...ClientOption) *
 func (c *Client) SetTimeout(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.timeoutDur = d
+	c.cfg.timeout = d
 }
 
 // SetLocalClock replaces the clock source used for offset computation
@@ -184,14 +196,14 @@ func (c *Client) SetTimeout(d time.Duration) {
 func (c *Client) SetLocalClock(src ClockSource) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.local = src
+	c.cfg.local = src
 }
 
 // SetSyncOptions replaces the IM-2 transform parameters.
 func (c *Client) SetSyncOptions(o SyncOptions) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.opts = o
+	c.cfg.opts = o
 }
 
 // Observe resolves the client's metrics in reg (see
@@ -211,18 +223,64 @@ func (c *Client) resolveMetrics(reg *obs.Registry) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.metrics = m
+	c.cfg.metrics = m
 }
 
-// config returns a consistent snapshot of the client's configuration.
-func (c *Client) config() (time.Duration, ClockSource, SyncOptions, clientMetrics, *hlc.Clock) {
+// checkout returns the configuration and a socket for one round: an idle
+// one if there is any, else a new one. The round owns the socket until
+// it hands it to checkin.
+func (c *Client) checkout() (clientConfig, *clientSock, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	d := c.timeoutDur
-	if d <= 0 {
-		d = time.Second
+	cfg, closed := c.cfg, c.closed
+	var s *clientSock
+	if n := len(c.idle); n > 0 {
+		s, c.idle = c.idle[n-1], c.idle[:n-1]
 	}
-	return d, c.local, c.opts, c.metrics, c.hclock
+	c.mu.Unlock()
+	if cfg.timeout <= 0 {
+		cfg.timeout = time.Second
+	}
+	if closed {
+		return cfg, nil, fmt.Errorf("udptime: client: %w", net.ErrClosed)
+	}
+	if s == nil {
+		// Unconnected, on the wildcard address: one socket reaches every
+		// server, of either family where the host maps IPv4 into IPv6.
+		conn, err := net.ListenUDP("udp", nil)
+		if err != nil {
+			return cfg, nil, fmt.Errorf("udptime: client socket: %w", err)
+		}
+		s = &clientSock{conn: conn, rng: newReqIDRNG()}
+	}
+	return cfg, s, nil
+}
+
+// checkin takes back the socket of a finished round, or closes it when
+// the client was closed meanwhile or already keeps maxIdleSocks.
+func (c *Client) checkin(s *clientSock) {
+	c.mu.Lock()
+	if !c.closed && len(c.idle) < maxIdleSocks {
+		c.idle, s = append(c.idle, s), nil
+	}
+	c.mu.Unlock()
+	if s != nil {
+		s.conn.Close()
+	}
+}
+
+// Close closes the idle sockets; a round in flight finishes and closes
+// its own. Queries started afterwards fail with an error wrapping
+// net.ErrClosed. Close is idempotent and safe concurrently with queries.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	idle := c.idle
+	c.idle, c.closed = nil, true
+	c.mu.Unlock()
+	var err error
+	for _, s := range idle {
+		err = errors.Join(err, s.conn.Close())
+	}
+	return err
 }
 
 // hlcWall returns the HLC physical component for a send or receive on
@@ -284,143 +342,230 @@ func localNow(src ClockSource) time.Time {
 	return time.Now()
 }
 
-func (c *Client) nextReqID() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.rng == nil {
-		c.rng = newReqIDRNG()
+// request is one exchange of a round.
+type request struct {
+	id   uint64         // the token the reply must echo
+	to   netip.AddrPort // where it goes, and where its reply must come from
+	done bool           // answered
+	err  error          // why it cannot be
+	// The send instant on the monotonic clock and on the local one.
+	sentMono, sentLocal time.Time
+}
+
+// clientSock is one unconnected socket with what a round on it needs:
+// the request-ID generator, the requests, the two datagram buffers. The
+// round owns all of it, so nothing here is locked.
+type clientSock struct {
+	conn *net.UDPConn
+	rng  *rand.Rand
+	reqs []request
+	out  [wire.RequestHLCSize]byte
+	in   [maxDatagram]byte
+}
+
+// resolveAddr turns addr into the endpoint a request goes to. A literal
+// address is parsed in place; anything else is resolved, on every query,
+// so a host name follows its record. As with net.Dial, no host or the
+// unspecified address means this host.
+func resolveAddr(addr string) (netip.AddrPort, error) {
+	ap, err := netip.ParseAddrPort(addr)
+	if err != nil {
+		ua, err := net.ResolveUDPAddr("udp", addr)
+		if err != nil {
+			return netip.AddrPort{}, err
+		}
+		ap = ua.AddrPort()
 	}
-	return c.rng.Uint64()
+	ip := ap.Addr().Unmap()
+	switch {
+	case !ip.IsValid(), ip == netip.IPv4Unspecified():
+		ip = netip.AddrFrom4([4]byte{127, 0, 0, 1})
+	case ip == netip.IPv6Unspecified():
+		ip = netip.IPv6Loopback()
+	}
+	return netip.AddrPortFrom(ip, ap.Port()), nil
+}
+
+// round asks every address once, all over one socket, and leaves
+// addrs[i]'s measurement in ms[i], or the zero Measurement where there
+// is none. The error joins those of the requests that failed.
+func (c *Client) round(addrs []string, ms []Measurement) error {
+	n := len(addrs)
+	if n == 0 {
+		return nil
+	}
+	clear(ms)
+	cfg, s, err := c.checkout()
+	mtr := cfg.metrics
+	mtr.queries.Add(uint64(n))
+	if err != nil {
+		mtr.errors.Add(uint64(n))
+		return err
+	}
+	defer c.checkin(s)
+
+	// Resolve first: a slow lookup then delays no request already sent.
+	s.reqs = slices.Grow(s.reqs[:0], n)[:n]
+	for i, addr := range addrs {
+		s.reqs[i] = request{id: s.rng.Uint64()}
+		s.reqs[i].to, s.reqs[i].err = resolveAddr(addr)
+	}
+	broke := s.exchange(&cfg, addrs, ms)
+
+	var errs []error
+	for i, r := range s.reqs {
+		if r.done {
+			mtr.rtt.Observe(ms[i].RTT.Seconds())
+			continue
+		}
+		if r.err == nil {
+			r.err = broke
+		}
+		mtr.errors.Inc()
+		var nerr net.Error
+		if errors.As(r.err, &nerr) && nerr.Timeout() {
+			mtr.timeouts.Inc()
+		}
+		errs = append(errs, fmt.Errorf("udptime: query %q: %w", addrs[i], r.err))
+	}
+	return errors.Join(errs...)
+}
+
+// exchange is the wire half of a round: from the calling goroutine, send
+// every request that resolved, then read replies until each is answered
+// or the round's one deadline passes, which is the error it returns.
+// With cfg.hclock the exchange is version 3: a request carries the
+// client's timestamp, and a matched reply's is folded back in. Replies
+// are read one by one, so one that queued behind another is stamped
+// after it arrived: its round trip reads long, which only widens its
+// offset interval.
+//
+//lint:noalloc BenchmarkClientQueryMany
+func (s *clientSock) exchange(cfg *clientConfig, addrs []string, ms []Measurement) error {
+	if err := s.conn.SetDeadline(time.Now().Add(cfg.timeout)); err != nil {
+		return err
+	}
+	open := 0
+	for i := range s.reqs {
+		r := &s.reqs[i]
+		if r.err != nil {
+			continue
+		}
+		var out []byte
+		if cfg.hclock != nil {
+			out = wire.AppendRequestHLC(s.out[:0], wire.RequestHLC{ReqID: r.id, TS: cfg.hclock.Now(hlcWall(cfg.local))})
+		} else {
+			out = wire.AppendRequest(s.out[:0], wire.Request{ReqID: r.id})
+		}
+		// Monotonic first: a descheduling of g between the two reads then
+		// lands inside RTT, and widens the offset interval by g below and
+		// delta*g above. In the other order it back-dates LocalRecv by g and
+		// shifts the interval off the true offset.
+		r.sentMono = time.Now()
+		r.sentLocal = localNow(cfg.local)
+		if _, r.err = s.conn.WriteToUDPAddrPort(out, r.to); r.err == nil {
+			open++
+		}
+	}
+	for open > 0 {
+		n, from, err := s.conn.ReadFromUDPAddrPort(s.in[:])
+		if err != nil {
+			return err
+		}
+		recv := time.Now()
+		i, resp := s.match(cfg.hclock != nil, s.in[:n], from)
+		if i < 0 {
+			cfg.metrics.strays.Inc()
+			continue
+		}
+		if cfg.hclock != nil {
+			cfg.hclock.Update(hlcWall(cfg.local), resp.TS)
+		}
+		r := &s.reqs[i]
+		r.done = true
+		open--
+		rtt := recv.Sub(r.sentMono)
+		ms[i] = Measurement{
+			Addr:           addrs[i],
+			ServerID:       resp.ServerID,
+			C:              resp.Clock,
+			E:              resp.MaxError,
+			RTT:            rtt,
+			LocalRecv:      r.sentLocal.Add(rtt),
+			Delta:          cfg.opts.Delta,
+			Unsynchronized: resp.Unsynchronized,
+			TS:             resp.TS,
+			recv:           recv,
+		}
+	}
+	return nil
+}
+
+// match returns the index of the request that the datagram b from source
+// from answers, and the reply it carries; -1 for a stray. A datagram
+// answers a request only if it parses as a reply of the round's wire
+// version, echoes the ID of a request still outstanding, and comes from
+// the address that request went to. That last check is what connect()
+// had the kernel do for a socket per query: whoever sees an ID in flight
+// still cannot answer for the server without forging its address.
+//
+//lint:noalloc BenchmarkClientQueryMany
+func (s *clientSock) match(v3 bool, b []byte, from netip.AddrPort) (int, wire.ResponseHLC) {
+	var resp wire.ResponseHLC
+	var err error
+	if v3 {
+		resp, err = wire.ParseResponseHLC(b)
+	} else {
+		resp.Response, err = wire.ParseResponse(b)
+	}
+	if err == nil {
+		src := from.Addr().Unmap().WithZone("")
+		for i := range s.reqs {
+			if r := &s.reqs[i]; !r.done && r.err == nil && r.id == resp.ReqID &&
+				r.to.Port() == from.Port() && r.to.Addr().WithZone("") == src {
+				return i, resp
+			}
+		}
+	}
+	return -1, resp
+}
+
+// answered moves the measurements a round filled in to the front of ms,
+// in order, and returns them.
+func answered(ms []Measurement) []Measurement {
+	return slices.DeleteFunc(ms, func(m Measurement) bool { return m.recv.IsZero() })
 }
 
 // Query sends one time request to addr and returns the measurement.
 // With WithHLC the exchange is version 3: the request carries the
 // client's timestamp, the response's timestamp is folded back in.
 func (c *Client) Query(addr string) (Measurement, error) {
-	timeout, local, opts, mtr, hclock := c.config()
-	mtr.queries.Inc()
-	m, err := c.query(addr, timeout, local, opts, mtr, hclock)
-	if err != nil {
-		mtr.errors.Inc()
-		var nerr net.Error
-		if errors.As(err, &nerr) && nerr.Timeout() {
-			mtr.timeouts.Inc()
-		}
-		return Measurement{}, err
-	}
-	mtr.rtt.Observe(m.RTT.Seconds())
-	return m, nil
+	addrs, ms := [1]string{addr}, [1]Measurement{}
+	err := c.round(addrs[:], ms[:])
+	return ms[0], err
 }
 
-func (c *Client) query(addr string, timeout time.Duration, local ClockSource, opts SyncOptions, mtr clientMetrics, hclock *hlc.Clock) (Measurement, error) {
-	udpAddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return Measurement{}, fmt.Errorf("udptime: resolve %q: %w", addr, err)
-	}
-	conn, err := net.DialUDP("udp", nil, udpAddr)
-	if err != nil {
-		return Measurement{}, fmt.Errorf("udptime: dial %q: %w", addr, err)
-	}
-	defer conn.Close()
-
-	reqID := c.nextReqID()
-	var out []byte
-	if hclock != nil {
-		out = wire.AppendRequestHLC(make([]byte, 0, wire.RequestHLCSize), wire.RequestHLC{
-			ReqID: reqID,
-			TS:    hclock.Now(hlcWall(local)),
-		})
-	} else {
-		out = wire.AppendRequest(make([]byte, 0, wire.RequestSize), wire.Request{ReqID: reqID})
-	}
-
-	deadline := time.Now().Add(timeout)
-	if err := conn.SetDeadline(deadline); err != nil {
-		return Measurement{}, fmt.Errorf("udptime: deadline: %w", err)
-	}
-
-	// Monotonic first: a descheduling of g between the two reads then
-	// lands inside RTT, and widens the offset interval by g below and
-	// delta*g above. In the other order it back-dates LocalRecv by g and
-	// shifts the interval off the true offset.
-	sentMono := time.Now()
-	sentLocal := localNow(local)
-	if _, err := conn.Write(out); err != nil {
-		return Measurement{}, fmt.Errorf("udptime: send to %q: %w", addr, err)
-	}
-
-	bufp := dgramPool.Get().(*[maxDatagram]byte)
-	buf := bufp[:]
-	defer dgramPool.Put(bufp)
-	for {
-		n, err := conn.Read(buf)
-		if err != nil {
-			return Measurement{}, fmt.Errorf("udptime: read from %q: %w", addr, err)
-		}
-		var resp wire.Response
-		var ts hlc.Timestamp
-		if hclock != nil {
-			r, err := wire.ParseResponseHLC(buf[:n])
-			if err != nil || r.ReqID != reqID {
-				mtr.strays.Inc() // stray, short, or malformed datagram
-				continue         // keep waiting for ours
-			}
-			resp, ts = r.Response, r.TS
-			hclock.Update(hlcWall(local), ts)
-		} else {
-			r, err := wire.ParseResponse(buf[:n])
-			if err != nil || r.ReqID != reqID {
-				mtr.strays.Inc() // stray, short, or malformed datagram
-				continue         // keep waiting for ours
-			}
-			resp = r
-		}
-		rtt := time.Since(sentMono)
-		return Measurement{
-			Addr:           addr,
-			ServerID:       resp.ServerID,
-			C:              resp.Clock,
-			E:              resp.MaxError,
-			RTT:            rtt,
-			LocalRecv:      sentLocal.Add(rtt),
-			Delta:          opts.Delta,
-			Unsynchronized: resp.Unsynchronized,
-			TS:             ts,
-			recv:           sentMono.Add(rtt),
-		}, nil
-	}
-}
-
-// QueryMany queries every address concurrently. It returns the successful
-// measurements and, when any query failed, a joined error describing the
-// failures. Unsynchronized responses are returned but flagged.
+// QueryMany queries every address in one round: the requests go out back
+// to back and the replies are collected under one timeout. It returns the
+// successful measurements, in the order of addrs, and, when any query
+// failed, a joined error describing the failures. Unsynchronized
+// responses are returned but flagged.
 func (c *Client) QueryMany(addrs []string) ([]Measurement, error) {
-	type result struct {
-		m   Measurement
-		err error
-	}
-	results := make([]result, len(addrs))
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m, err := c.Query(addr)
-			results[i] = result{m: m, err: err}
-		}()
-	}
-	wg.Wait()
+	ms := make([]Measurement, len(addrs))
+	err := c.round(addrs, ms)
+	return answered(ms), err
+}
 
-	var ms []Measurement
-	var errs []error
-	for _, r := range results {
-		if r.err != nil {
-			errs = append(errs, r.err)
-			continue
-		}
-		ms = append(ms, r.m)
+// NewQueryManyBench returns a pump that runs one round of c against
+// addrs into a retained slice and returns how many servers answered. It
+// exists for the repo-level BenchmarkClientQueryMany, which pins the
+// round at zero allocations; QueryMany allocates the slice it returns.
+func NewQueryManyBench(c *Client, addrs []string) func() int {
+	ms := make([]Measurement, len(addrs))
+	return func() int {
+		c.round(addrs, ms)
+		return len(answered(ms))
 	}
-	return ms, errors.Join(errs...)
 }
 
 // Sync errors.
@@ -501,7 +646,12 @@ func adopt(dc *DisciplinedClock, ivs []interval.Interval) (interval.Interval, er
 		return interval.Interval{}, ErrInconsistent
 	}
 	shift, eps := core.Midpoint(a, b)
-	err := dc.Adjust(time.Duration(shift*float64(time.Second)), time.Duration(eps*float64(time.Second)))
+	// The shift truncates to the nanosecond, which moves the midpoint by
+	// what it drops; the error bound takes that up and rounds outward,
+	// like agedError, so the adopted interval still covers [a, b].
+	shiftNs := shift * float64(time.Second)
+	d := time.Duration(shiftNs)
+	err := dc.Adjust(d, time.Duration(math.Ceil(eps*float64(time.Second)+math.Abs(shiftNs-float64(d)))))
 	if err != nil {
 		return interval.Interval{}, err
 	}
@@ -516,58 +666,30 @@ func adopt(dc *DisciplinedClock, ivs []interval.Interval) (interval.Interval, er
 // paper cites for clock measurement. Individual attempts may fail; an
 // error is returned only when every attempt does.
 func (c *Client) QueryBurst(addr string, k int) (Measurement, error) {
-	if k < 1 {
-		k = 1
+	ms, err := c.QueryManyBurst([]string{addr}, k)
+	if err != nil {
+		return Measurement{}, err
 	}
-	var (
-		best    Measurement
-		haveOne bool
-		errs    []error
-	)
-	for i := 0; i < k; i++ {
-		m, err := c.Query(addr)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		if !haveOne || m.RTT < best.RTT {
-			best = m
-			haveOne = true
-		}
-	}
-	if !haveOne {
-		return Measurement{}, fmt.Errorf("udptime: burst to %q failed: %w", addr, errors.Join(errs...))
-	}
-	return best, nil
+	return ms[0], nil
 }
 
-// QueryManyBurst queries every address concurrently, each with a burst of
-// k attempts, keeping the minimum-RTT measurement per server.
+// QueryManyBurst runs k rounds of QueryMany (at least one) and keeps the
+// minimum-RTT measurement per server. It returns an error, that of every
+// failed attempt, only when some server answered in no round.
 func (c *Client) QueryManyBurst(addrs []string, k int) ([]Measurement, error) {
-	type result struct {
-		m   Measurement
-		err error
-	}
-	results := make([]result, len(addrs))
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m, err := c.QueryBurst(addr, k)
-			results[i] = result{m: m, err: err}
-		}()
-	}
-	wg.Wait()
-
-	var ms []Measurement
+	best := make([]Measurement, len(addrs))
+	ms := make([]Measurement, len(addrs))
 	var errs []error
-	for _, r := range results {
-		if r.err != nil {
-			errs = append(errs, r.err)
-			continue
+	for k = max(k, 1); k > 0; k-- {
+		errs = append(errs, c.round(addrs, ms))
+		for i, m := range ms {
+			if !m.recv.IsZero() && (best[i].recv.IsZero() || m.RTT < best[i].RTT) {
+				best[i] = m
+			}
 		}
-		ms = append(ms, r.m)
 	}
-	return ms, errors.Join(errs...)
+	if best = answered(best); len(best) < len(addrs) {
+		return best, fmt.Errorf("udptime: burst failed: %w", errors.Join(errs...))
+	}
+	return best, nil
 }

@@ -1,10 +1,13 @@
 package udptime
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -187,46 +190,78 @@ func TestNewReqIDRNGEntropyPath(t *testing.T) {
 }
 
 // TestConcurrentQueriesRaceClean hammers one client from many
-// goroutines while the configuration is mutated concurrently — the race
-// the unsynchronized Timeout field made possible. Run under -race (the
-// Makefile's race target includes this package).
+// goroutines — single queries and whole rounds, which share its idle
+// sockets — while the configuration is mutated and, part way in, the
+// client is closed. A query may then fail, but only with net.ErrClosed.
+// Run under -race (the Makefile's race target includes this package).
 func TestConcurrentQueriesRaceClean(t *testing.T) {
-	srv := startServer(t, 3, shiftedClock{err: time.Millisecond, synced: true})
-	addr := srv.Addr().String()
-	reg := obs.NewRegistry()
-	client := NewClient(2*time.Second, nil, WithClientObservability(reg))
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	wireVersions(t, func(t *testing.T, opts ...ClientOption) {
+		srv := startServer(t, 3, shiftedClock{err: time.Millisecond, synced: true})
+		addr := srv.Addr().String()
+		reg := obs.NewRegistry()
+		client := NewClient(2*time.Second, nil, append(opts, WithClientObservability(reg))...)
+		queries := reg.Counter("udptime_client_queries_total")
+		check := func(n int, err error) {
+			if err != nil && !errors.Is(err, net.ErrClosed) {
+				t.Errorf("query: %v", err)
+			} else if err == nil && n != 1 {
+				t.Errorf("%d measurements per server", n)
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 5; i++ {
+					_, err := client.Query(addr)
+					check(1, err)
+				}
+			}()
+		}
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 5; i++ {
+					ms, err := client.QueryMany([]string{addr, addr})
+					check(len(ms)/2, err)
+				}
+			}()
+		}
+		// Concurrent reconfiguration: the old code read Timeout/LocalClock
+		// without the mutex.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				if _, err := client.Query(addr); err != nil {
-					t.Errorf("query: %v", err)
-					return
-				}
+			for i := 0; i < 20; i++ {
+				client.SetTimeout(time.Duration(1+i%3) * time.Second)
+				client.SetSyncOptions(SyncOptions{Delta: float64(i) * 1e-6})
+				client.SetLocalClock(nil)
+				client.Observe(reg)
 			}
 		}()
-	}
-	// Concurrent reconfiguration: the old code read Timeout/LocalClock
-	// without the mutex.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 20; i++ {
-			client.SetTimeout(time.Duration(1+i%3) * time.Second)
-			client.SetSyncOptions(SyncOptions{Delta: float64(i) * 1e-6})
-			client.SetLocalClock(nil)
-			client.Observe(reg)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for queries.Value() < 40 {
+				runtime.Gosched()
+			}
+			if err := client.Close(); err != nil {
+				t.Errorf("close: %v", err)
+			}
+		}()
+		wg.Wait()
+		if got := queries.Value(); got != 80 {
+			t.Errorf("queries counter = %d, want 80", got)
 		}
-	}()
-	wg.Wait()
-	if got := reg.Counter("udptime_client_queries_total").Value(); got != 40 {
-		t.Errorf("queries counter = %d, want 40", got)
-	}
-	if got := reg.LogHistogram("udptime_client_rtt_seconds").Count(); got == 0 {
-		t.Error("RTT histogram recorded nothing")
-	}
+		if got := reg.LogHistogram("udptime_client_rtt_seconds").Count(); got == 0 {
+			t.Error("RTT histogram recorded nothing")
+		}
+		if len(client.idle) != 0 {
+			t.Errorf("%d sockets idle after Close", len(client.idle))
+		}
+	})
 }
 
 // TestHealthListener exercises the server's HTTP side: /healthz,
@@ -351,8 +386,10 @@ func TestSyncerMetrics(t *testing.T) {
 	}
 	// The syncer defaulted the IM-2 delta from the clock's drift bound.
 	want := 250.0 / 1e6
-	_, _, opts, _, _ := s.client.config()
-	if opts.Delta != want {
-		t.Errorf("client delta = %v, want %v (clock DriftPPM/1e6)", opts.Delta, want)
+	s.client.mu.Lock()
+	got := s.client.cfg.opts.Delta
+	s.client.mu.Unlock()
+	if got != want {
+		t.Errorf("client delta = %v, want %v (clock DriftPPM/1e6)", got, want)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"disttime/internal/interval"
 )
 
 // TestHeldMeasurementAges is the regression test for measurements applied
@@ -95,6 +97,33 @@ func TestBoundsRoundOutward(t *testing.T) {
 	} {
 		if got := stretch(tc.d, tc.ppm); got != tc.want {
 			t.Errorf("stretch(%d ns, %v ppm) = %d ns, want %d", tc.d, tc.ppm, got, tc.want)
+		}
+	}
+
+	// adopt is rule IM-2's reset in the Duration domain: the shift drops
+	// its fraction of a nanosecond, and the bound grows to cover both
+	// that and its own, so [shift-eps, shift+eps] contains [lo, hi].
+	for _, tc := range []struct {
+		lo, hi     float64 // seconds
+		shift, eps time.Duration
+	}{
+		{0, 2e-9, 1, 1},               // exact
+		{0, 0, 0, 0},                  // exact
+		{0, 1.5e-9, 0, 2},             // midpoint 0.75 ns drops to 0: ceil(0.75 + 0.75)
+		{-1.5e-9, 0, 0, 2},            // the same below zero
+		{0.25e-9, 0.5e-9, 0, 1},       // an interval inside one nanosecond is not a zero error
+		{1, 1 + 1e-9, time.Second, 2}, // 0.5 + 0.5 ns, a hair over at float64's spacing near 1 s
+	} {
+		dc := mustClock(t)
+		if _, err := adopt(dc, []interval.Interval{{Lo: tc.lo, Hi: tc.hi}}); err != nil {
+			t.Fatal(err)
+		}
+		shift, eps := dc.value.Sub(dc.anchor), dc.epsilon
+		if shift != tc.shift || eps != tc.eps {
+			t.Errorf("adopt([%v, %v] s) = shift %d ns, eps %d ns, want %d, %d", tc.lo, tc.hi, shift, eps, tc.shift, tc.eps)
+		}
+		if float64(shift-eps) > tc.lo*1e9 || float64(shift+eps) < tc.hi*1e9 {
+			t.Errorf("adopt([%v, %v] s) left [%d, %d] ns, which does not contain it", tc.lo, tc.hi, shift-eps, shift+eps)
 		}
 	}
 

@@ -15,13 +15,6 @@ import (
 	"disttime/internal/wire"
 )
 
-// dgramPool recycles full-size datagram scratch buffers across client
-// queries, so short-lived readers (clients issue one query per sync
-// round) stop allocating a fresh buffer each time.
-var dgramPool = sync.Pool{
-	New: func() any { return new([maxDatagram]byte) },
-}
-
 // Server is a UDP time server: it answers each request with the reading
 // of its ClockSource taken between the request's arrival and the reply
 // (rule MM-1). It speaks every wire version — version-1 requests,

@@ -143,11 +143,12 @@ func newSyncerMetrics(reg *obs.Registry) syncerMetrics {
 	}
 }
 
-// Stop halts the syncer and waits for its goroutine to exit. It is
-// idempotent.
+// Stop halts the syncer, waits for its goroutine to exit, and closes the
+// client's sockets. It is idempotent.
 func (s *Syncer) Stop() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	<-s.done
+	s.client.Close()
 }
 
 // LastReport returns the most recent round's report (zero value before
@@ -192,16 +193,8 @@ func (s *Syncer) targets() []string {
 }
 
 func (s *Syncer) round() {
-	var (
-		ms   []Measurement
-		qerr error
-	)
 	servers := s.targets()
-	if s.cfg.Burst > 1 {
-		ms, qerr = s.client.QueryManyBurst(servers, s.cfg.Burst)
-	} else {
-		ms, qerr = s.client.QueryMany(servers)
-	}
+	ms, qerr := s.client.QueryManyBurst(servers, s.cfg.Burst)
 	report := SyncReport{When: time.Now(), Measurements: len(ms)}
 	switch {
 	case len(servers) == 0:

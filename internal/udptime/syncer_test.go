@@ -1,7 +1,9 @@
 package udptime
 
 import (
+	"errors"
 	"math"
+	"net"
 	"testing"
 	"time"
 )
@@ -101,6 +103,9 @@ func TestSyncerStopHalts(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	if got := syncer.Rounds(); got != after {
 		t.Errorf("rounds continued after Stop: %d -> %d", after, got)
+	}
+	if _, err := syncer.client.Query(srv.Addr().String()); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("the syncer's client after Stop: %v, want net.ErrClosed", err)
 	}
 }
 

@@ -459,14 +459,22 @@ func TestSyncerStopJoinsGoroutine(t *testing.T) {
 }
 
 func TestClientDefaults(t *testing.T) {
-	c := NewClient(0, nil)
-	if got, _, _, _, _ := c.config(); got != time.Second {
-		t.Errorf("default timeout = %v", got)
-	}
-	// A zero-value client (not built by NewClient) lazily seeds its PRNG.
-	var zero Client
-	if a, b := zero.nextReqID(), zero.nextReqID(); a == b {
-		t.Error("req IDs not distinct")
+	// A zero-value client (not built by NewClient) works like NewClient(0, nil).
+	for _, c := range []*Client{NewClient(0, nil), new(Client)} {
+		cfg, s, err := c.checkout()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.timeout != time.Second {
+			t.Errorf("default timeout = %v", cfg.timeout)
+		}
+		if a, b := s.rng.Uint64(), s.rng.Uint64(); a == b {
+			t.Error("req IDs not distinct")
+		}
+		c.checkin(s)
+		if err := c.Close(); err != nil {
+			t.Error(err)
+		}
 	}
 	if got := localNow(nil); got.IsZero() {
 		t.Error("localNow returned zero time")
