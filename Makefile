@@ -25,7 +25,7 @@ COVER_FLOOR_PKGS = ./internal/core ./internal/interval ./internal/member \
                    ./internal/lint ./internal/hlc ./internal/txn
 COVER_FLOOR     ?= 85
 
-.PHONY: all build vet lint noalloc-audit test check test-race cover cover-check chaos chaos-replay byz-smoke obs-smoke churn-smoke txn-smoke scale-smoke udp-smoke fuzz-smoke bench experiments ablations examples clean
+.PHONY: all build vet lint test check test-race cover cover-check chaos chaos-replay byz-smoke obs-smoke churn-smoke txn-smoke scale-smoke udp-smoke fuzz-smoke experiments ablations examples clean
 
 all: build vet lint test
 
@@ -44,27 +44,19 @@ vet:
 lint:
 	$(GO) run ./cmd/disttimelint ./...
 
-# Cross-check every //lint:noalloc annotation that cites benchmarks
-# against the recorded baseline: a cited benchmark must exist in
-# BENCH_BASELINE.json with allocs/op == 0, so the static proof (no
-# allocation constructs) and the measured evidence cannot silently
-# drift apart. Regenerate the baseline with `make bench`.
-noalloc-audit:
-	$(GO) run ./cmd/disttimelint -noalloc-audit BENCH_BASELINE.json ./...
-
 # Tier-1 gate: vet, the full suite, and a race pass over RACE_PKGS.
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race $(RACE_PKGS)
 
-# check = vet + lint + noalloc audit + test + race + coverage floor +
-# smokes: the tier-1 tests, the lint gate, the annotation-vs-baseline
-# allocation audit, the proof-core coverage floor, the
+# check = vet + lint + test + race + coverage floor + smokes: the tier-1
+# tests (the AllocsPerRun tests that hold every //lint:noalloc hot path
+# at zero among them), the lint gate, the proof-core coverage floor, the
 # observability/membership determinism smokes, the committed chaos
 # corpus replays, and the sharded-kernel scale smoke travel together
 # (race rides inside `test` via RACE_PKGS).
-check: vet lint noalloc-audit test cover-check obs-smoke churn-smoke txn-smoke chaos-replay byz-smoke scale-smoke udp-smoke
+check: vet lint test cover-check obs-smoke churn-smoke txn-smoke chaos-replay byz-smoke scale-smoke udp-smoke
 
 test-race:
 	$(GO) test -race $(RACE_PKGS)
@@ -165,20 +157,6 @@ fuzz-smoke:
 		echo "fuzz-smoke: $$t for $$each"; \
 		$(GO) test ./internal/$${t%%:*} -run '^$$' -fuzz "^$${t##*:}\$$" -fuzztime $$each || exit 1; \
 	done
-
-# One benchmark per paper figure/claim plus the ablations; doubles as the
-# reproduction gate (a benchmark fails if its paper-shape stops holding).
-# The run is recorded to BENCH_BASELINE.json (name -> ns/op, B/op,
-# allocs/op) so every PR leaves a perf trajectory behind. BENCHTIME=1x
-# keeps the recording fast; the hot-path benchmarks warm their pools
-# before the measured window so allocs/op is steady-state even at 1x.
-BENCHTIME ?= 1x
-BENCH ?= .
-bench:
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime=$(BENCHTIME) . | tee bench.out
-	$(GO) run ./cmd/benchjson < bench.out > BENCH_BASELINE.json
-	@rm -f bench.out
-	@echo "wrote BENCH_BASELINE.json"
 
 # Regenerate the EXPERIMENTS.md data.
 experiments:

@@ -8,15 +8,12 @@
 // Usage:
 //
 //	disttimelint [-json] [-checks nowcheck,floateq] [patterns...]
-//	disttimelint -noalloc-audit BENCH_BASELINE.json [patterns...]
 //
 // Patterns are package directories or recursive "dir/..." walks (default
 // "./..."). The exit code is 0 when clean, 1 on findings, 2 on load or
 // usage errors. Findings can be suppressed line-by-line with a
 // "//lint:ignore <check> <reason>" directive whose reason is a written
-// justification of at least three words. The -noalloc-audit mode
-// cross-checks every benchmark cited by a //lint:noalloc annotation
-// against the measured allocs/op in the given baseline.
+// justification of at least three words.
 package main
 
 import (

@@ -62,35 +62,45 @@ func TestIntersectReadingsEmpty(t *testing.T) {
 }
 
 // TestEndToEndSimulationFacade drives a complete simulated service through
-// the public API only.
+// the public API only: a five-server mesh sampled every 30 s over five
+// minutes, and an eight-server mesh over one hour of sparse syncs. Under
+// IM neither may ever lose correctness.
 func TestEndToEndSimulationFacade(t *testing.T) {
-	specs := make([]disttime.ServerSpec, 5)
-	for i := range specs {
-		drift := float64(i-2) * 1e-5
-		specs[i] = disttime.ServerSpec{
-			Delta:        math.Abs(drift)*1.2 + 1e-6,
-			Drift:        drift,
-			InitialError: 0.05,
-			SyncEvery:    10,
+	for _, run := range []struct {
+		servers                  int
+		syncEvery, until, sample float64
+	}{
+		{servers: 5, syncEvery: 10, until: 300, sample: 30},
+		{servers: 8, syncEvery: 60, until: 3600, sample: 300},
+	} {
+		specs := make([]disttime.ServerSpec, run.servers)
+		for i := range specs {
+			drift := float64(i-run.servers/2) * 1e-5
+			specs[i] = disttime.ServerSpec{
+				Delta:        math.Abs(drift)*1.2 + 1e-6,
+				Drift:        drift,
+				InitialError: 0.05,
+				SyncEvery:    run.syncEvery,
+			}
 		}
-	}
-	sim, err := disttime.NewSimulation(disttime.SimulationConfig{
-		Seed:     1,
-		Delay:    disttime.UniformDelay{Max: 0.01},
-		Topology: disttime.FullMesh,
-		Fn:       disttime.IM{},
-		Servers:  specs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, err := sim.RunSampled(300, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range samples {
-		if !s.AllCorrect {
-			t.Fatalf("correctness lost at t=%v", s.T)
+		sim, err := disttime.NewSimulation(disttime.SimulationConfig{
+			Seed:     1,
+			Delay:    disttime.UniformDelay{Max: 0.01},
+			Topology: disttime.FullMesh,
+			Fn:       disttime.IM{},
+			Servers:  specs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples, err := sim.RunSampled(run.until, run.sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range samples {
+			if !s.AllCorrect {
+				t.Fatalf("%d servers: correctness lost at t=%v", run.servers, s.T)
+			}
 		}
 	}
 }

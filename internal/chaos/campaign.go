@@ -171,9 +171,6 @@ type Campaign struct {
 	// set; without it they degrade to crash/restart (the only departure
 	// a static topology can express).
 	Mem bool
-	// Phi selects the phi-accrual failure detector instead of the
-	// drift-widened deadline detector for membership (requires Mem).
-	Phi bool
 	// Txn enables the commit-wait transaction workload (internal/txn):
 	// one client per server stamps transactions with hybrid logical clock
 	// timestamps and commits after a TrueTime-style commit-wait, while
@@ -235,7 +232,6 @@ func Generate(seed uint64) Campaign {
 	c.FnName = fns[rng.IntN(len(fns))]
 	c.Recovery = rng.IntN(2) == 0
 	c.Mem = rng.IntN(2) == 0
-	c.Phi = c.Mem && rng.IntN(3) == 0
 	for nf := rng.IntN(6); nf > 0; nf-- {
 		c.Faults = append(c.Faults, randomFault(rng, c.N, c.Dur, c.Mem))
 	}
@@ -356,9 +352,6 @@ func (c Campaign) Validate() error {
 	}
 	if _, err := fnFor(c.FnName, c.N); err != nil {
 		return err
-	}
-	if c.Phi && !c.Mem {
-		return fmt.Errorf("chaos: phi detector requires membership (phi=1 without mem=1)")
 	}
 	for i, f := range c.Faults {
 		if kindNames[f.Kind] == "" {
@@ -525,9 +518,6 @@ func (c Campaign) build(override core.SyncFunc) (*service.Service, error) {
 		// period via member.DetectorConfig, so eviction windows stay
 		// small relative to Dur.
 		cfg.Members = &service.MemberConfig{GossipEvery: math.Max(2, c.Sync/5)}
-		if c.Phi {
-			cfg.Members.Detector = "phi"
-		}
 	}
 	return service.New(cfg)
 }

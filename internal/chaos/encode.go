@@ -30,11 +30,10 @@ import (
 // where a partition group <g> is '.'-joined server indices and a
 // twoface/equiv offset list is ','-joined per-destination skews (one per
 // server, the liar's own slot zero). An empty schedule is written as
-// `faults=-`. The optional `mem=1` field enables dynamic membership,
-// the optional `phi=1` field (requires mem=1) selects the phi-accrual
-// failure detector, and the optional `txn=1` field enables the
-// commit-wait transaction workload; all are omitted when unset, so
-// older reproducer lines parse (and re-encode) unchanged.
+// `faults=-`. The optional `mem=1` field enables dynamic membership and
+// the optional `txn=1` field enables the commit-wait transaction
+// workload; both are omitted when unset, so older reproducer lines
+// parse (and re-encode) unchanged.
 
 // fmtF renders a float with the shortest decimal that round-trips.
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -46,9 +45,6 @@ func (c Campaign) String() string {
 		c.Seed, c.N, c.Topo, c.FnName, boolBit(c.Recovery))
 	if c.Mem {
 		b.WriteString(" mem=1")
-	}
-	if c.Phi {
-		b.WriteString(" phi=1")
 	}
 	if c.Txn {
 		b.WriteString(" txn=1")
@@ -141,11 +137,6 @@ func Parse(line string) (Campaign, error) {
 			}
 		case "mem":
 			c.Mem = val == "1"
-			if val != "0" && val != "1" {
-				err = fmt.Errorf("want 0 or 1, got %q", val)
-			}
-		case "phi":
-			c.Phi = val == "1"
 			if val != "0" && val != "1" {
 				err = fmt.Errorf("want 0 or 1, got %q", val)
 			}

@@ -21,7 +21,7 @@ package core
 // A clock a fault moved behind its reset reference has elapsed < 0; the
 // deterioration is clamped at zero, since error never shrinks by drift.
 //
-//lint:noalloc BenchmarkRuleIM2,BenchmarkRuleMM2
+//lint:noalloc
 func AgedError(eps, elapsed, delta float64) float64 {
 	if elapsed < 0 {
 		elapsed = 0
@@ -43,7 +43,7 @@ func AgedError(eps, elapsed, delta float64) float64 {
 // and of MM-2's error adjustment. Both edges widen by delta*age while the
 // reply waits to be applied. With age = 0 these are the paper's quantities.
 //
-//lint:noalloc BenchmarkRuleIM2,BenchmarkRuleMM2
+//lint:noalloc
 func Charge(e, rtt, age, delta float64) (trail, lead float64) {
 	if age < 0 {
 		age = 0
@@ -59,7 +59,7 @@ func Charge(e, rtt, age, delta float64) (trail, lead float64) {
 //
 // With ci = 0 it is the reply's interval on the requester's timeline.
 //
-//lint:noalloc BenchmarkRuleIM2,BenchmarkRuleMM2
+//lint:noalloc
 func Offset(c, trail, lead, ci float64) (lo, hi float64) {
 	return c - trail - ci, c + lead - ci
 }
@@ -69,7 +69,7 @@ func Offset(c, trail, lead, ci float64) (lo, hi float64) {
 // the transit charge. A reply that fails it proves one of the two servers
 // incorrect, and rule MM-2 ignores it.
 //
-//lint:noalloc BenchmarkRuleIM2,BenchmarkRuleMM2
+//lint:noalloc
 func Consistent(lo, hi, ei float64) bool {
 	return lo <= ei && hi >= -ei
 }
@@ -90,7 +90,7 @@ func Widen(a, b, dc, delta float64) (float64, float64) {
 // Fold intersects [lo, hi] into the running intersection [a, b]. The
 // result is empty, and the service inconsistent, when it has b < a.
 //
-//lint:noalloc BenchmarkRuleIM2
+//lint:noalloc
 func Fold(a, b, lo, hi float64) (float64, float64) {
 	if lo > a {
 		a = lo
@@ -104,7 +104,7 @@ func Fold(a, b, lo, hi float64) (float64, float64) {
 // Midpoint is rule IM-2's adoption of a non-empty intersection [a, b]:
 // the clock moves by shift = (a+b)/2 and inherits eps = (b-a)/2.
 //
-//lint:noalloc BenchmarkRuleIM2
+//lint:noalloc
 func Midpoint(a, b float64) (shift, eps float64) {
 	return (a + b) / 2, (b - a) / 2
 }

@@ -106,3 +106,26 @@ func TestPropertyIncrementalIMMatchesBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestRulePassAllocs is the measured half of the //lint:noalloc
+// annotations in rules.go (the analyzer is the static half): one rule
+// MM-2 pass and one rule IM-2 pass over eight consistent replies, on a
+// server built once and resynchronized every run, allocate nothing. The
+// passes reach every rule but Widen, which only an incremental caller
+// uses (incrementalIM above, scale.Engine).
+func TestRulePassAllocs(t *testing.T) {
+	replies := make([]Reply, 8)
+	for i := range replies {
+		replies[i] = Reply{From: i + 1, C: 1000.001, E: 0.5, RTT: 0.01}
+	}
+	for _, fn := range []SyncFunc{MM{}, IM{}} {
+		s := newServer(t, 0, 1000, 1000, 1e-5, 1)
+		if allocs := testing.AllocsPerRun(1000, func() {
+			if res := fn.Sync(s, 1000, replies); !res.Reset || len(res.Inconsistent) != 0 {
+				t.Fatalf("%s: pass over consistent replies ended %+v", fn.Name(), res)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: a pass over eight replies allocates %v times, want 0", fn.Name(), allocs)
+		}
+	}
+}

@@ -60,7 +60,7 @@ type Timestamp struct {
 // returns -1, 0, or +1. Timestamps issued by distinct nodes never
 // compare equal, so the order is total and strict across a service.
 //
-//lint:noalloc BenchmarkHLCClock
+//lint:noalloc
 func (t Timestamp) Compare(o Timestamp) int {
 	switch {
 	case t.Wall != o.Wall:
@@ -84,7 +84,7 @@ func (t Timestamp) Compare(o Timestamp) int {
 
 // Before reports t < o in the total order.
 //
-//lint:noalloc BenchmarkHLCClock
+//lint:noalloc
 func (t Timestamp) Before(o Timestamp) bool { return t.Compare(o) < 0 }
 
 // IsZero reports the zero timestamp (never issued by a Clock).
@@ -108,7 +108,7 @@ func (t Timestamp) String() string {
 // substrate's unit) to the nanosecond wall component, rounding to the
 // nearest nanosecond so equal float readings map to equal walls.
 //
-//lint:noalloc BenchmarkHLCClock
+//lint:noalloc
 func WallFromSeconds(s float64) int64 { return int64(math.Round(s * 1e9)) }
 
 // Clock is one node's hybrid logical clock state. It is safe for
@@ -146,7 +146,7 @@ func (c *Clock) Last() Timestamp {
 // latest bound C+E on both substrates); the issued timestamp is
 // strictly later than every previous one from this clock.
 //
-//lint:noalloc BenchmarkHLCClock
+//lint:noalloc
 func (c *Clock) Now(wall int64) Timestamp {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -164,7 +164,7 @@ func (c *Clock) Now(wall int64) Timestamp {
 // timestamp and every previous local one, so happens-before chains are
 // strictly increasing.
 //
-//lint:noalloc BenchmarkHLCClock
+//lint:noalloc
 func (c *Clock) Update(wall int64, remote Timestamp) Timestamp {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -188,7 +188,7 @@ func (c *Clock) Update(wall int64, remote Timestamp) Timestamp {
 
 // PutTimestamp encodes ts into buf[0:TimestampSize], big endian.
 //
-//lint:noalloc BenchmarkHLCCodec
+//lint:noalloc
 func PutTimestamp(buf []byte, ts Timestamp) {
 	binary.BigEndian.PutUint64(buf[0:8], uint64(ts.Wall))
 	binary.BigEndian.PutUint32(buf[8:12], ts.Logical)
@@ -198,7 +198,7 @@ func PutTimestamp(buf []byte, ts Timestamp) {
 // AppendTimestamp appends the encoded timestamp to dst and returns the
 // extended slice.
 //
-//lint:noalloc BenchmarkHLCCodec
+//lint:noalloc
 func AppendTimestamp(dst []byte, ts Timestamp) []byte {
 	var buf [TimestampSize]byte
 	PutTimestamp(buf[:], ts)
@@ -209,7 +209,7 @@ func AppendTimestamp(dst []byte, ts Timestamp) []byte {
 // component outside int64's non-negative range is rejected: the codec
 // never produces one, so it marks a corrupted or hostile datagram.
 //
-//lint:noalloc BenchmarkHLCCodec
+//lint:noalloc
 func ParseTimestamp(buf []byte) (Timestamp, error) {
 	if len(buf) < TimestampSize {
 		return Timestamp{}, fmt.Errorf("%w: %d bytes", ErrShort, len(buf))

@@ -386,3 +386,38 @@ func TestClockConcurrent(t *testing.T) {
 		t.Fatalf("Node() = %d, want 1", c.Node())
 	}
 }
+
+// TestClockAndCodecAllocs is the measured half of this package's
+// //lint:noalloc annotations (the analyzer is the static half): one
+// stamped exchange between two clocks (Now, Update, the order on the
+// result) and one encode/decode round trip against retained buffers
+// perform no allocation.
+func TestClockAndCodecAllocs(t *testing.T) {
+	local, remote := New(1), New(2)
+	secs := 1.7e9
+	if allocs := testing.AllocsPerRun(1000, func() {
+		secs += 1e-3
+		wall := WallFromSeconds(secs)
+		sent := remote.Now(wall)
+		if got := local.Update(wall, sent); !sent.Before(got) {
+			t.Fatalf("Update issued %v, not after the remote %v", got, sent)
+		}
+	}); allocs != 0 {
+		t.Errorf("Now+Update allocates %v times per exchange, want 0", allocs)
+	}
+
+	var buf [TimestampSize]byte
+	enc := make([]byte, 0, TimestampSize)
+	ts := Timestamp{Wall: WallFromSeconds(secs), Logical: 3, Node: 2}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		ts.Wall++
+		PutTimestamp(buf[:], ts)
+		enc = AppendTimestamp(enc[:0], ts)
+		got, err := ParseTimestamp(enc)
+		if err != nil || got != ts || !bytes.Equal(enc, buf[:]) {
+			t.Fatalf("round trip %v -> %v, %v", ts, got, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("timestamp codec allocates %v times per round trip, want 0", allocs)
+	}
+}

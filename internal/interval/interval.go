@@ -221,7 +221,7 @@ func (sw *Sweeper) load(ivs []Interval) int {
 
 // Marzullo is the Sweeper form of the package-level Marzullo.
 //
-//lint:noalloc BenchmarkMarzulloSweep,BenchmarkMarzulloSweep1000
+//lint:noalloc
 func (sw *Sweeper) Marzullo(ivs []Interval) Best {
 	if sw.load(ivs) == 0 {
 		return Best{}
@@ -299,7 +299,7 @@ var sweeperPool = sync.Pool{New: func() any { return NewSweeper(16) }}
 // It runs in O(n log n). For an empty input it returns a zero Best.
 // Inverted inputs are ignored.
 //
-//lint:noalloc BenchmarkMarzulloSweep,BenchmarkMarzulloSweep1000
+//lint:noalloc
 func Marzullo(ivs []Interval) Best {
 	sw := sweeperPool.Get().(*Sweeper)
 	best := sw.Marzullo(ivs)

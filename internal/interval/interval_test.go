@@ -645,6 +645,43 @@ func BenchmarkMarzullo(b *testing.B) {
 	}
 }
 
+// TestSweeperAllocs is the measured half of the sweep's //lint:noalloc
+// annotations (the analyzer is the static half): a warmed Sweeper runs
+// the fault-tolerant intersection, its at-least-m and span variants and
+// the plain intersection over 100 and over 1000 overlapping intervals
+// without allocating. The Sweeper is retained, not drawn from the pool
+// behind the package-level entry points: this package runs under the
+// race detector, where sync.Pool sheds at random and a pooled call may
+// build a new Sweeper.
+func TestSweeperAllocs(t *testing.T) {
+	for _, n := range []int{100, 1000} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		ivs := make([]Interval, n)
+		for i := range ivs {
+			ivs[i] = FromEstimate(rng.Float64()*10, 0.5+rng.Float64())
+		}
+		sw := NewSweeper(0)
+		want := sw.Marzullo(ivs) // grows the edge list to its steady size
+		if pooled := Marzullo(ivs); pooled != want || want.Count < 2 {
+			t.Fatalf("n=%d: retained sweeper found %+v, pooled entry point %+v", n, want, pooled)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if got := sw.Marzullo(ivs); got != want {
+				t.Fatalf("n=%d: Marzullo = %+v, want %+v", n, got, want)
+			}
+			if _, ok := sw.MarzulloAtLeast(ivs, want.Count); !ok {
+				t.Fatalf("n=%d: no region at the coverage Marzullo reported", n)
+			}
+			if _, ok := sw.MarzulloSpan(ivs, want.Count); !ok {
+				t.Fatalf("n=%d: no span at the coverage Marzullo reported", n)
+			}
+			IntersectAll(ivs)
+		}); allocs != 0 {
+			t.Errorf("n=%d: warm sweeps allocate %v times, want 0", n, allocs)
+		}
+	}
+}
+
 func TestMarzulloSpan(t *testing.T) {
 	ivs := []Interval{{Lo: 0, Hi: 4}, {Lo: 1, Hi: 5}, {Lo: 2, Hi: 6}, {Lo: 90, Hi: 91}}
 	tests := []struct {

@@ -24,18 +24,17 @@ const (
 )
 
 // Main runs the lint driver: disttimelint [-json] [-checks a,b] [-v]
-// [-noalloc-audit bench.json] [patterns...]. Patterns are directories or
-// "dir/..." walks, resolved relative to the current directory; the
-// default is "./...". It returns the process exit code.
+// [patterns...]. Patterns are directories or "dir/..." walks, resolved
+// relative to the current directory; the default is "./...". It returns
+// the process exit code.
 func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("disttimelint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	checksFlag := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	verbose := fs.Bool("v", false, "list packages as they are checked")
-	auditPath := fs.String("noalloc-audit", "", "cross-check //lint:noalloc benchmark citations against allocs/op in the given baseline JSON instead of linting")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: disttimelint [-json] [-checks a,b] [-noalloc-audit bench.json] [patterns...]\n\nchecks:\n")
+		fmt.Fprintf(stderr, "usage: disttimelint [-json] [-checks a,b] [patterns...]\n\nchecks:\n")
 		for _, a := range Analyzers() {
 			fmt.Fprintf(stderr, "  %-10s %s\n", a.Name, a.Doc)
 		}
@@ -74,9 +73,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	}
 
 	loader := NewLoader(moduleDir, modulePath)
-	if *auditPath != "" {
-		return noallocAudit(loader, moduleDir, modulePath, dirs, *auditPath, stdout, stderr)
-	}
 	cfg := DefaultConfig()
 	var diags []Diagnostic
 	packages := 0
@@ -144,66 +140,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintln(stderr, summary)
 
 	if len(diags) > 0 {
-		return ExitFindings
-	}
-	return ExitClean
-}
-
-// noallocAudit cross-checks every //lint:noalloc annotation that cites
-// benchmarks against the recorded baseline: each cited benchmark must
-// exist and show allocs/op == 0. The annotation's static check proves the
-// absence of allocation constructs; the audit ties it to measured
-// evidence so the two cannot silently drift apart.
-func noallocAudit(loader *Loader, moduleDir, modulePath string, dirs []string, baselinePath string, stdout, stderr io.Writer) int {
-	data, err := os.ReadFile(baselinePath)
-	if err != nil {
-		fmt.Fprintf(stderr, "disttimelint: %v\n", err)
-		return ExitError
-	}
-	var baseline map[string]struct {
-		Iterations  int64   `json:"iterations"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		BytesPerOp  int64   `json:"bytes_per_op"`
-		AllocsPerOp int64   `json:"allocs_per_op"`
-	}
-	if err := json.Unmarshal(data, &baseline); err != nil {
-		fmt.Fprintf(stderr, "disttimelint: %s: %v\n", baselinePath, err)
-		return ExitError
-	}
-
-	annotations, cited, failures := 0, 0, 0
-	for _, dir := range dirs {
-		importPath, err := importPathFor(moduleDir, modulePath, dir)
-		if err != nil {
-			fmt.Fprintf(stderr, "disttimelint: %v\n", err)
-			return ExitError
-		}
-		pkg, err := loader.LoadDir(dir, importPath)
-		if err != nil {
-			fmt.Fprintf(stderr, "disttimelint: %v\n", err)
-			return ExitError
-		}
-		for _, fn := range CollectNoalloc(pkg) {
-			annotations++
-			for _, bench := range fn.Benchmarks {
-				cited++
-				rec, ok := baseline[bench]
-				switch {
-				case !ok:
-					failures++
-					fmt.Fprintf(stdout, "%s:%d: %s cites %s, not present in %s\n",
-						fn.File, fn.Line, fn.Name, bench, baselinePath)
-				case rec.AllocsPerOp != 0:
-					failures++
-					fmt.Fprintf(stdout, "%s:%d: %s cites %s, but baseline shows %d allocs/op (want 0)\n",
-						fn.File, fn.Line, fn.Name, bench, rec.AllocsPerOp)
-				}
-			}
-		}
-	}
-	fmt.Fprintf(stderr, "disttimelint: noalloc-audit: annotations=%d cited=%d failures=%d\n",
-		annotations, cited, failures)
-	if failures > 0 {
 		return ExitFindings
 	}
 	return ExitClean

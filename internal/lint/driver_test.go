@@ -3,8 +3,6 @@ package lint
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -137,55 +135,5 @@ func TestDriverSummaryLine(t *testing.T) {
 	}
 	if strings.Contains(line, "nowcheck=0") {
 		t.Errorf("nowcheck fixture should report nonzero nowcheck findings: %q", line)
-	}
-}
-
-// writeBaseline writes a temporary benchmark-baseline JSON for the audit
-// tests.
-func writeBaseline(t *testing.T, allocs int64, omit bool) string {
-	t.Helper()
-	baseline := map[string]map[string]int64{}
-	if !omit {
-		baseline["BenchmarkFixtureSteady"] = map[string]int64{
-			"iterations": 100, "ns_per_op": 10, "bytes_per_op": 0, "allocs_per_op": allocs,
-		}
-	}
-	data, err := json.Marshal(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestDriverNoallocAudit: the audit passes when every cited benchmark
-// exists with zero allocs/op, and fails when one is missing or nonzero.
-func TestDriverNoallocAudit(t *testing.T) {
-	good := writeBaseline(t, 0, false)
-	if code, out, errb := runDriver(t, "-noalloc-audit", good, "testdata/src/noalloc"); code != ExitClean {
-		t.Errorf("clean audit: exit %d\nstdout %q\nstderr %q", code, out, errb)
-	} else if !strings.Contains(errb, "failures=0") {
-		t.Errorf("clean audit summary missing failures=0: %q", errb)
-	}
-
-	missing := writeBaseline(t, 0, true)
-	if code, out, _ := runDriver(t, "-noalloc-audit", missing, "testdata/src/noalloc"); code != ExitFindings {
-		t.Errorf("missing benchmark: exit %d, want %d", code, ExitFindings)
-	} else if !strings.Contains(out, "not present in") {
-		t.Errorf("missing-benchmark failure not reported: %q", out)
-	}
-
-	dirty := writeBaseline(t, 3, false)
-	if code, out, _ := runDriver(t, "-noalloc-audit", dirty, "testdata/src/noalloc"); code != ExitFindings {
-		t.Errorf("nonzero allocs: exit %d, want %d", code, ExitFindings)
-	} else if !strings.Contains(out, "3 allocs/op (want 0)") {
-		t.Errorf("nonzero-alloc failure not reported: %q", out)
-	}
-
-	if code, _, _ := runDriver(t, "-noalloc-audit", filepath.Join(t.TempDir(), "nope.json"), "testdata/src/noalloc"); code != ExitError {
-		t.Errorf("unreadable baseline: want exit %d", ExitError)
 	}
 }

@@ -10,13 +10,12 @@ import (
 // NoAlloc enforces the repository's zero-allocation annotations. A
 // function marked
 //
-//	//lint:noalloc [BenchmarkName[,BenchmarkName...]]
+//	//lint:noalloc
 //
 // declares that its steady-state execution performs no heap allocation —
 // the contract behind the interval Sweeper, the sharded kernel's event
-// heap, the obs metric handles, and the wire codec, whose benchmarks pin
-// allocs/op at zero. The analyzer rejects allocation-causing constructs
-// inside annotated functions:
+// heap, the obs metric handles, and the wire codec. The analyzer rejects
+// allocation-causing constructs inside annotated functions:
 //
 //   - make and new
 //   - append to a freshly allocated slice (nil, a literal, or make —
@@ -33,10 +32,10 @@ import (
 // Error paths are exempt: a construct inside a block whose final
 // statement returns a non-nil error (or panics) is cold by definition —
 // zero-allocation decoding that allocates only to describe malformed
-// input is the intended shape. The optional benchmark names tie the
-// annotation to measured evidence: `disttimelint -noalloc-audit` fails
-// if a named benchmark is missing from the recorded baseline or shows
-// allocs/op != 0. Known blind spots are listed in DESIGN.md §15
+// input is the intended shape. The static check is half of the evidence;
+// the measured half is a testing.AllocsPerRun test beside the annotated
+// code, which `go test ./...` runs and which fails when a warm call
+// allocates. Known blind spots are listed in DESIGN.md §15
 // (interprocedural calls, deferred calls in loops, append growth against
 // a retained buffer before its high-water mark).
 var NoAlloc = &Analyzer{
@@ -47,93 +46,31 @@ var NoAlloc = &Analyzer{
 
 const noallocPrefix = "//lint:noalloc"
 
-// NoallocFunc is one annotated function, as collected for the audit.
-type NoallocFunc struct {
-	// Name is the qualified function name (pkgpath.Func or
-	// pkgpath.Type.Method).
-	Name string
-	// Benchmarks are the benchmark names the annotation cites as
-	// evidence, possibly empty.
-	Benchmarks []string
-	// File and Line locate the annotated declaration.
-	File string
-	Line int
-}
-
-// CollectNoalloc returns the //lint:noalloc-annotated functions of pkg,
-// in declaration order. The driver's -noalloc-audit mode cross-checks the
-// cited benchmarks against the recorded allocation baseline.
-func CollectNoalloc(pkg *Package) []NoallocFunc {
-	var out []NoallocFunc
-	for _, f := range pkg.Files {
-		directives := noallocDirectiveLines(pkg, f)
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			benches, ok := noallocAnnotation(pkg, fd, directives)
-			if !ok {
-				continue
-			}
-			pos := pkg.Fset.Position(fd.Pos())
-			out = append(out, NoallocFunc{
-				Name:       funcQualName(pkg.Path, fd),
-				Benchmarks: benches,
-				File:       pos.Filename,
-				Line:       pos.Line,
-			})
-		}
-	}
-	return out
-}
-
-// noallocDirectiveLines maps source lines carrying a //lint:noalloc
-// directive to the directive's argument text.
-func noallocDirectiveLines(pkg *Package, f *ast.File) map[int]string {
-	lines := make(map[int]string)
+// noallocDirectiveLines records the source lines carrying a
+// //lint:noalloc directive.
+func noallocDirectiveLines(pkg *Package, f *ast.File) map[int]bool {
+	lines := make(map[int]bool)
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, noallocPrefix) {
-				continue
+			if strings.HasPrefix(c.Text, noallocPrefix) {
+				lines[pkg.Fset.Position(c.Pos()).Line] = true
 			}
-			rest := strings.TrimSpace(strings.TrimPrefix(c.Text, noallocPrefix))
-			lines[pkg.Fset.Position(c.Pos()).Line] = rest
 		}
 	}
 	return lines
 }
 
-// noallocAnnotation reports whether fd carries a //lint:noalloc directive
-// (in its doc comment or on the line above the declaration) and returns
-// the benchmark names it cites.
-func noallocAnnotation(pkg *Package, fd *ast.FuncDecl, directives map[int]string) ([]string, bool) {
-	var arg string
-	found := false
+// noallocAnnotated reports whether fd carries a //lint:noalloc directive,
+// in its doc comment or on the line above the declaration.
+func noallocAnnotated(pkg *Package, fd *ast.FuncDecl, directives map[int]bool) bool {
 	if fd.Doc != nil {
 		for _, c := range fd.Doc.List {
 			if strings.HasPrefix(c.Text, noallocPrefix) {
-				arg = strings.TrimSpace(strings.TrimPrefix(c.Text, noallocPrefix))
-				found = true
+				return true
 			}
 		}
 	}
-	if !found {
-		line := pkg.Fset.Position(fd.Pos()).Line
-		if a, ok := directives[line-1]; ok {
-			arg, found = a, true
-		}
-	}
-	if !found {
-		return nil, false
-	}
-	var benches []string
-	for _, b := range strings.Split(arg, ",") {
-		if b = strings.TrimSpace(b); b != "" {
-			benches = append(benches, b)
-		}
-	}
-	return benches, true
+	return directives[pkg.Fset.Position(fd.Pos()).Line-1]
 }
 
 func runNoAlloc(pass *Pass) {
@@ -144,7 +81,7 @@ func runNoAlloc(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if _, ok := noallocAnnotation(pass.Pkg, fd, directives); !ok {
+			if !noallocAnnotated(pass.Pkg, fd, directives) {
 				continue
 			}
 			checkNoAlloc(pass, fd)

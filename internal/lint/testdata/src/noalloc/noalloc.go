@@ -79,7 +79,7 @@ func badGo(ch chan int) {
 // steady appends into a caller-retained buffer: amortized-free, no
 // diagnostic (false-positive guard).
 //
-//lint:noalloc BenchmarkFixtureSteady
+//lint:noalloc
 func steady(buf []int, v int) []int {
 	return append(buf, v)
 }

@@ -104,24 +104,6 @@ func (c DetectorConfig) SuspectAfter() float64 {
 // completeness bound, also property-tested.
 func (c DetectorConfig) EvictAfter() float64 { return 2 * c.SuspectAfter() }
 
-// FailureDetector is the behavioural contract shared by the
-// drift-widened deadline Detector and the phi-accrual PhiDetector, so
-// the service can select either implementation per configuration:
-// record freshness evidence, drop departed members, report last contact,
-// and turn silence into edge-triggered Suspect/Evicted verdicts on the
-// observer's local clock.
-type FailureDetector[ID cmp.Ordered] interface {
-	// Observe records direct evidence of id's liveness at localNow.
-	Observe(id ID, localNow float64)
-	// Forget drops id's timing state.
-	Forget(id ID)
-	// LastHeard returns when id was last observed on the local clock.
-	LastHeard(id ID) (float64, bool)
-	// Check returns the members whose verdict escalated since the last
-	// check, in increasing ID order.
-	Check(localNow float64) []Verdict[ID]
-}
-
 // Verdict is one failure-detector decision.
 type Verdict[ID cmp.Ordered] struct {
 	// ID is the member judged.

@@ -39,15 +39,6 @@ type MemberConfig struct {
 	// Broadcast keeps sync rounds on topology-wide broadcast instead of
 	// roster-driven selection (membership becomes observational only).
 	Broadcast bool
-	// Detector selects the failure-detection strategy: "deadline" (the
-	// drift-widened fixed deadline of member.Detector, the default) or
-	// "phi" (the phi-accrual member.PhiDetector, which learns each
-	// link's inter-arrival distribution instead of assuming the claimed
-	// bounds).
-	Detector string
-	// PhiThreshold overrides the phi suspicion threshold when Detector
-	// is "phi"; zero means member.PhiConfig's default (8).
-	PhiThreshold float64
 }
 
 // withDefaults fills the zero fields.
@@ -63,9 +54,6 @@ func (c MemberConfig) withDefaults() MemberConfig {
 	}
 	if c.K <= 0 {
 		c.K = 3
-	}
-	if c.Detector == "" {
-		c.Detector = "deadline"
 	}
 	return c
 }
@@ -170,25 +158,13 @@ func (svc *Service) initMembership() error {
 	}
 	for i, node := range svc.Nodes {
 		spec := svc.cfg.Servers[i]
-		var det member.FailureDetector[int]
-		var err error
-		switch mc.Detector {
-		case "deadline":
-			det, err = member.NewDetector[int](member.DetectorConfig{
-				Period:      mc.GossipEvery,
-				Misses:      mc.Misses,
-				LocalDelta:  spec.Delta,
-				RemoteDelta: maxDelta,
-				Xi:          svc.Net.Xi(),
-			})
-		case "phi":
-			det, err = member.NewPhiDetector[int](member.PhiConfig{
-				Period:     mc.GossipEvery,
-				SuspectPhi: mc.PhiThreshold,
-			})
-		default:
-			err = fmt.Errorf("unknown detector %q (want \"deadline\" or \"phi\")", mc.Detector)
-		}
+		det, err := member.NewDetector[int](member.DetectorConfig{
+			Period:      mc.GossipEvery,
+			Misses:      mc.Misses,
+			LocalDelta:  spec.Delta,
+			RemoteDelta: maxDelta,
+			Xi:          svc.Net.Xi(),
+		})
 		if err != nil {
 			return fmt.Errorf("service: membership detector for server %d: %w", i, err)
 		}

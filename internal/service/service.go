@@ -146,7 +146,7 @@ type Node struct {
 
 	// Dynamic membership state (nil/zero when Config.Members is unset).
 	roster     *member.Roster[int]
-	detector   member.FailureDetector[int]
+	detector   *member.Detector[int]
 	stopGossip func()
 	departed   bool
 

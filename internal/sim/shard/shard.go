@@ -326,7 +326,7 @@ func (p *Proc) Send(from, to int32, delay float64, kind uint16, tag uint32, a, b
 // runWindow executes the shard's events with At < horizon and advances
 // the shard clock to the horizon.
 //
-//lint:noalloc BenchmarkShardWindow
+//lint:noalloc
 func (p *Proc) runWindow(horizon float64) {
 	n := uint64(0)
 	for len(p.heap) > 0 && p.heap[0].At < horizon {
@@ -353,7 +353,7 @@ func (k *Kernel) runShare(i int) {
 // callers sample between calls, so the cut must be identical for every
 // shard count, and it is: the strict inequality is partition-independent.
 //
-//lint:noalloc BenchmarkShardWindow
+//lint:noalloc
 func (k *Kernel) Run(until float64) {
 	for {
 		tNext := math.Inf(1)
@@ -451,7 +451,7 @@ func less(a, b *Ev) bool {
 
 // push inserts ev.
 //
-//lint:noalloc BenchmarkShardWindow
+//lint:noalloc
 func (p *Proc) push(ev Ev) {
 	q := append(p.heap, ev)
 	i := len(q) - 1
@@ -470,7 +470,7 @@ func (p *Proc) push(ev Ev) {
 // pop removes and returns the minimum event, sifting a hole down for the
 // displaced last element. The heap must be non-empty.
 //
-//lint:noalloc BenchmarkShardWindow
+//lint:noalloc
 func (p *Proc) pop() Ev {
 	q := p.heap
 	top := q[0]

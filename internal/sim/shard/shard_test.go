@@ -453,3 +453,36 @@ func TestSchedulingAllocs(t *testing.T) {
 		t.Fatalf("warm push/pop cycle allocates %v per op, want 0", allocs)
 	}
 }
+
+// TestRunWindowAllocs is the measured half of the //lint:noalloc
+// annotations on the window loop (Run, runWindow, exchange, After, Send,
+// push, pop; the analyzer is the static half): once the heaps and
+// outboxes have reached their steady size, advancing a kernel whose nodes
+// re-arm a timer and message random peers allocates nothing, on one shard
+// and across the two-shard barrier.
+func TestRunWindowAllocs(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		const nodes, l = 128, 1.0
+		k, err := New(Config{Nodes: nodes, Shards: shards, Seed: 9, Lookahead: l, Handler: newGossip(nodes, l)})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		t.Cleanup(k.Close)
+		for n := int32(0); n < nodes; n++ {
+			k.Seed(n, float64(n)/nodes, kindTick, 0, 0, 0)
+		}
+		until := 500.0
+		k.Run(until) // warm: heaps and outboxes grow to their high-water mark
+		before := k.Steps()
+		allocs := testing.AllocsPerRun(50, func() {
+			until += 10
+			k.Run(until)
+		})
+		if ran := k.Steps() - before; ran < 51*10*nodes {
+			t.Fatalf("shards=%d: only %d events in the measured windows", shards, ran)
+		}
+		if allocs != 0 {
+			t.Errorf("shards=%d: a warm Run allocates %v times per 10 virtual seconds, want 0", shards, allocs)
+		}
+	}
+}

@@ -440,7 +440,7 @@ func (c *Client) round(addrs []string, ms []Measurement) error {
 // after it arrived: its round trip reads long, which only widens its
 // offset interval.
 //
-//lint:noalloc BenchmarkClientQueryMany
+//lint:noalloc
 func (s *clientSock) exchange(cfg *clientConfig, addrs []string, ms []Measurement) error {
 	if err := s.conn.SetDeadline(time.Now().Add(cfg.timeout)); err != nil {
 		return err
@@ -509,7 +509,7 @@ func (s *clientSock) exchange(cfg *clientConfig, addrs []string, ms []Measuremen
 // had the kernel do for a socket per query: whoever sees an ID in flight
 // still cannot answer for the server without forging its address.
 //
-//lint:noalloc BenchmarkClientQueryMany
+//lint:noalloc
 func (s *clientSock) match(v3 bool, b []byte, from netip.AddrPort) (int, wire.ResponseHLC) {
 	var resp wire.ResponseHLC
 	var err error
@@ -554,18 +554,6 @@ func (c *Client) QueryMany(addrs []string) ([]Measurement, error) {
 	ms := make([]Measurement, len(addrs))
 	err := c.round(addrs, ms)
 	return answered(ms), err
-}
-
-// NewQueryManyBench returns a pump that runs one round of c against
-// addrs into a retained slice and returns how many servers answered. It
-// exists for the repo-level BenchmarkClientQueryMany, which pins the
-// round at zero allocations; QueryMany allocates the slice it returns.
-func NewQueryManyBench(c *Client, addrs []string) func() int {
-	ms := make([]Measurement, len(addrs))
-	return func() int {
-		c.round(addrs, ms)
-		return len(answered(ms))
-	}
 }
 
 // Sync errors.

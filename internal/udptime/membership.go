@@ -243,7 +243,7 @@ func (m *membership) tick() {
 // encodeDigest renders the roster digest as one advertise datagram.
 // Callers hold mu.
 func (m *membership) encodeDigest() (payload []byte, entries int) {
-	//lint:ignore guardedby the only caller, gossipOnce, holds m.mu across this call (documented above)
+	//lint:ignore guardedby both callers, tick and close, hold m.mu across this call (documented above)
 	digest := m.roster.Digest(make([]member.Entry[string], 0, m.cfg.DigestMax), m.cfg.DigestMax)
 	out := make([]wire.MemberEntry, 0, len(digest))
 	for _, e := range digest {

@@ -305,7 +305,7 @@ func (s *Server) serve(bc batchIO) {
 // malformed datagrams are counted here, once per batch; advertisements
 // with a handler installed are left for unanswered.
 //
-//lint:noalloc BenchmarkServeBatch
+//lint:noalloc
 func (s *Server) respond(bt *ioBatch, n int) int {
 	served := 0
 	var bad uint64
@@ -397,9 +397,9 @@ func (s *Server) unanswered(bc batchIO, n int) {
 // over a fixed reading, responder, one preassembled batch of well-formed
 // version-1 requests — and returns a pump that pushes the whole batch
 // through the responder once, returning the number of replies prepared.
-// It exists for the repo-level BenchmarkServeBatch, which pins the
-// pipeline at zero allocations per batch; the cache is not
-// auto-refreshed so the measurement sees only the serving path.
+// It exists for cmd/bench's udptime.responder.ns_per_req stage; the
+// cache is not auto-refreshed so the measurement sees only the serving
+// path.
 func NewServeBatchBench(batch int) func() int {
 	batch = clampBatch(batch)
 	src, err := NewSystemClock(0, 50)

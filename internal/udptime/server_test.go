@@ -263,6 +263,21 @@ func TestServerRefreshesStaleSnapshot(t *testing.T) {
 	}
 }
 
+// TestServeBatchBench holds the pump cmd/bench times to what it claims:
+// every request of the batch answered, and nothing allocated on the way
+// (Server.respond, TickCache.Now and the version-1 codec under them).
+func TestServeBatchBench(t *testing.T) {
+	const batch = 64
+	pump := NewServeBatchBench(batch)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if got := pump(); got != batch {
+			t.Fatalf("pump answered %d of %d requests", got, batch)
+		}
+	}); allocs != 0 {
+		t.Fatalf("serving a batch allocates %v times, want 0", allocs)
+	}
+}
+
 // TestRespondMixedBatchAllocs pins the responder at zero allocations
 // over a batch that mixes the wire versions: version-1 and version-3
 // requests (the latter through hlc.Update), an advertisement left for

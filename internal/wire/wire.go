@@ -185,7 +185,7 @@ func PeekType(buf []byte) (typ uint8, ok bool) {
 // AppendRequest appends the encoded request to dst and returns the
 // extended slice.
 //
-//lint:noalloc BenchmarkWireRoundTrip
+//lint:noalloc
 func AppendRequest(dst []byte, r Request) []byte {
 	var buf [RequestSize]byte
 	putHeader(buf[:], Version, TypeRequest, 0, r.ReqID)
@@ -194,7 +194,7 @@ func AppendRequest(dst []byte, r Request) []byte {
 
 // ParseRequest decodes a request.
 //
-//lint:noalloc BenchmarkWireRoundTrip
+//lint:noalloc
 func ParseRequest(buf []byte) (Request, error) {
 	flags, reqID, err := parseHeader(buf, TypeRequest, Version)
 	if err != nil {
@@ -209,7 +209,7 @@ func ParseRequest(buf []byte) (Request, error) {
 // AppendResponse appends the encoded response to dst and returns the
 // extended slice. A negative MaxError is rejected.
 //
-//lint:noalloc BenchmarkWireRoundTrip
+//lint:noalloc
 func AppendResponse(dst []byte, r Response) ([]byte, error) {
 	if r.MaxError < 0 {
 		return nil, fmt.Errorf("%w: negative max error %v", ErrBadField, r.MaxError)
@@ -228,7 +228,7 @@ func AppendResponse(dst []byte, r Response) ([]byte, error) {
 
 // ParseResponse decodes a response.
 //
-//lint:noalloc BenchmarkWireRoundTrip
+//lint:noalloc
 func ParseResponse(buf []byte) (Response, error) {
 	flags, reqID, err := parseHeader(buf, TypeResponse, Version)
 	if err != nil {
@@ -276,7 +276,7 @@ type ResponseHLC struct {
 // AppendRequestHLC appends the encoded version-3 request to dst and
 // returns the extended slice.
 //
-//lint:noalloc BenchmarkWireRoundTripHLC
+//lint:noalloc
 func AppendRequestHLC(dst []byte, r RequestHLC) []byte {
 	var buf [RequestHLCSize]byte
 	putHeader(buf[:], VersionHLC, TypeRequestHLC, 0, r.ReqID)
@@ -286,7 +286,7 @@ func AppendRequestHLC(dst []byte, r RequestHLC) []byte {
 
 // ParseRequestHLC decodes a version-3 request.
 //
-//lint:noalloc BenchmarkWireRoundTripHLC
+//lint:noalloc
 func ParseRequestHLC(buf []byte) (RequestHLC, error) {
 	flags, reqID, err := parseHeader(buf, TypeRequestHLC, VersionHLC)
 	if err != nil {
@@ -308,7 +308,7 @@ func ParseRequestHLC(buf []byte) (RequestHLC, error) {
 // AppendResponseHLC appends the encoded version-3 response to dst and
 // returns the extended slice. A negative MaxError is rejected.
 //
-//lint:noalloc BenchmarkWireRoundTripHLC
+//lint:noalloc
 func AppendResponseHLC(dst []byte, r ResponseHLC) ([]byte, error) {
 	if r.MaxError < 0 {
 		return nil, fmt.Errorf("%w: negative max error %v", ErrBadField, r.MaxError)
@@ -328,7 +328,7 @@ func AppendResponseHLC(dst []byte, r ResponseHLC) ([]byte, error) {
 
 // ParseResponseHLC decodes a version-3 response.
 //
-//lint:noalloc BenchmarkWireRoundTripHLC
+//lint:noalloc
 func ParseResponseHLC(buf []byte) (ResponseHLC, error) {
 	flags, reqID, err := parseHeader(buf, TypeResponseHLC, VersionHLC)
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"disttime/internal/hlc"
 )
 
 func TestRequestRoundTrip(t *testing.T) {
@@ -182,6 +184,54 @@ func TestAppendReusesDst(t *testing.T) {
 	out := AppendRequest(dst, Request{ReqID: 5})
 	if &out[0] != &dst[:1][0] {
 		t.Error("AppendRequest reallocated despite sufficient capacity")
+	}
+}
+
+// TestRoundTripAllocs is the measured half of the codec's //lint:noalloc
+// annotations (the analyzer is the static half): one request/response
+// encode+decode round trip against retained buffers, version 1 and
+// version 3, performs no allocation.
+func TestRoundTripAllocs(t *testing.T) {
+	reqBuf := make([]byte, 0, RequestHLCSize)
+	respBuf := make([]byte, 0, ResponseHLCSize)
+	resp := ResponseHLC{
+		Response: Response{ServerID: 3, Clock: time.Unix(1_700_000_000, 0), MaxError: 250 * time.Microsecond},
+		TS:       hlc.Timestamp{Wall: 1_700_000_000_000_000_000, Logical: 1, Node: 3},
+	}
+	id := uint64(0)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		id++
+		reqBuf = AppendRequest(reqBuf[:0], Request{ReqID: id})
+		req, err := ParseRequest(reqBuf)
+		if typ, ok := PeekType(reqBuf); err != nil || !ok || typ != TypeRequest {
+			t.Fatalf("request: type %d %v, %v", typ, ok, err)
+		}
+		resp.ReqID = req.ReqID
+		if respBuf, err = AppendResponse(respBuf[:0], resp.Response); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ParseResponse(respBuf); err != nil || got.ReqID != id {
+			t.Fatalf("response: %+v, %v", got, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("version-1 round trip allocates %v times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		id++
+		reqBuf = AppendRequestHLC(reqBuf[:0], RequestHLC{ReqID: id, TS: hlc.Timestamp{Wall: int64(id), Node: 1}})
+		req, err := ParseRequestHLC(reqBuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.ReqID = req.ReqID
+		if respBuf, err = AppendResponseHLC(respBuf[:0], resp); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ParseResponseHLC(respBuf); err != nil || got.ReqID != id || got.TS != resp.TS {
+			t.Fatalf("response: %+v, %v", got, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("version-3 round trip allocates %v times, want 0", allocs)
 	}
 }
 
