@@ -36,14 +36,6 @@ type DetectorConfig struct {
 	Xi float64
 }
 
-// withDefaults fills the zero fields.
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.Misses <= 0 {
-		c.Misses = 3
-	}
-	return c
-}
-
 // Validate rejects configurations whose deadline formula is meaningless.
 // The dangerous case is RemoteDelta >= 1: the sender's heartbeat period
 // Period/(1-RemoteDelta) then divides by zero or goes negative, and a
@@ -52,7 +44,6 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 // depending on sign. NaN drift or delay bounds are rejected for the same
 // reason.
 func (c DetectorConfig) Validate() error {
-	c = c.withDefaults()
 	if !(c.Period > 0) {
 		return fmt.Errorf("member: non-positive heartbeat period %v", c.Period)
 	}
@@ -88,13 +79,15 @@ func (c DetectorConfig) Validate() error {
 // A configuration Validate rejects yields +Inf: a degenerate deadline
 // must fail safe (never suspect anyone) rather than return a negative or
 // NaN span that would instantly evict every correct member. Callers that
-// want the error instead of the clamp run Validate first, as NewDetector
+// want the error instead of the clamp run Validate first, as NewProtocol
 // does.
 func (c DetectorConfig) SuspectAfter() float64 {
 	if c.Validate() != nil {
 		return math.Inf(1)
 	}
-	c = c.withDefaults()
+	if c.Misses <= 0 {
+		c.Misses = 3
+	}
 	return (float64(c.Misses)*c.Period/(1-c.RemoteDelta) + c.Xi) * (1 + c.LocalDelta)
 }
 
@@ -104,8 +97,8 @@ func (c DetectorConfig) SuspectAfter() float64 {
 // completeness bound, also property-tested.
 func (c DetectorConfig) EvictAfter() float64 { return 2 * c.SuspectAfter() }
 
-// Verdict is one failure-detector decision.
-type Verdict[ID cmp.Ordered] struct {
+// verdict is one failure-detector decision.
+type verdict[ID cmp.Ordered] struct {
 	// ID is the member judged.
 	ID ID
 	// Status is Suspect or Evicted.
@@ -119,16 +112,15 @@ type Verdict[ID cmp.Ordered] struct {
 // and turns silence into Suspect/Evicted verdicts under the
 // drift-widened deadlines. It is deliberately separate from the
 // Roster: the detector holds timing state, the roster holds membership
-// state, and the caller applies verdicts to the roster via Accuse.
+// state, and Protocol.Tick applies the verdicts to the roster.
 type Detector[ID cmp.Ordered] struct {
 	cfg   DetectorConfig
 	heard map[ID]float64 // local-clock time of last direct freshness
 	stage map[ID]Status  // last verdict issued (Alive when fresh)
 }
 
-// NewDetector returns a detector with the given deadline configuration.
-func NewDetector[ID cmp.Ordered](cfg DetectorConfig) (*Detector[ID], error) {
-	cfg = cfg.withDefaults()
+// newDetector returns a detector with the given deadline configuration.
+func newDetector[ID cmp.Ordered](cfg DetectorConfig) (*Detector[ID], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -139,38 +131,29 @@ func NewDetector[ID cmp.Ordered](cfg DetectorConfig) (*Detector[ID], error) {
 	}, nil
 }
 
-// Config returns the detector's deadline configuration.
-func (d *Detector[ID]) Config() DetectorConfig { return d.cfg }
-
-// Observe records direct evidence of id's liveness at localNow (a
+// observe records direct evidence of id's liveness at localNow (a
 // heartbeat, a gossip message from it, or a protocol reply). Fresh
 // evidence clears any standing suspicion.
-func (d *Detector[ID]) Observe(id ID, localNow float64) {
+func (d *Detector[ID]) observe(id ID, localNow float64) {
 	d.heard[id] = localNow
 	d.stage[id] = Alive
 }
 
-// Forget drops id's timing state (after a voluntary departure or an
+// forget drops id's timing state (after a voluntary departure or an
 // applied eviction, so the next incarnation starts fresh).
-func (d *Detector[ID]) Forget(id ID) {
+func (d *Detector[ID]) forget(id ID) {
 	delete(d.heard, id)
 	delete(d.stage, id)
 }
 
-// LastHeard returns when id was last observed on the local clock.
-func (d *Detector[ID]) LastHeard(id ID) (float64, bool) {
-	t, ok := d.heard[id]
-	return t, ok
-}
-
-// Check compares every tracked member's silence against the deadlines
+// check compares every tracked member's silence against the deadlines
 // at local-clock time localNow and returns the members whose verdict
 // escalated since the last check, in increasing ID order (deterministic
 // for gossip and timelines). A member silent past SuspectAfter yields
 // one Suspect verdict; past EvictAfter, one Evicted verdict. Verdicts
 // are edge-triggered: a member already suspected is not re-reported
 // until it escalates or is observed again.
-func (d *Detector[ID]) Check(localNow float64) []Verdict[ID] {
+func (d *Detector[ID]) check(localNow float64) []verdict[ID] {
 	suspectAt := d.cfg.SuspectAfter()
 	evictAt := d.cfg.EvictAfter()
 	ids := make([]ID, 0, len(d.heard))
@@ -178,7 +161,7 @@ func (d *Detector[ID]) Check(localNow float64) []Verdict[ID] {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var out []Verdict[ID]
+	var out []verdict[ID]
 	for _, id := range ids {
 		silence := localNow - d.heard[id]
 		var want Status
@@ -194,7 +177,7 @@ func (d *Detector[ID]) Check(localNow float64) []Verdict[ID] {
 			continue
 		}
 		d.stage[id] = want
-		out = append(out, Verdict[ID]{ID: id, Status: want, Silence: silence})
+		out = append(out, verdict[ID]{ID: id, Status: want, Silence: silence})
 	}
 	return out
 }

@@ -1,8 +1,10 @@
 // Package member is the dynamic-membership subsystem of the time
 // service: a roster of known servers with join/leave/evict epochs, a
 // drift-aware failure detector, anti-entropy gossip of roster entries
-// carrying each server's advertised <C, E> quality, and a peer-selection
-// policy that ranks live servers by advertised maximum error.
+// carrying each server's advertised <C, E> quality, a peer-selection
+// policy that ranks live servers by advertised maximum error, and
+// Protocol, the per-member driver that strings them together and alone
+// mutates a roster or feeds a detector.
 //
 // The paper's service ran on the Xerox Research Internet — hundreds of
 // time servers that crash, restart, and move — yet its theorems are
@@ -20,7 +22,8 @@
 // shared random generator (exploration indices come from injected
 // sources), and iterates rosters in sorted ID order — so the simulated
 // substrate keeps its byte-determinism guarantee and the real UDP
-// substrate reuses the identical state machine.
+// substrate runs the identical protocol, each holding one Protocol per
+// member.
 package member
 
 import (

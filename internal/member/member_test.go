@@ -47,28 +47,24 @@ func TestSupersedesStrictOrder(t *testing.T) {
 }
 
 func TestRosterLifecycle(t *testing.T) {
-	r := New(0, 1, 1e-4)
+	r := newRoster(0, 1, 1e-4)
 	if r.Len() != 1 || r.AliveCount() != 1 {
 		t.Fatalf("fresh roster: len %d alive %d", r.Len(), r.AliveCount())
 	}
-	v0 := r.Version()
 
 	// A new member joins via gossip.
-	ch, changed := r.Upsert(Entry[int]{ID: 2, Gen: 1, Seq: 1, Status: Alive, E: 0.5})
+	ch, changed := r.upsert(Entry[int]{ID: 2, Gen: 1, Seq: 1, Status: Alive, E: 0.5})
 	if !changed || !ch.Joined || ch.To != Alive {
 		t.Fatalf("join: %+v changed=%v", ch, changed)
 	}
-	if r.Version() == v0 {
-		t.Fatal("version did not bump on join")
-	}
 
 	// Stale observation is ignored.
-	if _, changed := r.Upsert(Entry[int]{ID: 2, Gen: 1, Seq: 0, Status: Evicted}); changed {
+	if _, changed := r.upsert(Entry[int]{ID: 2, Gen: 1, Seq: 0, Status: Evicted}); changed {
 		t.Fatal("stale observation merged")
 	}
 
 	// A fresher heartbeat refreshes quality.
-	if _, changed := r.Upsert(Entry[int]{ID: 2, Gen: 1, Seq: 2, Status: Alive, E: 0.1}); !changed {
+	if _, changed := r.upsert(Entry[int]{ID: 2, Gen: 1, Seq: 2, Status: Alive, E: 0.1}); !changed {
 		t.Fatal("fresh heartbeat ignored")
 	}
 	if e, _ := r.Get(2); e.E != 0.1 {
@@ -76,20 +72,20 @@ func TestRosterLifecycle(t *testing.T) {
 	}
 
 	// Accusation at the known (gen, seq) sticks...
-	ch, changed = r.Accuse(2, Suspect)
+	ch, changed = r.accuse(2, Suspect)
 	if !changed || ch.From != Alive || ch.To != Suspect {
 		t.Fatalf("accuse: %+v changed=%v", ch, changed)
 	}
 	// ...is idempotent...
-	if _, changed := r.Accuse(2, Suspect); changed {
+	if _, changed := r.accuse(2, Suspect); changed {
 		t.Fatal("re-accusation changed the roster")
 	}
 	// ...escalates...
-	if ch, changed = r.Accuse(2, Evicted); !changed || ch.To != Evicted {
+	if ch, changed = r.accuse(2, Evicted); !changed || ch.To != Evicted {
 		t.Fatalf("escalation: %+v changed=%v", ch, changed)
 	}
 	// ...and loses to the member's next heartbeat.
-	if _, changed := r.Upsert(Entry[int]{ID: 2, Gen: 1, Seq: 3, Status: Alive}); !changed {
+	if _, changed := r.upsert(Entry[int]{ID: 2, Gen: 1, Seq: 3, Status: Alive}); !changed {
 		t.Fatal("reinstating heartbeat lost to accusation")
 	}
 	if e, _ := r.Get(2); e.Status != Alive {
@@ -97,31 +93,38 @@ func TestRosterLifecycle(t *testing.T) {
 	}
 
 	// The owner can never be accused locally.
-	if _, changed := r.Accuse(0, Evicted); changed {
+	if _, changed := r.accuse(0, Evicted); changed {
 		t.Fatal("owner accused itself")
 	}
 
 	// Voluntary departure cannot be overridden by an accusation.
-	r.Upsert(Entry[int]{ID: 2, Gen: 1, Seq: 4, Status: Left})
-	if _, changed := r.Accuse(2, Evicted); changed {
+	r.upsert(Entry[int]{ID: 2, Gen: 1, Seq: 4, Status: Left})
+	if _, changed := r.accuse(2, Evicted); changed {
 		t.Fatal("accusation overrode a voluntary departure")
 	}
 }
 
 func TestRosterSelfTransitions(t *testing.T) {
-	r := New("a", 7, 1e-4)
-	adv := r.Advertise(100, 0.05)
+	r := newRoster("a", 7, 1e-4)
+	r.advertise(100, 0.05)
+	adv := r.Self()
 	if adv.Seq != 1 || adv.Status != Alive || adv.C != 100 || adv.E != 0.05 {
 		t.Fatalf("advertise: %+v", adv)
 	}
-	left := r.Leave()
+	if ch := r.leave(); ch != (Change[string]{ID: "a", From: Alive, To: Left, Gen: 7}) {
+		t.Fatalf("leave: %+v", ch)
+	}
+	left := r.Self()
 	if left.Seq != 2 || left.Status != Left {
 		t.Fatalf("leave: %+v", left)
 	}
 	if !left.Supersedes(adv) {
 		t.Fatal("leave does not supersede the preceding advertisement")
 	}
-	re := r.Rejoin(200, 0.9)
+	if ch := r.rejoin(200, 0.9); ch != (Change[string]{ID: "a", From: Left, To: Alive, Gen: 8}) {
+		t.Fatalf("rejoin: %+v", ch)
+	}
+	re := r.Self()
 	if re.Gen != 8 || re.Seq != 0 || re.Status != Alive {
 		t.Fatalf("rejoin: %+v", re)
 	}
@@ -136,9 +139,9 @@ func TestRosterSelfTransitions(t *testing.T) {
 }
 
 func TestRosterMembersSorted(t *testing.T) {
-	r := New(5, 1, 0)
+	r := newRoster(5, 1, 0)
 	for _, id := range []int{9, 3, 7, 1} {
-		r.Upsert(Entry[int]{ID: id, Gen: 1, Seq: 1, Status: Alive})
+		r.upsert(Entry[int]{ID: id, Gen: 1, Seq: 1, Status: Alive})
 	}
 	var got []int
 	for _, e := range r.Members() {
@@ -151,14 +154,14 @@ func TestRosterMembersSorted(t *testing.T) {
 }
 
 func TestDigestRotationCoversRoster(t *testing.T) {
-	r := New(0, 1, 0)
+	r := newRoster(0, 1, 0)
 	for id := 1; id <= 9; id++ {
-		r.Upsert(Entry[int]{ID: id, Gen: 1, Seq: 1, Status: Alive})
+		r.upsert(Entry[int]{ID: id, Gen: 1, Seq: 1, Status: Alive})
 	}
 	seen := map[int]bool{}
 	for round := 0; round < 12; round++ {
-		r.Advertise(0, 0)
-		d := r.Digest(nil, 4)
+		r.advertise(0, 0)
+		d := r.digest(nil, 4)
 		if len(d) != 4 {
 			t.Fatalf("digest size %d, want 4", len(d))
 		}
@@ -175,10 +178,10 @@ func TestDigestRotationCoversRoster(t *testing.T) {
 		}
 	}
 	// Degenerate sizes.
-	if d := r.Digest(nil, 0); d != nil {
+	if d := r.digest(nil, 0); d != nil {
 		t.Fatalf("max=0 digest non-empty: %v", d)
 	}
-	if d := r.Digest(nil, 1); len(d) != 1 || d[0].ID != 0 {
+	if d := r.digest(nil, 1); len(d) != 1 || d[0].ID != 0 {
 		t.Fatalf("max=1 digest: %v", d)
 	}
 }
@@ -191,11 +194,11 @@ func TestDetectorConfigValidation(t *testing.T) {
 		{Period: 1, Xi: -1},
 	}
 	for _, cfg := range bad {
-		if _, err := NewDetector[int](cfg); err == nil {
+		if _, err := newDetector[int](cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}
-	if _, err := NewDetector[int](DetectorConfig{Period: 1}); err != nil {
+	if _, err := newDetector[int](DetectorConfig{Period: 1}); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 }
@@ -218,7 +221,7 @@ func TestDetectorNoFalseSuspicionAtClaimedDrift(t *testing.T) {
 			Period: period, Misses: misses,
 			LocalDelta: localDelta, RemoteDelta: remoteDelta, Xi: xi,
 		}
-		d, err := NewDetector[int](cfg)
+		d, err := newDetector[int](cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,20 +240,20 @@ func TestDetectorNoFalseSuspicionAtClaimedDrift(t *testing.T) {
 			}
 			return real * (1 + localDelta)
 		}
-		d.Observe(1, arrivalLocal(0))
+		d.observe(1, arrivalLocal(0))
 		for k := 1; k < 8; k++ {
 			// Check just before the k-th heartbeat lands (a hair under
 			// the exact arrival instant: at k == misses the silence
 			// equals the deadline to within float rounding, and the
 			// deadline is exclusive).
-			if v := d.Check(arrivalLocal(k) - 1e-6); len(v) > 0 && k <= misses {
+			if v := d.check(arrivalLocal(k) - 1e-6); len(v) > 0 && k <= misses {
 				t.Fatalf("trial %d: correct server suspected after %d periods: %+v (cfg %+v)",
 					trial, k, v, cfg)
 			}
-			d.Observe(1, arrivalLocal(k))
+			d.observe(1, arrivalLocal(k))
 		}
 		// After the catch-up observation there must be no standing verdict.
-		if v := d.Check(arrivalLocal(7) + 0.001); len(v) != 0 {
+		if v := d.check(arrivalLocal(7) + 0.001); len(v) != 0 {
 			t.Fatalf("trial %d: verdict after fresh observation: %+v", trial, v)
 		}
 	}
@@ -262,26 +265,26 @@ func TestDetectorNoFalseSuspicionAtClaimedDrift(t *testing.T) {
 // evicted once it exceeds EvictAfter — and not a check earlier.
 func TestDetectorEvictsStoppedClockWithinBound(t *testing.T) {
 	cfg := DetectorConfig{Period: 10, Misses: 3, LocalDelta: 1e-4, RemoteDelta: 1e-4, Xi: 0.1}
-	d, err := NewDetector[int](cfg)
+	d, err := newDetector[int](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Observe(7, 100)
+	d.observe(7, 100)
 	suspectAt := 100 + cfg.SuspectAfter()
 	evictAt := 100 + cfg.EvictAfter()
 
-	if v := d.Check(suspectAt - 1e-9); len(v) != 0 {
+	if v := d.check(suspectAt - 1e-9); len(v) != 0 {
 		t.Fatalf("suspected before the bound: %+v", v)
 	}
-	v := d.Check(suspectAt + 0.01)
+	v := d.check(suspectAt + 0.01)
 	if len(v) != 1 || v[0].ID != 7 || v[0].Status != Suspect {
 		t.Fatalf("want one Suspect verdict, got %+v", v)
 	}
 	// Edge-triggered: no re-report while still only suspect.
-	if v := d.Check(suspectAt + 1); len(v) != 0 {
+	if v := d.check(suspectAt + 1); len(v) != 0 {
 		t.Fatalf("suspect re-reported: %+v", v)
 	}
-	v = d.Check(evictAt + 0.01)
+	v = d.check(evictAt + 0.01)
 	if len(v) != 1 || v[0].Status != Evicted {
 		t.Fatalf("want one Evicted verdict, got %+v", v)
 	}
@@ -289,12 +292,12 @@ func TestDetectorEvictsStoppedClockWithinBound(t *testing.T) {
 		t.Fatalf("verdict silence %v not positive", v[0].Silence)
 	}
 	// Still edge-triggered at the terminal stage.
-	if v := d.Check(evictAt + 100); len(v) != 0 {
+	if v := d.check(evictAt + 100); len(v) != 0 {
 		t.Fatalf("eviction re-reported: %+v", v)
 	}
 	// Forget clears state; the next incarnation starts fresh.
-	d.Forget(7)
-	if _, ok := d.LastHeard(7); ok {
+	d.forget(7)
+	if _, ok := d.heard[7]; ok {
 		t.Fatal("Forget kept timing state")
 	}
 }
@@ -305,12 +308,12 @@ func TestDetectorEvictsStoppedClockWithinBound(t *testing.T) {
 // suspect stage was never observed).
 func TestDetectorSkipsToEviction(t *testing.T) {
 	cfg := DetectorConfig{Period: 1, Misses: 1}
-	d, err := NewDetector[int](cfg)
+	d, err := newDetector[int](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Observe(3, 0)
-	v := d.Check(1000)
+	d.observe(3, 0)
+	v := d.check(1000)
 	if len(v) != 1 || v[0].Status != Evicted {
 		t.Fatalf("want straight-to-Evicted, got %+v", v)
 	}
@@ -320,11 +323,11 @@ func TestDetectorSkipsToEviction(t *testing.T) {
 // regardless of observation order.
 func TestDetectorVerdictOrderDeterministic(t *testing.T) {
 	cfg := DetectorConfig{Period: 1, Misses: 1}
-	d, _ := NewDetector[int](cfg)
+	d, _ := newDetector[int](cfg)
 	for _, id := range []int{5, 1, 9, 3} {
-		d.Observe(id, 0)
+		d.observe(id, 0)
 	}
-	v := d.Check(100)
+	v := d.check(100)
 	var got []int
 	for _, verdict := range v {
 		got = append(got, verdict.ID)
@@ -335,26 +338,26 @@ func TestDetectorVerdictOrderDeterministic(t *testing.T) {
 }
 
 func TestSelectRanksByAdvertisedError(t *testing.T) {
-	r := New(0, 1, 0)
-	r.Upsert(Entry[int]{ID: 1, Gen: 1, Seq: 1, Status: Alive, E: 0.3})
-	r.Upsert(Entry[int]{ID: 2, Gen: 1, Seq: 1, Status: Alive, E: 0.1})
-	r.Upsert(Entry[int]{ID: 3, Gen: 1, Seq: 1, Status: Alive, E: 0.2})
-	r.Upsert(Entry[int]{ID: 4, Gen: 1, Seq: 1, Status: Alive, E: 0.1}) // ties with 2, higher ID
-	got := Select(r, SelectConfig[int]{K: 3})
+	r := newRoster(0, 1, 0)
+	r.upsert(Entry[int]{ID: 1, Gen: 1, Seq: 1, Status: Alive, E: 0.3})
+	r.upsert(Entry[int]{ID: 2, Gen: 1, Seq: 1, Status: Alive, E: 0.1})
+	r.upsert(Entry[int]{ID: 3, Gen: 1, Seq: 1, Status: Alive, E: 0.2})
+	r.upsert(Entry[int]{ID: 4, Gen: 1, Seq: 1, Status: Alive, E: 0.1}) // ties with 2, higher ID
+	got := selectTargets(r, 3, nil, nil)
 	if want := []int{2, 4, 3}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Select = %v, want %v", got, want)
 	}
 }
 
 func TestSelectExploresUnpreferred(t *testing.T) {
-	r := New(0, 1, 0)
-	r.Upsert(Entry[int]{ID: 1, Gen: 1, Seq: 1, Status: Alive, E: 0.1})
-	r.Upsert(Entry[int]{ID: 2, Gen: 1, Seq: 1, Status: Alive, E: 0.2})
-	r.Upsert(Entry[int]{ID: 3, Gen: 1, Seq: 1, Status: Evicted, E: 0.05})
-	r.Upsert(Entry[int]{ID: 4, Gen: 1, Seq: 1, Status: Left, E: 0.01})
+	r := newRoster(0, 1, 0)
+	r.upsert(Entry[int]{ID: 1, Gen: 1, Seq: 1, Status: Alive, E: 0.1})
+	r.upsert(Entry[int]{ID: 2, Gen: 1, Seq: 1, Status: Alive, E: 0.2})
+	r.upsert(Entry[int]{ID: 3, Gen: 1, Seq: 1, Status: Evicted, E: 0.05})
+	r.upsert(Entry[int]{ID: 4, Gen: 1, Seq: 1, Status: Left, E: 0.01})
 
 	// Without exploration: only the live members, never Left/Evicted.
-	got := Select(r, SelectConfig[int]{K: 3})
+	got := selectTargets(r, 3, nil, nil)
 	if want := []int{1, 2}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Select = %v, want %v", got, want)
 	}
@@ -364,7 +367,7 @@ func TestSelectExploresUnpreferred(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	explored := map[int]bool{}
 	for i := 0; i < 50; i++ {
-		ids := Select(r, SelectConfig[int]{K: 1, Explore: rng.IntN})
+		ids := selectTargets(r, 1, rng.IntN, nil)
 		if len(ids) != 2 || ids[0] != 1 {
 			t.Fatalf("Select = %v, want rank pick 1 plus exploration", ids)
 		}
@@ -385,20 +388,34 @@ func TestSelectExploresUnpreferred(t *testing.T) {
 }
 
 func TestSelectDefaultsAndEmpty(t *testing.T) {
-	r := New(0, 1, 0)
-	if got := Select(r, SelectConfig[int]{}); len(got) != 0 {
+	p, err := NewProtocol(0, 1, Config{DetectorConfig: DetectorConfig{Period: 1}}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.PollTargets(nil, nil); len(got) != 0 {
 		t.Fatalf("empty roster selected %v", got)
 	}
-	for id := 1; id <= 5; id++ {
-		r.Upsert(Entry[int]{ID: id, Gen: 1, Seq: 1, Status: Alive, E: float64(id)})
+	var rows []Entry[int]
+	for id := 1; id <= 9; id++ {
+		rows = append(rows, Entry[int]{ID: id, Gen: 1, Seq: 1, Status: Alive, E: float64(id)})
 	}
-	if got := Select(r, SelectConfig[int]{}); len(got) != 3 { // default K
+	p.Merge(1, rows, 0, nil)
+	if got := p.PollTargets(nil, nil); len(got) != 3 { // default K
 		t.Fatalf("default K selected %v", got)
 	}
+	if got := p.GossipTargets(nil, nil); len(got) != 2 { // default Fanout
+		t.Fatalf("default Fanout selected %v", got)
+	}
+	if got := p.Digest(nil); len(got) != 8 { // default DigestMax
+		t.Fatalf("default DigestMax sent %d entries", len(got))
+	}
+	if got := p.EvictAfter(); got != 6 { // default Misses: 2 * 3 periods
+		t.Fatalf("default Misses evicts after %v s", got)
+	}
 	// Exploration with everything preferred: no extra pick.
-	r2 := New(0, 1, 0)
-	r2.Upsert(Entry[int]{ID: 1, Gen: 1, Seq: 1, Status: Alive})
-	got := Select(r2, SelectConfig[int]{K: 3, Explore: func(int) int { return 0 }})
+	r2 := newRoster(0, 1, 0)
+	r2.upsert(Entry[int]{ID: 1, Gen: 1, Seq: 1, Status: Alive})
+	got := selectTargets(r2, 3, func(int) int { return 0 }, nil)
 	if want := []int{1}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Select = %v, want %v", got, want)
 	}
@@ -432,9 +449,9 @@ func TestGossipConvergenceOrderIndependent(t *testing.T) {
 	var want []Entry[int]
 	for trial := 0; trial < 64; trial++ {
 		perm := rng.Perm(len(obs))
-		r := New(0, 1, 0)
+		r := newRoster(0, 1, 0)
 		for _, idx := range perm {
-			r.Upsert(obs[idx])
+			r.upsert(obs[idx])
 		}
 		got := r.Members()
 		if want == nil {
@@ -446,9 +463,9 @@ func TestGossipConvergenceOrderIndependent(t *testing.T) {
 		}
 	}
 	// And the converged state is the per-member maximum.
-	r := New(0, 1, 0)
+	r := newRoster(0, 1, 0)
 	for _, e := range obs {
-		r.Upsert(e)
+		r.upsert(e)
 	}
 	if e, _ := r.Get(1); e.Seq != 3 || e.Status != Suspect {
 		t.Fatalf("member 1 converged to %+v", e)

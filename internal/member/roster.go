@@ -5,8 +5,9 @@ import (
 	"sort"
 )
 
-// Change describes one roster transition produced by a merge or a local
-// accusation, for timelines and metrics.
+// Change describes one roster transition produced by a merge, a local
+// accusation, or the owner's own departure or rejoin, for timelines and
+// metrics.
 type Change[ID cmp.Ordered] struct {
 	// ID is the member whose row changed.
 	ID ID
@@ -21,9 +22,9 @@ type Change[ID cmp.Ordered] struct {
 }
 
 // Roster is one server's membership view: a set of entries merged under
-// the Supersedes precedence, with deterministic sorted iteration and a
-// version counter that bumps on every material change. The zero value
-// is unusable; construct with New.
+// the Supersedes precedence, with deterministic sorted iteration. Only
+// the owning Protocol mutates it; Protocol.Roster hands everyone else
+// the read side (Get, Members, Self, AliveCount, Len).
 //
 // A Roster is not safe for concurrent use; the simulated substrate is
 // single-threaded and the UDP substrate guards it with its own mutex.
@@ -31,12 +32,11 @@ type Roster[ID cmp.Ordered] struct {
 	self    ID
 	entries map[ID]Entry[ID]
 	order   []ID // sorted cache of entry IDs, rebuilt on add/remove
-	version uint64
 }
 
-// New returns a roster whose only member is self, alive at generation
-// gen with sequence zero.
-func New[ID cmp.Ordered](self ID, gen uint64, delta float64) *Roster[ID] {
+// newRoster returns a roster whose only member is self, alive at
+// generation gen with sequence zero.
+func newRoster[ID cmp.Ordered](self ID, gen uint64, delta float64) *Roster[ID] {
 	r := &Roster[ID]{
 		self:    self,
 		entries: make(map[ID]Entry[ID]),
@@ -46,15 +46,8 @@ func New[ID cmp.Ordered](self ID, gen uint64, delta float64) *Roster[ID] {
 	return r
 }
 
-// SelfID returns the roster owner's ID.
-func (r *Roster[ID]) SelfID() ID { return r.self }
-
 // Self returns the owner's current entry.
 func (r *Roster[ID]) Self() Entry[ID] { return r.entries[r.self] }
-
-// Version returns a counter that bumps on every material change; equal
-// versions imply an unchanged roster, so pollers can skip work.
-func (r *Roster[ID]) Version() uint64 { return r.version }
 
 // Len returns the number of known members, including the owner and
 // departed ones.
@@ -89,67 +82,60 @@ func (r *Roster[ID]) rebuildOrder() {
 	r.order = ids
 }
 
-// AppendMembers appends every entry in increasing ID order to dst and
-// returns the extended slice (allocation-free when dst has capacity).
-func (r *Roster[ID]) AppendMembers(dst []Entry[ID]) []Entry[ID] {
-	for _, id := range r.order {
-		dst = append(dst, r.entries[id])
-	}
-	return dst
-}
-
 // Members returns every entry in increasing ID order.
 func (r *Roster[ID]) Members() []Entry[ID] {
-	return r.AppendMembers(make([]Entry[ID], 0, len(r.entries)))
+	out := make([]Entry[ID], 0, len(r.order))
+	for _, id := range r.order {
+		out = append(out, r.entries[id])
+	}
+	return out
 }
 
-// Advertise bumps the owner's heartbeat sequence, refreshes its
-// advertised <C, E> quality, marks it Alive, and returns the new self
-// entry — the payload of the next outgoing gossip message.
-func (r *Roster[ID]) Advertise(c, e float64) Entry[ID] {
+// advertise bumps the owner's heartbeat sequence, refreshes its
+// advertised <C, E> quality, and marks it Alive.
+func (r *Roster[ID]) advertise(c, e float64) {
 	s := r.entries[r.self]
 	s.Seq++
 	s.Status = Alive
 	s.C, s.E = c, e
 	r.entries[r.self] = s
-	r.version++
-	return s
 }
 
-// Leave marks the owner as voluntarily departed at a fresh sequence and
-// returns the entry to announce. The departure supersedes any
-// in-flight advertisement of the same generation.
-func (r *Roster[ID]) Leave() Entry[ID] {
+// leave marks the owner as voluntarily departed at a fresh sequence and
+// returns the transition. The departure supersedes any in-flight
+// advertisement of the same generation.
+func (r *Roster[ID]) leave() Change[ID] {
 	s := r.entries[r.self]
+	from := s.Status
 	s.Seq++
 	s.Status = Left
 	r.entries[r.self] = s
-	r.version++
-	return s
+	return Change[ID]{ID: r.self, From: from, To: Left, Gen: s.Gen}
 }
 
-// Rejoin starts the owner's next incarnation: the generation bumps (so
-// the fresh advertisement supersedes every observation from the
-// previous life, including an eviction), the sequence resets, and the
-// advertised quality is refreshed.
-func (r *Roster[ID]) Rejoin(c, e float64) Entry[ID] {
+// rejoin starts the owner's next incarnation and returns the
+// transition: the generation bumps (so the fresh advertisement
+// supersedes every observation from the previous life, including an
+// eviction), the sequence resets, and the advertised quality is
+// refreshed.
+func (r *Roster[ID]) rejoin(c, e float64) Change[ID] {
 	s := r.entries[r.self]
+	from := s.Status
 	s.Gen++
 	s.Seq = 0
 	s.Status = Alive
 	s.C, s.E = c, e
 	r.entries[r.self] = s
-	r.version++
-	return s
+	return Change[ID]{ID: r.self, From: from, To: Alive, Gen: s.Gen}
 }
 
-// Upsert merges one observed entry under the Supersedes precedence.
+// upsert merges one observed entry under the Supersedes precedence.
 // It reports the transition (valid only when changed is true). Stale
 // observations — including stale observations about the owner itself —
 // are ignored; a fresher claim about the owner (e.g. an eviction
-// accusation that won) is adopted like any other entry, and the owner
-// notices via the returned change and can Rejoin.
-func (r *Roster[ID]) Upsert(e Entry[ID]) (ch Change[ID], changed bool) {
+// accusation that won) is adopted like any other entry, and
+// Protocol.Merge answers it with a rejoin.
+func (r *Roster[ID]) upsert(e Entry[ID]) (ch Change[ID], changed bool) {
 	old, known := r.entries[e.ID]
 	if known && !e.Supersedes(old) {
 		return Change[ID]{}, false
@@ -158,15 +144,14 @@ func (r *Roster[ID]) Upsert(e Entry[ID]) (ch Change[ID], changed bool) {
 	if !known {
 		r.rebuildOrder()
 	}
-	r.version++
 	return Change[ID]{ID: e.ID, From: old.Status, To: e.Status, Gen: e.Gen, Joined: !known}, true
 }
 
-// Accuse records a local failure-detector verdict about id at the
+// accuse records a local failure-detector verdict about id at the
 // member's currently-known (Gen, Seq): Suspect or Evicted. The
 // accusation loses to any newer advertisement, so a member that was
 // merely slow reinstates itself the moment it is heard again.
-func (r *Roster[ID]) Accuse(id ID, verdict Status) (ch Change[ID], changed bool) {
+func (r *Roster[ID]) accuse(id ID, verdict Status) (ch Change[ID], changed bool) {
 	old, known := r.entries[id]
 	if !known || id == r.self {
 		return Change[ID]{}, false
@@ -178,15 +163,14 @@ func (r *Roster[ID]) Accuse(id ID, verdict Status) (ch Change[ID], changed bool)
 	e := old
 	e.Status = verdict
 	r.entries[id] = e
-	r.version++
 	return Change[ID]{ID: id, From: old.Status, To: verdict, Gen: e.Gen}, true
 }
 
-// Digest appends up to max entries of the roster to dst for an outgoing
+// digest appends up to max entries of the roster to dst for an outgoing
 // gossip message: the owner's entry first, then the remaining members
 // in a rotation that advances with the owner's heartbeat sequence, so
 // successive digests cover the whole roster even when max is small.
-func (r *Roster[ID]) Digest(dst []Entry[ID], max int) []Entry[ID] {
+func (r *Roster[ID]) digest(dst []Entry[ID], max int) []Entry[ID] {
 	if max <= 0 {
 		return dst
 	}

@@ -16,39 +16,20 @@ import (
 // ranking alone would never poll it again, and without being polled it
 // can never advertise a better bound.
 
-// SelectConfig tunes Select.
-type SelectConfig[ID cmp.Ordered] struct {
-	// K is how many quality-ranked live members to pick; defaults to 3.
-	K int
-	// Explore, when non-nil, supplies the exploration draw: called with
-	// the number of unpreferred candidates n > 0, it must return an
-	// index in [0, n). Inject a seeded rand.IntN for determinism; nil
-	// disables exploration.
-	Explore func(n int) int
-	// Eligible, when non-nil, filters candidates before ranking: only
-	// members it accepts are considered at all. The simulated substrate
-	// injects link reachability here (selecting an unreachable member
-	// wastes both the poll slot and the exploration draw); nil accepts
-	// every member.
-	Eligible func(id ID) bool
-}
-
-// Select returns the IDs to poll this round from the roster's view:
-// up to K live members ranked by advertised E (ties broken by ID), plus
-// at most one exploration pick from the remaining known members. The
-// owner itself and voluntarily-departed members are never selected.
-// The result is in ranked order with the exploration pick last.
-func Select[ID cmp.Ordered](r *Roster[ID], cfg SelectConfig[ID]) []ID {
-	if cfg.K <= 0 {
-		cfg.K = 3
-	}
+// selectTargets returns the IDs to address from the roster's view: up to
+// k live members ranked by advertised E (ties broken by ID), plus at
+// most one exploration pick from the remaining known members. The owner
+// itself and voluntarily-departed members are never selected. The
+// result is in ranked order with the exploration pick last. explore and
+// eligible are the caller's, as Protocol.GossipTargets documents them.
+func selectTargets[ID cmp.Ordered](r *Roster[ID], k int, explore func(n int) int, eligible func(id ID) bool) []ID {
 	ranked := make([]Entry[ID], 0, r.Len())
 	var rest []ID
 	for _, e := range r.Members() {
-		if e.ID == r.SelfID() || e.Status == Left {
+		if e.ID == r.self || e.Status == Left {
 			continue
 		}
-		if cfg.Eligible != nil && !cfg.Eligible(e.ID) {
+		if eligible != nil && !eligible(e.ID) {
 			continue
 		}
 		if e.Status == Alive {
@@ -66,17 +47,17 @@ func Select[ID cmp.Ordered](r *Roster[ID], cfg SelectConfig[ID]) []ID {
 		}
 		return ranked[i].ID < ranked[j].ID
 	})
-	out := make([]ID, 0, cfg.K+1)
-	for i := 0; i < len(ranked) && i < cfg.K; i++ {
+	out := make([]ID, 0, k+1)
+	for i := 0; i < len(ranked) && i < k; i++ {
 		out = append(out, ranked[i].ID)
 	}
 	// Unpreferred pool: suspects and evictees first (rest), then live
 	// members ranked below K.
-	for i := cfg.K; i < len(ranked); i++ {
+	for i := k; i < len(ranked); i++ {
 		rest = append(rest, ranked[i].ID)
 	}
-	if cfg.Explore != nil && len(rest) > 0 {
-		out = append(out, rest[cfg.Explore(len(rest))])
+	if explore != nil && len(rest) > 0 {
+		out = append(out, rest[explore(len(rest))])
 	}
 	return out
 }

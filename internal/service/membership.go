@@ -9,16 +9,18 @@ import (
 	"disttime/internal/simnet"
 )
 
-// This file wires the internal/member subsystem into the simulated
-// service: each node keeps a roster of the servers it has heard of,
-// gossips roster digests carrying its advertised <C, E> quality, runs a
-// drift-aware failure detector over gossip freshness, and — when
-// membership is enabled — polls the K live members with the smallest
-// advertised maximum error instead of broadcasting to the whole
-// topology. Churn (voluntary departure and rejoin) rides the same
-// machinery: a departure is a roster entry that gossip carries to the
-// survivors, and a rejoin is a fresh incarnation that supersedes
-// whatever the previous life left behind, including its own eviction.
+// This file is the simulated substrate of the membership protocol. The
+// protocol itself — roster, drift-aware failure detector, what a gossip
+// tick and a digest merge do, whom to gossip to and to poll — is one
+// member.Protocol per node, the same type the UDP peer drives. What is
+// here is what only the simulator has: the gossip timers, link
+// reachability as the selection filter, the pooled gossip payload with
+// its HLC stamp, the equivocation fault, the MemberEvent timeline with
+// its FalseEviction verdict, and the metrics. Churn (voluntary
+// departure and rejoin) rides the same machinery: a departure is a
+// roster entry that gossip carries to the survivors, and a rejoin is a
+// fresh incarnation that supersedes whatever the previous life left
+// behind, including its own eviction.
 
 // MemberConfig enables and tunes dynamic membership for a service.
 type MemberConfig struct {
@@ -26,36 +28,20 @@ type MemberConfig struct {
 	// Defaults to 5.
 	GossipEvery float64
 	// Misses is how many consecutive gossip periods a member may stay
-	// silent before suspicion; defaults to 3 (member.DetectorConfig).
+	// silent before suspicion. Zero picks member.Config's default, as it
+	// does for the next three.
 	Misses int
-	// DigestMax caps the entries per gossip message; defaults to 8.
+	// DigestMax caps the entries per gossip message.
 	DigestMax int
 	// Fanout is how many members each gossip tick addresses (quality
-	// ranked, plus the exploration slot); defaults to 2.
+	// ranked, plus the exploration slot).
 	Fanout int
-	// K is how many quality-ranked live members a sync round polls;
-	// defaults to 3. The exploration slot is always added on top.
+	// K is how many quality-ranked live members a sync round polls. The
+	// exploration slot is always added on top.
 	K int
 	// Broadcast keeps sync rounds on topology-wide broadcast instead of
 	// roster-driven selection (membership becomes observational only).
 	Broadcast bool
-}
-
-// withDefaults fills the zero fields.
-func (c MemberConfig) withDefaults() MemberConfig {
-	if c.GossipEvery <= 0 {
-		c.GossipEvery = 5
-	}
-	if c.DigestMax <= 0 {
-		c.DigestMax = 8
-	}
-	if c.Fanout <= 0 {
-		c.Fanout = 2
-	}
-	if c.K <= 0 {
-		c.K = 3
-	}
-	return c
 }
 
 // MemberEvent is one membership transition observed by one server, in
@@ -124,7 +110,12 @@ func (svc *Service) MembershipEnabled() bool { return svc.memberCfg != nil }
 
 // Roster returns server i's membership view, or nil when membership is
 // disabled.
-func (svc *Service) Roster(i int) *member.Roster[int] { return svc.Nodes[i].roster }
+func (svc *Service) Roster(i int) *member.Roster[int] {
+	if p := svc.Nodes[i].member; p != nil {
+		return p.Roster()
+	}
+	return nil
+}
 
 // OnMemberChange registers an observer invoked on every membership
 // transition any server's roster records. A nil observer removes the
@@ -145,10 +136,13 @@ func (svc *Service) AddMemberChange(fn func(MemberEvent)) {
 	}
 }
 
-// initMembership builds every node's roster and detector and schedules
-// the gossip ticks. Called from New when cfg.Members is set.
+// initMembership builds every node's protocol state and schedules the
+// gossip ticks. Called from New when cfg.Members is set.
 func (svc *Service) initMembership() error {
-	mc := svc.cfg.Members.withDefaults()
+	mc := *svc.cfg.Members
+	if mc.GossipEvery <= 0 {
+		mc.GossipEvery = 5
+	}
 	svc.memberCfg = &mc
 	// The remote drift bound must cover every clock in the service: any
 	// member's advertisements may pace any observer's deadline.
@@ -157,37 +151,28 @@ func (svc *Service) initMembership() error {
 		maxDelta = math.Max(maxDelta, spec.Delta)
 	}
 	for i, node := range svc.Nodes {
-		spec := svc.cfg.Servers[i]
-		det, err := member.NewDetector[int](member.DetectorConfig{
-			Period:      mc.GossipEvery,
-			Misses:      mc.Misses,
-			LocalDelta:  spec.Delta,
-			RemoteDelta: maxDelta,
-			Xi:          svc.Net.Xi(),
-		})
+		r := node.Server.Reading(0)
+		p, err := member.NewProtocol(i, 1, member.Config{
+			DetectorConfig: member.DetectorConfig{
+				Period:      mc.GossipEvery,
+				Misses:      mc.Misses,
+				LocalDelta:  svc.cfg.Servers[i].Delta,
+				RemoteDelta: maxDelta,
+				Xi:          svc.Net.Xi(),
+			},
+			DigestMax: mc.DigestMax,
+			Fanout:    mc.Fanout,
+			K:         mc.K,
+		}, r.C, r.E)
 		if err != nil {
 			return fmt.Errorf("service: membership detector for server %d: %w", i, err)
 		}
-		r := node.Server.Reading(0)
-		node.roster = member.New(i, 1, spec.Delta)
-		node.roster.Advertise(r.C, r.E)
-		node.detector = det
-	}
-	// Bootstrap: gossip targets come from the roster, so an empty roster
-	// would never gossip. Seed each roster with the owner's topology
-	// neighbors as generation-zero entries of unknown (infinite) quality
-	// — the simulated analogue of the seed addresses a real deployment
-	// configures. A seed's first real advertisement (generation one)
-	// supersedes the placeholder; seeds are not detector-tracked until
-	// actually heard, so a dead seed is never falsely "evicted".
-	for _, node := range svc.Nodes {
+		// The owner's topology neighbors are the simulated analogue of
+		// the seed addresses a real deployment configures.
 		for _, nid := range svc.Net.Neighbors(node.NetID) {
-			node.roster.Upsert(member.Entry[int]{
-				ID:     int(nid),
-				Status: member.Alive,
-				E:      math.Inf(1),
-			})
+			p.Seed(int(nid))
 		}
+		node.member = p
 	}
 	for _, node := range svc.Nodes {
 		node := node
@@ -202,9 +187,6 @@ func (svc *Service) initMembership() error {
 
 // emitMember publishes one roster transition observed by node n.
 func (n *Node) emitMember(t float64, ch member.Change[int]) {
-	if ch.To == member.Evicted && ch.ID != n.Server.ID() {
-		n.Evictions++
-	}
 	if n.svc.onMember == nil {
 		return
 	}
@@ -228,9 +210,8 @@ func (n *Node) emitMember(t float64, ch member.Change[int]) {
 // gossip (crashed or voluntarily departed).
 func (n *Node) gossipSilent() bool { return n.crashed || n.departed }
 
-// gossipTick is one gossip round for node n: refresh the owner's
-// advertisement, turn silence into verdicts, and push a roster digest
-// to the selected members.
+// gossipTick is one gossip round for node n: the protocol's tick on the
+// node's own clock and reading, then a digest to the selected members.
 func (n *Node) gossipTick() {
 	if n.gossipSilent() {
 		return
@@ -238,37 +219,22 @@ func (n *Node) gossipTick() {
 	now := n.svc.Sim.Now()
 	local := n.Server.Read(now)
 	r := n.Server.Reading(now)
-	n.roster.Advertise(r.C, r.E)
-	for _, v := range n.detector.Check(local) {
-		if ch, changed := n.roster.Accuse(v.ID, v.Status); changed {
-			n.emitMember(now, ch)
-			if v.Status == member.Evicted {
-				n.detector.Forget(v.ID)
-			}
-		}
+	for _, ch := range n.member.Tick(local, r.C, r.E) {
+		n.emitMember(now, ch)
 	}
 	n.pushDigest()
 }
 
-// pushDigest sends one roster digest to each selected member: the
-// Fanout members with the smallest advertised error plus the seeded
-// exploration slot. Sends to unreachable members (partitioned or not
-// topology neighbors) are dropped by the network, as real datagrams
-// would be.
+// pushDigest sends one roster digest to each gossip target, exploring
+// with the simulation's generator. Only reachable members are eligible
+// (a sparse topology relays the rest via gossip), which also keeps every
+// target a valid node index; a send that a partition drops anyway is
+// lost, as a real datagram would be.
 func (n *Node) pushDigest() {
 	svc := n.svc
-	mc := svc.memberCfg
-	targets := member.Select(n.roster, member.SelectConfig[int]{
-		K:        mc.Fanout,
-		Explore:  svc.Sim.Rand().IntN,
-		Eligible: n.reachable,
-	})
-	for _, id := range targets {
-		if id < 0 || id >= len(svc.Nodes) {
-			continue
-		}
+	for _, id := range n.member.GossipTargets(svc.Sim.Rand().IntN, n.reachable) {
 		g := svc.newGossip()
-		g.entries = n.roster.Digest(g.entries, mc.DigestMax)
+		g.entries = n.member.Digest(g.entries)
 		g.ts = n.HLCNow(svc.Sim.Now())
 		n.equivocateEntry(g.entries, id)
 		sent := len(g.entries)
@@ -282,69 +248,30 @@ func (n *Node) pushDigest() {
 	}
 }
 
-// handleGossip merges one incoming digest into node n's roster and
-// refreshes the failure detector. The sender is direct evidence; any
-// entry strictly fresher than what the roster knew is indirect evidence
-// that its member advertised recently, which is what keeps sparse
-// topologies (where most members are never heard directly) from
-// evicting live servers.
+// handleGossip merges one incoming digest, credited to the network's
+// sender, into node n's protocol state and recycles the payload.
 func (n *Node) handleGossip(from simnet.NodeID, g *gossipMsg, now float64) {
-	local := n.Server.Read(now)
-	n.detector.Observe(int(from), local)
-	self := n.Server.ID()
-	for _, e := range g.entries {
-		ch, changed := n.roster.Upsert(e)
-		if !changed {
-			continue
-		}
-		if e.ID == self {
-			// A fresher claim about the owner won the merge: someone
-			// evicted or suspected this very server. Rejoin with a new
-			// incarnation; the next gossip tick spreads it.
-			n.emitMember(now, ch)
-			if st := n.roster.Self().Status; st == member.Evicted || st == member.Suspect {
-				r := n.Server.Reading(now)
-				reborn := n.roster.Rejoin(r.C, r.E)
-				n.emitMember(now, member.Change[int]{
-					ID: self, From: st, To: reborn.Status, Gen: reborn.Gen,
-				})
-			}
-			continue
-		}
-		switch ch.To {
-		case member.Alive:
-			n.detector.Observe(e.ID, local)
-		case member.Left, member.Evicted:
-			n.detector.Forget(e.ID)
-		}
+	changes := n.member.Merge(int(from), g.entries, n.Server.Read(now), func() (c, e float64) {
+		r := n.Server.Reading(now)
+		return r.C, r.E
+	})
+	for _, ch := range changes {
 		n.emitMember(now, ch)
 	}
 	merged := len(g.entries)
 	n.svc.putGossip(g)
 	if n.svc.memMetrics != nil {
-		n.svc.memMetrics.received(merged, n.roster.AliveCount())
+		n.svc.memMetrics.received(merged, n.member.Roster().AliveCount())
 	}
 }
 
 // reachable reports whether a usable link currently exists from node n
-// to member id: selection only considers members the network can
-// actually deliver to (a sparse topology relays the rest via gossip).
+// to member id.
 func (n *Node) reachable(id int) bool {
 	if id < 0 || id >= len(n.svc.Nodes) {
 		return false
 	}
 	return n.svc.Net.Connected(n.NetID, n.svc.Nodes[id].NetID)
-}
-
-// pollTargets returns the servers a sync round should poll when
-// membership drives selection: the K live members with the smallest
-// advertised maximum error plus the exploration slot.
-func (n *Node) pollTargets() []int {
-	return member.Select(n.roster, member.SelectConfig[int]{
-		K:        n.svc.memberCfg.K,
-		Explore:  n.svc.Sim.Rand().IntN,
-		Eligible: n.reachable,
-	})
 }
 
 // Leave makes server i depart voluntarily: it announces the departure
@@ -355,18 +282,14 @@ func (n *Node) pollTargets() []int {
 // Crash (the only departure the static topology can express).
 func (svc *Service) Leave(i int) {
 	n := svc.Nodes[i]
-	if n.roster == nil {
+	if n.member == nil {
 		svc.Crash(i)
 		return
 	}
 	if n.gossipSilent() {
 		return
 	}
-	now := svc.Sim.Now()
-	left := n.roster.Leave()
-	n.emitMember(now, member.Change[int]{
-		ID: i, From: member.Alive, To: left.Status, Gen: left.Gen,
-	})
+	n.emitMember(svc.Sim.Now(), n.member.Leave())
 	n.pushDigest() // announce the departure before going silent
 	n.departed = true
 	n.collect = nil
@@ -389,7 +312,7 @@ func (svc *Service) Leave(i int) {
 // Rejoin degrades to Restart.
 func (svc *Service) Rejoin(i int) {
 	n := svc.Nodes[i]
-	if n.roster == nil {
+	if n.member == nil {
 		svc.Restart(i)
 		return
 	}
@@ -399,10 +322,7 @@ func (svc *Service) Rejoin(i int) {
 	now := svc.Sim.Now()
 	n.departed = false
 	r := n.Server.Reading(now)
-	reborn := n.roster.Rejoin(r.C, r.E)
-	n.emitMember(now, member.Change[int]{
-		ID: i, From: member.Left, To: reborn.Status, Gen: reborn.Gen,
-	})
+	n.emitMember(now, n.member.Rejoin(r.C, r.E))
 	svc.Net.SetHandler(n.NetID, n.handle)
 	n.resumeMembership()
 	if period := n.Spec.SyncEvery; period > 0 && n.stopSync == nil {
@@ -414,7 +334,7 @@ func (svc *Service) Rejoin(i int) {
 // resumeMembership restarts node n's gossip ticks (after Rejoin or
 // Restart).
 func (n *Node) resumeMembership() {
-	if n.roster == nil || n.stopGossip != nil {
+	if n.member == nil || n.stopGossip != nil {
 		return
 	}
 	n.stopGossip = n.svc.Sim.Every(n.svc.memberCfg.GossipEvery, n.gossipTick)

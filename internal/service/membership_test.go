@@ -87,7 +87,7 @@ func TestMembershipEvictsCrashedServer(t *testing.T) {
 	svc.CrashAt(60.5, 2)
 	// The eviction deadline on the observer's local clock, plus slack
 	// for the gossip tick quantization.
-	bound := svc.Nodes[0].detector.Config().EvictAfter() + 2*svc.memberCfg.GossipEvery
+	bound := svc.Nodes[0].member.EvictAfter() + 2*svc.memberCfg.GossipEvery
 	svc.Run(60.5 + bound + 1)
 	for i := 0; i < 4; i++ {
 		if i == 2 {
@@ -178,7 +178,7 @@ func TestMembershipGossipConvergesAfterPartition(t *testing.T) {
 	if !fullRoster(svc) {
 		t.Fatal("rosters did not converge before the partition")
 	}
-	evict := svc.Nodes[0].detector.Config().EvictAfter()
+	evict := svc.Nodes[0].member.EvictAfter()
 	healAt := 50 + evict + 3*svc.memberCfg.GossipEvery
 	svc.HealAt(healAt)
 	svc.Run(healAt)
@@ -265,7 +265,7 @@ func TestMembershipObserveMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	svc.Observe(reg, nil)
 	svc.CrashAt(40, 3)
-	svc.Run(40 + svc.Nodes[0].detector.Config().EvictAfter() + 3*svc.memberCfg.GossipEvery)
+	svc.Run(40 + svc.Nodes[0].member.EvictAfter() + 3*svc.memberCfg.GossipEvery)
 	if v := reg.Counter("member_gossip_messages_total").Value(); v == 0 {
 		t.Fatal("no gossip messages counted")
 	}

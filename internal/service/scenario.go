@@ -117,15 +117,15 @@ func (svc *Service) Restart(i int) {
 		return // still voluntarily departed; only Rejoin revives it
 	}
 	svc.Net.SetHandler(n.NetID, n.handle)
-	if n.roster != nil {
+	if n.member != nil {
 		// A restart is a new incarnation: the fresh advertisement must
 		// supersede whatever the survivors recorded about the old life
-		// (typically an eviction).
+		// (typically an eviction, which is what the event reports: the
+		// owner's own roster slept through it).
 		r := n.Server.Reading(svc.Sim.Now())
-		reborn := n.roster.Rejoin(r.C, r.E)
-		n.emitMember(svc.Sim.Now(), member.Change[int]{
-			ID: i, From: member.Evicted, To: reborn.Status, Gen: reborn.Gen,
-		})
+		ch := n.member.Rejoin(r.C, r.E)
+		ch.From = member.Evicted
+		n.emitMember(svc.Sim.Now(), ch)
 		n.resumeMembership()
 		defer n.pushDigest() // announce after sync resumes
 	}

@@ -145,8 +145,7 @@ type Node struct {
 	neighborDeltas map[int]float64
 
 	// Dynamic membership state (nil/zero when Config.Members is unset).
-	roster     *member.Roster[int]
-	detector   *member.Detector[int]
+	member     *member.Protocol[int]
 	stopGossip func()
 	departed   bool
 
@@ -161,7 +160,6 @@ type Node struct {
 	FailedRecovery int
 	RateFiltered   int
 	DeltaRaises    int
-	Evictions      int // members this node's detector evicted
 }
 
 // collection is one in-flight request round. Collections are recycled on a
@@ -392,9 +390,9 @@ func (n *Node) handle(m simnet.Message) {
 		return // a crashed server neither answers nor collects
 	}
 	now := n.svc.Sim.Now()
-	if n.roster != nil {
+	if n.member != nil {
 		// Any protocol message is direct evidence the sender is serving.
-		n.detector.Observe(int(m.From), n.Server.Read(now))
+		n.member.Heard(int(m.From), n.Server.Read(now))
 	}
 	switch p := m.Payload.(type) {
 	case timeRequest:
@@ -438,7 +436,7 @@ func (n *Node) handle(m simnet.Message) {
 		n.neighborDeltas[int(m.From)] = reading.Delta
 	case *gossipMsg:
 		n.hclock.Update(n.hlcWall(now), p.ts)
-		if n.roster == nil {
+		if n.member == nil {
 			return
 		}
 		n.handleGossip(m.From, p, now)
@@ -467,14 +465,11 @@ func (n *Node) startRound() {
 	n.collect = col
 	sent := 0
 	req := timeRequest{id: n.reqSeq, ts: n.HLCNow(now)}
-	if n.roster != nil && !n.svc.memberCfg.Broadcast {
+	if n.member != nil && !n.svc.memberCfg.Broadcast {
 		// Roster-driven polling: the K live members with the smallest
-		// advertised error, plus the exploration slot. Requests to
-		// unreachable members are dropped by the network.
-		for _, id := range n.pollTargets() {
-			if id < 0 || id >= len(n.svc.Nodes) {
-				continue
-			}
+		// advertised error, plus the exploration slot, among the
+		// reachable ones (so every target is a valid node index).
+		for _, id := range n.member.PollTargets(n.svc.Sim.Rand().IntN, n.reachable) {
 			if n.svc.Net.Send(n.NetID, n.svc.Nodes[id].NetID, req) {
 				sent++
 			}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -13,14 +14,18 @@ import (
 	"disttime/internal/wire"
 )
 
-// This file is the real-network realization of the internal/member
-// subsystem: a roster keyed by serving address, fed by version-2
-// advertise datagrams, with the drift-aware failure detector running on
-// the process's monotonic clock. A roster-backed peer starts from seed
-// addresses only, learns the rest of the cluster through anti-entropy
-// gossip, and re-resolves its poll targets from the roster every sync
-// round — the paper's "adopt the neighbor with smaller maximum error"
-// applied to topology, over UDP.
+// This file is the real-network substrate of the membership protocol.
+// The protocol itself — roster, drift-aware failure detector, what a
+// gossip tick and a digest merge do, whom to gossip to and to poll — is
+// one member.Protocol keyed by serving address, the same type the
+// simulator drives. What is here is what only a process on a network
+// has: the mutex, the ticker goroutine, the process's monotonic clock as
+// the detector's local clock, the version-2 advertise datagram and the
+// socket it travels on, and the gauges. A roster-backed peer starts from
+// seed addresses only, learns the rest of the cluster through
+// anti-entropy gossip, and re-resolves its poll targets from the roster
+// every sync round — the paper's "adopt the neighbor with smaller
+// maximum error" applied to topology, over UDP.
 
 // MembershipConfig tunes a roster-backed peer's gossip and detector.
 // The zero value picks the defaults.
@@ -28,16 +33,17 @@ type MembershipConfig struct {
 	// Gossip is the heartbeat/advertise period. Defaults to one second.
 	Gossip time.Duration
 	// Misses is how many consecutive heartbeats a member may stay silent
-	// before suspicion; defaults to 3.
+	// before suspicion. Zero picks member.Config's default, as it does
+	// for the next three.
 	Misses int
-	// DigestMax caps the roster entries per advertise datagram; defaults
-	// to 8 (and is clamped to wire.MaxAdvertiseEntries).
+	// DigestMax caps the roster entries per advertise datagram (and is
+	// clamped to wire.MaxAdvertiseEntries).
 	DigestMax int
-	// Fanout is how many members each gossip tick addresses; defaults
-	// to 2 (plus the exploration slot).
+	// Fanout is how many members each gossip tick addresses (plus the
+	// exploration slot).
 	Fanout int
-	// K is how many quality-ranked live members a sync round polls;
-	// defaults to 3 (plus the exploration slot).
+	// K is how many quality-ranked live members a sync round polls (plus
+	// the exploration slot).
 	K int
 	// DelayBound is the one-way network delay bound the detector charges
 	// (the paper's xi). Defaults to 500 ms.
@@ -49,21 +55,7 @@ func (c MembershipConfig) withDefaults() MembershipConfig {
 	if c.Gossip <= 0 {
 		c.Gossip = time.Second
 	}
-	if c.Misses <= 0 {
-		c.Misses = 3
-	}
-	if c.DigestMax <= 0 {
-		c.DigestMax = 8
-	}
-	if c.DigestMax > wire.MaxAdvertiseEntries {
-		c.DigestMax = wire.MaxAdvertiseEntries
-	}
-	if c.Fanout <= 0 {
-		c.Fanout = 2
-	}
-	if c.K <= 0 {
-		c.K = 3
-	}
+	c.DigestMax = min(c.DigestMax, wire.MaxAdvertiseEntries)
 	if c.DelayBound <= 0 {
 		c.DelayBound = 500 * time.Millisecond
 	}
@@ -93,26 +85,23 @@ func newMembershipMetrics(reg *obs.Registry) membershipMetrics {
 	}
 }
 
-// membership runs one peer's roster: the gossip loop, the failure
-// detector, and the advertise dispatch from the peer's server socket.
-// All roster state is guarded by mu; sends go out on the server's own
-// connection so every datagram's source address is the serving address.
+// membership drives one peer's member.Protocol: the gossip loop and the
+// advertise dispatch from the peer's server socket. The protocol state
+// is guarded by mu; sends go out on the server's own connection so every
+// datagram's source address is the serving address, which is the
+// sender's roster ID.
 type membership struct {
 	cfg     MembershipConfig
 	clock   ClockSource
 	delta   float64   // claimed drift bound of the local oscillator (fraction)
 	start   time.Time // origin of the detector's monotonic local clock
 	metrics membershipMetrics
+	conn    *net.UDPConn // the server's socket; set by bind before the loop starts
 
-	mu        sync.Mutex
-	conn      *net.UDPConn // the server's socket; nil until bind
-	self      string
-	roster    *member.Roster[string]
-	det       *member.Detector[string]
-	rng       *rand.Rand
-	resolved  map[string]*net.UDPAddr
-	seq       uint64 // advertise datagram sequence (debugging aid)
-	evictions uint64
+	mu    sync.Mutex
+	proto *member.Protocol[string] // nil until bind
+	rng   *rand.Rand
+	seq   uint64 // advertise datagram sequence (debugging aid)
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -123,14 +112,13 @@ type membership struct {
 // the server socket exists.
 func newMembership(clock ClockSource, deltaPPM float64, cfg MembershipConfig, reg *obs.Registry) *membership {
 	return &membership{
-		cfg:      cfg.withDefaults(),
-		clock:    clock,
-		delta:    deltaPPM / 1e6,
-		start:    time.Now(),
-		metrics:  newMembershipMetrics(reg),
-		resolved: make(map[string]*net.UDPAddr),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		cfg:     cfg.withDefaults(),
+		clock:   clock,
+		delta:   deltaPPM / 1e6,
+		start:   time.Now(),
+		metrics: newMembershipMetrics(reg),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 }
 
@@ -154,35 +142,32 @@ func (m *membership) reading() (c, e float64) {
 // bind activates the manager on the server's socket: the roster owner is
 // the serving address, the incarnation number is drawn from the wall
 // clock so a restarted peer at the same address supersedes every trace
-// of its previous life, and the seeds join as generation-zero entries of
-// unknown (infinite) quality — superseded by their first real
-// advertisement, and never detector-tracked until actually heard.
+// of its previous life, and the seeds join as placeholders
+// (member.Protocol.Seed).
 func (m *membership) bind(conn *net.UDPConn, id uint64, seeds []string) error {
-	self := conn.LocalAddr().String()
-	det, err := member.NewDetector[string](member.DetectorConfig{
-		Period:      m.cfg.Gossip.Seconds(),
-		Misses:      m.cfg.Misses,
-		LocalDelta:  m.delta,
-		RemoteDelta: m.delta,
-		Xi:          m.cfg.DelayBound.Seconds(),
-	})
+	c, e := m.reading()
+	proto, err := member.NewProtocol(conn.LocalAddr().String(), uint64(time.Now().UnixNano()), member.Config{
+		DetectorConfig: member.DetectorConfig{
+			Period:      m.cfg.Gossip.Seconds(),
+			Misses:      m.cfg.Misses,
+			LocalDelta:  m.delta,
+			RemoteDelta: m.delta,
+			Xi:          m.cfg.DelayBound.Seconds(),
+		},
+		DigestMax: m.cfg.DigestMax,
+		Fanout:    m.cfg.Fanout,
+		K:         m.cfg.K,
+	}, c, e)
 	if err != nil {
 		return fmt.Errorf("udptime: membership detector: %w", err)
 	}
-	m.mu.Lock()
-	m.conn = conn
-	m.self = self
-	m.det = det
-	m.rng = rand.New(rand.NewPCG(id, uint64(time.Now().UnixNano())))
-	m.roster = member.New(self, uint64(time.Now().UnixNano()), m.delta)
-	c, e := m.reading()
-	m.roster.Advertise(c, e)
 	for _, seed := range seeds {
-		if seed == self {
-			continue
-		}
-		m.roster.Upsert(member.Entry[string]{ID: seed, Status: member.Alive, E: math.Inf(1)})
+		proto.Seed(seed)
 	}
+	m.conn = conn
+	m.mu.Lock()
+	m.proto = proto
+	m.rng = rand.New(rand.NewPCG(id, uint64(time.Now().UnixNano())))
 	m.mu.Unlock()
 	go m.run()
 	return nil
@@ -203,28 +188,19 @@ func (m *membership) run() {
 	}
 }
 
-// tick is one gossip round: refresh the owner's advertisement, turn
-// silence into verdicts, and push a roster digest to the selected
+// tick is one gossip round: the protocol's tick on the monotonic clock
+// and the disciplined clock's reading, then a digest to the selected
 // members.
 func (m *membership) tick() {
 	m.mu.Lock()
-	now := m.localNow()
 	c, e := m.reading()
-	m.roster.Advertise(c, e)
-	for _, v := range m.det.Check(now) {
-		if _, changed := m.roster.Accuse(v.ID, v.Status); changed && v.Status == member.Evicted {
-			m.det.Forget(v.ID)
-			m.evictions++
-			m.metrics.evictions.Inc()
-		}
-	}
-	targets := member.Select(m.roster, member.SelectConfig[string]{
-		K:       m.cfg.Fanout,
-		Explore: m.rng.IntN,
-	})
+	evicted := m.proto.Evictions()
+	m.proto.Tick(m.localNow(), c, e)
+	m.metrics.evictions.Add(m.proto.Evictions() - evicted)
+	targets := m.proto.GossipTargets(m.rng.IntN, nil)
 	payload, sent := m.encodeDigest()
-	m.metrics.alive.Set(float64(m.roster.AliveCount()))
-	m.metrics.known.Set(float64(m.roster.Len()))
+	m.metrics.alive.Set(float64(m.proto.Roster().AliveCount()))
+	m.metrics.known.Set(float64(m.proto.Roster().Len()))
 	// The handles are resolved once at construction; copy them out so the
 	// sends below need no lock.
 	metrics := m.metrics
@@ -244,7 +220,7 @@ func (m *membership) tick() {
 // Callers hold mu.
 func (m *membership) encodeDigest() (payload []byte, entries int) {
 	//lint:ignore guardedby both callers, tick and close, hold m.mu across this call (documented above)
-	digest := m.roster.Digest(make([]member.Entry[string], 0, m.cfg.DigestMax), m.cfg.DigestMax)
+	digest := m.proto.Digest(nil)
 	out := make([]wire.MemberEntry, 0, len(digest))
 	for _, e := range digest {
 		out = append(out, wire.MemberEntry{
@@ -262,104 +238,70 @@ func (m *membership) encodeDigest() (payload []byte, entries int) {
 	return payload, len(out)
 }
 
-// send resolves addr (cached) and writes one datagram from the server's
-// socket.
+// send writes one datagram from the server's socket to addr, resolved
+// as the client resolves a server's address: a roster ID is an address
+// literal and is parsed in place, a host-name seed is looked up on every
+// send, so it follows its record.
 func (m *membership) send(addr string, payload []byte) bool {
-	m.mu.Lock()
-	udp, ok := m.resolved[addr]
-	conn := m.conn
-	m.mu.Unlock()
-	if conn == nil {
+	to, err := resolveAddr(addr)
+	if err != nil {
 		return false
 	}
-	if !ok {
-		var err error
-		udp, err = net.ResolveUDPAddr("udp", addr)
-		if err != nil {
-			return false
-		}
-		m.mu.Lock()
-		m.resolved[addr] = udp
-		m.mu.Unlock()
-	}
-	_, err := conn.WriteToUDP(payload, udp)
+	_, err = m.conn.WriteToUDPAddrPort(payload, to)
 	return err == nil
 }
 
-// handleAdvertise merges one incoming digest: the sender's own row
-// (first, per the digest convention) is direct freshness evidence; any
-// entry strictly fresher than what the roster knew is indirect evidence
-// that its member advertised recently. A fresher claim about this very
-// peer — someone suspected or evicted us — triggers an immediate rejoin
-// with a bumped incarnation.
-func (m *membership) handleAdvertise(entries []wire.MemberEntry) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.roster == nil {
-		return // datagram raced the bind; gossip repeats
-	}
-	now := m.localNow()
+// handleAdvertise merges one incoming digest, credited to the address
+// the datagram came from — unmapped, so that it is spelled as the
+// sender's own roster ID is — and not to whatever its first row claims.
+func (m *membership) handleAdvertise(from *net.UDPAddr, entries []wire.MemberEntry) {
+	rows := make([]member.Entry[string], len(entries))
 	for i, we := range entries {
-		e := member.Entry[string]{
+		rows[i] = member.Entry[string]{
 			ID: we.Addr, Gen: we.Gen, Seq: we.Seq, Status: member.Status(we.Status),
 			C: we.C, E: we.E, Delta: we.Delta,
 		}
-		if i == 0 && e.ID != m.self && e.Status == member.Alive {
-			m.det.Observe(e.ID, now)
-		}
-		ch, changed := m.roster.Upsert(e)
-		if !changed {
-			continue
-		}
-		if e.ID == m.self {
-			if st := m.roster.Self().Status; st == member.Suspect || st == member.Evicted {
-				rc, re := m.reading()
-				m.roster.Rejoin(rc, re)
-			}
-			continue
-		}
-		switch ch.To {
-		case member.Alive:
-			m.det.Observe(e.ID, now)
-		case member.Left, member.Evicted:
-			m.det.Forget(e.ID)
-		}
 	}
-	m.metrics.alive.Set(float64(m.roster.AliveCount()))
-	m.metrics.known.Set(float64(m.roster.Len()))
+	ap := from.AddrPort()
+	src := netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()).String()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.proto == nil {
+		return // datagram raced the bind; gossip repeats
+	}
+	m.proto.Merge(src, rows, m.localNow(), m.reading)
+	m.metrics.alive.Set(float64(m.proto.Roster().AliveCount()))
+	m.metrics.known.Set(float64(m.proto.Roster().Len()))
 }
 
-// Targets returns the addresses a sync round should poll: the K live
-// members with the smallest advertised maximum error plus the seeded
-// exploration slot. Wired into SyncerConfig.Targets, so the poll set
-// follows the roster as members join, leave, and are evicted.
+// Targets returns the addresses a sync round should poll. Wired into
+// SyncerConfig.Targets, so the poll set follows the roster as members
+// join, leave, and are evicted.
 func (m *membership) Targets() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.roster == nil {
-		return nil
-	}
-	return member.Select(m.roster, member.SelectConfig[string]{
-		K:       m.cfg.K,
-		Explore: m.rng.IntN,
-	})
+	return m.proto.PollTargets(m.rng.IntN, nil)
 }
 
 // Members returns the roster in increasing address order.
 func (m *membership) Members() []member.Entry[string] {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.roster == nil {
-		return nil
-	}
-	return m.roster.Members()
+	return m.proto.Roster().Members()
 }
 
 // Evictions returns how many members this peer's detector has evicted.
 func (m *membership) Evictions() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.evictions
+	return m.proto.Evictions()
+}
+
+// EvictAfter returns the failure detector's eviction deadline.
+func (m *membership) EvictAfter() time.Duration {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return time.Duration(m.proto.EvictAfter() * float64(time.Second))
 }
 
 // halt stops the gossip loop without any announcement — the controlled
@@ -376,12 +318,8 @@ func (m *membership) halt() {
 func (m *membership) close() {
 	m.halt()
 	m.mu.Lock()
-	if m.roster == nil {
-		m.mu.Unlock()
-		return
-	}
-	m.roster.Leave()
-	targets := member.Select(m.roster, member.SelectConfig[string]{K: m.cfg.Fanout})
+	m.proto.Leave()
+	targets := m.proto.GossipTargets(nil, nil)
 	payload, _ := m.encodeDigest()
 	m.mu.Unlock()
 	if payload == nil {

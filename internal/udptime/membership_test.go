@@ -7,6 +7,7 @@ import (
 
 	"disttime/internal/member"
 	"disttime/internal/obs"
+	"disttime/internal/wire"
 )
 
 // fastMembership is the test-speed gossip/detector configuration:
@@ -279,6 +280,55 @@ func TestClusterVoluntaryLeave(t *testing.T) {
 	})
 	if ev := peers[0].Evictions() + peers[1].Evictions(); ev != 0 {
 		t.Errorf("voluntary departure caused %d evictions", ev)
+	}
+}
+
+// TestAdvertiseCreditsSourceAddress is the evidence rule on a real
+// socket: a digest is direct evidence of the address it came from, not
+// of whoever its first row names. One sender repeats the same datagram —
+// another member's row first, then its own, neither row ever fresher
+// than the first time — so the rows are evidence of nobody after the
+// first delivery and only the source address tells the two members
+// apart: the sender must stay alive and the member in the first row,
+// which was never heard from, must be evicted. (When the first row was
+// credited it was the other way round.)
+func TestAdvertiseCreditsSourceAddress(t *testing.T) {
+	addrs := reserveAddrs(t, 2)
+	quiet := addrs[1] // named in every first row, never bound
+	sender, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	p, err := NewPeer(PeerConfig{
+		Addr:       addrs[0],
+		DriftPPM:   100,
+		Seeds:      []string{sender.LocalAddr().String()},
+		Membership: fastMembership(),
+		Interval:   time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	datagram, err := wire.AppendAdvertise(nil, 1, []wire.MemberEntry{
+		{Addr: quiet, Gen: 1, Seq: 1, Status: uint8(member.Alive), E: 0.01},
+		{Addr: sender.LocalAddr().String(), Gen: 1, Seq: 1, Status: uint8(member.Alive), E: 0.01},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 3*p.EvictAfter()+3*time.Second, "eviction of the member that was only ever named", func() bool {
+		if _, err := sender.WriteToUDP(datagram, p.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		return status(p, quiet) == member.Evicted
+	})
+	if st := status(p, sender.LocalAddr().String()); st != member.Alive {
+		t.Errorf("the sender of every datagram is recorded as %v", st)
+	}
+	if ev := p.Evictions(); ev != 1 {
+		t.Errorf("%d evictions, want 1", ev)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"disttime/internal/member"
 	"disttime/internal/obs"
-	"disttime/internal/wire"
 )
 
 // Peer is a complete time-service member over UDP: it answers rule MM-1
@@ -95,9 +94,7 @@ func newPeer(cfg PeerConfig, listen newServerFunc) (*Peer, error) {
 	var opts []ServerOption
 	if len(cfg.Seeds) > 0 {
 		m = newMembership(dc, dc.DriftPPM(), cfg.Membership, cfg.Metrics)
-		opts = append(opts, advertiseOption{handler: func(_ *net.UDPAddr, entries []wire.MemberEntry) {
-			m.handleAdvertise(entries)
-		}})
+		opts = append(opts, advertiseOption{handler: m.handleAdvertise})
 	}
 	server, err := listen(cfg.Addr, cfg.ID, dc, opts...)
 	if err != nil {
@@ -173,8 +170,7 @@ func (p *Peer) EvictAfter() time.Duration {
 	if p.membership == nil {
 		return 0
 	}
-	secs := p.membership.det.Config().EvictAfter()
-	return time.Duration(secs * float64(time.Second))
+	return p.membership.EvictAfter()
 }
 
 // Close stops the syncer, announces a voluntary departure to the
