@@ -142,15 +142,17 @@ churn-smoke:
 txn-smoke:
 	$(call run-twice-and-cmp,-txn -txn-seed 7,txn-smoke)
 
-# Short coverage-guided fuzz passes: the M-of-N interval sweep against
-# the naive oracle, every parser a datagram reaches on the serving path,
-# and the client's matching of a datagram to an outstanding request.
+# Short coverage-guided fuzz passes: the M-of-N interval sweep and the
+# majority selection over it, each against its naive oracle, every parser
+# a datagram reaches on the serving path, and the client's matching of a
+# datagram to an outstanding request.
 # FUZZTIME is the budget of the whole smoke in seconds, split
 # evenly over the targets; run one target with a larger -fuzztime when
 # hunting.
 FUZZTIME ?= 10s
-FUZZ_TARGETS = interval:FuzzIntersectMofN wire:FuzzParseRequest wire:FuzzParseRequestHLC \
-               wire:FuzzParseResponse hlc:FuzzTimestampCodec udptime:FuzzClientReply
+FUZZ_TARGETS = interval:FuzzIntersectMofN interval:FuzzSelect wire:FuzzParseRequest \
+               wire:FuzzParseRequestHLC wire:FuzzParseResponse hlc:FuzzTimestampCodec \
+               udptime:FuzzClientReply
 fuzz-smoke:
 	@each=$$(( $(FUZZTIME:s=) / $(words $(FUZZ_TARGETS)) ))s; \
 	for t in $(FUZZ_TARGETS); do \

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"disttime/internal/interval"
-	"disttime/internal/ntp"
 	"disttime/internal/udptime"
 )
 
@@ -59,40 +58,38 @@ func run(args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "%-22s %-4s %-28s %-12s %-10s %s\n",
 		"SERVER", "ID", "CLOCK", "MAX ERROR", "RTT", "OFFSET INTERVAL (s)")
-	var readings []ntp.Reading
+	var (
+		names []string
+		ivs   []interval.Interval
+	)
 	for _, m := range ms {
 		iv := m.OffsetInterval()
 		note := ""
 		if m.Unsynchronized {
 			note = " (unsynchronized, ignored)"
 		} else {
-			readings = append(readings, ntp.Reading{
-				ID: m.Addr, Interval: iv, RTT: m.RTT.Seconds(),
-			})
+			names = append(names, m.Addr)
+			ivs = append(ivs, iv)
 		}
 		fmt.Fprintf(out, "%-22s %-4d %-28s %-12v %-10v [%.6f, %.6f]%s\n",
 			m.Addr, m.ServerID, m.C.Format(time.RFC3339Nano), m.E, m.RTT.Round(time.Microsecond),
 			iv.Lo, iv.Hi, note)
 	}
-	if len(readings) == 0 {
+	if len(ivs) == 0 {
 		return fmt.Errorf("no synchronized servers answered")
 	}
 
 	var common interval.Interval
 	if *doSel {
-		sel, err := ntp.Select(readings, ntp.Options{})
-		if err != nil {
-			return fmt.Errorf("selection: %w", err)
+		sel, ok := interval.Select(ivs)
+		if !ok {
+			return fmt.Errorf("selection: no majority of the %d servers agrees", len(ivs))
 		}
 		for _, idx := range sel.Falsetickers {
-			fmt.Fprintf(out, "falseticker rejected: %s\n", readings[idx].ID)
+			fmt.Fprintf(out, "falseticker rejected: %s\n", names[idx])
 		}
 		common = sel.Interval
 	} else {
-		ivs := make([]interval.Interval, len(readings))
-		for i, r := range readings {
-			ivs[i] = r.Interval
-		}
 		var ok bool
 		if common, ok = interval.IntersectAll(ivs); !ok {
 			return fmt.Errorf("servers are mutually inconsistent: at least one must be wrong (rerun with -select)")

@@ -8,7 +8,6 @@ import (
 	"disttime/internal/hlc"
 	"disttime/internal/interval"
 	"disttime/internal/member"
-	"disttime/internal/ntp"
 	"disttime/internal/obs"
 	"disttime/internal/service"
 	"disttime/internal/simnet"
@@ -16,9 +15,9 @@ import (
 	"disttime/internal/udptime"
 )
 
-// Interval algebra (internal/interval). An Interval is a closed range
-// [Lo, Hi] of real time in seconds; FromEstimate builds [C-E, C+E] from a
-// reading.
+// Interval algebra and fault-tolerant selection (internal/interval). An
+// Interval is a closed range [Lo, Hi] of real time in seconds;
+// FromEstimate builds [C-E, C+E] from a reading.
 type (
 	// Interval is a closed real-time interval in seconds.
 	Interval = interval.Interval
@@ -27,6 +26,9 @@ type (
 	IntervalGroup = interval.Group
 	// Best is the result of Marzullo's fault-tolerant intersection.
 	Best = interval.Best
+	// Selection is the outcome of Select: the agreed region, the
+	// survivors and the falsetickers.
+	Selection = interval.Selection
 )
 
 // Interval constructors and algorithms.
@@ -46,6 +48,10 @@ var (
 	// MarzulloAtLeast finds the leftmost region covered by at least m
 	// sources.
 	MarzulloAtLeast = interval.MarzulloAtLeast
+	// Select is majority selection over Marzullo's sweep: it splits the
+	// intervals into survivors and falsetickers, or reports that no
+	// majority agrees.
+	Select = interval.Select
 	// ConsistencyGroups decomposes intervals into maximal
 	// mutually-consistent subsets.
 	ConsistencyGroups = interval.ConsistencyGroups
@@ -79,7 +85,8 @@ type (
 	// TrimmedMean is the fault-tolerant averaging function of [Lamport 82].
 	TrimmedMean = core.TrimmedMean
 	// SelectIM is the intersection function hardened against falsetickers
-	// (the [Marzullo 83] extension as a synchronization function).
+	// (the [Marzullo 83] extension as a synchronization function): Select
+	// over the server's own interval and the replies'.
 	SelectIM = core.SelectIM
 	// RateTracker estimates neighbor separation rates (Section 5).
 	RateTracker = core.RateTracker
@@ -177,29 +184,6 @@ const (
 // NewSimulation builds a simulated time service at virtual time zero.
 var NewSimulation = service.New
 
-// Fault-tolerant selection (internal/ntp).
-type (
-	// SelectionReading is one candidate source for selection.
-	SelectionReading = ntp.Reading
-	// Selection is the outcome of the select pass.
-	Selection = ntp.Selection
-	// SelectOptions tunes Select.
-	SelectOptions = ntp.Options
-)
-
-// Selection functions.
-var (
-	// Select classifies readings into survivors and falsetickers.
-	Select = ntp.Select
-	// SelectRFC is the RFC 5905 refinement with the midpoint majority
-	// condition.
-	SelectRFC = ntp.SelectRFC
-	// Cluster prunes outlier survivors.
-	Cluster = ntp.Cluster
-	// Combine produces the final estimate from survivors.
-	Combine = ntp.Combine
-)
-
 // Real UDP time service (internal/udptime).
 type (
 	// UDPServer answers time requests over UDP.
@@ -251,7 +235,8 @@ var (
 	NewDisciplinedClock = udptime.NewDisciplinedClock
 	// SyncIM disciplines a clock with the intersection algorithm.
 	SyncIM = udptime.SyncIM
-	// SyncSelect disciplines a clock with falseticker rejection.
+	// SyncSelect disciplines a clock with falseticker rejection: Select
+	// over the measurements' offset intervals.
 	SyncSelect = udptime.SyncSelect
 	// NewSyncer starts the background synchronization daemon.
 	NewSyncer = udptime.NewSyncer

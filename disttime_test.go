@@ -142,15 +142,15 @@ func TestEndToEndUDPFacade(t *testing.T) {
 }
 
 func TestSelectFacade(t *testing.T) {
-	sel, err := disttime.Select([]disttime.SelectionReading{
-		{ID: "a", Interval: disttime.FromEstimate(5, 1)},
-		{ID: "b", Interval: disttime.FromEstimate(5.5, 1)},
-		{ID: "liar", Interval: disttime.FromEstimate(50, 1)},
-	}, disttime.SelectOptions{})
-	if err != nil {
-		t.Fatal(err)
+	sel, ok := disttime.Select([]disttime.Interval{
+		disttime.FromEstimate(5, 1),
+		disttime.FromEstimate(5.5, 1),
+		disttime.FromEstimate(50, 1), // the liar
+	})
+	if !ok {
+		t.Fatal("no majority")
 	}
-	if len(sel.Falsetickers) != 1 {
+	if len(sel.Falsetickers) != 1 || sel.Falsetickers[0] != 2 {
 		t.Errorf("falsetickers = %v", sel.Falsetickers)
 	}
 }
@@ -236,20 +236,6 @@ func TestSinusoidAndSlewFacade(t *testing.T) {
 	slew.Set(0, 10)
 	if slew.PendingCorrection() != 10 {
 		t.Errorf("pending = %v", slew.PendingCorrection())
-	}
-}
-
-func TestSelectRFCFacade(t *testing.T) {
-	sel, err := disttime.SelectRFC([]disttime.SelectionReading{
-		{ID: "a", Interval: disttime.FromEstimate(5, 1)},
-		{ID: "b", Interval: disttime.FromEstimate(5.2, 1)},
-		{ID: "liar", Interval: disttime.FromEstimate(50, 1)},
-	}, disttime.SelectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel.Falsetickers) != 1 {
-		t.Errorf("falsetickers = %v", sel.Falsetickers)
 	}
 }
 

@@ -12,8 +12,9 @@
 // error) and algorithm IM (intersect all intervals and take the midpoint)
 // — together with everything needed to run, test, and measure them:
 //
-//   - the interval algebra, consistency groups, and the fault-tolerant
-//     M-of-N intersection (Marzullo's algorithm) in internal/interval;
+//   - the interval algebra, consistency groups, the fault-tolerant
+//     M-of-N intersection (Marzullo's algorithm) and the majority
+//     selection built on it (Select) in internal/interval;
 //   - drifting and failing clock models and a monotonic wrapper in
 //     internal/clock;
 //   - a deterministic discrete-event simulator and network in
@@ -22,7 +23,6 @@
 //     heuristic, the Section 5 consonance (rate interval) machinery, and
 //     baseline synchronization functions in internal/core;
 //   - a full simulated time service harness in internal/service;
-//   - NTP-style selection/cluster/combine in internal/ntp;
 //   - a real UDP time service (wire protocol, server, client, disciplined
 //     clock) in internal/udptime;
 //   - every figure and theorem of the paper as a runnable experiment in

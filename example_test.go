@@ -103,20 +103,20 @@ func ExampleNewSimulation() {
 	// Output: after 600s: all correct=true, consistent=true
 }
 
-// Selection classifies sources into survivors and falsetickers before
-// combining.
+// Selection classifies sources into survivors and falsetickers when a
+// majority of them agrees.
 func ExampleSelect() {
-	sel, err := disttime.Select([]disttime.SelectionReading{
-		{ID: "good-1", Interval: disttime.FromEstimate(5.0, 1)},
-		{ID: "good-2", Interval: disttime.FromEstimate(5.4, 1)},
-		{ID: "liar", Interval: disttime.FromEstimate(50, 1)},
-	}, disttime.SelectOptions{})
-	if err != nil {
-		panic(err)
+	sel, ok := disttime.Select([]disttime.Interval{
+		disttime.FromEstimate(5.0, 1),
+		disttime.FromEstimate(5.4, 1),
+		disttime.FromEstimate(50, 1), // the liar
+	})
+	if !ok {
+		panic("no majority")
 	}
-	fmt.Printf("survivors=%v falsetickers=%v tolerated=%d\n",
-		sel.Survivors, sel.Falsetickers, sel.ToleratedFaults)
-	// Output: survivors=[0 1] falsetickers=[2] tolerated=1
+	fmt.Printf("survivors=%v falsetickers=%v agreed=[%.1f, %.1f]\n",
+		sel.Survivors, sel.Falsetickers, sel.Interval.Lo, sel.Interval.Hi)
+	// Output: survivors=[0 1] falsetickers=[2] agreed=[4.4, 6.0]
 }
 
 // The monotonic wrapper implements the Section 1.1 technique: after a

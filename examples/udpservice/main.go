@@ -100,7 +100,7 @@ func run() error {
 	}
 
 	// Majority selection rejects it and disciplines the clock.
-	sel, err := disttime.SyncSelect(dc, ms, 10)
+	sel, err := disttime.SyncSelect(dc, ms)
 	if err != nil {
 		return err
 	}

@@ -175,17 +175,13 @@ func (BuggyIM) Sync(s *core.Server, t float64, replies []core.Reply) core.Result
 	var res core.Result
 	ivs := []interval.Interval{s.Interval(t)}
 	for _, r := range replies {
-		// The honest interval construction (core.Server.effective): age the
-		// reply by the collection delay, charge drift on the age and one
-		// transit on the lead. The construction is correct — the bug is
-		// purely in what the function does with the intervals.
+		// The honest interval construction, from the rules every honest
+		// function uses: the bug is purely in what this function does
+		// with the intervals.
 		age := math.Max(0, r.Age)
-		drift := s.Delta() * age
-		c := r.C + age
-		ivs = append(ivs, interval.Interval{
-			Lo: c - (r.E + drift),
-			Hi: c + (r.E + (1+s.Delta())*r.RTT + drift),
-		})
+		trail, lead := core.Charge(r.E, r.RTT, age, s.Delta())
+		lo, hi := core.Offset(r.C+age, trail, lead, 0)
+		ivs = append(ivs, interval.Interval{Lo: lo, Hi: hi})
 	}
 	best := interval.Marzullo(ivs)
 	var member []interval.Interval

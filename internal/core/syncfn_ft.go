@@ -66,80 +66,41 @@ func (tm TrimmedMean) Sync(s *Server, t float64, replies []Reply) Result {
 
 // SelectIM is the intersection function hardened against falsetickers:
 // instead of requiring every interval to intersect (rule IM-2, which
-// refuses to act on an inconsistent service), it finds the region covered
-// by the largest number of intervals — Marzullo's algorithm — and, when
-// that agreement reaches a majority, resets to its midpoint. This is the
+// refuses to act on an inconsistent service), it runs majority selection
+// (interval.Select) over the server's own interval and the replies' and
+// resets to the midpoint of the selected region. This is the
 // [Marzullo 83] extension running inside the service loop, and the shape
 // NTP's clock selection later took.
-type SelectIM struct {
-	// MinSurvivors is the required agreement; zero means a strict
-	// majority of the considered intervals (replies plus self).
-	MinSurvivors int
-	// ExcludeSelf drops the server's own interval from consideration.
-	ExcludeSelf bool
-	// FloorError clamps the derived error from below, as in IM.
-	FloorError float64
-}
+type SelectIM struct{}
 
 // Name returns "select-IM".
 func (SelectIM) Name() string { return "select-IM" }
 
 // Sync finds the majority intersection and adopts its midpoint.
-func (f SelectIM) Sync(s *Server, t float64, replies []Reply) Result {
+func (SelectIM) Sync(s *Server, t float64, replies []Reply) Result {
 	var res Result
-	ci := s.Read(t)
-	var ivs []interval.Interval
-	if !f.ExcludeSelf {
-		ei := s.ErrorAt(t)
-		ivs = append(ivs, interval.FromEstimate(ci, ei))
-	}
+	// The server votes its own interval, at index 0: reply i is ivs[i+1].
+	ivs := []interval.Interval{interval.FromEstimate(s.Read(t), s.ErrorAt(t))}
 	for _, r := range replies {
 		ivs = append(ivs, s.replyInterval(r))
 	}
-	if len(ivs) == 0 {
-		return res
-	}
-	need := f.MinSurvivors
-	if need <= 0 {
-		need = len(ivs)/2 + 1
-	}
-	best := interval.Marzullo(ivs)
-	if best.Count < need {
+	sel, ok := interval.Select(ivs)
+	if !ok {
 		// No sufficient agreement: the service is too inconsistent to
 		// act. Flag every reply so the recovery policy can run.
 		s.noteInconsistent()
 		res.Inconsistent = inconsistentIndices(len(replies))
 		return res
 	}
-	// Tighten to the full common region of the agreeing intervals and
-	// classify the replies outside it.
-	var member []interval.Interval
-	for _, iv := range ivs {
-		if interval.Consistent(iv, best.Interval) {
-			member = append(member, iv)
-		}
-	}
-	common, ok := interval.IntersectAll(member)
-	if !ok {
-		common = best.Interval
-	}
-	selfIdx := 0
-	if f.ExcludeSelf {
-		selfIdx = -1 // replies start at ivs[0]
-	}
-	for i := range replies {
-		if !interval.Consistent(ivs[i+1+selfIdx], best.Interval) {
+	for _, idx := range sel.Falsetickers {
+		if idx > 0 {
 			s.noteInconsistent()
-			res.Inconsistent = append(res.Inconsistent, i)
+			res.Inconsistent = append(res.Inconsistent, idx-1)
 		}
 	}
-	eps := common.HalfWidth()
-	if f.FloorError > eps {
-		eps = f.FloorError
-	}
-	s.SetClock(t, common.Midpoint(), eps)
+	s.SetClock(t, sel.Interval.Midpoint(), sel.Interval.HalfWidth())
 	res.Reset = true
-	res.Accepted = best.Count
+	res.Accepted = len(sel.Survivors)
 	return res
 }
 
@@ -151,9 +112,8 @@ func (f SelectIM) Sync(s *Server, t float64, replies []Reply) Result {
 // interval, hence by at least len(ivs)-F intervals, hence lies inside the
 // span no matter what the liars report to this particular peer. SelectIM
 // does not have this property: a single liar whose interval overlaps one
-// flank of the honest cluster drags the max-overlap window (and its
-// tightened intersection) off real time, which is exactly the violation
-// the chaos tier's BuggyIM plants. The price of soundness is width: the
+// flank of the honest cluster drags the max-overlap window off real
+// time, which is exactly the violation the chaos tier's BuggyIM plants. The price of soundness is width: the
 // span never excludes a liar's overlap, so the adopted error bound is
 // wider than SelectIM's. An empty envelope means more than F of the
 // collected intervals lie (or the budget was misconfigured); ByzIM then

@@ -116,29 +116,10 @@ func TestSelectIMNoMajority(t *testing.T) {
 	}
 }
 
-func TestSelectIMExcludeSelf(t *testing.T) {
-	s := newServer(t, 1, 0, 100, 0, 0.1) // tight but wrong self interval
-	res := SelectIM{ExcludeSelf: true}.Sync(s, 0, []Reply{
-		{From: 2, C: 110, E: 1},
-		{From: 3, C: 110.5, E: 1},
-		{From: 4, C: 109.5, E: 1},
-	})
-	if !res.Reset {
-		t.Fatal("no reset")
-	}
-	if got := s.Read(0); math.Abs(got-110) > 0.6 {
-		t.Errorf("clock = %v, want ~110", got)
-	}
-}
-
 func TestSelectIMEmptyReplies(t *testing.T) {
 	s := newServer(t, 1, 0, 100, 0, 1)
-	res := SelectIM{ExcludeSelf: true}.Sync(s, 0, nil)
-	if res.Reset {
-		t.Error("reset with nothing to select from")
-	}
 	// With self only, a single interval is its own majority of one.
-	res = SelectIM{}.Sync(s, 0, nil)
+	res := SelectIM{}.Sync(s, 0, nil)
 	if !res.Reset {
 		t.Error("self-only majority should reset (no-op value)")
 	}
@@ -191,20 +172,6 @@ func TestIMFloorError(t *testing.T) {
 	IM{FloorError: 0.7}.Sync(s2, 0, []Reply{{From: 2, C: 100, E: 3, RTT: 0}})
 	if got := s2.Epsilon(); got != 3 {
 		t.Errorf("epsilon = %v, want unfloored 3", got)
-	}
-}
-
-func TestSelectIMFloorError(t *testing.T) {
-	s := newServer(t, 1, 0, 100, 0, 5)
-	res := SelectIM{FloorError: 0.9}.Sync(s, 0, []Reply{
-		{From: 2, C: 100, E: 0.05, RTT: 0},
-		{From: 3, C: 100.02, E: 0.05, RTT: 0},
-	})
-	if !res.Reset {
-		t.Fatal("no reset")
-	}
-	if got := s.Epsilon(); got != 0.9 {
-		t.Errorf("epsilon = %v, want floored 0.9", got)
 	}
 }
 

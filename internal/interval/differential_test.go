@@ -219,6 +219,7 @@ func TestMarzulloDifferential(t *testing.T) {
 					trial, variant, ivs, got, want)
 			}
 		}
+		checkSelect(t, ivs)
 	}
 }
 

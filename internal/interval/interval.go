@@ -12,6 +12,9 @@
 //   - the fault-tolerant "best intersection" sweep — Marzullo's algorithm —
 //     which finds the interval contained in the largest number of source
 //     intervals (the [Marzullo 83] extension used by NTP),
+//   - majority selection over that sweep (Select): the one place the
+//     survivor/falseticker split is decided, for the simulator's SelectIM
+//     and the UDP client's SyncSelect alike,
 //   - consistency-group decomposition of an inconsistent service (Figure 4).
 //
 // All times are float64 seconds on the real-time axis. The package is pure:
@@ -335,6 +338,54 @@ func MarzulloSpan(ivs []Interval, m int) (Interval, bool) {
 	iv, ok := sw.MarzulloSpan(ivs, m)
 	sweeperPool.Put(sw)
 	return iv, ok
+}
+
+// Selection is the outcome of Select: the agreed region and the partition
+// of the inputs into the sources that share it and the ones that do not.
+type Selection struct {
+	// Interval is the region every survivor contains: their common
+	// intersection.
+	Interval Interval
+	// Survivors and Falsetickers partition the input indices, each in
+	// increasing order.
+	Survivors    []int
+	Falsetickers []int
+}
+
+// Select is majority selection, the [Marzullo 83] extension to failing
+// clocks: it finds the region covered by the largest number of intervals
+// and, when that number is a strict majority of the inputs, splits the
+// inputs into the survivors that contain the region and the falsetickers
+// that do not. With n inputs of which fewer than half are wrong, the
+// correct ones all contain the correct time, so they alone outnumber any
+// agreement among the rest and the selected region is the one they share.
+// It reports false when no point reaches a majority, which includes the
+// empty input: the sources are too inconsistent to choose among.
+//
+// An inverted input covers no point, so it counts toward n and is always
+// a falseticker.
+//
+// The sweep's region needs no tightening. It runs from the last lower
+// edge at its left end to the next edge in sorted order, which is an upper
+// edge (another lower edge would raise the coverage past its maximum), and
+// no endpoint lies strictly between the two. So every input that meets the
+// region contains it, and the inputs that own those two edges are among
+// them: the region is exactly the survivors' intersection (FuzzSelect
+// holds it to that).
+func Select(ivs []Interval) (Selection, bool) {
+	best := Marzullo(ivs)
+	if best.Count <= len(ivs)/2 {
+		return Selection{}, false
+	}
+	sel := Selection{Interval: best.Interval, Survivors: make([]int, 0, best.Count)}
+	for i, iv := range ivs {
+		if iv.ContainsInterval(best.Interval) {
+			sel.Survivors = append(sel.Survivors, i)
+		} else {
+			sel.Falsetickers = append(sel.Falsetickers, i)
+		}
+	}
+	return sel, true
 }
 
 // Group is one maximal set of mutually consistent intervals, together with

@@ -768,3 +768,96 @@ func TestMarzulloSpanContainsAtLeast(t *testing.T) {
 		}
 	}
 }
+
+func TestSelectAllAgree(t *testing.T) {
+	sel, ok := Select([]Interval{FromEstimate(10, 2), FromEstimate(11, 2), FromEstimate(9.5, 2)})
+	if !ok {
+		t.Fatal("no majority among three agreeing sources")
+	}
+	if len(sel.Survivors) != 3 || len(sel.Falsetickers) != 0 {
+		t.Fatalf("selection = %+v", sel)
+	}
+	// The selected region is the true intersection: [9, 11.5].
+	if math.Abs(sel.Interval.Lo-9) > 1e-12 || math.Abs(sel.Interval.Hi-11.5) > 1e-12 {
+		t.Errorf("interval = %v", sel.Interval)
+	}
+}
+
+func TestSelectRejectsFalseticker(t *testing.T) {
+	sel, ok := Select([]Interval{FromEstimate(10, 1), FromEstimate(10.5, 1), FromEstimate(100, 1)})
+	if !ok {
+		t.Fatal("no majority with two of three agreeing")
+	}
+	if !equalInts(sel.Survivors, []int{0, 1}) || !equalInts(sel.Falsetickers, []int{2}) {
+		t.Fatalf("survivors = %v, falsetickers = %v", sel.Survivors, sel.Falsetickers)
+	}
+}
+
+// TestSelectNoMajority: half is not a majority. Two pairs that each agree
+// are as undecidable as four sources that share nothing.
+func TestSelectNoMajority(t *testing.T) {
+	for name, ivs := range map[string][]Interval{
+		"all disjoint": {FromEstimate(0, 1), FromEstimate(100, 1), FromEstimate(200, 1), FromEstimate(300, 1)},
+		"two pairs":    {FromEstimate(10, 1), FromEstimate(10.5, 1), FromEstimate(50, 1), FromEstimate(51, 1)},
+	} {
+		if sel, ok := Select(ivs); ok {
+			t.Errorf("%s: selected %+v without a majority", name, sel)
+		}
+	}
+}
+
+// TestSelectEmptyAndInvalid: nothing agrees in an empty input. An inverted
+// interval covers no point, so it can never be part of an agreement, but
+// it is still a source that was asked: it counts toward the n a majority
+// is taken of, and it is always a falseticker.
+func TestSelectEmptyAndInvalid(t *testing.T) {
+	if _, ok := Select(nil); ok {
+		t.Error("empty input selected")
+	}
+	inverted := Interval{Lo: 2, Hi: 1}
+	if _, ok := Select([]Interval{inverted}); ok {
+		t.Error("a lone inverted interval selected")
+	}
+	good := FromEstimate(10, 1)
+	if _, ok := Select([]Interval{good}); !ok {
+		t.Error("a lone valid interval is its own majority")
+	}
+	if _, ok := Select([]Interval{good, inverted}); ok {
+		t.Error("one of two is not a majority, whatever the other is")
+	}
+	sel, ok := Select([]Interval{inverted, good, good})
+	if !ok || !equalInts(sel.Survivors, []int{1, 2}) || !equalInts(sel.Falsetickers, []int{0}) {
+		t.Errorf("Select(inverted, good, good) = %+v, %v: want the inverted one the only falseticker", sel, ok)
+	}
+}
+
+// TestSelectToleratesFMinority: with n = 10 and f < n/2 falsetickers, the
+// correct sources always survive, no falseticker does, and the selected
+// region contains the correct time.
+func TestSelectToleratesFMinority(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const n, truth = 10, 1000.0
+	for f := 0; f <= 4; f++ {
+		for trial := 0; trial < 100; trial++ {
+			var ivs []Interval
+			for i := 0; i < n-f; i++ {
+				e := 0.5 + rng.Float64()
+				ivs = append(ivs, FromEstimate(truth+(rng.Float64()*2-1)*e, e))
+			}
+			for i := 0; i < f; i++ {
+				// Falsetickers are far off and tight, the dangerous kind.
+				ivs = append(ivs, FromEstimate(truth+100+rng.Float64()*100, 0.1))
+			}
+			sel, ok := Select(ivs)
+			if !ok {
+				t.Fatalf("f=%d trial %d: no majority", f, trial)
+			}
+			if !sel.Interval.Contains(truth) {
+				t.Fatalf("f=%d trial %d: selected interval %v excludes truth", f, trial, sel.Interval)
+			}
+			if len(sel.Survivors) != n-f || sel.Survivors[n-f-1] != n-f-1 {
+				t.Fatalf("f=%d trial %d: survivors %v, want exactly the first %d", f, trial, sel.Survivors, n-f)
+			}
+		}
+	}
+}

@@ -125,9 +125,8 @@ type Config struct {
 func DefaultConfig() *Config {
 	return &Config{
 		NowAllowed: []string{
-			// Real-network time sources: wall clock is the subject.
+			// The real-network time source: wall clock is the subject.
 			"disttime/internal/udptime",
-			"disttime/internal/ntp",
 			// Binaries and runnable examples: pacing, timeouts, and
 			// wall-clock reporting at the edge are legitimate.
 			"disttime/cmd",

@@ -6,7 +6,7 @@ import (
 )
 
 // NowCheck enforces the simulated-path time discipline: outside the
-// real-network packages (internal/udptime, internal/ntp) and the binaries
+// real-network package (internal/udptime) and the binaries
 // (cmd/, examples/), code must not read the wall clock. Paper §1.1 models
 // a clock reading as the pair <C, E>; the reproduction's simulated path
 // draws C from internal/sim's virtual timeline and internal/clock's drift

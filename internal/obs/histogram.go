@@ -6,65 +6,6 @@ import (
 	"sync/atomic"
 )
 
-// Histogram is a fixed-bucket histogram: bucket i counts observations v
-// with v <= bounds[i] (and v > bounds[i-1]); observations above the last
-// bound land in the overflow bucket. Observe is allocation-free: one
-// binary search over the preallocated bounds plus three atomic updates.
-type Histogram struct {
-	bounds  []float64
-	buckets []atomic.Uint64 // len(bounds)+1; last is overflow
-	count   atomic.Uint64
-	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	validateBounds(bounds)
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	return &Histogram{
-		bounds:  b,
-		buckets: make([]atomic.Uint64, len(b)+1),
-	}
-}
-
-// Observe records one value.
-//
-//lint:noalloc
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	// Binary search for the first bound >= v.
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if h.bounds[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	h.buckets[lo].Add(1)
-	h.count.Add(1)
-	addFloat(&h.sumBits, v)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
 // Bucket is one histogram bucket in a snapshot: the count of
 // observations at or below UpperBound (non-cumulative; Inf marks the
 // overflow bucket).
@@ -87,42 +28,6 @@ func (b Bucket) MarshalJSON() ([]byte, error) {
 	out = strconv.AppendUint(out, b.Count, 10)
 	out = append(out, '}')
 	return out, nil
-}
-
-// Buckets returns the non-empty buckets in increasing bound order.
-func (h *Histogram) Buckets() []Bucket {
-	if h == nil {
-		return nil
-	}
-	var out []Bucket
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			continue
-		}
-		ub := math.Inf(1)
-		if i < len(h.bounds) {
-			ub = h.bounds[i]
-		}
-		out = append(out, Bucket{UpperBound: ub, Count: n})
-	}
-	return out
-}
-
-// cumulative returns every bucket (including empty ones) with cumulative
-// counts, for Prometheus text exposition.
-func (h *Histogram) cumulative() []Bucket {
-	out := make([]Bucket, len(h.buckets))
-	var cum uint64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		ub := math.Inf(1)
-		if i < len(h.bounds) {
-			ub = h.bounds[i]
-		}
-		out[i] = Bucket{UpperBound: ub, Count: cum}
-	}
-	return out
 }
 
 // LogHistogram is an HDR-style log-bucket histogram for positive values
@@ -160,7 +65,7 @@ func logIndex(v float64) int {
 	if exp < logMinExp {
 		return 0
 	}
-	if exp > logMaxExp {
+	if exp > logMaxExp || frac >= 1 { // +Inf comes back as (+Inf, 0)
 		return logNumBuckets - 1
 	}
 	sub := int((frac - 0.5) * 2 * logSubBuckets)

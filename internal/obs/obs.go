@@ -1,6 +1,6 @@
 // Package obs is the repository's dependency-free observability layer:
-// a metrics registry (counters, gauges, fixed-bucket and HDR-style
-// log-bucket histograms) plus structured synchronization-round spans.
+// a metrics registry (counters, gauges, HDR-style log-bucket histograms)
+// plus structured synchronization-round spans.
 //
 // The paper's evaluation (Section 4, Figures 5-7) is entirely empirical:
 // distributions of error bounds, adjustment magnitudes, and round
@@ -33,7 +33,6 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -105,7 +104,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 	logs     map[string]*LogHistogram
 }
 
@@ -114,7 +112,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
 		logs:     make(map[string]*LogHistogram),
 	}
 }
@@ -143,22 +140,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named fixed-bucket histogram, creating it with
-// the given bucket upper bounds if needed. The bounds must be strictly
-// increasing; an existing histogram's bounds win (the argument is then
-// ignored), matching Prometheus client semantics for repeated
-// registration.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		h = newHistogram(bounds)
-		r.hists[name] = h
-	}
-	return h
-}
-
 // LogHistogram returns the named HDR-style log-bucket histogram,
 // creating it if needed.
 func (r *Registry) LogHistogram(name string) *LogHistogram {
@@ -183,15 +164,4 @@ func sortedNames[V any](m map[string]V) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// validateBounds panics on non-increasing histogram bounds; histograms
-// are wired at startup, so a bad boundary list is a programming error,
-// not a runtime condition.
-func validateBounds(bounds []float64) {
-	for i := 1; i < len(bounds); i++ {
-		if !(bounds[i] > bounds[i-1]) {
-			panic(fmt.Sprintf("obs: histogram bounds not strictly increasing at %d: %v", i, bounds))
-		}
-	}
 }

@@ -33,16 +33,14 @@ func TestCounterAndGauge(t *testing.T) {
 func TestNilHandlesAreSafe(t *testing.T) {
 	var c *Counter
 	var g *Gauge
-	var h *Histogram
 	var lh *LogHistogram
 	var tr *Tracer
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
-	h.Observe(1)
 	lh.Observe(1)
 	tr.Emit(SyncSpan{})
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || lh.Count() != 0 || tr.Spans() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || lh.Count() != 0 || tr.Spans() != 0 {
 		t.Fatal("nil metric handles must be inert")
 	}
 	if tr.Err() != nil {
@@ -50,77 +48,17 @@ func TestNilHandlesAreSafe(t *testing.T) {
 	}
 }
 
-func TestHistogramZeroObservations(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("empty", []float64{1, 2, 3})
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatalf("empty histogram count=%d sum=%v", h.Count(), h.Sum())
-	}
-	if bk := h.Buckets(); len(bk) != 0 {
-		t.Fatalf("empty histogram has buckets: %v", bk)
-	}
-	lh := r.LogHistogram("empty_log")
-	if lh.Count() != 0 || len(lh.Buckets()) != 0 {
-		t.Fatal("empty log histogram must have no buckets")
-	}
-	if q := lh.Quantile(0.99); q != 0 {
-		t.Fatalf("empty quantile = %v, want 0", q)
-	}
-	// Snapshot of empty histograms is still well-formed.
-	snap := r.Snapshot()
-	if len(snap.Histograms) != 2 {
-		t.Fatalf("snapshot has %d histograms, want 2", len(snap.Histograms))
-	}
-}
-
-func TestHistogramBucketBoundaries(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", []float64{1, 2, 4})
-	// A value exactly on a bound lands in that bound's bucket (le
-	// semantics); just above it lands in the next.
-	h.Observe(1) // -> le=1
-	h.Observe(math.Nextafter(1, 2))
-	h.Observe(2)  // -> le=2 (with the previous one)
-	h.Observe(4)  // -> le=4
-	h.Observe(-5) // below everything -> le=1
-	bk := h.Buckets()
-	want := []Bucket{{1, 2}, {2, 2}, {4, 1}}
-	if len(bk) != len(want) {
-		t.Fatalf("buckets = %v, want %v", bk, want)
-	}
-	for i := range want {
-		if bk[i] != want[i] {
-			t.Fatalf("bucket %d = %v, want %v", i, bk[i], want[i])
-		}
-	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
-	}
-}
-
-func TestHistogramOverflowBucket(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", []float64{1, 2})
-	h.Observe(1e9)
-	h.Observe(math.Inf(1))
-	bk := h.Buckets()
-	if len(bk) != 1 || !math.IsInf(bk[0].UpperBound, 1) || bk[0].Count != 2 {
-		t.Fatalf("overflow buckets = %v", bk)
-	}
-}
-
-func TestHistogramBadBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-increasing bounds must panic")
-		}
-	}()
-	NewRegistry().Histogram("bad", []float64{1, 1})
-}
-
 func TestLogHistogramBucketsAndQuantile(t *testing.T) {
 	r := NewRegistry()
 	h := r.LogHistogram("rtt")
+	// Before any observation: nothing counted, no buckets, quantile 0,
+	// and the snapshot still lists the histogram.
+	if h.Count() != 0 || h.Sum() != 0 || len(h.Buckets()) != 0 || h.Quantile(0.99) != 0 {
+		t.Fatalf("empty histogram: count=%d sum=%v buckets=%v q99=%v", h.Count(), h.Sum(), h.Buckets(), h.Quantile(0.99))
+	}
+	if snap := r.Snapshot(); len(snap.Histograms) != 1 || snap.Histograms[0].Name != "rtt" {
+		t.Fatalf("snapshot of an empty histogram = %+v", snap.Histograms)
+	}
 	// The floor bucket catches zero, negatives, and NaN.
 	h.Observe(0)
 	h.Observe(-3)
@@ -144,11 +82,15 @@ func TestLogHistogramBucketsAndQuantile(t *testing.T) {
 		}
 		h.Observe(v)
 	}
-	// Out-of-range values clamp, not vanish.
+	// Out-of-range values clamp, not vanish; +Inf is one of them.
 	h.Observe(1e-300)
 	h.Observe(1e300)
-	if got := int(h.Count()); got != 11 {
-		t.Fatalf("count = %d, want 11", got)
+	h.Observe(math.Inf(1))
+	if got := int(h.Count()); got != 12 {
+		t.Fatalf("count = %d, want 12", got)
+	}
+	if bk := h.Buckets(); bk[len(bk)-1] != (Bucket{logUpperBound(logNumBuckets - 1), 2}) {
+		t.Fatalf("last bucket = %v, want 1e300 and +Inf clamped into the top one", bk[len(bk)-1])
 	}
 	// Quantile upper-bounds the true quantile within the covered range:
 	// 1e300 clamps into the last bucket, so q=1 reports that bucket's
@@ -158,6 +100,22 @@ func TestLogHistogramBucketsAndQuantile(t *testing.T) {
 	}
 	if q := h.Quantile(0); q != 0 {
 		t.Fatalf("q0 = %v, want 0 (floor bucket occupied)", q)
+	}
+}
+
+// TestLogHistogramSeparatesSmallCounts: the gossip-entry histograms
+// observe small integers, and eight sub-buckets an octave give each of
+// 1..15 a bucket of its own, bounded by the next integer at most (from 16
+// on, two integers share one).
+func TestLogHistogramSeparatesSmallCounts(t *testing.T) {
+	for n := 1; n <= 15; n++ {
+		i := logIndex(float64(n))
+		if i == logIndex(float64(n+1)) {
+			t.Errorf("%d and %d share bucket %d", n, n+1, i)
+		}
+		if ub := logUpperBound(i); ub <= float64(n) || ub > float64(n+1) {
+			t.Errorf("%d lands in a bucket bounded by %v, want a bound in (%d, %d]", n, ub, n, n+1)
+		}
 	}
 }
 
@@ -179,7 +137,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 		r.Counter("z_total").Add(7)
 		r.Counter("a_total").Add(3)
 		r.Gauge("m_gauge").Set(1.25)
-		h := r.Histogram("f_hist", []float64{0.1, 1, 10})
+		h := r.LogHistogram("f_hist")
 		lh := r.LogHistogram("d_hist")
 		for i := 0; i < 100; i++ {
 			h.Observe(float64(i) * 0.07)
@@ -222,7 +180,7 @@ func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("reqs_total").Add(3)
 	r.Gauge("depth").Set(2.5)
-	h := r.Histogram("lat", []float64{1, 2})
+	h := r.LogHistogram("lat")
 	h.Observe(0.5)
 	h.Observe(5)
 	var buf bytes.Buffer
@@ -233,8 +191,8 @@ func TestPrometheusExposition(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE reqs_total counter\nreqs_total 3\n",
 		"# TYPE depth gauge\ndepth 2.5\n",
-		`lat_bucket{le="1"} 1`,
-		`lat_bucket{le="2"} 1`, // cumulative: nothing landed in (1,2]
+		`lat_bucket{le="0.5625"} 1`,
+		`lat_bucket{le="5.5"} 2`, // cumulative, and only the occupied buckets
 		`lat_bucket{le="+Inf"} 2`,
 		"lat_sum 5.5",
 		"lat_count 2",
@@ -307,12 +265,10 @@ func TestConcurrentUpdatesRaceClean(t *testing.T) {
 			defer wg.Done()
 			c := r.Counter("c_total")
 			gg := r.Gauge("g")
-			h := r.Histogram("h", []float64{1, 10, 100})
 			lh := r.LogHistogram("lh")
 			for i := 0; i < 1000; i++ {
 				c.Inc()
 				gg.Set(float64(i))
-				h.Observe(float64(i % 200))
 				lh.Observe(float64(i%97) * 1e-3)
 				if i%100 == 0 {
 					tracer.Emit(SyncSpan{T: float64(i), Node: g})
@@ -323,9 +279,6 @@ func TestConcurrentUpdatesRaceClean(t *testing.T) {
 	wg.Wait()
 	if got := r.Counter("c_total").Value(); got != 8000 {
 		t.Fatalf("counter = %d, want 8000", got)
-	}
-	if got := r.Histogram("h", nil).Count(); got != 8000 {
-		t.Fatalf("histogram count = %d, want 8000", got)
 	}
 	if got := r.LogHistogram("lh").Count(); got != 8000 {
 		t.Fatalf("log histogram count = %d, want 8000", got)
@@ -345,12 +298,10 @@ func TestHotPathAllocationFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
 	g := r.Gauge("g")
-	h := r.Histogram("h", []float64{1, 2, 3})
 	lh := r.LogHistogram("lh")
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		g.Set(2)
-		h.Observe(1.5)
 		lh.Observe(0.25)
 	})
 	if allocs != 0 {

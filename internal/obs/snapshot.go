@@ -20,7 +20,8 @@ type GaugeSnapshot struct {
 }
 
 // HistogramSnapshot is one histogram's state at snapshot time. Kind is
-// "fixed" or "log"; Buckets holds only the non-empty buckets, in
+// always "log", the one kind there is; the field stays so that snapshot
+// files keep their shape. Buckets holds only the non-empty buckets, in
 // increasing bound order (non-cumulative counts).
 type HistogramSnapshot struct {
 	Name    string   `json:"name"`
@@ -54,44 +55,14 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, name := range sortedNames(r.gauges) {
 		s.Gauges = append(s.Gauges, GaugeSnapshot{Name: name, Value: r.gauges[name].Value()})
 	}
-	s.Histograms = make([]HistogramSnapshot, 0, len(r.hists)+len(r.logs))
-	// Fixed and log histograms share one sorted namespace; fixed names
-	// sort first only if they compare first.
-	var hists []namedHist
-	for _, name := range sortedNames(r.hists) {
-		h := r.hists[name]
-		hists = append(hists, namedHist{name, HistogramSnapshot{
-			Name: name, Kind: "fixed", Count: h.Count(), Sum: h.Sum(), Buckets: h.Buckets(),
-		}})
-	}
+	s.Histograms = make([]HistogramSnapshot, 0, len(r.logs))
 	for _, name := range sortedNames(r.logs) {
 		h := r.logs[name]
-		hists = append(hists, namedHist{name, HistogramSnapshot{
+		s.Histograms = append(s.Histograms, HistogramSnapshot{
 			Name: name, Kind: "log", Count: h.Count(), Sum: h.Sum(), Buckets: h.Buckets(),
-		}})
-	}
-	// Merge the two already-sorted runs by name.
-	sortNamedHists(hists)
-	for _, nh := range hists {
-		s.Histograms = append(s.Histograms, nh.snap)
+		})
 	}
 	return s
-}
-
-// namedHist pairs a histogram snapshot with its sort key.
-type namedHist struct {
-	name string
-	snap HistogramSnapshot
-}
-
-// sortNamedHists orders histogram snapshots by name (insertion sort; the
-// input is two concatenated sorted runs, so this is near-linear).
-func sortNamedHists(hists []namedHist) {
-	for i := 1; i < len(hists); i++ {
-		for j := i; j > 0 && hists[j].name < hists[j-1].name; j-- {
-			hists[j], hists[j-1] = hists[j-1], hists[j]
-		}
-	}
 }
 
 // WriteJSON writes the snapshot as indented JSON with a trailing
@@ -131,10 +102,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		buf = append(buf, ' ')
 		buf = appendFloat(buf, r.gauges[name].Value())
 		buf = append(buf, '\n')
-	}
-	for _, name := range sortedNames(r.hists) {
-		buf = appendPromHistogram(buf, name, r.hists[name].cumulative(),
-			r.hists[name].Sum(), r.hists[name].Count())
 	}
 	for _, name := range sortedNames(r.logs) {
 		h := r.logs[name]

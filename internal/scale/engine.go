@@ -16,13 +16,14 @@
 //   - MM-2: alternatively, a reply whose transit-charged error is at most
 //     the requester's own causes an immediate adopt.
 //
-// The topology is the stratified hierarchy of simnet.BuildHierarchy:
-// regions of clusters of full-mesh members, uplinks from cluster gateways
-// to region hubs, and a hub-to-hub backbone. Sharded by region, only
-// backbone messages cross shards, so the backbone's minimum delay is the
-// kernel lookahead. Every stochastic choice draws from the choosing
-// node's own stream, so results are byte-identical for every shard count
-// (see internal/sim/shard).
+// The topology is a stratified hierarchy computed from node ids (Topo and
+// the arithmetic below it; no link objects, and internal/simnet is not
+// involved): regions of clusters of full-mesh members, uplinks from
+// cluster gateways to region hubs, and a hub-to-hub backbone. Sharded by
+// region, only backbone messages cross shards, so the backbone's minimum
+// delay is the kernel lookahead. Every stochastic choice draws from the
+// choosing node's own stream, so results are byte-identical for every
+// shard count (see internal/sim/shard).
 //
 // Chaos (falsetickers, loss, delay windows) and churn (leave/rejoin) are
 // deterministic per-node functions of the same streams, giving the

@@ -29,19 +29,14 @@ func ruleName(fn string) string {
 	}
 }
 
-// gossipEntryBounds buckets the per-message roster entry counts
-// (digests are capped by MemberConfig.DigestMax, typically single
-// digits).
-var gossipEntryBounds = []float64{1, 2, 4, 8, 16, 32}
-
 // memberMetrics holds the resolved metric handles for the membership
 // sink: gossip traffic histograms, the roster-size gauge, and the
 // eviction counters (including the false evictions the detector's
 // soundness bound promises never happen).
 type memberMetrics struct {
 	msgs        *obs.Counter
-	entriesSent *obs.Histogram
-	entriesRecv *obs.Histogram
+	entriesSent *obs.LogHistogram
+	entriesRecv *obs.LogHistogram
 	alive       *obs.Gauge
 	evictions   *obs.Counter
 	falseEvicts *obs.Counter
@@ -100,8 +95,8 @@ func (svc *Service) Observe(reg *obs.Registry, tr *obs.Tracer) {
 		if svc.MembershipEnabled() {
 			svc.memMetrics = &memberMetrics{
 				msgs:        reg.Counter("member_gossip_messages_total"),
-				entriesSent: reg.Histogram("member_gossip_entries_sent", gossipEntryBounds),
-				entriesRecv: reg.Histogram("member_gossip_entries_received", gossipEntryBounds),
+				entriesSent: reg.LogHistogram("member_gossip_entries_sent"),
+				entriesRecv: reg.LogHistogram("member_gossip_entries_received"),
 				alive:       reg.Gauge("member_alive_servers"),
 				evictions:   reg.Counter("member_evictions_total"),
 				falseEvicts: reg.Counter("member_false_evictions_total"),

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"math"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -333,95 +332,6 @@ func TestRingLineStar(t *testing.T) {
 	}
 	if err := Line(n3, ids3[:1], cfg); err == nil {
 		t.Error("Line with one node should error")
-	}
-}
-
-func TestRandomConnected(t *testing.T) {
-	_, n, ids := newTestNet(t, 10)
-	rng := rand.New(rand.NewPCG(7, 8))
-	if err := RandomConnected(n, ids, 0.2, LinkConfig{Delay: Constant{D: 0.01}}, rng); err != nil {
-		t.Fatal(err)
-	}
-	// Connectivity via BFS.
-	seen := map[NodeID]bool{ids[0]: true}
-	frontier := []NodeID{ids[0]}
-	for len(frontier) > 0 {
-		next := frontier[0]
-		frontier = frontier[1:]
-		for _, nb := range n.Neighbors(next) {
-			if !seen[nb] {
-				seen[nb] = true
-				frontier = append(frontier, nb)
-			}
-		}
-	}
-	if len(seen) != len(ids) {
-		t.Errorf("graph not connected: reached %d of %d", len(seen), len(ids))
-	}
-}
-
-func TestInternet(t *testing.T) {
-	s := sim.New(1)
-	n := New(s)
-	nets, err := Internet(n, InternetConfig{
-		NetworkSizes: []int{3, 4, 2},
-		Local:        LinkConfig{Delay: Uniform{Max: 0.005}},
-		Backbone:     LinkConfig{Delay: Uniform{Min: 0.02, Max: 0.2}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nets) != 3 {
-		t.Fatalf("got %d networks", len(nets))
-	}
-	if n.Len() != 9 {
-		t.Errorf("total nodes = %d, want 9", n.Len())
-	}
-	// Within-network connectivity.
-	if !n.Connected(nets[0][0], nets[0][1]) {
-		t.Error("local nodes not connected")
-	}
-	// Gateways connected in a ring.
-	if !n.Connected(nets[0][0], nets[1][0]) {
-		t.Error("gateways not connected")
-	}
-	// Non-gateway cross-network nodes are not directly connected.
-	if n.Connected(nets[0][1], nets[1][1]) {
-		t.Error("non-gateway nodes should not be directly connected")
-	}
-	// xi reflects the slowest link.
-	if xi := n.Xi(); math.Abs(xi-0.4) > 1e-12 {
-		t.Errorf("Xi = %v, want 0.4", xi)
-	}
-}
-
-func TestInternetErrors(t *testing.T) {
-	s := sim.New(1)
-	n := New(s)
-	if _, err := Internet(n, InternetConfig{}); err == nil {
-		t.Error("empty config should error")
-	}
-	if _, err := Internet(n, InternetConfig{
-		NetworkSizes: []int{0},
-		Local:        LinkConfig{Delay: Constant{}},
-	}); err == nil {
-		t.Error("zero-size network should error")
-	}
-}
-
-func TestInternetTwoNetworks(t *testing.T) {
-	s := sim.New(1)
-	n := New(s)
-	nets, err := Internet(n, InternetConfig{
-		NetworkSizes: []int{2, 2},
-		Local:        LinkConfig{Delay: Constant{D: 0.001}},
-		Backbone:     LinkConfig{Delay: Constant{D: 0.05}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !n.Connected(nets[0][0], nets[1][0]) {
-		t.Error("two-network gateways not connected")
 	}
 }
 

@@ -1,14 +1,10 @@
 package simnet
 
-import (
-	"fmt"
-	"math/rand/v2"
-)
+import "fmt"
 
 // This file builds the topologies used in the experiments. Theorems 2-4
 // and 7 assume a fully-connected service; the recovery and partition
-// experiments use sparser graphs; the Internet builder approximates the
-// multi-network structure of the Xerox Research Internet.
+// experiments use sparser graphs.
 
 // FullMesh links every pair of the given nodes with cfg, the topology the
 // paper's theorems assume.
@@ -57,72 +53,4 @@ func Star(n *Network, hub NodeID, leaves []NodeID, cfg LinkConfig) error {
 		}
 	}
 	return nil
-}
-
-// RandomConnected links each pair independently with probability p and
-// then adds a spanning path so the graph is connected (the paper assumes
-// the server graph is connected).
-func RandomConnected(n *Network, ids []NodeID, p float64, cfg LinkConfig, rng *rand.Rand) error {
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			if rng.Float64() < p {
-				if err := n.Connect(ids[i], ids[j], cfg); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return Line(n, ids, cfg)
-}
-
-// InternetConfig shapes a multi-network topology: several local networks,
-// each a full mesh of fast links, joined by slower backbone links between
-// per-network gateways. This mirrors the Xerox Research Internet setting
-// of the paper's Section 1.1 (local Ethernets joined by leased lines).
-type InternetConfig struct {
-	// NetworkSizes gives the number of nodes on each local network. All
-	// sizes must be positive.
-	NetworkSizes []int
-	// Local is the link config within a local network.
-	Local LinkConfig
-	// Backbone is the link config between gateways of adjacent networks.
-	Backbone LinkConfig
-}
-
-// Internet builds the multi-network topology over freshly added nodes with
-// nil handlers and returns the node ids per network; element [k][0] is
-// network k's gateway. Gateways of consecutive networks are linked in a
-// ring (a single network needs no backbone).
-func Internet(n *Network, cfg InternetConfig) ([][]NodeID, error) {
-	if len(cfg.NetworkSizes) == 0 {
-		return nil, fmt.Errorf("simnet: internet needs at least one network")
-	}
-	nets := make([][]NodeID, len(cfg.NetworkSizes))
-	for k, size := range cfg.NetworkSizes {
-		if size <= 0 {
-			return nil, fmt.Errorf("simnet: network %d has size %d", k, size)
-		}
-		ids := make([]NodeID, size)
-		for i := range ids {
-			ids[i] = n.AddNode(nil)
-		}
-		if err := FullMesh(n, ids, cfg.Local); err != nil {
-			return nil, err
-		}
-		nets[k] = ids
-	}
-	if len(nets) > 1 {
-		gateways := make([]NodeID, len(nets))
-		for k := range nets {
-			gateways[k] = nets[k][0]
-		}
-		if len(gateways) == 2 {
-			if err := n.Connect(gateways[0], gateways[1], cfg.Backbone); err != nil {
-				return nil, err
-			}
-		} else if err := Ring(n, gateways, cfg.Backbone); err != nil {
-			return nil, err
-		}
-	}
-	return nets, nil
 }

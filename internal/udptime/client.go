@@ -16,7 +16,6 @@ import (
 	"disttime/internal/core"
 	"disttime/internal/hlc"
 	"disttime/internal/interval"
-	"disttime/internal/ntp"
 	"disttime/internal/obs"
 	"disttime/internal/wire"
 )
@@ -562,19 +561,25 @@ var (
 	ErrInconsistent   = errors.New("udptime: measurements mutually inconsistent")
 )
 
-// SyncIM disciplines dc with the intersection algorithm (rule IM-2): the
-// offset intervals of all synchronized measurements, aged to the sync
-// instant and intersected with the clock's own current interval when it
-// is synchronized, yield the new offset and inherited error. It returns
-// the applied offset interval.
-func SyncIM(dc *DisciplinedClock, ms []Measurement) (interval.Interval, error) {
-	now := time.Now()
+// syncedOffsets returns the offset intervals of the synchronized
+// measurements in ms, in order, each aged to the instant now.
+func syncedOffsets(ms []Measurement, now time.Time) []interval.Interval {
 	var ivs []interval.Interval
 	for _, m := range ms {
 		if !m.Unsynchronized {
 			ivs = append(ivs, m.offsetAt(now))
 		}
 	}
+	return ivs
+}
+
+// SyncIM disciplines dc with the intersection algorithm (rule IM-2): the
+// offset intervals of all synchronized measurements, aged to the sync
+// instant and intersected with the clock's own current interval when it
+// is synchronized, yield the new offset and inherited error. It returns
+// the applied offset interval.
+func SyncIM(dc *DisciplinedClock, ms []Measurement) (interval.Interval, error) {
+	ivs := syncedOffsets(ms, time.Now())
 	if len(ivs) == 0 {
 		return interval.Interval{}, ErrNoMeasurements
 	}
@@ -584,41 +589,24 @@ func SyncIM(dc *DisciplinedClock, ms []Measurement) (interval.Interval, error) {
 	return adopt(dc, ivs)
 }
 
-// SyncSelect disciplines dc with falseticker rejection: ntp.Select over
-// the measurements' offset intervals (aged to the sync instant),
-// clustering to at most keep survivors, then the intersection of the
-// survivors. Use it when some servers may hold invalid drift bounds (the
-// Section 5 failure mode).
-func SyncSelect(dc *DisciplinedClock, ms []Measurement, keep int) (ntp.Selection, error) {
-	now := time.Now()
-	var readings []ntp.Reading
-	for _, m := range ms {
-		if !m.Unsynchronized {
-			readings = append(readings, ntp.Reading{
-				ID:       m.Addr,
-				Interval: m.offsetAt(now),
-				RTT:      m.RTT.Seconds(),
-			})
-		}
+// SyncSelect disciplines dc with falseticker rejection: majority
+// selection (interval.Select) over the measurements' offset intervals,
+// aged to the sync instant, then rule IM-2's reset to the selected region.
+// Use it when some servers may hold invalid drift bounds (the Section 5
+// failure mode). The returned indices count the synchronized measurements
+// of ms, in order.
+func SyncSelect(dc *DisciplinedClock, ms []Measurement) (interval.Selection, error) {
+	ivs := syncedOffsets(ms, time.Now())
+	if len(ivs) == 0 {
+		return interval.Selection{}, ErrNoMeasurements
 	}
-	if len(readings) == 0 {
-		return ntp.Selection{}, ErrNoMeasurements
+	sel, ok := interval.Select(ivs)
+	if !ok {
+		return interval.Selection{}, fmt.Errorf("%w: no majority of %d agrees", ErrInconsistent, len(ivs))
 	}
-	sel, err := ntp.Select(readings, ntp.Options{})
-	if err != nil {
-		return ntp.Selection{}, err
+	if _, err := adopt(dc, []interval.Interval{sel.Interval}); err != nil {
+		return interval.Selection{}, err
 	}
-	survivors := ntp.Cluster(readings, sel.Survivors, keep)
-	member := make([]interval.Interval, len(survivors))
-	for i, idx := range survivors {
-		member[i] = readings[idx].Interval
-	}
-	common, err := adopt(dc, member)
-	if err != nil {
-		return ntp.Selection{}, err
-	}
-	sel.Survivors = survivors
-	sel.Interval = common
 	return sel, nil
 }
 

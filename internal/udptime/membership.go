@@ -65,11 +65,11 @@ func (c MembershipConfig) withDefaults() MembershipConfig {
 // membershipMetrics is the resolved metric-handle set; the zero value is
 // inert (obs methods are nil-safe).
 type membershipMetrics struct {
-	msgs      *obs.Counter   // udptime_member_gossip_messages_total
-	entries   *obs.Histogram // udptime_member_gossip_entries
-	alive     *obs.Gauge     // udptime_member_alive_servers
-	known     *obs.Gauge     // udptime_member_known_servers
-	evictions *obs.Counter   // udptime_member_evictions_total
+	msgs      *obs.Counter      // udptime_member_gossip_messages_total
+	entries   *obs.LogHistogram // udptime_member_gossip_entries
+	alive     *obs.Gauge        // udptime_member_alive_servers
+	known     *obs.Gauge        // udptime_member_known_servers
+	evictions *obs.Counter      // udptime_member_evictions_total
 }
 
 func newMembershipMetrics(reg *obs.Registry) membershipMetrics {
@@ -78,7 +78,7 @@ func newMembershipMetrics(reg *obs.Registry) membershipMetrics {
 	}
 	return membershipMetrics{
 		msgs:      reg.Counter("udptime_member_gossip_messages_total"),
-		entries:   reg.Histogram("udptime_member_gossip_entries", []float64{1, 2, 4, 8, 16, 32}),
+		entries:   reg.LogHistogram("udptime_member_gossip_entries"),
 		alive:     reg.Gauge("udptime_member_alive_servers"),
 		known:     reg.Gauge("udptime_member_known_servers"),
 		evictions: reg.Counter("udptime_member_evictions_total"),

@@ -2,9 +2,12 @@ package udptime
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"disttime/internal/clock"
+	"disttime/internal/core"
 	"disttime/internal/interval"
 )
 
@@ -41,7 +44,7 @@ func TestHeldMeasurementAges(t *testing.T) {
 		t.Errorf("SyncIM applied %v: want each edge of %v moved out by >= %v s", applied, fresh, want)
 	}
 
-	sel, err := SyncSelect(dc, []Measurement{m, m}, 2)
+	sel, err := SyncSelect(dc, []Measurement{m, m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,6 +60,78 @@ func TestHeldMeasurementAges(t *testing.T) {
 	}
 	if applied != fresh {
 		t.Errorf("hand-built measurement applied as %v, want %v", applied, fresh)
+	}
+}
+
+// TestSyncSelectMatchesSelectIM holds the two callers of interval.Select
+// to each other. The same offset intervals go to SyncSelect as
+// Measurements and to core.SelectIM as Replies, on a server that reads 0
+// (so a reply's interval is its offset interval) and whose own interval is
+// too wide to decide anything: it is the one input the simulator votes and
+// the UDP client does not, and here it contains every region. With the
+// majority clear on both counts, both must flag the same falsetickers and
+// adopt the same region; the UDP side moves whole nanoseconds, so its
+// midpoint may sit up to 1 ns off and its bound rounds outward to cover
+// that.
+func TestSyncSelectMatchesSelectIM(t *testing.T) {
+	const delta = 1e-4
+	type source struct{ c, e, rtt time.Duration }
+	honest := []source{
+		{250 * time.Millisecond, 10 * time.Millisecond, 2 * time.Millisecond},
+		{253 * time.Millisecond, 8 * time.Millisecond, time.Millisecond},
+		{247 * time.Millisecond, 12 * time.Millisecond, 3 * time.Millisecond},
+		{251*time.Millisecond + 333, 9 * time.Millisecond, 1500 * time.Microsecond},
+	}
+	ahead := source{90 * time.Second, time.Millisecond, time.Millisecond}
+	behind := source{-time.Hour, time.Millisecond, time.Millisecond}
+	for _, tc := range []struct {
+		name         string
+		sources      []source
+		falsetickers []int
+	}{
+		{"all honest", honest, nil},
+		{"one ahead, last", append(slices.Clone(honest), ahead), []int{4}},
+		{"one behind, first", append([]source{behind}, honest...), []int{0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			local := time.Now()
+			var ms []Measurement
+			var replies []core.Reply
+			for i, src := range tc.sources {
+				ms = append(ms, Measurement{
+					C: local.Add(src.c), E: src.e, RTT: src.rtt, LocalRecv: local, Delta: delta,
+				})
+				replies = append(replies, core.Reply{
+					From: i + 1, C: src.c.Seconds(), E: src.e.Seconds(), RTT: src.rtt.Seconds(),
+				})
+			}
+
+			srv, err := core.NewServer(0, core.Config{Clock: clock.Perfect(0, 0), Delta: delta, InitialError: 1e6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := core.SelectIM{}.Sync(srv, 0, replies)
+			dc := mustClock(t)
+			sel, err := SyncSelect(dc, ms)
+			if err != nil || !res.Reset {
+				t.Fatalf("SyncSelect error %v, SelectIM reset %v: want both to adopt", err, res.Reset)
+			}
+
+			if !slices.Equal(sel.Falsetickers, tc.falsetickers) || !slices.Equal(res.Inconsistent, tc.falsetickers) {
+				t.Errorf("falsetickers: SyncSelect %v, SelectIM %v, want %v", sel.Falsetickers, res.Inconsistent, tc.falsetickers)
+			}
+			if got, want := len(sel.Survivors)+1, res.Accepted; got != want {
+				t.Errorf("SyncSelect survivors + the server's own vote = %d, SelectIM accepted %d", got, want)
+			}
+			mid, half := srv.Read(0), srv.Epsilon()
+			if math.Abs(sel.Interval.Midpoint()-mid) > 1e-12 || math.Abs(sel.Interval.HalfWidth()-half) > 1e-12 {
+				t.Errorf("SyncSelect selected %v, SelectIM adopted <C=%v, E=%v>", sel.Interval, mid, half)
+			}
+			shift, eps := dc.value.Sub(dc.anchor).Seconds(), dc.epsilon.Seconds()
+			if math.Abs(shift-mid) > 1e-9 || eps < half || eps-half > 2e-9 {
+				t.Errorf("SyncSelect moved the clock by %v s +/- %v s, SelectIM by %v s +/- %v s", shift, eps, mid, half)
+			}
+		})
 	}
 }
 

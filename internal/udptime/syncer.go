@@ -49,9 +49,6 @@ type SyncerConfig struct {
 	// Selection enables falseticker rejection (SyncSelect) instead of
 	// the plain intersection (SyncIM).
 	Selection bool
-	// KeepSurvivors caps the cluster size under Selection. Defaults to
-	// 10.
-	KeepSurvivors int
 	// Burst is how many back-to-back queries to send per server each
 	// round, keeping the minimum-RTT measurement (the [Mills 81]-lineage
 	// delay filter). Defaults to 1 (no burst).
@@ -99,9 +96,6 @@ func NewSyncer(dc *DisciplinedClock, cfg SyncerConfig) (*Syncer, error) {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 64 * time.Second
-	}
-	if cfg.KeepSurvivors <= 0 {
-		cfg.KeepSurvivors = 10
 	}
 	if cfg.SyncOptions.Delta <= 0 {
 		cfg.SyncOptions.Delta = dc.DriftPPM() / 1e6
@@ -202,7 +196,7 @@ func (s *Syncer) round() {
 	case len(ms) == 0:
 		report.Err = fmt.Errorf("udptime: no servers answered: %w", qerr)
 	case s.cfg.Selection:
-		sel, err := SyncSelect(s.dc, ms, s.cfg.KeepSurvivors)
+		sel, err := SyncSelect(s.dc, ms)
 		if err != nil {
 			report.Err = err
 			break

@@ -347,7 +347,7 @@ func TestSyncSelectRejectsFalseticker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := SyncSelect(dc, ms, 10)
+	sel, err := SyncSelect(dc, ms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestSyncSelectAllUnsynchronized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SyncSelect(dc, []Measurement{m}, 4); !errors.Is(err, ErrNoMeasurements) {
+	if _, err := SyncSelect(dc, []Measurement{m}); !errors.Is(err, ErrNoMeasurements) {
 		t.Errorf("error = %v, want ErrNoMeasurements", err)
 	}
 }
