@@ -144,15 +144,16 @@ txn-smoke:
 
 # Short coverage-guided fuzz passes: the M-of-N interval sweep and the
 # majority selection over it, each against its naive oracle, every parser
-# a datagram reaches on the serving path, and the client's matching of a
-# datagram to an outstanding request.
+# a datagram reaches on the serving path, the client's matching of a
+# datagram to an outstanding request, and the sharded kernel's pending
+# set (lanes and heap) against a sorted slice.
 # FUZZTIME is the budget of the whole smoke in seconds, split
 # evenly over the targets; run one target with a larger -fuzztime when
 # hunting.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = interval:FuzzIntersectMofN interval:FuzzSelect wire:FuzzParseRequest \
                wire:FuzzParseRequestHLC wire:FuzzParseResponse hlc:FuzzTimestampCodec \
-               udptime:FuzzClientReply
+               udptime:FuzzClientReply sim/shard:FuzzQueue
 fuzz-smoke:
 	@each=$$(( $(FUZZTIME:s=) / $(words $(FUZZ_TARGETS)) ))s; \
 	for t in $(FUZZ_TARGETS); do \

@@ -31,7 +31,7 @@
 //	atomicmix  — a field or variable touched via sync/atomic anywhere must
 //	             never be plain-loaded or stored elsewhere in the package.
 //	noalloc    — functions annotated //lint:noalloc must contain no
-//	             allocation-causing constructs (the shard event heap,
+//	             allocation-causing constructs (the shard pending set,
 //	             interval Sweeper, obs handles, and wire codec hot paths
 //	             carry the annotation).
 //	barrier    — sync.WaitGroup / epoch-pool misuse: Add racing Wait, Done

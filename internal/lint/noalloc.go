@@ -13,8 +13,8 @@ import (
 //	//lint:noalloc
 //
 // declares that its steady-state execution performs no heap allocation —
-// the contract behind the interval Sweeper, the sharded kernel's event
-// heap, the obs metric handles, and the wire codec. The analyzer rejects
+// the contract behind the interval Sweeper, the sharded kernel's pending
+// set, the obs metric handles, and the wire codec. The analyzer rejects
 // allocation-causing constructs inside annotated functions:
 //
 //   - make and new

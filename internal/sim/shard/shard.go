@@ -3,32 +3,51 @@
 // of the paper's Xerox setting grown to 10^5 servers and beyond, which
 // the single-heap kernel of internal/sim cannot reach.
 //
-// Nodes are partitioned across N shards. Each shard owns a
-// hand-specialized 4-ary min-heap of value-typed events (the pooled
-// event idiom of internal/sim taken one step further: events are plain
-// values in the heap's backing array, so there is nothing to pool and
-// nothing to box) and advances in lockstep windows bounded by the
-// minimum cross-shard message delay (the conservative-PDES lookahead).
-// Cross-shard deliveries buffer in per-shard outboxes during a window
-// and are exchanged at the window barrier in a deterministic merge,
-// drained in fixed source-shard order.
+// Nodes are partitioned across N shards. Each shard owns a pending set
+// of value-typed events (the pooled event idiom of internal/sim taken
+// one step further: events are plain values in backing arrays, so there
+// is nothing to pool and nothing to box) and advances in lockstep
+// windows bounded by the minimum cross-shard message delay (the
+// conservative-PDES lookahead). Cross-shard deliveries buffer in
+// per-shard outboxes during a window and are exchanged at the window
+// barrier in a deterministic merge, drained in fixed source-shard order.
+//
+// # The pending set
+//
+// The paper's traffic is timers re-armed at a constant delay (rules
+// MM-2 / IM-2 resynchronise every tau) and messages that live at most
+// xi, so the pending set (pending.go) is a few FIFO lanes beside a
+// hand-specialized 4-ary min-heap. A new event joins the first lane
+// that is empty or whose last event precedes it, which keeps every lane
+// sorted by construction, and the heap when every lane refuses; the next
+// event is the least of the lane heads and the heap top. A timer class
+// costs a ring append and a ring read however many timers are pending;
+// only what arrives out of order (messages with random delays, a handful
+// in flight at a time) pays for a heap, and that heap is shallow. The
+// order never depends on where an event was filed: when there are more
+// constant delays than lanes, or periods are jittered, or a far-future
+// one-off holds a lane until it fires, more events fall to the heap and
+// an event costs what it did with the heap alone plus one compare per
+// lane. Kernel.Seed only batches; Run sorts the batch before filing it,
+// because seeds arrive in node order at random phases and would
+// otherwise spend the first period in the heap.
 //
 // # Determinism across shard counts
 //
 // The kernel's contract is stronger than reproducibility under one
 // configuration: a seeded run is byte-identical for ANY shard count,
-// including the degenerate N=1 — which, with its single heap and
+// including the degenerate N=1 — which, with its single pending set and
 // unbounded window, IS the sequential kernel. Three rules make this
 // hold:
 //
 //   - Every event carries a key (At, From, Seq), where From is the node
 //     that created the event and Seq is that node's own monotone
-//     counter. Heap order is the lexicographic order of keys, so the
-//     global execution order is a pure function of the workload, not of
-//     the partition: keys are unique, so a min-heap's pop sequence
-//     depends only on its contents, never on insertion order. (The
-//     barrier merge still drains outboxes in fixed source-shard order so
-//     even heap internals are reproducible run-to-run.)
+//     counter. Execution order is the lexicographic order of keys, so
+//     the global execution order is a pure function of the workload, not
+//     of the partition: keys are unique, so the pending set's pop
+//     sequence depends only on its contents, never on insertion order.
+//     (The barrier merge still drains outboxes in fixed source-shard
+//     order so even its internals are reproducible run-to-run.)
 //   - Every random draw comes from a per-node PCG stream seeded from
 //     (seed, node). A node's draws depend only on its own event order.
 //   - Two events executing in the same window on different shards touch
@@ -41,9 +60,8 @@
 // the shard count are independent knobs; on an exhausted budget (or a
 // single-core machine) the pool collapses to an inline loop and the
 // kernel is simply a fast sequential simulator with deterministic
-// sharded semantics. Sparse windows are executed inline regardless of
-// budget — dispatching goroutines to move one event is slower than
-// moving it.
+// sharded semantics. Windows below inlineBurst events a shard are
+// executed inline regardless of budget.
 package shard
 
 import (
@@ -56,9 +74,9 @@ import (
 )
 
 // Ev is one scheduled event: a timer on a node, or a message delivery to
-// a node. Events are value types — heaps and outboxes hold them directly,
-// so scheduling never allocates and the kernel's steady state produces no
-// garbage at all.
+// a node. Events are value types — lanes, heaps and outboxes hold them
+// directly, so scheduling never allocates and the kernel's steady state
+// produces no garbage at all.
 type Ev struct {
 	// At is the virtual delivery/firing time.
 	At float64
@@ -139,17 +157,21 @@ type Proc struct {
 	k        *Kernel
 	id       int32
 	now      float64
-	heap     []Ev   // 4-ary min-heap by (At, From, Seq)
-	out      [][]Ev // per-destination-shard outboxes
-	executed uint64 // events executed in the current window
-	steps    uint64 // events executed in total
+	q        pending // scheduled events, executed in (At, From, Seq) order
+	out      [][]Ev  // per-destination-shard outboxes
+	executed uint64  // events executed in the current window
+	steps    uint64  // events executed in total
 }
 
-// inlineBurst is the window size (events) below which the kernel runs
-// shards inline even when pool workers are available: barrier handoffs
-// cost more than the work. Purely a scheduling heuristic — execution
-// order is identical either way.
-const inlineBurst = 192
+// inlineBurst is the window size, in events per shard, below which the
+// kernel runs shards inline even when pool workers are available. Purely
+// a scheduling heuristic: execution order is identical either way. It is
+// the top of the range measured on the two-vCPU reference box, where two
+// shards on the pool beat one shard in at most 5 of 10 paired runs at
+// every per-shard burst from 128 to 10^4 events (DESIGN.md section 14):
+// every size shown not to gain runs inline, and the pool keeps the
+// windows beyond it, for hosts with more cores and for -race coverage.
+const inlineBurst = 10000
 
 // splitmix64 is the SplitMix64 step, used to derive independent PCG seed
 // words per node from (seed, node).
@@ -253,10 +275,16 @@ func (k *Kernel) Steps() uint64 {
 // Initial events for a node must be scheduled on its owning shard.
 func (k *Kernel) Proc(i int) *Proc { return k.shards[i] }
 
-// Seed schedules an initial timer on node at absolute time at, routing to
-// the owning shard. It is the pre-Run convenience over Proc/At.
+// Seed schedules a timer on node at absolute time at, between Runs, on
+// the owning shard. The event takes its key here and joins the shard's
+// batch; the next Run admits the batch in key order. A time before Now
+// (or NaN) panics: it would run in the executed past.
 func (k *Kernel) Seed(node int32, at float64, kind uint16, tag uint32, a, b float64) {
-	k.shards[k.shardOf[node]].at(node, at, kind, tag, a, b)
+	if !(at >= k.now) {
+		panic(fmt.Sprintf("shard: seed at %v before now %v", at, k.now))
+	}
+	p := k.shards[k.shardOf[node]]
+	p.q.seeds = append(p.q.seeds, p.timer(node, at, kind, tag, a, b))
 }
 
 // Now returns the shard's current virtual time.
@@ -275,45 +303,49 @@ func (p *Proc) Float64(node int32) float64 {
 	return float64(p.Uint64(node)>>11) / (1 << 53)
 }
 
-// at schedules a timer event on a local node at absolute time at.
+// timer makes a timer event on a local node at absolute time at, taking
+// the node's next sequence number.
 //
 //lint:noalloc
-func (p *Proc) at(node int32, at float64, kind uint16, tag uint32, a, b float64) {
+func (p *Proc) timer(node int32, at float64, kind uint16, tag uint32, a, b float64) Ev {
 	if p.k.shardOf[node] != p.id {
 		panic(fmt.Sprintf("shard: timer on node %d scheduled from shard %d (owner %d)",
 			node, p.id, p.k.shardOf[node]))
 	}
 	seq := p.k.seqs[node]
 	p.k.seqs[node] = seq + 1
-	p.push(Ev{At: at, A: a, B: b, Seq: seq, From: node, Node: node, Tag: tag, Kind: kind})
+	return Ev{At: at, A: a, B: b, Seq: seq, From: node, Node: node, Tag: tag, Kind: kind}
 }
 
-// After schedules a timer on a local node d seconds from now. Negative
-// delays panic: they would reorder causality.
+// After schedules a timer on a local node d seconds from now. A negative
+// delay panics, since it would reorder causality, and so does NaN: a NaN
+// key is neither before nor after any other, so it would never run and
+// nothing filed behind it would either.
 //
 //lint:noalloc
 func (p *Proc) After(node int32, d float64, kind uint16, tag uint32, a, b float64) {
-	if d < 0 {
-		panic(fmt.Sprintf("shard: negative delay %v", d))
+	if !(d >= 0) {
+		panic(fmt.Sprintf("shard: delay %v is not >= 0", d))
 	}
-	p.at(node, p.now+d, kind, tag, a, b)
+	p.q.push(p.timer(node, p.now+d, kind, tag, a, b))
 }
 
 // Send schedules a message event from a local node to any node, arriving
-// after delay. Cross-shard sends must respect the configured lookahead
-// and buffer in the outbox until the window barrier.
+// after delay (negative or NaN panics, as in After). Cross-shard sends
+// must respect the configured lookahead and buffer in the outbox until
+// the window barrier.
 //
 //lint:noalloc
 func (p *Proc) Send(from, to int32, delay float64, kind uint16, tag uint32, a, b float64) {
-	if delay < 0 {
-		panic(fmt.Sprintf("shard: negative delay %v", delay))
+	if !(delay >= 0) {
+		panic(fmt.Sprintf("shard: delay %v is not >= 0", delay))
 	}
 	seq := p.k.seqs[from]
 	p.k.seqs[from] = seq + 1
 	ev := Ev{At: p.now + delay, A: a, B: b, Seq: seq, From: from, Node: to, Tag: tag, Kind: kind}
 	dst := p.k.shardOf[to]
 	if dst == p.id {
-		p.push(ev)
+		p.q.push(ev)
 		return
 	}
 	if delay < p.k.lookahead {
@@ -329,8 +361,12 @@ func (p *Proc) Send(from, to int32, delay float64, kind uint16, tag uint32, a, b
 //lint:noalloc
 func (p *Proc) runWindow(horizon float64) {
 	n := uint64(0)
-	for len(p.heap) > 0 && p.heap[0].At < horizon {
-		ev := p.pop()
+	for {
+		src, next := p.q.least()
+		if next == nil || next.At >= horizon {
+			break
+		}
+		ev := p.q.pop(src)
 		p.now = ev.At
 		n++
 		p.k.handler.Event(p, ev)
@@ -352,14 +388,22 @@ func (k *Kernel) runShare(i int) {
 // `until`. Events scheduled at exactly `until` run in the next call —
 // callers sample between calls, so the cut must be identical for every
 // shard count, and it is: the strict inequality is partition-independent.
+// An `until` before Now (or NaN) panics: it would move every clock
+// backward.
 //
 //lint:noalloc
 func (k *Kernel) Run(until float64) {
+	if !(until >= k.now) {
+		panic(fmt.Sprintf("shard: run until %v before now %v", until, k.now))
+	}
+	for _, p := range k.shards {
+		p.q.admit()
+	}
 	for {
 		tNext := math.Inf(1)
 		for _, p := range k.shards {
-			if len(p.heap) > 0 && p.heap[0].At < tNext {
-				tNext = p.heap[0].At
+			if _, next := p.q.least(); next != nil && next.At < tNext {
+				tNext = next.At
 			}
 		}
 		if tNext >= until {
@@ -372,7 +416,7 @@ func (k *Kernel) Run(until float64) {
 		k.horizon = horizon
 		if len(k.shards) == 1 {
 			k.shards[0].runWindow(horizon)
-		} else if k.lastBurst >= inlineBurst && k.pool.Workers() > 0 {
+		} else if k.lastBurst >= inlineBurst*len(k.shards) && k.pool.Workers() > 0 {
 			k.pool.Run(k.runShareFn)
 		} else {
 			for i := range k.shards {
@@ -398,12 +442,12 @@ func (k *Kernel) Run(until float64) {
 }
 
 // exchange is the window barrier's deterministic cross-shard merge: every
-// outbox drains into its destination shard's heap in fixed source-shard
-// order. No sort is needed: events carry the globally unique total key
-// (At, From, Seq), and a min-heap's pop sequence under a total order
-// depends only on its contents, never on insertion order — so execution
-// is identical for any drain order, and the fixed order makes even the
-// heap layout reproducible.
+// outbox drains into its destination shard's pending set in fixed
+// source-shard order. No sort is needed: events carry the globally unique
+// total key (At, From, Seq), and the pending set's pop sequence depends
+// only on its contents, never on insertion order — so execution is
+// identical for any drain order, and the fixed order makes even the
+// layout of lanes and heap reproducible.
 //
 //lint:noalloc
 func (k *Kernel) exchange() {
@@ -416,7 +460,7 @@ func (k *Kernel) exchange() {
 			}
 			total += len(out)
 			for i := range out {
-				dp.push(out[i])
+				dp.q.push(out[i])
 			}
 			sp.out[dst] = out[:0]
 		}
@@ -424,84 +468,4 @@ func (k *Kernel) exchange() {
 			k.obsMerged.Add(uint64(total))
 		}
 	}
-}
-
-// --- hand-specialized 4-ary min-heap over Ev values ---
-
-// less orders events by the partition-independent key (At, From, Seq).
-func less(a, b *Ev) bool {
-	if a.At < b.At {
-		return true
-	}
-	if b.At < a.At {
-		return false
-	}
-	if a.From != b.From {
-		return a.From < b.From
-	}
-	return a.Seq < b.Seq
-}
-
-// The heap is 4-ary: parent (i-1)/4, children 4i+1..4i+4. Sift-up — the
-// hot direction, since every barrier merge is a run of pushes — walks
-// half the levels of a binary heap; sift-down compares up to four
-// children per level but over half the levels, so pop breaks even.
-// Both directions sift a hole instead of swapping: one 48-byte copy per
-// level rather than two.
-
-// push inserts ev.
-//
-//lint:noalloc
-func (p *Proc) push(ev Ev) {
-	q := append(p.heap, ev)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !less(&ev, &q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
-	}
-	q[i] = ev
-	p.heap = q
-}
-
-// pop removes and returns the minimum event, sifting a hole down for the
-// displaced last element. The heap must be non-empty.
-//
-//lint:noalloc
-func (p *Proc) pop() Ev {
-	q := p.heap
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q = q[:n]
-	p.heap = q
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for r := c + 1; r < end; r++ {
-			if less(&q[r], &q[c]) {
-				c = r
-			}
-		}
-		if !less(&q[c], &last) {
-			break
-		}
-		q[i] = q[c]
-		i = c
-	}
-	q[i] = last
-	return top
 }

@@ -152,25 +152,26 @@ func TestDeterminismSeedSensitivity(t *testing.T) {
 
 // refRun is an independent reference executor: it ignores windows and
 // barriers entirely, instead repeatedly executing the globally minimal
-// event by (At, From, Seq) across all shard heaps and draining outboxes
-// after every event. Agreement with Run means the windowed, batched,
-// merge-at-barrier machinery preserves the one true event order.
+// event by (At, From, Seq) across all shards' pending sets and draining
+// outboxes after every event. Agreement with Run means the windowed,
+// batched, merge-at-barrier machinery preserves the one true event order.
 func refRun(k *Kernel, until float64) {
+	for _, p := range k.shards {
+		p.q.admit()
+	}
 	for {
-		best := -1
-		for i, p := range k.shards {
-			if len(p.heap) == 0 {
-				continue
-			}
-			if best < 0 || less(&p.heap[0], &k.shards[best].heap[0]) {
-				best = i
+		var p *Proc
+		var src int
+		var next *Ev
+		for _, sp := range k.shards {
+			if s, ev := sp.q.least(); ev != nil && (next == nil || less(ev, next)) {
+				p, src, next = sp, s, ev
 			}
 		}
-		if best < 0 || k.shards[best].heap[0].At >= until {
+		if next == nil || next.At >= until {
 			break
 		}
-		p := k.shards[best]
-		ev := p.pop()
+		ev := p.q.pop(src)
 		p.now = ev.At
 		p.steps++
 		k.handler.Event(p, ev)
@@ -179,7 +180,7 @@ func refRun(k *Kernel, until float64) {
 		for _, sp := range k.shards {
 			for dst := range sp.out {
 				for _, out := range sp.out[dst] {
-					k.shards[dst].push(out)
+					k.shards[dst].q.push(out)
 				}
 				sp.out[dst] = sp.out[dst][:0]
 			}
@@ -223,11 +224,13 @@ func TestWindowedRunMatchesReference(t *testing.T) {
 // TestParallelWindowsDeterministic forces real worker goroutines (a
 // 4-slot budget and bursts above the inline threshold) and checks the
 // digest still matches the single-shard run. Under -race this also proves
-// window execution and barrier merge are race-clean.
+// window execution and barrier merge are race-clean. A gossip node runs
+// about three events a window (a tick and two receipts), so nodes is
+// sized to put a 4-shard share at 1.5 times inlineBurst.
 func TestParallelWindowsDeterministic(t *testing.T) {
 	prev := par.SetLimit(4)
 	defer par.SetLimit(prev)
-	const nodes, l = 512, 0.25
+	const nodes, l = 2 * inlineBurst, 0.25
 	run := func(shards int) string {
 		g := newGossip(nodes, l)
 		k, err := New(Config{Nodes: nodes, Shards: shards, Seed: 7, Lookahead: l, Handler: g})
@@ -241,7 +244,12 @@ func TestParallelWindowsDeterministic(t *testing.T) {
 		for n := int32(0); n < nodes; n++ {
 			k.Seed(n, float64(n%11)*0.001, kindTick, 0, 0, 0)
 		}
-		k.Run(6)
+		reg := obs.NewRegistry()
+		k.Observe(reg)
+		k.Run(1.5)
+		if mean := k.Steps() / reg.Counter("simshard_windows_total").Value(); shards > 1 && mean < uint64(inlineBurst*shards) {
+			t.Fatalf("shards %d: %d events a window, below the %d that reach the pool", shards, mean, inlineBurst*shards)
+		}
 		return g.fingerprint()
 	}
 	want := run(1)
@@ -310,7 +318,11 @@ func TestLookaheadViolationPanics(t *testing.T) {
 	k.Run(1)
 }
 
-// TestNegativeDelayPanics checks negative After/Send delays are rejected.
+// TestNegativeDelayPanics checks the times the kernel must refuse: a
+// negative or NaN After/Send delay, a Seed before Now, a Run backward.
+// NaN has its own rows because it passes a d < 0 test, and its key,
+// neither before nor after any other, would sit at the head of the
+// pending set and stop every event behind it.
 func TestNegativeDelayPanics(t *testing.T) {
 	r := &recorder{}
 	k, err := New(Config{Nodes: 2, Shards: 1, Seed: 1, Handler: r})
@@ -318,19 +330,39 @@ func TestNegativeDelayPanics(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer k.Close()
+	k.Run(10)
 	p := k.Proc(0)
-	for name, fn := range map[string]func(){
-		"After": func() { p.After(0, -1, kindTick, 0, 0, 0) },
-		"Send":  func() { p.Send(0, 1, -1, kindMsg, 0, 0, 0) },
+	for _, row := range []struct {
+		name string
+		fn   func()
+	}{
+		{"After(-1)", func() { p.After(0, -1, kindTick, 0, 0, 0) }},
+		{"After(NaN)", func() { p.After(0, math.NaN(), kindTick, 0, 0, 0) }},
+		{"Send(-1)", func() { p.Send(0, 1, -1, kindMsg, 0, 0, 0) }},
+		{"Send(NaN)", func() { p.Send(0, 1, math.NaN(), kindMsg, 0, 0, 0) }},
+		{"Seed(5) after Run(10)", func() { k.Seed(0, 5, kindTick, 0, 0, 0) }},
+		{"Seed(NaN)", func() { k.Seed(0, math.NaN(), kindTick, 0, 0, 0) }},
+		{"Run(5) after Run(10)", func() { k.Run(5) }},
+		{"Run(NaN)", func() { k.Run(math.NaN()) }},
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("%s with negative delay did not panic", name)
+					t.Fatalf("%s did not panic", row.name)
 				}
 			}()
-			fn()
+			row.fn()
 		}()
+	}
+	// Nothing refused left a trace: the boundary values are accepted and
+	// the three events run.
+	k.Seed(0, 10, kindTick, 0, 0, 0)
+	p.After(1, 0, kindTick, 0, 0, 0)
+	p.Send(0, 1, 0, kindMsg, 0, 0, 0)
+	k.Run(10)
+	k.Run(11)
+	if len(r.times) != 3 || k.Now() < 11 {
+		t.Fatalf("after the refused calls, Run(11) executed %v and reports Now() = %v; want three events at 10 and Now() = 11", r.times, k.Now())
 	}
 }
 
@@ -394,95 +426,5 @@ func TestObserve(t *testing.T) {
 	}
 	if reg.LogHistogram("simshard_window_seconds").Count() == 0 {
 		t.Fatal("window-length histogram empty")
-	}
-}
-
-// TestHeapKeyOrderStress pushes an adversarial schedule (heavy At
-// duplication across many From nodes) through one shard's heap and checks
-// pops come out in exact (At, From, Seq) order.
-func TestHeapKeyOrderStress(t *testing.T) {
-	k, err := New(Config{Nodes: 8, Shards: 1, Seed: 3, Handler: &recorder{}})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer k.Close()
-	p := k.Proc(0)
-	for i := 0; i < 5000; i++ {
-		n := int32(p.Uint64(0) % 8)
-		at := float64(p.Uint64(0) % 50) // heavy duplication
-		p.at(n, at, kindTick, 0, 0, 0)
-	}
-	prev := Ev{At: -1}
-	for i := 0; i < 5000; i++ {
-		ev := p.pop()
-		if less(&ev, &prev) {
-			t.Fatalf("pop %d out of order: %+v after %+v", i, ev, prev)
-		}
-		prev = ev
-	}
-	if len(p.heap) != 0 {
-		t.Fatalf("%d events left after 5000 pops", len(p.heap))
-	}
-}
-
-// TestSchedulingAllocs checks the value-typed scheduling path is
-// allocation-free once the heap's backing array is warm.
-func TestSchedulingAllocs(t *testing.T) {
-	k, err := New(Config{Nodes: 2, Shards: 1, Seed: 1, Handler: &recorder{}})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer k.Close()
-	p := k.Proc(0)
-	// Warm the heap.
-	for i := 0; i < 64; i++ {
-		p.at(0, float64(i), kindTick, 0, 0, 0)
-	}
-	for len(p.heap) > 0 {
-		p.pop()
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		for i := 0; i < 32; i++ {
-			p.at(0, float64(i), kindTick, 0, 0, 0)
-		}
-		for len(p.heap) > 0 {
-			p.pop()
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("warm push/pop cycle allocates %v per op, want 0", allocs)
-	}
-}
-
-// TestRunWindowAllocs is the measured half of the //lint:noalloc
-// annotations on the window loop (Run, runWindow, exchange, After, Send,
-// push, pop; the analyzer is the static half): once the heaps and
-// outboxes have reached their steady size, advancing a kernel whose nodes
-// re-arm a timer and message random peers allocates nothing, on one shard
-// and across the two-shard barrier.
-func TestRunWindowAllocs(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		const nodes, l = 128, 1.0
-		k, err := New(Config{Nodes: nodes, Shards: shards, Seed: 9, Lookahead: l, Handler: newGossip(nodes, l)})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		t.Cleanup(k.Close)
-		for n := int32(0); n < nodes; n++ {
-			k.Seed(n, float64(n)/nodes, kindTick, 0, 0, 0)
-		}
-		until := 500.0
-		k.Run(until) // warm: heaps and outboxes grow to their high-water mark
-		before := k.Steps()
-		allocs := testing.AllocsPerRun(50, func() {
-			until += 10
-			k.Run(until)
-		})
-		if ran := k.Steps() - before; ran < 51*10*nodes {
-			t.Fatalf("shards=%d: only %d events in the measured windows", shards, ran)
-		}
-		if allocs != 0 {
-			t.Errorf("shards=%d: a warm Run allocates %v times per 10 virtual seconds, want 0", shards, allocs)
-		}
 	}
 }
