@@ -1,7 +1,10 @@
 package txn
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"disttime/internal/core"
@@ -239,5 +242,57 @@ func TestCrashPausesClient(t *testing.T) {
 	}
 	if w.Violations != 0 {
 		t.Fatalf("%d violations across a crash/restart", w.Violations)
+	}
+}
+
+// TestGoldenFingerprint pins the bytes of one seeded workload: every
+// commit's client, sequence number, start and commit times and timestamp,
+// then the simulator's event count and each server's final <C, E>. It is
+// the transaction half of service.TestGoldenFingerprints (the workload
+// schedules its arrivals at absolute times without a closure, a path no
+// run of the service alone takes), with a crash and a restart so retries
+// are in the digest too. It lives here because this package imports
+// service. A digest that moves means the order, the time or the count of
+// executed events changed: a change of behaviour to justify and re-pin,
+// never a refactoring.
+func TestGoldenFingerprint(t *testing.T) {
+	const want = "4a57db5450d979c8"
+	svc := testService(t, 7, 4)
+	h := fnv.New64a()
+	var buf [8]byte
+	mix := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	w, err := Attach(svc, Config{
+		Clients: 4,
+		Rate:    2,
+		Start:   1,
+		OnCommit: func(x Txn) {
+			mix(uint64(x.Client))
+			mix(uint64(x.Seq))
+			mix(math.Float64bits(x.Start))
+			mix(math.Float64bits(x.Commit))
+			mix(uint64(x.TS.Wall))
+			mix(uint64(x.TS.Logical)<<32 | uint64(x.TS.Node))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.CrashAt(20, 0)
+	svc.RestartAt(60, 0)
+	svc.Run(120)
+	if w.Commits < 100 {
+		t.Fatalf("only %d commits: the digest covers too little", w.Commits)
+	}
+	mix(svc.Sim.Steps())
+	for _, n := range svc.Nodes {
+		r := n.Server.Reading(120)
+		mix(math.Float64bits(r.C))
+		mix(math.Float64bits(r.E))
+	}
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Errorf("fingerprint %s, pinned %s", got, want)
 	}
 }
