@@ -16,13 +16,16 @@ RACE_PKGS = ./internal/par ./internal/sim/... ./internal/experiments \
 # Packages whose line coverage is floored by `make cover-check` (and so by
 # `make check`): the theorem algebra, the interval sweep, and the
 # membership state machine are the proof core, so untested lines there
-# are untested math. The sharded kernel and its worker pool join the
-# list because every untested line there is a potential determinism or
-# race hole, and the lint package joins because an untested analyzer
-# rule is an invariant the tree only appears to satisfy.
+# are untested math. The event kernel (internal/sim/shard, and
+# internal/sim, the closure table over one shard of it that every
+# experiment runs on) and its worker pool join the list because every
+# untested line there is a potential determinism or race hole, and the
+# lint package joins because an untested analyzer rule is an invariant
+# the tree only appears to satisfy.
 COVER_FLOOR_PKGS = ./internal/core ./internal/interval ./internal/member \
-                   ./internal/par ./internal/sim/shard ./internal/scale \
-                   ./internal/lint ./internal/hlc ./internal/txn
+                   ./internal/par ./internal/sim ./internal/sim/shard \
+                   ./internal/scale ./internal/lint ./internal/hlc \
+                   ./internal/txn
 COVER_FLOOR     ?= 85
 
 .PHONY: all build vet lint test check test-race cover cover-check chaos chaos-replay byz-smoke obs-smoke churn-smoke txn-smoke scale-smoke udp-smoke fuzz-smoke experiments ablations examples clean
@@ -54,7 +57,8 @@ test:
 # tests (the AllocsPerRun tests that hold every //lint:noalloc hot path
 # at zero among them), the lint gate, the proof-core coverage floor, the
 # observability/membership determinism smokes, the committed chaos
-# corpus replays, and the sharded-kernel scale smoke travel together
+# corpus replays, and the scale smoke (the event kernel, the only one,
+# with more than one shard) travel together
 # (race rides inside `test` via RACE_PKGS).
 check: vet lint test cover-check obs-smoke churn-smoke txn-smoke chaos-replay byz-smoke scale-smoke udp-smoke
 
@@ -112,7 +116,7 @@ byz-smoke:
 	$(call run-twice-and-cmp,-chaos -adversarial -campaigns 10 -adv-steps 15 -chaos-seed 1,byz-smoke)
 	$(GO) run ./cmd/timesim -chaos -replay internal/chaos/corpus/buggy-byz-twoface.repro
 
-# Sharded-kernel scale smoke: the S1 sweep at its CI-sized topology (the
+# Scale smoke, the event kernel sharded: the S1 sweep at its CI-sized topology (the
 # full 10k/50k/100k sweep is `timesim -scale`; its speed is tracked by the
 # sim_scale_* workloads of `bash cmd/bench/run.sh`).
 scale-smoke:
@@ -145,7 +149,7 @@ txn-smoke:
 # Short coverage-guided fuzz passes: the M-of-N interval sweep and the
 # majority selection over it, each against its naive oracle, every parser
 # a datagram reaches on the serving path, the client's matching of a
-# datagram to an outstanding request, and the sharded kernel's pending
+# datagram to an outstanding request, and the event kernel's pending
 # set (lanes and heap) against a sorted slice.
 # FUZZTIME is the budget of the whole smoke in seconds, split
 # evenly over the targets; run one target with a larger -fuzztime when

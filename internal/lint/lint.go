@@ -152,10 +152,11 @@ func DefaultConfig() *Config {
 			// Roster digests, gossip payloads, and detector verdicts feed
 			// deterministic timelines; sorted iteration is the contract.
 			"disttime/internal/member",
-			// The sharded kernel and its planet-scale workload are
-			// determinism contracts across shard counts; any map
-			// iteration feeding event order or fingerprints is a bug.
-			"disttime/internal/sim/shard",
+			// The event kernel, its closure face under every experiment,
+			// and its planet-scale workload are determinism contracts
+			// (across shard counts too); any map iteration feeding event
+			// order or fingerprints is a bug.
+			"disttime/internal/sim",
 			"disttime/internal/scale",
 			// Hybrid logical clocks and the commit-wait workload feed
 			// deterministic timelines (txn-smoke diffs them byte-for-byte).

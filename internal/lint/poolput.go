@@ -12,7 +12,7 @@ import (
 // same-package wrapper that Puts a parameter or pushes it onto a free
 // list — the caller must not read it, return it, Put it again, or have
 // stored it into a long-lived field. The interval Sweeper pool, the
-// simulator's event free list, and the service's reply free list all
+// network's delivery free list, and the service's reply free list all
 // recycle structs whose contents are overwritten by the next Get; a
 // use-after-put reads another round's data and corrupts results silently
 // (no crash, just wrong intervals).

@@ -1,12 +1,16 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
+
+	"disttime/internal/obs"
+	"disttime/internal/par"
 )
 
-// TestEventPoolReuse checks that fired events are recycled: a long
-// schedule/fire cycle must not grow the pool beyond the high-water mark of
-// concurrently pending events.
+// TestEventPoolReuse checks that the slots of fired events are reused: a
+// long schedule/fire cycle must not grow the callback table beyond the
+// high-water mark of concurrently pending events.
 func TestEventPoolReuse(t *testing.T) {
 	s := New(1)
 	fired := 0
@@ -22,49 +26,19 @@ func TestEventPoolReuse(t *testing.T) {
 	if fired != 10000 {
 		t.Fatalf("fired %d events, want 10000", fired)
 	}
-	if len(s.free) > 2 {
-		t.Fatalf("pool holds %d events after a 1-pending-event run, want <= 2", len(s.free))
-	}
-}
-
-// TestEventPoolCap checks pool retention after a spike: a burst far above
-// maxFree simultaneously-pending events must not be pinned by the free
-// list once it drains — the pool keeps at most maxFree structs, and the
-// rest are surrendered to the garbage collector.
-func TestEventPoolCap(t *testing.T) {
-	s := New(1)
-	const spike = maxFree * 3
-	fired := 0
-	for i := 0; i < spike; i++ {
-		s.At(1, func() { fired++ })
-	}
-	s.Run()
-	if fired != spike {
-		t.Fatalf("fired %d events, want %d", fired, spike)
-	}
-	if len(s.free) > maxFree {
-		t.Fatalf("pool retains %d events after a %d-event spike, want <= %d",
-			len(s.free), spike, maxFree)
-	}
-	// The capped pool must still recycle: a steady cycle after the spike
-	// stays allocation-free.
-	cb := func(any) {}
-	allocs := testing.AllocsPerRun(200, func() {
-		s.AfterCall(1, cb, nil)
-		s.Run()
-	})
-	if allocs != 0 {
-		t.Fatalf("post-spike schedule/fire cycle allocates %v per op, want 0", allocs)
+	if len(s.slots) > 2 {
+		t.Fatalf("table holds %d slots after a 1-pending-event run, want <= 2", len(s.slots))
 	}
 }
 
 // TestEventPoolAllocs measures steady-state allocations of a
-// schedule/fire cycle: zero once the pool is warm.
+// schedule/fire cycle: zero once the table and the kernel's pending set
+// are warm.
 func TestEventPoolAllocs(t *testing.T) {
 	s := New(1)
 	var cb func(any)
 	cb = func(any) {} // callback that schedules nothing
-	// Warm the pool.
+	// Warm the table.
 	s.AfterCall(1, cb, nil)
 	s.Run()
 	allocs := testing.AllocsPerRun(200, func() {
@@ -106,82 +80,91 @@ func TestAtCallCancel(t *testing.T) {
 	}
 }
 
-// TestReset checks that Reset restores time zero, empties the queue, and
-// reproduces a seeded run exactly while reusing the simulator.
-func TestReset(t *testing.T) {
-	run := func(s *Simulator) (trace []float64, steps uint64) {
-		for i := 0; i < 50; i++ {
-			s.After(s.Rand().Float64()*10, func() {
-				trace = append(trace, s.Now())
-			})
-		}
-		s.Run()
-		return trace, s.Steps()
+// TestStaleCancelIsNoOp checks that a handle kept past its event's firing
+// names nothing: cancelling it must not touch the event that has since
+// been scheduled into the same slot.
+func TestStaleCancelIsNoOp(t *testing.T) {
+	s := New(1)
+	old := s.At(1, func() {})
+	s.Run()
+	ran := false
+	fresh := s.At(2, func() { ran = true })
+	if fresh.slot != old.slot {
+		t.Fatalf("the new event took slot %d, not the freed slot %d: the test proves nothing", fresh.slot, old.slot)
 	}
-	s := New(7)
-	first, firstSteps := run(s)
-
-	// Leave junk pending, then reset.
-	s.After(1, func() { t.Error("stale event survived Reset") })
-	s.Reset(7)
-	if s.Now() != 0 || s.Steps() != 0 || s.Pending() != 0 {
-		t.Fatalf("Reset left now=%v steps=%d pending=%d", s.Now(), s.Steps(), s.Pending())
-	}
-	second, secondSteps := run(s)
-	if firstSteps != secondSteps || len(first) != len(second) {
-		t.Fatalf("reset run diverged: %d/%d events, %d/%d steps",
-			len(first), len(second), firstSteps, secondSteps)
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("reset run diverged at event %d: %v vs %v", i, first[i], second[i])
-		}
-	}
-
-	// A different seed must give a different schedule.
-	s.Reset(8)
-	third, _ := run(s)
-	same := len(third) == len(first)
-	if same {
-		for i := range third {
-			if third[i] != first[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Fatal("Reset(8) reproduced the seed-7 run")
+	old.Cancel()
+	s.Run()
+	if !ran {
+		t.Fatal("cancelling a fired event's handle cancelled the event that reused its slot")
 	}
 }
 
-// TestHeapOrderStress cross-checks the specialized heap against a sorted
-// reference on a large adversarial schedule (duplicate times exercise the
-// FIFO tie-break).
-func TestHeapOrderStress(t *testing.T) {
-	s := New(3)
-	type stamp struct {
-		at  float64
-		seq int
+// TestRunRestsOnLatestScheduled checks where Run leaves the clock: on the
+// latest time scheduled, also when that event was cancelled and the last
+// one executed is earlier.
+func TestRunRestsOnLatestScheduled(t *testing.T) {
+	s := New(1)
+	s.At(3, func() {})
+	s.At(7, func() { t.Error("cancelled event ran") }).Cancel()
+	s.Run()
+	if s.Now() != 7 || s.Steps() != 1 {
+		t.Fatalf("Now() = %v, Steps() = %d after Run, want 7 and 1", s.Now(), s.Steps())
 	}
-	var got []stamp
-	seq := 0
-	for i := 0; i < 5000; i++ {
-		at := float64(s.Rand().IntN(100)) // heavy duplication
-		n := seq
-		seq++
-		s.At(at, func() { got = append(got, stamp{at: at, seq: n}) })
+	// With nothing pending Run does nothing, wherever the clock is.
+	s.RunUntil(20)
+	s.Run()
+	if s.Now() != 20 {
+		t.Fatalf("Now() = %v after an idle Run, want 20", s.Now())
+	}
+	// An event that schedules beyond the horizon extends the run.
+	s.At(21, func() { s.After(5, func() {}) })
+	s.Run()
+	if s.Now() != 26 || s.Steps() != 3 {
+		t.Fatalf("Now() = %v, Steps() = %d after a chained Run, want 26 and 3", s.Now(), s.Steps())
+	}
+}
+
+// TestNewStartsNothing checks why a Simulator needs no Close: building
+// and running one starts no goroutine and claims no worker from par's
+// budget, so a pool created afterwards still gets the one spare worker.
+func TestNewStartsNothing(t *testing.T) {
+	defer par.SetLimit(par.SetLimit(2))
+	before := runtime.NumGoroutine()
+	s := New(1)
+	s.After(1, func() {})
+	s.Run()
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines after New and Run, %d before", after, before)
+	}
+	p := par.NewPool(2)
+	defer p.Close()
+	if p.Workers() != 1 {
+		t.Fatalf("a 2-share pool after sim.New got %d workers, want the budget's 1", p.Workers())
+	}
+}
+
+// TestObserve checks the three counters: scheduled counts every call,
+// executed is Steps, and a cancelled event is counted when the clock
+// passes it.
+func TestObserve(t *testing.T) {
+	s := New(1)
+	reg := obs.NewRegistry()
+	s.Observe(reg)
+	s.At(1, func() {})
+	s.AtCall(2, func(any) {}, nil)
+	s.At(3, func() {}).Cancel()
+	s.RunUntil(2)
+	for name, want := range map[string]uint64{
+		"sim_events_scheduled_total": 3,
+		"sim_events_executed_total":  2,
+		"sim_events_cancelled_total": 0,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("at t=2: %s = %d, want %d", name, got, want)
+		}
 	}
 	s.Run()
-	if len(got) != 5000 {
-		t.Fatalf("ran %d events, want 5000", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].at < got[i-1].at {
-			t.Fatalf("time order violated at %d: %v after %v", i, got[i], got[i-1])
-		}
-		if got[i].at == got[i-1].at && got[i].seq < got[i-1].seq {
-			t.Fatalf("FIFO violated at %d: seq %d after %d", i, got[i].seq, got[i-1].seq)
-		}
+	if got := reg.Counter("sim_events_cancelled_total").Value(); got != 1 || s.Steps() != 2 {
+		t.Errorf("after Run: cancelled = %d, Steps() = %d, want 1 and 2", got, s.Steps())
 	}
 }

@@ -1,13 +1,14 @@
-// Package shard is the sharded, deterministic discrete-event simulation
-// kernel behind the planet-scale scenarios: the multi-network "internet"
-// of the paper's Xerox setting grown to 10^5 servers and beyond, which
-// the single-heap kernel of internal/sim cannot reach.
+// Package shard is the repository's one discrete-event kernel: the only
+// code that orders pending events and advances virtual time. With many
+// shards it runs the planet-scale scenarios, the multi-network "internet"
+// of the paper's Xerox setting grown to 10^5 servers and beyond; with one
+// shard and one node it is what internal/sim's closure API stands on,
+// under every experiment, the chaos harness and the transaction tier.
 //
 // Nodes are partitioned across N shards. Each shard owns a pending set
-// of value-typed events (the pooled event idiom of internal/sim taken
-// one step further: events are plain values in backing arrays, so there
-// is nothing to pool and nothing to box) and advances in lockstep
-// windows bounded by the minimum cross-shard message delay (the
+// of value-typed events (plain values in backing arrays, so there is
+// nothing to pool and nothing to box) and advances in lockstep windows
+// bounded by the minimum cross-shard message delay (the
 // conservative-PDES lookahead). Cross-shard deliveries buffer in
 // per-shard outboxes during a window and are exchanged at the window
 // barrier in a deterministic merge, drained in fixed source-shard order.
@@ -37,8 +38,8 @@
 // The kernel's contract is stronger than reproducibility under one
 // configuration: a seeded run is byte-identical for ANY shard count,
 // including the degenerate N=1 — which, with its single pending set and
-// unbounded window, IS the sequential kernel. Three rules make this
-// hold:
+// unbounded window, is the sequential kernel internal/sim runs on. Three
+// rules make this hold:
 //
 //   - Every event carries a key (At, From, Seq), where From is the node
 //     that created the event and Seq is that node's own monotone
@@ -317,10 +318,21 @@ func (p *Proc) timer(node int32, at float64, kind uint16, tag uint32, a, b float
 	return Ev{At: at, A: a, B: b, Seq: seq, From: node, Node: node, Tag: tag, Kind: kind}
 }
 
-// After schedules a timer on a local node d seconds from now. A negative
-// delay panics, since it would reorder causality, and so does NaN: a NaN
-// key is neither before nor after any other, so it would never run and
-// nothing filed behind it would either.
+// At schedules a timer on a local node at absolute time at. A time before
+// now panics, since it would reorder causality, and so does NaN: a NaN key
+// is neither before nor after any other, so it would never run and nothing
+// filed behind it would either.
+//
+//lint:noalloc
+func (p *Proc) At(node int32, at float64, kind uint16, tag uint32, a, b float64) {
+	if !(at >= p.now) {
+		panic(fmt.Sprintf("shard: timer at %v before now %v", at, p.now))
+	}
+	p.q.push(p.timer(node, at, kind, tag, a, b))
+}
+
+// After schedules a timer on a local node d seconds from now (negative or
+// NaN panics, as in At).
 //
 //lint:noalloc
 func (p *Proc) After(node int32, d float64, kind uint16, tag uint32, a, b float64) {
@@ -331,7 +343,7 @@ func (p *Proc) After(node int32, d float64, kind uint16, tag uint32, a, b float6
 }
 
 // Send schedules a message event from a local node to any node, arriving
-// after delay (negative or NaN panics, as in After). Cross-shard sends
+// after delay (negative or NaN panics, as in At). Cross-shard sends
 // must respect the configured lookahead and buffer in the outbox until
 // the window barrier.
 //
@@ -384,18 +396,20 @@ func (k *Kernel) runShare(i int) {
 }
 
 // Run advances the kernel to virtual time `until`: every event with
-// At < until executes, in key order, and all shard clocks land exactly on
-// `until`. Events scheduled at exactly `until` run in the next call —
-// callers sample between calls, so the cut must be identical for every
-// shard count, and it is: the strict inequality is partition-independent.
-// An `until` before Now (or NaN) panics: it would move every clock
-// backward.
+// At <= until executes, in key order, and all shard clocks land exactly on
+// `until`. That is the kernel's one cut. Callers sample between calls, so
+// it must be identical for every shard count, and it is: windows stay
+// half-open, [tNext, horizon), under a limit one float above `until`, so
+// "before the limit" is "at or before until" on every shard, and a message
+// sent inside a window cannot land inside it. An `until` before Now (or
+// NaN) panics: it would move every clock backward.
 //
 //lint:noalloc
 func (k *Kernel) Run(until float64) {
 	if !(until >= k.now) {
 		panic(fmt.Sprintf("shard: run until %v before now %v", until, k.now))
 	}
+	limit := math.Nextafter(until, math.Inf(1))
 	for _, p := range k.shards {
 		p.q.admit()
 	}
@@ -406,10 +420,10 @@ func (k *Kernel) Run(until float64) {
 				tNext = next.At
 			}
 		}
-		if tNext >= until {
+		if tNext >= limit {
 			break
 		}
-		horizon := until
+		horizon := limit
 		if h := tNext + k.lookahead; h < horizon {
 			horizon = h
 		}

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -168,7 +169,7 @@ func refRun(k *Kernel, until float64) {
 				p, src, next = sp, s, ev
 			}
 		}
-		if next == nil || next.At >= until {
+		if next == nil || next.At > until {
 			break
 		}
 		ev := p.q.pop(src)
@@ -260,32 +261,57 @@ func TestParallelWindowsDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunBoundary checks the Run(until) cut: events at exactly `until`
-// stay pending and fire in the next call.
+// recorder notes when events executed.
 type recorder struct{ times []float64 }
 
 func (r *recorder) Event(p *Proc, ev Ev) { r.times = append(r.times, ev.At) }
 
+// relay records, per node, when its events executed; a tick on node 0
+// also sends node 3 a message one lookahead away.
+type relay struct{ got [4][]float64 }
+
+func (r *relay) Event(p *Proc, ev Ev) {
+	r.got[ev.Node] = append(r.got[ev.Node], ev.At)
+	if ev.Kind == kindTick && ev.Node == 0 {
+		p.Send(0, 3, 1, kindMsg, 0, 0, 0)
+	}
+}
+
+// TestRunBoundary pins the Run(until) cut for every shard count: events at
+// exactly `until` execute in that call, among them a message sent in the
+// window before (across shards when there are any) that lands exactly on
+// `until`; an event one float later waits for the next call.
 func TestRunBoundary(t *testing.T) {
-	r := &recorder{}
-	k, err := New(Config{Nodes: 4, Shards: 2, Seed: 1, Lookahead: 1, Handler: r})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer k.Close()
-	k.Seed(0, 1.0, kindTick, 0, 0, 0)
-	k.Seed(1, 2.0, kindTick, 0, 0, 0)
-	k.Seed(2, 2.0, kindTick, 0, 0, 0)
-	k.Run(2.0)
-	if len(r.times) != 1 || r.times[0] > 1.0 || r.times[0] < 1.0 {
-		t.Fatalf("Run(2) executed %v, want exactly the t=1 event", r.times)
-	}
-	if now := k.Now(); now < 2.0 || now > 2.0 {
-		t.Fatalf("Now() = %v after Run(2), want 2", now)
-	}
-	k.Run(2.5)
-	if len(r.times) != 3 {
-		t.Fatalf("Run(2.5) left %d events executed, want 3 (boundary events fired)", len(r.times))
+	after := math.Nextafter(2, 3)
+	for _, shards := range []int{1, 2, 4} {
+		r := &relay{}
+		k, err := New(Config{Nodes: 4, Shards: shards, Seed: 1, Lookahead: 1, Handler: r})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		k.Seed(0, 1, kindTick, 0, 0, 0) // its message reaches node 3 at 2
+		k.Seed(1, 2, kindTick, 0, 0, 0)
+		k.Seed(2, after, kindTick, 0, 0, 0)
+		check := func(when string, want [4][]float64) {
+			t.Helper()
+			if !reflect.DeepEqual(r.got, want) {
+				t.Fatalf("shards %d, %s: per-node execution times %v, want %v", shards, when, r.got, want)
+			}
+		}
+		k.Run(2)
+		atCut := [4][]float64{{1}, {2}, nil, {2}}
+		check("Run(2)", atCut)
+		if now, pnow := k.Now(), k.Proc(shards-1).Now(); now != 2 || pnow != 2 {
+			t.Fatalf("shards %d: Now() = %v and the last shard's = %v after Run(2), want 2", shards, now, pnow)
+		}
+		k.Run(2)
+		check("a second Run(2)", atCut)
+		k.Run(2.5)
+		check("Run(2.5)", [4][]float64{{1}, {2}, {after}, {2}})
+		if k.Steps() != 4 {
+			t.Fatalf("shards %d: %d events executed, want 4", shards, k.Steps())
+		}
+		k.Close()
 	}
 }
 
@@ -319,7 +345,8 @@ func TestLookaheadViolationPanics(t *testing.T) {
 }
 
 // TestNegativeDelayPanics checks the times the kernel must refuse: a
-// negative or NaN After/Send delay, a Seed before Now, a Run backward.
+// negative or NaN After/Send delay, an At or a Seed before Now, a Run
+// backward, and an At on a node another shard owns.
 // NaN has its own rows because it passes a d < 0 test, and its key,
 // neither before nor after any other, would sit at the head of the
 // pending set and stop every event behind it.
@@ -332,12 +359,20 @@ func TestNegativeDelayPanics(t *testing.T) {
 	defer k.Close()
 	k.Run(10)
 	p := k.Proc(0)
+	two, err := New(Config{Nodes: 2, Shards: 2, Seed: 1, Lookahead: 1, Handler: r})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer two.Close()
 	for _, row := range []struct {
 		name string
 		fn   func()
 	}{
 		{"After(-1)", func() { p.After(0, -1, kindTick, 0, 0, 0) }},
 		{"After(NaN)", func() { p.After(0, math.NaN(), kindTick, 0, 0, 0) }},
+		{"At(5) after Run(10)", func() { p.At(0, 5, kindTick, 0, 0, 0) }},
+		{"At(NaN)", func() { p.At(0, math.NaN(), kindTick, 0, 0, 0) }},
+		{"At on another shard's node", func() { two.Proc(0).At(1, 20, kindTick, 0, 0, 0) }},
 		{"Send(-1)", func() { p.Send(0, 1, -1, kindMsg, 0, 0, 0) }},
 		{"Send(NaN)", func() { p.Send(0, 1, math.NaN(), kindMsg, 0, 0, 0) }},
 		{"Seed(5) after Run(10)", func() { k.Seed(0, 5, kindTick, 0, 0, 0) }},
@@ -355,14 +390,14 @@ func TestNegativeDelayPanics(t *testing.T) {
 		}()
 	}
 	// Nothing refused left a trace: the boundary values are accepted and
-	// the three events run.
+	// the four events run.
 	k.Seed(0, 10, kindTick, 0, 0, 0)
+	p.At(0, 10, kindTick, 0, 0, 0)
 	p.After(1, 0, kindTick, 0, 0, 0)
 	p.Send(0, 1, 0, kindMsg, 0, 0, 0)
 	k.Run(10)
-	k.Run(11)
-	if len(r.times) != 3 || k.Now() < 11 {
-		t.Fatalf("after the refused calls, Run(11) executed %v and reports Now() = %v; want three events at 10 and Now() = 11", r.times, k.Now())
+	if len(r.times) != 4 || k.Now() != 10 {
+		t.Fatalf("after the refused calls, Run(10) executed %v and reports Now() = %v; want four events at 10 and Now() = 10", r.times, k.Now())
 	}
 }
 

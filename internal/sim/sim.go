@@ -1,64 +1,78 @@
-// Package sim is a deterministic discrete-event simulation kernel. It
-// replaces the wall-clock testbed of the paper's experiments (the Xerox
-// Research Internet) with a virtual real-time axis: events are callbacks
-// scheduled at absolute virtual times and executed in time order, with FIFO
-// ordering among events at the same instant. A seeded PRNG makes every run
-// reproducible.
+// Package sim is the closure face of the repository's one discrete-event
+// kernel. It replaces the wall-clock testbed of the paper's experiments
+// (the Xerox Research Internet) with a virtual real-time axis: events are
+// callbacks scheduled at absolute virtual times and executed in time order,
+// with FIFO ordering among events at the same instant. A seeded PRNG makes
+// every run reproducible.
 //
-// The kernel is single-threaded by design: determinism is what lets the
-// test suite assert the paper's theorem bounds on every simulated state.
+// A Simulator is a one-shard, one-node shard.Kernel plus a table of the
+// callbacks its pending events stand for. Scheduling takes a slot of the
+// table (free slots wait on a stack) and files a kernel event carrying the
+// slot number; when the kernel hands the event back, the slot is freed and
+// what it held runs. Ordering pending events and advancing virtual time is
+// the kernel's work alone: every event is created by node 0, so the
+// kernel's (At, From, Seq) order is (time, scheduling order) here, and a
+// run is single-threaded, which is what lets the test suite assert the
+// paper's theorem bounds on every simulated state.
 //
-// Performance model: the event queue is a hand-specialized binary min-heap
-// over []*Event (no container/heap interface boxing on push or pop), and
-// fired or cancelled Event structs are recycled on a per-simulator free
-// list. In steady state a Schedule/pop cycle therefore performs no
-// allocation: the heap's backing array and the pool reach their
-// high-water mark and stay there. The price of pooling is a lifecycle rule:
-// an *Event handle is valid until its event fires (or Reset is called);
-// Cancel on a handle that has already fired is a no-op, but a handle must
-// not be retained and cancelled after further events have been scheduled,
-// because the struct may by then belong to a new event.
+// Performance model: kernel events are values and table slots are reused,
+// so a warm schedule/fire cycle performs no allocation. The table and the
+// kernel's pending set keep their high-water mark for the Simulator's
+// life. A slot's generation advances each time it is freed, so an Event
+// handle kept past its event's firing no longer names anything and
+// cancelling it is a no-op.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"disttime/internal/obs"
+	"disttime/internal/sim/shard"
 )
 
-// Event is a scheduled callback. Cancel prevents a pending event from
-// running; cancelling a fired or already-cancelled event is a no-op (see
-// the package comment for the pooling lifecycle rule).
+// Event is a handle on a scheduled callback. Cancel prevents a pending
+// event from running; cancelling a fired or already-cancelled event, or
+// the zero Event, is a no-op.
 type Event struct {
-	at        float64
-	seq       uint64
-	fn        func()
-	call      func(any) // closure-free form: call(arg) when fn is nil
-	arg       any
-	cancelled bool
-	index     int // heap index, -1 once popped
+	s    *Simulator
+	at   float64
+	slot uint32
+	gen  uint32 // the slot's generation when the event was scheduled
 }
 
 // Cancel prevents the event from firing.
-func (e *Event) Cancel() {
-	if e != nil && e.index >= 0 {
-		e.cancelled = true
+func (e Event) Cancel() {
+	if e.s == nil {
+		return
+	}
+	if sl := &e.s.slots[e.slot]; sl.gen == e.gen {
+		sl.fn, sl.call, sl.arg = nil, nil, nil
 	}
 }
 
 // Time returns the virtual time at which the event is scheduled.
-func (e *Event) Time() float64 { return e.at }
+func (e Event) Time() float64 { return e.at }
 
-// Simulator owns the virtual clock, the event queue, and the run's PRNG.
+// slot holds what one pending event will run: fn(), or call(arg) in the
+// closure-free form, or nothing once cancelled.
+type slot struct {
+	fn   func()
+	call func(any)
+	arg  any
+	gen  uint32
+}
+
+// Simulator owns the kernel, the callback table, and the run's PRNG.
 type Simulator struct {
-	now   float64
-	queue []*Event // binary min-heap ordered by (at, seq)
-	free  []*Event // recycled Event structs
-	rng   *rand.Rand
-	pcg   *rand.PCG // rng's source, kept for allocation-free reseeding
-	seq   uint64
-	steps uint64
+	k       *shard.Kernel
+	p       *shard.Proc // the kernel's one shard: the clock, and where events are filed
+	rng     *rand.Rand
+	slots   []slot
+	free    []uint32 // slots no pending event holds
+	horizon float64  // the latest time ever scheduled: how far Run must go
+	steps   uint64
 
 	// Optional observability handles (nil until Observe). Counter
 	// methods are nil-safe, so the hot paths bump them unconditionally.
@@ -78,109 +92,102 @@ func (s *Simulator) Observe(reg *obs.Registry) {
 }
 
 // New returns a simulator at virtual time zero whose PRNG is seeded with
-// seed. The same seed always reproduces the same run.
+// seed. The same seed always reproduces the same run. A one-shard kernel
+// starts no goroutine and claims no worker, so there is nothing to close.
 func New(seed uint64) *Simulator {
-	pcg := rand.NewPCG(seed, seed^0xda942042e4dd58b5)
-	return &Simulator{rng: rand.New(pcg), pcg: pcg}
-}
-
-// Reset returns the simulator to virtual time zero with an empty queue, a
-// fresh PRNG seeded with seed, and zeroed counters, while keeping the event
-// pool and the queue's backing array warm. A benchmark or trial loop can
-// therefore reuse one Simulator across runs without re-paying allocation
-// warm-up. Outstanding *Event handles are invalidated.
-func (s *Simulator) Reset(seed uint64) {
-	for _, e := range s.queue {
-		s.release(e)
+	s := &Simulator{rng: rand.New(rand.NewPCG(seed, seed^0xda942042e4dd58b5))}
+	k, err := shard.New(shard.Config{Nodes: 1, Handler: (*dispatch)(s)})
+	if err != nil {
+		panic(err) // the configuration is a constant
 	}
-	s.queue = s.queue[:0]
-	s.now = 0
-	s.seq = 0
-	s.steps = 0
-	s.pcg.Seed(seed, seed^0xda942042e4dd58b5)
+	s.k, s.p = k, k.Proc(0)
+	return s
 }
 
 // Now returns the current virtual time in seconds.
-func (s *Simulator) Now() float64 { return s.now }
+func (s *Simulator) Now() float64 { return s.p.Now() }
 
 // Rand returns the run's PRNG. All stochastic choices in a simulation must
 // draw from it (or from PRNGs derived from it) to preserve determinism.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
-// Steps returns the number of events executed so far.
+// Steps returns the number of events executed so far. Cancelled events
+// are not counted.
 func (s *Simulator) Steps() uint64 { return s.steps }
 
-// alloc takes an Event from the pool, or makes one.
-func (s *Simulator) alloc() *Event {
-	if n := len(s.free); n > 0 {
-		e := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return e
+// schedule puts one callback in the table and files its kernel event. A
+// time before now or NaN panics, and so does +Inf: no run reaches it, so
+// Run would never return.
+//
+//lint:noalloc
+func (s *Simulator) schedule(at float64, fn func(), call func(any), arg any) Event {
+	if !(at >= s.Now()) || math.IsInf(at, 1) {
+		panic(fmt.Sprintf("sim: schedule at %v, want a finite time no earlier than now %v", at, s.Now()))
 	}
-	return &Event{}
+	var i uint32
+	if n := len(s.free); n > 0 {
+		i, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		i = uint32(len(s.slots))
+		s.slots = append(s.slots, slot{})
+	}
+	sl := &s.slots[i]
+	sl.fn, sl.call, sl.arg = fn, call, arg
+	s.horizon = max(s.horizon, at)
+	s.p.At(0, at, 0, i, 0, 0)
+	s.obsScheduled.Inc()
+	return Event{s: s, at: at, slot: i, gen: sl.gen}
 }
 
-// maxFree caps the event pool. Steady-state workloads stay far below the
-// cap and remain allocation-free; a transient spike (a 100k-server
-// scenario scheduling one burst) no longer pins its high-water mark of
-// *Event structs for the simulator's whole lifetime — the excess is
-// dropped to the garbage collector as it fires.
-const maxFree = 1 << 14
+// dispatch is the Simulator as the kernel's handler, kept off the
+// Simulator's own method set.
+type dispatch Simulator
 
-// release returns a popped event to the pool, dropping callback references
-// so closures do not outlive their event. Beyond maxFree the event is
-// discarded instead of pooled.
-func (s *Simulator) release(e *Event) {
-	if len(s.free) >= maxFree {
+// Event frees the slot the kernel event names and runs what it held. The
+// slot is freed first, so the callback may schedule into it.
+//
+//lint:noalloc
+func (d *dispatch) Event(_ *shard.Proc, ev shard.Ev) {
+	s := (*Simulator)(d)
+	sl := &s.slots[ev.Tag]
+	fn, call, arg := sl.fn, sl.call, sl.arg
+	sl.fn, sl.call, sl.arg = nil, nil, nil
+	sl.gen++
+	s.free = append(s.free, ev.Tag)
+	if fn == nil && call == nil {
+		s.obsCancelled.Inc()
 		return
 	}
-	e.fn = nil
-	e.call = nil
-	e.arg = nil
-	e.cancelled = false
-	e.index = -1
-	s.free = append(s.free, e)
-}
-
-// schedule allocates, fills, and pushes one event.
-func (s *Simulator) schedule(at float64, fn func(), call func(any), arg any) *Event {
-	if at < s.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now))
+	s.steps++
+	s.obsExecuted.Inc()
+	if fn != nil {
+		fn()
+	} else {
+		call(arg)
 	}
-	e := s.alloc()
-	e.at = at
-	e.seq = s.seq
-	e.fn = fn
-	e.call = call
-	e.arg = arg
-	s.seq++
-	s.push(e)
-	s.obsScheduled.Inc()
-	return e
 }
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the
-// past panics: it would silently reorder causality.
-func (s *Simulator) At(at float64, fn func()) *Event {
+// past (or at NaN) panics: it would silently reorder causality.
+func (s *Simulator) At(at float64, fn func()) Event {
 	return s.schedule(at, fn, nil, nil)
 }
 
 // After schedules fn to run d seconds from now. Negative delays panic.
-func (s *Simulator) After(d float64, fn func()) *Event {
-	return s.schedule(s.now+d, fn, nil, nil)
+func (s *Simulator) After(d float64, fn func()) Event {
+	return s.schedule(s.Now()+d, fn, nil, nil)
 }
 
 // AtCall schedules call(arg) at absolute virtual time at. It is the
 // closure-free form of At for hot paths: a package-level call function plus
 // a caller-pooled arg schedules an event without allocating a closure.
-func (s *Simulator) AtCall(at float64, call func(any), arg any) *Event {
+func (s *Simulator) AtCall(at float64, call func(any), arg any) Event {
 	return s.schedule(at, nil, call, arg)
 }
 
 // AfterCall schedules call(arg) d seconds from now, without a closure.
-func (s *Simulator) AfterCall(d float64, call func(any), arg any) *Event {
-	return s.schedule(s.now+d, nil, call, arg)
+func (s *Simulator) AfterCall(d float64, call func(any), arg any) Event {
+	return s.schedule(s.Now()+d, nil, call, arg)
 }
 
 // Every schedules fn to run every period seconds, starting period seconds
@@ -192,7 +199,7 @@ func (s *Simulator) Every(period float64, fn func()) (stop func()) {
 	}
 	stopped := false
 	var tick func()
-	var pending *Event
+	var pending Event
 	tick = func() {
 		if stopped {
 			return
@@ -212,148 +219,21 @@ func (s *Simulator) Every(period float64, fn func()) (stop func()) {
 	}
 }
 
-// Step executes the next pending event. It reports false when the queue is
-// empty.
-func (s *Simulator) Step() bool {
-	for len(s.queue) > 0 {
-		e := s.pop()
-		if e.cancelled {
-			s.obsCancelled.Inc()
-			s.release(e)
-			continue
-		}
-		s.now = e.at
-		s.steps++
-		s.obsExecuted.Inc()
-		if e.fn != nil {
-			e.fn()
-		} else {
-			e.call(e.arg)
-		}
-		s.release(e)
-		return true
-	}
-	return false
-}
-
 // RunUntil executes events with time <= t and then advances the virtual
-// clock to exactly t.
+// clock to exactly t. A t before Now (or NaN) panics.
 func (s *Simulator) RunUntil(t float64) {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, s.now))
+	if !(t >= s.Now()) {
+		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, s.Now()))
 	}
-	for len(s.queue) > 0 {
-		next := s.peek()
-		if next == nil {
-			break
-		}
-		if next.at > t {
-			break
-		}
-		s.Step()
-	}
-	s.now = t
+	s.k.Run(t)
 }
 
-// Run executes events until the queue is empty.
+// Run executes events until none is pending. The clock rests on the
+// latest time anything was ever scheduled for, which is the time of the
+// last event executed unless the latest one was cancelled: a cancelled
+// event runs nothing, but the clock still passes its time to discard it.
 func (s *Simulator) Run() {
-	for s.Step() {
+	for len(s.free) < len(s.slots) {
+		s.k.Run(s.horizon)
 	}
-}
-
-// Pending returns the number of scheduled, uncancelled events.
-func (s *Simulator) Pending() int {
-	n := 0
-	for _, e := range s.queue {
-		if !e.cancelled {
-			n++
-		}
-	}
-	return n
-}
-
-// peek returns the earliest uncancelled event without running it, popping
-// cancelled ones lazily.
-func (s *Simulator) peek() *Event {
-	for len(s.queue) > 0 {
-		if e := s.queue[0]; e.cancelled {
-			s.obsCancelled.Inc()
-			s.release(s.pop())
-			continue
-		}
-		return s.queue[0]
-	}
-	return nil
-}
-
-// --- hand-specialized binary min-heap over (at, seq) ---
-//
-// Identical ordering to the former container/heap implementation, without
-// the interface-method and any-boxing costs on every push and pop.
-
-// less orders events by time, then by scheduling sequence (FIFO at equal
-// times).
-func eventLess(a, b *Event) bool {
-	if a.at < b.at {
-		return true
-	}
-	if a.at > b.at {
-		return false
-	}
-	return a.seq < b.seq
-}
-
-// push inserts e into the heap.
-func (s *Simulator) push(e *Event) {
-	q := append(s.queue, e)
-	i := len(q) - 1
-	e.index = i
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(q[i], q[parent]) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		q[i].index = i
-		q[parent].index = parent
-		i = parent
-	}
-	s.queue = q
-}
-
-// pop removes and returns the minimum event. The queue must be non-empty.
-func (s *Simulator) pop() *Event {
-	q := s.queue
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q[n] = nil
-	q = q[:n]
-	s.queue = q
-	top.index = -1
-	if n == 0 {
-		return top
-	}
-	// Sift the former last element down from the root.
-	i := 0
-	q[0] = last
-	last.index = 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && eventLess(q[l], q[smallest]) {
-			smallest = l
-		}
-		if r < n && eventLess(q[r], q[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		q[i], q[smallest] = q[smallest], q[i]
-		q[i].index = i
-		q[smallest].index = smallest
-		i = smallest
-	}
-	return top
 }

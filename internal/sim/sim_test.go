@@ -1,10 +1,9 @@
 package sim
 
 import (
-	"math/rand/v2"
+	"math"
 	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestEventsRunInTimeOrder(t *testing.T) {
@@ -56,26 +55,42 @@ func TestAfter(t *testing.T) {
 	}
 }
 
+// mustPanic runs fn and fails the test unless it panics.
+func mustPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", name)
+		}
+	}()
+	fn()
+}
+
+// TestSchedulePastPanics checks the absolute times sim refuses at its own
+// door: the past, NaN (which passes an at < now test, and whose key is
+// neither before nor after any other), and +Inf, which no run reaches.
 func TestSchedulePastPanics(t *testing.T) {
 	s := New(1)
 	s.At(10, func() {})
 	s.Run()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic scheduling in the past")
-		}
-	}()
-	s.At(5, func() {})
+	mustPanic(t, "At(5) at now = 10", func() { s.At(5, func() {}) })
+	mustPanic(t, "AtCall(5) at now = 10", func() { s.AtCall(5, func(any) {}, nil) })
+	mustPanic(t, "At(NaN)", func() { s.At(math.NaN(), func() {}) })
+	mustPanic(t, "At(+Inf)", func() { s.At(math.Inf(1), func() {}) })
+	// Nothing refused left a trace: now itself is accepted and runs.
+	ran := false
+	s.At(10, func() { ran = true })
+	s.Run()
+	if !ran || s.Steps() != 2 {
+		t.Errorf("after the refused calls: ran = %v, Steps() = %d, want true and 2", ran, s.Steps())
+	}
 }
 
 func TestNegativeAfterPanics(t *testing.T) {
 	s := New(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on negative delay")
-		}
-	}()
-	s.After(-1, func() {})
+	mustPanic(t, "After(-1)", func() { s.After(-1, func() {}) })
+	mustPanic(t, "After(NaN)", func() { s.After(math.NaN(), func() {}) })
+	mustPanic(t, "AfterCall(NaN)", func() { s.AfterCall(math.NaN(), func(any) {}, nil) })
 }
 
 func TestCancel(t *testing.T) {
@@ -87,10 +102,9 @@ func TestCancel(t *testing.T) {
 	if ran {
 		t.Error("cancelled event ran")
 	}
-	// Double-cancel and nil-cancel are harmless.
+	// Cancelling twice, and cancelling the zero handle, are harmless.
 	e.Cancel()
-	var nilEvent *Event
-	nilEvent.Cancel()
+	Event{}.Cancel()
 }
 
 func TestCancelInterleaved(t *testing.T) {
@@ -133,12 +147,11 @@ func TestRunUntil(t *testing.T) {
 func TestRunUntilBackwardsPanics(t *testing.T) {
 	s := New(1)
 	s.RunUntil(5)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	s.RunUntil(4)
+	mustPanic(t, "RunUntil(4) at now = 5", func() { s.RunUntil(4) })
+	mustPanic(t, "RunUntil(NaN)", func() { s.RunUntil(math.NaN()) })
+	if s.Now() != 5 {
+		t.Errorf("Now() = %v after the refused calls, want 5", s.Now())
+	}
 }
 
 func TestRunUntilBoundaryInclusive(t *testing.T) {
@@ -166,8 +179,9 @@ func TestEvery(t *testing.T) {
 			t.Fatalf("ticks at %v, want %v", times, want)
 		}
 	}
-	if s.Pending() != 0 {
-		t.Errorf("Pending() = %d after stop, want 0", s.Pending())
+	// Three ticks and the stop ran; the tick pending at the stop did not.
+	if s.Steps() != 4 {
+		t.Errorf("Steps() = %d after stop, want 4", s.Steps())
 	}
 }
 
@@ -229,47 +243,11 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestPending(t *testing.T) {
-	s := New(1)
-	e1 := s.At(1, func() {})
-	s.At(2, func() {})
-	if got := s.Pending(); got != 2 {
-		t.Errorf("Pending() = %d, want 2", got)
-	}
-	e1.Cancel()
-	if got := s.Pending(); got != 1 {
-		t.Errorf("Pending() after cancel = %d, want 1", got)
-	}
-}
-
 func TestEventTime(t *testing.T) {
 	s := New(1)
 	e := s.At(17, func() {})
 	if e.Time() != 17 {
 		t.Errorf("Time() = %v", e.Time())
-	}
-}
-
-// TestHeapOrderProperty: for any random batch of schedule times, execution
-// order is the sorted order.
-func TestHeapOrderProperty(t *testing.T) {
-	f := func(seed uint64, raw []float64) bool {
-		s := New(seed)
-		rng := rand.New(rand.NewPCG(seed, 99))
-		var times []float64
-		for i := 0; i < len(raw) || i < 3; i++ {
-			times = append(times, rng.Float64()*1000)
-		}
-		var got []float64
-		for _, at := range times {
-			at := at
-			s.At(at, func() { got = append(got, at) })
-		}
-		s.Run()
-		return sort.Float64sAreSorted(got) && len(got) == len(times)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

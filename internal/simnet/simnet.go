@@ -168,6 +168,11 @@ type Network struct {
 	adj      [][]NodeID  // cached sorted adjacency per node
 	free     []*delivery // recycled in-flight message envelopes
 
+	// maxDelay is MaxOneWayDelay's answer, kept while maxDelayOK: every
+	// sync round asks for xi, and only Connect and Disconnect change it.
+	maxDelay   float64
+	maxDelayOK bool
+
 	// Stats counts traffic for experiment reporting.
 	Stats Stats
 
@@ -318,6 +323,7 @@ func (n *Network) Connect(a, b NodeID, cfg LinkConfig) error {
 		return fmt.Errorf("simnet: connect %d-%d: loss %v outside [0,1)", a, b, cfg.Loss)
 	}
 	n.links[keyFor(a, b)] = cfg
+	n.maxDelayOK = false
 	n.addAdj(a, b)
 	n.addAdj(b, a)
 	return nil
@@ -326,6 +332,7 @@ func (n *Network) Connect(a, b NodeID, cfg LinkConfig) error {
 // Disconnect removes the link between a and b, if any.
 func (n *Network) Disconnect(a, b NodeID) {
 	delete(n.links, keyFor(a, b))
+	n.maxDelayOK = false
 	if n.valid(a) && n.valid(b) {
 		n.dropAdj(a, b)
 		n.dropAdj(b, a)
@@ -470,13 +477,16 @@ func (n *Network) Links() []Link {
 // paper's xi — the bound on the time between sending a request and
 // receiving the reply, with instantaneous processing — is twice this.
 func (n *Network) MaxOneWayDelay() float64 {
-	max := 0.0
-	for _, cfg := range n.links {
-		if d := cfg.bound(); d > max {
-			max = d
+	if !n.maxDelayOK {
+		n.maxDelay = 0
+		for _, cfg := range n.links {
+			if d := cfg.bound(); d > n.maxDelay {
+				n.maxDelay = d
+			}
 		}
+		n.maxDelayOK = true
 	}
-	return max
+	return n.maxDelay
 }
 
 // Xi returns the paper's round-trip delay bound for this network.

@@ -283,6 +283,42 @@ func TestMaxOneWayDelayAndXi(t *testing.T) {
 	}
 }
 
+// TestXiFollowsRewiring checks that the kept MaxOneWayDelay is dropped by
+// whatever changes a link: a fault injector that replaces a link through
+// Connect mid-run, or removes one, must see the new bound at once.
+func TestXiFollowsRewiring(t *testing.T) {
+	_, n, ids := newTestNet(t, 3)
+	step := func(what string, want float64) {
+		t.Helper()
+		for i := 0; i < 2; i++ { // the second read is the kept answer
+			if got := n.Xi(); got != want {
+				t.Fatalf("after %s, read %d: Xi = %v, want %v", what, i+1, got, want)
+			}
+		}
+	}
+	step("nothing", 0)
+	if err := n.Connect(ids[0], ids[1], LinkConfig{Delay: Constant{D: 0.05}}); err != nil {
+		t.Fatal(err)
+	}
+	step("the first link", 0.1)
+	if err := n.Connect(ids[1], ids[2], LinkConfig{Delay: Constant{D: 0.01}}); err != nil {
+		t.Fatal(err)
+	}
+	step("a faster second link", 0.1)
+	if err := n.Connect(ids[1], ids[2], LinkConfig{Delay: Scaled{M: Constant{D: 0.01}, Factor: 20}}); err != nil {
+		t.Fatal(err)
+	}
+	step("a delay spike on the second link", 0.4)
+	if err := n.Connect(ids[0], ids[0], LinkConfig{Delay: Constant{D: 9}}); err == nil {
+		t.Fatal("self-link accepted")
+	}
+	step("a refused Connect", 0.4)
+	n.Disconnect(ids[1], ids[2])
+	step("removing the slow link", 0.1)
+	n.Disconnect(ids[0], ids[1])
+	step("removing every link", 0)
+}
+
 func TestFullMesh(t *testing.T) {
 	_, n, ids := newTestNet(t, 5)
 	if err := FullMesh(n, ids, LinkConfig{Delay: Constant{D: 0.01}}); err != nil {
