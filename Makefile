@@ -38,12 +38,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static-analysis gate: the nine repo-specific invariant checks
-# (nowcheck, globalrand, floateq, mapiter, poolput, guardedby, atomicmix,
-# noalloc, barrier) built on the standard library only. See DESIGN.md §10
-# and §15 for the invariant each one guards. The tree must be clean of
-# unsuppressed diagnostics, and every suppression carries a written
-# justification (the framework rejects reasons under three words).
+# Static-analysis gate: the eight repo-specific invariant checks
+# (nowcheck, globalrand, atomicmix, floateq, mapiter, poolput, guardedby,
+# barrier) built on the standard library only. See DESIGN.md §10 for the
+# invariant each one guards and the planted violation only it caught.
+# The tree must be clean of unsuppressed diagnostics, and every
+# suppression carries a written justification (the framework rejects
+# reasons under three words).
 lint:
 	$(GO) run ./cmd/disttimelint ./...
 
@@ -54,8 +55,8 @@ test:
 	$(GO) test -race $(RACE_PKGS)
 
 # check = vet + lint + test + race + coverage floor + smokes: the tier-1
-# tests (the AllocsPerRun tests that hold every //lint:noalloc hot path
-# at zero among them), the lint gate, the proof-core coverage floor, the
+# tests (the AllocsPerRun tests that hold every hot path at zero
+# allocations among them), the lint gate, the proof-core coverage floor, the
 # observability/membership determinism smokes, the committed chaos
 # corpus replays, and the scale smoke (the event kernel, the only one,
 # with more than one shard) travel together
@@ -149,15 +150,16 @@ txn-smoke:
 # Short coverage-guided fuzz passes: the M-of-N interval sweep and the
 # majority selection over it, each against its naive oracle, every parser
 # a datagram reaches on the serving path, the client's matching of a
-# datagram to an outstanding request, and the event kernel's pending
-# set (lanes and heap) against a sorted slice.
+# datagram to an outstanding request, the event kernel's pending
+# set (lanes and heap) against a sorted slice, and the chaos reproducer
+# grammar's round trip over generated and corpus campaigns.
 # FUZZTIME is the budget of the whole smoke in seconds, split
 # evenly over the targets; run one target with a larger -fuzztime when
 # hunting.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = interval:FuzzIntersectMofN interval:FuzzSelect wire:FuzzParseRequest \
                wire:FuzzParseRequestHLC wire:FuzzParseResponse hlc:FuzzTimestampCodec \
-               udptime:FuzzClientReply sim/shard:FuzzQueue
+               udptime:FuzzClientReply sim/shard:FuzzQueue chaos:FuzzCampaignCodec
 fuzz-smoke:
 	@each=$$(( $(FUZZTIME:s=) / $(words $(FUZZ_TARGETS)) ))s; \
 	for t in $(FUZZ_TARGETS); do \

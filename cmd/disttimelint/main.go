@@ -1,9 +1,9 @@
-// Command disttimelint runs disttime's in-tree static analyzers: nine
-// repo-specific invariant checks (nowcheck, globalrand, floateq, mapiter,
-// poolput, guardedby, atomicmix, noalloc, barrier) built on the standard
+// Command disttimelint runs disttime's in-tree static analyzers: eight
+// repo-specific invariant checks (nowcheck, globalrand, atomicmix,
+// floateq, mapiter, poolput, guardedby, barrier) built on the standard
 // library's go/ast and go/types, with no external dependencies. See
-// internal/lint for the framework and DESIGN.md §10 and §15 for the
-// invariant each check guards.
+// internal/lint for the framework and DESIGN.md §10 for the invariant
+// each check guards and the planted violation that keeps it.
 //
 // Usage:
 //

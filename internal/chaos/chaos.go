@@ -55,17 +55,6 @@ func RunObserved(c Campaign, reg *obs.Registry) (Verdict, error) { return run(c,
 // produce violations, or the monitor is asleep.
 func RunInjected(c Campaign, fn core.SyncFunc) (Verdict, error) { return run(c, fn, nil, nil) }
 
-// RunInjectedWaiter executes the campaign with the transaction workload
-// enabled and waiter replacing its commit policy. It is the workload's
-// counterpart to RunInjected: injecting txn.BuggyCommitWait must
-// produce txn-external-consistency violations, or the checker is
-// asleep. The campaign runs with Txn forced on so the injected policy
-// has transactions to decide.
-func RunInjectedWaiter(c Campaign, waiter txn.Waiter) (Verdict, error) {
-	c.Txn = true
-	return run(c, nil, waiter, nil)
-}
-
 // txnRate is the per-client transaction rate (transactions per virtual
 // second) for campaign workloads: slow enough that the workload's
 // events stay a small fraction of the protocol's, fast enough that

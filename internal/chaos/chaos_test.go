@@ -158,34 +158,49 @@ func TestShrinkKeepsPassingCampaign(t *testing.T) {
 	}
 }
 
+// corpusEntry is one committed reproducer file: its `# expect:` comment
+// and its one non-comment line.
+type corpusEntry struct{ path, expect, line string }
+
+// readCorpus reads every file under corpus/.
+func readCorpus(tb testing.TB) []corpusEntry {
+	tb.Helper()
+	files, err := filepath.Glob(filepath.Join("corpus", "*.repro"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(files) == 0 {
+		tb.Fatal("no corpus files found")
+	}
+	var out []corpusEntry
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		e := corpusEntry{path: path}
+		for _, l := range strings.Split(string(data), "\n") {
+			l = strings.TrimSpace(l)
+			switch {
+			case strings.HasPrefix(l, "# expect:"):
+				e.expect = strings.TrimSpace(strings.TrimPrefix(l, "# expect:"))
+			case l == "" || strings.HasPrefix(l, "#"):
+			default:
+				e.line = l
+			}
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
 // TestCorpusReplays replays every committed reproducer and checks its
 // expectation line. Corpus files carry `# expect: ok` (must pass under
 // the real rules) or `# expect: <invariant>` comments; the remaining
 // non-comment line is the reproducer itself.
 func TestCorpusReplays(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("corpus", "*.repro"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) == 0 {
-		t.Fatal("no corpus files found")
-	}
-	for _, path := range files {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		expect, line := "", ""
-		for _, l := range strings.Split(string(data), "\n") {
-			l = strings.TrimSpace(l)
-			switch {
-			case strings.HasPrefix(l, "# expect:"):
-				expect = strings.TrimSpace(strings.TrimPrefix(l, "# expect:"))
-			case l == "" || strings.HasPrefix(l, "#"):
-			default:
-				line = l
-			}
-		}
+	for _, e := range readCorpus(t) {
+		path, expect, line := e.path, e.expect, e.line
 		if expect == "" || line == "" {
 			t.Errorf("%s: missing expectation or reproducer line", path)
 			continue

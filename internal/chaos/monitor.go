@@ -33,7 +33,7 @@ func (v Violation) String() string {
 }
 
 // Monitor is the always-on invariant checker. It attaches to the service
-// through OnSyncDetail (per-pass assertions) and a periodic probe event
+// through AddSyncDetail (per-pass assertions) and a periodic probe event
 // (containment, consistency, and the monotonic-clock oracle between
 // passes). All probes are read-only with respect to the protocol state,
 // so attaching a monitor never changes what the service does — the same
@@ -181,7 +181,7 @@ func newMonitor(svc *service.Service, c Campaign, sink *obsSink) *Monitor {
 	for i, node := range svc.Nodes {
 		m.mono[i] = clock.NewMonotonic(node.Server.Clock(), 0.5)
 	}
-	svc.OnSyncDetail(m.observe)
+	svc.AddSyncDetail(m.observe)
 	probeEvery := math.Max(1, c.Sync/4)
 	svc.Sim.Every(probeEvery, m.probe)
 	return m

@@ -77,13 +77,6 @@ func (c *Drifting) ActualRate() float64 { return 1 + c.drift }
 // Drift returns the constant rate offset.
 func (c *Drifting) Drift() float64 { return c.drift }
 
-// SetDrift changes the oscillator's rate offset from real time t onward,
-// preserving continuity of the clock value.
-func (c *Drifting) SetDrift(t, drift float64) {
-	v := c.Read(t)
-	c.t0, c.v0, c.drift = t, v, drift
-}
-
 // RandomWalk is a clock whose instantaneous rate offset performs a bounded
 // random walk within [-maxDrift, +maxDrift], resampled every step seconds
 // of real time. It models the paper's "usually stable" oscillators and the
@@ -197,7 +190,3 @@ func (c *RandomWalk) resample() {
 	}
 	c.rate = r
 }
-
-// Perfect returns a drift-free clock reading value at real time t. A
-// perfect clock initialized with value == t is the paper's standard.
-func Perfect(t, value float64) *Drifting { return NewDrifting(t, value, 0) }

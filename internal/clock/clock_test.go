@@ -49,19 +49,6 @@ func TestDriftingSet(t *testing.T) {
 	}
 }
 
-func TestDriftingSetDriftContinuity(t *testing.T) {
-	c := NewDrifting(0, 0, 0.5)
-	before := c.Read(10)
-	c.SetDrift(10, -0.5)
-	after := c.Read(10)
-	if math.Abs(before-after) > 1e-9 {
-		t.Errorf("SetDrift broke continuity: %v vs %v", before, after)
-	}
-	if got, want := c.Read(12), before+2*0.5; math.Abs(got-want) > 1e-9 {
-		t.Errorf("Read after SetDrift = %v, want %v", got, want)
-	}
-}
-
 // TestDriftingBoundInvariant: for any drift d with |d| <= delta, the clock
 // satisfies the paper's integrated drift relation
 // C(t0) + dt - delta*dt <= C(t0+dt) <= C(t0) + dt + delta*dt.
@@ -84,11 +71,13 @@ func TestDriftingBoundInvariant(t *testing.T) {
 	}
 }
 
+// TestPerfect: a drift-free clock set to real time is the paper's
+// standard; it reads real time exactly.
 func TestPerfect(t *testing.T) {
-	c := Perfect(0, 0)
+	c := NewDrifting(0, 0, 0)
 	for _, at := range []float64{0, 1, 1e6} {
 		if got := c.Read(at); got != at {
-			t.Errorf("Perfect.Read(%v) = %v", at, got)
+			t.Errorf("drift-free Read(%v) = %v", at, got)
 		}
 	}
 }

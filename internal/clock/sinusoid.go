@@ -70,6 +70,3 @@ func (c *Sinusoid) ActualRate() float64 { return c.RateAt(c.t0) }
 func (c *Sinusoid) RateAt(t float64) float64 {
 	return 1 + c.amp*math.Sin(2*math.Pi*t/c.period+c.phase)
 }
-
-// Amplitude returns the rate amplitude, a valid claimed drift bound.
-func (c *Sinusoid) Amplitude() float64 { return c.amp }

@@ -69,8 +69,8 @@ func TestSinusoidSet(t *testing.T) {
 
 func TestSinusoidDefaults(t *testing.T) {
 	c := NewSinusoid(0, 0, -1, 0, 0)
-	if c.Amplitude() != 0 {
-		t.Errorf("negative amplitude not clamped: %v", c.Amplitude())
+	if c.amp != 0 {
+		t.Errorf("negative amplitude not clamped: %v", c.amp)
 	}
 	if c.period != 86400 {
 		t.Errorf("period not defaulted: %v", c.period)

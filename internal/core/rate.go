@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"disttime/internal/interval"
-)
+import "disttime/internal/interval"
 
 // This file implements the Section 5 machinery: when a service becomes
 // inconsistent "the rates of the servers must be examined in order to
@@ -205,16 +201,4 @@ func DissonantPairs(estimates [][]RateEstimate, deltas []float64) [][2]int {
 		}
 	}
 	return out
-}
-
-// MaxSeparationRate returns the largest absolute separation rate among
-// valid estimates, a scalar summary used by experiments.
-func MaxSeparationRate(estimates []RateEstimate) float64 {
-	max := 0.0
-	for _, e := range estimates {
-		if e.Valid {
-			max = math.Max(max, math.Abs(e.Rate))
-		}
-	}
-	return max
 }

@@ -222,20 +222,6 @@ func TestDissonantPairs(t *testing.T) {
 	}
 }
 
-func TestMaxSeparationRate(t *testing.T) {
-	estimates := []RateEstimate{
-		{Rate: 1e-5, Valid: true},
-		{Rate: -3e-5, Valid: true},
-		{Rate: 99, Valid: false},
-	}
-	if got := MaxSeparationRate(estimates); got != 3e-5 {
-		t.Errorf("MaxSeparationRate = %v, want 3e-5", got)
-	}
-	if got := MaxSeparationRate(nil); got != 0 {
-		t.Errorf("MaxSeparationRate(nil) = %v", got)
-	}
-}
-
 // TestRateTrackerDetectsFaultyDriftBound reproduces the Section 5 use
 // case end-to-end at the rate level: a clock claiming one second a day but
 // actually four percent fast is exposed by consonance checking.

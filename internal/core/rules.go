@@ -20,8 +20,6 @@ package core
 //
 // A clock a fault moved behind its reset reference has elapsed < 0; the
 // deterioration is clamped at zero, since error never shrinks by drift.
-//
-//lint:noalloc
 func AgedError(eps, elapsed, delta float64) float64 {
 	if elapsed < 0 {
 		elapsed = 0
@@ -42,8 +40,6 @@ func AgedError(eps, elapsed, delta float64) float64 {
 // own drift over the flight: the transit charge of rule IM-2's transform
 // and of MM-2's error adjustment. Both edges widen by delta*age while the
 // reply waits to be applied. With age = 0 these are the paper's quantities.
-//
-//lint:noalloc
 func Charge(e, rtt, age, delta float64) (trail, lead float64) {
 	if age < 0 {
 		age = 0
@@ -58,8 +54,6 @@ func Charge(e, rtt, age, delta float64) (trail, lead float64) {
 //	[lo, hi] = [c - trail - ci, c + lead - ci].
 //
 // With ci = 0 it is the reply's interval on the requester's timeline.
-//
-//lint:noalloc
 func Offset(c, trail, lead, ci float64) (lo, hi float64) {
 	return c - trail - ci, c + lead - ci
 }
@@ -68,8 +62,6 @@ func Offset(c, trail, lead, ci float64) (lo, hi float64) {
 // requester's own [-ei, ei], the paper's |C_i - C_j| <= E_i + E_j after
 // the transit charge. A reply that fails it proves one of the two servers
 // incorrect, and rule MM-2 ignores it.
-//
-//lint:noalloc
 func Consistent(lo, hi, ei float64) bool {
 	return lo <= ei && hi >= -ei
 }
@@ -78,8 +70,6 @@ func Consistent(lo, hi, ei float64) bool {
 // clock progress (clamped at zero): offsets keep their reference at the
 // current reading, and each edge moves out by delta*dc. It is Charge's
 // delta*age applied to the intersection instead of to each reply in it.
-//
-//lint:noalloc
 func Widen(a, b, dc, delta float64) (float64, float64) {
 	if dc < 0 {
 		dc = 0
@@ -89,8 +79,6 @@ func Widen(a, b, dc, delta float64) (float64, float64) {
 
 // Fold intersects [lo, hi] into the running intersection [a, b]. The
 // result is empty, and the service inconsistent, when it has b < a.
-//
-//lint:noalloc
 func Fold(a, b, lo, hi float64) (float64, float64) {
 	if lo > a {
 		a = lo
@@ -103,8 +91,6 @@ func Fold(a, b, lo, hi float64) (float64, float64) {
 
 // Midpoint is rule IM-2's adoption of a non-empty intersection [a, b]:
 // the clock moves by shift = (a+b)/2 and inherits eps = (b-a)/2.
-//
-//lint:noalloc
 func Midpoint(a, b float64) (shift, eps float64) {
 	return (a + b) / 2, (b - a) / 2
 }

@@ -18,6 +18,12 @@ import (
 func incrementalIM(s *Server, t float64, replies []Reply) (c, eps float64, ok bool) {
 	arrivals := append([]Reply(nil), replies...)
 	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].Age > arrivals[j].Age })
+	return incrementalRound(s, t, arrivals)
+}
+
+// incrementalRound is incrementalIM past the sort: the rule calls
+// themselves, over replies already in arrival order (oldest first).
+func incrementalRound(s *Server, t float64, arrivals []Reply) (c, eps float64, ok bool) {
 	ci := s.Read(t)
 	errAt := func(c float64) float64 { return AgedError(s.epsilon, c-s.resetRef, s.delta) }
 
@@ -107,16 +113,15 @@ func TestPropertyIncrementalIMMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestRulePassAllocs is the measured half of the //lint:noalloc
-// annotations in rules.go (the analyzer is the static half): one rule
-// MM-2 pass and one rule IM-2 pass over eight consistent replies, on a
-// server built once and resynchronized every run, allocate nothing. The
-// passes reach every rule but Widen, which only an incremental caller
-// uses (incrementalIM above, scale.Engine).
+// TestRulePassAllocs holds rules.go at zero allocations: one rule MM-2
+// pass and one rule IM-2 pass over eight consistent replies, on a server
+// built once and resynchronized every run, and one incremental round
+// (incrementalRound above, the shape scale.Engine runs, and the only
+// caller of Widen) over the same replies arriving a millisecond apart.
 func TestRulePassAllocs(t *testing.T) {
 	replies := make([]Reply, 8)
 	for i := range replies {
-		replies[i] = Reply{From: i + 1, C: 1000.001, E: 0.5, RTT: 0.01}
+		replies[i] = Reply{From: i + 1, C: 1000.001, E: 0.5, RTT: 0.01, Age: float64(8-i) * 1e-3}
 	}
 	for _, fn := range []SyncFunc{MM{}, IM{}} {
 		s := newServer(t, 0, 1000, 1000, 1e-5, 1)
@@ -127,5 +132,13 @@ func TestRulePassAllocs(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("%s: a pass over eight replies allocates %v times, want 0", fn.Name(), allocs)
 		}
+	}
+	s := newServer(t, 0, 1000, 1000, 1e-5, 1)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, _, ok := incrementalRound(s, 1000, replies); !ok {
+			t.Fatal("incremental round over consistent replies adopted nothing")
+		}
+	}); allocs != 0 {
+		t.Errorf("an incremental round over eight replies allocates %v times, want 0", allocs)
 	}
 }

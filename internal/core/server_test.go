@@ -25,7 +25,7 @@ func newServer(t *testing.T, id int, at, value, delta, initialErr float64) *Serv
 }
 
 func TestNewServerValidation(t *testing.T) {
-	clk := clock.Perfect(0, 0)
+	clk := clock.NewDrifting(0, 0, 0)
 	tests := []struct {
 		name    string
 		cfg     Config

@@ -153,22 +153,15 @@ func (LamportMax) Name() string { return "max" }
 // Sync adopts the maximum clock value among self and consistent replies.
 func (LamportMax) Sync(s *Server, t float64, replies []Reply) Result {
 	var res Result
-	bestC := s.Read(t)
-	bestIdx := -1
-	for i, r := range replies {
-		if !s.ConsistentWith(t, r) {
-			s.noteInconsistent()
-			res.Inconsistent = append(res.Inconsistent, i)
-			continue
-		}
-		if c, _, _ := s.effective(r); c > bestC {
-			bestC = c
-			bestIdx = i
+	cands := s.candidates(t, replies, &res)
+	best := cands[0]
+	for _, k := range cands[1:] {
+		if k.c > best.c {
+			best = k
 		}
 	}
-	if bestIdx >= 0 {
-		c, _, lead := s.effective(replies[bestIdx])
-		s.SetClock(t, c, lead)
+	if !best.own {
+		s.SetClock(t, best.c, best.err)
 		res.Reset = true
 		res.Accepted = 1
 	}
@@ -187,21 +180,7 @@ func (Median) Name() string { return "median" }
 // Sync adopts the median clock value.
 func (Median) Sync(s *Server, t float64, replies []Reply) Result {
 	var res Result
-	type cand struct {
-		c   float64
-		err float64
-		own bool
-	}
-	cands := []cand{{c: s.Read(t), err: s.ErrorAt(t), own: true}}
-	for i, r := range replies {
-		if !s.ConsistentWith(t, r) {
-			s.noteInconsistent()
-			res.Inconsistent = append(res.Inconsistent, i)
-			continue
-		}
-		c, _, lead := s.effective(r)
-		cands = append(cands, cand{c: c, err: lead})
-	}
+	cands := s.candidates(t, replies, &res)
 	sort.Slice(cands, func(i, j int) bool { return cands[i].c < cands[j].c })
 	med := cands[(len(cands)-1)/2]
 	if med.own {
@@ -227,9 +206,36 @@ func (Mean) Name() string { return "mean" }
 // Sync adopts the mean clock value of self and consistent replies.
 func (Mean) Sync(s *Server, t float64, replies []Reply) Result {
 	var res Result
-	sumC := s.Read(t)
-	sumE := s.ErrorAt(t)
-	n := 1
+	cands := s.candidates(t, replies, &res)
+	n := len(cands)
+	if n == 1 {
+		return res
+	}
+	sumC, sumE := cands[0].c, cands[0].err
+	for _, k := range cands[1:] {
+		sumC += k.c
+		sumE += k.err
+	}
+	s.SetClock(t, sumC/float64(n), sumE/float64(n))
+	res.Reset = true
+	res.Accepted = n - 1
+	return res
+}
+
+// cand is one clock value a baseline function may adopt: the server's own
+// reading, or a consistent reply's clock with its transit-charged error.
+type cand struct {
+	c   float64
+	err float64
+	own bool
+}
+
+// candidates is the reply loop the baseline functions share. It returns
+// the server's own reading followed, in reply order, by every reply
+// consistent with the server's interval at t; an inconsistent reply is
+// counted and listed in res instead (rule MM-2's "ignored").
+func (s *Server) candidates(t float64, replies []Reply, res *Result) []cand {
+	cands := []cand{{c: s.Read(t), err: s.ErrorAt(t), own: true}}
 	for i, r := range replies {
 		if !s.ConsistentWith(t, r) {
 			s.noteInconsistent()
@@ -237,15 +243,7 @@ func (Mean) Sync(s *Server, t float64, replies []Reply) Result {
 			continue
 		}
 		c, _, lead := s.effective(r)
-		sumC += c
-		sumE += lead
-		n++
+		cands = append(cands, cand{c: c, err: lead})
 	}
-	if n == 1 {
-		return res
-	}
-	s.SetClock(t, sumC/float64(n), sumE/float64(n))
-	res.Reset = true
-	res.Accepted = n - 1
-	return res
+	return cands
 }

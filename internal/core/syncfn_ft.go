@@ -29,21 +29,7 @@ func (TrimmedMean) Name() string { return "trimmed-mean" }
 // Sync adopts the trimmed mean of self and consistent replies.
 func (tm TrimmedMean) Sync(s *Server, t float64, replies []Reply) Result {
 	var res Result
-	type cand struct {
-		c   float64
-		err float64
-		own bool
-	}
-	cands := []cand{{c: s.Read(t), err: s.ErrorAt(t), own: true}}
-	for i, r := range replies {
-		if !s.ConsistentWith(t, r) {
-			s.noteInconsistent()
-			res.Inconsistent = append(res.Inconsistent, i)
-			continue
-		}
-		c, _, lead := s.effective(r)
-		cands = append(cands, cand{c: c, err: lead})
-	}
+	cands := s.candidates(t, replies, &res)
 	f := tm.F
 	if f < 0 {
 		f = 0

@@ -43,10 +43,9 @@ func TestRunAllDeterministic(t *testing.T) {
 // override is undone on return.
 func TestRunAllRestoresLimit(t *testing.T) {
 	prev := par.SetLimit(3)
-	defer par.SetLimit(prev)
 	RunAll(All()[:1], 7)
-	if got := par.Limit(); got != 3 {
-		t.Fatalf("par.Limit() = %d after RunAll, want 3", got)
+	if got := par.SetLimit(prev); got != 3 {
+		t.Fatalf("worker budget = %d after RunAll, want 3", got)
 	}
 }
 

@@ -59,8 +59,6 @@ type Timestamp struct {
 // Compare orders timestamps: by Wall, then Logical, then Node. It
 // returns -1, 0, or +1. Timestamps issued by distinct nodes never
 // compare equal, so the order is total and strict across a service.
-//
-//lint:noalloc
 func (t Timestamp) Compare(o Timestamp) int {
 	switch {
 	case t.Wall != o.Wall:
@@ -83,8 +81,6 @@ func (t Timestamp) Compare(o Timestamp) int {
 }
 
 // Before reports t < o in the total order.
-//
-//lint:noalloc
 func (t Timestamp) Before(o Timestamp) bool { return t.Compare(o) < 0 }
 
 // IsZero reports the zero timestamp (never issued by a Clock).
@@ -107,8 +103,6 @@ func (t Timestamp) String() string {
 // WallFromSeconds converts a reading in seconds (the simulated
 // substrate's unit) to the nanosecond wall component, rounding to the
 // nearest nanosecond so equal float readings map to equal walls.
-//
-//lint:noalloc
 func WallFromSeconds(s float64) int64 { return int64(math.Round(s * 1e9)) }
 
 // Clock is one node's hybrid logical clock state. It is safe for
@@ -145,8 +139,6 @@ func (c *Clock) Last() Timestamp {
 // caller's current physical reading in nanoseconds (the interval's
 // latest bound C+E on both substrates); the issued timestamp is
 // strictly later than every previous one from this clock.
-//
-//lint:noalloc
 func (c *Clock) Now(wall int64) Timestamp {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -163,8 +155,6 @@ func (c *Clock) Now(wall int64) Timestamp {
 // receive event's timestamp: strictly later than both the remote
 // timestamp and every previous local one, so happens-before chains are
 // strictly increasing.
-//
-//lint:noalloc
 func (c *Clock) Update(wall int64, remote Timestamp) Timestamp {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -187,8 +177,6 @@ func (c *Clock) Update(wall int64, remote Timestamp) Timestamp {
 }
 
 // PutTimestamp encodes ts into buf[0:TimestampSize], big endian.
-//
-//lint:noalloc
 func PutTimestamp(buf []byte, ts Timestamp) {
 	binary.BigEndian.PutUint64(buf[0:8], uint64(ts.Wall))
 	binary.BigEndian.PutUint32(buf[8:12], ts.Logical)
@@ -197,8 +185,6 @@ func PutTimestamp(buf []byte, ts Timestamp) {
 
 // AppendTimestamp appends the encoded timestamp to dst and returns the
 // extended slice.
-//
-//lint:noalloc
 func AppendTimestamp(dst []byte, ts Timestamp) []byte {
 	var buf [TimestampSize]byte
 	PutTimestamp(buf[:], ts)
@@ -208,8 +194,6 @@ func AppendTimestamp(dst []byte, ts Timestamp) []byte {
 // ParseTimestamp decodes a timestamp from buf[0:TimestampSize]. A wall
 // component outside int64's non-negative range is rejected: the codec
 // never produces one, so it marks a corrupted or hostile datagram.
-//
-//lint:noalloc
 func ParseTimestamp(buf []byte) (Timestamp, error) {
 	if len(buf) < TimestampSize {
 		return Timestamp{}, fmt.Errorf("%w: %d bytes", ErrShort, len(buf))

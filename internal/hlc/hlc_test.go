@@ -387,9 +387,8 @@ func TestClockConcurrent(t *testing.T) {
 	}
 }
 
-// TestClockAndCodecAllocs is the measured half of this package's
-// //lint:noalloc annotations (the analyzer is the static half): one
-// stamped exchange between two clocks (Now, Update, the order on the
+// TestClockAndCodecAllocs holds this package's hot paths at zero
+// allocations: one stamped exchange between two clocks (Now, Update, the order on the
 // result) and one encode/decode round trip against retained buffers
 // perform no allocation.
 func TestClockAndCodecAllocs(t *testing.T) {

@@ -83,11 +83,6 @@ func (iv Interval) ContainsInterval(other Interval) bool {
 	return iv.Lo <= other.Lo && other.Hi <= iv.Hi
 }
 
-// Shift returns the interval translated by d.
-func (iv Interval) Shift(d float64) Interval {
-	return Interval{Lo: iv.Lo + d, Hi: iv.Hi + d}
-}
-
 // Grow returns the interval with each edge moved outward by e (inward for
 // negative e; the result may be inverted).
 func (iv Interval) Grow(e float64) Interval {
@@ -102,8 +97,6 @@ func (iv Interval) Grow(e float64) Interval {
 // The boolean result is false when the intervals are disjoint (the servers
 // are inconsistent); the returned interval is then inverted and should not
 // be used as a time estimate.
-//
-//lint:noalloc
 func (iv Interval) Intersect(other Interval) (Interval, bool) {
 	out := Interval{Lo: math.Max(iv.Lo, other.Lo), Hi: math.Min(iv.Hi, other.Hi)}
 	return out, out.Lo <= out.Hi
@@ -125,8 +118,6 @@ func (iv Interval) String() string {
 // non-empty. An empty input yields (zero Interval, false): with no evidence
 // there is no defined estimate. A service whose intervals have a non-empty
 // common intersection is consistent in the paper's sense.
-//
-//lint:noalloc
 func IntersectAll(ivs []Interval) (Interval, bool) {
 	if len(ivs) == 0 {
 		return Interval{}, false
@@ -203,8 +194,6 @@ func NewSweeper(n int) *Sweeper {
 
 // load fills the scratch edge list from the valid members of ivs and sorts
 // it. It reports the number of edges loaded.
-//
-//lint:noalloc
 func (sw *Sweeper) load(ivs []Interval) int {
 	edges := sw.edges[:0]
 	for i, iv := range ivs {
@@ -223,8 +212,6 @@ func (sw *Sweeper) load(ivs []Interval) int {
 }
 
 // Marzullo is the Sweeper form of the package-level Marzullo.
-//
-//lint:noalloc
 func (sw *Sweeper) Marzullo(ivs []Interval) Best {
 	if sw.load(ivs) == 0 {
 		return Best{}
@@ -242,8 +229,6 @@ func (sw *Sweeper) Marzullo(ivs []Interval) Best {
 }
 
 // MarzulloAtLeast is the Sweeper form of the package-level MarzulloAtLeast.
-//
-//lint:noalloc
 func (sw *Sweeper) MarzulloAtLeast(ivs []Interval, m int) (Interval, bool) {
 	if m <= 0 {
 		return Interval{}, false
@@ -264,8 +249,6 @@ func (sw *Sweeper) MarzulloAtLeast(ivs []Interval, m int) (Interval, bool) {
 }
 
 // MarzulloSpan is the Sweeper form of the package-level MarzulloSpan.
-//
-//lint:noalloc
 func (sw *Sweeper) MarzulloSpan(ivs []Interval, m int) (Interval, bool) {
 	if m <= 0 {
 		return Interval{}, false
@@ -301,8 +284,6 @@ var sweeperPool = sync.Pool{New: func() any { return NewSweeper(16) }}
 //
 // It runs in O(n log n). For an empty input it returns a zero Best.
 // Inverted inputs are ignored.
-//
-//lint:noalloc
 func Marzullo(ivs []Interval) Best {
 	sw := sweeperPool.Get().(*Sweeper)
 	best := sw.Marzullo(ivs)
@@ -312,8 +293,6 @@ func Marzullo(ivs []Interval) Best {
 
 // MarzulloAtLeast returns the leftmost maximal interval covered by at least
 // m source intervals, and whether one exists. m must be positive.
-//
-//lint:noalloc
 func MarzulloAtLeast(ivs []Interval, m int) (Interval, bool) {
 	sw := sweeperPool.Get().(*Sweeper)
 	iv, ok := sw.MarzulloAtLeast(ivs, m)
@@ -331,8 +310,6 @@ func MarzulloAtLeast(ivs []Interval, m int) (Interval, bool) {
 // m, real time is covered by all correct intervals and therefore lies
 // inside the span, wherever the liars place their endpoints. m must be
 // positive.
-//
-//lint:noalloc
 func MarzulloSpan(ivs []Interval, m int) (Interval, bool) {
 	sw := sweeperPool.Get().(*Sweeper)
 	iv, ok := sw.MarzulloSpan(ivs, m)
@@ -480,11 +457,3 @@ func (sw *Sweeper) ConsistencyGroups(ivs []Interval) []Group {
 // SameEdge makes the intent machine-checkable. NaN is never the same as
 // anything, including itself.
 func SameEdge(a, b float64) bool { return a == b }
-
-// Consonant reports whether two clocks' rate intervals are consistent in
-// the sense of Section 5: the observed rate of separation lies within the
-// sum of the claimed drift bounds. rate is d(Ci - Cj)/dt and deltaI, deltaJ
-// are the claimed maximum drift rates.
-func Consonant(rate, deltaI, deltaJ float64) bool {
-	return math.Abs(rate) <= deltaI+deltaJ
-}

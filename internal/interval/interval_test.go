@@ -128,9 +128,6 @@ func TestContainsInterval(t *testing.T) {
 
 func TestShiftGrow(t *testing.T) {
 	iv := Interval{Lo: 1, Hi: 2}
-	if got := iv.Shift(3); got != (Interval{Lo: 4, Hi: 5}) {
-		t.Errorf("Shift(3) = %v", got)
-	}
 	if got := iv.Grow(0.5); got != (Interval{Lo: 0.5, Hi: 2.5}) {
 		t.Errorf("Grow(0.5) = %v", got)
 	}
@@ -558,6 +555,10 @@ func TestConsistencyGroupsProperties(t *testing.T) {
 	}
 }
 
+// TestConsonant: Section 5 consonance is consistency of rate intervals.
+// A separation rate is consonant with the claimed bounds di, dj when it
+// is consistent with [-(di+dj), di+dj], edges included
+// (core.RateEstimate.ConsonantWith is this with the estimate's own width).
 func TestConsonant(t *testing.T) {
 	tests := []struct {
 		name         string
@@ -572,8 +573,9 @@ func TestConsonant(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := Consonant(tt.rate, tt.di, tt.dj); got != tt.want {
-				t.Errorf("Consonant(%v, %v, %v) = %v, want %v", tt.rate, tt.di, tt.dj, got, tt.want)
+			bound := tt.di + tt.dj
+			if got := Consistent(FromEstimate(tt.rate, 0), Interval{Lo: -bound, Hi: bound}); got != tt.want {
+				t.Errorf("rate %v against bounds %v, %v: consonant = %v, want %v", tt.rate, tt.di, tt.dj, got, tt.want)
 			}
 		})
 	}
@@ -645,14 +647,13 @@ func BenchmarkMarzullo(b *testing.B) {
 	}
 }
 
-// TestSweeperAllocs is the measured half of the sweep's //lint:noalloc
-// annotations (the analyzer is the static half): a warmed Sweeper runs
-// the fault-tolerant intersection, its at-least-m and span variants and
-// the plain intersection over 100 and over 1000 overlapping intervals
-// without allocating. The Sweeper is retained, not drawn from the pool
+// TestSweeperAllocs holds the sweep at zero allocations: a warmed Sweeper
+// runs the fault-tolerant intersection, its at-least-m and span variants
+// and the plain intersection over 100 and over 1000 overlapping
+// intervals without allocating. The Sweeper is retained, not drawn from the pool
 // behind the package-level entry points: this package runs under the
 // race detector, where sync.Pool sheds at random and a pooled call may
-// build a new Sweeper.
+// build a new Sweeper (TestPooledSweepAllocs holds those, without -race).
 func TestSweeperAllocs(t *testing.T) {
 	for _, n := range []int{100, 1000} {
 		rng := rand.New(rand.NewSource(int64(n)))

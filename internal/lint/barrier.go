@@ -27,7 +27,7 @@ import (
 //     Run's epoch — deadlock. Distinct pools may nest freely.
 //
 // The analysis is per function body and purely syntactic over the lock
-// structure (no interprocedural flow); DESIGN.md §15 lists the known
+// structure (no interprocedural flow); DESIGN.md §10 lists the known
 // blind spots (Wait in a loop re-armed before the loop, Done hidden
 // behind a helper call).
 var Barrier = &Analyzer{

@@ -35,7 +35,7 @@ import (
 //     the current lock set) except goroutine bodies (`go func(){...}`),
 //     which start with no locks held.
 //
-// Known blind spots (see DESIGN.md §15): cross-package accesses, mutexes
+// Known blind spots (see DESIGN.md §10): cross-package accesses, mutexes
 // reached through nested selectors (s.inner.mu), package-level variables
 // guarded by package-level mutexes, and TryLock.
 var GuardedBy = &Analyzer{

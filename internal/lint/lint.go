@@ -5,10 +5,12 @@
 //
 // The framework exists because the paper's guarantees (a returned interval
 // [C-E, C+E] contains correct time; the MM/IM update rules preserve it)
-// only reproduce when the simulator is bit-deterministic and the
-// zero-allocation hot paths stay pool-safe. Those are whole-program
-// invariants that conventions alone cannot protect across aggressive
-// refactors, so they are enforced by nine repo-specific analyzers:
+// only reproduce when the simulator is bit-deterministic and the pooled
+// hot paths stay pool-safe. Tests, seeded fingerprints and the chaos
+// monitor hold those guarantees first; the analyzers here are the second
+// line, and each of the eight is kept because a violation planted in real
+// code was caught by it and by nothing else (DESIGN.md §10 has the plant
+// table, and what the audit deleted):
 //
 //	nowcheck   — wall-clock reads (time.Now/Since/Sleep) are confined to
 //	             the real-network packages; simulated code draws time from
@@ -17,6 +19,9 @@
 //	globalrand — no package-level math/rand(/v2) draws; randomness flows
 //	             through injected, seeded generators so experiments are
 //	             byte-identical under -parallel.
+//	atomicmix  — no function-style sync/atomic calls: their operand is an
+//	             ordinary word a plain access can tear, and the typed
+//	             atomics the tree uses cannot be mixed at all.
 //	floateq    — no ==/!= on floating-point operands outside approved
 //	             helpers; interval endpoints are float64 seconds and exact
 //	             comparison corrupts the consistency predicate (Fig. 4).
@@ -28,15 +33,13 @@
 //	             its accesses must hold that mutex at every access; the
 //	             static complement to -race, covering schedules the race
 //	             detector never executes.
-//	atomicmix  — a field or variable touched via sync/atomic anywhere must
-//	             never be plain-loaded or stored elsewhere in the package.
-//	noalloc    — functions annotated //lint:noalloc must contain no
-//	             allocation-causing constructs (the shard pending set,
-//	             interval Sweeper, obs handles, and wire codec hot paths
-//	             carry the annotation).
 //	barrier    — sync.WaitGroup / epoch-pool misuse: Add racing Wait, Done
 //	             not reachable on all paths, re-Wait without re-arming,
 //	             nested Pool.Run on the same pool.
+//
+// The first three are one selector walk over three tables (forbid.go).
+// Zero allocation on the hot paths is not a lint matter: a
+// testing.AllocsPerRun test beside each path holds it at zero.
 //
 // Diagnostics can be suppressed with a justified directive on the same
 // line or the line above:
@@ -98,8 +101,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the full analyzer suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{NowCheck, GlobalRand, FloatEq, MapIter, PoolPut,
-		GuardedBy, AtomicMix, NoAlloc, Barrier}
+	return []*Analyzer{NowCheck, GlobalRand, AtomicMix, FloatEq, MapIter,
+		PoolPut, GuardedBy, Barrier}
 }
 
 // Config scopes the analyzers to the repository's layout. The driver uses

@@ -5,19 +5,30 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// fixtureLoader is shared by every fixture test, so the standard library
+// a fixture imports is type-checked from source once per test binary, not
+// once per fixture.
+var fixtureLoader = sync.OnceValues(func() (*Loader, error) {
+	repoRoot, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		return nil, err
+	}
+	return NewLoader(repoRoot, "disttime"), nil
+})
 
 // loadFixture type-checks one testdata fixture package under its real
 // import path.
 func loadFixture(t *testing.T, name string) *Package {
 	t.Helper()
-	repoRoot, err := filepath.Abs(filepath.Join("..", ".."))
+	loader, err := fixtureLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(repoRoot, "internal", "lint", "testdata", "src", name)
-	loader := NewLoader(repoRoot, "disttime")
+	dir := filepath.Join(loader.ModuleDir, "internal", "lint", "testdata", "src", name)
 	pkg, err := loader.LoadDir(dir, "disttime/internal/lint/testdata/src/"+name)
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", name, err)
@@ -127,7 +138,6 @@ func TestMapIter(t *testing.T)    { runFixture(t, "mapiter", []*Analyzer{MapIter
 func TestPoolPut(t *testing.T)    { runFixture(t, "poolput", []*Analyzer{PoolPut}) }
 func TestGuardedBy(t *testing.T)  { runFixture(t, "guardedby", []*Analyzer{GuardedBy}) }
 func TestAtomicMix(t *testing.T)  { runFixture(t, "atomicmix", []*Analyzer{AtomicMix}) }
-func TestNoAlloc(t *testing.T)    { runFixture(t, "noalloc", []*Analyzer{NoAlloc}) }
 func TestBarrier(t *testing.T)    { runFixture(t, "barrier", []*Analyzer{Barrier}) }
 
 // TestCleanFixture runs the full suite over the clean fixture; it has no

@@ -24,9 +24,6 @@ import (
 	"strings"
 )
 
-// osStat is an indirection point for tests.
-var osStat = os.Stat
-
 // Package is one type-checked package as seen by the analyzers.
 type Package struct {
 	// Path is the import path ("disttime/internal/interval").
@@ -88,11 +85,11 @@ func (l *Loader) dirFor(importPath string) (string, error) {
 		goroot = runtime.GOROOT()
 	}
 	dir := filepath.Join(goroot, "src", filepath.FromSlash(importPath))
-	if _, err := osStat(dir); err != nil {
+	if _, err := os.Stat(dir); err != nil {
 		// The standard library vendors its external dependencies
 		// (golang.org/x/...) under src/vendor.
 		vendored := filepath.Join(goroot, "src", "vendor", filepath.FromSlash(importPath))
-		if _, verr := osStat(vendored); verr == nil {
+		if _, verr := os.Stat(vendored); verr == nil {
 			return vendored, nil
 		}
 	}

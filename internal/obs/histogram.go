@@ -58,8 +58,6 @@ func newLogHistogram() *LogHistogram {
 
 // logIndex maps a positive value to its bucket index, clamping into the
 // covered range.
-//
-//lint:noalloc
 func logIndex(v float64) int {
 	frac, exp := math.Frexp(v) // v = frac * 2^exp, frac in [0.5, 1)
 	if exp < logMinExp {
@@ -84,8 +82,6 @@ func logUpperBound(i int) float64 {
 }
 
 // Observe records one value.
-//
-//lint:noalloc
 func (h *LogHistogram) Observe(v float64) {
 	if h == nil {
 		return
@@ -115,14 +111,6 @@ func (h *LogHistogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sumBits.Load())
-}
-
-// ZeroCount returns the floor-bucket count (observations <= 0 or NaN).
-func (h *LogHistogram) ZeroCount() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.zero.Load()
 }
 
 // Buckets returns the non-empty log buckets in increasing bound order
@@ -173,8 +161,6 @@ func (h *LogHistogram) Quantile(q float64) float64 {
 }
 
 // addFloat CAS-accumulates v into the float64 bits stored in bits.
-//
-//lint:noalloc
 func addFloat(bits *atomic.Uint64, v float64) {
 	for {
 		old := bits.Load()

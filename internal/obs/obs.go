@@ -45,8 +45,6 @@ type Counter struct {
 }
 
 // Inc adds one.
-//
-//lint:noalloc
 func (c *Counter) Inc() {
 	if c != nil {
 		c.v.Add(1)
@@ -54,8 +52,6 @@ func (c *Counter) Inc() {
 }
 
 // Add adds n.
-//
-//lint:noalloc
 func (c *Counter) Add(n uint64) {
 	if c != nil {
 		c.v.Add(n)
@@ -63,8 +59,6 @@ func (c *Counter) Add(n uint64) {
 }
 
 // Value returns the current count.
-//
-//lint:noalloc
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
@@ -78,8 +72,6 @@ type Gauge struct {
 }
 
 // Set replaces the gauge's value.
-//
-//lint:noalloc
 func (g *Gauge) Set(v float64) {
 	if g != nil {
 		g.bits.Store(math.Float64bits(v))
@@ -87,8 +79,6 @@ func (g *Gauge) Set(v float64) {
 }
 
 // Value returns the current value.
-//
-//lint:noalloc
 func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0

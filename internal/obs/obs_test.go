@@ -63,8 +63,8 @@ func TestLogHistogramBucketsAndQuantile(t *testing.T) {
 	h.Observe(0)
 	h.Observe(-3)
 	h.Observe(math.NaN())
-	if h.ZeroCount() != 3 {
-		t.Fatalf("zero count = %d, want 3", h.ZeroCount())
+	if b := h.Buckets(); len(b) != 1 || b[0].UpperBound != 0 || b[0].Count != 3 {
+		t.Fatalf("floor bucket = %+v, want one bucket of bound 0 holding 3", b)
 	}
 	// Every positive observation lands in a bucket whose bound brackets
 	// it with constant relative resolution.
@@ -293,7 +293,8 @@ func TestConcurrentUpdatesRaceClean(t *testing.T) {
 }
 
 // TestHotPathAllocationFree verifies PR 1's discipline: steady-state
-// metric updates perform zero allocations.
+// metric updates, and the reads a serving loop makes of its own handles,
+// perform zero allocations.
 func TestHotPathAllocationFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
@@ -301,10 +302,14 @@ func TestHotPathAllocationFree(t *testing.T) {
 	lh := r.LogHistogram("lh")
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
+		c.Add(2)
 		g.Set(2)
 		lh.Observe(0.25)
+		if c.Value() == 0 || g.Value() != 2 {
+			t.Fatalf("counter %d, gauge %v after an update", c.Value(), g.Value())
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("metric updates allocate %v per run, want 0", allocs)
+		t.Fatalf("metric updates and reads allocate %v per run, want 0", allocs)
 	}
 }

@@ -47,9 +47,6 @@ func SetLimit(n int) int {
 	return prev
 }
 
-// Limit returns the current total worker budget.
-func Limit() int { return int(limit.Load()) }
-
 // acquire claims one spare worker slot, reporting whether one was free.
 func acquire() bool {
 	for {
@@ -93,13 +90,4 @@ func Map[T any](n int, fn func(i int) T) []T {
 	}
 	wg.Wait()
 	return out
-}
-
-// ForEach runs fn(0..n-1) for side effects with the same scheduling and
-// determinism properties as Map.
-func ForEach(n int, fn func(i int)) {
-	Map(n, func(i int) struct{} {
-		fn(i)
-		return struct{}{}
-	})
 }

@@ -104,22 +104,12 @@ func TestMapEmpty(t *testing.T) {
 	}
 }
 
-// TestForEach checks the side-effect form.
-func TestForEach(t *testing.T) {
-	defer SetLimit(SetLimit(4))
-	var sum atomic.Int64
-	ForEach(100, func(i int) { sum.Add(int64(i)) })
-	if got := sum.Load(); got != 4950 {
-		t.Fatalf("sum = %d, want 4950", got)
-	}
-}
-
 // TestSetLimitFloor checks that the budget never drops below 1.
 func TestSetLimitFloor(t *testing.T) {
 	prev := SetLimit(0)
 	defer SetLimit(prev)
-	if Limit() != 1 {
-		t.Fatalf("Limit() = %d after SetLimit(0), want 1", Limit())
+	if got := limit.Load(); got != 1 {
+		t.Fatalf("limit = %d after SetLimit(0), want 1", got)
 	}
 	out := Map(3, func(i int) int { return i })
 	if len(out) != 3 {

@@ -87,9 +87,6 @@ func (p *Pool) Run(fn func(i int)) {
 	p.done.Wait()
 }
 
-// Shares returns the number of shares each Run fans out over.
-func (p *Pool) Shares() int { return p.n }
-
 // Workers returns the number of dedicated worker goroutines the pool was
 // granted (zero means Run executes entirely inline).
 func (p *Pool) Workers() int { return p.workers }

@@ -124,7 +124,7 @@ type Config struct {
 	Loss float64
 	// DelayFactor >= 1 stretches all delays during [DelayFrom,
 	// DelayUntil) (Chaos). Zero means no spike.
-	DelayFactor          float64
+	DelayFactor           float64
 	DelayFrom, DelayUntil float64
 
 	// LeaveProb is the per-round probability a node goes down (Churn).
@@ -135,11 +135,11 @@ type Config struct {
 
 // Event kinds.
 const (
-	kSync uint16 = iota + 1 // periodic round start on a node
-	kRequest                // time request delivery
-	kReply                  // time reply delivery; A = C_j, B = E_j
-	kClose                  // round close: apply IM's intersection
-	kRejoin                 // churn: node comes back up
+	kSync    uint16 = iota + 1 // periodic round start on a node
+	kRequest                   // time request delivery
+	kReply                     // time reply delivery; A = C_j, B = E_j
+	kClose                     // round close: apply IM's intersection
+	kRejoin                    // churn: node comes back up
 )
 
 // Engine is a running scale simulation. All per-node state lives in flat
@@ -161,9 +161,9 @@ type Engine struct {
 	used        []int32
 	round       []uint32
 
-	down    []bool
-	resets  []uint32
-	incons  []uint32
+	down   []bool
+	resets []uint32
+	incons []uint32
 
 	obsResets *obs.Counter
 	obsIncons *obs.Counter
@@ -536,15 +536,6 @@ func (e *Engine) MeanError(t float64) float64 {
 	return sum / float64(e.n)
 }
 
-// MeanAbsOffset returns the mean |C_i(t) - t| over all nodes.
-func (e *Engine) MeanAbsOffset(t float64) float64 {
-	var sum float64
-	for i := 0; i < e.n; i++ {
-		sum += math.Abs(e.read(int32(i), t) - t)
-	}
-	return sum / float64(e.n)
-}
-
 // TierSkew is the mean true offset |C - t| per hierarchy tier — the
 // skew-vs-distance gradient of a stratified service: hubs sit on the
 // backbone, gateways one uplink away, members one cluster hop further.
@@ -636,4 +627,3 @@ func (e *Engine) Fingerprint() string {
 	}
 	return fmt.Sprintf("%016x", h)
 }
-

@@ -161,8 +161,8 @@ func TestSyncBeatsNoSync(t *testing.T) {
 	if got := e.MeanError(until); got > unsynced/2 {
 		t.Fatalf("mean error %v after %vs, want well under unsynced %v", got, until, unsynced)
 	}
-	if got := e.MeanAbsOffset(until); got > cfg.InitialError {
-		t.Fatalf("mean |C-t| = %v grew beyond the initial error %v", got, cfg.InitialError)
+	if sk := e.Skew(until); max(sk.Hub, sk.Gateway, sk.Member) > cfg.InitialError {
+		t.Fatalf("a tier's mean |C-t| grew beyond the initial error %v: %+v", cfg.InitialError, sk)
 	}
 }
 
@@ -255,7 +255,7 @@ func TestSkewGradient(t *testing.T) {
 func TestMeshTopology(t *testing.T) {
 	mesh := func(shards int) Config {
 		return Config{
-			Topo: Topology{Regions: 1, Clusters: 1, Members: 16},
+			Topo:   Topology{Regions: 1, Clusters: 1, Members: 16},
 			Shards: shards, Seed: 5, Tau: 60,
 			Delta: 1e-4, DriftMax: 0.99e-4, InitialError: 0.05,
 			Member: Band{Min: 0.0001, Max: 0.0005},

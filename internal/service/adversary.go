@@ -64,11 +64,6 @@ func (svc *Service) SetEquivocate(i int, offsets []float64) {
 // ClearEquivocate restores server i's gossip to honesty.
 func (svc *Service) ClearEquivocate(i int) { svc.SetEquivocate(i, nil) }
 
-// Equivocating reports whether server i currently equivocates in gossip.
-func (svc *Service) Equivocating(i int) bool {
-	return i >= 0 && i < len(svc.Nodes) && svc.Nodes[i].equivocate != nil
-}
-
 // equivocateEntry perturbs node n's own roster entry for a digest bound
 // to target id, when equivocation is installed. entries[0] is the
 // owner's entry (Roster.Digest puts self first).

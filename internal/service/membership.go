@@ -117,13 +117,9 @@ func (svc *Service) Roster(i int) *member.Roster[int] {
 	return nil
 }
 
-// OnMemberChange registers an observer invoked on every membership
-// transition any server's roster records. A nil observer removes the
-// hook (and any observers chained with AddMemberChange).
-func (svc *Service) OnMemberChange(fn func(MemberEvent)) { svc.onMember = fn }
-
-// AddMemberChange chains fn after any currently installed membership
-// observer, mirroring AddSyncDetail.
+// AddMemberChange registers an observer invoked on every membership
+// transition any server's roster records, chained after any observer
+// already installed, as AddSyncDetail does.
 func (svc *Service) AddMemberChange(fn func(MemberEvent)) {
 	prev := svc.onMember
 	if prev == nil {
@@ -339,9 +335,6 @@ func (n *Node) resumeMembership() {
 	}
 	n.stopGossip = n.svc.Sim.Every(n.svc.memberCfg.GossipEvery, n.gossipTick)
 }
-
-// Departed reports whether server i has voluntarily left.
-func (svc *Service) Departed(i int) bool { return svc.Nodes[i].departed }
 
 // LeaveAt schedules a voluntary departure of server i at virtual time t.
 func (svc *Service) LeaveAt(t float64, i int) {

@@ -75,7 +75,7 @@ func TestMembershipEvictsCrashedServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	var falseEvictions []MemberEvent
-	svc.OnMemberChange(func(e MemberEvent) {
+	svc.AddMemberChange(func(e MemberEvent) {
 		if e.FalseEviction {
 			falseEvictions = append(falseEvictions, e)
 		}
@@ -128,7 +128,7 @@ func TestMembershipChurnLeaveRejoin(t *testing.T) {
 	svc.LeaveAt(40, 1)
 	svc.RejoinAt(100, 1)
 	svc.Run(70)
-	if !svc.Departed(1) {
+	if !svc.Nodes[1].departed {
 		t.Fatal("server 1 did not depart")
 	}
 	leftSeen := 0
@@ -144,7 +144,7 @@ func TestMembershipChurnLeaveRejoin(t *testing.T) {
 		t.Fatal("no survivor recorded the voluntary departure as Left")
 	}
 	svc.Run(170)
-	if svc.Departed(1) {
+	if svc.Nodes[1].departed {
 		t.Fatal("server 1 still departed after Rejoin")
 	}
 	if !fullRoster(svc) {
@@ -213,7 +213,7 @@ func TestMembershipTimelineDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		svc.OnMemberChange(func(e MemberEvent) {
+		svc.AddMemberChange(func(e MemberEvent) {
 			fmt.Fprintln(&b, e.String())
 		})
 		svc.LeaveAt(30, 4)

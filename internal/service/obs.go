@@ -9,7 +9,7 @@ import (
 
 // This file wires the observability layer through the service: every
 // synchronization pass emits a sync-round span through the existing
-// OnSyncDetail seam and bumps the round counters and error-bound
+// AddSyncDetail seam and bumps the round counters and error-bound
 // histograms the paper's Section 4 evaluation reports distributions of.
 // Attaching observation never changes what the service does — the hook
 // reads the pass observation the service already produces and schedules
@@ -74,7 +74,7 @@ type syncMetrics struct {
 // Observe attaches the registry and tracer to the service: counters and
 // histograms for every synchronization pass, plus one SyncSpan per pass
 // through tr (nil disables tracing; nil reg disables metrics). It chains
-// after any observer already installed on the OnSyncDetail seam, and
+// after any observer already installed with AddSyncDetail, and
 // also wires the simulator's event counters and the network's traffic
 // counters and delay histogram into reg.
 func (svc *Service) Observe(reg *obs.Registry, tr *obs.Tracer) {

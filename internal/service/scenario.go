@@ -14,13 +14,6 @@ import (
 // splitting into consistency groups); the hooks let experiments record
 // when resets and recoveries actually happen without polling.
 
-// OnSync registers an observer invoked after every synchronization pass
-// with the node index, the virtual time, and the pass result. A nil
-// observer removes the hook.
-func (svc *Service) OnSync(fn func(node int, t float64, res core.Result)) {
-	svc.onSync = fn
-}
-
 // SyncObservation is the full before/after record of one synchronization
 // pass, captured for invariant monitors: the server's reading immediately
 // before the synchronization function ran and immediately after the pass
@@ -54,26 +47,18 @@ type SyncObservation struct {
 	Res core.Result
 }
 
-// OnSyncDetail registers a detailed observer invoked after every
-// synchronization pass with a full SyncObservation. It is independent of
-// OnSync (both may be installed); a nil observer removes the hook (and
-// any observers chained after it with AddSyncDetail). The chaos harness
-// attaches its invariant monitor here.
-func (svc *Service) OnSyncDetail(fn func(SyncObservation)) {
-	svc.onSyncDetail = fn
-}
-
-// AddSyncDetail chains fn after any currently installed detailed
-// observer, so independent consumers — an invariant monitor and a
-// metrics sink, say — can share the OnSyncDetail seam. Observers run in
-// installation order.
+// AddSyncDetail registers an observer invoked after every
+// synchronization pass with a full SyncObservation. It chains fn after
+// any observer already installed, so independent consumers (the chaos
+// harness's invariant monitor and a metrics sink, say) share the one
+// seam. Observers run in installation order.
 func (svc *Service) AddSyncDetail(fn func(SyncObservation)) {
-	prev := svc.onSyncDetail
+	prev := svc.onSync
 	if prev == nil {
-		svc.onSyncDetail = fn
+		svc.onSync = fn
 		return
 	}
-	svc.onSyncDetail = func(o SyncObservation) {
+	svc.onSync = func(o SyncObservation) {
 		prev(o)
 		fn(o)
 	}

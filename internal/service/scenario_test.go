@@ -1,10 +1,6 @@
 package service
 
-import (
-	"testing"
-
-	"disttime/internal/core"
-)
+import "testing"
 
 // newScenarioService builds a small default-config service for scenario
 // tests.
@@ -25,7 +21,7 @@ func TestPartitionAtSplitsAndHeals(t *testing.T) {
 	// maxReplies[node] tracks the largest single-pass reply count seen in
 	// each window; a 2|2 split caps it at 1, a healed mesh allows 3.
 	var maxDuring, maxAfter [4]int
-	svc.OnSyncDetail(func(o SyncObservation) {
+	svc.AddSyncDetail(func(o SyncObservation) {
 		switch {
 		case o.T >= 20 && o.T < 60:
 			if o.Replies > maxDuring[o.Node] {
@@ -65,30 +61,30 @@ func TestPartitionAtRejectsBadIndex(t *testing.T) {
 	}
 }
 
-// TestOnSyncNilRemoves: re-registering with nil removes the observer;
-// passes after removal must not call it.
-func TestOnSyncNilRemoves(t *testing.T) {
+// TestAddSyncDetailChains: a second observer runs after the first on
+// every pass; neither replaces the other.
+func TestAddSyncDetailChains(t *testing.T) {
 	svc := newScenarioService(t, 3, 10)
-	calls := 0
-	svc.OnSync(func(int, float64, core.Result) { calls++ })
+	var order []int
+	svc.AddSyncDetail(func(SyncObservation) { order = append(order, 1) })
+	svc.AddSyncDetail(func(SyncObservation) { order = append(order, 2) })
 	svc.Run(30)
-	if calls == 0 {
-		t.Fatal("observer never called")
+	if len(order) == 0 || len(order)%2 != 0 {
+		t.Fatalf("observers called %d times in total, want a positive even count", len(order))
 	}
-	svc.OnSync(nil)
-	before := calls
-	svc.Run(60)
-	if calls != before {
-		t.Errorf("observer called %d more times after nil re-registration", calls-before)
+	for i, who := range order {
+		if who != i%2+1 {
+			t.Fatalf("call %d went to observer %d, want installation order: %v", i, who, order)
+		}
 	}
 }
 
 // TestOnSyncDetailObservation: the detailed observer reports consistent
-// bracketing counters and is also removable with nil.
+// bracketing counters.
 func TestOnSyncDetailObservation(t *testing.T) {
 	svc := newScenarioService(t, 3, 10)
 	var obs []SyncObservation
-	svc.OnSyncDetail(func(o SyncObservation) { obs = append(obs, o) })
+	svc.AddSyncDetail(func(o SyncObservation) { obs = append(obs, o) })
 	svc.Run(40)
 	if len(obs) == 0 {
 		t.Fatal("no detailed observations")
@@ -107,12 +103,6 @@ func TestOnSyncDetailObservation(t *testing.T) {
 			t.Fatalf("accepted %d of %d replies: %+v", o.Res.Accepted, o.Replies, o)
 		}
 	}
-	svc.OnSyncDetail(nil)
-	before := len(obs)
-	svc.Run(80)
-	if len(obs) != before {
-		t.Errorf("detailed observer called %d more times after nil re-registration", len(obs)-before)
-	}
 }
 
 // TestCrashRestart: a crashed server answers nothing and runs no rounds;
@@ -120,7 +110,7 @@ func TestOnSyncDetailObservation(t *testing.T) {
 func TestCrashRestart(t *testing.T) {
 	svc := newScenarioService(t, 3, 10)
 	rounds := make([]int, 3)
-	svc.OnSync(func(node int, _ float64, _ core.Result) { rounds[node]++ })
+	svc.AddSyncDetail(func(o SyncObservation) { rounds[o.Node]++ })
 	svc.CrashAt(15, 2)
 	svc.Sim.At(16, func() { svc.Crash(2) }) // double crash: no-op
 	svc.Sim.At(17, func() {
@@ -162,7 +152,7 @@ func TestCrashDropsInFlightRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	var passes []SyncObservation
-	svc.OnSyncDetail(func(o SyncObservation) {
+	svc.AddSyncDetail(func(o SyncObservation) {
 		if o.Node == 0 {
 			passes = append(passes, o)
 		}

@@ -189,10 +189,9 @@ type Service struct {
 	Net   *simnet.Network
 	Nodes []*Node
 
-	cfg          Config
-	onSync       func(node int, t float64, res core.Result)
-	onSyncDetail func(SyncObservation)
-	replyFree    []*timeReply // recycled reply payloads
+	cfg       Config
+	onSync    func(SyncObservation)
+	replyFree []*timeReply // recycled reply payloads
 
 	// Dynamic membership (nil when Config.Members is unset).
 	memberCfg  *MemberConfig
@@ -217,8 +216,6 @@ type timeReply struct {
 }
 
 // newReply draws a reply payload from the service pool.
-//
-//lint:noalloc
 func (svc *Service) newReply(id uint64, reading core.Reading, ts hlc.Timestamp) *timeReply {
 	if k := len(svc.replyFree); k > 0 {
 		p := svc.replyFree[k-1]
@@ -229,14 +226,12 @@ func (svc *Service) newReply(id uint64, reading core.Reading, ts hlc.Timestamp) 
 		p.ts = ts
 		return p
 	}
-	//lint:ignore noalloc pool-miss path: runs once per free-list high-water mark, then recycles forever
+	// Pool miss: once per free-list high-water mark, then recycled forever.
 	return &timeReply{id: id, reading: reading, ts: ts}
 }
 
 // putReply recycles a delivered reply payload. Payloads lost in transit are
 // simply dropped to the garbage collector.
-//
-//lint:noalloc
 func (svc *Service) putReply(p *timeReply) {
 	svc.replyFree = append(svc.replyFree, p)
 }
@@ -514,7 +509,7 @@ func (n *Node) finishRound(col *collection) {
 	}
 	n.Syncs++
 	var obs SyncObservation
-	detail := n.svc.onSyncDetail != nil
+	detail := n.svc.onSync != nil
 	if detail {
 		obs = SyncObservation{
 			Node:         n.Server.ID(),
@@ -547,10 +542,7 @@ func (n *Node) finishRound(col *collection) {
 		obs.Resets = n.Server.Resets()
 		obs.Recoveries = n.Recoveries
 		obs.Res = res
-		n.svc.onSyncDetail(obs)
-	}
-	if n.svc.onSync != nil {
-		n.svc.onSync(n.Server.ID(), now, res)
+		n.svc.onSync(obs)
 	}
 }
 
@@ -700,9 +692,11 @@ func (svc *Service) Snapshot() Sample {
 		AllCorrect:     true,
 	}
 	ivs := make([]interval.Interval, n)
+	lo, hi := math.Inf(1), math.Inf(-1)
 	for i, node := range svc.Nodes {
 		r := node.Server.Reading(t)
 		s.C[i] = r.C
+		lo, hi = min(lo, r.C), max(hi, r.C)
 		s.E[i] = r.E
 		s.Offset[i] = r.C - t
 		if math.Abs(s.Offset[i]) > s.MaxAbsOffset {
@@ -717,12 +711,9 @@ func (svc *Service) Snapshot() Sample {
 			s.AllCorrect = false
 		}
 	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if d := math.Abs(s.C[i] - s.C[j]); d > s.MaxAsync {
-				s.MaxAsync = d
-			}
-		}
+	// The largest |C_i - C_j| is the highest clock less the lowest.
+	if d := hi - lo; d > 0 {
+		s.MaxAsync = d
 	}
 	_, s.Consistent = interval.IntersectAll(ivs)
 	s.Groups = len(interval.ConsistencyGroups(ivs))

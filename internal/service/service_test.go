@@ -597,16 +597,16 @@ func TestOnSyncHook(t *testing.T) {
 	}
 	calls := 0
 	var nodesSeen []int
-	svc.OnSync(func(node int, at float64, res core.Result) {
+	svc.AddSyncDetail(func(o SyncObservation) {
 		calls++
-		nodesSeen = append(nodesSeen, node)
-		if at <= 0 {
-			t.Errorf("hook at non-positive time %v", at)
+		nodesSeen = append(nodesSeen, o.Node)
+		if o.T <= 0 {
+			t.Errorf("hook at non-positive time %v", o.T)
 		}
 	})
 	svc.Run(100)
 	if calls == 0 {
-		t.Fatal("OnSync never fired")
+		t.Fatal("observer never fired")
 	}
 	seen := make(map[int]bool)
 	for _, n := range nodesSeen {
@@ -615,8 +615,6 @@ func TestOnSyncHook(t *testing.T) {
 	if len(seen) != 3 {
 		t.Errorf("hook saw nodes %v, want all 3", nodesSeen)
 	}
-	svc.OnSync(nil) // removable without panic
-	svc.Run(150)
 }
 
 func TestPartitionSplitsIntoConsistencyGroups(t *testing.T) {
@@ -894,9 +892,9 @@ func TestNoStaggerLockstep(t *testing.T) {
 	}
 	// All first rounds fire at exactly t=0 in lockstep.
 	firstSyncs := make(map[int]float64)
-	svc.OnSync(func(node int, at float64, _ core.Result) {
-		if _, seen := firstSyncs[node]; !seen {
-			firstSyncs[node] = at
+	svc.AddSyncDetail(func(o SyncObservation) {
+		if _, seen := firstSyncs[o.Node]; !seen {
+			firstSyncs[o.Node] = o.T
 		}
 	})
 	svc.Run(50)
@@ -1223,5 +1221,28 @@ func TestAdaptiveDeltaLeavesValidBoundsAlone(t *testing.T) {
 			t.Errorf("server %d with a valid bound raised delta %d times (to %v)",
 				i, n.DeltaRaises, n.Server.Delta())
 		}
+	}
+}
+
+// TestRoundAllocs holds the reply pool (newReply, putReply) to its
+// contract: once a four-server mesh is warm, a full round of every
+// server (four broadcasts, twelve requests answered, twelve replies
+// collected, four passes of rule MM-2) allocates only the four request
+// values boxed into their message payloads. Every reply payload comes
+// from the free list and goes back to it.
+func TestRoundAllocs(t *testing.T) {
+	const tau = 10
+	svc, err := New(Config{Seed: 1, Servers: correctSpecs(4, tau)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	until := 20.0 * tau
+	svc.Run(until)
+	allocs := testing.AllocsPerRun(20, func() {
+		until += tau
+		svc.Run(until)
+	})
+	if want := float64(len(svc.Nodes)); allocs > want {
+		t.Errorf("a warm round of the mesh allocates %v times, want at most %v (one boxed request per server)", allocs, want)
 	}
 }

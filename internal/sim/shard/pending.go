@@ -73,8 +73,6 @@ func (q *pending) admit() {
 // the heap when every lane refuses. A timer re-armed at a constant delay
 // always finds its lane: the events that re-arm it execute in time order,
 // and now+d is monotone in now.
-//
-//lint:noalloc
 func (q *pending) push(ev Ev) {
 	for i := range q.lanes {
 		l := &q.lanes[i]
@@ -105,8 +103,6 @@ func (l *lane) grow() {
 // least finds the next event in one scan: it returns the event and where
 // it sits (a lane index, or nLanes for the heap), or -1 and nil when
 // nothing is pending.
-//
-//lint:noalloc
 func (q *pending) least() (int, *Ev) {
 	src, best := -1, (*Ev)(nil)
 	if len(q.heap) > 0 {
@@ -125,8 +121,6 @@ func (q *pending) least() (int, *Ev) {
 }
 
 // pop removes and returns the head of src, as least reported it.
-//
-//lint:noalloc
 func (q *pending) pop(src int) Ev {
 	if src == nLanes {
 		return q.heapPop()
@@ -144,8 +138,6 @@ func (q *pending) pop(src int) Ev {
 // rather than two.
 
 // heapPush inserts ev.
-//
-//lint:noalloc
 func (q *pending) heapPush(ev Ev) {
 	h := append(q.heap, ev)
 	i := len(h) - 1
@@ -163,8 +155,6 @@ func (q *pending) heapPush(ev Ev) {
 
 // heapPop removes and returns the minimum event, sifting a hole down for
 // the displaced last element. The heap must be non-empty.
-//
-//lint:noalloc
 func (q *pending) heapPop() Ev {
 	h := q.heap
 	top := h[0]

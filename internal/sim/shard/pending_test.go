@@ -276,9 +276,8 @@ func TestSchedulingAllocs(t *testing.T) {
 	}
 }
 
-// TestRunWindowAllocs is the measured half of the //lint:noalloc
-// annotations on the window loop (Run, runWindow, exchange, After, Send,
-// push, least, pop; the analyzer is the static half): once the rings,
+// TestRunWindowAllocs holds the window loop (Run, runWindow, exchange,
+// After, Send, push, least, pop) at zero allocations: once the rings,
 // heaps and outboxes have reached their steady size, advancing a kernel
 // whose nodes re-arm a timer and message random peers allocates nothing,
 // on one shard and across the two-shard barrier, with a far-future

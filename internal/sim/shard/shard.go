@@ -306,8 +306,6 @@ func (p *Proc) Float64(node int32) float64 {
 
 // timer makes a timer event on a local node at absolute time at, taking
 // the node's next sequence number.
-//
-//lint:noalloc
 func (p *Proc) timer(node int32, at float64, kind uint16, tag uint32, a, b float64) Ev {
 	if p.k.shardOf[node] != p.id {
 		panic(fmt.Sprintf("shard: timer on node %d scheduled from shard %d (owner %d)",
@@ -322,8 +320,6 @@ func (p *Proc) timer(node int32, at float64, kind uint16, tag uint32, a, b float
 // now panics, since it would reorder causality, and so does NaN: a NaN key
 // is neither before nor after any other, so it would never run and nothing
 // filed behind it would either.
-//
-//lint:noalloc
 func (p *Proc) At(node int32, at float64, kind uint16, tag uint32, a, b float64) {
 	if !(at >= p.now) {
 		panic(fmt.Sprintf("shard: timer at %v before now %v", at, p.now))
@@ -333,8 +329,6 @@ func (p *Proc) At(node int32, at float64, kind uint16, tag uint32, a, b float64)
 
 // After schedules a timer on a local node d seconds from now (negative or
 // NaN panics, as in At).
-//
-//lint:noalloc
 func (p *Proc) After(node int32, d float64, kind uint16, tag uint32, a, b float64) {
 	if !(d >= 0) {
 		panic(fmt.Sprintf("shard: delay %v is not >= 0", d))
@@ -346,8 +340,6 @@ func (p *Proc) After(node int32, d float64, kind uint16, tag uint32, a, b float6
 // after delay (negative or NaN panics, as in At). Cross-shard sends
 // must respect the configured lookahead and buffer in the outbox until
 // the window barrier.
-//
-//lint:noalloc
 func (p *Proc) Send(from, to int32, delay float64, kind uint16, tag uint32, a, b float64) {
 	if !(delay >= 0) {
 		panic(fmt.Sprintf("shard: delay %v is not >= 0", delay))
@@ -369,8 +361,6 @@ func (p *Proc) Send(from, to int32, delay float64, kind uint16, tag uint32, a, b
 
 // runWindow executes the shard's events with At < horizon and advances
 // the shard clock to the horizon.
-//
-//lint:noalloc
 func (p *Proc) runWindow(horizon float64) {
 	n := uint64(0)
 	for {
@@ -389,8 +379,6 @@ func (p *Proc) runWindow(horizon float64) {
 }
 
 // runShare is the pool body: one shard's window.
-//
-//lint:noalloc
 func (k *Kernel) runShare(i int) {
 	k.shards[i].runWindow(k.horizon)
 }
@@ -403,8 +391,6 @@ func (k *Kernel) runShare(i int) {
 // "before the limit" is "at or before until" on every shard, and a message
 // sent inside a window cannot land inside it. An `until` before Now (or
 // NaN) panics: it would move every clock backward.
-//
-//lint:noalloc
 func (k *Kernel) Run(until float64) {
 	if !(until >= k.now) {
 		panic(fmt.Sprintf("shard: run until %v before now %v", until, k.now))
@@ -462,8 +448,6 @@ func (k *Kernel) Run(until float64) {
 // only on its contents, never on insertion order — so execution is
 // identical for any drain order, and the fixed order makes even the
 // layout of lanes and heap reproducible.
-//
-//lint:noalloc
 func (k *Kernel) exchange() {
 	for dst, dp := range k.shards {
 		total := 0

@@ -37,7 +37,6 @@ import (
 // the zero Event, is a no-op.
 type Event struct {
 	s    *Simulator
-	at   float64
 	slot uint32
 	gen  uint32 // the slot's generation when the event was scheduled
 }
@@ -51,9 +50,6 @@ func (e Event) Cancel() {
 		sl.fn, sl.call, sl.arg = nil, nil, nil
 	}
 }
-
-// Time returns the virtual time at which the event is scheduled.
-func (e Event) Time() float64 { return e.at }
 
 // slot holds what one pending event will run: fn(), or call(arg) in the
 // closure-free form, or nothing once cancelled.
@@ -118,8 +114,6 @@ func (s *Simulator) Steps() uint64 { return s.steps }
 // schedule puts one callback in the table and files its kernel event. A
 // time before now or NaN panics, and so does +Inf: no run reaches it, so
 // Run would never return.
-//
-//lint:noalloc
 func (s *Simulator) schedule(at float64, fn func(), call func(any), arg any) Event {
 	if !(at >= s.Now()) || math.IsInf(at, 1) {
 		panic(fmt.Sprintf("sim: schedule at %v, want a finite time no earlier than now %v", at, s.Now()))
@@ -136,7 +130,7 @@ func (s *Simulator) schedule(at float64, fn func(), call func(any), arg any) Eve
 	s.horizon = max(s.horizon, at)
 	s.p.At(0, at, 0, i, 0, 0)
 	s.obsScheduled.Inc()
-	return Event{s: s, at: at, slot: i, gen: sl.gen}
+	return Event{s: s, slot: i, gen: sl.gen}
 }
 
 // dispatch is the Simulator as the kernel's handler, kept off the
@@ -145,8 +139,6 @@ type dispatch Simulator
 
 // Event frees the slot the kernel event names and runs what it held. The
 // slot is freed first, so the callback may schedule into it.
-//
-//lint:noalloc
 func (d *dispatch) Event(_ *shard.Proc, ev shard.Ev) {
 	s := (*Simulator)(d)
 	sl := &s.slots[ev.Tag]

@@ -243,14 +243,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestEventTime(t *testing.T) {
-	s := New(1)
-	e := s.At(17, func() {})
-	if e.Time() != 17 {
-		t.Errorf("Time() = %v", e.Time())
-	}
-}
-
 func BenchmarkScheduleAndRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

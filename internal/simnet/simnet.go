@@ -169,7 +169,7 @@ type Network struct {
 	free     []*delivery // recycled in-flight message envelopes
 
 	// maxDelay is MaxOneWayDelay's answer, kept while maxDelayOK: every
-	// sync round asks for xi, and only Connect and Disconnect change it.
+	// sync round asks for xi, and only Connect changes it.
 	maxDelay   float64
 	maxDelayOK bool
 
@@ -288,15 +288,6 @@ func (n *Network) addAdj(a, b NodeID) {
 	n.adj[a] = list
 }
 
-// dropAdj removes b from a's cached adjacency list.
-func (n *Network) dropAdj(a, b NodeID) {
-	list := n.adj[a]
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= b })
-	if i < len(list) && list[i] == b {
-		n.adj[a] = append(list[:i], list[i+1:]...)
-	}
-}
-
 // SetHandler installs the message handler for id, replacing any previous
 // one.
 func (n *Network) SetHandler(id NodeID, h Handler) {
@@ -327,16 +318,6 @@ func (n *Network) Connect(a, b NodeID, cfg LinkConfig) error {
 	n.addAdj(a, b)
 	n.addAdj(b, a)
 	return nil
-}
-
-// Disconnect removes the link between a and b, if any.
-func (n *Network) Disconnect(a, b NodeID) {
-	delete(n.links, keyFor(a, b))
-	n.maxDelayOK = false
-	if n.valid(a) && n.valid(b) {
-		n.dropAdj(a, b)
-		n.dropAdj(b, a)
-	}
 }
 
 // Connected reports whether a usable link exists between a and b and the

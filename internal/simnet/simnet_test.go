@@ -161,24 +161,6 @@ func TestSendLoss(t *testing.T) {
 	}
 }
 
-func TestDisconnect(t *testing.T) {
-	_, n, ids := newTestNet(t, 2)
-	cfg := LinkConfig{Delay: Constant{D: 0.01}}
-	if err := n.Connect(ids[0], ids[1], cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !n.Connected(ids[0], ids[1]) {
-		t.Fatal("not connected after Connect")
-	}
-	n.Disconnect(ids[1], ids[0]) // order-insensitive
-	if n.Connected(ids[0], ids[1]) {
-		t.Error("still connected after Disconnect")
-	}
-	if n.Send(ids[0], ids[1], "x") {
-		t.Error("Send over removed link returned true")
-	}
-}
-
 func TestNeighbors(t *testing.T) {
 	_, n, ids := newTestNet(t, 4)
 	cfg := LinkConfig{Delay: Constant{D: 0.01}}
@@ -313,10 +295,6 @@ func TestXiFollowsRewiring(t *testing.T) {
 		t.Fatal("self-link accepted")
 	}
 	step("a refused Connect", 0.4)
-	n.Disconnect(ids[1], ids[2])
-	step("removing the slow link", 0.1)
-	n.Disconnect(ids[0], ids[1])
-	step("removing every link", 0)
 }
 
 func TestFullMesh(t *testing.T) {

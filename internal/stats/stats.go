@@ -86,41 +86,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// Summary bundles the usual descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	P50    float64
-	P95    float64
-	Max    float64
-}
-
-// Summarize computes a Summary.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	p50, err := Quantile(xs, 0.5)
-	if err != nil {
-		return Summary{}, err
-	}
-	p95, err := Quantile(xs, 0.95)
-	if err != nil {
-		return Summary{}, err
-	}
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		P50:    p50,
-		P95:    p95,
-		Max:    Max(xs),
-	}, nil
-}
-
 // LinearFit returns the least-squares line y = slope*x + intercept. It
 // returns an error with fewer than two points or a degenerate x range.
 func LinearFit(xs, ys []float64) (slope, intercept float64, err error) {

@@ -120,8 +120,8 @@ type Client struct {
 	closed bool
 }
 
-// clientConfig is what SetTimeout, SetLocalClock, SetSyncOptions, Observe
-// and WithHLC set, and what one round runs under.
+// clientConfig is what NewClient, its options, SetLocalClock and Observe
+// set, and what one round runs under.
 type clientConfig struct {
 	timeout time.Duration
 	local   ClockSource
@@ -181,28 +181,12 @@ func NewClient(timeout time.Duration, local ClockSource, opts ...ClientOption) *
 	return c
 }
 
-// SetTimeout replaces the per-query timeout (zero restores the default
-// one second). Safe to call concurrently with queries in flight; only
-// queries started afterwards observe the new value.
-func (c *Client) SetTimeout(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cfg.timeout = d
-}
-
 // SetLocalClock replaces the clock source used for offset computation
 // (nil restores the system clock).
 func (c *Client) SetLocalClock(src ClockSource) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cfg.local = src
-}
-
-// SetSyncOptions replaces the IM-2 transform parameters.
-func (c *Client) SetSyncOptions(o SyncOptions) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cfg.opts = o
 }
 
 // Observe resolves the client's metrics in reg (see
@@ -438,8 +422,6 @@ func (c *Client) round(addrs []string, ms []Measurement) error {
 // are read one by one, so one that queued behind another is stamped
 // after it arrived: its round trip reads long, which only widens its
 // offset interval.
-//
-//lint:noalloc
 func (s *clientSock) exchange(cfg *clientConfig, addrs []string, ms []Measurement) error {
 	if err := s.conn.SetDeadline(time.Now().Add(cfg.timeout)); err != nil {
 		return err
@@ -507,8 +489,6 @@ func (s *clientSock) exchange(cfg *clientConfig, addrs []string, ms []Measuremen
 // the address that request went to. That last check is what connect()
 // had the kernel do for a socket per query: whoever sees an ID in flight
 // still cannot answer for the server without forging its address.
-//
-//lint:noalloc
 func (s *clientSock) match(v3 bool, b []byte, from netip.AddrPort) (int, wire.ResponseHLC) {
 	var resp wire.ResponseHLC
 	var err error
@@ -634,23 +614,12 @@ func adopt(dc *DisciplinedClock, ivs []interval.Interval) (interval.Interval, er
 	return interval.Interval{Lo: a, Hi: b}, nil
 }
 
-// QueryBurst queries addr up to k times back-to-back and returns the
-// measurement with the smallest round trip. A delay spike can only widen
-// an offset interval (the requester charges the whole round trip to the
+// QueryManyBurst runs k rounds of QueryMany (at least one) and keeps the
+// minimum-RTT measurement per server. A delay spike can only widen an
+// offset interval (the requester charges the whole round trip to the
 // leading edge), so the fastest exchange of a burst carries the tightest
 // honest interval — the measurement filter of the [Mills 81] lineage the
-// paper cites for clock measurement. Individual attempts may fail; an
-// error is returned only when every attempt does.
-func (c *Client) QueryBurst(addr string, k int) (Measurement, error) {
-	ms, err := c.QueryManyBurst([]string{addr}, k)
-	if err != nil {
-		return Measurement{}, err
-	}
-	return ms[0], nil
-}
-
-// QueryManyBurst runs k rounds of QueryMany (at least one) and keeps the
-// minimum-RTT measurement per server. It returns an error, that of every
+// paper cites for clock measurement. It returns an error, that of every
 // failed attempt, only when some server answered in no round.
 func (c *Client) QueryManyBurst(addrs []string, k int) ([]Measurement, error) {
 	best := make([]Measurement, len(addrs))

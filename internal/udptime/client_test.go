@@ -119,7 +119,9 @@ func TestLateReplyIsStray(t *testing.T) {
 		late, to := srv.request()
 		srv.reply(late, to, 1)
 
-		client.SetTimeout(5 * time.Second)
+		client.mu.Lock()
+		client.cfg.timeout = 5 * time.Second
+		client.mu.Unlock()
 		m, err := srv.answerNext(2, func() (Measurement, error) { return client.Query(srv.addr()) })
 		if err != nil {
 			t.Fatal(err)

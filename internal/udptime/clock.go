@@ -83,13 +83,12 @@ func (c *SystemClock) DriftPPM() float64 { return c.driftPPM }
 // error plus DriftPPM deterioration since the last set). Until the first
 // Set it reports the system time, unsynchronized, with no error bound.
 type DisciplinedClock struct {
-	mu        sync.Mutex
-	driftPPM  float64
-	anchor    time.Time // monotonic anchor (a time.Now() result)
-	value     time.Time // clock value at the anchor
-	epsilon   time.Duration
-	synced    bool
-	setsCount int
+	mu       sync.Mutex
+	driftPPM float64
+	anchor   time.Time // monotonic anchor (a time.Now() result)
+	value    time.Time // clock value at the anchor
+	epsilon  time.Duration
+	synced   bool
 }
 
 var _ ClockSource = (*DisciplinedClock)(nil)
@@ -125,7 +124,6 @@ func (c *DisciplinedClock) Set(value time.Time, maxErr time.Duration) error {
 	c.value = value
 	c.epsilon = maxErr
 	c.synced = true
-	c.setsCount++
 	return nil
 }
 
@@ -143,7 +141,6 @@ func (c *DisciplinedClock) Adjust(offset time.Duration, maxErr time.Duration) er
 	c.value = current.Add(offset)
 	c.epsilon = maxErr
 	c.synced = true
-	c.setsCount++
 	return nil
 }
 
@@ -180,11 +177,4 @@ func (c *DisciplinedClock) DriftPPM() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.driftPPM
-}
-
-// Sets returns how many times the clock has been disciplined.
-func (c *DisciplinedClock) Sets() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.setsCount
 }

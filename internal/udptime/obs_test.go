@@ -229,14 +229,12 @@ func TestConcurrentQueriesRaceClean(t *testing.T) {
 				}
 			}()
 		}
-		// Concurrent reconfiguration: the old code read Timeout/LocalClock
-		// without the mutex.
+		// Concurrent reconfiguration: the old code read LocalClock without
+		// the mutex.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				client.SetTimeout(time.Duration(1+i%3) * time.Second)
-				client.SetSyncOptions(SyncOptions{Delta: float64(i) * 1e-6})
 				client.SetLocalClock(nil)
 				client.Observe(reg)
 			}

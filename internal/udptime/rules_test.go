@@ -106,7 +106,7 @@ func TestSyncSelectMatchesSelectIM(t *testing.T) {
 				})
 			}
 
-			srv, err := core.NewServer(0, core.Config{Clock: clock.Perfect(0, 0), Delta: delta, InitialError: 1e6})
+			srv, err := core.NewServer(0, core.Config{Clock: clock.NewDrifting(0, 0, 0), Delta: delta, InitialError: 1e6})
 			if err != nil {
 				t.Fatal(err)
 			}

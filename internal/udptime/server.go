@@ -304,8 +304,6 @@ func (s *Server) serve(bc batchIO) {
 // the clock is contained. Everything else leaves its slot empty:
 // malformed datagrams are counted here, once per batch; advertisements
 // with a handler installed are left for unanswered.
-//
-//lint:noalloc
 func (s *Server) respond(bt *ioBatch, n int) int {
 	served := 0
 	var bad uint64

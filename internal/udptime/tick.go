@@ -85,8 +85,6 @@ func newTickCacheStopped(src ClockSource, tick time.Duration, driftPPM float64) 
 
 // Now implements ClockSource from the frozen snapshot: one atomic load,
 // no locks, no clock reads.
-//
-//lint:noalloc
 func (tc *TickCache) Now() (time.Time, time.Duration, bool) {
 	r := tc.cur.Load()
 	return r.c, r.e, r.synced

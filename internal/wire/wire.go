@@ -134,7 +134,6 @@ type Response struct {
 	Unsynchronized bool
 }
 
-//lint:noalloc
 func putHeader(buf []byte, version, typ, flags uint8, reqID uint64) {
 	binary.BigEndian.PutUint32(buf[0:4], Magic)
 	buf[4] = version
@@ -148,8 +147,6 @@ func putHeader(buf []byte, version, typ, flags uint8, reqID uint64) {
 // property of the message type: requests and responses are version 1,
 // advertisements version 2 — so a v1-only implementation rejects
 // advertise datagrams with ErrBadVersion rather than misparsing them.
-//
-//lint:noalloc
 func parseHeader(buf []byte, wantType, wantVersion uint8) (flags uint8, reqID uint64, err error) {
 	if len(buf) < RequestSize {
 		return 0, 0, fmt.Errorf("%w: %d bytes", ErrShort, len(buf))
@@ -173,8 +170,6 @@ func parseHeader(buf []byte, wantType, wantVersion uint8) (flags uint8, reqID ui
 // plausible protocol header (length and magic check out), letting a
 // receiver dispatch before committing to a full parse. ok is false for
 // datagrams that are not protocol messages at all.
-//
-//lint:noalloc
 func PeekType(buf []byte) (typ uint8, ok bool) {
 	if len(buf) < RequestSize || binary.BigEndian.Uint32(buf[0:4]) != Magic {
 		return 0, false
@@ -184,8 +179,6 @@ func PeekType(buf []byte) (typ uint8, ok bool) {
 
 // AppendRequest appends the encoded request to dst and returns the
 // extended slice.
-//
-//lint:noalloc
 func AppendRequest(dst []byte, r Request) []byte {
 	var buf [RequestSize]byte
 	putHeader(buf[:], Version, TypeRequest, 0, r.ReqID)
@@ -193,8 +186,6 @@ func AppendRequest(dst []byte, r Request) []byte {
 }
 
 // ParseRequest decodes a request.
-//
-//lint:noalloc
 func ParseRequest(buf []byte) (Request, error) {
 	flags, reqID, err := parseHeader(buf, TypeRequest, Version)
 	if err != nil {
@@ -208,8 +199,6 @@ func ParseRequest(buf []byte) (Request, error) {
 
 // AppendResponse appends the encoded response to dst and returns the
 // extended slice. A negative MaxError is rejected.
-//
-//lint:noalloc
 func AppendResponse(dst []byte, r Response) ([]byte, error) {
 	if r.MaxError < 0 {
 		return nil, fmt.Errorf("%w: negative max error %v", ErrBadField, r.MaxError)
@@ -227,8 +216,6 @@ func AppendResponse(dst []byte, r Response) ([]byte, error) {
 }
 
 // ParseResponse decodes a response.
-//
-//lint:noalloc
 func ParseResponse(buf []byte) (Response, error) {
 	flags, reqID, err := parseHeader(buf, TypeResponse, Version)
 	if err != nil {
@@ -275,8 +262,6 @@ type ResponseHLC struct {
 
 // AppendRequestHLC appends the encoded version-3 request to dst and
 // returns the extended slice.
-//
-//lint:noalloc
 func AppendRequestHLC(dst []byte, r RequestHLC) []byte {
 	var buf [RequestHLCSize]byte
 	putHeader(buf[:], VersionHLC, TypeRequestHLC, 0, r.ReqID)
@@ -285,8 +270,6 @@ func AppendRequestHLC(dst []byte, r RequestHLC) []byte {
 }
 
 // ParseRequestHLC decodes a version-3 request.
-//
-//lint:noalloc
 func ParseRequestHLC(buf []byte) (RequestHLC, error) {
 	flags, reqID, err := parseHeader(buf, TypeRequestHLC, VersionHLC)
 	if err != nil {
@@ -307,8 +290,6 @@ func ParseRequestHLC(buf []byte) (RequestHLC, error) {
 
 // AppendResponseHLC appends the encoded version-3 response to dst and
 // returns the extended slice. A negative MaxError is rejected.
-//
-//lint:noalloc
 func AppendResponseHLC(dst []byte, r ResponseHLC) ([]byte, error) {
 	if r.MaxError < 0 {
 		return nil, fmt.Errorf("%w: negative max error %v", ErrBadField, r.MaxError)
@@ -327,8 +308,6 @@ func AppendResponseHLC(dst []byte, r ResponseHLC) ([]byte, error) {
 }
 
 // ParseResponseHLC decodes a version-3 response.
-//
-//lint:noalloc
 func ParseResponseHLC(buf []byte) (ResponseHLC, error) {
 	flags, reqID, err := parseHeader(buf, TypeResponseHLC, VersionHLC)
 	if err != nil {

@@ -187,10 +187,9 @@ func TestAppendReusesDst(t *testing.T) {
 	}
 }
 
-// TestRoundTripAllocs is the measured half of the codec's //lint:noalloc
-// annotations (the analyzer is the static half): one request/response
-// encode+decode round trip against retained buffers, version 1 and
-// version 3, performs no allocation.
+// TestRoundTripAllocs holds the codec at zero allocations: one
+// request/response encode+decode round trip against retained buffers,
+// version 1 and version 3, performs no allocation.
 func TestRoundTripAllocs(t *testing.T) {
 	reqBuf := make([]byte, 0, RequestHLCSize)
 	respBuf := make([]byte, 0, ResponseHLCSize)
