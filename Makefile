@@ -125,9 +125,14 @@ scale-smoke:
 
 # UDP serving-path smoke: the closed-loop load generator against a live
 # batched sharded server on the loopback — zero load errors, JSON shape
-# pinned, histogram counts advancing (see cmd/timeload's TestUDPSmoke).
+# pinned, histogram counts advancing (see cmd/timeload's TestUDPSmoke) —
+# then, under -race, the paper's oracle on that server: lone queries
+# beside a 64-deep load, every answer's [C-E, C+E] reaching its own send
+# and receive instants with the source's E unwidened (see
+# internal/udptime's TestBatchedReadingContained).
 udp-smoke:
 	$(GO) test ./cmd/timeload -run TestUDPSmoke
+	$(GO) test -race ./internal/udptime -run TestBatchedReadingContained
 
 # Observability smoke: the obs package under -race, then the seeded
 # `timesim -metrics -trace-out` snapshot and span log — the determinism

@@ -6,6 +6,13 @@
 //
 //	timeserver -addr 127.0.0.1:3123 -id 1 -initial-error 10ms -drift-ppm 50
 //
+// By default one loop moves one datagram per system call and reads the
+// clock per request. With -shards N the same loop runs on N
+// SO_REUSEPORT shards over batched I/O (-batch datagrams a vector) and
+// reads the clock once per received batch: every request of a batch was
+// sent before the batch was received and no reply leaves before it is
+// sent, so the one reading is rule MM-1's for all of them.
+//
 // The server runs until interrupted.
 package main
 
@@ -54,18 +61,16 @@ func start(args []string) (*udptime.Server, error) {
 		health = fs.String("health", "",
 			"HTTP health listener address (e.g. 127.0.0.1:9123): /healthz, Prometheus /metrics, and pprof")
 		shards = fs.Int("shards", 0,
-			"batched serving shards (0 = one per-packet loop reading the clock per request; >0 = batched I/O and a tick cache)")
+			"batched serving shards (0 = one per-packet loop reading the clock per request; >0 = batched I/O and a clock read per batch)")
 		batch = fs.Int("batch", 0,
 			"datagrams per recvmmsg/sendmmsg batch in shard mode (0 = default)")
-		tick = fs.Duration("tick", 0,
-			"cached-response refresh interval in shard mode (0 = default 1ms, negative = uncached)")
 		verbose = fs.Bool("v", false, "log malformed datagrams")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if *shards <= 0 && (*batch != 0 || *tick != 0) {
-		return nil, fmt.Errorf("-batch and -tick require -shards >= 1")
+	if *shards <= 0 && *batch != 0 {
+		return nil, fmt.Errorf("-batch requires -shards >= 1")
 	}
 
 	src, err := udptime.NewSystemClock(*initialErr, *driftPPM)
@@ -82,7 +87,7 @@ func start(args []string) (*udptime.Server, error) {
 	var srv *udptime.Server
 	if *shards > 0 {
 		srv, err = udptime.NewBatchServer(*addr, *id, src,
-			udptime.BatchConfig{Shards: *shards, Batch: *batch, Tick: *tick}, opts...)
+			udptime.BatchConfig{Shards: *shards, Batch: *batch}, opts...)
 	} else {
 		srv, err = udptime.NewServer(*addr, *id, src, opts...)
 	}

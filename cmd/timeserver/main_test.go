@@ -23,7 +23,6 @@ func TestRunErrors(t *testing.T) {
 		{name: "negative initial error", args: []string{"-initial-error", "-1s"}},
 		{name: "negative drift", args: []string{"-drift-ppm", "-5"}},
 		{name: "batch without shards", args: []string{"-batch", "16"}},
-		{name: "tick without shards", args: []string{"-tick", "5ms"}},
 		{name: "bad address sharded", args: []string{"-shards", "2", "-addr", "not an address"}},
 	}
 	for _, tt := range tests {

@@ -62,41 +62,46 @@ func (e RateEstimate) ConsonantWith(deltaI, deltaJ float64) bool {
 // most recent samples since the last reset. Estimates are only meaningful
 // between clock resets — a reset is a discontinuity in C, not a rate — so
 // the tracker must be Reset whenever either clock involved is set.
+// Neighbors are small non-negative server ids: the samples live in a
+// slice indexed by id, grown on demand.
 type RateTracker struct {
-	first map[int]RateSample
-	last  map[int]RateSample
+	pairs []samplePair
+}
+
+// samplePair is one neighbor's first and latest samples; n counts how
+// many of the two are held.
+type samplePair struct {
+	first, last RateSample
+	n           int
 }
 
 // NewRateTracker returns an empty tracker.
-func NewRateTracker() *RateTracker {
-	return &RateTracker{
-		first: make(map[int]RateSample),
-		last:  make(map[int]RateSample),
-	}
-}
+func NewRateTracker() *RateTracker { return &RateTracker{} }
 
 // Observe records a sample for the given neighbor. Samples must be
 // observed in increasing Local order.
 func (rt *RateTracker) Observe(from int, s RateSample) {
-	if _, ok := rt.first[from]; !ok {
-		rt.first[from] = s
+	for from >= len(rt.pairs) {
+		rt.pairs = append(rt.pairs, samplePair{})
+	}
+	p := &rt.pairs[from]
+	if p.n == 0 {
+		p.first, p.n = s, 1
 		return
 	}
-	rt.last[from] = s
+	p.last, p.n = s, 2
 }
 
 // Reset forgets the samples for one neighbor (call when that neighbor's
 // clock reset).
 func (rt *RateTracker) Reset(from int) {
-	delete(rt.first, from)
-	delete(rt.last, from)
+	if from >= 0 && from < len(rt.pairs) {
+		rt.pairs[from] = samplePair{}
+	}
 }
 
 // ResetAll forgets every sample (call when the local clock reset).
-func (rt *RateTracker) ResetAll() {
-	rt.first = make(map[int]RateSample)
-	rt.last = make(map[int]RateSample)
-}
+func (rt *RateTracker) ResetAll() { clear(rt.pairs) }
 
 // ShiftLocal translates every stored sample's local reading by d. When
 // the local clock is reset by a jump of d (same oscillator, new value),
@@ -105,13 +110,11 @@ func (rt *RateTracker) ResetAll() {
 // the bookkeeping that makes Section 5's rate maintenance practical in a
 // service whose servers reset every round.
 func (rt *RateTracker) ShiftLocal(d float64) {
-	for k, s := range rt.first {
-		s.Local += d
-		rt.first[k] = s
-	}
-	for k, s := range rt.last {
-		s.Local += d
-		rt.last[k] = s
+	for i := range rt.pairs {
+		if p := &rt.pairs[i]; p.n > 0 {
+			p.first.Local += d
+			p.last.Local += d
+		}
 	}
 }
 
@@ -122,11 +125,10 @@ func (rt *RateTracker) ShiftLocal(d float64) {
 // unknown share of its round trip, so the offset uncertainty per sample is
 // its RTT and the rate uncertainty is (RTT1 + RTT2) / span.
 func (rt *RateTracker) Estimate(from int) RateEstimate {
-	a, okA := rt.first[from]
-	b, okB := rt.last[from]
-	if !okA || !okB {
+	if from < 0 || from >= len(rt.pairs) || rt.pairs[from].n < 2 {
 		return RateEstimate{}
 	}
+	a, b := rt.pairs[from].first, rt.pairs[from].last
 	span := b.Local - a.Local
 	if span <= 0 {
 		return RateEstimate{}

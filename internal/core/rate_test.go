@@ -78,6 +78,12 @@ func TestRateTrackerReset(t *testing.T) {
 	if rt.Estimate(2).Valid {
 		t.Error("ResetAll did not clear")
 	}
+	// A cleared neighbor starts over: its next sample is a first one.
+	rt.Observe(2, RateSample{Local: 20, Remote: 20})
+	if rt.Estimate(2).Valid {
+		t.Error("one sample after ResetAll made an estimate")
+	}
+	rt.Reset(9) // never observed, beyond the grown range: a no-op
 }
 
 func TestConsonantWith(t *testing.T) {
@@ -275,7 +281,7 @@ func TestShiftLocalKeepsEstimateContinuous(t *testing.T) {
 
 func TestShiftLocalEmptyTracker(t *testing.T) {
 	rt := NewRateTracker()
-	rt.ShiftLocal(10) // no panic on empty maps
+	rt.ShiftLocal(10) // no panic on an empty tracker
 	if rt.Estimate(1).Valid {
 		t.Error("phantom estimate")
 	}

@@ -142,7 +142,7 @@ type Node struct {
 	colFree        []*collection // recycled round state
 	scratch        []core.Reply  // reused sync-pass reply buffer
 	stopSync       func()
-	neighborDeltas map[int]float64
+	neighborDeltas []float64 // claimed bound last heard from each server id, grown on demand
 
 	// Dynamic membership state (nil/zero when Config.Members is unset).
 	member     *member.Protocol[int]
@@ -288,13 +288,12 @@ func New(cfg Config) (*Service, error) {
 			fn = cfg.Fn
 		}
 		node := &Node{
-			Server:         server,
-			Spec:           spec,
-			Rates:          core.NewRateTracker(),
-			svc:            svc,
-			fn:             fn,
-			hclock:         hlc.New(uint32(i)),
-			neighborDeltas: make(map[int]float64),
+			Server: server,
+			Spec:   spec,
+			Rates:  core.NewRateTracker(),
+			svc:    svc,
+			fn:     fn,
+			hclock: hlc.New(uint32(i)),
 		}
 		node.NetID = net.AddNode(node.handle)
 		ids[i] = node.NetID
@@ -366,10 +365,10 @@ func (svc *Service) Run(until float64) { svc.Sim.RunUntil(until) }
 // hlcWall returns the node's HLC physical component at virtual time t:
 // the reading's latest bound C+E in nanoseconds, so a stamp taken at
 // true time t is at least t while the clock is contained.
-func (n *Node) hlcWall(t float64) int64 {
-	r := n.Server.Reading(t)
-	return hlc.WallFromSeconds(r.C + r.E)
-}
+func (n *Node) hlcWall(t float64) int64 { return readingWall(n.Server.Reading(t)) }
+
+// readingWall is the HLC physical component a reading stands for.
+func readingWall(r core.Reading) int64 { return hlc.WallFromSeconds(r.C + r.E) }
 
 // HLCNow issues the node's timestamp for a local event at virtual time
 // t — the transaction workload's stamp.
@@ -397,8 +396,8 @@ func (n *Node) handle(m simnet.Message) {
 		// lies differently per destination. The HLC piggyback comes from
 		// the node's real clock state either way: the adversary tier lies
 		// about readings, not about causality.
-		ts := n.hclock.Update(n.hlcWall(now), p.ts)
 		reading := n.Server.Reading(now)
+		ts := n.hclock.Update(readingWall(reading), p.ts)
 		if n.twoFaced != nil {
 			if j := int(m.From); j >= 0 && j < len(n.twoFaced) {
 				reading.C += n.twoFaced[j]
@@ -428,7 +427,10 @@ func (n *Node) handle(m simnet.Message) {
 			Remote: reading.C,
 			RTT:    local - n.collect.sentLocal,
 		})
-		n.neighborDeltas[int(m.From)] = reading.Delta
+		for int(m.From) >= len(n.neighborDeltas) {
+			n.neighborDeltas = append(n.neighborDeltas, 0)
+		}
+		n.neighborDeltas[m.From] = reading.Delta
 	case *gossipMsg:
 		n.hclock.Update(n.hlcWall(now), p.ts)
 		if n.member == nil {
@@ -558,6 +560,7 @@ func (n *Node) adaptDelta(now float64) {
 	}
 	var estimates []core.RateEstimate
 	var deltas []float64
+	// Ids never heard from hold no estimate and fall out below.
 	for from, delta := range n.neighborDeltas {
 		est := n.Rates.Estimate(from)
 		if est.Valid && est.Span >= minSpan {

@@ -37,8 +37,8 @@ func agedError(eps, elapsed time.Duration, driftPPM float64) time.Duration {
 
 // stretch is how far true time may advance while a clock trusted to
 // driftPPM measures d: (1 + driftPPM·1e-6)·d, rounded up to the
-// nanosecond. It is the staleness a frozen reading accrues per tick and
-// the sleep that carries C − E across a commit-wait distance.
+// nanosecond. It is the sleep that carries C − E across a commit-wait
+// distance (and the staleness TickCache charges a frozen reading).
 func stretch(d time.Duration, driftPPM float64) time.Duration {
 	return time.Duration(math.Ceil(float64(d) * (1 + driftPPM/1e6)))
 }
@@ -151,9 +151,9 @@ func (c *DisciplinedClock) Adjust(offset time.Duration, maxErr time.Duration) er
 // DESIGN.md §18 rests on.
 //
 // The wait computes how far C − E must still travel and sleeps that
-// distance charged by the drift bound, (1 + driftPPM·1e-6) — the same
-// staleness charge TickCache applies per tick — then re-checks, because
-// a concurrent Set or Adjust may have moved C backward or widened E.
+// distance charged by the drift bound, (1 + driftPPM·1e-6), then
+// re-checks, because a concurrent Set or Adjust may have moved C
+// backward or widened E.
 // An unsynchronized clock cannot bound C − E, so waiting on one fails
 // immediately rather than committing on an advisory reading.
 func (c *DisciplinedClock) WaitUntilAfter(t time.Time) error {

@@ -200,15 +200,16 @@ func waitCounter(t *testing.T, name string, get func() uint64, want uint64) {
 
 // TestDifferentialServing is the serving-backend equivalence proof: the
 // per-packet reference (NewServer) and the batch backend
-// (NewBatchServer, tick cache off so both read the same deterministic
-// clock) must answer an adversarial corpus of all three wire versions
-// with byte-identical responses, identical served/malformed accounting
-// and the same advertisements handed to the membership handler. On one
-// shard fed from one socket, arrival order fixes the hybrid logical
-// clock's counter and the version-3 replies compare whole; across
-// shards fed from several sockets the order is the kernel's, so the
-// logical counter alone is masked and the request walls stay below the
-// servers' own, which keeps the stamped wall independent of order.
+// (NewBatchServer), both at their default configuration over the same
+// deterministic clock, must answer an adversarial corpus of all three
+// wire versions with byte-identical responses, identical
+// served/malformed accounting and the same advertisements handed to the
+// membership handler. On one shard fed from one socket, arrival order
+// fixes the hybrid logical clock's counter and the version-3 replies
+// compare whole; across shards fed from several sockets the order is
+// the kernel's, so the logical counter alone is masked and the request
+// walls stay below the servers' own, which keeps the stamped wall
+// independent of order.
 func TestDifferentialServing(t *testing.T) {
 	src := fixedSource{
 		c:      time.Unix(0, 1_700_000_000_123_456_789),
@@ -242,7 +243,7 @@ func TestDifferentialServing(t *testing.T) {
 			replies := make(map[string]map[uint64][]byte)
 			for _, b := range []backend{
 				{"per-packet", NewServer},
-				{"batch", batchBackend(BatchConfig{Shards: tc.shards, Batch: 8, Tick: -1})},
+				{"batch", batchBackend(BatchConfig{Shards: tc.shards, Batch: 8})},
 			} {
 				var handled atomic.Uint64
 				var opts []ServerOption
@@ -277,46 +278,5 @@ func TestDifferentialServing(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestDifferentialTickWidening pins the cached mode's only permitted
-// divergence: with the tick cache on, the batched server's reply must
-// carry the legacy server's exact clock value and error plus exactly
-// one tick's widening — nothing else about the reply may change.
-func TestDifferentialTickWidening(t *testing.T) {
-	src := fixedSource{
-		c:      time.Unix(0, 1_700_000_000_987_654_321),
-		e:      300 * time.Microsecond,
-		synced: true,
-	}
-	const serverID, tick = 7, 50 * time.Millisecond
-
-	legacy, err := NewServer("127.0.0.1:0", serverID, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-	batched, err := NewBatchServer("127.0.0.1:0", serverID, src,
-		BatchConfig{Shards: 1, Tick: tick})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer batched.Close()
-
-	l := queryOne(t, legacy.Addr().String(), 11)
-	b := queryOne(t, batched.Addr().String(), 11)
-	// fixedSource reports no drift bound, so the widening is exactly the
-	// tick itself.
-	widen := stretch(tick, 0)
-	if !b.Clock.Equal(l.Clock) {
-		t.Fatalf("cached clock %v differs from legacy %v", b.Clock, l.Clock)
-	}
-	if want := l.MaxError + widen; b.MaxError != want {
-		t.Fatalf("cached max error %v, want legacy %v + widen %v = %v",
-			b.MaxError, l.MaxError, widen, want)
-	}
-	if b.ServerID != l.ServerID || b.Unsynchronized != l.Unsynchronized {
-		t.Fatalf("identity fields diverged: %+v vs %+v", b, l)
 	}
 }

@@ -19,14 +19,17 @@ func (o serverObsOption) applyServer(s *Server) {
 		s.obsRequests = o.reg.Counter("udptime_server_requests_total")
 		s.obsMalformed = o.reg.Counter("udptime_server_malformed_total")
 		s.obsBatches = o.reg.Counter("udptime_server_batches_total")
+		s.obsBatchFill = o.reg.LogHistogram("udptime_server_batch_fill")
 		s.obsSendErrs = o.reg.Counter("udptime_server_send_errors_total")
 	}
 }
 
 // WithServerObservability resolves the server's request, malformed-
-// datagram, batch, and send-error counters in reg, and makes reg the
-// registry the health listener's /metrics endpoint exposes. The registry
-// may be shared with clients and syncers in the same process.
+// datagram, batch, and send-error counters and its batch-fill histogram
+// (datagrams per Recv, which is also requests per clock read) in reg,
+// and makes reg the registry the health listener's /metrics endpoint
+// exposes. The registry may be shared with clients and syncers in the
+// same process.
 func WithServerObservability(reg *obs.Registry) ServerOption {
 	return serverObsOption{reg: reg}
 }

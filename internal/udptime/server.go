@@ -15,28 +15,28 @@ import (
 	"disttime/internal/wire"
 )
 
-// Server is a UDP time server: it answers each request with the reading
+// Server is a UDP time server: it answers each request with a reading
 // of its ClockSource taken between the request's arrival and the reply
 // (rule MM-1). It speaks every wire version — version-1 requests,
 // version-3 requests carrying a hybrid-logical-clock timestamp, and
 // version-2 membership advertisements when a Peer installs their
 // handler — on one serving loop per shard: receive a batch of datagrams
-// through a batchIO, answer the well-formed requests, send the replies.
+// through a batchIO, read the source once, answer the well-formed
+// requests with that reading, send the replies. Every request of the
+// batch was sent before Recv returned and no reply leaves before Send,
+// so the one reading lies between send and receipt for all of them.
 //
 // The two constructors differ only in what they put under that loop.
-// NewServer runs one shard on the per-packet backend and reads the
-// source once per request. NewBatchServer runs BatchConfig.Shards shards
+// NewServer runs one shard on the per-packet backend: a batch of one, a
+// clock read per request. NewBatchServer runs BatchConfig.Shards shards
 // on the platform's batch backend (recvmmsg/sendmmsg with GSO on
-// linux/amd64 and linux/arm64) and answers from a TickCache.
+// linux/amd64 and linux/arm64): a clock read per batch.
 //
 // With WithHealthListener the server also serves /healthz,
 // Prometheus-style /metrics, and pprof over HTTP.
 type Server struct {
-	id uint64
-	// src is what the responder reads: the tick cache when there is
-	// one, the caller's source otherwise.
-	src   ClockSource
-	cache *TickCache
+	id  uint64
+	src ClockSource
 
 	// hlc is the server's hybrid logical clock, always on: every
 	// version-3 exchange folds the client's timestamp in and stamps the
@@ -66,6 +66,7 @@ type Server struct {
 	obsRequests  *obs.Counter
 	obsMalformed *obs.Counter
 	obsBatches   *obs.Counter
+	obsBatchFill *obs.LogHistogram
 	obsSendErrs  *obs.Counter
 	healthAddr   string
 	healthLn     net.Listener
@@ -111,20 +112,9 @@ type BatchConfig struct {
 	// vector on the Linux fast path (zero means 32, capped at 512). The
 	// per-packet backend moves one whatever the value.
 	Batch int
-	// Tick is the cached-response refresh interval (zero means one
-	// millisecond). A negative Tick disables the cache: every reply
-	// reads the clock source directly, exactly as NewServer's do — the
-	// mode the differential serving tests compare the backends in.
-	Tick time.Duration
 	// Registry resolves the server's metrics (nil leaves them inert);
 	// shorthand for WithServerObservability.
 	Registry *obs.Registry
-}
-
-// driftReporter is implemented by clock sources that know their own
-// drift bound; the tick cache charges it into its widening.
-type driftReporter interface {
-	DriftPPM() float64
 }
 
 // NewServer starts a time server listening on addr (e.g. "127.0.0.1:0")
@@ -132,16 +122,17 @@ type driftReporter interface {
 // shard, one datagram per system call, one clock read per request. The
 // server runs until Close.
 func NewServer(addr string, id uint64, src ClockSource, opts ...ServerOption) (*Server, error) {
-	return newServer(addr, id, src, BatchConfig{Shards: 1, Batch: 1, Tick: -1}, newPacketConn, opts)
+	return newServer(addr, id, src, BatchConfig{Shards: 1, Batch: 1}, newPacketConn, opts)
 }
 
 // NewBatchServer starts a sharded server on addr that moves datagrams
-// in batches where the platform can and answers from a per-tick cached
-// <C, E> reading, so replies under load touch neither the clock lock
-// nor a per-packet system call. It answers the same protocol, byte for
-// byte, as a NewServer server. A bind failure on any shard (for example
-// a busy port) tears down the shards already bound and returns the
-// listener's error.
+// in batches where the platform can and stamps every reply of a batch
+// with one <C, E> reading taken between the batch's receipt and its
+// send, so replies under load cost neither a clock read nor a system
+// call apiece. It answers the same protocol, byte for byte, as a
+// NewServer server. A bind failure on any shard (for example a busy
+// port) tears down the shards already bound and returns the listener's
+// error.
 func NewBatchServer(addr string, id uint64, src ClockSource, cfg BatchConfig, opts ...ServerOption) (*Server, error) {
 	if cfg.Registry != nil {
 		opts = append([]ServerOption{WithServerObservability(cfg.Registry)}, opts...)
@@ -193,14 +184,6 @@ func newServer(addr string, id uint64, src ClockSource, cfg BatchConfig,
 		s.closeShards()
 		return nil, err
 	}
-	if cfg.Tick >= 0 {
-		var drift float64
-		if dr, ok := src.(driftReporter); ok {
-			drift = dr.DriftPPM()
-		}
-		s.cache = NewTickCache(src, cfg.Tick, drift)
-		s.src = s.cache
-	}
 	for _, bc := range s.shards {
 		s.loops.Add(1)
 		go s.serve(bc)
@@ -227,18 +210,15 @@ func (s *Server) HLC() *hlc.Clock { return s.hlc }
 // MalformedDatagrams returns how many datagrams failed to parse.
 func (s *Server) MalformedDatagrams() uint64 { return s.malformed.Load() }
 
-// Close stops every shard, the tick cache and the health listener (if
-// any) and waits for the serving loops to drain, including batches in
-// flight. It is idempotent and safe to call from several goroutines at
-// once; every call returns the same result.
+// Close stops every shard and the health listener (if any) and waits
+// for the serving loops to drain, including batches in flight. It is
+// idempotent and safe to call from several goroutines at once; every
+// call returns the same result.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.closeHealth()
 		s.closeErr = s.closeShards()
 		s.loops.Wait()
-		if s.cache != nil {
-			s.cache.Stop()
-		}
 	})
 	return s.closeErr
 }
@@ -255,8 +235,8 @@ func (s *Server) closeShards() error {
 }
 
 // serve drains one shard's socket until it is closed: receive a batch,
-// answer every well-formed request, send the replies. It is the only
-// code that reads a server socket.
+// read the clock, answer every well-formed request, send the replies.
+// It is the only code that reads a server socket.
 func (s *Server) serve(bc batchIO) {
 	defer s.loops.Done()
 	bt := bc.Batch()
@@ -273,13 +253,12 @@ func (s *Server) serve(bc batchIO) {
 			continue
 		}
 		s.obsBatches.Inc()
-		if s.cache != nil {
-			// Every request of the batch was sent before this check, and
-			// after it the snapshot is less than a tick old: the one-tick
-			// widening covers them however late the refresher runs.
-			s.cache.refreshIfStale()
-		}
-		served := s.respond(bt, n)
+		s.obsBatchFill.Observe(float64(n))
+		// Every request of the batch was sent before Recv returned and no
+		// reply is received before Send: this one reading is rule MM-1's
+		// for all of them.
+		c, maxErr, synced := s.src.Now()
+		served := s.respond(bt, n, c, maxErr, synced)
 		if served < n {
 			s.unanswered(bc, n)
 		}
@@ -296,15 +275,16 @@ func (s *Server) serve(bc batchIO) {
 }
 
 // respond fills bt.send[i] for every well-formed request in
-// bt.recv[0:n], dispatching on the wire type — a version-1 reply, or a
-// version-3 reply that folds the client's timestamp into the server's
-// hybrid logical clock and stamps the receive event — and returns how
-// many replies it prepared. The HLC wall is the reading's latest bound
+// bt.recv[0:n] with the batch's reading <c, maxErr, synced>,
+// dispatching on the wire type — a version-1 reply, or a version-3
+// reply that folds the client's timestamp into the server's hybrid
+// logical clock and stamps the receive event — and returns how many
+// replies it prepared. The HLC wall is the reading's latest bound
 // C+E, so the stamped physical component never trails true time while
 // the clock is contained. Everything else leaves its slot empty:
 // malformed datagrams are counted here, once per batch; advertisements
 // with a handler installed are left for unanswered.
-func (s *Server) respond(bt *ioBatch, n int) int {
+func (s *Server) respond(bt *ioBatch, n int, c time.Time, maxErr time.Duration, synced bool) int {
 	served := 0
 	var bad uint64
 	for i := 0; i < n; i++ {
@@ -332,7 +312,6 @@ func (s *Server) respond(bt *ioBatch, n int) int {
 			bad++
 			continue
 		}
-		c, maxErr, synced := s.src.Now()
 		resp := wire.Response{
 			ReqID:          reqID,
 			ServerID:       s.id,
@@ -391,23 +370,25 @@ func (s *Server) unanswered(bc batchIO, n int) {
 	}
 }
 
-// NewServeBatchBench builds a detached serving pipeline — tick cache
-// over a fixed reading, responder, one preassembled batch of well-formed
-// version-1 requests — and returns a pump that pushes the whole batch
-// through the responder once, returning the number of replies prepared.
-// It exists for cmd/bench's udptime.responder.ns_per_req stage; the
-// cache is not auto-refreshed so the measurement sees only the serving
-// path.
+// NewServeBatchBench builds a detached serving pipeline — system
+// clock, responder, one preassembled batch of well-formed version-1
+// requests — and returns a pump that does what serve does between Recv
+// and Send once: read the clock, push the whole batch through the
+// responder. It returns the number of replies prepared. It exists for
+// cmd/bench's udptime.responder.ns_per_req stage.
 func NewServeBatchBench(batch int) func() int {
 	batch = clampBatch(batch)
 	src, err := NewSystemClock(0, 50)
 	if err != nil {
 		panic(err)
 	}
-	s := &Server{id: 1, src: newTickCacheStopped(src, 0, 50), hlc: hlc.New(1)}
+	s := &Server{id: 1, src: src, hlc: hlc.New(1)}
 	bt, rbufs := newIOBatch(batch)
 	for i := range rbufs {
 		bt.recv[i] = wire.AppendRequest(rbufs[i][:0], wire.Request{ReqID: uint64(i) + 1})
 	}
-	return func() int { return s.respond(&bt, batch) }
+	return func() int {
+		c, maxErr, synced := src.Now()
+		return s.respond(&bt, batch, c, maxErr, synced)
+	}
 }

@@ -1,13 +1,16 @@
 package udptime
 
 import (
+	"bytes"
 	"errors"
 	"net"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
 
 	"disttime/internal/hlc"
+	"disttime/internal/obs"
 	"disttime/internal/wire"
 )
 
@@ -25,7 +28,7 @@ type backend struct {
 
 // backends are the two constructors as the lifecycle, version-3 and
 // cluster tests run them: one per-packet loop, and four shards on the
-// platform's batch backend behind a tick cache.
+// platform's batch backend.
 var backends = []backend{
 	{"per-packet", NewServer},
 	{"batch", batchBackend(BatchConfig{Shards: 4, Batch: 16})},
@@ -203,17 +206,15 @@ func queryOne(t *testing.T, addr string, id uint64) wire.Response {
 	return resp
 }
 
-// TestBatchServerDirectRead pins the Tick < 0 parity mode's defining
-// behavior: with the cache disabled every reply reads the source at
-// serve time, so a source update is visible in the very next reply with
-// no per-tick widening and no frozen-snapshot staleness — including an
-// error bound that narrows, which a cached reading can never do within
-// a tick.
+// TestBatchServerDirectRead pins what reading per batch means for a
+// lone request: the batch backend reads the source at serve time, so a
+// source update is visible in the very next reply with no widening and
+// no staleness — including an error bound that narrows.
 func TestBatchServerDirectRead(t *testing.T) {
 	src := &steppedSource{}
 	c0 := time.Unix(0, 1_650_000_000_000_000_000)
 	src.set(c0, 100*time.Microsecond, true)
-	srv, err := NewBatchServer("127.0.0.1:0", 3, src, BatchConfig{Shards: 1, Tick: -1})
+	srv, err := NewBatchServer("127.0.0.1:0", 3, src, BatchConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,38 +235,207 @@ func TestBatchServerDirectRead(t *testing.T) {
 	}
 }
 
-// TestServerRefreshesStaleSnapshot is the containment guard: the tick
-// cache's refresher is only as punctual as the scheduler, so here it
-// does not run at all. After several idle ticks the published snapshot
-// is far staler than its one-tick widening; the serving loop must
-// notice and refresh before it answers, so that the reply's interval
-// still reaches forward to the instant the request was sent.
-func TestServerRefreshesStaleSnapshot(t *testing.T) {
-	const tick = 20 * time.Millisecond
-	src, err := NewSystemClock(0, 50) // the host clock, the oracle below
+// TestBatchedReadingContained is the paper's oracle on the batched
+// server, failing instead of counting: one shard at full batches under
+// a 64-deep closed loop, a lone query every millisecond beside it from
+// before the load starts until after it ends (so probes ride in full
+// batches and in batches of one), and every answer must reach back to
+// its own receive instant and forward to its own send instant on the
+// host clock the server also reads. The source's error is fixed (zero
+// drift) and small, so a reading taken anywhere but between a batch's
+// Recv and its Send misses, and a reply that carries anything but the
+// source's E has been widened. This test is part of make udp-smoke,
+// under -race.
+func TestBatchedReadingContained(t *testing.T) {
+	const initialErr = 10 * time.Microsecond
+	src, err := NewSystemClock(initialErr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewBatchServer("127.0.0.1:0", 3, src, BatchConfig{Tick: tick})
+	srv, err := NewBatchServer("127.0.0.1:0", 3, src, BatchConfig{Shards: 1, Batch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	srv.cache.Stop() // a refresher that never gets the CPU
-	time.Sleep(5 * tick)
+	addr := srv.Addr().String()
+	cl := NewClient(time.Second, nil)
+	defer cl.Close()
 
-	send := time.Now()
-	resp := queryOne(t, srv.Addr().String(), 1)
-	recv := time.Now()
-	if lo, hi := resp.Clock.Add(-resp.MaxError), resp.Clock.Add(resp.MaxError); hi.Before(send) || lo.After(recv) {
-		t.Fatalf("reply [%v, %v] misses the exchange [%v, %v]: snapshot %v stale at send",
-			lo, hi, send, recv, send.Sub(resp.Clock))
+	probes := 0
+	probe := func() {
+		send := time.Now()
+		m, err := cl.Query(addr)
+		recv := time.Now()
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes++
+		if m.E != initialErr {
+			t.Fatalf("probe %d: MaxError %v, want the source's %v exactly", probes, m.E, initialErr)
+		}
+		if lo, hi := m.C.Add(-m.E), m.C.Add(m.E); lo.After(recv) || hi.Before(send) {
+			t.Fatalf("probe %d: [%v, %v] misses the exchange [%v, %v]", probes, lo, hi, send, recv)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for range 20 {
+		probe()
+	}
+	loadDone := make(chan LoadResult, 1)
+	go func() {
+		res, _ := RunLoad(LoadConfig{Addr: addr, Window: 64, Batch: 64, Duration: 400 * time.Millisecond})
+		loadDone <- res
+	}()
+	before := probes
+	for loaded := false; !loaded; {
+		select {
+		case res := <-loadDone:
+			if res.Received == 0 || res.Timeouts+res.Errors != 0 {
+				t.Fatalf("load beside the probes: %+v", res)
+			}
+			loaded = true
+		default:
+			probe()
+		}
+	}
+	if underLoad := probes - before; underLoad < 3 {
+		t.Fatalf("only %d probes answered beside 400 ms of load", underLoad)
+	}
+	for range 20 {
+		probe()
+	}
+}
+
+// countingSource steps C by a second on every read and counts the reads.
+type countingSource struct {
+	base  time.Time
+	reads int
+}
+
+func (s *countingSource) Now() (time.Time, time.Duration, bool) {
+	s.reads++
+	return s.base.Add(time.Duration(s.reads) * time.Second), 100 * time.Microsecond, true
+}
+
+// scriptIO is a batchIO that plays scripted batches into serve: Recv
+// hands over the next one (net.ErrClosed after the last) and Send keeps
+// a copy of each reply, batch by batch, while record is set.
+type scriptIO struct {
+	bt     ioBatch
+	script [][][]byte
+	next   int
+	record bool
+	sent   [][][]byte
+}
+
+func (f *scriptIO) Batch() *ioBatch { return &f.bt }
+
+func (f *scriptIO) Recv() (int, error) {
+	if f.next == len(f.script) {
+		return 0, net.ErrClosed
+	}
+	batch := f.script[f.next]
+	f.next++
+	return copy(f.bt.recv, batch), nil
+}
+
+func (f *scriptIO) Send(n int) error {
+	if f.record {
+		var replies [][]byte
+		for _, out := range f.bt.send[:n] {
+			if len(out) > 0 {
+				replies = append(replies, bytes.Clone(out))
+			}
+		}
+		f.sent = append(f.sent, replies)
+	}
+	return nil
+}
+
+func (f *scriptIO) Peer(int) netip.AddrPort         { return netip.AddrPort{} }
+func (f *scriptIO) SetReadDeadline(time.Time) error { return nil }
+func (f *scriptIO) Close() error                    { return nil }
+
+// TestServeReadsClockOncePerBatch drives serve over scripted batches of
+// version-1 and version-3 requests from a source whose C steps on every
+// read: the source is read once per batch, not once per request; every
+// reply of a batch carries that one C and consecutive batches carry
+// different ones; the batch-fill histogram saw each batch once; and the
+// whole loop — Recv to Send, the per-batch read and Observe included —
+// allocates nothing.
+func TestServeReadsClockOncePerBatch(t *testing.T) {
+	sizes := []int{64, 1, 17}
+	io := &scriptIO{record: true}
+	io.bt, _ = newIOBatch(64)
+	id, total := uint64(0), 0
+	for _, size := range sizes {
+		batch := make([][]byte, size)
+		for i := range batch {
+			id++
+			if i%2 == 0 {
+				batch[i] = wire.AppendRequest(nil, wire.Request{ReqID: id})
+			} else {
+				batch[i] = wire.AppendRequestHLC(nil, wire.RequestHLC{ReqID: id, TS: hlc.Timestamp{Wall: int64(id), Node: 9}})
+			}
+		}
+		io.script = append(io.script, batch)
+		total += size
+	}
+	src := &countingSource{base: time.Unix(1_700_000_000, 0)}
+	reg := obs.NewRegistry()
+	s := &Server{id: 1, src: src, hlc: hlc.New(1)}
+	WithServerObservability(reg).applyServer(s)
+	serve := func() {
+		io.next = 0
+		s.loops.Add(1)
+		s.serve(io)
+	}
+
+	serve()
+	if src.reads != len(sizes) {
+		t.Fatalf("source read %d times over %d batches of %d requests, want once per batch", src.reads, len(sizes), total)
+	}
+	if len(io.sent) != len(sizes) {
+		t.Fatalf("%d batches sent, want %d", len(io.sent), len(sizes))
+	}
+	for b, replies := range io.sent {
+		if len(replies) != sizes[b] {
+			t.Fatalf("batch %d: %d replies, want %d", b, len(replies), sizes[b])
+		}
+		want := src.base.Add(time.Duration(b+1) * time.Second)
+		for i, raw := range replies {
+			var resp wire.Response
+			var err error
+			if len(raw) == wire.ResponseHLCSize {
+				var r3 wire.ResponseHLC
+				r3, err = wire.ParseResponseHLC(raw)
+				resp = r3.Response
+			} else {
+				resp, err = wire.ParseResponse(raw)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resp.Clock.Equal(want) {
+				t.Fatalf("batch %d reply %d: C = %v, want the batch's one reading %v", b, i, resp.Clock, want)
+			}
+		}
+	}
+	fill := reg.LogHistogram("udptime_server_batch_fill")
+	if fill.Count() != uint64(len(sizes)) || fill.Sum() != float64(total) {
+		t.Fatalf("batch fill observed %d batches summing to %v, want %d summing to %d",
+			fill.Count(), fill.Sum(), len(sizes), total)
+	}
+
+	io.record = false
+	if allocs := testing.AllocsPerRun(50, serve); allocs != 0 {
+		t.Fatalf("serving %d batches allocates %v times, want 0", len(sizes), allocs)
 	}
 }
 
 // TestServeBatchBench holds the pump cmd/bench times to what it claims:
 // every request of the batch answered, and nothing allocated on the way
-// (Server.respond, TickCache.Now and the version-1 codec under them).
+// (the clock read, Server.respond and the version-1 codec under it).
 func TestServeBatchBench(t *testing.T) {
 	const batch = 64
 	pump := NewServeBatchBench(batch)
@@ -288,7 +458,7 @@ func TestRespondMixedBatchAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Server{id: 1, src: newTickCacheStopped(src, 0, 50), hlc: hlc.New(1),
+	s := &Server{id: 1, src: src, hlc: hlc.New(1),
 		advertise: func(*net.UDPAddr, []wire.MemberEntry) {}}
 	adv, err := wire.AppendAdvertise(nil, 1, []wire.MemberEntry{{Addr: "10.0.0.1:3123", Gen: 1, Status: 1}})
 	if err != nil {
@@ -309,8 +479,9 @@ func TestRespondMixedBatchAllocs(t *testing.T) {
 			bt.recv[i] = append(rbufs[i][:0], adv[:len(adv)>>(i/4%2)]...) // whole, or cut short
 		}
 	}
+	c, maxErr, synced := src.Now()
 	allocs := testing.AllocsPerRun(100, func() {
-		if got := s.respond(&bt, batch); got != want {
+		if got := s.respond(&bt, batch, c, maxErr, synced); got != want {
 			t.Fatalf("respond prepared %d replies, want %d", got, want)
 		}
 	})

@@ -31,7 +31,7 @@ func (s *steppedSource) Now() (time.Time, time.Duration, bool) {
 }
 
 // TestTickCacheProperty drives a stopped cache through randomized
-// refresh rounds and checks the two properties DESIGN.md §16 claims:
+// refresh rounds and checks the two properties its comment claims:
 //
 //  1. at each tick boundary the cached reading equals a fresh read of
 //     the source plus exactly one tick's widening, and
@@ -51,8 +51,8 @@ func TestTickCacheProperty(t *testing.T) {
 	src.set(base, time.Millisecond, true)
 	tc := newTickCacheStopped(src, tick, driftPPM)
 	defer tc.Stop()
-	if got := tc.Widen(); got != widen {
-		t.Fatalf("Widen() = %v, want %v", got, widen)
+	if tc.widen != widen {
+		t.Fatalf("widen = %v, want %v", tc.widen, widen)
 	}
 
 	for round := 0; round < 200; round++ {
