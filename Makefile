@@ -40,7 +40,8 @@ vet:
 
 # Static-analysis gate: the eight repo-specific invariant checks
 # (nowcheck, globalrand, atomicmix, floateq, mapiter, poolput, guardedby,
-# barrier) built on the standard library only. See DESIGN.md §10 for the
+# barrier: a WaitGroup re-Wait, the one kind of barrier misuse no test
+# catches) built on the standard library only. See DESIGN.md §10 for the
 # invariant each one guards and the planted violation only it caught.
 # The tree must be clean of unsuppressed diagnostics, and every
 # suppression carries a written justification (the framework rejects
@@ -117,11 +118,12 @@ byz-smoke:
 	$(call run-twice-and-cmp,-chaos -adversarial -campaigns 10 -adv-steps 15 -chaos-seed 1,byz-smoke)
 	$(GO) run ./cmd/timesim -chaos -replay internal/chaos/corpus/buggy-byz-twoface.repro
 
-# Scale smoke, the event kernel sharded: the S1 sweep at its CI-sized topology (the
-# full 10k/50k/100k sweep is `timesim -scale`; its speed is tracked by the
+# Scale smoke, the event kernel sharded: the S1 sweep at its CI-sized
+# topology, twice, like every other seeded timesim mode (the full
+# 10k/50k/100k sweep is `timesim -scale`; its speed is tracked by the
 # sim_scale_* workloads of `bash cmd/bench/run.sh`).
 scale-smoke:
-	$(GO) run ./cmd/timesim -experiment S1
+	$(call run-twice-and-cmp,-experiment S1,scale-smoke)
 
 # UDP serving-path smoke: the closed-loop load generator against a live
 # batched sharded server on the loopback — zero load errors, JSON shape

@@ -68,7 +68,7 @@ func runChaos(opts chaosOpts, out io.Writer) error {
 			seed, c.N, c.FnName, c.Topo, len(c.Faults), v.Steps)
 		fmt.Fprintf(out, "  violation: %v\n", first)
 		if opts.shrink {
-			res, err := chaos.Shrink(c, chaos.Run, 0)
+			res, err := chaos.Shrink(c, chaos.Run)
 			if err != nil {
 				return fmt.Errorf("chaos: seed %d: shrink: %w", seed, err)
 			}

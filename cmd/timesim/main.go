@@ -144,22 +144,16 @@ func run(args []string, out io.Writer) error {
 		return err
 	case *list:
 		fmt.Fprintf(out, "%-4s  %-22s  %s\n", "ID", "SLUG", "SOURCE")
-		for _, e := range experiments.All() {
-			fmt.Fprintf(out, "%-4s  %-22s  %s\n", e.ID, e.Slug, e.Source)
-		}
-		for _, e := range experiments.Ablations() {
-			fmt.Fprintf(out, "%-4s  %-22s  %s\n", e.ID, e.Slug, e.Source)
-		}
-		for _, e := range experiments.ScaleEntries() {
+		for _, e := range experiments.Registry() {
 			fmt.Fprintf(out, "%-4s  %-22s  %s\n", e.ID, e.Slug, e.Source)
 		}
 		return nil
 	case *ablations:
 		return experiments.WriteResults(out,
-			experiments.RunAll(experiments.Ablations(), 0), *asCSV)
+			experiments.RunAll(experiments.Ablations()), *asCSV)
 	case *all:
 		return experiments.WriteResults(out,
-			experiments.RunAll(experiments.All(), 0), *asCSV)
+			experiments.RunAll(experiments.All()), *asCSV)
 	case *name != "":
 		e, ok := experiments.FindAny(*name)
 		if !ok {

@@ -39,6 +39,20 @@ func TestRunSingleAblation(t *testing.T) {
 	}
 }
 
+// TestRunExperimentAnyCase: the flag's help offers "A3", and every family
+// of the registry answers to its ID and slug in either case.
+func TestRunExperimentAnyCase(t *testing.T) {
+	for name, want := range map[string]string{"a1": "A1:", "Ablation-Self": "A1:", "s1": "S1:"} {
+		var buf strings.Builder
+		if err := run([]string{"-experiment", name}, &buf); err != nil {
+			t.Fatalf("-experiment %s: %v", name, err)
+		}
+		if !strings.HasPrefix(buf.String(), want) {
+			t.Errorf("-experiment %s: output does not start with %q:\n%s", name, want, buf.String())
+		}
+	}
+}
+
 func TestRunUnknownExperiment(t *testing.T) {
 	var buf strings.Builder
 	if err := run([]string{"-experiment", "nope"}, &buf); err == nil {

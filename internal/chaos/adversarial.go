@@ -29,9 +29,6 @@ type AdversarialConfig struct {
 	// Run executes candidates; nil means the production Run. Self-tests
 	// pass a RunInjected closure to search against a planted bug.
 	Run Runner
-	// ShrinkBudget caps the minimization re-runs after a violation is
-	// found; <= 0 means Shrink's default.
-	ShrinkBudget int
 }
 
 // AdversarialResult is the outcome of one search.
@@ -84,7 +81,7 @@ func randomLiar(rng *rand.Rand, c Campaign, tgt int) Fault {
 		win = c.Dur - at
 	}
 	return Fault{Kind: TwoFaced, Target: tgt, At: at, Dur: win,
-		Peers: randomPeers(rng, c.N, tgt, 0.02, 0.12)}
+		Peers: randomPeers(rng, c.N, tgt)}
 }
 
 // Adversarial runs the hill-climbing search. It is deterministic in
@@ -123,7 +120,7 @@ func Adversarial(cfg AdversarialConfig) (AdversarialResult, error) {
 	}
 	if !res.Verdict.OK {
 		res.Found = true
-		sr, err := Shrink(res.Best, run, cfg.ShrinkBudget)
+		sr, err := Shrink(res.Best, run)
 		if err != nil {
 			return res, err
 		}
@@ -146,7 +143,7 @@ func mutate(rng *rand.Rand, c Campaign) Campaign {
 		// Redraw one fault's whole offset vector.
 		i := rng.IntN(len(out.Faults))
 		f := out.Faults[i]
-		f.Peers = randomPeers(rng, c.N, f.Target, 0.02, 0.12)
+		f.Peers = randomPeers(rng, c.N, f.Target)
 		out.Faults[i] = f
 	case op == 1 && len(out.Faults) > 0:
 		// Redraw a single destination's offset, the finest probe.

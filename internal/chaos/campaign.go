@@ -240,9 +240,10 @@ func Generate(seed uint64) Campaign {
 }
 
 // randomPeers draws a per-destination skew vector: every peer except the
-// liar itself gets an independent signed offset of magnitude lo..hi,
-// rounded so the vector round-trips through the reproducer codec.
-func randomPeers(rng *rand.Rand, n, target int, lo, hi float64) []float64 {
+// liar itself gets an independent signed offset of magnitude 0.02..0.12
+// seconds, rounded so the vector round-trips through the reproducer codec.
+func randomPeers(rng *rand.Rand, n, target int) []float64 {
+	const lo, hi = 0.02, 0.12
 	peers := make([]float64, n)
 	for j := range peers {
 		if j == target {
@@ -311,11 +312,11 @@ func randomFault(rng *rand.Rand, n int, dur float64, mem bool) Fault {
 	case TwoFaced:
 		t := rng.IntN(n)
 		return Fault{Kind: TwoFaced, Target: t, At: at, Dur: win,
-			Peers: randomPeers(rng, n, t, 0.02, 0.12)}
+			Peers: randomPeers(rng, n, t)}
 	case Equivocate:
 		t := rng.IntN(n)
 		return Fault{Kind: Equivocate, Target: t, At: at, Dur: win,
-			Peers: randomPeers(rng, n, t, 0.02, 0.12)}
+			Peers: randomPeers(rng, n, t)}
 	default:
 		return Fault{Kind: Crash, Target: rng.IntN(n), At: at, Dur: win}
 	}

@@ -113,7 +113,7 @@ func TestHarnessCatchesBuggyMM(t *testing.T) {
 		}
 		caught++
 		first, _ := v.First()
-		res, err := Shrink(c, buggy, 0)
+		res, err := Shrink(c, buggy)
 		if err != nil {
 			t.Fatalf("seed %d: shrink: %v", seed, err)
 		}
@@ -149,7 +149,7 @@ func TestHarnessCatchesBuggyMM(t *testing.T) {
 // campaigns that do not fail.
 func TestShrinkKeepsPassingCampaign(t *testing.T) {
 	c := Generate(1)
-	res, err := Shrink(c, Run, 0)
+	res, err := Shrink(c, Run)
 	if err != nil {
 		t.Fatal(err)
 	}

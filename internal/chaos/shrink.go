@@ -20,6 +20,9 @@ type ShrinkResult struct {
 	Runs int
 }
 
+// shrinkBudget caps the re-runs of one Shrink.
+const shrinkBudget = 200
+
 // Shrink minimizes a failing campaign to a smaller reproducer that still
 // violates the same invariant as the original's first violation. The
 // search is greedy and deterministic:
@@ -30,13 +33,9 @@ type ShrinkResult struct {
 //  4. bisect the campaign duration to the shortest failing grid point.
 //
 // Every candidate is a full deterministic re-run, so the result replays
-// identically. budget caps the number of re-runs (<= 0 means the default
-// of 200). If the input campaign does not fail under run, it is returned
-// unchanged.
-func Shrink(c Campaign, run Runner, budget int) (ShrinkResult, error) {
-	if budget <= 0 {
-		budget = 200
-	}
+// identically, and shrinkBudget caps how many there are. If the input
+// campaign does not fail under run, it is returned unchanged.
+func Shrink(c Campaign, run Runner) (ShrinkResult, error) {
 	orig, err := run(c)
 	if err != nil {
 		return ShrinkResult{}, err
@@ -51,7 +50,7 @@ func Shrink(c Campaign, run Runner, budget int) (ShrinkResult, error) {
 	// fails re-runs a candidate and accepts it when it violates the same
 	// invariant first. Errors (malformed candidates) reject the candidate.
 	fails := func(cand Campaign) (Verdict, bool) {
-		if res.Runs >= budget {
+		if res.Runs >= shrinkBudget {
 			return Verdict{}, false
 		}
 		res.Runs++
@@ -110,7 +109,7 @@ func Shrink(c Campaign, run Runner, budget int) (ShrinkResult, error) {
 
 	// 4. Bisect the overall duration down to the shortest failing length.
 	lo, hi := 0.0, res.Campaign.Dur
-	for hi-lo > 10 && res.Runs < budget {
+	for hi-lo > 10 && res.Runs < shrinkBudget {
 		mid := gridUp((lo + hi) / 2)
 		if mid <= lo || mid >= hi {
 			break

@@ -93,7 +93,7 @@ func TestHarnessCatchesBuggyCommitWait(t *testing.T) {
 		if first.Invariant != "txn-external-consistency" {
 			t.Fatalf("seed %d: BuggyCommitWait broke %q first: %v", seed, first.Invariant, first)
 		}
-		res, err := Shrink(c, buggy, 0)
+		res, err := Shrink(c, buggy)
 		if err != nil {
 			t.Fatalf("seed %d: shrink: %v", seed, err)
 		}

@@ -87,7 +87,7 @@ type RandomWalk struct {
 	rng      *rand.Rand
 	maxDrift float64
 	step     float64 // resample period, real seconds
-	sigma    float64 // per-step rate perturbation scale
+	sigma    float64 // per-step rate perturbation scale: a quarter of maxDrift
 
 	lastT float64 // real time up to which value is integrated
 	value float64 // clock value at lastT
@@ -105,9 +105,6 @@ type RandomWalkConfig struct {
 	MaxDrift float64
 	// Step is the real-time resampling period in seconds. Defaults to 60.
 	Step float64
-	// Sigma is the standard scale of per-step rate perturbations as a
-	// fraction of MaxDrift. Defaults to 0.25.
-	Sigma float64
 	// InitialDrift is the starting rate offset, clamped to
 	// [-MaxDrift, MaxDrift].
 	InitialDrift float64
@@ -120,9 +117,6 @@ func NewRandomWalk(t, value float64, cfg RandomWalkConfig) *RandomWalk {
 	if cfg.Step <= 0 {
 		cfg.Step = 60
 	}
-	if cfg.Sigma <= 0 {
-		cfg.Sigma = 0.25
-	}
 	if cfg.MaxDrift < 0 {
 		cfg.MaxDrift = 0
 	}
@@ -131,7 +125,7 @@ func NewRandomWalk(t, value float64, cfg RandomWalkConfig) *RandomWalk {
 		rng:      rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)),
 		maxDrift: cfg.MaxDrift,
 		step:     cfg.Step,
-		sigma:    cfg.Sigma * cfg.MaxDrift,
+		sigma:    0.25 * cfg.MaxDrift,
 		lastT:    t,
 		value:    value,
 		rate:     drift,

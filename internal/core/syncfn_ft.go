@@ -113,8 +113,6 @@ type ByzIM struct {
 	// means floor((len(ivs)-1)/3), the largest budget a fully collected
 	// round of the classical n >= 3f+1 resilience bound supports.
 	F int
-	// FloorError clamps the derived error from below, as in IM.
-	FloorError float64
 }
 
 // Name returns "byz-IM".
@@ -146,11 +144,7 @@ func (f ByzIM) Sync(s *Server, t float64, replies []Reply) Result {
 		res.Inconsistent = inconsistentIndices(len(replies))
 		return res
 	}
-	eps := span.HalfWidth()
-	if f.FloorError > eps {
-		eps = f.FloorError
-	}
-	s.SetClock(t, span.Midpoint(), eps)
+	s.SetClock(t, span.Midpoint(), span.HalfWidth())
 	res.Reset = true
 	res.Accepted = len(ivs)
 	return res

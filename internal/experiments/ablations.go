@@ -18,7 +18,7 @@ import (
 // synchronization period, message loss, service size, step-vs-slew
 // discipline, error floors, the Section 5 rate filter, and the thesis's
 // delta maintenance) and measures its effect. They are run by
-// cmd/timesim -ablations and the bench suite.
+// cmd/timesim -ablations.
 func Ablations() []Entry {
 	return []Entry{
 		{ID: "A1", Slug: "ablation-self", Source: "rule IM-2 self-interval", Run: AblationSelfInterval},
@@ -31,25 +31,6 @@ func Ablations() []Entry {
 		{ID: "A8", Slug: "ablation-ratefilter", Source: "Section 5 rate filter", Run: AblationRateFilter},
 		{ID: "A9", Slug: "ablation-adaptive", Source: "thesis delta maintenance", Run: AblationAdaptiveDelta},
 	}
-}
-
-// FindAny looks up name among both the paper experiments and the
-// ablations.
-func FindAny(name string) (Entry, bool) {
-	if e, ok := Find(name); ok {
-		return e, true
-	}
-	for _, e := range Ablations() {
-		if name == e.ID || name == e.Slug {
-			return e, true
-		}
-	}
-	for _, e := range ScaleEntries() {
-		if name == e.ID || name == e.Slug {
-			return e, true
-		}
-	}
-	return Entry{}, false
 }
 
 // AblationSelfInterval (A1) studies rule IM-2's treatment of the server's

@@ -9,12 +9,13 @@ import (
 	"disttime/internal/par"
 )
 
-// renderCSV runs entries at the given worker count and renders the
-// ordered results as one CSV stream.
+// renderCSV runs entries under a worker budget of workers and renders
+// the ordered results as one CSV stream.
 func renderCSV(t *testing.T, entries []Entry, workers int) []byte {
 	t.Helper()
+	defer par.SetLimit(par.SetLimit(workers))
 	var buf bytes.Buffer
-	if err := WriteResults(&buf, RunAll(entries, workers), true); err != nil {
+	if err := WriteResults(&buf, RunAll(entries), true); err != nil {
 		t.Fatalf("RunAll(workers=%d): %v", workers, err)
 	}
 	return buf.Bytes()
@@ -39,11 +40,11 @@ func TestRunAllDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunAllRestoresLimit checks that RunAll's temporary worker-budget
-// override is undone on return.
+// TestRunAllRestoresLimit checks that RunAll runs under the worker budget
+// it finds and leaves it as it was.
 func TestRunAllRestoresLimit(t *testing.T) {
 	prev := par.SetLimit(3)
-	RunAll(All()[:1], 7)
+	RunAll(All()[:1])
 	if got := par.SetLimit(prev); got != 3 {
 		t.Fatalf("worker budget = %d after RunAll, want 3", got)
 	}
@@ -60,12 +61,15 @@ func TestRunAllSpeedup(t *testing.T) {
 		t.Skipf("need >= 4 cores for a meaningful speedup measurement, have %d", n)
 	}
 	entries := All()
+	prev := par.SetLimit(1)
 	start := time.Now()
-	RunAll(entries, 1)
+	RunAll(entries)
 	seqDur := time.Since(start)
+	par.SetLimit(runtime.GOMAXPROCS(0))
 	start = time.Now()
-	RunAll(entries, runtime.GOMAXPROCS(0))
+	RunAll(entries)
 	parDur := time.Since(start)
+	par.SetLimit(prev)
 	t.Logf("sequential %v, parallel %v (%.2fx)", seqDur, parDur, float64(seqDur)/float64(parDur))
 	if parDur > seqDur {
 		t.Errorf("parallel run slower than sequential: %v > %v", parDur, seqDur)

@@ -1,9 +1,9 @@
 // Package experiments reproduces every figure, theorem bound, and in-text
 // experimental claim of the paper. Each experiment is a deterministic,
 // seeded function returning a Table; the registry in All drives
-// cmd/timesim, the root bench suite, and the EXPERIMENTS.md record.
+// cmd/timesim and the EXPERIMENTS.md record.
 //
-// The experiment identifiers (E1..E15) match the per-experiment index in
+// The experiment identifiers (E1..E16) match the per-experiment index in
 // DESIGN.md.
 package experiments
 
@@ -11,13 +11,14 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
 
 // Table is a rendered experiment result.
 type Table struct {
-	// ID is the experiment identifier (E1..E15).
+	// ID is the experiment identifier (E1..E16, A1..A9, S1).
 	ID string
 	// Title names the experiment.
 	Title string
@@ -106,7 +107,7 @@ func (t Table) WriteCSV(w io.Writer) error {
 
 // Entry is one registered experiment.
 type Entry struct {
-	// ID is the DESIGN.md identifier (E1..E15).
+	// ID is the DESIGN.md identifier (E1..E16, A1..A9, S1).
 	ID string
 	// Slug is the cmd/timesim -experiment name.
 	Slug string
@@ -138,9 +139,16 @@ func All() []Entry {
 	}
 }
 
-// Find returns the entry whose ID or Slug matches name (case-insensitive).
-func Find(name string) (Entry, bool) {
-	for _, e := range All() {
+// Registry lists everything cmd/timesim -experiment can run, in the order
+// -list prints it: the paper experiments, the ablations, the scale family.
+func Registry() []Entry {
+	return slices.Concat(All(), Ablations(), ScaleEntries())
+}
+
+// FindAny returns the registry entry whose ID or Slug matches name
+// (case-insensitive).
+func FindAny(name string) (Entry, bool) {
+	for _, e := range Registry() {
 		if strings.EqualFold(e.ID, name) || strings.EqualFold(e.Slug, name) {
 			return e, true
 		}

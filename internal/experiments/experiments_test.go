@@ -60,16 +60,19 @@ func TestFind(t *testing.T) {
 		{name: "e1", wantOK: true, wantID: "E1"},
 		{name: "fig1", wantOK: true, wantID: "E1"},
 		{name: "RECOVERY", wantOK: true, wantID: "E9"},
+		{name: "a9", wantOK: true, wantID: "A9"},
+		{name: "Ablation-Loss", wantOK: true, wantID: "A4"},
+		{name: "s1", wantOK: true, wantID: "S1"},
 		{name: "nonsense", wantOK: false},
 		{name: "", wantOK: false},
 	}
 	for _, tt := range tests {
-		e, ok := Find(tt.name)
+		e, ok := FindAny(tt.name)
 		if ok != tt.wantOK {
-			t.Errorf("Find(%q) ok = %v, want %v", tt.name, ok, tt.wantOK)
+			t.Errorf("FindAny(%q) ok = %v, want %v", tt.name, ok, tt.wantOK)
 		}
 		if ok && e.ID != tt.wantID {
-			t.Errorf("Find(%q).ID = %q, want %q", tt.name, e.ID, tt.wantID)
+			t.Errorf("FindAny(%q).ID = %q, want %q", tt.name, e.ID, tt.wantID)
 		}
 	}
 }

@@ -18,13 +18,8 @@ type RunResult struct {
 // the par worker budget, and returns the results in entry order. Each
 // experiment is a pure function of its own fixed seeds, so the merged
 // output is byte-identical to a sequential run: parallelism changes only
-// the wall clock. workers > 0 overrides the global par budget for the
-// duration of the call (1 = fully sequential); workers <= 0 leaves the
-// current budget in place.
-func RunAll(entries []Entry, workers int) []RunResult {
-	if workers > 0 {
-		defer par.SetLimit(par.SetLimit(workers))
-	}
+// the wall clock (par.SetLimit(1) makes it fully sequential).
+func RunAll(entries []Entry) []RunResult {
 	return par.Map(len(entries), func(i int) RunResult {
 		tbl, err := entries[i].Run()
 		return RunResult{Entry: entries[i], Table: tbl, Err: err}

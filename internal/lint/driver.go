@@ -73,7 +73,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	}
 
 	loader := NewLoader(moduleDir, modulePath)
-	cfg := DefaultConfig()
 	var diags []Diagnostic
 	packages := 0
 	for _, dir := range dirs {
@@ -91,7 +90,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 			return ExitError
 		}
 		packages++
-		diags = append(diags, RunPackage(pkg, analyzers, cfg)...)
+		diags = append(diags, RunPackage(pkg, analyzers)...)
 	}
 
 	sort.Slice(diags, func(i, j int) bool {

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // FloatEq bans == and != on floating-point operands outside an explicit
@@ -28,15 +29,7 @@ func runFloatEq(pass *Pass) {
 				if d.Body == nil {
 					continue
 				}
-				qual := funcQualName(pass.Pkg.Path, d)
-				allowed := false
-				for _, a := range pass.Cfg.FloatEqAllowed {
-					if a == qual {
-						allowed = true
-						break
-					}
-				}
-				if allowed {
+				if slices.Contains(floatEqAllowed, funcQualName(pass.Pkg.Path, d)) {
 					continue
 				}
 				checkFloatEq(pass, d.Body)

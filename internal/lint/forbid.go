@@ -54,7 +54,7 @@ var NowCheck = &Analyzer{
 	Name: "nowcheck",
 	Doc:  "wall-clock reads (time.Now/Since/Sleep) are confined to real-network packages and binaries",
 	Run: func(pass *Pass) {
-		if !pathIn(pass.Pkg.Path, pass.Cfg.NowAllowed) {
+		if !pathIn(pass.Pkg.Path, nowAllowed) {
 			nowBan.run(pass)
 		}
 	},

@@ -82,7 +82,6 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	Cfg      *Config
 
 	diags *[]Diagnostic
 }
@@ -105,76 +104,64 @@ func Analyzers() []*Analyzer {
 		PoolPut, GuardedBy, Barrier}
 }
 
-// Config scopes the analyzers to the repository's layout. The driver uses
-// DefaultConfig; tests substitute fixture-shaped configs.
-type Config struct {
-	// NowAllowed lists import-path prefixes where wall-clock reads are
-	// legitimate (the real-network packages and the binaries).
-	NowAllowed []string
-	// FloatEqAllowed lists functions permitted to compare floats with
-	// ==/!=, as "pkgpath.Func" or "pkgpath.Type.Method" (receiver
-	// pointer stripped). These are the approved comparison helpers.
-	FloatEqAllowed []string
-	// MapIterScope lists import-path prefixes where mapiter applies
-	// (the packages that produce ordered experiment/trace output).
-	MapIterScope []string
-	// BarrierPools lists epoch-barrier pool types, as "pkgpath.Type",
-	// whose Run method is non-reentrant: the barrier analyzer flags a
-	// Run nested inside the same pool's Run.
-	BarrierPools []string
+// The three tables below scope the analyzers to the repository's layout.
+// They are the enforcement policy, not configuration: the driver and the
+// fixture tests read the same ones, so the fixtures' stand-ins for the
+// approved helpers are listed beside the real entries.
+
+// nowAllowed lists import-path prefixes where wall-clock reads are
+// legitimate (the real-network packages and the binaries).
+var nowAllowed = []string{
+	// The real-network time source: wall clock is the subject.
+	"disttime/internal/udptime",
+	// Binaries and runnable examples: pacing, timeouts, and
+	// wall-clock reporting at the edge are legitimate.
+	"disttime/cmd",
+	"disttime/examples",
 }
 
-// DefaultConfig returns the repository's enforcement policy.
-func DefaultConfig() *Config {
-	return &Config{
-		NowAllowed: []string{
-			// The real-network time source: wall clock is the subject.
-			"disttime/internal/udptime",
-			// Binaries and runnable examples: pacing, timeouts, and
-			// wall-clock reporting at the edge are legitimate.
-			"disttime/cmd",
-			"disttime/examples",
-		},
-		FloatEqAllowed: []string{
-			// Sort tie-break on identical endpoint bit patterns; exact
-			// comparison is the point (equal positions order by edge
-			// kind so closed intervals touching at a point intersect).
-			"disttime/internal/interval.edgeSlice.Less",
-			// Approved exact-equality helper for interval endpoints.
-			"disttime/internal/interval.SameEdge",
-		},
-		MapIterScope: []string{
-			// Packages whose output must be byte-identical run-to-run.
-			"disttime/internal/experiments",
-			// Chaos verdicts, reproducer lines, and shrink results are
-			// determinism contracts (equal campaigns => equal bytes).
-			"disttime/internal/chaos",
-			// Metrics snapshots and span logs are byte-deterministic
-			// under fixed seeds (sorted enumeration is the mechanism).
-			"disttime/internal/obs",
-			// Roster digests, gossip payloads, and detector verdicts feed
-			// deterministic timelines; sorted iteration is the contract.
-			"disttime/internal/member",
-			// The event kernel, its closure face under every experiment,
-			// and its planet-scale workload are determinism contracts
-			// (across shard counts too); any map iteration feeding event
-			// order or fingerprints is a bug.
-			"disttime/internal/sim",
-			"disttime/internal/scale",
-			// Hybrid logical clocks and the commit-wait workload feed
-			// deterministic timelines (txn-smoke diffs them byte-for-byte).
-			"disttime/internal/hlc",
-			"disttime/internal/txn",
-			"disttime/cmd",
-			// Fixtures exercising the analyzer itself.
-			"disttime/internal/lint/testdata",
-		},
-		BarrierPools: []string{
-			// The epoch-barrier worker pool: Run inside Run deadlocks
-			// (workers are parked in the outer epoch).
-			"disttime/internal/par.Pool",
-		},
-	}
+// floatEqAllowed lists functions permitted to compare floats with
+// ==/!=, as "pkgpath.Func" or "pkgpath.Type.Method" (receiver pointer
+// stripped). These are the approved comparison helpers.
+var floatEqAllowed = []string{
+	// Sort tie-break on identical endpoint bit patterns; exact
+	// comparison is the point (equal positions order by edge
+	// kind so closed intervals touching at a point intersect).
+	"disttime/internal/interval.edgeSlice.Less",
+	// Approved exact-equality helper for interval endpoints.
+	"disttime/internal/interval.SameEdge",
+	// Fixtures exercising the analyzer itself.
+	"disttime/internal/lint/testdata/src/floateq.approvedHelper",
+	"disttime/internal/lint/testdata/src/floateq.edge.Less",
+}
+
+// mapIterScope lists import-path prefixes where mapiter applies (the
+// packages that produce ordered experiment/trace output).
+var mapIterScope = []string{
+	// Packages whose output must be byte-identical run-to-run.
+	"disttime/internal/experiments",
+	// Chaos verdicts, reproducer lines, and shrink results are
+	// determinism contracts (equal campaigns => equal bytes).
+	"disttime/internal/chaos",
+	// Metrics snapshots and span logs are byte-deterministic
+	// under fixed seeds (sorted enumeration is the mechanism).
+	"disttime/internal/obs",
+	// Roster digests, gossip payloads, and detector verdicts feed
+	// deterministic timelines; sorted iteration is the contract.
+	"disttime/internal/member",
+	// The event kernel, its closure face under every experiment,
+	// and its planet-scale workload are determinism contracts
+	// (across shard counts too); any map iteration feeding event
+	// order or fingerprints is a bug.
+	"disttime/internal/sim",
+	"disttime/internal/scale",
+	// Hybrid logical clocks and the commit-wait workload feed
+	// deterministic timelines (txn-smoke diffs them byte-for-byte).
+	"disttime/internal/hlc",
+	"disttime/internal/txn",
+	"disttime/cmd",
+	// Fixtures exercising the analyzer itself.
+	"disttime/internal/lint/testdata",
 }
 
 // pathIn reports whether pkgPath equals prefix or sits beneath it.
@@ -190,10 +177,10 @@ func pathIn(pkgPath string, prefixes []string) bool {
 // RunPackage runs the given analyzers over one package, applies
 // //lint:ignore suppressions, and returns the surviving diagnostics in
 // position order.
-func RunPackage(pkg *Package, analyzers []*Analyzer, cfg *Config) []Diagnostic {
+func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		pass := &Pass{Analyzer: a, Pkg: pkg, Cfg: cfg, diags: &diags}
+		pass := &Pass{Analyzer: a, Pkg: pkg, diags: &diags}
 		a.Run(pass)
 	}
 	ignores, malformed := collectIgnores(pkg)

@@ -36,21 +36,6 @@ func loadFixture(t *testing.T, name string) *Package {
 	return pkg
 }
 
-// fixtureConfig extends the default policy with the fixture-local
-// allowlist entries (stand-ins for the approved helpers in
-// internal/interval and internal/stats).
-func fixtureConfig() *Config {
-	cfg := DefaultConfig()
-	cfg.FloatEqAllowed = append(cfg.FloatEqAllowed,
-		"disttime/internal/lint/testdata/src/floateq.approvedHelper",
-		"disttime/internal/lint/testdata/src/floateq.edge.Less",
-	)
-	cfg.BarrierPools = append(cfg.BarrierPools,
-		"disttime/internal/lint/testdata/src/barrier.Pool",
-	)
-	return cfg
-}
-
 // wantRe extracts the quoted regexps of a "// want" comment; both
 // double-quoted and backtick-quoted forms are accepted.
 var wantRe = regexp.MustCompile("\"[^\"]*\"|`[^`]*`")
@@ -93,7 +78,7 @@ func collectWants(t *testing.T, pkg *Package) map[string]map[int][]*regexp.Regex
 func runFixture(t *testing.T, name string, analyzers []*Analyzer) {
 	t.Helper()
 	pkg := loadFixture(t, name)
-	diags := RunPackage(pkg, analyzers, fixtureConfig())
+	diags := RunPackage(pkg, analyzers)
 	wants := collectWants(t, pkg)
 
 	matched := make(map[string]map[int][]bool)
@@ -148,7 +133,7 @@ func TestCleanFixture(t *testing.T) { runFixture(t, "clean", Analyzers()) }
 // incomplete suppression directives.
 func TestMalformedIgnore(t *testing.T) {
 	pkg := loadFixture(t, "badignore")
-	diags := RunPackage(pkg, Analyzers(), DefaultConfig())
+	diags := RunPackage(pkg, Analyzers())
 	var lintDiags []Diagnostic
 	for _, d := range diags {
 		if d.Check == "lint" {
@@ -173,7 +158,7 @@ func TestSuppressionRequiresMatchingCheck(t *testing.T) {
 	// Run with a config and suite where the suppressed time.Now call in
 	// suppressed() would be the only candidate; the directive names
 	// nowcheck, so it must not leak through.
-	diags := RunPackage(pkg, []*Analyzer{NowCheck}, DefaultConfig())
+	diags := RunPackage(pkg, []*Analyzer{NowCheck})
 	for _, d := range diags {
 		if d.Line == suppressedLine(t, pkg) {
 			t.Errorf("suppressed diagnostic leaked: %+v", d)

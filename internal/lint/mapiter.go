@@ -42,7 +42,7 @@ var orderSinkMethods = map[string]bool{
 }
 
 func runMapIter(pass *Pass) {
-	if !pathIn(pass.Pkg.Path, pass.Cfg.MapIterScope) {
+	if !pathIn(pass.Pkg.Path, mapIterScope) {
 		return
 	}
 	for _, f := range pass.Pkg.Files {

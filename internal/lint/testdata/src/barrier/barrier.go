@@ -1,49 +1,12 @@
-// Package barrier exercises the barrier analyzer: WaitGroup misuse (Add
-// racing Wait, Done not reachable on all paths, re-Wait without
-// re-arming) and nested Run on the same epoch pool.
+// Package barrier exercises the barrier analyzer: a WaitGroup re-Wait
+// without re-arming.
 package barrier
 
 import "sync"
 
-// addInGoroutine is B1: the Add races the parent's Wait, which may see a
-// zero counter and return before the goroutine runs.
-func addInGoroutine() {
-	var wg sync.WaitGroup
-	go func() {
-		wg.Add(1) // want "inside the goroutine it accounts for"
-		defer wg.Done()
-	}()
-	wg.Wait()
-}
-
-// doneNested is B2: Done fires on one branch only.
-func doneNested(ok bool) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		if ok {
-			wg.Done() // want "not reachable on all paths"
-		}
-	}()
-	wg.Wait()
-}
-
-// doneAfterReturn is B2's other shape: an early return bypasses Done.
-func doneAfterReturn(n int) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		if n < 0 {
-			return
-		}
-		wg.Done() // want "early return can bypass"
-	}()
-	wg.Wait()
-}
-
 func worker(wg *sync.WaitGroup) { wg.Done() }
 
-// reWait is B3: after the first Wait the counter is zero, so the second
+// reWait: after the first Wait the counter is zero, so the second
 // Wait synchronizes nothing.
 func reWait() {
 	var wg sync.WaitGroup
@@ -78,44 +41,10 @@ func reArmed() {
 	wg.Wait()
 }
 
-// localBarrier arms a goroutine-local WaitGroup: the parent cannot Wait
-// on it, so Add inside the goroutine is fine (false-positive guard).
-func localBarrier() {
-	go func() {
-		var inner sync.WaitGroup
-		inner.Add(1)
-		inner.Done()
-		inner.Wait()
-	}()
-}
-
 // suppressedWait documents a deliberately benign re-Wait.
 func suppressedWait() {
 	var wg sync.WaitGroup
 	wg.Wait()
 	//lint:ignore barrier the counter is never armed in this fixture so both Waits are no-ops
 	wg.Wait()
-}
-
-// Pool is a stand-in for the epoch-barrier worker pool; the fixture
-// config lists it in BarrierPools.
-type Pool struct{}
-
-// Run is non-reentrant in the real pool: nested Run deadlocks.
-func (p *Pool) Run(fn func(int)) { fn(0) }
-
-// nestedRun is B4: the inner Run waits for workers parked in the outer
-// epoch.
-func nestedRun(p *Pool) {
-	p.Run(func(i int) {
-		p.Run(func(j int) { _ = j }) // want "nested Run on the same pool p"
-	})
-}
-
-// siblingPools nest distinct pools, which is fine (false-positive
-// guard).
-func siblingPools(a, b *Pool) {
-	a.Run(func(i int) {
-		b.Run(func(j int) { _ = j })
-	})
 }

@@ -388,7 +388,7 @@ func TestSelectExploresUnpreferred(t *testing.T) {
 }
 
 func TestSelectDefaultsAndEmpty(t *testing.T) {
-	p, err := NewProtocol(0, 1, Config{DetectorConfig: DetectorConfig{Period: 1}}, 0, 0)
+	p, err := NewProtocol(0, 1, DetectorConfig{Period: 1}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,37 +5,19 @@ import (
 	"math"
 )
 
-// Config sizes one member's Protocol. It is the one place the shared
-// defaults are written; both substrates pass their public fields through
-// unresolved.
-type Config struct {
-	// DetectorConfig carries the heartbeat period, the miss budget and
-	// the drift and delay bounds. LocalDelta is also the drift bound the
-	// owner advertises about itself.
-	DetectorConfig
-	// DigestMax caps the roster entries per gossip message; defaults to 8.
-	DigestMax int
-	// Fanout is how many quality-ranked members a gossip tick addresses;
-	// defaults to 2. The exploration slot is always added on top.
-	Fanout int
-	// K is how many quality-ranked live members a sync round polls;
-	// defaults to 3. The exploration slot is always added on top.
-	K int
-}
-
-// withDefaults fills the zero fields (SuspectAfter resolves Misses).
-func (c Config) withDefaults() Config {
-	if c.DigestMax <= 0 {
-		c.DigestMax = 8
-	}
-	if c.Fanout <= 0 {
-		c.Fanout = 2
-	}
-	if c.K <= 0 {
-		c.K = 3
-	}
-	return c
-}
+// The protocol's sizes. Neither substrate ever chose another value, so
+// they are not configuration.
+const (
+	// digestMax caps the roster entries per gossip message (well under
+	// wire.MaxAdvertiseEntries).
+	digestMax = 8
+	// fanout is how many quality-ranked members a gossip tick addresses.
+	// The exploration slot is always added on top.
+	fanout = 2
+	// pollK is how many quality-ranked live members a sync round polls.
+	// The exploration slot is always added on top.
+	pollK = 3
+)
 
 // Protocol is one member's side of the membership protocol: its roster,
 // its failure detector, and the rules that string them together — what
@@ -46,7 +28,7 @@ func (c Config) withDefaults() Config {
 // the rest of the package a Protocol reads no clock and draws no
 // randomness, and it is not safe for concurrent use.
 type Protocol[ID cmp.Ordered] struct {
-	cfg       Config
+	cfg       DetectorConfig
 	roster    *Roster[ID]
 	det       *Detector[ID]
 	evictions uint64
@@ -54,11 +36,11 @@ type Protocol[ID cmp.Ordered] struct {
 }
 
 // NewProtocol returns the protocol state of member self, alive at
-// incarnation gen, its first advertisement <c, e> already made. It
-// fails on a configuration DetectorConfig.Validate rejects.
-func NewProtocol[ID cmp.Ordered](self ID, gen uint64, cfg Config, c, e float64) (*Protocol[ID], error) {
-	cfg = cfg.withDefaults()
-	det, err := newDetector[ID](cfg.DetectorConfig)
+// incarnation gen, its first advertisement <c, e> already made.
+// cfg.LocalDelta is also the drift bound the owner advertises about
+// itself. It fails on a configuration DetectorConfig.Validate rejects.
+func NewProtocol[ID cmp.Ordered](self ID, gen uint64, cfg DetectorConfig, c, e float64) (*Protocol[ID], error) {
+	det, err := newDetector[ID](cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -165,21 +147,21 @@ func (p *Protocol[ID]) Merge(from ID, entries []Entry[ID], local float64, readin
 // unreachable member wastes both the slot and the exploration draw);
 // nil accepts every member.
 func (p *Protocol[ID]) GossipTargets(explore func(n int) int, eligible func(id ID) bool) []ID {
-	return selectTargets(p.roster, p.cfg.Fanout, explore, eligible)
+	return selectTargets(p.roster, fanout, explore, eligible)
 }
 
-// PollTargets returns whom a sync round should poll: the K live members
+// PollTargets returns whom a sync round should poll: the pollK live members
 // with the smallest advertised error, plus the exploration slot, with
 // explore and eligible as for GossipTargets.
 func (p *Protocol[ID]) PollTargets(explore func(n int) int, eligible func(id ID) bool) []ID {
-	return selectTargets(p.roster, p.cfg.K, explore, eligible)
+	return selectTargets(p.roster, pollK, explore, eligible)
 }
 
 // Digest appends the next outgoing gossip message to dst: up to
-// DigestMax entries, the owner's first (allocation-free when dst has
+// digestMax entries, the owner's first (allocation-free when dst has
 // capacity).
 func (p *Protocol[ID]) Digest(dst []Entry[ID]) []Entry[ID] {
-	return p.roster.digest(dst, p.cfg.DigestMax)
+	return p.roster.digest(dst, digestMax)
 }
 
 // Leave records the owner's voluntary departure; the caller announces

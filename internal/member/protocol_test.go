@@ -17,7 +17,7 @@ import (
 type cluster struct {
 	t       *testing.T
 	rng     *rand.Rand
-	cfg     Config
+	cfg     DetectorConfig
 	loss    float64 // probability a datagram is dropped
 	nodes   []*Protocol[int]
 	silent  []bool // neither ticks nor receives: a crashed process
@@ -69,10 +69,10 @@ func (q *eventQueue) Pop() any {
 
 // testConfig is a 1 s heartbeat on clocks that drift by a whole percent,
 // over a network that may hold a datagram for a fifth of a period.
-func testConfig() Config {
-	return Config{DetectorConfig: DetectorConfig{
+func testConfig() DetectorConfig {
+	return DetectorConfig{
 		Period: 1, Misses: 3, LocalDelta: 1e-2, RemoteDelta: 1e-2, Xi: 0.2,
-	}}
+	}
 }
 
 // newCluster starts n members, member i knowing only seeds(i), with
@@ -255,7 +255,7 @@ func TestProtocolEvictsSilencedMember(t *testing.T) {
 	c.silent[victim] = true
 	stopped := c.now
 	before := len(c.log)
-	dc := c.cfg.DetectorConfig
+	dc := c.cfg
 	bound := (dc.EvictAfter()+dc.Period)/(1-dc.LocalDelta) + dc.Xi
 	c.run(stopped + bound)
 	c.requireAll(victim, Evicted, 1)

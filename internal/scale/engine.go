@@ -25,10 +25,10 @@
 // choosing node's own stream, so results are byte-identical for every
 // shard count (see internal/sim/shard).
 //
-// Chaos (falsetickers, loss, delay windows) and churn (leave/rejoin) are
-// deterministic per-node functions of the same streams, giving the
-// sharded kernel the same adversarial scenarios the chaos harness runs
-// against the sequential service.
+// The engine runs the fault-free service only. Faults and dynamic
+// membership belong to the campaign grammar of internal/chaos, which
+// reaches internal/service today and reaches this engine once the monitor
+// takes an interface (ROADMAP item 2).
 package scale
 
 import (
@@ -49,18 +49,6 @@ const (
 	RuleIM Rule = iota
 	// RuleMM is algorithm MM (adopt a neighbor with smaller charged error).
 	RuleMM
-)
-
-// Scenario selects the run's failure regime.
-type Scenario int
-
-const (
-	// Plain is fault-free operation.
-	Plain Scenario = iota
-	// Chaos enables falsetickers, message loss, and a delay-spike window.
-	Chaos
-	// Churn makes nodes leave and rejoin the service.
-	Churn
 )
 
 // Topology shapes the stratified hierarchy. Members is a full mesh per
@@ -111,26 +99,6 @@ type Config struct {
 	Member, Uplink, Backbone Band
 	// Rule selects IM or MM.
 	Rule Rule
-	// Scenario selects Plain, Chaos, or Churn.
-	Scenario Scenario
-
-	// FalsetickerFrac is the fraction of nodes (Chaos) whose true drift
-	// violates the claimed bound.
-	FalsetickerFrac float64
-	// FalsetickerBoost multiplies Delta for a falseticker's true rate
-	// (default 6).
-	FalsetickerBoost float64
-	// Loss is the per-message drop probability (Chaos).
-	Loss float64
-	// DelayFactor >= 1 stretches all delays during [DelayFrom,
-	// DelayUntil) (Chaos). Zero means no spike.
-	DelayFactor           float64
-	DelayFrom, DelayUntil float64
-
-	// LeaveProb is the per-round probability a node goes down (Churn).
-	LeaveProb float64
-	// DownFor is how long a departed node stays down (default 3*Tau).
-	DownFor float64
 }
 
 // Event kinds.
@@ -139,7 +107,6 @@ const (
 	kRequest                   // time request delivery
 	kReply                     // time reply delivery; A = C_j, B = E_j
 	kClose                     // round close: apply IM's intersection
-	kRejoin                    // churn: node comes back up
 )
 
 // Engine is a running scale simulation. All per-node state lives in flat
@@ -161,7 +128,6 @@ type Engine struct {
 	used        []int32
 	round       []uint32
 
-	down   []bool
 	resets []uint32
 	incons []uint32
 
@@ -183,19 +149,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Delta < 0 || cfg.DriftMax < 0 || cfg.InitialError < 0 {
 		return nil, fmt.Errorf("scale: negative delta/drift/error")
 	}
-	if cfg.Loss < 0 || cfg.Loss >= 1 || cfg.FalsetickerFrac < 0 || cfg.FalsetickerFrac > 1 ||
-		cfg.LeaveProb < 0 || cfg.LeaveProb >= 1 {
-		return nil, fmt.Errorf("scale: probability out of range")
-	}
-	if cfg.DelayFactor < 0 || (cfg.DelayFactor > 0 && cfg.DelayFactor < 1) {
-		return nil, fmt.Errorf("scale: delay factor %v would shrink delays below the lookahead", cfg.DelayFactor)
-	}
-	if cfg.FalsetickerBoost <= 0 {
-		cfg.FalsetickerBoost = 6
-	}
-	if cfg.DownFor <= 0 {
-		cfg.DownFor = 3 * cfg.Tau
-	}
 	n := t.Nodes()
 	e := &Engine{
 		cfg: cfg, n: n,
@@ -203,7 +156,7 @@ func New(cfg Config) (*Engine, error) {
 		eps: make([]float64, n), resetRef: make([]float64, n),
 		a: make([]float64, n), b: make([]float64, n), lastC: make([]float64, n),
 		reqC: make([]float64, n), used: make([]int32, n), round: make([]uint32, n),
-		down: make([]bool, n), resets: make([]uint32, n), incons: make([]uint32, n),
+		resets: make([]uint32, n), incons: make([]uint32, n),
 	}
 
 	shards, shardOf, lookahead, err := e.partition(cfg)
@@ -222,16 +175,7 @@ func New(cfg Config) (*Engine, error) {
 	// stream, consumed in node order.
 	init := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xa5a5a5a5a5a5a5a5))
 	for i := 0; i < n; i++ {
-		r := (2*init.Float64() - 1) * cfg.DriftMax
-		if cfg.Scenario == Chaos && init.Float64() < cfg.FalsetickerFrac {
-			boosted := cfg.Delta * cfg.FalsetickerBoost
-			if r < 0 {
-				r = -boosted
-			} else {
-				r = boosted
-			}
-		}
-		e.rate[i] = r
+		e.rate[i] = (2*init.Float64() - 1) * cfg.DriftMax
 		// Inherited error is "however the clock was first set": drawn per
 		// node in (0.2, 1] of InitialError, with the true offset inside
 		// it, so every initial claim is honest and errors are
@@ -320,9 +264,8 @@ func (e *Engine) hubOf(i int32) int32 {
 	return i - i%per
 }
 
-// delay draws the one-way delay from src's stream for a message to dst,
-// applying the chaos delay window.
-func (e *Engine) delay(p *shard.Proc, src, dst int32, now float64) float64 {
+// delay draws the one-way delay from src's stream for a message to dst.
+func (e *Engine) delay(p *shard.Proc, src, dst int32) float64 {
 	var band Band
 	switch {
 	case e.clusterBase(src) == e.clusterBase(dst):
@@ -332,21 +275,7 @@ func (e *Engine) delay(p *shard.Proc, src, dst int32, now float64) float64 {
 	default:
 		band = e.cfg.Backbone
 	}
-	d := band.sample(p.Float64(src))
-	if e.cfg.Scenario == Chaos && e.cfg.DelayFactor > 1 &&
-		now >= e.cfg.DelayFrom && now < e.cfg.DelayUntil {
-		d *= e.cfg.DelayFactor
-	}
-	return d
-}
-
-// lost draws the chaos loss gate from the sender's stream. The draw is
-// unconditional under Chaos so stream positions do not depend on payload.
-func (e *Engine) lost(p *shard.Proc, src int32) bool {
-	if e.cfg.Scenario != Chaos || e.cfg.Loss <= 0 {
-		return false
-	}
-	return p.Float64(src) < e.cfg.Loss
+	return band.sample(p.Float64(src))
 }
 
 // --- rule MM-1 primitives ---
@@ -379,31 +308,17 @@ func (e *Engine) Event(p *shard.Proc, ev shard.Ev) {
 		e.reply(p, ev.Node, ev.From, ev.Tag, ev.A, ev.B)
 	case kClose:
 		e.close(p, ev.Node, ev.Tag)
-	case kRejoin:
-		e.down[ev.Node] = false
 	default:
 		panic(fmt.Sprintf("scale: unknown event kind %d", ev.Kind))
 	}
 }
 
-// sync starts node i's round: churn decision, then the request broadcast
-// to its sampled cluster peers plus its role links (gateway -> hub,
-// hub -> other hubs), then the close timer and the next round's timer.
+// sync starts node i's round: the request broadcast to its sampled
+// cluster peers plus its role links (gateway -> hub, hub -> other hubs),
+// then the close timer; the next round's timer is set first.
 func (e *Engine) sync(p *shard.Proc, i int32) {
 	t := p.Now()
 	p.After(i, e.cfg.Tau, kSync, 0, 0, 0)
-	if e.cfg.Scenario == Churn {
-		// Unconditional draw: stream position must not depend on state.
-		leave := p.Float64(i) < e.cfg.LeaveProb
-		if !e.down[i] && leave {
-			e.down[i] = true
-			p.After(i, e.cfg.DownFor, kRejoin, 0, 0, 0)
-		}
-	}
-	if e.down[i] {
-		return
-	}
-
 	ci := e.read(i, t)
 	ei := e.errAt(i, t)
 	e.round[i]++
@@ -418,7 +333,7 @@ func (e *Engine) sync(p *shard.Proc, i int32) {
 	if k := int32(e.cfg.K); k <= 0 || k >= m-1 {
 		for j := base; j < base+m; j++ {
 			if j != i {
-				e.ask(p, i, j, tag, t)
+				e.ask(p, i, j, tag)
 			}
 		}
 	} else {
@@ -427,49 +342,38 @@ func (e *Engine) sync(p *shard.Proc, i int32) {
 			if j == i {
 				j = base + (j-base+1)%m
 			}
-			e.ask(p, i, j, tag, t)
+			e.ask(p, i, j, tag)
 		}
 	}
 	if e.isHub(i) {
 		per := int32(e.cfg.Topo.Clusters * e.cfg.Topo.Members)
 		for r := int32(0); r < int32(e.cfg.Topo.Regions); r++ {
 			if hub := r * per; hub != i {
-				e.ask(p, i, hub, tag, t)
+				e.ask(p, i, hub, tag)
 			}
 		}
 	} else if e.isGateway(i) {
-		e.ask(p, i, e.hubOf(i), tag, t)
+		e.ask(p, i, e.hubOf(i), tag)
 	}
 	p.After(i, e.cfg.Tau/2, kClose, tag, 0, 0)
 }
 
 // ask sends one time request from i to j.
-func (e *Engine) ask(p *shard.Proc, i, j int32, tag uint32, t float64) {
-	d := e.delay(p, i, j, t)
-	if e.lost(p, i) {
-		return
-	}
-	p.Send(i, j, d, kRequest, tag, 0, 0)
+func (e *Engine) ask(p *shard.Proc, i, j int32, tag uint32) {
+	p.Send(i, j, e.delay(p, i, j), kRequest, tag, 0, 0)
 }
 
 // request answers a time request at node j per rule MM-1.
 func (e *Engine) request(p *shard.Proc, j, from int32, tag uint32) {
-	if e.down[j] {
-		return
-	}
 	t := p.Now()
-	d := e.delay(p, j, from, t)
-	if e.lost(p, j) {
-		return
-	}
-	p.Send(j, from, d, kReply, tag, e.read(j, t), e.errAt(j, t))
+	p.Send(j, from, e.delay(p, j, from), kReply, tag, e.read(j, t), e.errAt(j, t))
 }
 
 // reply processes a reply <cj, ej> arriving at node i: the transit charge
 // (1+delta)*xi on the leading edge, the consistency check of rule MM-2,
 // and then either MM's adopt-if-smaller or IM's incremental intersection.
 func (e *Engine) reply(p *shard.Proc, i, from int32, tag uint32, cj, ej float64) {
-	if e.down[i] || tag != e.round[i] {
+	if tag != e.round[i] {
 		return
 	}
 	t := p.Now()
@@ -509,7 +413,7 @@ func (e *Engine) reply(p *shard.Proc, i, from int32, tag uint32, cj, ej float64)
 // clock to its midpoint with the half-width as the inherited error
 // (rule IM-2); an empty one marks the service inconsistent.
 func (e *Engine) close(p *shard.Proc, i int32, tag uint32) {
-	if e.down[i] || tag != e.round[i] || e.cfg.Rule != RuleIM || e.used[i] == 0 {
+	if tag != e.round[i] || e.cfg.Rule != RuleIM || e.used[i] == 0 {
 		return
 	}
 	t := p.Now()
@@ -621,9 +525,6 @@ func (e *Engine) Fingerprint() string {
 		mix(uint64(e.used[i]))
 		mix(uint64(e.resets[i]))
 		mix(uint64(e.incons[i]))
-		if e.down[i] {
-			mix(1)
-		}
 	}
 	return fmt.Sprintf("%016x", h)
 }

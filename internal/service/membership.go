@@ -27,21 +27,6 @@ type MemberConfig struct {
 	// GossipEvery is the gossip/heartbeat period in simulated seconds.
 	// Defaults to 5.
 	GossipEvery float64
-	// Misses is how many consecutive gossip periods a member may stay
-	// silent before suspicion. Zero picks member.Config's default, as it
-	// does for the next three.
-	Misses int
-	// DigestMax caps the entries per gossip message.
-	DigestMax int
-	// Fanout is how many members each gossip tick addresses (quality
-	// ranked, plus the exploration slot).
-	Fanout int
-	// K is how many quality-ranked live members a sync round polls. The
-	// exploration slot is always added on top.
-	K int
-	// Broadcast keeps sync rounds on topology-wide broadcast instead of
-	// roster-driven selection (membership becomes observational only).
-	Broadcast bool
 }
 
 // MemberEvent is one membership transition observed by one server, in
@@ -148,17 +133,11 @@ func (svc *Service) initMembership() error {
 	}
 	for i, node := range svc.Nodes {
 		r := node.Server.Reading(0)
-		p, err := member.NewProtocol(i, 1, member.Config{
-			DetectorConfig: member.DetectorConfig{
-				Period:      mc.GossipEvery,
-				Misses:      mc.Misses,
-				LocalDelta:  svc.cfg.Servers[i].Delta,
-				RemoteDelta: maxDelta,
-				Xi:          svc.Net.Xi(),
-			},
-			DigestMax: mc.DigestMax,
-			Fanout:    mc.Fanout,
-			K:         mc.K,
+		p, err := member.NewProtocol(i, 1, member.DetectorConfig{
+			Period:      mc.GossipEvery,
+			LocalDelta:  svc.cfg.Servers[i].Delta,
+			RemoteDelta: maxDelta,
+			Xi:          svc.Net.Xi(),
 		}, r.C, r.E)
 		if err != nil {
 			return fmt.Errorf("service: membership detector for server %d: %w", i, err)

@@ -462,8 +462,8 @@ func (n *Node) startRound() {
 	n.collect = col
 	sent := 0
 	req := timeRequest{id: n.reqSeq, ts: n.HLCNow(now)}
-	if n.member != nil && !n.svc.memberCfg.Broadcast {
-		// Roster-driven polling: the K live members with the smallest
+	if n.member != nil {
+		// Roster-driven polling: the few live members with the smallest
 		// advertised error, plus the exploration slot, among the
 		// reachable ones (so every target is a valid node index).
 		for _, id := range n.member.PollTargets(n.svc.Sim.Rand().IntN, n.reachable) {

@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"disttime/internal/obs"
@@ -149,13 +149,11 @@ func (cfg LinkConfig) bound() float64 {
 	return b
 }
 
-type linkKey struct{ a, b NodeID }
-
-func keyFor(a, b NodeID) linkKey {
-	if a > b {
-		a, b = b, a
-	}
-	return linkKey{a: a, b: b}
+// edge is one end of a link: the neighbor it leads to and the link's
+// configuration, which the other end's edge repeats.
+type edge struct {
+	to  NodeID
+	cfg LinkConfig
 }
 
 // Network is a simulated message network bound to a sim.Simulator.
@@ -163,9 +161,8 @@ type Network struct {
 	sim      *sim.Simulator
 	rng      *rand.Rand
 	handlers []Handler
-	links    map[linkKey]LinkConfig
 	group    []int       // partition group per node; -1 = default group
-	adj      [][]NodeID  // cached sorted adjacency per node
+	adj      [][]edge    // the topology: each node's links, sorted by neighbor
 	free     []*delivery // recycled in-flight message envelopes
 
 	// maxDelay is MaxOneWayDelay's answer, kept while maxDelayOK: every
@@ -259,9 +256,8 @@ func (s *Stats) Snapshot() StatsSnapshot {
 // New returns an empty network driven by s.
 func New(s *sim.Simulator) *Network {
 	return &Network{
-		sim:   s,
-		rng:   rand.New(rand.NewPCG(s.Rand().Uint64(), s.Rand().Uint64())),
-		links: make(map[linkKey]LinkConfig),
+		sim: s,
+		rng: rand.New(rand.NewPCG(s.Rand().Uint64(), s.Rand().Uint64())),
 	}
 }
 
@@ -274,18 +270,31 @@ func (n *Network) AddNode(h Handler) NodeID {
 	return NodeID(len(n.handlers) - 1)
 }
 
-// addAdj inserts b into a's cached adjacency list, keeping it sorted and
-// duplicate-free.
-func (n *Network) addAdj(a, b NodeID) {
+// edgeTo finds the link from a to b in a's sorted edge list: its index
+// and true, or the index it would be inserted at and false. The loop is
+// slices.BinarySearchFunc written out: Send runs it for every reply, and
+// through the generic one sim_mesh_32 ran about 6 % slower.
+func (n *Network) edgeTo(a, b NodeID) (int, bool) {
 	list := n.adj[a]
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= b })
-	if i < len(list) && list[i] == b {
-		return // replacing an existing link
+	lo, hi := 0, len(list)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if list[mid].to < b {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	list = append(list, 0)
-	copy(list[i+1:], list[i:])
-	list[i] = b
-	n.adj[a] = list
+	return lo, lo < len(list) && list[lo].to == b
+}
+
+// setEdge writes a's end of the link to b, in place when the link exists.
+func (n *Network) setEdge(a, b NodeID, cfg LinkConfig) {
+	i, found := n.edgeTo(a, b)
+	if !found {
+		n.adj[a] = slices.Insert(n.adj[a], i, edge{to: b})
+	}
+	n.adj[a][i].cfg = cfg
 }
 
 // SetHandler installs the message handler for id, replacing any previous
@@ -313,10 +322,9 @@ func (n *Network) Connect(a, b NodeID, cfg LinkConfig) error {
 	if cfg.Loss < 0 || cfg.Loss >= 1 {
 		return fmt.Errorf("simnet: connect %d-%d: loss %v outside [0,1)", a, b, cfg.Loss)
 	}
-	n.links[keyFor(a, b)] = cfg
+	n.setEdge(a, b, cfg)
+	n.setEdge(b, a, cfg)
 	n.maxDelayOK = false
-	n.addAdj(a, b)
-	n.addAdj(b, a)
 	return nil
 }
 
@@ -326,22 +334,21 @@ func (n *Network) Connected(a, b NodeID) bool {
 	if !n.valid(a) || !n.valid(b) {
 		return false
 	}
-	if _, ok := n.links[keyFor(a, b)]; !ok {
-		return false
-	}
-	return n.group[a] == n.group[b]
+	_, linked := n.edgeTo(a, b)
+	return linked && n.group[a] == n.group[b]
 }
 
 // Neighbors returns the ids linked to id, in increasing order, ignoring
 // partitions (a partition hides a neighbor from traffic, not from the
-// topology). The returned slice is a copy; Broadcast iterates the cached
-// adjacency directly.
+// topology).
 func (n *Network) Neighbors(id NodeID) []NodeID {
 	if !n.valid(id) || len(n.adj[id]) == 0 {
 		return nil
 	}
 	out := make([]NodeID, len(n.adj[id]))
-	copy(out, n.adj[id])
+	for i := range out {
+		out[i] = n.adj[id][i].to
+	}
 	return out
 }
 
@@ -353,20 +360,25 @@ func (n *Network) Send(from, to NodeID, payload any) bool {
 	if !n.valid(from) || !n.valid(to) {
 		return false
 	}
-	cfg, ok := n.links[keyFor(from, to)]
-	if !ok {
+	i, linked := n.edgeTo(from, to)
+	if !linked {
 		n.Stats.NoLink.Add(1)
 		n.obsNoLink.Inc()
 		return false
 	}
-	if n.group[from] != n.group[to] {
+	return n.sendOver(from, &n.adj[from][i], payload)
+}
+
+// sendOver is Send once the link is in hand.
+func (n *Network) sendOver(from NodeID, e *edge, payload any) bool {
+	if n.group[from] != n.group[e.to] {
 		n.Stats.Partitioned.Add(1)
 		n.obsPartitioned.Inc()
 		return false
 	}
 	n.Stats.Sent.Add(1)
 	n.obsSent.Inc()
-	if cfg.Loss > 0 && n.rng.Float64() < cfg.Loss {
+	if e.cfg.Loss > 0 && n.rng.Float64() < e.cfg.Loss {
 		n.Stats.Lost.Add(1)
 		n.obsLost.Inc()
 		return true // sent, silently lost
@@ -379,8 +391,8 @@ func (n *Network) Send(from, to NodeID, payload any) bool {
 	} else {
 		d = &delivery{net: n}
 	}
-	d.msg = Message{From: from, To: to, Payload: payload, SentAt: n.sim.Now()}
-	delay := cfg.delayFor(from, to).Sample(n.rng)
+	d.msg = Message{From: from, To: e.to, Payload: payload, SentAt: n.sim.Now()}
+	delay := e.cfg.delayFor(from, e.to).Sample(n.rng)
 	n.obsDelay.Observe(delay)
 	n.sim.AfterCall(delay, deliver, d)
 	return true
@@ -393,8 +405,8 @@ func (n *Network) Broadcast(from NodeID, payload any) int {
 		return 0
 	}
 	sent := 0
-	for _, to := range n.adj[from] {
-		if n.Send(from, to, payload) {
+	for i := range n.adj[from] {
+		if n.sendOver(from, &n.adj[from][i], payload) {
 			sent++
 		}
 	}
@@ -437,19 +449,13 @@ type Link struct {
 // spike replaces every link's config via Connect — where a stable order
 // keeps runs reproducible.
 func (n *Network) Links() []Link {
-	keys := make([]linkKey, 0, len(n.links))
-	for k := range n.links {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
+	var out []Link
+	for a, list := range n.adj {
+		for _, e := range list {
+			if a := NodeID(a); a < e.to {
+				out = append(out, Link{A: a, B: e.to, Cfg: e.cfg})
+			}
 		}
-		return keys[i].b < keys[j].b
-	})
-	out := make([]Link, len(keys))
-	for i, k := range keys {
-		out[i] = Link{A: k.a, B: k.b, Cfg: n.links[k]}
 	}
 	return out
 }
@@ -460,9 +466,11 @@ func (n *Network) Links() []Link {
 func (n *Network) MaxOneWayDelay() float64 {
 	if !n.maxDelayOK {
 		n.maxDelay = 0
-		for _, cfg := range n.links {
-			if d := cfg.bound(); d > n.maxDelay {
-				n.maxDelay = d
+		for _, list := range n.adj {
+			for i := range list {
+				if d := list[i].cfg.bound(); d > n.maxDelay {
+					n.maxDelay = d
+				}
 			}
 		}
 		n.maxDelayOK = true

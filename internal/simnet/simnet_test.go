@@ -179,6 +179,44 @@ func TestNeighbors(t *testing.T) {
 	}
 }
 
+// TestConnectReplacesBothEnds: a link is held once per endpoint, so a
+// second Connect on the pair, whichever way round, must rewrite both
+// ends in place and leave Links with one entry for it, in (A, B) order.
+func TestConnectReplacesBothEnds(t *testing.T) {
+	s, n, ids := newTestNet(t, 3)
+	for _, pair := range [][2]int{{1, 2}, {0, 2}, {0, 1}} {
+		if err := n.Connect(ids[pair[0]], ids[pair[1]], LinkConfig{Delay: Constant{D: 0.01}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Connect(ids[1], ids[0], LinkConfig{Delay: Constant{D: 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+	arrived := map[NodeID]float64{}
+	for _, id := range ids[:2] {
+		n.SetHandler(id, func(m Message) { arrived[m.To] = s.Now() })
+	}
+	n.Send(ids[0], ids[1], nil)
+	n.Send(ids[1], ids[0], nil)
+	s.Run()
+	if arrived[ids[0]] != 0.5 || arrived[ids[1]] != 0.5 {
+		t.Errorf("arrivals over the replaced link = %v, want 0.5 at both ends", arrived)
+	}
+	links := n.Links()
+	want := [][2]NodeID{{ids[0], ids[1]}, {ids[0], ids[2]}, {ids[1], ids[2]}}
+	if len(links) != len(want) {
+		t.Fatalf("Links = %+v, want %d entries", links, len(want))
+	}
+	for i, l := range links {
+		if l.A != want[i][0] || l.B != want[i][1] {
+			t.Errorf("Links[%d] = %d-%d, want %d-%d", i, l.A, l.B, want[i][0], want[i][1])
+		}
+	}
+	if d := links[0].Cfg.Delay.Bound(); d != 0.5 {
+		t.Errorf("Links[0] delay bound = %v, want the replacement's 0.5", d)
+	}
+}
+
 func TestBroadcast(t *testing.T) {
 	s, n, ids := newTestNet(t, 4)
 	cfg := LinkConfig{Delay: Constant{D: 0.01}}

@@ -38,7 +38,7 @@ func agedError(eps, elapsed time.Duration, driftPPM float64) time.Duration {
 // stretch is how far true time may advance while a clock trusted to
 // driftPPM measures d: (1 + driftPPM·1e-6)·d, rounded up to the
 // nanosecond. It is the sleep that carries C − E across a commit-wait
-// distance (and the staleness TickCache charges a frozen reading).
+// distance.
 func stretch(d time.Duration, driftPPM float64) time.Duration {
 	return time.Duration(math.Ceil(float64(d) * (1 + driftPPM/1e6)))
 }

@@ -33,18 +33,8 @@ type MembershipConfig struct {
 	// Gossip is the heartbeat/advertise period. Defaults to one second.
 	Gossip time.Duration
 	// Misses is how many consecutive heartbeats a member may stay silent
-	// before suspicion. Zero picks member.Config's default, as it does
-	// for the next three.
+	// before suspicion. Zero picks member.DetectorConfig's default.
 	Misses int
-	// DigestMax caps the roster entries per advertise datagram (and is
-	// clamped to wire.MaxAdvertiseEntries).
-	DigestMax int
-	// Fanout is how many members each gossip tick addresses (plus the
-	// exploration slot).
-	Fanout int
-	// K is how many quality-ranked live members a sync round polls (plus
-	// the exploration slot).
-	K int
 	// DelayBound is the one-way network delay bound the detector charges
 	// (the paper's xi). Defaults to 500 ms.
 	DelayBound time.Duration
@@ -55,7 +45,6 @@ func (c MembershipConfig) withDefaults() MembershipConfig {
 	if c.Gossip <= 0 {
 		c.Gossip = time.Second
 	}
-	c.DigestMax = min(c.DigestMax, wire.MaxAdvertiseEntries)
 	if c.DelayBound <= 0 {
 		c.DelayBound = 500 * time.Millisecond
 	}
@@ -146,17 +135,12 @@ func (m *membership) reading() (c, e float64) {
 // (member.Protocol.Seed).
 func (m *membership) bind(conn *net.UDPConn, id uint64, seeds []string) error {
 	c, e := m.reading()
-	proto, err := member.NewProtocol(conn.LocalAddr().String(), uint64(time.Now().UnixNano()), member.Config{
-		DetectorConfig: member.DetectorConfig{
-			Period:      m.cfg.Gossip.Seconds(),
-			Misses:      m.cfg.Misses,
-			LocalDelta:  m.delta,
-			RemoteDelta: m.delta,
-			Xi:          m.cfg.DelayBound.Seconds(),
-		},
-		DigestMax: m.cfg.DigestMax,
-		Fanout:    m.cfg.Fanout,
-		K:         m.cfg.K,
+	proto, err := member.NewProtocol(conn.LocalAddr().String(), uint64(time.Now().UnixNano()), member.DetectorConfig{
+		Period:      m.cfg.Gossip.Seconds(),
+		Misses:      m.cfg.Misses,
+		LocalDelta:  m.delta,
+		RemoteDelta: m.delta,
+		Xi:          m.cfg.DelayBound.Seconds(),
 	}, c, e)
 	if err != nil {
 		return fmt.Errorf("udptime: membership detector: %w", err)

@@ -347,7 +347,7 @@ func (s *Server) respond(bt *ioBatch, n int, c time.Time, maxErr time.Duration, 
 // unanswered is the cold path over the slots respond left empty:
 // membership heartbeats go to the advertise handler, and the rest are
 // logged when a logger is configured. It may allocate, which is why it
-// sits outside the annotated responder.
+// sits outside respond, which an AllocsPerRun test holds at zero.
 func (s *Server) unanswered(bc batchIO, n int) {
 	bt := bc.Batch()
 	for i := 0; i < n; i++ {

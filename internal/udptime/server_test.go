@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net"
 	"net/netip"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -107,6 +109,54 @@ func TestBatchServerDoubleClose(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBatchServerCloseAtOnceLeavesNoLoop closes a four-shard server the
+// moment it is built, when some serving loops may not have run yet: Close
+// must still have waited for every one of them. It holds the loops.Add in
+// newServer, ahead of the go statement; with the Add inside serve, Wait
+// can pass a loop that has not counted itself, and nothing else notices
+// (DESIGN.md §10).
+func TestBatchServerCloseAtOnceLeavesNoLoop(t *testing.T) {
+	src, err := NewSystemClock(0, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		srv, err := NewBatchServer("127.0.0.1:0", 1, src, BatchConfig{Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if g := servingLoop(); g != "" {
+			t.Fatalf("round %d: a serving loop outlived Close:\n%s", i, g)
+		}
+	}
+}
+
+// servingLoop returns the stack of a goroutine that is in Server.serve
+// and has not reached its deferred loops.Done, or "" when there is none.
+// A loop that Close has waited for can still be seen on its way out, and
+// is told apart: it is inside the WaitGroup, or serve is its innermost
+// frame at a nonzero offset (a loop that never ran sits at serve's entry,
+// printed without one).
+func servingLoop() string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	const serve = "disttime/internal/udptime.(*Server).serve("
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if !strings.Contains(g, serve) || strings.Contains(g, "sync.(*WaitGroup).") {
+			continue
+		}
+		lines := strings.Split(g, "\n")
+		if len(lines) > 2 && strings.HasPrefix(lines[1], serve) && strings.Contains(lines[2], " +0x") {
+			continue
+		}
+		return g
+	}
+	return ""
 }
 
 // TestBatchServerBindBusyPort proves a bind failure surfaces as a clean

@@ -53,11 +53,6 @@ type SyncerConfig struct {
 	// round, keeping the minimum-RTT measurement (the [Mills 81]-lineage
 	// delay filter). Defaults to 1 (no burst).
 	Burst int
-	// SyncOptions configures the IM-2 transform the client applies to
-	// every measurement. When Delta is unset (<= 0), it defaults to the
-	// disciplined clock's own drift bound (DriftPPM / 1e6), so the
-	// transit charge (1+delta)*xi matches the oscillator being steered.
-	SyncOptions SyncOptions
 	// Metrics, when non-nil, receives the syncer's observability: round
 	// and failure counters, applied error-bound and offset histograms,
 	// plus the underlying client's query counters and RTT histogram.
@@ -97,10 +92,10 @@ func NewSyncer(dc *DisciplinedClock, cfg SyncerConfig) (*Syncer, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 64 * time.Second
 	}
-	if cfg.SyncOptions.Delta <= 0 {
-		cfg.SyncOptions.Delta = dc.DriftPPM() / 1e6
-	}
-	clientOpts := []ClientOption{WithSyncOptions(cfg.SyncOptions)}
+	// The IM-2 transform's delta is the disciplined clock's own drift
+	// bound, so the transit charge (1+delta)*xi matches the oscillator
+	// being steered.
+	clientOpts := []ClientOption{WithSyncOptions(SyncOptions{Delta: dc.DriftPPM() / 1e6})}
 	if cfg.Metrics != nil {
 		clientOpts = append(clientOpts, WithClientObservability(cfg.Metrics))
 	}
