@@ -2,6 +2,7 @@
 # a Distributed System" (1983). Standard library only; Go 1.23+.
 
 GO ?= go
+GOFMT ?= $(shell $(GO) env GOROOT)/bin/gofmt
 
 # Canonical race list: every package that hosts pooled state, the
 # parallel experiment runner, or real concurrency. Referenced by BOTH
@@ -18,10 +19,10 @@ RACE_PKGS = ./internal/par ./internal/sim/... ./internal/experiments \
 # membership state machine are the proof core, so untested lines there
 # are untested math. The event kernel (internal/sim/shard, and
 # internal/sim, the closure table over one shard of it that every
-# experiment runs on) and its worker pool join the list because every
-# untested line there is a potential determinism or race hole, and the
-# lint package joins because an untested analyzer rule is an invariant
-# the tree only appears to satisfy.
+# experiment runs on) and par, the experiment fan-out, join the list
+# because every untested line there is a potential determinism hole,
+# and the lint package joins because an untested analyzer rule is an
+# invariant the tree only appears to satisfy.
 COVER_FLOOR_PKGS = ./internal/core ./internal/interval ./internal/member \
                    ./internal/par ./internal/sim ./internal/sim/shard \
                    ./internal/scale ./internal/lint ./internal/hlc \
@@ -35,13 +36,17 @@ all: build vet lint test
 build:
 	$(GO) build ./...
 
+# vet also fails when gofmt would reformat any file in the tree.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$($(GOFMT) -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting (run $(GOFMT) -w on them):"; \
+		echo "$$unformatted"; exit 1; \
+	fi
 
-# Static-analysis gate: the eight repo-specific invariant checks
-# (nowcheck, globalrand, atomicmix, floateq, mapiter, poolput, guardedby,
-# barrier: a WaitGroup re-Wait, the one kind of barrier misuse no test
-# catches) built on the standard library only. See DESIGN.md §10 for the
+# Static-analysis gate: the seven repo-specific invariant checks
+# (nowcheck, globalrand, atomicmix, floateq, mapiter, poolput, guardedby)
+# built on the standard library only. See DESIGN.md §10 for the
 # invariant each one guards and the planted violation only it caught.
 # The tree must be clean of unsuppressed diagnostics, and every
 # suppression carries a written justification (the framework rejects
@@ -59,8 +64,8 @@ test:
 # tests (the AllocsPerRun tests that hold every hot path at zero
 # allocations among them), the lint gate, the proof-core coverage floor, the
 # observability/membership determinism smokes, the committed chaos
-# corpus replays, and the scale smoke (the event kernel, the only one,
-# with more than one shard) travel together
+# corpus replays, and the scale smoke (the scale engine on the event
+# kernel, the only one) travel together
 # (race rides inside `test` via RACE_PKGS).
 check: vet lint test cover-check obs-smoke churn-smoke txn-smoke chaos-replay byz-smoke scale-smoke udp-smoke
 
@@ -118,8 +123,8 @@ byz-smoke:
 	$(call run-twice-and-cmp,-chaos -adversarial -campaigns 10 -adv-steps 15 -chaos-seed 1,byz-smoke)
 	$(GO) run ./cmd/timesim -chaos -replay internal/chaos/corpus/buggy-byz-twoface.repro
 
-# Scale smoke, the event kernel sharded: the S1 sweep at its CI-sized
-# topology, twice, like every other seeded timesim mode (the full
+# Scale smoke, the scale engine on the event kernel: the S1 sweep at
+# its CI-sized topology, twice, like every other seeded timesim mode (the full
 # 10k/50k/100k sweep is `timesim -scale`; its speed is tracked by the
 # sim_scale_* workloads of `bash cmd/bench/run.sh`).
 scale-smoke:

@@ -1,6 +1,6 @@
-// Command disttimelint runs disttime's in-tree static analyzers: eight
+// Command disttimelint runs disttime's in-tree static analyzers: seven
 // repo-specific invariant checks (nowcheck, globalrand, atomicmix,
-// floateq, mapiter, poolput, guardedby, barrier) built on the standard
+// floateq, mapiter, poolput, guardedby) built on the standard
 // library's go/ast and go/types, with no external dependencies. See
 // internal/lint for the framework and DESIGN.md §10 for the invariant
 // each check guards and the planted violation that keeps it.

@@ -35,7 +35,7 @@ func TestLintUsage(t *testing.T) {
 		t.Fatalf("-h: exit %d", code)
 	}
 	for _, check := range []string{"nowcheck", "globalrand", "atomicmix", "floateq", "mapiter",
-		"poolput", "guardedby", "barrier"} {
+		"poolput", "guardedby"} {
 		if !strings.Contains(errb.String(), check) {
 			t.Errorf("usage missing %s:\n%s", check, errb.String())
 		}

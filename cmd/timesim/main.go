@@ -17,7 +17,7 @@
 //	timesim -churn 2 -churn-seed 7     # dynamic-membership timeline demo
 //	timesim -metrics out.json -trace-out spans.jsonl   # instrumented demo run
 //	timesim -chaos -campaigns 60 -metrics chaos.json   # observed campaigns
-//	timesim -scale -shards 4           # 10k/50k/100k sweep on the sharded kernel
+//	timesim -scale                     # 10k/50k/100k sweep on the scale engine
 //
 // Each experiment prints the paper's claim, the measured finding, and the
 // regenerated table. The exit status is nonzero when a reproduced shape
@@ -74,8 +74,7 @@ func run(args []string, out io.Writer) error {
 		traceOut  = fs.String("trace-out", "", "write sync-round spans (JSONL) to this path; runs the instrumented demo scenario")
 		obsSeed   = fs.Uint64("obs-seed", 1, "seed for the instrumented demo scenario (with -metrics/-trace-out)")
 		obsDur    = fs.Float64("obs-dur", 600, "virtual duration in seconds of the instrumented demo scenario")
-		doScale   = fs.Bool("scale", false, "run the S1 scale sweep (10k/50k/100k servers) on the sharded kernel")
-		shards    = fs.Int("shards", 0, "kernel shard count for -scale (0 = GOMAXPROCS; results are byte-identical at any setting)")
+		doScale   = fs.Bool("scale", false, "run the S1 scale sweep (10k/50k/100k servers) on the scale engine")
 		scaleFor  = fs.Float64("scale-until", 600, "virtual duration in seconds per scale-sweep size (with -scale)")
 		scaleSeed = fs.Uint64("scale-seed", 1, "seed of the scale sweep (with -scale)")
 	)
@@ -125,14 +124,9 @@ func run(args []string, out io.Writer) error {
 			metrics: *metrics,
 		}, out)
 	case *doScale:
-		kernelShards := *shards
-		if kernelShards <= 0 {
-			kernelShards = runtime.GOMAXPROCS(0)
-		}
 		tbl, err := experiments.ScaleSweep(experiments.ScaleConfig{
-			Shards: kernelShards,
-			Seed:   *scaleSeed,
-			Until:  *scaleFor,
+			Seed:  *scaleSeed,
+			Until: *scaleFor,
 		})
 		if err != nil {
 			fmt.Fprintln(out, tbl)

@@ -311,7 +311,6 @@ func AblationScale() (Table, error) {
 			const delta = 1e-4
 			eng, err := scale.New(scale.Config{
 				Topo:         scale.Topology{Regions: 1, Clusters: 1, Members: n},
-				Shards:       4,
 				Seed:         uint64(113*1000 + n*100 + trial),
 				Tau:          60,
 				Delta:        delta,
@@ -323,7 +322,6 @@ func AblationScale() (Table, error) {
 			if err != nil {
 				return trialResult{err: err}
 			}
-			defer eng.Close()
 			var ts, es []float64
 			for t := 1800.0; t <= 43200; t += 1800 {
 				eng.Run(t)

@@ -17,7 +17,7 @@ import (
 
 // ScaleSize names one topology of the sweep.
 type ScaleSize struct {
-	Name                      string
+	Name                       string
 	Regions, Clusters, Members int
 }
 
@@ -37,9 +37,6 @@ func DefaultScaleSizes() []ScaleSize {
 type ScaleConfig struct {
 	// Sizes to run; nil means DefaultScaleSizes.
 	Sizes []ScaleSize
-	// Shards is the kernel partition count (results are identical for
-	// any value; see internal/sim/shard). Values < 1 mean 4.
-	Shards int
 	// Seed roots the run.
 	Seed uint64
 	// Until is the virtual duration in seconds; values <= 0 mean 600
@@ -56,10 +53,6 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 	if sizes == nil {
 		sizes = DefaultScaleSizes()
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 4
-	}
 	until := cfg.Until
 	if until <= 0 {
 		until = 600
@@ -68,14 +61,13 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 		ID:    "S1",
 		Title: "Scale sweep: skew vs network distance on the sharded kernel",
 		Claim: "the error bounds carry the delay term xi, so skew stratifies by the links a server synchronizes over",
-		Header: []string{"size", "nodes", "shards", "events", "mean E (s)",
+		Header: []string{"size", "nodes", "events", "mean E (s)",
 			"hub E (s)", "gateway E (s)", "member E (s)",
 			"hub skew (s)", "gateway skew (s)", "member skew (s)", "resets"},
 	}
 	for _, sz := range sizes {
 		eng, err := scale.New(scale.Config{
 			Topo:         scale.Topology{Regions: sz.Regions, Clusters: sz.Clusters, Members: sz.Members},
-			Shards:       shards,
 			Seed:         cfg.Seed + 31*uint64(sz.Nodes()),
 			Tau:          60,
 			K:            8,
@@ -94,13 +86,12 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 		sk := eng.Skew(until)
 		te := eng.ErrorByTier(until)
 		out.Rows = append(out.Rows, []string{
-			sz.Name, fi(sz.Nodes()), fi(eng.Shards()), fi(int(eng.Steps())),
+			sz.Name, fi(sz.Nodes()), fi(int(eng.Steps())),
 			f(eng.MeanError(until)), f(te.Hub), f(te.Gateway), f(te.Member),
 			f(sk.Hub), f(sk.Gateway), f(sk.Member),
 			fi(int(eng.Resets())),
 		})
 		if eng.Steps() == 0 || eng.Resets() == 0 {
-			eng.Close()
 			return out, fmt.Errorf("scale-sweep %s: dead run (%d events, %d resets)",
 				sz.Name, eng.Steps(), eng.Resets())
 		}
@@ -111,15 +102,13 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 		// vs member is a sub-1% effect — the gateway's one extra uplink
 		// observation — and is reported but not asserted.)
 		if te.Hub <= te.Gateway || te.Hub <= te.Member {
-			eng.Close()
 			return out, fmt.Errorf("scale-sweep %s: no error gradient (hub %v, gateway %v, member %v)",
 				sz.Name, te.Hub, te.Gateway, te.Member)
 		}
-		eng.Close()
 	}
 	last := out.Rows[len(out.Rows)-1]
 	out.Finding = fmt.Sprintf("reported error stratifies by synchronization distance at every size up to %s servers (backbone-synced hubs %s vs LAN tiers %s/%s at n=%s)",
-		last[0], last[5], last[6], last[7], last[1])
+		last[0], last[4], last[5], last[6], last[1])
 	return out, nil
 }
 

@@ -22,23 +22,3 @@ func TestScaleSweepSmoke(t *testing.T) {
 		t.Fatalf("S1 not deterministic:\n%s\nvs\n%s", tbl, again)
 	}
 }
-
-// TestScaleSweepShardInvariance checks the experiment's numbers are
-// identical for any kernel partition, sequential included.
-func TestScaleSweepShardInvariance(t *testing.T) {
-	size := []ScaleSize{{Name: "s", Regions: 8, Clusters: 4, Members: 16}}
-	run := func(shards int) string {
-		tbl, err := ScaleSweep(ScaleConfig{Sizes: size, Shards: shards, Seed: 3, Until: 600})
-		if err != nil {
-			t.Fatalf("shards=%d: %v\n%s", shards, err, tbl)
-		}
-		tbl.Rows[0][2] = "-" // the shards column is the one legitimate difference
-		return tbl.String()
-	}
-	one := run(1)
-	for _, shards := range []int{2, 4} {
-		if got := run(shards); got != one {
-			t.Fatalf("shards=%d table differs from sequential:\n%s\nvs\n%s", shards, got, one)
-		}
-	}
-}

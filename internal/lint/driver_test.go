@@ -18,7 +18,7 @@ func runDriver(t *testing.T, args ...string) (int, string, string) {
 // driver exit 1 under the default (shipping) configuration.
 func TestDriverExitsNonzeroOnFixtures(t *testing.T) {
 	for _, name := range []string{"nowcheck", "globalrand", "floateq", "mapiter", "poolput",
-		"guardedby", "atomicmix", "barrier", "badignore"} {
+		"guardedby", "atomicmix", "badignore"} {
 		code, out, errb := runDriver(t, "testdata/src/"+name)
 		if code != ExitFindings {
 			t.Errorf("fixture %s: exit %d, want %d (stdout %q, stderr %q)",

@@ -8,7 +8,7 @@
 // only reproduce when the simulator is bit-deterministic and the pooled
 // hot paths stay pool-safe. Tests, seeded fingerprints and the chaos
 // monitor hold those guarantees first; the analyzers here are the second
-// line, and each of the eight is kept because a violation planted in real
+// line, and each of the seven is kept because a violation planted in real
 // code was caught by it and by nothing else (DESIGN.md §10 has the plant
 // table, and what the audit deleted):
 //
@@ -33,9 +33,6 @@
 //	             its accesses must hold that mutex at every access; the
 //	             static complement to -race, covering schedules the race
 //	             detector never executes.
-//	barrier    — sync.WaitGroup / epoch-pool misuse: Add racing Wait, Done
-//	             not reachable on all paths, re-Wait without re-arming,
-//	             nested Pool.Run on the same pool.
 //
 // The first three are one selector walk over three tables (forbid.go).
 // Zero allocation on the hot paths is not a lint matter: a
@@ -101,7 +98,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Analyzers returns the full analyzer suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{NowCheck, GlobalRand, AtomicMix, FloatEq, MapIter,
-		PoolPut, GuardedBy, Barrier}
+		PoolPut, GuardedBy}
 }
 
 // The three tables below scope the analyzers to the repository's layout.

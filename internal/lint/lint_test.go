@@ -123,7 +123,6 @@ func TestMapIter(t *testing.T)    { runFixture(t, "mapiter", []*Analyzer{MapIter
 func TestPoolPut(t *testing.T)    { runFixture(t, "poolput", []*Analyzer{PoolPut}) }
 func TestGuardedBy(t *testing.T)  { runFixture(t, "guardedby", []*Analyzer{GuardedBy}) }
 func TestAtomicMix(t *testing.T)  { runFixture(t, "atomicmix", []*Analyzer{AtomicMix}) }
-func TestBarrier(t *testing.T)    { runFixture(t, "barrier", []*Analyzer{Barrier}) }
 
 // TestCleanFixture runs the full suite over the clean fixture; it has no
 // want comments, so any diagnostic fails the bidirectional match.

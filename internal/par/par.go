@@ -9,7 +9,9 @@
 // runs them inline on the calling goroutine. Running inline when the
 // budget is exhausted makes nested fan-outs (experiments that themselves
 // fan out trials) deadlock-free by construction, and makes SetLimit(1)
-// exactly the sequential code path: no goroutines at all.
+// exactly the sequential code path: no goroutines at all. Map is the
+// package's one fan-out: the event kernel (internal/sim/shard) runs on its
+// caller's goroutine and draws nothing from the budget.
 package par
 
 import (

@@ -1,5 +1,5 @@
 // Package scale runs the paper's time-service protocol at planet scale on
-// the sharded simulation kernel. Where internal/service builds real
+// the event kernel, internal/sim/shard. Where internal/service builds real
 // Server objects, a message network, and per-reply bookkeeping — the
 // right fidelity for hundreds of servers — this engine calls the same
 // rule functions (core/rules.go) over flat per-node arrays so that runs of
@@ -77,7 +77,7 @@ type Config struct {
 	Topo Topology
 	// Shards is the kernel partition count; clamped to the number of
 	// partitionable units (regions; clusters in a single region; nodes in
-	// a single mesh). Never changes results.
+	// a single mesh). Never changes results; only cmd/bench sets it.
 	Shards int
 	// Seed roots every per-node stream.
 	Seed uint64
@@ -111,7 +111,8 @@ const (
 
 // Engine is a running scale simulation. All per-node state lives in flat
 // arrays indexed by node id; an event's handler touches only its own
-// node's entries, which is what makes windowed parallel execution safe.
+// node's entries, which is what lets any partition of the nodes give the
+// same run.
 type Engine struct {
 	cfg Config
 	k   *shard.Kernel
@@ -227,8 +228,9 @@ func (e *Engine) partition(cfg Config) (int, func(int32) int32, float64, error) 
 	return shards, shardOf, min, nil
 }
 
-// Close releases the kernel's worker pool.
-func (e *Engine) Close() { e.k.Close() }
+// Close does nothing: the engine starts no goroutine. It stays because
+// cmd/bench still calls it.
+func (e *Engine) Close() {}
 
 // Observe registers the kernel's window/merge metrics plus the engine's
 // reset and inconsistency counters in reg.

@@ -3,8 +3,6 @@ package scale
 import (
 	"math"
 	"testing"
-
-	"disttime/internal/par"
 )
 
 // testConfig is a small stratified service: 8 regions so the determinism
@@ -31,7 +29,6 @@ func runFingerprint(t *testing.T, cfg Config, until float64) string {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer e.Close()
 	e.Run(until)
 	if e.Steps() == 0 {
 		t.Fatal("engine executed no events")
@@ -44,11 +41,8 @@ func runFingerprint(t *testing.T, cfg Config, until float64) string {
 // draws from a node's stream outside delay), seeded runs must be
 // byte-identical across shards 1, 2, 4, and 8 — and shards=1 (single
 // heap, unbounded window) IS the sequential kernel, so each row also
-// checks sharded-vs-sequential equality. Run under -race with a real
-// worker budget this doubles as the kernel's concurrency regression test.
+// checks sharded-vs-sequential equality.
 func TestDeterminismMatrix(t *testing.T) {
-	prev := par.SetLimit(4)
-	defer par.SetLimit(prev)
 	for _, tc := range []struct {
 		name string
 		k    int
@@ -117,7 +111,6 @@ func TestCorrectnessHonestRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer e.Close()
 			for _, ts := range []float64{60, 300, 900, 1800} {
 				e.Run(ts)
 				for i := 0; i < e.Nodes(); i++ {
@@ -144,7 +137,6 @@ func TestSyncBeatsNoSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	const until = 3600
 	e.Run(until)
 	unsynced := cfg.InitialError + until*cfg.Delta
@@ -164,7 +156,6 @@ func TestMMRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	e.Run(1200)
 	if e.Resets() == 0 {
 		t.Fatal("no clock resets in an MM run")
@@ -187,7 +178,6 @@ func TestSkewGradient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	const until = 1800
 	e.Run(until)
 	sk := e.Skew(until)
@@ -219,7 +209,6 @@ func TestMeshTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	if e.Shards() != 4 {
 		t.Fatalf("mesh Shards() = %d, want 4", e.Shards())
 	}

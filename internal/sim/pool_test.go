@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"disttime/internal/obs"
-	"disttime/internal/par"
 )
 
 // TestEventPoolReuse checks that the slots of fired events are reused: a
@@ -125,21 +124,14 @@ func TestRunRestsOnLatestScheduled(t *testing.T) {
 }
 
 // TestNewStartsNothing checks why a Simulator needs no Close: building
-// and running one starts no goroutine and claims no worker from par's
-// budget, so a pool created afterwards still gets the one spare worker.
+// and running one starts no goroutine.
 func TestNewStartsNothing(t *testing.T) {
-	defer par.SetLimit(par.SetLimit(2))
 	before := runtime.NumGoroutine()
 	s := New(1)
 	s.After(1, func() {})
 	s.Run()
 	if after := runtime.NumGoroutine(); after != before {
 		t.Fatalf("%d goroutines after New and Run, %d before", after, before)
-	}
-	p := par.NewPool(2)
-	defer p.Close()
-	if p.Workers() != 1 {
-		t.Fatalf("a 2-share pool after sim.New got %d workers, want the budget's 1", p.Workers())
 	}
 }
 

@@ -46,7 +46,6 @@ func TestHeapKeyOrderStress(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer k.Close()
 	p := k.Proc(0)
 	for i := 0; i < 5000; i++ {
 		n := int32(p.Uint64(0) % 8)
@@ -201,7 +200,6 @@ func TestConstantDelayTimersStayOutOfHeap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		t.Cleanup(k.Close)
 		seed(k, tau)
 		k.Run(2 * tau)
 		inHeap, inLanes, retained := 0, 0, 0
@@ -232,7 +230,6 @@ func TestConstantDelayTimersStayOutOfHeap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer k.Close()
 	seed(k, 1)
 	for _, until := range []float64{1, 5} {
 		k.Run(until)
@@ -252,7 +249,6 @@ func TestSchedulingAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer k.Close()
 	p := k.Proc(0)
 	p.After(0, 1e9, kindTick, 0, 0, 0)
 	cycle := func() {
@@ -289,7 +285,6 @@ func TestRunWindowAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		t.Cleanup(k.Close)
 		for n := int32(0); n < nodes; n++ {
 			k.Seed(n, float64(n)/nodes, kindTick, 0, 0, 0)
 		}

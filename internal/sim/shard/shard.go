@@ -57,12 +57,10 @@
 //     a window spans [tNext, tNext+L) and cross-shard delays are >= L.
 //     Any interleaving of a window therefore commutes.
 //
-// Shards execute their windows on a par.Pool, so the worker budget and
-// the shard count are independent knobs; on an exhausted budget (or a
-// single-core machine) the pool collapses to an inline loop and the
-// kernel is simply a fast sequential simulator with deterministic
-// sharded semantics. Windows below inlineBurst events a shard are
-// executed inline regardless of budget.
+// The kernel runs on its caller's goroutine: each window executes the
+// shards one after another, so a shard count above one buys no speed,
+// only windows and merges. Worker threads gained nothing at any window
+// size measured on a two-vCPU host (DESIGN.md section 14).
 package shard
 
 import (
@@ -71,7 +69,6 @@ import (
 	"math/rand/v2"
 
 	"disttime/internal/obs"
-	"disttime/internal/par"
 )
 
 // Ev is one scheduled event: a timer on a node, or a message delivery to
@@ -113,7 +110,7 @@ type Config struct {
 	// Nodes is the number of simulated nodes. Required.
 	Nodes int
 	// Shards is the number of partitions. Values < 1 mean 1. Shards
-	// never changes results, only the potential for parallelism.
+	// never changes results, only the windows and merges it takes.
 	Shards int
 	// Seed makes the run reproducible: it roots every per-node PCG
 	// stream.
@@ -133,17 +130,13 @@ type Config struct {
 
 // Kernel is a sharded simulator.
 type Kernel struct {
-	shards     []*Proc
-	shardOf    []int32
-	seqs       []uint64   // per-node event sequence, touched only by the owning shard
-	rngs       []rand.PCG // per-node PCG stream, touched only by the owning shard
-	handler    Handler
-	pool       *par.Pool
-	runShareFn func(int) // k.runShare bound once; a fresh method value per window would allocate
-	lookahead  float64
-	now        float64
-	horizon    float64
-	lastBurst  int // events executed in the previous window, for the inline heuristic
+	shards    []*Proc
+	shardOf   []int32
+	seqs      []uint64   // per-node event sequence, touched only by the owning shard
+	rngs      []rand.PCG // per-node PCG stream, touched only by the owning shard
+	handler   Handler
+	lookahead float64
+	now       float64
 
 	// Observability (nil-safe until Observe).
 	obsWindows  *obs.Counter
@@ -155,24 +148,13 @@ type Kernel struct {
 // Proc is one shard's execution context. Handlers receive it to read the
 // clock, draw randomness, and schedule.
 type Proc struct {
-	k        *Kernel
-	id       int32
-	now      float64
-	q        pending // scheduled events, executed in (At, From, Seq) order
-	out      [][]Ev  // per-destination-shard outboxes
-	executed uint64  // events executed in the current window
-	steps    uint64  // events executed in total
+	k     *Kernel
+	id    int32
+	now   float64
+	q     pending // scheduled events, executed in (At, From, Seq) order
+	out   [][]Ev  // per-destination-shard outboxes
+	steps uint64  // events executed in total
 }
-
-// inlineBurst is the window size, in events per shard, below which the
-// kernel runs shards inline even when pool workers are available. Purely
-// a scheduling heuristic: execution order is identical either way. It is
-// the top of the range measured on the two-vCPU reference box, where two
-// shards on the pool beat one shard in at most 5 of 10 paired runs at
-// every per-shard burst from 128 to 10^4 events (DESIGN.md section 14):
-// every size shown not to gain runs inline, and the pool keeps the
-// windows beyond it, for hosts with more cores and for -race coverage.
-const inlineBurst = 10000
 
 // splitmix64 is the SplitMix64 step, used to derive independent PCG seed
 // words per node from (seed, node).
@@ -230,13 +212,12 @@ func New(cfg Config) (*Kernel, error) {
 		p := &Proc{k: k, id: int32(i), out: make([][]Ev, cfg.Shards)}
 		k.shards[i] = p
 	}
-	k.pool = par.NewPool(cfg.Shards)
-	k.runShareFn = k.runShare
 	return k, nil
 }
 
-// Close releases the kernel's worker pool. The kernel must be idle.
-func (k *Kernel) Close() { k.pool.Close() }
+// Close does nothing: the kernel starts no goroutine and holds nothing to
+// release. It stays because cmd/bench still calls it.
+func (k *Kernel) Close() {}
 
 // Observe registers the kernel's counters in reg: windows executed, the
 // window-length histogram (virtual seconds), cross-shard events merged at
@@ -359,9 +340,9 @@ func (p *Proc) Send(from, to int32, delay float64, kind uint16, tag uint32, a, b
 	p.out[dst] = append(p.out[dst], ev)
 }
 
-// runWindow executes the shard's events with At < horizon and advances
-// the shard clock to the horizon.
-func (p *Proc) runWindow(horizon float64) {
+// runWindow executes the shard's events with At < horizon, advances the
+// shard clock to the horizon, and returns how many events it executed.
+func (p *Proc) runWindow(horizon float64) uint64 {
 	n := uint64(0)
 	for {
 		src, next := p.q.least()
@@ -374,13 +355,8 @@ func (p *Proc) runWindow(horizon float64) {
 		p.k.handler.Event(p, ev)
 	}
 	p.now = horizon
-	p.executed = n
 	p.steps += n
-}
-
-// runShare is the pool body: one shard's window.
-func (k *Kernel) runShare(i int) {
-	k.shards[i].runWindow(k.horizon)
+	return n
 }
 
 // Run advances the kernel to virtual time `until`: every event with
@@ -413,24 +389,12 @@ func (k *Kernel) Run(until float64) {
 		if h := tNext + k.lookahead; h < horizon {
 			horizon = h
 		}
-		k.horizon = horizon
-		if len(k.shards) == 1 {
-			k.shards[0].runWindow(horizon)
-		} else if k.lastBurst >= inlineBurst*len(k.shards) && k.pool.Workers() > 0 {
-			k.pool.Run(k.runShareFn)
-		} else {
-			for i := range k.shards {
-				k.runShare(i)
-			}
-		}
-		burst := 0
 		for i, p := range k.shards {
-			burst += int(p.executed)
+			n := p.runWindow(horizon)
 			if k.obsExecuted != nil {
-				k.obsExecuted[i].Add(p.executed)
+				k.obsExecuted[i].Add(n)
 			}
 		}
-		k.lastBurst = burst
 		k.obsWindows.Inc()
 		k.obsWinLen.Observe(horizon - tNext)
 		k.exchange()

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"disttime/internal/obs"
-	"disttime/internal/par"
 )
 
 // gossip is the test workload: every node re-arms a jittered timer and, on
@@ -101,7 +101,6 @@ func runGossip(t *testing.T, nodes int32, shards int, seed uint64, shardOf func(
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer k.Close()
 	for n := int32(0); n < nodes; n++ {
 		k.Seed(n, float64(n%7)*0.01, kindTick, 0, 0, 0)
 	}
@@ -210,10 +209,8 @@ func TestWindowedRunMatchesReference(t *testing.T) {
 	}
 	gWant, kRef := build()
 	refRun(kRef, 8)
-	kRef.Close()
 	gGot, kWin := build()
 	kWin.Run(8)
-	kWin.Close()
 	if gGot.fingerprint() != gWant.fingerprint() {
 		t.Fatalf("windowed digest %s, reference digest %s", gGot.fingerprint(), gWant.fingerprint())
 	}
@@ -222,41 +219,24 @@ func TestWindowedRunMatchesReference(t *testing.T) {
 	}
 }
 
-// TestParallelWindowsDeterministic forces real worker goroutines (a
-// 4-slot budget and bursts above the inline threshold) and checks the
-// digest still matches the single-shard run. Under -race this also proves
-// window execution and barrier merge are race-clean. A gossip node runs
-// about three events a window (a tick and two receipts), so nodes is
-// sized to put a 4-shard share at 1.5 times inlineBurst.
-func TestParallelWindowsDeterministic(t *testing.T) {
-	prev := par.SetLimit(4)
-	defer par.SetLimit(prev)
-	const nodes, l = 2 * inlineBurst, 0.25
-	run := func(shards int) string {
-		g := newGossip(nodes, l)
-		k, err := New(Config{Nodes: nodes, Shards: shards, Seed: 7, Lookahead: l, Handler: g})
+// TestKernelStartsNoGoroutine checks the kernel runs on its caller alone:
+// building, seeding and running it at any shard count starts no
+// goroutine, so there is nothing for Close to stop.
+func TestKernelStartsNoGoroutine(t *testing.T) {
+	const l = 0.25
+	for _, shards := range []int{1, 2, 4} {
+		before := runtime.NumGoroutine()
+		g := newGossip(16, l)
+		k, err := New(Config{Nodes: 16, Shards: shards, Seed: 3, Lookahead: l, Handler: g})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		defer k.Close()
-		if shards > 1 && k.pool.Workers() == 0 {
-			t.Fatal("pool got no workers despite SetLimit(4)")
+		for n := int32(0); n < 16; n++ {
+			k.Seed(n, 0, kindTick, 0, 0, 0)
 		}
-		for n := int32(0); n < nodes; n++ {
-			k.Seed(n, float64(n%11)*0.001, kindTick, 0, 0, 0)
-		}
-		reg := obs.NewRegistry()
-		k.Observe(reg)
-		k.Run(1.5)
-		if mean := k.Steps() / reg.Counter("simshard_windows_total").Value(); shards > 1 && mean < uint64(inlineBurst*shards) {
-			t.Fatalf("shards %d: %d events a window, below the %d that reach the pool", shards, mean, inlineBurst*shards)
-		}
-		return g.fingerprint()
-	}
-	want := run(1)
-	for _, shards := range []int{2, 4} {
-		if got := run(shards); got != want {
-			t.Fatalf("shards %d digest %s, want %s", shards, got, want)
+		k.Run(2)
+		if after := runtime.NumGoroutine(); after != before {
+			t.Fatalf("shards %d: %d goroutines after New, Seed and Run, %d before", shards, after, before)
 		}
 	}
 }
@@ -311,7 +291,6 @@ func TestRunBoundary(t *testing.T) {
 		if k.Steps() != 4 {
 			t.Fatalf("shards %d: %d events executed, want 4", shards, k.Steps())
 		}
-		k.Close()
 	}
 }
 
@@ -330,7 +309,6 @@ func TestLookaheadViolationPanics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer k.Close()
 	k.Seed(0, 0, kindTick, 0, 0, 0)
 	defer func() {
 		r := recover()
@@ -356,14 +334,12 @@ func TestNegativeDelayPanics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer k.Close()
 	k.Run(10)
 	p := k.Proc(0)
 	two, err := New(Config{Nodes: 2, Shards: 2, Seed: 1, Lookahead: 1, Handler: r})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer two.Close()
 	for _, row := range []struct {
 		name string
 		fn   func()
@@ -421,7 +397,6 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer k.Close()
 	if k.Shards() != 3 {
 		t.Fatalf("Shards() = %d with 3 nodes, want clamped to 3", k.Shards())
 	}
@@ -439,7 +414,6 @@ func TestObserve(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer k.Close()
 	reg := obs.NewRegistry()
 	k.Observe(reg)
 	for n := int32(0); n < 32; n++ {

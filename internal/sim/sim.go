@@ -88,8 +88,8 @@ func (s *Simulator) Observe(reg *obs.Registry) {
 }
 
 // New returns a simulator at virtual time zero whose PRNG is seeded with
-// seed. The same seed always reproduces the same run. A one-shard kernel
-// starts no goroutine and claims no worker, so there is nothing to close.
+// seed. The same seed always reproduces the same run. The kernel starts
+// no goroutine, so there is nothing to close.
 func New(seed uint64) *Simulator {
 	s := &Simulator{rng: rand.New(rand.NewPCG(seed, seed^0xda942042e4dd58b5))}
 	k, err := shard.New(shard.Config{Nodes: 1, Handler: (*dispatch)(s)})

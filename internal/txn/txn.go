@@ -145,9 +145,9 @@ type Workload struct {
 // per client cycles through every transaction, keeping the event
 // callbacks closure-free.
 type client struct {
-	w    *Workload
-	idx  int
-	seq  int
+	w     *Workload
+	idx   int
+	seq   int
 	slope float64 // conservative d(C-E)/dt for re-check pacing
 
 	start    float64
