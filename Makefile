@@ -131,8 +131,9 @@ scale-smoke:
 	$(call run-twice-and-cmp,-experiment S1,scale-smoke)
 
 # UDP serving-path smoke: the closed-loop load generator against a live
-# batched sharded server on the loopback — zero load errors, JSON shape
-# pinned, histogram counts advancing (see cmd/timeload's TestUDPSmoke) —
+# batched sharded server on the loopback — zero load errors, replies
+# received and none beyond those sent, all four percentiles printed (see
+# cmd/timeload's TestUDPSmoke) —
 # then, under -race, the paper's oracle on that server: lone queries
 # beside a 64-deep load, every answer's [C-E, C+E] reaching its own send
 # and receive instants with the source's E unwidened (see

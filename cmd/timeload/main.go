@@ -7,14 +7,9 @@
 // Usage:
 //
 //	timeload -addr 127.0.0.1:3123 -conns 4 -window 64 -duration 5s
-//	timeload -addr 127.0.0.1:3123 -requests 1000000 -json
-//
-// -json emits a deterministic-shape summary object on stdout for
-// machine consumers; the default output is human-readable.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -32,76 +27,29 @@ func main() {
 	}
 }
 
-// summary is the -json output shape. Field order and presence are fixed
-// so downstream tooling can diff runs; durations are nanoseconds.
-type summary struct {
-	Addr     string  `json:"addr"`
-	Conns    int     `json:"conns"`
-	Window   int     `json:"window"`
-	Sent     uint64  `json:"sent"`
-	Received uint64  `json:"received"`
-	Timeouts uint64  `json:"timeouts"`
-	Strays   uint64  `json:"strays"`
-	Errors   uint64  `json:"errors"`
-	Elapsed  int64   `json:"elapsed_ns"`
-	QPS      float64 `json:"qps"`
-	P50      int64   `json:"p50_ns"`
-	P90      int64   `json:"p90_ns"`
-	P99      int64   `json:"p99_ns"`
-	P999     int64   `json:"p999_ns"`
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("timeload", flag.ContinueOnError)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:3123", "server UDP address")
 		conns    = fs.Int("conns", 1, "concurrent client connections")
 		window   = fs.Int("window", 32, "in-flight requests per connection (max 1024)")
-		batch    = fs.Int("batch", 32, "datagrams per I/O batch")
-		rate     = fs.Float64("rate", 0, "total request rate cap, req/s (0 = unlimited)")
 		duration = fs.Duration("duration", time.Second, "run duration")
-		requests = fs.Uint64("requests", 0, "stop after this many requests (0 = run for -duration)")
-		timeout  = fs.Duration("timeout", time.Second, "per-window stall timeout")
-		jsonOut  = fs.Bool("json", false, "emit a JSON summary instead of text")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	cfg := udptime.LoadConfig{
-		Addr:        *addr,
-		Conns:       *conns,
-		Window:      *window,
-		Batch:       *batch,
-		Rate:        *rate,
-		Duration:    *duration,
-		MaxRequests: *requests,
-		Timeout:     *timeout,
+		Addr:     *addr,
+		Conns:    *conns,
+		Window:   *window,
+		Duration: *duration,
 	}
 	res, err := udptime.RunLoad(cfg)
 	if err != nil {
 		return err
 	}
 
-	if *jsonOut {
-		enc := json.NewEncoder(out)
-		return enc.Encode(summary{
-			Addr:     *addr,
-			Conns:    cfg.Conns,
-			Window:   cfg.Window,
-			Sent:     res.Sent,
-			Received: res.Received,
-			Timeouts: res.Timeouts,
-			Strays:   res.Strays,
-			Errors:   res.Errors,
-			Elapsed:  int64(res.Elapsed),
-			QPS:      res.QPS,
-			P50:      int64(res.P50),
-			P90:      int64(res.P90),
-			P99:      int64(res.P99),
-			P999:     int64(res.P999),
-		})
-	}
 	fmt.Fprintf(out, "timeload %s: %d conns x window %d\n", *addr, cfg.Conns, cfg.Window)
 	fmt.Fprintf(out, "  sent %d  received %d  timeouts %d  strays %d  errors %d\n",
 		res.Sent, res.Received, res.Timeouts, res.Strays, res.Errors)

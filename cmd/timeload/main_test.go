@@ -2,7 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -12,8 +12,9 @@ import (
 
 // TestUDPSmoke is the end-to-end loopback smoke the Makefile's
 // udp-smoke target runs: a live batched server, a short timeload run
-// against it, zero errors, and a -json summary whose shape is
-// deterministic (fixed key set, consistent counters).
+// against it, and a text summary whose counters are consistent — zero
+// errors, replies received, none beyond what was sent — and which
+// prints throughput and all four percentiles.
 func TestUDPSmoke(t *testing.T) {
 	src, err := udptime.NewSystemClock(time.Millisecond, 50)
 	if err != nil {
@@ -32,44 +33,27 @@ func TestUDPSmoke(t *testing.T) {
 		"-conns", "2",
 		"-window", "16",
 		"-duration", "100ms",
-		"-json",
 	}
 	if err := run(args, &out); err != nil {
 		t.Fatalf("run(%v): %v\noutput: %s", args, err, out.String())
 	}
-
-	var got map[string]any
-	if err := json.Unmarshal(out.Bytes(), &got); err != nil {
-		t.Fatalf("summary is not JSON: %v\n%s", err, out.String())
-	}
-	want := []string{
-		"addr", "conns", "window", "sent", "received", "timeouts",
-		"strays", "errors", "elapsed_ns", "qps",
-		"p50_ns", "p90_ns", "p99_ns", "p999_ns",
-	}
-	if len(got) != len(want) {
-		t.Fatalf("summary has %d keys, want %d: %v", len(got), len(want), got)
-	}
-	for _, k := range want {
-		if _, ok := got[k]; !ok {
-			t.Fatalf("summary missing key %q: %v", k, got)
+	var sent, received, timeouts, strays, errs uint64
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "  sent ") {
+			if _, err := fmt.Sscanf(line, "  sent %d  received %d  timeouts %d  strays %d  errors %d",
+				&sent, &received, &timeouts, &strays, &errs); err != nil {
+				t.Fatalf("counter line %q: %v", line, err)
+			}
 		}
 	}
-	if got["errors"].(float64) != 0 {
-		t.Fatalf("smoke run saw errors: %v", got)
+	if errs != 0 {
+		t.Fatalf("smoke run saw errors:\n%s", out.String())
 	}
-	if got["received"].(float64) == 0 {
-		t.Fatalf("smoke run received nothing: %v", got)
+	if received == 0 {
+		t.Fatalf("smoke run received nothing:\n%s", out.String())
 	}
-	if got["received"].(float64) > got["sent"].(float64) {
-		t.Fatalf("received more than sent: %v", got)
-	}
-
-	// The text mode must mention throughput and all four percentiles.
-	out.Reset()
-	args = []string{"-addr", srv.Addr().String(), "-duration", "50ms"}
-	if err := run(args, &out); err != nil {
-		t.Fatalf("text run: %v\n%s", err, out.String())
+	if received > sent {
+		t.Fatalf("received more than sent:\n%s", out.String())
 	}
 	for _, needle := range []string{"req/s", "p50", "p90", "p99", "p999"} {
 		if !strings.Contains(out.String(), needle) {

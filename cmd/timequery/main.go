@@ -35,7 +35,6 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("timequery", flag.ContinueOnError)
 	var (
 		servers = fs.String("servers", "", "comma-separated UDP time server addresses")
-		timeout = fs.Duration("timeout", time.Second, "per-server query timeout")
 		doSel   = fs.Bool("select", false, "reject falsetickers with majority selection instead of plain intersection")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -46,7 +45,7 @@ func run(args []string, out io.Writer) error {
 	}
 	addrs := strings.Split(*servers, ",")
 
-	client := udptime.NewClient(*timeout, nil)
+	client := udptime.NewClient(time.Second, nil)
 	defer client.Close()
 	ms, err := client.QueryMany(addrs)
 	if err != nil && len(ms) == 0 {

@@ -40,7 +40,7 @@ func TestRunQueriesAndCombines(t *testing.T) {
 	a := startServer(t, 1, fixedClock{err: 10 * time.Millisecond})
 	b := startServer(t, 2, fixedClock{err: 10 * time.Millisecond})
 	var buf strings.Builder
-	err := run([]string{"-servers", a + "," + b, "-timeout", "2s"}, &buf)
+	err := run([]string{"-servers", a + "," + b}, &buf)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, buf.String())
 	}
@@ -54,7 +54,7 @@ func TestRunInconsistentWithoutSelect(t *testing.T) {
 	a := startServer(t, 1, fixedClock{err: time.Millisecond})
 	b := startServer(t, 2, fixedClock{offset: time.Hour, err: time.Millisecond})
 	var buf strings.Builder
-	err := run([]string{"-servers", a + "," + b, "-timeout", "2s"}, &buf)
+	err := run([]string{"-servers", a + "," + b}, &buf)
 	if err == nil {
 		t.Error("inconsistent servers did not fail without -select")
 	}
@@ -66,7 +66,7 @@ func TestRunSelectRejectsFalseticker(t *testing.T) {
 	liar := startServer(t, 3, fixedClock{offset: time.Hour, err: time.Millisecond})
 	var buf strings.Builder
 	servers := fmt.Sprintf("%s,%s,%s", good1, good2, liar)
-	if err := run([]string{"-servers", servers, "-select", "-timeout", "2s"}, &buf); err != nil {
+	if err := run([]string{"-servers", servers, "-select"}, &buf); err != nil {
 		t.Fatalf("%v\n%s", err, buf.String())
 	}
 	if !strings.Contains(buf.String(), "falseticker rejected") {
@@ -76,7 +76,7 @@ func TestRunSelectRejectsFalseticker(t *testing.T) {
 
 func TestRunAllServersDown(t *testing.T) {
 	var buf strings.Builder
-	err := run([]string{"-servers", "127.0.0.1:1", "-timeout", "100ms"}, &buf)
+	err := run([]string{"-servers", "127.0.0.1:1"}, &buf)
 	if err == nil {
 		t.Error("unreachable server accepted")
 	}
@@ -92,7 +92,7 @@ func (unsyncedClock) Now() (time.Time, time.Duration, bool) {
 func TestRunAllUnsynchronized(t *testing.T) {
 	a := startServer(t, 1, unsyncedClock{})
 	var buf strings.Builder
-	err := run([]string{"-servers", a, "-timeout", "2s"}, &buf)
+	err := run([]string{"-servers", a}, &buf)
 	if err == nil {
 		t.Error("all-unsynchronized service accepted")
 	}

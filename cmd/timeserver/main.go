@@ -64,7 +64,6 @@ func start(args []string) (*udptime.Server, error) {
 			"batched serving shards (0 = one per-packet loop reading the clock per request; >0 = batched I/O and a clock read per batch)")
 		batch = fs.Int("batch", 0,
 			"datagrams per recvmmsg/sendmmsg batch in shard mode (0 = default)")
-		verbose = fs.Bool("v", false, "log malformed datagrams")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -78,9 +77,6 @@ func start(args []string) (*udptime.Server, error) {
 		return nil, err
 	}
 	var opts []udptime.ServerOption
-	if *verbose {
-		opts = append(opts, udptime.WithServerLogger(log.New(os.Stderr, "", log.LstdFlags)))
-	}
 	if *health != "" {
 		opts = append(opts, udptime.WithHealthListener(*health))
 	}

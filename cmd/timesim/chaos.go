@@ -15,7 +15,6 @@ type chaosOpts struct {
 	campaigns   int
 	seed        uint64
 	replay      string
-	shrink      bool
 	metrics     string // when set, campaigns run observed and a snapshot is written here
 	adversarial bool   // hill-climb fault schedules toward a violation instead of sampling
 	advSteps    int    // mutation steps per adversarial search
@@ -67,16 +66,12 @@ func runChaos(opts chaosOpts, out io.Writer) error {
 		fmt.Fprintf(out, "campaign seed=%d n=%d fn=%s topo=%s faults=%d verdict=FAIL steps=%d\n",
 			seed, c.N, c.FnName, c.Topo, len(c.Faults), v.Steps)
 		fmt.Fprintf(out, "  violation: %v\n", first)
-		if opts.shrink {
-			res, err := chaos.Shrink(c, chaos.Run)
-			if err != nil {
-				return fmt.Errorf("chaos: seed %d: shrink: %w", seed, err)
-			}
-			fmt.Fprintf(out, "  reproducer (%d faults, %d shrink runs): %s\n",
-				len(res.Campaign.Faults), res.Runs, res.Campaign)
-		} else {
-			fmt.Fprintf(out, "  reproducer: %s\n", c)
+		res, err := chaos.Shrink(c, chaos.Run)
+		if err != nil {
+			return fmt.Errorf("chaos: seed %d: shrink: %w", seed, err)
 		}
+		fmt.Fprintf(out, "  reproducer (%d faults, %d shrink runs): %s\n",
+			len(res.Campaign.Faults), res.Runs, res.Campaign)
 	}
 	if err := writeMetrics(opts.metrics, reg); err != nil {
 		return err

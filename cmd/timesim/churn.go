@@ -9,34 +9,28 @@ import (
 	"disttime/internal/service"
 )
 
-// churnOpts carries the -churn flags.
-type churnOpts struct {
-	rate    float64 // -churn: leave/rejoin cycles per 100 simulated seconds
-	seed    uint64  // -churn-seed
-	n       int     // -churn-n: cluster size
-	dur     float64 // -churn-dur: virtual duration, seconds
-	metrics string  // -metrics, shared with the other modes
-}
+// The churn demo's cluster: churnN servers over churnDur virtual
+// seconds.
+const (
+	churnN   = 5
+	churnDur = 300.0
+)
 
-// runChurn runs the membership demo: an n-server mesh with dynamic
-// membership enabled, subjected to a seeded schedule of voluntary
-// leave/rejoin cycles, printing the full membership timeline — every
-// roster transition every server observes, in virtual-time order.
+// runChurn runs the membership demo: a churnN-server mesh with dynamic
+// membership enabled, subjected to a seeded schedule of rate voluntary
+// leave/rejoin cycles per 100 simulated seconds, printing the full
+// membership timeline — every roster transition every server observes,
+// in virtual-time order.
 //
 // The schedule is drawn from its own deterministic generator and the
-// service is seeded, so the entire output is a pure function of the
-// flags: two invocations with the same seed are byte-identical, which
+// service is seeded, so the entire output is a pure function of rate and
+// seed: two invocations with the same seed are byte-identical, which
 // `make churn-smoke` and the CLI tests enforce. A FALSE-EVICTION token
 // in the timeline (a live server evicted) would mark a detector-bound
-// violation and is asserted absent.
-func runChurn(o churnOpts, out io.Writer) error {
-	if o.n < 3 {
-		return fmt.Errorf("churn demo needs at least 3 servers, got %d", o.n)
-	}
-	if o.dur <= 0 {
-		o.dur = 300
-	}
-	specs := make([]service.ServerSpec, o.n)
+// violation and is asserted absent. A non-empty metrics path receives
+// the run's metrics snapshot.
+func runChurn(rate float64, seed uint64, metrics string, out io.Writer) error {
+	specs := make([]service.ServerSpec, churnN)
 	for i := range specs {
 		// Deterministic mixed drift rates within the claimed bound.
 		specs[i] = service.ServerSpec{
@@ -47,7 +41,7 @@ func runChurn(o churnOpts, out io.Writer) error {
 		}
 	}
 	svc, err := service.New(service.Config{
-		Seed:    o.seed,
+		Seed:    seed,
 		Servers: specs,
 		Members: &service.MemberConfig{GossipEvery: 5},
 	})
@@ -55,7 +49,7 @@ func runChurn(o churnOpts, out io.Writer) error {
 		return err
 	}
 	var reg *obs.Registry
-	if o.metrics != "" {
+	if metrics != "" {
 		reg = obs.NewRegistry()
 		svc.Observe(reg, nil)
 	}
@@ -82,26 +76,26 @@ func runChurn(o churnOpts, out io.Writer) error {
 	// The churn schedule: rate cycles per 100 simulated seconds, each a
 	// voluntary departure followed by a rejoin 20..60 s later, landing
 	// inside the middle of the run so departures settle before the end.
-	rng := rand.New(rand.NewPCG(o.seed, 0x636875726e)) // "churn"
-	cycles := int(o.rate * o.dur / 100)
+	rng := rand.New(rand.NewPCG(seed, 0x636875726e)) // "churn"
+	cycles := int(rate * churnDur / 100)
 	if cycles < 1 {
 		cycles = 1
 	}
 	fmt.Fprintf(out, "churn demo: n=%d dur=%gs rate=%g cycles=%d seed=%d\n",
-		o.n, o.dur, o.rate, cycles, o.seed)
+		churnN, churnDur, rate, cycles, seed)
 	for k := 0; k < cycles; k++ {
-		target := rng.IntN(o.n)
-		at := (0.05 + 0.70*rng.Float64()) * o.dur
+		target := rng.IntN(churnN)
+		at := (0.05 + 0.70*rng.Float64()) * churnDur
 		down := 20 + 40*rng.Float64()
 		fmt.Fprintf(out, "cycle %d: server %d leaves t=%.3f rejoins t=%.3f\n",
 			k, target, at, at+down)
 		svc.LeaveAt(at, target)
 		svc.RejoinAt(at+down, target)
 	}
-	svc.Run(o.dur)
+	svc.Run(churnDur)
 	fmt.Fprintf(out, "churn run: seed=%d steps=%d timeline=%d false-evictions=%d\n",
-		o.seed, svc.Sim.Steps(), timeline, falseEvictions)
-	if err := writeMetrics(o.metrics, reg); err != nil {
+		seed, svc.Sim.Steps(), timeline, falseEvictions)
+	if err := writeMetrics(metrics, reg); err != nil {
 		return err
 	}
 	if falseEvictions > 0 {

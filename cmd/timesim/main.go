@@ -7,13 +7,12 @@
 //	timesim -list
 //	timesim -experiment fig3
 //	timesim -experiment E9
-//	timesim -all
-//	timesim -all -parallel 0        # fan out over GOMAXPROCS workers
-//	timesim -ablations -parallel 4  # identical output, 4 workers
+//	timesim -all                       # experiments fan out over GOMAXPROCS
+//	timesim -ablations -csv            # identical output at any GOMAXPROCS
 //	timesim -chaos -campaigns 60 -chaos-seed 1
 //	timesim -chaos -adversarial -campaigns 50   # hill-climb Byzantine schedules
 //	timesim -chaos -replay internal/chaos/corpus/buggy-mm-churn.repro
-//	timesim -txn -txn-seed 7 -txn-n 4  # commit-wait transaction timeline demo
+//	timesim -txn -txn-seed 7           # commit-wait transaction timeline demo
 //	timesim -churn 2 -churn-seed 7     # dynamic-membership timeline demo
 //	timesim -metrics out.json -trace-out spans.jsonl   # instrumented demo run
 //	timesim -chaos -campaigns 60 -metrics chaos.json   # observed campaigns
@@ -31,10 +30,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"disttime/internal/experiments"
-	"disttime/internal/par"
 )
 
 func main() {
@@ -53,39 +50,24 @@ func run(args []string, out io.Writer) error {
 		ablations = fs.Bool("ablations", false, "run every ablation study in order")
 		asCSV     = fs.Bool("csv", false, "emit tables as CSV instead of aligned text")
 		figures   = fs.Bool("figures", false, "render the paper's four figures as interval diagrams")
-		parallel  = fs.Int("parallel", 1, "worker budget for -all/-ablations and per-experiment trials (0 = GOMAXPROCS); output is byte-identical at any setting")
 		doChaos   = fs.Bool("chaos", false, "run randomized fault campaigns under the theorem-invariant monitor")
 		campaigns = fs.Int("campaigns", 60, "number of chaos campaigns to run (with -chaos)")
 		chaosSeed = fs.Uint64("chaos-seed", 1, "first campaign seed (with -chaos; campaigns use consecutive seeds)")
 		replay    = fs.String("replay", "", "replay a chaos reproducer: a literal line or a corpus file path (with -chaos)")
-		noShrink  = fs.Bool("no-shrink", false, "report failing chaos campaigns without minimizing them")
 		advSearch = fs.Bool("adversarial", false, "hill-climb Byzantine fault schedules toward an invariant violation instead of sampling (with -chaos)")
 		advSteps  = fs.Int("adv-steps", 20, "mutation steps per adversarial search (with -chaos -adversarial)")
 		doTxn     = fs.Bool("txn", false, "run the commit-wait transaction demo: HLC-stamped transactions with external-consistency checking; prints the deterministic commit timeline")
 		txnSeed   = fs.Uint64("txn-seed", 1, "seed of the txn demo (with -txn); equal seeds give byte-identical timelines")
-		txnN      = fs.Int("txn-n", 4, "cluster size of the txn demo (with -txn); one client per server")
-		txnRate   = fs.Float64("txn-rate", 1, "per-client transaction rate in transactions per virtual second (with -txn)")
-		txnDur    = fs.Float64("txn-dur", 120, "virtual duration in seconds of the txn demo (with -txn)")
 		churnRate = fs.Float64("churn", 0, "run the dynamic-membership demo: voluntary leave/rejoin cycles per 100 simulated seconds; prints the deterministic membership timeline")
 		churnSeed = fs.Uint64("churn-seed", 1, "seed of the churn demo (with -churn); equal seeds give byte-identical timelines")
-		churnN    = fs.Int("churn-n", 5, "cluster size of the churn demo (with -churn)")
-		churnDur  = fs.Float64("churn-dur", 300, "virtual duration in seconds of the churn demo (with -churn)")
 		metrics   = fs.String("metrics", "", "write a deterministic metrics snapshot (JSON) to this path; alone it runs the instrumented demo scenario, with -chaos it observes the campaigns")
 		traceOut  = fs.String("trace-out", "", "write sync-round spans (JSONL) to this path; runs the instrumented demo scenario")
-		obsSeed   = fs.Uint64("obs-seed", 1, "seed for the instrumented demo scenario (with -metrics/-trace-out)")
-		obsDur    = fs.Float64("obs-dur", 600, "virtual duration in seconds of the instrumented demo scenario")
 		doScale   = fs.Bool("scale", false, "run the S1 scale sweep (10k/50k/100k servers) on the scale engine")
 		scaleFor  = fs.Float64("scale-until", 600, "virtual duration in seconds per scale-sweep size (with -scale)")
-		scaleSeed = fs.Uint64("scale-seed", 1, "seed of the scale sweep (with -scale)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	workers := *parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	defer par.SetLimit(par.SetLimit(workers))
 	emit := func(tbl experiments.Table) error {
 		if *asCSV {
 			return tbl.WriteCSV(out)
@@ -94,40 +76,22 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	obs := obsOpts{metrics: *metrics, traceOut: *traceOut, seed: *obsSeed, dur: *obsDur}
-
 	switch {
 	case *doChaos:
 		return runChaos(chaosOpts{
 			campaigns:   *campaigns,
 			seed:        *chaosSeed,
 			replay:      *replay,
-			shrink:      !*noShrink,
 			metrics:     *metrics,
 			adversarial: *advSearch,
 			advSteps:    *advSteps,
 		}, out)
 	case *doTxn:
-		return runTxn(txnOpts{
-			seed:    *txnSeed,
-			n:       *txnN,
-			rate:    *txnRate,
-			dur:     *txnDur,
-			metrics: *metrics,
-		}, out)
+		return runTxn(*txnSeed, *metrics, out)
 	case *churnRate > 0:
-		return runChurn(churnOpts{
-			rate:    *churnRate,
-			seed:    *churnSeed,
-			n:       *churnN,
-			dur:     *churnDur,
-			metrics: *metrics,
-		}, out)
+		return runChurn(*churnRate, *churnSeed, *metrics, out)
 	case *doScale:
-		tbl, err := experiments.ScaleSweep(experiments.ScaleConfig{
-			Seed:  *scaleSeed,
-			Until: *scaleFor,
-		})
+		tbl, err := experiments.ScaleSweep(experiments.ScaleConfig{Until: *scaleFor})
 		if err != nil {
 			fmt.Fprintln(out, tbl)
 			return fmt.Errorf("scale sweep: %w", err)
@@ -159,8 +123,8 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("%s (%s): %w", e.ID, e.Source, err)
 		}
 		return emit(tbl)
-	case obs.active():
-		return runObserved(obs, out)
+	case *metrics != "" || *traceOut != "":
+		return runObserved(*metrics, *traceOut, out)
 	default:
 		fs.Usage()
 		return fmt.Errorf("nothing to do: pass -list, -all, -ablations, -figures, -experiment, or -chaos")

@@ -9,33 +9,31 @@ import (
 	"disttime/internal/service"
 )
 
-// obsOpts carries the observability flags.
-type obsOpts struct {
-	metrics  string // -metrics: registry snapshot JSON path
-	traceOut string // -trace-out: sync-round span JSONL path
-	seed     uint64 // -obs-seed: demo scenario seed
-	dur      float64
-}
-
-func (o obsOpts) active() bool { return o.metrics != "" || o.traceOut != "" }
+// The instrumented demo scenario runs under obsSeed for obsDur virtual
+// seconds.
+const (
+	obsSeed = 1
+	obsDur  = 600.0
+)
 
 // runObserved executes the instrumented demo scenario: a four-server
-// full-mesh MM service with mixed drift rates, run for a fixed virtual
-// duration under the given seed with the full observability layer
-// attached. The metrics snapshot and the span log are pure functions of
-// the seed — two invocations with the same flags write byte-identical
-// files — which is the determinism contract DESIGN.md §12 specifies and
-// the obs smoke test enforces.
-func runObserved(o obsOpts, out io.Writer) error {
+// full-mesh MM service with mixed drift rates, run for obsDur virtual
+// seconds under obsSeed with the full observability layer attached,
+// writing the metrics snapshot to metrics and the span log to traceOut
+// (an empty path skips either). Both files are pure functions of the
+// scenario — two invocations write byte-identical files — which is the
+// determinism contract DESIGN.md §12 specifies and the obs smoke test
+// enforces.
+func runObserved(metrics, traceOut string, out io.Writer) error {
 	reg := obs.NewRegistry()
-	tr, closeTrace, err := openTracer(o.traceOut)
+	tr, closeTrace, err := openTracer(traceOut)
 	if err != nil {
 		return err
 	}
 	defer closeTrace()
 
 	svc, err := service.New(service.Config{
-		Seed: o.seed,
+		Seed: obsSeed,
 		Servers: []service.ServerSpec{
 			{Delta: 1e-4, Drift: 5e-5, InitialError: 0.05, SyncEvery: 10},
 			{Delta: 1e-4, Drift: -8e-5, InitialError: 0.05, SyncEvery: 10},
@@ -47,20 +45,16 @@ func runObserved(o obsOpts, out io.Writer) error {
 		return err
 	}
 	svc.Observe(reg, tr)
-	dur := o.dur
-	if dur <= 0 {
-		dur = 600
-	}
-	svc.Run(dur)
+	svc.Run(obsDur)
 
-	if err := writeMetrics(o.metrics, reg); err != nil {
+	if err := writeMetrics(metrics, reg); err != nil {
 		return err
 	}
 	if err := tr.Err(); err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
 	fmt.Fprintf(out, "observed run: seed=%d dur=%gs steps=%d spans=%d\n",
-		o.seed, dur, svc.Sim.Steps(), tr.Spans())
+		obsSeed, obsDur, svc.Sim.Steps(), tr.Spans())
 	return nil
 }
 

@@ -11,16 +11,16 @@ import (
 	"disttime/internal/txn"
 )
 
-// txnOpts carries the -txn flags.
-type txnOpts struct {
-	seed    uint64  // -txn-seed
-	n       int     // -txn-n: cluster size (one client per server)
-	rate    float64 // -txn-rate: per-client transactions per virtual second
-	dur     float64 // -txn-dur: virtual duration, seconds
-	metrics string  // -metrics, shared with the other modes
-}
+// The txn demo's cluster: txnN servers with one client each, every
+// client committing txnRate transactions per virtual second for txnDur
+// virtual seconds.
+const (
+	txnN    = 4
+	txnRate = 1.0
+	txnDur  = 120.0
+)
 
-// runTxn runs the commit-wait transaction demo: an n-server mesh whose
+// runTxn runs the commit-wait transaction demo: a txnN-server mesh whose
 // clocks start skewed but contained, with one client per server
 // stamping transactions from the server's hybrid logical clock and
 // committing only after the TrueTime-style commit-wait, printing the
@@ -28,21 +28,13 @@ type txnOpts struct {
 //
 // The service is seeded and the workload draws its think gaps from the
 // service's simulator, so the entire output is a pure function of the
-// flags: two invocations with the same seed are byte-identical, which
+// seed: two invocations with the same seed are byte-identical, which
 // `make txn-smoke` and the CLI tests enforce. A VIOLATION line (a
 // commit whose timestamp does not exceed one committed before its
 // start) would mark an external-consistency break and exits nonzero.
-func runTxn(o txnOpts, out io.Writer) error {
-	if o.n < 2 {
-		return fmt.Errorf("txn demo needs at least 2 servers, got %d", o.n)
-	}
-	if o.rate <= 0 {
-		o.rate = 1
-	}
-	if o.dur <= 0 {
-		o.dur = 300
-	}
-	specs := make([]service.ServerSpec, o.n)
+// A non-empty metrics path receives the run's metrics snapshot.
+func runTxn(seed uint64, metrics string, out io.Writer) error {
+	specs := make([]service.ServerSpec, txnN)
 	for i := range specs {
 		// Deterministic mixed drifts inside the claimed bound and initial
 		// offsets spread across the error envelope — the skew that makes
@@ -50,13 +42,13 @@ func runTxn(o txnOpts, out io.Writer) error {
 		specs[i] = service.ServerSpec{
 			Delta:         1e-4,
 			Drift:         1e-4 * (1 - 2*float64(i%2)),
-			InitialOffset: 0.04 - 0.08*float64(i)/float64(o.n-1),
+			InitialOffset: 0.04 - 0.08*float64(i)/(txnN-1),
 			InitialError:  0.05,
 			SyncEvery:     20,
 		}
 	}
 	svc, err := service.New(service.Config{
-		Seed:    o.seed,
+		Seed:    seed,
 		Delay:   simnet.Uniform{Max: 0.05},
 		Fn:      core.IM{},
 		Servers: specs,
@@ -65,15 +57,15 @@ func runTxn(o txnOpts, out io.Writer) error {
 		return err
 	}
 	var reg *obs.Registry
-	if o.metrics != "" {
+	if metrics != "" {
 		reg = obs.NewRegistry()
 		svc.Observe(reg, nil)
 	}
 	fmt.Fprintf(out, "txn demo: n=%d dur=%gs rate=%g/client seed=%d waiter=commit-wait\n",
-		o.n, o.dur, o.rate, o.seed)
+		txnN, txnDur, txnRate, seed)
 	w, err := txn.Attach(svc, txn.Config{
-		Clients: o.n,
-		Rate:    o.rate,
+		Clients: txnN,
+		Rate:    txnRate,
 		OnCommit: func(x txn.Txn) {
 			fmt.Fprintf(out, "commit client=%d seq=%d start=%.6f commit=%.6f wait=%.6f ts=%v\n",
 				x.Client, x.Seq, x.Start, x.Commit, x.Commit-x.Start, x.TS)
@@ -85,11 +77,11 @@ func runTxn(o txnOpts, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	svc.Run(o.dur)
+	svc.Run(txnDur)
 	maxTS, maxNode := w.MaxCommitted()
 	fmt.Fprintf(out, "txn run: seed=%d steps=%d commits=%d violations=%d max-ts=%v@server%d\n",
-		o.seed, svc.Sim.Steps(), w.Commits, w.Violations, maxTS, maxNode)
-	if err := writeMetrics(o.metrics, reg); err != nil {
+		seed, svc.Sim.Steps(), w.Commits, w.Violations, maxTS, maxNode)
+	if err := writeMetrics(metrics, reg); err != nil {
 		return err
 	}
 	if w.Violations > 0 {

@@ -5,6 +5,9 @@
 // requests the time from any set of servers" — and, with intervals, gets a
 // bound on how wrong its clock can be.
 //
+// Each round asks every server once, over one socket, and waits at most
+// a second for the replies.
+//
 // With -serve the daemon becomes a full peer: it also answers time
 // requests on the given address from the clock it is disciplining, which
 // is exactly what the paper's time servers do.
@@ -40,12 +43,10 @@ func run(args []string) error {
 	var (
 		servers  = fs.String("servers", "", "comma-separated UDP time server addresses")
 		interval = fs.Duration("interval", 64*time.Second, "polling period (the paper's tau)")
-		timeout  = fs.Duration("timeout", time.Second, "per-server query timeout")
 		doSel    = fs.Bool("select", false, "reject falsetickers with majority selection")
 		driftPPM = fs.Float64("drift-ppm", 100, "claimed drift bound of the local oscillator, ppm")
 		serve    = fs.String("serve", "", "also serve time on this UDP address (become a full peer)")
 		id       = fs.Uint64("id", 1, "server identity when serving")
-		burst    = fs.Int("burst", 1, "queries per server per round, keeping the minimum-RTT one")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -82,16 +83,14 @@ func run(args []string) error {
 			Clock:     dc,
 			Peers:     strings.Split(*servers, ","),
 			Interval:  *interval,
-			Timeout:   *timeout,
 			Selection: *doSel,
-			Burst:     *burst,
 			OnSync:    report(dc),
 		})
 		if err != nil {
 			return err
 		}
-		log.Printf("timesyncd peer %d serving on %v, polling %s every %v (selection=%v, burst=%d)",
-			*id, peer.Addr(), *servers, *interval, *doSel, *burst)
+		log.Printf("timesyncd peer %d serving on %v, polling %s every %v (selection=%v)",
+			*id, peer.Addr(), *servers, *interval, *doSel)
 		<-stop
 		log.Printf("stopped after %d rounds, %d requests answered", peer.Rounds(), peer.Requests())
 		return peer.Close()
@@ -104,9 +103,7 @@ func run(args []string) error {
 	syncer, err := udptime.NewSyncer(dc, udptime.SyncerConfig{
 		Servers:   strings.Split(*servers, ","),
 		Interval:  *interval,
-		Timeout:   *timeout,
 		Selection: *doSel,
-		Burst:     *burst,
 		OnSync:    report(dc),
 	})
 	if err != nil {

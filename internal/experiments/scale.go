@@ -37,8 +37,6 @@ func DefaultScaleSizes() []ScaleSize {
 type ScaleConfig struct {
 	// Sizes to run; nil means DefaultScaleSizes.
 	Sizes []ScaleSize
-	// Seed roots the run.
-	Seed uint64
 	// Until is the virtual duration in seconds; values <= 0 mean 600
 	// (ten sync rounds at tau=60).
 	Until float64
@@ -47,7 +45,9 @@ type ScaleConfig struct {
 // ScaleSweep (S1) runs the sweep and checks the skew gradient at every
 // size. The per-size engine parameters mirror the theorem experiments:
 // tau=60, delta=1e-4, honest drifts, and delay bands widening by a
-// decade per tier (LAN 0.2-2ms, uplink 2-10ms, backbone 20-80ms).
+// decade per tier (LAN 0.2-2ms, uplink 2-10ms, backbone 20-80ms). Each
+// size seeds its engine from its node count, so a size's row is the same
+// in any sweep.
 func ScaleSweep(cfg ScaleConfig) (Table, error) {
 	sizes := cfg.Sizes
 	if sizes == nil {
@@ -68,7 +68,7 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 	for _, sz := range sizes {
 		eng, err := scale.New(scale.Config{
 			Topo:         scale.Topology{Regions: sz.Regions, Clusters: sz.Clusters, Members: sz.Members},
-			Seed:         cfg.Seed + 31*uint64(sz.Nodes()),
+			Seed:         1 + 31*uint64(sz.Nodes()),
 			Tau:          60,
 			K:            8,
 			Delta:        1e-4,
@@ -119,7 +119,6 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 func ScaleSweepSmoke() (Table, error) {
 	return ScaleSweep(ScaleConfig{
 		Sizes: []ScaleSize{{Name: "2k", Regions: 8, Clusters: 10, Members: 25}},
-		Seed:  1,
 	})
 }
 

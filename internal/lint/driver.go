@@ -23,7 +23,7 @@ const (
 	ExitError    = 2 // usage, load, or type-check failure
 )
 
-// Main runs the lint driver: disttimelint [-json] [-checks a,b] [-v]
+// Main runs the lint driver: disttimelint [-json] [-checks a,b]
 // [patterns...]. Patterns are directories or "dir/..." walks, resolved
 // relative to the current directory; the default is "./...". It returns
 // the process exit code.
@@ -32,7 +32,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	checksFlag := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
-	verbose := fs.Bool("v", false, "list packages as they are checked")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: disttimelint [-json] [-checks a,b] [patterns...]\n\nchecks:\n")
 		for _, a := range Analyzers() {
@@ -80,9 +79,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			fmt.Fprintf(stderr, "disttimelint: %v\n", err)
 			return ExitError
-		}
-		if *verbose {
-			fmt.Fprintf(stderr, "checking %s\n", importPath)
 		}
 		pkg, err := loader.LoadDir(dir, importPath)
 		if err != nil {

@@ -18,7 +18,7 @@
 //	             reading is a <C, E> pair, not the OS clock).
 //	globalrand — no package-level math/rand(/v2) draws; randomness flows
 //	             through injected, seeded generators so experiments are
-//	             byte-identical under -parallel.
+//	             byte-identical at any worker count.
 //	atomicmix  — no function-style sync/atomic calls: their operand is an
 //	             ordinary word a plain access can tear, and the typed
 //	             atomics the tree uses cannot be mixed at all.

@@ -120,8 +120,8 @@ type Client struct {
 	closed bool
 }
 
-// clientConfig is what NewClient, its options, SetLocalClock and Observe
-// set, and what one round runs under.
+// clientConfig is what NewClient, its options and SetLocalClock set, and
+// what one round runs under.
 type clientConfig struct {
 	timeout time.Duration
 	local   ClockSource
@@ -163,7 +163,19 @@ func WithHLC(c *hlc.Clock) ClientOption { return clientHLCOption{c: c} }
 
 type clientObsOption struct{ reg *obs.Registry }
 
-func (c clientObsOption) applyClient(cl *Client) { cl.resolveMetrics(c.reg) }
+func (c clientObsOption) applyClient(cl *Client) {
+	if c.reg == nil {
+		return
+	}
+	//lint:ignore guardedby options are applied inside NewClient before the client is published, so no other goroutine can observe the write
+	cl.cfg.metrics = clientMetrics{
+		queries:  c.reg.Counter("udptime_client_queries_total"),
+		errors:   c.reg.Counter("udptime_client_query_errors_total"),
+		timeouts: c.reg.Counter("udptime_client_timeouts_total"),
+		strays:   c.reg.Counter("udptime_client_stray_datagrams_total"),
+		rtt:      c.reg.LogHistogram("udptime_client_rtt_seconds"),
+	}
+}
 
 // WithClientObservability resolves the client's metrics in reg: query,
 // error, timeout, and stray-datagram counters plus a round-trip-time
@@ -187,26 +199,6 @@ func (c *Client) SetLocalClock(src ClockSource) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cfg.local = src
-}
-
-// Observe resolves the client's metrics in reg (see
-// WithClientObservability). A nil registry detaches the handles.
-func (c *Client) Observe(reg *obs.Registry) { c.resolveMetrics(reg) }
-
-func (c *Client) resolveMetrics(reg *obs.Registry) {
-	var m clientMetrics
-	if reg != nil {
-		m = clientMetrics{
-			queries:  reg.Counter("udptime_client_queries_total"),
-			errors:   reg.Counter("udptime_client_query_errors_total"),
-			timeouts: reg.Counter("udptime_client_timeouts_total"),
-			strays:   reg.Counter("udptime_client_stray_datagrams_total"),
-			rtt:      reg.LogHistogram("udptime_client_rtt_seconds"),
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cfg.metrics = m
 }
 
 // checkout returns the configuration and a socket for one round: an idle
@@ -612,29 +604,4 @@ func adopt(dc *DisciplinedClock, ivs []interval.Interval) (interval.Interval, er
 		return interval.Interval{}, err
 	}
 	return interval.Interval{Lo: a, Hi: b}, nil
-}
-
-// QueryManyBurst runs k rounds of QueryMany (at least one) and keeps the
-// minimum-RTT measurement per server. A delay spike can only widen an
-// offset interval (the requester charges the whole round trip to the
-// leading edge), so the fastest exchange of a burst carries the tightest
-// honest interval — the measurement filter of the [Mills 81] lineage the
-// paper cites for clock measurement. It returns an error, that of every
-// failed attempt, only when some server answered in no round.
-func (c *Client) QueryManyBurst(addrs []string, k int) ([]Measurement, error) {
-	best := make([]Measurement, len(addrs))
-	ms := make([]Measurement, len(addrs))
-	var errs []error
-	for k = max(k, 1); k > 0; k-- {
-		errs = append(errs, c.round(addrs, ms))
-		for i, m := range ms {
-			if !m.recv.IsZero() && (best[i].recv.IsZero() || m.RTT < best[i].RTT) {
-				best[i] = m
-			}
-		}
-	}
-	if best = answered(best); len(best) < len(addrs) {
-		return best, fmt.Errorf("udptime: burst failed: %w", errors.Join(errs...))
-	}
-	return best, nil
 }

@@ -231,9 +231,6 @@ func TestClientClose(t *testing.T) {
 	if _, err := client.Query(srv.Addr().String()); !errors.Is(err, net.ErrClosed) {
 		t.Errorf("query after Close: %v, want net.ErrClosed", err)
 	}
-	if ms, err := client.QueryManyBurst([]string{srv.Addr().String()}, 2); len(ms) != 0 || !errors.Is(err, net.ErrClosed) {
-		t.Errorf("burst after Close: %v, %v, want net.ErrClosed", ms, err)
-	}
 }
 
 // TestIdleSocketsCapped: however many rounds ran at once, the client

@@ -27,9 +27,6 @@ type LoadConfig struct {
 	Window int
 	// Batch is the I/O batch size per connection (default 32).
 	Batch int
-	// Rate caps the total request rate across all connections, in
-	// requests per second; zero means unlimited (pure closed loop).
-	Rate float64
 	// Duration bounds the run (default one second when MaxRequests is
 	// also zero).
 	Duration time.Duration
@@ -223,24 +220,11 @@ func (g *loadGen) runConn() error {
 	// Window > MaxWindow, so slots fit the mask exactly.
 	const slotMask = MaxWindow - 1
 
-	perConnRate := g.cfg.Rate / float64(g.cfg.Conns)
-	var issued float64
-	connStart := time.Now()
-
 	launch := func() error {
 		for nFree > 0 {
 			want := nFree
 			if want > g.cfg.Batch {
 				want = g.cfg.Batch
-			}
-			if perConnRate > 0 {
-				allowance := perConnRate*time.Since(connStart).Seconds() - issued
-				if allowance < 1 {
-					break
-				}
-				if float64(want) > allowance {
-					want = int(allowance)
-				}
 			}
 			want = g.reserve(want)
 			if want == 0 {
@@ -261,7 +245,6 @@ func (g *loadGen) runConn() error {
 			}
 			g.sent.Add(uint64(want))
 			g.reqs.Add(uint64(want))
-			issued += float64(want)
 		}
 		return nil
 	}
@@ -275,12 +258,9 @@ func (g *loadGen) runConn() error {
 			return err
 		}
 		if nInflight == 0 {
-			// Nothing outstanding: done, or pacing/budget idle.
+			// Nothing outstanding: done, or the budget is spent.
 			if time.Now().After(g.end) || (g.cfg.MaxRequests > 0 && g.budget.Load() >= g.cfg.MaxRequests) {
 				return nil
-			}
-			if perConnRate > 0 {
-				time.Sleep(time.Duration(float64(time.Second) / perConnRate))
 			}
 			continue
 		}

@@ -236,7 +236,6 @@ func TestConcurrentQueriesRaceClean(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				client.SetLocalClock(nil)
-				client.Observe(reg)
 			}
 		}()
 		wg.Add(1)

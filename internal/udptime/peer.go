@@ -60,8 +60,6 @@ type PeerConfig struct {
 	Timeout time.Duration
 	// Selection enables falseticker rejection.
 	Selection bool
-	// Burst is the per-server queries per round (min-RTT kept).
-	Burst int
 	// Metrics, when non-nil, receives the peer's observability: the
 	// syncer's round counters and histograms plus, with Seeds, the
 	// membership gauges (alive/known members) and gossip counters.
@@ -111,7 +109,6 @@ func newPeer(cfg PeerConfig, listen newServerFunc) (*Peer, error) {
 		Interval:  cfg.Interval,
 		Timeout:   cfg.Timeout,
 		Selection: cfg.Selection,
-		Burst:     cfg.Burst,
 		Metrics:   cfg.Metrics,
 		OnSync:    cfg.OnSync,
 	}

@@ -3,7 +3,6 @@ package udptime
 import (
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"net/http"
 	"sync"
@@ -48,7 +47,6 @@ type Server struct {
 	conn   *net.UDPConn
 	shards []batchIO
 	loops  sync.WaitGroup
-	logger *log.Logger
 
 	requests  atomic.Uint64
 	malformed atomic.Uint64
@@ -81,10 +79,6 @@ type ServerOption interface {
 	applyServer(*Server)
 }
 
-type serverLoggerOption struct{ logger *log.Logger }
-
-func (o serverLoggerOption) applyServer(s *Server) { s.logger = o.logger }
-
 // advertiseOption installs the membership dispatch: version-2 advertise
 // datagrams are handed to the handler instead of the request parser.
 // Internal — membership is enabled through PeerConfig.Seeds, not as a
@@ -94,12 +88,6 @@ type advertiseOption struct {
 }
 
 func (o advertiseOption) applyServer(s *Server) { s.advertise = o.handler }
-
-// WithServerLogger routes malformed-datagram diagnostics to logger
-// (default: silent).
-func WithServerLogger(logger *log.Logger) ServerOption {
-	return serverLoggerOption{logger: logger}
-}
 
 // BatchConfig sizes a NewBatchServer server.
 type BatchConfig struct {
@@ -259,7 +247,7 @@ func (s *Server) serve(bc batchIO) {
 		// for all of them.
 		c, maxErr, synced := s.src.Now()
 		served := s.respond(bt, n, c, maxErr, synced)
-		if served < n {
+		if served < n && s.advertise != nil {
 			s.unanswered(bc, n)
 		}
 		if served == 0 {
@@ -344,10 +332,11 @@ func (s *Server) respond(bt *ioBatch, n int, c time.Time, maxErr time.Duration, 
 	return served
 }
 
-// unanswered is the cold path over the slots respond left empty:
-// membership heartbeats go to the advertise handler, and the rest are
-// logged when a logger is configured. It may allocate, which is why it
-// sits outside respond, which an AllocsPerRun test holds at zero.
+// unanswered is the cold path over the slots respond left empty when a
+// Peer has installed the advertise handler: membership heartbeats go to
+// it, and one that fails to parse is counted as malformed. It may
+// allocate, which is why it sits outside respond, which an AllocsPerRun
+// test holds at zero.
 func (s *Server) unanswered(bc batchIO, n int) {
 	bt := bc.Batch()
 	for i := 0; i < n; i++ {
@@ -355,18 +344,16 @@ func (s *Server) unanswered(bc batchIO, n int) {
 			continue
 		}
 		in := bt.recv[i]
-		if typ, _ := wire.PeekType(in); typ == wire.TypeAdvertise && s.advertise != nil {
-			_, entries, err := wire.ParseAdvertise(in)
-			if err == nil {
-				s.advertise(net.UDPAddrFromAddrPort(bc.Peer(i)), entries)
-				continue
-			}
+		if typ, _ := wire.PeekType(in); typ != wire.TypeAdvertise {
+			continue
+		}
+		_, entries, err := wire.ParseAdvertise(in)
+		if err != nil {
 			s.malformed.Add(1)
 			s.obsMalformed.Inc()
+			continue
 		}
-		if s.logger != nil {
-			s.logger.Printf("udptime: bad datagram from %v (%d bytes)", bc.Peer(i), len(in))
-		}
+		s.advertise(net.UDPAddrFromAddrPort(bc.Peer(i)), entries)
 	}
 }
 

@@ -49,10 +49,6 @@ type SyncerConfig struct {
 	// Selection enables falseticker rejection (SyncSelect) instead of
 	// the plain intersection (SyncIM).
 	Selection bool
-	// Burst is how many back-to-back queries to send per server each
-	// round, keeping the minimum-RTT measurement (the [Mills 81]-lineage
-	// delay filter). Defaults to 1 (no burst).
-	Burst int
 	// Metrics, when non-nil, receives the syncer's observability: round
 	// and failure counters, applied error-bound and offset histograms,
 	// plus the underlying client's query counters and RTT histogram.
@@ -71,9 +67,12 @@ type SyncReport struct {
 	// Applied is the offset interval applied to the clock, valid only
 	// when Err is nil.
 	Applied interval.Interval
-	// Survivors and Falsetickers describe the selection outcome (under
-	// Selection; otherwise Survivors == Measurements).
-	Survivors    int
+	// Survivors is how many synchronized measurements the round used:
+	// every one under the plain intersection, the selected ones under
+	// Selection. Unsynchronized answers count in Measurements only.
+	Survivors int
+	// Falsetickers is how many synchronized measurements Selection
+	// rejected (zero without Selection).
 	Falsetickers int
 	// Err is the round's failure, if any. The clock is untouched on
 	// failure and keeps deteriorating per its drift bound.
@@ -183,7 +182,7 @@ func (s *Syncer) targets() []string {
 
 func (s *Syncer) round() {
 	servers := s.targets()
-	ms, qerr := s.client.QueryManyBurst(servers, s.cfg.Burst)
+	ms, qerr := s.client.QueryMany(servers)
 	report := SyncReport{When: time.Now(), Measurements: len(ms)}
 	switch {
 	case len(servers) == 0:
@@ -206,7 +205,11 @@ func (s *Syncer) round() {
 			break
 		}
 		report.Applied = applied
-		report.Survivors = len(ms)
+		for _, m := range ms {
+			if !m.Unsynchronized {
+				report.Survivors++
+			}
+		}
 	}
 	s.metrics.rounds.Inc()
 	if report.Err != nil {

@@ -183,36 +183,53 @@ func TestSyncerReportsFailureWithoutTouchingClock(t *testing.T) {
 	}
 }
 
-func TestSyncerBurst(t *testing.T) {
-	srv := startServer(t, 1, shiftedClock{err: 5 * time.Millisecond, synced: true})
-	dc, err := NewDisciplinedClock(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports := make(chan SyncReport, 4)
-	syncer, err := NewSyncer(dc, SyncerConfig{
-		Servers:  []string{srv.Addr().String()},
-		Interval: time.Minute,
-		Timeout:  time.Second,
-		Burst:    4,
-		OnSync:   func(r SyncReport) { reports <- r },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer syncer.Stop()
-	select {
-	case r := <-reports:
-		if r.Err != nil {
-			t.Fatal(r.Err)
+// TestSyncerSurvivorsCountsSyncedOnly: an unsynchronized server answers
+// and counts in Measurements, but the round does not use it, under the
+// plain intersection or under Selection; and a round asks each server
+// once.
+func TestSyncerSurvivorsCountsSyncedOnly(t *testing.T) {
+	for _, selection := range []bool{false, true} {
+		srvs := []*Server{
+			startServer(t, 1, shiftedClock{err: 10 * time.Millisecond, synced: true}),
+			startServer(t, 2, shiftedClock{err: 10 * time.Millisecond, synced: true}),
+			startServer(t, 3, shiftedClock{err: 10 * time.Millisecond}),
 		}
-		if r.Measurements != 1 {
-			t.Errorf("measurements = %d, want 1 (best of burst)", r.Measurements)
+		var addrs []string
+		for _, srv := range srvs {
+			addrs = append(addrs, srv.Addr().String())
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no report")
-	}
-	if got := srv.Requests(); got != 4 {
-		t.Errorf("server answered %d requests, want burst of 4", got)
+		dc, err := NewDisciplinedClock(100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports := make(chan SyncReport, 4)
+		syncer, err := NewSyncer(dc, SyncerConfig{
+			Servers:   addrs,
+			Interval:  time.Minute, // first immediate round is enough
+			Timeout:   time.Second,
+			Selection: selection,
+			OnSync:    func(r SyncReport) { reports <- r },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case r := <-reports:
+			if r.Err != nil {
+				t.Fatalf("selection=%v: round failed: %v", selection, r.Err)
+			}
+			if r.Measurements != 3 || r.Survivors != 2 || r.Falsetickers != 0 {
+				t.Errorf("selection=%v: Measurements %d, Survivors %d, Falsetickers %d; want 3, 2, 0",
+					selection, r.Measurements, r.Survivors, r.Falsetickers)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("selection=%v: no report", selection)
+		}
+		syncer.Stop()
+		for _, srv := range srvs {
+			if got := srv.Requests(); got != 1 {
+				t.Errorf("selection=%v: server %d answered %d requests, want 1", selection, srv.id, got)
+			}
+		}
 	}
 }

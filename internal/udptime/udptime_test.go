@@ -485,60 +485,3 @@ func TestQueryManyEmpty(t *testing.T) {
 		t.Errorf("QueryMany(nil) = %v, %v", ms, err)
 	}
 }
-
-func TestQueryBurstPicksMinRTT(t *testing.T) {
-	srv := startServer(t, 1, shiftedClock{err: time.Millisecond, synced: true})
-	client := NewClient(2*time.Second, nil)
-	ms, err := client.QueryManyBurst([]string{srv.Addr().String()}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := ms[0]
-	// The burst winner's RTT is no worse than a fresh single query's
-	// typical RTT; mainly: it is a valid measurement.
-	if m.RTT <= 0 {
-		t.Errorf("RTT = %v", m.RTT)
-	}
-	if got := srv.Requests(); got != 5 {
-		t.Errorf("server answered %d requests, want 5", got)
-	}
-}
-
-func TestQueryBurstAllFail(t *testing.T) {
-	silent, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer silent.Close()
-	client := NewClient(50*time.Millisecond, nil)
-	if _, err := client.QueryManyBurst([]string{silent.LocalAddr().String()}, 3); err == nil {
-		t.Error("all-failed burst succeeded")
-	}
-}
-
-func TestQueryBurstKClamped(t *testing.T) {
-	srv := startServer(t, 1, shiftedClock{err: time.Millisecond, synced: true})
-	client := NewClient(2*time.Second, nil)
-	if _, err := client.QueryManyBurst([]string{srv.Addr().String()}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Requests(); got != 1 {
-		t.Errorf("k=0 sent %d requests, want clamped 1", got)
-	}
-}
-
-func TestQueryManyBurst(t *testing.T) {
-	a := startServer(t, 1, shiftedClock{err: time.Millisecond, synced: true})
-	b := startServer(t, 2, shiftedClock{err: time.Millisecond, synced: true})
-	client := NewClient(2*time.Second, nil)
-	ms, err := client.QueryManyBurst([]string{a.Addr().String(), b.Addr().String()}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 2 {
-		t.Fatalf("got %d measurements", len(ms))
-	}
-	if a.Requests() != 3 || b.Requests() != 3 {
-		t.Errorf("requests = %d/%d, want 3/3", a.Requests(), b.Requests())
-	}
-}
