@@ -134,13 +134,16 @@ scale-smoke:
 # batched sharded server on the loopback — zero load errors, replies
 # received and none beyond those sent, all four percentiles printed (see
 # cmd/timeload's TestUDPSmoke) —
-# then, under -race, the paper's oracle on that server: lone queries
-# beside a 64-deep load, every answer's [C-E, C+E] reaching its own send
-# and receive instants with the source's E unwidened (see
-# internal/udptime's TestBatchedReadingContained).
+# then, under -race, the paper's oracle on both serving backends: lone
+# queries beside a 64-deep load, every answer's [C-E, C+E] reaching its
+# own send and receive instants with the source's E unwidened (see
+# internal/udptime's TestBatchedReadingContained), and the batch
+# backend's GRO receive: two trains from one socket cut back into their
+# datagrams, a train too long for its buffer cut and counted, the
+# real-socket loop at zero allocations (TestRecvSplitsGROTrain).
 udp-smoke:
 	$(GO) test ./cmd/timeload -run TestUDPSmoke
-	$(GO) test -race ./internal/udptime -run TestBatchedReadingContained
+	$(GO) test -race ./internal/udptime -run 'TestBatchedReadingContained|TestRecvSplitsGROTrain'
 
 # Observability smoke: the obs package under -race, then the seeded
 # `timesim -metrics -trace-out` snapshot and span log — the determinism

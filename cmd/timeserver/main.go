@@ -63,7 +63,7 @@ func start(args []string) (*udptime.Server, error) {
 		shards = fs.Int("shards", 0,
 			"batched serving shards (0 = one per-packet loop reading the clock per request; >0 = batched I/O and a clock read per batch)")
 		batch = fs.Int("batch", 0,
-			"datagrams per recvmmsg/sendmmsg batch in shard mode (0 = default)")
+			"messages per recvmmsg/sendmmsg vector in shard mode (0 = default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err

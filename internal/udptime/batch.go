@@ -20,17 +20,25 @@ const (
 	maxBatch     = 512
 )
 
-// ioBatch is one reusable set of message slots shared between a batch
+// ioBatch is one reusable set of datagram slots shared between a batch
 // connection and its handler. After Recv fills recv[0:n], the handler
 // prepares send[i] for each slot it wants answered (len 0 = no reply)
 // and calls Send(n). All slices alias buffers retained by the
 // connection for its lifetime: the steady-state serving path allocates
 // nothing per batch.
+//
+// A slot is a datagram, not a message. The connection moves up to its
+// batch size of messages per system call; with UDP GRO one received
+// message can be a train of datagrams from one source, cut into
+// consecutive slots that share that source, so a batch has up to
+// maxGSOSegs slots per message.
 type ioBatch struct {
 	// recv[i] is the i-th received datagram, valid until the next Recv.
 	recv [][]byte
-	// send[i] is the i-th reply buffer: capacity maxDatagram, re-sliced
-	// by the handler. Empty means "no reply for this slot".
+	// send[i] is the i-th reply buffer, re-sliced by the handler; empty
+	// means "no reply for this slot". The first batch-size slots have
+	// capacity maxDatagram, any beyond them the largest reply,
+	// wire.ResponseHLCSize.
 	send [][]byte
 }
 

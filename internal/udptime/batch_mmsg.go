@@ -11,16 +11,21 @@ import (
 	"syscall"
 	"time"
 	"unsafe"
+
+	"disttime/internal/wire"
 )
 
 // The Linux batch fast path: one recvmmsg system call drains up to a
-// full batch of datagrams, one sendmmsg call answers them — the syscall
-// cost per datagram falls by the batch factor, which is the entire win
-// on a serving path whose per-packet work is a 16-byte parse and a
-// 40-byte encode. The raw syscalls integrate with the runtime poller
-// through syscall.RawConn: the callbacks return false on EAGAIN so the
-// goroutine parks in the netpoller instead of spinning, and deadlines
-// and Close behave exactly as they do for the stdlib read path.
+// full vector of messages, one sendmmsg call answers them. The syscall
+// entry is the smaller part of what that saves. On the loopback, and on
+// most NICs, each datagram also walks the IP stack once on the way out
+// and once on the way in; UDP_SEGMENT (below) lets a run of replies
+// walk it once on the way out, and UDP_GRO lets a run of requests from
+// one socket arrive as one message. The raw syscalls integrate with
+// the runtime poller through syscall.RawConn: the callbacks return
+// false on EAGAIN so the goroutine parks in the netpoller instead of
+// spinning, and deadlines and Close behave exactly as they do for the
+// stdlib read path.
 //
 // Restricted to amd64/arm64, where syscall.Msghdr's layout (64-bit
 // Iovlen, 4-byte Namelen padding) matches the struct literals below;
@@ -35,24 +40,30 @@ const msgDontwait = 0x40
 // any address family the socket can hand back.
 const sockaddrStorage = 128
 
-// UDP generalized segmentation offload. Batching system calls with
-// sendmmsg amortizes only the syscall entry: on the loopback (and on
-// most NICs) each datagram still traverses the full IP send path
-// inline. Because every message of this protocol has one of a few
-// fixed sizes (requests 16 or 32 bytes, responses 40 or 56), a run of
-// equal-length datagrams to one peer can instead be handed to the
-// kernel as a single super-datagram — one stack traversal that the
-// kernel splits back into wire-identical individual datagrams at the
-// device layer. That is where the batch backend's throughput multiple
-// over per-packet serving comes from. The segment size rides on each
-// multi-segment message as a UDP_SEGMENT control message, not on the
-// socket, so runs of different lengths share a sendmmsg vector and a
-// lone datagram of any length goes out plain.
+// UDP generalized segmentation offload, both ways. Batching system
+// calls with sendmmsg amortizes only the syscall entry: each datagram
+// still traverses the full IP send path inline. Because every message
+// of this protocol has one of a few fixed sizes (requests 16 or 32
+// bytes, responses 40 or 56), a run of equal-length datagrams to one
+// peer can instead be handed to the kernel as a single super-datagram,
+// one stack traversal. The segment size rides on each multi-segment
+// message as a UDP_SEGMENT control message, not on the socket, so runs
+// of different lengths share a sendmmsg vector and a lone datagram of
+// any length goes out plain. With UDP_GRO on, the receiving socket
+// takes such a train (or one the NIC coalesced) unsplit, as one message
+// whose UDP_GRO control message names the segment size; Recv cuts it
+// back into datagrams.
 const (
 	solUDP     = 17  // SOL_UDP
 	udpSegment = 103 // UDP_SEGMENT (Linux 4.18+)
+	udpGRO     = 104 // UDP_GRO (Linux 5.0+)
 	maxGSOSegs = 64  // UDP_MAX_SEGMENTS floor across supported kernels
 )
+
+// trainBuf is a receive buffer with UDP_GRO on: a whole train of this
+// protocol's largest message, maxGSOSegs × wire.ResponseHLCSize = 3,584
+// bytes, rounded up to a page. A longer train is cut (see split).
+const trainBuf = 4 << 10
 
 // gsoCmsg is one UDP_SEGMENT control message: a cmsghdr, the 16-bit
 // segment size, and padding up to CMSG_SPACE(2).
@@ -62,14 +73,20 @@ type gsoCmsg struct {
 	_   [6]byte
 }
 
-// gsoSupported reports whether the kernel knows UDP_SEGMENT on this
-// socket's address family, by writing the option's off value: the one
-// probe made at construction. Without it every datagram is its own
-// message.
-func gsoSupported(rc syscall.RawConn) bool {
+// groCmsg is the UDP_GRO control message a coalesced message arrives
+// with: a cmsghdr and the int segment size, CMSG_SPACE(4) bytes.
+type groCmsg struct {
+	hdr syscall.Cmsghdr
+	seg int32
+	_   [4]byte
+}
+
+// udpOption sets a SOL_UDP socket option and reports whether the kernel
+// took it: the probes made once at construction.
+func udpOption(rc syscall.RawConn, opt, val int) bool {
 	var serr error
 	cerr := rc.Control(func(fd uintptr) {
-		serr = syscall.SetsockoptInt(int(fd), solUDP, udpSegment, 0)
+		serr = syscall.SetsockoptInt(int(fd), solUDP, opt, val)
 	})
 	return cerr == nil && serr == nil
 }
@@ -83,22 +100,28 @@ type mmsghdr struct {
 }
 
 // mmsgConn is a batchIO over recvmmsg/sendmmsg. All vectors — buffers,
-// iovecs, message headers, sockaddr storage — are laid out once at
-// construction; Recv and Send only rewrite pointers and lengths.
+// iovecs, message headers, sockaddr storage, control messages — are
+// laid out once at construction; Recv and Send only rewrite lengths and
+// pointers. Receive state is per message (a datagram, or with UDP_GRO a
+// train of them from one source); the ioBatch is per datagram, and
+// msgOf maps a slot back to its message.
 type mmsgConn struct {
 	conn      *net.UDPConn
 	rc        syscall.RawConn
 	bt        ioBatch
 	connected bool
-	maxSegs   int // datagrams per message: maxGSOSegs with GSO, else 1
+	maxSegs   int  // datagrams per sent message: maxGSOSegs with GSO, else 1
+	gro       bool // UDP_GRO on: a received message may be a train
 
-	rbufs  [][]byte // full-length receive backing arrays
-	rnames [][]byte // per-slot sockaddr storage
+	rbufs  [][]byte // per-message receive buffers
+	rnames [][]byte // per-message sockaddr storage
+	rctls  []groCmsg
 	riovs  []syscall.Iovec
 	rhdrs  []mmsghdr
-	siovs  []syscall.Iovec
-	shdrs  []mmsghdr
-	sctls  []gsoCmsg // per-message control buffers, headers prefilled
+	msgOf  []uint16        // receive slot → message index (< maxBatch)
+	siovs  []syscall.Iovec // one per slot
+	shdrs  []mmsghdr       // one sendmmsg vector
+	sctls  []gsoCmsg       // per-message control buffers, headers prefilled
 
 	// Results ferried out of the raw-access callbacks, which are built
 	// once here so the hot path never allocates a closure.
@@ -111,26 +134,53 @@ type mmsgConn struct {
 	writeFn func(fd uintptr) bool
 }
 
-// newBatchConn wraps conn for batch I/O. Where the kernel supports
-// UDP_SEGMENT the connection coalesces runs of equal-length sends to
-// one peer into GSO super-datagrams.
+// newBatchConn wraps conn for batch I/O, size messages per vector.
+// Where the kernel supports UDP_SEGMENT the connection coalesces runs
+// of equal-length sends to one peer into GSO super-datagrams; where it
+// takes UDP_GRO, each of the size messages a Recv drains may carry up
+// to maxGSOSegs datagrams, and the slot set grows to match.
 func newBatchConn(conn *net.UDPConn, size int, connected bool) (batchIO, error) {
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return nil, err
 	}
 	c := &mmsgConn{conn: conn, rc: rc, connected: connected, maxSegs: 1}
-	if gsoSupported(rc) {
+	if udpOption(rc, udpSegment, 0) { // the off value: a probe
 		c.maxSegs = maxGSOSegs
 	}
-	c.bt, c.rbufs = newIOBatch(size)
-	c.rnames = make([][]byte, size)
-	for i := range c.rnames {
-		c.rnames[i] = make([]byte, sockaddrStorage)
+	c.gro = udpOption(rc, udpGRO, 1)
+	slots, rlen := size, maxDatagram
+	if c.gro {
+		slots, rlen = size*maxGSOSegs, trainBuf
 	}
+
+	c.rbufs = carve(size, rlen, rlen)
+	c.rnames = carve(size, sockaddrStorage, sockaddrStorage)
+	c.rctls = make([]groCmsg, size)
 	c.riovs = make([]syscall.Iovec, size)
 	c.rhdrs = make([]mmsghdr, size)
-	c.siovs = make([]syscall.Iovec, size)
+	for i := range c.rhdrs {
+		c.riovs[i] = syscall.Iovec{Base: &c.rbufs[i][0]}
+		c.riovs[i].SetLen(rlen)
+		h := &c.rhdrs[i].hdr
+		h.Iov, h.Iovlen = &c.riovs[i], 1
+		if !connected {
+			h.Name = &c.rnames[i][0]
+		}
+		if c.gro {
+			h.Control = (*byte)(unsafe.Pointer(&c.rctls[i]))
+		}
+	}
+	c.msgOf = make([]uint16, slots)
+	c.bt.recv = make([][]byte, slots)
+	// The first size send slots take anything a caller writes; the rest
+	// exist only to answer the datagrams of a train, so they hold a reply
+	// of this protocol at most.
+	c.bt.send = carve(size, maxDatagram, 0)
+	if slots > size {
+		c.bt.send = append(c.bt.send, carve(slots-size, wire.ResponseHLCSize, 0)...)
+	}
+	c.siovs = make([]syscall.Iovec, slots)
 	c.shdrs = make([]mmsghdr, size)
 	c.sctls = make([]gsoCmsg, size)
 	for i := range c.sctls {
@@ -176,14 +226,25 @@ func newBatchConn(conn *net.UDPConn, size int, connected bool) (batchIO, error) 
 	return c, nil
 }
 
+// carve cuts n buffers of length l and capacity each from one
+// allocation.
+func carve(n, each, l int) [][]byte {
+	arena := make([]byte, n*each)
+	bufs := make([][]byte, n)
+	for i := range bufs {
+		bufs[i] = arena[i*each : i*each+l : (i+1)*each]
+	}
+	return bufs
+}
+
 func (c *mmsgConn) Batch() *ioBatch { return &c.bt }
 func (c *mmsgConn) Close() error    { return c.conn.Close() }
 
-// Peer decodes receive slot i's sockaddr. The IPv6 zone is dropped: the
-// value is for logs and the advertise handler, and replies are
-// addressed from the raw sockaddr.
+// Peer decodes the sockaddr of the message receive slot i was cut from.
+// The IPv6 zone is dropped: the value is for logs and the advertise
+// handler, and replies are addressed from the raw sockaddr.
 func (c *mmsgConn) Peer(i int) netip.AddrPort {
-	name := c.rnames[i]
+	name := c.rnames[c.msgOf[i]]
 	port := binary.BigEndian.Uint16(name[2:4])
 	switch (*syscall.RawSockaddr)(unsafe.Pointer(&name[0])).Family {
 	case syscall.AF_INET:
@@ -196,21 +257,20 @@ func (c *mmsgConn) Peer(i int) netip.AddrPort {
 
 func (c *mmsgConn) SetReadDeadline(t time.Time) error { return c.conn.SetReadDeadline(t) }
 
-// Recv fills the receive slots from one recvmmsg call (at least one
-// datagram, up to the batch size — the kernel returns whatever is
+// Recv drains up to one vector of messages with one recvmmsg call (at
+// least one, up to the batch size — the kernel returns whatever is
 // queued, so batching degrades gracefully to per-packet under light
-// load).
+// load) and cuts them into datagram slots. Only the fields the kernel
+// writes back are reset.
 func (c *mmsgConn) Recv() (int, error) {
 	for i := range c.rhdrs {
-		c.riovs[i] = syscall.Iovec{Base: &c.rbufs[i][0]}
-		c.riovs[i].SetLen(maxDatagram)
-		h := &c.rhdrs[i]
-		h.hdr = syscall.Msghdr{Iov: &c.riovs[i], Iovlen: 1}
+		h := &c.rhdrs[i].hdr
 		if !c.connected {
-			h.hdr.Name = &c.rnames[i][0]
-			h.hdr.Namelen = sockaddrStorage
+			h.Namelen = sockaddrStorage
 		}
-		h.n = 0
+		if c.gro {
+			h.SetControllen(int(unsafe.Sizeof(groCmsg{})))
+		}
 	}
 	if err := c.rc.Read(c.readFn); err != nil {
 		return 0, err
@@ -218,41 +278,82 @@ func (c *mmsgConn) Recv() (int, error) {
 	if c.recvErr != 0 {
 		return 0, os.NewSyscallError("recvmmsg", c.recvErr)
 	}
-	n := c.recvN
-	for i := 0; i < n; i++ {
-		c.bt.recv[i] = c.rbufs[i][:c.rhdrs[i].n]
+	k := 0
+	for m := 0; m < c.recvN; m++ {
+		k = c.split(m, k)
 	}
-	return n, nil
+	return k, nil
+}
+
+// split cuts received message m into slots from k on and returns the
+// next free slot. A message without a UDP_GRO control message is one
+// datagram. A train is one datagram per segment, the last possibly
+// short. A train cut short — by the kernel at the end of its buffer
+// (MSG_TRUNC), or here past maxGSOSegs slots — keeps its whole segments
+// and ends in an empty slot for what was lost, which no parser accepts:
+// it is counted, and nothing is mis-split.
+func (c *mmsgConn) split(m, k int) int {
+	h := &c.rhdrs[m]
+	b := c.rbufs[m][:h.n]
+	ctl := &c.rctls[m]
+	if !c.gro || h.hdr.Controllen == 0 || ctl.hdr.Level != solUDP || ctl.hdr.Type != udpGRO || ctl.seg <= 0 {
+		c.bt.recv[k], c.msgOf[k] = b, uint16(m)
+		return k + 1
+	}
+	seg := int(ctl.seg)
+	segs, cut := (len(b)+seg-1)/seg, h.hdr.Flags&syscall.MSG_TRUNC != 0
+	if cut {
+		segs = len(b) / seg
+	}
+	if segs > maxGSOSegs || cut && segs == maxGSOSegs {
+		segs, cut = maxGSOSegs-1, true
+	}
+	for j := 0; j < segs; j++ {
+		c.bt.recv[k], c.msgOf[k] = b[j*seg:min((j+1)*seg, len(b))], uint16(m)
+		k++
+	}
+	if cut {
+		c.bt.recv[k], c.msgOf[k] = b[:0], uint16(m)
+		k++
+	}
+	return k
 }
 
 // Send transmits the prepared reply slots with as few sendmmsg calls as
-// the kernel allows. On an unconnected socket each reply is addressed
-// to the sockaddr its request arrived from; a connected socket sends to
-// its dialed peer. Partial sends resume where they left off.
+// the kernel allows: one per vector pack fills. On an unconnected
+// socket each reply is addressed to the sockaddr its request arrived
+// from; a connected socket sends to its dialed peer. Partial sends
+// resume where they left off.
 func (c *mmsgConn) Send(n int) error {
-	cnt := c.pack(n)
-	if cnt == 0 {
-		return nil
-	}
-	c.sendOff, c.sendCnt, c.sendErr = 0, cnt, 0
-	if err := c.rc.Write(c.writeFn); err != nil {
-		return err
-	}
-	if c.sendErr != 0 {
-		return os.NewSyscallError("sendmmsg", c.sendErr)
+	for i := 0; i < n; {
+		var cnt int
+		cnt, i = c.pack(i, n)
+		if cnt == 0 {
+			return nil
+		}
+		c.sendOff, c.sendCnt, c.sendErr = 0, cnt, 0
+		if err := c.rc.Write(c.writeFn); err != nil {
+			return err
+		}
+		if c.sendErr != 0 {
+			return os.NewSyscallError("sendmmsg", c.sendErr)
+		}
 	}
 	return nil
 }
 
-// pack fills shdrs with one message per run and returns the message
-// count. A run is up to maxSegs consecutive non-empty slots of one
-// length addressed to one peer; a run of several leaves as a
-// scatter-gather list with a UDP_SEGMENT control message naming the
-// common length, which the kernel splits back into individual wire
-// datagrams, and a run of one leaves plain.
-func (c *mmsgConn) pack(n int) int {
-	cnt, iov := 0, 0
-	for i := 0; i < n; {
+// pack fills shdrs with one message per run, starting at slot from,
+// until the slots up to n are packed or the vector is full, and returns
+// the message count and the first slot left over. A run is up to
+// maxSegs consecutive non-empty slots of one length addressed to one
+// peer; a run of several leaves as a scatter-gather list with a
+// UDP_SEGMENT control message naming the common length, which the
+// kernel splits back into individual wire datagrams, and a run of one
+// leaves plain.
+func (c *mmsgConn) pack(from, n int) (cnt, next int) {
+	iov := 0
+	i := from
+	for i < n && cnt < len(c.shdrs) {
 		if len(c.bt.send[i]) == 0 {
 			i++
 			continue
@@ -279,21 +380,27 @@ func (c *mmsgConn) pack(n int) int {
 			h.hdr.SetControllen(int(unsafe.Sizeof(*ctl)))
 		}
 		if !c.connected {
-			h.hdr.Name = &c.rnames[first][0]
-			h.hdr.Namelen = c.rhdrs[first].hdr.Namelen
+			m := c.msgOf[first]
+			h.hdr.Name = &c.rnames[m][0]
+			h.hdr.Namelen = c.rhdrs[m].hdr.Namelen
 		}
 		h.n = 0
 		cnt++
 	}
-	return cnt
+	return cnt, i
 }
 
 // samePeer reports whether receive slots a and b carried the same
-// source address; always true on a connected socket (no names).
+// source address: always on a connected socket (no names), and for two
+// slots of one message.
 func (c *mmsgConn) samePeer(a, b int) bool {
 	if c.connected {
 		return true
 	}
-	la, lb := c.rhdrs[a].hdr.Namelen, c.rhdrs[b].hdr.Namelen
-	return la == lb && bytes.Equal(c.rnames[a][:la], c.rnames[b][:lb])
+	ma, mb := c.msgOf[a], c.msgOf[b]
+	if ma == mb {
+		return true
+	}
+	la, lb := c.rhdrs[ma].hdr.Namelen, c.rhdrs[mb].hdr.Namelen
+	return la == lb && bytes.Equal(c.rnames[ma][:la], c.rnames[mb][:lb])
 }

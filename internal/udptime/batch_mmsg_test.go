@@ -3,9 +3,16 @@
 package udptime
 
 import (
+	"bytes"
 	"net"
+	"net/netip"
+	"syscall"
 	"testing"
 	"time"
+	"unsafe"
+
+	"disttime/internal/hlc"
+	"disttime/internal/wire"
 )
 
 // TestPackRunsByPeerAndLength pins how a send batch is cut into
@@ -68,7 +75,7 @@ func TestPackRunsByPeerAndLength(t *testing.T) {
 			bt.send[i][j] = byte(i)
 		}
 	}
-	if cnt := c.pack(9); cnt != 3 {
+	if cnt, _ := c.pack(0, 9); cnt != 3 {
 		t.Fatalf("pack cut the batch into %d messages, want 3", cnt)
 	}
 	for m, want := range []struct {
@@ -102,5 +109,191 @@ func TestPackRunsByPeerAndLength(t *testing.T) {
 		if got != l || buf[0] != byte(i) {
 			t.Fatalf("reply %d: %d bytes tagged %d, want %d bytes tagged %d", i, got, buf[0], l, i)
 		}
+	}
+}
+
+// recvSlots reads from bc until want datagram slots have arrived and
+// returns copies of them, the source each slot names, and how many
+// messages carried them.
+func recvSlots(t *testing.T, bc batchIO, want int) (slots [][]byte, peers []netip.AddrPort, msgs int) {
+	t.Helper()
+	_ = bc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for len(slots) < want {
+		n, err := bc.Recv()
+		if err != nil {
+			t.Fatalf("after %d of %d slots: %v", len(slots), want, err)
+		}
+		for i := 0; i < n; i++ {
+			slots = append(slots, bytes.Clone(bc.Batch().recv[i]))
+			peers = append(peers, bc.Peer(i))
+		}
+		msgs += bc.(*mmsgConn).recvN
+	}
+	return slots, peers, msgs
+}
+
+// TestRecvSplitsGROTrain pins the receive half of the GSO/GRO pair. A
+// connected batch conn sends a 64-segment version-1 train, then a
+// 64-segment version-3 train; the server's conn takes each as one
+// message, and Recv cuts them back into 128 slots, byte for byte and in
+// order, every one naming the sender. A train longer than a receive
+// buffer keeps its whole segments, which are answered, and ends in an
+// empty slot, which is counted as malformed. And the real-socket loop —
+// trains out, Recv, respond, Send, replies in — allocates nothing.
+func TestRecvSplitsGROTrain(t *testing.T) {
+	srvConn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sbc, err := newBatchConn(srvConn, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sbc.Close()
+	if !sbc.(*mmsgConn).gro {
+		t.Skip("kernel without UDP_GRO: every datagram is its own message")
+	}
+	cliConn, err := net.DialUDP("udp", nil, srvConn.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cbc, err := newBatchConn(cliConn, maxGSOSegs, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cbc.Close()
+	if cbc.(*mmsgConn).maxSegs == 1 {
+		t.Skip("kernel without UDP_SEGMENT: nothing sends a train")
+	}
+	sender := cliConn.LocalAddr().(*net.UDPAddr).AddrPort()
+	cbt, sbt := cbc.Batch(), sbc.Batch()
+
+	// Two trains: requests 1..64 in version 1, then 65..128 in version 3.
+	trains := func() {
+		for i := range 2 * maxGSOSegs {
+			id := uint64(i) + 1
+			if i < maxGSOSegs {
+				cbt.send[i] = wire.AppendRequest(cbt.send[i][:0], wire.Request{ReqID: id})
+			} else {
+				cbt.send[i] = wire.AppendRequestHLC(cbt.send[i][:0], wire.RequestHLC{ReqID: id, TS: hlc.Timestamp{Wall: int64(id), Node: 9}})
+			}
+		}
+	}
+	trains()
+	if err := cbc.Send(2 * maxGSOSegs); err != nil {
+		t.Fatal(err)
+	}
+	slots, peers, msgs := recvSlots(t, sbc, 2*maxGSOSegs)
+	if len(slots) != 2*maxGSOSegs || msgs != 2 {
+		t.Fatalf("Recv cut %d slots from %d messages, want %d from 2", len(slots), msgs, 2*maxGSOSegs)
+	}
+	for i, got := range slots {
+		if !bytes.Equal(got, cbt.send[i]) || peers[i] != sender {
+			t.Fatalf("slot %d: %x from %v, want %x from %v", i, got, peers[i], cbt.send[i], sender)
+		}
+	}
+
+	// One train of 100-byte segments, each a version-1 request with a
+	// padded tail: 6,400 bytes, of which a receive buffer holds 40 whole
+	// segments and 96 bytes of the 41st.
+	const segLen, whole = 100, trainBuf / 100
+	for i := range maxGSOSegs {
+		b := wire.AppendRequest(cbt.send[i][:0], wire.Request{ReqID: 1000 + uint64(i)})
+		cbt.send[i] = append(b, make([]byte, segLen-len(b))...)
+	}
+	if err := cbc.Send(maxGSOSegs); err != nil {
+		t.Fatal(err)
+	}
+	_ = sbc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := sbc.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != whole+1 || len(sbt.recv[whole]) != 0 {
+		t.Fatalf("a cut train gave %d slots, the last %d bytes; want %d whole segments and one empty slot", n, len(sbt.recv[n-1]), whole)
+	}
+	for i := range whole {
+		if !bytes.Equal(sbt.recv[i], cbt.send[i]) {
+			t.Fatalf("cut train, slot %d: %x, want %x", i, sbt.recv[i], cbt.send[i])
+		}
+	}
+	src := fixedSource{c: time.Unix(1_700_000_000, 0), e: time.Millisecond, synced: true}
+	s := &Server{id: 1, src: src, hlc: hlc.New(1)}
+	if served := s.respond(sbt, n, src.c, src.e, true); served != whole || s.MalformedDatagrams() != 1 {
+		t.Fatalf("cut train: %d answered, %d malformed; want %d and 1", served, s.MalformedDatagrams(), whole)
+	}
+	if err := sbc.Send(n); err != nil {
+		t.Fatal(err)
+	}
+	replies, _, _ := recvSlots(t, cbc, whole)
+	for i, raw := range replies {
+		if resp, err := wire.ParseResponse(raw); err != nil || resp.ReqID != 1000+uint64(i) {
+			t.Fatalf("reply %d to the cut train: %+v, %v", i, resp, err)
+		}
+	}
+
+	trains()
+	_ = sbc.SetReadDeadline(time.Now().Add(time.Minute))
+	_ = cbc.SetReadDeadline(time.Now().Add(time.Minute))
+	roundTrip := func() {
+		if err := cbc.Send(2 * maxGSOSegs); err != nil {
+			t.Fatal(err)
+		}
+		for got := 0; got < 2*maxGSOSegs; {
+			n, err := sbc.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.respond(sbt, n, src.c, src.e, true)
+			if err := sbc.Send(n); err != nil {
+				t.Fatal(err)
+			}
+			got += n
+		}
+		for got := 0; got < 2*maxGSOSegs; {
+			n, err := cbc.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got += n
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, roundTrip); allocs != 0 {
+		t.Fatalf("a round trip of two trains allocates %v times, want 0", allocs)
+	}
+}
+
+// TestBatchConnFootprint holds what a batch conn keeps for its lifetime
+// at Batch: 64 under 1 MiB: with GRO on that is 4,096 datagram slots,
+// 64 train buffers and one vector of send headers.
+func TestBatchConnFootprint(t *testing.T) {
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc, err := newBatchConn(conn, 64, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bc.Close()
+	c := bc.(*mmsgConn)
+	buffers := func(bufs [][]byte, own bool) int {
+		n := cap(bufs) * int(unsafe.Sizeof(bufs[0]))
+		for _, b := range bufs {
+			if own {
+				n += cap(b)
+			}
+		}
+		return n
+	}
+	total := buffers(c.rbufs, true) + buffers(c.rnames, true) + buffers(c.bt.send, true) +
+		buffers(c.bt.recv, false) + // slices of rbufs
+		cap(c.rctls)*int(unsafe.Sizeof(groCmsg{})) + cap(c.sctls)*int(unsafe.Sizeof(gsoCmsg{})) +
+		(cap(c.riovs)+cap(c.siovs))*int(unsafe.Sizeof(syscall.Iovec{})) +
+		(cap(c.rhdrs)+cap(c.shdrs))*int(unsafe.Sizeof(mmsghdr{})) +
+		cap(c.msgOf)*int(unsafe.Sizeof(c.msgOf[0]))
+	t.Logf("GRO %v: %d slots, %d bytes retained", c.gro, len(c.bt.recv), total)
+	if total >= 1<<20 {
+		t.Fatalf("a batch conn at Batch 64 retains %d bytes, want under 1 MiB", total)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand/v2"
 	"net"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -183,6 +184,79 @@ func sendCorpusCollect(t *testing.T, addr string, corpus []diffDatagram, socks i
 	return got
 }
 
+// trainLen is the longest train sendCorpusTrains sends: the GSO
+// segment limit of the Linux batch backend.
+const trainLen = 64
+
+// sendCorpusTrains is sendCorpusCollect with the corpus sent as trains:
+// grouped into runs of one length (in corpus order within a length),
+// each run cut into trains of up to trainLen and each train sent with
+// one Send from a connected batch conn, dealt round-robin over socks of
+// them. Where the platform has GSO a train leaves as one super-datagram
+// and a GRO server takes it as one message; the per-packet server's
+// kernel splits it back into datagrams, in the same order.
+func sendCorpusTrains(t *testing.T, addr string, corpus []diffDatagram, socks int) map[uint64][]byte {
+	t.Helper()
+	raddr, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := make([]batchIO, socks)
+	want := make([]int, socks)
+	for k := range conns {
+		conn, err := net.DialUDP("udp", nil, raddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if conns[k], err = newBatchConn(conn, trainLen, true); err != nil {
+			t.Fatal(err)
+		}
+		defer conns[k].Close()
+	}
+	order := make([]diffDatagram, 0, len(corpus))
+	for _, d := range corpus {
+		if len(d.raw) > 0 {
+			order = append(order, d)
+		}
+	}
+	slices.SortStableFunc(order, func(a, b diffDatagram) int { return len(a.raw) - len(b.raw) })
+	for i, k := 0, 0; i < len(order); k = (k + 1) % socks {
+		bt, n := conns[k].Batch(), 0
+		for ; i < len(order) && n < trainLen && (n == 0 || len(order[i].raw) == len(bt.send[0])); i, n = i+1, n+1 {
+			bt.send[n] = append(bt.send[n][:0], order[i].raw...)
+			if order[i].reqID != 0 {
+				want[k]++
+			}
+		}
+		if err := conns[k].Send(n); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(2 * time.Millisecond) // pace the per-packet backend, as above
+	}
+	got := make(map[uint64][]byte)
+	for k, bc := range conns {
+		_ = bc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for want[k] > 0 {
+			n, err := bc.Recv()
+			if err != nil {
+				t.Fatalf("socket %d, %d replies still owed: %v", k, want[k], err)
+			}
+			for _, raw := range bc.Batch().recv[:n] {
+				if len(raw) < wire.RequestSize {
+					t.Fatalf("short reply: %d bytes", len(raw))
+				}
+				id := binary.BigEndian.Uint64(raw[8:16])
+				if prev, dup := got[id]; dup {
+					t.Fatalf("duplicate reply for reqID %d (prev %x)", id, prev)
+				}
+				got[id] = bytes.Clone(raw)
+				want[k]--
+			}
+		}
+	}
+	return got
+}
+
 // waitCounter polls get until it returns want or the deadline passes.
 func waitCounter(t *testing.T, name string, get func() uint64, want uint64) {
 	t.Helper()
@@ -209,7 +283,10 @@ func waitCounter(t *testing.T, name string, get func() uint64, want uint64) {
 // compare whole; across shards fed from several sockets the order is
 // the kernel's, so the logical counter alone is masked and the request
 // walls stay below the servers' own, which keeps the stamped wall
-// independent of order.
+// independent of order. Each shape runs twice: datagram by datagram,
+// and as same-length trains (sendCorpusTrains), where the batch server
+// takes a train as one message, malformed datagrams of a valid length
+// inside it, and cuts it back into datagrams itself.
 func TestDifferentialServing(t *testing.T) {
 	src := fixedSource{
 		c:      time.Unix(0, 1_700_000_000_123_456_789),
@@ -222,9 +299,12 @@ func TestDifferentialServing(t *testing.T) {
 		shards, socks int
 		handler       bool
 		maxWall       int64
+		trains        bool
 	}{
 		{name: "one shard", shards: 1, socks: 1, handler: true, maxWall: 2 * src.c.UnixNano()},
 		{name: "four shards", shards: 4, socks: 8, handler: false, maxWall: src.c.UnixNano()},
+		{name: "one shard, trains", shards: 1, socks: 1, handler: true, maxWall: 2 * src.c.UnixNano(), trains: true},
+		{name: "four shards, trains", shards: 4, socks: 8, handler: false, maxWall: src.c.UnixNano(), trains: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			corpus := diffCorpus(t, rand.New(rand.NewPCG(0xd1ff, 0x5e4e)), 420, tc.maxWall)
@@ -257,7 +337,11 @@ func TestDifferentialServing(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer srv.Close()
-				replies[b.name] = sendCorpusCollect(t, srv.Addr().String(), corpus, tc.socks)
+				send := sendCorpusCollect
+				if tc.trains {
+					send = sendCorpusTrains
+				}
+				replies[b.name] = send(t, srv.Addr().String(), corpus, tc.socks)
 				waitCounter(t, b.name+" requests", srv.Requests, wantReplies)
 				waitCounter(t, b.name+" malformed", srv.MalformedDatagrams, wantMalformed)
 				waitCounter(t, b.name+" advertisements handled", handled.Load, wantHandled)

@@ -28,8 +28,8 @@ import (
 // The two constructors differ only in what they put under that loop.
 // NewServer runs one shard on the per-packet backend: a batch of one, a
 // clock read per request. NewBatchServer runs BatchConfig.Shards shards
-// on the platform's batch backend (recvmmsg/sendmmsg with GSO on
-// linux/amd64 and linux/arm64): a clock read per batch.
+// on the platform's batch backend (recvmmsg/sendmmsg with GSO and GRO
+// on linux/amd64 and linux/arm64): a clock read per batch.
 //
 // With WithHealthListener the server also serves /healthz,
 // Prometheus-style /metrics, and pprof over HTTP.
@@ -96,9 +96,11 @@ type BatchConfig struct {
 	// incoming datagrams across them. Zero means one shard. More than
 	// one shard requires SO_REUSEPORT support (Linux and the BSDs).
 	Shards int
-	// Batch is the number of datagrams moved per recvmmsg/sendmmsg
-	// vector on the Linux fast path (zero means 32, capped at 512). The
-	// per-packet backend moves one whatever the value.
+	// Batch is the number of messages moved per recvmmsg/sendmmsg
+	// vector on the Linux fast path (zero means 32, capped at 512).
+	// Where the kernel takes UDP_GRO, one received message can carry up
+	// to 64 datagrams sent as a train from one socket. The per-packet
+	// backend moves one datagram whatever the value.
 	Batch int
 	// Registry resolves the server's metrics (nil leaves them inert);
 	// shorthand for WithServerObservability.

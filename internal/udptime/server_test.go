@@ -285,24 +285,34 @@ func TestBatchServerDirectRead(t *testing.T) {
 	}
 }
 
-// TestBatchedReadingContained is the paper's oracle on the batched
-// server, failing instead of counting: one shard at full batches under
-// a 64-deep closed loop, a lone query every millisecond beside it from
-// before the load starts until after it ends (so probes ride in full
-// batches and in batches of one), and every answer must reach back to
-// its own receive instant and forward to its own send instant on the
-// host clock the server also reads. The source's error is fixed (zero
-// drift) and small, so a reading taken anywhere but between a batch's
-// Recv and its Send misses, and a reply that carries anything but the
-// source's E has been widened. This test is part of make udp-smoke,
-// under -race.
+// TestBatchedReadingContained is the paper's oracle on both serving
+// backends, failing instead of counting: one shard under a 64-deep
+// closed loop, a lone query every millisecond beside it from before the
+// load starts until after it ends (so probes ride in full batches and
+// in batches of one), and every answer must reach back to its own
+// receive instant and forward to its own send instant on the host clock
+// the server also reads. The source's error is fixed (zero drift) and
+// small, so a reading taken anywhere but between a batch's Recv and its
+// Send misses, and a reply that carries anything but the source's E has
+// been widened. On the batch backend the load's windows arrive as GRO
+// trains where the kernel has it, so whole trains are held to the
+// oracle. This test is part of make udp-smoke, under -race.
 func TestBatchedReadingContained(t *testing.T) {
+	for _, b := range []backend{
+		{"batch", batchBackend(BatchConfig{Shards: 1, Batch: 64})},
+		{"per-packet", NewServer},
+	} {
+		t.Run(b.name, func(t *testing.T) { testReadingContained(t, b.new) })
+	}
+}
+
+func testReadingContained(t *testing.T, newServer newServerFunc) {
 	const initialErr = 10 * time.Microsecond
 	src, err := NewSystemClock(initialErr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewBatchServer("127.0.0.1:0", 3, src, BatchConfig{Shards: 1, Batch: 64})
+	srv, err := newServer("127.0.0.1:0", 3, src)
 	if err != nil {
 		t.Fatal(err)
 	}
