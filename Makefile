@@ -168,7 +168,8 @@ txn-smoke:
 # a datagram reaches on the serving path, the client's matching of a
 # datagram to an outstanding request, the event kernel's pending
 # set (lanes and heap) against a sorted slice, and the chaos reproducer
-# grammar's round trip over generated and corpus campaigns.
+# grammar's round trip over generated and corpus campaigns, running every
+# small line it accepts (a line Parse accepts must run without a panic).
 # FUZZTIME is the budget of the whole smoke in seconds, split
 # evenly over the targets; run one target with a larger -fuzztime when
 # hunting.

@@ -64,62 +64,101 @@ const (
 	Equivocate                       // server Target gossips conflicting <C,E> pairs per peer in [At, At+Dur)
 )
 
-// kindNames maps kinds to their reproducer-line tokens.
-var kindNames = map[FaultKind]string{
-	StopClock:   "stop",
-	RaceClock:   "race",
-	StickClock:  "stick",
-	Falseticker: "false",
-	LossBurst:   "loss",
-	DelaySpike:  "delay",
-	Partition:   "part",
-	Crash:       "crash",
-	Churn:       "churn",
-	TwoFaced:    "twoface",
-	Equivocate:  "equiv",
+// kindSpec is one row of the fault-kind table: everything the harness
+// knows about a kind. Every other place reads the row, so a new kind is a
+// new row plus a place in Generate's eligible list.
+type kindSpec struct {
+	// name is the kind's reproducer-line token.
+	name string
+	// The shape of a fault of the kind: it acts on server Target, it ends
+	// at At+Dur, it carries partition Groups or per-peer Peers offsets, and
+	// it needs membership gossip (mem=1).
+	targeted, windowed, groups, peers, needsMem bool
+	// draw, when set, is Generate's draw of Param given the fault's random
+	// sign, and marks a kind that takes a Param; Validate holds that Param
+	// inside the open interval (lo, hi), which rules out NaN and infinity.
+	draw   func(rng *rand.Rand, sign float64) float64
+	lo, hi float64
+	// clock marks a kind that corrupts the target's clock, which taints
+	// the server for the containment invariant.
+	clock bool
+	// wrap arms a clock failure inside the target's clock at build time;
+	// start and end are the simulator events install schedules at At and,
+	// for a windowed kind, at At+Dur.
+	wrap       func(clk clock.Clock, f Fault) clock.Clock
+	start, end func(e *engine, f Fault)
+}
+
+// kinds is the fault-kind table, indexed by FaultKind.
+var kinds = [...]kindSpec{
+	StopClock: {name: "stop", targeted: true, clock: true,
+		wrap: func(clk clock.Clock, f Fault) clock.Clock { return clock.NewStopped(clk, f.At) }},
+	RaceClock: {name: "race", targeted: true, clock: true, lo: 0, hi: math.Inf(1),
+		draw: func(rng *rand.Rand, sign float64) float64 { return roundParam(1 + sign*(0.02+rng.Float64()*0.08)) },
+		wrap: func(clk clock.Clock, f Fault) clock.Clock { return clock.NewRacing(clk, f.At, f.Param) }},
+	StickClock: {name: "stick", targeted: true, clock: true,
+		wrap: func(clk clock.Clock, f Fault) clock.Clock { return clock.NewStuck(clk, f.At) }},
+	Falseticker: {name: "false", targeted: true, clock: true, lo: math.Inf(-1), hi: math.Inf(1),
+		draw: func(rng *rand.Rand, sign float64) float64 { return sign * roundParam(0.5+rng.Float64()*9.5) },
+		// The clock register jumps without the server's bookkeeping
+		// noticing: the server keeps answering with its usual <C, E> pair,
+		// whose interval now lies (the Figure 3 hazard).
+		start: func(e *engine, f Fault) {
+			clk := e.svc.Nodes[f.Target].Server.Clock()
+			clk.Set(f.At, clk.Read(f.At)+f.Param)
+		}},
+	LossBurst: {name: "loss", windowed: true, lo: 0, hi: 1,
+		draw:  func(rng *rand.Rand, _ float64) float64 { return roundParam(0.3 + rng.Float64()*0.65) },
+		start: (*engine).rewire, end: (*engine).rewire},
+	DelaySpike: {name: "delay", windowed: true, lo: 0, hi: math.Inf(1),
+		draw:  func(rng *rand.Rand, _ float64) float64 { return roundParam(3 + rng.Float64()*17) },
+		start: (*engine).rewire, end: (*engine).rewire},
+	Partition: {name: "part", windowed: true, groups: true,
+		start: func(e *engine, f Fault) {
+			groups := make([][]simnet.NodeID, len(f.Groups))
+			for g, members := range f.Groups {
+				for _, idx := range members {
+					groups[g] = append(groups[g], e.svc.Nodes[idx].NetID)
+				}
+			}
+			e.svc.Net.Partition(groups...)
+		},
+		end: func(e *engine, _ Fault) { e.svc.Net.Heal() }},
+	Crash: {name: "crash", targeted: true, windowed: true,
+		start: func(e *engine, f Fault) { e.svc.Crash(f.Target) },
+		end:   func(e *engine, f Fault) { e.svc.Restart(f.Target) }},
+	// With membership enabled the departure is announced and the rejoin
+	// is a fresh incarnation; without it Leave/Rejoin degrade to
+	// Crash/Restart.
+	Churn: {name: "churn", targeted: true, windowed: true,
+		start: func(e *engine, f Fault) { e.svc.Leave(f.Target) },
+		end:   func(e *engine, f Fault) { e.svc.Rejoin(f.Target) }},
+	// The server answers each peer from a per-destination skewed register;
+	// its own bookkeeping never lies, only the replies do.
+	TwoFaced: {name: "twoface", targeted: true, windowed: true, peers: true,
+		start: func(e *engine, f Fault) { e.svc.SetTwoFaced(f.Target, f.Peers) },
+		end:   func(e *engine, f Fault) { e.svc.ClearTwoFaced(f.Target) }},
+	// The server's pushed digests advertise conflicting <C, E> pairs per
+	// destination.
+	Equivocate: {name: "equiv", targeted: true, windowed: true, peers: true, needsMem: true,
+		start: func(e *engine, f Fault) { e.svc.SetEquivocate(f.Target, f.Peers) },
+		end:   func(e *engine, f Fault) { e.svc.ClearEquivocate(f.Target) }},
+}
+
+// spec returns the kind's row, or nil for a value outside the table.
+func (k FaultKind) spec() *kindSpec {
+	if k == 0 || int(k) >= len(kinds) {
+		return nil
+	}
+	return &kinds[k]
 }
 
 // String returns the kind's reproducer-line token.
 func (k FaultKind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if s := k.spec(); s != nil {
+		return s.name
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
-// isClockFault reports whether the kind corrupts a server's clock (and so
-// taints the server for the containment invariant).
-func (k FaultKind) isClockFault() bool {
-	switch k {
-	case StopClock, RaceClock, StickClock, Falseticker:
-		return true
-	}
-	return false
-}
-
-// isLyingFault reports whether the kind makes a server lie to its peers
-// while its own bookkeeping stays honest — the Byzantine faults the
-// f < n/3 containment argument budgets for.
-func (k FaultKind) isLyingFault() bool {
-	return k == TwoFaced || k == Equivocate
-}
-
-// targeted reports whether the kind applies to a single server.
-func (k FaultKind) targeted() bool {
-	switch k {
-	case StopClock, RaceClock, StickClock, Falseticker, Crash, Churn, TwoFaced, Equivocate:
-		return true
-	}
-	return false
-}
-
-// windowed reports whether the kind has a duration (an end event).
-func (k FaultKind) windowed() bool {
-	switch k {
-	case LossBurst, DelaySpike, Partition, Crash, Churn, TwoFaced, Equivocate:
-		return true
-	}
-	return false
 }
 
 // Fault is one scheduled fault.
@@ -260,7 +299,9 @@ func randomPeers(rng *rand.Rand, n, target int) []float64 {
 
 // randomFault draws one fault with on-grid times inside (0, dur). Churn
 // and Equivocate faults are drawn only for membership-enabled campaigns,
-// where they exercise the leave/rejoin protocol and the gossip path.
+// where they exercise the leave/rejoin protocol and the gossip path. The
+// target, parameter, groups and offsets are drawn in that order, so a
+// seed keeps its campaign.
 func randomFault(rng *rand.Rand, n int, dur float64, mem bool) Fault {
 	at := 5 * float64(1+rng.IntN(int(dur/5)-2))
 	win := 5 * float64(2+rng.IntN(19)) // 10..100 s
@@ -276,50 +317,36 @@ func randomFault(rng *rand.Rand, n int, dur float64, mem bool) Fault {
 	if mem {
 		eligible = append(eligible, Churn, Equivocate)
 	}
-	switch eligible[rng.IntN(len(eligible))] {
-	case StopClock:
-		return Fault{Kind: StopClock, Target: rng.IntN(n), At: at}
-	case RaceClock:
-		return Fault{Kind: RaceClock, Target: rng.IntN(n), At: at,
-			Param: roundParam(1 + sign*(0.02+rng.Float64()*0.08))}
-	case StickClock:
-		return Fault{Kind: StickClock, Target: rng.IntN(n), At: at}
-	case Falseticker:
-		return Fault{Kind: Falseticker, Target: rng.IntN(n), At: at,
-			Param: sign * roundParam(0.5+rng.Float64()*9.5)}
-	case LossBurst:
-		return Fault{Kind: LossBurst, At: at, Dur: win,
-			Param: roundParam(0.3 + rng.Float64()*0.65)}
-	case DelaySpike:
-		return Fault{Kind: DelaySpike, At: at, Dur: win,
-			Param: roundParam(3 + rng.Float64()*17)}
-	case Partition:
-		groups := make([][]int, 2)
+	kind := eligible[rng.IntN(len(eligible))]
+	k := &kinds[kind]
+	f := Fault{Kind: kind, At: at}
+	if k.windowed {
+		f.Dur = win
+	}
+	if k.targeted {
+		f.Target = rng.IntN(n)
+	}
+	if k.draw != nil {
+		f.Param = k.draw(rng, sign)
+	}
+	if k.groups {
+		f.Groups = make([][]int, 2)
 		for i := 0; i < n; i++ {
 			g := rng.IntN(2)
-			groups[g] = append(groups[g], i)
+			f.Groups[g] = append(f.Groups[g], i)
 		}
-		if len(groups[0]) == 0 || len(groups[1]) == 0 {
+		if len(f.Groups[0]) == 0 || len(f.Groups[1]) == 0 {
 			// Degenerate split: carve off server 0.
-			groups = [][]int{{0}, nil}
+			f.Groups = [][]int{{0}, nil}
 			for i := 1; i < n; i++ {
-				groups[1] = append(groups[1], i)
+				f.Groups[1] = append(f.Groups[1], i)
 			}
 		}
-		return Fault{Kind: Partition, At: at, Dur: win, Groups: groups}
-	case Churn:
-		return Fault{Kind: Churn, Target: rng.IntN(n), At: at, Dur: win}
-	case TwoFaced:
-		t := rng.IntN(n)
-		return Fault{Kind: TwoFaced, Target: t, At: at, Dur: win,
-			Peers: randomPeers(rng, n, t)}
-	case Equivocate:
-		t := rng.IntN(n)
-		return Fault{Kind: Equivocate, Target: t, At: at, Dur: win,
-			Peers: randomPeers(rng, n, t)}
-	default:
-		return Fault{Kind: Crash, Target: rng.IntN(n), At: at, Dur: win}
 	}
+	if k.peers {
+		f.Peers = randomPeers(rng, n, f.Target)
+	}
+	return f
 }
 
 // sortFaults orders the schedule by start time, breaking ties by kind
@@ -355,36 +382,27 @@ func (c Campaign) Validate() error {
 		return err
 	}
 	for i, f := range c.Faults {
-		if kindNames[f.Kind] == "" {
+		k := f.Kind.spec()
+		if k == nil {
 			return fmt.Errorf("chaos: fault %d: unknown kind %d", i, f.Kind)
 		}
-		if f.Kind.targeted() && (f.Target < 0 || f.Target >= c.N) {
+		if k.targeted && (f.Target < 0 || f.Target >= c.N) {
 			return fmt.Errorf("chaos: fault %d: target %d outside [0, %d)", i, f.Target, c.N)
 		}
-		if f.At < 0 || f.At > c.Dur {
+		if !(f.At >= 0 && f.At <= c.Dur) {
 			return fmt.Errorf("chaos: fault %d: start %v outside [0, %v]", i, f.At, c.Dur)
 		}
-		if f.Kind.windowed() && !(f.Dur > 0) {
+		if k.windowed && !(f.Dur > 0) {
 			return fmt.Errorf("chaos: fault %d: %v needs a positive duration", i, f.Kind)
 		}
-		if f.Kind.windowed() && f.At+f.Dur > c.Dur {
+		if k.windowed && f.At+f.Dur > c.Dur {
 			return fmt.Errorf("chaos: fault %d: window [%v, %v] overruns duration %v",
 				i, f.At, f.At+f.Dur, c.Dur)
 		}
-		switch f.Kind {
-		case LossBurst:
-			if !(f.Param > 0) || f.Param >= 1 {
-				return fmt.Errorf("chaos: fault %d: loss probability %v outside (0, 1)", i, f.Param)
-			}
-		case DelaySpike:
-			if !(f.Param > 0) {
-				return fmt.Errorf("chaos: fault %d: non-positive delay factor %v", i, f.Param)
-			}
-		case RaceClock:
-			if !(f.Param > 0) {
-				return fmt.Errorf("chaos: fault %d: non-positive racing rate %v", i, f.Param)
-			}
-		case Partition:
+		if k.draw != nil && !(k.lo < f.Param && f.Param < k.hi) {
+			return fmt.Errorf("chaos: fault %d: %v parameter %v outside (%v, %v)", i, f.Kind, f.Param, k.lo, k.hi)
+		}
+		if k.groups {
 			if len(f.Groups) == 0 {
 				return fmt.Errorf("chaos: fault %d: partition without groups", i)
 			}
@@ -395,7 +413,8 @@ func (c Campaign) Validate() error {
 					}
 				}
 			}
-		case TwoFaced, Equivocate:
+		}
+		if k.peers {
 			if len(f.Peers) != c.N {
 				return fmt.Errorf("chaos: fault %d: %v wants %d per-peer offsets, got %d",
 					i, f.Kind, c.N, len(f.Peers))
@@ -405,9 +424,9 @@ func (c Campaign) Validate() error {
 					return fmt.Errorf("chaos: fault %d: non-finite peer offset %v for peer %d", i, off, j)
 				}
 			}
-			if f.Kind == Equivocate && !c.Mem {
-				return fmt.Errorf("chaos: fault %d: equivocation needs membership gossip (mem=1)", i)
-			}
+		}
+		if k.needsMem && !c.Mem {
+			return fmt.Errorf("chaos: fault %d: %v needs membership gossip (mem=1)", i, f.Kind)
 		}
 	}
 	return nil
@@ -448,21 +467,6 @@ func fnFor(name string, n int) (core.SyncFunc, error) {
 	return nil, fmt.Errorf("chaos: unknown sync function %q", name)
 }
 
-// clockFaultsFor collects the clock faults aimed at server i, in schedule
-// order, for wrapper construction.
-func clockFaultsFor(faults []Fault, i int) []Fault {
-	var out []Fault
-	for _, f := range faults {
-		if f.Target == i {
-			switch f.Kind {
-			case StopClock, RaceClock, StickClock:
-				out = append(out, f)
-			}
-		}
-	}
-	return out
-}
-
 // build assembles the service for the campaign. override, when non-nil,
 // replaces the synchronization function on every server — the hook the
 // harness's own self-tests use to inject deliberately broken rules and
@@ -481,8 +485,12 @@ func (c Campaign) build(override core.SyncFunc) (*service.Service, error) {
 	specs := make([]service.ServerSpec, c.N)
 	for i := range specs {
 		delta, drift, offset := specFor(c.Seed, i)
-		wraps := clockFaultsFor(c.Faults, i)
-		driftI := drift
+		var wraps []Fault // the clock failures aimed at server i, in schedule order
+		for _, f := range c.Faults {
+			if f.Target == i && kinds[f.Kind].wrap != nil {
+				wraps = append(wraps, f)
+			}
+		}
 		specs[i] = service.ServerSpec{
 			Delta:         delta,
 			InitialOffset: offset,
@@ -490,16 +498,9 @@ func (c Campaign) build(override core.SyncFunc) (*service.Service, error) {
 			SyncEvery:     c.Sync,
 			Recovery:      c.Recovery,
 			NewClock: func(t, value float64) clock.Clock {
-				var clk clock.Clock = clock.NewDrifting(t, value, driftI)
+				var clk clock.Clock = clock.NewDrifting(t, value, drift)
 				for _, f := range wraps {
-					switch f.Kind {
-					case StopClock:
-						clk = clock.NewStopped(clk, f.At)
-					case RaceClock:
-						clk = clock.NewRacing(clk, f.At, f.Param)
-					case StickClock:
-						clk = clock.NewStuck(clk, f.At)
-					}
+					clk = kinds[f.Kind].wrap(clk, f)
 				}
 				return clk
 			},

@@ -75,10 +75,7 @@ func run(c Campaign, override core.SyncFunc, waiter txn.Waiter, reg *obs.Registr
 		svc.Observe(reg, nil)
 	}
 	m := newMonitor(svc, c, sink)
-	eng := &engine{svc: svc, sink: sink}
-	if err := eng.install(c); err != nil {
-		return Verdict{}, err
-	}
+	(&engine{svc: svc, sink: sink}).install(c)
 	if c.Txn {
 		// One client per server; violations land in the verdict under the
 		// txn-external-consistency invariant, gated on the monitor's taint

@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -68,6 +70,25 @@ func TestEncodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGeneratorPinned holds the bytes of the generated campaigns: seeds
+// 1..60 of Generate and 1..10 of GenerateAdversarial, hashed. Seeded
+// `timesim -chaos` output rests on a seed keeping its campaign, so a
+// change to the generators or to the codec that moves one line fails
+// here; a new fault kind is drawn only from a new seed range.
+func TestGeneratorPinned(t *testing.T) {
+	const want = "8663b5fb5d188614c31dc5d9c1377e0f3ea81e8c3031a799fdf86d3cc6fa841b"
+	h := sha256.New()
+	for s := uint64(1); s <= 60; s++ {
+		fmt.Fprintln(h, Generate(s).String())
+	}
+	for s := uint64(1); s <= 10; s++ {
+		fmt.Fprintln(h, GenerateAdversarial(s).String())
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("generated campaigns hash to %s, want %s", got, want)
+	}
+}
+
 // TestParseRejectsMalformed exercises the codec's error paths.
 func TestParseRejectsMalformed(t *testing.T) {
 	bad := []string{
@@ -84,6 +105,10 @@ func TestParseRejectsMalformed(t *testing.T) {
 		"v1 seed=1 n=3 topo=mesh fn=MM rec=0 dur=300 sync=30 faults=crash:1@290+60", // window overruns
 		"v1 seed=1 n=3 topo=bus fn=MM rec=0 dur=300 sync=30 faults=-",
 		"v1 seed=1 n=3 topo=mesh fn=XX rec=0 dur=300 sync=30 faults=-",
+		"v1 seed=1 n=3 topo=mesh fn=MM rec=0 dur=300 sync=30 faults=crash:0@NaN+10",  // start not a number
+		"v1 seed=1 n=3 topo=mesh fn=MM rec=0 dur=300 sync=30 faults=delay@10+10*Inf", // infinite factor
+		"v1 seed=1 n=3 topo=mesh fn=MM rec=0 dur=300 sync=30 faults=race:0@10*Inf",   // infinite rate
+		"v1 seed=1 n=3 topo=mesh fn=MM rec=0 dur=300 sync=30 faults=false:0@10*Inf",  // infinite jump
 	}
 	for _, line := range bad {
 		if _, err := Parse(line); err == nil {

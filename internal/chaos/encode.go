@@ -29,7 +29,8 @@ import (
 //
 // where a partition group <g> is '.'-joined server indices and a
 // twoface/equiv offset list is ','-joined per-destination skews (one per
-// server, the liar's own slot zero). An empty schedule is written as
+// server, the liar's own slot zero). Which parts a token carries is its
+// kind's row in kinds. An empty schedule is written as
 // `faults=-`. The optional `mem=1` field enables dynamic membership and
 // the optional `txn=1` field enables the commit-wait transaction
 // workload; both are omitted when unset, so older reproducer lines
@@ -70,18 +71,27 @@ func boolBit(v bool) int {
 	return 0
 }
 
-// encodeFault renders one fault token.
+// encodeFault renders one fault token from its kind's row. Times are
+// written without an exponent, whose '+' would read as a window.
 func encodeFault(f Fault) string {
-	switch f.Kind {
-	case StopClock, StickClock:
-		return fmt.Sprintf("%s:%d@%s", f.Kind, f.Target, fmtF(f.At))
-	case RaceClock, Falseticker:
-		return fmt.Sprintf("%s:%d@%s*%s", f.Kind, f.Target, fmtF(f.At), fmtF(f.Param))
-	case LossBurst, DelaySpike:
-		return fmt.Sprintf("%s@%s+%s*%s", f.Kind, fmtF(f.At), fmtF(f.Dur), fmtF(f.Param))
-	case Crash, Churn:
-		return fmt.Sprintf("%s:%d@%s+%s", f.Kind, f.Target, fmtF(f.At), fmtF(f.Dur))
-	case Partition:
+	k := f.Kind.spec()
+	if k == nil {
+		return fmt.Sprintf("?%d", f.Kind)
+	}
+	fmtT := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+	var b strings.Builder
+	b.WriteString(k.name)
+	if k.targeted {
+		b.WriteString(":" + strconv.Itoa(f.Target))
+	}
+	b.WriteString("@" + fmtT(f.At))
+	if k.windowed {
+		b.WriteString("+" + fmtT(f.Dur))
+	}
+	if k.draw != nil {
+		b.WriteString("*" + fmtF(f.Param))
+	}
+	if k.groups {
 		groups := make([]string, len(f.Groups))
 		for g, members := range f.Groups {
 			parts := make([]string, len(members))
@@ -90,16 +100,16 @@ func encodeFault(f Fault) string {
 			}
 			groups[g] = strings.Join(parts, ".")
 		}
-		return fmt.Sprintf("%s@%s+%s=%s", f.Kind, fmtF(f.At), fmtF(f.Dur), strings.Join(groups, "|"))
-	case TwoFaced, Equivocate:
+		b.WriteString("=" + strings.Join(groups, "|"))
+	}
+	if k.peers {
 		offs := make([]string, len(f.Peers))
 		for i, off := range f.Peers {
 			offs[i] = fmtF(off)
 		}
-		return fmt.Sprintf("%s:%d@%s+%s=%s", f.Kind, f.Target, fmtF(f.At), fmtF(f.Dur),
-			strings.Join(offs, ","))
+		b.WriteString("=" + strings.Join(offs, ","))
 	}
-	return fmt.Sprintf("?%d", f.Kind)
+	return b.String()
 }
 
 // Parse decodes a reproducer line produced by Campaign.String. The parsed
@@ -185,22 +195,8 @@ func parseFaults(s string) ([]Fault, error) {
 	return out, nil
 }
 
-// kindsByName is the inverse of kindNames.
-var kindsByName = map[string]FaultKind{
-	"stop":    StopClock,
-	"race":    RaceClock,
-	"stick":   StickClock,
-	"false":   Falseticker,
-	"loss":    LossBurst,
-	"delay":   DelaySpike,
-	"part":    Partition,
-	"crash":   Crash,
-	"churn":   Churn,
-	"twoface": TwoFaced,
-	"equiv":   Equivocate,
-}
-
-// parseFault decodes one fault token per the grammar above.
+// parseFault decodes one fault token per the grammar above, checking its
+// shape against its kind's row.
 func parseFault(tok string) (Fault, error) {
 	head, rest, ok := strings.Cut(tok, "@")
 	if !ok {
@@ -208,12 +204,16 @@ func parseFault(tok string) (Fault, error) {
 	}
 	var f Fault
 	name, target, targeted := strings.Cut(head, ":")
-	kind, known := kindsByName[name]
-	if !known {
+	for kind := FaultKind(1); int(kind) < len(kinds); kind++ {
+		if kinds[kind].name == name {
+			f.Kind = kind
+		}
+	}
+	k := f.Kind.spec()
+	if k == nil {
 		return Fault{}, fmt.Errorf("unknown kind %q", name)
 	}
-	f.Kind = kind
-	if kind.targeted() != targeted {
+	if k.targeted != targeted {
 		return Fault{}, fmt.Errorf("kind %q target mismatch", name)
 	}
 	if targeted {
@@ -223,31 +223,21 @@ func parseFault(tok string) (Fault, error) {
 		}
 		f.Target = t
 	}
-	// rest is one of: <at>, <at>*<param>, <at>+<dur>, <at>+<dur>*<param>,
-	// <at>+<dur>=<groups>, <at>+<dur>=<offsets>. The '=' suffix is cut
-	// first so group and offset payloads never collide with the '*' and
-	// '+' cuts below.
-	var groupSpec string
-	if kind == Partition {
-		rest, groupSpec, ok = strings.Cut(rest, "=")
-		if !ok {
-			return Fault{}, fmt.Errorf("partition missing '='")
+	// rest is <at>[+<dur>][*<param>][=<payload>]. The '=' payload is cut
+	// first so group and offset lists never collide with the '*' and '+'
+	// cuts below.
+	var payload string
+	if k.groups || k.peers {
+		if rest, payload, ok = strings.Cut(rest, "="); !ok {
+			return Fault{}, fmt.Errorf("kind %q missing '='", name)
 		}
 	}
-	var peerSpec string
-	if kind.isLyingFault() {
-		rest, peerSpec, ok = strings.Cut(rest, "=")
-		if !ok {
-			return Fault{}, fmt.Errorf("%s missing '=' offset list", name)
-		}
-	}
-	var paramSpec string
-	hasParam := false
-	if i := strings.IndexByte(rest, '*'); i >= 0 {
-		rest, paramSpec, hasParam = rest[:i], rest[i+1:], true
+	rest, paramSpec, hasParam := strings.Cut(rest, "*")
+	if hasParam != (k.draw != nil) {
+		return Fault{}, fmt.Errorf("kind %q parameter mismatch", name)
 	}
 	atSpec, durSpec, hasDur := strings.Cut(rest, "+")
-	if hasDur != f.Kind.windowed() {
+	if hasDur != k.windowed {
 		return Fault{}, fmt.Errorf("kind %q duration mismatch", name)
 	}
 	var err error
@@ -259,17 +249,13 @@ func parseFault(tok string) (Fault, error) {
 			return Fault{}, fmt.Errorf("duration: %w", err)
 		}
 	}
-	wantParam := kind == RaceClock || kind == Falseticker || kind == LossBurst || kind == DelaySpike
-	if hasParam != wantParam {
-		return Fault{}, fmt.Errorf("kind %q parameter mismatch", name)
-	}
 	if hasParam {
 		if f.Param, err = strconv.ParseFloat(paramSpec, 64); err != nil {
 			return Fault{}, fmt.Errorf("parameter: %w", err)
 		}
 	}
-	if kind == Partition {
-		for _, g := range strings.Split(groupSpec, "|") {
+	if k.groups {
+		for _, g := range strings.Split(payload, "|") {
 			var members []int
 			if g != "" {
 				for _, part := range strings.Split(g, ".") {
@@ -283,8 +269,8 @@ func parseFault(tok string) (Fault, error) {
 			f.Groups = append(f.Groups, members)
 		}
 	}
-	if kind.isLyingFault() {
-		for _, part := range strings.Split(peerSpec, ",") {
+	if k.peers {
+		for _, part := range strings.Split(payload, ",") {
 			off, err := strconv.ParseFloat(part, 64)
 			if err != nil {
 				return Fault{}, fmt.Errorf("peer offset: %w", err)

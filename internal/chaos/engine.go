@@ -9,115 +9,52 @@ import (
 
 // engine schedules the dynamic faults of a campaign onto a built service.
 // Clock-failure wrappers are armed at construction time (they carry their
-// own fail-at); everything else — falseticker jumps, loss bursts, delay
-// spikes, partitions, crashes — is a simulator event the engine installs
-// before the run starts, so the whole schedule is part of the
-// deterministic event stream.
+// own fail-at); every other kind's start and end actions are simulator
+// events the engine installs before the run starts, so the whole schedule
+// is part of the deterministic event stream.
 //
 // The engine also feeds the fault-activation counters of an attached
 // observability sink. Counting happens inside the events the schedule
 // already contains — no extra events — so an observed campaign executes
 // the same deterministic trajectory as an unobserved one.
 type engine struct {
-	svc     *service.Service
-	sink    *obsSink
-	windows []Fault // active-window faults (loss bursts, delay spikes)
+	svc    *service.Service
+	sink   *obsSink
+	faults []Fault // the schedule, whose loss and delay windows rewire reads
 }
 
-// install schedules every dynamic fault. It must run before the
-// simulation advances.
-func (e *engine) install(c Campaign) error {
-	if e.sink == nil {
-		e.sink = &obsSink{}
-	}
+// install schedules every dynamic fault of a validated campaign. It must
+// run before the simulation advances.
+func (e *engine) install(c Campaign) {
+	e.faults = c.Faults
 	for _, f := range c.Faults {
-		f := f
+		k := &kinds[f.Kind]
 		e.sink.faultsInstalled.Inc()
-		switch f.Kind {
-		case Falseticker:
-			// The clock register jumps without the server's bookkeeping
-			// noticing: the server keeps answering with its usual <C, E>
-			// pair, whose interval now lies (the Figure 3 hazard).
-			e.svc.Sim.At(f.At, func() {
-				e.sink.activated(Falseticker)
-				clk := e.svc.Nodes[f.Target].Server.Clock()
-				clk.Set(f.At, clk.Read(f.At)+f.Param)
-			})
-		case LossBurst, DelaySpike:
-			kind := f.Kind
-			e.windows = append(e.windows, f)
-			e.svc.Sim.At(f.At, func() {
-				e.sink.activated(kind)
-				e.rewire(f.At)
-			})
-			e.svc.Sim.At(f.At+f.Dur, func() { e.rewire(f.At + f.Dur) })
-		case Partition:
-			// Same two events PartitionAt+HealAt would schedule, inlined
-			// so the onset also counts as an activation.
-			netGroups := make([][]simnet.NodeID, len(f.Groups))
-			for g, members := range f.Groups {
-				for _, idx := range members {
-					if idx < 0 || idx >= len(e.svc.Nodes) {
-						return fmt.Errorf("chaos: partition group %d: no server %d", g, idx)
-					}
-					netGroups[g] = append(netGroups[g], e.svc.Nodes[idx].NetID)
-				}
-			}
-			e.svc.Sim.At(f.At, func() {
-				e.sink.activated(Partition)
-				e.svc.Net.Partition(netGroups...)
-			})
-			e.svc.Sim.At(f.At+f.Dur, func() { e.svc.Net.Heal() })
-		case Crash:
-			e.svc.Sim.At(f.At, func() {
-				e.sink.activated(Crash)
-				e.svc.Crash(f.Target)
-			})
-			e.svc.Sim.At(f.At+f.Dur, func() { e.svc.Restart(f.Target) })
-		case Churn:
-			// Voluntary departure and rejoin. With membership enabled the
-			// departure is announced and the rejoin is a fresh incarnation;
-			// without it, Leave/Rejoin degrade to Crash/Restart.
-			e.svc.Sim.At(f.At, func() {
-				e.sink.activated(Churn)
-				e.svc.Leave(f.Target)
-			})
-			e.svc.Sim.At(f.At+f.Dur, func() { e.svc.Rejoin(f.Target) })
-		case TwoFaced:
-			// The server starts answering each peer from a per-destination
-			// skewed register at At and reverts to honesty at At+Dur. Its
-			// own bookkeeping never lies — only the replies do.
-			e.svc.Sim.At(f.At, func() {
-				e.sink.activated(TwoFaced)
-				e.svc.SetTwoFaced(f.Target, f.Peers)
-			})
-			e.svc.Sim.At(f.At+f.Dur, func() { e.svc.ClearTwoFaced(f.Target) })
-		case Equivocate:
-			// The server's pushed digests advertise conflicting <C, E> pairs
-			// per destination during the window.
-			e.svc.Sim.At(f.At, func() {
-				e.sink.activated(Equivocate)
-				e.svc.SetEquivocate(f.Target, f.Peers)
-			})
-			e.svc.Sim.At(f.At+f.Dur, func() { e.svc.ClearEquivocate(f.Target) })
-		case StopClock, RaceClock, StickClock:
+		if k.wrap != nil {
 			// Armed inside the clock wrappers at build time; counted as
 			// armed here (the wrapper fires without a simulator event).
 			e.sink.clockFaultsArm.Inc()
-		default:
-			return fmt.Errorf("chaos: cannot install fault kind %v", f.Kind)
+			continue
+		}
+		e.svc.Sim.At(f.At, func() {
+			e.sink.activated(f.Kind)
+			k.start(e, f)
+		})
+		if k.windowed {
+			e.svc.Sim.At(f.At+f.Dur, func() { k.end(e, f) })
 		}
 	}
-	return nil
 }
 
-// rewire recomputes the network-wide loss and delay overlays from the
-// windows active at virtual time now and replaces every link's config
-// accordingly. Links() enumerates in deterministic order and Connect
-// replaces in place, so a rewire is itself a deterministic event.
-func (e *engine) rewire(now float64) {
+// rewire is the start and end action of loss bursts and delay spikes: it
+// recomputes the network-wide loss and delay overlays from the windows
+// active now and replaces every link's config accordingly. Links()
+// enumerates in deterministic order and Connect replaces in place, so a
+// rewire is itself a deterministic event.
+func (e *engine) rewire(Fault) {
+	now := e.svc.Sim.Now()
 	lossP, mult := 0.0, 1.0
-	for _, f := range e.windows {
+	for _, f := range e.faults {
 		if now >= f.At && now < f.At+f.Dur {
 			switch f.Kind {
 			case LossBurst:

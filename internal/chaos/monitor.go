@@ -140,7 +140,7 @@ func newMonitor(svc *service.Service, c Campaign, sink *obsSink) *Monitor {
 		m.clockFaultAt[i] = math.Inf(1)
 	}
 	for _, f := range c.Faults {
-		if f.Kind.isClockFault() && f.At < m.clockFaultAt[f.Target] {
+		if kinds[f.Kind].clock && f.At < m.clockFaultAt[f.Target] {
 			m.clockFaultAt[f.Target] = f.At
 		}
 	}

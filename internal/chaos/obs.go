@@ -33,9 +33,9 @@ func newObsSink(reg *obs.Registry) *obsSink {
 	s.violations = reg.Counter("chaos_violations_total")
 	s.faultsInstalled = reg.Counter("chaos_faults_installed_total")
 	s.clockFaultsArm = reg.Counter("chaos_clock_faults_armed_total")
-	s.activations = make(map[FaultKind]*obs.Counter, len(kindNames))
-	for kind, name := range kindNames {
-		s.activations[kind] = reg.Counter("chaos_fault_activations_" + name + "_total")
+	s.activations = make(map[FaultKind]*obs.Counter, len(kinds))
+	for k := FaultKind(1); int(k) < len(kinds); k++ {
+		s.activations[k] = reg.Counter("chaos_fault_activations_" + k.String() + "_total")
 	}
 	return s
 }

@@ -91,7 +91,7 @@ func Shrink(c Campaign, run Runner) (ShrinkResult, error) {
 
 	// 3. Halve windowed faults' durations (floor: one 5 s grid step).
 	for i := range res.Campaign.Faults {
-		for res.Campaign.Faults[i].Kind.windowed() && res.Campaign.Faults[i].Dur >= 10 {
+		for kinds[res.Campaign.Faults[i].Kind].windowed && res.Campaign.Faults[i].Dur >= 10 {
 			cand := res.Campaign
 			cand.Faults = append([]Fault(nil), res.Campaign.Faults...)
 			half := math.Max(5, grid(cand.Faults[i].Dur/2))
@@ -145,7 +145,7 @@ func truncated(c Campaign, end float64) Campaign {
 		if f.At >= end {
 			continue
 		}
-		if f.Kind.windowed() && f.At+f.Dur > end {
+		if kinds[f.Kind].windowed && f.At+f.Dur > end {
 			f.Dur = end - f.At
 		}
 		out.Faults = append(out.Faults, f)

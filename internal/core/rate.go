@@ -184,23 +184,3 @@ func EstimateOwnDrift(estimates []RateEstimate, deltas []float64) (interval.Inte
 func SuspectInvalidBound(constraint interval.Interval, delta float64) bool {
 	return !interval.Consistent(constraint, interval.Interval{Lo: -delta, Hi: delta})
 }
-
-// DissonantPairs returns the pairs (i, j), i < j, whose rate estimate is
-// not consonant with the claimed bounds. estimates[i][j] must hold the
-// estimate of j's clock against i's; entries may be zero-valued
-// (invalid). A non-empty result proves that at least one server of each
-// listed pair holds an invalid drift bound.
-func DissonantPairs(estimates [][]RateEstimate, deltas []float64) [][2]int {
-	var out [][2]int
-	for i := range estimates {
-		for j := range estimates[i] {
-			if j <= i {
-				continue
-			}
-			if !estimates[i][j].ConsonantWith(deltas[i], deltas[j]) {
-				out = append(out, [2]int{i, j})
-			}
-		}
-	}
-	return out
-}

@@ -207,27 +207,6 @@ func TestSuspectInvalidBound(t *testing.T) {
 	}
 }
 
-func TestDissonantPairs(t *testing.T) {
-	// Three servers; server 2 drifts far beyond every claimed bound.
-	est := make([][]RateEstimate, 3)
-	for i := range est {
-		est[i] = make([]RateEstimate, 3)
-	}
-	est[0][1] = RateEstimate{Rate: 1e-6, Err: 0, Valid: true}
-	est[0][2] = RateEstimate{Rate: 1e-3, Err: 0, Valid: true}
-	est[1][2] = RateEstimate{Rate: 1e-3, Err: 0, Valid: true}
-	deltas := []float64{1e-5, 1e-5, 1e-5}
-	pairs := DissonantPairs(est, deltas)
-	if len(pairs) != 2 {
-		t.Fatalf("pairs = %v, want 2 pairs involving server 2", pairs)
-	}
-	for _, p := range pairs {
-		if p[1] != 2 {
-			t.Errorf("unexpected pair %v", p)
-		}
-	}
-}
-
 // TestRateTrackerDetectsFaultyDriftBound reproduces the Section 5 use
 // case end-to-end at the rate level: a clock claiming one second a day but
 // actually four percent fast is exposed by consonance checking.

@@ -264,7 +264,7 @@ func AblationLoss() (Table, error) {
 		for _, n := range svc.Nodes {
 			syncs += n.Syncs
 		}
-		repliesPerRound := float64(svc.Net.Stats.Delivered.Load()) / float64(2*syncs)
+		repliesPerRound := float64(svc.Net.Stats.Delivered) / float64(2*syncs)
 		out.Rows = append(out.Rows, []string{
 			f(loss), fb(correct), f(stats.Mean(final.E)), fmt.Sprintf("%.1f", repliesPerRound),
 		})

@@ -31,7 +31,7 @@ func fingerprint(svc *Service, samples ...float64) string {
 			mix(math.Float64bits(r.E))
 		}
 		mix(svc.Sim.Steps())
-		st := svc.Net.Stats.Snapshot()
+		st := svc.Net.Stats
 		for _, v := range []int64{st.Sent, st.Delivered, st.Lost, st.Partitioned, st.NoLink} {
 			mix(uint64(v))
 		}

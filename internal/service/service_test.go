@@ -430,7 +430,7 @@ func TestLossToleratedByMM(t *testing.T) {
 			t.Fatalf("correctness lost under loss at t=%v", s.T)
 		}
 	}
-	if svc.Net.Stats.Lost.Load() == 0 {
+	if svc.Net.Stats.Lost == 0 {
 		t.Error("no messages were lost; loss model inactive?")
 	}
 }

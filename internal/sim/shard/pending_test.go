@@ -171,7 +171,7 @@ func (w periodic) Event(p *Proc, ev Ev) {
 	n := ev.Node
 	p.After(n, w.tau, kindTick, 0, 0, 0)
 	p.After(n, w.tau/2, kindHalf, 0, 0, 0)
-	peer := p.Shard()*w.perShard + int32(p.Uint64(n)%uint64(w.perShard))
+	peer := p.id*w.perShard + int32(p.Uint64(n)%uint64(w.perShard))
 	p.Send(n, peer, p.Float64(n)*w.tau/100, kindMsg, 0, 0, 0)
 }
 

@@ -234,15 +234,8 @@ func (k *Kernel) Observe(reg *obs.Registry) {
 	}
 }
 
-// Now returns the kernel's virtual time (the horizon every shard has
-// reached).
-func (k *Kernel) Now() float64 { return k.now }
-
 // Shards returns the shard count.
 func (k *Kernel) Shards() int { return len(k.shards) }
-
-// ShardOf returns the shard owning node.
-func (k *Kernel) ShardOf(node int32) int32 { return k.shardOf[node] }
 
 // Steps returns the total number of events executed.
 func (k *Kernel) Steps() uint64 {
@@ -271,9 +264,6 @@ func (k *Kernel) Seed(node int32, at float64, kind uint16, tag uint32, a, b floa
 
 // Now returns the shard's current virtual time.
 func (p *Proc) Now() float64 { return p.now }
-
-// Shard returns the shard's index.
-func (p *Proc) Shard() int32 { return p.id }
 
 // Uint64 draws from node's PCG stream. The node must be local.
 func (p *Proc) Uint64(node int32) uint64 {

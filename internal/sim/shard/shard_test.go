@@ -281,7 +281,7 @@ func TestRunBoundary(t *testing.T) {
 		k.Run(2)
 		atCut := [4][]float64{{1}, {2}, nil, {2}}
 		check("Run(2)", atCut)
-		if now, pnow := k.Now(), k.Proc(shards-1).Now(); now != 2 || pnow != 2 {
+		if now, pnow := k.now, k.Proc(shards-1).Now(); now != 2 || pnow != 2 {
 			t.Fatalf("shards %d: Now() = %v and the last shard's = %v after Run(2), want 2", shards, now, pnow)
 		}
 		k.Run(2)
@@ -372,8 +372,8 @@ func TestNegativeDelayPanics(t *testing.T) {
 	p.After(1, 0, kindTick, 0, 0, 0)
 	p.Send(0, 1, 0, kindMsg, 0, 0, 0)
 	k.Run(10)
-	if len(r.times) != 4 || k.Now() != 10 {
-		t.Fatalf("after the refused calls, Run(10) executed %v and reports Now() = %v; want four events at 10 and Now() = 10", r.times, k.Now())
+	if len(r.times) != 4 || k.now != 10 {
+		t.Fatalf("after the refused calls, Run(10) executed %v and reports Now() = %v; want four events at 10 and Now() = 10", r.times, k.now)
 	}
 }
 
@@ -400,8 +400,8 @@ func TestConfigValidation(t *testing.T) {
 	if k.Shards() != 3 {
 		t.Fatalf("Shards() = %d with 3 nodes, want clamped to 3", k.Shards())
 	}
-	if k.ShardOf(2) != 2 {
-		t.Fatalf("ShardOf(2) = %d, want 2", k.ShardOf(2))
+	if k.shardOf[2] != 2 {
+		t.Fatalf("shardOf[2] = %d, want 2", k.shardOf[2])
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
-	"sync/atomic"
 
 	"disttime/internal/obs"
 	"disttime/internal/sim"
@@ -210,7 +209,7 @@ type delivery struct {
 func deliver(x any) {
 	d := x.(*delivery)
 	n := d.net
-	n.Stats.Delivered.Add(1)
+	n.Stats.Delivered++
 	n.obsDelivered.Inc()
 	if h := n.handlers[d.msg.To]; h != nil {
 		h(d.msg)
@@ -219,38 +218,14 @@ func deliver(x any) {
 	n.free = append(n.free, d)
 }
 
-// Stats accumulates network counters. The fields are atomics so that
-// deliveries executing concurrently (shards of a partitioned kernel
-// draining their windows in parallel) can bump one shared Stats without
-// tearing; single-threaded simulations pay one uncontended atomic add per
-// counter, which is noise next to the delivery itself.
+// Stats accumulates network counters. Every delivery runs on the
+// simulator's one goroutine, so the counters are plain integers.
 type Stats struct {
-	Sent        atomic.Int64
-	Delivered   atomic.Int64
-	Lost        atomic.Int64
-	Partitioned atomic.Int64
-	NoLink      atomic.Int64
-}
-
-// StatsSnapshot is a plain-value copy of Stats for reporting.
-type StatsSnapshot struct {
 	Sent        int64
 	Delivered   int64
 	Lost        int64
 	Partitioned int64
 	NoLink      int64
-}
-
-// Snapshot reads all counters. Under concurrent traffic the fields are
-// individually, not mutually, consistent — fine for reporting.
-func (s *Stats) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Sent:        s.Sent.Load(),
-		Delivered:   s.Delivered.Load(),
-		Lost:        s.Lost.Load(),
-		Partitioned: s.Partitioned.Load(),
-		NoLink:      s.NoLink.Load(),
-	}
 }
 
 // New returns an empty network driven by s.
@@ -362,7 +337,7 @@ func (n *Network) Send(from, to NodeID, payload any) bool {
 	}
 	i, linked := n.edgeTo(from, to)
 	if !linked {
-		n.Stats.NoLink.Add(1)
+		n.Stats.NoLink++
 		n.obsNoLink.Inc()
 		return false
 	}
@@ -372,14 +347,14 @@ func (n *Network) Send(from, to NodeID, payload any) bool {
 // sendOver is Send once the link is in hand.
 func (n *Network) sendOver(from NodeID, e *edge, payload any) bool {
 	if n.group[from] != n.group[e.to] {
-		n.Stats.Partitioned.Add(1)
+		n.Stats.Partitioned++
 		n.obsPartitioned.Inc()
 		return false
 	}
-	n.Stats.Sent.Add(1)
+	n.Stats.Sent++
 	n.obsSent.Inc()
 	if e.cfg.Loss > 0 && n.rng.Float64() < e.cfg.Loss {
-		n.Stats.Lost.Add(1)
+		n.Stats.Lost++
 		n.obsLost.Inc()
 		return true // sent, silently lost
 	}

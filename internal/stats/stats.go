@@ -1,5 +1,5 @@
 // Package stats provides the small statistical helpers the experiment
-// harness uses to summarize simulation runs: moments, order statistics,
+// harness uses to summarize simulation runs: the mean, order statistics,
 // and least-squares slopes for error-growth rates.
 package stats
 
@@ -23,24 +23,6 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Variance returns the population variance; zero for fewer than two
-// samples.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Min returns the smallest value; +Inf for an empty slice.
 func Min(xs []float64) float64 {
