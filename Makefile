@@ -163,8 +163,9 @@ churn-smoke:
 txn-smoke:
 	$(call run-twice-and-cmp,-txn -txn-seed 7,txn-smoke)
 
-# Short coverage-guided fuzz passes: the M-of-N interval sweep and the
-# majority selection over it, each against its naive oracle, every parser
+# Short coverage-guided fuzz passes: the interval sweep's span at
+# coverage m (FuzzMarzulloSpan, the envelope ByzIM adopts) and the
+# majority selection over the sweep, each against its naive oracle, every parser
 # a datagram reaches on the serving path, the client's matching of a
 # datagram to an outstanding request, the event kernel's pending
 # set (lanes and heap) against a sorted slice, and the chaos reproducer
@@ -174,7 +175,7 @@ txn-smoke:
 # evenly over the targets; run one target with a larger -fuzztime when
 # hunting.
 FUZZTIME ?= 10s
-FUZZ_TARGETS = interval:FuzzIntersectMofN interval:FuzzSelect wire:FuzzParseRequest \
+FUZZ_TARGETS = interval:FuzzMarzulloSpan interval:FuzzSelect wire:FuzzParseRequest \
                wire:FuzzParseRequestHLC wire:FuzzParseResponse hlc:FuzzTimestampCodec \
                udptime:FuzzClientReply sim/shard:FuzzQueue chaos:FuzzCampaignCodec
 fuzz-smoke:

@@ -8,6 +8,9 @@ import (
 	"time"
 
 	"disttime"
+	"disttime/internal/member"
+	"disttime/internal/obs"
+	"disttime/internal/service"
 )
 
 func TestMarzulloFacade(t *testing.T) {
@@ -35,12 +38,28 @@ func TestIntersectReadings(t *testing.T) {
 		t.Fatal("consistent readings reported inconsistent")
 	}
 	// Common interval: [base-50ms, base+100ms] -> midpoint base+25ms,
-	// half-width 75ms.
+	// half-width 75ms. 0.075 s has no exact float64, and the bound rounds
+	// up, so it may come out a nanosecond wide.
 	if got := c.Sub(base); got != 25*time.Millisecond {
 		t.Errorf("midpoint offset = %v, want 25ms", got)
 	}
-	if e != 75*time.Millisecond {
+	if e < 75*time.Millisecond || e > 75*time.Millisecond+time.Nanosecond {
 		t.Errorf("error = %v, want 75ms", e)
+	}
+
+	// The common interval [base, base+1ns] has its midpoint and its
+	// half-width at half a nanosecond. The midpoint truncates, and the
+	// bound takes up what that drops and rounds up, not toward zero, so
+	// the answer still covers the interval.
+	c, e, ok = disttime.IntersectReadings([]disttime.TimeReading{
+		{C: base, E: time.Nanosecond},
+		{C: base.Add(time.Nanosecond), E: time.Nanosecond},
+	})
+	if !ok {
+		t.Fatal("readings sharing [base, base+1ns] reported inconsistent")
+	}
+	if lo, hi := c.Add(-e), c.Add(e); lo.After(base) || hi.Before(base.Add(time.Nanosecond)) {
+		t.Errorf("<%v, %v> = [%v, %v] does not cover [base, base+1ns]", c.Sub(base), e, lo.Sub(base), hi.Sub(base))
 	}
 }
 
@@ -84,11 +103,10 @@ func TestEndToEndSimulationFacade(t *testing.T) {
 			}
 		}
 		sim, err := disttime.NewSimulation(disttime.SimulationConfig{
-			Seed:     1,
-			Delay:    disttime.UniformDelay{Max: 0.01},
-			Topology: disttime.FullMesh,
-			Fn:       disttime.IM{},
-			Servers:  specs,
+			Seed:    1,
+			Delay:   disttime.UniformDelay{Max: 0.01},
+			Fn:      disttime.IM{},
+			Servers: specs,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -141,24 +159,10 @@ func TestEndToEndUDPFacade(t *testing.T) {
 	}
 }
 
-func TestSelectFacade(t *testing.T) {
-	sel, ok := disttime.Select([]disttime.Interval{
-		disttime.FromEstimate(5, 1),
-		disttime.FromEstimate(5.5, 1),
-		disttime.FromEstimate(50, 1), // the liar
-	})
-	if !ok {
-		t.Fatal("no majority")
-	}
-	if len(sel.Falsetickers) != 1 || sel.Falsetickers[0] != 2 {
-		t.Errorf("falsetickers = %v", sel.Falsetickers)
-	}
-}
-
-// TestTraceFacade traces a service with one server drifting far past its
-// bound, so rounds reset, reject replies and run the Section 3 recovery:
-// every round must come out as one JSONL span, in time order, and the
-// spans must tell the same story as the nodes' own counters.
+// TestTraceFacade traces a Simulation with one server drifting far past
+// its bound, so rounds reset, reject replies and run the Section 3
+// recovery: every round must come out as one JSONL span, in time order,
+// and the spans must tell the same story as the nodes' own counters.
 func TestTraceFacade(t *testing.T) {
 	const day = 86400.0
 	sim, err := disttime.NewSimulation(disttime.SimulationConfig{
@@ -175,7 +179,7 @@ func TestTraceFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	tr := disttime.NewTracer(&out)
+	tr := obs.NewTracer(&out)
 	sim.Observe(nil, tr)
 	sim.Run(3600)
 	if tr.Spans() == 0 || tr.Err() != nil {
@@ -223,19 +227,6 @@ func TestTraceFacade(t *testing.T) {
 	}
 	if recovered == 0 || recovered != want {
 		t.Errorf("%d recovered rounds, node counters say %d", recovered, want)
-	}
-}
-
-func TestSinusoidAndSlewFacade(t *testing.T) {
-	osc := disttime.NewSinusoidClock(0, 0, 1e-4, 3600, 0)
-	if got := osc.Read(3600); math.Abs(got-3600) > 1e-6 {
-		t.Errorf("sinusoid over a period = %v", got)
-	}
-	slew := disttime.NewSlewingClock(disttime.NewDriftingClock(0, 0, 0), 0.1)
-	slew.Read(0)
-	slew.Set(0, 10)
-	if slew.PendingCorrection() != 10 {
-		t.Errorf("pending = %v", slew.PendingCorrection())
 	}
 }
 
@@ -288,11 +279,11 @@ func TestMembershipFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	rejoins, leaves := 0, 0
-	sim.AddMemberChange(func(ev disttime.MemberEvent) {
-		if ev.From == disttime.MemberLeft && ev.To == disttime.MemberAlive {
+	sim.AddMemberChange(func(ev service.MemberEvent) {
+		if ev.From == member.Left && ev.To == disttime.MemberAlive {
 			rejoins++
 		}
-		if ev.To == disttime.MemberLeft {
+		if ev.To == member.Left {
 			leaves++
 		}
 		if ev.FalseEviction {
@@ -321,7 +312,7 @@ func TestMembershipFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	var members []disttime.UDPMember = p.Members()
+	members := p.Members()
 	if len(members) < 2 {
 		t.Fatalf("roster-backed peer knows %d members, want self + seed", len(members))
 	}
@@ -347,7 +338,7 @@ func TestConsonanceFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Run(1800)
-	var report disttime.ConsonanceReport = sim.Consonance()
+	report := sim.Consonance()
 	if got := report.Suspects(2); len(got) != 1 || got[0] != 2 {
 		t.Errorf("Suspects = %v, want [2]", got)
 	}

@@ -13,10 +13,10 @@
 // — together with everything needed to run, test, and measure them:
 //
 //   - the interval algebra, consistency groups, the fault-tolerant
-//     M-of-N intersection (Marzullo's algorithm) and the majority
-//     selection built on it (Select) in internal/interval;
-//   - drifting and failing clock models and a monotonic wrapper in
-//     internal/clock;
+//     intersection (Marzullo's algorithm), its span at coverage m and the
+//     majority selection built on it in internal/interval;
+//   - drifting, failing and slewing clock models and a monotonic wrapper
+//     in internal/clock;
 //   - a deterministic discrete-event simulator and network in
 //     internal/sim and internal/simnet;
 //   - the server state machine, both algorithms, the Section 3 recovery
@@ -24,11 +24,15 @@
 //     baseline synchronization functions in internal/core;
 //   - a full simulated time service harness in internal/service;
 //   - a real UDP time service (wire protocol, server, client, disciplined
-//     clock) in internal/udptime;
+//     clock, syncing peers) in internal/udptime;
+//   - hybrid logical clocks and a commit-wait transaction workload in
+//     internal/hlc and internal/txn;
 //   - every figure and theorem of the paper as a runnable experiment in
 //     internal/experiments (see EXPERIMENTS.md).
 //
-// This package re-exports the public API. Quick start:
+// This package re-exports the part of that API which the examples, the
+// commands and this documentation use; DESIGN.md lists each name with its
+// caller. Quick start:
 //
 //	best := disttime.Marzullo([]disttime.Interval{
 //		disttime.FromEstimate(10.000, 0.005),

@@ -34,46 +34,6 @@ func ExampleMarzullo() {
 	// Output: 2 of 3 agree on [9.9990, 10.0050]
 }
 
-// An inconsistent service decomposes into maximal consistency groups
-// (the paper's Figure 4); consistency is not transitive, so groups may
-// share members.
-func ExampleConsistencyGroups() {
-	ivs := []disttime.Interval{
-		{Lo: 0, Hi: 3},   // S1
-		{Lo: 2.5, Hi: 6}, // S2: consistent with S1 and with S3
-		{Lo: 5, Hi: 9},   // S3
-	}
-	for _, g := range disttime.ConsistencyGroups(ivs) {
-		fmt.Printf("members=%v intersection=[%.1f, %.1f]\n",
-			g.Members, g.Intersection.Lo, g.Intersection.Hi)
-	}
-	// Output:
-	// members=[0 1] intersection=[2.5, 3.0]
-	// members=[1 2] intersection=[5.0, 6.0]
-}
-
-// A time server answers with the pair <C, E> of rule MM-1 and
-// synchronizes with rule IM-2: intersect the reply intervals and adopt
-// the midpoint.
-func ExampleServer() {
-	server, err := disttime.NewServer(0, disttime.ServerConfig{
-		Clock:        disttime.NewDriftingClock(0, 100, 0), // reads 100 at t=0
-		Delta:        1e-5,                                 // claimed drift bound
-		InitialError: 5,
-	})
-	if err != nil {
-		panic(err)
-	}
-	replies := []disttime.Reply{
-		{From: 1, C: 103, E: 4}, // interval [99, 107]
-		{From: 2, C: 98, E: 2},  // interval [96, 100]
-	}
-	res := disttime.IM{}.Sync(server, 0, replies)
-	r := server.Reading(0)
-	fmt.Printf("reset=%v C=%.1f E=%.1f\n", res.Reset, r.C, r.E)
-	// Output: reset=true C=99.5 E=0.5
-}
-
 // A whole simulated time service: five drifting clocks in a full mesh
 // synchronizing with algorithm IM every ten seconds, all provably correct
 // throughout.
@@ -101,22 +61,6 @@ func ExampleNewSimulation() {
 	s := sim.Snapshot()
 	fmt.Printf("after %.0fs: all correct=%v, consistent=%v\n", s.T, s.AllCorrect, s.Consistent)
 	// Output: after 600s: all correct=true, consistent=true
-}
-
-// Selection classifies sources into survivors and falsetickers when a
-// majority of them agrees.
-func ExampleSelect() {
-	sel, ok := disttime.Select([]disttime.Interval{
-		disttime.FromEstimate(5.0, 1),
-		disttime.FromEstimate(5.4, 1),
-		disttime.FromEstimate(50, 1), // the liar
-	})
-	if !ok {
-		panic("no majority")
-	}
-	fmt.Printf("survivors=%v falsetickers=%v agreed=[%.1f, %.1f]\n",
-		sel.Survivors, sel.Falsetickers, sel.Interval.Lo, sel.Interval.Hi)
-	// Output: survivors=[0 1] falsetickers=[2] agreed=[4.4, 6.0]
 }
 
 // The monotonic wrapper implements the Section 1.1 technique: after a

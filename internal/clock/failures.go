@@ -64,10 +64,7 @@ type Racing struct {
 	baseV  float64 // clock value then
 }
 
-var (
-	_ Clock = (*Racing)(nil)
-	_ Rated = (*Racing)(nil)
-)
+var _ Clock = (*Racing)(nil)
 
 // NewRacing wraps inner so that from real time failAt onward the clock
 // advances factor clock-seconds per real second.
@@ -92,18 +89,6 @@ func (c *Racing) Set(t, value float64) {
 	}
 	c.arm()
 	c.baseT, c.baseV = t, value
-}
-
-// ActualRate returns the racing rate once failed, else the inner rate (or
-// 1 if the inner clock is not Rated).
-func (c *Racing) ActualRate() float64 {
-	if c.failed {
-		return c.factor
-	}
-	if r, ok := c.inner.(Rated); ok {
-		return r.ActualRate()
-	}
-	return 1
 }
 
 func (c *Racing) arm() {

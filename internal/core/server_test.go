@@ -540,6 +540,7 @@ func TestSyncFuncNames(t *testing.T) {
 		{LamportMax{}, "max"},
 		{Median{}, "median"},
 		{Mean{}, "mean"},
+		{SelectIM{}, "select-IM"},
 	}
 	for _, tt := range tests {
 		if got := tt.fn.Name(); got != tt.want {

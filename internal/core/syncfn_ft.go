@@ -1,54 +1,13 @@
 package core
 
-import (
-	"sort"
-
-	"disttime/internal/interval"
-)
+import "disttime/internal/interval"
 
 // This file extends the paper's synchronization functions toward failing
-// clocks, the direction the paper defers to [Marzullo 83]: a trimmed
-// fault-tolerant mean in the style of [Lamport 82], and the
+// clocks, the direction the paper defers to [Marzullo 83]: the
 // majority-intersection function (Marzullo's algorithm as a
 // synchronization function) that tolerates falsetickers where plain rule
-// IM-2 reports inconsistency and refuses to act.
-
-// TrimmedMean is the fault-tolerant averaging function of [Lamport 82]:
-// the F lowest and F highest clock values among self and the consistent
-// replies are discarded and the clock is set to the mean of the rest. It
-// tolerates up to F arbitrary clock values.
-type TrimmedMean struct {
-	// F is how many extreme values to discard from each end. With fewer
-	// than 2F+1 candidates the pass is a no-op.
-	F int
-}
-
-// Name returns "trimmed-mean".
-func (TrimmedMean) Name() string { return "trimmed-mean" }
-
-// Sync adopts the trimmed mean of self and consistent replies.
-func (tm TrimmedMean) Sync(s *Server, t float64, replies []Reply) Result {
-	var res Result
-	cands := s.candidates(t, replies, &res)
-	f := tm.F
-	if f < 0 {
-		f = 0
-	}
-	if len(cands) < 2*f+1 || len(cands) < 2 {
-		return res
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].c < cands[j].c })
-	kept := cands[f : len(cands)-f]
-	var sumC, sumE float64
-	for _, k := range kept {
-		sumC += k.c
-		sumE += k.err
-	}
-	s.SetClock(t, sumC/float64(len(kept)), sumE/float64(len(kept)))
-	res.Reset = true
-	res.Accepted = len(kept)
-	return res
-}
+// IM-2 reports inconsistency and refuses to act, and its Byzantine-tolerant
+// envelope form.
 
 // SelectIM is the intersection function hardened against falsetickers:
 // instead of requiring every interval to intersect (rule IM-2, which

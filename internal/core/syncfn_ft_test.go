@@ -6,68 +6,6 @@ import (
 	"testing"
 )
 
-func TestTrimmedMeanDiscardsExtremes(t *testing.T) {
-	s := newServer(t, 1, 0, 100, 0, 30)
-	res := TrimmedMean{F: 1}.Sync(s, 0, []Reply{
-		{From: 2, C: 80, E: 1}, // low extreme, discarded
-		{From: 3, C: 99, E: 2},
-		{From: 4, C: 101, E: 2},
-		{From: 5, C: 120, E: 1}, // high extreme, discarded
-	})
-	if !res.Reset {
-		t.Fatal("no reset")
-	}
-	// Kept: 99, 100 (self), 101 -> mean 100.
-	if got := s.Read(0); got != 100 {
-		t.Errorf("clock = %v, want 100", got)
-	}
-	if res.Accepted != 3 {
-		t.Errorf("Accepted = %d, want 3", res.Accepted)
-	}
-}
-
-func TestTrimmedMeanTooFewCandidates(t *testing.T) {
-	s := newServer(t, 1, 0, 100, 0, 10)
-	res := TrimmedMean{F: 2}.Sync(s, 0, []Reply{
-		{From: 2, C: 101, E: 1},
-		{From: 3, C: 99, E: 1},
-	})
-	if res.Reset {
-		t.Error("reset with fewer than 2F+1 candidates")
-	}
-	if got := s.Read(0); got != 100 {
-		t.Errorf("clock moved: %v", got)
-	}
-}
-
-func TestTrimmedMeanNegativeFClamped(t *testing.T) {
-	s := newServer(t, 1, 0, 100, 0, 10)
-	res := TrimmedMean{F: -3}.Sync(s, 0, []Reply{{From: 2, C: 102, E: 1}})
-	if !res.Reset {
-		t.Fatal("no reset")
-	}
-	if got := s.Read(0); got != 101 {
-		t.Errorf("clock = %v, want plain mean 101", got)
-	}
-}
-
-func TestTrimmedMeanIgnoresInconsistent(t *testing.T) {
-	s := newServer(t, 1, 0, 100, 0, 1)
-	res := TrimmedMean{F: 0}.Sync(s, 0, []Reply{{From: 2, C: 500, E: 0.1}})
-	if res.Reset || len(res.Inconsistent) != 1 {
-		t.Errorf("result = %+v", res)
-	}
-}
-
-func TestTrimmedMeanName(t *testing.T) {
-	if (TrimmedMean{}).Name() != "trimmed-mean" {
-		t.Error("bad name")
-	}
-	if (SelectIM{}).Name() != "select-IM" {
-		t.Error("bad name")
-	}
-}
-
 func TestSelectIMSurvivesFalseticker(t *testing.T) {
 	// Plain IM refuses to act when one reply is wildly inconsistent;
 	// SelectIM finds the majority region and resets.

@@ -183,14 +183,6 @@ func PutTimestamp(buf []byte, ts Timestamp) {
 	binary.BigEndian.PutUint32(buf[12:16], ts.Node)
 }
 
-// AppendTimestamp appends the encoded timestamp to dst and returns the
-// extended slice.
-func AppendTimestamp(dst []byte, ts Timestamp) []byte {
-	var buf [TimestampSize]byte
-	PutTimestamp(buf[:], ts)
-	return append(dst, buf[:]...)
-}
-
 // ParseTimestamp decodes a timestamp from buf[0:TimestampSize]. A wall
 // component outside int64's non-negative range is rejected: the codec
 // never produces one, so it marks a corrupted or hostile datagram.

@@ -1,7 +1,6 @@
 package hlc
 
 import (
-	"bytes"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -308,8 +307,8 @@ func TestTimestampString(t *testing.T) {
 	}
 }
 
-// TestCodecRoundTrip checks byte-exact encode/decode, the Put/Append
-// agreement, and the decode error paths.
+// TestCodecRoundTrip checks byte-exact encode/decode and the decode error
+// paths.
 func TestCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 12))
 	for i := 0; i < 1000; i++ {
@@ -318,16 +317,9 @@ func TestCodecRoundTrip(t *testing.T) {
 			Logical: rng.Uint32(),
 			Node:    rng.Uint32(),
 		}
-		enc := AppendTimestamp(nil, ts)
-		if len(enc) != TimestampSize {
-			t.Fatalf("encoded size %d, want %d", len(enc), TimestampSize)
-		}
 		var buf [TimestampSize]byte
 		PutTimestamp(buf[:], ts)
-		if !bytes.Equal(enc, buf[:]) {
-			t.Fatalf("Append and Put disagree: %x vs %x", enc, buf)
-		}
-		dec, err := ParseTimestamp(enc)
+		dec, err := ParseTimestamp(buf[:])
 		if err != nil {
 			t.Fatalf("ParseTimestamp: %v", err)
 		}
@@ -406,14 +398,12 @@ func TestClockAndCodecAllocs(t *testing.T) {
 	}
 
 	var buf [TimestampSize]byte
-	enc := make([]byte, 0, TimestampSize)
 	ts := Timestamp{Wall: WallFromSeconds(secs), Logical: 3, Node: 2}
 	if allocs := testing.AllocsPerRun(1000, func() {
 		ts.Wall++
 		PutTimestamp(buf[:], ts)
-		enc = AppendTimestamp(enc[:0], ts)
-		got, err := ParseTimestamp(enc)
-		if err != nil || got != ts || !bytes.Equal(enc, buf[:]) {
+		got, err := ParseTimestamp(buf[:])
+		if err != nil || got != ts {
 			t.Fatalf("round trip %v -> %v, %v", ts, got, err)
 		}
 	}); allocs != 0 {

@@ -25,7 +25,6 @@
 package interval
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -33,24 +32,12 @@ import (
 	"sync"
 )
 
-// ErrInverted is returned when an interval's lower edge exceeds its upper
-// edge.
-var ErrInverted = errors.New("interval: lower edge exceeds upper edge")
-
 // Interval is a closed interval [Lo, Hi] on the real-time axis, in seconds.
 // In the paper's vocabulary Lo is the trailing edge (C-E) and Hi the leading
 // edge (C+E).
 type Interval struct {
 	Lo float64
 	Hi float64
-}
-
-// New returns the interval [lo, hi]. It returns ErrInverted if lo > hi.
-func New(lo, hi float64) (Interval, error) {
-	if lo > hi {
-		return Interval{}, fmt.Errorf("%w: [%v, %v]", ErrInverted, lo, hi)
-	}
-	return Interval{Lo: lo, Hi: hi}, nil
 }
 
 // FromEstimate returns the interval [c-e, c+e] for a clock reading c with
@@ -168,11 +155,11 @@ type Best struct {
 }
 
 // Sweeper runs the endpoint-sweep algorithms (Marzullo's fault-tolerant
-// intersection, the at-least-m variant, and consistency-group
+// intersection, its span at coverage m, and consistency-group
 // decomposition) using reusable scratch buffers: the edge list and the
 // active-set bitset survive across calls, so a warmed Sweeper performs no
 // allocation beyond what a result itself requires (Marzullo and
-// MarzulloAtLeast allocate nothing; ConsistencyGroups allocates only the
+// MarzulloSpan allocate nothing; ConsistencyGroups allocates only the
 // returned groups).
 //
 // A Sweeper is not safe for concurrent use; the package-level functions
@@ -228,26 +215,6 @@ func (sw *Sweeper) Marzullo(ivs []Interval) Best {
 	return best
 }
 
-// MarzulloAtLeast is the Sweeper form of the package-level MarzulloAtLeast.
-func (sw *Sweeper) MarzulloAtLeast(ivs []Interval, m int) (Interval, bool) {
-	if m <= 0 {
-		return Interval{}, false
-	}
-	sw.load(ivs)
-	depth := 0
-	start := math.NaN()
-	for i, e := range sw.edges {
-		depth += int(e.delta)
-		if e.delta > 0 && depth == m && math.IsNaN(start) {
-			start = e.at
-		}
-		if e.delta < 0 && depth == m-1 && !math.IsNaN(start) {
-			return Interval{Lo: start, Hi: sw.edges[i].at}, true
-		}
-	}
-	return Interval{}, false
-}
-
 // MarzulloSpan is the Sweeper form of the package-level MarzulloSpan.
 func (sw *Sweeper) MarzulloSpan(ivs []Interval, m int) (Interval, bool) {
 	if m <= 0 {
@@ -273,7 +240,7 @@ func (sw *Sweeper) MarzulloSpan(ivs []Interval, m int) (Interval, bool) {
 }
 
 // sweeperPool recycles Sweepers behind the package-level entry points, so
-// Marzullo and MarzulloAtLeast are allocation-free in steady state and safe
+// Marzullo and MarzulloSpan are allocation-free in steady state and safe
 // under concurrent experiment trials.
 var sweeperPool = sync.Pool{New: func() any { return NewSweeper(16) }}
 
@@ -291,20 +258,11 @@ func Marzullo(ivs []Interval) Best {
 	return best
 }
 
-// MarzulloAtLeast returns the leftmost maximal interval covered by at least
-// m source intervals, and whether one exists. m must be positive.
-func MarzulloAtLeast(ivs []Interval, m int) (Interval, bool) {
-	sw := sweeperPool.Get().(*Sweeper)
-	iv, ok := sw.MarzulloAtLeast(ivs, m)
-	sweeperPool.Put(sw)
-	return iv, ok
-}
-
 // MarzulloSpan returns the envelope of agreement at coverage m: the span
 // from the first point covered by at least m source intervals to the last
-// such point, and whether any point reaches that coverage. Unlike
-// MarzulloAtLeast — which returns only the leftmost maximal region — the
-// span includes every point of sufficient coverage, so it is the sound
+// such point, and whether any point reaches that coverage. Unlike the
+// leftmost maximal region Marzullo returns, the span includes every point
+// of sufficient coverage, so it is the sound
 // basis for Byzantine-tolerant adoption: with at most f arbitrary liars
 // among the sources and m chosen so that the correct sources alone reach
 // m, real time is covered by all correct intervals and therefore lies

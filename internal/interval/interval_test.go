@@ -7,31 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestNew(t *testing.T) {
-	tests := []struct {
-		name    string
-		lo, hi  float64
-		wantErr bool
-	}{
-		{name: "ordered", lo: 1, hi: 2},
-		{name: "point", lo: 3, hi: 3},
-		{name: "negative range", lo: -5, hi: -1},
-		{name: "inverted", lo: 2, hi: 1, wantErr: true},
-		{name: "inverted tiny", lo: 1.0000001, hi: 1, wantErr: true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			iv, err := New(tt.lo, tt.hi)
-			if (err != nil) != tt.wantErr {
-				t.Fatalf("New(%v, %v) error = %v, wantErr %v", tt.lo, tt.hi, err, tt.wantErr)
-			}
-			if err == nil && (iv.Lo != tt.lo || iv.Hi != tt.hi) {
-				t.Errorf("New(%v, %v) = %v", tt.lo, tt.hi, iv)
-			}
-		})
-	}
-}
-
 func TestFromEstimate(t *testing.T) {
 	tests := []struct {
 		name   string
@@ -379,62 +354,6 @@ func TestMarzulloAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestMarzulloAtLeast(t *testing.T) {
-	ivs := []Interval{{Lo: 0, Hi: 4}, {Lo: 1, Hi: 5}, {Lo: 2, Hi: 6}, {Lo: 90, Hi: 91}}
-	tests := []struct {
-		m      int
-		want   Interval
-		wantOK bool
-	}{
-		{m: 0, wantOK: false},
-		{m: -1, wantOK: false},
-		{m: 1, want: Interval{Lo: 0, Hi: 6}, wantOK: true}, // leftmost maximal depth>=1 region
-		{m: 2, want: Interval{Lo: 1, Hi: 5}, wantOK: true},
-		{m: 3, want: Interval{Lo: 2, Hi: 4}, wantOK: true},
-		{m: 4, wantOK: false},
-	}
-	for _, tt := range tests {
-		got, ok := MarzulloAtLeast(ivs, tt.m)
-		if ok != tt.wantOK {
-			t.Fatalf("MarzulloAtLeast(m=%d) ok = %v, want %v", tt.m, ok, tt.wantOK)
-		}
-		if ok && got != tt.want {
-			t.Errorf("MarzulloAtLeast(m=%d) = %v, want %v", tt.m, got, tt.want)
-		}
-	}
-}
-
-// TestMarzulloAtLeastConsistentWithMarzullo: for the best count k returned
-// by Marzullo, MarzulloAtLeast(ivs, k) must succeed and contain the best
-// interval, and MarzulloAtLeast(ivs, k+1) must fail.
-func TestMarzulloAtLeastConsistentWithMarzullo(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 500; trial++ {
-		n := 1 + rng.Intn(10)
-		ivs := make([]Interval, n)
-		for i := range ivs {
-			ivs[i] = FromEstimate(float64(rng.Intn(30)), float64(rng.Intn(8))/2)
-		}
-		best := Marzullo(ivs)
-		got, ok := MarzulloAtLeast(ivs, best.Count)
-		if !ok {
-			t.Fatalf("trial %d: MarzulloAtLeast(%d) failed but Marzullo found count %d",
-				trial, best.Count, best.Count)
-		}
-		if !got.ContainsInterval(best.Interval) && !best.Interval.ContainsInterval(got) {
-			// The leftmost depth>=k region must at least overlap the best
-			// depth-k region when k is the max depth.
-			if !Consistent(got, best.Interval) {
-				t.Fatalf("trial %d: regions disagree: %v vs %v", trial, got, best.Interval)
-			}
-		}
-		if _, ok := MarzulloAtLeast(ivs, best.Count+1); ok {
-			t.Fatalf("trial %d: MarzulloAtLeast(%d) succeeded beyond max depth %d",
-				trial, best.Count+1, best.Count)
-		}
-	}
-}
-
 func TestConsistencyGroupsFigure4(t *testing.T) {
 	// A six-server inconsistent service in the spirit of Figure 4: three
 	// mutually-consistent subsets whose union is inconsistent.
@@ -648,8 +567,8 @@ func BenchmarkMarzullo(b *testing.B) {
 }
 
 // TestSweeperAllocs holds the sweep at zero allocations: a warmed Sweeper
-// runs the fault-tolerant intersection, its at-least-m and span variants
-// and the plain intersection over 100 and over 1000 overlapping
+// runs the fault-tolerant intersection, its span variant and the plain
+// intersection over 100 and over 1000 overlapping
 // intervals without allocating. The Sweeper is retained, not drawn from the pool
 // behind the package-level entry points: this package runs under the
 // race detector, where sync.Pool sheds at random and a pooled call may
@@ -669,9 +588,6 @@ func TestSweeperAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() {
 			if got := sw.Marzullo(ivs); got != want {
 				t.Fatalf("n=%d: Marzullo = %+v, want %+v", n, got, want)
-			}
-			if _, ok := sw.MarzulloAtLeast(ivs, want.Count); !ok {
-				t.Fatalf("n=%d: no region at the coverage Marzullo reported", n)
 			}
 			if _, ok := sw.MarzulloSpan(ivs, want.Count); !ok {
 				t.Fatalf("n=%d: no span at the coverage Marzullo reported", n)
@@ -693,8 +609,8 @@ func TestMarzulloSpan(t *testing.T) {
 		{m: 0, wantOK: false},
 		{m: -1, wantOK: false},
 		// The span reaches across the coverage gap between the cluster
-		// and the outlier — that is the difference from MarzulloAtLeast,
-		// which stops at the leftmost maximal region.
+		// and the outlier: it does not stop at the leftmost maximal
+		// region.
 		{m: 1, want: Interval{Lo: 0, Hi: 91}, wantOK: true},
 		{m: 2, want: Interval{Lo: 1, Hi: 5}, wantOK: true},
 		{m: 3, want: Interval{Lo: 2, Hi: 4}, wantOK: true},
@@ -748,8 +664,9 @@ func TestMarzulloSpanByzantineSoundness(t *testing.T) {
 	}
 }
 
-// TestMarzulloSpanContainsAtLeast: the span at coverage m must contain
-// the leftmost maximal region at the same coverage.
+// TestMarzulloSpanContainsAtLeast: the span at coverage m contains every
+// point that at least m sources cover. Coverage changes only at an
+// endpoint, so probing every endpoint probes every point.
 func TestMarzulloSpanContainsAtLeast(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 500; trial++ {
@@ -759,13 +676,14 @@ func TestMarzulloSpanContainsAtLeast(t *testing.T) {
 			ivs[i] = FromEstimate(float64(rng.Intn(30)), float64(rng.Intn(8))/2)
 		}
 		m := 1 + rng.Intn(n)
-		left, okL := MarzulloAtLeast(ivs, m)
-		span, okS := MarzulloSpan(ivs, m)
-		if okL != okS {
-			t.Fatalf("trial %d: MarzulloAtLeast ok=%v but MarzulloSpan ok=%v at m=%d", trial, okL, okS, m)
-		}
-		if okL && !span.ContainsInterval(left) {
-			t.Fatalf("trial %d: span %v does not contain leftmost region %v at m=%d", trial, span, left, m)
+		span, ok := MarzulloSpan(ivs, m)
+		for _, iv := range ivs {
+			for _, p := range []float64{iv.Lo, iv.Hi} {
+				if coverage(ivs, p) >= m && (!ok || !span.Contains(p)) {
+					t.Fatalf("trial %d: %v covered %d >= %d times, outside span %v (ok=%v)",
+						trial, p, coverage(ivs, p), m, span, ok)
+				}
+			}
 		}
 	}
 }

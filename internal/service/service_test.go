@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"disttime/internal/clock"
 	"disttime/internal/core"
 	"disttime/internal/simnet"
 )
@@ -480,44 +479,6 @@ func TestCustomTopologyUnlinkedNodeNeverSyncs(t *testing.T) {
 	}
 }
 
-func TestRandomWalkClocksStayCorrect(t *testing.T) {
-	specs := make([]ServerSpec, 4)
-	for i := range specs {
-		i := i
-		maxDrift := 5e-5
-		specs[i] = ServerSpec{
-			Delta:        maxDrift,
-			InitialError: 0.05,
-			SyncEvery:    10,
-			NewClock: func(at, value float64) clock.Clock {
-				return clock.NewRandomWalk(at, value, clock.RandomWalkConfig{
-					MaxDrift: maxDrift,
-					Step:     5,
-					Seed:     uint64(100 + i),
-				})
-			},
-		}
-	}
-	svc, err := New(Config{
-		Seed:    13,
-		Delay:   simnet.Uniform{Max: 0.01},
-		Fn:      core.IM{},
-		Servers: specs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, err := svc.RunSampled(600, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range samples {
-		if !s.AllCorrect {
-			t.Fatalf("random-walk service lost correctness at t=%v", s.T)
-		}
-	}
-}
-
 func TestRunSampledValidation(t *testing.T) {
 	svc, err := New(Config{Seed: 1, Servers: correctSpecs(2, 10)})
 	if err != nil {
@@ -793,42 +754,6 @@ func TestSlewedServiceStaysCorrect(t *testing.T) {
 			t.Fatalf("slewed clock went backward at t=%v: %v < %v", at, v, prev)
 		}
 		prev = v
-	}
-}
-
-func TestSinusoidalOscillatorsStayCorrect(t *testing.T) {
-	// Thermally-cycling oscillators: the rate amplitude is a valid
-	// claimed bound, so the service must remain correct.
-	specs := make([]ServerSpec, 4)
-	for i := range specs {
-		i := i
-		amp := 5e-5 * float64(i+1)
-		specs[i] = ServerSpec{
-			Delta:        amp,
-			InitialError: 0.05,
-			SyncEvery:    20,
-			NewClock: func(at, value float64) clock.Clock {
-				return clock.NewSinusoid(at, value, amp, 600, float64(i))
-			},
-		}
-	}
-	svc, err := New(Config{
-		Seed:    40,
-		Delay:   simnet.Uniform{Max: 0.005},
-		Fn:      core.IM{},
-		Servers: specs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, err := svc.RunSampled(1800, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range samples {
-		if !s.AllCorrect {
-			t.Fatalf("sinusoidal service lost correctness at t=%v", s.T)
-		}
 	}
 }
 

@@ -62,41 +62,6 @@ func (u Uniform) Sample(rng *rand.Rand) float64 {
 // Bound returns the model's upper bound.
 func (u Uniform) Bound() float64 { return math.Max(u.Min, u.Max) }
 
-// Constant is a fixed-delay model.
-type Constant struct {
-	D float64
-}
-
-// Sample returns the fixed delay.
-func (c Constant) Sample(*rand.Rand) float64 { return c.D }
-
-// Bound returns the fixed delay.
-func (c Constant) Bound() float64 { return c.D }
-
-// TruncExp draws delays Min + Exp(Mean-Min) truncated at Max, a common
-// model for store-and-forward internetwork hops.
-type TruncExp struct {
-	Min  float64
-	Mean float64
-	Max  float64
-}
-
-// Sample draws from the truncated exponential.
-func (e TruncExp) Sample(rng *rand.Rand) float64 {
-	scale := e.Mean - e.Min
-	if scale <= 0 {
-		return e.Min
-	}
-	d := e.Min + rng.ExpFloat64()*scale
-	if d > e.Max {
-		d = e.Max
-	}
-	return d
-}
-
-// Bound returns the truncation bound.
-func (e TruncExp) Bound() float64 { return e.Max }
-
 // Scaled multiplies every delay drawn from an inner model by Factor. It is
 // the delay-spike primitive of the chaos harness: scaling a link's delays
 // past the service's assumed round-trip bound xi exercises the paper's

@@ -37,41 +37,9 @@ func TestUniformDelay(t *testing.T) {
 	}
 }
 
-func TestConstantDelay(t *testing.T) {
-	c := Constant{D: 0.02}
-	if c.Sample(nil) != 0.02 || c.Bound() != 0.02 {
-		t.Errorf("Constant = %v/%v", c.Sample(nil), c.Bound())
-	}
-}
-
-func TestTruncExpDelay(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	e := TruncExp{Min: 0.01, Mean: 0.03, Max: 0.1}
-	sum := 0.0
-	for i := 0; i < 5000; i++ {
-		d := e.Sample(rng)
-		if d < e.Min || d > e.Max {
-			t.Fatalf("sample %v outside [%v, %v]", d, e.Min, e.Max)
-		}
-		sum += d
-	}
-	mean := sum / 5000
-	if mean < 0.02 || mean > 0.04 {
-		t.Errorf("sample mean %v far from configured mean %v", mean, e.Mean)
-	}
-	if e.Bound() != 0.1 {
-		t.Errorf("Bound() = %v", e.Bound())
-	}
-	// Degenerate scale.
-	d := TruncExp{Min: 0.05, Mean: 0.05, Max: 0.1}
-	if got := d.Sample(rng); got != 0.05 {
-		t.Errorf("degenerate Sample = %v", got)
-	}
-}
-
 func TestConnectValidation(t *testing.T) {
 	_, n, ids := newTestNet(t, 2)
-	cfg := LinkConfig{Delay: Constant{D: 0.01}}
+	cfg := LinkConfig{Delay: Uniform{Min: 0.01, Max: 0.01}}
 	tests := []struct {
 		name    string
 		a, b    NodeID
@@ -83,8 +51,8 @@ func TestConnectValidation(t *testing.T) {
 		{name: "unknown node", a: ids[0], b: 99, cfg: cfg, wantErr: true},
 		{name: "negative id", a: -1, b: ids[1], cfg: cfg, wantErr: true},
 		{name: "nil delay", a: ids[0], b: ids[1], cfg: LinkConfig{}, wantErr: true},
-		{name: "bad loss", a: ids[0], b: ids[1], cfg: LinkConfig{Delay: Constant{}, Loss: 1}, wantErr: true},
-		{name: "negative loss", a: ids[0], b: ids[1], cfg: LinkConfig{Delay: Constant{}, Loss: -0.1}, wantErr: true},
+		{name: "bad loss", a: ids[0], b: ids[1], cfg: LinkConfig{Delay: Uniform{}, Loss: 1}, wantErr: true},
+		{name: "negative loss", a: ids[0], b: ids[1], cfg: LinkConfig{Delay: Uniform{}, Loss: -0.1}, wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -98,7 +66,7 @@ func TestConnectValidation(t *testing.T) {
 
 func TestSendDeliversAfterDelay(t *testing.T) {
 	s, n, ids := newTestNet(t, 2)
-	if err := n.Connect(ids[0], ids[1], LinkConfig{Delay: Constant{D: 0.5}}); err != nil {
+	if err := n.Connect(ids[0], ids[1], LinkConfig{Delay: Uniform{Min: 0.5, Max: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 	var deliveredAt float64 = -1
@@ -139,7 +107,7 @@ func TestSendNoLink(t *testing.T) {
 
 func TestSendLoss(t *testing.T) {
 	s, n, ids := newTestNet(t, 2)
-	if err := n.Connect(ids[0], ids[1], LinkConfig{Delay: Constant{D: 0.01}, Loss: 0.5}); err != nil {
+	if err := n.Connect(ids[0], ids[1], LinkConfig{Delay: Uniform{Min: 0.01, Max: 0.01}, Loss: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	delivered := 0
@@ -162,7 +130,7 @@ func TestSendLoss(t *testing.T) {
 
 func TestNeighbors(t *testing.T) {
 	_, n, ids := newTestNet(t, 4)
-	cfg := LinkConfig{Delay: Constant{D: 0.01}}
+	cfg := LinkConfig{Delay: Uniform{Min: 0.01, Max: 0.01}}
 	if err := n.Connect(ids[2], ids[0], cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +152,11 @@ func TestNeighbors(t *testing.T) {
 func TestConnectReplacesBothEnds(t *testing.T) {
 	s, n, ids := newTestNet(t, 3)
 	for _, pair := range [][2]int{{1, 2}, {0, 2}, {0, 1}} {
-		if err := n.Connect(ids[pair[0]], ids[pair[1]], LinkConfig{Delay: Constant{D: 0.01}}); err != nil {
+		if err := n.Connect(ids[pair[0]], ids[pair[1]], LinkConfig{Delay: Uniform{Min: 0.01, Max: 0.01}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := n.Connect(ids[1], ids[0], LinkConfig{Delay: Constant{D: 0.5}}); err != nil {
+	if err := n.Connect(ids[1], ids[0], LinkConfig{Delay: Uniform{Min: 0.5, Max: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 	arrived := map[NodeID]float64{}
@@ -218,7 +186,7 @@ func TestConnectReplacesBothEnds(t *testing.T) {
 
 func TestBroadcast(t *testing.T) {
 	s, n, ids := newTestNet(t, 4)
-	cfg := LinkConfig{Delay: Constant{D: 0.01}}
+	cfg := LinkConfig{Delay: Uniform{Min: 0.01, Max: 0.01}}
 	if err := Star(n, ids[0], ids[1:], cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +208,7 @@ func TestBroadcast(t *testing.T) {
 
 func TestPartition(t *testing.T) {
 	s, n, ids := newTestNet(t, 4)
-	cfg := LinkConfig{Delay: Constant{D: 0.01}}
+	cfg := LinkConfig{Delay: Uniform{Min: 0.01, Max: 0.01}}
 	if err := FullMesh(n, ids, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +241,7 @@ func TestPartition(t *testing.T) {
 
 func TestPartitionUnlistedNodesShareGroup(t *testing.T) {
 	_, n, ids := newTestNet(t, 4)
-	cfg := LinkConfig{Delay: Constant{D: 0.01}}
+	cfg := LinkConfig{Delay: Uniform{Min: 0.01, Max: 0.01}}
 	if err := FullMesh(n, ids, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +259,7 @@ func TestMaxOneWayDelayAndXi(t *testing.T) {
 	if err := n.Connect(ids[0], ids[1], LinkConfig{Delay: Uniform{Max: 0.05}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Connect(ids[1], ids[2], LinkConfig{Delay: Constant{D: 0.2}}); err != nil {
+	if err := n.Connect(ids[1], ids[2], LinkConfig{Delay: Uniform{Min: 0.2, Max: 0.2}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := n.MaxOneWayDelay(); got != 0.2 {
@@ -316,19 +284,19 @@ func TestXiFollowsRewiring(t *testing.T) {
 		}
 	}
 	step("nothing", 0)
-	if err := n.Connect(ids[0], ids[1], LinkConfig{Delay: Constant{D: 0.05}}); err != nil {
+	if err := n.Connect(ids[0], ids[1], LinkConfig{Delay: Uniform{Min: 0.05, Max: 0.05}}); err != nil {
 		t.Fatal(err)
 	}
 	step("the first link", 0.1)
-	if err := n.Connect(ids[1], ids[2], LinkConfig{Delay: Constant{D: 0.01}}); err != nil {
+	if err := n.Connect(ids[1], ids[2], LinkConfig{Delay: Uniform{Min: 0.01, Max: 0.01}}); err != nil {
 		t.Fatal(err)
 	}
 	step("a faster second link", 0.1)
-	if err := n.Connect(ids[1], ids[2], LinkConfig{Delay: Scaled{M: Constant{D: 0.01}, Factor: 20}}); err != nil {
+	if err := n.Connect(ids[1], ids[2], LinkConfig{Delay: Scaled{M: Uniform{Min: 0.01, Max: 0.01}, Factor: 20}}); err != nil {
 		t.Fatal(err)
 	}
 	step("a delay spike on the second link", 0.4)
-	if err := n.Connect(ids[0], ids[0], LinkConfig{Delay: Constant{D: 9}}); err == nil {
+	if err := n.Connect(ids[0], ids[0], LinkConfig{Delay: Uniform{Min: 9, Max: 9}}); err == nil {
 		t.Fatal("self-link accepted")
 	}
 	step("a refused Connect", 0.4)
@@ -336,7 +304,7 @@ func TestXiFollowsRewiring(t *testing.T) {
 
 func TestFullMesh(t *testing.T) {
 	_, n, ids := newTestNet(t, 5)
-	if err := FullMesh(n, ids, LinkConfig{Delay: Constant{D: 0.01}}); err != nil {
+	if err := FullMesh(n, ids, LinkConfig{Delay: Uniform{Min: 0.01, Max: 0.01}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
@@ -347,7 +315,7 @@ func TestFullMesh(t *testing.T) {
 }
 
 func TestRingLineStar(t *testing.T) {
-	cfg := LinkConfig{Delay: Constant{D: 0.01}}
+	cfg := LinkConfig{Delay: Uniform{Min: 0.01, Max: 0.01}}
 
 	_, n, ids := newTestNet(t, 5)
 	if err := Ring(n, ids, cfg); err != nil {
@@ -424,8 +392,8 @@ func TestAsymmetricLink(t *testing.T) {
 	s, n, ids := newTestNet(t, 2)
 	// Forward (low->high) 0.1 s, reverse (high->low) 0.4 s.
 	err := n.Connect(ids[0], ids[1], LinkConfig{
-		Delay:        Constant{D: 0.1},
-		ReverseDelay: Constant{D: 0.4},
+		Delay:        Uniform{Min: 0.1, Max: 0.1},
+		ReverseDelay: Uniform{Min: 0.4, Max: 0.4},
 	})
 	if err != nil {
 		t.Fatal(err)

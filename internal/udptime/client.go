@@ -586,22 +586,62 @@ func SyncSelect(dc *DisciplinedClock, ms []Measurement) (interval.Selection, err
 // least one: fold them into their intersection and move dc to its
 // midpoint, inheriting its half-width. It returns the intersection.
 func adopt(dc *DisciplinedClock, ivs []interval.Interval) (interval.Interval, error) {
+	common, shift, eps, ok := intersect(ivs)
+	if !ok {
+		return interval.Interval{}, ErrInconsistent
+	}
+	if err := dc.Adjust(shift, eps); err != nil {
+		return interval.Interval{}, err
+	}
+	return common, nil
+}
+
+// intersect folds offset intervals in seconds into their intersection and
+// returns it with its midpoint and half-width in whole nanoseconds. The
+// shift truncates to the nanosecond, which moves the midpoint by what it
+// drops; the error bound takes that up and rounds outward, like
+// agedError, so [shift-eps, shift+eps] still covers the intersection. ok
+// is false when the intersection is empty.
+func intersect(ivs []interval.Interval) (common interval.Interval, shift, eps time.Duration, ok bool) {
 	a, b := math.Inf(-1), math.Inf(1)
 	for _, iv := range ivs {
 		a, b = core.Fold(a, b, iv.Lo, iv.Hi)
 	}
 	if b < a {
-		return interval.Interval{}, ErrInconsistent
+		return interval.Interval{}, 0, 0, false
 	}
-	shift, eps := core.Midpoint(a, b)
-	// The shift truncates to the nanosecond, which moves the midpoint by
-	// what it drops; the error bound takes that up and rounds outward,
-	// like agedError, so the adopted interval still covers [a, b].
-	shiftNs := shift * float64(time.Second)
-	d := time.Duration(shiftNs)
-	err := dc.Adjust(d, time.Duration(math.Ceil(eps*float64(time.Second)+math.Abs(shiftNs-float64(d)))))
-	if err != nil {
-		return interval.Interval{}, err
+	mid, half := core.Midpoint(a, b)
+	shiftNs := mid * float64(time.Second)
+	shift = time.Duration(shiftNs)
+	eps = time.Duration(math.Ceil(half*float64(time.Second) + math.Abs(shiftNs-float64(shift))))
+	return interval.Interval{Lo: a, Hi: b}, shift, eps, true
+}
+
+// TimeReading is an absolute-time reading <C, E> for IntersectReadings.
+type TimeReading struct {
+	// C is the clock value.
+	C time.Time
+	// E is the maximum error.
+	E time.Duration
+}
+
+// IntersectReadings intersects absolute-time readings and returns the
+// midpoint and maximum error of the common interval, rounded outward to
+// the nanosecond as adopt rounds them, so [c-e, c+e] covers it. ok is
+// false when the readings are mutually inconsistent (or empty), in which
+// case at least one reading is incorrect.
+func IntersectReadings(readings []TimeReading) (c time.Time, e time.Duration, ok bool) {
+	if len(readings) == 0 {
+		return time.Time{}, 0, false
 	}
-	return interval.Interval{Lo: a, Hi: b}, nil
+	base := readings[0].C
+	ivs := make([]interval.Interval, len(readings))
+	for i, r := range readings {
+		ivs[i] = interval.FromEstimate(r.C.Sub(base).Seconds(), r.E.Seconds())
+	}
+	_, shift, e, ok := intersect(ivs)
+	if !ok {
+		return time.Time{}, 0, false
+	}
+	return base.Add(shift), e, true
 }
