@@ -140,10 +140,15 @@ scale-smoke:
 # internal/udptime's TestBatchedReadingContained), and the batch
 # backend's GRO receive: two trains from one socket cut back into their
 # datagrams, a train too long for its buffer cut and counted, the
-# real-socket loop at zero allocations (TestRecvSplitsGROTrain).
+# real-socket loop at zero allocations (TestRecvSplitsGROTrain); and the
+# load generator's own two promises: a request lost while the window
+# keeps cycling is freed and counted as a timeout long before the run
+# ends (TestRunLoadReclaimsLostRequest), and its per-train stamps
+# bracket every exchange, against a server that holds each reply 2 ms
+# (TestRunLoadLatencyBracketsExchange).
 udp-smoke:
 	$(GO) test ./cmd/timeload -run TestUDPSmoke
-	$(GO) test -race ./internal/udptime -run 'TestBatchedReadingContained|TestRecvSplitsGROTrain'
+	$(GO) test -race ./internal/udptime -run 'TestBatchedReadingContained|TestRecvSplitsGROTrain|TestRunLoadReclaimsLostRequest|TestRunLoadLatencyBracketsExchange'
 
 # Observability smoke: the obs package under -race, then the seeded
 # `timesim -metrics -trace-out` snapshot and span log — the determinism

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -100,6 +101,55 @@ func TestLogHistogramBucketsAndQuantile(t *testing.T) {
 	}
 	if q := h.Quantile(0); q != 0 {
 		t.Fatalf("q0 = %v, want 0 (floor bucket occupied)", q)
+	}
+}
+
+// TestObserveNMatchesRepeatedObserve holds ObserveN(v, n) to n calls of
+// Observe(v) on every path through the bucketing: a positive value, the
+// floor bucket's zero, negative and NaN, +Inf clamped into the top
+// bucket, and a value below 2^-30 clamped into the bottom one. Buckets
+// and count must match exactly; the sum must be n·v where that product
+// is exact. n == 0 and a nil receiver record nothing.
+func TestObserveNMatchesRepeatedObserve(t *testing.T) {
+	const n = 5
+	for _, c := range []struct {
+		v     float64
+		exact bool // n·v is exact, so the sum must equal it (NaN adds nothing)
+	}{
+		{0.25, true},
+		{0, true},
+		{-3, true},
+		{math.NaN(), true},
+		{math.Inf(1), true},
+		{1e-10, false},
+	} {
+		one, many := newLogHistogram(), newLogHistogram()
+		many.ObserveN(c.v, n)
+		for range n {
+			one.Observe(c.v)
+		}
+		if !slices.Equal(many.Buckets(), one.Buckets()) || many.Count() != one.Count() {
+			t.Errorf("ObserveN(%v, %d): buckets %v count %d; %d Observe calls: buckets %v count %d",
+				c.v, n, many.Buckets(), many.Count(), n, one.Buckets(), one.Count())
+		}
+		wantSum := 0.0
+		if !math.IsNaN(c.v) {
+			wantSum = n * c.v
+		}
+		if c.exact && many.Sum() != wantSum {
+			t.Errorf("ObserveN(%v, %d): sum %v, want %v", c.v, n, many.Sum(), wantSum)
+		}
+	}
+
+	h := newLogHistogram()
+	h.ObserveN(0.25, 0)
+	if h.Count() != 0 || h.Sum() != 0 || len(h.Buckets()) != 0 {
+		t.Fatalf("ObserveN(v, 0) recorded: count %d sum %v buckets %v", h.Count(), h.Sum(), h.Buckets())
+	}
+	var nilHist *LogHistogram
+	nilHist.ObserveN(0.25, n)
+	if nilHist.Count() != 0 {
+		t.Fatal("ObserveN on a nil histogram must be inert")
 	}
 }
 
@@ -305,6 +355,7 @@ func TestHotPathAllocationFree(t *testing.T) {
 		c.Add(2)
 		g.Set(2)
 		lh.Observe(0.25)
+		lh.ObserveN(0.25, 64)
 		if c.Value() == 0 || g.Value() != 2 {
 			t.Fatalf("counter %d, gauge %v after an update", c.Value(), g.Value())
 		}

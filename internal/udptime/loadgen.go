@@ -34,8 +34,12 @@ type LoadConfig struct {
 	// have been issued in total — the fixed-work mode the benchmarks
 	// use so ns/op is comparable across serving paths.
 	MaxRequests uint64
-	// Timeout is the stall timeout: a window with no reply for this
-	// long is declared timed out and re-armed (default one second).
+	// Timeout is how long a request may go unanswered (default one
+	// second). A request still in flight this long after it was sent is
+	// declared timed out and its window slot reused, within 1.25×Timeout
+	// of its send, while the rest of the window keeps cycling; a window
+	// that gets no reply at all for Timeout is declared lost whole. A
+	// late reply to a timed-out request counts as a stray.
 	Timeout time.Duration
 	// Registry resolves the run's metrics: request/reply/timeout/stray
 	// counters and the timeload_latency_seconds HDR histogram the
@@ -85,6 +89,17 @@ type loadGen struct {
 // elapses or MaxRequests have been issued. Latencies are recorded into
 // the registry's timeload_latency_seconds histogram; the returned
 // result carries throughput and the p50/p90/p99/p999 upper bounds.
+//
+// The generator stamps trains, not requests, as a batch server reads
+// its clock once per batch: one host-clock reading after a batch is
+// filled and before it is handed to the kernel, shared by every request
+// of the batch, and one right after a receive returns, shared by every
+// reply it read. Every request of the batch enters the kernel after its
+// send stamp, and every reply of the receive arrived before the receive
+// stamp, so each recorded latency brackets its exchange; the
+// generator's own fill and parse work stays outside it. Replies of one
+// receive with one send stamp have one latency and are filed in the
+// histogram as one run.
 func RunLoad(cfg LoadConfig) (LoadResult, error) {
 	if cfg.Addr == "" {
 		return LoadResult{}, errors.New("udptime: load: empty server address")
@@ -222,24 +237,25 @@ func (g *loadGen) runConn() error {
 
 	launch := func() error {
 		for nFree > 0 {
-			want := nFree
-			if want > g.cfg.Batch {
-				want = g.cfg.Batch
-			}
-			want = g.reserve(want)
+			want := g.reserve(min(nFree, g.cfg.Batch))
 			if want == 0 {
 				break
 			}
-			for j := 0; j < want; j++ {
-				slot := free[nFree-1]
-				nFree--
-				nInflight++
+			nFree -= want
+			popped := free[nFree : nFree+want]
+			for j, slot := range popped {
 				id := (rng.Uint64() &^ uint64(slotMask)) | uint64(slot)
 				ids[slot] = id
 				inflight[slot] = true
-				sentAt[slot] = time.Now()
 				bt.send[j] = wire.AppendRequest(bt.send[j][:0], wire.Request{ReqID: id})
 			}
+			// One send stamp for the batch: filled before it, in the
+			// kernel after it (RunLoad's bracketing argument).
+			stamp := time.Now()
+			for _, slot := range popped {
+				sentAt[slot] = stamp
+			}
+			nInflight += want
 			if err := bc.Send(want); err != nil {
 				return err
 			}
@@ -249,6 +265,34 @@ func (g *loadGen) runConn() error {
 		return nil
 	}
 
+	release := func(slot int) {
+		inflight[slot] = false
+		free[nFree] = slot
+		nFree++
+		nInflight--
+	}
+
+	// expire declares lost every in-flight request sent at least age
+	// before now and frees its slot; a late reply to it is a stray.
+	expire := func(now time.Time, age time.Duration) {
+		var lost uint64
+		for slot, busy := range inflight {
+			if busy && now.Sub(sentAt[slot]) >= age {
+				release(slot)
+				lost++
+			}
+		}
+		g.timeouts.Add(lost)
+		g.tmo.Add(lost)
+	}
+
+	// now is the latest receive stamp: every reply's latency, the end of
+	// the run and the next read deadline are measured from it. A scan for
+	// lost requests runs at most every Timeout/4, so one is declared
+	// within 1.25×Timeout of its send at no cost a reply would notice.
+	now := time.Now()
+	scanEvery := g.cfg.Timeout / 4
+	nextScan := now.Add(scanEvery)
 	for {
 		if err := launch(); err != nil {
 			if errors.Is(err, net.ErrClosed) {
@@ -264,31 +308,23 @@ func (g *loadGen) runConn() error {
 			}
 			continue
 		}
-		deadline := time.Now().Add(g.cfg.Timeout)
+		deadline := now.Add(g.cfg.Timeout)
 		if hard := g.end.Add(g.cfg.Timeout); deadline.After(hard) {
 			deadline = hard
 		}
 		_ = bc.SetReadDeadline(deadline)
 		n, err := bc.Recv()
+		now = time.Now()
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			var nerr net.Error
 			if errors.As(err, &nerr) && nerr.Timeout() {
-				// Declare the whole outstanding window lost and re-arm;
-				// late replies will be counted as strays.
-				g.timeouts.Add(uint64(nInflight))
-				g.tmo.Add(uint64(nInflight))
-				for slot := range inflight {
-					if inflight[slot] {
-						inflight[slot] = false
-						free[nFree] = slot
-						nFree++
-						nInflight--
-					}
-				}
-				if time.Now().After(g.end) {
+				// Nothing came back at all: declare the whole outstanding
+				// window lost and re-arm.
+				expire(now, 0)
+				if now.After(g.end) {
 					return nil
 				}
 				continue
@@ -297,6 +333,8 @@ func (g *loadGen) runConn() error {
 			return fmt.Errorf("udptime: load: recv: %w", err)
 		}
 		completed := 0
+		var run time.Time // the send stamp of the replies in runLen
+		var runLen uint64
 		for i := 0; i < n; i++ {
 			resp, err := wire.ParseResponse(bt.recv[i])
 			if err != nil {
@@ -310,21 +348,27 @@ func (g *loadGen) runConn() error {
 				g.stray.Inc()
 				continue
 			}
-			g.latency.Observe(time.Since(sentAt[slot]).Seconds())
-			inflight[slot] = false
-			free[nFree] = slot
-			nFree++
-			nInflight--
+			if at := sentAt[slot]; !at.Equal(run) {
+				g.latency.ObserveN(now.Sub(run).Seconds(), runLen)
+				run, runLen = at, 0
+			}
+			runLen++
+			release(slot)
 			completed++
 		}
+		g.latency.ObserveN(now.Sub(run).Seconds(), runLen)
 		if completed > 0 {
 			g.received.Add(uint64(completed))
 			g.replies.Add(uint64(completed))
 		}
-		if time.Now().After(g.end) && nInflight == 0 {
-			return nil
+		if !now.Before(nextScan) {
+			expire(now, g.cfg.Timeout)
+			nextScan = now.Add(scanEvery)
 		}
-		if time.Now().After(g.end) {
+		if now.After(g.end) {
+			if nInflight == 0 {
+				return nil
+			}
 			// Stop launching; drain the remaining window briefly.
 			nFree = 0
 		}

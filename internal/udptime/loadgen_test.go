@@ -1,10 +1,12 @@
 package udptime
 
 import (
+	"net"
 	"testing"
 	"time"
 
 	"disttime/internal/obs"
+	"disttime/internal/wire"
 )
 
 // TestRunLoadLoopback drives the load generator against a live batched
@@ -109,6 +111,109 @@ func TestRunLoadFixedWork(t *testing.T) {
 	}
 	if res.Received != want && res.Received+res.Timeouts < want {
 		t.Fatalf("received %d + timeouts %d < sent %d", res.Received, res.Timeouts, want)
+	}
+}
+
+// dropFirstResponder is a loopback UDP responder that answers every
+// version-1 request but the first one it reads. It returns its address.
+func dropFirstResponder(t *testing.T) string {
+	t.Helper()
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	go func() {
+		buf := make([]byte, maxDatagram)
+		var out []byte
+		for first := true; ; first = false {
+			n, peer, err := conn.ReadFromUDPAddrPort(buf)
+			if err != nil {
+				return
+			}
+			req, err := wire.ParseRequest(buf[:n])
+			if first || err != nil {
+				continue
+			}
+			out, _ = wire.AppendResponse(out[:0], wire.Response{ReqID: req.ReqID, ServerID: 1, Clock: time.Now()})
+			_, _ = conn.WriteToUDPAddrPort(out, peer)
+		}
+	}()
+	return conn.LocalAddr().String()
+}
+
+// TestRunLoadReclaimsLostRequest loses one request while the rest of the
+// window keeps cycling: its slot must come back, counted as a timeout,
+// within about Timeout of the send, not at the drain when the run ends
+// (a generator that re-arms its read deadline on every receive and only
+// expires a window that goes wholly silent runs one slot short for the
+// whole run). Nothing else is lost, so nothing else times out and no
+// reply is a stray.
+func TestRunLoadReclaimsLostRequest(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	addr := dropFirstResponder(t)
+	reg := obs.NewRegistry()
+	type outcome struct {
+		res LoadResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := RunLoad(LoadConfig{Addr: addr, Window: 8, Timeout: timeout, Duration: 10 * timeout, Registry: reg})
+		done <- outcome{res, err}
+	}()
+	time.Sleep(6 * timeout)
+	if got := reg.Counter("timeload_timeouts_total").Value(); got != 1 {
+		t.Errorf("timeouts after %v of a %v run = %d, want the lost request's 1", 6*timeout, 10*timeout, got)
+	}
+	out := <-done
+	if out.err != nil || out.res.Errors != 0 {
+		t.Fatalf("run: %v, %d errors", out.err, out.res.Errors)
+	}
+	if r := out.res; r.Timeouts != 1 || r.Strays != 0 || r.Received != r.Sent-1 {
+		t.Fatalf("sent %d received %d timeouts %d strays %d, want one timeout, no stray and every other request answered",
+			r.Sent, r.Received, r.Timeouts, r.Strays)
+	}
+}
+
+// slowSource is a ClockSource whose every read takes hold: a server over
+// it sends each reply at least hold after the request arrived.
+type slowSource struct{ hold time.Duration }
+
+func (s slowSource) Now() (time.Time, time.Duration, bool) {
+	time.Sleep(s.hold)
+	return time.Now(), time.Millisecond, true
+}
+
+// TestRunLoadLatencyBracketsExchange holds the generator's per-train
+// stamps to the exchange they time: every reply leaves the server at
+// least hold after its request arrived, so a latency under hold means a
+// receive stamp taken before the reply was in, and an absurd one means a
+// send stamp that belongs to another batch. Every reply is filed once.
+func TestRunLoadLatencyBracketsExchange(t *testing.T) {
+	const hold = 2 * time.Millisecond
+	srv, err := NewBatchServer("127.0.0.1:0", 7, slowSource{hold}, BatchConfig{Shards: 1, Batch: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	reg := obs.NewRegistry()
+	res, err := RunLoad(LoadConfig{Addr: srv.Addr().String(), Window: 16, Batch: 16, Duration: 100 * time.Millisecond, Registry: reg})
+	if err != nil || res.Errors != 0 || res.Received == 0 {
+		t.Fatalf("run: %v, %+v", err, res)
+	}
+	hist := reg.LogHistogram("timeload_latency_seconds")
+	if hist.Count() != res.Received {
+		t.Fatalf("histogram holds %d latencies, %d replies received", hist.Count(), res.Received)
+	}
+	for _, b := range hist.Buckets() {
+		if b.UpperBound < hold.Seconds() {
+			t.Fatalf("%d latencies at or below %vs (0 is the floor bucket), under the %v every reply is held: a stamp misses its exchange",
+				b.Count, b.UpperBound, hold)
+		}
+	}
+	if mean := hist.Sum() / float64(hist.Count()); mean > 0.5 {
+		t.Fatalf("mean latency %vs against a %v hold: a send stamp from another batch", mean, hold)
 	}
 }
 
