@@ -145,10 +145,14 @@ scale-smoke:
 # keeps cycling is freed and counted as a timeout long before the run
 # ends (TestRunLoadReclaimsLostRequest), and its per-train stamps
 # bracket every exchange, against a server that holds each reply 2 ms
-# (TestRunLoadLatencyBracketsExchange).
+# (TestRunLoadLatencyBracketsExchange). Then the syncer as the real-socket
+# caller of core.Node: a clock set an hour off recovers from a third
+# server in its first round (TestSyncerRecoversFromThirdServer), and
+# servers sending the IDs math.MaxUint64 and 1<<40 neither crash it nor
+# grow its heap (TestSyncerIgnoresHostileServerIDs).
 udp-smoke:
 	$(GO) test ./cmd/timeload -run TestUDPSmoke
-	$(GO) test -race ./internal/udptime -run 'TestBatchedReadingContained|TestRecvSplitsGROTrain|TestRunLoadReclaimsLostRequest|TestRunLoadLatencyBracketsExchange'
+	$(GO) test -race ./internal/udptime -run 'TestBatchedReadingContained|TestRecvSplitsGROTrain|TestRunLoadReclaimsLostRequest|TestRunLoadLatencyBracketsExchange|TestSyncerRecoversFromThirdServer|TestSyncerIgnoresHostileServerIDs'
 
 # Observability smoke: the obs package under -race, then the seeded
 # `timesim -metrics -trace-out` snapshot and span log — the determinism

@@ -1,6 +1,7 @@
 // Command timesyncd is the client-side daemon: it polls a set of UDP time
 // servers, disciplines a local software clock with the intersection
-// algorithm (or fault-tolerant selection with -select), and logs each
+// algorithm (or fault-tolerant selection with -select), resets it from one
+// server when a round finds it inconsistent (§3 recovery), and logs each
 // round. It is the deployable form of the paper's client: "a client simply
 // requests the time from any set of servers" — and, with intervals, gets a
 // bound on how wrong its clock can be.
@@ -62,8 +63,12 @@ func run(args []string) error {
 				return
 			}
 			now, maxErr, _ := clock.Now()
-			log.Printf("synced from %d/%d servers (%d falsetickers): offset %.6fs, clock %s +/- %v",
-				r.Survivors, r.Measurements, r.Falsetickers,
+			how := "synced"
+			if r.Recovered {
+				how = "inconsistent, recovered"
+			}
+			log.Printf("%s from %d/%d servers (%d falsetickers): offset %.6fs, clock %s +/- %v",
+				how, r.Survivors, r.Measurements, r.Falsetickers,
 				r.Applied.Midpoint(), now.Format(time.RFC3339Nano), maxErr)
 		}
 	}

@@ -25,6 +25,8 @@ type RateSample struct {
 	// RTT is the round trip measured on the local clock (xi^i_j), which
 	// bounds how stale the remote reading is.
 	RTT float64
+	// Delta is the drift bound the neighbor claimed in the reply.
+	Delta float64
 }
 
 // RateEstimate bounds a neighbor's rate of separation
@@ -61,9 +63,9 @@ func (e RateEstimate) ConsonantWith(deltaI, deltaJ float64) bool {
 // RateTracker estimates separation rates per neighbor from the first and
 // most recent samples since the last reset. Estimates are only meaningful
 // between clock resets — a reset is a discontinuity in C, not a rate — so
-// the tracker must be Reset whenever either clock involved is set.
-// Neighbors are small non-negative server ids: the samples live in a
-// slice indexed by id, grown on demand.
+// a local reset must be shifted out (ShiftLocal) or forgotten (ResetAll).
+// Neighbors are small non-negative ids the caller assigns: the samples
+// live in a slice indexed by id, grown on demand. The zero value is empty.
 type RateTracker struct {
 	pairs []samplePair
 }
@@ -74,9 +76,6 @@ type samplePair struct {
 	first, last RateSample
 	n           int
 }
-
-// NewRateTracker returns an empty tracker.
-func NewRateTracker() *RateTracker { return &RateTracker{} }
 
 // Observe records a sample for the given neighbor. Samples must be
 // observed in increasing Local order.
@@ -90,14 +89,6 @@ func (rt *RateTracker) Observe(from int, s RateSample) {
 		return
 	}
 	p.last, p.n = s, 2
-}
-
-// Reset forgets the samples for one neighbor (call when that neighbor's
-// clock reset).
-func (rt *RateTracker) Reset(from int) {
-	if from >= 0 && from < len(rt.pairs) {
-		rt.pairs[from] = samplePair{}
-	}
 }
 
 // ResetAll forgets every sample (call when the local clock reset).

@@ -2,9 +2,9 @@ package core
 
 // The paper's rules as arithmetic over float64 seconds. Every holder of
 // the rules calls these: Server and the synchronization functions in this
-// package, scale.Engine over its flat per-node arrays, and the udptime
-// client over wall-clock measurements. A change to a rule (say, a
-// frequency discipline replacing the delta*age term) is made here once.
+// package, which Node runs for the simulated service and the udptime
+// syncer alike, and scale.Engine over its flat per-node arrays. A change
+// to a rule (say, a frequency discipline) is made here once.
 //
 // Two conditions hold for every function here. Its floating-point
 // operations and their order are part of its contract: reordering one

@@ -173,6 +173,10 @@ func (s *Server) ErrorAt(t float64) float64 {
 	return e
 }
 
+// bounded reports whether the server has an interval at all: a server
+// whose inherited error is +Inf (a clock never set) has none.
+func (s *Server) bounded() bool { return !math.IsInf(s.epsilon, 1) }
+
 // Reading answers a time request at real time t (rule MM-1).
 func (s *Server) Reading(t float64) Reading {
 	return Reading{C: s.clk.Read(t), E: s.ErrorAt(t), Delta: s.delta}

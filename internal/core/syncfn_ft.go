@@ -21,11 +21,17 @@ type SelectIM struct{}
 // Name returns "select-IM".
 func (SelectIM) Name() string { return "select-IM" }
 
-// Sync finds the majority intersection and adopts its midpoint.
+// Sync finds the majority intersection and adopts its midpoint. A server
+// whose error is unbounded (a clock never set) has no interval and casts
+// no vote.
 func (SelectIM) Sync(s *Server, t float64, replies []Reply) Result {
 	var res Result
-	// The server votes its own interval, at index 0: reply i is ivs[i+1].
-	ivs := []interval.Interval{interval.FromEstimate(s.Read(t), s.ErrorAt(t))}
+	// Reply i is ivs[i+own], own = 1 when the server votes its interval.
+	var ivs []interval.Interval
+	if s.bounded() {
+		ivs = append(ivs, s.Interval(t))
+	}
+	own := len(ivs)
 	for _, r := range replies {
 		ivs = append(ivs, s.replyInterval(r))
 	}
@@ -38,9 +44,9 @@ func (SelectIM) Sync(s *Server, t float64, replies []Reply) Result {
 		return res
 	}
 	for _, idx := range sel.Falsetickers {
-		if idx > 0 {
+		if idx >= own {
 			s.noteInconsistent()
-			res.Inconsistent = append(res.Inconsistent, idx-1)
+			res.Inconsistent = append(res.Inconsistent, idx-own)
 		}
 	}
 	s.SetClock(t, sel.Interval.Midpoint(), sel.Interval.HalfWidth())
@@ -80,9 +86,7 @@ func (ByzIM) Name() string { return "byz-IM" }
 // Sync adopts the midpoint of the coverage-(len-F) agreement envelope.
 func (f ByzIM) Sync(s *Server, t float64, replies []Reply) Result {
 	var res Result
-	ci := s.Read(t)
-	ei := s.ErrorAt(t)
-	ivs := []interval.Interval{interval.FromEstimate(ci, ei)}
+	ivs := []interval.Interval{s.Interval(t)}
 	for _, r := range replies {
 		ivs = append(ivs, s.replyInterval(r))
 	}

@@ -564,12 +564,11 @@ func AblationRateFilter() (Table, error) {
 			specs := make([]service.ServerSpec, 5)
 			for i, d := range sc.drifts {
 				specs[i] = service.ServerSpec{
-					Delta:           1.5 * math.Abs(d),
-					Drift:           d,
-					InitialError:    0.05,
-					SyncEvery:       tau,
-					RateFilter:      filter,
-					RateFilterAfter: 120,
+					Delta:        1.5 * math.Abs(d),
+					Drift:        d,
+					InitialError: 0.05,
+					SyncEvery:    tau,
+					RateFilter:   filter,
 				}
 			}
 			specs[4] = service.ServerSpec{
@@ -669,7 +668,7 @@ func AblationAdaptiveDelta() (Table, error) {
 			{Delta: 2.0 / day, Drift: 1.0 / day, InitialError: 0.5, SyncEvery: tau},
 			{
 				Delta: 1.0 / day, Drift: 0.04, InitialError: 0.5, SyncEvery: tau,
-				Recovery: v.recovery, AdaptiveDelta: v.adaptive, AdaptAfter: 300,
+				Recovery: v.recovery, AdaptiveDelta: v.adaptive,
 			},
 			{Delta: 2.0 / day, Drift: -1.0 / day, InitialError: 0.5, SyncEvery: tau},
 		}

@@ -6,10 +6,12 @@
 // (broadcast a time request, measure each reply's round trip on the local
 // clock, hand the batch to rule MM-2 or IM-2), applies the Section 3
 // recovery heuristic on inconsistency, and samples the metrics the
-// theorems bound.
+// theorems bound. The policy around a round is core.Node's; this package
+// is its simulated transport.
 package service
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -62,34 +64,10 @@ type ServerSpec struct {
 	SlewRate float64
 	// Fn overrides the service-wide synchronization function.
 	Fn core.SyncFunc
-	// Recovery enables the Section 3 heuristic: on finding a reply
-	// inconsistent with itself, the server resets from a third server.
-	Recovery bool
-	// RateFilter enables the Section 5 defense: before synchronizing, the
-	// server drops replies from neighbors whose observed rate of
-	// separation is dissonant with the claimed bounds (the reply carries
-	// the responder's claimed delta). Rate estimates survive the server's
-	// own resets (the tracker's local timeline is shifted by each jump),
-	// so a persistently mis-bounded neighbor is excluded even while its
-	// intervals remain consistent — the Figure 3 hazard the interval
-	// mechanisms alone cannot resist.
-	RateFilter bool
-	// RateFilterAfter is the minimum observation span (local-clock
-	// seconds) before RateFilter may exclude a neighbor; defaults to 300.
-	RateFilterAfter float64
-	// AdaptiveDelta enables the thesis's delta maintenance ("algorithms
-	// MM and IM can then be applied to maintain a consonant set of
-	// delta_i"): after each round the server intersects the drift
-	// constraints its neighbors' rates imply; if the intersection proves
-	// its own claimed bound impossible, it raises the bound to cover the
-	// constraint (with a 10% margin) and repairs its error bookkeeping
-	// (core.Server.RaiseDelta). A server with an invalid bound thereby
-	// rejoins the service as an honest, if poor, citizen instead of
-	// poisoning it.
-	AdaptiveDelta bool
-	// AdaptAfter is the minimum observation span (local-clock seconds)
-	// before AdaptiveDelta may act; defaults to 600.
-	AdaptAfter float64
+	// Recovery, RateFilter and AdaptiveDelta switch on the server's
+	// Section 3 recovery, Section 5 rate filter and δ maintenance
+	// (core.Node's fields of the same names).
+	Recovery, RateFilter, AdaptiveDelta bool
 }
 
 // Config describes a whole service.
@@ -124,25 +102,22 @@ type Config struct {
 	Members *MemberConfig
 }
 
-// Node is one running server: protocol state machine plus its network
-// identity.
+// Node is one running server: the transport-free core.Node (the server,
+// its sync policy and counters) plus its network identity, request
+// rounds and crash bookkeeping.
 type Node struct {
-	Server *core.Server
-	Spec   ServerSpec
-	NetID  simnet.NodeID
-	Rates  *core.RateTracker
+	*core.Node
+	Spec  ServerSpec
+	NetID simnet.NodeID
 
-	svc            *Service
-	fn             core.SyncFunc
-	hclock         *hlc.Clock
-	reqSeq         uint64
-	crashed        bool
-	crashSeq       uint64 // rounds started at or before this id died with a crash
-	collect        *collection
-	colFree        []*collection // recycled round state
-	scratch        []core.Reply  // reused sync-pass reply buffer
-	stopSync       func()
-	neighborDeltas []float64 // claimed bound last heard from each server id, grown on demand
+	svc      *Service
+	hclock   *hlc.Clock
+	reqSeq   uint64
+	crashed  bool
+	crashSeq uint64 // rounds started at or before this id died with a crash
+	collect  *collection
+	colFree  []*collection // recycled round state
+	stopSync func()
 
 	// Dynamic membership state (nil/zero when Config.Members is unset).
 	member     *member.Protocol[int]
@@ -152,14 +127,6 @@ type Node struct {
 	// Adversarial state installed by the chaos tier (nil when honest).
 	twoFaced   []float64 // per-destination reply skew (SetTwoFaced)
 	equivocate []float64 // per-destination gossip skew (SetEquivocate)
-
-	// Counters for experiment reporting.
-	Syncs          int
-	Resets         int
-	Recoveries     int
-	FailedRecovery int
-	RateFiltered   int
-	DeltaRaises    int
 }
 
 // collection is one in-flight request round. Collections are recycled on a
@@ -283,16 +250,11 @@ func New(cfg Config) (*Service, error) {
 		if err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
-		fn := spec.Fn
-		if fn == nil {
-			fn = cfg.Fn
-		}
 		node := &Node{
-			Server: server,
+			Node: &core.Node{Server: server, Fn: cmp.Or(spec.Fn, cfg.Fn),
+				Recovery: spec.Recovery, RateFilter: spec.RateFilter, AdaptiveDelta: spec.AdaptiveDelta},
 			Spec:   spec,
-			Rates:  core.NewRateTracker(),
 			svc:    svc,
-			fn:     fn,
 			hclock: hlc.New(uint32(i)),
 		}
 		node.NetID = net.AddNode(node.handle)
@@ -412,25 +374,15 @@ func (n *Node) handle(m simnet.Message) {
 			return // stale reply from a finished round
 		}
 		local := n.Server.Read(now)
-		n.collect.replies = append(n.collect.replies, pendingReply{
-			reply: core.Reply{
-				From:  int(m.From),
-				C:     reading.C,
-				E:     reading.E,
-				RTT:   local - n.collect.sentLocal,
-				Delta: reading.Delta,
-			},
-			arrivedLoc: local,
-		})
-		n.Rates.Observe(int(m.From), core.RateSample{
-			Local:  local,
-			Remote: reading.C,
-			RTT:    local - n.collect.sentLocal,
-		})
-		for int(m.From) >= len(n.neighborDeltas) {
-			n.neighborDeltas = append(n.neighborDeltas, 0)
+		r := core.Reply{
+			From:  int(m.From),
+			C:     reading.C,
+			E:     reading.E,
+			RTT:   local - n.collect.sentLocal,
+			Delta: reading.Delta,
 		}
-		n.neighborDeltas[m.From] = reading.Delta
+		n.collect.replies = append(n.collect.replies, pendingReply{reply: r, arrivedLoc: local})
+		n.Observe(r, local)
 	case *gossipMsg:
 		n.hclock.Update(n.hlcWall(now), p.ts)
 		if n.member == nil {
@@ -482,10 +434,10 @@ func (n *Node) startRound() {
 	n.svc.Sim.AfterCall(n.svc.CollectWindow(), finishCollection, col)
 }
 
-// finishRound hands the collected replies to the synchronization function
-// and applies the recovery policy. It processes exactly the round it was
-// scheduled for, even if a faster sync period has already begun the next
-// round.
+// finishRound ages the collected replies to the sync instant and hands
+// them to the node's sync pass (core.Node.Sync). It processes exactly the
+// round it was scheduled for, even if a faster sync period has already
+// begun the next round.
 func (n *Node) finishRound(col *collection) {
 	if n.collect == col {
 		n.collect = nil
@@ -498,160 +450,34 @@ func (n *Node) finishRound(col *collection) {
 	}
 	now := n.svc.Sim.Now()
 	nowLocal := n.Server.Read(now)
-	replies := n.scratch[:0]
+	replies := n.Replies()
 	for _, p := range col.replies {
 		r := p.reply
 		r.Age = nowLocal - p.arrivedLoc
 		replies = append(replies, r)
 	}
-	n.scratch = replies // keep grown capacity for the next round
 	n.colFree = append(n.colFree, col)
-	if n.Spec.RateFilter {
-		replies = n.rateFilter(replies)
-	}
-	n.Syncs++
 	var obs SyncObservation
 	detail := n.svc.onSync != nil
 	if detail {
 		obs = SyncObservation{
 			Node:         n.Server.ID(),
 			T:            now,
-			Rule:         ruleName(n.fn.Name()),
+			Rule:         ruleName(n.Fn.Name()),
 			Before:       n.Server.Reading(now),
-			Replies:      len(replies),
 			ResetsBefore: n.Server.Resets(),
 			RecovBefore:  n.Recoveries,
 		}
 	}
-	before := nowLocal
-	res := n.fn.Sync(n.Server, now, replies)
-	if res.Reset {
-		n.Resets++
-	}
-	if len(res.Inconsistent) > 0 && n.Spec.Recovery {
-		n.recover(now, replies, res)
-	}
-	// A reset shifts the local timeline; translate the rate samples so
-	// the estimates stay continuous across it (Section 5 bookkeeping).
-	if after := n.Server.Read(now); !interval.SameEdge(after, before) {
-		n.Rates.ShiftLocal(after - before)
-	}
-	if n.Spec.AdaptiveDelta {
-		n.adaptDelta(now)
-	}
+	res, used := n.Sync(now, replies)
 	if detail {
+		obs.Replies = len(used)
 		obs.After = n.Server.Reading(now)
 		obs.Resets = n.Server.Resets()
 		obs.Recoveries = n.Recoveries
 		obs.Res = res
 		n.svc.onSync(obs)
 	}
-}
-
-// adaptDelta applies the thesis's delta maintenance: intersect the drift
-// constraints implied by every sufficiently-observed neighbor; if the
-// result proves the server's own claimed bound impossible, raise the
-// bound (with margin) to cover it. The repaired bookkeeping makes the
-// server's interval correct again, so it rejoins the service honestly.
-func (n *Node) adaptDelta(now float64) {
-	minSpan := n.Spec.AdaptAfter
-	if minSpan <= 0 {
-		minSpan = 600
-	}
-	var estimates []core.RateEstimate
-	var deltas []float64
-	// Ids never heard from hold no estimate and fall out below.
-	for from, delta := range n.neighborDeltas {
-		est := n.Rates.Estimate(from)
-		if est.Valid && est.Span >= minSpan {
-			estimates = append(estimates, est)
-			deltas = append(deltas, delta)
-		}
-	}
-	if len(estimates) == 0 {
-		return
-	}
-	constraint, ok := core.EstimateOwnDrift(estimates, deltas)
-	if !ok {
-		// Mutually inconsistent constraints: some neighbor's bound is
-		// invalid; nothing sound to adapt to.
-		return
-	}
-	// As with the rate filter, neighbors' resets perturb the estimates in
-	// ways their uncertainty terms cannot see, so only act on clear
-	// evidence: the constraint must exclude even twice the claimed bound.
-	if !core.SuspectInvalidBound(constraint, 2*n.Server.Delta()) {
-		return
-	}
-	need := math.Max(math.Abs(constraint.Lo), math.Abs(constraint.Hi)) * 1.1
-	if err := n.Server.RaiseDelta(now, need); err == nil {
-		n.DeltaRaises++
-	}
-}
-
-// rateFilter drops replies from neighbors whose observed separation rate
-// is dissonant with the claimed bounds, once enough observation span has
-// accumulated. This is the Section 5 defense running inside the sync
-// loop: a neighbor drifting beyond its claimed bound is excluded even
-// while its intervals remain consistent.
-//
-// The check carries a 2x margin on the claimed bounds: a neighbor's own
-// resets perturb the observed rate by amounts the estimate's uncertainty
-// cannot account for (the jumps are invisible remotely), so only clear
-// dissonance — beyond twice the combined bounds — excludes a reply.
-func (n *Node) rateFilter(replies []core.Reply) []core.Reply {
-	minSpan := n.Spec.RateFilterAfter
-	if minSpan <= 0 {
-		minSpan = 300
-	}
-	kept := replies[:0]
-	for _, r := range replies {
-		est := n.Rates.Estimate(r.From)
-		if est.Valid && est.Span >= minSpan &&
-			!est.ConsonantWith(2*n.Server.Delta(), 2*r.Delta) {
-			n.RateFiltered++
-			continue
-		}
-		kept = append(kept, r)
-	}
-	return kept
-}
-
-// recover implements the Section 3 heuristic: having found itself
-// inconsistent with some neighbor, the server assumes a third server is
-// correct and resets from it. Consistent replies are preferred; failing
-// that, any reply from a server other than the first inconsistent one is
-// adopted.
-func (n *Node) recover(now float64, replies []core.Reply, res core.Result) {
-	inconsistent := make(map[int]bool, len(res.Inconsistent))
-	for _, idx := range res.Inconsistent {
-		inconsistent[idx] = true
-	}
-	pick := -1
-	for i := range replies {
-		if !inconsistent[i] {
-			pick = i
-			break
-		}
-	}
-	if pick < 0 {
-		// Every reply was inconsistent with us: adopt any server other
-		// than the first offender (the paper's "any third server").
-		first := replies[res.Inconsistent[0]].From
-		for i, r := range replies {
-			if r.From != first {
-				pick = i
-				break
-			}
-		}
-	}
-	if pick < 0 {
-		n.FailedRecovery++
-		return
-	}
-	n.Server.Adopt(now, replies[pick])
-	n.Recoveries++
-	n.Rates.ResetAll()
 }
 
 // Sample is one metrics snapshot of the whole service.

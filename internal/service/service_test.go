@@ -866,7 +866,6 @@ func TestRateFilterExcludesPersistentOffender(t *testing.T) {
 		}
 		for i := range specs {
 			specs[i].RateFilter = rateFilter
-			specs[i].RateFilterAfter = 120
 		}
 		svc, err := New(Config{
 			Seed:    50,
@@ -928,7 +927,6 @@ func TestRateFilterLeavesHonestServiceAlone(t *testing.T) {
 	specs := correctSpecs(5, 10)
 	for i := range specs {
 		specs[i].RateFilter = true
-		specs[i].RateFilterAfter = 60
 	}
 	svc, err := New(Config{
 		Seed:    51,
@@ -1090,7 +1088,7 @@ func TestAdaptiveDeltaHealsFaultyServer(t *testing.T) {
 		{Delta: 2.0 / day, Drift: 1.0 / day, InitialError: 0.5, SyncEvery: 60},
 		{
 			Delta: 1.0 / day, Drift: 0.04, InitialError: 0.5, SyncEvery: 60,
-			AdaptiveDelta: true, AdaptAfter: 300,
+			AdaptiveDelta: true,
 		},
 		{Delta: 2.0 / day, Drift: -1.0 / day, InitialError: 0.5, SyncEvery: 60},
 	}
@@ -1129,7 +1127,6 @@ func TestAdaptiveDeltaLeavesValidBoundsAlone(t *testing.T) {
 	specs := correctSpecs(4, 30)
 	for i := range specs {
 		specs[i].AdaptiveDelta = true
-		specs[i].AdaptAfter = 120
 	}
 	svc, err := New(Config{
 		Seed:    81,

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"net"
 	"net/netip"
@@ -63,6 +62,9 @@ type Measurement struct {
 	// synchronization pass reads how long it has held the measurement.
 	// Zero in a Measurement built by hand, which then never ages.
 	recv time.Time
+	// slot is the queried address's index in its round: a sync pass's
+	// key for the reply, where ServerID is whatever the remote sent.
+	slot int
 }
 
 // OffsetInterval returns the interval, in seconds, known to contain the
@@ -73,20 +75,10 @@ type Measurement struct {
 // measured receive instant by up to the full round trip plus the local
 // clock's own drift over it — dropping the (1+delta) factor shrinks the
 // upper edge by delta*xi and can exclude the true offset whenever xi is
-// large.
-func (m Measurement) OffsetInterval() interval.Interval { return m.offsetAt(m.recv) }
-
-// offsetAt is OffsetInterval as it must be treated at the monotonic
-// instant now: while the measurement was held the local clock may have
-// drifted by Delta per second against the server's, so both edges move
-// out by Delta*age (core.Charge). The subtraction of time.Time values
-// stays in the Duration domain; core sees seconds.
-func (m Measurement) offsetAt(now time.Time) interval.Interval {
-	var age time.Duration
-	if !m.recv.IsZero() {
-		age = now.Sub(m.recv)
-	}
-	trail, lead := core.Charge(m.E.Seconds(), m.RTT.Seconds(), age.Seconds(), m.Delta)
+// large. The subtraction of time.Time values stays in the Duration
+// domain; core sees seconds.
+func (m Measurement) OffsetInterval() interval.Interval {
+	trail, lead := core.Charge(m.E.Seconds(), m.RTT.Seconds(), 0, m.Delta)
 	lo, hi := core.Offset(m.C.Sub(m.LocalRecv).Seconds(), trail, lead, 0)
 	return interval.Interval{Lo: lo, Hi: hi}
 }
@@ -469,6 +461,7 @@ func (s *clientSock) exchange(cfg *clientConfig, addrs []string, ms []Measuremen
 			Unsynchronized: resp.Unsynchronized,
 			TS:             resp.TS,
 			recv:           recv,
+			slot:           i,
 		}
 	}
 	return nil
@@ -533,88 +526,33 @@ var (
 	ErrInconsistent   = errors.New("udptime: measurements mutually inconsistent")
 )
 
-// syncedOffsets returns the offset intervals of the synchronized
-// measurements in ms, in order, each aged to the instant now.
-func syncedOffsets(ms []Measurement, now time.Time) []interval.Interval {
-	var ivs []interval.Interval
-	for _, m := range ms {
-		if !m.Unsynchronized {
-			ivs = append(ivs, m.offsetAt(now))
-		}
-	}
-	return ivs
-}
-
-// SyncIM disciplines dc with the intersection algorithm (rule IM-2): the
-// offset intervals of all synchronized measurements, aged to the sync
-// instant and intersected with the clock's own current interval when it
-// is synchronized, yield the new offset and inherited error. It returns
-// the applied offset interval.
+// SyncIM disciplines dc with rule IM-2, bare: the synchronized
+// measurements' intervals, aged to now and charged at dc's drift bound,
+// intersected with the clock's own (unbounded until first set). It
+// returns the applied offset interval: dc's new [C−E, C+E] less its
+// reading before.
 func SyncIM(dc *DisciplinedClock, ms []Measurement) (interval.Interval, error) {
-	ivs := syncedOffsets(ms, time.Now())
-	if len(ivs) == 0 {
-		return interval.Interval{}, ErrNoMeasurements
-	}
-	if _, e, synced := dc.Now(); synced {
-		ivs = append(ivs, interval.FromEstimate(0, e.Seconds()))
-	}
-	return adopt(dc, ivs)
+	p, err := dc.sync(core.IM{}, false, ms)
+	return p.applied, err
 }
 
-// SyncSelect disciplines dc with falseticker rejection: majority
-// selection (interval.Select) over the measurements' offset intervals,
-// aged to the sync instant, then rule IM-2's reset to the selected region.
-// Use it when some servers may hold invalid drift bounds (the Section 5
-// failure mode). The returned indices count the synchronized measurements
-// of ms, in order.
+// SyncSelect disciplines dc with falseticker rejection, core.SelectIM
+// bare: majority selection over the same intervals and, once the clock is
+// set, its own, then a reset to the selected region. Use it when some
+// servers may hold invalid drift bounds (the Section 5 failure mode). The
+// returned indices count the synchronized measurements of ms, in order.
 func SyncSelect(dc *DisciplinedClock, ms []Measurement) (interval.Selection, error) {
-	ivs := syncedOffsets(ms, time.Now())
-	if len(ivs) == 0 {
-		return interval.Selection{}, ErrNoMeasurements
-	}
-	sel, ok := interval.Select(ivs)
-	if !ok {
-		return interval.Selection{}, fmt.Errorf("%w: no majority of %d agrees", ErrInconsistent, len(ivs))
-	}
-	if _, err := adopt(dc, []interval.Interval{sel.Interval}); err != nil {
+	p, err := dc.sync(core.SelectIM{}, false, ms)
+	if err != nil {
 		return interval.Selection{}, err
 	}
+	sel := interval.Selection{Interval: p.applied, Falsetickers: p.res.Inconsistent}
+	for i := range p.used {
+		if !slices.Contains(sel.Falsetickers, i) {
+			sel.Survivors = append(sel.Survivors, i)
+		}
+	}
 	return sel, nil
-}
-
-// adopt is rule IM-2's reset over offset intervals, of which there is at
-// least one: fold them into their intersection and move dc to its
-// midpoint, inheriting its half-width. It returns the intersection.
-func adopt(dc *DisciplinedClock, ivs []interval.Interval) (interval.Interval, error) {
-	common, shift, eps, ok := intersect(ivs)
-	if !ok {
-		return interval.Interval{}, ErrInconsistent
-	}
-	if err := dc.Adjust(shift, eps); err != nil {
-		return interval.Interval{}, err
-	}
-	return common, nil
-}
-
-// intersect folds offset intervals in seconds into their intersection and
-// returns it with its midpoint and half-width in whole nanoseconds. The
-// shift truncates to the nanosecond, which moves the midpoint by what it
-// drops; the error bound takes that up and rounds outward, like
-// agedError, so [shift-eps, shift+eps] still covers the intersection. ok
-// is false when the intersection is empty.
-func intersect(ivs []interval.Interval) (common interval.Interval, shift, eps time.Duration, ok bool) {
-	a, b := math.Inf(-1), math.Inf(1)
-	for _, iv := range ivs {
-		a, b = core.Fold(a, b, iv.Lo, iv.Hi)
-	}
-	if b < a {
-		return interval.Interval{}, 0, 0, false
-	}
-	mid, half := core.Midpoint(a, b)
-	shiftNs := mid * float64(time.Second)
-	shift = time.Duration(shiftNs)
-	eps = time.Duration(math.Ceil(half*float64(time.Second) + math.Abs(shiftNs-float64(shift))))
-	return interval.Interval{Lo: a, Hi: b}, shift, eps, true
 }
 
 // TimeReading is an absolute-time reading <C, E> for IntersectReadings.
@@ -627,21 +565,17 @@ type TimeReading struct {
 
 // IntersectReadings intersects absolute-time readings and returns the
 // midpoint and maximum error of the common interval, rounded outward to
-// the nanosecond as adopt rounds them, so [c-e, c+e] covers it. ok is
-// false when the readings are mutually inconsistent (or empty), in which
-// case at least one reading is incorrect.
+// the nanosecond as DisciplinedClock.Now rounds, so [c-e, c+e] covers it.
+// ok is false when the readings are mutually inconsistent (or empty), in
+// which case at least one reading is incorrect.
 func IntersectReadings(readings []TimeReading) (c time.Time, e time.Duration, ok bool) {
-	if len(readings) == 0 {
-		return time.Time{}, 0, false
-	}
-	base := readings[0].C
 	ivs := make([]interval.Interval, len(readings))
 	for i, r := range readings {
-		ivs[i] = interval.FromEstimate(r.C.Sub(base).Seconds(), r.E.Seconds())
+		ivs[i] = interval.FromEstimate(r.C.Sub(readings[0].C).Seconds(), r.E.Seconds())
 	}
-	_, shift, e, ok := intersect(ivs)
+	common, ok := interval.IntersectAll(ivs)
 	if !ok {
 		return time.Time{}, 0, false
 	}
-	return base.Add(shift), e, true
+	return reading(readings[0].C, core.Reading{C: common.Midpoint(), E: common.HalfWidth()})
 }

@@ -5,9 +5,9 @@
 // clock that the intersection algorithm keeps synchronized.
 //
 // The simulation packages prove the algorithms against the paper's
-// theorems; this package carries the same core logic onto an actual
-// network path so the library is usable as a time service, not only as a
-// simulator.
+// theorems; this package runs the same core.Node, the rules and the
+// policy around a round, over an actual network path, so the library is
+// usable as a time service, not only as a simulator.
 package udptime
 
 import (
@@ -16,7 +16,9 @@ import (
 	"sync"
 	"time"
 
+	"disttime/internal/clock"
 	"disttime/internal/core"
+	"disttime/internal/interval"
 )
 
 // ClockSource yields clock readings with an error bound: the <C, E> pair
@@ -78,17 +80,21 @@ func (c *SystemClock) Now() (time.Time, time.Duration, bool) {
 // per million.
 func (c *SystemClock) DriftPPM() float64 { return c.driftPPM }
 
-// DisciplinedClock is a settable software clock: a value anchored to the
-// process's monotonic clock, with rule MM-1 error bookkeeping (inherited
-// error plus DriftPPM deterioration since the last set). Until the first
-// Set it reports the system time, unsynchronized, with no error bound.
+// DisciplinedClock is a settable software clock: a core.Node behind a
+// mutex, its server running over the host's monotonic clock with rule
+// MM-1 bookkeeping at DriftPPM. Real time t is monotonic seconds since the
+// clock was made, read under the mutex so it never decreases, as
+// clock.Clock requires; the value C is seconds since the wall time it was
+// made at, so a clock never set reads the system time. Until the first
+// Set or successful round its error is unbounded (E = +Inf) and it
+// reports itself unsynchronized.
 type DisciplinedClock struct {
-	mu       sync.Mutex
+	base     time.Time // creation instant, monotonic reading included
+	wall     time.Time // base.Round(0): the wall time C counts from
 	driftPPM float64
-	anchor   time.Time // monotonic anchor (a time.Now() result)
-	value    time.Time // clock value at the anchor
-	epsilon  time.Duration
-	synced   bool
+
+	mu   sync.Mutex
+	node *core.Node // guarded by mu; the fields above never change
 }
 
 var _ ClockSource = (*DisciplinedClock)(nil)
@@ -99,17 +105,41 @@ func NewDisciplinedClock(driftPPM float64) (*DisciplinedClock, error) {
 	if driftPPM < 0 {
 		return nil, fmt.Errorf("udptime: negative drift %v ppm", driftPPM)
 	}
-	now := time.Now()
-	return &DisciplinedClock{driftPPM: driftPPM, anchor: now, value: now}, nil
+	srv, err := core.NewServer(0, core.Config{Clock: clock.NewDrifting(0, 0, 0), Delta: driftPPM / 1e6, InitialError: math.Inf(1)})
+	if err != nil {
+		return nil, err
+	}
+	base := time.Now()
+	return &DisciplinedClock{base: base, wall: base.Round(0), driftPPM: driftPPM, node: &core.Node{Server: srv, Fn: core.IM{}}}, nil
 }
 
-// Now implements ClockSource. The error deteriorates at DriftPPM since the
-// last Set.
+// Now implements ClockSource.
 func (c *DisciplinedClock) Now() (time.Time, time.Duration, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	elapsed := time.Since(c.anchor)
-	return c.value.Add(elapsed), agedError(c.epsilon, elapsed, c.driftPPM), c.synced
+	return reading(c.wall, c.node.Server.Reading(time.Since(c.base).Seconds()))
+}
+
+// reading converts r, C in seconds since wall, to the ClockSource triple:
+// the one boundary between float64 seconds and time.Time. C truncates to
+// the nanosecond and E rounds up to cover that and the float error, so
+// [C−E, C+E] contains r's interval. A value no Duration holds is never
+// converted (Go leaves that to the implementation) and reads as
+// unsynchronized: an unbounded E, a clock never set, among them.
+func reading(wall time.Time, r core.Reading) (time.Time, time.Duration, bool) {
+	cNs := r.C * 1e9
+	if !(math.Abs(cNs) < 0x1p63) {
+		return wall, 0, false
+	}
+	c := time.Duration(cNs)
+	eNs := r.E*1e9 + math.Abs(cNs-float64(c))
+	// Each of the two products and the sum rounds by at most 2^-53 of
+	// its magnitude; 2^-50 of the larger terms covers all three.
+	eNs = math.Ceil(eNs + (math.Abs(cNs)+eNs)*0x1p-50)
+	if !(eNs < 0x1p63) {
+		return wall.Add(c), 0, false
+	}
+	return wall.Add(c), time.Duration(eNs), true
 }
 
 // Set disciplines the clock: from now on it reads value (advancing with
@@ -120,28 +150,57 @@ func (c *DisciplinedClock) Set(value time.Time, maxErr time.Duration) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.anchor = time.Now()
-	c.value = value
-	c.epsilon = maxErr
-	c.synced = true
+	c.node.Server.SetClock(time.Since(c.base).Seconds(), value.Sub(c.wall).Seconds(), maxErr.Seconds())
 	return nil
 }
 
-// Adjust shifts the clock by offset and replaces the inherited error —
-// the natural form when synchronizing from offset intervals.
-func (c *DisciplinedClock) Adjust(offset time.Duration, maxErr time.Duration) error {
-	if maxErr < 0 {
-		return fmt.Errorf("udptime: negative max error %v", maxErr)
-	}
+// pass is what one sync round did: the rule's result over the replies it
+// used, whether Section 3 recovery reset the clock, and the clock's new
+// interval as offsets in seconds from its reading before the round.
+type pass struct {
+	res       core.Result
+	used      []core.Reply
+	recovered bool
+	applied   interval.Interval
+}
+
+// sync runs one round of the node now, with fn and, if recovery, Section
+// 3 recovery, over the synchronized measurements of ms. It fails with
+// ErrNoMeasurements when none is synchronized and ErrInconsistent when the
+// clock is left as it was. A reply's key is its poll slot, never the
+// ServerID a remote chose: the node indexes per-neighbor slices by it.
+func (c *DisciplinedClock) sync(fn core.SyncFunc, recovery bool, ms []Measurement) (p pass, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := time.Now()
-	current := c.value.Add(now.Sub(c.anchor))
-	c.anchor = now
-	c.value = current.Add(offset)
-	c.epsilon = maxErr
-	c.synced = true
-	return nil
+	host := time.Now()
+	t, n := host.Sub(c.base).Seconds(), c.node
+	ci := n.Server.Read(t)
+	replies := n.Replies()
+	for _, m := range ms {
+		if m.Unsynchronized {
+			continue
+		}
+		// The remote clock at arrival, on the local timeline (then ci - age).
+		var age float64
+		if !m.recv.IsZero() {
+			age = host.Sub(m.recv).Seconds()
+		}
+		r := core.Reply{From: m.slot, C: ci - age + m.C.Sub(m.LocalRecv).Seconds(), E: m.E.Seconds(), RTT: m.RTT.Seconds(), Age: age}
+		n.Observe(r, ci-age)
+		replies = append(replies, r)
+	}
+	if len(replies) == 0 {
+		return p, ErrNoMeasurements
+	}
+	recoveries := n.Recoveries
+	n.Fn, n.Recovery = fn, recovery
+	p.res, p.used = n.Sync(t, replies)
+	if p.recovered = n.Recoveries > recoveries; !p.res.Reset && !p.recovered {
+		return p, ErrInconsistent
+	}
+	after := n.Server.Reading(t)
+	p.applied = interval.FromEstimate(after.C-ci, after.E)
+	return p, nil
 }
 
 // WaitUntilAfter blocks until the clock's earliest possible reading
@@ -150,12 +209,10 @@ func (c *DisciplinedClock) Adjust(offset time.Duration, maxErr time.Duration) er
 // time has passed t — the fact the external-consistency argument of
 // DESIGN.md §18 rests on.
 //
-// The wait computes how far C − E must still travel and sleeps that
-// distance charged by the drift bound, (1 + driftPPM·1e-6), then
-// re-checks, because a concurrent Set or Adjust may have moved C
-// backward or widened E.
-// An unsynchronized clock cannot bound C − E, so waiting on one fails
-// immediately rather than committing on an advisory reading.
+// The wait sleeps the distance C − E must still travel, charged by the
+// drift bound, then re-checks: a concurrent Set or sync round may have
+// moved C back or widened E. An unsynchronized clock cannot bound C − E,
+// so waiting on one fails at once.
 func (c *DisciplinedClock) WaitUntilAfter(t time.Time) error {
 	for {
 		now, maxErr, synced := c.Now()
@@ -171,10 +228,6 @@ func (c *DisciplinedClock) WaitUntilAfter(t time.Time) error {
 }
 
 // DriftPPM returns the drift bound the clock's oscillator is trusted
-// to, in parts per million — the paper's delta for this clock, used by
-// the syncer to default the IM-2 transform's transit charge.
-func (c *DisciplinedClock) DriftPPM() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.driftPPM
-}
+// to, in parts per million: the paper's delta for this clock. It never
+// changes, so it is read without the lock.
+func (c *DisciplinedClock) DriftPPM() float64 { return c.driftPPM }

@@ -2,21 +2,22 @@ package udptime
 
 import (
 	"math"
-	"slices"
+	"math/big"
+	"math/rand/v2"
 	"testing"
 	"time"
 
 	"disttime/internal/clock"
 	"disttime/internal/core"
-	"disttime/internal/interval"
 )
 
 // TestHeldMeasurementAges is the regression test for measurements applied
 // unaged: rule IM-2 lets a reply wait for the sync instant only if both
 // edges widen by delta per second waited (core.Server does so through
 // Reply.Age, the scale engine incrementally). A measurement that waited
-// 10 s for a slow sibling query, on an oscillator trusted to 1e-3, must
-// be applied at least 10 ms wider on each edge than it arrived.
+// 10 s for a slow sibling query, on a clock whose oscillator is trusted
+// to 1e-3, must be applied at least 10 ms wider on each edge than it
+// arrived.
 func TestHeldMeasurementAges(t *testing.T) {
 	const held, delta = 10 * time.Second, 1e-3
 	local := time.Now()
@@ -35,7 +36,7 @@ func TestHeldMeasurementAges(t *testing.T) {
 	}
 	want := delta * held.Seconds()
 
-	dc := mustClock(t)
+	dc := mustClockPPM(t, delta*1e6)
 	applied, err := SyncIM(dc, []Measurement{m})
 	if err != nil {
 		t.Fatal(err)
@@ -52,86 +53,77 @@ func TestHeldMeasurementAges(t *testing.T) {
 		t.Errorf("SyncSelect applied %v: want each edge of %v moved out by >= %v s", sel.Interval, fresh, want)
 	}
 
-	// A measurement built by hand carries no receive instant and ages 0.
+	// A measurement built by hand carries no receive instant and ages 0:
+	// a clock never set adopts its interval, up to the float rounding of
+	// moving the clock there and back.
 	m.recv = time.Time{}
-	applied, err = SyncIM(mustClock(t), []Measurement{m})
+	applied, err = SyncIM(mustClockPPM(t, delta*1e6), []Measurement{m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied != fresh {
+	if math.Abs(applied.Lo-fresh.Lo) > 1e-12 || math.Abs(applied.Hi-fresh.Hi) > 1e-12 {
 		t.Errorf("hand-built measurement applied as %v, want %v", applied, fresh)
 	}
 }
 
-// TestSyncSelectMatchesSelectIM holds the two callers of interval.Select
-// to each other. The same offset intervals go to SyncSelect as
-// Measurements and to core.SelectIM as Replies, on a server that reads 0
-// (so a reply's interval is its offset interval) and whose own interval is
-// too wide to decide anything: it is the one input the simulator votes and
-// the UDP client does not, and here it contains every region. With the
-// majority clear on both counts, both must flag the same falsetickers and
-// adopt the same region; the UDP side moves whole nanoseconds, so its
-// midpoint may sit up to 1 ns off and its bound rounds outward to cover
-// that.
-func TestSyncSelectMatchesSelectIM(t *testing.T) {
-	const delta = 1e-4
-	type source struct{ c, e, rtt time.Duration }
-	honest := []source{
-		{250 * time.Millisecond, 10 * time.Millisecond, 2 * time.Millisecond},
-		{253 * time.Millisecond, 8 * time.Millisecond, time.Millisecond},
-		{247 * time.Millisecond, 12 * time.Millisecond, 3 * time.Millisecond},
-		{251*time.Millisecond + 333, 9 * time.Millisecond, 1500 * time.Microsecond},
+func mustClockPPM(t *testing.T, ppm float64) *DisciplinedClock {
+	t.Helper()
+	dc, err := NewDisciplinedClock(ppm)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ahead := source{90 * time.Second, time.Millisecond, time.Millisecond}
-	behind := source{-time.Hour, time.Millisecond, time.Millisecond}
-	for _, tc := range []struct {
-		name         string
-		sources      []source
-		falsetickers []int
-	}{
-		{"all honest", honest, nil},
-		{"one ahead, last", append(slices.Clone(honest), ahead), []int{4}},
-		{"one behind, first", append([]source{behind}, honest...), []int{0}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			local := time.Now()
-			var ms []Measurement
-			var replies []core.Reply
-			for i, src := range tc.sources {
-				ms = append(ms, Measurement{
-					C: local.Add(src.c), E: src.e, RTT: src.rtt, LocalRecv: local, Delta: delta,
-				})
-				replies = append(replies, core.Reply{
-					From: i + 1, C: src.c.Seconds(), E: src.e.Seconds(), RTT: src.rtt.Seconds(),
-				})
-			}
+	return dc
+}
 
-			srv, err := core.NewServer(0, core.Config{Clock: clock.NewDrifting(0, 0, 0), Delta: delta, InitialError: 1e6})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := core.SelectIM{}.Sync(srv, 0, replies)
-			dc := mustClock(t)
-			sel, err := SyncSelect(dc, ms)
-			if err != nil || !res.Reset {
-				t.Fatalf("SyncSelect error %v, SelectIM reset %v: want both to adopt", err, res.Reset)
-			}
+// TestReadingCoversServerInterval holds the one float64 -> time.Time
+// boundary, DisciplinedClock.Now's conversion of its server's reading: for
+// seeded offsets up to ±1e8 s, inherited errors from 0 to 1e4 s and
+// elapsed times up to 1e6 s, each drawn over many magnitudes, the
+// [C−E, C+E] it reports in whole nanoseconds contains the float64
+// interval the core.Server holds, compared exactly. A clock whose error
+// is unbounded reports itself unsynchronized.
+func TestReadingCoversServerInterval(t *testing.T) {
+	wall := time.Now().Round(0)
+	rng := rand.New(rand.NewPCG(33, 1))
+	// upTo draws from [0, max), log-uniform over 17 decades, zero now and then.
+	upTo := func(max float64) float64 {
+		if rng.IntN(16) == 0 {
+			return 0
+		}
+		return max * math.Pow(10, -17*rng.Float64())
+	}
+	exact := func(x float64) *big.Rat { return new(big.Rat).SetFloat64(x) }
+	billion := big.NewRat(1e9, 1)
+	for i := 0; i < 20000; i++ {
+		off, eps, elapsed := upTo(1e8), upTo(1e4), upTo(1e6)
+		if rng.IntN(2) == 0 {
+			off = -off
+		}
+		srv, err := core.NewServer(0, core.Config{Clock: clock.NewDrifting(0, 0, 0), Delta: 100e-6, InitialError: math.Inf(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.SetClock(0, off, eps)
+		r := srv.Reading(elapsed)
+		c, e, synced := reading(wall, r)
+		if !synced {
+			t.Fatalf("<%v, %v> reported unsynchronized", r.C, r.E)
+		}
+		lo := new(big.Rat).SetInt64(int64(c.Add(-e).Sub(wall)))
+		hi := new(big.Rat).SetInt64(int64(c.Add(e).Sub(wall)))
+		wantLo := new(big.Rat).Mul(new(big.Rat).Sub(exact(r.C), exact(r.E)), billion)
+		wantHi := new(big.Rat).Mul(new(big.Rat).Add(exact(r.C), exact(r.E)), billion)
+		if lo.Cmp(wantLo) > 0 || hi.Cmp(wantHi) < 0 {
+			t.Fatalf("<C=%v s, E=%v s> reported as [%v, %v] ns, which misses [%v, %v] ns",
+				r.C, r.E, lo, hi, wantLo.FloatString(3), wantHi.FloatString(3))
+		}
+	}
 
-			if !slices.Equal(sel.Falsetickers, tc.falsetickers) || !slices.Equal(res.Inconsistent, tc.falsetickers) {
-				t.Errorf("falsetickers: SyncSelect %v, SelectIM %v, want %v", sel.Falsetickers, res.Inconsistent, tc.falsetickers)
-			}
-			if got, want := len(sel.Survivors)+1, res.Accepted; got != want {
-				t.Errorf("SyncSelect survivors + the server's own vote = %d, SelectIM accepted %d", got, want)
-			}
-			mid, half := srv.Read(0), srv.Epsilon()
-			if math.Abs(sel.Interval.Midpoint()-mid) > 1e-12 || math.Abs(sel.Interval.HalfWidth()-half) > 1e-12 {
-				t.Errorf("SyncSelect selected %v, SelectIM adopted <C=%v, E=%v>", sel.Interval, mid, half)
-			}
-			shift, eps := dc.value.Sub(dc.anchor).Seconds(), dc.epsilon.Seconds()
-			if math.Abs(shift-mid) > 1e-9 || eps < half || eps-half > 2e-9 {
-				t.Errorf("SyncSelect moved the clock by %v s +/- %v s, SelectIM by %v s +/- %v s", shift, eps, mid, half)
-			}
-		})
+	if _, _, synced := reading(wall, core.Reading{C: 1, E: math.Inf(1)}); synced {
+		t.Error("an unbounded error reported synchronized")
+	}
+	if _, _, synced := mustClock(t).Now(); synced {
+		t.Error("a clock never set reported synchronized")
 	}
 }
 
@@ -175,41 +167,16 @@ func TestBoundsRoundOutward(t *testing.T) {
 		}
 	}
 
-	// adopt is rule IM-2's reset in the Duration domain: the shift drops
-	// its fraction of a nanosecond, and the bound grows to cover both
-	// that and its own, so [shift-eps, shift+eps] contains [lo, hi].
-	for _, tc := range []struct {
-		lo, hi     float64 // seconds
-		shift, eps time.Duration
-	}{
-		{0, 2e-9, 1, 1},               // exact
-		{0, 0, 0, 0},                  // exact
-		{0, 1.5e-9, 0, 2},             // midpoint 0.75 ns drops to 0: ceil(0.75 + 0.75)
-		{-1.5e-9, 0, 0, 2},            // the same below zero
-		{0.25e-9, 0.5e-9, 0, 1},       // an interval inside one nanosecond is not a zero error
-		{1, 1 + 1e-9, time.Second, 2}, // 0.5 + 0.5 ns, a hair over at float64's spacing near 1 s
-	} {
-		dc := mustClock(t)
-		if _, err := adopt(dc, []interval.Interval{{Lo: tc.lo, Hi: tc.hi}}); err != nil {
-			t.Fatal(err)
-		}
-		shift, eps := dc.value.Sub(dc.anchor), dc.epsilon
-		if shift != tc.shift || eps != tc.eps {
-			t.Errorf("adopt([%v, %v] s) = shift %d ns, eps %d ns, want %d, %d", tc.lo, tc.hi, shift, eps, tc.shift, tc.eps)
-		}
-		if float64(shift-eps) > tc.lo*1e9 || float64(shift+eps) < tc.hi*1e9 {
-			t.Errorf("adopt([%v, %v] s) left [%d, %d] ns, which does not contain it", tc.lo, tc.hi, shift-eps, shift+eps)
-		}
-	}
-
-	// The two clock sources are agedError's callers: any drift bound over
-	// any elapsed time shows as at least a nanosecond of error.
+	// Both clock sources round their error up: any drift bound over any
+	// elapsed time shows as at least a nanosecond of error.
 	sys, err := NewSystemClock(0, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc := mustClock(t)
-	dc.driftPPM = 1e-3
+	dc := mustClockPPM(t, 1e-3)
+	if err := dc.Set(time.Now(), 0); err != nil {
+		t.Fatal(err)
+	}
 	time.Sleep(time.Millisecond)
 	if _, e, _ := sys.Now(); e < time.Nanosecond {
 		t.Errorf("SystemClock error after 1 ms at 1e-3 ppm = %v, want >= 1 ns", e)

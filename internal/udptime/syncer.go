@@ -7,14 +7,16 @@ import (
 	"sync"
 	"time"
 
+	"disttime/internal/core"
 	"disttime/internal/interval"
 	"disttime/internal/obs"
 )
 
 // Syncer is the client-side daemon: it periodically queries a set of time
 // servers and disciplines a local clock, using either the plain
-// intersection (rule IM-2) or fault-tolerant selection. It owns one
-// background goroutine; Stop signals it and waits for it to exit.
+// intersection (rule IM-2) or fault-tolerant selection, then Section 3
+// recovery through the clock's core.Node. It owns one background
+// goroutine; Stop signals it and waits for it to exit.
 type Syncer struct {
 	cfg     SyncerConfig
 	dc      *DisciplinedClock
@@ -46,8 +48,8 @@ type SyncerConfig struct {
 	Interval time.Duration
 	// Timeout bounds each per-server query. Defaults to one second.
 	Timeout time.Duration
-	// Selection enables falseticker rejection (SyncSelect) instead of
-	// the plain intersection (SyncIM).
+	// Selection enables falseticker rejection (core.SelectIM) instead of
+	// the plain intersection (core.IM).
 	Selection bool
 	// Metrics, when non-nil, receives the syncer's observability: round
 	// and failure counters, applied error-bound and offset histograms,
@@ -69,11 +71,16 @@ type SyncReport struct {
 	Applied interval.Interval
 	// Survivors is how many synchronized measurements the round used:
 	// every one under the plain intersection, the selected ones under
-	// Selection. Unsynchronized answers count in Measurements only.
+	// Selection, the one adopted when Recovered. Unsynchronized answers
+	// count in Measurements only.
 	Survivors int
 	// Falsetickers is how many synchronized measurements Selection
 	// rejected (zero without Selection).
 	Falsetickers int
+	// Recovered is true when the rule found the clock inconsistent and
+	// Section 3 recovery reset it from one server ("any third server").
+	// A clock never set is inconsistent with nobody and does not recover.
+	Recovered bool
 	// Err is the round's failure, if any. The clock is untouched on
 	// failure and keeps deteriorating per its drift bound.
 	Err error
@@ -91,9 +98,7 @@ func NewSyncer(dc *DisciplinedClock, cfg SyncerConfig) (*Syncer, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 64 * time.Second
 	}
-	// The IM-2 transform's delta is the disciplined clock's own drift
-	// bound, so the transit charge (1+delta)*xi matches the oscillator
-	// being steered.
+	// Measurements carry the clock's own drift bound, the δ its node charges.
 	clientOpts := []ClientOption{WithSyncOptions(SyncOptions{Delta: dc.DriftPPM() / 1e6})}
 	if cfg.Metrics != nil {
 		clientOpts = append(clientOpts, WithClientObservability(cfg.Metrics))
@@ -189,26 +194,23 @@ func (s *Syncer) round() {
 		report.Err = errors.New("udptime: no poll targets")
 	case len(ms) == 0:
 		report.Err = fmt.Errorf("udptime: no servers answered: %w", qerr)
-	case s.cfg.Selection:
-		sel, err := SyncSelect(s.dc, ms)
-		if err != nil {
-			report.Err = err
-			break
-		}
-		report.Applied = sel.Interval
-		report.Survivors = len(sel.Survivors)
-		report.Falsetickers = len(sel.Falsetickers)
 	default:
-		applied, err := SyncIM(s.dc, ms)
+		var fn core.SyncFunc = core.IM{}
+		if s.cfg.Selection {
+			fn = core.SelectIM{}
+		}
+		p, err := s.dc.sync(fn, true, ms)
 		if err != nil {
 			report.Err = err
 			break
 		}
-		report.Applied = applied
-		for _, m := range ms {
-			if !m.Unsynchronized {
-				report.Survivors++
-			}
+		report.Applied, report.Recovered = p.applied, p.recovered
+		report.Survivors = len(p.used) - len(p.res.Inconsistent)
+		if p.recovered {
+			report.Survivors = 1
+		}
+		if s.cfg.Selection {
+			report.Falsetickers = len(p.res.Inconsistent)
 		}
 	}
 	s.metrics.rounds.Inc()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -231,5 +232,104 @@ func TestSyncerSurvivorsCountsSyncedOnly(t *testing.T) {
 				t.Errorf("selection=%v: server %d answered %d requests, want 1", selection, srv.id, got)
 			}
 		}
+	}
+}
+
+// TestSyncerRecoversFromThirdServer is E9's shape on real sockets: a
+// clock set an hour off with a 1 ms bound is inconsistent with three
+// honest servers, so rule IM-2 finds an empty intersection. Section 3
+// recovery resets it from one of them in the first round, and from then
+// on [C−E, C+E] contains host time.
+func TestSyncerRecoversFromThirdServer(t *testing.T) {
+	var addrs []string
+	for id := uint64(1); id <= 3; id++ {
+		srv := startServer(t, id, shiftedClock{err: 10 * time.Millisecond, synced: true})
+		addrs = append(addrs, srv.Addr().String())
+	}
+	dc, err := NewDisciplinedClock(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dc.Set(time.Now().Add(time.Hour), time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	reports := make(chan SyncReport, 16)
+	syncer, err := NewSyncer(dc, SyncerConfig{
+		Servers:  addrs,
+		Interval: time.Minute, // the first, immediate round is the one under test
+		Timeout:  time.Second,
+		OnSync:   func(r SyncReport) { reports <- r },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer syncer.Stop()
+
+	select {
+	case r := <-reports:
+		if r.Err != nil {
+			t.Fatalf("round failed: %v", r.Err)
+		}
+		if !r.Recovered || r.Survivors != 1 {
+			t.Errorf("Recovered %v, Survivors %d; want true, 1", r.Recovered, r.Survivors)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no report")
+	}
+	before := time.Now()
+	now, e, synced := dc.Now()
+	after := time.Now()
+	if !synced {
+		t.Fatal("clock unsynchronized after recovery")
+	}
+	if now.Add(-e).After(after) || now.Add(e).Before(before) {
+		t.Errorf("[C-E, C+E] = [%v, %v] misses host time [%v, %v]", now.Add(-e), now.Add(e), before, after)
+	}
+}
+
+// TestSyncerIgnoresHostileServerIDs: a server chooses the ID it sends,
+// and the node indexes its per-neighbor state by the reply's key. Keyed
+// by the wire ID, math.MaxUint64 would index -1 (a panic) and 1<<40 would
+// grow a slice of 2^40 entries. Keyed by poll slot, three rounds leave
+// the heap where it was. The MaxUint64 server is polled first, so a
+// regression panics before it can allocate.
+func TestSyncerIgnoresHostileServerIDs(t *testing.T) {
+	var addrs []string
+	for _, id := range []uint64{math.MaxUint64, 1 << 40} {
+		srv := startServer(t, id, shiftedClock{err: 10 * time.Millisecond, synced: true})
+		addrs = append(addrs, srv.Addr().String())
+	}
+	dc, err := NewDisciplinedClock(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	reports := make(chan SyncReport, 16)
+	syncer, err := NewSyncer(dc, SyncerConfig{
+		Servers:  addrs,
+		Interval: 20 * time.Millisecond,
+		Timeout:  time.Second,
+		OnSync:   func(r SyncReport) { reports <- r },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		select {
+		case r := <-reports:
+			if r.Err != nil || r.Survivors != 2 {
+				t.Errorf("round %d: Err %v, Survivors %d; want nil, 2", i, r.Err, r.Survivors)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: no report", i)
+		}
+	}
+	syncer.Stop()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 16<<20 {
+		t.Errorf("three rounds grew the heap by %d bytes", grown)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -85,20 +86,28 @@ func TestDisciplinedClockLifecycle(t *testing.T) {
 	}
 }
 
+// TestDisciplinedClockAdjust: one sync pass over a measurement 2 s ahead
+// adjusts the clock by that offset, and its error covers the
+// measurement's.
 func TestDisciplinedClockAdjust(t *testing.T) {
 	dc, err := NewDisciplinedClock(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dc.Adjust(2*time.Second, 10*time.Millisecond); err != nil {
+	local := time.Now()
+	m := Measurement{C: local.Add(2 * time.Second), E: 10 * time.Millisecond, LocalRecv: local}
+	if _, err := SyncIM(dc, []Measurement{m}); err != nil {
 		t.Fatal(err)
 	}
-	now, _, _ := dc.Now()
-	if d := now.Sub(time.Now()); d < 1900*time.Millisecond || d > 2100*time.Millisecond {
-		t.Errorf("offset after Adjust = %v, want ~2s", d)
+	now, e, synced := dc.Now()
+	if !synced {
+		t.Fatal("not synchronized after a sync pass")
 	}
-	if err := dc.Adjust(0, -1); err == nil {
-		t.Error("negative error accepted")
+	if d := now.Sub(time.Now()); d < 1900*time.Millisecond || d > 2100*time.Millisecond {
+		t.Errorf("offset after the pass = %v, want ~2s", d)
+	}
+	if e < 10*time.Millisecond {
+		t.Errorf("error after the pass = %v, below the measurement's 10ms", e)
 	}
 }
 
@@ -484,4 +493,53 @@ func TestQueryManyEmpty(t *testing.T) {
 	if err != nil || len(ms) != 0 {
 		t.Errorf("QueryMany(nil) = %v, %v", ms, err)
 	}
+}
+
+// TestDisciplinedClockConcurrent: readers share one clock with a writer
+// that sets it and runs sync passes over it. Under -race this holds the
+// clock's node to its mutex; every synchronized reading contains the host
+// time it was taken at.
+func TestDisciplinedClockConcurrent(t *testing.T) {
+	dc, err := NewDisciplinedClock(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 50 * time.Millisecond // far above any descheduling here
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				before := time.Now()
+				now, e, synced := dc.Now()
+				after := time.Now()
+				if synced && (now.Add(-e).After(after) || now.Add(e).Before(before)) {
+					t.Errorf("[C-E, C+E] = [%v, %v] misses host time [%v, %v]", now.Add(-e), now.Add(e), before, after)
+					return
+				}
+			}
+		}()
+	}
+	for i := range 200 {
+		if i%2 == 0 {
+			if err := dc.Set(time.Now(), bound); err != nil {
+				t.Error(err)
+			}
+			continue
+		}
+		local, _, _ := dc.Now()
+		m := Measurement{C: time.Now(), E: bound, LocalRecv: local}
+		if _, err := SyncIM(dc, []Measurement{m}); err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
