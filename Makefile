@@ -149,10 +149,14 @@ scale-smoke:
 # caller of core.Node: a clock set an hour off recovers from a third
 # server in its first round (TestSyncerRecoversFromThirdServer), and
 # servers sending the IDs math.MaxUint64 and 1<<40 neither crash it nor
-# grow its heap (TestSyncerIgnoresHostileServerIDs).
+# grow its heap (TestSyncerIgnoresHostileServerIDs). And the send side
+# of a batch: a run written back to back leaves as one iovec, the same
+# bytes as one iovec per datagram (TestPackRunsByPeerAndLength), and a
+# reply the kernel refuses is dropped alone, on both backends, its
+# neighbours still sent (TestSendSkipsRefusedDatagram).
 udp-smoke:
 	$(GO) test ./cmd/timeload -run TestUDPSmoke
-	$(GO) test -race ./internal/udptime -run 'TestBatchedReadingContained|TestRecvSplitsGROTrain|TestRunLoadReclaimsLostRequest|TestRunLoadLatencyBracketsExchange|TestSyncerRecoversFromThirdServer|TestSyncerIgnoresHostileServerIDs'
+	$(GO) test -race ./internal/udptime -run 'TestBatchedReadingContained|TestRecvSplitsGROTrain|TestRunLoadReclaimsLostRequest|TestRunLoadLatencyBracketsExchange|TestSyncerRecoversFromThirdServer|TestSyncerIgnoresHostileServerIDs|TestPackRunsByPeerAndLength|TestSendSkipsRefusedDatagram'
 
 # Observability smoke: the obs package under -race, then the seeded
 # `timesim -metrics -trace-out` snapshot and span log — the determinism

@@ -4,6 +4,8 @@ import (
 	"net"
 	"net/netip"
 	"time"
+
+	"disttime/internal/wire"
 )
 
 // maxDatagram is the largest datagram any path of the service handles;
@@ -22,10 +24,10 @@ const (
 
 // ioBatch is one reusable set of datagram slots shared between a batch
 // connection and its handler. After Recv fills recv[0:n], the handler
-// prepares send[i] for each slot it wants answered (len 0 = no reply)
-// and calls Send(n). All slices alias buffers retained by the
-// connection for its lifetime: the steady-state serving path allocates
-// nothing per batch.
+// empties train, puts a datagram in each slot it wants answered and
+// calls Send(n). All slices alias buffers retained by the connection
+// for its lifetime: the steady-state serving path allocates nothing per
+// batch.
 //
 // A slot is a datagram, not a message. The connection moves up to its
 // batch size of messages per system call; with UDP GRO one received
@@ -35,11 +37,23 @@ const (
 type ioBatch struct {
 	// recv[i] is the i-th received datagram, valid until the next Recv.
 	recv [][]byte
-	// send[i] is the i-th reply buffer, re-sliced by the handler; empty
-	// means "no reply for this slot". The first batch-size slots have
-	// capacity maxDatagram, any beyond them the largest reply,
-	// wire.ResponseHLCSize.
+	// send[i] is the i-th outgoing datagram, a view into train made by
+	// put; empty means "no datagram for this slot".
 	send [][]byte
+	// train holds a batch's outgoing datagrams back to back, so a run of
+	// them to one peer is one buffer the kernel cuts at the segment size
+	// (UDP GSO). It has room for every slot's largest reply,
+	// wire.ResponseHLCSize; a longer datagram still goes out, from a
+	// grown copy that the slots before it do not adjoin.
+	train []byte
+}
+
+// put makes out, the train with one datagram appended, slot i's
+// datagram. The view ends at its own capacity, so an append to it
+// cannot overwrite the next slot's bytes.
+func (bt *ioBatch) put(i int, out []byte) {
+	bt.send[i] = out[len(bt.train):len(out):len(out)]
+	bt.train = out
 }
 
 // batchIO is the batched datagram transport behind the serving and load
@@ -58,8 +72,12 @@ type batchIO interface {
 	// Recv blocks until at least one datagram arrives and fills
 	// Batch().recv[0:n]. It honors SetReadDeadline.
 	Recv() (n int, err error)
-	// Send transmits Batch().send[i] for i < n, skipping empty slots.
-	Send(n int) error
+	// Send transmits Batch().send[i] for i < n, skipping empty slots. A
+	// datagram the kernel refuses (one addressed to source port 0, say)
+	// is dropped alone and the rest still go: Send returns how many were
+	// refused and the first refusal's error. A closed socket ends it with
+	// net.ErrClosed.
+	Send(n int) (refused int, err error)
 	// Peer returns the source address of the datagram in receive slot i
 	// of an unconnected socket, for the paths that need it as a value
 	// (logging, the advertise handler); Send addresses replies itself.
@@ -69,14 +87,14 @@ type batchIO interface {
 }
 
 // newIOBatch allocates the slot set: full-length receive backing arrays
-// and zero-length, full-capacity send buffers.
+// and an empty train.
 func newIOBatch(size int) (bt ioBatch, rbufs [][]byte) {
 	rbufs = make([][]byte, size)
 	bt.recv = make([][]byte, size)
 	bt.send = make([][]byte, size)
+	bt.train = make([]byte, 0, size*wire.ResponseHLCSize)
 	for i := range rbufs {
 		rbufs[i] = make([]byte, maxDatagram)
-		bt.send[i] = make([]byte, maxDatagram)[:0]
 	}
 	return bt, rbufs
 }

@@ -119,8 +119,9 @@ type mmsgConn struct {
 	riovs  []syscall.Iovec
 	rhdrs  []mmsghdr
 	msgOf  []uint16        // receive slot → message index (< maxBatch)
-	siovs  []syscall.Iovec // one per slot
+	siovs  []syscall.Iovec // at most one per slot
 	shdrs  []mmsghdr       // one sendmmsg vector
+	ssegs  []int           // datagrams in each message of shdrs
 	sctls  []gsoCmsg       // per-message control buffers, headers prefilled
 
 	// Results ferried out of the raw-access callbacks, which are built
@@ -129,7 +130,8 @@ type mmsgConn struct {
 	recvErr syscall.Errno
 	sendOff int
 	sendCnt int
-	sendErr syscall.Errno
+	sendErr syscall.Errno // the first refusal of a Send
+	refused int           // datagrams refused in a Send
 	readFn  func(fd uintptr) bool
 	writeFn func(fd uintptr) bool
 }
@@ -154,8 +156,8 @@ func newBatchConn(conn *net.UDPConn, size int, connected bool) (batchIO, error) 
 		slots, rlen = size*maxGSOSegs, trainBuf
 	}
 
-	c.rbufs = carve(size, rlen, rlen)
-	c.rnames = carve(size, sockaddrStorage, sockaddrStorage)
+	c.rbufs = carve(size, rlen)
+	c.rnames = carve(size, sockaddrStorage)
 	c.rctls = make([]groCmsg, size)
 	c.riovs = make([]syscall.Iovec, size)
 	c.rhdrs = make([]mmsghdr, size)
@@ -173,15 +175,11 @@ func newBatchConn(conn *net.UDPConn, size int, connected bool) (batchIO, error) 
 	}
 	c.msgOf = make([]uint16, slots)
 	c.bt.recv = make([][]byte, slots)
-	// The first size send slots take anything a caller writes; the rest
-	// exist only to answer the datagrams of a train, so they hold a reply
-	// of this protocol at most.
-	c.bt.send = carve(size, maxDatagram, 0)
-	if slots > size {
-		c.bt.send = append(c.bt.send, carve(slots-size, wire.ResponseHLCSize, 0)...)
-	}
+	c.bt.send = make([][]byte, slots)
+	c.bt.train = make([]byte, 0, slots*wire.ResponseHLCSize)
 	c.siovs = make([]syscall.Iovec, slots)
 	c.shdrs = make([]mmsghdr, size)
+	c.ssegs = make([]int, size)
 	c.sctls = make([]gsoCmsg, size)
 	for i := range c.sctls {
 		h := &c.sctls[i].hdr
@@ -216,8 +214,14 @@ func newBatchConn(conn *net.UDPConn, size int, connected bool) (batchIO, error) 
 				return false // wait for writability, resume at sendOff
 			}
 			if errno != 0 {
-				c.sendErr = errno
-				return true
+				// The kernel refused message sendOff: drop it alone, keep
+				// the first error, and go on with the rest.
+				if c.sendErr == 0 {
+					c.sendErr = errno
+				}
+				c.refused += c.ssegs[c.sendOff]
+				c.sendOff++
+				continue
 			}
 			c.sendOff += int(n)
 		}
@@ -226,13 +230,12 @@ func newBatchConn(conn *net.UDPConn, size int, connected bool) (batchIO, error) 
 	return c, nil
 }
 
-// carve cuts n buffers of length l and capacity each from one
-// allocation.
-func carve(n, each, l int) [][]byte {
+// carve cuts n buffers of each bytes from one allocation.
+func carve(n, each int) [][]byte {
 	arena := make([]byte, n*each)
 	bufs := make([][]byte, n)
 	for i := range bufs {
-		bufs[i] = arena[i*each : i*each+l : (i+1)*each]
+		bufs[i] = arena[i*each : (i+1)*each : (i+1)*each]
 	}
 	return bufs
 }
@@ -319,37 +322,39 @@ func (c *mmsgConn) split(m, k int) int {
 	return k
 }
 
-// Send transmits the prepared reply slots with as few sendmmsg calls as
-// the kernel allows: one per vector pack fills. On an unconnected
-// socket each reply is addressed to the sockaddr its request arrived
-// from; a connected socket sends to its dialed peer. Partial sends
-// resume where they left off.
-func (c *mmsgConn) Send(n int) error {
+// Send transmits the prepared slots with as few sendmmsg calls as the
+// kernel allows: one per vector pack fills. On an unconnected socket
+// each reply is addressed to the sockaddr its request arrived from; a
+// connected socket sends to its dialed peer. Partial sends resume where
+// they left off, and a refused message is skipped.
+func (c *mmsgConn) Send(n int) (int, error) {
+	c.sendErr, c.refused = 0, 0
 	for i := 0; i < n; {
 		var cnt int
 		cnt, i = c.pack(i, n)
 		if cnt == 0 {
-			return nil
+			break
 		}
-		c.sendOff, c.sendCnt, c.sendErr = 0, cnt, 0
+		c.sendOff, c.sendCnt = 0, cnt
 		if err := c.rc.Write(c.writeFn); err != nil {
-			return err
-		}
-		if c.sendErr != 0 {
-			return os.NewSyscallError("sendmmsg", c.sendErr)
+			return c.refused, err
 		}
 	}
-	return nil
+	if c.sendErr != 0 {
+		return c.refused, os.NewSyscallError("sendmmsg", c.sendErr)
+	}
+	return c.refused, nil
 }
 
 // pack fills shdrs with one message per run, starting at slot from,
 // until the slots up to n are packed or the vector is full, and returns
 // the message count and the first slot left over. A run is up to
 // maxSegs consecutive non-empty slots of one length addressed to one
-// peer; a run of several leaves as a scatter-gather list with a
-// UDP_SEGMENT control message naming the common length, which the
-// kernel splits back into individual wire datagrams, and a run of one
-// leaves plain.
+// peer; a run of several leaves with a UDP_SEGMENT control message
+// naming the common length, which the kernel splits back into
+// individual wire datagrams, and a run of one leaves plain. A slot
+// whose bytes start where the run's last iovec ends extends that iovec,
+// so a run written back to back in the train is one iovec.
 func (c *mmsgConn) pack(from, n int) (cnt, next int) {
 	iov := 0
 	i := from
@@ -358,8 +363,8 @@ func (c *mmsgConn) pack(from, n int) (cnt, next int) {
 			i++
 			continue
 		}
-		first, start := i, iov
-		for ; i < n && iov-start < c.maxSegs; i++ {
+		first, start, segs := i, iov, 0
+		for ; i < n && segs < c.maxSegs; i++ {
 			b := c.bt.send[i]
 			if len(b) == 0 {
 				continue
@@ -367,13 +372,19 @@ func (c *mmsgConn) pack(from, n int) (cnt, next int) {
 			if i != first && (len(b) != len(c.bt.send[first]) || !c.samePeer(first, i)) {
 				break
 			}
+			segs++
+			if iov > start && adjoins(&c.siovs[iov-1], b) {
+				c.siovs[iov-1].Len += uint64(len(b))
+				continue
+			}
 			c.siovs[iov] = syscall.Iovec{Base: &b[0]}
 			c.siovs[iov].SetLen(len(b))
 			iov++
 		}
 		h := &c.shdrs[cnt]
 		h.hdr = syscall.Msghdr{Iov: &c.siovs[start], Iovlen: uint64(iov - start)}
-		if iov-start > 1 {
+		c.ssegs[cnt] = segs
+		if segs > 1 {
 			ctl := &c.sctls[cnt]
 			ctl.seg = uint16(len(c.bt.send[first]))
 			h.hdr.Control = (*byte)(unsafe.Pointer(ctl))
@@ -388,6 +399,11 @@ func (c *mmsgConn) pack(from, n int) (cnt, next int) {
 		cnt++
 	}
 	return cnt, i
+}
+
+// adjoins reports whether b starts where the bytes of v end.
+func adjoins(v *syscall.Iovec, b []byte) bool {
+	return uintptr(unsafe.Pointer(v.Base))+uintptr(v.Len) == uintptr(unsafe.Pointer(&b[0]))
 }
 
 // samePeer reports whether receive slots a and b carried the same

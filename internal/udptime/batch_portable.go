@@ -59,20 +59,24 @@ func (c *packetBatchConn) Recv() (int, error) {
 	return 1, nil
 }
 
-func (c *packetBatchConn) Send(n int) error {
+func (c *packetBatchConn) Send(n int) (refused int, err error) {
 	for i := 0; i < n; i++ {
-		if len(c.bt.send[i]) == 0 {
+		b := c.bt.send[i]
+		if len(b) == 0 {
 			continue
 		}
-		var err error
+		var werr error
 		if c.connected {
-			_, err = c.conn.Write(c.bt.send[i])
+			_, werr = c.conn.Write(b)
 		} else {
-			_, err = c.conn.WriteToUDPAddrPort(c.bt.send[i], c.peers[i])
+			_, werr = c.conn.WriteToUDPAddrPort(b, c.peers[i])
 		}
-		if err != nil {
-			return err
+		if werr != nil {
+			refused++
+			if err == nil {
+				err = werr
+			}
 		}
 	}
-	return nil
+	return refused, err
 }

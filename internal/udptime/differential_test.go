@@ -190,11 +190,13 @@ const trainLen = 64
 
 // sendCorpusTrains is sendCorpusCollect with the corpus sent as trains:
 // grouped into runs of one length (in corpus order within a length),
-// each run cut into trains of up to trainLen and each train sent with
-// one Send from a connected batch conn, dealt round-robin over socks of
-// them. Where the platform has GSO a train leaves as one super-datagram
-// and a GRO server takes it as one message; the per-packet server's
-// kernel splits it back into datagrams, in the same order.
+// each run cut into trains of up to trainLen, each train written back
+// to back through put, as the server and the load generator write
+// theirs, and sent with one Send from a connected batch conn, dealt
+// round-robin over socks of them. Where the platform has GSO a train
+// leaves as one super-datagram from one iovec and a GRO server takes it
+// as one message; the per-packet server's kernel splits it back into
+// datagrams, in the same order.
 func sendCorpusTrains(t *testing.T, addr string, corpus []diffDatagram, socks int) map[uint64][]byte {
 	t.Helper()
 	raddr, err := net.ResolveUDPAddr("udp", addr)
@@ -222,13 +224,14 @@ func sendCorpusTrains(t *testing.T, addr string, corpus []diffDatagram, socks in
 	slices.SortStableFunc(order, func(a, b diffDatagram) int { return len(a.raw) - len(b.raw) })
 	for i, k := 0, 0; i < len(order); k = (k + 1) % socks {
 		bt, n := conns[k].Batch(), 0
+		bt.train = bt.train[:0]
 		for ; i < len(order) && n < trainLen && (n == 0 || len(order[i].raw) == len(bt.send[0])); i, n = i+1, n+1 {
-			bt.send[n] = append(bt.send[n][:0], order[i].raw...)
+			bt.put(n, append(bt.train, order[i].raw...))
 			if order[i].reqID != 0 {
 				want[k]++
 			}
 		}
-		if err := conns[k].Send(n); err != nil {
+		if _, err := conns[k].Send(n); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(2 * time.Millisecond) // pace the per-packet backend, as above

@@ -243,11 +243,12 @@ func (g *loadGen) runConn() error {
 			}
 			nFree -= want
 			popped := free[nFree : nFree+want]
+			bt.train = bt.train[:0]
 			for j, slot := range popped {
 				id := (rng.Uint64() &^ uint64(slotMask)) | uint64(slot)
 				ids[slot] = id
 				inflight[slot] = true
-				bt.send[j] = wire.AppendRequest(bt.send[j][:0], wire.Request{ReqID: id})
+				bt.put(j, wire.AppendRequest(bt.train, wire.Request{ReqID: id}))
 			}
 			// One send stamp for the batch: filled before it, in the
 			// kernel after it (RunLoad's bracketing argument).
@@ -256,7 +257,7 @@ func (g *loadGen) runConn() error {
 				sentAt[slot] = stamp
 			}
 			nInflight += want
-			if err := bc.Send(want); err != nil {
+			if _, err := bc.Send(want); err != nil {
 				return err
 			}
 			g.sent.Add(uint64(want))

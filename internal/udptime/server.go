@@ -255,11 +255,11 @@ func (s *Server) serve(bc batchIO) {
 		if served == 0 {
 			continue
 		}
-		if err := bc.Send(n); err != nil {
+		if refused, err := bc.Send(n); err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return
 			}
-			s.obsSendErrs.Inc()
+			s.obsSendErrs.Add(uint64(refused))
 		}
 	}
 }
@@ -269,17 +269,18 @@ func (s *Server) serve(bc batchIO) {
 // dispatching on the wire type — a version-1 reply, or a version-3
 // reply that folds the client's timestamp into the server's hybrid
 // logical clock and stamps the receive event — and returns how many
-// replies it prepared. The HLC wall is the reading's latest bound
-// C+E, so the stamped physical component never trails true time while
-// the clock is contained. Everything else leaves its slot empty:
-// malformed datagrams are counted here, once per batch; advertisements
-// with a handler installed are left for unanswered.
+// replies it prepared. The replies are written back to back in the
+// train. The HLC wall is the reading's latest bound C+E, so the stamped
+// physical component never trails true time while the clock is
+// contained. Everything else leaves its slot empty: malformed datagrams
+// are counted here, once per batch; advertisements with a handler
+// installed are left for unanswered.
 func (s *Server) respond(bt *ioBatch, n int, c time.Time, maxErr time.Duration, synced bool) int {
 	served := 0
 	var bad uint64
+	bt.train = bt.train[:0]
 	for i := 0; i < n; i++ {
-		slot := bt.send[i][:0]
-		bt.send[i] = slot
+		bt.send[i] = nil
 		in := bt.recv[i]
 		typ, _ := wire.PeekType(in)
 		if typ == wire.TypeAdvertise && s.advertise != nil {
@@ -312,15 +313,15 @@ func (s *Server) respond(bt *ioBatch, n int, c time.Time, maxErr time.Duration, 
 		var out []byte
 		if v3 {
 			ts := s.hlc.Update(c.Add(maxErr).UnixNano(), remote)
-			out, err = wire.AppendResponseHLC(slot, wire.ResponseHLC{Response: resp, TS: ts})
+			out, err = wire.AppendResponseHLC(bt.train, wire.ResponseHLC{Response: resp, TS: ts})
 		} else {
-			out, err = wire.AppendResponse(slot, resp)
+			out, err = wire.AppendResponse(bt.train, resp)
 		}
 		if err != nil {
 			bad++
 			continue
 		}
-		bt.send[i] = out
+		bt.put(i, out)
 		served++
 	}
 	if served > 0 {

@@ -399,7 +399,7 @@ func (f *scriptIO) Recv() (int, error) {
 	return copy(f.bt.recv, batch), nil
 }
 
-func (f *scriptIO) Send(n int) error {
+func (f *scriptIO) Send(n int) (int, error) {
 	if f.record {
 		var replies [][]byte
 		for _, out := range f.bt.send[:n] {
@@ -409,7 +409,7 @@ func (f *scriptIO) Send(n int) error {
 		}
 		f.sent = append(f.sent, replies)
 	}
-	return nil
+	return 0, nil
 }
 
 func (f *scriptIO) Peer(int) netip.AddrPort         { return netip.AddrPort{} }
