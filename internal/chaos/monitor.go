@@ -187,9 +187,6 @@ func newMonitor(svc *service.Service, c Campaign, sink *obsSink) *Monitor {
 	return m
 }
 
-// Violations returns what the monitor has recorded so far.
-func (m *Monitor) Violations() []Violation { return m.violations }
-
 // MinSlack returns the tightest containment margin asserted so far (+Inf
 // when no containment check has run yet).
 func (m *Monitor) MinSlack() float64 { return m.minSlack }

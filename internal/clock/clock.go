@@ -51,6 +51,3 @@ func (c *Drifting) Set(t, value float64) {
 	c.t0 = t
 	c.v0 = value
 }
-
-// Drift returns the constant rate offset.
-func (c *Drifting) Drift() float64 { return c.drift }

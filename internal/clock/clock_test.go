@@ -41,9 +41,6 @@ func TestDriftingSet(t *testing.T) {
 	if got, want := c.Read(20), 1000+10*1.1; math.Abs(got-want) > 1e-9 {
 		t.Errorf("Read(20) = %v, want %v", got, want)
 	}
-	if got := c.Drift(); got != 0.1 {
-		t.Errorf("Drift() = %v, want 0.1", got)
-	}
 }
 
 // TestDriftingBoundInvariant: for any drift d with |d| <= delta, the clock

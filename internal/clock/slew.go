@@ -73,10 +73,3 @@ func (c *Slewing) Set(t, value float64) {
 // PendingCorrection returns the correction not yet absorbed. A time
 // server must add its magnitude to the error it reports.
 func (c *Slewing) PendingCorrection() float64 { return c.pending }
-
-// Step applies a correction immediately, bypassing the slew (for the
-// initial synchronization, where stepping is conventional).
-func (c *Slewing) Step(t, value float64) {
-	current := c.Read(t)
-	c.applied += value - current
-}

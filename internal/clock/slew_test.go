@@ -71,18 +71,6 @@ func TestSlewingAccumulatesCorrections(t *testing.T) {
 	}
 }
 
-func TestSlewingStep(t *testing.T) {
-	c := NewSlewing(NewDrifting(0, 0, 0), 0.01)
-	c.Read(0)
-	c.Step(0, 500)
-	if got := c.Read(0); got != 500 {
-		t.Errorf("Step not immediate: %v", got)
-	}
-	if got := c.PendingCorrection(); got != 0 {
-		t.Errorf("Step left pending correction %v", got)
-	}
-}
-
 func TestSlewingBadRateDefaults(t *testing.T) {
 	for _, rate := range []float64{-1, 0, 1.5} {
 		c := NewSlewing(NewDrifting(0, 0, 0), rate)

@@ -31,7 +31,7 @@ type Node struct {
 	Recovery, RateFilter, AdaptiveDelta bool
 
 	// Counters for experiment reporting.
-	Syncs, Resets, Recoveries, FailedRecovery, RateFiltered, DeltaRaises int
+	Syncs, Resets, Recoveries, RateFiltered, DeltaRaises int
 
 	scratch []Reply // reused sync-pass reply buffer
 }
@@ -172,7 +172,6 @@ func (n *Node) recover(now float64, replies []Reply, res Result) {
 		}
 	}
 	if pick < 0 {
-		n.FailedRecovery++
 		return
 	}
 	n.Server.Adopt(now, replies[pick])

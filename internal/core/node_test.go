@@ -68,9 +68,10 @@ func TestNodeRecoveryPrefersConsistentReply(t *testing.T) {
 func TestNodeRecoveryNeedsAThirdServer(t *testing.T) {
 	n := &Node{Server: newServer(t, 0, 0, 3600, 1e-5, 0.001), Fn: IM{}}
 	n.Recovery = true
+	before := n.Server.Read(0)
 	n.Sync(0, []Reply{truth[0], truth[0]})
-	if n.FailedRecovery != 1 || n.Recoveries != 0 {
-		t.Errorf("FailedRecovery %d, Recoveries %d; want 1, 0", n.FailedRecovery, n.Recoveries)
+	if got := n.Server.Read(0); n.Recoveries != 0 || got != before {
+		t.Errorf("Recoveries %d, clock %v; want 0 and the clock left at %v", n.Recoveries, got, before)
 	}
 }
 
@@ -84,8 +85,8 @@ func TestNodeUnboundedDoesNotRecover(t *testing.T) {
 	if res.Reset || len(res.Inconsistent) == 0 {
 		t.Fatalf("%+v: want the empty intersection reported", res)
 	}
-	if n.Recoveries != 0 || n.FailedRecovery != 0 || !math.IsInf(n.Server.ErrorAt(0), 1) {
-		t.Errorf("Recoveries %d, FailedRecovery %d, E %v; want 0, 0, +Inf", n.Recoveries, n.FailedRecovery, n.Server.ErrorAt(0))
+	if n.Recoveries != 0 || !math.IsInf(n.Server.ErrorAt(0), 1) {
+		t.Errorf("Recoveries %d, E %v; want 0, +Inf", n.Recoveries, n.Server.ErrorAt(0))
 	}
 
 	// The same replies, consistent this time, set it: IM needs no

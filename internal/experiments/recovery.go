@@ -110,12 +110,12 @@ func Consonance() (Table, error) {
 			Delta:        deltas[i],
 			Drift:        drifts[i],
 			InitialError: 0.5,
-			// Only answer requests; the observer polls, no resets, so rate
-			// estimates accumulate cleanly.
+			// SyncEvery 0: servers 1-3 only answer requests, so nobody
+			// resets and the rate estimates accumulate cleanly.
 		}
 	}
-	// Server 0 is the observer: it polls but never resets (no sync fn run
-	// because SyncEvery = 0 for all; we drive requests manually).
+	// Server 0 is the observer: it polls every tau, and its function,
+	// neverReset, feeds the rate tracker without touching its clock.
 	specs[0].SyncEvery = tau
 	specs[0].Fn = neverReset{}
 

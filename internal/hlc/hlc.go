@@ -21,7 +21,7 @@
 //
 // The combination is what the commit-wait workload (internal/txn)
 // needs: timestamps ordered by causality, anchored to interval edges
-// that WaitUntilAfter can compare against C - E.
+// that a commit wait can compare against C - E.
 package hlc
 
 import (
@@ -83,9 +83,6 @@ func (t Timestamp) Compare(o Timestamp) int {
 // Before reports t < o in the total order.
 func (t Timestamp) Before(o Timestamp) bool { return t.Compare(o) < 0 }
 
-// IsZero reports the zero timestamp (never issued by a Clock).
-func (t Timestamp) IsZero() bool { return t == Timestamp{} }
-
 // WallSeconds returns the physical component in seconds, the unit of the
 // simulated substrate's readings.
 func (t Timestamp) WallSeconds() float64 { return float64(t.Wall) / 1e9 }
@@ -118,13 +115,6 @@ type Clock struct {
 // timestamp issued is strictly later than the zero Timestamp.
 func New(node uint32) *Clock {
 	return &Clock{last: Timestamp{Node: node}}
-}
-
-// Node returns the clock's node ID.
-func (c *Clock) Node() uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.last.Node
 }
 
 // Last returns the most recent timestamp issued or observed (the zero

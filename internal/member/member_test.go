@@ -67,7 +67,7 @@ func TestRosterLifecycle(t *testing.T) {
 	if _, changed := r.upsert(Entry[int]{ID: 2, Gen: 1, Seq: 2, Status: Alive, E: 0.1}); !changed {
 		t.Fatal("fresh heartbeat ignored")
 	}
-	if e, _ := r.Get(2); e.E != 0.1 {
+	if e := r.entries[2]; e.E != 0.1 {
 		t.Fatalf("quality not refreshed: %+v", e)
 	}
 
@@ -88,7 +88,7 @@ func TestRosterLifecycle(t *testing.T) {
 	if _, changed := r.upsert(Entry[int]{ID: 2, Gen: 1, Seq: 3, Status: Alive}); !changed {
 		t.Fatal("reinstating heartbeat lost to accusation")
 	}
-	if e, _ := r.Get(2); e.Status != Alive {
+	if e := r.entries[2]; e.Status != Alive {
 		t.Fatalf("member not reinstated: %+v", e)
 	}
 
@@ -107,14 +107,14 @@ func TestRosterLifecycle(t *testing.T) {
 func TestRosterSelfTransitions(t *testing.T) {
 	r := newRoster("a", 7, 1e-4)
 	r.advertise(100, 0.05)
-	adv := r.Self()
+	adv := r.entries[r.self]
 	if adv.Seq != 1 || adv.Status != Alive || adv.C != 100 || adv.E != 0.05 {
 		t.Fatalf("advertise: %+v", adv)
 	}
 	if ch := r.leave(); ch != (Change[string]{ID: "a", From: Alive, To: Left, Gen: 7}) {
 		t.Fatalf("leave: %+v", ch)
 	}
-	left := r.Self()
+	left := r.entries[r.self]
 	if left.Seq != 2 || left.Status != Left {
 		t.Fatalf("leave: %+v", left)
 	}
@@ -124,7 +124,7 @@ func TestRosterSelfTransitions(t *testing.T) {
 	if ch := r.rejoin(200, 0.9); ch != (Change[string]{ID: "a", From: Left, To: Alive, Gen: 8}) {
 		t.Fatalf("rejoin: %+v", ch)
 	}
-	re := r.Self()
+	re := r.entries[r.self]
 	if re.Gen != 8 || re.Seq != 0 || re.Status != Alive {
 		t.Fatalf("rejoin: %+v", re)
 	}
@@ -409,7 +409,7 @@ func TestSelectDefaultsAndEmpty(t *testing.T) {
 	if got := p.Digest(nil); len(got) != 8 { // default DigestMax
 		t.Fatalf("default DigestMax sent %d entries", len(got))
 	}
-	if got := p.EvictAfter(); got != 6 { // default Misses: 2 * 3 periods
+	if got := p.cfg.EvictAfter(); got != 6 { // default Misses: 2 * 3 periods
 		t.Fatalf("default Misses evicts after %v s", got)
 	}
 	// Exploration with everything preferred: no extra pick.
@@ -467,13 +467,13 @@ func TestGossipConvergenceOrderIndependent(t *testing.T) {
 	for _, e := range obs {
 		r.upsert(e)
 	}
-	if e, _ := r.Get(1); e.Seq != 3 || e.Status != Suspect {
+	if e := r.entries[1]; e.Seq != 3 || e.Status != Suspect {
 		t.Fatalf("member 1 converged to %+v", e)
 	}
-	if e, _ := r.Get(2); e.Gen != 2 || e.Status != Alive {
+	if e := r.entries[2]; e.Gen != 2 || e.Status != Alive {
 		t.Fatalf("member 2 converged to %+v", e)
 	}
-	if e, _ := r.Get(3); e.Seq != 5 || e.Status != Alive {
+	if e := r.entries[3]; e.Seq != 5 || e.Status != Alive {
 		t.Fatalf("member 3 converged to %+v", e)
 	}
 }

@@ -57,10 +57,6 @@ func (p *Protocol[ID]) Roster() *Roster[ID] { return p.roster }
 // learned through gossip.
 func (p *Protocol[ID]) Evictions() uint64 { return p.evictions }
 
-// EvictAfter returns the detector's eviction deadline in local-clock
-// seconds (DetectorConfig.EvictAfter).
-func (p *Protocol[ID]) EvictAfter() float64 { return p.cfg.EvictAfter() }
-
 // Seed adds a bootstrap member: gossip targets come from the roster, so
 // a roster holding only its owner would never gossip. The seed joins as
 // a generation-zero entry of unknown (infinite) quality, which its

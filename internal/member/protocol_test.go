@@ -178,7 +178,7 @@ func (c *cluster) views(id int) []Entry[int] {
 		if c.silent[i] {
 			continue
 		}
-		e, _ := p.Roster().Get(id)
+		e := p.roster.entries[id]
 		out = append(out, e)
 	}
 	return out
@@ -368,7 +368,7 @@ func TestMergeCreditsTransportSender(t *testing.T) {
 	}
 	// The sender need not be a member yet; if it never becomes one, the
 	// eviction verdict drops it from the detector all the same.
-	changes := p.Tick(20+3*p.EvictAfter(), 0, 0)
+	changes := p.Tick(20+3*p.cfg.EvictAfter(), 0, 0)
 	if want := []Change[int]{{ID: b, From: Alive, To: Evicted, Gen: 1}}; !reflect.DeepEqual(changes, want) {
 		t.Fatalf("after a long silence: changes %+v, want %+v", changes, want)
 	}
@@ -395,7 +395,7 @@ func TestMergeSelfAccusationOrder(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("changes %+v, want %+v", got, want)
 	}
-	if self := p.Roster().Self(); self.Gen != 5 || self.Seq != 0 || self.C != 200 || self.E != 0.25 {
+	if self := p.roster.entries[p.roster.self]; self.Gen != 5 || self.Seq != 0 || self.C != 200 || self.E != 0.25 {
 		t.Errorf("rejoined as %+v", self)
 	}
 	// The old incarnation's eviction is stale now, and a claim that the
@@ -409,7 +409,7 @@ func TestMergeSelfAccusationOrder(t *testing.T) {
 		t.Errorf("changes %+v, want %+v", got, want)
 	}
 	p.Tick(4, 0, 0)
-	if self := p.Roster().Self(); self.Status != Alive || self.Gen != 5 || self.Seq != 1 {
+	if self := p.roster.entries[p.roster.self]; self.Status != Alive || self.Gen != 5 || self.Seq != 1 {
 		t.Errorf("after the next tick the owner is %+v", self)
 	}
 }

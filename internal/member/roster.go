@@ -46,9 +46,6 @@ func newRoster[ID cmp.Ordered](self ID, gen uint64, delta float64) *Roster[ID] {
 	return r
 }
 
-// Self returns the owner's current entry.
-func (r *Roster[ID]) Self() Entry[ID] { return r.entries[r.self] }
-
 // Len returns the number of known members, including the owner and
 // departed ones.
 func (r *Roster[ID]) Len() int { return len(r.entries) }
@@ -62,12 +59,6 @@ func (r *Roster[ID]) AliveCount() int {
 		}
 	}
 	return n
-}
-
-// Get returns the entry for id.
-func (r *Roster[ID]) Get(id ID) (Entry[ID], bool) {
-	e, ok := r.entries[id]
-	return e, ok
 }
 
 // rebuildOrder refreshes the sorted iteration cache. Iterating the

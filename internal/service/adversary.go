@@ -36,11 +36,6 @@ func (svc *Service) SetTwoFaced(i int, offsets []float64) {
 // ClearTwoFaced restores server i's replies to honesty.
 func (svc *Service) ClearTwoFaced(i int) { svc.SetTwoFaced(i, nil) }
 
-// TwoFaced reports whether server i currently answers two-facedly.
-func (svc *Service) TwoFaced(i int) bool {
-	return i >= 0 && i < len(svc.Nodes) && svc.Nodes[i].twoFaced != nil
-}
-
 // SetEquivocate makes server i equivocate in gossip: the digest pushed
 // to destination j advertises the owner's entry with clock C +
 // offsets[j] and an error bound of |offsets[j]| — the same generation

@@ -8,15 +8,18 @@ import (
 	"testing"
 
 	"disttime/internal/core"
+	"disttime/internal/obs"
 	"disttime/internal/simnet"
 )
 
 // fingerprint runs svc to each sample time in turn and folds what the
 // simulator decides into one digest: at every sample the bits of each
 // node's <C, E>, the count of executed events and the network's traffic
-// counters. Sampling mid-run is deliberate: which events a Run(t) executes
+// counters (sent, delivered, lost, partitioned, no link). Sampling mid-run is deliberate: which events a Run(t) executes
 // when some land exactly on t is part of what is pinned.
 func fingerprint(svc *Service, samples ...float64) string {
+	reg := obs.NewRegistry()
+	svc.Net.Observe(reg)
 	h := fnv.New64a()
 	var buf [8]byte
 	mix := func(v uint64) {
@@ -31,9 +34,8 @@ func fingerprint(svc *Service, samples ...float64) string {
 			mix(math.Float64bits(r.E))
 		}
 		mix(svc.Sim.Steps())
-		st := svc.Net.Stats
-		for _, v := range []int64{st.Sent, st.Delivered, st.Lost, st.Partitioned, st.NoLink} {
-			mix(uint64(v))
+		for _, kind := range []string{"sent", "delivered", "lost", "partitioned", "nolink"} {
+			mix(reg.Counter("simnet_messages_" + kind + "_total").Value())
 		}
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
@@ -83,10 +85,10 @@ func TestGoldenFingerprints(t *testing.T) {
 			cfg:  memberTestConfig(6, 23),
 			script: func(svc *Service) {
 				svc.LeaveAt(30, 4)
-				svc.CrashAt(45, 1)
+				svc.Sim.At(45, func() { svc.Crash(1) })
 				svc.RejoinAt(90, 4)
-				svc.RestartAt(120, 1)
-				svc.CrashAt(150, 2)
+				svc.Sim.At(120, func() { svc.Restart(1) })
+				svc.Sim.At(150, func() { svc.Crash(2) })
 				svc.LeaveAt(150, 3)
 			},
 			samples: []float64{30, 45, 100, 150, 400},

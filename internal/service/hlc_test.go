@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"disttime/internal/core"
+	"disttime/internal/hlc"
 	"disttime/internal/simnet"
 )
 
@@ -25,7 +26,7 @@ func TestHLCPropagates(t *testing.T) {
 	svc.Run(120)
 	for i, n := range svc.Nodes {
 		last := n.HLCLast()
-		if last.IsZero() {
+		if last == (hlc.Timestamp{}) {
 			t.Errorf("server %d: HLC never advanced", i)
 		}
 		if last.Node != uint32(i) {

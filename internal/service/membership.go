@@ -93,15 +93,6 @@ func (svc *Service) putGossip(g *gossipMsg) {
 // roster.
 func (svc *Service) MembershipEnabled() bool { return svc.memberCfg != nil }
 
-// Roster returns server i's membership view, or nil when membership is
-// disabled.
-func (svc *Service) Roster(i int) *member.Roster[int] {
-	if p := svc.Nodes[i].member; p != nil {
-		return p.Roster()
-	}
-	return nil
-}
-
 // AddMemberChange registers an observer invoked on every membership
 // transition any server's roster records, chained after any observer
 // already installed, as AddSyncDetail does.

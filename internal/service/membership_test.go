@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -34,12 +35,36 @@ func memberTestConfig(n int, seed uint64) Config {
 func fullRoster(svc *Service) bool {
 	n := len(svc.Nodes)
 	for i := 0; i < n; i++ {
-		r := svc.Roster(i)
-		if r.AliveCount() != n {
+		if svc.Nodes[i].member.Roster().AliveCount() != n {
 			return false
 		}
 	}
 	return true
+}
+
+// evictAfter returns server i's eviction deadline on its local clock,
+// from the detector configuration initMembership gives it.
+func evictAfter(svc *Service, i int) float64 {
+	maxDelta := 0.0
+	for _, spec := range svc.cfg.Servers {
+		maxDelta = math.Max(maxDelta, spec.Delta)
+	}
+	return member.DetectorConfig{
+		Period:      svc.memberCfg.GossipEvery,
+		LocalDelta:  svc.cfg.Servers[i].Delta,
+		RemoteDelta: maxDelta,
+		Xi:          svc.Net.Xi(),
+	}.EvictAfter()
+}
+
+// rosterEntry returns what server i's roster records about server id.
+func rosterEntry(svc *Service, i, id int) (member.Entry[int], bool) {
+	for _, e := range svc.Nodes[i].member.Roster().Members() {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return member.Entry[int]{}, false
 }
 
 // TestMembershipConvergesFromSeeds checks the join protocol: rosters
@@ -57,7 +82,7 @@ func TestMembershipConvergesFromSeeds(t *testing.T) {
 		svc.Run(120)
 		if !fullRoster(svc) {
 			for i := range svc.Nodes {
-				t.Logf("topology %v roster %d: %+v", topo, i, svc.Roster(i).Members())
+				t.Logf("topology %v roster %d: %+v", topo, i, svc.Nodes[i].member.Roster().Members())
 			}
 			t.Fatalf("topology %v: rosters did not converge to full membership", topo)
 		}
@@ -84,16 +109,16 @@ func TestMembershipEvictsCrashedServer(t *testing.T) {
 	if !fullRoster(svc) {
 		t.Fatal("rosters did not converge before the crash")
 	}
-	svc.CrashAt(60.5, 2)
+	svc.Sim.At(60.5, func() { svc.Crash(2) })
 	// The eviction deadline on the observer's local clock, plus slack
 	// for the gossip tick quantization.
-	bound := svc.Nodes[0].member.EvictAfter() + 2*svc.memberCfg.GossipEvery
+	bound := evictAfter(svc, 0) + 2*svc.memberCfg.GossipEvery
 	svc.Run(60.5 + bound + 1)
 	for i := 0; i < 4; i++ {
 		if i == 2 {
 			continue
 		}
-		e, ok := svc.Roster(i).Get(2)
+		e, ok := rosterEntry(svc, i, 2)
 		if !ok || e.Status != member.Evicted {
 			t.Fatalf("server %d did not evict crashed server 2 within %v: %+v", i, bound, e)
 		}
@@ -107,7 +132,7 @@ func TestMembershipEvictsCrashedServer(t *testing.T) {
 	svc.Run(svc.Sim.Now() + 60)
 	if !fullRoster(svc) {
 		for i := range svc.Nodes {
-			t.Logf("roster %d: %+v", i, svc.Roster(i).Members())
+			t.Logf("roster %d: %+v", i, svc.Nodes[i].member.Roster().Members())
 		}
 		t.Fatal("restarted server was not re-admitted")
 	}
@@ -136,7 +161,7 @@ func TestMembershipChurnLeaveRejoin(t *testing.T) {
 		if i == 1 {
 			continue
 		}
-		if e, ok := svc.Roster(i).Get(1); ok && e.Status == member.Left {
+		if e, ok := rosterEntry(svc, i, 1); ok && e.Status == member.Left {
 			leftSeen++
 		}
 	}
@@ -149,12 +174,12 @@ func TestMembershipChurnLeaveRejoin(t *testing.T) {
 	}
 	if !fullRoster(svc) {
 		for i := range svc.Nodes {
-			t.Logf("roster %d: %+v", i, svc.Roster(i).Members())
+			t.Logf("roster %d: %+v", i, svc.Nodes[i].member.Roster().Members())
 		}
 		t.Fatal("rejoined server was not re-admitted everywhere")
 	}
 	// The rejoined incarnation must carry a bumped generation.
-	if e, _ := svc.Roster(0).Get(1); e.Gen < 2 {
+	if e, _ := rosterEntry(svc, 0, 1); e.Gen < 2 {
 		t.Fatalf("rejoin did not bump generation: %+v", e)
 	}
 }
@@ -171,21 +196,19 @@ func TestMembershipGossipConvergesAfterPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.PartitionAt(50, []int{0, 1, 2}, []int{3, 4, 5}); err != nil {
-		t.Fatal(err)
-	}
+	partitionAt(svc, 50, []int{0, 1, 2}, []int{3, 4, 5})
 	svc.Run(50)
 	if !fullRoster(svc) {
 		t.Fatal("rosters did not converge before the partition")
 	}
-	evict := svc.Nodes[0].member.EvictAfter()
+	evict := evictAfter(svc, 0)
 	healAt := 50 + evict + 3*svc.memberCfg.GossipEvery
-	svc.HealAt(healAt)
+	svc.Sim.At(healAt, func() { svc.Net.Heal() })
 	svc.Run(healAt)
 	// During the partition each side must have demoted the other.
 	demoted := 0
 	for _, far := range []int{3, 4, 5} {
-		if e, ok := svc.Roster(0).Get(far); ok && e.Status != member.Alive {
+		if e, ok := rosterEntry(svc, 0, far); ok && e.Status != member.Alive {
 			demoted++
 		}
 	}
@@ -196,7 +219,7 @@ func TestMembershipGossipConvergesAfterPartition(t *testing.T) {
 	svc.Run(healAt + 60)
 	if !fullRoster(svc) {
 		for i := range svc.Nodes {
-			t.Logf("roster %d: %+v", i, svc.Roster(i).Members())
+			t.Logf("roster %d: %+v", i, svc.Nodes[i].member.Roster().Members())
 		}
 		t.Fatal("rosters did not re-converge after healing")
 	}
@@ -217,7 +240,7 @@ func TestMembershipTimelineDeterministic(t *testing.T) {
 			fmt.Fprintln(&b, e.String())
 		})
 		svc.LeaveAt(30, 4)
-		svc.CrashAt(45, 1)
+		svc.Sim.At(45, func() { svc.Crash(1) })
 		svc.RejoinAt(90, 4)
 		svc.Sim.At(120, func() { svc.Restart(1) })
 		svc.Run(200)
@@ -264,8 +287,8 @@ func TestMembershipObserveMetrics(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	svc.Observe(reg, nil)
-	svc.CrashAt(40, 3)
-	svc.Run(40 + svc.Nodes[0].member.EvictAfter() + 3*svc.memberCfg.GossipEvery)
+	svc.Sim.At(40, func() { svc.Crash(3) })
+	svc.Run(40 + evictAfter(svc, 0) + 3*svc.memberCfg.GossipEvery)
 	if v := reg.Counter("member_gossip_messages_total").Value(); v == 0 {
 		t.Fatal("no gossip messages counted")
 	}

@@ -1,18 +1,14 @@
 package service
 
 import (
-	"fmt"
-
 	"disttime/internal/core"
 	"disttime/internal/member"
-	"disttime/internal/simnet"
 )
 
-// This file provides scenario control for experiments: scheduled
-// partitions and healing, and observation hooks on synchronization
-// passes. Partitions exercise the Figure 4 failure mode (a service
-// splitting into consistency groups); the hooks let experiments record
-// when resets and recoveries actually happen without polling.
+// This file provides scenario control: crashing and restarting servers,
+// and observation hooks on synchronization passes. The hooks let the
+// chaos monitor and the experiments record when resets and recoveries
+// actually happen without polling.
 
 // SyncObservation is the full before/after record of one synchronization
 // pass, captured for invariant monitors: the server's reading immediately
@@ -121,91 +117,3 @@ func (svc *Service) Restart(i int) {
 
 // Crashed reports whether server i is currently crashed.
 func (svc *Service) Crashed(i int) bool { return svc.Nodes[i].crashed }
-
-// CrashAt schedules a crash of server i at virtual time t.
-func (svc *Service) CrashAt(t float64, i int) {
-	svc.Sim.At(t, func() { svc.Crash(i) })
-}
-
-// RestartAt schedules a restart of server i at virtual time t.
-func (svc *Service) RestartAt(t float64, i int) {
-	svc.Sim.At(t, func() { svc.Restart(i) })
-}
-
-// PartitionAt schedules a network partition at virtual time t. Each group
-// lists server indices (not network ids); servers absent from every group
-// form one implicit extra group, as in simnet.Partition.
-func (svc *Service) PartitionAt(t float64, groups ...[]int) error {
-	netGroups := make([][]simnet.NodeID, len(groups))
-	for g, members := range groups {
-		for _, idx := range members {
-			if idx < 0 || idx >= len(svc.Nodes) {
-				return fmt.Errorf("service: partition group %d: no server %d", g, idx)
-			}
-			netGroups[g] = append(netGroups[g], svc.Nodes[idx].NetID)
-		}
-	}
-	svc.Sim.At(t, func() { svc.Net.Partition(netGroups...) })
-	return nil
-}
-
-// HealAt schedules the removal of any partition at virtual time t.
-func (svc *Service) HealAt(t float64) {
-	svc.Sim.At(t, func() { svc.Net.Heal() })
-}
-
-// ConsonanceReport is the Section 5 diagnosis of a running service: for
-// every ordered pair (observer, neighbor) with a valid rate estimate,
-// whether the observed separation rate is consonant with the claimed
-// bounds, plus per-server dissonance tallies.
-type ConsonanceReport struct {
-	// Estimates holds the observer-indexed rate estimates;
-	// Estimates[i][j] is node i's estimate of node j (zero-valued when
-	// invalid or i == j).
-	Estimates [][]core.RateEstimate
-	// DissonantPairs lists the ordered pairs (i, j) whose estimate
-	// violates |rate| <= delta_i + delta_j.
-	DissonantPairs [][2]int
-	// DissonanceCount[j] is how many observers find server j dissonant —
-	// the paper's basis for deciding which server's bound is invalid.
-	DissonanceCount []int
-}
-
-// Consonance runs the Section 5 diagnosis over every node's rate
-// tracker. Servers flagged by many observers are the prime suspects for
-// invalid drift bounds; a pair flagged in both directions proves at
-// least one of the two bounds invalid.
-func (svc *Service) Consonance() ConsonanceReport {
-	n := len(svc.Nodes)
-	report := ConsonanceReport{
-		Estimates:       make([][]core.RateEstimate, n),
-		DissonanceCount: make([]int, n),
-	}
-	for i, node := range svc.Nodes {
-		report.Estimates[i] = make([]core.RateEstimate, n)
-		for j := range svc.Nodes {
-			if j == i {
-				continue
-			}
-			e := node.Rates.Estimate(j)
-			report.Estimates[i][j] = e
-			if e.Valid && !e.ConsonantWith(node.Spec.Delta, svc.Nodes[j].Spec.Delta) {
-				report.DissonantPairs = append(report.DissonantPairs, [2]int{i, j})
-				report.DissonanceCount[j]++
-			}
-		}
-	}
-	return report
-}
-
-// Suspects returns the servers found dissonant by at least quorum
-// observers, in increasing index order.
-func (r ConsonanceReport) Suspects(quorum int) []int {
-	var out []int
-	for j, c := range r.DissonanceCount {
-		if c >= quorum {
-			out = append(out, j)
-		}
-	}
-	return out
-}

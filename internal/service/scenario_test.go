@@ -1,6 +1,23 @@
 package service
 
-import "testing"
+import (
+	"testing"
+
+	"disttime/internal/simnet"
+)
+
+// partitionAt schedules a network partition at virtual time t. Each group
+// lists server indices (not network ids); servers absent from every group
+// form one implicit extra group, as in simnet.Partition.
+func partitionAt(svc *Service, t float64, groups ...[]int) {
+	netGroups := make([][]simnet.NodeID, len(groups))
+	for g, members := range groups {
+		for _, idx := range members {
+			netGroups[g] = append(netGroups[g], svc.Nodes[idx].NetID)
+		}
+	}
+	svc.Sim.At(t, func() { svc.Net.Partition(netGroups...) })
+}
 
 // newScenarioService builds a small default-config service for scenario
 // tests.
@@ -14,7 +31,7 @@ func newScenarioService(t *testing.T, n int, tau float64) *Service {
 }
 
 // TestPartitionAtSplitsAndHeals: during a partition, replies cross only
-// within a group; after HealAt, cross-group traffic resumes. The detail
+// within a group; after the heal, cross-group traffic resumes. The detail
 // hook counts replies per pass, which measures reachability directly.
 func TestPartitionAtSplitsAndHeals(t *testing.T) {
 	svc := newScenarioService(t, 4, 10)
@@ -33,10 +50,8 @@ func TestPartitionAtSplitsAndHeals(t *testing.T) {
 			}
 		}
 	})
-	if err := svc.PartitionAt(20, []int{0, 1}, []int{2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	svc.HealAt(60)
+	partitionAt(svc, 20, []int{0, 1}, []int{2, 3})
+	svc.Sim.At(60, func() { svc.Net.Heal() })
 	svc.Run(120)
 	for i := 0; i < 4; i++ {
 		if maxDuring[i] != 1 {
@@ -46,18 +61,6 @@ func TestPartitionAtSplitsAndHeals(t *testing.T) {
 		if maxAfter[i] != 3 {
 			t.Errorf("server %d saw %d replies in a pass after healing, want 3", i, maxAfter[i])
 		}
-	}
-}
-
-// TestPartitionAtRejectsBadIndex: a group naming a server that does not
-// exist is an error before anything is scheduled.
-func TestPartitionAtRejectsBadIndex(t *testing.T) {
-	svc := newScenarioService(t, 3, 10)
-	if err := svc.PartitionAt(5, []int{0, 7}); err == nil {
-		t.Error("partition with out-of-range member accepted")
-	}
-	if err := svc.PartitionAt(5, []int{-1}); err == nil {
-		t.Error("partition with negative member accepted")
 	}
 }
 
@@ -111,7 +114,7 @@ func TestCrashRestart(t *testing.T) {
 	svc := newScenarioService(t, 3, 10)
 	rounds := make([]int, 3)
 	svc.AddSyncDetail(func(o SyncObservation) { rounds[o.Node]++ })
-	svc.CrashAt(15, 2)
+	svc.Sim.At(15, func() { svc.Crash(2) })
 	svc.Sim.At(16, func() { svc.Crash(2) }) // double crash: no-op
 	svc.Sim.At(17, func() {
 		if !svc.Crashed(2) {
@@ -124,7 +127,7 @@ func TestCrashRestart(t *testing.T) {
 	if rounds[0] == 0 || rounds[1] == 0 {
 		t.Fatal("healthy servers did not synchronize")
 	}
-	svc.RestartAt(60, 2)
+	svc.Sim.At(60, func() { svc.Restart(2) })
 	svc.Run(120)
 	if svc.Crashed(2) {
 		t.Error("server 2 still reported crashed after restart")
@@ -159,8 +162,8 @@ func TestCrashDropsInFlightRound(t *testing.T) {
 	})
 	// Rounds start at 10, 20, ... with a 2 s collection window; crash
 	// server 0 mid-window and restart it before the window would close.
-	svc.CrashAt(10.5, 0)
-	svc.RestartAt(11, 0)
+	svc.Sim.At(10.5, func() { svc.Crash(0) })
+	svc.Sim.At(11, func() { svc.Restart(0) })
 	svc.Run(15)
 	for _, o := range passes {
 		if o.T > 10 && o.T < 13 {

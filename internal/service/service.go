@@ -90,9 +90,9 @@ type Config struct {
 	// synchronization function. Defaults to just over the network's xi,
 	// so every undropped reply is included.
 	CollectFor float64
-	// Stagger randomizes each server's first sync tick uniformly within
-	// its period, as unsynchronized servers would be. Defaults true via
-	// NewService; set NoStagger to disable for lockstep experiments.
+	// NoStagger starts every server's first round at time zero. Without
+	// it, New starts each server's first round at a uniform phase within
+	// its period, as unsynchronized servers would be.
 	NoStagger bool
 	// Members, when non-nil, enables dynamic membership: every server
 	// keeps a roster, gossips digests carrying its advertised <C, E>
@@ -563,14 +563,4 @@ func (svc *Service) RunSampled(duration, sampleEvery float64) ([]Sample, error) 
 	svc.Sim.RunUntil(duration)
 	samples = append(samples, svc.Snapshot())
 	return samples, nil
-}
-
-// Stop cancels every server's periodic synchronization.
-func (svc *Service) Stop() {
-	for _, n := range svc.Nodes {
-		if n.stopSync != nil {
-			n.stopSync()
-			n.stopSync = nil
-		}
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"disttime/internal/core"
+	"disttime/internal/obs"
 	"disttime/internal/simnet"
 )
 
@@ -420,6 +421,8 @@ func TestLossToleratedByMM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	svc.Net.Observe(reg)
 	samples, err := svc.RunSampled(600, 20)
 	if err != nil {
 		t.Fatal(err)
@@ -429,7 +432,7 @@ func TestLossToleratedByMM(t *testing.T) {
 			t.Fatalf("correctness lost under loss at t=%v", s.T)
 		}
 	}
-	if svc.Net.Stats.Lost == 0 {
+	if reg.Counter("simnet_messages_lost_total").Value() == 0 {
 		t.Error("no messages were lost; loss model inactive?")
 	}
 }
@@ -495,7 +498,9 @@ func TestStopHaltsSyncing(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.Run(20)
-	svc.Stop()
+	for _, n := range svc.Nodes {
+		n.stopSync()
+	}
 	before := svc.Nodes[0].Syncs
 	svc.Run(100)
 	// One in-flight round may complete after Stop; no new rounds start.
@@ -602,10 +607,8 @@ func TestPartitionSplitsIntoConsistencyGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.PartitionAt(50, []int{0, 1}, []int{2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	svc.HealAt(100000)
+	partitionAt(svc, 50, []int{0, 1}, []int{2, 3})
+	svc.Sim.At(100000, func() { svc.Net.Heal() })
 	svc.Run(20000)
 	s := svc.Snapshot()
 	if s.Consistent {
@@ -627,16 +630,6 @@ func TestPartitionSplitsIntoConsistencyGroups(t *testing.T) {
 	}
 	if cross < 5*intra {
 		t.Errorf("cross divergence %v not dominating intra %v", cross, intra)
-	}
-}
-
-func TestPartitionAtValidation(t *testing.T) {
-	svc, err := New(Config{Seed: 22, Servers: correctSpecs(2, 10)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.PartitionAt(10, []int{0, 99}); err == nil {
-		t.Error("bad server index accepted")
 	}
 }
 
@@ -953,6 +946,21 @@ func TestRateFilterLeavesHonestServiceAlone(t *testing.T) {
 	}
 }
 
+// dissonantPairs is the Section 5 diagnosis of a running service: the
+// ordered pairs (observer i, neighbor j) whose valid rate estimate
+// violates |rate| <= delta_i + delta_j.
+func dissonantPairs(svc *Service) [][2]int {
+	var out [][2]int
+	for i, node := range svc.Nodes {
+		for j := range svc.Nodes {
+			if e := node.Rates.Estimate(j); j != i && e.Valid && !e.ConsonantWith(node.Spec.Delta, svc.Nodes[j].Spec.Delta) {
+				out = append(out, [2]int{i, j})
+			}
+		}
+	}
+	return out
+}
+
 func TestConsonanceReportFlagsOffender(t *testing.T) {
 	// A non-resetting upstream racing beyond its claimed bound: the
 	// service-wide Section 5 diagnosis must point at it and only it.
@@ -974,17 +982,18 @@ func TestConsonanceReportFlagsOffender(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.Run(3600)
-	report := svc.Consonance()
-	suspects := report.Suspects(2)
-	if len(suspects) != 1 || suspects[0] != 4 {
-		t.Errorf("Suspects(2) = %v, want [4]; counts %v", suspects, report.DissonanceCount)
-	}
-	for _, p := range report.DissonantPairs {
+	pairs := dissonantPairs(svc)
+	observers := 0
+	for _, p := range pairs {
 		if p[1] != 4 {
 			t.Errorf("honest server %d flagged by %d", p[1], p[0])
 		}
+		observers++
 	}
-	if report.Estimates[0][4].Valid == false {
+	if observers < 2 {
+		t.Errorf("offender flagged by %d observers, want at least 2; pairs %v", observers, pairs)
+	}
+	if !svc.Nodes[0].Rates.Estimate(4).Valid {
 		t.Error("observer 0 has no estimate of the offender")
 	}
 }
@@ -1000,12 +1009,8 @@ func TestConsonanceReportCleanService(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.Run(1200)
-	report := svc.Consonance()
-	if len(report.DissonantPairs) != 0 {
-		t.Errorf("clean service flagged pairs %v", report.DissonantPairs)
-	}
-	if got := report.Suspects(1); got != nil {
-		t.Errorf("Suspects = %v", got)
+	if pairs := dissonantPairs(svc); len(pairs) != 0 {
+		t.Errorf("clean service flagged pairs %v", pairs)
 	}
 }
 

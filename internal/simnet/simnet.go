@@ -134,7 +134,7 @@ type Network struct {
 	maxDelay   float64
 	maxDelayOK bool
 
-	// Stats counts traffic for experiment reporting.
+	// Stats counts deliveries for experiment reporting.
 	Stats Stats
 
 	// Optional observability handles (nil until Observe); the metric
@@ -148,8 +148,8 @@ type Network struct {
 }
 
 // Observe registers the network's traffic counters and one-way delay
-// histogram in reg. The counters mirror Stats; the delay histogram
-// records every sampled link delay (messages that are sent, not lost).
+// histogram in reg. The delay histogram records every sampled link
+// delay (messages that are sent, not lost).
 // Attaching a registry never perturbs the simulation: the instrumented
 // paths draw no extra randomness and schedule no extra events.
 func (n *Network) Observe(reg *obs.Registry) {
@@ -184,13 +184,9 @@ func deliver(x any) {
 }
 
 // Stats accumulates network counters. Every delivery runs on the
-// simulator's one goroutine, so the counters are plain integers.
+// simulator's one goroutine, so the counter is a plain integer.
 type Stats struct {
-	Sent        int64
-	Delivered   int64
-	Lost        int64
-	Partitioned int64
-	NoLink      int64
+	Delivered int64
 }
 
 // New returns an empty network driven by s.
@@ -242,9 +238,6 @@ func (n *Network) setEdge(a, b NodeID, cfg LinkConfig) {
 func (n *Network) SetHandler(id NodeID, h Handler) {
 	n.handlers[id] = h
 }
-
-// Len returns the number of nodes.
-func (n *Network) Len() int { return len(n.handlers) }
 
 // Connect creates (or replaces) the bidirectional link between a and b.
 // Self-links are rejected: a server's self-reply is modeled at the protocol
@@ -302,7 +295,6 @@ func (n *Network) Send(from, to NodeID, payload any) bool {
 	}
 	i, linked := n.edgeTo(from, to)
 	if !linked {
-		n.Stats.NoLink++
 		n.obsNoLink.Inc()
 		return false
 	}
@@ -312,14 +304,11 @@ func (n *Network) Send(from, to NodeID, payload any) bool {
 // sendOver is Send once the link is in hand.
 func (n *Network) sendOver(from NodeID, e *edge, payload any) bool {
 	if n.group[from] != n.group[e.to] {
-		n.Stats.Partitioned++
 		n.obsPartitioned.Inc()
 		return false
 	}
-	n.Stats.Sent++
 	n.obsSent.Inc()
 	if e.cfg.Loss > 0 && n.rng.Float64() < e.cfg.Loss {
-		n.Stats.Lost++
 		n.obsLost.Inc()
 		return true // sent, silently lost
 	}

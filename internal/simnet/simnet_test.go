@@ -4,8 +4,17 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"disttime/internal/obs"
 	"disttime/internal/sim"
 )
+
+// counted attaches a registry to n and returns a reader of its
+// simnet_messages_<kind>_total counters.
+func counted(n *Network) func(kind string) uint64 {
+	reg := obs.NewRegistry()
+	n.Observe(reg)
+	return func(kind string) uint64 { return reg.Counter("simnet_messages_" + kind + "_total").Value() }
+}
 
 func newTestNet(t *testing.T, nodes int) (*sim.Simulator, *Network, []NodeID) {
 	t.Helper()
@@ -69,6 +78,7 @@ func TestSendDeliversAfterDelay(t *testing.T) {
 	if err := n.Connect(ids[0], ids[1], LinkConfig{Delay: Uniform{Min: 0.5, Max: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
+	msgs := counted(n)
 	var deliveredAt float64 = -1
 	var got Message
 	n.SetHandler(ids[1], func(m Message) {
@@ -87,18 +97,19 @@ func TestSendDeliversAfterDelay(t *testing.T) {
 	if got.From != ids[0] || got.To != ids[1] || got.Payload != "ping" || got.SentAt != 10 {
 		t.Errorf("message = %+v", got)
 	}
-	if n.Stats.Sent != 1 || n.Stats.Delivered != 1 {
-		t.Errorf("stats = %+v", n.Stats)
+	if msgs("sent") != 1 || msgs("delivered") != 1 {
+		t.Errorf("sent %d, delivered %d", msgs("sent"), msgs("delivered"))
 	}
 }
 
 func TestSendNoLink(t *testing.T) {
 	_, n, ids := newTestNet(t, 3)
+	msgs := counted(n)
 	if n.Send(ids[0], ids[2], "x") {
 		t.Error("Send over missing link returned true")
 	}
-	if n.Stats.NoLink != 1 {
-		t.Errorf("NoLink = %d", n.Stats.NoLink)
+	if msgs("nolink") != 1 {
+		t.Errorf("nolink = %d", msgs("nolink"))
 	}
 	if n.Send(-1, ids[0], "x") || n.Send(ids[0], 99, "x") {
 		t.Error("Send with invalid ids returned true")
@@ -110,6 +121,7 @@ func TestSendLoss(t *testing.T) {
 	if err := n.Connect(ids[0], ids[1], LinkConfig{Delay: Uniform{Min: 0.01, Max: 0.01}, Loss: 0.5}); err != nil {
 		t.Fatal(err)
 	}
+	msgs := counted(n)
 	delivered := 0
 	n.SetHandler(ids[1], func(Message) { delivered++ })
 	const total = 2000
@@ -119,8 +131,8 @@ func TestSendLoss(t *testing.T) {
 		}
 	}
 	s.Run()
-	if n.Stats.Lost+int64(delivered) != total {
-		t.Errorf("lost %d + delivered %d != %d", n.Stats.Lost, delivered, total)
+	if msgs("lost")+uint64(delivered) != total {
+		t.Errorf("lost %d + delivered %d != %d", msgs("lost"), delivered, total)
 	}
 	frac := float64(delivered) / total
 	if frac < 0.4 || frac > 0.6 {
@@ -216,6 +228,7 @@ func TestPartition(t *testing.T) {
 	for _, id := range ids {
 		n.SetHandler(id, func(Message) { delivered++ })
 	}
+	msgs := counted(n)
 	n.Partition([]NodeID{ids[0], ids[1]}, []NodeID{ids[2], ids[3]})
 	if n.Send(ids[0], ids[2], "x") {
 		t.Error("Send across partition returned true")
@@ -223,8 +236,8 @@ func TestPartition(t *testing.T) {
 	if !n.Send(ids[0], ids[1], "x") {
 		t.Error("Send within partition returned false")
 	}
-	if n.Stats.Partitioned != 1 {
-		t.Errorf("Partitioned = %d", n.Stats.Partitioned)
+	if msgs("partitioned") != 1 {
+		t.Errorf("partitioned = %d", msgs("partitioned"))
 	}
 	if n.Connected(ids[0], ids[2]) {
 		t.Error("Connected across partition")

@@ -200,9 +200,6 @@ func Attach(svc *service.Service, cfg Config) (*Workload, error) {
 	return w, nil
 }
 
-// Waiter returns the commit policy in force.
-func (w *Workload) Waiter() Waiter { return w.cfg.Waiter }
-
 // MaxCommitted returns the largest committed timestamp and the server
 // that committed it (-1 before the first commit).
 func (w *Workload) MaxCommitted() (hlc.Timestamp, int) { return w.maxTS, w.maxNode }

@@ -232,8 +232,8 @@ func TestCrashPausesClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.CrashAt(20, 0)
-	svc.RestartAt(60, 0)
+	svc.Sim.At(20, func() { svc.Crash(0) })
+	svc.Sim.At(60, func() { svc.Restart(0) })
 	svc.Run(120)
 	for _, x := range commits {
 		if x.Client == 0 && x.Start > 20 && x.Start < 60 {
@@ -280,8 +280,8 @@ func TestGoldenFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.CrashAt(20, 0)
-	svc.RestartAt(60, 0)
+	svc.Sim.At(20, func() { svc.Crash(0) })
+	svc.Sim.At(60, func() { svc.Restart(0) })
 	svc.Run(120)
 	if w.Commits < 100 {
 		t.Fatalf("only %d commits: the digest covers too little", w.Commits)

@@ -76,10 +76,6 @@ func (c *SystemClock) Now() (time.Time, time.Duration, bool) {
 	return now, agedError(c.initialErr, now.Sub(c.start), c.driftPPM), true
 }
 
-// DriftPPM returns the drift bound the OS clock is trusted to, in parts
-// per million.
-func (c *SystemClock) DriftPPM() float64 { return c.driftPPM }
-
 // DisciplinedClock is a settable software clock: a core.Node behind a
 // mutex, its server running over the host's monotonic clock with rule
 // MM-1 bookkeeping at DriftPPM. Real time t is monotonic seconds since the
@@ -201,30 +197,6 @@ func (c *DisciplinedClock) sync(fn core.SyncFunc, recovery bool, ms []Measuremen
 	after := n.Server.Reading(t)
 	p.applied = interval.FromEstimate(after.C-ci, after.E)
 	return p, nil
-}
-
-// WaitUntilAfter blocks until the clock's earliest possible reading
-// C − E is strictly after t: the commit-wait primitive. While the clock
-// is contained (true time inside [C−E, C+E]), returning implies true
-// time has passed t — the fact the external-consistency argument of
-// DESIGN.md §18 rests on.
-//
-// The wait sleeps the distance C − E must still travel, charged by the
-// drift bound, then re-checks: a concurrent Set or sync round may have
-// moved C back or widened E. An unsynchronized clock cannot bound C − E,
-// so waiting on one fails at once.
-func (c *DisciplinedClock) WaitUntilAfter(t time.Time) error {
-	for {
-		now, maxErr, synced := c.Now()
-		if !synced {
-			return fmt.Errorf("udptime: commit-wait on unsynchronized clock")
-		}
-		earliest := now.Add(-maxErr)
-		if earliest.After(t) {
-			return nil
-		}
-		time.Sleep(stretch(t.Sub(earliest)+time.Nanosecond, c.DriftPPM()))
-	}
 }
 
 // DriftPPM returns the drift bound the clock's oscillator is trusted

@@ -1,12 +1,37 @@
 package udptime
 
 import (
+	"errors"
 	"math/rand/v2"
 	"testing"
 	"time"
 
 	"disttime/internal/hlc"
 )
+
+// WaitUntilAfter blocks until the clock's earliest possible reading
+// C − E is strictly after t: the commit-wait primitive. While the clock
+// is contained (true time inside [C−E, C+E]), returning implies true
+// time has passed t — the fact the external-consistency argument of
+// DESIGN.md §18 rests on.
+//
+// The wait sleeps the distance C − E must still travel, charged by the
+// drift bound, then re-checks: a concurrent Set or sync round may have
+// moved C back or widened E. An unsynchronized clock cannot bound C − E,
+// so waiting on one fails at once.
+func (c *DisciplinedClock) WaitUntilAfter(t time.Time) error {
+	for {
+		now, maxErr, synced := c.Now()
+		if !synced {
+			return errors.New("udptime: commit-wait on unsynchronized clock")
+		}
+		earliest := now.Add(-maxErr)
+		if earliest.After(t) {
+			return nil
+		}
+		time.Sleep(stretch(t.Sub(earliest)+time.Nanosecond, c.DriftPPM()))
+	}
+}
 
 func TestWaitUntilAfterUnsynchronized(t *testing.T) {
 	dc, err := NewDisciplinedClock(100)
@@ -82,7 +107,7 @@ func TestQueryHLC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.TS.IsZero() {
+			if m.TS == (hlc.Timestamp{}) {
 				t.Fatal("v3 measurement carries no timestamp")
 			}
 			if m.TS.Node != 7 {
@@ -120,7 +145,7 @@ func TestQueryWithoutHLCStaysV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.TS.IsZero() {
+	if m.TS != (hlc.Timestamp{}) {
 		t.Errorf("v1 measurement carries timestamp %v", m.TS)
 	}
 }

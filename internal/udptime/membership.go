@@ -274,20 +274,6 @@ func (m *membership) Members() []member.Entry[string] {
 	return m.proto.Roster().Members()
 }
 
-// Evictions returns how many members this peer's detector has evicted.
-func (m *membership) Evictions() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.proto.Evictions()
-}
-
-// EvictAfter returns the failure detector's eviction deadline.
-func (m *membership) EvictAfter() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return time.Duration(m.proto.EvictAfter() * float64(time.Second))
-}
-
 // halt stops the gossip loop without any announcement — the controlled
 // equivalent of a crash, used by tests that exercise the failure
 // detector. Idempotent.

@@ -2,6 +2,7 @@ package udptime
 
 import (
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -84,6 +85,38 @@ func aliveView(p *Peer) int {
 // fresh incarnation — once with every peer serving per-packet, once
 // with every peer's heartbeats and version-3 syncs spread over batched
 // shards.
+// Evictions returns how many members p's failure detector has evicted
+// (zero without dynamic membership).
+func (p *Peer) Evictions() uint64 {
+	m := p.membership
+	if m == nil {
+		return 0
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.proto.Evictions()
+}
+
+// EvictAfter returns p's failure-detector eviction deadline, the
+// local-clock silence after which a member is evicted, from the
+// detector configuration bind gives it; zero without dynamic
+// membership. Tests size "the member should be gone by now" waits with
+// it.
+func (p *Peer) EvictAfter() time.Duration {
+	m := p.membership
+	if m == nil {
+		return 0
+	}
+	cfg := member.DetectorConfig{
+		Period:      m.cfg.Gossip.Seconds(),
+		Misses:      m.cfg.Misses,
+		LocalDelta:  m.delta,
+		RemoteDelta: m.delta,
+		Xi:          m.cfg.DelayBound.Seconds(),
+	}
+	return time.Duration(cfg.EvictAfter() * float64(time.Second))
+}
+
 func TestClusterConvergeEvictReadmit(t *testing.T) {
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) { testClusterConvergeEvictReadmit(t, b.new) })
@@ -397,7 +430,9 @@ func TestSyncerDynamicTargets(t *testing.T) {
 	}
 
 	dc := mustClock(t)
+	var last atomic.Pointer[SyncReport]
 	s, err := NewSyncer(dc, SyncerConfig{
+		OnSync:   func(r SyncReport) { last.Store(&r) },
 		Targets:  func() []string { return []string{srv.Addr().String()} },
 		Interval: 50 * time.Millisecond,
 		Timeout:  200 * time.Millisecond,
@@ -407,8 +442,8 @@ func TestSyncerDynamicTargets(t *testing.T) {
 	}
 	defer s.Stop()
 	waitFor(t, 5*time.Second, "a successful dynamic-target round", func() bool {
-		r := s.LastReport()
-		return s.Rounds() > 0 && r.Err == nil && r.Measurements == 1
+		r := last.Load()
+		return r != nil && r.Err == nil && r.Measurements == 1
 	})
 	if _, _, synced := dc.Now(); !synced {
 		t.Error("clock not disciplined through dynamic targets")

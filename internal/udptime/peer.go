@@ -138,9 +138,6 @@ func (p *Peer) Requests() uint64 { return p.server.Requests() }
 // Rounds returns how many synchronization rounds have completed.
 func (p *Peer) Rounds() int { return p.syncer.Rounds() }
 
-// LastReport returns the most recent synchronization round's report.
-func (p *Peer) LastReport() SyncReport { return p.syncer.LastReport() }
-
 // Members returns the peer's roster in increasing address order, or nil
 // without dynamic membership.
 func (p *Peer) Members() []member.Entry[string] {
@@ -148,26 +145,6 @@ func (p *Peer) Members() []member.Entry[string] {
 		return nil
 	}
 	return p.membership.Members()
-}
-
-// Evictions returns how many members this peer's failure detector has
-// evicted (zero without dynamic membership).
-func (p *Peer) Evictions() uint64 {
-	if p.membership == nil {
-		return 0
-	}
-	return p.membership.Evictions()
-}
-
-// EvictAfter returns the failure detector's eviction deadline: the
-// local-clock silence after which a member is evicted. Zero without
-// dynamic membership. Tests and operators use it to size "the member
-// should be gone by now" waits.
-func (p *Peer) EvictAfter() time.Duration {
-	if p.membership == nil {
-		return 0
-	}
-	return p.membership.EvictAfter()
 }
 
 // Close stops the syncer, announces a voluntary departure to the

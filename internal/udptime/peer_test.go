@@ -108,7 +108,7 @@ func TestPeersConvergeOnReference(t *testing.T) {
 	if d := n1.Sub(n2); math.Abs(d.Seconds()) > 0.2 {
 		t.Errorf("peers disagree by %v", d)
 	}
-	if p1.Rounds() == 0 || p1.LastReport().When.IsZero() {
+	if p1.Rounds() == 0 {
 		t.Error("peer accounting empty")
 	}
 }

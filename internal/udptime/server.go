@@ -194,9 +194,6 @@ func (s *Server) Shards() int { return len(s.shards) }
 // answered across all shards.
 func (s *Server) Requests() uint64 { return s.requests.Load() }
 
-// HLC returns the server's hybrid logical clock.
-func (s *Server) HLC() *hlc.Clock { return s.hlc }
-
 // MalformedDatagrams returns how many datagrams failed to parse.
 func (s *Server) MalformedDatagrams() uint64 { return s.malformed.Load() }
 

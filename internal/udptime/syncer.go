@@ -28,7 +28,6 @@ type Syncer struct {
 	done     chan struct{}
 
 	mu     sync.Mutex
-	last   SyncReport
 	rounds int
 }
 
@@ -144,14 +143,6 @@ func (s *Syncer) Stop() {
 	s.client.Close()
 }
 
-// LastReport returns the most recent round's report (zero value before
-// the first round completes).
-func (s *Syncer) LastReport() SyncReport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.last
-}
-
 // Rounds returns how many rounds have completed (including failed ones).
 func (s *Syncer) Rounds() int {
 	s.mu.Lock()
@@ -224,7 +215,6 @@ func (s *Syncer) round() {
 		s.cfg.OnSync(report)
 	}
 	s.mu.Lock()
-	s.last = report
 	s.rounds++
 	s.mu.Unlock()
 }
