@@ -2,6 +2,7 @@ package scale
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -226,6 +227,34 @@ func TestKSampling(t *testing.T) {
 	eight := runFingerprint(t, with(8), 600)
 	if one != eight {
 		t.Fatalf("K-sampled fingerprints diverge: %s vs %s", one, eight)
+	}
+}
+
+// TestNewAllocs holds New at 10x20x50, 10^4 nodes, to a fixed handful of
+// allocations, none of them proportional to the node count:
+//
+//   - the engine and its twelve per-node arrays: 13;
+//   - partition's two closures and the init stream's PCG: 3;
+//   - the kernel, its three per-node arrays and its shard list: 5;
+//   - per shard, its context, its outbox list and its seed batch: 3.
+//
+// A seed batch regrown by append instead of made at the shard's node
+// count costs about twenty more a shard.
+func TestNewAllocs(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		cfg := testConfig(shards, 1)
+		cfg.Topo = Topology{Regions: 10, Clusters: 20, Members: 50}
+		// The first collection allocates the collector's workers; the
+		// arrays are large enough to start one, so it runs before counting.
+		runtime.GC()
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := New(cfg); err != nil {
+				panic(err)
+			}
+		})
+		if want := 21 + 3*shards; allocs > float64(want) {
+			t.Errorf("shards=%d: New makes %v allocations, want at most %d", shards, allocs, want)
+		}
 	}
 }
 

@@ -2,7 +2,9 @@ package shard
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -235,6 +237,125 @@ func TestConstantDelayTimersStayOutOfHeap(t *testing.T) {
 		k.Run(until)
 		if q := &k.shards[0].q; len(q.heap) != 0 || q.inLanes() != nodes {
 			t.Fatalf("rearm at t=%v: %d events in the heap and %d in lanes, want 0 and %d", until, len(q.heap), q.inLanes(), nodes)
+		}
+	}
+}
+
+// TestSeedBatchAllocs holds seeding to one allocation per shard: a
+// 10k-node kernel seeded with one timer per node makes each shard's batch
+// once, at the number of nodes the shard owns, instead of regrowing it.
+func TestSeedBatchAllocs(t *testing.T) {
+	const nodes = 10000
+	for _, shards := range []int{1, 2} {
+		var k *Kernel
+		build := func() {
+			var err error
+			if k, err = New(Config{Nodes: nodes, Shards: shards, Seed: 1, Lookahead: 1, Handler: rearm{}}); err != nil {
+				panic(err)
+			}
+		}
+		seed := func() {
+			build()
+			for n := int32(0); n < nodes; n++ {
+				k.Seed(n, float64(n)/nodes, kindTick, 0, 0, 0)
+			}
+		}
+		// The arrays are large enough to start collections; the first one
+		// allocates the collector's workers, so it runs before counting.
+		runtime.GC()
+		bare, seeded := testing.AllocsPerRun(20, build), testing.AllocsPerRun(20, seed)
+		if seeded-bare != float64(shards) {
+			t.Errorf("shards=%d: New makes %v allocations and New plus a seed per node %v, want one batch a shard more",
+				shards, bare, seeded)
+		}
+		for _, p := range k.shards {
+			if len(p.q.seeds) != nodes/shards || cap(p.q.seeds) != nodes/shards {
+				t.Errorf("shards=%d: shard %d's batch holds %d in %d slots, want its %d nodes in as many",
+					shards, p.id, len(p.q.seeds), cap(p.q.seeds), nodes/shards)
+			}
+		}
+	}
+}
+
+// inOrder checks, per shard, that every event executes after the one
+// before it in (At, From, Seq) order, and hands it on.
+type inOrder struct {
+	Handler
+	last []Ev // per shard; At -1 before the first event
+	bad  []string
+}
+
+func (o *inOrder) Event(p *Proc, ev Ev) {
+	if last := &o.last[p.id]; !less(last, &ev) {
+		o.bad = append(o.bad, fmt.Sprintf("shard %d ran %+v after %+v", p.id, ev, *last))
+	}
+	o.last[p.id] = ev
+	o.Handler.Event(p, ev)
+}
+
+// TestOutgrownSeedBatch seeds two timers a node, the second earlier than
+// the first and both at a time every node shares, so each shard's batch
+// outgrows the size it was made at and its sort is left only From and Seq
+// to go on. Every shard still executes in key order, and the run is the
+// same on 1 to 4 shards.
+func TestOutgrownSeedBatch(t *testing.T) {
+	const nodes, l = 64, 0.25
+	var want string
+	for shards := 1; shards <= 4; shards++ {
+		g := newGossip(nodes, l)
+		o := &inOrder{Handler: g, last: make([]Ev, shards)}
+		for i := range o.last {
+			o.last[i].At = -1
+		}
+		k, err := New(Config{Nodes: nodes, Shards: shards, Seed: 7, Lookahead: l, Handler: o})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		for _, at := range []float64{0.5, 0.1} {
+			for n := int32(0); n < nodes; n++ {
+				k.Seed(n, at, kindTick, 0, 0, 0)
+			}
+		}
+		owned := make([]int, shards)
+		for _, s := range k.shardOf {
+			owned[s]++
+		}
+		for _, p := range k.shards {
+			if len(p.q.seeds) != 2*owned[p.id] {
+				t.Fatalf("shards=%d: shard %d's batch holds %d, want two for each of its %d nodes",
+					shards, p.id, len(p.q.seeds), owned[p.id])
+			}
+		}
+		k.Run(3)
+		if len(o.bad) > 0 {
+			t.Fatalf("shards=%d: %d events out of key order, first: %s", shards, len(o.bad), o.bad[0])
+		}
+		got := g.fingerprint()
+		if shards == 1 {
+			want = got
+		} else if got != want {
+			t.Fatalf("shards=%d: digest %s, want %s (shards=1)", shards, got, want)
+		}
+	}
+}
+
+// TestLaterSeedBatchGrowsByAppend checks only a shard's first batch is
+// made at its node count: a batch seeded after a Run grows the way append
+// grows a slice, however many nodes the shard owns.
+func TestLaterSeedBatchGrowsByAppend(t *testing.T) {
+	const nodes = 10000
+	k, err := New(Config{Nodes: nodes, Shards: 1, Seed: 1, Handler: &recorder{}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	k.Seed(0, 0, kindTick, 0, 0, 0)
+	k.Run(1)
+	var ref []Ev
+	for n := int32(0); n < 5; n++ {
+		k.Seed(n, 2, kindTick, 0, 0, 0)
+		ref = append(ref, Ev{})
+		if q := &k.shards[0].q; cap(q.seeds) != cap(ref) {
+			t.Fatalf("after %d seeds the second batch has %d slots, want append's %d", n+1, cap(q.seeds), cap(ref))
 		}
 	}
 }

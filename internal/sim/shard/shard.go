@@ -29,9 +29,11 @@
 // constant delays than lanes, or periods are jittered, or a far-future
 // one-off holds a lane until it fires, more events fall to the heap and
 // an event costs what it did with the heap alone plus one compare per
-// lane. Kernel.Seed only batches; Run sorts the batch before filing it,
-// because seeds arrive in node order at random phases and would
-// otherwise spend the first period in the heap.
+// lane. Kernel.Seed only batches, into an array made once at the
+// shard's node count, so a 10^5-node kernel is seeded without regrowing
+// it; Run sorts the batch before filing it, because seeds arrive in node
+// order at random phases and would otherwise spend the first period in
+// the heap.
 //
 // # Determinism across shard counts
 //
@@ -136,7 +138,7 @@ type Kernel struct {
 	rngs      []rand.PCG // per-node PCG stream, touched only by the owning shard
 	handler   Handler
 	lookahead float64
-	now       float64
+	now       float64 // the cut the last Run landed on, or the running one will
 
 	// Observability (nil-safe until Observe).
 	obsWindows  *obs.Counter
@@ -154,6 +156,7 @@ type Proc struct {
 	q     pending // scheduled events, executed in (At, From, Seq) order
 	out   [][]Ev  // per-destination-shard outboxes
 	steps uint64  // events executed in total
+	owned int     // nodes the shard owns, the size its first seed batch is made at; zero once made
 }
 
 // splitmix64 is the SplitMix64 step, used to derive independent PCG seed
@@ -193,6 +196,10 @@ func New(cfg Config) (*Kernel, error) {
 	if cfg.Shards == 1 {
 		k.lookahead = math.Inf(1)
 	}
+	k.shards = make([]*Proc, cfg.Shards)
+	for i := range k.shards {
+		k.shards[i] = &Proc{k: k, id: int32(i), out: make([][]Ev, cfg.Shards)}
+	}
 	for n := 0; n < cfg.Nodes; n++ {
 		var s int32
 		if cfg.ShardOf != nil {
@@ -204,13 +211,9 @@ func New(cfg Config) (*Kernel, error) {
 			s = int32(n * cfg.Shards / cfg.Nodes)
 		}
 		k.shardOf[n] = s
+		k.shards[s].owned++
 		h := splitmix64(cfg.Seed ^ splitmix64(uint64(n)+0x51ed2701))
 		k.rngs[n].Seed(h, splitmix64(h))
-	}
-	k.shards = make([]*Proc, cfg.Shards)
-	for i := range k.shards {
-		p := &Proc{k: k, id: int32(i), out: make([][]Ev, cfg.Shards)}
-		k.shards[i] = p
 	}
 	return k, nil
 }
@@ -250,15 +253,26 @@ func (k *Kernel) Steps() uint64 {
 // Initial events for a node must be scheduled on its owning shard.
 func (k *Kernel) Proc(i int) *Proc { return k.shards[i] }
 
-// Seed schedules a timer on node at absolute time at, between Runs, on
-// the owning shard. The event takes its key here and joins the shard's
-// batch; the next Run admits the batch in key order. A time before Now
-// (or NaN) panics: it would run in the executed past.
+// Seed schedules a timer on node at absolute time at, on the owning
+// shard. The event takes its key here and joins the shard's batch; the
+// next Run admits the batch in key order, starting from the cut the last
+// Run landed on. A time before that cut (or NaN) panics, since it would
+// run in the executed past: before Now between Runs, and from a handler,
+// before the running Run's until, which every shard's clock reaches
+// before the batch is admitted.
+//
+// A shard's first batch is made at the number of nodes it owns, the size
+// of one timer per node, so seeding a large kernel copies nothing; later
+// batches grow as append grows them.
 func (k *Kernel) Seed(node int32, at float64, kind uint16, tag uint32, a, b float64) {
 	if !(at >= k.now) {
 		panic(fmt.Sprintf("shard: seed at %v before now %v", at, k.now))
 	}
 	p := k.shards[k.shardOf[node]]
+	if p.owned > 0 {
+		p.q.seeds = make([]Ev, 0, p.owned)
+		p.owned = 0
+	}
 	p.q.seeds = append(p.q.seeds, p.timer(node, at, kind, tag, a, b))
 }
 
@@ -361,6 +375,9 @@ func (k *Kernel) Run(until float64) {
 	if !(until >= k.now) {
 		panic(fmt.Sprintf("shard: run until %v before now %v", until, k.now))
 	}
+	// Set now first: a handler's Seed joins the batch the next Run admits,
+	// once every clock reads until, so Seed refuses anything before it.
+	k.now = until
 	limit := math.Nextafter(until, math.Inf(1))
 	for _, p := range k.shards {
 		p.q.admit()
@@ -392,7 +409,6 @@ func (k *Kernel) Run(until float64) {
 	for _, p := range k.shards {
 		p.now = until
 	}
-	k.now = until
 }
 
 // exchange is the window barrier's deterministic cross-shard merge: every

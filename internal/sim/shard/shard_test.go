@@ -322,8 +322,21 @@ func TestLookaheadViolationPanics(t *testing.T) {
 	k.Run(1)
 }
 
+// reseeder seeds node 0 at a fixed time from node 1's handler.
+type reseeder struct {
+	k  *Kernel
+	at float64
+}
+
+func (r *reseeder) Event(p *Proc, ev Ev) {
+	if ev.Node == 1 {
+		r.k.Seed(0, r.at, kindTick, 0, 0, 0)
+	}
+}
+
 // TestNegativeDelayPanics checks the times the kernel must refuse: a
-// negative or NaN After/Send delay, an At or a Seed before Now, a Run
+// negative or NaN After/Send delay, an At or a Seed before Now, a Seed
+// from a handler before the cut the running Run lands on, a Run
 // backward, and an At on a node another shard owns.
 // NaN has its own rows because it passes a d < 0 test, and its key,
 // neither before nor after any other, would sit at the head of the
@@ -340,6 +353,21 @@ func TestNegativeDelayPanics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	// Node 1 fires at 5 on shard 1 and seeds node 0 on shard 0, whose
+	// clock has reached 6 by then: the window is [5, 6) and shard 0 runs
+	// first. A seed at 7 is ahead of that clock but behind the Run's
+	// until, 10, and the next Run would start from 10 too.
+	seedsAt := func(at float64) *Kernel {
+		h := &reseeder{at: at}
+		k, err := New(Config{Nodes: 2, Shards: 2, Seed: 1, Lookahead: 1, Handler: h})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		h.k = k
+		k.Seed(1, 5, kindTick, 0, 0, 0)
+		return k
+	}
+	behind, early, late := seedsAt(1), seedsAt(7), seedsAt(10)
 	for _, row := range []struct {
 		name string
 		fn   func()
@@ -353,6 +381,8 @@ func TestNegativeDelayPanics(t *testing.T) {
 		{"Send(NaN)", func() { p.Send(0, 1, math.NaN(), kindMsg, 0, 0, 0) }},
 		{"Seed(5) after Run(10)", func() { k.Seed(0, 5, kindTick, 0, 0, 0) }},
 		{"Seed(NaN)", func() { k.Seed(0, math.NaN(), kindTick, 0, 0, 0) }},
+		{"Seed from a handler behind its shard's clock", func() { behind.Run(10) }},
+		{"Seed from a handler before its Run's until", func() { early.Run(10) }},
 		{"Run(5) after Run(10)", func() { k.Run(5) }},
 		{"Run(NaN)", func() { k.Run(math.NaN()) }},
 	} {
@@ -374,6 +404,13 @@ func TestNegativeDelayPanics(t *testing.T) {
 	k.Run(10)
 	if len(r.times) != 4 || k.now != 10 {
 		t.Fatalf("after the refused calls, Run(10) executed %v and reports Now() = %v; want four events at 10 and Now() = 10", r.times, k.now)
+	}
+	// A handler's seed at the running Run's until is accepted and runs in
+	// the next Run.
+	late.Run(10)
+	late.Run(20)
+	if late.Steps() != 2 {
+		t.Fatalf("a seed at until from a handler: %d events executed, want 2", late.Steps())
 	}
 }
 
