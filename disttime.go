@@ -56,25 +56,9 @@ type (
 	RateTracker = core.RateTracker
 )
 
-// Clock models (internal/clock).
-type (
-	// Clock is a settable clock driven by external real time.
-	Clock = clock.Clock
-	// DriftingClock advances at a constant rate 1+drift.
-	DriftingClock = clock.Drifting
-	// MonotonicClock derives a monotonic view from a settable clock
-	// (Section 1.1).
-	MonotonicClock = clock.Monotonic
-)
-
-// Clock constructors.
-var (
-	// NewDriftingClock returns a constant-drift clock.
-	NewDriftingClock = clock.NewDrifting
-	// NewMonotonicClock wraps a clock with the Section 1.1 monotonic
-	// technique.
-	NewMonotonicClock = clock.NewMonotonic
-)
+// Clock is a settable clock driven by external real time
+// (internal/clock): what ServerSpec.NewClock builds.
+type Clock = clock.Clock
 
 // Simulated time service (internal/service, internal/simnet).
 type (

@@ -15,8 +15,8 @@
 //   - the interval algebra, consistency groups, the fault-tolerant
 //     intersection (Marzullo's algorithm), its span at coverage m and the
 //     majority selection built on it in internal/interval;
-//   - drifting, failing and slewing clock models and a monotonic wrapper
-//     in internal/clock;
+//   - drifting, failing and slewing clock models in internal/clock, the
+//     slewing one being Section 1.1's monotonic clock;
 //   - a deterministic discrete-event simulator and network in
 //     internal/sim and internal/simnet;
 //   - the server state machine, both algorithms, the Section 3 recovery

@@ -63,24 +63,6 @@ func ExampleNewSimulation() {
 	// Output: after 600s: all correct=true, consistent=true
 }
 
-// The monotonic wrapper implements the Section 1.1 technique: after a
-// backward set it runs at half speed until the underlying clock catches
-// up, so readings never decrease.
-func ExampleMonotonicClock() {
-	server := disttime.NewDriftingClock(0, 0, 0)
-	mono := disttime.NewMonotonicClock(server, 0.5)
-	fmt.Printf("t=100: %.0f\n", mono.Read(100))
-	server.Set(100, 90) // the time service corrects the clock backward
-	fmt.Printf("t=100 after set-back: %.0f\n", mono.Read(100))
-	fmt.Printf("t=110 (half speed):   %.0f\n", mono.Read(110))
-	fmt.Printf("t=120 (caught up):    %.0f\n", mono.Read(120))
-	// Output:
-	// t=100: 100
-	// t=100 after set-back: 100
-	// t=110 (half speed):   105
-	// t=120 (caught up):    110
-}
-
 // IntersectReadings works directly on absolute time.Time readings.
 func ExampleIntersectReadings() {
 	// See TestIntersectReadings for the time.Time form; the seconds-based

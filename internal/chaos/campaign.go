@@ -12,7 +12,9 @@
 //     replies (rules IM-1/IM-2),
 //   - between passes the error grows by at most delta per clock second
 //     (rule MM-1's deterioration bound),
-//   - the monotonic-clock wrapper never steps backward,
+//   - between probes with no reset, the C a server serves advances at
+//     no less than rule MM-1's rate floor 1-delta, so it never steps
+//     backward before its clock fault,
 //   - the correct servers' intervals always share a common point,
 //   - while no clock fault has begun, every server's hybrid logical
 //     clock keeps its logical counter under a small ceiling (walls

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"disttime/internal/core"
 )
 
 // TestGeneratedCampaignsPass runs a spread of generated campaigns against
@@ -256,5 +259,58 @@ func TestCorpusReplays(t *testing.T) {
 				t.Errorf("%s: expected first violation %q, got %+v", path, expect, a.Violations)
 			}
 		}
+	}
+}
+
+// TestMonitorCatchesPlantedStepBack sets one server's clock register back
+// 1 ms in a fault-free campaign, between two probes with no sync reset.
+// Written past the bookkeeping (Clock().Set, as a faulty oscillator would)
+// the step-back is below rule MM-1's rate floor, and the monitor must
+// report monotonic-clock; the same correction through SetClock is a
+// reset and must report nothing.
+func TestMonitorCatchesPlantedStepBack(t *testing.T) {
+	// Server 2 of seed 1 has delta+drift ≈ 2e-5, so the floor leaves it
+	// 0.1 ms of slack over a 5 s probe interval, well under the step.
+	const (
+		node = 2
+		at   = 101.0 // between the probes at 100 s and 105 s
+		next = 105.0
+	)
+	cases := []struct {
+		name   string
+		set    func(s *core.Server)
+		resets int // the resets the set itself counts
+		want   []string
+	}{
+		{"register", func(s *core.Server) { s.Clock().Set(at, s.Read(at)-1e-3) }, 0, []string{"monotonic-clock"}},
+		{"SetClock", func(s *core.Server) { s.SetClock(at, s.Read(at)-1e-3, s.ErrorAt(at)+1e-3) }, 1, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := Campaign{Seed: 1, N: 4, Topo: "mesh", FnName: "IM", Dur: 200, Sync: 20}
+			svc, err := c.build(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := newMonitor(svc, c, nil)
+			srv := svc.Nodes[node].Server
+			var before int
+			svc.Sim.At(at, func() { before = srv.Resets(); tc.set(srv) })
+			svc.Run(next)
+			if moved := srv.Resets() - before; moved != tc.resets {
+				t.Fatalf("%d resets between the step and the next probe, want %d", moved, tc.resets)
+			}
+			svc.Run(c.Dur)
+			var got []string
+			for _, v := range m.violations {
+				if v.Node != node || v.T != next {
+					t.Errorf("unexpected violation %v", v)
+				}
+				got = append(got, v.Invariant)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("violations %q, want %q", got, tc.want)
+			}
+		})
 	}
 }

@@ -3,8 +3,8 @@ package chaos
 import (
 	"fmt"
 	"math"
+	"slices"
 
-	"disttime/internal/clock"
 	"disttime/internal/interval"
 	"disttime/internal/service"
 )
@@ -34,7 +34,7 @@ func (v Violation) String() string {
 
 // Monitor is the always-on invariant checker. It attaches to the service
 // through AddSyncDetail (per-pass assertions) and a periodic probe event
-// (containment, consistency, and the monotonic-clock oracle between
+// (containment, consistency, and the monotonic-clock rate floor between
 // passes). All probes are read-only with respect to the protocol state,
 // so attaching a monitor never changes what the service does — the same
 // seed and schedule produce the same trajectory monitored or not.
@@ -49,10 +49,15 @@ type Monitor struct {
 	// either its own clock is faulted or it set its clock while a faulted
 	// or tainted server was within reach. Containment (Theorems 1/5) is
 	// asserted only for untainted servers; the pass-local invariants
-	// (MM monotonicity, IM decide-or-flag, the monotonic wrapper) hold for
-	// every server and stay on everywhere.
+	// (MM monotonicity, IM decide-or-flag) hold for every server and stay
+	// on everywhere.
 	clockFaultAt []float64
 	tainted      []bool
+
+	// ownClockFaultAt[i] is clockFaultAt[i] before two-faced onsets are
+	// folded in: a two-faced server's own clock is honest, so the
+	// monotonic-clock floor stays on for it.
+	ownClockFaultAt []float64
 
 	// byz marks the strict f < n/3 containment regime: the campaign runs
 	// byzIM and its liars (servers with a clock fault or a two-faced
@@ -80,11 +85,14 @@ type Monitor struct {
 	// the boundedness claim is service-wide or nothing.
 	hlcArmedUntil float64
 
-	last       []passState
-	mono       []*clock.Monotonic
-	lastMono   []float64
-	haveMono   []bool
-	ivsScratch []interval.Interval
+	last []passState
+	// probedAt is the time of the previous probe (NaN before the first);
+	// probeC and probeResets are each server's served C and reset count
+	// then.
+	probedAt    float64
+	probeC      []float64
+	probeResets []int
+	ivsScratch  []interval.Interval
 
 	violations []Violation
 	maxRecord  int
@@ -130,9 +138,9 @@ func newMonitor(svc *service.Service, c Campaign, sink *obsSink) *Monitor {
 		clockFaultAt: make([]float64, n),
 		tainted:      make([]bool, n),
 		last:         make([]passState, n),
-		mono:         make([]*clock.Monotonic, n),
-		lastMono:     make([]float64, n),
-		haveMono:     make([]bool, n),
+		probedAt:     math.NaN(),
+		probeC:       make([]float64, n),
+		probeResets:  make([]int, n),
 		maxRecord:    16,
 		minSlack:     math.Inf(1),
 	}
@@ -144,12 +152,10 @@ func newMonitor(svc *service.Service, c Campaign, sink *obsSink) *Monitor {
 			m.clockFaultAt[f.Target] = f.At
 		}
 	}
+	m.ownClockFaultAt = slices.Clone(m.clockFaultAt)
 	// Count the liars: servers whose replies can deviate from their honest
 	// interval, whether through a corrupted clock or a two-faced window.
-	liarAt := make([]float64, n)
-	for i := range liarAt {
-		liarAt[i] = m.clockFaultAt[i]
-	}
+	liarAt := slices.Clone(m.clockFaultAt)
 	liars := 0
 	for _, f := range c.Faults {
 		if f.Kind == TwoFaced && f.At < liarAt[f.Target] {
@@ -177,9 +183,6 @@ func newMonitor(svc *service.Service, c Campaign, sink *obsSink) *Monitor {
 		if at < m.hlcArmedUntil {
 			m.hlcArmedUntil = at
 		}
-	}
-	for i, node := range svc.Nodes {
-		m.mono[i] = clock.NewMonotonic(node.Server.Clock(), 0.5)
 	}
 	svc.AddSyncDetail(m.observe)
 	probeEvery := math.Max(1, c.Sync/4)
@@ -311,15 +314,20 @@ func (m *Monitor) probe() {
 	m.refreshTaint(t)
 	ivs := m.ivsScratch[:0]
 	for i, node := range m.svc.Nodes {
-		// Section 1.1's monotonic wrapper: its view of any clock — however
-		// chaotically the underlying clock is reset, frozen, or raced —
-		// never steps backward. Asserted for every server, faulty or not.
-		v := m.mono[i].Read(t)
-		if m.haveMono[i] && m.check() && v < m.lastMono[i] {
-			m.report(t, i, "monotonic-clock",
-				fmt.Sprintf("monotonic view stepped back %.9g -> %.9g", m.lastMono[i], v))
+		// Rule MM-1's rate floor on the C each server serves: between two
+		// probes with no reset, and before the server's clock fault, C
+		// advances by at least (1-delta) per real second, and a backward
+		// step is its extreme case. Campaign servers step at a reset, so
+		// only a reset may move C below the floor.
+		c, resets := node.Server.Read(t), node.Server.Resets()
+		if dt := t - m.probedAt; dt >= 0 && m.check() && t < m.ownClockFaultAt[i] && resets == m.probeResets[i] {
+			if floor := m.probeC[i] + (1-node.Server.Delta())*dt - m.tol; c < floor {
+				m.report(t, i, "monotonic-clock",
+					fmt.Sprintf("served C advanced %.9g -> %.9g in %.6g s without a reset (floor %.9g)",
+						m.probeC[i], c, dt, floor))
+			}
 		}
-		m.lastMono[i], m.haveMono[i] = v, true
+		m.probeC[i], m.probeResets[i] = c, resets
 		// HLC boundedness (Kulkarni et al.): while every clock in the
 		// service is fault-free, walls — drawn from each server's latest
 		// bound C+E — advance between events, so the logical counter stays
@@ -349,6 +357,7 @@ func (m *Monitor) probe() {
 		ivs = append(ivs, iv)
 	}
 	m.ivsScratch = ivs
+	m.probedAt = t
 	// Rule IM-1's premise: the correct servers' intervals always admit a
 	// common point (each contains true time, so all must overlap).
 	if len(ivs) > 1 && m.check() {

@@ -3,7 +3,8 @@
 // resets, with a bounded drift rate |1 - dC/dt| <= delta. The package also
 // implements the failure modes enumerated in Section 1.1 (a clock "may fail
 // in many ways, such as by stopping, racing ahead, or refusing to change its
-// value when reset") and the monotonic-clock wrapper sketched there.
+// value when reset") and, in Slewing, the monotonic clock sketched there: a
+// clock that runs more slowly after a backward set instead of stepping.
 //
 // All clocks are driven by an externally supplied real time t (float64
 // seconds); they perform no I/O and spawn no goroutines, which keeps

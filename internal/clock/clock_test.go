@@ -161,93 +161,3 @@ func TestStuck(t *testing.T) {
 		t.Errorf("post-failure Set not ignored: Read = %v, want 1100", got)
 	}
 }
-
-func TestMonotonicTracksInner(t *testing.T) {
-	inner := NewDrifting(0, 0, 0)
-	m := NewMonotonic(inner, 0.5)
-	for _, at := range []float64{0, 1, 5, 100} {
-		if got := m.Read(at); got != at {
-			t.Errorf("Read(%v) = %v", at, got)
-		}
-	}
-	if got := m.Offset(); got != 0 {
-		t.Errorf("Offset = %v, want 0", got)
-	}
-}
-
-func TestMonotonicBackwardSet(t *testing.T) {
-	inner := NewDrifting(0, 0, 0)
-	m := NewMonotonic(inner, 0.5)
-	m.Read(100) // mono = 100
-	inner.Set(100, 90)
-
-	// Immediately after the backward set the monotonic view holds at 100.
-	if got := m.Read(100); got != 100 {
-		t.Errorf("Read after backward set = %v, want 100", got)
-	}
-	// While catching up, mono advances at half the clock rate.
-	if got := m.Read(110); got != 105 {
-		t.Errorf("Read(110) = %v, want 105", got)
-	}
-	if off := m.Offset(); math.Abs(off-5) > 1e-9 {
-		t.Errorf("Offset = %v, want 5", off)
-	}
-	// Inner reaches mono at t=120 (inner=110, mono=110).
-	if got := m.Read(120); got != 110 {
-		t.Errorf("Read(120) = %v, want 110", got)
-	}
-	// Fully caught up: tracks inner exactly again.
-	if got := m.Read(130); got != 120 {
-		t.Errorf("Read(130) = %v, want 120", got)
-	}
-	if off := m.Offset(); off != 0 {
-		t.Errorf("Offset after catch-up = %v", off)
-	}
-}
-
-func TestMonotonicForwardSet(t *testing.T) {
-	inner := NewDrifting(0, 0, 0)
-	m := NewMonotonic(inner, 0.5)
-	m.Read(100)
-	inner.Set(100, 500)
-	if got := m.Read(100); got != 500 {
-		t.Errorf("forward set not followed: %v", got)
-	}
-}
-
-func TestMonotonicNeverDecreases(t *testing.T) {
-	inner := NewDrifting(0, 0, 0.01)
-	m := NewMonotonic(inner, 0.5)
-	prev := math.Inf(-1)
-	for i := 0; i < 1000; i++ {
-		at := float64(i)
-		if i%37 == 0 {
-			// Adversarial backward jumps.
-			inner.Set(at, inner.Read(at)-5)
-		}
-		if i%113 == 0 {
-			inner.Set(at, inner.Read(at)+3)
-		}
-		v := m.Read(at)
-		if v < prev {
-			t.Fatalf("monotonic clock decreased at t=%v: %v < %v", at, v, prev)
-		}
-		prev = v
-	}
-}
-
-func TestMonotonicBadCatchupRateDefaults(t *testing.T) {
-	for _, rate := range []float64{-1, 0, 1, 2} {
-		m := NewMonotonic(NewDrifting(0, 0, 0), rate)
-		if m.catchupRate != 0.5 {
-			t.Errorf("catchupRate %v not defaulted: %v", rate, m.catchupRate)
-		}
-	}
-}
-
-func TestMonotonicOffsetBeforeFirstRead(t *testing.T) {
-	m := NewMonotonic(NewDrifting(0, 0, 0), 0.5)
-	if got := m.Offset(); got != 0 {
-		t.Errorf("Offset before first read = %v", got)
-	}
-}

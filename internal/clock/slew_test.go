@@ -59,6 +59,28 @@ func TestSlewingBackwardCorrectionIsMonotonic(t *testing.T) {
 	if got, want := c.Read(41), 31.0; math.Abs(got-want) > 1e-9 {
 		t.Errorf("Read(41) = %v, want %v", got, want)
 	}
+
+	// An adversarial schedule on a 1% fast oscillator: set back 5 s every
+	// 37 s and forward 3 s every 113 s for 1,000 s. Up to a rate of 1,
+	// where it holds still, the slewed clock never reads less than before.
+	for _, rate := range []float64{0.5, 1} {
+		c := NewSlewing(NewDrifting(0, 0, 0.01), rate)
+		prev := math.Inf(-1)
+		for i := 0; i < 1000; i++ {
+			at := float64(i)
+			if i%37 == 0 {
+				c.Set(at, c.Read(at)-5)
+			}
+			if i%113 == 0 {
+				c.Set(at, c.Read(at)+3)
+			}
+			v := c.Read(at)
+			if v < prev {
+				t.Fatalf("rate %v: slewed clock went backward at t=%v: %v < %v", rate, at, v, prev)
+			}
+			prev = v
+		}
+	}
 }
 
 func TestSlewingAccumulatesCorrections(t *testing.T) {

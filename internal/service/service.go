@@ -60,7 +60,8 @@ type ServerSpec struct {
 	// SlewRate, when positive, wraps the server's clock so corrections
 	// are absorbed gradually at this rate instead of stepping (see
 	// clock.Slewing). The unabsorbed remainder is charged to the server's
-	// reported error automatically.
+	// reported error automatically. New rejects a rate that is NaN,
+	// negative or above 1.
 	SlewRate float64
 	// Fn overrides the service-wide synchronization function.
 	Fn core.SyncFunc
@@ -231,6 +232,9 @@ func New(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf(
 				"service: server %d starts incorrect: offset %v exceeds error %v",
 				i, spec.InitialOffset, spec.InitialError)
+		}
+		if !(spec.SlewRate >= 0 && spec.SlewRate <= 1) {
+			return nil, fmt.Errorf("service: server %d: slew rate %v outside [0, 1]", i, spec.SlewRate)
 		}
 		var clk clock.Clock
 		if spec.NewClock != nil {

@@ -60,6 +60,21 @@ func TestNewValidation(t *testing.T) {
 			}},
 			wantErr: true,
 		},
+		{
+			name:    "NaN slew rate",
+			cfg:     Config{Servers: []ServerSpec{{Delta: 1e-5, SlewRate: math.NaN()}}},
+			wantErr: true,
+		},
+		{
+			name:    "negative slew rate",
+			cfg:     Config{Servers: []ServerSpec{{Delta: 1e-5, SlewRate: -0.01}}},
+			wantErr: true,
+		},
+		{
+			name:    "slew rate above 1",
+			cfg:     Config{Servers: []ServerSpec{{Delta: 1e-5, SlewRate: 1.5}}},
+			wantErr: true,
+		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
