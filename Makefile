@@ -25,10 +25,13 @@ RACE_PKGS = ./internal/par ./internal/sim/... ./internal/experiments \
 # invariant the tree only appears to satisfy. internal/clock joins because
 # its clocks feed the theorem checks: chaos's clock faults wrap its three
 # failure clocks, and core.Server charges the slewing clock's lag to E.
+# internal/udptime joins because every server of the product serves on
+# it: rule MM-1 on a real socket, both I/O backends and the idle-to-loaded
+# switch of the batch one.
 COVER_FLOOR_PKGS = ./internal/core ./internal/interval ./internal/member \
                    ./internal/par ./internal/sim ./internal/sim/shard \
                    ./internal/scale ./internal/lint ./internal/hlc \
-                   ./internal/txn ./internal/clock
+                   ./internal/txn ./internal/clock ./internal/udptime
 COVER_FLOOR     ?= 85
 
 .PHONY: all build vet lint test check test-race cover cover-check chaos chaos-replay byz-smoke obs-smoke churn-smoke txn-smoke scale-smoke udp-smoke fuzz-smoke experiments ablations examples clean
@@ -155,10 +158,12 @@ scale-smoke:
 # of a batch: a run written back to back leaves as one iovec, the same
 # bytes as one iovec per datagram (TestPackRunsByPeerAndLength), and a
 # reply the kernel refuses is dropped alone, on both backends, its
-# neighbours still sent (TestSendSkipsRefusedDatagram).
+# neighbours still sent (TestSendSkipsRefusedDatagram). And the default
+# server's idle layout: after 1,000 lone queries a NewServer shard is
+# still idle, UDP_GRO off on its socket (TestIdleServerKeepsGROOff).
 udp-smoke:
 	$(GO) test ./cmd/timeload -run TestUDPSmoke
-	$(GO) test -race ./internal/udptime -run 'TestBatchedReadingContained|TestRecvSplitsGROTrain|TestRunLoadReclaimsLostRequest|TestRunLoadLatencyBracketsExchange|TestSyncerRecoversFromThirdServer|TestSyncerIgnoresHostileServerIDs|TestPackRunsByPeerAndLength|TestSendSkipsRefusedDatagram'
+	$(GO) test -race ./internal/udptime -run 'TestBatchedReadingContained|TestRecvSplitsGROTrain|TestRunLoadReclaimsLostRequest|TestRunLoadLatencyBracketsExchange|TestSyncerRecoversFromThirdServer|TestSyncerIgnoresHostileServerIDs|TestPackRunsByPeerAndLength|TestSendSkipsRefusedDatagram|TestIdleServerKeepsGROOff'
 
 # Observability smoke: the obs package under -race, then the seeded
 # `timesim -metrics -trace-out` snapshot and span log — the determinism

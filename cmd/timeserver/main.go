@@ -6,12 +6,13 @@
 //
 //	timeserver -addr 127.0.0.1:3123 -id 1 -initial-error 10ms -drift-ppm 50
 //
-// By default one loop moves one datagram per system call and reads the
-// clock per request. With -shards N the same loop runs on N
-// SO_REUSEPORT shards over batched I/O (-batch datagrams a vector) and
-// reads the clock once per received batch: every request of a batch was
-// sent before the batch was received and no reply leaves before it is
-// sent, so the one reading is rule MM-1's for all of them.
+// Each of -shards serving loops (one by default, more as SO_REUSEPORT
+// listeners on one port) moves datagrams in batches of up to -batch
+// messages a vector and reads the clock once per received batch: every
+// request of a batch was sent before the batch was received and no reply
+// leaves before it is sent, so the one reading is rule MM-1's for all of
+// them. A shard answering lone queries stays at the per-packet footprint
+// until its socket queues a batch.
 //
 // The server runs until interrupted.
 package main
@@ -60,16 +61,13 @@ func start(args []string) (*udptime.Server, error) {
 			"claimed drift bound of the local clock, parts per million")
 		health = fs.String("health", "",
 			"HTTP health listener address (e.g. 127.0.0.1:9123): /healthz, Prometheus /metrics, and pprof")
-		shards = fs.Int("shards", 0,
-			"batched serving shards (0 = one per-packet loop reading the clock per request; >0 = batched I/O and a clock read per batch)")
+		shards = fs.Int("shards", 1,
+			"serving loops, each reading the clock once per received batch; more than one share the port through SO_REUSEPORT")
 		batch = fs.Int("batch", 0,
-			"messages per recvmmsg/sendmmsg vector in shard mode (0 = default)")
+			"messages per recvmmsg/sendmmsg vector (0 = default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
-	}
-	if *shards <= 0 && *batch != 0 {
-		return nil, fmt.Errorf("-batch requires -shards >= 1")
 	}
 
 	src, err := udptime.NewSystemClock(*initialErr, *driftPPM)
@@ -80,13 +78,8 @@ func start(args []string) (*udptime.Server, error) {
 	if *health != "" {
 		opts = append(opts, udptime.WithHealthListener(*health))
 	}
-	var srv *udptime.Server
-	if *shards > 0 {
-		srv, err = udptime.NewBatchServer(*addr, *id, src,
-			udptime.BatchConfig{Shards: *shards, Batch: *batch}, opts...)
-	} else {
-		srv, err = udptime.NewServer(*addr, *id, src, opts...)
-	}
+	srv, err := udptime.NewBatchServer(*addr, *id, src,
+		udptime.BatchConfig{Shards: *shards, Batch: *batch}, opts...)
 	if err != nil {
 		return nil, err
 	}

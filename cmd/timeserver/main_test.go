@@ -22,7 +22,6 @@ func TestRunErrors(t *testing.T) {
 		{name: "bad address", args: []string{"-addr", "not an address"}},
 		{name: "negative initial error", args: []string{"-initial-error", "-1s"}},
 		{name: "negative drift", args: []string{"-drift-ppm", "-5"}},
-		{name: "batch without shards", args: []string{"-batch", "16"}},
 		{name: "bad address sharded", args: []string{"-shards", "2", "-addr", "not an address"}},
 	}
 	for _, tt := range tests {
@@ -31,6 +30,22 @@ func TestRunErrors(t *testing.T) {
 				t.Errorf("run(%v) accepted", tt.args)
 			}
 		})
+	}
+}
+
+// TestBatchAloneServes starts the default server with only -batch set:
+// one shard, batched, answering.
+func TestBatchAloneServes(t *testing.T) {
+	srv, err := start([]string{"-addr", "127.0.0.1:0", "-batch", "16"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if srv.Shards() != 1 {
+		t.Fatalf("Shards() = %d, want 1", srv.Shards())
+	}
+	if _, err := udptime.NewClient(time.Second, nil).Query(srv.Addr().String()); err != nil {
+		t.Fatal(err)
 	}
 }
 

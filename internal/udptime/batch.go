@@ -25,9 +25,9 @@ const (
 // ioBatch is one reusable set of datagram slots shared between a batch
 // connection and its handler. After Recv fills recv[0:n], the handler
 // empties train, puts a datagram in each slot it wants answered and
-// calls Send(n). All slices alias buffers retained by the connection
-// for its lifetime: the steady-state serving path allocates nothing per
-// batch.
+// calls Send(n). All slices alias buffers the connection retains, and
+// replaces at most once, when an idle Linux batch conn loads (see
+// mmsgConn): the steady-state serving path allocates nothing per batch.
 //
 // A slot is a datagram, not a message. The connection moves up to its
 // batch size of messages per system call; with UDP GRO one received
@@ -86,17 +86,14 @@ type batchIO interface {
 	Close() error
 }
 
-// newIOBatch allocates the slot set: full-length receive backing arrays
-// and an empty train.
-func newIOBatch(size int) (bt ioBatch, rbufs [][]byte) {
-	rbufs = make([][]byte, size)
-	bt.recv = make([][]byte, size)
-	bt.send = make([][]byte, size)
-	bt.train = make([]byte, 0, size*wire.ResponseHLCSize)
-	for i := range rbufs {
-		rbufs[i] = make([]byte, maxDatagram)
+// newIOBatch allocates a slot set of size slots with an empty train;
+// the receive slots are filled as views of the backend's own buffers.
+func newIOBatch(size int) ioBatch {
+	return ioBatch{
+		recv:  make([][]byte, size),
+		send:  make([][]byte, size),
+		train: make([]byte, 0, size*wire.ResponseHLCSize),
 	}
-	return bt, rbufs
 }
 
 // clampBatch normalizes a configured batch size.

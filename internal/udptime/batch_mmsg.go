@@ -82,7 +82,7 @@ type groCmsg struct {
 }
 
 // udpOption sets a SOL_UDP socket option and reports whether the kernel
-// took it: the probes made once at construction.
+// took it: UDP_SEGMENT's probe at construction, UDP_GRO's at load.
 func udpOption(rc syscall.RawConn, opt, val int) bool {
 	var serr error
 	cerr := rc.Control(func(fd uintptr) {
@@ -99,17 +99,34 @@ type mmsghdr struct {
 	_   [4]byte
 }
 
+// idleBatch is the receive vector of an idle server socket: two
+// messages, so the first Recv that drains more than one datagram (a
+// queue building behind the loop) is the one that loads it. A socket
+// answering lone queries never fills it and keeps the per-packet
+// footprint; a vector of one would be full at every Recv.
+const idleBatch = 2
+
 // mmsgConn is a batchIO over recvmmsg/sendmmsg. All vectors — buffers,
-// iovecs, message headers, sockaddr storage, control messages — are
-// laid out once at construction; Recv and Send only rewrite lengths and
-// pointers. Receive state is per message (a datagram, or with UDP_GRO a
-// train of them from one source); the ioBatch is per datagram, and
-// msgOf maps a slot back to its message.
+// iovecs, message headers, sockaddr storage, control messages — are laid
+// out by layout; Recv and Send only rewrite lengths and pointers.
+// Receive state is per message (a datagram, or with UDP_GRO a train of
+// them from one source); the ioBatch is per datagram, and msgOf maps a
+// slot back to its message.
+//
+// A server socket starts idle: a vector of idleBatch messages, one
+// datagram each, and UDP_GRO off. The first Recv to fill that vector
+// loads it at the top of the next Recv, when no slot view is live: the
+// configured vector, UDP_GRO on where the kernel takes it, and the slot
+// layout a train needs. Loading is for good. A connected (load
+// generator) socket sends a whole window before it receives anything,
+// so it starts loaded.
 type mmsgConn struct {
 	conn      *net.UDPConn
 	rc        syscall.RawConn
 	bt        ioBatch
 	connected bool
+	size      int  // messages per vector once loaded
+	loaded    bool // the configured vector is laid out
 	maxSegs   int  // datagrams per sent message: maxGSOSegs with GSO, else 1
 	gro       bool // UDP_GRO on: a received message may be a train
 
@@ -136,55 +153,25 @@ type mmsgConn struct {
 	writeFn func(fd uintptr) bool
 }
 
-// newBatchConn wraps conn for batch I/O, size messages per vector.
-// Where the kernel supports UDP_SEGMENT the connection coalesces runs
-// of equal-length sends to one peer into GSO super-datagrams; where it
-// takes UDP_GRO, each of the size messages a Recv drains may carry up
-// to maxGSOSegs datagrams, and the slot set grows to match.
+// newBatchConn wraps conn for batch I/O, size messages per vector once
+// loaded. Where the kernel supports UDP_SEGMENT the connection
+// coalesces runs of equal-length sends to one peer into GSO
+// super-datagrams; once loaded, where it takes UDP_GRO, each of the
+// size messages a Recv drains may carry up to maxGSOSegs datagrams,
+// and the slot set grows to match.
 func newBatchConn(conn *net.UDPConn, size int, connected bool) (batchIO, error) {
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return nil, err
 	}
-	c := &mmsgConn{conn: conn, rc: rc, connected: connected, maxSegs: 1}
+	c := &mmsgConn{conn: conn, rc: rc, connected: connected, size: size, maxSegs: 1}
 	if udpOption(rc, udpSegment, 0) { // the off value: a probe
 		c.maxSegs = maxGSOSegs
 	}
-	c.gro = udpOption(rc, udpGRO, 1)
-	slots, rlen := size, maxDatagram
-	if c.gro {
-		slots, rlen = size*maxGSOSegs, trainBuf
-	}
-
-	c.rbufs = carve(size, rlen)
-	c.rnames = carve(size, sockaddrStorage)
-	c.rctls = make([]groCmsg, size)
-	c.riovs = make([]syscall.Iovec, size)
-	c.rhdrs = make([]mmsghdr, size)
-	for i := range c.rhdrs {
-		c.riovs[i] = syscall.Iovec{Base: &c.rbufs[i][0]}
-		c.riovs[i].SetLen(rlen)
-		h := &c.rhdrs[i].hdr
-		h.Iov, h.Iovlen = &c.riovs[i], 1
-		if !connected {
-			h.Name = &c.rnames[i][0]
-		}
-		if c.gro {
-			h.Control = (*byte)(unsafe.Pointer(&c.rctls[i]))
-		}
-	}
-	c.msgOf = make([]uint16, slots)
-	c.bt.recv = make([][]byte, slots)
-	c.bt.send = make([][]byte, slots)
-	c.bt.train = make([]byte, 0, slots*wire.ResponseHLCSize)
-	c.siovs = make([]syscall.Iovec, slots)
-	c.shdrs = make([]mmsghdr, size)
-	c.ssegs = make([]int, size)
-	c.sctls = make([]gsoCmsg, size)
-	for i := range c.sctls {
-		h := &c.sctls[i].hdr
-		h.Level, h.Type = solUDP, udpSegment
-		h.SetLen(syscall.CmsgLen(2))
+	if connected {
+		c.load()
+	} else {
+		c.layout(min(idleBatch, size), maxDatagram, 1)
 	}
 
 	c.readFn = func(fd uintptr) bool {
@@ -230,6 +217,55 @@ func newBatchConn(conn *net.UDPConn, size int, connected bool) (batchIO, error) 
 	return c, nil
 }
 
+// load lays c out at its configured vector, with UDP_GRO on where the
+// kernel takes it.
+func (c *mmsgConn) load() {
+	c.loaded = true
+	c.gro = udpOption(c.rc, udpGRO, 1)
+	if c.gro {
+		c.layout(c.size, trainBuf, maxGSOSegs)
+	} else {
+		c.layout(c.size, maxDatagram, 1)
+	}
+}
+
+// layout allocates every vector for msgs messages per system call,
+// each received into a buffer of rlen bytes and cut into up to segs
+// datagram slots.
+func (c *mmsgConn) layout(msgs, rlen, segs int) {
+	slots := msgs * segs
+	c.rbufs = carve(msgs, rlen)
+	c.rnames = carve(msgs, sockaddrStorage)
+	c.rctls = make([]groCmsg, msgs)
+	c.riovs = make([]syscall.Iovec, msgs)
+	c.rhdrs = make([]mmsghdr, msgs)
+	for i := range c.rhdrs {
+		c.riovs[i] = syscall.Iovec{Base: &c.rbufs[i][0]}
+		c.riovs[i].SetLen(rlen)
+		h := &c.rhdrs[i].hdr
+		h.Iov, h.Iovlen = &c.riovs[i], 1
+		if !c.connected {
+			h.Name = &c.rnames[i][0]
+		}
+		if c.gro {
+			h.Control = (*byte)(unsafe.Pointer(&c.rctls[i]))
+		}
+	}
+	c.msgOf = make([]uint16, slots)
+	c.bt.recv = make([][]byte, slots)
+	c.bt.send = make([][]byte, slots)
+	c.bt.train = make([]byte, 0, slots*wire.ResponseHLCSize)
+	c.siovs = make([]syscall.Iovec, slots)
+	c.shdrs = make([]mmsghdr, msgs)
+	c.ssegs = make([]int, msgs)
+	c.sctls = make([]gsoCmsg, msgs)
+	for i := range c.sctls {
+		h := &c.sctls[i].hdr
+		h.Level, h.Type = solUDP, udpSegment
+		h.SetLen(syscall.CmsgLen(2))
+	}
+}
+
 // carve cuts n buffers of each bytes from one allocation.
 func carve(n, each int) [][]byte {
 	arena := make([]byte, n*each)
@@ -264,8 +300,12 @@ func (c *mmsgConn) SetReadDeadline(t time.Time) error { return c.conn.SetReadDea
 // least one, up to the batch size — the kernel returns whatever is
 // queued, so batching degrades gracefully to per-packet under light
 // load) and cuts them into datagram slots. Only the fields the kernel
-// writes back are reset.
+// writes back are reset. An idle conn whose last Recv filled its vector
+// loads first, while no slot of that batch is in use.
 func (c *mmsgConn) Recv() (int, error) {
+	if !c.loaded && c.recvN == len(c.rhdrs) {
+		c.load() // the last Recv filled the idle vector
+	}
 	for i := range c.rhdrs {
 		h := &c.rhdrs[i].hdr
 		if !c.connected {

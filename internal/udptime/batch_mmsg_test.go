@@ -5,6 +5,7 @@ package udptime
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"net"
 	"net/netip"
 	"syscall"
@@ -41,7 +42,8 @@ func msgShape(c *mmsgConn, m int) (iovs, size, seg int) {
 // and every slot a view capped at its own end; filled slot by slot
 // outside the train, the same batch is one iovec per datagram, and
 // both arrive as the same datagrams, byte for byte. A run of 65
-// datagrams to one peer leaves as 64 and 1.
+// datagrams to one peer leaves as 64 and 1. The server conn is loaded
+// first (loadConn), as a server receiving such a batch would be.
 func TestPackRunsByPeerAndLength(t *testing.T) {
 	srvConn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -66,6 +68,7 @@ func TestPackRunsByPeerAndLength(t *testing.T) {
 		return conn
 	}
 	a, b := dial(), dial()
+	loadConn(t, bc, a)
 	// Nine requests: eight from a, then one from b.
 	for i := 0; i < 9; i++ {
 		from := a
@@ -281,7 +284,12 @@ func TestSendSkipsRefusedDatagram(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer clients[k].Close()
-				if _, err := clients[k].Write(wire.AppendRequest(nil, wire.Request{ReqID: uint64(k) + 1})); err != nil {
+			}
+			if _, idle := bc.(*mmsgConn); idle {
+				loadConn(t, bc, clients[0])
+			}
+			for k, cl := range clients {
+				if _, err := cl.Write(wire.AppendRequest(nil, wire.Request{ReqID: uint64(k) + 1})); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -335,9 +343,45 @@ func recvSlots(t *testing.T, bc batchIO, want int) (slots [][]byte, peers []neti
 	return slots, peers, msgs
 }
 
+// loadConn drives the idle server conn bc through its switch: from
+// sends it an idle vector of one-byte datagrams at a time until a Recv
+// drains a full one and the next Recv loads it, and then whatever is
+// left in the socket is drained.
+func loadConn(t *testing.T, bc batchIO, from *net.UDPConn) {
+	t.Helper()
+	c := bc.(*mmsgConn)
+	_ = bc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for try := 0; !c.loaded; try++ {
+		if try == 100 {
+			t.Fatalf("still idle after %d rounds of %d datagrams", try, idleBatch)
+		}
+		for range idleBatch {
+			if _, err := from.Write([]byte{0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := bc.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for {
+		_ = bc.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+		_, err := bc.Recv()
+		var nerr net.Error
+		if errors.As(err, &nerr) && nerr.Timeout() {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = bc.SetReadDeadline(time.Time{})
+}
+
 // TestRecvSplitsGROTrain pins the receive half of the GSO/GRO pair. A
-// connected batch conn sends a 64-segment version-1 train, then a
-// 64-segment version-3 train; the server's conn takes each as one
+// server conn is first driven out of its idle layout (loadConn), which
+// turns UDP_GRO on. A connected batch conn sends a 64-segment version-1
+// train, then a 64-segment version-3 train; the server's conn takes each as one
 // message, and Recv cuts them back into 128 slots, byte for byte and in
 // order, every one naming the sender. A train longer than a receive
 // buffer keeps its whole segments, which are answered, and ends in an
@@ -353,12 +397,13 @@ func TestRecvSplitsGROTrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sbc.Close()
-	if !sbc.(*mmsgConn).gro {
-		t.Skip("kernel without UDP_GRO: every datagram is its own message")
-	}
 	cliConn, err := net.DialUDP("udp", nil, srvConn.LocalAddr().(*net.UDPAddr))
 	if err != nil {
 		t.Fatal(err)
+	}
+	loadConn(t, sbc, cliConn)
+	if !sbc.(*mmsgConn).gro {
+		t.Skip("kernel without UDP_GRO: every datagram is its own message")
 	}
 	cbc, err := newBatchConn(cliConn, maxGSOSegs, true)
 	if err != nil {
@@ -468,10 +513,13 @@ func TestRecvSplitsGROTrain(t *testing.T) {
 	}
 }
 
-// TestBatchConnFootprint holds what a batch conn keeps for its lifetime
-// at Batch: 64 under 800 KiB: with GRO on that is 4,096 datagram slots,
-// 64 receive train buffers, one send train of 4,096 × 56 bytes and one
-// vector of send headers, 785,920 bytes in all.
+// TestBatchConnFootprint holds what a server batch conn at Batch: 64
+// keeps for its lifetime. Idle, it holds two messages of one datagram,
+// at most 8 KiB, near a per-packet conn. Loaded by a full Recv, and
+// with GRO on, that is 4,096 datagram slots, 64 receive train buffers,
+// one send train of 4,096 × 56 bytes and one vector of send headers,
+// 785,920 bytes in all, held under 800 KiB. And once loaded, a
+// Recv/Send round trip allocates nothing.
 func TestBatchConnFootprint(t *testing.T) {
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -492,16 +540,103 @@ func TestBatchConnFootprint(t *testing.T) {
 		}
 		return n
 	}
-	total := buffers(c.rbufs, true) + buffers(c.rnames, true) +
-		buffers(c.bt.recv, false) + // slices of rbufs
-		buffers(c.bt.send, false) + cap(c.bt.train) + // views of train
-		cap(c.rctls)*int(unsafe.Sizeof(groCmsg{})) + cap(c.sctls)*int(unsafe.Sizeof(gsoCmsg{})) +
-		(cap(c.riovs)+cap(c.siovs))*int(unsafe.Sizeof(syscall.Iovec{})) +
-		(cap(c.rhdrs)+cap(c.shdrs))*int(unsafe.Sizeof(mmsghdr{})) +
-		cap(c.ssegs)*int(unsafe.Sizeof(c.ssegs[0])) +
-		cap(c.msgOf)*int(unsafe.Sizeof(c.msgOf[0]))
-	t.Logf("GRO %v: %d slots, %d bytes retained", c.gro, len(c.bt.recv), total)
+	retained := func() int {
+		return buffers(c.rbufs, true) + buffers(c.rnames, true) +
+			buffers(c.bt.recv, false) + // slices of rbufs
+			buffers(c.bt.send, false) + cap(c.bt.train) + // views of train
+			cap(c.rctls)*int(unsafe.Sizeof(groCmsg{})) + cap(c.sctls)*int(unsafe.Sizeof(gsoCmsg{})) +
+			(cap(c.riovs)+cap(c.siovs))*int(unsafe.Sizeof(syscall.Iovec{})) +
+			(cap(c.rhdrs)+cap(c.shdrs))*int(unsafe.Sizeof(mmsghdr{})) +
+			cap(c.ssegs)*int(unsafe.Sizeof(c.ssegs[0])) +
+			cap(c.msgOf)*int(unsafe.Sizeof(c.msgOf[0]))
+	}
+	idle := retained()
+	t.Logf("idle: %d slots, %d bytes retained", len(c.bt.recv), idle)
+	if idle > 8<<10 {
+		t.Fatalf("an idle batch conn retains %d bytes, want at most 8 KiB", idle)
+	}
+
+	cli, err := net.DialUDP("udp", nil, conn.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadConn(t, bc, cli)
+	total := retained()
+	t.Logf("loaded, GRO %v: %d slots, %d bytes retained", c.gro, len(c.bt.recv), total)
 	if total >= 800<<10 {
 		t.Fatalf("a batch conn at Batch 64 retains %d bytes, want under 800 KiB", total)
+	}
+
+	cbc, err := newBatchConn(cli, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cbc.Close()
+	cbt, sbt := cbc.Batch(), bc.Batch()
+	cbt.train = cbt.train[:0]
+	cbt.put(0, wire.AppendRequest(cbt.train, wire.Request{ReqID: 1}))
+	_ = bc.SetReadDeadline(time.Now().Add(time.Minute))
+	_ = cbc.SetReadDeadline(time.Now().Add(time.Minute))
+	echo := func() {
+		if _, err := cbc.Send(1); err != nil {
+			t.Fatal(err)
+		}
+		n, err := bc.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sbt.train = sbt.train[:0]
+		for i := range n {
+			sbt.put(i, append(sbt.train, sbt.recv[i]...))
+		}
+		if _, err := bc.Send(n); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cbc.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, echo); allocs != 0 {
+		t.Fatalf("a loaded conn's Recv/Send round trip allocates %v times, want 0", allocs)
+	}
+}
+
+// TestIdleServerKeepsGROOff holds NewServer to the per-packet footprint
+// under sync traffic: after answering 1,000 lone queries, one at a
+// time, its shard is still idle, with the idle vector laid out and
+// UDP_GRO off on the socket itself. This test is part of make
+// udp-smoke, under -race.
+func TestIdleServerKeepsGROOff(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", 1, shiftedClock{synced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl := NewClient(time.Second, nil)
+	defer cl.Close()
+	const queries = 1000
+	for i := range queries {
+		if _, err := cl.Query(srv.Addr().String()); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	rc, err := srv.conn.SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gro int
+	if err := rc.Control(func(fd uintptr) {
+		// A kernel without UDP_GRO refuses the read and leaves 0: off.
+		gro, _ = syscall.GetsockoptInt(int(fd), solUDP, udpGRO)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil { // the serving loop is done with c
+		t.Fatal(err)
+	}
+	c := srv.shards[0].(*mmsgConn)
+	if srv.Requests() != queries || gro != 0 || c.loaded || c.gro || len(c.rhdrs) != idleBatch {
+		t.Fatalf("after %d of %d lone queries answered: UDP_GRO %d, loaded %v, a vector of %d messages; want GRO off, idle, %d",
+			srv.Requests(), queries, gro, c.loaded, len(c.rhdrs), idleBatch)
 	}
 }

@@ -25,11 +25,13 @@ import (
 // batch was sent before Recv returned and no reply leaves before Send,
 // so the one reading lies between send and receipt for all of them.
 //
-// The two constructors differ only in what they put under that loop.
-// NewServer runs one shard on the per-packet backend: a batch of one, a
-// clock read per request. NewBatchServer runs BatchConfig.Shards shards
-// on the platform's batch backend (recvmmsg/sendmmsg with GSO and GRO
-// on linux/amd64 and linux/arm64): a clock read per batch.
+// Both constructors put the platform's batch backend under that loop
+// (recvmmsg/sendmmsg with GSO and GRO on linux/amd64 and linux/arm64,
+// one datagram per system call elsewhere): NewServer one shard at the
+// default batch, NewBatchServer BatchConfig.Shards shards at
+// BatchConfig.Batch. A Linux shard starts idle, at the per-packet
+// footprint, and lays out its full vector and turns UDP_GRO on the
+// first time a Recv fills its idle vector.
 //
 // With WithHealthListener the server also serves /healthz,
 // Prometheus-style /metrics, and pprof over HTTP.
@@ -108,19 +110,20 @@ type BatchConfig struct {
 }
 
 // NewServer starts a time server listening on addr (e.g. "127.0.0.1:0")
-// answering with readings from src, identifying itself as id: one
-// shard, one datagram per system call, one clock read per request. The
+// answering with readings from src, identifying itself as id: one shard
+// on the batch backend at its default batch, one clock read per
+// received batch. It is NewBatchServer with a zero BatchConfig. The
 // server runs until Close.
 func NewServer(addr string, id uint64, src ClockSource, opts ...ServerOption) (*Server, error) {
-	return newServer(addr, id, src, BatchConfig{Shards: 1, Batch: 1}, newPacketConn, opts)
+	return NewBatchServer(addr, id, src, BatchConfig{}, opts...)
 }
 
 // NewBatchServer starts a sharded server on addr that moves datagrams
 // in batches where the platform can and stamps every reply of a batch
 // with one <C, E> reading taken between the batch's receipt and its
 // send, so replies under load cost neither a clock read nor a system
-// call apiece. It answers the same protocol, byte for byte, as a
-// NewServer server. A bind failure on any shard (for example a busy
+// call apiece. It answers the same protocol, byte for byte, as the
+// per-packet backend. A bind failure on any shard (for example a busy
 // port) tears down the shards already bound and returns the listener's
 // error.
 func NewBatchServer(addr string, id uint64, src ClockSource, cfg BatchConfig, opts ...ServerOption) (*Server, error) {
@@ -370,9 +373,9 @@ func NewServeBatchBench(batch int) func() int {
 		panic(err)
 	}
 	s := &Server{id: 1, src: src, hlc: hlc.New(1)}
-	bt, rbufs := newIOBatch(batch)
-	for i := range rbufs {
-		bt.recv[i] = wire.AppendRequest(rbufs[i][:0], wire.Request{ReqID: uint64(i) + 1})
+	bt := newIOBatch(batch)
+	for i := range bt.recv {
+		bt.recv[i] = wire.AppendRequest(make([]byte, 0, maxDatagram), wire.Request{ReqID: uint64(i) + 1})
 	}
 	return func() int {
 		c, maxErr, synced := src.Now()

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"disttime/internal/hlc"
 	"disttime/internal/obs"
@@ -23,17 +24,47 @@ func batchBackend(cfg BatchConfig) newServerFunc {
 	}
 }
 
+// perPacket is one shard on the per-packet backend: off Linux what
+// every constructor serves on, on Linux only the reference the batch
+// backend is held to.
+func perPacket(addr string, id uint64, src ClockSource, opts ...ServerOption) (*Server, error) {
+	return newServer(addr, id, src, BatchConfig{Shards: 1, Batch: 1}, newPacketConn, opts)
+}
+
 type backend struct {
 	name string
 	new  newServerFunc
 }
 
-// backends are the two constructors as the lifecycle, version-3 and
+// backends are the two backends as the lifecycle, version-3 and
 // cluster tests run them: one per-packet loop, and four shards on the
 // platform's batch backend.
 var backends = []backend{
-	{"per-packet", NewServer},
+	{"per-packet", perPacket},
 	{"batch", batchBackend(BatchConfig{Shards: 4, Batch: 16})},
+}
+
+// TestPacketConnOneReceiveBuffer holds the per-packet backend to the
+// one receive buffer its Recv fills, whatever its size: at Batch: 64 it
+// keeps 64 send slots for the load generator's windows and about 10 KiB
+// in all, not a 2 KiB buffer a slot.
+func TestPacketConnOneReceiveBuffer(t *testing.T) {
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc, err := newPacketConn(conn, 64, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bc.Close()
+	c := bc.(*packetBatchConn)
+	slice := int(unsafe.Sizeof([]byte(nil)))
+	total := cap(c.rbuf) + (cap(c.bt.recv)+cap(c.bt.send))*slice + cap(c.bt.train) +
+		cap(c.peers)*int(unsafe.Sizeof(netip.AddrPort{}))
+	if len(c.bt.send) != 64 || total > 16<<10 {
+		t.Fatalf("a per-packet conn at Batch 64: %d send slots, %d bytes retained; want 64 and at most 16 KiB", len(c.bt.send), total)
+	}
 }
 
 // TestBatchServerConcurrentClose hammers Close from many goroutines
@@ -300,7 +331,7 @@ func TestBatchServerDirectRead(t *testing.T) {
 func TestBatchedReadingContained(t *testing.T) {
 	for _, b := range []backend{
 		{"batch", batchBackend(BatchConfig{Shards: 1, Batch: 64})},
-		{"per-packet", NewServer},
+		{"per-packet", perPacket},
 	} {
 		t.Run(b.name, func(t *testing.T) { testReadingContained(t, b.new) })
 	}
@@ -426,7 +457,7 @@ func (f *scriptIO) Close() error                    { return nil }
 func TestServeReadsClockOncePerBatch(t *testing.T) {
 	sizes := []int{64, 1, 17}
 	io := &scriptIO{record: true}
-	io.bt, _ = newIOBatch(64)
+	io.bt = newIOBatch(64)
 	id, total := uint64(0), 0
 	for _, size := range sizes {
 		batch := make([][]byte, size)
@@ -524,19 +555,19 @@ func TestRespondMixedBatchAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt, rbufs := newIOBatch(batch)
+	bt := newIOBatch(batch)
 	want := 0
-	for i := range rbufs {
+	for i := range bt.recv {
 		id := uint64(i) + 1
 		switch i % 4 {
 		case 0:
-			bt.recv[i] = wire.AppendRequest(rbufs[i][:0], wire.Request{ReqID: id})
+			bt.recv[i] = wire.AppendRequest(nil, wire.Request{ReqID: id})
 			want++
 		case 1, 2:
-			bt.recv[i] = wire.AppendRequestHLC(rbufs[i][:0], wire.RequestHLC{ReqID: id, TS: hlc.Timestamp{Wall: int64(i), Node: 9}})
+			bt.recv[i] = wire.AppendRequestHLC(nil, wire.RequestHLC{ReqID: id, TS: hlc.Timestamp{Wall: int64(i), Node: 9}})
 			want++
 		case 3:
-			bt.recv[i] = append(rbufs[i][:0], adv[:len(adv)>>(i/4%2)]...) // whole, or cut short
+			bt.recv[i] = adv[:len(adv)>>(i/4%2)] // whole, or cut short
 		}
 	}
 	c, maxErr, synced := src.Now()
@@ -548,7 +579,7 @@ func TestRespondMixedBatchAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("respond allocates %v times per mixed batch, want 0", allocs)
 	}
-	for i := range rbufs {
+	for i := range bt.recv {
 		wantLen := [4]int{wire.ResponseSize, wire.ResponseHLCSize, wire.ResponseHLCSize, 0}[i%4]
 		if len(bt.send[i]) != wantLen {
 			t.Fatalf("slot %d: reply of %d bytes, want %d", i, len(bt.send[i]), wantLen)
@@ -556,5 +587,22 @@ func TestRespondMixedBatchAllocs(t *testing.T) {
 	}
 	if got := s.MalformedDatagrams(); got != 0 {
 		t.Fatalf("responder counted %d malformed datagrams; advertisements are the cold path's to judge", got)
+	}
+}
+
+// BenchmarkNewServerClose is what a server costs to build and tear down
+// when it never sees a batch: a NewServer bound on the loopback, then
+// closed.
+func BenchmarkNewServerClose(b *testing.B) {
+	src := shiftedClock{synced: true}
+	b.ReportAllocs()
+	for range b.N {
+		srv, err := NewServer("127.0.0.1:0", 1, src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := srv.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
