@@ -161,9 +161,16 @@ scale-smoke:
 # neighbours still sent (TestSendSkipsRefusedDatagram). And the default
 # server's idle layout: after 1,000 lone queries a NewServer shard is
 # still idle, UDP_GRO off on its socket (TestIdleServerKeepsGROOff).
+# And the bytes of a reply, which the responder copies from a template
+# of the batch's reading: each equals the wire encoding of the reading
+# with its request's ID, from a synchronized, an unsynchronized and a
+# negative-E source (TestRespondMixedBatchAllocs), and every reply to a
+# corpus on both backends, version-3 stamps included, equals a
+# reference built from wire and a fresh HLC alone
+# (TestServingMatchesWireReference).
 udp-smoke:
 	$(GO) test ./cmd/timeload -run TestUDPSmoke
-	$(GO) test -race ./internal/udptime -run 'TestBatchedReadingContained|TestRecvSplitsGROTrain|TestRunLoadReclaimsLostRequest|TestRunLoadLatencyBracketsExchange|TestSyncerRecoversFromThirdServer|TestSyncerIgnoresHostileServerIDs|TestPackRunsByPeerAndLength|TestSendSkipsRefusedDatagram|TestIdleServerKeepsGROOff'
+	$(GO) test -race ./internal/udptime -run 'TestBatchedReadingContained|TestRecvSplitsGROTrain|TestRunLoadReclaimsLostRequest|TestRunLoadLatencyBracketsExchange|TestSyncerRecoversFromThirdServer|TestSyncerIgnoresHostileServerIDs|TestPackRunsByPeerAndLength|TestSendSkipsRefusedDatagram|TestIdleServerKeepsGROOff|TestRespondMixedBatchAllocs|TestServingMatchesWireReference'
 
 # Observability smoke: the obs package under -race, then the seeded
 # `timesim -metrics -trace-out` snapshot and span log — the determinism
@@ -196,7 +203,8 @@ txn-smoke:
 # hunting.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = interval:FuzzMarzulloSpan interval:FuzzSelect wire:FuzzParseRequest \
-               wire:FuzzParseRequestHLC wire:FuzzParseResponse hlc:FuzzTimestampCodec \
+               wire:FuzzParseRequestHLC wire:FuzzParseResponse wire:FuzzResponseID \
+               hlc:FuzzTimestampCodec \
                udptime:FuzzClientReply sim/shard:FuzzQueue chaos:FuzzCampaignCodec
 fuzz-smoke:
 	@each=$$(( $(FUZZTIME:s=) / $(words $(FUZZ_TARGETS)) ))s; \

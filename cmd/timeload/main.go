@@ -38,6 +38,16 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// RunLoad reads a zero field as unset and supplies its default; a
+	// value typed on the command line is never unset.
+	switch {
+	case *conns <= 0:
+		return fmt.Errorf("-conns %d: must be positive", *conns)
+	case *window <= 0:
+		return fmt.Errorf("-window %d: must be positive", *window)
+	case *duration <= 0:
+		return fmt.Errorf("-duration %v: must be positive", *duration)
+	}
 
 	cfg := udptime.LoadConfig{
 		Addr:     *addr,

@@ -62,21 +62,34 @@ func TestUDPSmoke(t *testing.T) {
 	}
 }
 
-// TestRunErrors covers the argument and no-server error paths.
+// TestRunErrors covers the argument and no-server error paths. A
+// non-positive -conns, -window or -duration is refused, not run at
+// RunLoad's defaults for an unset field.
 func TestRunErrors(t *testing.T) {
 	tests := []struct {
 		name string
 		args []string
+		want string // in the error; a non-positive flag is refused by name, before RunLoad
 	}{
 		{name: "bad flag", args: []string{"-bogus"}},
 		{name: "empty address", args: []string{"-addr", ""}},
 		{name: "unresolvable address", args: []string{"-addr", "not an address"}},
+		{name: "zero duration", args: []string{"-duration", "0"}, want: "-duration 0s"},
+		{name: "negative duration", args: []string{"-duration", "-1s"}, want: "-duration -1s"},
+		{name: "zero conns", args: []string{"-conns", "0"}, want: "-conns 0"},
+		{name: "negative conns", args: []string{"-conns", "-2"}, want: "-conns -2"},
+		{name: "zero window", args: []string{"-window", "0"}, want: "-window 0"},
+		{name: "negative window", args: []string{"-window", "-1"}, want: "-window -1"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			var out bytes.Buffer
-			if err := run(tt.args, &out); err == nil {
-				t.Errorf("run(%v) accepted", tt.args)
+			err := run(tt.args, &out)
+			if err == nil {
+				t.Fatalf("run(%v) accepted", tt.args)
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("run(%v): %v, want it to name %q", tt.args, err, tt.want)
 			}
 		})
 	}

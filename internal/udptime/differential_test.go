@@ -371,3 +371,63 @@ func TestDifferentialServing(t *testing.T) {
 		})
 	}
 }
+
+// TestServingMatchesWireReference holds every reply to a reference that
+// does not run the responder: the wire encoding of the fixed source's
+// reading with the request's ID, and for a version-3 reply the stamp a
+// fresh hybrid logical clock of the server's ID issues when it takes
+// the version-3 requests in the order they were sent. One shard fed
+// from one socket keeps that order, sent datagram by datagram or as
+// same-length trains; each backend serves the corpus both ways.
+func TestServingMatchesWireReference(t *testing.T) {
+	src := fixedSource{
+		c:      time.Unix(0, 1_700_000_000_123_456_789),
+		e:      250 * time.Microsecond,
+		synced: true,
+	}
+	const serverID = 42
+	corpus := diffCorpus(t, rand.New(rand.NewPCG(0x5eed, 0x1e4e)), 420, 2*src.c.UnixNano())
+	want := make(map[uint64][]byte)
+	ref := hlc.New(serverID)
+	for _, d := range corpus {
+		if d.reqID == 0 {
+			continue
+		}
+		reading := wire.Response{ReqID: d.reqID, ServerID: serverID, Clock: src.c, MaxError: src.e, Unsynchronized: !src.synced}
+		var out []byte
+		var err error
+		if typ, _ := wire.PeekType(d.raw); typ == wire.TypeRequestHLC {
+			req, perr := wire.ParseRequestHLC(d.raw)
+			if perr != nil {
+				t.Fatal(perr)
+			}
+			ts := ref.Update(src.c.Add(src.e).UnixNano(), req.TS)
+			out, err = wire.AppendResponseHLC(nil, wire.ResponseHLC{Response: reading, TS: ts})
+		} else {
+			out, err = wire.AppendResponse(nil, reading)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[d.reqID] = out
+	}
+	for _, b := range []backend{{"per-packet", perPacket}, {"batch", NewServer}} {
+		for _, trains := range []bool{false, true} {
+			srv, err := b.new("127.0.0.1:0", serverID, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			send := sendCorpusCollect
+			if trains {
+				send = sendCorpusTrains
+			}
+			defer srv.Close()
+			got := send(t, srv.Addr().String(), corpus, 1)
+			for id, w := range want {
+				if !bytes.Equal(got[id], w) {
+					t.Fatalf("%s, trains %v: reqID %d: reply %x, want %x", b.name, trains, id, got[id], w)
+				}
+			}
+		}
+	}
+}

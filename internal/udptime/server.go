@@ -269,13 +269,23 @@ func (s *Server) serve(bc batchIO) {
 // dispatching on the wire type — a version-1 reply, or a version-3
 // reply that folds the client's timestamp into the server's hybrid
 // logical clock and stamps the receive event — and returns how many
-// replies it prepared. The replies are written back to back in the
-// train. The HLC wall is the reading's latest bound C+E, so the stamped
-// physical component never trails true time while the clock is
-// contained. Everything else leaves its slot empty: malformed datagrams
-// are counted here, once per batch; advertisements with a handler
-// installed are left for unanswered.
+// replies it prepared. The reading is encoded once per wire version it
+// answers, and a reply is a copy of that template with the request's ID
+// written in, and for version 3 its stamp; the replies are written back
+// to back in the train. The HLC wall is the reading's latest bound C+E,
+// so the stamped physical component never trails true time while the
+// clock is contained. Everything else leaves its slot empty: malformed
+// datagrams are counted here, once per batch, and so is every request
+// of a batch whose reading has a negative E, which wire cannot encode;
+// advertisements with a handler installed are left for unanswered.
 func (s *Server) respond(bt *ioBatch, n int, c time.Time, maxErr time.Duration, synced bool) int {
+	reading := wire.Response{ServerID: s.id, Clock: c, MaxError: maxErr, Unsynchronized: !synced}
+	var buf1 [wire.ResponseSize]byte
+	var buf3 [wire.ResponseHLCSize]byte
+	// The templates are encoded on first use, past the maxErr < 0 check
+	// below: wire refuses only a negative E, so the encode cannot fail.
+	var tmpl1, tmpl3 []byte
+	wall := c.Add(maxErr).UnixNano()
 	served := 0
 	var bad uint64
 	bt.train = bt.train[:0]
@@ -299,28 +309,25 @@ func (s *Server) respond(bt *ioBatch, n int, c time.Time, maxErr time.Duration, 
 			req, err = wire.ParseRequest(in)
 			reqID = req.ReqID
 		}
-		if err != nil {
+		if err != nil || maxErr < 0 {
 			bad++
 			continue
 		}
-		resp := wire.Response{
-			ReqID:          reqID,
-			ServerID:       s.id,
-			Clock:          c,
-			MaxError:       maxErr,
-			Unsynchronized: !synced,
-		}
+		at := len(bt.train)
 		var out []byte
 		if v3 {
-			ts := s.hlc.Update(c.Add(maxErr).UnixNano(), remote)
-			out, err = wire.AppendResponseHLC(bt.train, wire.ResponseHLC{Response: resp, TS: ts})
+			if tmpl3 == nil {
+				tmpl3, _ = wire.AppendResponseHLC(buf3[:0], wire.ResponseHLC{Response: reading})
+			}
+			out = append(bt.train, tmpl3...)
+			hlc.PutTimestamp(out[at+wire.ResponseSize:], s.hlc.Update(wall, remote))
 		} else {
-			out, err = wire.AppendResponse(bt.train, resp)
+			if tmpl1 == nil {
+				tmpl1, _ = wire.AppendResponse(buf1[:0], reading)
+			}
+			out = append(bt.train, tmpl1...)
 		}
-		if err != nil {
-			bad++
-			continue
-		}
+		wire.PutReqID(out[at:], reqID)
 		bt.put(i, out)
 		served++
 	}

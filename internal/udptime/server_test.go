@@ -2,6 +2,7 @@ package udptime
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net"
 	"net/netip"
@@ -542,52 +543,105 @@ func TestServeBatchBench(t *testing.T) {
 // TestRespondMixedBatchAllocs pins the responder at zero allocations
 // over a batch that mixes the wire versions: version-1 and version-3
 // requests (the latter through hlc.Update), an advertisement left for
-// the cold path, and a malformed datagram.
+// the cold path, and a malformed datagram. Each reply is held byte for
+// byte to the wire encoding of the source's reading with its request's
+// ID, the first 40 bytes of a version-3 reply included, from a
+// synchronized source and an unsynchronized one; a source reporting a
+// negative E gets no reply at all, and every request of its batch is
+// counted malformed.
 func TestRespondMixedBatchAllocs(t *testing.T) {
 	const batch = 32
-	src, err := NewSystemClock(0, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &Server{id: 1, src: src, hlc: hlc.New(1),
-		advertise: func(*net.UDPAddr, []wire.MemberEntry) {}}
+	c := time.Unix(0, 1_700_000_000_123_456_789)
 	adv, err := wire.AppendAdvertise(nil, 1, []wire.MemberEntry{{Addr: "10.0.0.1:3123", Gen: 1, Status: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt := newIOBatch(batch)
-	want := 0
-	for i := range bt.recv {
-		id := uint64(i) + 1
-		switch i % 4 {
-		case 0:
-			bt.recv[i] = wire.AppendRequest(nil, wire.Request{ReqID: id})
-			want++
-		case 1, 2:
-			bt.recv[i] = wire.AppendRequestHLC(nil, wire.RequestHLC{ReqID: id, TS: hlc.Timestamp{Wall: int64(i), Node: 9}})
-			want++
-		case 3:
-			bt.recv[i] = adv[:len(adv)>>(i/4%2)] // whole, or cut short
-		}
+	for _, tc := range []struct {
+		name string
+		src  fixedSource
+	}{
+		{"synchronized", fixedSource{c: c, e: 250 * time.Microsecond, synced: true}},
+		{"unsynchronized", fixedSource{c: c, e: time.Second}},
+		{"negative E", fixedSource{c: c, e: -time.Microsecond, synced: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := &Server{id: 7, src: tc.src, hlc: hlc.New(7),
+				advertise: func(*net.UDPAddr, []wire.MemberEntry) {}}
+			bt := newIOBatch(batch)
+			requests := 0
+			for i := range bt.recv {
+				id := uint64(i)<<40 | 0xfeed
+				switch i % 4 {
+				case 0:
+					bt.recv[i] = wire.AppendRequest(nil, wire.Request{ReqID: id})
+					requests++
+				case 1, 2:
+					bt.recv[i] = wire.AppendRequestHLC(nil, wire.RequestHLC{ReqID: id, TS: hlc.Timestamp{Wall: int64(i), Node: 9}})
+					requests++
+				case 3:
+					bt.recv[i] = adv[:len(adv)>>(i/4%2)] // whole, or cut short
+				}
+			}
+			answered := tc.src.e >= 0
+			want, wantBad := requests, 0
+			if !answered {
+				want, wantBad = 0, requests
+			}
+			c, maxErr, synced := tc.src.Now()
+			allocs := testing.AllocsPerRun(100, func() {
+				if got := s.respond(&bt, batch, c, maxErr, synced); got != want {
+					t.Fatalf("respond prepared %d replies, want %d", got, want)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("respond allocates %v times per mixed batch, want 0", allocs)
+			}
+			before := s.MalformedDatagrams()
+			s.respond(&bt, batch, c, maxErr, synced)
+			if got := s.MalformedDatagrams() - before; got != uint64(wantBad) {
+				t.Fatalf("responder counted %d malformed datagrams in a batch, want %d; advertisements are the cold path's to judge", got, wantBad)
+			}
+			reading := wire.Response{ServerID: s.id, Clock: tc.src.c, MaxError: tc.src.e, Unsynchronized: !tc.src.synced}
+			for i, in := range bt.recv {
+				got := bt.send[i]
+				if !answered || i%4 == 3 {
+					if len(got) != 0 {
+						t.Fatalf("slot %d: reply %x, want none", i, got)
+					}
+					continue
+				}
+				reading.ReqID = binary.BigEndian.Uint64(in[8:16])
+				ref, err := wire.AppendResponse(nil, reading)
+				if i%4 != 0 {
+					ref, err = wire.AppendResponseHLC(nil, wire.ResponseHLC{Response: reading})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(ref) || !bytes.Equal(got[:wire.ResponseSize], ref[:wire.ResponseSize]) {
+					t.Fatalf("slot %d: reply %x, want %x", i, got, ref)
+				}
+				if len(got) == wire.ResponseHLCSize {
+					if _, err := hlc.ParseTimestamp(got[wire.ResponseSize:]); err != nil {
+						t.Fatalf("slot %d: stamp %x: %v", i, got[wire.ResponseSize:], err)
+					}
+				}
+			}
+		})
 	}
-	c, maxErr, synced := src.Now()
-	allocs := testing.AllocsPerRun(100, func() {
-		if got := s.respond(&bt, batch, c, maxErr, synced); got != want {
-			t.Fatalf("respond prepared %d replies, want %d", got, want)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("respond allocates %v times per mixed batch, want 0", allocs)
+}
+
+// BenchmarkRespond times the responder over a full batch of 64
+// version-1 requests, per request: the pump cmd/bench reads as
+// udptime.responder.ns_per_req.
+func BenchmarkRespond(b *testing.B) {
+	const batch = 64
+	pump := NewServeBatchBench(batch)
+	b.ReportAllocs()
+	for range b.N {
+		pump()
 	}
-	for i := range bt.recv {
-		wantLen := [4]int{wire.ResponseSize, wire.ResponseHLCSize, wire.ResponseHLCSize, 0}[i%4]
-		if len(bt.send[i]) != wantLen {
-			t.Fatalf("slot %d: reply of %d bytes, want %d", i, len(bt.send[i]), wantLen)
-		}
-	}
-	if got := s.MalformedDatagrams(); got != 0 {
-		t.Fatalf("responder counted %d malformed datagrams; advertisements are the cold path's to judge", got)
-	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/req")
 }
 
 // BenchmarkNewServerClose is what a server costs to build and tear down

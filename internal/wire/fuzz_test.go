@@ -81,3 +81,29 @@ func FuzzParseResponse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzResponseID holds ResponseID to ParseResponse: for any bytes it
+// fails exactly when ParseResponse fails, with the same error, and
+// otherwise returns the same request ID.
+func FuzzResponseID(f *testing.F) {
+	seed, err := AppendResponse(nil, Response{
+		ReqID: 7, ServerID: 8, Clock: time.Unix(9, 10), MaxError: 11, Unsynchronized: true,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add(seed[:ResponseSize-1])
+	f.Add([]byte{})
+	f.Add(make([]byte, ResponseSize))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		resp, perr := ParseResponse(data)
+		id, ierr := ResponseID(data)
+		if (perr == nil) != (ierr == nil) || (perr != nil && perr.Error() != ierr.Error()) {
+			t.Fatalf("ParseResponse error %v, ResponseID error %v", perr, ierr)
+		}
+		if perr == nil && id != resp.ReqID {
+			t.Fatalf("ResponseID %d, ParseResponse ReqID %d", id, resp.ReqID)
+		}
+	})
+}

@@ -140,6 +140,15 @@ func putHeader(buf []byte, version, typ, flags uint8, reqID uint64) {
 	buf[5] = typ
 	buf[6] = flags
 	buf[7] = 0
+	PutReqID(buf, reqID)
+}
+
+// PutReqID writes reqID into the request-ID field of the encoded
+// message at the start of buf, leaving the rest of it as it is. An
+// encoding of one message with a zero ID, copied and given each ID in
+// turn, is how a batch of messages that differ only in their IDs is
+// written.
+func PutReqID(buf []byte, reqID uint64) {
 	binary.BigEndian.PutUint64(buf[8:16], reqID)
 }
 
@@ -215,28 +224,47 @@ func AppendResponse(dst []byte, r Response) ([]byte, error) {
 	return append(dst, buf[:]...), nil
 }
 
-// ParseResponse decodes a response.
-func ParseResponse(buf []byte) (Response, error) {
-	flags, reqID, err := parseHeader(buf, TypeResponse, Version)
+// checkResponse holds a response of the given type to its rules — the
+// header, at least size bytes, no flag but FlagUnsynchronized, and an
+// E that fits a time.Duration — and returns its request ID. It is the
+// one validator of both response versions.
+func checkResponse(buf []byte, typ, version uint8, size int) (reqID uint64, err error) {
+	flags, reqID, err := parseHeader(buf, typ, version)
 	if err != nil {
-		return Response{}, err
+		return 0, err
 	}
-	if len(buf) < ResponseSize {
-		return Response{}, fmt.Errorf("%w: %d bytes", ErrShort, len(buf))
+	if len(buf) < size {
+		return 0, fmt.Errorf("%w: %d bytes", ErrShort, len(buf))
 	}
 	if flags&^FlagUnsynchronized != 0 {
-		return Response{}, fmt.Errorf("%w: unknown flags %#x", ErrBadField, flags)
+		return 0, fmt.Errorf("%w: unknown flags %#x", ErrBadField, flags)
 	}
-	maxErr := binary.BigEndian.Uint64(buf[32:40])
-	if maxErr > math.MaxInt64 {
-		return Response{}, fmt.Errorf("%w: max error overflows", ErrBadField)
+	if binary.BigEndian.Uint64(buf[32:40]) > math.MaxInt64 {
+		return 0, fmt.Errorf("%w: max error overflows", ErrBadField)
+	}
+	return reqID, nil
+}
+
+// ResponseID checks a response as ParseResponse does and returns only
+// its request ID: it fails exactly when ParseResponse fails, without
+// decoding the reading. A caller that matches replies to requests and
+// reads nothing else uses it.
+func ResponseID(buf []byte) (uint64, error) {
+	return checkResponse(buf, TypeResponse, Version, ResponseSize)
+}
+
+// ParseResponse decodes a response.
+func ParseResponse(buf []byte) (Response, error) {
+	reqID, err := ResponseID(buf)
+	if err != nil {
+		return Response{}, err
 	}
 	return Response{
 		ReqID:          reqID,
 		ServerID:       binary.BigEndian.Uint64(buf[16:24]),
 		Clock:          time.Unix(0, int64(binary.BigEndian.Uint64(buf[24:32]))),
-		MaxError:       time.Duration(maxErr),
-		Unsynchronized: flags&FlagUnsynchronized != 0,
+		MaxError:       time.Duration(binary.BigEndian.Uint64(buf[32:40])),
+		Unsynchronized: buf[6]&FlagUnsynchronized != 0,
 	}, nil
 }
 
@@ -309,19 +337,9 @@ func AppendResponseHLC(dst []byte, r ResponseHLC) ([]byte, error) {
 
 // ParseResponseHLC decodes a version-3 response.
 func ParseResponseHLC(buf []byte) (ResponseHLC, error) {
-	flags, reqID, err := parseHeader(buf, TypeResponseHLC, VersionHLC)
+	reqID, err := checkResponse(buf, TypeResponseHLC, VersionHLC, ResponseHLCSize)
 	if err != nil {
 		return ResponseHLC{}, err
-	}
-	if len(buf) < ResponseHLCSize {
-		return ResponseHLC{}, fmt.Errorf("%w: %d bytes", ErrShort, len(buf))
-	}
-	if flags&^FlagUnsynchronized != 0 {
-		return ResponseHLC{}, fmt.Errorf("%w: unknown flags %#x", ErrBadField, flags)
-	}
-	maxErr := binary.BigEndian.Uint64(buf[32:40])
-	if maxErr > math.MaxInt64 {
-		return ResponseHLC{}, fmt.Errorf("%w: max error overflows", ErrBadField)
 	}
 	ts, err := hlc.ParseTimestamp(buf[ResponseSize:])
 	if err != nil {
@@ -332,8 +350,8 @@ func ParseResponseHLC(buf []byte) (ResponseHLC, error) {
 			ReqID:          reqID,
 			ServerID:       binary.BigEndian.Uint64(buf[16:24]),
 			Clock:          time.Unix(0, int64(binary.BigEndian.Uint64(buf[24:32]))),
-			MaxError:       time.Duration(maxErr),
-			Unsynchronized: flags&FlagUnsynchronized != 0,
+			MaxError:       time.Duration(binary.BigEndian.Uint64(buf[32:40])),
+			Unsynchronized: buf[6]&FlagUnsynchronized != 0,
 		},
 		TS: ts,
 	}, nil

@@ -136,9 +136,12 @@ func TestParseResponseErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			buf := append([]byte(nil), valid...)
-			if _, err := ParseResponse(tt.mutate(buf)); !errors.Is(err, tt.want) {
+			buf := tt.mutate(append([]byte(nil), valid...))
+			if _, err := ParseResponse(buf); !errors.Is(err, tt.want) {
 				t.Errorf("error = %v, want %v", err, tt.want)
+			}
+			if _, err := ResponseID(buf); !errors.Is(err, tt.want) {
+				t.Errorf("ResponseID error = %v, want %v", err, tt.want)
 			}
 		})
 	}
@@ -189,7 +192,8 @@ func TestAppendReusesDst(t *testing.T) {
 
 // TestRoundTripAllocs holds the codec at zero allocations: one
 // request/response encode+decode round trip against retained buffers,
-// version 1 and version 3, performs no allocation.
+// version 1 and version 3, performs no allocation, nor does rewriting
+// a reply's ID and reading it back with ResponseID.
 func TestRoundTripAllocs(t *testing.T) {
 	reqBuf := make([]byte, 0, RequestHLCSize)
 	respBuf := make([]byte, 0, ResponseHLCSize)
@@ -211,6 +215,10 @@ func TestRoundTripAllocs(t *testing.T) {
 		}
 		if got, err := ParseResponse(respBuf); err != nil || got.ReqID != id {
 			t.Fatalf("response: %+v, %v", got, err)
+		}
+		PutReqID(respBuf, id+1)
+		if got, err := ResponseID(respBuf); err != nil || got != id+1 {
+			t.Fatalf("response ID: %d, %v", got, err)
 		}
 	}); allocs != 0 {
 		t.Errorf("version-1 round trip allocates %v times, want 0", allocs)
@@ -249,4 +257,27 @@ func BenchmarkAppendParseResponse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkResponseCheck compares the two ways a reply is checked: the
+// full decode, and the ID alone under the same rules.
+func BenchmarkResponseCheck(b *testing.B) {
+	buf, err := AppendResponse(nil, Response{ReqID: 1, ServerID: 2, Clock: time.Unix(3, 4), MaxError: 5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("ParseResponse", func(b *testing.B) {
+		for range b.N {
+			if _, err := ParseResponse(buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("ResponseID", func(b *testing.B) {
+		for range b.N {
+			if _, err := ResponseID(buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
