@@ -34,7 +34,7 @@ COVER_FLOOR_PKGS = ./internal/core ./internal/interval ./internal/member \
                    ./internal/txn ./internal/clock ./internal/udptime
 COVER_FLOOR     ?= 85
 
-.PHONY: all build vet lint test check test-race cover cover-check chaos chaos-replay byz-smoke obs-smoke churn-smoke txn-smoke scale-smoke udp-smoke fuzz-smoke experiments ablations examples clean
+.PHONY: all build vet lint test check test-race cover cover-check udp-smoke fuzz-smoke experiments ablations examples clean
 
 all: build vet lint test
 
@@ -59,20 +59,19 @@ vet:
 lint:
 	$(GO) run ./cmd/disttimelint ./...
 
-# Tier-1 gate: vet, the full suite, and a race pass over RACE_PKGS.
-test:
-	$(GO) vet ./...
+# Tier-1 gate: vet (gofmt included), the full suite, and a race pass over
+# RACE_PKGS. The suite pins every seeded timesim output, byte for byte
+# across commits (cmd/timesim's TestSeededOutputsPinned).
+test: vet
 	$(GO) test ./...
 	$(GO) test -race $(RACE_PKGS)
 
-# check = vet + lint + test + race + coverage floor + smokes: the tier-1
+# check = vet + lint + test + coverage floor + the UDP smoke: the tier-1
 # tests (the AllocsPerRun tests that hold every hot path at zero
-# allocations among them), the lint gate, the proof-core coverage floor, the
-# observability/membership determinism smokes, the committed chaos
-# corpus replays, and the scale smoke (the scale engine on the event
-# kernel, the only one) travel together
+# allocations and the pinned seeded outputs among them), the lint gate,
+# the proof-core coverage floor and the live serving path travel together
 # (race rides inside `test` via RACE_PKGS).
-check: vet lint test cover-check obs-smoke churn-smoke txn-smoke chaos-replay byz-smoke scale-smoke udp-smoke
+check: vet lint test cover-check udp-smoke
 
 test-race:
 	$(GO) test -race $(RACE_PKGS)
@@ -92,48 +91,6 @@ cover-check:
 		fi; \
 		echo "cover-check: $$pkg $$line% (floor $(COVER_FLOOR)%)"; \
 	done
-
-# Chaos conformance: 60 seeded fault campaigns under the always-on
-# theorem-invariant monitor (deterministic: identical output every run).
-# Failures are shrunk to one-line reproducers; commit the interesting
-# ones under internal/chaos/corpus/. See DESIGN.md §11.
-chaos:
-	$(GO) run ./cmd/timesim -chaos -campaigns 60 -chaos-seed 1
-
-# Replay every committed chaos reproducer: the corpus under
-# internal/chaos/corpus/ is the repo's regression suite of interesting
-# fault campaigns, so `make check` re-runs each line verbatim.
-chaos-replay:
-	@for repro in internal/chaos/corpus/*.repro; do \
-		echo "chaos-replay: $$repro"; \
-		$(GO) run ./cmd/timesim -chaos -replay $$repro || exit 1; \
-	done
-
-# The determinism contract every seeded timesim mode is held to: run
-# it twice with the same arguments, each run leaving its output in the
-# directory it is given as $$out, and compare the two directories byte
-# for byte. $(1) is the timesim arguments, $(2) the smoke's name.
-define run-twice-and-cmp
-	@tmp=$$(mktemp -d) && mkdir $$tmp/1 $$tmp/2 && \
-	for out in $$tmp/1 $$tmp/2; do $(GO) run ./cmd/timesim $(1) > $$out/stdout || exit 1; done && \
-	diff -r $$tmp/1 $$tmp/2 && rm -rf $$tmp && echo "$(2): two seeded runs byte-identical"
-endef
-
-# Byzantine-tier smoke: a seeded batch of adversarial hill-climb
-# searches (DESIGN.md §17) — the search, like every chaos mode, is a
-# pure function of its seeds — then a replay of the committed two-faced
-# reproducer, which must pass under the real byzIM rules (it fails only
-# under the planted BuggyIM).
-byz-smoke:
-	$(call run-twice-and-cmp,-chaos -adversarial -campaigns 10 -adv-steps 15 -chaos-seed 1,byz-smoke)
-	$(GO) run ./cmd/timesim -chaos -replay internal/chaos/corpus/buggy-byz-twoface.repro
-
-# Scale smoke, the scale engine on the event kernel: the S1 sweep at
-# its CI-sized topology, twice, like every other seeded timesim mode (the full
-# 10k/50k/100k sweep is `timesim -scale`; its speed is tracked by the
-# sim_scale_* workloads of `bash cmd/bench/run.sh`).
-scale-smoke:
-	$(call run-twice-and-cmp,-experiment S1,scale-smoke)
 
 # UDP serving-path smoke: the closed-loop load generator against a live
 # batched sharded server on the loopback — zero load errors, replies
@@ -171,24 +128,6 @@ scale-smoke:
 udp-smoke:
 	$(GO) test ./cmd/timeload -run TestUDPSmoke
 	$(GO) test -race ./internal/udptime -run 'TestBatchedReadingContained|TestRecvSplitsGROTrain|TestRunLoadReclaimsLostRequest|TestRunLoadLatencyBracketsExchange|TestSyncerRecoversFromThirdServer|TestSyncerIgnoresHostileServerIDs|TestPackRunsByPeerAndLength|TestSendSkipsRefusedDatagram|TestIdleServerKeepsGROOff|TestRespondMixedBatchAllocs|TestServingMatchesWireReference'
-
-# Observability smoke: the obs package under -race, then the seeded
-# `timesim -metrics -trace-out` snapshot and span log — the determinism
-# contract of DESIGN.md §12 (sorted snapshot keys, shortest round-trip
-# floats, passive observation).
-obs-smoke:
-	$(GO) test -race ./internal/obs
-	$(call run-twice-and-cmp,-metrics $$out/m.json -trace-out $$out/t.jsonl,obs-smoke)
-
-# Membership smoke: the dynamic-membership timeline (joins, voluntary
-# departures, rejoins, detector verdicts) is a pure function of the seed.
-churn-smoke:
-	$(call run-twice-and-cmp,-churn 2 -churn-seed 7,churn-smoke)
-
-# Transaction smoke: the commit-wait timeline (HLC stamps, wait lengths,
-# the external-consistency verdict) is a pure function of the seed.
-txn-smoke:
-	$(call run-twice-and-cmp,-txn -txn-seed 7,txn-smoke)
 
 # Short coverage-guided fuzz passes: the interval sweep's span at
 # coverage m (FuzzMarzulloSpan, the envelope ByzIM adopts) and the

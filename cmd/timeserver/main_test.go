@@ -22,6 +22,7 @@ func TestRunErrors(t *testing.T) {
 		{name: "bad address", args: []string{"-addr", "not an address"}},
 		{name: "negative initial error", args: []string{"-initial-error", "-1s"}},
 		{name: "negative drift", args: []string{"-drift-ppm", "-5"}},
+		{name: "NaN drift", args: []string{"-addr", "127.0.0.1:0", "-drift-ppm", "NaN"}},
 		{name: "bad address sharded", args: []string{"-shards", "2", "-addr", "not an address"}},
 	}
 	for _, tt := range tests {

@@ -25,9 +25,9 @@ const (
 // The schedule is drawn from its own deterministic generator and the
 // service is seeded, so the entire output is a pure function of rate and
 // seed: two invocations with the same seed are byte-identical, which
-// `make churn-smoke` and the CLI tests enforce. A FALSE-EVICTION token
-// in the timeline (a live server evicted) would mark a detector-bound
-// violation and is asserted absent. A non-empty metrics path receives
+// TestRunChurnDeterministic enforces. A FALSE-EVICTION token in the
+// timeline (a live server evicted) would mark a detector-bound violation
+// and is asserted absent. A non-empty metrics path receives
 // the run's metrics snapshot.
 func runChurn(rate float64, seed uint64, metrics string, out io.Writer) error {
 	specs := make([]service.ServerSpec, churnN)

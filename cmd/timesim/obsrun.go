@@ -22,8 +22,8 @@ const (
 // writing the metrics snapshot to metrics and the span log to traceOut
 // (an empty path skips either). Both files are pure functions of the
 // scenario — two invocations write byte-identical files — which is the
-// determinism contract DESIGN.md §12 specifies and the obs smoke test
-// enforces.
+// determinism contract DESIGN.md §12 specifies and
+// TestObservedRunDeterministic enforces.
 func runObserved(metrics, traceOut string, out io.Writer) error {
 	reg := obs.NewRegistry()
 	tr, closeTrace, err := openTracer(traceOut)

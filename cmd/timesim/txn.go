@@ -29,9 +29,9 @@ const (
 // The service is seeded and the workload draws its think gaps from the
 // service's simulator, so the entire output is a pure function of the
 // seed: two invocations with the same seed are byte-identical, which
-// `make txn-smoke` and the CLI tests enforce. A VIOLATION line (a
-// commit whose timestamp does not exceed one committed before its
-// start) would mark an external-consistency break and exits nonzero.
+// TestRunTxnDeterministic enforces. A VIOLATION line (a commit whose
+// timestamp does not exceed one committed before its start) would mark
+// an external-consistency break and exits nonzero.
 // A non-empty metrics path receives the run's metrics snapshot.
 func runTxn(seed uint64, metrics string, out io.Writer) error {
 	specs := make([]service.ServerSpec, txnN)

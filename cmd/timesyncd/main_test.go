@@ -13,6 +13,7 @@ func TestRunErrors(t *testing.T) {
 		{name: "bad flag", args: []string{"-bogus"}},
 		{name: "no servers", args: nil},
 		{name: "negative drift", args: []string{"-servers", "127.0.0.1:1", "-drift-ppm", "-1"}},
+		{name: "NaN drift", args: []string{"-servers", "127.0.0.1:1", "-drift-ppm", "NaN"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

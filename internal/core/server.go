@@ -115,11 +115,11 @@ func NewServer(t float64, cfg Config) (*Server, error) {
 	if cfg.Clock == nil {
 		return nil, fmt.Errorf("core: server %d: nil clock", cfg.ID)
 	}
-	if cfg.Delta < 0 {
-		return nil, fmt.Errorf("core: server %d: negative delta %v", cfg.ID, cfg.Delta)
+	if !(cfg.Delta >= 0) {
+		return nil, fmt.Errorf("core: server %d: delta %v is negative or NaN", cfg.ID, cfg.Delta)
 	}
-	if cfg.InitialError < 0 {
-		return nil, fmt.Errorf("core: server %d: negative initial error %v", cfg.ID, cfg.InitialError)
+	if !(cfg.InitialError >= 0) {
+		return nil, fmt.Errorf("core: server %d: initial error %v is negative or NaN", cfg.ID, cfg.InitialError)
 	}
 	return &Server{
 		id:       cfg.ID,

@@ -36,6 +36,9 @@ func TestNewServerValidation(t *testing.T) {
 		{name: "negative delta", cfg: Config{Clock: clk, Delta: -1}, wantErr: true},
 		{name: "negative error", cfg: Config{Clock: clk, InitialError: -1}, wantErr: true},
 		{name: "zero delta ok", cfg: Config{Clock: clk}},
+		{name: "NaN delta", cfg: Config{Clock: clk, Delta: math.NaN()}, wantErr: true},
+		{name: "NaN error", cfg: Config{Clock: clk, InitialError: math.NaN()}, wantErr: true},
+		{name: "infinite error ok", cfg: Config{Clock: clk, InitialError: math.Inf(1)}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"disttime/internal/scale"
 )
@@ -38,7 +39,7 @@ type ScaleConfig struct {
 	// Sizes to run; nil means DefaultScaleSizes.
 	Sizes []ScaleSize
 	// Until is the virtual duration in seconds; values <= 0 mean 600
-	// (ten sync rounds at tau=60).
+	// (ten sync rounds at tau=60), and a NaN or infinite one is an error.
 	Until float64
 }
 
@@ -54,6 +55,9 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 		sizes = DefaultScaleSizes()
 	}
 	until := cfg.Until
+	if math.IsNaN(until) || math.IsInf(until, 0) {
+		return Table{}, fmt.Errorf("scale-sweep: duration %v is not finite", until)
+	}
 	if until <= 0 {
 		until = 600
 	}

@@ -153,7 +153,7 @@ var mapIterScope = []string{
 	"disttime/internal/sim",
 	"disttime/internal/scale",
 	// Hybrid logical clocks and the commit-wait workload feed
-	// deterministic timelines (txn-smoke diffs them byte-for-byte).
+	// deterministic timelines (cmd/timesim pins them byte for byte).
 	"disttime/internal/hlc",
 	"disttime/internal/txn",
 	"disttime/cmd",

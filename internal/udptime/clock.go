@@ -45,6 +45,20 @@ func stretch(d time.Duration, driftPPM float64) time.Duration {
 	return time.Duration(math.Ceil(float64(d) * (1 + driftPPM/1e6)))
 }
 
+// maxDriftPPM is the largest drift bound a clock accepts: a δ above 1
+// bounds nothing, and a large enough one wraps the aged error negative,
+// which a server answers with silence.
+const maxDriftPPM = 1e6
+
+// checkDrift rejects a drift bound that is negative, NaN, or above
+// maxDriftPPM (+Inf included).
+func checkDrift(driftPPM float64) error {
+	if !(driftPPM >= 0 && driftPPM <= maxDriftPPM) {
+		return fmt.Errorf("udptime: drift %v ppm outside [0, %g]", driftPPM, maxDriftPPM)
+	}
+	return nil
+}
+
 // SystemClock reads the operating-system clock, reporting an error that
 // starts at InitialError and deteriorates at DriftPPM microseconds per
 // second since creation — the rule MM-1 bookkeeping applied to a clock the
@@ -64,8 +78,8 @@ func NewSystemClock(initialErr time.Duration, driftPPM float64) (*SystemClock, e
 	if initialErr < 0 {
 		return nil, fmt.Errorf("udptime: negative initial error %v", initialErr)
 	}
-	if driftPPM < 0 {
-		return nil, fmt.Errorf("udptime: negative drift %v ppm", driftPPM)
+	if err := checkDrift(driftPPM); err != nil {
+		return nil, err
 	}
 	return &SystemClock{start: time.Now(), initialErr: initialErr, driftPPM: driftPPM}, nil
 }
@@ -98,8 +112,8 @@ var _ ClockSource = (*DisciplinedClock)(nil)
 // NewDisciplinedClock returns an unsynchronized disciplined clock whose
 // underlying oscillator (the OS monotonic clock) is trusted to driftPPM.
 func NewDisciplinedClock(driftPPM float64) (*DisciplinedClock, error) {
-	if driftPPM < 0 {
-		return nil, fmt.Errorf("udptime: negative drift %v ppm", driftPPM)
+	if err := checkDrift(driftPPM); err != nil {
+		return nil, err
 	}
 	srv, err := core.NewServer(0, core.Config{Clock: clock.NewDrifting(0, 0, 0), Delta: driftPPM / 1e6, InitialError: math.Inf(1)})
 	if err != nil {

@@ -38,10 +38,16 @@ func TestSystemClockValidation(t *testing.T) {
 	if _, err := NewSystemClock(-1, 0); err == nil {
 		t.Error("negative initial error accepted")
 	}
-	if _, err := NewSystemClock(0, -1); err == nil {
-		t.Error("negative drift accepted")
+	for _, ppm := range badDrifts {
+		if _, err := NewSystemClock(0, ppm); err == nil {
+			t.Errorf("drift %v ppm accepted", ppm)
+		}
 	}
 }
+
+// badDrifts are drift bounds no clock may accept: a δ that is negative,
+// NaN or above 1 lets the aged error go negative.
+var badDrifts = []float64{-1, math.NaN(), math.Inf(1), 1e6 + 1, 1e300}
 
 func TestSystemClockErrorGrows(t *testing.T) {
 	c, err := NewSystemClock(10*time.Millisecond, 1e6) // absurd ppm for fast test
@@ -112,8 +118,10 @@ func TestDisciplinedClockAdjust(t *testing.T) {
 }
 
 func TestDisciplinedClockValidation(t *testing.T) {
-	if _, err := NewDisciplinedClock(-5); err == nil {
-		t.Error("negative drift accepted")
+	for _, ppm := range badDrifts {
+		if _, err := NewDisciplinedClock(ppm); err == nil {
+			t.Errorf("drift %v ppm accepted", ppm)
+		}
 	}
 }
 
