@@ -34,7 +34,7 @@ COVER_FLOOR_PKGS = ./internal/core ./internal/interval ./internal/member \
                    ./internal/txn ./internal/clock ./internal/udptime
 COVER_FLOOR     ?= 85
 
-.PHONY: all build vet lint test check test-race cover cover-check udp-smoke fuzz-smoke experiments ablations examples clean
+.PHONY: all build vet lint test check test-race cover cover-check fuzz-smoke experiments ablations examples clean
 
 all: build vet lint test
 
@@ -66,12 +66,12 @@ test: vet
 	$(GO) test ./...
 	$(GO) test -race $(RACE_PKGS)
 
-# check = vet + lint + test + coverage floor + the UDP smoke: the tier-1
-# tests (the AllocsPerRun tests that hold every hot path at zero
-# allocations and the pinned seeded outputs among them), the lint gate,
-# the proof-core coverage floor and the live serving path travel together
-# (race rides inside `test` via RACE_PKGS).
-check: vet lint test cover-check udp-smoke
+# check = vet + lint + test + coverage floor: the tier-1 tests (the
+# AllocsPerRun tests that hold every hot path at zero allocations, the
+# pinned seeded outputs and the serving table among them), the lint gate
+# and the proof-core coverage floor travel together (race rides inside
+# `test` via RACE_PKGS, which races the live serving path's tests).
+check: vet lint test cover-check
 
 test-race:
 	$(GO) test -race $(RACE_PKGS)
@@ -91,43 +91,6 @@ cover-check:
 		fi; \
 		echo "cover-check: $$pkg $$line% (floor $(COVER_FLOOR)%)"; \
 	done
-
-# UDP serving-path smoke: the closed-loop load generator against a live
-# batched sharded server on the loopback — zero load errors, replies
-# received and none beyond those sent, all four percentiles printed (see
-# cmd/timeload's TestUDPSmoke) —
-# then, under -race, the paper's oracle on both serving backends: lone
-# queries beside a 64-deep load, every answer's [C-E, C+E] reaching its
-# own send and receive instants with the source's E unwidened (see
-# internal/udptime's TestBatchedReadingContained), and the batch
-# backend's GRO receive: two trains from one socket cut back into their
-# datagrams, a train too long for its buffer cut and counted, the
-# real-socket loop at zero allocations (TestRecvSplitsGROTrain); and the
-# load generator's own two promises: a request lost while the window
-# keeps cycling is freed and counted as a timeout long before the run
-# ends (TestRunLoadReclaimsLostRequest), and its per-train stamps
-# bracket every exchange, against a server that holds each reply 2 ms
-# (TestRunLoadLatencyBracketsExchange). Then the syncer as the real-socket
-# caller of core.Node: a clock set an hour off recovers from a third
-# server in its first round (TestSyncerRecoversFromThirdServer), and
-# servers sending the IDs math.MaxUint64 and 1<<40 neither crash it nor
-# grow its heap (TestSyncerIgnoresHostileServerIDs). And the send side
-# of a batch: a run written back to back leaves as one iovec, the same
-# bytes as one iovec per datagram (TestPackRunsByPeerAndLength), and a
-# reply the kernel refuses is dropped alone, on both backends, its
-# neighbours still sent (TestSendSkipsRefusedDatagram). And the default
-# server's idle layout: after 1,000 lone queries a NewServer shard is
-# still idle, UDP_GRO off on its socket (TestIdleServerKeepsGROOff).
-# And the bytes of a reply, which the responder copies from a template
-# of the batch's reading: each equals the wire encoding of the reading
-# with its request's ID, from a synchronized, an unsynchronized and a
-# negative-E source (TestRespondMixedBatchAllocs), and every reply to a
-# corpus on both backends, version-3 stamps included, equals a
-# reference built from wire and a fresh HLC alone
-# (TestServingMatchesWireReference).
-udp-smoke:
-	$(GO) test ./cmd/timeload -run TestUDPSmoke
-	$(GO) test -race ./internal/udptime -run 'TestBatchedReadingContained|TestRecvSplitsGROTrain|TestRunLoadReclaimsLostRequest|TestRunLoadLatencyBracketsExchange|TestSyncerRecoversFromThirdServer|TestSyncerIgnoresHostileServerIDs|TestPackRunsByPeerAndLength|TestSendSkipsRefusedDatagram|TestIdleServerKeepsGROOff|TestRespondMixedBatchAllocs|TestServingMatchesWireReference'
 
 # Short coverage-guided fuzz passes: the interval sweep's span at
 # coverage m (FuzzMarzulloSpan, the envelope ByzIM adopts) and the

@@ -10,8 +10,8 @@ import (
 	"disttime/internal/udptime"
 )
 
-// TestUDPSmoke is the end-to-end loopback smoke the Makefile's
-// udp-smoke target runs: a live batched server, a short timeload run
+// TestUDPSmoke is the end-to-end loopback smoke, plain and under
+// -race in make test: a live batched server, a short timeload run
 // against it, and a text summary whose counters are consistent — zero
 // errors, replies received, none beyond what was sent — and which
 // prints throughput and all four percentiles.

@@ -115,8 +115,8 @@ func NewServer(t float64, cfg Config) (*Server, error) {
 	if cfg.Clock == nil {
 		return nil, fmt.Errorf("core: server %d: nil clock", cfg.ID)
 	}
-	if !(cfg.Delta >= 0) {
-		return nil, fmt.Errorf("core: server %d: delta %v is negative or NaN", cfg.ID, cfg.Delta)
+	if !(cfg.Delta >= 0) || math.IsInf(cfg.Delta, 1) {
+		return nil, fmt.Errorf("core: server %d: delta %v is negative, NaN or infinite", cfg.ID, cfg.Delta)
 	}
 	if !(cfg.InitialError >= 0) {
 		return nil, fmt.Errorf("core: server %d: initial error %v is negative or NaN", cfg.ID, cfg.InitialError)
@@ -240,10 +240,14 @@ func (s *Server) SetClock(t, value, err float64) {
 // reset was correct, the repaired interval is correct again — this is how
 // a server whose bound is exposed as invalid (Section 5) rejoins the
 // service as an honest, if poor, citizen. Lowering the bound is refused:
-// a smaller claim can never be justified by observation alone.
+// a smaller claim can never be justified by observation alone, and so is
+// a NaN or infinite one, which would leave E NaN or unbounded for good.
 func (s *Server) RaiseDelta(t, newDelta float64) error {
 	if newDelta < s.delta {
 		return fmt.Errorf("core: server %d: cannot lower delta %v -> %v", s.id, s.delta, newDelta)
+	}
+	if math.IsNaN(newDelta) || math.IsInf(newDelta, 1) {
+		return fmt.Errorf("core: server %d: delta %v is NaN or infinite", s.id, newDelta)
 	}
 	s.epsilon = AgedError(s.epsilon, s.clk.Read(t)-s.resetRef, newDelta-s.delta)
 	s.delta = newDelta

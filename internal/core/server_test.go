@@ -39,6 +39,7 @@ func TestNewServerValidation(t *testing.T) {
 		{name: "NaN delta", cfg: Config{Clock: clk, Delta: math.NaN()}, wantErr: true},
 		{name: "NaN error", cfg: Config{Clock: clk, InitialError: math.NaN()}, wantErr: true},
 		{name: "infinite error ok", cfg: Config{Clock: clk, InitialError: math.Inf(1)}},
+		{name: "infinite delta", cfg: Config{Clock: clk, Delta: math.Inf(1), InitialError: 0.1}, wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -734,6 +735,20 @@ func TestRaiseDeltaRefusesLowering(t *testing.T) {
 	}
 	if s.Delta() != 1e-4 {
 		t.Errorf("Delta changed to %v", s.Delta())
+	}
+}
+
+// TestRaiseDeltaRefusesNonFinite refuses a NaN or infinite bound, which
+// would leave Delta and E NaN, or E infinite with no way back.
+func TestRaiseDeltaRefusesNonFinite(t *testing.T) {
+	for _, d := range []float64{math.NaN(), math.Inf(1)} {
+		s := newServer(t, 1, 0, 0, 1e-4, 0.5)
+		if err := s.RaiseDelta(10, d); err == nil {
+			t.Errorf("RaiseDelta(%v) accepted", d)
+		}
+		if s.Delta() != 1e-4 || s.ErrorAt(20) != 0.5+20*1e-4 {
+			t.Errorf("RaiseDelta(%v) left Delta %v, ErrorAt(20) %v", d, s.Delta(), s.ErrorAt(20))
+		}
 	}
 }
 

@@ -210,37 +210,22 @@ func TestPackRunsByPeerAndLength(t *testing.T) {
 	}
 }
 
-// replayIO hands serve the batch its backend has already received,
-// once, then reports the socket closed.
-type replayIO struct {
-	batchIO
-	n int
-}
-
-func (r *replayIO) Recv() (int, error) {
-	n := r.n
-	if n == 0 {
-		return 0, net.ErrClosed
-	}
-	r.n = 0
-	return n, nil
-}
-
 // TestSendSkipsRefusedDatagram holds both backends to dropping only the
 // datagram the kernel refuses. Three clients send a request each; once
 // the server has received them, slot 1's source port is rewritten to 0,
 // to which Linux refuses to send (EINVAL). Served in one batch, the
 // other two clients still get their replies, and
-// udptime_server_send_errors_total counts the one refused.
+// udptime_server_send_errors_total counts the one refused. serve takes
+// the batch from a scriptIO replaying it over the backend.
 func TestSendSkipsRefusedDatagram(t *testing.T) {
 	for _, b := range []struct {
 		name    string
 		newConn func(conn *net.UDPConn, size int, connected bool) (batchIO, error)
-		// refuse fills slots 0-2 with the three requests, points slot 1's
-		// reply at port 0, and returns the port it had.
-		refuse func(t *testing.T, bc batchIO) uint16
+		// refuse receives the three requests, points slot 1's reply at
+		// port 0, and returns the requests and the port slot 1 had.
+		refuse func(t *testing.T, bc batchIO) ([][]byte, uint16)
 	}{
-		{"per-packet", newPacketConn, func(t *testing.T, bc batchIO) uint16 {
+		{"per-packet", newPacketConn, func(t *testing.T, bc batchIO) ([][]byte, uint16) {
 			c := bc.(*packetBatchConn)
 			var recv [3][]byte
 			var peers [3]netip.AddrPort
@@ -250,12 +235,11 @@ func TestSendSkipsRefusedDatagram(t *testing.T) {
 				}
 				recv[k], peers[k] = bytes.Clone(c.bt.recv[0]), c.peers[0]
 			}
-			copy(c.bt.recv, recv[:])
 			copy(c.peers, peers[:])
 			c.peers[1] = netip.AddrPortFrom(peers[1].Addr(), 0)
-			return peers[1].Port()
+			return recv[:], peers[1].Port()
 		}},
-		{"batch", newBatchConn, func(t *testing.T, bc batchIO) uint16 {
+		{"batch", newBatchConn, func(t *testing.T, bc batchIO) ([][]byte, uint16) {
 			c := bc.(*mmsgConn)
 			if n, err := bc.Recv(); err != nil {
 				t.Fatal(err)
@@ -265,7 +249,7 @@ func TestSendSkipsRefusedDatagram(t *testing.T) {
 			name := c.rnames[c.msgOf[1]]
 			port := binary.BigEndian.Uint16(name[2:4])
 			name[2], name[3] = 0, 0
-			return port
+			return c.bt.recv[:3], port
 		}},
 	} {
 		t.Run(b.name, func(t *testing.T) {
@@ -294,16 +278,16 @@ func TestSendSkipsRefusedDatagram(t *testing.T) {
 				}
 			}
 			_ = bc.SetReadDeadline(time.Now().Add(5 * time.Second))
-			refused := b.refuse(t, bc)
+			recv, refused := b.refuse(t, bc)
 
 			reg := obs.NewRegistry()
-			src := fixedSource{c: time.Unix(1_700_000_000, 0), e: time.Millisecond, synced: true}
-			s := &Server{id: 1, src: src, hlc: hlc.New(1)}
+			s := &Server{id: 1, src: &clockSource{clockSpec: synchronized}, hlc: hlc.New(1)}
 			WithServerObservability(reg).applyServer(s)
 			s.loops.Add(1)
-			s.serve(&replayIO{batchIO: bc, n: 3})
-			if got := reg.Counter("udptime_server_send_errors_total").Value(); got != 1 {
-				t.Fatalf("send errors counted %d, want the 1 refused reply", got)
+			io := &scriptIO{conn: bc, bt: bc.Batch(), script: [][][]byte{recv}}
+			s.serve(io)
+			if got := reg.Counter("udptime_server_send_errors_total").Value(); got != 1 || io.sends != 1 {
+				t.Fatalf("%d Send calls, %d send errors counted; want the 1 refused reply of 1 Send", io.sends, got)
 			}
 			buf := make([]byte, maxDatagram)
 			for k, cl := range clients {
@@ -467,7 +451,7 @@ func TestRecvSplitsGROTrain(t *testing.T) {
 			t.Fatalf("cut train, slot %d: %x, want %x", i, sbt.recv[i], cbt.send[i])
 		}
 	}
-	src := fixedSource{c: time.Unix(1_700_000_000, 0), e: time.Millisecond, synced: true}
+	src := &clockSource{clockSpec: synchronized}
 	s := &Server{id: 1, src: src, hlc: hlc.New(1)}
 	if served := s.respond(sbt, n, src.c, src.e, true); served != whole || s.MalformedDatagrams() != 1 {
 		t.Fatalf("cut train: %d answered, %d malformed; want %d and 1", served, s.MalformedDatagrams(), whole)
@@ -604,8 +588,7 @@ func TestBatchConnFootprint(t *testing.T) {
 // TestIdleServerKeepsGROOff holds NewServer to the per-packet footprint
 // under sync traffic: after answering 1,000 lone queries, one at a
 // time, its shard is still idle, with the idle vector laid out and
-// UDP_GRO off on the socket itself. This test is part of make
-// udp-smoke, under -race.
+// UDP_GRO off on the socket itself.
 func TestIdleServerKeepsGROOff(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", 1, shiftedClock{synced: true})
 	if err != nil {

@@ -10,8 +10,8 @@ import (
 )
 
 // TestRunLoadLoopback drives the load generator against a live batched
-// server on the loopback and checks the contract the udp-smoke target
-// relies on: zero errors, every reply accounted, and monotone
+// server on the loopback and checks the contract cmd/timeload's
+// TestUDPSmoke relies on: zero errors, every reply accounted, and monotone
 // non-decreasing histogram/counter state across successive runs into
 // the same registry.
 func TestRunLoadLoopback(t *testing.T) {

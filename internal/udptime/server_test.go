@@ -1,8 +1,6 @@
 package udptime
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"net"
 	"net/netip"
@@ -13,8 +11,6 @@ import (
 	"time"
 	"unsafe"
 
-	"disttime/internal/hlc"
-	"disttime/internal/obs"
 	"disttime/internal/wire"
 )
 
@@ -328,7 +324,7 @@ func TestBatchServerDirectRead(t *testing.T) {
 // Send misses, and a reply that carries anything but the source's E has
 // been widened. On the batch backend the load's windows arrive as GRO
 // trains where the kernel has it, so whole trains are held to the
-// oracle. This test is part of make udp-smoke, under -race.
+// oracle.
 func TestBatchedReadingContained(t *testing.T) {
 	for _, b := range []backend{
 		{"batch", batchBackend(BatchConfig{Shards: 1, Batch: 64})},
@@ -395,239 +391,6 @@ func testReadingContained(t *testing.T, newServer newServerFunc) {
 	}
 	for range 20 {
 		probe()
-	}
-}
-
-// countingSource steps C by a second on every read and counts the reads.
-type countingSource struct {
-	base  time.Time
-	reads int
-}
-
-func (s *countingSource) Now() (time.Time, time.Duration, bool) {
-	s.reads++
-	return s.base.Add(time.Duration(s.reads) * time.Second), 100 * time.Microsecond, true
-}
-
-// scriptIO is a batchIO that plays scripted batches into serve: Recv
-// hands over the next one (net.ErrClosed after the last) and Send keeps
-// a copy of each reply, batch by batch, while record is set.
-type scriptIO struct {
-	bt     ioBatch
-	script [][][]byte
-	next   int
-	record bool
-	sent   [][][]byte
-}
-
-func (f *scriptIO) Batch() *ioBatch { return &f.bt }
-
-func (f *scriptIO) Recv() (int, error) {
-	if f.next == len(f.script) {
-		return 0, net.ErrClosed
-	}
-	batch := f.script[f.next]
-	f.next++
-	return copy(f.bt.recv, batch), nil
-}
-
-func (f *scriptIO) Send(n int) (int, error) {
-	if f.record {
-		var replies [][]byte
-		for _, out := range f.bt.send[:n] {
-			if len(out) > 0 {
-				replies = append(replies, bytes.Clone(out))
-			}
-		}
-		f.sent = append(f.sent, replies)
-	}
-	return 0, nil
-}
-
-func (f *scriptIO) Peer(int) netip.AddrPort         { return netip.AddrPort{} }
-func (f *scriptIO) SetReadDeadline(time.Time) error { return nil }
-func (f *scriptIO) Close() error                    { return nil }
-
-// TestServeReadsClockOncePerBatch drives serve over scripted batches of
-// version-1 and version-3 requests from a source whose C steps on every
-// read: the source is read once per batch, not once per request; every
-// reply of a batch carries that one C and consecutive batches carry
-// different ones; the batch-fill histogram saw each batch once; and the
-// whole loop — Recv to Send, the per-batch read and Observe included —
-// allocates nothing.
-func TestServeReadsClockOncePerBatch(t *testing.T) {
-	sizes := []int{64, 1, 17}
-	io := &scriptIO{record: true}
-	io.bt = newIOBatch(64)
-	id, total := uint64(0), 0
-	for _, size := range sizes {
-		batch := make([][]byte, size)
-		for i := range batch {
-			id++
-			if i%2 == 0 {
-				batch[i] = wire.AppendRequest(nil, wire.Request{ReqID: id})
-			} else {
-				batch[i] = wire.AppendRequestHLC(nil, wire.RequestHLC{ReqID: id, TS: hlc.Timestamp{Wall: int64(id), Node: 9}})
-			}
-		}
-		io.script = append(io.script, batch)
-		total += size
-	}
-	src := &countingSource{base: time.Unix(1_700_000_000, 0)}
-	reg := obs.NewRegistry()
-	s := &Server{id: 1, src: src, hlc: hlc.New(1)}
-	WithServerObservability(reg).applyServer(s)
-	serve := func() {
-		io.next = 0
-		s.loops.Add(1)
-		s.serve(io)
-	}
-
-	serve()
-	if src.reads != len(sizes) {
-		t.Fatalf("source read %d times over %d batches of %d requests, want once per batch", src.reads, len(sizes), total)
-	}
-	if len(io.sent) != len(sizes) {
-		t.Fatalf("%d batches sent, want %d", len(io.sent), len(sizes))
-	}
-	for b, replies := range io.sent {
-		if len(replies) != sizes[b] {
-			t.Fatalf("batch %d: %d replies, want %d", b, len(replies), sizes[b])
-		}
-		want := src.base.Add(time.Duration(b+1) * time.Second)
-		for i, raw := range replies {
-			var resp wire.Response
-			var err error
-			if len(raw) == wire.ResponseHLCSize {
-				var r3 wire.ResponseHLC
-				r3, err = wire.ParseResponseHLC(raw)
-				resp = r3.Response
-			} else {
-				resp, err = wire.ParseResponse(raw)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !resp.Clock.Equal(want) {
-				t.Fatalf("batch %d reply %d: C = %v, want the batch's one reading %v", b, i, resp.Clock, want)
-			}
-		}
-	}
-	fill := reg.LogHistogram("udptime_server_batch_fill")
-	if fill.Count() != uint64(len(sizes)) || fill.Sum() != float64(total) {
-		t.Fatalf("batch fill observed %d batches summing to %v, want %d summing to %d",
-			fill.Count(), fill.Sum(), len(sizes), total)
-	}
-
-	io.record = false
-	if allocs := testing.AllocsPerRun(50, serve); allocs != 0 {
-		t.Fatalf("serving %d batches allocates %v times, want 0", len(sizes), allocs)
-	}
-}
-
-// TestServeBatchBench holds the pump cmd/bench times to what it claims:
-// every request of the batch answered, and nothing allocated on the way
-// (the clock read, Server.respond and the version-1 codec under it).
-func TestServeBatchBench(t *testing.T) {
-	const batch = 64
-	pump := NewServeBatchBench(batch)
-	if allocs := testing.AllocsPerRun(100, func() {
-		if got := pump(); got != batch {
-			t.Fatalf("pump answered %d of %d requests", got, batch)
-		}
-	}); allocs != 0 {
-		t.Fatalf("serving a batch allocates %v times, want 0", allocs)
-	}
-}
-
-// TestRespondMixedBatchAllocs pins the responder at zero allocations
-// over a batch that mixes the wire versions: version-1 and version-3
-// requests (the latter through hlc.Update), an advertisement left for
-// the cold path, and a malformed datagram. Each reply is held byte for
-// byte to the wire encoding of the source's reading with its request's
-// ID, the first 40 bytes of a version-3 reply included, from a
-// synchronized source and an unsynchronized one; a source reporting a
-// negative E gets no reply at all, and every request of its batch is
-// counted malformed.
-func TestRespondMixedBatchAllocs(t *testing.T) {
-	const batch = 32
-	c := time.Unix(0, 1_700_000_000_123_456_789)
-	adv, err := wire.AppendAdvertise(nil, 1, []wire.MemberEntry{{Addr: "10.0.0.1:3123", Gen: 1, Status: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		src  fixedSource
-	}{
-		{"synchronized", fixedSource{c: c, e: 250 * time.Microsecond, synced: true}},
-		{"unsynchronized", fixedSource{c: c, e: time.Second}},
-		{"negative E", fixedSource{c: c, e: -time.Microsecond, synced: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := &Server{id: 7, src: tc.src, hlc: hlc.New(7),
-				advertise: func(*net.UDPAddr, []wire.MemberEntry) {}}
-			bt := newIOBatch(batch)
-			requests := 0
-			for i := range bt.recv {
-				id := uint64(i)<<40 | 0xfeed
-				switch i % 4 {
-				case 0:
-					bt.recv[i] = wire.AppendRequest(nil, wire.Request{ReqID: id})
-					requests++
-				case 1, 2:
-					bt.recv[i] = wire.AppendRequestHLC(nil, wire.RequestHLC{ReqID: id, TS: hlc.Timestamp{Wall: int64(i), Node: 9}})
-					requests++
-				case 3:
-					bt.recv[i] = adv[:len(adv)>>(i/4%2)] // whole, or cut short
-				}
-			}
-			answered := tc.src.e >= 0
-			want, wantBad := requests, 0
-			if !answered {
-				want, wantBad = 0, requests
-			}
-			c, maxErr, synced := tc.src.Now()
-			allocs := testing.AllocsPerRun(100, func() {
-				if got := s.respond(&bt, batch, c, maxErr, synced); got != want {
-					t.Fatalf("respond prepared %d replies, want %d", got, want)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("respond allocates %v times per mixed batch, want 0", allocs)
-			}
-			before := s.MalformedDatagrams()
-			s.respond(&bt, batch, c, maxErr, synced)
-			if got := s.MalformedDatagrams() - before; got != uint64(wantBad) {
-				t.Fatalf("responder counted %d malformed datagrams in a batch, want %d; advertisements are the cold path's to judge", got, wantBad)
-			}
-			reading := wire.Response{ServerID: s.id, Clock: tc.src.c, MaxError: tc.src.e, Unsynchronized: !tc.src.synced}
-			for i, in := range bt.recv {
-				got := bt.send[i]
-				if !answered || i%4 == 3 {
-					if len(got) != 0 {
-						t.Fatalf("slot %d: reply %x, want none", i, got)
-					}
-					continue
-				}
-				reading.ReqID = binary.BigEndian.Uint64(in[8:16])
-				ref, err := wire.AppendResponse(nil, reading)
-				if i%4 != 0 {
-					ref, err = wire.AppendResponseHLC(nil, wire.ResponseHLC{Response: reading})
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(ref) || !bytes.Equal(got[:wire.ResponseSize], ref[:wire.ResponseSize]) {
-					t.Fatalf("slot %d: reply %x, want %x", i, got, ref)
-				}
-				if len(got) == wire.ResponseHLCSize {
-					if _, err := hlc.ParseTimestamp(got[wire.ResponseSize:]); err != nil {
-						t.Fatalf("slot %d: stamp %x: %v", i, got[wire.ResponseSize:], err)
-					}
-				}
-			}
-		})
 	}
 }
 
