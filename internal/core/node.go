@@ -33,7 +33,8 @@ type Node struct {
 	// Counters for experiment reporting.
 	Syncs, Resets, Recoveries, RateFiltered, DeltaRaises int
 
-	scratch []Reply // reused sync-pass reply buffer
+	scratch []Reply             // reused sync-pass reply buffer
+	votes   []interval.Interval // reused rate-filter vote buffer
 }
 
 // Observe records a reply as it arrives, local being the node's clock
@@ -78,40 +79,53 @@ func (n *Node) Sync(t float64, replies []Reply) (Result, []Reply) {
 	return res, replies
 }
 
-// adaptDelta applies the thesis's delta maintenance ("algorithms MM and
-// IM can then be applied to maintain a consonant set of delta_i"):
-// intersect the drift constraints implied by every sufficiently-observed
-// neighbor; if the result proves the server's own claimed bound
-// impossible, raise the bound (with margin) to cover it. The repaired
-// bookkeeping makes the server's interval correct again, so it rejoins
-// the service honestly.
-func (n *Node) adaptDelta(now float64) {
-	var estimates []RateEstimate
-	var deltas []float64
-	// Ids never heard from hold no estimate and fall out below.
-	for from, p := range n.Rates.pairs {
-		est := n.Rates.Estimate(from)
-		if est.Valid && est.Span >= AdaptAfter {
-			estimates = append(estimates, est)
-			deltas = append(deltas, p.last.Delta)
+// constraint returns the bound neighbor from's rate estimate puts on the
+// node's own drift: OwnDriftConstraint at the neighbor's last claimed
+// bound (the round's r.Delta, as every reply is observed before Sync), or
+// an inverted interval, no vote, until the neighbor is observed for span.
+func (n *Node) constraint(from int, span float64) (RateEstimate, interval.Interval) {
+	est := n.Rates.Estimate(from)
+	if !est.Valid || est.Span < span {
+		return est, interval.Interval{Lo: 1, Hi: 0}
+	}
+	return est, OwnDriftConstraint(est, n.Rates.pairs[from].last.Delta)
+}
+
+// agreed is NTP's clock selection, which both Section 5 steps act on:
+// when the top Marzullo count is a majority of the valid votes, the
+// envelope of the regions at that count (MarzulloSpan); a vote missing it
+// is a falseticker. That is interval.Select's split, but a tie drops none.
+func agreed(votes []interval.Interval) (interval.Interval, bool) {
+	voters := 0
+	for _, v := range votes {
+		if v.Valid() {
+			voters++
 		}
 	}
-	if len(estimates) == 0 {
+	if best := interval.Marzullo(votes); best.Count > voters/2 {
+		return interval.MarzulloSpan(votes, best.Count)
+	}
+	return interval.Interval{}, false
+}
+
+// adaptDelta applies the thesis's delta maintenance ("algorithms MM and
+// IM can then be applied to maintain a consonant set of delta_i"): if the
+// agreed own-drift constraints of the neighbors observed for AdaptAfter
+// prove the server's claimed bound impossible, raise it (with margin) to
+// cover them. A raise only widens E, so a majority suffices.
+func (n *Node) adaptDelta(now float64) {
+	n.votes = n.votes[:0]
+	for from := range n.Rates.pairs {
+		_, c := n.constraint(from, AdaptAfter)
+		n.votes = append(n.votes, c)
+	}
+	sel, ok := agreed(n.votes)
+	// Neighbors' resets perturb the estimates unseen (see rateFilter), so
+	// act only when the selection excludes even twice the claimed bound.
+	if d := 2 * n.Server.Delta(); !ok || interval.Consistent(sel, interval.Interval{Lo: -d, Hi: d}) {
 		return
 	}
-	constraint, ok := EstimateOwnDrift(estimates, deltas)
-	if !ok {
-		// Mutually inconsistent constraints: some neighbor's bound is
-		// invalid; nothing sound to adapt to.
-		return
-	}
-	// As with the rate filter, neighbors' resets perturb the estimates in
-	// ways their uncertainty terms cannot see, so only act on clear
-	// evidence: the constraint must exclude even twice the claimed bound.
-	if !SuspectInvalidBound(constraint, 2*n.Server.Delta()) {
-		return
-	}
-	need := math.Max(math.Abs(constraint.Lo), math.Abs(constraint.Hi)) * 1.1
+	need := math.Max(math.Abs(sel.Lo), math.Abs(sel.Hi)) * 1.1
 	if err := n.Server.RaiseDelta(now, need); err == nil {
 		n.DeltaRaises++
 	}
@@ -125,22 +139,39 @@ func (n *Node) adaptDelta(now float64) {
 // mechanisms alone cannot resist. The estimates survive the server's own
 // resets (Sync shifts the tracker's local timeline by each jump).
 //
-// The check carries a 2x margin on the claimed bounds: a neighbor's own
-// resets perturb the observed rate by amounts the estimate's uncertainty
-// cannot account for (the jumps are invisible remotely), so only clear
-// dissonance — beyond twice the combined bounds — excludes a reply.
+// It is one rule in two steps. The veto: a reply whose rate is dissonant
+// beyond twice the combined claimed bounds is dropped whatever the other
+// neighbors say (a neighbor's own resets perturb the observed rate by
+// amounts the estimate's uncertainty cannot see, hence the margin). The
+// vote: agreed over the node's claim [-delta, delta] and each remaining
+// reply's own-drift constraint at the claimed bounds (the paper's
+// |rate| <= delta_i + delta_j) drops its falsetickers, so an upstream a
+// wide own bound lets past the veto is still outvoted; with no majority
+// only the vetoes act. It assumes the valid votes are the top-count
+// group: invalid ones helped by wide valid ones can outvote an honest one.
 func (n *Node) rateFilter(replies []Reply) []Reply {
+	delta := n.Server.Delta()
+	n.votes = append(n.votes[:0], interval.Interval{Lo: -delta, Hi: delta})
 	kept := replies[:0]
 	for _, r := range replies {
-		est := n.Rates.Estimate(r.From)
-		if est.Valid && est.Span >= RateFilterAfter &&
-			!est.ConsonantWith(2*n.Server.Delta(), 2*r.Delta) {
+		est, c := n.constraint(r.From, RateFilterAfter)
+		if c.Valid() && !est.ConsonantWith(2*delta, 2*r.Delta) {
 			n.RateFiltered++
 			continue
 		}
+		n.votes = append(n.votes, c) // kept[i]'s vote is votes[i+1]
 		kept = append(kept, r)
 	}
-	return kept
+	sel, ok := agreed(n.votes)
+	out := kept[:0]
+	for i, r := range kept {
+		if c := n.votes[i+1]; ok && c.Valid() && !interval.Consistent(c, sel) {
+			n.RateFiltered++
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
 }
 
 // recover implements the Section 3 heuristic: having found itself

@@ -123,51 +123,71 @@ func observePair(n *Node, from int, delta, span, remoteSpan float64) {
 	n.Observe(Reply{From: from, C: remoteSpan, RTT: 0.001, Delta: delta}, span)
 }
 
-// TestNodeRateFilter: a neighbor separating at 1e-3 against claimed
-// bounds of 1e-5 each is dropped once it has been observed for
-// RateFilterAfter, and not before.
+// TestNodeRateFilter: each row observes neighbors 1, 2, ... for span
+// local seconds at the given separation rates, each claiming 1e-5, then
+// runs one round over one reply from each.
 func TestNodeRateFilter(t *testing.T) {
 	for _, tc := range []struct {
-		span    float64
-		dropped bool
-	}{{RateFilterAfter / 2, false}, {RateFilterAfter + 80, true}} {
-		n := &Node{Server: newServer(t, 0, 0, 0, 1e-5, 1), Fn: IM{}}
+		name  string
+		delta float64 // the node's own claimed bound
+		span  float64
+		rates []float64 // neighbor i+1's separation rate from the node
+		kept  []int
+	}{
+		{"too soon to judge", 1e-5, RateFilterAfter / 2, []float64{1e-3, 0}, []int{1, 2}},
+		{"vetoed past twice the bounds", 1e-5, RateFilterAfter + 80, []float64{1e-3, 0}, []int{2}},
+		// The pair agrees and outvotes the node's own claim; the veto
+		// drops each of them anyway.
+		{"agreeing dissonant pair vetoed", 1e-5, RateFilterAfter + 80, []float64{1e-3, 1e-3}, nil},
+		// The node's wide bound explains the upstream's rate, so no veto;
+		// the upstream's constraint meets the node's claim but misses the
+		// three honest neighbors' majority.
+		{"upstream outvoted", 8e-5, 1000, []float64{0, 1e-6, -1e-6, 8e-5}, []int{1, 2, 3}},
+		// Two regions tie at two votes: the node's claim with the honest
+		// neighbor, and with the upstream. A tie names no falseticker.
+		{"tie drops neither", 8e-5, 1000, []float64{0, 8e-5}, []int{1, 2}},
+	} {
+		n := &Node{Server: newServer(t, 0, 0, 0, tc.delta, 1), Fn: IM{}}
 		n.RateFilter = true
-		observePair(n, 1, 1e-5, tc.span, tc.span*(1+1e-3))
-		observePair(n, 2, 1e-5, tc.span, tc.span)
-		replies := []Reply{{From: 1, E: 0.5, Delta: 1e-5}, {From: 2, E: 0.5, Delta: 1e-5}}
-		_, used := n.Sync(0, replies)
-		want := []int{1, 2}
-		if tc.dropped {
-			want = []int{2}
+		var replies []Reply
+		for i, rate := range tc.rates {
+			observePair(n, i+1, 1e-5, tc.span, tc.span*(1+rate))
+			replies = append(replies, Reply{From: i + 1, E: 0.5, Delta: 1e-5})
 		}
+		_, used := n.Sync(0, replies)
 		var got []int
 		for _, r := range used {
 			got = append(got, r.From)
 		}
-		if !slices.Equal(got, want) || n.RateFiltered != len(replies)-len(want) {
-			t.Errorf("span %v: kept %v, RateFiltered %d; want %v", tc.span, got, n.RateFiltered, want)
+		if !slices.Equal(got, tc.kept) || n.RateFiltered != len(tc.rates)-len(tc.kept) {
+			t.Errorf("%s: kept %v, RateFiltered %d; want %v", tc.name, got, n.RateFiltered, tc.kept)
 		}
 	}
 }
 
 // TestNodeAdaptiveDelta: a server 4% fast that claims 1e-5 sees its
 // honest neighbors fall behind at about 4%. Once observed for AdaptAfter
-// it raises its bound past its real drift; honest bounds stay as they
-// are.
+// it raises its bound past its real drift, even with one neighbor (rate
+// 1.04) lying alongside it; honest bounds stay as they are.
 func TestNodeAdaptiveDelta(t *testing.T) {
 	for _, tc := range []struct {
 		localRate float64
+		remote    []float64 // each neighbor's clock rate; each claims 1e-5
 		raised    bool
-	}{{1.04, true}, {1, false}} {
+	}{
+		{1.04, []float64{1, 1}, true},
+		{1.04, []float64{1, 1, 1.04}, true},
+		{1, []float64{1, 1}, false},
+	} {
 		n := &Node{Server: newServer(t, 0, 0, 0, 1e-5, 1), Fn: IM{}}
 		n.AdaptiveDelta = true
 		span := AdaptAfter + 100
-		observePair(n, 1, 1e-5, span, span/tc.localRate)
-		observePair(n, 2, 1e-5, span, span/tc.localRate)
+		for i, r := range tc.remote {
+			observePair(n, i+1, 1e-5, span, span*r/tc.localRate)
+		}
 		n.Sync(0, nil)
 		if got := n.DeltaRaises == 1; got != tc.raised {
-			t.Fatalf("rate %v: DeltaRaises %d, want raised=%v", tc.localRate, n.DeltaRaises, tc.raised)
+			t.Fatalf("rate %v, neighbors %v: DeltaRaises %d, want raised=%v", tc.localRate, tc.remote, n.DeltaRaises, tc.raised)
 		}
 		if tc.raised && n.Server.Delta() < 0.04/1.04 {
 			t.Errorf("raised delta %v, want at least the real drift %v", n.Server.Delta(), 0.04/1.04)
@@ -198,23 +218,33 @@ func TestNodeShiftsRatesAcrossReset(t *testing.T) {
 }
 
 // TestNodeRoundAllocs: a warm round through the node's reply buffer
-// allocates nothing.
+// allocates nothing, with the policy switches off and with the rate
+// filter and δ maintenance voting over every neighbor.
 func TestNodeRoundAllocs(t *testing.T) {
-	n := &Node{Server: newServer(t, 0, 0, 0, 1e-5, 1), Fn: IM{}}
-	now := 0.0
-	round := func() {
-		now++
-		replies := n.Replies()
-		for _, r := range truth {
-			r.C += now
-			replies = append(replies, r)
+	for _, on := range []bool{false, true} {
+		n := &Node{Server: newServer(t, 0, 0, 0, 1e-5, 1), Fn: IM{}}
+		n.RateFilter, n.AdaptiveDelta = on, on
+		now := 0.0
+		round := func() {
+			now += 10
+			replies := n.Replies()
+			for _, r := range truth {
+				r.C += now
+				n.Observe(r, n.Server.Read(now))
+				replies = append(replies, r)
+			}
+			if res, _ := n.Sync(now, replies); !res.Reset {
+				t.Fatalf("round at %v did not reset", now)
+			}
 		}
-		if res, _ := n.Sync(now, replies); !res.Reset {
-			t.Fatalf("round at %v did not reset", now)
+		for now < AdaptAfter {
+			round()
 		}
-	}
-	round()
-	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
-		t.Errorf("a warm round allocates %v times, want 0", allocs)
+		if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+			t.Errorf("switches %v: a warm round allocates %v times, want 0", on, allocs)
+		}
+		if n.RateFiltered != 0 || n.DeltaRaises != 0 {
+			t.Errorf("switches %v: RateFiltered %d, DeltaRaises %d over honest replies", on, n.RateFiltered, n.DeltaRaises)
+		}
 	}
 }

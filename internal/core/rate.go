@@ -10,9 +10,9 @@ import "disttime/internal/interval"
 //	| d/dt (C_i(t) - C_j(t)) | <= delta_i + delta_j
 //
 // A rate interval plays the role the time interval plays in algorithms MM
-// and IM; intersecting the rate constraints contributed by a set of
-// neighbors bounds the local clock's own true drift and exposes invalid
-// claimed bounds.
+// and IM: majority selection over the own-drift constraints a set of
+// neighbors contributes bounds the local clock's own true drift and
+// exposes invalid claimed bounds (Node's rateFilter and adaptDelta).
 
 // RateSample is one observation of a neighbor's clock against the local
 // clock: the local reading when the reply arrived, the remote reading it
@@ -143,35 +143,4 @@ func OwnDriftConstraint(e RateEstimate, deltaJ float64) interval.Interval {
 		Lo: -deltaJ - e.Rate - e.Err,
 		Hi: deltaJ - e.Rate + e.Err,
 	}
-}
-
-// EstimateOwnDrift applies the intersection function to rates: it
-// intersects the drift constraints contributed by each valid neighbor
-// estimate (paired with that neighbor's claimed bound). The boolean result
-// is false when the constraints are mutually inconsistent, which proves at
-// least one claimed bound invalid; the zero-value interval accompanies it.
-// With no valid estimates it returns the vacuous constraint (-1, 1).
-func EstimateOwnDrift(estimates []RateEstimate, deltas []float64) (interval.Interval, bool) {
-	out := interval.Interval{Lo: -1, Hi: 1}
-	for i, e := range estimates {
-		if !e.Valid {
-			continue
-		}
-		deltaJ := 0.0
-		if i < len(deltas) {
-			deltaJ = deltas[i]
-		}
-		var ok bool
-		if out, ok = out.Intersect(OwnDriftConstraint(e, deltaJ)); !ok {
-			return interval.Interval{}, false
-		}
-	}
-	return out, true
-}
-
-// SuspectInvalidBound reports whether the local server's own claimed bound
-// delta is impossible given the intersected drift constraint: the
-// constraint interval lies entirely outside [-delta, delta].
-func SuspectInvalidBound(constraint interval.Interval, delta float64) bool {
-	return !interval.Consistent(constraint, interval.Interval{Lo: -delta, Hi: delta})
 }

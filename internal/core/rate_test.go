@@ -131,74 +131,6 @@ func TestOwnDriftConstraint(t *testing.T) {
 	}
 }
 
-func TestEstimateOwnDrift(t *testing.T) {
-	// Two neighbors: their constraints intersect to a tight bound on the
-	// local drift.
-	estimates := []RateEstimate{
-		{Rate: 2e-5, Err: 0, Valid: true},  // constraint [-3e-5, -1e-5]
-		{Rate: -1e-5, Err: 0, Valid: true}, // constraint [0, 2e-5]... deltas below
-	}
-	deltas := []float64{1e-5, 1e-5}
-	// First: [-1e-5-2e-5, 1e-5-2e-5] = [-3e-5, -1e-5].
-	// Second: [-1e-5+1e-5, 1e-5+1e-5] = [0, 2e-5]. Disjoint -> inconsistent.
-	if _, ok := EstimateOwnDrift(estimates, deltas); ok {
-		t.Fatal("disjoint constraints should report inconsistency")
-	}
-
-	estimates[1] = RateEstimate{Rate: 1e-5, Err: 1e-5, Valid: true}
-	// Second becomes [-1e-5-1e-5-1e-5, 1e-5-1e-5+1e-5] = [-3e-5, 1e-5].
-	iv, ok := EstimateOwnDrift(estimates, deltas)
-	if !ok {
-		t.Fatal("constraints should intersect")
-	}
-	want := interval.Interval{Lo: -3e-5, Hi: -1e-5}
-	if math.Abs(iv.Lo-want.Lo) > 1e-18 || math.Abs(iv.Hi-want.Hi) > 1e-18 {
-		t.Errorf("drift interval = %v, want %v", iv, want)
-	}
-}
-
-func TestEstimateOwnDriftSkipsInvalid(t *testing.T) {
-	iv, ok := EstimateOwnDrift([]RateEstimate{{Rate: 99, Err: 0}}, []float64{1e-5})
-	if !ok {
-		t.Fatal("invalid estimates must be skipped")
-	}
-	if iv.Lo != -1 || iv.Hi != 1 {
-		t.Errorf("vacuous constraint = %v", iv)
-	}
-}
-
-func TestEstimateOwnDriftMissingDelta(t *testing.T) {
-	// An estimate beyond the deltas slice uses delta 0.
-	iv, ok := EstimateOwnDrift([]RateEstimate{{Rate: 1e-5, Err: 0, Valid: true}}, nil)
-	if !ok {
-		t.Fatal("should be consistent")
-	}
-	if math.Abs(iv.Lo-(-1e-5)) > 1e-18 || math.Abs(iv.Hi-(-1e-5)) > 1e-18 {
-		t.Errorf("constraint = %v, want the point -1e-5", iv)
-	}
-}
-
-func TestSuspectInvalidBound(t *testing.T) {
-	tests := []struct {
-		name       string
-		constraint interval.Interval
-		delta      float64
-		want       bool
-	}{
-		{name: "inside", constraint: interval.Interval{Lo: -1e-6, Hi: 1e-6}, delta: 1e-5, want: false},
-		{name: "touching", constraint: interval.Interval{Lo: 1e-5, Hi: 2e-5}, delta: 1e-5, want: false},
-		{name: "outside", constraint: interval.Interval{Lo: 2e-5, Hi: 3e-5}, delta: 1e-5, want: true},
-		{name: "outside negative", constraint: interval.Interval{Lo: -3e-5, Hi: -2e-5}, delta: 1e-5, want: true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := SuspectInvalidBound(tt.constraint, tt.delta); got != tt.want {
-				t.Errorf("SuspectInvalidBound = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
 // TestRateTrackerDetectsFaultyDriftBound reproduces the Section 5 use
 // case end-to-end at the rate level: a clock claiming one second a day but
 // actually four percent fast is exposed by consonance checking.
@@ -222,8 +154,8 @@ func TestRateTrackerDetectsFaultyDriftBound(t *testing.T) {
 	// And the drift constraint it induces on the local clock is absurd,
 	// flagging an invalid bound somewhere.
 	constraint := OwnDriftConstraint(e, claimed)
-	if !SuspectInvalidBound(constraint, claimed) {
-		t.Error("local bound not suspected despite absurd constraint")
+	if interval.Consistent(constraint, interval.Interval{Lo: -claimed, Hi: claimed}) {
+		t.Errorf("constraint %v admits the local bound %v despite the absurd rate", constraint, claimed)
 	}
 }
 

@@ -533,12 +533,11 @@ func AblationErrorFloor() (Table, error) {
 // loop against a bad upstream: a server that never synchronizes, claims
 // a tight bound, and races beyond it. With uniformly well-bounded honest
 // servers, every node can prove the upstream dissonant (its separation
-// rate exceeds twice the combined claimed bounds) and the filter keeps
-// the service correct. With one honest node whose own bound is large
-// enough to explain the upstream's rate, consonance is ambiguous for
-// that node; it keeps accepting, is dragged, and re-poisons the rest —
-// quantifying how far pairwise rate checks carry and where the thesis's
-// full rate-interval machinery becomes necessary.
+// rate exceeds twice the combined claimed bounds) and vetoes it. With one
+// or two honest nodes whose own bounds are wide enough to explain the
+// upstream's rate, those nodes cannot veto it; the majority selection
+// over own-drift constraints outvotes it there instead, as long as fewer
+// than half of the votes hold invalid bounds.
 func AblationRateFilter() (Table, error) {
 	const (
 		tau      = 30.0
@@ -557,8 +556,10 @@ func AblationRateFilter() (Table, error) {
 	scenarios := []scenario{
 		{name: "all honest bounds tight", drifts: []float64{0.3e-5, -0.5e-5, 0.7e-5, -1e-5}},
 		{name: "one honest bound wide", drifts: []float64{0.3e-5, -0.5e-5, 4e-5, -1e-5}},
+		{name: "two honest bounds wide", drifts: []float64{0.3e-5, 6e-5, 4e-5, -1e-5}},
 	}
 	var tightOn, tightOff float64
+	worstOn := 1.0
 	for _, sc := range scenarios {
 		for _, filter := range []bool{false, true} {
 			specs := make([]service.ServerSpec, 5)
@@ -611,6 +612,9 @@ func AblationRateFilter() (Table, error) {
 				filtered += n.RateFiltered
 			}
 			frac := float64(correct) / float64(total)
+			if filter {
+				worstOn = math.Min(worstOn, frac)
+			}
 			if sc.name == scenarios[0].name {
 				if filter {
 					tightOn = frac
@@ -624,10 +628,10 @@ func AblationRateFilter() (Table, error) {
 		}
 	}
 	out.Finding = fmt.Sprintf(
-		"with tight honest bounds the filter lifts correctness from %.0f%% to %.0f%% by excluding the upstream at the rate level; with one wide honest bound, consonance is ambiguous for that node and the poison re-enters through it",
-		tightOff*100, tightOn*100)
-	if tightOn < 0.95 || tightOn <= tightOff {
-		return out, fmt.Errorf("ablation-ratefilter: filter ineffective (%.2f -> %.2f)", tightOff, tightOn)
+		"with tight honest bounds the filter lifts correctness from %.0f%% to %.0f%% by vetoing the upstream at the rate level; where wide honest bounds explain its rate, the majority of own-drift constraints outvotes it, and no filtered row falls below %.0f%%",
+		tightOff*100, tightOn*100, worstOn*100)
+	if worstOn < 0.95 || tightOn <= tightOff {
+		return out, fmt.Errorf("ablation-ratefilter: filter ineffective (tight %.2f -> %.2f, worst filtered %.2f)", tightOff, tightOn, worstOn)
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"disttime/internal/core"
+	"disttime/internal/interval"
 	"disttime/internal/service"
 	"disttime/internal/simnet"
 )
@@ -137,8 +138,7 @@ func Consonance() (Table, error) {
 		Header: []string{"neighbor", "separation rate", "rate uncertainty", "consonant", "own-drift constraint"},
 	}
 	dissonant := 0
-	var estimates []core.RateEstimate
-	var neighborDeltas []float64
+	var constraints []interval.Interval
 	for j := 1; j < len(specs); j++ {
 		e := observer.Rates.Estimate(j)
 		if !e.Valid {
@@ -149,14 +149,13 @@ func Consonance() (Table, error) {
 			dissonant++
 		}
 		constraint := core.OwnDriftConstraint(e, deltas[j])
-		estimates = append(estimates, e)
-		neighborDeltas = append(neighborDeltas, deltas[j])
+		constraints = append(constraints, constraint)
 		out.Rows = append(out.Rows, []string{
 			fmt.Sprintf("S%d", j+1), f(e.Rate), f(e.Err), fb(cons),
 			fmt.Sprintf("[%s, %s]", f(constraint.Lo), f(constraint.Hi)),
 		})
 	}
-	_, consistentRates := core.EstimateOwnDrift(estimates, neighborDeltas)
+	_, consistentRates := interval.IntersectAll(constraints)
 	out.Rows = append(out.Rows, []string{
 		"intersection", "-", "-", fb(consistentRates), "IM applied to rates",
 	})

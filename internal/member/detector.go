@@ -41,11 +41,11 @@ type DetectorConfig struct {
 // Period/(1-RemoteDelta) then divides by zero or goes negative, and a
 // silently computed SuspectAfter would be negative or infinite —
 // immediately mass-evicting every member or never suspecting anyone,
-// depending on sign. NaN drift or delay bounds are rejected for the same
-// reason.
+// depending on sign. NaN drift or delay bounds and an infinite period
+// are rejected for the same reason.
 func (c DetectorConfig) Validate() error {
-	if !(c.Period > 0) {
-		return fmt.Errorf("member: non-positive heartbeat period %v", c.Period)
+	if !(c.Period > 0) || math.IsInf(c.Period, 1) {
+		return fmt.Errorf("member: heartbeat period %v not positive and finite", c.Period)
 	}
 	if math.IsNaN(c.LocalDelta) || math.IsNaN(c.RemoteDelta) ||
 		c.LocalDelta < 0 || c.RemoteDelta < 0 || c.RemoteDelta >= 1 {

@@ -1,6 +1,7 @@
 package member
 
 import (
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -189,6 +190,7 @@ func TestDigestRotationCoversRoster(t *testing.T) {
 func TestDetectorConfigValidation(t *testing.T) {
 	bad := []DetectorConfig{
 		{Period: 0},
+		{Period: math.Inf(1)},
 		{Period: 1, LocalDelta: -0.1},
 		{Period: 1, RemoteDelta: 1},
 		{Period: 1, Xi: -1},

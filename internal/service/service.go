@@ -56,6 +56,8 @@ type ServerSpec struct {
 	InitialError float64
 	// SyncEvery is the server's synchronization period tau in seconds.
 	// Zero disables synchronization (the server only answers requests).
+	// New rejects a period that is NaN, negative or infinite, and a NaN
+	// or infinite Drift or InitialOffset.
 	SyncEvery float64
 	// SlewRate, when positive, wraps the server's clock so corrections
 	// are absorbed gradually at this rate instead of stepping (see
@@ -89,7 +91,8 @@ type Config struct {
 	// CollectFor is how long (real seconds) a server waits after
 	// broadcasting a request before handing the collected replies to the
 	// synchronization function. Defaults to just over the network's xi,
-	// so every undropped reply is included.
+	// so every undropped reply is included. New rejects a window that is
+	// NaN, negative or infinite.
 	CollectFor float64
 	// NoStagger starts every server's first round at time zero. Without
 	// it, New starts each server's first round at a uniform phase within
@@ -225,6 +228,10 @@ func New(cfg Config) (*Service, error) {
 	net := simnet.New(s)
 	svc := &Service{Sim: s, Net: net, cfg: cfg}
 
+	if !(cfg.CollectFor >= 0) || math.IsInf(cfg.CollectFor, 1) {
+		return nil, fmt.Errorf("service: collection window %v not finite and non-negative", cfg.CollectFor)
+	}
+
 	link := simnet.LinkConfig{Delay: cfg.Delay, Loss: cfg.Loss}
 	ids := make([]simnet.NodeID, len(cfg.Servers))
 	for i, spec := range cfg.Servers {
@@ -232,6 +239,13 @@ func New(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf(
 				"service: server %d starts incorrect: offset %v exceeds error %v",
 				i, spec.InitialOffset, spec.InitialError)
+		}
+		if !(spec.SyncEvery >= 0) || math.IsInf(spec.SyncEvery, 1) {
+			return nil, fmt.Errorf("service: server %d: sync period %v not finite and non-negative", i, spec.SyncEvery)
+		}
+		if math.IsNaN(spec.Drift) || math.IsInf(spec.Drift, 0) ||
+			math.IsNaN(spec.InitialOffset) || math.IsInf(spec.InitialOffset, 0) {
+			return nil, fmt.Errorf("service: server %d: drift %v or initial offset %v not finite", i, spec.Drift, spec.InitialOffset)
 		}
 		if !(spec.SlewRate >= 0 && spec.SlewRate <= 1) {
 			return nil, fmt.Errorf("service: server %d: slew rate %v outside [0, 1]", i, spec.SlewRate)

@@ -75,6 +75,23 @@ func TestNewValidation(t *testing.T) {
 			cfg:     Config{Servers: []ServerSpec{{Delta: 1e-5, SlewRate: 1.5}}},
 			wantErr: true,
 		},
+		{name: "NaN sync period", cfg: Config{Servers: []ServerSpec{{Delta: 1e-5, SyncEvery: math.NaN()}}}, wantErr: true},
+		{name: "infinite sync period", cfg: Config{Servers: []ServerSpec{{Delta: 1e-5, SyncEvery: math.Inf(1)}}}, wantErr: true},
+		{name: "NaN drift", cfg: Config{Servers: []ServerSpec{{Delta: 1e-5, Drift: math.NaN()}}}, wantErr: true},
+		{name: "infinite drift", cfg: Config{Servers: []ServerSpec{{Delta: 1e-5, Drift: math.Inf(-1)}}}, wantErr: true},
+		{name: "NaN offset", cfg: Config{Servers: []ServerSpec{{Delta: 1e-5, InitialOffset: math.NaN(), InitialError: 1}}}, wantErr: true},
+		{name: "infinite offset", cfg: Config{Servers: []ServerSpec{{Delta: 1e-5, InitialOffset: math.Inf(1), InitialError: math.Inf(1)}}}, wantErr: true},
+		{name: "NaN collection window", cfg: Config{CollectFor: math.NaN(), Servers: correctSpecs(2, 10)}, wantErr: true},
+		{name: "infinite collection window", cfg: Config{CollectFor: math.Inf(1), Servers: correctSpecs(2, 10)}, wantErr: true},
+		{name: "NaN loss", cfg: Config{Loss: math.NaN(), Servers: correctSpecs(2, 10)}, wantErr: true},
+		{name: "negative delay", cfg: Config{Delay: simnet.Uniform{Min: -0.01, Max: 0.05}, Servers: correctSpecs(2, 10)}, wantErr: true},
+		{name: "NaN delay", cfg: Config{Delay: simnet.Uniform{Max: math.NaN()}, Servers: correctSpecs(2, 10)}, wantErr: true},
+		{name: "infinite delay", cfg: Config{Delay: simnet.Uniform{Max: math.Inf(1)}, Servers: correctSpecs(2, 10)}, wantErr: true},
+		{
+			name:    "infinite gossip period",
+			cfg:     Config{Servers: correctSpecs(2, 10), Members: &MemberConfig{GossipEvery: math.Inf(1)}},
+			wantErr: true,
+		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -849,14 +866,11 @@ func TestRateFilterExcludesPersistentOffender(t *testing.T) {
 	// sees its oscillator-level separation rate and excludes it long
 	// before the intervals give it away. (An offender that resets with
 	// the pack is invisible to value-rate consonance — that blind spot is
-	// measured by ablation A7.)
-	build := func(rateFilter bool) *Service {
-		// Honest servers with small, tightly-bounded drifts: against them
-		// the offender's separation rate provably exceeds the combined
-		// claimed bounds. (A high-delta honest node could not prove the
-		// offender wrong — consonance is pairwise-ambiguous — which is
-		// why the pack here is uniformly good.)
-		honestDrifts := []float64{0.3e-5, -0.5e-5, 0.7e-5, -1e-5}
+	// measured by ablation A7.) An honest server whose wide bound explains
+	// the upstream's rate cannot veto it, but the upstream's own-drift
+	// constraint misses the other neighbors' majority, so the vote drops
+	// it there too.
+	run := func(honestDrifts []float64, seed uint64, rateFilter bool) (frac float64, filtered int) {
 		specs := make([]ServerSpec, 5)
 		for i, d := range honestDrifts {
 			specs[i] = ServerSpec{
@@ -864,19 +878,18 @@ func TestRateFilterExcludesPersistentOffender(t *testing.T) {
 				Drift:        d,
 				InitialError: 0.05,
 				SyncEvery:    30,
+				RateFilter:   rateFilter,
 			}
 		}
 		specs[4] = ServerSpec{
 			Delta:        1e-5,
 			Drift:        8e-5,
 			InitialError: 0.05,
+			RateFilter:   rateFilter,
 			// Pure upstream: serves, never resets.
 		}
-		for i := range specs {
-			specs[i].RateFilter = rateFilter
-		}
 		svc, err := New(Config{
-			Seed:    50,
+			Seed:    seed,
 			Delay:   simnet.Uniform{Max: 0.002},
 			Fn:      core.IM{DropInconsistent: true},
 			Servers: specs,
@@ -884,21 +897,10 @@ func TestRateFilterExcludesPersistentOffender(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return svc
-	}
-
-	unprotected := build(false)
-	samplesU, err := unprotected.RunSampled(7200, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	protected := build(true)
-	samplesP, err := protected.RunSampled(7200, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	correctFrac := func(samples []Sample) float64 {
+		samples, err := svc.RunSampled(7200, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
 		correct, total := 0, 0
 		for _, s := range samples {
 			if s.T < 600 {
@@ -911,22 +913,33 @@ func TestRateFilterExcludesPersistentOffender(t *testing.T) {
 				}
 			}
 		}
-		return float64(correct) / float64(total)
+		for _, n := range svc.Nodes[:4] {
+			filtered += n.RateFiltered
+		}
+		return float64(correct) / float64(total), filtered
 	}
-	fracU := correctFrac(samplesU)
-	fracP := correctFrac(samplesP)
-	if fracP < 0.95 {
-		t.Errorf("rate-filtered service only %.0f%% correct", fracP*100)
+
+	for _, tc := range []struct {
+		name   string
+		drifts []float64
+	}{
+		{"tight", []float64{0.3e-5, -0.5e-5, 0.7e-5, -1e-5}},
+		{"one wide +4e-5", []float64{0.3e-5, -0.5e-5, 4e-5, -1e-5}},
+		{"one wide -4e-5", []float64{0.3e-5, -0.5e-5, -4e-5, -1e-5}},
+		{"two wide", []float64{0.3e-5, 6e-5, 4e-5, -1e-5}},
+	} {
+		for _, seed := range []uint64{50, 51, 52} {
+			fracP, filtered := run(tc.drifts, seed, true)
+			if fracP < 0.95 {
+				t.Errorf("%s, seed %d: rate-filtered service only %.0f%% correct", tc.name, seed, fracP*100)
+			}
+			if filtered == 0 {
+				t.Errorf("%s, seed %d: filter never excluded the offender", tc.name, seed)
+			}
+		}
 	}
-	if fracP <= fracU {
-		t.Errorf("rate filter did not improve correctness: %.2f vs %.2f", fracP, fracU)
-	}
-	filtered := 0
-	for _, n := range protected.Nodes[:4] {
-		filtered += n.RateFiltered
-	}
-	if filtered == 0 {
-		t.Error("filter never excluded the offender")
+	if fracU, _ := run([]float64{0.3e-5, -0.5e-5, 0.7e-5, -1e-5}, 50, false); fracU >= 0.95 {
+		t.Errorf("unfiltered service %.0f%% correct: the upstream should drag it", fracU*100)
 	}
 }
 

@@ -249,15 +249,46 @@ func (n *Network) Connect(a, b NodeID, cfg LinkConfig) error {
 	if !n.valid(a) || !n.valid(b) {
 		return fmt.Errorf("simnet: connect %d-%d: unknown node", a, b)
 	}
-	if cfg.Delay == nil {
-		return fmt.Errorf("simnet: connect %d-%d: nil delay model", a, b)
+	if err := checkDelay(cfg.Delay); err != nil {
+		return fmt.Errorf("simnet: connect %d-%d: %w", a, b, err)
 	}
-	if cfg.Loss < 0 || cfg.Loss >= 1 {
+	if cfg.ReverseDelay != nil {
+		if err := checkDelay(cfg.ReverseDelay); err != nil {
+			return fmt.Errorf("simnet: connect %d-%d: reverse %w", a, b, err)
+		}
+	}
+	if !(cfg.Loss >= 0 && cfg.Loss < 1) {
 		return fmt.Errorf("simnet: connect %d-%d: loss %v outside [0,1)", a, b, cfg.Loss)
 	}
 	n.setEdge(a, b, cfg)
 	n.setEdge(b, a, cfg)
 	n.maxDelayOK = false
+	return nil
+}
+
+// checkDelay rejects a delay model that could draw a negative, NaN or
+// infinite delay, which the event kernel cannot schedule. Uniform and
+// Scaled are held to their fields as well as their bound; any other model
+// to its bound alone.
+func checkDelay(m DelayModel) error {
+	switch m := m.(type) {
+	case nil:
+		return fmt.Errorf("nil delay model")
+	case Uniform:
+		if !(m.Min >= 0) {
+			return fmt.Errorf("delay model minimum %v negative or NaN", m.Min)
+		}
+	case Scaled:
+		if !(m.Factor >= 0) {
+			return fmt.Errorf("delay model factor %v negative or NaN", m.Factor)
+		}
+		if err := checkDelay(m.M); err != nil {
+			return err
+		}
+	}
+	if b := m.Bound(); !(b >= 0) || math.IsInf(b, 1) {
+		return fmt.Errorf("delay model bound %v not finite and non-negative", b)
+	}
 	return nil
 }
 

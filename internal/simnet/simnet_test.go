@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -62,6 +63,15 @@ func TestConnectValidation(t *testing.T) {
 		{name: "nil delay", a: ids[0], b: ids[1], cfg: LinkConfig{}, wantErr: true},
 		{name: "bad loss", a: ids[0], b: ids[1], cfg: LinkConfig{Delay: Uniform{}, Loss: 1}, wantErr: true},
 		{name: "negative loss", a: ids[0], b: ids[1], cfg: LinkConfig{Delay: Uniform{}, Loss: -0.1}, wantErr: true},
+		{name: "NaN loss", a: ids[0], b: ids[1], cfg: LinkConfig{Delay: Uniform{}, Loss: math.NaN()}, wantErr: true},
+		{name: "negative delay", a: ids[0], b: ids[1], cfg: LinkConfig{Delay: Uniform{Min: -0.01, Max: 0.05}}, wantErr: true},
+		{name: "NaN delay", a: ids[0], b: ids[1], cfg: LinkConfig{Delay: Uniform{Max: math.NaN()}}, wantErr: true},
+		{name: "infinite delay", a: ids[0], b: ids[1], cfg: LinkConfig{Delay: Uniform{Max: math.Inf(1)}}, wantErr: true},
+		{name: "NaN scale", a: ids[0], b: ids[1], cfg: LinkConfig{Delay: Scaled{M: Uniform{Max: 0.01}, Factor: math.NaN()}}, wantErr: true},
+		{name: "negative scale", a: ids[0], b: ids[1], cfg: LinkConfig{Delay: Scaled{M: Uniform{Max: 0.01}, Factor: -2}}, wantErr: true},
+		{name: "bad scaled model", a: ids[0], b: ids[1], cfg: LinkConfig{Delay: Scaled{M: Uniform{Min: -1}, Factor: 2}}, wantErr: true},
+		{name: "bad reverse delay", a: ids[0], b: ids[1], cfg: LinkConfig{Delay: Uniform{}, ReverseDelay: Uniform{Max: math.Inf(1)}}, wantErr: true},
+		{name: "ok reverse delay", a: ids[0], b: ids[1], cfg: LinkConfig{Delay: Uniform{}, ReverseDelay: Uniform{Min: 0.01, Max: 0.02}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -211,10 +211,12 @@ func (s *Syncer) round() {
 		s.metrics.errBound.Observe(report.Applied.HalfWidth())
 		s.metrics.offset.Observe(math.Abs(report.Applied.Midpoint()))
 	}
-	if s.cfg.OnSync != nil {
-		s.cfg.OnSync(report)
-	}
+	// Count the round before reporting it, so an OnSync receiver that
+	// reads Rounds sees its round included.
 	s.mu.Lock()
 	s.rounds++
 	s.mu.Unlock()
+	if s.cfg.OnSync != nil {
+		s.cfg.OnSync(report)
+	}
 }
