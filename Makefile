@@ -99,17 +99,23 @@ cover-check:
 # datagram to an outstanding request, the event kernel's pending
 # set (lanes and heap) against a sorted slice, and the chaos reproducer
 # grammar's round trip over generated and corpus campaigns, running every
-# small line it accepts (a line Parse accepts must run without a panic).
+# small line it accepts (a line Parse accepts must run without a panic),
+# and the scale engine's configuration (New rejects it or runs it without
+# a panic; an IM run with every drift within delta/(1+delta) ends
+# consistent with no reply after its close).
 # FUZZTIME is the budget of the whole smoke in seconds, split
-# evenly over the targets; run one target with a larger -fuzztime when
+# evenly over the targets but never below a second each (go test reads
+# -fuzztime 0s as no limit); run one target with a larger -fuzztime when
 # hunting.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = interval:FuzzMarzulloSpan interval:FuzzSelect wire:FuzzParseRequest \
                wire:FuzzParseRequestHLC wire:FuzzParseResponse wire:FuzzResponseID \
                hlc:FuzzTimestampCodec \
-               udptime:FuzzClientReply sim/shard:FuzzQueue chaos:FuzzCampaignCodec
+               udptime:FuzzClientReply sim/shard:FuzzQueue chaos:FuzzCampaignCodec \
+               scale:FuzzScaleConfig
 fuzz-smoke:
-	@each=$$(( $(FUZZTIME:s=) / $(words $(FUZZ_TARGETS)) ))s; \
+	@each=$$(( $(FUZZTIME:s=) / $(words $(FUZZ_TARGETS)) )); \
+	each=$$(( each > 0 ? each : 1 ))s; \
 	for t in $(FUZZ_TARGETS); do \
 		echo "fuzz-smoke: $$t for $$each"; \
 		$(GO) test ./internal/$${t%%:*} -run '^$$' -fuzz "^$${t##*:}\$$" -fuzztime $$each || exit 1; \

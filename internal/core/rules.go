@@ -8,7 +8,7 @@ package core
 //
 // Two conditions hold for every function here. Its floating-point
 // operations and their order are part of its contract: reordering one
-// moves every seeded run (scale's TestGoldenFingerprints pins four). And
+// moves every seeded run (scale's TestGoldenFingerprints pins two). And
 // it stays small enough to inline, so the scale engine pays no call per
 // reply (go build -gcflags=-m ./internal/scale shows each "inlining call
 // to core.X").
@@ -93,4 +93,12 @@ func Fold(a, b, lo, hi float64) (float64, float64) {
 // the clock moves by shift = (a+b)/2 and inherits eps = (b-a)/2.
 func Midpoint(a, b float64) (shift, eps float64) {
 	return (a + b) / 2, (b - a) / 2
+}
+
+// CollectWindow is how long a round collects replies before rule IM-2
+// adopts: the round-trip bound xi with a 5 % margin, so every reply, sent
+// and answered within xi, is in before the round closes. service closes
+// its rounds here, and so does scale.Engine.
+func CollectWindow(xi float64) float64 {
+	return xi * 1.05
 }

@@ -13,6 +13,15 @@
 //     intersection is maintained incrementally as replies arrive, aged by
 //     the local clock's progress exactly as core.Server's Age machinery
 //     ages a batched reply.
+//   - The round closes, and IM adopts, core.CollectWindow(xi) after it
+//     starts, as internal/service's rounds do: xi is twice the largest
+//     delay bound of a tier the topology has links on, so every reply is
+//     in by then. Closing later gains nothing: the intersection widens by
+//     delta per local second (core.Widen) around the same midpoint, as an
+//     adopted clock's MM-1 error grows, so a node that adopts at the
+//     window reads, at any later instant, the C and E that adopting there
+//     would give, and before it an E no larger than its own (Theorem 6).
+//     Its neighbours hear the tighter interval sooner.
 //   - MM-2: alternatively, a reply whose transit-charged error is at most
 //     the requester's own causes an immediate adopt.
 //
@@ -106,7 +115,7 @@ const (
 	kSync    uint16 = iota + 1 // periodic round start on a node
 	kRequest                   // time request delivery
 	kReply                     // time reply delivery; A = C_j, B = E_j
-	kClose                     // round close: apply IM's intersection
+	kClose                     // round close: apply IM's intersection; retire the round
 )
 
 // Engine is a running scale simulation. All per-node state lives in flat
@@ -114,16 +123,20 @@ const (
 // node's entries, which is what lets any partition of the nodes give the
 // same run.
 type Engine struct {
-	cfg Config
-	k   *shard.Kernel
-	n   int
+	cfg    Config
+	k      *shard.Kernel
+	n      int
+	xi     float64 // the round-trip bound: twice the largest delay on a link
+	window float64 // core.CollectWindow(xi): a round's start to its close
 
 	// Clock and rule MM-1 bookkeeping. C_i(t) = off + (1+rate)*t.
 	off, rate     []float64
 	eps, resetRef []float64
 
 	// Per-round IM state: the running offset intersection [a, b] relative
-	// to the requester's clock reading lastC, and the replies used.
+	// to the requester's clock reading lastC, and the replies used. A
+	// round's requests carry its tag, round[i]; an IM close advances it,
+	// so a reply that arrives after its round closed matches no tag.
 	a, b, lastC []float64
 	reqC        []float64
 	used        []int32
@@ -131,6 +144,9 @@ type Engine struct {
 
 	resets []uint32
 	incons []uint32
+	// late counts replies whose round had closed: zero while xi bounds
+	// every delay. One count, not one per node: the shards run in turn.
+	late uint64
 
 	obsResets *obs.Counter
 	obsIncons *obs.Counter
@@ -144,15 +160,41 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("scale: topology %dx%dx%d needs positive tiers and >= 2 members",
 			t.Regions, t.Clusters, t.Members)
 	}
-	if !(cfg.Tau > 0) {
-		return nil, fmt.Errorf("scale: non-positive tau %v", cfg.Tau)
+	if !(cfg.Tau > 0) || math.IsInf(cfg.Tau, 1) {
+		return nil, fmt.Errorf("scale: tau %v not finite and positive", cfg.Tau)
 	}
-	if cfg.Delta < 0 || cfg.DriftMax < 0 || cfg.InitialError < 0 {
-		return nil, fmt.Errorf("scale: negative delta/drift/error")
+	for _, x := range []float64{cfg.Delta, cfg.DriftMax, cfg.InitialError} {
+		if !(x >= 0) || math.IsInf(x, 1) {
+			return nil, fmt.Errorf("scale: delta %v, drift %v, initial error %v: each must be finite and non-negative",
+				cfg.Delta, cfg.DriftMax, cfg.InitialError)
+		}
+	}
+	for _, b := range []Band{cfg.Member, cfg.Uplink, cfg.Backbone} {
+		if !(b.Min >= 0 && b.Max >= b.Min) || math.IsInf(b.Max, 1) {
+			return nil, fmt.Errorf("scale: delay band [%v, %v] not finite with 0 <= min <= max", b.Min, b.Max)
+		}
+	}
+	// xi over the tiers with links, as simnet.MaxOneWayDelay takes it over
+	// existing links: gateways reach a hub over an uplink only when a
+	// region has several clusters, and hubs each other only when there
+	// are several regions.
+	maxDelay := cfg.Member.Max
+	if t.Clusters > 1 {
+		maxDelay = max(maxDelay, cfg.Uplink.Max)
+	}
+	if t.Regions > 1 {
+		maxDelay = max(maxDelay, cfg.Backbone.Max)
+	}
+	xi := 2 * maxDelay
+	window := core.CollectWindow(xi)
+	if !(window > 0 && window < cfg.Tau) {
+		// A zero window closes a round before its replies arrive, and one
+		// of tau or more after the next round has begun: IM never adopts.
+		return nil, fmt.Errorf("scale: collect window %v not in (0, tau %v)", window, cfg.Tau)
 	}
 	n := t.Nodes()
 	e := &Engine{
-		cfg: cfg, n: n,
+		cfg: cfg, n: n, xi: xi, window: window,
 		off: make([]float64, n), rate: make([]float64, n),
 		eps: make([]float64, n), resetRef: make([]float64, n),
 		a: make([]float64, n), b: make([]float64, n), lastC: make([]float64, n),
@@ -357,7 +399,7 @@ func (e *Engine) sync(p *shard.Proc, i int32) {
 	} else if e.isGateway(i) {
 		e.ask(p, i, e.hubOf(i), tag)
 	}
-	p.After(i, e.cfg.Tau/2, kClose, tag, 0, 0)
+	p.After(i, e.window, kClose, tag, 0, 0)
 }
 
 // ask sends one time request from i to j.
@@ -376,6 +418,7 @@ func (e *Engine) request(p *shard.Proc, j, from int32, tag uint32) {
 // and then either MM's adopt-if-smaller or IM's incremental intersection.
 func (e *Engine) reply(p *shard.Proc, i, from int32, tag uint32, cj, ej float64) {
 	if tag != e.round[i] {
+		e.late++
 		return
 	}
 	t := p.Now()
@@ -398,6 +441,10 @@ func (e *Engine) reply(p *shard.Proc, i, from int32, tag uint32, cj, ej float64)
 	switch e.cfg.Rule {
 	case RuleMM:
 		if lead <= ei {
+			// The round's later replies time their round trip across this
+			// step: move its start by the step, or a step back would shrink
+			// their transit charge.
+			e.reqC[i] += cj - ci
 			e.setClock(i, t, cj, lead)
 		}
 	case RuleIM:
@@ -411,11 +458,16 @@ func (e *Engine) reply(p *shard.Proc, i, from int32, tag uint32, cj, ej float64)
 	}
 }
 
-// close ends node i's round: under IM a non-empty intersection resets the
-// clock to its midpoint with the half-width as the inherited error
-// (rule IM-2); an empty one marks the service inconsistent.
+// close ends node i's round under IM: it retires the round's tag, and a
+// non-empty intersection resets the clock to its midpoint with the
+// half-width as the inherited error (rule IM-2); an empty one marks the
+// service inconsistent. MM adopts per reply and has nothing to close.
 func (e *Engine) close(p *shard.Proc, i int32, tag uint32) {
-	if tag != e.round[i] || e.cfg.Rule != RuleIM || e.used[i] == 0 {
+	if tag != e.round[i] || e.cfg.Rule != RuleIM {
+		return
+	}
+	e.round[i]++
+	if e.used[i] == 0 {
 		return
 	}
 	t := p.Now()
@@ -442,9 +494,9 @@ func (e *Engine) MeanError(t float64) float64 {
 	return sum / float64(e.n)
 }
 
-// TierSkew is the mean true offset |C - t| per hierarchy tier — the
-// skew-vs-distance gradient of a stratified service: hubs sit on the
-// backbone, gateways one uplink away, members one cluster hop further.
+// TierSkew is a per-node value averaged over each hierarchy tier: hubs
+// sit on the backbone, gateways one uplink away, members one cluster hop
+// further.
 type TierSkew struct {
 	Hub, Gateway, Member float64
 }
@@ -454,11 +506,36 @@ func (e *Engine) Skew(t float64) TierSkew {
 	return e.tierMean(func(i int32) float64 { return math.Abs(e.read(i, t) - t) })
 }
 
-// ErrorByTier returns the per-tier mean reported error E_i(t). Unlike
-// the true skew — noisy when a tier holds few nodes — the reported
-// error is pinned by the delay bound xi of the links each tier
-// synchronizes over (Theorems 2 and 8), so its gradient across tiers is
-// a stable property of the topology, not of the seed.
+// DistanceSkew is the mean clock difference |C_i - C_j| between nodes a
+// given network distance apart: in one cluster, in two clusters of one
+// region, and in two regions. A distance the topology lacks reads zero.
+type DistanceSkew struct {
+	Cluster, Region, Service float64
+}
+
+// SkewByDistance pairs every node with the next member of its cluster,
+// the same member of its region's next cluster, and the same node of the
+// next region (each wrapping around), and returns each kind of pair's
+// mean |C_i(t) - C_j(t)|: the skew-vs-distance gradient of a service
+// whose servers synchronize with their cluster.
+func (e *Engine) SkewByDistance(t float64) DistanceSkew {
+	m, per := e.cfg.Topo.Members, e.cfg.Topo.Clusters*e.cfg.Topo.Members
+	var s DistanceSkew
+	for i := 0; i < e.n; i++ {
+		c := e.read(int32(i), t)
+		base, region := i-i%m, i-i%per
+		s.Cluster += math.Abs(c - e.read(int32(base+(i-base+1)%m), t))
+		s.Region += math.Abs(c - e.read(int32(region+(i-region+m)%per), t))
+		s.Service += math.Abs(c - e.read(int32((i+per)%e.n), t))
+	}
+	n := float64(e.n)
+	return DistanceSkew{Cluster: s.Cluster / n, Region: s.Region / n, Service: s.Service / n}
+}
+
+// ErrorByTier returns the per-tier mean reported error E_i(t). Every
+// tier intersects the same LAN replies, so the tiers differ little, and
+// a tier as small as ten hubs carries in its mean the delta*tau sawtooth
+// of its nodes' round phases.
 func (e *Engine) ErrorByTier(t float64) TierSkew {
 	return e.tierMean(func(i int32) float64 { return e.errAt(i, t) })
 }

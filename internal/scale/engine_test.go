@@ -4,6 +4,9 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"disttime/internal/service"
+	"disttime/internal/simnet"
 )
 
 // testConfig is a small stratified service: 8 regions so the determinism
@@ -75,20 +78,18 @@ func TestDeterminismSeedSensitivity(t *testing.T) {
 	}
 }
 
-// TestGoldenFingerprints pins the final state of one seeded run per rule
-// to the digest the engine produced when the rules were still
-// written out inline in reply and close (PR 13). The rule functions in
-// core keep that floating-point operation order; a digest that moves means
-// a rule's arithmetic changed, which is a change of behaviour to justify
-// and re-pin, never a refactoring.
+// TestGoldenFingerprints pins the final state of one seeded run per rule.
+// The rule functions in core keep their floating-point operation order; a
+// digest that moves means a rule's arithmetic changed, which is a change
+// of behaviour to justify and re-pin, never a refactoring.
 func TestGoldenFingerprints(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 		want string
 	}{
-		{"im", testConfig(2, 42), "19a100b23d4cf9bb"},
-		{"mm", withRule(testConfig(2, 42), RuleMM), "401659ca30f43655"},
+		{"im", testConfig(2, 42), "e5d2329d6f327060"},
+		{"mm", withRule(testConfig(2, 42), RuleMM), "ee2cd71ab51c5398"},
 	} {
 		if got := runFingerprint(t, tc.cfg, 1800); got != tc.want {
 			t.Errorf("%s: fingerprint %s, pinned %s", tc.name, got, tc.want)
@@ -98,7 +99,8 @@ func TestGoldenFingerprints(t *testing.T) {
 
 // TestCorrectnessHonestRun checks Theorem 1 (MM) and Theorem 5 (IM) at
 // scale: in a run with valid drift bounds every node's true offset stays
-// inside its reported error at every sample.
+// inside its reported error at every second, so within a second of every
+// round's close.
 func TestCorrectnessHonestRun(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -112,7 +114,7 @@ func TestCorrectnessHonestRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, ts := range []float64{60, 300, 900, 1800} {
+			for ts := 1.0; ts <= 1800; ts++ {
 				e.Run(ts)
 				for i := 0; i < e.Nodes(); i++ {
 					off := math.Abs(e.read(int32(i), ts) - ts)
@@ -126,6 +128,52 @@ func TestCorrectnessHonestRun(t *testing.T) {
 				t.Fatal("no clock resets")
 			}
 		})
+	}
+}
+
+// TestNoLateReplies holds the round close to its bound: a round closes at
+// the collect window, after every reply is in, so none arrives late at
+// any shard count.
+func TestNoLateReplies(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		e, err := New(testConfig(shards, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Run(1800)
+		if n := e.late; n != 0 {
+			t.Errorf("shards=%d: %d replies arrived after their round closed", shards, n)
+		}
+		if e.Resets() == 0 {
+			t.Errorf("shards=%d: no clock resets", shards)
+		}
+	}
+}
+
+// TestCollectWindowIsService checks that a full mesh on one delay band
+// closes its rounds when internal/service closes the same mesh's, to the
+// bit.
+func TestCollectWindowIsService(t *testing.T) {
+	for _, band := range []Band{{0.0003, 0.0005}, {0.0001, 0.0005}, {0.0002, 0.002}, {0, 0.0123}} {
+		const n = 5
+		e, err := New(Config{
+			Topo: Topology{Regions: 1, Clusters: 1, Members: n},
+			Seed: 1, Tau: 60, Delta: 1e-4, InitialError: 0.05, Member: band,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs := make([]service.ServerSpec, n)
+		for i := range specs {
+			specs[i] = service.ServerSpec{Delta: 1e-4, InitialError: 0.05, SyncEvery: 60}
+		}
+		svc, err := service.New(service.Config{Seed: 1, Delay: simnet.Uniform{Min: band.Min, Max: band.Max}, Servers: specs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := e.window, svc.CollectWindow(); got != want {
+			t.Errorf("band %v: the engine closes at %v, service at %v", band, got, want)
+		}
 	}
 }
 
@@ -185,6 +233,33 @@ func TestSkewGradient(t *testing.T) {
 	for name, v := range map[string]float64{"hub": sk.Hub, "gateway": sk.Gateway, "member": sk.Member} {
 		if v <= 0 || v > cfg.InitialError {
 			t.Fatalf("%s skew = %v, want in (0, %v]", name, v, cfg.InitialError)
+		}
+	}
+}
+
+// TestSkewByDistance pins SkewByDistance's pairs: with node i's clock
+// reading i, a cluster peer is one member on, a region peer one cluster
+// on and a service peer one region on; a distance the topology lacks
+// reads zero.
+func TestSkewByDistance(t *testing.T) {
+	for _, tc := range []struct {
+		topo Topology
+		want DistanceSkew
+	}{
+		{Topology{Regions: 2, Clusters: 2, Members: 2}, DistanceSkew{Cluster: 1, Region: 2, Service: 4}},
+		{Topology{Regions: 1, Clusters: 1, Members: 4}, DistanceSkew{Cluster: 1.5}},
+	} {
+		cfg := testConfig(1, 1)
+		cfg.Topo = tc.topo
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range e.off {
+			e.off[i], e.rate[i] = float64(i), 0
+		}
+		if got := e.SkewByDistance(0); got != tc.want {
+			t.Errorf("%+v: SkewByDistance = %+v, want %+v", tc.topo, got, tc.want)
 		}
 	}
 }
@@ -269,6 +344,19 @@ func TestConfigValidation(t *testing.T) {
 		{"zero tau", func(c *Config) { c.Tau = 0 }},
 		{"negative delta", func(c *Config) { c.Delta = -1 }},
 		{"zero backbone min sharded", func(c *Config) { c.Shards = 4; c.Backbone.Min = 0 }},
+		{"infinite tau", func(c *Config) { c.Tau = math.Inf(1) }},
+		{"NaN delta", func(c *Config) { c.Delta = math.NaN() }},
+		{"infinite delta", func(c *Config) { c.Delta = math.Inf(1) }},
+		{"NaN drift", func(c *Config) { c.DriftMax = math.NaN() }},
+		{"infinite drift", func(c *Config) { c.DriftMax = math.Inf(1) }},
+		{"NaN initial error", func(c *Config) { c.InitialError = math.NaN() }},
+		{"infinite initial error", func(c *Config) { c.InitialError = math.Inf(1) }},
+		{"negative band min", func(c *Config) { c.Member.Min = -0.0001 }},
+		{"NaN band min", func(c *Config) { c.Uplink.Min = math.NaN() }},
+		{"infinite band min", func(c *Config) { c.Backbone = Band{Min: math.Inf(1), Max: math.Inf(1)} }},
+		{"band max below min", func(c *Config) { c.Member.Max = c.Member.Min / 2 }},
+		{"collect window at tau", func(c *Config) { c.Tau = 2 * c.Backbone.Max }},
+		{"zero collect window", func(c *Config) { c.Member, c.Uplink, c.Backbone = Band{}, Band{}, Band{} }},
 	}
 	for _, tc := range cases {
 		cfg := base

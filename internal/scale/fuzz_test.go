@@ -1,0 +1,63 @@
+package scale
+
+import (
+	"math"
+	"testing"
+)
+
+// FuzzScaleConfig holds New to its contract over arbitrary parameters on
+// small topologies: it returns an error, or the engine runs two periods
+// without a panic. Under IM with every drift d within delta/(1+delta),
+// the run must also end with no inconsistency (Theorem 5) and no reply
+// after its round closed, since the collect window outlasts every round
+// trip. The drift condition is where rule MM-1's aging is sound: a clock
+// running slow at -d gains d/(1-d) of error per local second, which
+// delta covers only if d <= delta/(1+delta) (ROADMAP item 23). The
+// window's margin over xi must also exceed a few ulps of the clock at
+// 2 tau, or a reply and its close can round to one instant.
+func FuzzScaleConfig(f *testing.F) {
+	c := testConfig(2, 1)
+	f.Add(uint8(8), uint8(2), uint8(4), uint8(0), uint8(2), uint64(1), c.Tau, c.Delta, c.DriftMax, c.InitialError,
+		c.Member.Min, c.Member.Max, c.Uplink.Min, c.Uplink.Max, c.Backbone.Min, c.Backbone.Max, false)
+	f.Add(uint8(1), uint8(1), uint8(5), uint8(2), uint8(4), uint64(2), 60.0, 1e-4, 1e-4, 0.05,
+		0.0003, 0.0005, 0.0, 0.0, 0.0, 0.0, false)
+	f.Add(uint8(2), uint8(3), uint8(3), uint8(0), uint8(1), uint64(3), 30.0, 1e-4, 2e-4, 0.0,
+		0.0, 0.002, 0.002, 0.01, 0.02, 0.08, true)
+	f.Add(uint8(1), uint8(2), uint8(2), uint8(0), uint8(1), uint64(4), math.NaN(), math.Inf(1), -1.0, 0.05,
+		-0.001, 0.002, 0.0, math.NaN(), 0.02, 0.01, false)
+	f.Add(uint8(1), uint8(1), uint8(2), uint8(0), uint8(1), uint64(5), 0.01, 1e-4, 1e-4, 0.05,
+		0.001, 0.01, 0.0, 0.0, 0.0, 0.0, false)
+	f.Fuzz(func(t *testing.T, regions, clusters, members, k, shards uint8, seed uint64,
+		tau, delta, drift, initErr, mMin, mMax, uMin, uMax, bMin, bMax float64, mm bool) {
+		cfg := Config{
+			Topo:  Topology{Regions: int(regions % 4), Clusters: int(clusters % 4), Members: int(members % 6)},
+			K:     int(k % 6),
+			Seed:  seed,
+			Tau:   tau,
+			Delta: delta, DriftMax: drift, InitialError: initErr,
+			Member:   Band{Min: mMin, Max: mMax},
+			Uplink:   Band{Min: uMin, Max: uMax},
+			Backbone: Band{Min: bMin, Max: bMax},
+			Shards:   int(shards % 5),
+		}
+		if mm {
+			cfg.Rule = RuleMM
+		}
+		e, err := New(cfg)
+		if err != nil {
+			return
+		}
+		until := 2 * cfg.Tau
+		e.Run(until)
+		resolvable := e.window-e.xi > 4*(math.Nextafter(until, math.Inf(1))-until)
+		if cfg.Rule != RuleIM || !(cfg.DriftMax <= cfg.Delta/(1+cfg.Delta)) || !resolvable {
+			return
+		}
+		if n := e.Inconsistencies(); n != 0 {
+			t.Fatalf("%+v: %d inconsistencies with every drift within its bound", cfg, n)
+		}
+		if n := e.late; n != 0 {
+			t.Fatalf("%+v: %d replies arrived after their round closed", cfg, n)
+		}
+	})
+}

@@ -329,7 +329,7 @@ func (svc *Service) CollectWindow() float64 {
 	if svc.cfg.CollectFor > 0 {
 		return svc.cfg.CollectFor
 	}
-	return svc.Net.Xi() * 1.05
+	return core.CollectWindow(svc.Net.Xi())
 }
 
 // Link connects two servers by index with the service's default link

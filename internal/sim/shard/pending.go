@@ -5,11 +5,11 @@ import "slices"
 // nLanes is how many FIFO lanes stand beside the heap. The paper's
 // traffic re-arms at constant delays, at most three of them in one
 // kernel (the resynchronisation timer at tau and the scale engine's
-// round close at tau/2; under internal/sim, internal/service's sync
-// period, collect window and gossip period), and each needs a lane of
-// its own; the fourth is a spare, so one far-future event holding a lane
-// does not send a whole timer class to the heap. Every further lane is
-// one more compare per executed event.
+// round close at core.CollectWindow(xi); under internal/sim,
+// internal/service's sync period, collect window and gossip period), and
+// each needs a lane of its own; the fourth is a spare, so one far-future
+// event holding a lane does not send a whole timer class to the heap.
+// Every further lane is one more compare per executed event.
 const nLanes = 4
 
 // lane is a FIFO of events in ascending key order, held in a ring: push
