@@ -142,3 +142,58 @@ func TestRulePassAllocs(t *testing.T) {
 		t.Errorf("an incremental round over eight replies allocates %v times, want 0", allocs)
 	}
 }
+
+// TestPropertyDriftInterval holds the rate discipline to its soundness
+// premise: whenever two readings contain their true times, the drift
+// interval contains the oscillator's drift, and Steer's age covers the
+// steered clock's residual per local second. The true times sit at the
+// readings' interval edges, where the interval is tight: t1 at c1+e1 and
+// t2 at c2-e2 make the span shortest and pin hi, the opposite edges pin
+// lo, so a margin short of e1+e2 by more than rounding puts d outside.
+// Times and errors are multiples of 2^-20 below 2^32, so every c = t ∓ e
+// is exact and only DriftInterval's own arithmetic and the ticks' one
+// product round.
+func TestPropertyDriftInterval(t *testing.T) {
+	rng := rand.New(rand.NewPCG(44, 45))
+	logUniform := func(lo, hi float64) float64 { return lo * math.Pow(hi/lo, rng.Float64()) }
+	dyadic := func(x float64) float64 { return math.Round(x*0x1p20) / 0x1p20 }
+	tight := 0
+	for trial := 0; trial < 20000; trial++ {
+		d := logUniform(1e-12, 0.4)
+		if rng.IntN(2) == 0 {
+			d = -d
+		}
+		t1 := dyadic(rng.Float64() * 1e5)
+		t2 := t1 + dyadic(logUniform(1e-2, 1e5))
+		e1 := dyadic(logUniform(1e-6, 2*(t2-t1)))
+		e2 := dyadic(logUniform(1e-6, 2*(t2-t1)))
+		ticks := (1 + d) * (t2 - t1)
+		for _, edge := range []float64{1, -1} {
+			// edge 1: the true times at c1+e1 and c2-e2, the shortest span.
+			c1, c2 := t1-edge*e1, t2+edge*e2
+			lo, hi := DriftInterval(c1, e1, c2, e2, ticks)
+			if !(lo <= d && d <= hi) {
+				t.Fatalf("trial %d: readings <%v, %v> and <%v, %v>, %v ticks: drift interval [%v, %v] excludes d = %v",
+					trial, c1, e1, c2, e2, ticks, lo, hi, d)
+			}
+			if edge == 1 && !math.IsInf(hi, 1) && hi-d < 1e-9*(1+d) {
+				tight++
+			}
+			// Steer over the interval clipped to a claimed bound that
+			// admits d, at its edges and inside, as scale.Engine steers.
+			delta := math.Abs(d) * (1 + rng.Float64())
+			lo, hi = max(lo, -delta), min(hi, delta)
+			centre, age := Steer(lo, hi)
+			for _, drift := range []float64{lo, hi, d} {
+				rate := (1+drift)/(1+centre) - 1
+				if residual := math.Abs(1/(1+rate) - 1); !(residual <= age) {
+					t.Fatalf("trial %d: drift %v in [%v, %v] steered by centre %v leaves %v per local second, age %v",
+						trial, drift, lo, hi, centre, residual, age)
+				}
+			}
+		}
+	}
+	if tight < 1000 {
+		t.Fatalf("only %d trials pinned hi within 1e-9 of d: the edges were not exercised", tight)
+	}
+}
