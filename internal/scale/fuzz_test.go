@@ -6,15 +6,19 @@ import (
 )
 
 // FuzzScaleConfig holds New to its contract over arbitrary parameters on
-// small topologies: it returns an error, or the engine runs two periods
-// without a panic. Under IM with every drift d within delta/(1+delta),
-// the run must also end with no inconsistency (Theorem 5) and no reply
+// small topologies: it returns an error, or the engine runs six periods,
+// so that every IM node's rate discipline updates at least twice, without
+// a panic. Under IM with every drift d within delta/(1+delta), the run
+// must also end with every interval containing the true time (Theorem 5),
+// no inconsistency, no rate bound outside [-delta, delta], and no reply
 // after its round closed, since the collect window outlasts every round
-// trip. The drift condition is where rule MM-1's aging is sound: a clock
-// running slow at -d gains d/(1-d) of error per local second, which
-// delta covers only if d <= delta/(1+delta) (ROADMAP item 23). The
-// window's margin over xi must also exceed a few ulps of the clock at
-// 2 tau, or a reply and its close can round to one instant.
+// trip. The drift condition is where rule MM-1's aging at delta, before a
+// node's first rate bound, is sound: a clock running slow at -d gains
+// d/(1-d) of error per local second, which delta covers only if
+// d <= delta/(1+delta) (ROADMAP item 23). The window's margin over xi
+// must also exceed a few ulps of the clock at 6 tau, or a reply and its
+// close can round to one instant. The last seed, drifts three times a
+// large delta, drives the discipline's fallback.
 func FuzzScaleConfig(f *testing.F) {
 	c := testConfig(2, 1)
 	f.Add(uint8(8), uint8(2), uint8(4), uint8(0), uint8(2), uint64(1), c.Tau, c.Delta, c.DriftMax, c.InitialError,
@@ -27,6 +31,8 @@ func FuzzScaleConfig(f *testing.F) {
 		-0.001, 0.002, 0.0, math.NaN(), 0.02, 0.01, false)
 	f.Add(uint8(1), uint8(1), uint8(2), uint8(0), uint8(1), uint64(5), 0.01, 1e-4, 1e-4, 0.05,
 		0.001, 0.01, 0.0, 0.0, 0.0, 0.0, false)
+	f.Add(uint8(8), uint8(2), uint8(4), uint8(0), uint8(1), uint64(1), c.Tau, 0.1, 0.3, c.InitialError,
+		c.Member.Min, c.Member.Max, c.Uplink.Min, c.Uplink.Max, c.Backbone.Min, c.Backbone.Max, false)
 	f.Fuzz(func(t *testing.T, regions, clusters, members, k, shards uint8, seed uint64,
 		tau, delta, drift, initErr, mMin, mMax, uMin, uMax, bMin, bMax float64, mm bool) {
 		cfg := Config{
@@ -47,14 +53,20 @@ func FuzzScaleConfig(f *testing.F) {
 		if err != nil {
 			return
 		}
-		until := 2 * cfg.Tau
+		until := 6 * cfg.Tau
 		e.Run(until)
 		resolvable := e.window-e.xi > 4*(math.Nextafter(until, math.Inf(1))-until)
 		if cfg.Rule != RuleIM || !(cfg.DriftMax <= cfg.Delta/(1+cfg.Delta)) || !resolvable {
 			return
 		}
+		if n := e.Uncontained(until); n != 0 {
+			t.Fatalf("%+v: %d intervals miss the true time with every drift within its bound", cfg, n)
+		}
 		if n := e.Inconsistencies(); n != 0 {
 			t.Fatalf("%+v: %d inconsistencies with every drift within its bound", cfg, n)
+		}
+		if n := e.fallbacks; n != 0 {
+			t.Fatalf("%+v: %d rate bounds missed [-delta, delta] with every drift within it", cfg, n)
 		}
 		if n := e.late; n != 0 {
 			t.Fatalf("%+v: %d replies arrived after their round closed", cfg, n)
