@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"disttime/internal/core"
 	"disttime/internal/interval"
 	"disttime/internal/service"
 )
@@ -258,43 +259,44 @@ func (m *Monitor) taintedNeighbor(node int) bool {
 	return false
 }
 
-// observe asserts the per-pass invariants.
-func (m *Monitor) observe(obs service.SyncObservation) {
-	t, node := obs.T, obs.Node
+// observe asserts the per-pass invariants on the pass's record.
+func (m *Monitor) observe(p core.Pass) {
+	t, node := p.T, p.Node
 	m.refreshTaint(t)
 	// Taint propagation: the pass set the clock (synchronization, recovery,
 	// or adaptation) while a corrupted server was within reach, so the
 	// adopted value may be poisoned. Conservative by construction — an
 	// honest reply from a neighbor tainted later in the window still
 	// taints — which keeps the containment assertion sound.
-	if obs.Resets > obs.ResetsBefore && !m.byz && !m.tainted[node] && m.taintedNeighbor(node) {
+	if p.Sets > 0 && !m.byz && !m.tainted[node] && m.taintedNeighbor(node) {
 		m.tainted[node] = true
 	}
 	srv := m.svc.Nodes[node].Server
+	resets := srv.Resets()
 	// Rule MM-2: an MM pass never increases the maximum error. Recovery
 	// (rule of Section 3) legitimately adopts a worse third server, so a
 	// pass that recovered is exempt. The bound holds even for faulted
 	// clocks: the predicate compares against the server's own current
 	// error, whatever the oscillator is doing.
-	if m.fnName == "MM" && obs.Recoveries == obs.RecovBefore && m.check() && obs.After.E > obs.Before.E+m.tol {
+	if m.fnName == "MM" && !p.Recovered && m.check() && p.After.E > p.Before.E+m.tol {
 		m.report(t, node, "mm-monotonic",
-			fmt.Sprintf("MM pass grew max error %.9g -> %.9g", obs.Before.E, obs.After.E))
+			fmt.Sprintf("MM pass grew max error %.9g -> %.9g", p.Before.E, p.After.E))
 	}
 	// Rule MM-1's deterioration bound: between passes (no resets in
 	// between) the error grows by at most delta per clock second.
-	if st := m.last[node]; st.valid && !m.tainted[node] && obs.ResetsBefore == st.resets && m.check() {
-		allowed := srv.Delta() * math.Max(0, obs.Before.C-st.c)
-		if obs.Before.E > st.e+allowed+m.tol {
+	if st := m.last[node]; st.valid && !m.tainted[node] && resets-p.Sets == st.resets && m.check() {
+		allowed := srv.Delta() * math.Max(0, p.Before.C-st.c)
+		if p.Before.E > st.e+allowed+m.tol {
 			m.report(t, node, "error-growth",
 				fmt.Sprintf("error grew %.9g -> %.9g over %.6g clock seconds (delta %.3g)",
-					st.e, obs.Before.E, obs.Before.C-st.c, srv.Delta()))
+					st.e, p.Before.E, p.Before.C-st.c, srv.Delta()))
 		}
 	}
 	// Rules IM-1/IM-2: an intersection pass with replies either resets
 	// (non-empty intersection) or flags inconsistency.
-	if m.fnName != "MM" && obs.Replies > 0 && m.check() && !obs.Res.Reset && len(obs.Res.Inconsistent) == 0 {
+	if m.fnName != "MM" && p.Replies > 0 && m.check() && !p.Result.Reset && len(p.Result.Inconsistent) == 0 {
 		m.report(t, node, "im-decide",
-			fmt.Sprintf("%d replies produced neither a reset nor an inconsistency flag", obs.Replies))
+			fmt.Sprintf("%d replies produced neither a reset nor an inconsistency flag", p.Replies))
 	}
 	// Theorems 1/5: a correct server's interval contains true time.
 	if !m.tainted[node] && m.check() {
@@ -305,7 +307,7 @@ func (m *Monitor) observe(obs service.SyncObservation) {
 				fmt.Sprintf("interval %v excludes true time %.6g (off by %.3g)", iv, t, offBy(iv, t)))
 		}
 	}
-	m.last[node] = passState{valid: true, c: obs.After.C, e: obs.After.E, resets: obs.Resets}
+	m.last[node] = passState{valid: true, c: p.After.C, e: p.After.E, resets: resets}
 }
 
 // probe asserts the service-wide invariants between passes.

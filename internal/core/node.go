@@ -18,8 +18,8 @@ const (
 // and the thesis's δ maintenance. It reads no clock, opens no socket and
 // schedules nothing: a caller records each reply as it arrives (Observe)
 // and hands a round's replies to Sync, as the simulated service and the
-// UDP syncer both do. A Node needs a Server and a Fn; every switch is off
-// until set.
+// UDP syncer both do, and reads what the round did from the Pass it
+// returns. A Node needs a Server and a Fn; every switch is off until set.
 type Node struct {
 	Server *Server
 	Fn     SyncFunc
@@ -30,7 +30,9 @@ type Node struct {
 	// thesis's δ maintenance).
 	Recovery, RateFilter, AdaptiveDelta bool
 
-	// Counters for experiment reporting.
+	// Counters for experiment reporting. Resets counts the passes whose
+	// rule reset the clock (Result.Reset); a Pass counts every clock set,
+	// a recovery's adopt included, as Server.Resets does.
 	Syncs, Resets, Recoveries, RateFiltered, DeltaRaises int
 
 	scratch []Reply             // reused sync-pass reply buffer
@@ -48,35 +50,63 @@ func (n *Node) Observe(r Reply, local float64) {
 // and pass to Sync, which keeps its capacity: rounds do not allocate.
 func (n *Node) Replies() []Reply { return n.scratch[:0] }
 
+// Pass is the record of one sync pass: the server's reading either side
+// of it, the inputs Theorems 2, 5 and 6 compare, and what the pass did.
+// It holds counts, never the node's reply buffer, so a caller may keep it
+// past the next round.
+type Pass struct {
+	// Node is the server's ID and T the real time of the pass.
+	Node int
+	T    float64
+	// Fn is the synchronization function's Name.
+	Fn string
+	// Before and After are the server's readings at T either side of the
+	// pass: After includes recovery and δ maintenance.
+	Before, After Reading
+	// Result is the function's; its indices count the replies it ran over.
+	Result Result
+	// Replies is how many replies the function ran over, after the rate
+	// filter.
+	Replies int
+	// Sets is how many times the pass set the clock: the rule's resets
+	// (MM may reset once per reply) plus recovery's adopt.
+	Sets int
+	// Recovered reports whether Section 3 recovery adopted a reply.
+	Recovered bool
+}
+
 // Sync runs one round at real time t: the rate filter, the function,
-// recovery, the rate samples' shift across a reset and δ maintenance. It
-// returns the result and the replies it ran over, to which the result's
-// indices refer. A server whose error was unbounded (E = +Inf, a clock
-// never set) is inconsistent with nobody, and does not recover.
-func (n *Node) Sync(t float64, replies []Reply) (Result, []Reply) {
+// recovery, the rate samples' shift across a reset and δ maintenance, and
+// returns its record. The rate filter compacts replies in place, so the
+// function ran over replies[:Pass.Replies]. A server whose error was
+// unbounded (E = +Inf, a clock never set) is inconsistent with nobody,
+// and does not recover.
+func (n *Node) Sync(t float64, replies []Reply) Pass {
 	n.scratch = replies // keep grown capacity for the next round
 	if n.RateFilter {
 		replies = n.rateFilter(replies)
 	}
 	n.Syncs++
 	bounded := n.Server.bounded()
-	before := n.Server.Read(t)
-	res := n.Fn.Sync(n.Server, t, replies)
-	if res.Reset {
+	sets := n.Server.resets
+	p := Pass{Node: n.Server.ID(), T: t, Fn: n.Fn.Name(), Before: n.Server.Reading(t), Replies: len(replies)}
+	p.Result = n.Fn.Sync(n.Server, t, replies)
+	if p.Result.Reset {
 		n.Resets++
 	}
-	if len(res.Inconsistent) > 0 && n.Recovery && bounded {
-		n.recover(t, replies, res)
+	if len(p.Result.Inconsistent) > 0 && n.Recovery && bounded {
+		p.Recovered = n.recover(t, replies, p.Result)
 	}
 	// A reset shifts the local timeline; translate the rate samples so
 	// the estimates stay continuous across it (Section 5 bookkeeping).
-	if after := n.Server.Read(t); !interval.SameEdge(after, before) {
-		n.Rates.ShiftLocal(after - before)
+	if c := n.Server.Read(t); !interval.SameEdge(c, p.Before.C) {
+		n.Rates.ShiftLocal(c - p.Before.C)
 	}
 	if n.AdaptiveDelta {
 		n.adaptDelta(t)
 	}
-	return res, replies
+	p.After, p.Sets = n.Server.Reading(t), n.Server.resets-sets
+	return p
 }
 
 // constraint returns the bound neighbor from's rate estimate puts on the
@@ -178,8 +208,8 @@ func (n *Node) rateFilter(replies []Reply) []Reply {
 // inconsistent with some neighbor, the server assumes a third server is
 // correct and resets from it. Consistent replies are preferred; failing
 // that, any reply from a server other than the first inconsistent one is
-// adopted.
-func (n *Node) recover(now float64, replies []Reply, res Result) {
+// adopted. It reports whether it adopted one.
+func (n *Node) recover(now float64, replies []Reply, res Result) bool {
 	inconsistent := make(map[int]bool, len(res.Inconsistent))
 	for _, idx := range res.Inconsistent {
 		inconsistent[idx] = true
@@ -203,9 +233,10 @@ func (n *Node) recover(now float64, replies []Reply, res Result) {
 		}
 	}
 	if pick < 0 {
-		return
+		return false
 	}
 	n.Server.Adopt(now, replies[pick])
 	n.Recoveries++
 	n.Rates.ResetAll()
+	return true
 }

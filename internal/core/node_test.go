@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"disttime/internal/clock"
+	"disttime/internal/interval"
 )
 
 // truth is three honest replies at real time t = 0 on a perfect timeline.
@@ -23,9 +24,9 @@ func TestNodeRecoversFromThirdServer(t *testing.T) {
 	for _, recovery := range []bool{false, true} {
 		n := &Node{Server: newServer(t, 0, 0, 3600, 1e-5, 0.001), Fn: IM{}}
 		n.Recovery = recovery
-		res, used := n.Sync(0, slices.Clone(truth))
-		if res.Reset || len(res.Inconsistent) != len(truth) || len(used) != len(truth) {
-			t.Fatalf("recovery=%v: %+v over %d replies, want no reset and every reply flagged", recovery, res, len(used))
+		p := n.Sync(0, slices.Clone(truth))
+		if p.Result.Reset || len(p.Result.Inconsistent) != len(truth) || p.Replies != len(truth) {
+			t.Fatalf("recovery=%v: %+v over %d replies, want no reset and every reply flagged", recovery, p.Result, p.Replies)
 		}
 		if !recovery {
 			if n.Recoveries != 0 || math.Abs(n.Server.Read(0)-3600) > 1e-9 {
@@ -54,7 +55,7 @@ func TestNodeRecoveryPrefersConsistentReply(t *testing.T) {
 		{From: 1, C: 50, E: 0.01, RTT: 0.001},
 		{From: 2, C: 0.01, E: 0.01, RTT: 0.001},
 	}
-	res, _ := n.Sync(0, replies)
+	res := n.Sync(0, replies).Result
 	if !slices.Equal(res.Inconsistent, []int{0}) || n.Recoveries != 1 {
 		t.Fatalf("Inconsistent %v, Recoveries %d; want [0], 1", res.Inconsistent, n.Recoveries)
 	}
@@ -81,7 +82,7 @@ func TestNodeRecoveryNeedsAThirdServer(t *testing.T) {
 func TestNodeUnboundedDoesNotRecover(t *testing.T) {
 	n := &Node{Server: newServer(t, 0, 0, 0, 1e-5, math.Inf(1)), Fn: IM{}}
 	n.Recovery = true
-	res, _ := n.Sync(0, []Reply{truth[0], {From: 2, C: 3600, E: 0.01, RTT: 0.001}})
+	res := n.Sync(0, []Reply{truth[0], {From: 2, C: 3600, E: 0.01, RTT: 0.001}}).Result
 	if res.Reset || len(res.Inconsistent) == 0 {
 		t.Fatalf("%+v: want the empty intersection reported", res)
 	}
@@ -91,7 +92,7 @@ func TestNodeUnboundedDoesNotRecover(t *testing.T) {
 
 	// The same replies, consistent this time, set it: IM needs no
 	// cold-start branch.
-	res, _ = n.Sync(0, slices.Clone(truth))
+	res = n.Sync(0, slices.Clone(truth)).Result
 	if !res.Reset || !n.Server.Interval(0).Contains(0) {
 		t.Errorf("%+v, interval %v: want a reset containing 0", res, n.Server.Interval(0))
 	}
@@ -154,9 +155,9 @@ func TestNodeRateFilter(t *testing.T) {
 			observePair(n, i+1, 1e-5, tc.span, tc.span*(1+rate))
 			replies = append(replies, Reply{From: i + 1, E: 0.5, Delta: 1e-5})
 		}
-		_, used := n.Sync(0, replies)
+		p := n.Sync(0, replies)
 		var got []int
-		for _, r := range used {
+		for _, r := range replies[:p.Replies] {
 			got = append(got, r.From)
 		}
 		if !slices.Equal(got, tc.kept) || n.RateFiltered != len(tc.rates)-len(tc.kept) {
@@ -233,7 +234,7 @@ func TestNodeRoundAllocs(t *testing.T) {
 				n.Observe(r, n.Server.Read(now))
 				replies = append(replies, r)
 			}
-			if res, _ := n.Sync(now, replies); !res.Reset {
+			if p := n.Sync(now, replies); !p.Result.Reset {
 				t.Fatalf("round at %v did not reset", now)
 			}
 		}
@@ -245,6 +246,84 @@ func TestNodeRoundAllocs(t *testing.T) {
 		}
 		if n.RateFiltered != 0 || n.DeltaRaises != 0 {
 			t.Errorf("switches %v: RateFiltered %d, DeltaRaises %d over honest replies", on, n.RateFiltered, n.DeltaRaises)
+		}
+	}
+}
+
+// TestNodePassRecord holds the record Sync returns to what a caller
+// bracketing the call would see: Before and After are the server's
+// readings either side of it, Sets the server's reset-count delta, which
+// counts every clock set (MM's per reply, and a rule's reset then a
+// recovery's adopt), Recovered the recovery count's delta and Replies
+// the replies the rate filter kept.
+func TestNodePassRecord(t *testing.T) {
+	far := Reply{From: 4, C: 50, E: 0.01, RTT: 0.001}
+	liar := Reply{From: 4, C: 3600, E: 0.001, RTT: 0.001}
+	for _, tc := range []struct {
+		name      string
+		node      func() *Node
+		replies   []Reply
+		sets      int
+		recovered bool
+		replied   int
+		holds     func(Pass) bool // a row's own check, when it has one
+	}{
+		{"MM adopts twice", func() *Node {
+			return &Node{Server: newServer(t, 0, 0, 0, 1e-5, 0.1), Fn: MM{}}
+		}, []Reply{{From: 1, C: 0.01, E: 0.01, RTT: 0.001}, {From: 2, C: 0.005, E: 0.001, RTT: 0.001}}, 2, false, 2, nil},
+		{"IM drops one", func() *Node {
+			return &Node{Server: newServer(t, 0, 0, 0, 1e-5, 0.1), Fn: IM{DropInconsistent: true}}
+		}, append(slices.Clone(truth), far), 1, false, 4, nil},
+		{"SelectIM", func() *Node {
+			return &Node{Server: newServer(t, 0, 0, 0, 1e-5, 0.1), Fn: SelectIM{}}
+		}, append(slices.Clone(truth), liar), 1, false, 4, nil},
+		{"ByzIM", func() *Node {
+			return &Node{Server: newServer(t, 0, 0, 0, 1e-5, 0.1), Fn: ByzIM{}}
+		}, append(slices.Clone(truth), liar), 1, false, 4, nil},
+		{"IM resets, recovery adopts", func() *Node {
+			return &Node{Server: newServer(t, 0, 0, 0, 1e-5, 0.1), Fn: IM{DropInconsistent: true}, Recovery: true}
+		}, append(slices.Clone(truth), far), 2, true, 4, nil},
+		{"recovery alone", func() *Node {
+			return &Node{Server: newServer(t, 0, 0, 3600, 1e-5, 0.001), Fn: IM{}, Recovery: true}
+		}, slices.Clone(truth), 1, true, 3, nil},
+		{"rate filtered", func() *Node {
+			n := &Node{Server: newServer(t, 0, 0, 0, 1e-5, 1), Fn: IM{}, RateFilter: true}
+			observePair(n, 1, 1e-5, RateFilterAfter+80, (RateFilterAfter+80)*(1+1e-3))
+			observePair(n, 2, 1e-5, RateFilterAfter+80, RateFilterAfter+80)
+			return n
+		}, []Reply{{From: 1, E: 0.5, Delta: 1e-5}, {From: 2, E: 0.5, Delta: 1e-5}}, 1, false, 1, nil},
+		{"delta raised", func() *Node {
+			n := &Node{Server: newServer(t, 0, 0, 0, 1e-5, 1), Fn: IM{}, AdaptiveDelta: true}
+			for i := range 2 {
+				observePair(n, i+1, 1e-5, AdaptAfter+100, (AdaptAfter+100)/1.04)
+			}
+			return n
+		}, nil, 0, false, 0, func(p Pass) bool { return p.After.Delta > p.Before.Delta }},
+		{"never set", func() *Node {
+			return &Node{Server: newServer(t, 0, 0, 0, 1e-5, math.Inf(1)), Fn: IM{}, Recovery: true}
+		}, slices.Clone(truth), 1, false, 3, func(p Pass) bool { return math.IsInf(p.Before.E, 1) && p.After.Interval().Contains(0) }},
+	} {
+		n := tc.node()
+		const at = 0
+		before, resets, recoveries, filtered := n.Server.Reading(at), n.Server.Resets(), n.Recoveries, n.RateFiltered
+		p := n.Sync(at, tc.replies)
+		if p.Node != n.Server.ID() || !interval.SameEdge(p.T, at) || p.Fn != n.Fn.Name() {
+			t.Errorf("%s: Node %d, T %v, Fn %q; want %d, %v, %q", tc.name, p.Node, p.T, p.Fn, n.Server.ID(), at, n.Fn.Name())
+		}
+		if after := n.Server.Reading(at); p.Before != before || p.After != after {
+			t.Errorf("%s: Before %+v, After %+v; the server read %+v, %+v", tc.name, p.Before, p.After, before, after)
+		}
+		if got := n.Server.Resets() - resets; p.Sets != got || p.Sets != tc.sets {
+			t.Errorf("%s: Sets %d, the server reset %d times; want %d", tc.name, p.Sets, got, tc.sets)
+		}
+		if got := n.Recoveries - recoveries; p.Recovered != (got == 1) || p.Recovered != tc.recovered {
+			t.Errorf("%s: Recovered %v after %d recoveries; want %v", tc.name, p.Recovered, got, tc.recovered)
+		}
+		if got := len(tc.replies) - (n.RateFiltered - filtered); p.Replies != got || p.Replies != tc.replied {
+			t.Errorf("%s: Replies %d, the filter kept %d; want %d", tc.name, p.Replies, got, tc.replied)
+		}
+		if tc.holds != nil && !tc.holds(p) {
+			t.Errorf("%s: %+v", tc.name, p)
 		}
 	}
 }

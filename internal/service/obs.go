@@ -3,6 +3,7 @@ package service
 import (
 	"math"
 
+	"disttime/internal/core"
 	"disttime/internal/member"
 	"disttime/internal/obs"
 )
@@ -12,7 +13,7 @@ import (
 // AddSyncDetail seam and bumps the round counters and error-bound
 // histograms the paper's Section 4 evaluation reports distributions of.
 // Attaching observation never changes what the service does — the hook
-// reads the pass observation the service already produces and schedules
+// reads the pass record core.Node.Sync already returns and schedules
 // no simulator events, so an observed run and an unobserved run execute
 // the same trajectory (same Steps count, same clocks).
 
@@ -120,33 +121,30 @@ func (svc *Service) Observe(reg *obs.Registry, tr *obs.Tracer) {
 	if reg == nil && tr == nil {
 		return
 	}
-	svc.AddSyncDetail(func(o SyncObservation) {
+	svc.AddSyncDetail(func(p core.Pass) {
 		m.rounds.Inc()
-		m.replies.Add(uint64(o.Replies))
-		m.rejected.Add(uint64(len(o.Res.Inconsistent)))
-		if o.Resets > o.ResetsBefore {
-			m.resets.Add(uint64(o.Resets - o.ResetsBefore))
+		m.replies.Add(uint64(p.Replies))
+		m.rejected.Add(uint64(len(p.Result.Inconsistent)))
+		m.resets.Add(uint64(p.Sets))
+		if p.Recovered {
+			m.recoveries.Inc()
 		}
-		recovered := o.Recoveries > o.RecovBefore
-		if recovered {
-			m.recoveries.Add(uint64(o.Recoveries - o.RecovBefore))
-		}
-		m.errBefore.Observe(o.Before.E)
-		m.errAfter.Observe(o.After.E)
-		m.adjust.Observe(math.Abs(o.After.C - o.Before.C))
+		m.errBefore.Observe(p.Before.E)
+		m.errAfter.Observe(p.After.E)
+		m.adjust.Observe(math.Abs(p.After.C - p.Before.C))
 		tr.Emit(obs.SyncSpan{
-			T:         o.T,
-			Node:      o.Node,
-			Rule:      o.Rule,
-			Replies:   o.Replies,
-			Accepted:  o.Res.Accepted,
-			Rejected:  o.Res.Inconsistent,
-			Reset:     o.Res.Reset,
-			Recovered: recovered,
-			BeforeC:   o.Before.C,
-			BeforeE:   o.Before.E,
-			AfterC:    o.After.C,
-			AfterE:    o.After.E,
+			T:         p.T,
+			Node:      p.Node,
+			Rule:      ruleName(p.Fn),
+			Replies:   p.Replies,
+			Accepted:  p.Result.Accepted,
+			Rejected:  p.Result.Inconsistent,
+			Reset:     p.Result.Reset,
+			Recovered: p.Recovered,
+			BeforeC:   p.Before.C,
+			BeforeE:   p.Before.E,
+			AfterC:    p.After.C,
+			AfterE:    p.After.E,
 		})
 	})
 }

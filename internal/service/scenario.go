@@ -10,53 +10,20 @@ import (
 // chaos monitor and the experiments record when resets and recoveries
 // actually happen without polling.
 
-// SyncObservation is the full before/after record of one synchronization
-// pass, captured for invariant monitors: the server's reading immediately
-// before the synchronization function ran and immediately after the pass
-// (including any recovery and adaptation), the number of replies handed to
-// the function, and the reset/recovery counters bracketing the pass. The
-// monitor needs the bracketing values to distinguish "the function reset
-// the clock" (bounded by the theorems) from "recovery adopted a third
-// server" (allowed to grow the error).
-type SyncObservation struct {
-	// Node is the server index; T is the virtual time of the pass.
-	Node int
-	T    float64
-	// Rule names the synchronization rule that ran, in the paper's
-	// numbering: "MM-2" for algorithm MM, "IM-2" for algorithm IM, or
-	// the synchronization function's own name for other baselines.
-	Rule string
-	// Before and After are the server's readings bracketing the pass.
-	Before core.Reading
-	After  core.Reading
-	// Replies is how many replies were handed to the synchronization
-	// function (after any rate filtering).
-	Replies int
-	// ResetsBefore and Resets are the server's clock-reset counter before
-	// and after the pass; Resets > ResetsBefore means the clock was set.
-	ResetsBefore int
-	Resets       int
-	// RecovBefore and Recoveries bracket the Section 3 recovery counter.
-	RecovBefore int
-	Recoveries  int
-	// Res is the synchronization function's result.
-	Res core.Result
-}
-
 // AddSyncDetail registers an observer invoked after every
-// synchronization pass with a full SyncObservation. It chains fn after
-// any observer already installed, so independent consumers (the chaos
+// synchronization pass with the pass's record. It chains fn after any
+// observer already installed, so independent consumers (the chaos
 // harness's invariant monitor and a metrics sink, say) share the one
 // seam. Observers run in installation order.
-func (svc *Service) AddSyncDetail(fn func(SyncObservation)) {
+func (svc *Service) AddSyncDetail(fn func(core.Pass)) {
 	prev := svc.onSync
 	if prev == nil {
 		svc.onSync = fn
 		return
 	}
-	svc.onSync = func(o SyncObservation) {
-		prev(o)
-		fn(o)
+	svc.onSync = func(p core.Pass) {
+		prev(p)
+		fn(p)
 	}
 }
 

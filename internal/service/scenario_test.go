@@ -1,8 +1,10 @@
 package service
 
 import (
+	"fmt"
 	"testing"
 
+	"disttime/internal/core"
 	"disttime/internal/simnet"
 )
 
@@ -38,7 +40,7 @@ func TestPartitionAtSplitsAndHeals(t *testing.T) {
 	// maxReplies[node] tracks the largest single-pass reply count seen in
 	// each window; a 2|2 split caps it at 1, a healed mesh allows 3.
 	var maxDuring, maxAfter [4]int
-	svc.AddSyncDetail(func(o SyncObservation) {
+	svc.AddSyncDetail(func(o core.Pass) {
 		switch {
 		case o.T >= 20 && o.T < 60:
 			if o.Replies > maxDuring[o.Node] {
@@ -69,8 +71,8 @@ func TestPartitionAtSplitsAndHeals(t *testing.T) {
 func TestAddSyncDetailChains(t *testing.T) {
 	svc := newScenarioService(t, 3, 10)
 	var order []int
-	svc.AddSyncDetail(func(SyncObservation) { order = append(order, 1) })
-	svc.AddSyncDetail(func(SyncObservation) { order = append(order, 2) })
+	svc.AddSyncDetail(func(core.Pass) { order = append(order, 1) })
+	svc.AddSyncDetail(func(core.Pass) { order = append(order, 2) })
 	svc.Run(30)
 	if len(order) == 0 || len(order)%2 != 0 {
 		t.Fatalf("observers called %d times in total, want a positive even count", len(order))
@@ -82,12 +84,13 @@ func TestAddSyncDetailChains(t *testing.T) {
 	}
 }
 
-// TestOnSyncDetailObservation: the detailed observer reports consistent
-// bracketing counters.
+// TestOnSyncDetailObservation: each record's counts agree with its
+// result: the clock was set exactly when the rule reset it or recovery
+// adopted, and no pass accepts more replies than it ran over.
 func TestOnSyncDetailObservation(t *testing.T) {
 	svc := newScenarioService(t, 3, 10)
-	var obs []SyncObservation
-	svc.AddSyncDetail(func(o SyncObservation) { obs = append(obs, o) })
+	var obs []core.Pass
+	svc.AddSyncDetail(func(o core.Pass) { obs = append(obs, o) })
 	svc.Run(40)
 	if len(obs) == 0 {
 		t.Fatal("no detailed observations")
@@ -96,14 +99,44 @@ func TestOnSyncDetailObservation(t *testing.T) {
 		if o.Node < 0 || o.Node >= 3 {
 			t.Fatalf("observation names server %d", o.Node)
 		}
-		if o.Resets < o.ResetsBefore || o.Recoveries < o.RecovBefore {
-			t.Fatalf("counters ran backwards: %+v", o)
+		if set := o.Result.Reset || o.Recovered; o.Sets < 0 || (o.Sets > 0) != set {
+			t.Fatalf("%d clock sets, reset %v, recovered %v: %+v", o.Sets, o.Result.Reset, o.Recovered, o)
 		}
-		if o.Resets > o.ResetsBefore && !o.Res.Reset {
-			t.Fatalf("reset counter advanced without a reset result: %+v", o)
+		if o.Replies < o.Result.Accepted {
+			t.Fatalf("accepted %d of %d replies: %+v", o.Result.Accepted, o.Replies, o)
 		}
-		if o.Replies < o.Res.Accepted {
-			t.Fatalf("accepted %d of %d replies: %+v", o.Res.Accepted, o.Replies, o)
+	}
+}
+
+// TestPassRecordsOutliveTheirRound: an observer keeps three rounds'
+// records of one server, and each still reads after the run as it did
+// when its round ended, its After the server's reading then. A record
+// that shared a buffer the node reuses (its reply scratch) would read
+// the last round's values instead.
+func TestPassRecordsOutliveTheirRound(t *testing.T) {
+	svc := newScenarioService(t, 4, 10)
+	var kept []core.Pass
+	var printed []string
+	svc.AddSyncDetail(func(p core.Pass) {
+		if p.Node != 0 || len(kept) == 3 {
+			return
+		}
+		if now := svc.Nodes[0].Server.Reading(p.T); p.After != now {
+			t.Errorf("t=%v: After %+v, the server reads %+v", p.T, p.After, now)
+		}
+		kept = append(kept, p)
+		printed = append(printed, fmt.Sprintf("%+v", p))
+	})
+	svc.Run(60)
+	if len(kept) != 3 {
+		t.Fatalf("kept %d records, want 3", len(kept))
+	}
+	for i, p := range kept {
+		if got := fmt.Sprintf("%+v", p); got != printed[i] {
+			t.Errorf("round %d's record changed after its round:\n now  %s\n then %s", i, got, printed[i])
+		}
+		if i > 0 && !(p.T > kept[i-1].T) {
+			t.Errorf("round %d at t=%v, round %d at t=%v: want each round its own", i, p.T, i-1, kept[i-1].T)
 		}
 	}
 }
@@ -113,7 +146,7 @@ func TestOnSyncDetailObservation(t *testing.T) {
 func TestCrashRestart(t *testing.T) {
 	svc := newScenarioService(t, 3, 10)
 	rounds := make([]int, 3)
-	svc.AddSyncDetail(func(o SyncObservation) { rounds[o.Node]++ })
+	svc.AddSyncDetail(func(o core.Pass) { rounds[o.Node]++ })
 	svc.Sim.At(15, func() { svc.Crash(2) })
 	svc.Sim.At(16, func() { svc.Crash(2) }) // double crash: no-op
 	svc.Sim.At(17, func() {
@@ -154,8 +187,8 @@ func TestCrashDropsInFlightRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var passes []SyncObservation
-	svc.AddSyncDetail(func(o SyncObservation) {
+	var passes []core.Pass
+	svc.AddSyncDetail(func(o core.Pass) {
 		if o.Node == 0 {
 			passes = append(passes, o)
 		}

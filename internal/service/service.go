@@ -161,7 +161,7 @@ type Service struct {
 	Nodes []*Node
 
 	cfg       Config
-	onSync    func(SyncObservation)
+	onSync    func(core.Pass)
 	replyFree []*timeReply // recycled reply payloads
 
 	// Dynamic membership (nil when Config.Members is unset).
@@ -475,26 +475,9 @@ func (n *Node) finishRound(col *collection) {
 		replies = append(replies, r)
 	}
 	n.colFree = append(n.colFree, col)
-	var obs SyncObservation
-	detail := n.svc.onSync != nil
-	if detail {
-		obs = SyncObservation{
-			Node:         n.Server.ID(),
-			T:            now,
-			Rule:         ruleName(n.Fn.Name()),
-			Before:       n.Server.Reading(now),
-			ResetsBefore: n.Server.Resets(),
-			RecovBefore:  n.Recoveries,
-		}
-	}
-	res, used := n.Sync(now, replies)
-	if detail {
-		obs.Replies = len(used)
-		obs.After = n.Server.Reading(now)
-		obs.Resets = n.Server.Resets()
-		obs.Recoveries = n.Recoveries
-		obs.Res = res
-		n.svc.onSync(obs)
+	p := n.Sync(now, replies)
+	if n.svc.onSync != nil {
+		n.svc.onSync(p)
 	}
 }
 

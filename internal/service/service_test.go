@@ -595,7 +595,7 @@ func TestOnSyncHook(t *testing.T) {
 	}
 	calls := 0
 	var nodesSeen []int
-	svc.AddSyncDetail(func(o SyncObservation) {
+	svc.AddSyncDetail(func(o core.Pass) {
 		calls++
 		nodesSeen = append(nodesSeen, o.Node)
 		if o.T <= 0 {
@@ -842,7 +842,7 @@ func TestNoStaggerLockstep(t *testing.T) {
 	}
 	// All first rounds fire at exactly t=0 in lockstep.
 	firstSyncs := make(map[int]float64)
-	svc.AddSyncDetail(func(o SyncObservation) {
+	svc.AddSyncDetail(func(o core.Pass) {
 		if _, seen := firstSyncs[o.Node]; !seen {
 			firstSyncs[o.Node] = o.T
 		}

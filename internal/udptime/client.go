@@ -533,7 +533,10 @@ var (
 // reading before.
 func SyncIM(dc *DisciplinedClock, ms []Measurement) (interval.Interval, error) {
 	p, err := dc.sync(core.IM{}, false, ms)
-	return p.applied, err
+	if err != nil {
+		return interval.Interval{}, err
+	}
+	return applied(p), nil
 }
 
 // SyncSelect disciplines dc with falseticker rejection, core.SelectIM
@@ -546,8 +549,8 @@ func SyncSelect(dc *DisciplinedClock, ms []Measurement) (interval.Selection, err
 	if err != nil {
 		return interval.Selection{}, err
 	}
-	sel := interval.Selection{Interval: p.applied, Falsetickers: p.res.Inconsistent}
-	for i := range p.used {
+	sel := interval.Selection{Interval: applied(p), Falsetickers: p.Result.Inconsistent}
+	for i := range p.Replies {
 		if !slices.Contains(sel.Falsetickers, i) {
 			sel.Survivors = append(sel.Survivors, i)
 		}

@@ -164,22 +164,12 @@ func (c *DisciplinedClock) Set(value time.Time, maxErr time.Duration) error {
 	return nil
 }
 
-// pass is what one sync round did: the rule's result over the replies it
-// used, whether Section 3 recovery reset the clock, and the clock's new
-// interval as offsets in seconds from its reading before the round.
-type pass struct {
-	res       core.Result
-	used      []core.Reply
-	recovered bool
-	applied   interval.Interval
-}
-
 // sync runs one round of the node now, with fn and, if recovery, Section
 // 3 recovery, over the synchronized measurements of ms. It fails with
 // ErrNoMeasurements when none is synchronized and ErrInconsistent when the
 // clock is left as it was. A reply's key is its poll slot, never the
 // ServerID a remote chose: the node indexes per-neighbor slices by it.
-func (c *DisciplinedClock) sync(fn core.SyncFunc, recovery bool, ms []Measurement) (p pass, err error) {
+func (c *DisciplinedClock) sync(fn core.SyncFunc, recovery bool, ms []Measurement) (core.Pass, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	host := time.Now()
@@ -200,17 +190,20 @@ func (c *DisciplinedClock) sync(fn core.SyncFunc, recovery bool, ms []Measuremen
 		replies = append(replies, r)
 	}
 	if len(replies) == 0 {
-		return p, ErrNoMeasurements
+		return core.Pass{}, ErrNoMeasurements
 	}
-	recoveries := n.Recoveries
 	n.Fn, n.Recovery = fn, recovery
-	p.res, p.used = n.Sync(t, replies)
-	if p.recovered = n.Recoveries > recoveries; !p.res.Reset && !p.recovered {
+	p := n.Sync(t, replies)
+	if !p.Result.Reset && !p.Recovered {
 		return p, ErrInconsistent
 	}
-	after := n.Server.Reading(t)
-	p.applied = interval.FromEstimate(after.C-ci, after.E)
 	return p, nil
+}
+
+// applied is the interval a pass left the clock at, as offsets in
+// seconds from its reading before the pass.
+func applied(p core.Pass) interval.Interval {
+	return interval.FromEstimate(p.After.C-p.Before.C, p.After.E)
 }
 
 // DriftPPM returns the drift bound the clock's oscillator is trusted

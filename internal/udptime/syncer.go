@@ -195,13 +195,13 @@ func (s *Syncer) round() {
 			report.Err = err
 			break
 		}
-		report.Applied, report.Recovered = p.applied, p.recovered
-		report.Survivors = len(p.used) - len(p.res.Inconsistent)
-		if p.recovered {
+		report.Applied, report.Recovered = applied(p), p.Recovered
+		report.Survivors = p.Replies - len(p.Result.Inconsistent)
+		if p.Recovered {
 			report.Survivors = 1
 		}
 		if s.cfg.Selection {
-			report.Falsetickers = len(p.res.Inconsistent)
+			report.Falsetickers = len(p.Result.Inconsistent)
 		}
 	}
 	s.metrics.rounds.Inc()
