@@ -33,10 +33,8 @@
 //     the engine counts a fallback. Only a node's own readings enter, so
 //     no clique can talk its rates down (DESIGN.md §3, "Rate
 //     discipline").
-//   - MM-2: alternatively, a reply whose transit-charged error is at most
-//     the requester's own causes an immediate adopt. MM ages at delta and
-//     never steers: it adopts mid-round, and a rate change there would
-//     re-time the round's later replies.
+//
+// IM is the engine's one rule: MM runs in internal/service.
 //
 // The topology is a stratified hierarchy computed from node ids (Topo and
 // the arithmetic below it; no link objects, and internal/simnet is not
@@ -66,12 +64,9 @@ import (
 // Rule selects the synchronization function.
 type Rule int
 
-const (
-	// RuleIM is algorithm IM (intersect intervals, adopt the midpoint).
-	RuleIM Rule = iota
-	// RuleMM is algorithm MM (adopt a neighbor with smaller charged error).
-	RuleMM
-)
+// RuleIM is algorithm IM (intersect intervals, adopt the midpoint), the
+// one rule New accepts.
+const RuleIM Rule = 0
 
 // Topology shapes the stratified hierarchy. Members is a full mesh per
 // cluster; member 0 of each cluster is its gateway; cluster 0's gateway
@@ -119,7 +114,7 @@ type Config struct {
 	// Member, Uplink, and Backbone are the three tiers' delay bands.
 	// Positive minima are what make partitions safely shardable.
 	Member, Uplink, Backbone Band
-	// Rule selects IM or MM.
+	// Rule must be RuleIM.
 	Rule Rule
 }
 
@@ -177,6 +172,9 @@ func New(cfg Config) (*Engine, error) {
 	if t.Regions <= 0 || t.Clusters <= 0 || t.Members < 2 {
 		return nil, fmt.Errorf("scale: topology %dx%dx%d needs positive tiers and >= 2 members",
 			t.Regions, t.Clusters, t.Members)
+	}
+	if cfg.Rule != RuleIM {
+		return nil, fmt.Errorf("scale: rule %d: IM is the only rule", cfg.Rule)
 	}
 	if !(cfg.Tau > 0) || math.IsInf(cfg.Tau, 1) {
 		return nil, fmt.Errorf("scale: tau %v not finite and positive", cfg.Tau)
@@ -241,8 +239,7 @@ func New(cfg Config) (*Engine, error) {
 		// Inherited error is "however the clock was first set": drawn per
 		// node in (0.2, 1] of InitialError, with the true offset inside
 		// it, so every initial claim is honest and errors are
-		// heterogeneous (without which rule MM-2's adopt-if-smaller has
-		// nothing to adopt).
+		// heterogeneous.
 		e0 := cfg.InitialError * (0.2 + 0.8*init.Float64())
 		e.off[i] = (2*init.Float64() - 1) * e0
 		e.eps[i] = e0
@@ -466,8 +463,8 @@ func (e *Engine) request(p *shard.Proc, j, from int32, tag uint32) {
 }
 
 // reply processes a reply <cj, ej> arriving at node i: the transit charge
-// (1+delta)*xi on the leading edge, the consistency check of rule MM-2,
-// and then either MM's adopt-if-smaller or IM's incremental intersection.
+// (1+a_i)*xi on the leading edge, the consistency check, and IM's
+// incremental intersection.
 func (e *Engine) reply(p *shard.Proc, i, from int32, tag uint32, cj, ej float64) {
 	if tag != e.round[i] {
 		e.late++
@@ -484,39 +481,27 @@ func (e *Engine) reply(p *shard.Proc, i, from int32, tag uint32, cj, ej float64)
 	ei := e.errAt(i, t)
 	if !core.Consistent(lo, hi, ei) {
 		// Disjoint from the own interval: at least one of the two servers
-		// is incorrect; the reply is ignored (MM-2's rule, IM's
-		// DropInconsistent pre-filter).
+		// is incorrect; the reply is ignored (IM's DropInconsistent
+		// pre-filter).
 		e.incons++
 		e.obsIncons.Inc()
 		return
 	}
-	switch e.cfg.Rule {
-	case RuleMM:
-		if lead <= ei {
-			// The round's later replies time their round trip across this
-			// step: move its start by the step, or a step back would shrink
-			// their transit charge.
-			e.reqC[i] += cj - ci
-			e.setClock(i, t, cj, lead)
-		}
-	case RuleIM:
-		// Age the running intersection by the local clock's progress
-		// since the last contribution (core.Server's Age machinery,
-		// applied incrementally), then fold the reply in.
-		a, b := core.Widen(e.a[i], e.b[i], ci-e.lastC[i], e.age[i])
-		e.a[i], e.b[i] = core.Fold(a, b, lo, hi)
-		e.lastC[i] = ci
-		e.used[i]++
-	}
+	// Age the running intersection by the local clock's progress since
+	// the last contribution (core.Server's Age machinery, applied
+	// incrementally), then fold the reply in.
+	a, b := core.Widen(e.a[i], e.b[i], ci-e.lastC[i], e.age[i])
+	e.a[i], e.b[i] = core.Fold(a, b, lo, hi)
+	e.lastC[i] = ci
+	e.used[i]++
 }
 
-// close ends node i's round under IM: it retires the round's tag, and a
-// non-empty intersection resets the clock to its midpoint with the
-// half-width as the inherited error (rule IM-2), then disciplines the
-// clock's rate; an empty one marks the service inconsistent. MM adopts
-// per reply and has nothing to close.
+// close ends node i's round: it retires the round's tag, and a non-empty
+// intersection resets the clock to its midpoint with the half-width as
+// the inherited error (rule IM-2), then disciplines the clock's rate; an
+// empty one marks the service inconsistent.
 func (e *Engine) close(p *shard.Proc, i int32, tag uint32) {
-	if tag != e.round[i] || e.cfg.Rule != RuleIM {
+	if tag != e.round[i] {
 		return
 	}
 	e.round[i]++

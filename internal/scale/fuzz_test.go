@@ -7,8 +7,8 @@ import (
 
 // FuzzScaleConfig holds New to its contract over arbitrary parameters on
 // small topologies: it returns an error, or the engine runs six periods,
-// so that every IM node's rate discipline updates at least twice, without
-// a panic. Under IM with every drift d within delta/(1+delta), the run
+// so that every node's rate discipline updates at least twice, without
+// a panic. With every drift d within delta/(1+delta), the run
 // must also end with every interval containing the true time (Theorem 5),
 // no inconsistency, no rate bound outside [-delta, delta], and no reply
 // after its round closed, since the collect window outlasts every round
@@ -22,19 +22,19 @@ import (
 func FuzzScaleConfig(f *testing.F) {
 	c := testConfig(2, 1)
 	f.Add(uint8(8), uint8(2), uint8(4), uint8(0), uint8(2), uint64(1), c.Tau, c.Delta, c.DriftMax, c.InitialError,
-		c.Member.Min, c.Member.Max, c.Uplink.Min, c.Uplink.Max, c.Backbone.Min, c.Backbone.Max, false)
+		c.Member.Min, c.Member.Max, c.Uplink.Min, c.Uplink.Max, c.Backbone.Min, c.Backbone.Max)
 	f.Add(uint8(1), uint8(1), uint8(5), uint8(2), uint8(4), uint64(2), 60.0, 1e-4, 1e-4, 0.05,
-		0.0003, 0.0005, 0.0, 0.0, 0.0, 0.0, false)
+		0.0003, 0.0005, 0.0, 0.0, 0.0, 0.0)
 	f.Add(uint8(2), uint8(3), uint8(3), uint8(0), uint8(1), uint64(3), 30.0, 1e-4, 2e-4, 0.0,
-		0.0, 0.002, 0.002, 0.01, 0.02, 0.08, true)
+		0.0, 0.002, 0.002, 0.01, 0.02, 0.08)
 	f.Add(uint8(1), uint8(2), uint8(2), uint8(0), uint8(1), uint64(4), math.NaN(), math.Inf(1), -1.0, 0.05,
-		-0.001, 0.002, 0.0, math.NaN(), 0.02, 0.01, false)
+		-0.001, 0.002, 0.0, math.NaN(), 0.02, 0.01)
 	f.Add(uint8(1), uint8(1), uint8(2), uint8(0), uint8(1), uint64(5), 0.01, 1e-4, 1e-4, 0.05,
-		0.001, 0.01, 0.0, 0.0, 0.0, 0.0, false)
+		0.001, 0.01, 0.0, 0.0, 0.0, 0.0)
 	f.Add(uint8(8), uint8(2), uint8(4), uint8(0), uint8(1), uint64(1), c.Tau, 0.1, 0.3, c.InitialError,
-		c.Member.Min, c.Member.Max, c.Uplink.Min, c.Uplink.Max, c.Backbone.Min, c.Backbone.Max, false)
+		c.Member.Min, c.Member.Max, c.Uplink.Min, c.Uplink.Max, c.Backbone.Min, c.Backbone.Max)
 	f.Fuzz(func(t *testing.T, regions, clusters, members, k, shards uint8, seed uint64,
-		tau, delta, drift, initErr, mMin, mMax, uMin, uMax, bMin, bMax float64, mm bool) {
+		tau, delta, drift, initErr, mMin, mMax, uMin, uMax, bMin, bMax float64) {
 		cfg := Config{
 			Topo:  Topology{Regions: int(regions % 4), Clusters: int(clusters % 4), Members: int(members % 6)},
 			K:     int(k % 6),
@@ -46,9 +46,6 @@ func FuzzScaleConfig(f *testing.F) {
 			Backbone: Band{Min: bMin, Max: bMax},
 			Shards:   int(shards % 5),
 		}
-		if mm {
-			cfg.Rule = RuleMM
-		}
 		e, err := New(cfg)
 		if err != nil {
 			return
@@ -56,7 +53,7 @@ func FuzzScaleConfig(f *testing.F) {
 		until := 6 * cfg.Tau
 		e.Run(until)
 		resolvable := e.window-e.xi > 4*(math.Nextafter(until, math.Inf(1))-until)
-		if cfg.Rule != RuleIM || !(cfg.DriftMax <= cfg.Delta/(1+cfg.Delta)) || !resolvable {
+		if !(cfg.DriftMax <= cfg.Delta/(1+cfg.Delta)) || !resolvable {
 			return
 		}
 		if n := e.Uncontained(until); n != 0 {
