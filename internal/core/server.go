@@ -190,13 +190,14 @@ func (s *Server) Interval(t float64) interval.Interval {
 // effective translates a reply to the sync instant. It returns the remote
 // clock estimate advanced by the local clock time since arrival, and the
 // trailing- and leading-edge errors Charge adds for the transit and the
-// wait (with Age = 0, exactly the paper's quantities).
+// wait (with Age = 0, exactly the paper's quantities). It credits no
+// minimum delay: a server does not know its links' minima.
 func (s *Server) effective(r Reply) (c, trail, lead float64) {
 	age := r.Age
 	if age < 0 {
 		age = 0
 	}
-	trail, lead = Charge(r.E, r.RTT, age, s.delta)
+	trail, lead = Charge(r.E, r.RTT, age, s.delta, 0)
 	return r.C + age, trail, lead
 }
 

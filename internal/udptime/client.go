@@ -75,10 +75,11 @@ type Measurement struct {
 // measured receive instant by up to the full round trip plus the local
 // clock's own drift over it — dropping the (1+delta) factor shrinks the
 // upper edge by delta*xi and can exclude the true offset whenever xi is
-// large. The subtraction of time.Time values stays in the Duration
-// domain; core sees seconds.
+// large. It credits no minimum delay: a real network's is unknown, and
+// crediting more than it excludes the true offset. The subtraction of
+// time.Time values stays in the Duration domain; core sees seconds.
 func (m Measurement) OffsetInterval() interval.Interval {
-	trail, lead := core.Charge(m.E.Seconds(), m.RTT.Seconds(), 0, m.Delta)
+	trail, lead := core.Charge(m.E.Seconds(), m.RTT.Seconds(), 0, m.Delta, 0)
 	lo, hi := core.Offset(m.C.Sub(m.LocalRecv).Seconds(), trail, lead, 0)
 	return interval.Interval{Lo: lo, Hi: hi}
 }
