@@ -32,7 +32,7 @@ var corpusDir = filepath.Join("..", "..", "internal", "chaos", "corpus")
 // TestExperimentsDocMatchesTree these tests are not built under the race
 // detector, which stretches their 0.4 s to 6 s.
 var seededRows = []seededRow{
-	{"TestSeededOutputsPinned", "-experiment S1", "7d9ad864b694cf90", []string{"S1:", "found: skew grows with network distance"}},
+	{"TestSeededOutputsPinned", "-experiment S1", "d584c97a405d95ef", []string{"S1:", "found: skew grows with network distance"}},
 	{"TestRunChaosBatch", "-chaos -campaigns 60 -chaos-seed 1", "46137cdd6b6ed90f", []string{"chaos: 60 campaigns ok"}},
 	{"TestChaosMetricsPassive", "-chaos -campaigns 60 -chaos-seed 1 -metrics m.json", "46137cdd6b6ed90f e954620027bb4d86", []string{"chaos_campaigns_total", "chaos_invariant_checks_total"}},
 	{"TestSeededOutputsPinned", "-chaos -adversarial -campaigns 10 -adv-steps 15 -chaos-seed 1", "453eb07fe73e5082", []string{"chaos: 10 adversarial searches ok"}},

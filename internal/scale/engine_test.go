@@ -88,7 +88,7 @@ func TestGoldenFingerprints(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"im", testConfig(2, 42), "ceb56286dbe02414"},
+		{"im", testConfig(2, 42), "5e3f24d4bae433fa"},
 	} {
 		if got := runFingerprint(t, tc.cfg, 1800); got != tc.want {
 			t.Errorf("%s: fingerprint %s, pinned %s", tc.name, got, tc.want)
@@ -181,6 +181,38 @@ func TestNoLateReplies(t *testing.T) {
 		if e.Resets() == 0 {
 			t.Errorf("shards=%d: no clock resets", shards)
 		}
+	}
+}
+
+// TestMinDelayCreditAtTheEdge holds reply's minimum-delay credit to the
+// band's Min, not more. Two nodes on a fixed delay d run with exact
+// clocks and zero drift bound. Node 1's clock reads its error, less a
+// nanosecond, ahead of true time, so the true time sits on its interval's
+// lower edge; node 0's error is wide. Node 0's interval from node 1's
+// reply then has the true time a nanosecond inside its trailing edge,
+// and every interval stays on the true time at every check. Crediting
+// each leg more than d moves that edge past the true time by the excess.
+func TestMinDelayCreditAtTheEdge(t *testing.T) {
+	const d, ej, tiny = 0.002, 0.01, 1e-9
+	e, err := New(Config{
+		Topo: Topology{Regions: 1, Clusters: 1, Members: 2},
+		Seed: 1, Tau: 10, InitialError: 0.05,
+		Member: Band{Min: d, Max: d},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.off[0], e.eps[0], e.resetRef[0] = 0, 0.05, 0
+	e.off[1], e.eps[1], e.resetRef[1] = ej-tiny, ej, ej-tiny
+	for ts := 0.25; ts <= 3*e.cfg.Tau; ts += 0.25 {
+		e.Run(ts)
+		if n := e.Uncontained(ts); n > 0 {
+			t.Fatalf("t=%v: %d nodes have |C-t| > E", ts, n)
+		}
+	}
+	if e.Inconsistencies() != 0 || !(e.eps[0] < 2*ej) {
+		t.Fatalf("%d inconsistencies; node 0's error %v, want below %v: node 1's reply was not adopted",
+			e.Inconsistencies(), e.eps[0], 2*ej)
 	}
 }
 
