@@ -17,11 +17,17 @@ import (
 // d/(1-d) of error per local second, which delta covers only if
 // d <= delta/(1+delta) (ROADMAP item 23). The window's margin over xi
 // must also exceed a few ulps of the clock at 6 tau, or a reply and its
-// close can round to one instant. The last seed, drifts three times a
-// large delta, drives the discipline's fallback.
+// close can round to one instant. The body takes the tiers modulo 4
+// and 6, so each seed row's counts are below those. The first row is
+// testConfig on three regions; the last, drifts three times a large
+// delta, drives the discipline's fallback (five times on seed 10). The
+// two before it hold the minimum-delay credit to containment with no
+// delay uncertainty (Min == Max on every tier, so a reply's interval is
+// only the responder's own) and with a zero Min between two positive
+// ones.
 func FuzzScaleConfig(f *testing.F) {
 	c := testConfig(2, 1)
-	f.Add(uint8(8), uint8(2), uint8(4), uint8(0), uint8(2), uint64(1), c.Tau, c.Delta, c.DriftMax, c.InitialError,
+	f.Add(uint8(3), uint8(2), uint8(4), uint8(0), uint8(2), uint64(1), c.Tau, c.Delta, c.DriftMax, c.InitialError,
 		c.Member.Min, c.Member.Max, c.Uplink.Min, c.Uplink.Max, c.Backbone.Min, c.Backbone.Max)
 	f.Add(uint8(1), uint8(1), uint8(5), uint8(2), uint8(4), uint64(2), 60.0, 1e-4, 1e-4, 0.05,
 		0.0003, 0.0005, 0.0, 0.0, 0.0, 0.0)
@@ -31,7 +37,11 @@ func FuzzScaleConfig(f *testing.F) {
 		-0.001, 0.002, 0.0, math.NaN(), 0.02, 0.01)
 	f.Add(uint8(1), uint8(1), uint8(2), uint8(0), uint8(1), uint64(5), 0.01, 1e-4, 1e-4, 0.05,
 		0.001, 0.01, 0.0, 0.0, 0.0, 0.0)
-	f.Add(uint8(8), uint8(2), uint8(4), uint8(0), uint8(1), uint64(1), c.Tau, 0.1, 0.3, c.InitialError,
+	f.Add(uint8(2), uint8(2), uint8(4), uint8(0), uint8(2), uint64(6), 30.0, 1e-4, 0.99e-4, 0.05,
+		0.001, 0.001, 0.005, 0.005, 0.03, 0.03)
+	f.Add(uint8(2), uint8(3), uint8(3), uint8(2), uint8(2), uint64(7), 30.0, 1e-4, 0.99e-4, 0.05,
+		0.0005, 0.002, 0.0, 0.01, 0.02, 0.08)
+	f.Add(uint8(3), uint8(2), uint8(4), uint8(0), uint8(1), uint64(10), c.Tau, 0.1, 0.3, c.InitialError,
 		c.Member.Min, c.Member.Max, c.Uplink.Min, c.Uplink.Max, c.Backbone.Min, c.Backbone.Max)
 	f.Fuzz(func(t *testing.T, regions, clusters, members, k, shards uint8, seed uint64,
 		tau, delta, drift, initErr, mMin, mMax, uMin, uMax, bMin, bMax float64) {
