@@ -46,8 +46,8 @@ type ScaleConfig struct {
 }
 
 // ScaleSweep (S1) runs the sweep and checks, at every size, that every
-// interval contains the true time at the end with no inconsistency on
-// the way, and the skew gradient; the reported error per tier is printed
+// interval contains the true time at the end with no inconsistency or
+// rate-discipline fallback on the way, and the skew gradient; the reported error per tier is printed
 // beside it. The per-size engine parameters mirror the theorem
 // experiments: tau=60, delta=1e-4, honest drifts, and delay bands
 // widening by a decade per tier (LAN 0.2-2ms, uplink 2-10ms, backbone
@@ -71,7 +71,7 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 		Claim: "servers synchronize over their cluster's links, so clock skew grows with the network distance between two servers",
 		Header: []string{"size", "nodes", "events", "mean E (s)",
 			"hub E (s)", "gateway E (s)", "member E (s)",
-			"skew in cluster (s)", "across clusters (s)", "across regions (s)", "resets"},
+			"skew in cluster (s)", "across clusters (s)", "across regions (s)", "resets", "fallbacks"},
 	}
 	for _, sz := range sizes {
 		eng, err := scale.New(scale.Config{
@@ -97,17 +97,18 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 			sz.Name, fi(sz.Nodes()), fi(int(eng.Steps())),
 			f(eng.MeanError(until)), f(te.Hub), f(te.Gateway), f(te.Member),
 			f(sk.Cluster), f(sk.Region), f(sk.Service),
-			fi(int(eng.Resets())),
+			fi(int(eng.Resets())), fi(int(eng.Fallbacks())),
 		})
 		if eng.Steps() == 0 || eng.Resets() == 0 {
 			return out, fmt.Errorf("scale-sweep %s: dead run (%d events, %d resets)",
 				sz.Name, eng.Steps(), eng.Resets())
 		}
 		// Every drift is within its bound, so every interval contains the
-		// true time and no two are disjoint (Theorem 5).
-		if n, m := eng.Inconsistencies(), eng.Uncontained(until); n > 0 || m > 0 {
-			return out, fmt.Errorf("scale-sweep %s: %d inconsistencies, %d of %d intervals miss the true time at t=%v",
-				sz.Name, n, m, sz.Nodes(), until)
+		// true time, no two are disjoint (Theorem 5), and no node's own
+		// readings bound its drift outside delta (DESIGN.md §3).
+		if n, m, fb := eng.Inconsistencies(), eng.Uncontained(until), eng.Fallbacks(); n > 0 || m > 0 || fb > 0 {
+			return out, fmt.Errorf("scale-sweep %s: %d inconsistencies, %d of %d intervals miss the true time at t=%v, %d rate fallbacks",
+				sz.Name, n, m, sz.Nodes(), until, fb)
 		}
 		// The gradient: two clocks of one cluster, which intersect each
 		// other's intervals, must agree more closely than two clocks a

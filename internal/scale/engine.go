@@ -26,14 +26,15 @@
 //     window reads, at any later instant, the C and E that adopting there
 //     would give, and before it an E no larger than its own (Theorem 6).
 //     Its neighbours hear the tighter interval sooner.
-//   - §5's rate discipline, at every IM adopt: the node's first adopted
-//     reading is its anchor, and the anchor, the reading just adopted and
-//     the raw oscillator ticks between them bound its own drift
+//   - §5's rate discipline, at every IM adopt (core.Slew's step, which
+//     core.Node runs too): the node's first adopted reading is its
+//     anchor, and the anchor, the reading just adopted and the raw
+//     oscillator ticks between them bound its own drift
 //     (core.DriftInterval). Clipped to [-delta, delta], the bound steers
 //     the clock's rate to its centre, C continuous, and its residual
 //     (core.Steer) becomes a_i. An empty bound means a drift outside
 //     delta: the node runs unsteered at delta again, re-anchors, and
-//     the engine counts a fallback. Only a node's own readings enter, so
+//     the engine counts a fallback (Fallbacks). Only a node's own readings enter, so
 //     no clique can talk its rates down (DESIGN.md §3, "Rate
 //     discipline").
 //
@@ -362,37 +363,35 @@ func (e *Engine) setClock(i int32, t, c, err float64) {
 	e.obsResets.Inc()
 }
 
-// anchor is the reading a node's rate discipline measures from: its
-// first adopted <c, e>, taken at true time t, and the oscillator's drift.
-// The drift is the simulated oscillator the clock runs on: the node sees
-// it only as raw ticks, (1+drift) per true second, and as its clock's
-// rate, the ticks times its steer. t = 0, the zero value, means no anchor
-// yet: the first adopt closes a round at least a collect window in.
-type anchor struct{ t, c, e, drift float64 }
+// anchor is the reading a node's rate discipline measures from, taken
+// at true time T, and the oscillator's drift. The drift is the simulated
+// oscillator the clock runs on: the node sees it only as raw ticks,
+// (1+drift) per true second, and as its clock's rate, the ticks over
+// 1+centre once steered. It is recorded with the first anchor, while
+// the clock still runs at the oscillator, and zero before.
+type anchor struct {
+	core.Anchor
+	drift float64
+}
 
-// discipline runs §5's rate rule on the reading <c, eps> node i adopts
-// at t, before setClock installs it: the first adopt anchors; every
-// later one bounds the oscillator's drift from the anchor and steers the
-// clock's rate to the bound's centre, with the residual as the node's
-// aging rate. A bound that misses [-delta, delta] leaves the node
-// unsteered at delta, re-anchored here.
+// discipline runs §5's rate rule (core.Slew) on the reading <c, eps>
+// node i adopts at t, before setClock installs it, and sets the clock's
+// rate and the node's aging rate from it.
 func (e *Engine) discipline(i int32, t, c, eps float64) {
 	an := &e.anchor[i]
-	if an.t <= 0 {
-		*an = anchor{t: t, c: c, e: eps, drift: e.rate[i]}
-		return
+	drift := an.drift
+	if !an.Anchored() {
+		drift = e.rate[i] // unanchored nodes run unsteered
 	}
-	lo, hi := core.DriftInterval(an.c, an.e, c, eps, (1+an.drift)*(t-an.t))
-	lo, hi = max(lo, -e.cfg.Delta), min(hi, e.cfg.Delta)
-	rate, age := an.drift, e.cfg.Delta
-	if lo <= hi && lo > -1 {
-		centre, residual := core.Steer(lo, hi)
-		rate, age = (1+an.drift)/(1+centre)-1, residual
-	} else {
+	r, next := core.Slew{}.Step(an.Anchor, t, c, eps, (1+drift)*(t-an.T), e.cfg.Delta)
+	*an = anchor{next, drift}
+	e.rate[i], e.age[i] = drift, r.Age
+	if r.Steered {
+		e.rate[i] = (1+drift)/(1+r.Centre) - 1
+	}
+	if r.Fallback {
 		e.fallbacks++
-		*an = anchor{t: t, c: c, e: eps, drift: an.drift}
 	}
-	e.rate[i], e.age[i] = rate, age
 }
 
 // Event dispatches one kernel event. Requests and replies carry the
@@ -617,6 +616,11 @@ func (e *Engine) Resets() uint64 { return e.resets }
 // disjoint from the requester's interval and empty intersections.
 func (e *Engine) Inconsistencies() uint64 { return e.incons }
 
+// Fallbacks returns how many rate discipline steps found a drift bound
+// that missed [-delta, delta] and left their node unsteered at delta:
+// none while every drift is within its bound (DESIGN.md §3).
+func (e *Engine) Fallbacks() uint64 { return e.fallbacks }
+
 // Uncontained counts the nodes whose interval at virtual time t (the
 // engine's current time) misses it, |C_i(t) - t| > E_i(t): none, by
 // Theorems 1 and 5, while every drift is within its bound.
@@ -645,7 +649,7 @@ func (e *Engine) Fingerprint() string {
 	for i := 0; i < e.n; i++ {
 		an := e.anchor[i]
 		for _, v := range []float64{e.off[i], e.rate[i], e.eps[i], e.resetRef[i], e.age[i],
-			e.a[i], e.b[i], an.t, an.c, an.e, an.drift} {
+			e.a[i], e.b[i], an.T, an.C, an.E, an.drift} {
 			mix(math.Float64bits(v))
 		}
 		mix(uint64(e.round[i]))

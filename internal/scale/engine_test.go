@@ -140,7 +140,7 @@ func TestRateDiscipline(t *testing.T) {
 	e.Run(1800)
 	var age, rate, drift float64
 	for i, an := range e.anchor {
-		if an.t <= 0 {
+		if !an.Anchored() {
 			t.Fatalf("node %d never anchored", i)
 		}
 		age += e.age[i]
@@ -148,9 +148,9 @@ func TestRateDiscipline(t *testing.T) {
 		drift += math.Abs(an.drift)
 	}
 	n := float64(e.n)
-	if e.fallbacks != 0 || age/n > honest.Delta/2 || rate > drift/2 {
+	if e.Fallbacks() != 0 || age/n > honest.Delta/2 || rate > drift/2 {
 		t.Errorf("honest run: %d fallbacks, mean age %v (delta %v), mean |rate| %v against mean |drift| %v",
-			e.fallbacks, age/n, honest.Delta, rate/n, drift/n)
+			e.Fallbacks(), age/n, honest.Delta, rate/n, drift/n)
 	}
 
 	past := testConfig(1, 1)
@@ -160,7 +160,7 @@ func TestRateDiscipline(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run(6 * past.Tau)
-	if e.fallbacks == 0 {
+	if e.Fallbacks() == 0 {
 		t.Error("drifts three times delta: no rate bound missed [-delta, delta]")
 	}
 }

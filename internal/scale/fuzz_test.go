@@ -72,7 +72,7 @@ func FuzzScaleConfig(f *testing.F) {
 		if n := e.Inconsistencies(); n != 0 {
 			t.Fatalf("%+v: %d inconsistencies with every drift within its bound", cfg, n)
 		}
-		if n := e.fallbacks; n != 0 {
+		if n := e.Fallbacks(); n != 0 {
 			t.Fatalf("%+v: %d rate bounds missed [-delta, delta] with every drift within it", cfg, n)
 		}
 		if n := e.late; n != 0 {
