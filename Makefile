@@ -112,7 +112,7 @@ FUZZ_TARGETS = interval:FuzzMarzulloSpan interval:FuzzSelect wire:FuzzParseReque
                wire:FuzzParseRequestHLC wire:FuzzParseResponse wire:FuzzResponseID \
                hlc:FuzzTimestampCodec \
                udptime:FuzzClientReply sim/shard:FuzzQueue chaos:FuzzCampaignCodec \
-               scale:FuzzScaleConfig
+               scale:FuzzScaleConfig core:FuzzDiscipline
 fuzz-smoke:
 	@each=$$(( $(FUZZTIME:s=) / $(words $(FUZZ_TARGETS)) )); \
 	each=$$(( each > 0 ? each : 1 ))s; \

@@ -39,7 +39,7 @@ func (v Verdict) First() (Violation, bool) {
 
 // Run executes the campaign with the always-on invariant monitor and
 // returns the verdict. Equal campaigns always return equal verdicts.
-func Run(c Campaign) (Verdict, error) { return run(c, nil, nil, nil) }
+func Run(c Campaign) (Verdict, error) { return run(c, plants{}, nil) }
 
 // RunObserved executes the campaign like Run while feeding the
 // observability registry: per-campaign invariant-check and
@@ -47,13 +47,23 @@ func Run(c Campaign) (Verdict, error) { return run(c, nil, nil, nil) }
 // metrics of an observed run. Observation is passive — RunObserved
 // returns exactly the verdict (including the Steps determinism
 // fingerprint) that Run would.
-func RunObserved(c Campaign, reg *obs.Registry) (Verdict, error) { return run(c, nil, nil, reg) }
+func RunObserved(c Campaign, reg *obs.Registry) (Verdict, error) { return run(c, plants{}, reg) }
 
 // RunInjected executes the campaign with fn replacing the campaign's
 // synchronization function on every server. It exists so the harness can
 // test itself: injecting a deliberately broken rule (see BuggyMM) must
 // produce violations, or the monitor is asleep.
-func RunInjected(c Campaign, fn core.SyncFunc) (Verdict, error) { return run(c, fn, nil, nil) }
+func RunInjected(c Campaign, fn core.SyncFunc) (Verdict, error) { return run(c, plants{fn: fn}, nil) }
+
+// plants are the broken rules the harness's self-tests inject, each on
+// every server: a synchronization function, a rate discipline (on the
+// servers that run one: IM's), and a commit policy. The zero value runs
+// the campaign's own rules.
+type plants struct {
+	fn     core.SyncFunc
+	rule   core.RateRule
+	waiter txn.Waiter
+}
 
 // txnRate is the per-client transaction rate (transactions per virtual
 // second) for campaign workloads: slow enough that the workload's
@@ -61,13 +71,18 @@ func RunInjected(c Campaign, fn core.SyncFunc) (Verdict, error) { return run(c, 
 // every campaign commits hundreds of transactions.
 const txnRate = 0.5
 
-func run(c Campaign, override core.SyncFunc, waiter txn.Waiter, reg *obs.Registry) (Verdict, error) {
+func run(c Campaign, p plants, reg *obs.Registry) (Verdict, error) {
 	if err := c.Validate(); err != nil {
 		return Verdict{}, err
 	}
-	svc, err := c.build(override)
+	svc, err := c.build(p.fn)
 	if err != nil {
 		return Verdict{}, err
+	}
+	for _, n := range svc.Nodes {
+		if p.rule != nil && n.Discipline != nil {
+			n.Discipline = p.rule
+		}
 	}
 	sink := newObsSink(reg)
 	sink.campaigns.Inc()
@@ -84,7 +99,7 @@ func run(c Campaign, override core.SyncFunc, waiter txn.Waiter, reg *obs.Registr
 		_, err := txn.Attach(svc, txn.Config{
 			Clients: c.N,
 			Rate:    txnRate,
-			Waiter:  waiter,
+			Waiter:  p.waiter,
 			Trusted: m.Trusted,
 			OnViolation: func(v txn.Violation) {
 				m.report(v.T, v.Client, "txn-external-consistency", v.Detail)
@@ -138,6 +153,36 @@ func (BuggyMM) Sync(s *core.Server, t float64, replies []core.Reply) core.Result
 	}
 	return res
 }
+
+// BuggySlew is the rate discipline that ages a steered clock at its
+// point estimate: it steers to the centre of the drift bound as
+// core.Slew does, then reports an aging rate of zero, as if the centre
+// were the oscillator's drift exactly (w = 0). The clock still runs off
+// true time by up to the bound's half-width per second, and no error
+// grows to cover it, so an interval loses true time within a few rounds
+// of the first steer; the containment monitor must catch it.
+type BuggySlew struct{ core.Slew }
+
+// Step is core.Slew's with the residual dropped.
+func (b BuggySlew) Step(an core.Anchor, t, c, e, ticks, delta float64) (core.Rate, core.Anchor) {
+	r, next := b.Slew.Step(an, t, c, e, ticks, delta)
+	if r.Steered {
+		r.Age = 0 // BUG: the steer is only as good as the bound it centres
+	}
+	return r, next
+}
+
+// BuggyAnchor is the rate discipline that keeps its anchor across a
+// Section 3 recovery's adopt. A server recovers because its interval was
+// in doubt, so the reading it anchored on may have missed true time; a
+// kept anchor carries that miss into the next drift bound. Only a
+// faulted server recovers, so the monitor's containment check, which
+// exempts faulted servers, cannot see the miss: the re-anchor invariant,
+// read off the pass record, catches the kept anchor itself.
+type BuggyAnchor struct{ core.Slew }
+
+// Recover keeps the anchor.
+func (BuggyAnchor) Recover(an core.Anchor) core.Anchor { return an } // BUG: should drop it
 
 // BuggyIM is a Byzantine-tolerant intersection function done wrong: it
 // adopts Marzullo's maximum-overlap window, tightened to the full

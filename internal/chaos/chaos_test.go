@@ -314,3 +314,68 @@ func TestMonitorCatchesPlantedStepBack(t *testing.T) {
 		})
 	}
 }
+
+// TestHarnessCatchesRatePlants is the rate discipline's harness
+// self-test: each planted discipline must be caught on the campaigns the
+// generator draws, its reproducer shrunk to at most three faults with
+// its invariant kept, and its committed corpus campaign, which passes
+// under the real rules (TestCorpusReplays), must break that invariant
+// under the plant. BuggySlew loses containment; BuggyAnchor is seen by
+// re-anchor, since only a faulted server recovers and containment
+// exempts it.
+func TestHarnessCatchesRatePlants(t *testing.T) {
+	for _, tc := range []struct {
+		rule      core.RateRule
+		corpus    string
+		invariant string
+	}{
+		{BuggySlew{}, "buggy-slew.repro", "containment"},
+		{BuggyAnchor{}, "buggy-anchor.repro", "re-anchor"},
+	} {
+		buggy := func(c Campaign) (Verdict, error) { return run(c, plants{rule: tc.rule}, nil) }
+		caught := false
+		for seed := uint64(1); seed <= 120 && !caught; seed++ {
+			c := Generate(seed)
+			v, err := buggy(c)
+			if err != nil {
+				t.Fatalf("%T seed %d: %v", tc.rule, seed, err)
+			}
+			first, failed := v.First()
+			if !failed || first.Invariant != tc.invariant {
+				continue
+			}
+			caught = true
+			res, err := Shrink(c, buggy)
+			if err != nil {
+				t.Fatalf("%T seed %d: shrink: %v", tc.rule, seed, err)
+			}
+			if got, ok := res.Verdict.First(); !ok || got.Invariant != tc.invariant || len(res.Campaign.Faults) > 3 {
+				t.Errorf("%T seed %d: shrunk to %s, first violation %+v", tc.rule, seed, res.Campaign, got)
+			}
+		}
+		if !caught {
+			t.Errorf("%T: no generated campaign broke %s; the monitor is asleep", tc.rule, tc.invariant)
+		}
+		found := false
+		for _, e := range readCorpus(t) {
+			if filepath.Base(e.path) != tc.corpus {
+				continue
+			}
+			found = true
+			c, err := Parse(e.line)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := buggy(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first, ok := v.First(); !ok || first.Invariant != tc.invariant {
+				t.Errorf("%s under %T: first violation %+v, want %s", tc.corpus, tc.rule, v.Violations, tc.invariant)
+			}
+		}
+		if !found {
+			t.Errorf("corpus/%s is missing", tc.corpus)
+		}
+	}
+}

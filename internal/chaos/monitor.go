@@ -17,7 +17,7 @@ type Violation struct {
 	// Node is the offending server, or -1 for service-wide invariants.
 	Node int
 	// Invariant names the broken property: containment, byz-containment,
-	// mm-monotonic, error-growth, im-decide, monotonic-clock,
+	// mm-monotonic, error-growth, im-decide, re-anchor, monotonic-clock,
 	// consistency, hlc-bound, or txn-external-consistency.
 	Invariant string
 	// Detail is a human-readable account of the observation.
@@ -116,11 +116,15 @@ func (m *Monitor) check() bool {
 const hlcCeiling = 64
 
 // passState is the per-server after-image of the last synchronization
-// pass, for the inter-pass error-growth bound.
+// pass, for the inter-pass error-growth bound: its reading, its reset
+// count, and the aging rate it left in force (core.Pass's Rate.Age).
+// recovered marks a server that has not reset since a recovery's adopt,
+// for the re-anchor invariant.
 type passState struct {
-	valid  bool
-	c, e   float64
-	resets int
+	valid     bool
+	c, e, age float64
+	resets    int
+	recovered bool
 }
 
 // newMonitor attaches a monitor to a freshly built, un-run service. The
@@ -282,15 +286,27 @@ func (m *Monitor) observe(p core.Pass) {
 		m.report(t, node, "mm-monotonic",
 			fmt.Sprintf("MM pass grew max error %.9g -> %.9g", p.Before.E, p.After.E))
 	}
+	st := m.last[node]
 	// Rule MM-1's deterioration bound: between passes (no resets in
-	// between) the error grows by at most delta per clock second.
-	if st := m.last[node]; st.valid && !m.tainted[node] && resets-p.Sets == st.resets && m.check() {
-		allowed := srv.Delta() * math.Max(0, p.Before.C-st.c)
-		if p.Before.E > st.e+allowed+m.tol {
+	// between) the error grows by at most the aging rate the previous
+	// pass left in force per clock second, delta unless the rate
+	// discipline steers the clock. The allowance is rule MM-1's own
+	// arithmetic, core.AgedError, from the previous pass's E.
+	if st.valid && !m.tainted[node] && resets-p.Sets == st.resets && m.check() {
+		if allowed := core.AgedError(st.e, p.Before.C-st.c, st.age); p.Before.E > allowed+m.tol {
 			m.report(t, node, "error-growth",
-				fmt.Sprintf("error grew %.9g -> %.9g over %.6g clock seconds (delta %.3g)",
-					st.e, p.Before.E, p.Before.C-st.c, srv.Delta()))
+				fmt.Sprintf("error grew %.9g -> %.9g over %.6g clock seconds (aging rate %.3g)",
+					st.e, p.Before.E, p.Before.C-st.c, st.age))
 		}
+	}
+	// The rate discipline's re-anchor: a recovery's adopt leaves the
+	// server no reading of its own to measure its rate from, so the
+	// first reset after it may only anchor. It holds of every server,
+	// faulted or not: it is the pass's bookkeeping, not its clock.
+	if st.recovered && p.Result.Reset && m.check() && (p.Rate.Steered || p.Rate.Fallback) {
+		m.report(t, node, "re-anchor",
+			fmt.Sprintf("first reset after a recovery steered at %.3g (fallback %t) from an anchor it should have dropped",
+				p.Rate.Centre, p.Rate.Fallback))
 	}
 	// Rules IM-1/IM-2: an intersection pass with replies either resets
 	// (non-empty intersection) or flags inconsistency.
@@ -307,7 +323,8 @@ func (m *Monitor) observe(p core.Pass) {
 				fmt.Sprintf("interval %v excludes true time %.6g (off by %.3g)", iv, t, offBy(iv, t)))
 		}
 	}
-	m.last[node] = passState{valid: true, c: p.After.C, e: p.After.E, resets: resets}
+	m.last[node] = passState{valid: true, c: p.After.C, e: p.After.E, age: p.Rate.Age, resets: resets,
+		recovered: p.Recovered || (st.recovered && !p.Result.Reset)}
 }
 
 // probe asserts the service-wide invariants between passes.

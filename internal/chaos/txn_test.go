@@ -76,7 +76,7 @@ func TestTxnEncodeRoundTrip(t *testing.T) {
 // suffices to trip the bug, so shrinking typically empties the fault
 // schedule entirely.
 func TestHarnessCatchesBuggyCommitWait(t *testing.T) {
-	buggy := func(c Campaign) (Verdict, error) { return run(c, nil, txn.BuggyCommitWait{}, nil) }
+	buggy := func(c Campaign) (Verdict, error) { return run(c, plants{waiter: txn.BuggyCommitWait{}}, nil) }
 	caught := 0
 	for seed := uint64(1); seed <= 20 && caught < 2; seed++ {
 		c := Generate(seed)
@@ -156,7 +156,7 @@ func TestBuggyCommitWaitCorpus(t *testing.T) {
 	if !c.Txn {
 		t.Fatalf("reproducer does not enable the workload: %s", line)
 	}
-	v, err := run(c, nil, txn.BuggyCommitWait{}, nil)
+	v, err := run(c, plants{waiter: txn.BuggyCommitWait{}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,28 +27,65 @@ type Clock interface {
 // Drifting is a clock that advances at a constant rate 1+drift between
 // resets. It is the paper's basic model: correct bookkeeping requires only
 // |drift| <= delta for the claimed bound delta.
+//
+// It is also the one Steerable clock: its oscillator ticks at 1+drift per
+// real second whatever is done to it, and Steer sets the rate at which
+// its value follows those ticks, as a disciplined hardware clock's
+// frequency correction does.
 type Drifting struct {
-	t0    float64 // real time of last reset (or creation)
+	t0    float64 // real time of last reset, steer (or creation)
 	v0    float64 // clock value at t0
-	drift float64 // rate offset: dC/dt = 1 + drift
+	drift float64 // the oscillator's rate offset: ticks advance 1+drift per real second
+	rate  float64 // the clock's rate offset: dC/dt = 1 + rate; drift until steered
 }
 
-var _ Clock = (*Drifting)(nil)
+var _ Steerable = (*Drifting)(nil)
 
 // NewDrifting returns a clock that reads value at real time t and then
 // advances at rate 1+drift.
 func NewDrifting(t, value, drift float64) *Drifting {
-	return &Drifting{t0: t, v0: value, drift: drift}
+	return &Drifting{t0: t, v0: value, drift: drift, rate: drift}
 }
 
-// Read returns v0 + (t-t0)*(1+drift).
+// Read returns v0 + (t-t0)*(1+rate).
 func (c *Drifting) Read(t float64) float64 {
-	return c.v0 + (t-c.t0)*(1+c.drift)
+	return c.v0 + (t-c.t0)*(1+c.rate)
 }
 
-// Set resets the clock value; the drift rate is a property of the
-// underlying oscillator and survives resets.
+// Set resets the clock value; the oscillator and the steer survive
+// resets.
 func (c *Drifting) Set(t, value float64) {
 	c.t0 = t
 	c.v0 = value
+}
+
+// Steerable is a clock whose rate a time server can discipline (the
+// rate discipline of DESIGN.md §3): it exposes the raw ticks of its
+// oscillator, which no Set or Steer changes, and runs its value at those
+// ticks over 1+centre once steered.
+type Steerable interface {
+	Clock
+	// Ticks returns the oscillator's raw ticks between real times t0
+	// and t.
+	Ticks(t0, t float64) float64
+	// Steer runs the clock, from real time t on and with its value
+	// continuous at t, at its oscillator's ticks over 1+centre: centre
+	// is the drift the server believes its oscillator has. Steered
+	// false returns the clock to the oscillator's own rate.
+	Steer(t, centre float64, steered bool)
+}
+
+// Ticks returns (t-t0)*(1+drift).
+func (c *Drifting) Ticks(t0, t float64) float64 {
+	return (t - t0) * (1 + c.drift)
+}
+
+// Steer sets the clock's rate to (1+drift)/(1+centre), or back to
+// 1+drift, keeping its value at t.
+func (c *Drifting) Steer(t, centre float64, steered bool) {
+	c.v0, c.t0 = c.Read(t), t
+	c.rate = c.drift
+	if steered {
+		c.rate = (1+c.drift)/(1+centre) - 1
+	}
 }

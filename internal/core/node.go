@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"disttime/internal/clock"
 	"disttime/internal/interval"
 )
 
@@ -14,8 +15,8 @@ const (
 )
 
 // Node is one time server with the policy around its sync rounds: the
-// synchronization function, the Section 5 rate filter, Section 3 recovery
-// and the thesis's δ maintenance. It reads no clock, opens no socket and
+// synchronization function, the Section 5 rate filter and rate
+// discipline, Section 3 recovery and the thesis's δ maintenance. It reads no clock, opens no socket and
 // schedules nothing: a caller records each reply as it arrives (Observe)
 // and hands a round's replies to Sync, as the simulated service and the
 // UDP syncer both do, and reads what the round did from the Pass it
@@ -30,6 +31,12 @@ type Node struct {
 	// thesis's δ maintenance).
 	Recovery, RateFilter, AdaptiveDelta bool
 
+	// Discipline, when set, is the rate discipline the node runs after
+	// every reset of its function (discipline): Slew, which service sets
+	// for IM. Nil leaves the clock at its oscillator and the error
+	// aging at δ.
+	Discipline RateRule
+
 	// Counters for experiment reporting. Resets counts the passes whose
 	// rule reset the clock (Result.Reset); a Pass counts every clock set,
 	// a recovery's adopt included, as Server.Resets does.
@@ -37,6 +44,7 @@ type Node struct {
 
 	scratch []Reply             // reused sync-pass reply buffer
 	votes   []interval.Interval // reused rate-filter vote buffer
+	anchor  Anchor              // the rate discipline's anchor
 }
 
 // Observe records a reply as it arrives, local being the node's clock
@@ -73,11 +81,14 @@ type Pass struct {
 	Sets int
 	// Recovered reports whether Section 3 recovery adopted a reply.
 	Recovered bool
+	// Rate is the rate discipline's state after the pass (Server.Rate):
+	// the steer, the aging rate, and whether this pass's step fell back.
+	Rate Rate
 }
 
-// Sync runs one round at real time t: the rate filter, the function,
-// recovery, the rate samples' shift across a reset and δ maintenance, and
-// returns its record. The rate filter compacts replies in place, so the
+// Sync runs one round at real time t: the rate filter, the function, the
+// rate discipline after a reset, recovery, the rate samples' shift
+// across a reset and δ maintenance, and returns its record. The rate filter compacts replies in place, so the
 // function ran over replies[:Pass.Replies]. A server whose error was
 // unbounded (E = +Inf, a clock never set) is inconsistent with nobody,
 // and does not recover.
@@ -91,8 +102,12 @@ func (n *Node) Sync(t float64, replies []Reply) Pass {
 	sets := n.Server.resets
 	p := Pass{Node: n.Server.ID(), T: t, Fn: n.Fn.Name(), Before: n.Server.Reading(t), Replies: len(replies)}
 	p.Result = n.Fn.Sync(n.Server, t, replies)
+	fallback := false
 	if p.Result.Reset {
 		n.Resets++
+		if n.Discipline != nil {
+			fallback = n.discipline(t)
+		}
 	}
 	if len(p.Result.Inconsistent) > 0 && n.Recovery && bounded {
 		p.Recovered = n.recover(t, replies, p.Result)
@@ -106,7 +121,25 @@ func (n *Node) Sync(t float64, replies []Reply) Pass {
 		n.adaptDelta(t)
 	}
 	p.After, p.Sets = n.Server.Reading(t), n.Server.resets-sets
+	p.Rate = n.Server.Rate()
+	p.Rate.Fallback = fallback
 	return p
+}
+
+// discipline runs the rate rule on the reading the function just
+// adopted at t, and reports whether it fell back. A clock that cannot be
+// steered keeps no anchor and runs at its oscillator, aging at δ.
+func (n *Node) discipline(t float64) bool {
+	s := n.Server
+	clk, ok := s.clk.(clock.Steerable)
+	if !ok {
+		n.anchor = Anchor{}
+		return false
+	}
+	r, next := n.Discipline.Step(n.anchor, t, s.resetRef, s.epsilon, clk.Ticks(n.anchor.T, t), s.delta)
+	n.anchor = next
+	s.steer(t, clk, r)
+	return r.Fallback
 }
 
 // constraint returns the bound neighbor from's rate estimate puts on the
@@ -238,5 +271,13 @@ func (n *Node) recover(now float64, replies []Reply, res Result) bool {
 	n.Server.Adopt(now, replies[pick])
 	n.Recoveries++
 	n.Rates.ResetAll()
+	if n.Discipline != nil {
+		// The adopted reading is a stranger's: nothing vouches for the
+		// old anchor or the rate steered from it.
+		n.anchor = n.Discipline.Recover(n.anchor)
+		if clk, ok := n.Server.clk.(clock.Steerable); ok {
+			n.Server.steer(now, clk, Rate{Age: n.Server.delta})
+		}
+	}
 	return true
 }

@@ -254,8 +254,9 @@ func TestNodeRoundAllocs(t *testing.T) {
 // bracketing the call would see: Before and After are the server's
 // readings either side of it, Sets the server's reset-count delta, which
 // counts every clock set (MM's per reply, and a rule's reset then a
-// recovery's adopt), Recovered the recovery count's delta and Replies
-// the replies the rate filter kept.
+// recovery's adopt), Recovered the recovery count's delta, Replies the
+// replies the rate filter kept and Rate the server's rate discipline
+// state (no row steers: TestNodeDiscipline holds the steps).
 func TestNodePassRecord(t *testing.T) {
 	far := Reply{From: 4, C: 50, E: 0.01, RTT: 0.001}
 	liar := Reply{From: 4, C: 3600, E: 0.001, RTT: 0.001}
@@ -312,6 +313,9 @@ func TestNodePassRecord(t *testing.T) {
 		}
 		if after := n.Server.Reading(at); p.Before != before || p.After != after {
 			t.Errorf("%s: Before %+v, After %+v; the server read %+v, %+v", tc.name, p.Before, p.After, before, after)
+		}
+		if want := n.Server.Rate(); p.Rate != want {
+			t.Errorf("%s: Rate %+v; the server's is %+v", tc.name, p.Rate, want)
 		}
 		if got := n.Server.Resets() - resets; p.Sets != got || p.Sets != tc.sets {
 			t.Errorf("%s: Sets %d, the server reset %d times; want %d", tc.name, p.Sets, got, tc.sets)

@@ -89,6 +89,7 @@ type Server struct {
 
 	epsilon  float64 // inherited error (epsilon_i)
 	resetRef float64 // clock value at last reset (r_i)
+	rate     Rate    // the rate discipline's state; its Age is delta unsteered
 
 	resets       int
 	inconsistent int
@@ -125,6 +126,7 @@ func NewServer(t float64, cfg Config) (*Server, error) {
 		id:       cfg.ID,
 		clk:      cfg.Clock,
 		delta:    cfg.Delta,
+		rate:     Rate{Age: cfg.Delta},
 		epsilon:  cfg.InitialError,
 		resetRef: cfg.Clock.Read(t),
 	}, nil
@@ -135,6 +137,19 @@ func (s *Server) ID() int { return s.id }
 
 // Delta returns the claimed drift bound.
 func (s *Server) Delta() float64 { return s.delta }
+
+// Rate returns the rate discipline's state: the centre the clock is
+// steered to, if it is, and the rate at which the server's error ages,
+// delta until the discipline (Node.Discipline) steers the clock.
+func (s *Server) Rate() Rate { return s.rate }
+
+// steer runs the server's clock at r from real time t on, its value
+// continuous, and ages the error at r.Age.
+func (s *Server) steer(t float64, clk clock.Steerable, r Rate) {
+	clk.Steer(t, r.Centre, r.Steered)
+	r.Fallback = false // an event of the step, not a state
+	s.rate = r
+}
 
 // Epsilon returns the currently inherited error.
 func (s *Server) Epsilon() float64 { return s.epsilon }
@@ -161,12 +176,13 @@ type pendingCorrector interface {
 }
 
 // ErrorAt returns the server's maximum error at real time t per rule MM-1:
-// the inherited error plus deterioration delta per clock-second since the
-// last reset. If a fault moved the clock behind its reset reference the
+// the inherited error plus deterioration per clock-second since the last
+// reset at the aging rate, delta until the rate discipline steers the
+// clock (Rate). If a fault moved the clock behind its reset reference the
 // deterioration term is clamped at zero; error never shrinks by drift. A
 // slewing clock's unabsorbed correction is added in full.
 func (s *Server) ErrorAt(t float64) float64 {
-	e := AgedError(s.epsilon, s.clk.Read(t)-s.resetRef, s.delta)
+	e := AgedError(s.epsilon, s.clk.Read(t)-s.resetRef, s.rate.Age)
 	if p, ok := s.clk.(pendingCorrector); ok {
 		e += math.Abs(p.PendingCorrection())
 	}
@@ -190,14 +206,16 @@ func (s *Server) Interval(t float64) interval.Interval {
 // effective translates a reply to the sync instant. It returns the remote
 // clock estimate advanced by the local clock time since arrival, and the
 // trailing- and leading-edge errors Charge adds for the transit and the
-// wait (with Age = 0, exactly the paper's quantities). It credits no
-// minimum delay: a server does not know its links' minima.
+// wait (with Age = 0, exactly the paper's quantities), at the server's
+// aging rate, which bounds its own clock's drift as delta does until the
+// rate discipline steers it. It credits no minimum delay: a server does
+// not know its links' minima.
 func (s *Server) effective(r Reply) (c, trail, lead float64) {
 	age := r.Age
 	if age < 0 {
 		age = 0
 	}
-	trail, lead = Charge(r.E, r.RTT, age, s.delta, 0)
+	trail, lead = Charge(r.E, r.RTT, age, s.rate.Age, 0)
 	return r.C + age, trail, lead
 }
 
@@ -236,8 +254,9 @@ func (s *Server) SetClock(t, value, err float64) {
 
 // RaiseDelta increases the server's claimed drift bound to newDelta at
 // real time t, repairing the bookkeeping: deterioration since the last
-// reset was charged at the old (invalid) bound, so the difference is
-// added to the inherited error. If the clock value adopted at the last
+// reset was charged at the aging rate (the old, invalid bound unless the
+// clock is steered), so the difference is added to the inherited error
+// and the error ages at newDelta until the next rate step. If the clock value adopted at the last
 // reset was correct, the repaired interval is correct again — this is how
 // a server whose bound is exposed as invalid (Section 5) rejoins the
 // service as an honest, if poor, citizen. Lowering the bound is refused:
@@ -250,7 +269,10 @@ func (s *Server) RaiseDelta(t, newDelta float64) error {
 	if math.IsNaN(newDelta) || math.IsInf(newDelta, 1) {
 		return fmt.Errorf("core: server %d: delta %v is NaN or infinite", s.id, newDelta)
 	}
-	s.epsilon = AgedError(s.epsilon, s.clk.Read(t)-s.resetRef, newDelta-s.delta)
+	if raise := newDelta - s.rate.Age; raise > 0 {
+		s.epsilon = AgedError(s.epsilon, s.clk.Read(t)-s.resetRef, raise)
+		s.rate.Age = newDelta
+	}
 	s.delta = newDelta
 	return nil
 }

@@ -22,6 +22,8 @@ var internalNameExempt = map[string]string{
 	// entry: examples/txn runs it.)
 	"chaos.BuggyMM":     "planted bug",
 	"chaos.BuggyIM":     "planted bug",
+	"chaos.BuggySlew":   "planted bug",
+	"chaos.BuggyAnchor": "planted bug",
 	"chaos.RunInjected": "injects a planted bug",
 	// experiments.TestRunAllDeterministic varies the worker count to
 	// show the output does not depend on it.

@@ -260,6 +260,7 @@ func TestTracerJSONL(t *testing.T) {
 		T: 12.5, Node: 3, Rule: "IM-2", Replies: 4, Accepted: 3,
 		Rejected: []int{1}, Reset: true,
 		BeforeC: 12.4, BeforeE: 0.2, AfterC: 12.5, AfterE: 0.05,
+		Steered: true, Centre: -3e-05, Age: 2.5e-07,
 	})
 	tr.Emit(SyncSpan{T: 13, Node: 0, Rule: "MM-2"})
 	if tr.Spans() != 2 {
@@ -271,7 +272,8 @@ func TestTracerJSONL(t *testing.T) {
 	}
 	want := `{"span":"sync_round","t":12.5,"node":3,"rule":"IM-2","replies":4,` +
 		`"accepted":3,"rejected":[1],"reset":true,"recovered":false,` +
-		`"before":{"c":12.4,"e":0.2},"after":{"c":12.5,"e":0.05}}`
+		`"before":{"c":12.4,"e":0.2},"after":{"c":12.5,"e":0.05},` +
+		`"rate":{"steered":true,"centre":-3e-05,"age":2.5e-07,"fallback":false}}`
 	if lines[0] != want {
 		t.Fatalf("span line:\n got %s\nwant %s", lines[0], want)
 	}

@@ -18,7 +18,8 @@ import (
 // triggered or fed a reset under MM-2/IM-2), Rejected lists reject
 // events (reply indices found inconsistent, the rule's "any reply that
 // is inconsistent with S_i is ignored"), Reset records whether the clock
-// was actually set, and Recovered whether the Section 3 heuristic ran.
+// was actually set, Recovered whether the Section 3 heuristic ran, and
+// the rate fields what the rate discipline left in force.
 type SyncSpan struct {
 	// T is the virtual time at which the round completed.
 	T float64
@@ -43,6 +44,13 @@ type SyncSpan struct {
 	// <C, E> pair bracketing the round.
 	BeforeC, BeforeE float64
 	AfterC, AfterE   float64
+	// Steered, Centre and Age are the rate discipline's state after the
+	// pass: whether the clock is steered, the drift it steers out, and
+	// the rate per local second at which the error ages (the claimed
+	// bound unsteered). Fallback reports that the pass's step found a
+	// drift bound outside the claimed one.
+	Steered, Fallback bool
+	Centre, Age       float64
 }
 
 // Tracer serializes spans to an io.Writer as JSONL, one span per line.
@@ -124,6 +132,14 @@ func (t *Tracer) Emit(s SyncSpan) {
 	b = appendFloat(b, s.AfterC)
 	b = append(b, `,"e":`...)
 	b = appendFloat(b, s.AfterE)
+	b = append(b, `},"rate":{"steered":`...)
+	b = strconv.AppendBool(b, s.Steered)
+	b = append(b, `,"centre":`...)
+	b = appendFloat(b, s.Centre)
+	b = append(b, `,"age":`...)
+	b = appendFloat(b, s.Age)
+	b = append(b, `,"fallback":`...)
+	b = strconv.AppendBool(b, s.Fallback)
 	b = append(b, "}}\n"...)
 	t.buf = b
 	t.spans++

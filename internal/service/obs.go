@@ -11,7 +11,8 @@ import (
 // This file wires the observability layer through the service: every
 // synchronization pass emits a sync-round span through the existing
 // AddSyncDetail seam and bumps the round counters and error-bound
-// histograms the paper's Section 4 evaluation reports distributions of.
+// histograms the paper's Section 4 evaluation reports distributions of,
+// and the rate discipline's fallbacks and aging rates.
 // Attaching observation never changes what the service does — the hook
 // reads the pass record core.Node.Sync already returns and schedules
 // no simulator events, so an observed run and an unobserved run execute
@@ -67,9 +68,11 @@ type syncMetrics struct {
 	recoveries *obs.Counter
 	replies    *obs.Counter
 	rejected   *obs.Counter
+	fallbacks  *obs.Counter
 	errBefore  *obs.LogHistogram
 	errAfter   *obs.LogHistogram
 	adjust     *obs.LogHistogram
+	aging      *obs.LogHistogram
 }
 
 // Observe attaches the registry and tracer to the service: counters and
@@ -87,9 +90,11 @@ func (svc *Service) Observe(reg *obs.Registry, tr *obs.Tracer) {
 			recoveries: reg.Counter("service_recoveries_total"),
 			replies:    reg.Counter("service_replies_total"),
 			rejected:   reg.Counter("service_rejected_replies_total"),
+			fallbacks:  reg.Counter("service_rate_fallbacks_total"),
 			errBefore:  reg.LogHistogram("service_error_before_seconds"),
 			errAfter:   reg.LogHistogram("service_error_after_seconds"),
 			adjust:     reg.LogHistogram("service_adjustment_seconds"),
+			aging:      reg.LogHistogram("service_aging_rate"),
 		}
 		svc.Sim.Observe(reg)
 		svc.Net.Observe(reg)
@@ -129,9 +134,13 @@ func (svc *Service) Observe(reg *obs.Registry, tr *obs.Tracer) {
 		if p.Recovered {
 			m.recoveries.Inc()
 		}
+		if p.Rate.Fallback {
+			m.fallbacks.Inc()
+		}
 		m.errBefore.Observe(p.Before.E)
 		m.errAfter.Observe(p.After.E)
 		m.adjust.Observe(math.Abs(p.After.C - p.Before.C))
+		m.aging.Observe(p.Rate.Age)
 		tr.Emit(obs.SyncSpan{
 			T:         p.T,
 			Node:      p.Node,
@@ -145,6 +154,10 @@ func (svc *Service) Observe(reg *obs.Registry, tr *obs.Tracer) {
 			BeforeE:   p.Before.E,
 			AfterC:    p.After.C,
 			AfterE:    p.After.E,
+			Steered:   p.Rate.Steered,
+			Fallback:  p.Rate.Fallback,
+			Centre:    p.Rate.Centre,
+			Age:       p.Rate.Age,
 		})
 	})
 }

@@ -268,8 +268,9 @@ func New(cfg Config) (*Service, error) {
 		if err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
+		fn := cmp.Or(spec.Fn, cfg.Fn)
 		node := &Node{
-			Node: &core.Node{Server: server, Fn: cmp.Or(spec.Fn, cfg.Fn),
+			Node: &core.Node{Server: server, Fn: fn, Discipline: discipline(fn),
 				Recovery: spec.Recovery, RateFilter: spec.RateFilter, AdaptiveDelta: spec.AdaptiveDelta},
 			Spec:   spec,
 			svc:    svc,
@@ -322,6 +323,19 @@ func New(cfg Config) (*Service, error) {
 		})
 	}
 	return svc, nil
+}
+
+// discipline is the rate discipline a server running fn steers its clock
+// by: core.Slew under IM, whose adopted intervals each contain true time
+// while the drift bounds hold, and none under every other function. MM
+// stays at δ: the server with the smallest error never adopts under MM,
+// so it never takes the two readings a steer needs, and the service's
+// error tracks it (Theorem 2) whatever the others do (DESIGN.md §3).
+func discipline(fn core.SyncFunc) core.RateRule {
+	if _, ok := fn.(core.IM); ok {
+		return core.Slew{}
+	}
+	return nil
 }
 
 // CollectWindow returns the reply-collection window used by sync rounds.

@@ -897,7 +897,7 @@ func TestRateFilterExcludesPersistentOffender(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		samples, err := svc.RunSampled(7200, 30)
+		samples, err := svc.RunSampled(86400, 60)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1199,5 +1199,58 @@ func TestRoundAllocs(t *testing.T) {
 	})
 	if want := float64(len(svc.Nodes)); allocs > want {
 		t.Errorf("a warm round of the mesh allocates %v times, want at most %v (one boxed request per server)", allocs, want)
+	}
+}
+
+// TestDisciplineSteersIMOnly holds the switch: under IM every server
+// steers its clock (core.Slew), its error grows well under its claimed
+// bound over the second half of a day with every interval containing
+// true time, no step falls back,
+// and the observed run counts the fallbacks and the aging rates; under
+// MM every server ages at its claimed bound, unsteered.
+func TestDisciplineSteersIMOnly(t *testing.T) {
+	for _, fn := range []core.SyncFunc{core.IM{}, core.MM{}} {
+		svc, err := New(Config{Seed: 5, Fn: fn, Delay: simnet.Uniform{Max: 0.01}, Servers: correctSpecs(8, 60)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		svc.Observe(reg, nil)
+		samples, err := svc.RunSampled(86400, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rise, claimed float64
+		for j, n := range svc.Nodes {
+			claimed += n.Spec.Delta
+			var up, span float64
+			for k := len(samples) / 2; k < len(samples); k++ {
+				if d := samples[k].E[j] - samples[k-1].E[j]; d > 0 {
+					up += d
+					span += samples[k].T - samples[k-1].T
+				}
+			}
+			rise += up / span
+			r := n.Server.Rate()
+			if _, im := fn.(core.IM); r.Steered != im || (!im && r.Age != n.Spec.Delta) {
+				t.Errorf("%s: server %d rate %+v", fn.Name(), j, r)
+			}
+		}
+		for _, s := range samples {
+			if !s.AllCorrect {
+				t.Fatalf("%s: an interval missed true time at t=%v", fn.Name(), s.T)
+			}
+		}
+		if f := reg.Counter("service_rate_fallbacks_total").Value(); f != 0 {
+			t.Errorf("%s: %d rate fallbacks", fn.Name(), f)
+		}
+		if n := reg.LogHistogram("service_aging_rate").Count(); n != reg.Counter("service_sync_rounds_total").Value() {
+			t.Errorf("%s: %d aging rates for %d rounds", fn.Name(), n, reg.Counter("service_sync_rounds_total").Value())
+		}
+		// 0.115 of the claimed bounds when written: the drift bounds
+		// narrow only as far as the shared 50 ms initial error lets E fall.
+		if _, im := fn.(core.IM); im && rise/claimed > 0.25 {
+			t.Errorf("%s: error grows at %.3g of the claimed bounds", fn.Name(), rise/claimed)
+		}
 	}
 }

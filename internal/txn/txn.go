@@ -187,6 +187,8 @@ func Attach(svc *service.Service, cfg Config) (*Workload, error) {
 		// The slope under-estimates how fast C - E advances: C gains at
 		// least (1 - delta) per true second while E grows at most
 		// delta(1 + delta), so re-check sleeps never overshoot the wait.
+		// (A steered clock's first steps age at delta/(1-delta), a hair
+		// faster; a re-check that comes that much early only re-checks.)
 		delta := svc.Nodes[k].Spec.Delta
 		slope := 1 - 2*delta - delta*delta
 		if slope < 0.5 {
