@@ -32,26 +32,29 @@ var corpusDir = filepath.Join("..", "..", "internal", "chaos", "corpus")
 // TestExperimentsDocMatchesTree these tests are not built under the race
 // detector, which stretches their 0.4 s to 6 s.
 var seededRows = []seededRow{
-	{"TestSeededOutputsPinned", "-experiment S1", "d584c97a405d95ef", []string{"S1:", "found: skew grows with network distance"}},
-	{"TestRunChaosBatch", "-chaos -campaigns 60 -chaos-seed 1", "46137cdd6b6ed90f", []string{"chaos: 60 campaigns ok"}},
-	{"TestChaosMetricsPassive", "-chaos -campaigns 60 -chaos-seed 1 -metrics m.json", "46137cdd6b6ed90f e954620027bb4d86", []string{"chaos_campaigns_total", "chaos_invariant_checks_total"}},
+	{"TestSeededOutputsPinned", "-experiment S1", "8f565bda48b1b47a", []string{"S1:", "found: skew grows with network distance"}},
+	{"TestRunChaosBatch", "-chaos -campaigns 60 -chaos-seed 1", "a781bd8687bb2e14", []string{"chaos: 60 campaigns ok"}},
+	{"TestChaosMetricsPassive", "-chaos -campaigns 60 -chaos-seed 1 -metrics m.json", "a781bd8687bb2e14 4518e40f1338ef5b", []string{"chaos_campaigns_total", "chaos_invariant_checks_total"}},
 	{"TestSeededOutputsPinned", "-chaos -adversarial -campaigns 10 -adv-steps 15 -chaos-seed 1", "453eb07fe73e5082", []string{"chaos: 10 adversarial searches ok"}},
 	{"TestRunChurnDeterministic", "-churn 2 -churn-seed 7", "37209a6f6854035d", []string{"false-evictions=0"}},
 	{"TestRunChurnDeterministic", "-churn 3 -churn-seed 9", "407a8e91e6de99f0", []string{"churn demo:", "alive->left", "left->alive", "false-evictions=0"}},
 	{"TestRunChurnDeterministic", "-churn 3 -churn-seed 10", "f9d7c5c1159bacc3", []string{"false-evictions=0"}},
-	{"TestRunTxnDeterministic", "-txn -txn-seed 7", "1ba8281b467b5396", []string{"violations=0"}},
-	{"TestRunTxnDeterministic", "-txn -txn-seed 9", "aaa634c63f897dc5", []string{"txn demo:", "commit client=", "violations=0"}},
-	{"TestRunTxnDeterministic", "-txn -txn-seed 10", "47b21308aa0e57d7", []string{"violations=0"}},
-	{"TestObservedRunDeterministic", "-metrics m.json -trace-out t.jsonl", "56aaeb265559eea4 ddc6e6b229b2f829 431404b82a1d0af8", []string{
+	{"TestRunTxnDeterministic", "-txn -txn-seed 7", "0f452526d1bb7ada", []string{"violations=0"}},
+	{"TestRunTxnDeterministic", "-txn -txn-seed 9", "c297a37aa6f423f2", []string{"txn demo:", "commit client=", "violations=0"}},
+	{"TestRunTxnDeterministic", "-txn -txn-seed 10", "73001c96c8285cb3", []string{"violations=0"}},
+	{"TestObservedRunDeterministic", "-metrics m.json -trace-out t.jsonl", "56aaeb265559eea4 e54e975fd93e5007 ee396a667a0c8873", []string{
 		"service_sync_rounds_total", "sim_events_executed_total",
 		"simnet_messages_delivered_total", "simnet_delay_seconds", "service_error_after_seconds",
 		`{"span":"sync_round"`, `"rule":"MM-2"`, `"before":{"c":`,
+		"service_rate_fallbacks_total", "service_aging_rate", `"rate":{"steered":false`,
 	}},
+	{"TestRunChaosReplayCorpusFiles", "-chaos -replay buggy-anchor.repro", "6e69debd8480b06c", nil},
 	{"TestRunChaosReplayCorpusFiles", "-chaos -replay buggy-byz-twoface.repro", "f22bc2112e158aa7", nil},
 	{"TestRunChaosReplayCorpusFiles", "-chaos -replay buggy-commit-wait.repro", "8d2840db690311ec", nil},
 	{"TestRunChaosReplayCorpusFiles", "-chaos -replay buggy-mm-bare.repro", "1aad90fc4a8833e4", nil},
 	{"TestRunChaosReplayCorpusFiles", "-chaos -replay buggy-mm-churn.repro", "cefe8d86e7d9c811", nil},
 	{"TestRunChaosReplayCorpusFiles", "-chaos -replay buggy-mm-crash.repro", "35bf4905814474c4", nil},
+	{"TestRunChaosReplayCorpusFiles", "-chaos -replay buggy-slew.repro", "d12489ca82410bc3", nil},
 	{"TestRunChaosReplayCorpusFiles", "-chaos -replay falseticker-star.repro", "be6fb5edf2f50db0", nil},
 	{"TestRunChaosReplayCorpusFiles", "-chaos -replay kitchen-sink-im.repro", "80e5f63bd5a8e0ef", nil},
 }

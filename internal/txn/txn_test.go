@@ -256,7 +256,7 @@ func TestCrashPausesClient(t *testing.T) {
 // executed events changed: a change of behaviour to justify and re-pin,
 // never a refactoring.
 func TestGoldenFingerprint(t *testing.T) {
-	const want = "4a57db5450d979c8"
+	const want = "87300c312fa84fbb"
 	svc := testService(t, 7, 4)
 	h := fnv.New64a()
 	var buf [8]byte
