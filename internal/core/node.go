@@ -16,8 +16,9 @@ const (
 
 // Node is one time server with the policy around its sync rounds: the
 // synchronization function, the Section 5 rate filter and rate
-// discipline, Section 3 recovery and the thesis's δ maintenance. It reads no clock, opens no socket and
-// schedules nothing: a caller records each reply as it arrives (Observe)
+// discipline, Section 3 recovery and the thesis's δ maintenance. It
+// reads no clock but its server's, opens no socket and schedules
+// nothing: a caller records each reply as it arrives (Observe)
 // and hands a round's replies to Sync, as the simulated service and the
 // UDP syncer both do, and reads what the round did from the Pass it
 // returns. A Node needs a Server and a Fn; every switch is off until set.
@@ -88,8 +89,9 @@ type Pass struct {
 
 // Sync runs one round at real time t: the rate filter, the function, the
 // rate discipline after a reset, recovery, the rate samples' shift
-// across a reset and δ maintenance, and returns its record. The rate filter compacts replies in place, so the
-// function ran over replies[:Pass.Replies]. A server whose error was
+// across a reset and δ maintenance, and returns its record. The rate
+// filter compacts replies in place, so the function ran over
+// replies[:Pass.Replies]. A server whose error was
 // unbounded (E = +Inf, a clock never set) is inconsistent with nobody,
 // and does not recover.
 func (n *Node) Sync(t float64, replies []Reply) Pass {
@@ -138,7 +140,7 @@ func (n *Node) discipline(t float64) bool {
 	}
 	r, next := n.Discipline.Step(n.anchor, t, s.resetRef, s.epsilon, clk.Ticks(n.anchor.T, t), s.delta)
 	n.anchor = next
-	s.steer(t, clk, r)
+	s.steer(t, r)
 	return r.Fallback
 }
 
@@ -275,9 +277,7 @@ func (n *Node) recover(now float64, replies []Reply, res Result) bool {
 		// The adopted reading is a stranger's: nothing vouches for the
 		// old anchor or the rate steered from it.
 		n.anchor = n.Discipline.Recover(n.anchor)
-		if clk, ok := n.Server.clk.(clock.Steerable); ok {
-			n.Server.steer(now, clk, Rate{Age: n.Server.delta})
-		}
+		n.Server.steer(now, Rate{Age: n.Server.delta})
 	}
 	return true
 }

@@ -144,8 +144,13 @@ func (s *Server) Delta() float64 { return s.delta }
 func (s *Server) Rate() Rate { return s.rate }
 
 // steer runs the server's clock at r from real time t on, its value
-// continuous, and ages the error at r.Age.
-func (s *Server) steer(t float64, clk clock.Steerable, r Rate) {
+// continuous, and ages the error at r.Age. A clock that cannot be
+// steered is left as it is.
+func (s *Server) steer(t float64, r Rate) {
+	clk, ok := s.clk.(clock.Steerable)
+	if !ok {
+		return
+	}
 	clk.Steer(t, r.Centre, r.Steered)
 	r.Fallback = false // an event of the step, not a state
 	s.rate = r
@@ -256,10 +261,11 @@ func (s *Server) SetClock(t, value, err float64) {
 // real time t, repairing the bookkeeping: deterioration since the last
 // reset was charged at the aging rate (the old, invalid bound unless the
 // clock is steered), so the difference is added to the inherited error
-// and the error ages at newDelta until the next rate step. If the clock value adopted at the last
-// reset was correct, the repaired interval is correct again — this is how
-// a server whose bound is exposed as invalid (Section 5) rejoins the
-// service as an honest, if poor, citizen. Lowering the bound is refused:
+// and the error ages at newDelta until the next rate step. If the clock
+// value adopted at the last reset was correct, the repaired interval is
+// correct again — this is how a server whose bound is exposed as invalid
+// (Section 5) rejoins the service as an honest, if poor, citizen.
+// Lowering the bound is refused:
 // a smaller claim can never be justified by observation alone, and so is
 // a NaN or infinite one, which would leave E NaN or unbounded for good.
 func (s *Server) RaiseDelta(t, newDelta float64) error {
