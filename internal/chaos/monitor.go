@@ -337,10 +337,21 @@ func (m *Monitor) probe() {
 		// probes with no reset, and before the server's clock fault, C
 		// advances by at least (1-delta) per real second, and a backward
 		// step is its extreme case. Campaign servers step at a reset, so
-		// only a reset may move C below the floor.
+		// only a reset may move C below the floor. A steered clock runs
+		// at its oscillator over 1+centre, which keeps the floor while
+		// the server's drift bound holds its drift, that is while its
+		// readings contain true time; a tainted server may have steered
+		// from poisoned ones, and only the clip, |centre| <= delta,
+		// bounds its rate: (1-delta)/(1+delta). The steer changes only at
+		// a reset, so it is the same across the probe interval.
 		c, resets := node.Server.Read(t), node.Server.Resets()
 		if dt := t - m.probedAt; dt >= 0 && m.check() && t < m.ownClockFaultAt[i] && resets == m.probeResets[i] {
-			if floor := m.probeC[i] + (1-node.Server.Delta())*dt - m.tol; c < floor {
+			delta := node.Server.Delta()
+			rate := 1 - delta
+			if m.tainted[i] && node.Server.Rate().Steered {
+				rate /= 1 + delta
+			}
+			if floor := m.probeC[i] + rate*dt - m.tol; c < floor {
 				m.report(t, i, "monotonic-clock",
 					fmt.Sprintf("served C advanced %.9g -> %.9g in %.6g s without a reset (floor %.9g)",
 						m.probeC[i], c, dt, floor))
