@@ -28,10 +28,11 @@ type Clock interface {
 // resets. It is the paper's basic model: correct bookkeeping requires only
 // |drift| <= delta for the claimed bound delta.
 //
-// It is also the one Steerable clock: its oscillator ticks at 1+drift per
-// real second whatever is done to it, and Steer sets the rate at which
-// its value follows those ticks, as a disciplined hardware clock's
-// frequency correction does.
+// It is also the one clock a time server can steer (the rate discipline
+// of DESIGN.md §3): its oscillator ticks at 1+drift per real second
+// whatever is done to it, and Steer sets the rate at which its value
+// follows those ticks, as a disciplined hardware clock's frequency
+// correction does.
 type Drifting struct {
 	t0    float64 // real time of last reset, steer (or creation)
 	v0    float64 // clock value at t0
@@ -39,7 +40,7 @@ type Drifting struct {
 	rate  float64 // the clock's rate offset: dC/dt = 1 + rate; drift until steered
 }
 
-var _ Steerable = (*Drifting)(nil)
+var _ Clock = (*Drifting)(nil)
 
 // NewDrifting returns a clock that reads value at real time t and then
 // advances at rate 1+drift.
@@ -59,29 +60,16 @@ func (c *Drifting) Set(t, value float64) {
 	c.v0 = value
 }
 
-// Steerable is a clock whose rate a time server can discipline (the
-// rate discipline of DESIGN.md §3): it exposes the raw ticks of its
-// oscillator, which no Set or Steer changes, and runs its value at those
-// ticks over 1+centre once steered.
-type Steerable interface {
-	Clock
-	// Ticks returns the oscillator's raw ticks between real times t0
-	// and t.
-	Ticks(t0, t float64) float64
-	// Steer runs the clock, from real time t on and with its value
-	// continuous at t, at its oscillator's ticks over 1+centre: centre
-	// is the drift the server believes its oscillator has. Steered
-	// false returns the clock to the oscillator's own rate.
-	Steer(t, centre float64, steered bool)
-}
-
-// Ticks returns (t-t0)*(1+drift).
+// Ticks returns the oscillator's raw ticks between real times t0 and t,
+// (t-t0)*(1+drift), which no Set or Steer changes.
 func (c *Drifting) Ticks(t0, t float64) float64 {
 	return (t - t0) * (1 + c.drift)
 }
 
-// Steer sets the clock's rate to (1+drift)/(1+centre), or back to
-// 1+drift, keeping its value at t.
+// Steer runs the clock from real time t on, its value continuous at t,
+// at its oscillator's ticks over 1+centre, (1+drift)/(1+centre), centre
+// being the drift the server believes its oscillator has; steered false
+// returns it to the oscillator's own rate, 1+drift.
 func (c *Drifting) Steer(t, centre float64, steered bool) {
 	c.v0, c.t0 = c.Read(t), t
 	c.rate = c.drift

@@ -10,7 +10,7 @@ package core
 
 // Anchor is the reading a node's rate discipline measures from: its
 // clock reading C with error E, taken at instant T of the clock's ticks
-// (clock.Steerable's Ticks measures from it). The zero Anchor is none.
+// (clock.Drifting's Ticks measures from it). The zero Anchor is none.
 type Anchor struct {
 	T, C, E float64
 }

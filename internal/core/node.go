@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"disttime/internal/clock"
 	"disttime/internal/interval"
 )
 
@@ -133,7 +132,7 @@ func (n *Node) Sync(t float64, replies []Reply) Pass {
 // steered keeps no anchor and runs at its oscillator, aging at δ.
 func (n *Node) discipline(t float64) bool {
 	s := n.Server
-	clk, ok := s.clk.(clock.Steerable)
+	clk, ok := s.clk.(steerable)
 	if !ok {
 		n.anchor = Anchor{}
 		return false

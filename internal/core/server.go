@@ -147,7 +147,7 @@ func (s *Server) Rate() Rate { return s.rate }
 // continuous, and ages the error at r.Age. A clock that cannot be
 // steered is left as it is.
 func (s *Server) steer(t float64, r Rate) {
-	clk, ok := s.clk.(clock.Steerable)
+	clk, ok := s.clk.(steerable)
 	if !ok {
 		return
 	}
@@ -178,6 +178,16 @@ func (s *Server) Read(t float64) float64 { return s.clk.Read(t) }
 // would lie.
 type pendingCorrector interface {
 	PendingCorrection() float64
+}
+
+// steerable is implemented by clocks (clock.Drifting) whose rate the
+// rate discipline can set: Ticks counts the oscillator between two real
+// times whatever the clock is set or steered to, and Steer runs the
+// clock at those ticks over 1+centre (or, steered false, at the
+// oscillator) with its value continuous.
+type steerable interface {
+	Ticks(t0, t float64) float64
+	Steer(t, centre float64, steered bool)
 }
 
 // ErrorAt returns the server's maximum error at real time t per rule MM-1:
