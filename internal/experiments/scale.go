@@ -47,11 +47,11 @@ type ScaleConfig struct {
 
 // ScaleSweep (S1) runs the sweep and checks, at every size, that every
 // interval contains the true time at the end with no inconsistency or
-// rate-discipline fallback on the way, and the skew gradient; the reported error per tier is printed
-// beside it. The per-size engine parameters mirror the theorem
-// experiments: tau=60, delta=1e-4, honest drifts, and delay bands
-// widening by a decade per tier (LAN 0.2-2ms, uplink 2-10ms, backbone
-// 20-80ms). Each size seeds its engine from its node count, so a size's
+// rate-discipline fallback on the way, and the skew gradient; the
+// reported error per tier is printed beside it. The per-size engine
+// parameters mirror the theorem experiments: tau=60, delta=1e-4, honest
+// drifts, and delay bands widening by a decade per tier (LAN 0.2-2ms,
+// uplink 2-10ms, backbone 20-80ms). Each size seeds its engine from its node count, so a size's
 // row is the same in any sweep.
 func ScaleSweep(cfg ScaleConfig) (Table, error) {
 	sizes := cfg.Sizes

@@ -34,9 +34,9 @@
 //     the clock's rate to its centre, C continuous, and its residual
 //     (core.Steer) becomes a_i. An empty bound means a drift outside
 //     delta: the node runs unsteered at delta again, re-anchors, and
-//     the engine counts a fallback (Fallbacks). Only a node's own readings enter, so
-//     no clique can talk its rates down (DESIGN.md §3, "Rate
-//     discipline").
+//     the engine counts a fallback (Fallbacks). Only a node's own
+//     readings enter, so no clique can talk its rates down (DESIGN.md
+//     §3, "Rate discipline").
 //
 // IM is the engine's one rule: MM runs in internal/service.
 //
