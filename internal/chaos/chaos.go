@@ -164,12 +164,12 @@ func (BuggyMM) Sync(s *core.Server, t float64, replies []core.Reply) core.Result
 type BuggySlew struct{ core.Slew }
 
 // Step is core.Slew's with the residual dropped.
-func (b BuggySlew) Step(an core.Anchor, t, c, e, ticks, delta float64) (core.Rate, core.Anchor) {
-	r, next := b.Slew.Step(an, t, c, e, ticks, delta)
+func (b BuggySlew) Step(an core.Anchor, t, c, e, ticks, delta float64) (core.Rate, core.Anchor, bool) {
+	r, next, fallback := b.Slew.Step(an, t, c, e, ticks, delta)
 	if r.Steered {
 		r.Age = 0 // BUG: the steer is only as good as the bound it centres
 	}
-	return r, next
+	return r, next, fallback
 }
 
 // BuggyAnchor is the rate discipline that keeps its anchor across a

@@ -303,10 +303,10 @@ func (m *Monitor) observe(p core.Pass) {
 	// server no reading of its own to measure its rate from, so the
 	// first reset after it may only anchor. It holds of every server,
 	// faulted or not: it is the pass's bookkeeping, not its clock.
-	if st.recovered && p.Result.Reset && m.check() && (p.Rate.Steered || p.Rate.Fallback) {
+	if st.recovered && p.Result.Reset && m.check() && (p.Rate.Steered || p.Fallback) {
 		m.report(t, node, "re-anchor",
 			fmt.Sprintf("first reset after a recovery steered at %.3g (fallback %t) from an anchor it should have dropped",
-				p.Rate.Centre, p.Rate.Fallback))
+				p.Rate.Centre, p.Fallback))
 	}
 	// Rules IM-1/IM-2: an intersection pass with replies either resets
 	// (non-empty intersection) or flags inconsistency.

@@ -22,8 +22,7 @@ type Anchor struct {
 func (an Anchor) Anchored() bool { return an.T > 0 }
 
 // Rate is the rate discipline's state after a step: the centre the clock
-// steers to, the rate at which the node's error ages, and whether the
-// step fell back.
+// steers to and the rate at which the node's error ages.
 type Rate struct {
 	// Centre is the drift the clock steers out: it runs at its
 	// oscillator's ticks over 1+Centre. Meaningful only when Steered.
@@ -33,9 +32,6 @@ type Rate struct {
 	Age float64
 	// Steered reports that the clock runs at Centre.
 	Steered bool
-	// Fallback reports that the step's drift bound missed
-	// [-delta, delta]: the node runs unsteered at delta, re-anchored.
-	Fallback bool
 }
 
 // RateRule is the rate discipline a Node runs: Step at every reset, and
@@ -44,8 +40,10 @@ type Rate struct {
 type RateRule interface {
 	// Step takes the anchor, the reading <c, e> just adopted at instant
 	// t, the oscillator's ticks since the anchor and the claimed bound
-	// delta, and returns the rate to run at and the next anchor.
-	Step(an Anchor, t, c, e, ticks, delta float64) (Rate, Anchor)
+	// delta, and returns the rate to run at, the next anchor, and
+	// whether the step fell back: its drift bound missed [-delta, delta],
+	// and the node runs unsteered at delta, re-anchored.
+	Step(an Anchor, t, c, e, ticks, delta float64) (r Rate, next Anchor, fallback bool)
 	// Recover returns what is left of the anchor after a recovery's
 	// adopt.
 	Recover(an Anchor) Anchor
@@ -62,18 +60,18 @@ type Slew struct{}
 // keeping the anchor. A bound that misses the clip, or admits no
 // positive rate, contradicts the premise |d| <= delta: the node runs
 // unsteered at delta and re-anchors here.
-func (Slew) Step(an Anchor, t, c, e, ticks, delta float64) (Rate, Anchor) {
+func (Slew) Step(an Anchor, t, c, e, ticks, delta float64) (Rate, Anchor, bool) {
 	here := Anchor{T: t, C: c, E: e}
 	if !an.Anchored() {
-		return Rate{Age: delta}, here
+		return Rate{Age: delta}, here, false
 	}
 	lo, hi := DriftInterval(an.C, an.E, c, e, ticks)
 	lo, hi = max(lo, -delta), min(hi, delta)
 	if lo <= hi && lo > -1 {
 		centre, age := Steer(lo, hi)
-		return Rate{Centre: centre, Age: age, Steered: true}, an
+		return Rate{Centre: centre, Age: age, Steered: true}, an, false
 	}
-	return Rate{Age: delta, Fallback: true}, here
+	return Rate{Age: delta}, here, true
 }
 
 // Recover drops the anchor: the node adopted a stranger's reading

@@ -59,7 +59,7 @@ func TestNodeDiscipline(t *testing.T) {
 	}
 	var p Pass
 	for k := 2; k <= 20; k++ {
-		if p = round(n, k); !p.Rate.Steered || p.Rate.Fallback {
+		if p = round(n, k); !p.Rate.Steered || p.Fallback {
 			t.Fatalf("reset %d: %+v, want steered", k, p.Rate)
 		}
 	}
@@ -88,13 +88,16 @@ func TestNodeDiscipline(t *testing.T) {
 	if p := round(n, 23); !p.Recovered || p.Rate.Steered || p.Rate.Age != 2*delta || n.anchor.Anchored() {
 		t.Fatalf("recovery: recovered %v, %+v, anchor %+v; want unsteered at delta, no anchor", p.Recovered, p.Rate, n.anchor)
 	}
-	if p := round(n, 24); p.Rate.Steered || p.Rate.Fallback || !n.anchor.Anchored() {
+	if p := round(n, 24); p.Rate.Steered || p.Fallback || !n.anchor.Anchored() {
 		t.Errorf("first reset after the recovery: %+v; want an anchor only", p.Rate)
 	}
 
 	// A slewing clock cannot be steered: no anchor, aging at delta.
-	n = disciplineNode(t, drift, delta, Slew{})
-	n.Server.clk = clock.NewSlewing(clock.NewDrifting(0, 0, drift), 0.0005)
+	s, err := NewServer(0, Config{Clock: clock.NewSlewing(clock.NewDrifting(0, 0, drift), 0.0005), Delta: delta, InitialError: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n = &Node{Server: s, Fn: IM{}, Recovery: true, Discipline: Slew{}}
 	for k := 1; k <= 5; k++ {
 		if p := round(n, k); p.Rate.Steered || p.Rate.Age != delta || n.anchor.Anchored() {
 			t.Fatalf("slewing clock, reset %d: %+v, anchor %+v", k, p.Rate, n.anchor)
@@ -110,12 +113,12 @@ func (keepAnchor) Recover(an Anchor) Anchor { return an }
 // pointAge is Slew aging a steered clock at its point estimate (w = 0).
 type pointAge struct{ Slew }
 
-func (p pointAge) Step(an Anchor, t, c, e, ticks, delta float64) (Rate, Anchor) {
-	r, next := p.Slew.Step(an, t, c, e, ticks, delta)
+func (p pointAge) Step(an Anchor, t, c, e, ticks, delta float64) (Rate, Anchor, bool) {
+	r, next, fallback := p.Slew.Step(an, t, c, e, ticks, delta)
 	if r.Steered {
 		r.Age = 0
 	}
-	return r, next
+	return r, next, fallback
 }
 
 // contained reports whether s's interval at true time t contains t, up

@@ -82,8 +82,11 @@ type Pass struct {
 	// Recovered reports whether Section 3 recovery adopted a reply.
 	Recovered bool
 	// Rate is the rate discipline's state after the pass (Server.Rate):
-	// the steer, the aging rate, and whether this pass's step fell back.
+	// the steer and the aging rate.
 	Rate Rate
+	// Fallback reports that the pass's rate step found a drift bound
+	// outside the claimed one (RateRule.Step).
+	Fallback bool
 }
 
 // Sync runs one round at real time t: the rate filter, the function, the
@@ -103,11 +106,10 @@ func (n *Node) Sync(t float64, replies []Reply) Pass {
 	sets := n.Server.resets
 	p := Pass{Node: n.Server.ID(), T: t, Fn: n.Fn.Name(), Before: n.Server.Reading(t), Replies: len(replies)}
 	p.Result = n.Fn.Sync(n.Server, t, replies)
-	fallback := false
 	if p.Result.Reset {
 		n.Resets++
 		if n.Discipline != nil {
-			fallback = n.discipline(t)
+			p.Fallback = n.discipline(t)
 		}
 	}
 	if len(p.Result.Inconsistent) > 0 && n.Recovery && bounded {
@@ -123,7 +125,6 @@ func (n *Node) Sync(t float64, replies []Reply) Pass {
 	}
 	p.After, p.Sets = n.Server.Reading(t), n.Server.resets-sets
 	p.Rate = n.Server.Rate()
-	p.Rate.Fallback = fallback
 	return p
 }
 
@@ -132,15 +133,15 @@ func (n *Node) Sync(t float64, replies []Reply) Pass {
 // steered keeps no anchor and runs at its oscillator, aging at δ.
 func (n *Node) discipline(t float64) bool {
 	s := n.Server
-	clk, ok := s.clk.(steerable)
+	ticks, ok := s.ticks(n.anchor.T, t)
 	if !ok {
 		n.anchor = Anchor{}
 		return false
 	}
-	r, next := n.Discipline.Step(n.anchor, t, s.resetRef, s.epsilon, clk.Ticks(n.anchor.T, t), s.delta)
+	r, next, fallback := n.Discipline.Step(n.anchor, t, s.resetRef, s.epsilon, ticks, s.delta)
 	n.anchor = next
 	s.steer(t, r)
-	return r.Fallback
+	return fallback
 }
 
 // constraint returns the bound neighbor from's rate estimate puts on the
@@ -274,9 +275,12 @@ func (n *Node) recover(now float64, replies []Reply, res Result) bool {
 	n.Rates.ResetAll()
 	if n.Discipline != nil {
 		// The adopted reading is a stranger's: nothing vouches for the
-		// old anchor or the rate steered from it.
+		// old anchor or the rate steered from it. An unsteered server
+		// already ages at delta.
 		n.anchor = n.Discipline.Recover(n.anchor)
-		n.Server.steer(now, Rate{Age: n.Server.delta})
+		if n.Server.rate.Steered {
+			n.Server.steer(now, Rate{Age: n.Server.delta})
+		}
 	}
 	return true
 }

@@ -85,6 +85,7 @@ type Reply struct {
 type Server struct {
 	id    int
 	clk   clock.Clock
+	osc   steerable // clk as the rate discipline steers it; nil if it cannot
 	delta float64
 
 	epsilon  float64 // inherited error (epsilon_i)
@@ -122,9 +123,11 @@ func NewServer(t float64, cfg Config) (*Server, error) {
 	if !(cfg.InitialError >= 0) {
 		return nil, fmt.Errorf("core: server %d: initial error %v is negative or NaN", cfg.ID, cfg.InitialError)
 	}
+	osc, _ := cfg.Clock.(steerable)
 	return &Server{
 		id:       cfg.ID,
 		clk:      cfg.Clock,
+		osc:      osc,
 		delta:    cfg.Delta,
 		rate:     Rate{Age: cfg.Delta},
 		epsilon:  cfg.InitialError,
@@ -143,16 +146,22 @@ func (s *Server) Delta() float64 { return s.delta }
 // delta until the discipline (Node.Discipline) steers the clock.
 func (s *Server) Rate() Rate { return s.rate }
 
-// steer runs the server's clock at r from real time t on, its value
-// continuous, and ages the error at r.Age. A clock that cannot be
-// steered is left as it is.
-func (s *Server) steer(t float64, r Rate) {
-	clk, ok := s.clk.(steerable)
-	if !ok {
-		return
+// ticks returns the oscillator's ticks between real times t0 and t, and
+// whether the clock can be steered at all: the rate discipline measures
+// and steers only a steerable clock, and a server on any other ages at
+// delta.
+func (s *Server) ticks(t0, t float64) (float64, bool) {
+	if s.osc == nil {
+		return 0, false
 	}
-	clk.Steer(t, r.Centre, r.Steered)
-	r.Fallback = false // an event of the step, not a state
+	return s.osc.Ticks(t0, t), true
+}
+
+// steer runs the server's clock at r from real time t on, its value
+// continuous, and ages the error at r.Age. The clock must be steerable
+// (ticks).
+func (s *Server) steer(t float64, r Rate) {
+	s.osc.Steer(t, r.Centre, r.Steered)
 	s.rate = r
 }
 

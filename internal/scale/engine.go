@@ -383,13 +383,13 @@ func (e *Engine) discipline(i int32, t, c, eps float64) {
 	if !an.Anchored() {
 		drift = e.rate[i] // unanchored nodes run unsteered
 	}
-	r, next := core.Slew{}.Step(an.Anchor, t, c, eps, (1+drift)*(t-an.T), e.cfg.Delta)
+	r, next, fallback := core.Slew{}.Step(an.Anchor, t, c, eps, (1+drift)*(t-an.T), e.cfg.Delta)
 	*an = anchor{next, drift}
 	e.rate[i], e.age[i] = drift, r.Age
 	if r.Steered {
 		e.rate[i] = (1+drift)/(1+r.Centre) - 1
 	}
-	if r.Fallback {
+	if fallback {
 		e.fallbacks++
 	}
 }

@@ -134,7 +134,7 @@ func (svc *Service) Observe(reg *obs.Registry, tr *obs.Tracer) {
 		if p.Recovered {
 			m.recoveries.Inc()
 		}
-		if p.Rate.Fallback {
+		if p.Fallback {
 			m.fallbacks.Inc()
 		}
 		m.errBefore.Observe(p.Before.E)
@@ -155,7 +155,7 @@ func (svc *Service) Observe(reg *obs.Registry, tr *obs.Tracer) {
 			AfterC:    p.After.C,
 			AfterE:    p.After.E,
 			Steered:   p.Rate.Steered,
-			Fallback:  p.Rate.Fallback,
+			Fallback:  p.Fallback,
 			Centre:    p.Rate.Centre,
 			Age:       p.Rate.Age,
 		})
