@@ -897,7 +897,7 @@ func TestRateFilterExcludesPersistentOffender(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		samples, err := svc.RunSampled(86400, 60)
+		samples, err := svc.RunSampled(7200, 30)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1251,6 +1251,74 @@ func TestDisciplineSteersIMOnly(t *testing.T) {
 		// narrow only as far as the shared 50 ms initial error lets E fall.
 		if _, im := fn.(core.IM); im && rise/claimed > 0.25 {
 			t.Errorf("%s: error grows at %.3g of the claimed bounds", fn.Name(), rise/claimed)
+		}
+	}
+}
+
+// TestDisciplineUnderInvalidUpstream pins the rate discipline's cost
+// against an invalid-bound upstream (the Figure 3 hazard) with no rate
+// filter. The discipline's induction assumes every adopted reading
+// contains true time, and the upstream's do not: the honest servers
+// adopt intersections it drags, bound their drift from them, and age at
+// a residual that never covers the drag. Unsteered they are as wrong but
+// still age at their claimed bounds. So the steer leaves each honest
+// server wrong with an error under a tenth of its offset, where the
+// unsteered servers keep over a sixth of it; with the Section 5 rate
+// filter on, the honest servers stay correct and steered (DESIGN.md §3,
+// "No clique can talk itself down").
+func TestDisciplineUnderInvalidUpstream(t *testing.T) {
+	// run returns the least and the greatest honest E/|C-t| at the end,
+	// the share of honest samples correct from 600 s, and whether every
+	// honest server ends steered.
+	run := func(seed uint64, rateFilter, steer bool) (lo, hi, frac float64, steered bool) {
+		specs := make([]ServerSpec, 5)
+		for i, d := range []float64{0.3e-5, -0.5e-5, 0.7e-5, -1e-5} {
+			specs[i] = ServerSpec{Delta: 1.5 * math.Abs(d), Drift: d, InitialError: 0.05, SyncEvery: 30, RateFilter: rateFilter}
+		}
+		// Pure upstream: serves, never resets, races beyond its bound.
+		specs[4] = ServerSpec{Delta: 1e-5, Drift: 8e-5, InitialError: 0.05, RateFilter: rateFilter}
+		svc, err := New(Config{Seed: seed, Delay: simnet.Uniform{Max: 0.002}, Fn: core.IM{DropInconsistent: true}, Servers: specs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !steer {
+			for _, n := range svc.Nodes {
+				n.Discipline = nil
+			}
+		}
+		samples, err := svc.RunSampled(7200, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		correct, total := 0, 0
+		for _, s := range samples[20:] { // from 600 s, as above
+			for i := range 4 {
+				total++
+				if math.Abs(s.Offset[i]) <= s.E[i] {
+					correct++
+				}
+			}
+		}
+		last := samples[len(samples)-1]
+		lo, hi, steered = math.Inf(1), 0, true
+		for i, n := range svc.Nodes[:4] {
+			r := last.E[i] / math.Abs(last.Offset[i])
+			lo, hi = min(lo, r), max(hi, r)
+			steered = steered && n.Server.Rate().Steered
+		}
+		return lo, hi, float64(correct) / float64(total), steered
+	}
+	for _, seed := range []uint64{50, 51, 52} {
+		// E/|C-t| when written: at most 0.057 steered, at least 0.199
+		// unsteered.
+		if _, hi, frac, steered := run(seed, false, true); hi >= 0.1 || frac >= 0.05 || !steered {
+			t.Errorf("seed %d, steered: E/|C-t| up to %.3g, %.0f%% correct, steered %v; want under 0.1 and the upstream dragging it", seed, hi, frac*100, steered)
+		}
+		if lo, _, _, _ := run(seed, false, false); lo <= 1.0/6 {
+			t.Errorf("seed %d, unsteered: E/|C-t| down to %.3g, want over 1/6", seed, lo)
+		}
+		if _, _, frac, steered := run(seed, true, true); frac < 0.95 || !steered {
+			t.Errorf("seed %d, rate-filtered: %.0f%% correct, steered %v; want at least 95%%, steered", seed, frac*100, steered)
 		}
 	}
 }
