@@ -15,6 +15,9 @@ import "math"
 // reply (go build -gcflags=-m ./internal/scale shows each "inlining call
 // to core.X").
 //
+// Leg is Charge and Offset for a one-way message with known delay
+// bounds: scale.Engine's responders intersect the requests they answer.
+//
 // The last two, DriftInterval and Steer, are §5's rate discipline: a
 // node bounds its own oscillator's drift from two of its own intervals,
 // runs its clock at the bound's centre and ages its error at the
@@ -81,6 +84,21 @@ func Floor(m, c float64) float64 {
 // With ci = 0 it is the reply's interval on the requester's timeline.
 func Offset(c, trail, lead, ci float64) (lo, hi float64) {
 	return c - trail - ci, c + lead - ci
+}
+
+// Leg is rule IM-2's transform for a one-way reading: a sender's <c, e>,
+// read as it sent, over a leg of at least m and at most M true seconds,
+// as an interval of offsets from the receiver's reading cj at arrival,
+//
+//	[lo, hi] = [c - e + m - cj, c + e + M - cj].
+//
+// The sender's true time was within c ± e when it sent, and the message
+// arrived between m and M later. The credit of m is Floor's, and the
+// upper edge is rounded outward by the roundoff*|cj| that Floor credits
+// inward. A request is such a reading: its responder intersects it as a
+// requester intersects a reply, which costs no message.
+func Leg(c, e, m, M, cj float64) (lo, hi float64) {
+	return Offset(c, e-Floor(m, cj), e+M+roundoff*math.Abs(cj), cj)
 }
 
 // Consistent reports whether the offset interval [lo, hi] meets the

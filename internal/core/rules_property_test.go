@@ -249,3 +249,52 @@ func TestPropertyChargeFloor(t *testing.T) {
 		t.Fatalf("only %d offsets came within 1e-9 of an edge: the edges were not exercised", tight)
 	}
 }
+
+// TestPropertyLeg holds Leg to its soundness premise at its edges, in
+// float64 as scale.Engine computes it. A sender reads c at true time t0
+// with error e, and its message arrives after a leg of m or of M, added
+// as the event kernel adds a delay (At = now + delay, rounded); the
+// receiver reads cj at arrival on a clock drifting at d. With c = t0 + e
+// and the short leg the true time sits on the interval's lower edge, and
+// with c = t0 - e and the long leg on its upper edge, so neither edge has
+// slack beyond rounding. A quarter of the bands have m = 0 and a quarter
+// m = M; readings reach 1e6 s.
+func TestPropertyLeg(t *testing.T) {
+	rng := rand.New(rand.NewPCG(48, 49))
+	logUniform := func(lo, hi float64) float64 { return lo * math.Pow(hi/lo, rng.Float64()) }
+	tight := 0
+	for trial := 0; trial < 20000; trial++ {
+		t0 := logUniform(1, 1e6)
+		m := 0.0
+		if rng.IntN(4) > 0 {
+			m = logUniform(1e-7, 0.05)
+		}
+		M := m
+		if rng.IntN(4) > 0 {
+			M += logUniform(1e-9, 0.1)
+		}
+		e := logUniform(1e-9, 1)
+		d := (2*rng.Float64() - 1) * logUniform(1e-12, 1e-3)
+		off := (2*rng.Float64() - 1) * logUniform(1e-9, 1)
+		for _, leg := range []float64{m, M} {
+			t1 := t0 + leg
+			cj := off + (1+d)*t1
+			for _, edge := range []float64{1, -1} {
+				c := t0 + edge*e
+				for math.Abs(c-t0) > e {
+					c = math.Nextafter(c, t0)
+				}
+				lo, hi := Leg(c, e, m, M, cj)
+				if truth := t1 - cj; !(lo <= truth && truth <= hi) {
+					t.Fatalf("trial %d: sender <%v, %v> at %v, leg %v of [%v, %v], receiver %v: offset [%v, %v] excludes %v (by %v, %v)",
+						trial, c, e, t0, leg, m, M, cj, lo, hi, truth, lo-truth, truth-hi)
+				} else if min(truth-lo, hi-truth) < 1e-9 {
+					tight++
+				}
+			}
+		}
+	}
+	if tight < 10000 {
+		t.Fatalf("only %d offsets came within 1e-9 of an edge: the edges were not exercised", tight)
+	}
+}

@@ -46,8 +46,8 @@ type ScaleConfig struct {
 }
 
 // ScaleSweep (S1) runs the sweep and checks, at every size, that every
-// interval contains the true time at the end with no inconsistency or
-// rate-discipline fallback on the way, and the skew gradient; the
+// interval contains the true time at the end with no inconsistency,
+// rate-discipline fallback or late reply on the way, and the skew gradient; the
 // reported error per tier is printed beside it. The per-size engine
 // parameters mirror the theorem experiments: tau=60, delta=1e-4, honest
 // drifts, and delay bands widening by a decade per tier (LAN 0.2-2ms,
@@ -105,10 +105,13 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 		}
 		// Every drift is within its bound, so every interval contains the
 		// true time, no two are disjoint (Theorem 5), and no node's own
-		// readings bound its drift outside delta (DESIGN.md §3).
-		if n, m, fb := eng.Inconsistencies(), eng.Uncontained(until), eng.Fallbacks(); n > 0 || m > 0 || fb > 0 {
-			return out, fmt.Errorf("scale-sweep %s: %d inconsistencies, %d of %d intervals miss the true time at t=%v, %d rate fallbacks",
-				sz.Name, n, m, sz.Nodes(), until, fb)
+		// readings bound its drift outside delta (DESIGN.md §3). Every
+		// delay is within its band, so every reply is in before its round
+		// closes.
+		n, m, fb, late := eng.Inconsistencies(), eng.Uncontained(until), eng.Fallbacks(), eng.Late()
+		if n > 0 || m > 0 || fb > 0 || late > 0 {
+			return out, fmt.Errorf("scale-sweep %s: %d inconsistencies, %d of %d intervals miss the true time at t=%v, %d rate fallbacks, %d late replies",
+				sz.Name, n, m, sz.Nodes(), until, fb, late)
 		}
 		// The gradient: two clocks of one cluster, which intersect each
 		// other's intervals, must agree more closely than two clocks a

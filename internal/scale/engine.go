@@ -17,6 +17,15 @@
 //     to the midpoint. The intersection is maintained incrementally as
 //     replies arrive, aged by the local clock's progress exactly as
 //     core.Server's Age machinery ages a batched reply.
+//   - IM-2 intersects requests too. A request carries the requester's
+//     <C_i, E_i> read as it left, and it arrived between the band's Min
+//     and Max later, so the responder holds the interval
+//     [C_i - E_i + m - C_j, C_i + E_i + M - C_j] at no cost in messages
+//     (core.Leg). While the responder's own round is open the interval
+//     folds into that round's intersection; otherwise, if it narrows the
+//     responder's own interval, the responder adopts its midpoint there
+//     and then, rate and anchor untouched (DESIGN.md §3, "A request is a
+//     reading").
 //   - The round closes, and IM adopts, core.CollectWindow(xi) after it
 //     starts, as internal/service's rounds do: xi is twice the largest
 //     delay bound of a tier the topology has links on, so every reply is
@@ -116,7 +125,10 @@ type Config struct {
 	// clock offsets are drawn uniform within it, so the claim is honest.
 	InitialError float64
 	// Member, Uplink, and Backbone are the three tiers' delay bands.
-	// Positive minima are what make partitions safely shardable.
+	// Both edges are soundness premises: a reply is credited Min on each
+	// leg, and a request's interval spans its leg up to Max, so a delay
+	// outside its band can put an interval off the true time. Positive
+	// minima are also what make partitions safely shardable.
 	Member, Uplink, Backbone Band
 	// Rule must be RuleIM.
 	Rule Rule
@@ -125,7 +137,7 @@ type Config struct {
 // Event kinds.
 const (
 	kSync    uint16 = iota + 1 // periodic round start on a node
-	kRequest                   // time request delivery
+	kRequest                   // time request delivery; A = C_i, B = E_i at send
 	kReply                     // time reply delivery; A = C_j, B = E_j
 	kClose                     // round close: apply IM's intersection; retire the round
 )
@@ -151,9 +163,10 @@ type Engine struct {
 	anchor        []anchor
 
 	// Per-round IM state: the running offset intersection [a, b] relative
-	// to the requester's clock reading lastC, and the replies used. A
-	// round's requests carry its tag, round[i]; an IM close advances it,
-	// so a reply that arrives after its round closed matches no tag.
+	// to the node's clock reading lastC, and the replies and requests
+	// used. A round's requests carry its tag, round[i]. sync and close
+	// each advance it, so it is odd while a round is open, and a reply
+	// that arrives after its round closed matches no tag.
 	a, b, lastC []float64
 	reqC        []float64
 	used        []int32
@@ -211,6 +224,13 @@ func New(cfg Config) (*Engine, error) {
 		// A zero window closes a round before its replies arrive, and one
 		// of tau or more after the next round has begun: IM never adopts.
 		return nil, fmt.Errorf("scale: collect window %v not in (0, tau %v)", window, cfg.Tau)
+	}
+	// Node ids are int32 (shard.Ev), so the count must fit one. The
+	// tiers are positive, so each quotient bounds the product before it
+	// is taken.
+	if t.Clusters > math.MaxInt32/t.Regions || t.Members > math.MaxInt32/(t.Regions*t.Clusters) {
+		return nil, fmt.Errorf("scale: topology %dx%dx%d has more than %d nodes",
+			t.Regions, t.Clusters, t.Members, math.MaxInt32)
 	}
 	n := t.Nodes()
 	e := &Engine{
@@ -395,13 +415,13 @@ func (e *Engine) discipline(i int32, t, c, eps float64) {
 }
 
 // Event dispatches one kernel event. Requests and replies carry the
-// round in Tag; replies carry the responder's reading in (A, B).
+// round in Tag, and the sender's reading in (A, B).
 func (e *Engine) Event(p *shard.Proc, ev shard.Ev) {
 	switch ev.Kind {
 	case kSync:
 		e.sync(p, ev.Node)
 	case kRequest:
-		e.request(p, ev.Node, ev.From, ev.Tag)
+		e.request(p, ev.Node, ev.From, ev.Tag, ev.A, ev.B)
 	case kReply:
 		e.reply(p, ev.Node, ev.From, ev.Tag, ev.A, ev.B)
 	case kClose:
@@ -431,7 +451,7 @@ func (e *Engine) sync(p *shard.Proc, i int32) {
 	if k := int32(e.cfg.K); k <= 0 || k >= m-1 {
 		for j := base; j < base+m; j++ {
 			if j != i {
-				e.ask(p, i, j, tag)
+				e.ask(p, i, j, tag, ci, ei)
 			}
 		}
 	} else {
@@ -440,31 +460,58 @@ func (e *Engine) sync(p *shard.Proc, i int32) {
 			if j == i {
 				j = base + (j-base+1)%m
 			}
-			e.ask(p, i, j, tag)
+			e.ask(p, i, j, tag, ci, ei)
 		}
 	}
 	if e.isHub(i) {
 		per := int32(e.cfg.Topo.Clusters * e.cfg.Topo.Members)
 		for r := int32(0); r < int32(e.cfg.Topo.Regions); r++ {
 			if hub := r * per; hub != i {
-				e.ask(p, i, hub, tag)
+				e.ask(p, i, hub, tag, ci, ei)
 			}
 		}
 	} else if e.isGateway(i) {
-		e.ask(p, i, e.hubOf(i), tag)
+		e.ask(p, i, e.hubOf(i), tag, ci, ei)
 	}
 	p.After(i, e.window, kClose, tag, 0, 0)
 }
 
-// ask sends one time request from i to j.
-func (e *Engine) ask(p *shard.Proc, i, j int32, tag uint32) {
-	p.Send(i, j, e.delay(p, i, j), kRequest, tag, 0, 0)
+// ask sends one time request from i to j, carrying i's reading <ci, ei>.
+func (e *Engine) ask(p *shard.Proc, i, j int32, tag uint32, ci, ei float64) {
+	p.Send(i, j, e.delay(p, i, j), kRequest, tag, ci, ei)
 }
 
-// request answers a time request at node j per rule MM-1.
-func (e *Engine) request(p *shard.Proc, j, from int32, tag uint32) {
+// request answers a time request at node j per rule MM-1, and takes the
+// requester's reading <ci, ei>, sent over a leg of the link's band, as
+// one more interval (core.Leg). One disjoint from j's own is counted
+// inconsistent and ignored. While j's own round is open, the interval
+// folds into its running intersection, as a reply does; j's clock never
+// moves mid-round, since reqC and lastC time the round's replies.
+// Otherwise, if it narrows j's own interval, j adopts the intersection's
+// midpoint (rule IM-2) with its rate, aging rate and anchor untouched:
+// the rate steps only at a round's close (DESIGN.md §3).
+func (e *Engine) request(p *shard.Proc, j, from int32, tag uint32, ci, ei float64) {
 	t := p.Now()
-	p.Send(j, from, e.delay(p, j, from), kReply, tag, e.read(j, t), e.errAt(j, t))
+	cj, ej := e.read(j, t), e.errAt(j, t)
+	p.Send(j, from, e.delay(p, j, from), kReply, tag, cj, ej)
+	band := e.band(from, j)
+	lo, hi := core.Leg(ci, ei, band.Min, band.Max, cj)
+	if !core.Consistent(lo, hi, ej) {
+		e.incons++
+		e.obsIncons.Inc()
+		return
+	}
+	if e.round[j]&1 != 0 {
+		a, b := core.Widen(e.a[j], e.b[j], cj-e.lastC[j], e.age[j])
+		e.a[j], e.b[j] = core.Fold(a, b, lo, hi)
+		e.lastC[j] = cj
+		e.used[j]++
+		return
+	}
+	if a, b := core.Fold(-ej, ej, lo, hi); a > -ej || b < ej {
+		shift, eps := core.Midpoint(a, b)
+		e.setClock(j, t, cj+shift, eps)
+	}
 }
 
 // reply processes a reply <cj, ej> arriving at node i: the transit
@@ -613,8 +660,14 @@ func (e *Engine) tierMean(value func(i int32) float64) TierSkew {
 func (e *Engine) Resets() uint64 { return e.resets }
 
 // Inconsistencies returns the total inconsistent observations: replies
-// disjoint from the requester's interval and empty intersections.
+// and requests disjoint from their receiver's interval, and empty
+// intersections.
 func (e *Engine) Inconsistencies() uint64 { return e.incons }
+
+// Late returns how many replies arrived after their round had closed:
+// none while the collect window outlasts every round trip, which xi,
+// twice the largest delay bound, guarantees.
+func (e *Engine) Late() uint64 { return e.late }
 
 // Fallbacks returns how many rate discipline steps found a drift bound
 // that missed [-delta, delta] and left their node unsteered at delta:

@@ -20,11 +20,14 @@ import (
 // close can round to one instant. The body takes the tiers modulo 4
 // and 6, so each seed row's counts are below those. The first row is
 // testConfig on three regions; the last, drifts three times a large
-// delta, drives the discipline's fallback (five times on seed 10). The
-// two before it hold the minimum-delay credit to containment with no
-// delay uncertainty (Min == Max on every tier, so a reply's interval is
-// only the responder's own) and with a zero Min between two positive
-// ones.
+// delta, drives the discipline's fallback (five times on seed 10). Rows
+// 6 and 7 hold the minimum-delay credit to containment with no delay
+// uncertainty (Min == Max on every tier, so a reply's interval is only
+// the responder's own) and with a zero Min between two positive ones.
+// Rows 8 and 9 do the same for a request's interval (core.Leg): a mesh
+// on one fixed delay, its rounds open for 42 % of a period, so requests
+// fold into open rounds and move closed ones' clocks; and a zero Min
+// under every Max.
 func FuzzScaleConfig(f *testing.F) {
 	c := testConfig(2, 1)
 	f.Add(uint8(3), uint8(2), uint8(4), uint8(0), uint8(2), uint64(1), c.Tau, c.Delta, c.DriftMax, c.InitialError,
@@ -41,6 +44,10 @@ func FuzzScaleConfig(f *testing.F) {
 		0.001, 0.001, 0.005, 0.005, 0.03, 0.03)
 	f.Add(uint8(2), uint8(3), uint8(3), uint8(2), uint8(2), uint64(7), 30.0, 1e-4, 0.99e-4, 0.05,
 		0.0005, 0.002, 0.0, 0.01, 0.02, 0.08)
+	f.Add(uint8(1), uint8(1), uint8(5), uint8(0), uint8(1), uint64(11), 0.02, 1e-4, 0.99e-4, 0.05,
+		0.004, 0.004, 0.0, 0.0, 0.0, 0.0)
+	f.Add(uint8(2), uint8(3), uint8(3), uint8(2), uint8(1), uint64(12), 0.5, 1e-4, 0.99e-4, 0.05,
+		0.0, 0.002, 0.0, 0.01, 0.0, 0.08)
 	f.Add(uint8(3), uint8(2), uint8(4), uint8(0), uint8(1), uint64(10), c.Tau, 0.1, 0.3, c.InitialError,
 		c.Member.Min, c.Member.Max, c.Uplink.Min, c.Uplink.Max, c.Backbone.Min, c.Backbone.Max)
 	f.Fuzz(func(t *testing.T, regions, clusters, members, k, shards uint8, seed uint64,
@@ -75,7 +82,7 @@ func FuzzScaleConfig(f *testing.F) {
 		if n := e.Fallbacks(); n != 0 {
 			t.Fatalf("%+v: %d rate bounds missed [-delta, delta] with every drift within it", cfg, n)
 		}
-		if n := e.late; n != 0 {
+		if n := e.Late(); n != 0 {
 			t.Fatalf("%+v: %d replies arrived after their round closed", cfg, n)
 		}
 	})

@@ -170,8 +170,9 @@ func splitmix64(x uint64) uint64 {
 
 // New builds a kernel at virtual time zero.
 func New(cfg Config) (*Kernel, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("shard: %d nodes", cfg.Nodes)
+	if cfg.Nodes <= 0 || cfg.Nodes > math.MaxInt32 {
+		// Node ids are int32, so 1<<31 nodes or more would wrap.
+		return nil, fmt.Errorf("shard: %d nodes not in [1, %d]", cfg.Nodes, math.MaxInt32)
 	}
 	if cfg.Handler == nil {
 		return nil, fmt.Errorf("shard: nil handler")

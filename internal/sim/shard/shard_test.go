@@ -420,6 +420,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Nodes: 0, Handler: h}); err == nil {
 		t.Fatal("Nodes=0 accepted")
 	}
+	// Rejected before any per-node array is made: accepted, it would
+	// allocate tens of GB.
+	if _, err := New(Config{Nodes: math.MaxInt32 + 1, Handler: h}); err == nil {
+		t.Fatal("Nodes=1<<31, past the int32 node ids, accepted")
+	}
 	if _, err := New(Config{Nodes: 4}); err == nil {
 		t.Fatal("nil handler accepted")
 	}
