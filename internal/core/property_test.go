@@ -72,7 +72,8 @@ func TestPropertyEpsilonNeverNegative(t *testing.T) {
 
 // TestPropertyIMResultSubsetOfInputs: the interval IM derives is a subset
 // of the server's own prior interval and of every reply's transit-adjusted
-// interval (the definition of intersection, and the heart of Theorem 6).
+// interval (the definition of intersection, and the heart of Theorem 6),
+// up to the outward rounding of its adopt (adoptSlack) on each edge.
 func TestPropertyIMResultSubsetOfInputs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(25, 26))
 	for trial := 0; trial < 500; trial++ {
@@ -88,13 +89,10 @@ func TestPropertyIMResultSubsetOfInputs(t *testing.T) {
 			continue
 		}
 		got := s.Interval(truth)
+		margin := adoptSlack(s.Read(truth))
 		for k, in := range inputs {
-			if !in.ContainsInterval(got) {
-				// Floating error tolerance.
-				grown := in.Grow(1e-9)
-				if !grown.ContainsInterval(got) {
-					t.Fatalf("trial %d: IM result %v not inside input %d %v", trial, got, k, in)
-				}
+			if got.Lo < in.Lo-margin || got.Hi > in.Hi+margin {
+				t.Fatalf("trial %d: IM result %v not inside input %d %v", trial, got, k, in)
 			}
 		}
 	}
@@ -110,21 +108,22 @@ func TestPropertyMMNeverIncreasesError(t *testing.T) {
 		before := s.ErrorAt(truth)
 		MM{}.Sync(s, truth, replies)
 		after := s.ErrorAt(truth)
-		if after > before+1e-9 {
+		if after > before {
 			t.Fatalf("trial %d: MM increased error %v -> %v", trial, before, after)
 		}
 	}
 }
 
 // TestPropertyIMNeverWidensOwnInterval: with the self interval included,
-// an IM pass can only keep or shrink the server's error.
+// an IM pass can only keep or shrink the server's error, up to its
+// adopt's outward rounding (adoptSlack).
 func TestPropertyIMNeverWidensOwnInterval(t *testing.T) {
 	rng := rand.New(rand.NewPCG(29, 30))
 	for trial := 0; trial < 500; trial++ {
 		s, truth, replies := honestScenario(t, rng)
 		before := s.ErrorAt(truth)
 		IM{}.Sync(s, truth, replies)
-		if after := s.ErrorAt(truth); after > before+1e-9 {
+		if after := s.ErrorAt(truth); after > before+adoptSlack(s.Read(truth)) {
 			t.Fatalf("trial %d: IM widened error %v -> %v", trial, before, after)
 		}
 	}

@@ -392,7 +392,7 @@ func TestIMTheorem6(t *testing.T) {
 		if !res.Reset {
 			t.Fatalf("trial %d: correct inputs must intersect", trial)
 		}
-		if got := 2 * s.Epsilon(); got > smallest+1e-9 {
+		if got := 2 * s.Epsilon(); got > smallest+2*adoptSlack(s.Read(0)) {
 			t.Fatalf("trial %d: derived width %v > smallest input %v", trial, got, smallest)
 		}
 		// Correctness is preserved (Theorem 5, zero transit case).

@@ -123,7 +123,7 @@ func (f IM) Sync(s *Server, t float64, replies []Reply) Result {
 		}
 		return res
 	}
-	shift, eps := Midpoint(a, b)
+	shift, eps := Midpoint(a, b, ci)
 	if f.FloorError > eps {
 		eps = f.FloorError
 	}

@@ -49,7 +49,8 @@ func (SelectIM) Sync(s *Server, t float64, replies []Reply) Result {
 			res.Inconsistent = append(res.Inconsistent, idx-own)
 		}
 	}
-	s.SetClock(t, sel.Interval.Midpoint(), sel.Interval.HalfWidth())
+	c, eps := Midpoint(sel.Interval.Lo, sel.Interval.Hi, 0)
+	s.SetClock(t, c, eps)
 	res.Reset = true
 	res.Accepted = len(sel.Survivors)
 	return res
@@ -107,7 +108,8 @@ func (f ByzIM) Sync(s *Server, t float64, replies []Reply) Result {
 		res.Inconsistent = inconsistentIndices(len(replies))
 		return res
 	}
-	s.SetClock(t, span.Midpoint(), span.HalfWidth())
+	c, eps := Midpoint(span.Lo, span.Hi, 0)
+	s.SetClock(t, c, eps)
 	res.Reset = true
 	res.Accepted = len(ivs)
 	return res

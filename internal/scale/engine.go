@@ -509,7 +509,7 @@ func (e *Engine) request(p *shard.Proc, j, from int32, tag uint32, ci, ei float6
 		return
 	}
 	if a, b := core.Fold(-ej, ej, lo, hi); a > -ej || b < ej {
-		shift, eps := core.Midpoint(a, b)
+		shift, eps := core.Midpoint(a, b, cj)
 		e.setClock(j, t, cj+shift, eps)
 	}
 }
@@ -569,7 +569,7 @@ func (e *Engine) close(p *shard.Proc, i int32, tag uint32) {
 		e.obsIncons.Inc()
 		return
 	}
-	shift, eps := core.Midpoint(a, b)
+	shift, eps := core.Midpoint(a, b, ci)
 	e.discipline(i, t, ci+shift, eps)
 	e.setClock(i, t, ci+shift, eps) // C continuous at the new rate
 }
