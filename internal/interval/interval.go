@@ -70,12 +70,6 @@ func (iv Interval) ContainsInterval(other Interval) bool {
 	return iv.Lo <= other.Lo && other.Hi <= iv.Hi
 }
 
-// Grow returns the interval with each edge moved outward by e (inward for
-// negative e; the result may be inverted).
-func (iv Interval) Grow(e float64) Interval {
-	return Interval{Lo: iv.Lo - e, Hi: iv.Hi + e}
-}
-
 // Intersect returns the intersection of two intervals, per equation 12 of
 // the paper:
 //

@@ -172,7 +172,7 @@ func TestCrashRestart(t *testing.T) {
 	// contains true time (the clock drifted, it was not corrupted).
 	now := svc.Sim.Now()
 	for i, node := range svc.Nodes {
-		if !node.Server.Interval(now).Grow(1e-9).Contains(now) {
+		if !node.Server.Interval(now).Contains(now) {
 			t.Errorf("server %d incorrect after crash/restart cycle: %v at %v",
 				i, node.Server.Interval(now), now)
 		}
