@@ -405,7 +405,7 @@ func AblationSlew() (Table, error) {
 				maxAsync = s.MaxAsync
 			}
 			for i, c := range s.C {
-				if c < prev[i]-1e-9 {
+				if c < prev[i] {
 					backward++
 				}
 				prev[i] = c

@@ -109,7 +109,7 @@ func Figure2() (Table, error) {
 		}
 		out.Rows = append(out.Rows, []string{
 			c.name, fi(len(c.ivs)), f(smallest), f(common.Width()),
-			fb(common.Width() <= smallest+1e-12), fb(common.Width() < smallest-1e-12),
+			fb(common.Width() <= smallest), fb(common.Width() < smallest),
 		})
 	}
 
@@ -131,10 +131,10 @@ func Figure2() (Table, error) {
 		if !ok {
 			return Table{}, fmt.Errorf("figure2: correct service inconsistent at trial %d", trial)
 		}
-		if common.Width() <= smallest+1e-12 {
+		if common.Width() <= smallest {
 			holds++
 		}
-		if common.Width() < smallest-1e-12 {
+		if common.Width() < smallest {
 			strictly++
 		}
 	}

@@ -129,7 +129,7 @@ func Theorem2() (Table, error) {
 				// The batched protocol applies resets up to one collection
 				// window after the theorem's instantaneous model, so the
 				// bound is checked with that extra allowance.
-				if slack >= xi+delta*(tau+2*xi)+window+1e-9 {
+				if slack >= xi+delta*(tau+2*xi)+window {
 					held = false
 				}
 			}
@@ -190,7 +190,7 @@ func Theorem3() (Table, error) {
 			if bound < minBound {
 				minBound = bound
 			}
-			if s.MaxAsync >= bound+1e-9 {
+			if s.MaxAsync >= bound {
 				held = false
 			}
 		}
@@ -316,7 +316,7 @@ func Theorem7() (Table, error) {
 			if s.MaxAsync > maxAsync {
 				maxAsync = s.MaxAsync
 			}
-			if s.MaxAsync > bound+1e-9 {
+			if s.MaxAsync > bound {
 				held = false
 			}
 		}
