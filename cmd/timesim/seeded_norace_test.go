@@ -34,7 +34,7 @@ var corpusDir = filepath.Join("..", "..", "internal", "chaos", "corpus")
 var seededRows = []seededRow{
 	{"TestSeededOutputsPinned", "-experiment S1", "ce97d35bab900b00", []string{"S1:", "found: skew grows with network distance"}},
 	{"TestRunChaosBatch", "-chaos -campaigns 60 -chaos-seed 1", "a781bd8687bb2e14", []string{"chaos: 60 campaigns ok"}},
-	{"TestChaosMetricsPassive", "-chaos -campaigns 60 -chaos-seed 1 -metrics m.json", "a781bd8687bb2e14 4518e40f1338ef5b", []string{"chaos_campaigns_total", "chaos_invariant_checks_total"}},
+	{"TestChaosMetricsPassive", "-chaos -campaigns 60 -chaos-seed 1 -metrics m.json", "a781bd8687bb2e14 b593d81fb6437e33", []string{"chaos_campaigns_total", "chaos_invariant_checks_total"}},
 	{"TestSeededOutputsPinned", "-chaos -adversarial -campaigns 10 -adv-steps 15 -chaos-seed 1", "453eb07fe73e5082", []string{"chaos: 10 adversarial searches ok"}},
 	{"TestRunChurnDeterministic", "-churn 2 -churn-seed 7", "37209a6f6854035d", []string{"false-evictions=0"}},
 	{"TestRunChurnDeterministic", "-churn 3 -churn-seed 9", "407a8e91e6de99f0", []string{"churn demo:", "alive->left", "left->alive", "false-evictions=0"}},

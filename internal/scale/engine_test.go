@@ -88,7 +88,7 @@ func TestGoldenFingerprints(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"im", testConfig(2, 42), "0fe4981ffd567a32"},
+		{"im", testConfig(2, 42), "1ceb770299577230"},
 	} {
 		if got := runFingerprint(t, tc.cfg, 1800); got != tc.want {
 			t.Errorf("%s: fingerprint %s, pinned %s", tc.name, got, tc.want)

@@ -65,7 +65,7 @@ func TestGoldenFingerprints(t *testing.T) {
 			name:    "im-mesh",
 			cfg:     Config{Seed: 42, Fn: core.IM{}, Servers: correctSpecs(6, 10)},
 			samples: []float64{7.5, 60, 300, 900},
-			want:    "e40276044615fcb2",
+			want:    "637cf97910b38ec5",
 		},
 		{
 			// Unstaggered rounds start at 0, 10, 20, ... and every sample is
