@@ -191,7 +191,7 @@ func TestTheorem2ErrorBound(t *testing.T) {
 			// itself, so charge one extra xi of slack beyond the theorem's
 			// instantaneous-application form.
 			bound := s.MinError + (1+2*delta)*xi + delta*(tau+2*xi) + xi
-			if e > bound+1e-9 {
+			if e > bound {
 				t.Fatalf("t=%v server %d: E=%v exceeds Theorem 2 bound %v (E_M=%v)",
 					s.T, i, e, bound, s.MinError)
 			}
@@ -228,7 +228,7 @@ func TestTheorem7IMAsynchronism(t *testing.T) {
 		if s.T < 3*tau {
 			continue
 		}
-		if s.MaxAsync > bound+1e-9 {
+		if s.MaxAsync > bound {
 			t.Fatalf("t=%v: asynchronism %v exceeds Theorem 7 bound %v", s.T, s.MaxAsync, bound)
 		}
 	}
@@ -345,10 +345,7 @@ func TestRecoveryFaultyDrift(t *testing.T) {
 	}
 	// The healthy server must stay correct throughout.
 	for _, s := range samples {
-		if iv := svc.Nodes[0].Server.Interval(s.T); false && !iv.Contains(s.T) {
-			t.Fatalf("healthy server incorrect at %v", s.T)
-		}
-		if math.Abs(s.Offset[0]) > s.E[0]+1e-9 {
+		if math.Abs(s.Offset[0]) > s.E[0] {
 			t.Fatalf("healthy server incorrect at t=%v: offset %v error %v",
 				s.T, s.Offset[0], s.E[0])
 		}
@@ -775,7 +772,7 @@ func TestSlewedServiceStaysCorrect(t *testing.T) {
 		at := float64(step) * 0.5
 		svc2.Run(at)
 		v := svc2.Nodes[0].Server.Read(at)
-		if v < prev-1e-9 {
+		if v < prev {
 			t.Fatalf("slewed clock went backward at t=%v: %v < %v", at, v, prev)
 		}
 		prev = v
