@@ -105,7 +105,9 @@ cover-check:
 # small line it accepts (a line Parse accepts must run without a panic),
 # and the scale engine's configuration (New rejects it or runs it without
 # a panic; an IM run with every drift within delta/(1+delta) ends
-# consistent with no reply after its close).
+# consistent with no reply after its close), and a reply's transit charge
+# over a delay band (FuzzChargeBand: any legs in the band, any drift
+# within its bound, the true time inside).
 # FUZZTIME is the budget of the whole smoke in seconds, split
 # evenly over the targets but never below a second each (go test reads
 # -fuzztime 0s as no limit); run one target with a larger -fuzztime when
@@ -115,7 +117,7 @@ FUZZ_TARGETS = interval:FuzzMarzulloSpan interval:FuzzSelect wire:FuzzParseReque
                wire:FuzzParseRequestHLC wire:FuzzParseResponse wire:FuzzResponseID \
                hlc:FuzzTimestampCodec \
                udptime:FuzzClientReply sim/shard:FuzzQueue chaos:FuzzCampaignCodec \
-               scale:FuzzScaleConfig core:FuzzDiscipline
+               scale:FuzzScaleConfig core:FuzzDiscipline core:FuzzChargeBand
 fuzz-smoke:
 	@each=$$(( $(FUZZTIME:s=) / $(words $(FUZZ_TARGETS)) )); \
 	each=$$(( each > 0 ? each : 1 ))s; \

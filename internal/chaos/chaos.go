@@ -210,7 +210,7 @@ func (BuggyIM) Sync(s *core.Server, t float64, replies []core.Reply) core.Result
 		// function uses: the bug is purely in what this function does
 		// with the intervals.
 		age := math.Max(0, r.Age)
-		trail, lead := core.Charge(r.E, r.RTT, age, s.Delta(), 0)
+		trail, lead := core.Charge(r.E, r.RTT, age, s.Delta(), 0, math.Inf(1), 0)
 		lo, hi := core.Offset(r.C+age, trail, lead, 0)
 		ivs = append(ivs, interval.Interval{Lo: lo, Hi: hi})
 	}

@@ -35,7 +35,7 @@ func incrementalRound(s *Server, t float64, arrivals []Reply) (c, eps float64, o
 	used := 0
 	for _, r := range arrivals {
 		ck := ci - r.Age
-		trail, lead := Charge(r.E, r.RTT, 0, s.delta, 0)
+		trail, lead := Charge(r.E, r.RTT, 0, s.delta, 0, math.Inf(1), 0)
 		lo, hi := Offset(r.C, trail, lead, ck)
 		if !Consistent(lo, hi, errAt(ck)) {
 			continue
@@ -208,9 +208,9 @@ func TestPropertyDriftInterval(t *testing.T) {
 	}
 }
 
-// TestPropertyChargeFloor holds Charge's minimum-delay credit to its
-// soundness premise at its edges, in float64 as scale.Engine computes
-// it. A request leaves at t0 and each leg is added to the clock as the
+// TestPropertyChargeFloor holds Charge's minimum-delay credit, with no
+// Max (M = +Inf; TestPropertyChargeBand holds the Max), to its soundness
+// premise at its edges, in float64 as scale.Engine computes it. A request leaves at t0 and each leg is added to the clock as the
 // event kernel adds a delay (At = now + delay, rounded); one leg takes
 // exactly m and the other the rest of the round trip. The responder
 // reads at c = t1 ∓ e, its interval's edge, so with the short leg on the
@@ -244,7 +244,7 @@ func TestPropertyChargeFloor(t *testing.T) {
 				for math.Abs(c-t1) > e {
 					c = math.Nextafter(c, t1)
 				}
-				trail, lead := Charge(e, rtt, 0, delta, Floor(m, ci))
+				trail, lead := Charge(e, rtt, 0, delta, m, math.Inf(1), ci)
 				lo, hi := Offset(c, trail, lead, ci)
 				if truth := t2 - ci; !(lo <= truth && truth <= hi) {
 					t.Fatalf("trial %d: t0 %v, legs %v, responder <%v, %v>, rtt %v, delta %v: offset [%v, %v] excludes %v (by %v, %v)",
@@ -307,4 +307,103 @@ func TestPropertyLeg(t *testing.T) {
 	if tight < 10000 {
 		t.Fatalf("only %d offsets came within 1e-9 of an edge: the edges were not exercised", tight)
 	}
+}
+
+// chargeBand runs one exchange over a delay band [m, M] in float64 as
+// scale.Engine computes it and returns Charge's offset interval with the
+// true offset at the reply's arrival. A request leaves at true time t0
+// on the requester's clock off + (1+d)*t; it takes leg d1 to the
+// responder, which reads c = t1 + u*e (|u| <= 1, nudged onto its
+// interval), and the reply takes leg d2 back, each leg added to the
+// clock as the event kernel adds a delay (At = now + delay, rounded).
+// The requester claims the least bound that covers its drift,
+// delta = |d|/(1+d), so that (1-delta)*rtt is the true round trip when
+// d > 0 and (1+delta)*rtt is when d < 0.
+func chargeBand(t0, d1, d2, m, M, e, u, d, off float64) (lo, hi, truth float64) {
+	read := func(t float64) float64 { return off + (1+d)*t }
+	t1 := t0 + d1
+	t2 := t1 + d2
+	reqC, ci := read(t0), read(t2)
+	rtt := max(0, ci-reqC)
+	c := t1 + u*e
+	for math.Abs(c-t1) > e {
+		c = math.Nextafter(c, t1)
+	}
+	trail, lead := Charge(e, rtt, 0, math.Abs(d)/(1+d), m, M, ci)
+	lo, hi = Offset(c, trail, lead, ci)
+	return lo, hi, t2 - ci
+}
+
+// TestPropertyChargeBand holds Charge's use of the band's Max to its
+// soundness premise at the two edges it sets. With the reply's leg at M
+// and the responder's reading on its interval's lower edge, the true time
+// sits on the leading edge, where the cap M binds over the round trip
+// less m (the request's leg lies anywhere in the band). With the
+// request's leg at M and the reading on its upper edge, the true time
+// sits on the trailing edge, where the credit (1-delta)*rtt - M binds
+// over m; a fast requester clock (d > 0) makes that credit the true
+// reply leg, so only rounding is left. A quarter of the bands have m = 0
+// and a quarter m = M; readings reach 1e6 s.
+func TestPropertyChargeBand(t *testing.T) {
+	rng := rand.New(rand.NewPCG(50, 51))
+	logUniform := func(lo, hi float64) float64 { return lo * math.Pow(hi/lo, rng.Float64()) }
+	var tight [2]int // leading, trailing
+	for trial := 0; trial < 20000; trial++ {
+		t0 := logUniform(1, 1e6)
+		m := 0.0
+		if rng.IntN(4) > 0 {
+			m = logUniform(1e-7, 0.05)
+		}
+		M := m
+		if rng.IntN(4) > 0 {
+			M += logUniform(1e-9, 0.1)
+		}
+		e := logUniform(1e-9, 1)
+		d := (2*rng.Float64() - 1) * logUniform(1e-12, 1e-3)
+		off := (2*rng.Float64() - 1) * logUniform(1e-9, 1)
+		inBand := m + rng.Float64()*(M-m)
+		for edge, x := range [][3]float64{{inBand, M, -1}, {M, inBand, 1}} {
+			lo, hi, truth := chargeBand(t0, x[0], x[1], m, M, e, x[2], d, off)
+			if !(lo <= truth && truth <= hi) {
+				t.Fatalf("trial %d: t0 %v, legs %v, %v of [%v, %v], responder error %v, drift %v: offset [%v, %v] excludes %v (by %v, %v)",
+					trial, t0, x[0], x[1], m, M, e, d, lo, hi, truth, lo-truth, truth-hi)
+			}
+			if gap := [2]float64{hi - truth, truth - lo}[edge]; gap < 1e-9 {
+				tight[edge]++
+			}
+		}
+	}
+	if tight[0] < 10000 || tight[1] < 5000 {
+		t.Fatalf("only %d leading and %d trailing offsets came within 1e-9 of their edge: the edges were not exercised",
+			tight[0], tight[1])
+	}
+}
+
+// FuzzChargeBand holds Charge over a band to containment for any legs in
+// the band, any responder reading within its error and any requester
+// drift within its bound: the fuzzer's values are folded into t0 in
+// [1, 1e6] s, m up to 50 ms, M - m up to 100 ms, e up to 1 s, |d| up to
+// 1e-3 and |off| below 1 s, the ranges of TestPropertyChargeBand.
+func FuzzChargeBand(f *testing.F) {
+	f.Add(1000.0, 0.001, 0.004, 0.01, 0.5, 1.0, -1.0, 1e-4, 0.3)
+	f.Add(999999.0, 0.0, 0.1, 0.5, 1.0, 0.0, 1.0, 9e-4, -0.9)
+	f.Add(1.0, 0.05, 0.0, 1e-9, 0.25, 0.75, 0.0, -1e-3, 0.0)
+	f.Fuzz(func(t *testing.T, t0, m, w, e, f1, f2, u, d, off float64) {
+		for _, x := range []float64{t0, m, w, e, f1, f2, u, d, off} {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return
+			}
+		}
+		t0 = 1 + math.Mod(math.Abs(t0), 1e6-1)
+		m = math.Mod(math.Abs(m), 0.05)
+		M := m + math.Mod(math.Abs(w), 0.1)
+		e = math.Mod(math.Abs(e), 1)
+		d1 := m + math.Mod(math.Abs(f1), 1)*(M-m)
+		d2 := m + math.Mod(math.Abs(f2), 1)*(M-m)
+		u, d, off = math.Mod(u, 1), math.Mod(d, 1e-3), math.Mod(off, 1)
+		if lo, hi, truth := chargeBand(t0, d1, d2, m, M, e, u, d, off); !(lo <= truth && truth <= hi) {
+			t.Fatalf("t0 %v, legs %v, %v of [%v, %v], responder <t1%+v, %v>, drift %v, off %v: offset [%v, %v] excludes %v (by %v, %v)",
+				t0, d1, d2, m, M, u*e, e, d, off, lo, hi, truth, lo-truth, truth-hi)
+		}
+	})
 }

@@ -9,12 +9,14 @@
 //     E_j(t) = epsilon_j + (C_j(t) - r_j) * a_j, a_j its aging rate:
 //     delta, until the rate discipline below gives a residual.
 //   - IM-2: a requester transforms each reply into the offset interval
-//     [C_j - E_j + m - C_i, C_j + E_j + (1+a_i) rtt - m - C_i], rtt the
-//     round trip it measured on its own clock and m the Min of the band
-//     the exchange travelled (core.Floor's credit of it): C_j was read at
-//     least m after the request left and at least m before the reply
-//     arrived. It intersects (including its own interval), and resets
-//     to the midpoint. The intersection is maintained incrementally as
+//     [C_j - E_j + max(m, (1-a_i) rtt - M) - C_i,
+//     C_j + E_j + min((1+a_i) rtt - m, M) - C_i], rtt the round trip it
+//     measured on its own clock and [m, M] the band the exchange
+//     travelled (core.Charge): each leg took between m and M, so the
+//     reply's took at least m and the round trip less the longest request
+//     leg, and at most M and the round trip less the shortest. It
+//     intersects (including its own interval), and resets to the
+//     midpoint. The intersection is maintained incrementally as
 //     replies arrive, aged by the local clock's progress exactly as
 //     core.Server's Age machinery ages a batched reply.
 //   - IM-2 intersects requests too. A request carries the requester's
@@ -99,6 +101,8 @@ type Band struct {
 	Max float64
 }
 
+// sample is the delay a uniform draw u in [0, 1) picks from the band: a
+// message's one-way delay, drawn from its sender's stream.
 func (b Band) sample(u float64) float64 { return b.Min + u*(b.Max-b.Min) }
 
 // Config configures an engine.
@@ -125,10 +129,12 @@ type Config struct {
 	// clock offsets are drawn uniform within it, so the claim is honest.
 	InitialError float64
 	// Member, Uplink, and Backbone are the three tiers' delay bands.
-	// Both edges are soundness premises: a reply is credited Min on each
-	// leg, and a request's interval spans its leg up to Max, so a delay
-	// outside its band can put an interval off the true time. Positive
-	// minima are also what make partitions safely shardable.
+	// Both edges are soundness premises: a reply's leg is taken to lie in
+	// the band (at least Min and at least the round trip less Max, at
+	// most Max and at most the round trip less Min), and a request's
+	// interval spans its leg from Min up to Max, so a delay outside its
+	// band can put an interval off the true time. Positive minima are
+	// also what make partitions safely shardable.
 	Member, Uplink, Backbone Band
 	// Rule must be RuleIM.
 	Rule Rule
@@ -360,11 +366,6 @@ func (e *Engine) band(src, dst int32) Band {
 	}
 }
 
-// delay draws the one-way delay from src's stream for a message to dst.
-func (e *Engine) delay(p *shard.Proc, src, dst int32) float64 {
-	return e.band(src, dst).sample(p.Float64(src))
-}
-
 // --- rule MM-1 primitives ---
 
 func (e *Engine) read(i int32, t float64) float64 {
@@ -478,7 +479,7 @@ func (e *Engine) sync(p *shard.Proc, i int32) {
 
 // ask sends one time request from i to j, carrying i's reading <ci, ei>.
 func (e *Engine) ask(p *shard.Proc, i, j int32, tag uint32, ci, ei float64) {
-	p.Send(i, j, e.delay(p, i, j), kRequest, tag, ci, ei)
+	p.Send(i, j, e.band(i, j).sample(p.Float64(i)), kRequest, tag, ci, ei)
 }
 
 // request answers a time request at node j per rule MM-1, and takes the
@@ -493,8 +494,8 @@ func (e *Engine) ask(p *shard.Proc, i, j int32, tag uint32, ci, ei float64) {
 func (e *Engine) request(p *shard.Proc, j, from int32, tag uint32, ci, ei float64) {
 	t := p.Now()
 	cj, ej := e.read(j, t), e.errAt(j, t)
-	p.Send(j, from, e.delay(p, j, from), kReply, tag, cj, ej)
 	band := e.band(from, j)
+	p.Send(j, from, band.sample(p.Float64(j)), kReply, tag, cj, ej)
 	lo, hi := core.Leg(ci, ei, band.Min, band.Max, cj)
 	if !core.Consistent(lo, hi, ej) {
 		e.incons++
@@ -515,9 +516,10 @@ func (e *Engine) request(p *shard.Proc, j, from int32, tag uint32, ci, ei float6
 }
 
 // reply processes a reply <cj, ej> arriving at node i: the transit
-// charge, the measured round trip stretched by 1+a_i on the leading edge
-// with the link's minimum delay credited on both, the consistency check,
-// and IM's incremental intersection.
+// charge over the link's band (core.Charge: the reply's leg bounded by
+// the band and by the measured round trip less the request's leg, the
+// round trip stretched by 1-a_i and 1+a_i), the consistency check, and
+// IM's incremental intersection.
 func (e *Engine) reply(p *shard.Proc, i, from int32, tag uint32, cj, ej float64) {
 	if tag != e.round[i] {
 		e.late++
@@ -529,7 +531,8 @@ func (e *Engine) reply(p *shard.Proc, i, from int32, tag uint32, cj, ej float64)
 	if rtt < 0 {
 		rtt = 0
 	}
-	trail, lead := core.Charge(ej, rtt, 0, e.age[i], core.Floor(e.band(from, i).Min, ci))
+	band := e.band(from, i)
+	trail, lead := core.Charge(ej, rtt, 0, e.age[i], band.Min, band.Max, ci)
 	lo, hi := core.Offset(cj, trail, lead, ci)
 	ei := e.errAt(i, t)
 	if !core.Consistent(lo, hi, ei) {

@@ -27,7 +27,10 @@ import (
 // Rows 8 and 9 do the same for a request's interval (core.Leg): a mesh
 // on one fixed delay, its rounds open for 42 % of a period, so requests
 // fold into open rounds and move closed ones' clocks; and a zero Min
-// under every Max.
+// under every Max. Rows 10 and 11 do the same for a reply's Max credit
+// (core.Charge's cap and its credit of the round trip less Max): Min ==
+// Max on every tier of a sharded three-region hierarchy with sampled
+// peers, and a zero Min under every positive Max.
 func FuzzScaleConfig(f *testing.F) {
 	c := testConfig(2, 1)
 	f.Add(uint8(3), uint8(2), uint8(4), uint8(0), uint8(2), uint64(1), c.Tau, c.Delta, c.DriftMax, c.InitialError,
@@ -48,6 +51,10 @@ func FuzzScaleConfig(f *testing.F) {
 		0.004, 0.004, 0.0, 0.0, 0.0, 0.0)
 	f.Add(uint8(2), uint8(3), uint8(3), uint8(2), uint8(1), uint64(12), 0.5, 1e-4, 0.99e-4, 0.05,
 		0.0, 0.002, 0.0, 0.01, 0.0, 0.08)
+	f.Add(uint8(3), uint8(2), uint8(3), uint8(2), uint8(3), uint64(13), 20.0, 1e-4, 0.99e-4, 0.05,
+		0.002, 0.002, 0.006, 0.006, 0.025, 0.025)
+	f.Add(uint8(2), uint8(2), uint8(4), uint8(0), uint8(1), uint64(14), 20.0, 1e-4, 0.99e-4, 0.05,
+		0.0, 0.003, 0.0, 0.01, 0.0, 0.05)
 	f.Add(uint8(3), uint8(2), uint8(4), uint8(0), uint8(1), uint64(10), c.Tau, 0.1, 0.3, c.InitialError,
 		c.Member.Min, c.Member.Max, c.Uplink.Min, c.Uplink.Max, c.Backbone.Min, c.Backbone.Max)
 	f.Fuzz(func(t *testing.T, regions, clusters, members, k, shards uint8, seed uint64,
