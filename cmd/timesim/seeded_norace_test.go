@@ -32,7 +32,7 @@ var corpusDir = filepath.Join("..", "..", "internal", "chaos", "corpus")
 // TestExperimentsDocMatchesTree these tests are not built under the race
 // detector, which stretches their 0.4 s to 6 s.
 var seededRows = []seededRow{
-	{"TestSeededOutputsPinned", "-experiment S1", "ce97d35bab900b00", []string{"S1:", "found: skew grows with network distance"}},
+	{"TestSeededOutputsPinned", "-experiment S1", "be660af237101ba1", []string{"S1:", "found: skew grows with network distance"}},
 	{"TestRunChaosBatch", "-chaos -campaigns 60 -chaos-seed 1", "a781bd8687bb2e14", []string{"chaos: 60 campaigns ok"}},
 	{"TestChaosMetricsPassive", "-chaos -campaigns 60 -chaos-seed 1 -metrics m.json", "a781bd8687bb2e14 b593d81fb6437e33", []string{"chaos_campaigns_total", "chaos_invariant_checks_total"}},
 	{"TestSeededOutputsPinned", "-chaos -adversarial -campaigns 10 -adv-steps 15 -chaos-seed 1", "453eb07fe73e5082", []string{"chaos: 10 adversarial searches ok"}},
