@@ -37,7 +37,7 @@ COVER_FLOOR_PKGS = ./internal/core ./internal/interval ./internal/member \
                    ./internal/chaos
 COVER_FLOOR     ?= 85
 
-.PHONY: all build vet lint test check test-race cover cover-check fuzz-smoke experiments ablations examples clean
+.PHONY: all build vet lint test check test-race cover cover-check inline-check fuzz-smoke experiments ablations examples clean
 
 all: build vet lint test
 
@@ -69,12 +69,13 @@ test: vet
 	$(GO) test ./...
 	$(GO) test -race $(RACE_PKGS)
 
-# check = vet + lint + test + coverage floor: the tier-1 tests (the
-# AllocsPerRun tests that hold every hot path at zero allocations, the
-# pinned seeded outputs and the serving table among them), the lint gate
-# and the proof-core coverage floor travel together (race rides inside
-# `test` via RACE_PKGS, which races the live serving path's tests).
-check: vet lint test cover-check
+# check = vet + lint + test + coverage floor + inline gate: the tier-1
+# tests (the AllocsPerRun tests that hold every hot path at zero
+# allocations, the pinned seeded outputs and the serving table among
+# them), the lint gate, the proof-core coverage floor and the inlined
+# per-message rules travel together (race rides inside `test` via
+# RACE_PKGS, which races the live serving path's tests).
+check: vet lint test cover-check inline-check
 
 test-race:
 	$(GO) test -race $(RACE_PKGS)
@@ -125,6 +126,33 @@ fuzz-smoke:
 		echo "fuzz-smoke: $$t for $$each"; \
 		$(GO) test ./internal/$${t%%:*} -run '^$$' -fuzz "^$${t##*:}\$$" -fuzztime $$each || exit 1; \
 	done
+
+# The rule calls the scale engine makes once per message, in request,
+# reply and close, each as function:callee. A callee with a dot is a
+# package function (core's rules); one without is an Engine method. Every
+# one must inline: go build -gcflags=-m must report "inlining call to" it
+# on a line of its function, or the engine pays a call per message.
+# core.Charge inlines at cost 79 and core.Narrow at 78 of Go's 80, so
+# one more operation in either fails here (DESIGN.md §3).
+INLINE_CALLS = request:band request:core.AgedError request:core.Leg request:core.Consistent \
+               request:core.Widen request:core.Fold request:core.Narrow \
+               reply:band reply:core.Charge reply:core.Offset reply:core.Consistent \
+               reply:core.AgedError reply:core.Widen reply:core.Fold \
+               close:core.Widen close:core.Midpoint
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/scale 2>&1) || { echo "$$out"; exit 1; }; \
+	fail=0; \
+	for c in $(INLINE_CALLS); do \
+		fn=$${c%%:*}; callee=$${c#*:}; \
+		case $$callee in *.*) ;; *) callee="(*Engine).$$callee";; esac; \
+		lines=" $$(awk -v fn="$$fn" 'index($$0, "func (e *Engine) " fn "(") == 1 {on = 1} on {printf "%d ", NR} on && /^}/ {exit}' internal/scale/engine.go)"; \
+		if ! echo "$$out" | awk -F: -v want="inlining call to $$callee" -v lines="$$lines" \
+			'$$1 == "internal/scale/engine.go" && index(lines, " " $$2 " ") && substr($$0, length($$0) - length(want) + 1) == want {found = 1} END {exit !found}'; then \
+			echo "inline-check: scale.Engine.$$fn does not inline its call to $$callee"; fail=1; \
+		fi; \
+	done; \
+	if [ $$fail = 0 ]; then echo "inline-check: $(words $(INLINE_CALLS)) rule calls inline"; fi; \
+	exit $$fail
 
 # Regenerate the EXPERIMENTS.md data.
 experiments:

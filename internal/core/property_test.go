@@ -82,7 +82,7 @@ func TestPropertyIMResultSubsetOfInputs(t *testing.T) {
 		var inputs []interval.Interval
 		inputs = append(inputs, own)
 		for _, r := range replies {
-			inputs = append(inputs, s.replyInterval(r))
+			inputs = append(inputs, s.replyInterval(truth, r))
 		}
 		res := IM{}.Sync(s, truth, replies)
 		if !res.Reset {

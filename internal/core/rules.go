@@ -16,7 +16,8 @@ import "math"
 // to core.X").
 //
 // Leg is Charge and Offset for a one-way message with known delay
-// bounds: scale.Engine's responders intersect the requests they answer.
+// bounds, and Narrow is what a responder does with it outside a round:
+// a request is a reading (Node.Hear, and scale.Engine over its arrays).
 //
 // Where rounding could lose true time, a rule rounds outward by roundoff
 // times the reading (Charge, Leg, Midpoint, DriftInterval, Steer), so
@@ -140,6 +141,25 @@ func Fold(a, b, lo, hi float64) (float64, float64) {
 func Midpoint(a, b, ci float64) (shift, eps float64) {
 	shift = (a + b) / 2
 	return shift, (b-a)/2 + roundoff*math.Abs(ci+shift)
+}
+
+// Narrow is rule IM-2 for one reading [lo, hi] of offsets from the
+// reading c, taken outside a round: intersected with the node's own
+// [-e, e], it narrows it or it does not. When it does, the node adopts
+// the intersection's midpoint (Midpoint), and ok is true. A reading that
+// misses [-e, e] must be refused first (Consistent).
+func Narrow(lo, hi, e, c float64) (shift, eps float64, ok bool) {
+	a, b := -e, e
+	if lo > a {
+		a, ok = lo, true
+	}
+	if hi < b {
+		b, ok = hi, true
+	}
+	if ok {
+		shift, eps = Midpoint(a, b, c)
+	}
+	return shift, eps, ok
 }
 
 // CollectWindow is how long a round collects replies before rule IM-2

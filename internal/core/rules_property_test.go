@@ -91,7 +91,7 @@ func TestPropertyIncrementalIMMatchesBatch(t *testing.T) {
 				dropped[i] = true
 			}
 			for i, r := range replies {
-				if _, trail, lead := s.effective(r); !dropped[i] {
+				if _, trail, lead := s.effective(r, s.Read(truth)); !dropped[i] {
 					narrowest = math.Min(narrowest, (trail+lead)/2)
 				}
 			}
@@ -406,4 +406,28 @@ func FuzzChargeBand(f *testing.F) {
 				t0, d1, d2, m, M, u*e, e, d, off, lo, hi, truth, lo-truth, truth-hi)
 		}
 	})
+}
+
+// TestPropertyNarrow holds Narrow to the rule it folds by hand: Fold the
+// reading into the own [-e, e], adopt the Midpoint when an edge moved,
+// bit for bit (scale's im golden pins its operations), over readings
+// inside, across and around the own interval.
+func TestPropertyNarrow(t *testing.T) {
+	rng := rand.New(rand.NewPCG(61, 62))
+	for trial := 0; trial < 20000; trial++ {
+		e := rng.Float64()
+		lo := (2*rng.Float64() - 1) * 2 * e
+		hi := lo + rng.Float64()*3*e
+		c := rng.Float64() * 1e6
+		a, b := Fold(-e, e, lo, hi)
+		wantOK := a > -e || b < e
+		var wantShift, wantEps float64
+		if wantOK {
+			wantShift, wantEps = Midpoint(a, b, c)
+		}
+		shift, eps, ok := Narrow(lo, hi, e, c)
+		if ok != wantOK || math.Float64bits(shift) != math.Float64bits(wantShift) || math.Float64bits(eps) != math.Float64bits(wantEps) {
+			t.Fatalf("Narrow(%v, %v, %v, %v) = %v, %v, %v; want %v, %v, %v", lo, hi, e, c, shift, eps, ok, wantShift, wantEps, wantOK)
+		}
+	}
 }

@@ -51,7 +51,7 @@ func (MM) Sync(s *Server, t float64, replies []Reply) Result {
 			res.Inconsistent = append(res.Inconsistent, i)
 			continue
 		}
-		c, _, lead := s.effective(r)
+		c, _, lead := s.effective(r, s.Read(t))
 		if lead <= s.ErrorAt(t) {
 			s.SetClock(t, c, lead)
 			res.Reset = true
@@ -104,7 +104,7 @@ func (f IM) Sync(s *Server, t float64, replies []Reply) Result {
 	}
 	used := 0
 	for i, r := range replies {
-		c, trail, lead := s.effective(r)
+		c, trail, lead := s.effective(r, ci)
 		lo, hi := Offset(c, trail, lead, ci)
 		if f.DropInconsistent && !Consistent(lo, hi, ei) {
 			s.noteInconsistent()
@@ -235,14 +235,15 @@ type cand struct {
 // consistent with the server's interval at t; an inconsistent reply is
 // counted and listed in res instead (rule MM-2's "ignored").
 func (s *Server) candidates(t float64, replies []Reply, res *Result) []cand {
-	cands := []cand{{c: s.Read(t), err: s.ErrorAt(t), own: true}}
+	ci := s.Read(t)
+	cands := []cand{{c: ci, err: s.ErrorAt(t), own: true}}
 	for i, r := range replies {
 		if !s.ConsistentWith(t, r) {
 			s.noteInconsistent()
 			res.Inconsistent = append(res.Inconsistent, i)
 			continue
 		}
-		c, _, lead := s.effective(r)
+		c, _, lead := s.effective(r, ci)
 		cands = append(cands, cand{c: c, err: lead})
 	}
 	return cands

@@ -33,7 +33,7 @@ func (SelectIM) Sync(s *Server, t float64, replies []Reply) Result {
 	}
 	own := len(ivs)
 	for _, r := range replies {
-		ivs = append(ivs, s.replyInterval(r))
+		ivs = append(ivs, s.replyInterval(t, r))
 	}
 	sel, ok := interval.Select(ivs)
 	if !ok {
@@ -89,7 +89,7 @@ func (f ByzIM) Sync(s *Server, t float64, replies []Reply) Result {
 	var res Result
 	ivs := []interval.Interval{s.Interval(t)}
 	for _, r := range replies {
-		ivs = append(ivs, s.replyInterval(r))
+		ivs = append(ivs, s.replyInterval(t, r))
 	}
 	budget := f.F
 	if budget <= 0 {

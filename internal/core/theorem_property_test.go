@@ -108,7 +108,7 @@ func TestPropertyIMMidpointWithinPairwiseBounds(t *testing.T) {
 			replies := fam.gen(rng, truth)
 			bounds := make([]struct{ lo, hi float64 }, len(replies))
 			for j, r := range replies {
-				iv := s.replyInterval(r)
+				iv := s.replyInterval(truth, r)
 				bounds[j].lo, bounds[j].hi = iv.Lo, iv.Hi
 			}
 			res := IM{}.Sync(s, truth, replies)

@@ -3,7 +3,9 @@
 // Server objects, a message network, and per-reply bookkeeping — the
 // right fidelity for hundreds of servers — this engine calls the same
 // rule functions (core/rules.go) over flat per-node arrays so that runs of
-// 10^5 servers finish in seconds:
+// 10^5 servers finish in seconds. Both credit each link's delay band on a
+// reply and take each request as a reading; service does it through
+// core.Node (Server.effective, Node.Hear):
 //
 //   - MM-1: a node answers a request with <C_j(t), E_j(t)> where
 //     E_j(t) = epsilon_j + (C_j(t) - r_j) * a_j, a_j its aging rate:
@@ -23,11 +25,8 @@
 //     <C_i, E_i> read as it left, and it arrived between the band's Min
 //     and Max later, so the responder holds the interval
 //     [C_i - E_i + m - C_j, C_i + E_i + M - C_j] at no cost in messages
-//     (core.Leg). While the responder's own round is open the interval
-//     folds into that round's intersection; otherwise, if it narrows the
-//     responder's own interval, the responder adopts its midpoint there
-//     and then, rate and anchor untouched (DESIGN.md §3, "A request is a
-//     reading").
+//     (core.Leg): folded into an open round, or outside one adopted if it
+//     narrows (core.Narrow; DESIGN.md §3, "A request is a reading").
 //   - The round closes, and IM adopts, core.CollectWindow(xi) after it
 //     starts, as internal/service's rounds do: xi is twice the largest
 //     delay bound of a tier the topology has links on, so every reply is
@@ -354,16 +353,17 @@ func (e *Engine) hubOf(i int32) int32 {
 	return i - i%per
 }
 
-// band is the delay band of the link between src and dst, either way.
+// band is the delay band of the link between src and dst, either way:
+// ids share a cluster, or a region, when they share its quotient.
 func (e *Engine) band(src, dst int32) Band {
-	switch {
-	case e.clusterBase(src) == e.clusterBase(dst):
+	m := int32(e.cfg.Topo.Members)
+	if src/m == dst/m {
 		return e.cfg.Member
-	case e.hubOf(src) == e.hubOf(dst):
-		return e.cfg.Uplink
-	default:
-		return e.cfg.Backbone
 	}
+	if per := m * int32(e.cfg.Topo.Clusters); src/per == dst/per {
+		return e.cfg.Uplink
+	}
+	return e.cfg.Backbone
 }
 
 // --- rule MM-1 primitives ---
@@ -483,35 +483,30 @@ func (e *Engine) ask(p *shard.Proc, i, j int32, tag uint32, ci, ei float64) {
 }
 
 // request answers a time request at node j per rule MM-1, and takes the
-// requester's reading <ci, ei>, sent over a leg of the link's band, as
-// one more interval (core.Leg). One disjoint from j's own is counted
-// inconsistent and ignored. While j's own round is open, the interval
-// folds into its running intersection, as a reply does; j's clock never
-// moves mid-round, since reqC and lastC time the round's replies.
-// Otherwise, if it narrows j's own interval, j adopts the intersection's
-// midpoint (rule IM-2) with its rate, aging rate and anchor untouched:
-// the rate steps only at a round's close (DESIGN.md §3).
+// requester's reading <ci, ei> over a leg of the link's band as one more
+// interval (core.Leg), by core.Node.Hear's rule: one disjoint from j's
+// own is inconsistent and ignored; in j's open round it folds in, as a
+// reply does (j's clock never moves mid-round, since reqC and lastC time
+// the round's replies); outside one j adopts it if it narrows j's
+// interval (core.Narrow), rate, aging rate and anchor untouched.
 func (e *Engine) request(p *shard.Proc, j, from int32, tag uint32, ci, ei float64) {
 	t := p.Now()
 	cj, ej := e.read(j, t), e.errAt(j, t)
 	band := e.band(from, j)
 	p.Send(j, from, band.sample(p.Float64(j)), kReply, tag, cj, ej)
 	lo, hi := core.Leg(ci, ei, band.Min, band.Max, cj)
-	if !core.Consistent(lo, hi, ej) {
-		e.incons++
-		e.obsIncons.Inc()
-		return
-	}
-	if e.round[j]&1 != 0 {
+	switch {
+	case !core.Consistent(lo, hi, ej):
+		e.inconsistent()
+	case e.round[j]&1 != 0:
 		a, b := core.Widen(e.a[j], e.b[j], cj-e.lastC[j], e.age[j])
 		e.a[j], e.b[j] = core.Fold(a, b, lo, hi)
 		e.lastC[j] = cj
 		e.used[j]++
-		return
-	}
-	if a, b := core.Fold(-ej, ej, lo, hi); a > -ej || b < ej {
-		shift, eps := core.Midpoint(a, b, cj)
-		e.setClock(j, t, cj+shift, eps)
+	default:
+		if shift, eps, ok := core.Narrow(lo, hi, ej, cj); ok {
+			e.setClock(j, t, cj+shift, eps)
+		}
 	}
 }
 
@@ -534,13 +529,11 @@ func (e *Engine) reply(p *shard.Proc, i, from int32, tag uint32, cj, ej float64)
 	band := e.band(from, i)
 	trail, lead := core.Charge(ej, rtt, 0, e.age[i], band.Min, band.Max, ci)
 	lo, hi := core.Offset(cj, trail, lead, ci)
-	ei := e.errAt(i, t)
-	if !core.Consistent(lo, hi, ei) {
+	if !core.Consistent(lo, hi, e.errAt(i, t)) {
 		// Disjoint from the own interval: at least one of the two servers
 		// is incorrect; the reply is ignored (IM's DropInconsistent
 		// pre-filter).
-		e.incons++
-		e.obsIncons.Inc()
+		e.inconsistent()
 		return
 	}
 	// Age the running intersection by the local clock's progress since
@@ -550,6 +543,12 @@ func (e *Engine) reply(p *shard.Proc, i, from int32, tag uint32, cj, ej float64)
 	e.a[i], e.b[i] = core.Fold(a, b, lo, hi)
 	e.lastC[i] = ci
 	e.used[i]++
+}
+
+// inconsistent counts one inconsistent observation.
+func (e *Engine) inconsistent() {
+	e.incons++
+	e.obsIncons.Inc()
 }
 
 // close ends node i's round: it retires the round's tag, and a non-empty
@@ -568,8 +567,7 @@ func (e *Engine) close(p *shard.Proc, i int32, tag uint32) {
 	ci := e.read(i, t)
 	a, b := core.Widen(e.a[i], e.b[i], ci-e.lastC[i], e.age[i])
 	if b < a {
-		e.incons++
-		e.obsIncons.Inc()
+		e.inconsistent()
 		return
 	}
 	shift, eps := core.Midpoint(a, b, ci)
