@@ -65,7 +65,7 @@ func TestGoldenFingerprints(t *testing.T) {
 			name:    "im-mesh",
 			cfg:     Config{Seed: 42, Fn: core.IM{}, Servers: correctSpecs(6, 10)},
 			samples: []float64{7.5, 60, 300, 900},
-			want:    "637cf97910b38ec5",
+			want:    "073b87d5ae377cc0",
 		},
 		{
 			// Unstaggered rounds start at 0, 10, 20, ... and every sample is
@@ -78,7 +78,7 @@ func TestGoldenFingerprints(t *testing.T) {
 				Servers: correctSpecs(5, 10),
 			},
 			samples: []float64{10, 20, 100, 600},
-			want:    "e3bad548ec40bfa9",
+			want:    "c91e03ee5023988f",
 		},
 		{
 			name: "members-churn",

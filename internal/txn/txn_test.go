@@ -256,7 +256,7 @@ func TestCrashPausesClient(t *testing.T) {
 // executed events changed: a change of behaviour to justify and re-pin,
 // never a refactoring.
 func TestGoldenFingerprint(t *testing.T) {
-	const want = "f3e15e3d2373f1f0"
+	const want = "8f67d75c57d00899"
 	svc := testService(t, 7, 4)
 	h := fnv.New64a()
 	var buf [8]byte
