@@ -18,7 +18,7 @@ RACE_PKGS = ./internal/par ./internal/sim/... ./internal/experiments \
 # `make check`): the theorem algebra, the interval sweep, and the
 # membership state machine are the proof core, so untested lines there
 # are untested math. The event kernel (internal/sim/shard, and
-# internal/sim, the closure table over one shard of it that every
+# internal/sim, the closure table over a one-node kernel that every
 # experiment runs on) and par, the experiment fan-out, join the list
 # because every untested line there is a potential determinism hole,
 # and the lint package joins because an untested analyzer rule is an

@@ -305,9 +305,7 @@ func AblationScale() (Table, error) {
 			// Theorem 8's setting: one common claimed bound delta, actual
 			// drifts i.i.d. uniform inside it. Only with many servers do
 			// the extreme drifters approach +/-delta and pin the
-			// intersection. The full mesh is the 1x1xn hierarchy; the
-			// positive minimum delay is what makes the mesh partitionable
-			// (the kernel lookahead), replacing the old zero-minimum band.
+			// intersection. The full mesh is the 1x1xn hierarchy.
 			const delta = 1e-4
 			eng, err := scale.New(scale.Config{
 				Topo:         scale.Topology{Regions: 1, Clusters: 1, Members: n},

@@ -147,9 +147,8 @@ var mapIterScope = []string{
 	// deterministic timelines; sorted iteration is the contract.
 	"disttime/internal/member",
 	// The event kernel, its closure face under every experiment,
-	// and its planet-scale workload are determinism contracts
-	// (across shard counts too); any map iteration feeding event
-	// order or fingerprints is a bug.
+	// and its planet-scale workload are determinism contracts; any
+	// map iteration feeding event order or fingerprints is a bug.
 	"disttime/internal/sim",
 	"disttime/internal/scale",
 	// Hybrid logical clocks and the commit-wait workload feed

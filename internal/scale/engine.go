@@ -53,11 +53,10 @@
 // The topology is a stratified hierarchy computed from node ids (Topo and
 // the arithmetic below it; no link objects, and internal/simnet is not
 // involved): regions of clusters of full-mesh members, uplinks from
-// cluster gateways to region hubs, and a hub-to-hub backbone. Sharded by
-// region, only backbone messages cross shards, so the backbone's minimum
-// delay is the kernel lookahead. Every stochastic choice draws from the
-// choosing node's own stream, so results are byte-identical for every
-// shard count (see internal/sim/shard).
+// cluster gateways to region hubs, and a hub-to-hub backbone. Every
+// stochastic choice draws from the choosing node's own stream, and the
+// kernel runs events in key order (see internal/sim/shard), so a seeded
+// run is byte-identical from run to run.
 //
 // The engine runs the fault-free service only. Faults and dynamic
 // membership belong to the campaign grammar of internal/chaos, which
@@ -108,9 +107,8 @@ func (b Band) sample(u float64) float64 { return b.Min + u*(b.Max-b.Min) }
 type Config struct {
 	// Topo is the hierarchy shape. Required; Members >= 2.
 	Topo Topology
-	// Shards is the kernel partition count; clamped to the number of
-	// partitionable units (regions; clusters in a single region; nodes in
-	// a single mesh). Never changes results; only cmd/bench sets it.
+	// Shards is inert: the kernel is one pending set. It stays because
+	// cmd/bench sets it.
 	Shards int
 	// Seed roots every per-node stream.
 	Seed uint64
@@ -132,8 +130,7 @@ type Config struct {
 	// the band (at least Min and at least the round trip less Max, at
 	// most Max and at most the round trip less Min), and a request's
 	// interval spans its leg from Min up to Max, so a delay outside its
-	// band can put an interval off the true time. Positive minima are
-	// also what make partitions safely shardable.
+	// band can put an interval off the true time.
 	Member, Uplink, Backbone Band
 	// Rule must be RuleIM.
 	Rule Rule
@@ -149,8 +146,7 @@ const (
 
 // Engine is a running scale simulation. All per-node state lives in flat
 // arrays indexed by node id; an event's handler touches only its own
-// node's entries, which is what lets any partition of the nodes give the
-// same run.
+// node's entries.
 type Engine struct {
 	cfg    Config
 	k      *shard.Kernel
@@ -177,10 +173,10 @@ type Engine struct {
 	used        []int32
 	round       []uint32
 
-	// Engine-wide counts, not one per node: the shards run in turn.
-	// resets counts clock resets, incons inconsistent observations, late
-	// replies whose round had closed (zero while xi bounds every delay)
-	// and fallbacks rate bounds that missed [-delta, delta].
+	// Engine-wide counts, not one per node. resets counts clock resets,
+	// incons inconsistent observations, late replies whose round had
+	// closed (zero while xi bounds every delay) and fallbacks rate bounds
+	// that missed [-delta, delta].
 	resets, incons, late, fallbacks uint64
 
 	obsResets *obs.Counter
@@ -246,21 +242,13 @@ func New(cfg Config) (*Engine, error) {
 		a: make([]float64, n), b: make([]float64, n), lastC: make([]float64, n),
 		reqC: make([]float64, n), used: make([]int32, n), round: make([]uint32, n),
 	}
-
-	shards, shardOf, lookahead, err := e.partition(cfg)
-	if err != nil {
-		return nil, err
-	}
-	e.k, err = shard.New(shard.Config{
-		Nodes: n, Shards: shards, Seed: cfg.Seed,
-		Lookahead: lookahead, ShardOf: shardOf, Handler: e,
-	})
-	if err != nil {
+	var err error
+	if e.k, err = shard.New(shard.Config{Nodes: n, Seed: cfg.Seed, Handler: e}); err != nil {
 		return nil, err
 	}
 
-	// Node state init is sequential and shard-independent: one dedicated
-	// stream, consumed in node order.
+	// Node state init is sequential: one dedicated stream, consumed in
+	// node order.
 	init := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xa5a5a5a5a5a5a5a5))
 	for i := 0; i < n; i++ {
 		e.rate[i] = (2*init.Float64() - 1) * cfg.DriftMax
@@ -279,56 +267,19 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// partition picks the shard count, node-to-shard map, and lookahead for
-// the topology: regions are the partition unit when there are several
-// (backbone-only cross traffic), clusters within a single region (uplink
-// cross traffic), and plain node blocks for a single full mesh.
-func (e *Engine) partition(cfg Config) (int, func(int32) int32, float64, error) {
-	t := cfg.Topo
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	var units int
-	var unitOf func(int32) int
-	var min float64
-	switch {
-	case t.Regions > 1:
-		units, min = t.Regions, cfg.Backbone.Min
-		per := t.Clusters * t.Members
-		unitOf = func(node int32) int { return int(node) / per }
-	case t.Clusters > 1:
-		units, min = t.Clusters, cfg.Uplink.Min
-		unitOf = func(node int32) int { return int(node) / t.Members }
-	default:
-		units, min = t.Members, cfg.Member.Min
-		unitOf = func(node int32) int { return int(node) }
-	}
-	if shards > units {
-		shards = units
-	}
-	if shards > 1 && !(min > 0) {
-		return 0, nil, 0, fmt.Errorf("scale: %d shards need a positive minimum cross-shard delay", shards)
-	}
-	s := shards
-	shardOf := func(node int32) int32 { return int32(unitOf(node) * s / units) }
-	return shards, shardOf, min, nil
-}
-
 // Close does nothing: the engine starts no goroutine. It stays because
 // cmd/bench still calls it.
 func (e *Engine) Close() {}
 
-// Observe registers the kernel's window/merge metrics plus the engine's
-// reset and inconsistency counters in reg.
+// Observe registers the engine's reset and inconsistency counters in reg.
 func (e *Engine) Observe(reg *obs.Registry) {
-	e.k.Observe(reg)
 	e.obsResets = reg.Counter("scale_resets_total")
 	e.obsIncons = reg.Counter("scale_inconsistent_total")
 }
 
-// Shards returns the kernel's effective shard count.
-func (e *Engine) Shards() int { return e.k.Shards() }
+// Shards returns 1: the kernel is one pending set. It stays because
+// cmd/bench reports it.
+func (e *Engine) Shards() int { return 1 }
 
 // Steps returns the total events executed.
 func (e *Engine) Steps() uint64 { return e.k.Steps() }
@@ -689,8 +640,7 @@ func (e *Engine) Uncontained(t float64) int {
 }
 
 // Fingerprint folds every node's full state into one digest. Two runs
-// with equal fingerprints walked through byte-identical final states —
-// the determinism matrix test compares these across shard counts.
+// with equal fingerprints walked through byte-identical final states.
 func (e *Engine) Fingerprint() string {
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {

@@ -9,12 +9,10 @@ import (
 	"disttime/internal/simnet"
 )
 
-// testConfig is a small stratified service: 8 regions so the determinism
-// matrix can exercise up to 8 shards.
-func testConfig(shards int, seed uint64) Config {
+// testConfig is a small stratified service: 8 regions of two clusters.
+func testConfig(seed uint64) Config {
 	return Config{
 		Topo:         Topology{Regions: 8, Clusters: 2, Members: 4},
-		Shards:       shards,
 		Seed:         seed,
 		Tau:          30,
 		Delta:        1e-4,
@@ -40,39 +38,11 @@ func runFingerprint(t *testing.T, cfg Config, until float64) string {
 	return e.Fingerprint()
 }
 
-// TestDeterminismMatrix is the cross-kernel determinism test: with every
-// cluster peer polled and with K sampled ones (the one configuration that
-// draws from a node's stream outside delay), seeded runs must be
-// byte-identical across shards 1, 2, 4, and 8 — and shards=1 (single
-// heap, unbounded window) IS the sequential kernel, so each row also
-// checks sharded-vs-sequential equality.
-func TestDeterminismMatrix(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		k    int
-	}{{"plain", 0}, {"ksampled", 2}} {
-		t.Run(tc.name, func(t *testing.T) {
-			with := func(shards int) Config {
-				cfg := testConfig(shards, 42)
-				cfg.K = tc.k
-				return cfg
-			}
-			sequential := runFingerprint(t, with(1), 600)
-			for _, shards := range []int{2, 4, 8} {
-				if got := runFingerprint(t, with(shards), 600); got != sequential {
-					t.Fatalf("%s shards=%d: fingerprint %s, sequential %s",
-						tc.name, shards, got, sequential)
-				}
-			}
-		})
-	}
-}
-
 // TestDeterminismSeedSensitivity checks the fingerprint actually depends
 // on the seed.
 func TestDeterminismSeedSensitivity(t *testing.T) {
-	a := runFingerprint(t, testConfig(2, 1), 300)
-	b := runFingerprint(t, testConfig(2, 2), 300)
+	a := runFingerprint(t, testConfig(1), 300)
+	b := runFingerprint(t, testConfig(2), 300)
 	if a == b {
 		t.Fatalf("different seeds produced identical fingerprint %s", a)
 	}
@@ -81,14 +51,19 @@ func TestDeterminismSeedSensitivity(t *testing.T) {
 // TestGoldenFingerprints pins the final state of one seeded run.
 // The rule functions in core keep their floating-point operation order; a
 // digest that moves means a rule's arithmetic changed, which is a change
-// of behaviour to justify and re-pin, never a refactoring.
+// of behaviour to justify and re-pin, never a refactoring. The second row
+// sets Shards to 2, as cmd/bench does: the field is inert, so the run is
+// the same.
 func TestGoldenFingerprints(t *testing.T) {
+	bench := testConfig(42)
+	bench.Shards = 2
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 		want string
 	}{
-		{"im", testConfig(2, 42), "1cb58ead2666f145"},
+		{"im", testConfig(42), "1cb58ead2666f145"},
+		{"im, Shards 2", bench, "1cb58ead2666f145"},
 	} {
 		if got := runFingerprint(t, tc.cfg, 1800); got != tc.want {
 			t.Errorf("%s: fingerprint %s, pinned %s", tc.name, got, tc.want)
@@ -104,7 +79,7 @@ func TestCorrectnessHonestRun(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"im", testConfig(4, 7)},
+		{"im", testConfig(7)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, err := New(tc.cfg)
@@ -132,7 +107,7 @@ func TestCorrectnessHonestRun(t *testing.T) {
 // gap between delta and the delta/(1-delta) a steered clock ages at): it
 // falls back to delta unsteered, and the run goes on.
 func TestRateDiscipline(t *testing.T) {
-	honest := testConfig(2, 9)
+	honest := testConfig(9)
 	e, err := New(honest)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +128,7 @@ func TestRateDiscipline(t *testing.T) {
 			e.Fallbacks(), age/n, honest.Delta, rate/n, drift/n)
 	}
 
-	past := testConfig(1, 1)
+	past := testConfig(1)
 	past.Delta, past.DriftMax = 0.1, 0.3
 	e, err = New(past)
 	if err != nil {
@@ -166,21 +141,18 @@ func TestRateDiscipline(t *testing.T) {
 }
 
 // TestNoLateReplies holds the round close to its bound: a round closes at
-// the collect window, after every reply is in, so none arrives late at
-// any shard count.
+// the collect window, after every reply is in, so none arrives late.
 func TestNoLateReplies(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		e, err := New(testConfig(shards, 3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Run(1800)
-		if n := e.Late(); n != 0 {
-			t.Errorf("shards=%d: %d replies arrived after their round closed", shards, n)
-		}
-		if e.Resets() == 0 {
-			t.Errorf("shards=%d: no clock resets", shards)
-		}
+	e, err := New(testConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run(1800)
+	if n := e.Late(); n != 0 {
+		t.Errorf("%d replies arrived after their round closed", n)
+	}
+	if e.Resets() == 0 {
+		t.Error("no clock resets")
 	}
 }
 
@@ -314,7 +286,7 @@ func TestCollectWindowIsService(t *testing.T) {
 // synchronization the mean reported error stays far below the unsynced
 // drift accumulation (InitialError + t*Delta).
 func TestSyncBeatsNoSync(t *testing.T) {
-	cfg := testConfig(2, 11)
+	cfg := testConfig(11)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +305,7 @@ func TestSyncBeatsNoSync(t *testing.T) {
 // TestSkewGradient checks the stratified skew sampler: all three tiers
 // populated, and the hierarchy keeps every tier's skew bounded.
 func TestSkewGradient(t *testing.T) {
-	cfg := testConfig(4, 23)
+	cfg := testConfig(23)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +332,7 @@ func TestSkewByDistance(t *testing.T) {
 		{Topology{Regions: 2, Clusters: 2, Members: 2}, DistanceSkew{Cluster: 1, Region: 2, Service: 4}},
 		{Topology{Regions: 1, Clusters: 1, Members: 4}, DistanceSkew{Cluster: 1.5}},
 	} {
-		cfg := testConfig(1, 1)
+		cfg := testConfig(1)
 		cfg.Topo = tc.topo
 		e, err := New(cfg)
 		if err != nil {
@@ -376,43 +348,32 @@ func TestSkewByDistance(t *testing.T) {
 }
 
 // TestMeshTopology checks the 1x1xN degenerate hierarchy (the theorems'
-// full mesh) shards by node blocks and stays deterministic.
+// full mesh) runs and is reproducible.
 func TestMeshTopology(t *testing.T) {
-	mesh := func(shards int) Config {
-		return Config{
-			Topo:   Topology{Regions: 1, Clusters: 1, Members: 16},
-			Shards: shards, Seed: 5, Tau: 60,
-			Delta: 1e-4, DriftMax: 0.99e-4, InitialError: 0.05,
-			Member: Band{Min: 0.0001, Max: 0.0005},
-			Rule:   RuleIM,
-		}
+	mesh := Config{
+		Topo: Topology{Regions: 1, Clusters: 1, Members: 16},
+		Seed: 5, Tau: 60,
+		Delta: 1e-4, DriftMax: 0.99e-4, InitialError: 0.05,
+		Member: Band{Min: 0.0001, Max: 0.0005},
+		Rule:   RuleIM,
 	}
-	one := runFingerprint(t, mesh(1), 1200)
-	four := runFingerprint(t, mesh(4), 1200)
-	if one != four {
-		t.Fatalf("mesh fingerprints diverge: %s vs %s", one, four)
-	}
-	e, err := New(mesh(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Shards() != 4 {
-		t.Fatalf("mesh Shards() = %d, want 4", e.Shards())
+	if a, b := runFingerprint(t, mesh, 1200), runFingerprint(t, mesh, 1200); a != b {
+		t.Fatalf("mesh fingerprints diverge: %s vs %s", a, b)
 	}
 }
 
-// TestKSampling checks sampled-peer rounds (K > 0) work and stay
-// deterministic across shard counts.
+// TestKSampling checks sampled-peer rounds (K > 0) are reproducible and
+// draw peers: the run is not the every-peer one.
 func TestKSampling(t *testing.T) {
-	with := func(shards int) Config {
-		cfg := testConfig(shards, 29)
-		cfg.K = 2
-		return cfg
+	all := testConfig(29)
+	sampled := all
+	sampled.K = 2
+	a, b := runFingerprint(t, sampled, 600), runFingerprint(t, sampled, 600)
+	if a != b {
+		t.Fatalf("K-sampled fingerprints diverge: %s vs %s", a, b)
 	}
-	one := runFingerprint(t, with(1), 600)
-	eight := runFingerprint(t, with(8), 600)
-	if one != eight {
-		t.Fatalf("K-sampled fingerprints diverge: %s vs %s", one, eight)
+	if every := runFingerprint(t, all, 600); a == every {
+		t.Fatalf("K = 2 ran the every-peer run, fingerprint %s", a)
 	}
 }
 
@@ -420,33 +381,31 @@ func TestKSampling(t *testing.T) {
 // allocations, none of them proportional to the node count:
 //
 //   - the engine and its twelve per-node arrays: 13;
-//   - partition's two closures and the init stream's PCG: 3;
-//   - the kernel, its three per-node arrays and its shard list: 5;
-//   - per shard, its context, its outbox list and its seed batch: 3.
+//   - the init stream's PCG: 1;
+//   - the kernel and its two per-node arrays: 3;
+//   - the seed batch: 1.
 //
-// A seed batch regrown by append instead of made at the shard's node
-// count costs about twenty more a shard.
+// A seed batch regrown by append instead of made at the node count costs
+// about twenty more.
 func TestNewAllocs(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		cfg := testConfig(shards, 1)
-		cfg.Topo = Topology{Regions: 10, Clusters: 20, Members: 50}
-		// The first collection allocates the collector's workers; the
-		// arrays are large enough to start one, so it runs before counting.
-		runtime.GC()
-		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := New(cfg); err != nil {
-				panic(err)
-			}
-		})
-		if want := 21 + 3*shards; allocs > float64(want) {
-			t.Errorf("shards=%d: New makes %v allocations, want at most %d", shards, allocs, want)
+	cfg := testConfig(1)
+	cfg.Topo = Topology{Regions: 10, Clusters: 20, Members: 50}
+	// The first collection allocates the collector's workers; the arrays
+	// are large enough to start one, so it runs before counting.
+	runtime.GC()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := New(cfg); err != nil {
+			panic(err)
 		}
+	})
+	if allocs > 18 {
+		t.Errorf("New makes %v allocations, want at most 18", allocs)
 	}
 }
 
 // TestConfigValidation covers New's rejection paths.
 func TestConfigValidation(t *testing.T) {
-	base := testConfig(1, 1)
+	base := testConfig(1)
 	cases := []struct {
 		name   string
 		mutate func(*Config)
@@ -454,7 +413,6 @@ func TestConfigValidation(t *testing.T) {
 		{"one member", func(c *Config) { c.Topo.Members = 1 }},
 		{"zero tau", func(c *Config) { c.Tau = 0 }},
 		{"negative delta", func(c *Config) { c.Delta = -1 }},
-		{"zero backbone min sharded", func(c *Config) { c.Shards = 4; c.Backbone.Min = 0 }},
 		{"infinite tau", func(c *Config) { c.Tau = math.Inf(1) }},
 		{"NaN delta", func(c *Config) { c.Delta = math.NaN() }},
 		{"infinite delta", func(c *Config) { c.Delta = math.Inf(1) }},

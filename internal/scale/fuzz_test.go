@@ -29,35 +29,35 @@ import (
 // fold into open rounds and move closed ones' clocks; and a zero Min
 // under every Max. Rows 10 and 11 do the same for a reply's Max credit
 // (core.Charge's cap and its credit of the round trip less Max): Min ==
-// Max on every tier of a sharded three-region hierarchy with sampled
+// Max on every tier of a three-region hierarchy with sampled
 // peers, and a zero Min under every positive Max.
 func FuzzScaleConfig(f *testing.F) {
-	c := testConfig(2, 1)
-	f.Add(uint8(3), uint8(2), uint8(4), uint8(0), uint8(2), uint64(1), c.Tau, c.Delta, c.DriftMax, c.InitialError,
+	c := testConfig(1)
+	f.Add(uint8(3), uint8(2), uint8(4), uint8(0), uint64(1), c.Tau, c.Delta, c.DriftMax, c.InitialError,
 		c.Member.Min, c.Member.Max, c.Uplink.Min, c.Uplink.Max, c.Backbone.Min, c.Backbone.Max)
-	f.Add(uint8(1), uint8(1), uint8(5), uint8(2), uint8(4), uint64(2), 60.0, 1e-4, 1e-4, 0.05,
+	f.Add(uint8(1), uint8(1), uint8(5), uint8(2), uint64(2), 60.0, 1e-4, 1e-4, 0.05,
 		0.0003, 0.0005, 0.0, 0.0, 0.0, 0.0)
-	f.Add(uint8(2), uint8(3), uint8(3), uint8(0), uint8(1), uint64(3), 30.0, 1e-4, 2e-4, 0.0,
+	f.Add(uint8(2), uint8(3), uint8(3), uint8(0), uint64(3), 30.0, 1e-4, 2e-4, 0.0,
 		0.0, 0.002, 0.002, 0.01, 0.02, 0.08)
-	f.Add(uint8(1), uint8(2), uint8(2), uint8(0), uint8(1), uint64(4), math.NaN(), math.Inf(1), -1.0, 0.05,
+	f.Add(uint8(1), uint8(2), uint8(2), uint8(0), uint64(4), math.NaN(), math.Inf(1), -1.0, 0.05,
 		-0.001, 0.002, 0.0, math.NaN(), 0.02, 0.01)
-	f.Add(uint8(1), uint8(1), uint8(2), uint8(0), uint8(1), uint64(5), 0.01, 1e-4, 1e-4, 0.05,
+	f.Add(uint8(1), uint8(1), uint8(2), uint8(0), uint64(5), 0.01, 1e-4, 1e-4, 0.05,
 		0.001, 0.01, 0.0, 0.0, 0.0, 0.0)
-	f.Add(uint8(2), uint8(2), uint8(4), uint8(0), uint8(2), uint64(6), 30.0, 1e-4, 0.99e-4, 0.05,
+	f.Add(uint8(2), uint8(2), uint8(4), uint8(0), uint64(6), 30.0, 1e-4, 0.99e-4, 0.05,
 		0.001, 0.001, 0.005, 0.005, 0.03, 0.03)
-	f.Add(uint8(2), uint8(3), uint8(3), uint8(2), uint8(2), uint64(7), 30.0, 1e-4, 0.99e-4, 0.05,
+	f.Add(uint8(2), uint8(3), uint8(3), uint8(2), uint64(7), 30.0, 1e-4, 0.99e-4, 0.05,
 		0.0005, 0.002, 0.0, 0.01, 0.02, 0.08)
-	f.Add(uint8(1), uint8(1), uint8(5), uint8(0), uint8(1), uint64(11), 0.02, 1e-4, 0.99e-4, 0.05,
+	f.Add(uint8(1), uint8(1), uint8(5), uint8(0), uint64(11), 0.02, 1e-4, 0.99e-4, 0.05,
 		0.004, 0.004, 0.0, 0.0, 0.0, 0.0)
-	f.Add(uint8(2), uint8(3), uint8(3), uint8(2), uint8(1), uint64(12), 0.5, 1e-4, 0.99e-4, 0.05,
+	f.Add(uint8(2), uint8(3), uint8(3), uint8(2), uint64(12), 0.5, 1e-4, 0.99e-4, 0.05,
 		0.0, 0.002, 0.0, 0.01, 0.0, 0.08)
-	f.Add(uint8(3), uint8(2), uint8(3), uint8(2), uint8(3), uint64(13), 20.0, 1e-4, 0.99e-4, 0.05,
+	f.Add(uint8(3), uint8(2), uint8(3), uint8(2), uint64(13), 20.0, 1e-4, 0.99e-4, 0.05,
 		0.002, 0.002, 0.006, 0.006, 0.025, 0.025)
-	f.Add(uint8(2), uint8(2), uint8(4), uint8(0), uint8(1), uint64(14), 20.0, 1e-4, 0.99e-4, 0.05,
+	f.Add(uint8(2), uint8(2), uint8(4), uint8(0), uint64(14), 20.0, 1e-4, 0.99e-4, 0.05,
 		0.0, 0.003, 0.0, 0.01, 0.0, 0.05)
-	f.Add(uint8(3), uint8(2), uint8(4), uint8(0), uint8(1), uint64(10), c.Tau, 0.1, 0.3, c.InitialError,
+	f.Add(uint8(3), uint8(2), uint8(4), uint8(0), uint64(10), c.Tau, 0.1, 0.3, c.InitialError,
 		c.Member.Min, c.Member.Max, c.Uplink.Min, c.Uplink.Max, c.Backbone.Min, c.Backbone.Max)
-	f.Fuzz(func(t *testing.T, regions, clusters, members, k, shards uint8, seed uint64,
+	f.Fuzz(func(t *testing.T, regions, clusters, members, k uint8, seed uint64,
 		tau, delta, drift, initErr, mMin, mMax, uMin, uMax, bMin, bMax float64) {
 		cfg := Config{
 			Topo:  Topology{Regions: int(regions % 4), Clusters: int(clusters % 4), Members: int(members % 6)},
@@ -68,7 +68,6 @@ func FuzzScaleConfig(f *testing.F) {
 			Member:   Band{Min: mMin, Max: mMax},
 			Uplink:   Band{Min: uMin, Max: uMax},
 			Backbone: Band{Min: bMin, Max: bMax},
-			Shards:   int(shards % 5),
 		}
 		e, err := New(cfg)
 		if err != nil {

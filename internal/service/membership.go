@@ -258,17 +258,7 @@ func (svc *Service) Leave(i int) {
 	n.emitMember(svc.Sim.Now(), n.member.Leave())
 	n.pushDigest() // announce the departure before going silent
 	n.departed = true
-	n.collect = nil
-	n.crashSeq = n.reqSeq
-	if n.stopSync != nil {
-		n.stopSync()
-		n.stopSync = nil
-	}
-	if n.stopGossip != nil {
-		n.stopGossip()
-		n.stopGossip = nil
-	}
-	svc.Net.SetHandler(n.NetID, nil)
+	n.silence()
 }
 
 // Rejoin brings a departed server back as a fresh incarnation: its
@@ -289,12 +279,7 @@ func (svc *Service) Rejoin(i int) {
 	n.departed = false
 	r := n.Server.Reading(now)
 	n.emitMember(now, n.member.Rejoin(r.C, r.E))
-	svc.Net.SetHandler(n.NetID, n.handle)
-	n.resumeMembership()
-	if period := n.Spec.SyncEvery; period > 0 && n.stopSync == nil {
-		n.stopSync = svc.Sim.Every(period, n.startRound)
-	}
-	n.pushDigest() // announce the rejoin immediately
+	n.revive()
 }
 
 // resumeMembership restarts node n's gossip ticks (after Rejoin or

@@ -39,8 +39,15 @@ func (svc *Service) Crash(i int) {
 		return
 	}
 	n.crashed = true
-	n.crashSeq = n.reqSeq // rounds up to here die with the crash
+	n.silence()
+}
+
+// silence takes node n off the network, for Crash and Leave: it abandons
+// any in-flight collection, so that rounds up to here die with it, halts
+// its periodic synchronization and gossip, and stops answering requests.
+func (n *Node) silence() {
 	n.collect = nil
+	n.crashSeq = n.reqSeq
 	if n.stopSync != nil {
 		n.stopSync()
 		n.stopSync = nil
@@ -49,7 +56,23 @@ func (svc *Service) Crash(i int) {
 		n.stopGossip()
 		n.stopGossip = nil
 	}
-	svc.Net.SetHandler(n.NetID, nil)
+	n.svc.Net.SetHandler(n.NetID, nil)
+}
+
+// revive puts node n back on the network, for Restart and Rejoin: it
+// answers requests again, resumes gossip, resumes periodic rounds one
+// full period from now if its spec synchronizes and they are halted, and
+// with membership then announces itself.
+func (n *Node) revive() {
+	svc := n.svc
+	svc.Net.SetHandler(n.NetID, n.handle)
+	n.resumeMembership()
+	if period := n.Spec.SyncEvery; period > 0 && n.stopSync == nil {
+		n.stopSync = svc.Sim.Every(period, n.startRound)
+	}
+	if n.member != nil {
+		n.pushDigest()
+	}
 }
 
 // Restart brings a crashed server back: it answers requests again and,
@@ -64,7 +87,6 @@ func (svc *Service) Restart(i int) {
 	if n.departed {
 		return // still voluntarily departed; only Rejoin revives it
 	}
-	svc.Net.SetHandler(n.NetID, n.handle)
 	if n.member != nil {
 		// A restart is a new incarnation: the fresh advertisement must
 		// supersede whatever the survivors recorded about the old life
@@ -74,12 +96,13 @@ func (svc *Service) Restart(i int) {
 		ch := n.member.Rejoin(r.C, r.E)
 		ch.From = member.Evicted
 		n.emitMember(svc.Sim.Now(), ch)
-		n.resumeMembership()
-		defer n.pushDigest() // announce after sync resumes
 	}
-	if period := n.Spec.SyncEvery; period > 0 {
-		n.stopSync = svc.Sim.Every(period, n.startRound)
-	}
+	// A restart arms a fresh ticker even when one runs: a ticker armed
+	// during the outage (by a first phase that fell in it, or by a
+	// Rejoin) is dropped here unstopped and keeps ticking beside the new
+	// one. The seeded chaos outputs are pinned with that behaviour.
+	n.stopSync = nil
+	n.revive()
 }
 
 // Crashed reports whether server i is currently crashed.

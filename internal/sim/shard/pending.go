@@ -23,7 +23,7 @@ type lane struct {
 // slot is where the ring keeps free-running index i.
 func (l *lane) slot(i uint) *Ev { return &l.buf[i&uint(len(l.buf)-1)] }
 
-// pending is one shard's scheduled events. Its pop sequence is the
+// pending is the kernel's scheduled events. Its pop sequence is the
 // ascending order of the keys it holds, whatever order they arrived in
 // and wherever first-fit put them: every lane is sorted, the heap is a
 // heap, and the next event is the least of the nLanes+1 heads.
@@ -33,7 +33,7 @@ type pending struct {
 	seeds []Ev // Kernel.Seed's batch, waiting for the next Run
 }
 
-// less orders events by the partition-independent key (At, From, Seq).
+// less orders events by their key (At, From, Seq).
 func less(a, b *Ev) bool {
 	if a.At < b.At {
 		return true

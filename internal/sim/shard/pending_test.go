@@ -30,7 +30,7 @@ func (q *pending) capacity() int {
 	return n
 }
 
-// next pops the least event the way runWindow does.
+// next pops the least event the way Run does.
 func (q *pending) next() (Ev, bool) {
 	src, ev := q.least()
 	if ev == nil {
@@ -41,14 +41,14 @@ func (q *pending) next() (Ev, bool) {
 
 // TestHeapKeyOrderStress pushes an adversarial schedule (heavy At
 // duplication across many From nodes, in no order, so lanes fill and
-// most of it falls to the heap) through one shard's pending set and
+// most of it falls to the heap) through the pending set and
 // checks pops come out in exact (At, From, Seq) order.
 func TestHeapKeyOrderStress(t *testing.T) {
-	k, err := New(Config{Nodes: 8, Shards: 1, Seed: 3, Handler: &recorder{}})
+	k, err := New(Config{Nodes: 8, Seed: 3, Handler: &recorder{}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	p := k.Proc(0)
+	p := k.Proc()
 	for i := 0; i < 5000; i++ {
 		n := int32(p.Uint64(0) % 8)
 		d := float64(p.Uint64(0) % 50) // heavy duplication
@@ -160,10 +160,10 @@ const kindHalf = 3
 
 // periodic is the paper's traffic in miniature: every node re-arms a
 // timer at tau, arms a second at tau/2, and sends one message with a
-// uniform delay of at most tau/100 to a random peer on its own shard.
+// uniform delay of at most tau/100 to a random peer.
 type periodic struct {
-	perShard int32
-	tau      float64
+	nodes int32
+	tau   float64
 }
 
 func (w periodic) Event(p *Proc, ev Ev) {
@@ -173,7 +173,7 @@ func (w periodic) Event(p *Proc, ev Ev) {
 	n := ev.Node
 	p.After(n, w.tau, kindTick, 0, 0, 0)
 	p.After(n, w.tau/2, kindHalf, 0, 0, 0)
-	peer := p.id*w.perShard + int32(p.Uint64(n)%uint64(w.perShard))
+	peer := int32(p.Uint64(n) % uint64(w.nodes))
 	p.Send(n, peer, p.Float64(n)*w.tau/100, kindMsg, 0, 0, 0)
 }
 
@@ -196,155 +196,135 @@ func TestConstantDelayTimersStayOutOfHeap(t *testing.T) {
 			k.Seed(n, rng.Float64()*period, kindTick, 0, 0, 0)
 		}
 	}
-	for _, shards := range []int{1, 2} {
-		k, err := New(Config{Nodes: nodes, Shards: shards, Seed: 5, Lookahead: tau / 100,
-			Handler: periodic{perShard: int32(nodes / shards), tau: tau}})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		seed(k, tau)
-		k.Run(2 * tau)
-		inHeap, inLanes, retained := 0, 0, 0
-		for _, p := range k.shards {
-			if p.q.seeds != nil {
-				t.Errorf("shards=%d: shard %d still holds its seed batch (cap %d)", shards, p.id, cap(p.q.seeds))
-			}
-			inHeap += len(p.q.heap)
-			inLanes += p.q.inLanes()
-			retained += p.q.capacity()
-		}
-		// Each node has a message in flight for a hundredth of the
-		// period at most: nodes/200 on average.
-		if inHeap > nodes/100 {
-			t.Errorf("shards=%d: %d events in the heap, want at most the %d messages in flight", shards, inHeap, nodes/100)
-		}
-		// One tau timer a node, and a tau/2 timer for the half of them
-		// that ticked within the last half period.
-		if inLanes < nodes+nodes/2-nodes/20 {
-			t.Errorf("shards=%d: %d events in lanes, want the %d timers", shards, inLanes, nodes+nodes/2)
-		}
-		if pending := inHeap + inLanes; retained > 2*pending {
-			t.Errorf("shards=%d: rings and heap retain %d slots for %d pending events, want at most twice", shards, retained, pending)
-		}
+	k, err := New(Config{Nodes: nodes, Seed: 5, Handler: periodic{nodes: nodes, tau: tau}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	seed(k, tau)
+	k.Run(2 * tau)
+	q := &k.p.q
+	if q.seeds != nil {
+		t.Errorf("the kernel still holds its seed batch (cap %d)", cap(q.seeds))
+	}
+	// Each node has a message in flight for a hundredth of the period at
+	// most: nodes/200 on average.
+	if len(q.heap) > nodes/100 {
+		t.Errorf("%d events in the heap, want at most the %d messages in flight", len(q.heap), nodes/100)
+	}
+	// One tau timer a node, and a tau/2 timer for the half of them that
+	// ticked within the last half period.
+	if q.inLanes() < nodes+nodes/2-nodes/20 {
+		t.Errorf("%d events in lanes, want the %d timers", q.inLanes(), nodes+nodes/2)
+	}
+	if retained, pending := q.capacity(), q.size(); retained > 2*pending {
+		t.Errorf("rings and heap retain %d slots for %d pending events, want at most twice", retained, pending)
 	}
 
-	k, err := New(Config{Nodes: nodes, Shards: 1, Seed: 5, Handler: rearm{}})
+	k, err = New(Config{Nodes: nodes, Seed: 5, Handler: rearm{}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	seed(k, 1)
 	for _, until := range []float64{1, 5} {
 		k.Run(until)
-		if q := &k.shards[0].q; len(q.heap) != 0 || q.inLanes() != nodes {
+		if q := &k.p.q; len(q.heap) != 0 || q.inLanes() != nodes {
 			t.Fatalf("rearm at t=%v: %d events in the heap and %d in lanes, want 0 and %d", until, len(q.heap), q.inLanes(), nodes)
 		}
 	}
 }
 
-// TestSeedBatchAllocs holds seeding to one allocation per shard: a
-// 10k-node kernel seeded with one timer per node makes each shard's batch
-// once, at the number of nodes the shard owns, instead of regrowing it.
+// TestSeedBatchAllocs holds seeding to one allocation: a 10k-node kernel
+// seeded with one timer per node makes its batch once, at the node count,
+// instead of regrowing it.
 func TestSeedBatchAllocs(t *testing.T) {
 	const nodes = 10000
-	for _, shards := range []int{1, 2} {
-		var k *Kernel
-		build := func() {
-			var err error
-			if k, err = New(Config{Nodes: nodes, Shards: shards, Seed: 1, Lookahead: 1, Handler: rearm{}}); err != nil {
-				panic(err)
-			}
+	var k *Kernel
+	build := func() {
+		var err error
+		if k, err = New(Config{Nodes: nodes, Seed: 1, Handler: rearm{}}); err != nil {
+			panic(err)
 		}
-		seed := func() {
-			build()
-			for n := int32(0); n < nodes; n++ {
-				k.Seed(n, float64(n)/nodes, kindTick, 0, 0, 0)
-			}
+	}
+	seed := func() {
+		build()
+		for n := int32(0); n < nodes; n++ {
+			k.Seed(n, float64(n)/nodes, kindTick, 0, 0, 0)
 		}
-		// The arrays are large enough to start collections; the first one
-		// allocates the collector's workers, so it runs before counting.
-		runtime.GC()
-		bare, seeded := testing.AllocsPerRun(20, build), testing.AllocsPerRun(20, seed)
-		if seeded-bare != float64(shards) {
-			t.Errorf("shards=%d: New makes %v allocations and New plus a seed per node %v, want one batch a shard more",
-				shards, bare, seeded)
-		}
-		for _, p := range k.shards {
-			if len(p.q.seeds) != nodes/shards || cap(p.q.seeds) != nodes/shards {
-				t.Errorf("shards=%d: shard %d's batch holds %d in %d slots, want its %d nodes in as many",
-					shards, p.id, len(p.q.seeds), cap(p.q.seeds), nodes/shards)
-			}
-		}
+	}
+	// The arrays are large enough to start collections; the first one
+	// allocates the collector's workers, so it runs before counting.
+	runtime.GC()
+	bare, seeded := testing.AllocsPerRun(20, build), testing.AllocsPerRun(20, seed)
+	if seeded-bare != 1 {
+		t.Errorf("New makes %v allocations and New plus a seed per node %v, want one batch more", bare, seeded)
+	}
+	if q := &k.p.q; len(q.seeds) != nodes || cap(q.seeds) != nodes {
+		t.Errorf("the batch holds %d in %d slots, want its %d nodes in as many", len(q.seeds), cap(q.seeds), nodes)
 	}
 }
 
-// inOrder checks, per shard, that every event executes after the one
-// before it in (At, From, Seq) order, and hands it on.
+// inOrder checks that every event executes after the one before it in
+// (At, From, Seq) order, and hands it on.
 type inOrder struct {
 	Handler
-	last []Ev // per shard; At -1 before the first event
+	last Ev // At -1 before the first event
 	bad  []string
 }
 
 func (o *inOrder) Event(p *Proc, ev Ev) {
-	if last := &o.last[p.id]; !less(last, &ev) {
-		o.bad = append(o.bad, fmt.Sprintf("shard %d ran %+v after %+v", p.id, ev, *last))
+	if !less(&o.last, &ev) {
+		o.bad = append(o.bad, fmt.Sprintf("ran %+v after %+v", ev, o.last))
 	}
-	o.last[p.id] = ev
+	o.last = ev
 	o.Handler.Event(p, ev)
 }
 
 // TestOutgrownSeedBatch seeds two timers a node, the second earlier than
-// the first and both at a time every node shares, so each shard's batch
-// outgrows the size it was made at and its sort is left only From and Seq
-// to go on. Every shard still executes in key order, and the run is the
-// same on 1 to 4 shards.
+// the first and both at a time every node shares, so the batch outgrows
+// the size it was made at and its sort is left only From and Seq to go
+// on. The kernel still executes in key order, and the run is the same
+// whichever order the nodes were seeded in.
 func TestOutgrownSeedBatch(t *testing.T) {
 	const nodes, l = 64, 0.25
 	var want string
-	for shards := 1; shards <= 4; shards++ {
+	for _, reversed := range []bool{false, true} {
 		g := newGossip(nodes, l)
-		o := &inOrder{Handler: g, last: make([]Ev, shards)}
-		for i := range o.last {
-			o.last[i].At = -1
-		}
-		k, err := New(Config{Nodes: nodes, Shards: shards, Seed: 7, Lookahead: l, Handler: o})
+		o := &inOrder{Handler: g, last: Ev{At: -1}}
+		k, err := New(Config{Nodes: nodes, Seed: 7, Handler: o})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
 		for _, at := range []float64{0.5, 0.1} {
-			for n := int32(0); n < nodes; n++ {
+			for i := int32(0); i < nodes; i++ {
+				n := i
+				if reversed {
+					n = nodes - 1 - i
+				}
 				k.Seed(n, at, kindTick, 0, 0, 0)
 			}
 		}
-		owned := make([]int, shards)
-		for _, s := range k.shardOf {
-			owned[s]++
-		}
-		for _, p := range k.shards {
-			if len(p.q.seeds) != 2*owned[p.id] {
-				t.Fatalf("shards=%d: shard %d's batch holds %d, want two for each of its %d nodes",
-					shards, p.id, len(p.q.seeds), owned[p.id])
-			}
+		if len(k.p.q.seeds) != 2*nodes {
+			t.Fatalf("reversed=%v: the batch holds %d, want two for each of %d nodes", reversed, len(k.p.q.seeds), nodes)
 		}
 		k.Run(3)
 		if len(o.bad) > 0 {
-			t.Fatalf("shards=%d: %d events out of key order, first: %s", shards, len(o.bad), o.bad[0])
+			t.Fatalf("reversed=%v: %d events out of key order, first: %s", reversed, len(o.bad), o.bad[0])
 		}
 		got := g.fingerprint()
-		if shards == 1 {
+		if !reversed {
 			want = got
 		} else if got != want {
-			t.Fatalf("shards=%d: digest %s, want %s (shards=1)", shards, got, want)
+			t.Fatalf("nodes seeded in reverse: digest %s, want %s", got, want)
 		}
 	}
 }
 
-// TestLaterSeedBatchGrowsByAppend checks only a shard's first batch is
-// made at its node count: a batch seeded after a Run grows the way append
-// grows a slice, however many nodes the shard owns.
+// TestLaterSeedBatchGrowsByAppend checks only the first batch is made at
+// the node count: a batch seeded after a Run grows the way append grows a
+// slice, however many nodes the kernel has.
 func TestLaterSeedBatchGrowsByAppend(t *testing.T) {
 	const nodes = 10000
-	k, err := New(Config{Nodes: nodes, Shards: 1, Seed: 1, Handler: &recorder{}})
+	k, err := New(Config{Nodes: nodes, Seed: 1, Handler: &recorder{}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -354,7 +334,7 @@ func TestLaterSeedBatchGrowsByAppend(t *testing.T) {
 	for n := int32(0); n < 5; n++ {
 		k.Seed(n, 2, kindTick, 0, 0, 0)
 		ref = append(ref, Ev{})
-		if q := &k.shards[0].q; cap(q.seeds) != cap(ref) {
+		if q := &k.p.q; cap(q.seeds) != cap(ref) {
 			t.Fatalf("after %d seeds the second batch has %d slots, want append's %d", n+1, cap(q.seeds), cap(ref))
 		}
 	}
@@ -366,11 +346,11 @@ func TestLaterSeedBatchGrowsByAppend(t *testing.T) {
 // ring and wrap around it, descending times are refused by every lane
 // and go through the heap.
 func TestSchedulingAllocs(t *testing.T) {
-	k, err := New(Config{Nodes: 2, Shards: 1, Seed: 1, Handler: &recorder{}})
+	k, err := New(Config{Nodes: 2, Seed: 1, Handler: &recorder{}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	p := k.Proc(0)
+	p := k.Proc()
 	p.After(0, 1e9, kindTick, 0, 0, 0)
 	cycle := func() {
 		for i := 0; i < 24; i++ {
@@ -393,35 +373,32 @@ func TestSchedulingAllocs(t *testing.T) {
 	}
 }
 
-// TestRunWindowAllocs holds the window loop (Run, runWindow, exchange,
-// After, Send, push, least, pop) at zero allocations: once the rings,
-// heaps and outboxes have reached their steady size, advancing a kernel
-// whose nodes re-arm a timer and message random peers allocates nothing,
-// on one shard and across the two-shard barrier, with a far-future
-// one-off holding a lane throughout.
-func TestRunWindowAllocs(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		const nodes, l = 128, 1.0
-		k, err := New(Config{Nodes: nodes, Shards: shards, Seed: 9, Lookahead: l, Handler: newGossip(nodes, l)})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		for n := int32(0); n < nodes; n++ {
-			k.Seed(n, float64(n)/nodes, kindTick, 0, 0, 0)
-		}
-		k.Seed(0, 1e9, kindMsg, 0, 0, 0)
-		until := 500.0
-		k.Run(until) // warm: rings, heaps and outboxes grow to their high-water mark
-		before := k.Steps()
-		allocs := testing.AllocsPerRun(50, func() {
-			until += 10
-			k.Run(until)
-		})
-		if ran := k.Steps() - before; ran < 51*10*nodes {
-			t.Fatalf("shards=%d: only %d events in the measured windows", shards, ran)
-		}
-		if allocs != 0 {
-			t.Errorf("shards=%d: a warm Run allocates %v times per 10 virtual seconds, want 0", shards, allocs)
-		}
+// TestRunAllocs holds the run loop (Run, After, Send, push, least, pop)
+// at zero allocations: once the rings and the heap have reached their
+// steady size, advancing a kernel whose nodes re-arm a timer and message
+// random peers allocates nothing, with a far-future one-off holding a
+// lane throughout.
+func TestRunAllocs(t *testing.T) {
+	const nodes, l = 128, 1.0
+	k, err := New(Config{Nodes: nodes, Seed: 9, Handler: newGossip(nodes, l)})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for n := int32(0); n < nodes; n++ {
+		k.Seed(n, float64(n)/nodes, kindTick, 0, 0, 0)
+	}
+	k.Seed(0, 1e9, kindMsg, 0, 0, 0)
+	until := 500.0
+	k.Run(until) // warm: rings and heap grow to their high-water mark
+	before := k.Steps()
+	allocs := testing.AllocsPerRun(50, func() {
+		until += 10
+		k.Run(until)
+	})
+	if ran := k.Steps() - before; ran < 51*10*nodes {
+		t.Fatalf("only %d events in the measured runs", ran)
+	}
+	if allocs != 0 {
+		t.Errorf("a warm Run allocates %v times per 10 virtual seconds, want 0", allocs)
 	}
 }

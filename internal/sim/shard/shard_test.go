@@ -1,14 +1,13 @@
 package shard
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
-
-	"disttime/internal/obs"
 )
 
 // gossip is the test workload: every node re-arms a jittered timer and, on
@@ -18,7 +17,7 @@ import (
 // perturbation of event order or randomness.
 type gossip struct {
 	nodes int32
-	l     float64 // minimum message delay == kernel lookahead
+	l     float64 // minimum message delay
 	hash  []uint64
 	recv  []uint64
 }
@@ -86,110 +85,76 @@ func (g *gossip) fingerprint() string {
 	return fmt.Sprintf("%016x", h)
 }
 
-// runGossip builds a kernel, seeds one tick per node, and runs it in
-// sampled segments (several Run calls), returning the digest after each
-// segment. Sampling mid-run is deliberate: the Run(until) cut must be
-// partition-independent too.
-func runGossip(t *testing.T, nodes int32, shards int, seed uint64, shardOf func(int32) int32) []string {
+// runGossip builds a kernel, seeds one tick per node, runs it to 10 s in
+// three Run calls, and returns the digest.
+func runGossip(t *testing.T, nodes int32, seed uint64) string {
 	t.Helper()
-	const l = 0.25
-	g := newGossip(nodes, l)
-	k, err := New(Config{
-		Nodes: int(nodes), Shards: shards, Seed: seed,
-		Lookahead: l, ShardOf: shardOf, Handler: g,
-	})
+	g := newGossip(nodes, 0.25)
+	k, err := New(Config{Nodes: int(nodes), Seed: seed, Handler: g})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	for n := int32(0); n < nodes; n++ {
 		k.Seed(n, float64(n%7)*0.01, kindTick, 0, 0, 0)
 	}
-	var digests []string
 	for _, until := range []float64{3, 7, 10} {
 		k.Run(until)
-		digests = append(digests, g.fingerprint())
 	}
 	if k.Steps() == 0 {
 		t.Fatal("kernel executed no events")
 	}
-	return digests
+	return g.fingerprint()
 }
 
-// TestDeterminismAcrossShardCounts checks the kernel's core contract: a
-// seeded run produces byte-identical results for every shard count,
-// including mid-run samples, and for a non-default partition map.
-func TestDeterminismAcrossShardCounts(t *testing.T) {
-	for _, seed := range []uint64{1, 42, 20260808} {
-		want := runGossip(t, 64, 1, seed, nil)
-		for _, shards := range []int{2, 4, 8} {
-			got := runGossip(t, 64, shards, seed, nil)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d shards %d sample %d: digest %s, want %s (shards=1)",
-						seed, shards, i, got[i], want[i])
-				}
-			}
-		}
-		// Striped partition instead of contiguous blocks.
-		striped := runGossip(t, 64, 4, seed, func(n int32) int32 { return n % 4 })
-		for i := range want {
-			if striped[i] != want[i] {
-				t.Fatalf("seed %d striped: digest %s, want %s", seed, striped[i], want[i])
-			}
-		}
-	}
-}
-
-// TestDeterminismSeedSensitivity checks different seeds give different
-// runs (the digest is not degenerate).
+// TestDeterminismSeedSensitivity checks a seed reproduces its run and
+// different seeds give different runs (the digest is not degenerate).
 func TestDeterminismSeedSensitivity(t *testing.T) {
-	a := runGossip(t, 32, 2, 1, nil)
-	b := runGossip(t, 32, 2, 2, nil)
-	if a[len(a)-1] == b[len(b)-1] {
-		t.Fatalf("seeds 1 and 2 produced the same digest %s", a[0])
+	a, b := runGossip(t, 32, 1), runGossip(t, 32, 2)
+	if again := runGossip(t, 32, 1); again != a {
+		t.Fatalf("seed 1 ran twice: digests %s and %s", a, again)
+	}
+	if a == b {
+		t.Fatalf("seeds 1 and 2 produced the same digest %s", a)
 	}
 }
 
-// refRun is an independent reference executor: it ignores windows and
-// barriers entirely, instead repeatedly executing the globally minimal
-// event by (At, From, Seq) across all shards' pending sets and draining
-// outboxes after every event. Agreement with Run means the windowed,
-// batched, merge-at-barrier machinery preserves the one true event order.
+// refHeap is a binary min-heap of events on container/heap, ordered by
+// the kernel's key: none of the lanes, the 4-ary heap or the seed sort.
+type refHeap []Ev
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return less(&h[i], &h[j]) }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(Ev)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	ev := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return ev
+}
+
+// refRun is an independent reference executor: after every event it
+// moves whatever the handler scheduled out of the kernel's pending set
+// into a refHeap, and it executes the least event of that heap.
+// Agreement with Run means the lanes, the heap and the seed batch
+// preserve the one true event order.
 func refRun(k *Kernel, until float64) {
-	for _, p := range k.shards {
-		p.q.admit()
-	}
+	p := &k.p
+	p.q.admit()
+	var ref refHeap
 	for {
-		var p *Proc
-		var src int
-		var next *Ev
-		for _, sp := range k.shards {
-			if s, ev := sp.q.least(); ev != nil && (next == nil || less(ev, next)) {
-				p, src, next = sp, s, ev
-			}
+		for src, ev := p.q.least(); ev != nil; src, ev = p.q.least() {
+			heap.Push(&ref, p.q.pop(src))
 		}
-		if next == nil || next.At > until {
+		if len(ref) == 0 || ref[0].At > until {
 			break
 		}
-		ev := p.q.pop(src)
+		ev := heap.Pop(&ref).(Ev)
 		p.now = ev.At
 		p.steps++
-		k.handler.Event(p, ev)
-		// Drain every outbox immediately; arrival times are all in the
-		// future, so eager delivery cannot disturb key order.
-		for _, sp := range k.shards {
-			for dst := range sp.out {
-				for _, out := range sp.out[dst] {
-					k.shards[dst].q.push(out)
-				}
-				sp.out[dst] = sp.out[dst][:0]
-			}
-		}
+		p.handler.Event(p, ev)
 	}
-	for _, p := range k.shards {
-		p.now = until
-	}
-	k.now = until
+	p.now, k.now = until, until
 }
 
 // TestWindowedRunMatchesReference cross-checks Run against refRun on the
@@ -198,7 +163,7 @@ func TestWindowedRunMatchesReference(t *testing.T) {
 	const l = 0.25
 	build := func() (*gossip, *Kernel) {
 		g := newGossip(48, l)
-		k, err := New(Config{Nodes: 48, Shards: 4, Seed: 99, Lookahead: l, Handler: g})
+		k, err := New(Config{Nodes: 48, Seed: 99, Handler: g})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -209,38 +174,35 @@ func TestWindowedRunMatchesReference(t *testing.T) {
 	}
 	gWant, kRef := build()
 	refRun(kRef, 8)
-	gGot, kWin := build()
-	kWin.Run(8)
+	gGot, kRun := build()
+	kRun.Run(8)
 	if gGot.fingerprint() != gWant.fingerprint() {
-		t.Fatalf("windowed digest %s, reference digest %s", gGot.fingerprint(), gWant.fingerprint())
+		t.Fatalf("Run digest %s, reference digest %s", gGot.fingerprint(), gWant.fingerprint())
 	}
-	if kWin.Steps() != kRef.Steps() {
-		t.Fatalf("windowed executed %d events, reference %d", kWin.Steps(), kRef.Steps())
+	if kRun.Steps() != kRef.Steps() {
+		t.Fatalf("Run executed %d events, reference %d", kRun.Steps(), kRef.Steps())
 	}
 }
 
 // TestKernelStartsNoGoroutine checks the kernel runs on its caller alone:
-// building, seeding and running it at any shard count leaves no other
-// goroutine running this package's code, so there is nothing for Close
-// to stop. It counts only goroutines with a frame in this package, so a
-// goroutine of another test's or of the runtime coming or going (under
-// -race, say) does not move it.
+// building, seeding and running it leaves no other goroutine running this
+// package's code, so there is nothing for Close to stop. It counts only
+// goroutines with a frame in this package, so a goroutine of another
+// test's or of the runtime coming or going (under -race, say) does not
+// move it.
 func TestKernelStartsNoGoroutine(t *testing.T) {
-	const l = 0.25
-	for _, shards := range []int{1, 2, 4} {
-		g := newGossip(16, l)
-		k, err := New(Config{Nodes: 16, Shards: shards, Seed: 3, Lookahead: l, Handler: g})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		for n := int32(0); n < 16; n++ {
-			k.Seed(n, 0, kindTick, 0, 0, 0)
-		}
-		k.Run(2)
-		if others := shardGoroutines(); len(others) > 0 {
-			t.Fatalf("shards %d: %d goroutines in package shard after New, Seed and Run:\n%s",
-				shards, len(others), strings.Join(others, "\n\n"))
-		}
+	g := newGossip(16, 0.25)
+	k, err := New(Config{Nodes: 16, Seed: 3, Handler: g})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for n := int32(0); n < 16; n++ {
+		k.Seed(n, 0, kindTick, 0, 0, 0)
+	}
+	k.Run(2)
+	if others := shardGoroutines(); len(others) > 0 {
+		t.Fatalf("%d goroutines in package shard after New, Seed and Run:\n%s",
+			len(others), strings.Join(others, "\n\n"))
 	}
 }
 
@@ -271,7 +233,7 @@ type recorder struct{ times []float64 }
 func (r *recorder) Event(p *Proc, ev Ev) { r.times = append(r.times, ev.At) }
 
 // relay records, per node, when its events executed; a tick on node 0
-// also sends node 3 a message one lookahead away.
+// also sends node 3 a message one second away.
 type relay struct{ got [4][]float64 }
 
 func (r *relay) Event(p *Proc, ev Ev) {
@@ -281,69 +243,38 @@ func (r *relay) Event(p *Proc, ev Ev) {
 	}
 }
 
-// TestRunBoundary pins the Run(until) cut for every shard count: events at
-// exactly `until` execute in that call, among them a message sent in the
-// window before (across shards when there are any) that lands exactly on
-// `until`; an event one float later waits for the next call.
+// TestRunBoundary pins the Run(until) cut: events at exactly `until`
+// execute in that call, among them a message sent before that lands
+// exactly on `until`; an event one float later waits for the next call.
 func TestRunBoundary(t *testing.T) {
 	after := math.Nextafter(2, 3)
-	for _, shards := range []int{1, 2, 4} {
-		r := &relay{}
-		k, err := New(Config{Nodes: 4, Shards: shards, Seed: 1, Lookahead: 1, Handler: r})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		k.Seed(0, 1, kindTick, 0, 0, 0) // its message reaches node 3 at 2
-		k.Seed(1, 2, kindTick, 0, 0, 0)
-		k.Seed(2, after, kindTick, 0, 0, 0)
-		check := func(when string, want [4][]float64) {
-			t.Helper()
-			if !reflect.DeepEqual(r.got, want) {
-				t.Fatalf("shards %d, %s: per-node execution times %v, want %v", shards, when, r.got, want)
-			}
-		}
-		k.Run(2)
-		atCut := [4][]float64{{1}, {2}, nil, {2}}
-		check("Run(2)", atCut)
-		if now, pnow := k.now, k.Proc(shards-1).Now(); now != 2 || pnow != 2 {
-			t.Fatalf("shards %d: Now() = %v and the last shard's = %v after Run(2), want 2", shards, now, pnow)
-		}
-		k.Run(2)
-		check("a second Run(2)", atCut)
-		k.Run(2.5)
-		check("Run(2.5)", [4][]float64{{1}, {2}, {after}, {2}})
-		if k.Steps() != 4 {
-			t.Fatalf("shards %d: %d events executed, want 4", shards, k.Steps())
-		}
-	}
-}
-
-// TestLookaheadViolationPanics checks a cross-shard send below the
-// configured lookahead is rejected loudly rather than silently breaking
-// the window invariant.
-type violator struct{ delay float64 }
-
-func (v *violator) Event(p *Proc, ev Ev) {
-	// Node 0 lives on shard 0, node 3 on the last shard.
-	p.Send(0, 3, v.delay, kindMsg, 0, 0, 0)
-}
-
-func TestLookaheadViolationPanics(t *testing.T) {
-	k, err := New(Config{Nodes: 4, Shards: 2, Seed: 1, Lookahead: 0.5, Handler: &violator{delay: 0.1}})
+	r := &relay{}
+	k, err := New(Config{Nodes: 4, Seed: 1, Handler: r})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	k.Seed(0, 0, kindTick, 0, 0, 0)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("cross-shard send below lookahead did not panic")
+	k.Seed(0, 1, kindTick, 0, 0, 0) // its message reaches node 3 at 2
+	k.Seed(1, 2, kindTick, 0, 0, 0)
+	k.Seed(2, after, kindTick, 0, 0, 0)
+	check := func(when string, want [4][]float64) {
+		t.Helper()
+		if !reflect.DeepEqual(r.got, want) {
+			t.Fatalf("%s: per-node execution times %v, want %v", when, r.got, want)
 		}
-		if !strings.Contains(fmt.Sprint(r), "lookahead") {
-			t.Fatalf("panic %v, want a lookahead violation", r)
-		}
-	}()
-	k.Run(1)
+	}
+	k.Run(2)
+	atCut := [4][]float64{{1}, {2}, nil, {2}}
+	check("Run(2)", atCut)
+	if now, pnow := k.now, k.Proc().Now(); now != 2 || pnow != 2 {
+		t.Fatalf("the cut is %v and Now() %v after Run(2), want 2", now, pnow)
+	}
+	k.Run(2)
+	check("a second Run(2)", atCut)
+	k.Run(2.5)
+	check("Run(2.5)", [4][]float64{{1}, {2}, {after}, {2}})
+	if k.Steps() != 4 {
+		t.Fatalf("%d events executed, want 4", k.Steps())
+	}
 }
 
 // reseeder seeds node 0 at a fixed time from node 1's handler.
@@ -360,30 +291,25 @@ func (r *reseeder) Event(p *Proc, ev Ev) {
 
 // TestNegativeDelayPanics checks the times the kernel must refuse: a
 // negative or NaN After/Send delay, an At or a Seed before Now, a Seed
-// from a handler before the cut the running Run lands on, a Run
-// backward, and an At on a node another shard owns.
+// from a handler before the cut the running Run lands on, and a Run
+// backward.
 // NaN has its own rows because it passes a d < 0 test, and its key,
 // neither before nor after any other, would sit at the head of the
 // pending set and stop every event behind it.
 func TestNegativeDelayPanics(t *testing.T) {
 	r := &recorder{}
-	k, err := New(Config{Nodes: 2, Shards: 1, Seed: 1, Handler: r})
+	k, err := New(Config{Nodes: 2, Seed: 1, Handler: r})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	k.Run(10)
-	p := k.Proc(0)
-	two, err := New(Config{Nodes: 2, Shards: 2, Seed: 1, Lookahead: 1, Handler: r})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	// Node 1 fires at 5 on shard 1 and seeds node 0 on shard 0, whose
-	// clock has reached 6 by then: the window is [5, 6) and shard 0 runs
-	// first. A seed at 7 is ahead of that clock but behind the Run's
-	// until, 10, and the next Run would start from 10 too.
+	p := k.Proc()
+	// Node 1 fires at 5 and seeds node 0. A seed at 1 is behind the
+	// clock; one at 7 is ahead of it but behind the Run's until, 10, and
+	// the next Run would start from 10 too.
 	seedsAt := func(at float64) *Kernel {
 		h := &reseeder{at: at}
-		k, err := New(Config{Nodes: 2, Shards: 2, Seed: 1, Lookahead: 1, Handler: h})
+		k, err := New(Config{Nodes: 2, Seed: 1, Handler: h})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -400,12 +326,11 @@ func TestNegativeDelayPanics(t *testing.T) {
 		{"After(NaN)", func() { p.After(0, math.NaN(), kindTick, 0, 0, 0) }},
 		{"At(5) after Run(10)", func() { p.At(0, 5, kindTick, 0, 0, 0) }},
 		{"At(NaN)", func() { p.At(0, math.NaN(), kindTick, 0, 0, 0) }},
-		{"At on another shard's node", func() { two.Proc(0).At(1, 20, kindTick, 0, 0, 0) }},
 		{"Send(-1)", func() { p.Send(0, 1, -1, kindMsg, 0, 0, 0) }},
 		{"Send(NaN)", func() { p.Send(0, 1, math.NaN(), kindMsg, 0, 0, 0) }},
 		{"Seed(5) after Run(10)", func() { k.Seed(0, 5, kindTick, 0, 0, 0) }},
 		{"Seed(NaN)", func() { k.Seed(0, math.NaN(), kindTick, 0, 0, 0) }},
-		{"Seed from a handler behind its shard's clock", func() { behind.Run(10) }},
+		{"Seed from a handler behind the clock", func() { behind.Run(10) }},
 		{"Seed from a handler before its Run's until", func() { early.Run(10) }},
 		{"Run(5) after Run(10)", func() { k.Run(5) }},
 		{"Run(NaN)", func() { k.Run(math.NaN()) }},
@@ -438,7 +363,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 	}
 }
 
-// TestConfigValidation covers New's error paths and clamping.
+// TestConfigValidation covers New's error paths.
 func TestConfigValidation(t *testing.T) {
 	h := &recorder{}
 	if _, err := New(Config{Nodes: 0, Handler: h}); err == nil {
@@ -451,55 +376,5 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Nodes: 4}); err == nil {
 		t.Fatal("nil handler accepted")
-	}
-	if _, err := New(Config{Nodes: 4, Shards: 2, Lookahead: 0, Handler: h}); err == nil {
-		t.Fatal("multi-shard with zero lookahead accepted")
-	}
-	if _, err := New(Config{Nodes: 4, Shards: 2, Lookahead: 1,
-		ShardOf: func(int32) int32 { return 9 }, Handler: h}); err == nil {
-		t.Fatal("out-of-range ShardOf accepted")
-	}
-	k, err := New(Config{Nodes: 3, Shards: 16, Lookahead: 1, Handler: h})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if k.Shards() != 3 {
-		t.Fatalf("Shards() = %d with 3 nodes, want clamped to 3", k.Shards())
-	}
-	if k.shardOf[2] != 2 {
-		t.Fatalf("shardOf[2] = %d, want 2", k.shardOf[2])
-	}
-}
-
-// TestObserve checks the kernel's metrics: windows advance, cross-shard
-// merges are counted, and per-shard executed counters sum to Steps().
-func TestObserve(t *testing.T) {
-	const l = 0.25
-	g := newGossip(32, l)
-	k, err := New(Config{Nodes: 32, Shards: 4, Seed: 5, Lookahead: l, Handler: g})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	reg := obs.NewRegistry()
-	k.Observe(reg)
-	for n := int32(0); n < 32; n++ {
-		k.Seed(n, 0, kindTick, 0, 0, 0)
-	}
-	k.Run(5)
-	if v := reg.Counter("simshard_windows_total").Value(); v == 0 {
-		t.Fatal("no windows recorded")
-	}
-	if v := reg.Counter("simshard_merged_events_total").Value(); v == 0 {
-		t.Fatal("no cross-shard merges recorded on a 4-shard gossip run")
-	}
-	var executed uint64
-	for i := 0; i < 4; i++ {
-		executed += reg.Counter(fmt.Sprintf("simshard_events_executed_total_s%d", i)).Value()
-	}
-	if executed != k.Steps() {
-		t.Fatalf("per-shard executed counters sum to %d, Steps() = %d", executed, k.Steps())
-	}
-	if reg.LogHistogram("simshard_window_seconds").Count() == 0 {
-		t.Fatal("window-length histogram empty")
 	}
 }

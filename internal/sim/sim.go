@@ -5,10 +5,10 @@
 // with FIFO ordering among events at the same instant. A seeded PRNG makes
 // every run reproducible.
 //
-// A Simulator is a one-shard, one-node shard.Kernel plus a table of the
-// callbacks its pending events stand for. Scheduling takes a slot of the
-// table (free slots wait on a stack) and files a kernel event carrying the
-// slot number; when the kernel hands the event back, the slot is freed and
+// A Simulator is a one-node shard.Kernel plus a table of the callbacks
+// its pending events stand for. Scheduling takes a slot of the table
+// (free slots wait on a stack) and files a kernel event carrying the slot
+// number; when the kernel hands the event back, the slot is freed and
 // what it held runs. Ordering pending events and advancing virtual time is
 // the kernel's work alone: every event is created by node 0, so the
 // kernel's (At, From, Seq) order is (time, scheduling order) here, and a
@@ -63,7 +63,7 @@ type slot struct {
 // Simulator owns the kernel, the callback table, and the run's PRNG.
 type Simulator struct {
 	k       *shard.Kernel
-	p       *shard.Proc // the kernel's one shard: the clock, and where events are filed
+	p       *shard.Proc // the kernel's context: the clock, and where events are filed
 	rng     *rand.Rand
 	slots   []slot
 	free    []uint32 // slots no pending event holds
@@ -96,7 +96,7 @@ func New(seed uint64) *Simulator {
 	if err != nil {
 		panic(err) // the configuration is a constant
 	}
-	s.k, s.p = k, k.Proc(0)
+	s.k, s.p = k, k.Proc()
 	return s
 }
 

@@ -44,13 +44,11 @@ type Handler func(Message)
 type DelayModel interface {
 	// Sample draws a one-way delay in seconds.
 	Sample(rng *rand.Rand) float64
-	// Bound returns an upper bound on the sampled delay. The paper's xi (the
-	// round-trip bound) for a link is twice this value.
-	Bound() float64
 	// Band returns the band [lo, hi] every draw lies in, which a link
 	// stamps on the messages it carries (Message.Min, Max) and the
-	// servers credit. A model that draws only zero returns hi = 0, and a
-	// link whose directions all do stamps none.
+	// servers credit. hi is the delay bound: the paper's xi (the
+	// round-trip bound) for a link is twice it. A model that draws only
+	// zero returns hi = 0, and a link whose directions all do stamps none.
 	Band() (lo, hi float64)
 }
 
@@ -68,11 +66,9 @@ func (u Uniform) Sample(rng *rand.Rand) float64 {
 	return u.Min + rng.Float64()*(u.Max-u.Min)
 }
 
-// Bound returns the model's upper bound.
-func (u Uniform) Bound() float64 { return math.Max(u.Min, u.Max) }
-
-// Band returns [Min, Bound()]: none for a zero-delay link.
-func (u Uniform) Band() (lo, hi float64) { return u.Min, u.Bound() }
+// Band returns [Min, the larger of Min and Max]: none for a zero-delay
+// link.
+func (u Uniform) Band() (lo, hi float64) { return u.Min, math.Max(u.Min, u.Max) }
 
 // Scaled multiplies every delay drawn from an inner model by Factor. It is
 // the delay-spike primitive of the chaos harness: scaling a link's delays
@@ -82,16 +78,13 @@ func (u Uniform) Band() (lo, hi float64) { return u.Min, u.Bound() }
 type Scaled struct {
 	// M is the inner delay model. Required.
 	M DelayModel
-	// Factor multiplies every sample and the bound. Values below 1
+	// Factor multiplies every sample and the band. Values below 1
 	// compress delays; values above 1 stretch them.
 	Factor float64
 }
 
 // Sample draws from the inner model and scales it.
 func (s Scaled) Sample(rng *rand.Rand) float64 { return s.M.Sample(rng) * s.Factor }
-
-// Bound returns the scaled inner bound.
-func (s Scaled) Bound() float64 { return s.M.Bound() * s.Factor }
 
 // Band returns the inner model's band scaled.
 func (s Scaled) Band() (lo, hi float64) {
@@ -122,15 +115,6 @@ func (cfg LinkConfig) delayFor(from, to NodeID) DelayModel {
 	return cfg.Delay
 }
 
-// bound returns the larger delay bound of the link's two directions.
-func (cfg LinkConfig) bound() float64 {
-	b := cfg.Delay.Bound()
-	if cfg.ReverseDelay != nil {
-		b = math.Max(b, cfg.ReverseDelay.Bound())
-	}
-	return b
-}
-
 // band returns the band of the link's two directions together, their
 // hull, or none (0, 0) on a zero-delay link.
 func (cfg LinkConfig) band() (lo, hi float64) {
@@ -147,7 +131,8 @@ func (cfg LinkConfig) band() (lo, hi float64) {
 
 // edge is one end of a link: the neighbor it leads to and the link's
 // configuration, which the other end's edge repeats, and its band
-// (LinkConfig.band), kept so that a send stamps it with no model call.
+// (LinkConfig.band), kept so that a send stamps it and MaxOneWayDelay
+// reads its upper edge with no model call.
 type edge struct {
 	to     NodeID
 	cfg    LinkConfig
@@ -304,8 +289,8 @@ func (n *Network) Connect(a, b NodeID, cfg LinkConfig) error {
 
 // checkDelay rejects a delay model that could draw a negative, NaN or
 // infinite delay, which the event kernel cannot schedule. Uniform and
-// Scaled are held to their fields as well as their bound; any other model
-// to its bound alone.
+// Scaled are held to their fields as well as their band's upper edge; any
+// other model to that edge alone.
 func checkDelay(m DelayModel) error {
 	switch m := m.(type) {
 	case nil:
@@ -322,8 +307,8 @@ func checkDelay(m DelayModel) error {
 			return err
 		}
 	}
-	if b := m.Bound(); !(b >= 0) || math.IsInf(b, 1) {
-		return fmt.Errorf("delay model bound %v not finite and non-negative", b)
+	if _, hi := m.Band(); !(hi >= 0) || math.IsInf(hi, 1) {
+		return fmt.Errorf("delay model bound %v not finite and non-negative", hi)
 	}
 	return nil
 }
@@ -456,15 +441,16 @@ func (n *Network) Links() []Link {
 	return out
 }
 
-// MaxOneWayDelay returns the largest delay bound over all links. The
-// paper's xi — the bound on the time between sending a request and
-// receiving the reply, with instantaneous processing — is twice this.
+// MaxOneWayDelay returns the largest delay bound over all links, the
+// greatest upper edge of their bands. The paper's xi — the bound on the
+// time between sending a request and receiving the reply, with
+// instantaneous processing — is twice this.
 func (n *Network) MaxOneWayDelay() float64 {
 	if !n.maxDelayOK {
 		n.maxDelay = 0
 		for _, list := range n.adj {
 			for i := range list {
-				if d := list[i].cfg.bound(); d > n.maxDelay {
+				if d := list[i].hi; d > n.maxDelay {
 					n.maxDelay = d
 				}
 			}

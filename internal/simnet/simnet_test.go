@@ -37,8 +37,8 @@ func TestUniformDelay(t *testing.T) {
 			t.Fatalf("sample %v outside [%v, %v]", d, u.Min, u.Max)
 		}
 	}
-	if u.Bound() != 0.05 {
-		t.Errorf("Bound() = %v", u.Bound())
+	if lo, hi := u.Band(); lo != 0.01 || hi != 0.05 {
+		t.Errorf("Band() = [%v, %v], want [0.01, 0.05]", lo, hi)
 	}
 	// Degenerate range.
 	d := Uniform{Min: 0.3, Max: 0.3}
@@ -201,7 +201,7 @@ func TestConnectReplacesBothEnds(t *testing.T) {
 			t.Errorf("Links[%d] = %d-%d, want %d-%d", i, l.A, l.B, want[i][0], want[i][1])
 		}
 	}
-	if d := links[0].Cfg.Delay.Bound(); d != 0.5 {
+	if _, d := links[0].Cfg.Delay.Band(); d != 0.5 {
 		t.Errorf("Links[0] delay bound = %v, want the replacement's 0.5", d)
 	}
 }
