@@ -18,8 +18,8 @@ RACE_PKGS = ./internal/par ./internal/sim/... ./internal/experiments \
 # `make check`): the theorem algebra, the interval sweep, and the
 # membership state machine are the proof core, so untested lines there
 # are untested math. The event kernel (internal/sim/shard, and
-# internal/sim, the closure table over a one-node kernel that every
-# experiment runs on) and par, the experiment fan-out, join the list
+# internal/sim, the one-node face whose handler table runs the event
+# kinds of every experiment) and par, the experiment fan-out, join the list
 # because every untested line there is a potential determinism hole,
 # and the lint package joins because an untested analyzer rule is an
 # invariant the tree only appears to satisfy. internal/clock joins because

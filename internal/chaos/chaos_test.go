@@ -295,7 +295,7 @@ func TestMonitorCatchesPlantedStepBack(t *testing.T) {
 			m := newMonitor(svc, c, nil)
 			srv := svc.Nodes[node].Server
 			var before int
-			svc.Sim.At(at, func() { before = srv.Resets(); tc.set(srv) })
+			svc.Sim.AfterCall(at, func(any) { before = srv.Resets(); tc.set(srv) }, nil)
 			svc.Run(next)
 			if moved := srv.Resets() - before; moved != tc.resets {
 				t.Fatalf("%d resets between the step and the next probe, want %d", moved, tc.resets)

@@ -23,11 +23,14 @@ type engine struct {
 	faults []Fault // the schedule, whose loss and delay windows rewire reads
 }
 
-// install schedules every dynamic fault of a validated campaign. It must
-// run before the simulation advances.
+// install schedules every dynamic fault of a validated campaign: a start
+// event and, for a windowed kind, an end event, each tagged with the
+// fault's index. It must run before the simulation advances.
 func (e *engine) install(c Campaign) {
 	e.faults = c.Faults
-	for _, f := range c.Faults {
+	start := e.svc.Sim.Register(e.start)
+	end := e.svc.Sim.Register(e.end)
+	for i, f := range c.Faults {
 		k := &kinds[f.Kind]
 		e.sink.faultsInstalled.Inc()
 		if k.wrap != nil {
@@ -36,14 +39,26 @@ func (e *engine) install(c Campaign) {
 			e.sink.clockFaultsArm.Inc()
 			continue
 		}
-		e.svc.Sim.At(f.At, func() {
-			e.sink.activated(f.Kind)
-			k.start(e, f)
-		})
+		e.svc.Sim.At(f.At, start, uint32(i), 0)
 		if k.windowed {
-			e.svc.Sim.At(f.At+f.Dur, func() { k.end(e, f) })
+			e.svc.Sim.At(f.At+f.Dur, end, uint32(i), 0)
 		}
 	}
+}
+
+// start begins fault i.
+func (e *engine) start(i, _ uint32) bool {
+	f := e.faults[i]
+	e.sink.activated(f.Kind)
+	kinds[f.Kind].start(e, f)
+	return true
+}
+
+// end ends windowed fault i.
+func (e *engine) end(i, _ uint32) bool {
+	f := e.faults[i]
+	kinds[f.Kind].end(e, f)
+	return true
 }
 
 // rewire is the start and end action of loss bursts and delay spikes: it

@@ -8,6 +8,7 @@ import (
 	"disttime/internal/core"
 	"disttime/internal/interval"
 	"disttime/internal/service"
+	"disttime/internal/sim"
 )
 
 // Violation is one observed break of a theorem invariant.
@@ -93,6 +94,9 @@ type Monitor struct {
 	probeC      []float64
 	probeResets []int
 	ivsScratch  []interval.Interval
+	// probeEvery is the probe's period, and probeKind its event's kind.
+	probeEvery float64
+	probeKind  sim.Kind
 
 	violations []Violation
 	maxRecord  int
@@ -189,8 +193,9 @@ func newMonitor(svc *service.Service, c Campaign, sink *obsSink) *Monitor {
 		}
 	}
 	svc.AddSyncDetail(m.observe)
-	probeEvery := math.Max(1, c.Sync/4)
-	svc.Sim.Every(probeEvery, m.probe)
+	m.probeEvery = math.Max(1, c.Sync/4)
+	m.probeKind = svc.Sim.Register(m.probeTick)
+	svc.Sim.After(m.probeEvery, m.probeKind, 0, 0)
 	return m
 }
 
@@ -325,6 +330,14 @@ func (m *Monitor) observe(p core.Pass) {
 		st.c, st.e, st.age, st.resets = p.After.C, p.After.E, p.Rate.Age, resets
 	}
 	m.last[node] = st
+}
+
+// probeTick is the periodic probe event: a probe, and the next one a
+// period on.
+func (m *Monitor) probeTick(_, _ uint32) bool {
+	m.probe()
+	m.svc.Sim.After(m.probeEvery, m.probeKind, 0, 0)
+	return true
 }
 
 // probe asserts the service-wide invariants between passes.

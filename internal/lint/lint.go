@@ -146,10 +146,13 @@ var mapIterScope = []string{
 	// Roster digests, gossip payloads, and detector verdicts feed
 	// deterministic timelines; sorted iteration is the contract.
 	"disttime/internal/member",
-	// The event kernel, its closure face under every experiment,
-	// and its planet-scale workload are determinism contracts; any
-	// map iteration feeding event order or fingerprints is a bug.
+	// The event kernel, its one-node face, the packages that file its
+	// events (the simulated service and its network) and its
+	// planet-scale workload are determinism contracts; any map
+	// iteration feeding event order or fingerprints is a bug.
 	"disttime/internal/sim",
+	"disttime/internal/service",
+	"disttime/internal/simnet",
 	"disttime/internal/scale",
 	// Hybrid logical clocks and the commit-wait workload feed
 	// deterministic timelines (cmd/timesim pins them byte for byte).

@@ -11,9 +11,9 @@ import (
 // returned to its pool — via (*sync.Pool).Put directly, or via a
 // same-package wrapper that Puts a parameter or pushes it onto a free
 // list — the caller must not read it, return it, Put it again, or have
-// stored it into a long-lived field. The interval Sweeper pool, the
-// network's delivery free list, and the service's reply free list all
-// recycle structs whose contents are overwritten by the next Get; a
+// stored it into a long-lived field. The interval Sweeper pool and the
+// service's reply and gossip free lists all recycle structs whose
+// contents are overwritten by the next Get; a
 // use-after-put reads another round's data and corrupts results silently
 // (no crash, just wrong intervals).
 //

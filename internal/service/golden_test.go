@@ -42,13 +42,14 @@ func fingerprint(svc *Service, samples ...float64) string {
 }
 
 // TestGoldenFingerprints pins the bytes of three seeded runs that between
-// them reach every way the service schedules an event: one-shot closures at
-// absolute times (first rounds, scheduled crashes and departures),
-// closure-free calls after a delay (message deliveries, round closes),
-// periodic timers and their stop-and-cancel path (Crash and Leave stop a
-// node's sync and gossip timers while a tick is pending), and samples that
-// fall exactly on event times. The transaction workload, which schedules
-// at absolute times without a closure, is pinned the same way in
+// them reach every way the service schedules an event: events at absolute
+// times (first ticks, scheduled departures and rejoins, and the
+// scheduled crashes this test files through the call table), events
+// after a delay (message deliveries, round closes), self-re-arming ticks
+// and their stale path (Crash and Leave start a new incarnation while a
+// sync or gossip tick of the old one is pending, which is dropped when
+// it fires), and samples that fall exactly on event times. The
+// transaction workload's events are pinned the same way in
 // internal/txn. The digests were taken while the simulator still ran on
 // its own binary heap of pooled events; a digest that moves means the
 // order, the time or the count of executed events changed, which is a
@@ -85,10 +86,10 @@ func TestGoldenFingerprints(t *testing.T) {
 			cfg:  memberTestConfig(6, 23),
 			script: func(svc *Service) {
 				svc.LeaveAt(30, 4)
-				svc.Sim.At(45, func() { svc.Crash(1) })
+				at(svc, 45, func() { svc.Crash(1) })
 				svc.RejoinAt(90, 4)
-				svc.Sim.At(120, func() { svc.Restart(1) })
-				svc.Sim.At(150, func() { svc.Crash(2) })
+				at(svc, 120, func() { svc.Restart(1) })
+				at(svc, 150, func() { svc.Crash(2) })
 				svc.LeaveAt(150, 3)
 			},
 			samples: []float64{30, 45, 100, 150, 400},

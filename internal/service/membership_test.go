@@ -109,7 +109,7 @@ func TestMembershipEvictsCrashedServer(t *testing.T) {
 	if !fullRoster(svc) {
 		t.Fatal("rosters did not converge before the crash")
 	}
-	svc.Sim.At(60.5, func() { svc.Crash(2) })
+	at(svc, 60.5, func() { svc.Crash(2) })
 	// The eviction deadline on the observer's local clock, plus slack
 	// for the gossip tick quantization.
 	bound := evictAfter(svc, 0) + 2*svc.memberCfg.GossipEvery
@@ -128,7 +128,7 @@ func TestMembershipEvictsCrashedServer(t *testing.T) {
 	}
 
 	// Restart: the new incarnation re-joins every roster.
-	svc.Sim.At(svc.Sim.Now()+1, func() { svc.Restart(2) })
+	at(svc, svc.Sim.Now()+1, func() { svc.Restart(2) })
 	svc.Run(svc.Sim.Now() + 60)
 	if !fullRoster(svc) {
 		for i := range svc.Nodes {
@@ -203,7 +203,7 @@ func TestMembershipGossipConvergesAfterPartition(t *testing.T) {
 	}
 	evict := evictAfter(svc, 0)
 	healAt := 50 + evict + 3*svc.memberCfg.GossipEvery
-	svc.Sim.At(healAt, func() { svc.Net.Heal() })
+	at(svc, healAt, func() { svc.Net.Heal() })
 	svc.Run(healAt)
 	// During the partition each side must have demoted the other.
 	demoted := 0
@@ -240,9 +240,9 @@ func TestMembershipTimelineDeterministic(t *testing.T) {
 			fmt.Fprintln(&b, e.String())
 		})
 		svc.LeaveAt(30, 4)
-		svc.Sim.At(45, func() { svc.Crash(1) })
+		at(svc, 45, func() { svc.Crash(1) })
 		svc.RejoinAt(90, 4)
-		svc.Sim.At(120, func() { svc.Restart(1) })
+		at(svc, 120, func() { svc.Restart(1) })
 		svc.Run(200)
 		return b.String()
 	}
@@ -287,7 +287,7 @@ func TestMembershipObserveMetrics(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	svc.Observe(reg, nil)
-	svc.Sim.At(40, func() { svc.Crash(3) })
+	at(svc, 40, func() { svc.Crash(3) })
 	svc.Run(40 + evictAfter(svc, 0) + 3*svc.memberCfg.GossipEvery)
 	if v := reg.Counter("member_gossip_messages_total").Value(); v == 0 {
 		t.Fatal("no gossip messages counted")

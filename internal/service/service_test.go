@@ -521,20 +521,33 @@ func TestRunSampledValidation(t *testing.T) {
 	}
 }
 
+// TestStopHaltsSyncing: silencing every node stops its ticks where they
+// stand. Each pending tick is dropped when it fires and counted as
+// cancelled, no round starts, and the rounds in flight die with their
+// incarnation.
 func TestStopHaltsSyncing(t *testing.T) {
-	svc, err := New(Config{Seed: 14, Servers: correctSpecs(3, 5), NoStagger: true})
+	svc, err := New(Config{Seed: 14, Servers: correctSpecs(3, 5), NoStagger: true, CollectFor: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.Run(20)
+	reg := obs.NewRegistry()
+	svc.Sim.Observe(reg)
+	svc.Run(21) // rounds started at 20 are in flight
 	for _, n := range svc.Nodes {
-		n.stopSync()
+		n.silence()
 	}
-	before := svc.Nodes[0].Syncs
+	before, steps := svc.Nodes[0].Syncs, svc.Sim.Steps()
 	svc.Run(100)
-	// One in-flight round may complete after Stop; no new rounds start.
-	if got := svc.Nodes[0].Syncs; got > before+1 {
-		t.Errorf("syncs continued after Stop: %d -> %d", before, got)
+	if got := svc.Nodes[0].Syncs; got != before {
+		t.Errorf("syncs continued after the stop: %d -> %d", before, got)
+	}
+	// The rounds' messages have all arrived by 21: what runs after the
+	// stop is their three closes, at 22, which sync nobody.
+	if got := reg.Counter("sim_events_cancelled_total").Value(); got != 3 {
+		t.Errorf("%d events dropped as stale, want the 3 pending ticks", got)
+	}
+	if ran := svc.Sim.Steps() - steps; ran != 3 {
+		t.Errorf("%d events ran after the stop, want the 3 rounds' closes", ran)
 	}
 }
 
@@ -637,7 +650,7 @@ func TestPartitionSplitsIntoConsistencyGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	partitionAt(svc, 50, []int{0, 1}, []int{2, 3})
-	svc.Sim.At(100000, func() { svc.Net.Heal() })
+	at(svc, 100000, func() { svc.Net.Heal() })
 	svc.Run(20000)
 	s := svc.Snapshot()
 	if s.Consistent {

@@ -13,20 +13,20 @@ import (
 func TestEventPoolReuse(t *testing.T) {
 	s := New(1)
 	fired := 0
-	var tick func()
-	tick = func() {
+	var tick func(any)
+	tick = func(any) {
 		fired++
 		if fired < 10000 {
-			s.After(1, tick)
+			s.AfterCall(1, tick, nil)
 		}
 	}
-	s.After(1, tick)
+	s.AfterCall(1, tick, nil)
 	s.Run()
 	if fired != 10000 {
 		t.Fatalf("fired %d events, want 10000", fired)
 	}
-	if len(s.slots) > 2 {
-		t.Fatalf("table holds %d slots after a 1-pending-event run, want <= 2", len(s.slots))
+	if len(s.calls) > 2 {
+		t.Fatalf("table holds %d slots after a 1-pending-event run, want <= 2", len(s.calls))
 	}
 }
 
@@ -47,67 +47,58 @@ func TestEventPoolAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("schedule/fire cycle allocates %v per op, want 0", allocs)
 	}
+	k := s.Register(func(uint32, uint32) bool { return true })
+	allocs = testing.AllocsPerRun(200, func() {
+		s.After(1, k, 0, 0)
+		s.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("a kind event's schedule/fire cycle allocates %v per op, want 0", allocs)
+	}
 }
 
-// TestAtCall checks the closure-free scheduling form: ordering with At
-// events and arg delivery.
-func TestAtCall(t *testing.T) {
+// TestAfterCall checks the call form: its ordering among kind events,
+// and arg delivery.
+func TestAfterCall(t *testing.T) {
 	s := New(1)
 	var got []int
 	record := func(x any) { got = append(got, x.(int)) }
-	s.AtCall(2, record, 2)
-	s.At(1, func() { got = append(got, 1) })
+	k := s.Register(func(tag, _ uint32) bool { got = append(got, int(tag)); return true })
+	s.AfterCall(2, record, 2)
+	s.At(1, k, 1, 0)
 	s.AfterCall(3, record, 3)
+	s.At(2, k, 4, 0) // after the call filed earlier at the same instant
 	s.Run()
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("AtCall ordering: got %v, want [1 2 3]", got)
+	if len(got) != 4 || got[0] != 1 || got[1] != 2 || got[2] != 4 || got[3] != 3 {
+		t.Fatalf("AfterCall ordering: got %v, want [1 2 4 3]", got)
 	}
 	if s.Now() != 3 {
 		t.Fatalf("Now() = %v, want 3", s.Now())
 	}
 }
 
-// TestAtCallCancel checks that call-form events honor Cancel.
-func TestAtCallCancel(t *testing.T) {
-	s := New(1)
-	ran := false
-	e := s.AtCall(5, func(any) { ran = true }, nil)
-	e.Cancel()
-	s.Run()
-	if ran {
-		t.Fatal("cancelled AtCall event ran")
-	}
-}
-
-// TestStaleCancelIsNoOp checks that a handle kept past its event's firing
-// names nothing: cancelling it must not touch the event that has since
-// been scheduled into the same slot.
-func TestStaleCancelIsNoOp(t *testing.T) {
-	s := New(1)
-	old := s.At(1, func() {})
-	s.Run()
-	ran := false
-	fresh := s.At(2, func() { ran = true })
-	if fresh.slot != old.slot {
-		t.Fatalf("the new event took slot %d, not the freed slot %d: the test proves nothing", fresh.slot, old.slot)
-	}
-	old.Cancel()
-	s.Run()
-	if !ran {
-		t.Fatal("cancelling a fired event's handle cancelled the event that reused its slot")
-	}
-}
-
 // TestRunRestsOnLatestScheduled checks where Run leaves the clock: on the
-// latest time scheduled, also when that event was cancelled and the last
-// one executed is earlier.
+// latest time scheduled, also when that event was stale and the last one
+// executed is earlier.
 func TestRunRestsOnLatestScheduled(t *testing.T) {
 	s := New(1)
-	s.At(3, func() {})
-	s.At(7, func() { t.Error("cancelled event ran") }).Cancel()
+	gen := uint32(0)
+	var k Kind
+	k = s.Register(func(tag, g uint32) bool {
+		if g != gen {
+			return false
+		}
+		if tag == 1 {
+			s.After(5, k, 0, g)
+		}
+		return true
+	})
+	s.At(3, k, 0, gen)
+	s.At(7, k, 0, gen)
+	gen++
 	s.Run()
-	if s.Now() != 7 || s.Steps() != 1 {
-		t.Fatalf("Now() = %v, Steps() = %d after Run, want 7 and 1", s.Now(), s.Steps())
+	if s.Now() != 7 || s.Steps() != 0 {
+		t.Fatalf("Now() = %v, Steps() = %d after Run, want 7 and 0", s.Now(), s.Steps())
 	}
 	// With nothing pending Run does nothing, wherever the clock is.
 	s.RunUntil(20)
@@ -116,10 +107,10 @@ func TestRunRestsOnLatestScheduled(t *testing.T) {
 		t.Fatalf("Now() = %v after an idle Run, want 20", s.Now())
 	}
 	// An event that schedules beyond the horizon extends the run.
-	s.At(21, func() { s.After(5, func() {}) })
+	s.At(21, k, 1, gen)
 	s.Run()
-	if s.Now() != 26 || s.Steps() != 3 {
-		t.Fatalf("Now() = %v, Steps() = %d after a chained Run, want 26 and 3", s.Now(), s.Steps())
+	if s.Now() != 26 || s.Steps() != 2 {
+		t.Fatalf("Now() = %v, Steps() = %d after a chained Run, want 26 and 2", s.Now(), s.Steps())
 	}
 }
 
@@ -128,23 +119,24 @@ func TestRunRestsOnLatestScheduled(t *testing.T) {
 func TestNewStartsNothing(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := New(1)
-	s.After(1, func() {})
+	s.AfterCall(1, func(any) {}, nil)
 	s.Run()
 	if after := runtime.NumGoroutine(); after != before {
 		t.Fatalf("%d goroutines after New and Run, %d before", after, before)
 	}
 }
 
-// TestObserve checks the three counters: scheduled counts every call,
-// executed is Steps, and a cancelled event is counted when the clock
-// passes it.
+// TestObserve checks the three counters: scheduled counts every event
+// filed, executed is Steps, and a stale event is counted cancelled when
+// the clock passes it.
 func TestObserve(t *testing.T) {
 	s := New(1)
 	reg := obs.NewRegistry()
 	s.Observe(reg)
-	s.At(1, func() {})
-	s.AtCall(2, func(any) {}, nil)
-	s.At(3, func() {}).Cancel()
+	k := s.Register(func(_, gen uint32) bool { return gen == 0 })
+	s.At(1, k, 0, 0)
+	s.AfterCall(2, func(any) {}, nil)
+	s.At(3, k, 0, 1)
 	s.RunUntil(2)
 	for name, want := range map[string]uint64{
 		"sim_events_scheduled_total": 3,

@@ -2,7 +2,7 @@
 // code that orders pending events and advances virtual time. At 10^5
 // nodes it runs the planet-scale scenarios of internal/scale, the
 // multi-network "internet" of the paper's Xerox setting grown large; with
-// one node it is what internal/sim's closure API stands on, under every
+// one node it is what internal/sim stands on, whose event kinds run every
 // experiment, the chaos harness and the transaction tier.
 //
 // A kernel is one pending set of value-typed events (plain values in

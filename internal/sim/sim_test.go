@@ -4,14 +4,28 @@ import (
 	"math"
 	"sort"
 	"testing"
+
+	"disttime/internal/obs"
 )
+
+// record registers a kind whose events append their tag to got, and
+// returns it.
+func record(s *Simulator, got *[]uint32) Kind {
+	return s.Register(func(tag, _ uint32) bool {
+		*got = append(*got, tag)
+		return true
+	})
+}
 
 func TestEventsRunInTimeOrder(t *testing.T) {
 	s := New(1)
 	var got []float64
+	k := s.Register(func(uint32, uint32) bool {
+		got = append(got, s.Now())
+		return true
+	})
 	for _, at := range []float64{5, 1, 3, 2, 4} {
-		at := at
-		s.At(at, func() { got = append(got, at) })
+		s.At(at, k, 0, 0)
 	}
 	s.Run()
 	if !sort.Float64sAreSorted(got) {
@@ -30,14 +44,14 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 
 func TestSameTimeFIFO(t *testing.T) {
 	s := New(1)
-	var got []int
-	for i := 0; i < 10; i++ {
-		i := i
-		s.At(7, func() { got = append(got, i) })
+	var got []uint32
+	k := record(s, &got)
+	for i := uint32(0); i < 10; i++ {
+		s.At(7, k, i, 0)
 	}
 	s.Run()
 	for i, v := range got {
-		if v != i {
+		if v != uint32(i) {
 			t.Fatalf("same-time events not FIFO: %v", got)
 		}
 	}
@@ -46,9 +60,16 @@ func TestSameTimeFIFO(t *testing.T) {
 func TestAfter(t *testing.T) {
 	s := New(1)
 	var at float64
-	s.At(10, func() {
-		s.After(5, func() { at = s.Now() })
+	var k Kind
+	k = s.Register(func(tag, _ uint32) bool {
+		if tag == 0 {
+			s.After(5, k, 1, 0)
+		} else {
+			at = s.Now()
+		}
+		return true
 	})
+	s.At(10, k, 0, 0)
 	s.Run()
 	if at != 15 {
 		t.Errorf("After fired at %v, want 15", at)
@@ -71,15 +92,16 @@ func mustPanic(t *testing.T, name string, fn func()) {
 // neither before nor after any other), and +Inf, which no run reaches.
 func TestSchedulePastPanics(t *testing.T) {
 	s := New(1)
-	s.At(10, func() {})
-	s.Run()
-	mustPanic(t, "At(5) at now = 10", func() { s.At(5, func() {}) })
-	mustPanic(t, "AtCall(5) at now = 10", func() { s.AtCall(5, func(any) {}, nil) })
-	mustPanic(t, "At(NaN)", func() { s.At(math.NaN(), func() {}) })
-	mustPanic(t, "At(+Inf)", func() { s.At(math.Inf(1), func() {}) })
-	// Nothing refused left a trace: now itself is accepted and runs.
 	ran := false
-	s.At(10, func() { ran = true })
+	k := s.Register(func(uint32, uint32) bool { ran = true; return true })
+	s.At(10, k, 0, 0)
+	s.Run()
+	ran = false
+	mustPanic(t, "At(5) at now = 10", func() { s.At(5, k, 0, 0) })
+	mustPanic(t, "At(NaN)", func() { s.At(math.NaN(), k, 0, 0) })
+	mustPanic(t, "At(+Inf)", func() { s.At(math.Inf(1), k, 0, 0) })
+	// Nothing refused left a trace: now itself is accepted and runs.
+	s.At(10, k, 0, 0)
 	s.Run()
 	if !ran || s.Steps() != 2 {
 		t.Errorf("after the refused calls: ran = %v, Steps() = %d, want true and 2", ran, s.Steps())
@@ -88,45 +110,75 @@ func TestSchedulePastPanics(t *testing.T) {
 
 func TestNegativeAfterPanics(t *testing.T) {
 	s := New(1)
-	mustPanic(t, "After(-1)", func() { s.After(-1, func() {}) })
-	mustPanic(t, "After(NaN)", func() { s.After(math.NaN(), func() {}) })
+	k := s.Register(func(uint32, uint32) bool { return true })
+	mustPanic(t, "After(-1)", func() { s.After(-1, k, 0, 0) })
+	mustPanic(t, "After(NaN)", func() { s.After(math.NaN(), k, 0, 0) })
+	mustPanic(t, "AfterCall(-1)", func() { s.AfterCall(-1, func(any) {}, nil) })
 	mustPanic(t, "AfterCall(NaN)", func() { s.AfterCall(math.NaN(), func(any) {}, nil) })
 }
 
+// subject is what a generation-carrying event belongs to: its handler
+// drops an event filed under an older generation, as service drops a
+// node's ticks across a crash.
+type subject struct {
+	gen uint32
+	got []uint32
+}
+
+// register registers the subject's kind on s.
+func (sub *subject) register(s *Simulator) Kind {
+	return s.Register(func(tag, gen uint32) bool {
+		if gen != sub.gen {
+			return false
+		}
+		sub.got = append(sub.got, tag)
+		return true
+	})
+}
+
+// TestCancel checks that an event filed under a generation its subject
+// has since outlived runs nothing and counts as cancelled, not executed.
 func TestCancel(t *testing.T) {
 	s := New(1)
-	ran := false
-	e := s.At(5, func() { ran = true })
-	e.Cancel()
+	reg := obs.NewRegistry()
+	s.Observe(reg)
+	sub := &subject{}
+	k := sub.register(s)
+	s.At(5, k, 1, sub.gen)
+	sub.gen++
 	s.Run()
-	if ran {
-		t.Error("cancelled event ran")
+	if len(sub.got) != 0 || s.Steps() != 0 {
+		t.Errorf("a stale event ran: got %v, Steps() = %d", sub.got, s.Steps())
 	}
-	// Cancelling twice, and cancelling the zero handle, are harmless.
-	e.Cancel()
-	Event{}.Cancel()
+	if c := reg.Counter("sim_events_cancelled_total").Value(); c != 1 || s.Now() != 5 {
+		t.Errorf("cancelled = %d, Now() = %v, want 1 and 5", c, s.Now())
+	}
 }
 
 func TestCancelInterleaved(t *testing.T) {
 	s := New(1)
-	var got []string
-	a := s.At(1, func() { got = append(got, "a") })
-	s.At(2, func() { got = append(got, "b") })
-	c := s.At(3, func() { got = append(got, "c") })
-	a.Cancel()
-	s.At(2.5, func() { c.Cancel() })
+	sub := &subject{}
+	k := sub.register(s)
+	s.At(1, k, 'a', sub.gen)
+	sub.gen++ // a is stale before the run starts
+	s.At(2, k, 'b', sub.gen)
+	s.At(3, k, 'c', sub.gen)
+	s.AfterCall(2.5, func(any) { sub.gen++ }, nil) // and c once it passes 2.5
 	s.Run()
-	if len(got) != 1 || got[0] != "b" {
-		t.Errorf("got %v, want [b]", got)
+	if len(sub.got) != 1 || sub.got[0] != 'b' {
+		t.Errorf("got %q, want [b]", sub.got)
+	}
+	if s.Steps() != 2 {
+		t.Errorf("Steps() = %d, want 2: b and the bump", s.Steps())
 	}
 }
 
 func TestRunUntil(t *testing.T) {
 	s := New(1)
-	var got []float64
+	var got []uint32
+	k := record(s, &got)
 	for _, at := range []float64{1, 2, 3, 4, 5} {
-		at := at
-		s.At(at, func() { got = append(got, at) })
+		s.At(at, k, 0, 0)
 	}
 	s.RunUntil(3)
 	if len(got) != 3 {
@@ -156,85 +208,100 @@ func TestRunUntilBackwardsPanics(t *testing.T) {
 
 func TestRunUntilBoundaryInclusive(t *testing.T) {
 	s := New(1)
-	ran := false
-	s.At(3, func() { ran = true })
+	var got []uint32
+	s.At(3, record(s, &got), 0, 0)
 	s.RunUntil(3)
-	if !ran {
+	if len(got) != 1 {
 		t.Error("event exactly at boundary did not run")
 	}
 }
 
+// ticker is a periodic timer the way service keeps one: each tick re-arms
+// the next one period on under the tick's own generation, and a bump of
+// the generation stops it where it stands.
+type ticker struct {
+	s      *Simulator
+	k      Kind
+	period float64
+	gen    uint32
+	times  []float64
+	onTick func()
+}
+
+func newTicker(s *Simulator, period float64) *ticker {
+	tk := &ticker{s: s, period: period}
+	tk.k = s.Register(func(_, gen uint32) bool {
+		if gen != tk.gen {
+			return false
+		}
+		tk.times = append(tk.times, s.Now())
+		s.After(period, tk.k, 0, gen)
+		if tk.onTick != nil {
+			tk.onTick()
+		}
+		return true
+	})
+	s.After(period, tk.k, 0, tk.gen)
+	return tk
+}
+
 func TestEvery(t *testing.T) {
 	s := New(1)
-	var times []float64
-	stop := s.Every(10, func() { times = append(times, s.Now()) })
-	s.At(35, func() { stop() })
+	reg := obs.NewRegistry()
+	s.Observe(reg)
+	tk := newTicker(s, 10)
+	s.AfterCall(35, func(any) { tk.gen++ }, nil)
 	s.RunUntil(100)
 	want := []float64{10, 20, 30}
-	if len(times) != len(want) {
-		t.Fatalf("ticks at %v, want %v", times, want)
+	if len(tk.times) != len(want) {
+		t.Fatalf("ticks at %v, want %v", tk.times, want)
 	}
 	for i := range want {
-		if times[i] != want[i] {
-			t.Fatalf("ticks at %v, want %v", times, want)
+		if tk.times[i] != want[i] {
+			t.Fatalf("ticks at %v, want %v", tk.times, want)
 		}
 	}
 	// Three ticks and the stop ran; the tick pending at the stop did not.
-	if s.Steps() != 4 {
-		t.Errorf("Steps() = %d after stop, want 4", s.Steps())
+	if c := reg.Counter("sim_events_cancelled_total").Value(); s.Steps() != 4 || c != 1 {
+		t.Errorf("Steps() = %d, cancelled = %d after the stop, want 4 and 1", s.Steps(), c)
 	}
 }
 
+// TestEveryStopWithinTick: a stop that lands within a tick, after the
+// tick re-armed, drops the re-armed tick when it fires.
 func TestEveryStopWithinTick(t *testing.T) {
 	s := New(1)
-	n := 0
-	var stop func()
-	stop = s.Every(1, func() {
-		n++
-		if n == 3 {
-			stop()
+	tk := newTicker(s, 1)
+	tk.onTick = func() {
+		if len(tk.times) == 3 {
+			tk.gen++
 		}
-	})
-	s.RunUntil(100)
-	if n != 3 {
-		t.Errorf("ticked %d times, want 3", n)
 	}
-}
-
-func TestEveryBadPeriodPanics(t *testing.T) {
-	s := New(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	s.Every(0, func() {})
+	s.RunUntil(100)
+	if len(tk.times) != 3 || s.Steps() != 3 {
+		t.Errorf("ticked %d times in %d steps, want 3 and 3", len(tk.times), s.Steps())
+	}
 }
 
 func TestDeterminism(t *testing.T) {
 	run := func() []float64 {
 		s := New(42)
 		var got []float64
-		var schedule func()
-		n := 0
-		schedule = func() {
-			if n >= 100 {
-				return
+		var k Kind
+		k = s.Register(func(n, _ uint32) bool {
+			got = append(got, s.Now())
+			if n < 100 {
+				s.After(s.Rand().Float64()*10, k, n+1, 0)
 			}
-			n++
-			d := s.Rand().Float64() * 10
-			s.After(d, func() {
-				got = append(got, s.Now())
-				schedule()
-			})
-		}
-		schedule()
+			return true
+		})
+		s.After(s.Rand().Float64()*10, k, 1, 0)
 		s.Run()
 		return got
 	}
 	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
+	if len(a) != len(b) || len(a) != 100 {
+		t.Fatalf("lengths: %d and %d, want 100", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
@@ -247,8 +314,9 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := New(uint64(i))
+		k := s.Register(func(uint32, uint32) bool { return true })
 		for j := 0; j < 1000; j++ {
-			s.After(s.Rand().Float64()*100, func() {})
+			s.After(s.Rand().Float64()*100, k, 0, 0)
 		}
 		s.Run()
 	}

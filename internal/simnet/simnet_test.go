@@ -95,11 +95,10 @@ func TestSendDeliversAfterDelay(t *testing.T) {
 		deliveredAt = s.Now()
 		got = m
 	})
-	s.At(10, func() {
-		if !n.Send(ids[0], ids[1], "ping") {
-			t.Error("Send returned false")
-		}
-	})
+	s.RunUntil(10)
+	if !n.Send(ids[0], ids[1], "ping") {
+		t.Error("Send returned false")
+	}
 	s.Run()
 	if deliveredAt != 10.5 {
 		t.Errorf("delivered at %v, want 10.5", deliveredAt)
@@ -394,10 +393,9 @@ func TestRoundTripBoundedByXi(t *testing.T) {
 	})
 	for i := 0; i < 200; i++ {
 		at := float64(i)
-		s.At(at, func() {
-			sentAt = s.Now()
-			n.Send(ids[0], ids[1], "req")
-		})
+		s.RunUntil(at)
+		sentAt = s.Now()
+		n.Send(ids[0], ids[1], "req")
 		s.RunUntil(at + 0.999)
 	}
 	xi := n.Xi()
@@ -454,10 +452,9 @@ func TestAsymmetricRoundTripWithinXi(t *testing.T) {
 	n.SetHandler(ids[0], func(Message) { rtts = append(rtts, s.Now()-sentAt) })
 	for i := 0; i < 100; i++ {
 		at := float64(i)
-		s.At(at, func() {
-			sentAt = s.Now()
-			n.Send(ids[0], ids[1], "req")
-		})
+		s.RunUntil(at)
+		sentAt = s.Now()
+		n.Send(ids[0], ids[1], "req")
 		s.RunUntil(at + 0.99)
 	}
 	xi := n.Xi()

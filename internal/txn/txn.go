@@ -25,6 +25,7 @@ import (
 
 	"disttime/internal/hlc"
 	"disttime/internal/service"
+	"disttime/internal/sim"
 )
 
 // Waiter decides when a stamped transaction may commit. Implementations
@@ -139,11 +140,14 @@ type Workload struct {
 	maxNode int
 
 	clients []*client
+	// start and check are the kinds of a client's transaction start and
+	// commit-wait re-check, tagged with the client's index.
+	start, check sim.Kind
 }
 
 // client is one client's reusable transaction state; a single struct
-// per client cycles through every transaction, keeping the event
-// callbacks closure-free.
+// per client cycles through every transaction, its events tagged with
+// its index.
 type client struct {
 	w     *Workload
 	idx   int
@@ -183,6 +187,8 @@ func Attach(svc *service.Service, cfg Config) (*Workload, error) {
 		cfg.Waiter = CommitWait{}
 	}
 	w := &Workload{svc: svc, cfg: cfg, maxNode: -1}
+	w.start = svc.Sim.Register(func(i, _ uint32) bool { w.clients[i].startTxn(); return true })
+	w.check = svc.Sim.Register(func(i, _ uint32) bool { w.clients[i].tryCommit(); return true })
 	for k := 0; k < cfg.Clients; k++ {
 		// The slope under-estimates how fast C - E advances: C gains at
 		// least (1 - delta) per true second while E grows at most
@@ -197,7 +203,7 @@ func Attach(svc *service.Service, cfg Config) (*Workload, error) {
 		c := &client{w: w, idx: k, slope: slope}
 		w.clients = append(w.clients, c)
 		gap := svc.Sim.Rand().ExpFloat64() / cfg.Rate
-		svc.Sim.AtCall(cfg.Start+gap, startTxn, c)
+		svc.Sim.At(cfg.Start+gap, w.start, uint32(k), 0)
 	}
 	return w, nil
 }
@@ -205,12 +211,6 @@ func Attach(svc *service.Service, cfg Config) (*Workload, error) {
 // MaxCommitted returns the largest committed timestamp and the server
 // that committed it (-1 before the first commit).
 func (w *Workload) MaxCommitted() (hlc.Timestamp, int) { return w.maxTS, w.maxNode }
-
-// startTxn is the closure-free sim callback beginning a transaction.
-func startTxn(x any) { x.(*client).startTxn() }
-
-// checkTxn is the closure-free sim callback re-checking a commit-wait.
-func checkTxn(x any) { x.(*client).tryCommit() }
 
 func (c *client) startTxn() {
 	w := c.w
@@ -221,7 +221,7 @@ func (c *client) startTxn() {
 	if w.svc.Crashed(c.idx) {
 		// A client cannot start a transaction on a crashed server; poll
 		// for the restart.
-		w.svc.Sim.AfterCall(retryDelay, startTxn, c)
+		w.svc.Sim.After(retryDelay, w.start, uint32(c.idx), 0)
 		return
 	}
 	c.start = now
@@ -237,7 +237,7 @@ func (c *client) tryCommit() {
 	if w.svc.Crashed(c.idx) {
 		// The server died mid-wait; the transaction commits after the
 		// restart, once the commit-wait condition genuinely holds.
-		w.svc.Sim.AfterCall(retryDelay, checkTxn, c)
+		w.svc.Sim.After(retryDelay, w.check, uint32(c.idx), 0)
 		return
 	}
 	r := w.svc.Nodes[c.idx].Server.Reading(now)
@@ -249,7 +249,7 @@ func (c *client) tryCommit() {
 		if dt < retryDelay {
 			dt = retryDelay
 		}
-		w.svc.Sim.AfterCall(dt, checkTxn, c)
+		w.svc.Sim.After(dt, w.check, uint32(c.idx), 0)
 		return
 	}
 	c.commit(now)
@@ -284,5 +284,5 @@ func (c *client) commit(now float64) {
 		w.cfg.OnCommit(t)
 	}
 	gap := w.svc.Sim.Rand().ExpFloat64() / w.cfg.Rate
-	w.svc.Sim.AfterCall(gap, startTxn, c)
+	w.svc.Sim.After(gap, w.start, uint32(c.idx), 0)
 }

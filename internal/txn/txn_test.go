@@ -232,8 +232,8 @@ func TestCrashPausesClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.Sim.At(20, func() { svc.Crash(0) })
-	svc.Sim.At(60, func() { svc.Restart(0) })
+	svc.Sim.AfterCall(20, func(any) { svc.Crash(0) }, nil)
+	svc.Sim.AfterCall(60, func(any) { svc.Restart(0) }, nil)
 	svc.Run(120)
 	for _, x := range commits {
 		if x.Client == 0 && x.Start > 20 && x.Start < 60 {
@@ -249,8 +249,8 @@ func TestCrashPausesClient(t *testing.T) {
 // commit's client, sequence number, start and commit times and timestamp,
 // then the simulator's event count and each server's final <C, E>. It is
 // the transaction half of service.TestGoldenFingerprints (the workload
-// schedules its arrivals at absolute times without a closure, a path no
-// run of the service alone takes), with a crash and a restart so retries
+// files its own event kinds, client arrivals and commit-wait re-checks,
+// which no run of the service alone does), with a crash and a restart so retries
 // are in the digest too. It lives here because this package imports
 // service. A digest that moves means the order, the time or the count of
 // executed events changed: a change of behaviour to justify and re-pin,
@@ -280,8 +280,8 @@ func TestGoldenFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.Sim.At(20, func() { svc.Crash(0) })
-	svc.Sim.At(60, func() { svc.Restart(0) })
+	svc.Sim.AfterCall(20, func(any) { svc.Crash(0) }, nil)
+	svc.Sim.AfterCall(60, func(any) { svc.Restart(0) }, nil)
 	svc.Run(120)
 	if w.Commits < 100 {
 		t.Fatalf("only %d commits: the digest covers too little", w.Commits)
