@@ -7,7 +7,6 @@ import (
 	"disttime/internal/core"
 	"disttime/internal/obs"
 	"disttime/internal/service"
-	"disttime/internal/simnet"
 	"disttime/internal/txn"
 )
 
@@ -49,7 +48,7 @@ func runTxn(seed uint64, metrics string, out io.Writer) error {
 	}
 	svc, err := service.New(service.Config{
 		Seed:    seed,
-		Delay:   simnet.Uniform{Max: 0.05},
+		Delay:   core.Band{Max: 0.05},
 		Fn:      core.IM{},
 		Servers: specs,
 	})

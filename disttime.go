@@ -70,10 +70,9 @@ type (
 	ServerSpec = service.ServerSpec
 	// Topology selects the simulated link structure.
 	Topology = service.Topology
-	// DelayModel samples one-way message delays.
-	DelayModel = simnet.DelayModel
-	// UniformDelay draws uniformly from [Min, Max].
-	UniformDelay = simnet.Uniform
+	// UniformDelay is a link's one-way delay band [Min, Max], each
+	// delay drawn uniformly from it.
+	UniformDelay = core.Band
 	// LinkConfig describes one simulated link (for Custom topologies
 	// wired directly through Simulation.Net).
 	LinkConfig = simnet.LinkConfig

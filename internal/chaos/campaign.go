@@ -223,8 +223,8 @@ type Campaign struct {
 	Faults []Fault
 }
 
-// Campaign-wide constants: the nominal delay model is the paper's
-// zero-minimum uniform with a 0.05 s one-way bound (xi = 0.1 s), and the
+// Campaign-wide constants: the nominal delay band is the paper's
+// zero-minimum one with a 0.05 s one-way bound (xi = 0.1 s), and the
 // collection window is pinned to just over the nominal xi — so a delay
 // spike genuinely violates the assumed bound instead of stretching the
 // window with it.
@@ -234,7 +234,7 @@ const (
 	initialError    = 0.05
 )
 
-func nominalDelay() simnet.DelayModel { return simnet.Uniform{Min: 0, Max: nominalDelayMax} }
+func nominalDelay() core.Band { return core.Band{Max: nominalDelayMax} }
 
 // specFor derives server i's physical parameters from the campaign seed
 // alone (independent of the fault schedule), so shrinking a schedule

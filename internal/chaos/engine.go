@@ -83,10 +83,10 @@ func (e *engine) rewire(Fault) {
 			}
 		}
 	}
-	cfg := simnet.LinkConfig{Delay: nominalDelay(), Loss: lossP}
-	if mult > 1 {
-		cfg.Delay = simnet.Scaled{M: nominalDelay(), Factor: mult}
-	}
+	// A delay spike is the nominal band with both edges times its factor.
+	d := nominalDelay()
+	d.Min, d.Max = d.Min*mult, d.Max*mult
+	cfg := simnet.LinkConfig{Delay: d, Loss: lossP}
 	for _, l := range e.svc.Net.Links() {
 		// Connect replaces an existing link's configuration; the nodes and
 		// the link set are unchanged, so the error path is unreachable.

@@ -141,7 +141,7 @@ func (n *Node) Sync(t float64, replies []Reply) Pass {
 // request is a reading"), own being the node's reading at t, which the
 // caller took to answer the request. r is what the request carried: From
 // the requester, <C, E> and Delta its reading and claimed bound as it
-// sent, and [Min, Max] the band its leg crossed; RTT and Age are unused.
+// sent, and Band the band its leg crossed; RTT and Age are unused.
 // The reading is Leg's interval around own. Hear drops it
 // when it has no band, and when it misses the node's interval, which
 // counts as an inconsistency. While the node's round is open (open) the
@@ -157,11 +157,11 @@ func (n *Node) Sync(t float64, replies []Reply) Pass {
 // node's, valid until its next Hear: a request is answered on every
 // message, so Hear copies no Pass it does not make.
 func (n *Node) Hear(t float64, own Reading, r Reply, open bool) (held Reply, hold bool, set *Pass) {
-	if !(r.Max > 0) {
+	if !r.Band.Known() {
 		return held, false, nil
 	}
 	s, before := n.Server, own
-	lo, hi := Leg(r.C, r.E, r.Min, r.Max, before.C)
+	lo, hi := Leg(r.C, r.E, r.Band.Min, r.Band.Max, before.C)
 	if !Consistent(lo, hi, before.E) {
 		s.noteInconsistent()
 		return held, false, nil

@@ -172,7 +172,7 @@ func TestNodeRateFilter(t *testing.T) {
 // true time is in [9.99, 10.02] (Leg), which narrows the server's
 // [9.9, 10.1].
 func TestNodeHear(t *testing.T) {
-	narrow := Reply{From: 2, C: 9.99, E: 0.01, Delta: 1e-5, Min: 0.01, Max: 0.02}
+	narrow := Reply{From: 2, C: 9.99, E: 0.01, Delta: 1e-5, Band: Band{Min: 0.01, Max: 0.02}}
 	for _, tc := range []struct {
 		name            string
 		r               Reply
@@ -182,8 +182,8 @@ func TestNodeHear(t *testing.T) {
 	}{
 		{name: "narrows: adopted", r: narrow, set: true},
 		{name: "no band: dropped", r: Reply{From: 2, C: 9.99, E: 0.01}},
-		{name: "wider: no change", r: Reply{From: 2, C: 9.99, E: 1, Min: 0.01, Max: 0.02}},
-		{name: "disjoint: inconsistent", r: Reply{From: 2, C: 11, E: 0.01, Min: 0.01, Max: 0.02}, inconsistencies: 1},
+		{name: "wider: no change", r: Reply{From: 2, C: 9.99, E: 1, Band: Band{Min: 0.01, Max: 0.02}}},
+		{name: "disjoint: inconsistent", r: Reply{From: 2, C: 11, E: 0.01, Band: Band{Min: 0.01, Max: 0.02}}, inconsistencies: 1},
 		{name: "open round: held", r: narrow, open: true, hold: true},
 		{name: "rate-filtered sender: dropped", r: narrow, filter: true},
 	} {
@@ -212,7 +212,7 @@ func TestNodeHear(t *testing.T) {
 		if tc.hold {
 			// The held reply covers Leg's interval with nothing left to
 			// charge, and the clock waits for the round.
-			if lo, hi := held.C-held.E, held.C+held.E; lo > 9.99 || hi < 10.02 || held.RTT != 0 || held.Max != 0 || held.From != 2 {
+			if lo, hi := held.C-held.E, held.C+held.E; lo > 9.99 || hi < 10.02 || held.RTT != 0 || held.Band.Known() || held.From != 2 {
 				t.Errorf("%s: held %+v, [%v, %v] must cover [9.99, 10.02]", tc.name, held, lo, hi)
 			}
 		}

@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // The paper's rules as arithmetic over float64 seconds. Every holder of
 // the rules calls these: Server and the synchronization functions in this
@@ -101,6 +104,32 @@ func Leg(c, e, m, M, cj float64) (lo, hi float64) {
 	pad := roundoff * math.Abs(cj)
 	return Offset(c, e-max(0, m-pad), e+M+pad, cj)
 }
+
+// Band is a link's one-way delay band [Min, Max] in true seconds: the
+// premise Charge and Leg credit, that every leg takes at least Min and at
+// most Max. The paper assumes [0, xi/2]. Both simulated substrates draw
+// each message's delay from its link's band (Draw), and a zero Max is no
+// band (Known): a real network's is not known, and crediting more than it
+// has excludes the true time.
+type Band struct {
+	Min, Max float64
+}
+
+// Draw is the delay a uniform draw u in [0, 1) picks from the band.
+func (b Band) Draw(u float64) float64 { return b.Min + u*(b.Max-b.Min) }
+
+// Check rejects a band the event kernels cannot schedule a draw from: a
+// NaN or infinite edge, a negative Min, or a Max below Min.
+func (b Band) Check() error {
+	if !(b.Min >= 0 && b.Max >= b.Min) || math.IsInf(b.Max, 1) {
+		return fmt.Errorf("delay band [%v, %v] not finite with 0 <= min <= max", b.Min, b.Max)
+	}
+	return nil
+}
+
+// Known reports whether the band bounds its legs: a zero Max is no band,
+// and the rules then charge the paper's m = 0, M = +Inf.
+func (b Band) Known() bool { return b.Max > 0 }
 
 // Consistent reports whether the offset interval [lo, hi] meets the
 // requester's own [-ei, ei], the paper's |C_i - C_j| <= E_i + E_j after

@@ -431,3 +431,44 @@ func TestPropertyNarrow(t *testing.T) {
 		}
 	}
 }
+
+// TestBand holds the one delay band's three methods: Check accepts a
+// finite band with 0 <= Min <= Max, the zero band and a fixed one
+// included; Known is false only for a zero Max; and Draw spans [Min, Max]
+// and is Min at u = 0 and for a fixed band.
+func TestBand(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name  string
+		b     Band
+		ok    bool
+		known bool
+	}{
+		{"zero", Band{}, true, false},
+		{"fixed", Band{Min: 0.02, Max: 0.02}, true, true},
+		{"uniform", Band{Min: 0.01, Max: 0.05}, true, true},
+		{"NaN min", Band{Min: nan, Max: 0.05}, false, true},
+		{"negative min", Band{Min: -0.01, Max: 0.05}, false, true},
+		{"NaN max", Band{Max: nan}, false, false},
+		{"max below min", Band{Min: 0.05, Max: 0.01}, false, true},
+		{"infinite max", Band{Max: inf}, false, true},
+	} {
+		if err := tc.b.Check(); (err == nil) != tc.ok {
+			t.Errorf("%s: Check() = %v, want ok %v", tc.name, err, tc.ok)
+		}
+		if got := tc.b.Known(); got != tc.known {
+			t.Errorf("%s: Known() = %v, want %v", tc.name, got, tc.known)
+		}
+		if !tc.ok {
+			continue
+		}
+		if got := tc.b.Draw(0); got != tc.b.Min {
+			t.Errorf("%s: Draw(0) = %v, want Min %v", tc.name, got, tc.b.Min)
+		}
+		for _, u := range []float64{0.25, 0.5, 1 - 0x1p-53} {
+			if got := tc.b.Draw(u); got < tc.b.Min || got > tc.b.Max {
+				t.Errorf("%s: Draw(%v) = %v outside [%v, %v]", tc.name, u, got, tc.b.Min, tc.b.Max)
+			}
+		}
+	}
+}

@@ -79,12 +79,11 @@ type Reply struct {
 	// Delta is the responder's claimed drift bound, used for consonance
 	// checks (zero when the responder does not advertise one).
 	Delta float64
-	// Min and Max are the path's one-way delay band in true seconds:
-	// each leg of the exchange took at least Min and at most Max, and
-	// Charge credits both (DESIGN.md §3, "Transit-error estimate"). A
-	// zero Max is no band, the paper's charge: a real network's band is
-	// not known, and crediting more than it has excludes the true time.
-	Min, Max float64
+	// Band is the path's one-way delay band: each leg of the exchange
+	// took at least Min and at most Max, and Charge credits both
+	// (DESIGN.md §3, "Transit-error estimate"). A zero Max is no band,
+	// the paper's charge (Band.Known).
+	Band Band
 }
 
 // Server is one time server's synchronization state.
@@ -257,8 +256,8 @@ func (s *Server) effective(r Reply, ci float64) (c, trail, lead float64) {
 	if age < 0 {
 		age = 0
 	}
-	m, M := r.Min, r.Max
-	if !(M > 0) {
+	m, M := r.Band.Min, r.Band.Max
+	if !r.Band.Known() {
 		m, M = 0, math.Inf(1)
 	}
 	trail, lead = Charge(r.E, r.RTT, age, s.rate.Age, m, M, ci)

@@ -5,10 +5,10 @@ import (
 	"math"
 
 	"disttime/internal/core"
+	"disttime/internal/obs"
 	"disttime/internal/par"
 	"disttime/internal/scale"
 	"disttime/internal/service"
-	"disttime/internal/simnet"
 	"disttime/internal/stats"
 )
 
@@ -58,7 +58,7 @@ func AblationSelfInterval() (Table, error) {
 		specs[4].Drift = 8e-5
 		svc, err := service.New(service.Config{
 			Seed:    101,
-			Delay:   simnet.Uniform{Max: 0.002},
+			Delay:   core.Band{Max: 0.002},
 			Fn:      fn,
 			Servers: specs,
 		})
@@ -143,7 +143,7 @@ func AblationInconsistentPolicy() (Table, error) {
 		}
 		svc, err := service.New(service.Config{
 			Seed:    103,
-			Delay:   simnet.Uniform{Max: 0.005},
+			Delay:   core.Band{Max: 0.005},
 			Fn:      v.fn,
 			Servers: specs,
 		})
@@ -196,7 +196,7 @@ func AblationTau() (Table, error) {
 		for i, fn := range []core.SyncFunc{core.MM{}, core.IM{}} {
 			svc, err := service.New(service.Config{
 				Seed:    107,
-				Delay:   simnet.Uniform{Max: 0.002},
+				Delay:   core.Band{Max: 0.002},
 				Fn:      fn,
 				Servers: meshSpecs(6, tau, 1.05),
 			})
@@ -243,7 +243,7 @@ func AblationLoss() (Table, error) {
 	for _, loss := range []float64{0, 0.1, 0.3, 0.5} {
 		svc, err := service.New(service.Config{
 			Seed:    109,
-			Delay:   simnet.Uniform{Max: 0.005},
+			Delay:   core.Band{Max: 0.005},
 			Loss:    loss,
 			Fn:      core.IM{},
 			Servers: meshSpecs(6, 30, 1.2),
@@ -251,6 +251,8 @@ func AblationLoss() (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
+		reg := obs.NewRegistry()
+		svc.Net.Observe(reg) // passive: the run is the same without it
 		samples, err := svc.RunSampled(7200, 60)
 		if err != nil {
 			return Table{}, err
@@ -264,7 +266,8 @@ func AblationLoss() (Table, error) {
 		for _, n := range svc.Nodes {
 			syncs += n.Syncs
 		}
-		repliesPerRound := float64(svc.Net.Stats.Delivered) / float64(2*syncs)
+		delivered := reg.Counter("simnet_messages_delivered_total").Value()
+		repliesPerRound := float64(delivered) / float64(2*syncs)
 		out.Rows = append(out.Rows, []string{
 			f(loss), fb(correct), f(stats.Mean(final.E)), fmt.Sprintf("%.1f", repliesPerRound),
 		})
@@ -314,7 +317,7 @@ func AblationScale() (Table, error) {
 				Delta:        delta,
 				DriftMax:     delta * 0.99,
 				InitialError: 0.05,
-				Member:       scale.Band{Min: 0.0003, Max: 0.0005},
+				Member:       core.Band{Min: 0.0003, Max: 0.0005},
 				Rule:         scale.RuleIM,
 			})
 			if err != nil {
@@ -380,7 +383,7 @@ func AblationSlew() (Table, error) {
 		}
 		svc, err := service.New(service.Config{
 			Seed:    127,
-			Delay:   simnet.Uniform{Max: 0.005},
+			Delay:   core.Band{Max: 0.005},
 			Fn:      core.IM{},
 			Servers: specs,
 		})
@@ -467,7 +470,7 @@ func AblationErrorFloor() (Table, error) {
 		specs[5] = service.ServerSpec{Delta: 3e-5, InitialError: 0.05, SyncEvery: tau, Fn: neverReset{}}
 		svc, err := service.New(service.Config{
 			Seed:    137,
-			Delay:   simnet.Uniform{Max: 0.002},
+			Delay:   core.Band{Max: 0.002},
 			Fn:      v.fn,
 			Servers: specs,
 		})
@@ -578,7 +581,7 @@ func AblationRateFilter() (Table, error) {
 			}
 			svc, err := service.New(service.Config{
 				Seed:    139,
-				Delay:   simnet.Uniform{Max: 0.002},
+				Delay:   core.Band{Max: 0.002},
 				Fn:      core.IM{DropInconsistent: true},
 				Servers: specs,
 			})
@@ -676,7 +679,7 @@ func AblationAdaptiveDelta() (Table, error) {
 		}
 		svc, err := service.New(service.Config{
 			Seed:    149,
-			Delay:   simnet.Uniform{Max: 0.02},
+			Delay:   core.Band{Max: 0.02},
 			Fn:      core.MM{},
 			Servers: specs,
 		})

@@ -6,7 +6,6 @@ import (
 
 	"disttime/internal/core"
 	"disttime/internal/service"
-	"disttime/internal/simnet"
 )
 
 // RecoveryBreakdown (E16) reproduces the closing caveat of Section 3:
@@ -40,7 +39,7 @@ func RecoveryBreakdown() (Table, error) {
 	}
 	svc, err := service.New(service.Config{
 		Seed:    131,
-		Delay:   simnet.Uniform{Max: 0.02},
+		Delay:   core.Band{Max: 0.02},
 		Fn:      core.MM{},
 		Servers: specs,
 	})

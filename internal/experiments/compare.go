@@ -8,7 +8,6 @@ import (
 	"disttime/internal/core"
 	"disttime/internal/interval"
 	"disttime/internal/service"
-	"disttime/internal/simnet"
 	"disttime/internal/stats"
 )
 
@@ -35,7 +34,7 @@ func IMvsMM() (Table, error) {
 		}
 		svc, err := service.New(service.Config{
 			Seed:    73,
-			Delay:   simnet.Uniform{Max: 0.0005},
+			Delay:   core.Band{Max: 0.0005},
 			Fn:      fn,
 			Servers: specs,
 		})
@@ -115,7 +114,7 @@ func Baselines() (Table, error) {
 		specs := meshSpecs(8, tau, 1.1)
 		svc, err := service.New(service.Config{
 			Seed:    79,
-			Delay:   simnet.Uniform{Max: 0.005},
+			Delay:   core.Band{Max: 0.005},
 			Fn:      fn,
 			Servers: specs,
 		})

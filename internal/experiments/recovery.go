@@ -7,7 +7,6 @@ import (
 	"disttime/internal/core"
 	"disttime/internal/interval"
 	"disttime/internal/service"
-	"disttime/internal/simnet"
 )
 
 // Recovery (E9) reproduces the Section 3 experiment: "a network of two
@@ -33,7 +32,7 @@ func Recovery() (Table, error) {
 		}
 		svc, err := service.New(service.Config{
 			Seed:     67,
-			Delay:    simnet.Uniform{Max: 0.05},
+			Delay:    core.Band{Max: 0.05},
 			Topology: service.Custom,
 			Fn:       core.MM{},
 			Servers:  specs,
@@ -122,7 +121,7 @@ func Consonance() (Table, error) {
 
 	svc, err := service.New(service.Config{
 		Seed:    71,
-		Delay:   simnet.Uniform{Max: 0.02},
+		Delay:   core.Band{Max: 0.02},
 		Servers: specs,
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"disttime/internal/core"
 	"disttime/internal/scale"
 )
 
@@ -82,9 +83,9 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 			Delta:        1e-4,
 			DriftMax:     0.99e-4,
 			InitialError: 0.05,
-			Member:       scale.Band{Min: 0.0002, Max: 0.002},
-			Uplink:       scale.Band{Min: 0.002, Max: 0.01},
-			Backbone:     scale.Band{Min: 0.02, Max: 0.08},
+			Member:       core.Band{Min: 0.0002, Max: 0.002},
+			Uplink:       core.Band{Min: 0.002, Max: 0.01},
+			Backbone:     core.Band{Min: 0.02, Max: 0.08},
 			Rule:         scale.RuleIM,
 		})
 		if err != nil {

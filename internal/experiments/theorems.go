@@ -8,7 +8,6 @@ import (
 	"disttime/internal/core"
 	"disttime/internal/interval"
 	"disttime/internal/service"
-	"disttime/internal/simnet"
 	"disttime/internal/stats"
 )
 
@@ -46,7 +45,7 @@ func Correctness() (Table, error) {
 	for _, fn := range []core.SyncFunc{core.MM{}, core.IM{}} {
 		svc, err := service.New(service.Config{
 			Seed:    31,
-			Delay:   simnet.Uniform{Max: 0.025},
+			Delay:   core.Band{Max: 0.025},
 			Fn:      fn,
 			Servers: meshSpecs(8, 60, 1.2),
 		})
@@ -97,7 +96,7 @@ func Theorem2() (Table, error) {
 	for _, maxDelay := range []float64{0.005, 0.025, 0.1} {
 		svc, err := service.New(service.Config{
 			Seed:    41,
-			Delay:   simnet.Uniform{Max: maxDelay},
+			Delay:   core.Band{Max: maxDelay},
 			Fn:      core.MM{},
 			Servers: meshSpecs(6, tau, 1.2),
 		})
@@ -160,7 +159,7 @@ func Theorem3() (Table, error) {
 	for _, maxDelay := range []float64{0.005, 0.025, 0.1} {
 		svc, err := service.New(service.Config{
 			Seed:    43,
-			Delay:   simnet.Uniform{Max: maxDelay},
+			Delay:   core.Band{Max: maxDelay},
 			Fn:      core.MM{},
 			Servers: meshSpecs(6, tau, 1.2),
 		})
@@ -235,7 +234,7 @@ func Theorem4() (Table, error) {
 	}
 	svc, err := service.New(service.Config{
 		Seed:    47,
-		Delay:   simnet.Uniform{Max: 0.001},
+		Delay:   core.Band{Max: 0.001},
 		Fn:      core.MM{},
 		Servers: specs,
 	})
@@ -288,7 +287,7 @@ func Theorem7() (Table, error) {
 	for _, maxDelay := range []float64{0.002, 0.02, 0.2} {
 		svc, err := service.New(service.Config{
 			Seed:    53,
-			Delay:   simnet.Uniform{Max: maxDelay},
+			Delay:   core.Band{Max: maxDelay},
 			Fn:      core.IM{},
 			Servers: meshSpecs(6, tau, 1.2),
 		})

@@ -93,15 +93,9 @@ type Topology struct {
 // Nodes returns the total node count.
 func (t Topology) Nodes() int { return t.Regions * t.Clusters * t.Members }
 
-// Band is a uniform delay band [Min, Max] in seconds.
-type Band struct {
-	Min float64
-	Max float64
-}
-
-// sample is the delay a uniform draw u in [0, 1) picks from the band: a
-// message's one-way delay, drawn from its sender's stream.
-func (b Band) sample(u float64) float64 { return b.Min + u*(b.Max-b.Min) }
+// Band is core.Band under the name cmd/bench spells; every other caller
+// names core.Band.
+type Band = core.Band
 
 // Config configures an engine.
 type Config struct {
@@ -125,13 +119,14 @@ type Config struct {
 	// InitialError is every node's starting inherited error; initial
 	// clock offsets are drawn uniform within it, so the claim is honest.
 	InitialError float64
-	// Member, Uplink, and Backbone are the three tiers' delay bands.
+	// Member, Uplink, and Backbone are the three tiers' delay bands, each
+	// message's delay drawn from its sender's stream (core.Band.Draw).
 	// Both edges are soundness premises: a reply's leg is taken to lie in
 	// the band (at least Min and at least the round trip less Max, at
 	// most Max and at most the round trip less Min), and a request's
 	// interval spans its leg from Min up to Max, so a delay outside its
 	// band can put an interval off the true time.
-	Member, Uplink, Backbone Band
+	Member, Uplink, Backbone core.Band
 	// Rule must be RuleIM.
 	Rule Rule
 }
@@ -203,9 +198,9 @@ func New(cfg Config) (*Engine, error) {
 				cfg.Delta, cfg.DriftMax, cfg.InitialError)
 		}
 	}
-	for _, b := range []Band{cfg.Member, cfg.Uplink, cfg.Backbone} {
-		if !(b.Min >= 0 && b.Max >= b.Min) || math.IsInf(b.Max, 1) {
-			return nil, fmt.Errorf("scale: delay band [%v, %v] not finite with 0 <= min <= max", b.Min, b.Max)
+	for _, b := range []core.Band{cfg.Member, cfg.Uplink, cfg.Backbone} {
+		if err := b.Check(); err != nil {
+			return nil, fmt.Errorf("scale: %w", err)
 		}
 	}
 	// xi over the tiers with links, as simnet.MaxOneWayDelay takes it over
@@ -306,7 +301,7 @@ func (e *Engine) hubOf(i int32) int32 {
 
 // band is the delay band of the link between src and dst, either way:
 // ids share a cluster, or a region, when they share its quotient.
-func (e *Engine) band(src, dst int32) Band {
+func (e *Engine) band(src, dst int32) core.Band {
 	m := int32(e.cfg.Topo.Members)
 	if src/m == dst/m {
 		return e.cfg.Member
@@ -430,7 +425,7 @@ func (e *Engine) sync(p *shard.Proc, i int32) {
 
 // ask sends one time request from i to j, carrying i's reading <ci, ei>.
 func (e *Engine) ask(p *shard.Proc, i, j int32, tag uint32, ci, ei float64) {
-	p.Send(i, j, e.band(i, j).sample(p.Float64(i)), kRequest, tag, ci, ei)
+	p.Send(i, j, e.band(i, j).Draw(p.Float64(i)), kRequest, tag, ci, ei)
 }
 
 // request answers a time request at node j per rule MM-1, and takes the
@@ -444,7 +439,7 @@ func (e *Engine) request(p *shard.Proc, j, from int32, tag uint32, ci, ei float6
 	t := p.Now()
 	cj, ej := e.read(j, t), e.errAt(j, t)
 	band := e.band(from, j)
-	p.Send(j, from, band.sample(p.Float64(j)), kReply, tag, cj, ej)
+	p.Send(j, from, band.Draw(p.Float64(j)), kReply, tag, cj, ej)
 	lo, hi := core.Leg(ci, ei, band.Min, band.Max, cj)
 	switch {
 	case !core.Consistent(lo, hi, ej):

@@ -5,8 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"disttime/internal/core"
 	"disttime/internal/service"
-	"disttime/internal/simnet"
 )
 
 // testConfig is a small stratified service: 8 regions of two clusters.
@@ -18,9 +18,9 @@ func testConfig(seed uint64) Config {
 		Delta:        1e-4,
 		DriftMax:     0.99e-4,
 		InitialError: 0.05,
-		Member:       Band{Min: 0.0002, Max: 0.002},
-		Uplink:       Band{Min: 0.002, Max: 0.01},
-		Backbone:     Band{Min: 0.02, Max: 0.08},
+		Member:       core.Band{Min: 0.0002, Max: 0.002},
+		Uplink:       core.Band{Min: 0.002, Max: 0.01},
+		Backbone:     core.Band{Min: 0.02, Max: 0.08},
 		Rule:         RuleIM,
 	}
 }
@@ -192,7 +192,7 @@ func creditAtTheEdge(t *testing.T, sign float64) {
 	e, err := New(Config{
 		Topo: Topology{Regions: 1, Clusters: 1, Members: 2},
 		Seed: 1, Tau: 10, InitialError: 0.05,
-		Member: Band{Min: d, Max: d},
+		Member: core.Band{Min: d, Max: d},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestNoResetMidRound(t *testing.T) {
 		e, err := New(Config{
 			Topo: Topology{Regions: 1, Clusters: 1, Members: 2},
 			Seed: seed, Tau: 0.005, InitialError: 0.05,
-			Member: Band{Min: d, Max: d},
+			Member: core.Band{Min: d, Max: d},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -259,7 +259,7 @@ func TestNoResetMidRound(t *testing.T) {
 // closes its rounds when internal/service closes the same mesh's, to the
 // bit.
 func TestCollectWindowIsService(t *testing.T) {
-	for _, band := range []Band{{0.0003, 0.0005}, {0.0001, 0.0005}, {0.0002, 0.002}, {0, 0.0123}} {
+	for _, band := range []core.Band{{Min: 0.0003, Max: 0.0005}, {Min: 0.0001, Max: 0.0005}, {Min: 0.0002, Max: 0.002}, {Max: 0.0123}} {
 		const n = 5
 		e, err := New(Config{
 			Topo: Topology{Regions: 1, Clusters: 1, Members: n},
@@ -272,7 +272,7 @@ func TestCollectWindowIsService(t *testing.T) {
 		for i := range specs {
 			specs[i] = service.ServerSpec{Delta: 1e-4, InitialError: 0.05, SyncEvery: 60}
 		}
-		svc, err := service.New(service.Config{Seed: 1, Delay: simnet.Uniform{Min: band.Min, Max: band.Max}, Servers: specs})
+		svc, err := service.New(service.Config{Seed: 1, Delay: band, Servers: specs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +354,7 @@ func TestMeshTopology(t *testing.T) {
 		Topo: Topology{Regions: 1, Clusters: 1, Members: 16},
 		Seed: 5, Tau: 60,
 		Delta: 1e-4, DriftMax: 0.99e-4, InitialError: 0.05,
-		Member: Band{Min: 0.0001, Max: 0.0005},
+		Member: core.Band{Min: 0.0001, Max: 0.0005},
 		Rule:   RuleIM,
 	}
 	if a, b := runFingerprint(t, mesh, 1200), runFingerprint(t, mesh, 1200); a != b {
@@ -422,10 +422,11 @@ func TestConfigValidation(t *testing.T) {
 		{"infinite initial error", func(c *Config) { c.InitialError = math.Inf(1) }},
 		{"negative band min", func(c *Config) { c.Member.Min = -0.0001 }},
 		{"NaN band min", func(c *Config) { c.Uplink.Min = math.NaN() }},
-		{"infinite band min", func(c *Config) { c.Backbone = Band{Min: math.Inf(1), Max: math.Inf(1)} }},
+		{"infinite band min", func(c *Config) { c.Backbone = core.Band{Min: math.Inf(1), Max: math.Inf(1)} }},
+		{"NaN band max", func(c *Config) { c.Uplink.Max = math.NaN() }},
 		{"band max below min", func(c *Config) { c.Member.Max = c.Member.Min / 2 }},
 		{"collect window at tau", func(c *Config) { c.Tau = 2 * c.Backbone.Max }},
-		{"zero collect window", func(c *Config) { c.Member, c.Uplink, c.Backbone = Band{}, Band{}, Band{} }},
+		{"zero collect window", func(c *Config) { c.Member, c.Uplink, c.Backbone = core.Band{}, core.Band{}, core.Band{} }},
 		{"rule MM", func(c *Config) { c.Rule = 1 }},
 		{"unknown rule", func(c *Config) { c.Rule = 2 }},
 		// Rejected before allocating: the first product wraps negative,

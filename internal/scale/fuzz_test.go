@@ -3,6 +3,8 @@ package scale
 import (
 	"math"
 	"testing"
+
+	"disttime/internal/core"
 )
 
 // FuzzScaleConfig holds New to its contract over arbitrary parameters on
@@ -65,9 +67,9 @@ func FuzzScaleConfig(f *testing.F) {
 			Seed:  seed,
 			Tau:   tau,
 			Delta: delta, DriftMax: drift, InitialError: initErr,
-			Member:   Band{Min: mMin, Max: mMax},
-			Uplink:   Band{Min: uMin, Max: uMax},
-			Backbone: Band{Min: bMin, Max: bMax},
+			Member:   core.Band{Min: mMin, Max: mMax},
+			Uplink:   core.Band{Min: uMin, Max: uMax},
+			Backbone: core.Band{Min: bMin, Max: bMax},
 		}
 		e, err := New(cfg)
 		if err != nil {

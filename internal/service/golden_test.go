@@ -9,7 +9,6 @@ import (
 
 	"disttime/internal/core"
 	"disttime/internal/obs"
-	"disttime/internal/simnet"
 )
 
 // fingerprint runs svc to each sample time in turn and folds what the
@@ -75,7 +74,7 @@ func TestGoldenFingerprints(t *testing.T) {
 			name: "mm-ring-loss-lockstep",
 			cfg: Config{
 				Seed: 7, Fn: core.MM{}, Topology: Ring, Loss: 0.2, NoStagger: true,
-				Delay:   simnet.Uniform{Min: 0.001, Max: 0.02},
+				Delay:   core.Band{Min: 0.001, Max: 0.02},
 				Servers: correctSpecs(5, 10),
 			},
 			samples: []float64{10, 20, 100, 600},

@@ -5,7 +5,6 @@ import (
 
 	"disttime/internal/core"
 	"disttime/internal/hlc"
-	"disttime/internal/simnet"
 )
 
 // TestHLCPropagates pins the always-on HLC wiring: after a service runs
@@ -16,7 +15,7 @@ import (
 func TestHLCPropagates(t *testing.T) {
 	svc, err := New(Config{
 		Seed:    1,
-		Delay:   simnet.Uniform{Max: 0.01},
+		Delay:   core.Band{Max: 0.01},
 		Fn:      core.MM{},
 		Servers: correctSpecs(5, 10),
 	})
@@ -58,7 +57,7 @@ func TestHLCPropagates(t *testing.T) {
 func TestHLCHappensBeforeAcrossService(t *testing.T) {
 	svc, err := New(Config{
 		Seed:    7,
-		Delay:   simnet.Uniform{Max: 0.01},
+		Delay:   core.Band{Max: 0.01},
 		Fn:      core.IM{},
 		Servers: correctSpecs(4, 10),
 	})

@@ -77,9 +77,9 @@ type ServerSpec struct {
 type Config struct {
 	// Seed makes the run reproducible.
 	Seed uint64
-	// Delay is the one-way link delay model; defaults to
-	// Uniform{0, 0.05} (the paper's zero minimum delay, xi = 0.1 s).
-	Delay simnet.DelayModel
+	// Delay is every link's one-way delay band; the zero band means
+	// [0, 0.05] (the paper's zero minimum delay, xi = 0.1 s).
+	Delay core.Band
 	// Loss is the per-message loss probability on every link.
 	Loss float64
 	// Topology selects the link structure; defaults to FullMesh.
@@ -192,9 +192,9 @@ type timeReply struct {
 	id      uint64
 	reading core.Reading
 	ts      hlc.Timestamp // responder's hybrid logical clock at reply
-	// min and max are the band the request crossed (simnet.Message), for
-	// the requester to credit with the reply's own.
-	min, max float64
+	// band is the band the request crossed (simnet.Message), for the
+	// requester to credit with the reply's own.
+	band core.Band
 }
 
 // newReply draws a reply payload from the service pool and sets it to r.
@@ -225,8 +225,8 @@ func New(cfg Config) (*Service, error) {
 	if len(cfg.Servers) == 0 {
 		return nil, fmt.Errorf("service: no servers configured")
 	}
-	if cfg.Delay == nil {
-		cfg.Delay = simnet.Uniform{Min: 0, Max: 0.05}
+	if cfg.Delay == (core.Band{}) {
+		cfg.Delay = core.Band{Max: 0.05}
 	}
 	if cfg.Fn == nil {
 		cfg.Fn = core.MM{}
@@ -409,11 +409,11 @@ func (n *Node) handle(m simnet.Message) {
 		ts := n.hclock.Update(readingWall(own), p.ts)
 		reading := own
 		reading.C += n.skew(m.From)
-		n.svc.Net.Send(n.NetID, m.From, n.svc.newReply(timeReply{id: p.id, reading: reading, ts: ts, min: m.Min, max: m.Max}))
+		n.svc.Net.Send(n.NetID, m.From, n.svc.newReply(timeReply{id: p.id, reading: reading, ts: ts, band: m.Band}))
 		n.hear(now, own, m, p.reading)
 	case *timeReply:
 		n.hclock.Update(n.hlcWall(now), p.ts)
-		id, reading, lo, hi := p.id, p.reading, p.min, p.max
+		id, reading, band := p.id, p.reading, p.band
 		n.svc.putReply(p)
 		if n.collect == nil || n.collect.id != id {
 			return // stale reply from a finished round
@@ -426,11 +426,11 @@ func (n *Node) handle(m simnet.Message) {
 			RTT:   local - n.collect.sentLocal,
 			Delta: reading.Delta,
 		}
-		if hi > 0 && m.Max > 0 {
+		if band.Known() && m.Band.Known() {
 			// Charge credits one band to both legs: the hull of the
 			// request's and the reply's, which differ when the link
 			// changed between them (a delay spike).
-			r.Min, r.Max = min(lo, m.Min), max(hi, m.Max)
+			r.Band = core.Band{Min: min(band.Min, m.Band.Min), Max: max(band.Max, m.Band.Max)}
 		}
 		n.collect.replies = append(n.collect.replies, pendingReply{reply: r, arrivedLoc: local})
 		n.Observe(r, local)
@@ -461,7 +461,7 @@ func (n *Node) hear(now float64, own core.Reading, m simnet.Message, r core.Read
 	if !n.hears {
 		return
 	}
-	in := core.Reply{From: int(m.From), C: r.C, E: r.E, Delta: r.Delta, Min: m.Min, Max: m.Max}
+	in := core.Reply{From: int(m.From), C: r.C, E: r.E, Delta: r.Delta, Band: m.Band}
 	held, hold, set := n.Hear(now, own, in, n.collect != nil)
 	switch {
 	case hold:

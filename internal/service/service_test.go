@@ -84,9 +84,10 @@ func TestNewValidation(t *testing.T) {
 		{name: "NaN collection window", cfg: Config{CollectFor: math.NaN(), Servers: correctSpecs(2, 10)}, wantErr: true},
 		{name: "infinite collection window", cfg: Config{CollectFor: math.Inf(1), Servers: correctSpecs(2, 10)}, wantErr: true},
 		{name: "NaN loss", cfg: Config{Loss: math.NaN(), Servers: correctSpecs(2, 10)}, wantErr: true},
-		{name: "negative delay", cfg: Config{Delay: simnet.Uniform{Min: -0.01, Max: 0.05}, Servers: correctSpecs(2, 10)}, wantErr: true},
-		{name: "NaN delay", cfg: Config{Delay: simnet.Uniform{Max: math.NaN()}, Servers: correctSpecs(2, 10)}, wantErr: true},
-		{name: "infinite delay", cfg: Config{Delay: simnet.Uniform{Max: math.Inf(1)}, Servers: correctSpecs(2, 10)}, wantErr: true},
+		{name: "negative delay", cfg: Config{Delay: core.Band{Min: -0.01, Max: 0.05}, Servers: correctSpecs(2, 10)}, wantErr: true},
+		{name: "NaN delay", cfg: Config{Delay: core.Band{Max: math.NaN()}, Servers: correctSpecs(2, 10)}, wantErr: true},
+		{name: "delay max below min", cfg: Config{Delay: core.Band{Min: 0.05, Max: 0.01}, Servers: correctSpecs(2, 10)}, wantErr: true},
+		{name: "infinite delay", cfg: Config{Delay: core.Band{Max: math.Inf(1)}, Servers: correctSpecs(2, 10)}, wantErr: true},
 		{
 			name:    "infinite gossip period",
 			cfg:     Config{Servers: correctSpecs(2, 10), Members: &MemberConfig{GossipEvery: math.Inf(1)}},
@@ -106,7 +107,7 @@ func TestNewValidation(t *testing.T) {
 func TestMMServiceStaysCorrectAndConsistent(t *testing.T) {
 	svc, err := New(Config{
 		Seed:    1,
-		Delay:   simnet.Uniform{Max: 0.01},
+		Delay:   core.Band{Max: 0.01},
 		Fn:      core.MM{},
 		Servers: correctSpecs(5, 10),
 	})
@@ -144,7 +145,7 @@ func TestMMServiceStaysCorrectAndConsistent(t *testing.T) {
 func TestIMServiceStaysCorrect(t *testing.T) {
 	svc, err := New(Config{
 		Seed:    2,
-		Delay:   simnet.Uniform{Max: 0.01},
+		Delay:   core.Band{Max: 0.01},
 		Fn:      core.IM{},
 		Servers: correctSpecs(6, 10),
 	})
@@ -169,7 +170,7 @@ func TestTheorem2ErrorBound(t *testing.T) {
 	const tau = 10.0
 	svc, err := New(Config{
 		Seed:    3,
-		Delay:   simnet.Uniform{Max: 0.01},
+		Delay:   core.Band{Max: 0.01},
 		Fn:      core.MM{},
 		Servers: correctSpecs(6, tau),
 	})
@@ -205,7 +206,7 @@ func TestTheorem7IMAsynchronism(t *testing.T) {
 	const tau = 10.0
 	svc, err := New(Config{
 		Seed:    4,
-		Delay:   simnet.Uniform{Max: 0.01},
+		Delay:   core.Band{Max: 0.01},
 		Fn:      core.IM{},
 		Servers: correctSpecs(6, tau),
 	})
@@ -254,7 +255,7 @@ func TestIMTighterThanMM(t *testing.T) {
 		}
 		svc, err := New(Config{
 			Seed:    5,
-			Delay:   simnet.Uniform{Max: 0.0005},
+			Delay:   core.Band{Max: 0.0005},
 			Fn:      fn,
 			Servers: specs,
 		})
@@ -317,7 +318,7 @@ func TestRecoveryFaultyDrift(t *testing.T) {
 	}
 	svc, err := New(Config{
 		Seed:     6,
-		Delay:    simnet.Uniform{Max: 0.05},
+		Delay:    core.Band{Max: 0.05},
 		Topology: Custom,
 		Fn:       core.MM{},
 		Servers:  specs,
@@ -370,7 +371,7 @@ func TestRecoveryDisabledFaultyDriftsAway(t *testing.T) {
 	}
 	svc, err := New(Config{
 		Seed:    7,
-		Delay:   simnet.Uniform{Max: 0.05},
+		Delay:   core.Band{Max: 0.05},
 		Fn:      core.MM{},
 		Servers: specs,
 	})
@@ -420,7 +421,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() Sample {
 		svc, err := New(Config{
 			Seed:    99,
-			Delay:   simnet.Uniform{Max: 0.02},
+			Delay:   core.Band{Max: 0.02},
 			Fn:      core.IM{},
 			Servers: correctSpecs(5, 7),
 			Loss:    0.1,
@@ -442,7 +443,7 @@ func TestDeterminism(t *testing.T) {
 func TestLossToleratedByMM(t *testing.T) {
 	svc, err := New(Config{
 		Seed:    10,
-		Delay:   simnet.Uniform{Max: 0.01},
+		Delay:   core.Band{Max: 0.01},
 		Loss:    0.3,
 		Fn:      core.MM{},
 		Servers: correctSpecs(5, 10),
@@ -470,7 +471,7 @@ func TestTopologies(t *testing.T) {
 	for _, topo := range []Topology{FullMesh, Ring, Line, Star} {
 		svc, err := New(Config{
 			Seed:     11,
-			Delay:    simnet.Uniform{Max: 0.01},
+			Delay:    core.Band{Max: 0.01},
 			Topology: topo,
 			Fn:       core.MM{},
 			Servers:  correctSpecs(5, 10),
@@ -554,7 +555,7 @@ func TestStopHaltsSyncing(t *testing.T) {
 func TestRateTrackerPopulatedByProtocol(t *testing.T) {
 	svc, err := New(Config{
 		Seed:    15,
-		Delay:   simnet.Uniform{Max: 0.005},
+		Delay:   core.Band{Max: 0.005},
 		Servers: correctSpecs(3, 5),
 		// MM with valid bounds rarely resets after converging; rates
 		// accumulate between resets.
@@ -642,7 +643,7 @@ func TestPartitionSplitsIntoConsistencyGroups(t *testing.T) {
 	}
 	svc, err := New(Config{
 		Seed:    21,
-		Delay:   simnet.Uniform{Max: 0.005},
+		Delay:   core.Band{Max: 0.005},
 		Fn:      core.MM{},
 		Servers: specs,
 	})
@@ -688,7 +689,7 @@ func TestSelectIMServiceToleratesFalseticker(t *testing.T) {
 		}
 		svc, err := New(Config{
 			Seed:    23,
-			Delay:   simnet.Uniform{Max: 0.005},
+			Delay:   core.Band{Max: 0.005},
 			Fn:      fn,
 			Servers: specs,
 		})
@@ -752,7 +753,7 @@ func TestSlewedServiceStaysCorrect(t *testing.T) {
 	}
 	svc, err := New(Config{
 		Seed:    30,
-		Delay:   simnet.Uniform{Max: 0.005},
+		Delay:   core.Band{Max: 0.005},
 		Fn:      core.IM{},
 		Servers: specs,
 	})
@@ -773,7 +774,7 @@ func TestSlewedServiceStaysCorrect(t *testing.T) {
 	// slewing.
 	svc2, err := New(Config{
 		Seed:    30,
-		Delay:   simnet.Uniform{Max: 0.005},
+		Delay:   core.Band{Max: 0.005},
 		Fn:      core.IM{},
 		Servers: specs,
 	})
@@ -806,8 +807,8 @@ func TestAsymmetricLinksStayCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	link := simnet.LinkConfig{
-		Delay:        simnet.Uniform{Max: 0.002},
-		ReverseDelay: simnet.Uniform{Min: 0.02, Max: 0.08},
+		Delay:        core.Band{Max: 0.002},
+		ReverseDelay: &core.Band{Min: 0.02, Max: 0.08},
 	}
 	for i := 0; i < 4; i++ {
 		for j := i + 1; j < 4; j++ {
@@ -900,7 +901,7 @@ func TestRateFilterExcludesPersistentOffender(t *testing.T) {
 		}
 		svc, err := New(Config{
 			Seed:    seed,
-			Delay:   simnet.Uniform{Max: 0.002},
+			Delay:   core.Band{Max: 0.002},
 			Fn:      core.IM{DropInconsistent: true},
 			Servers: specs,
 		})
@@ -961,7 +962,7 @@ func TestRateFilterLeavesHonestServiceAlone(t *testing.T) {
 	}
 	svc, err := New(Config{
 		Seed:    51,
-		Delay:   simnet.Uniform{Max: 0.002},
+		Delay:   core.Band{Max: 0.002},
 		Fn:      core.IM{},
 		Servers: specs,
 	})
@@ -1012,7 +1013,7 @@ func TestConsonanceReportFlagsOffender(t *testing.T) {
 	specs[4] = ServerSpec{Delta: 1e-5, Drift: 8e-5, InitialError: 0.05}
 	svc, err := New(Config{
 		Seed:    60,
-		Delay:   simnet.Uniform{Max: 0.002},
+		Delay:   core.Band{Max: 0.002},
 		Fn:      core.MM{},
 		Servers: specs,
 	})
@@ -1039,7 +1040,7 @@ func TestConsonanceReportFlagsOffender(t *testing.T) {
 func TestConsonanceReportCleanService(t *testing.T) {
 	svc, err := New(Config{
 		Seed:    61,
-		Delay:   simnet.Uniform{Max: 0.002},
+		Delay:   core.Band{Max: 0.002},
 		Fn:      core.IM{},
 		Servers: correctSpecs(4, 20),
 	})
@@ -1077,7 +1078,7 @@ func TestScaleSoak(t *testing.T) {
 		}
 		svc, err := New(Config{
 			Seed:    70,
-			Delay:   simnet.Uniform{Max: 0.01},
+			Delay:   core.Band{Max: 0.01},
 			Fn:      core.IM{},
 			Servers: specs,
 		})
@@ -1137,7 +1138,7 @@ func TestAdaptiveDeltaHealsFaultyServer(t *testing.T) {
 	}
 	svc, err := New(Config{
 		Seed:    80,
-		Delay:   simnet.Uniform{Max: 0.02},
+		Delay:   core.Band{Max: 0.02},
 		Fn:      core.MM{},
 		Servers: specs,
 	})
@@ -1173,7 +1174,7 @@ func TestAdaptiveDeltaLeavesValidBoundsAlone(t *testing.T) {
 	}
 	svc, err := New(Config{
 		Seed:    81,
-		Delay:   simnet.Uniform{Max: 0.002},
+		Delay:   core.Band{Max: 0.002},
 		Fn:      core.IM{},
 		Servers: specs,
 	})
@@ -1224,7 +1225,7 @@ func TestRoundAllocs(t *testing.T) {
 // MM every server ages at its claimed bound, unsteered.
 func TestDisciplineSteersIMOnly(t *testing.T) {
 	for _, fn := range []core.SyncFunc{core.IM{}, core.MM{}} {
-		svc, err := New(Config{Seed: 5, Fn: fn, Delay: simnet.Uniform{Max: 0.01}, Servers: correctSpecs(8, 60)})
+		svc, err := New(Config{Seed: 5, Fn: fn, Delay: core.Band{Max: 0.01}, Servers: correctSpecs(8, 60)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1291,7 +1292,7 @@ func TestDisciplineUnderInvalidUpstream(t *testing.T) {
 		}
 		// Pure upstream: serves, never resets, races beyond its bound.
 		specs[4] = ServerSpec{Delta: 1e-5, Drift: 8e-5, InitialError: 0.05, RateFilter: rateFilter}
-		svc, err := New(Config{Seed: seed, Delay: simnet.Uniform{Max: 0.002}, Fn: core.IM{DropInconsistent: true}, Servers: specs})
+		svc, err := New(Config{Seed: seed, Delay: core.Band{Max: 0.002}, Fn: core.IM{DropInconsistent: true}, Servers: specs})
 		if err != nil {
 			t.Fatal(err)
 		}

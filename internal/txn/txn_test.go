@@ -9,7 +9,6 @@ import (
 
 	"disttime/internal/core"
 	"disttime/internal/service"
-	"disttime/internal/simnet"
 )
 
 // testService builds a small synchronized service whose clocks start
@@ -30,7 +29,7 @@ func testService(t *testing.T, seed uint64, n int) *service.Service {
 	}
 	svc, err := service.New(service.Config{
 		Seed:    seed,
-		Delay:   simnet.Uniform{Max: 0.05},
+		Delay:   core.Band{Max: 0.05},
 		Fn:      core.IM{},
 		Servers: specs,
 	})
