@@ -1,7 +1,8 @@
 // Command timequery queries a set of UDP time servers, prints each
-// server's interval, and combines them: the intersection (algorithm IM)
-// by default, or fault-tolerant selection (-select) when some servers may
-// be falsetickers.
+// server's interval, and combines them as a syncer would, in one pass over
+// a clock never set: rule IM-2 (udptime.SyncIM) by default, or
+// fault-tolerant selection (udptime.SyncSelect, -select) when some
+// servers may be falsetickers. The combined bound is that clock's own.
 //
 // Usage:
 //
@@ -20,7 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"disttime/internal/interval"
 	"disttime/internal/udptime"
 )
 
@@ -57,10 +57,8 @@ func run(args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "%-22s %-4s %-28s %-12s %-10s %s\n",
 		"SERVER", "ID", "CLOCK", "MAX ERROR", "RTT", "OFFSET INTERVAL (s)")
-	var (
-		names []string
-		ivs   []interval.Interval
-	)
+	// names counts the synchronized measurements, as the sync rules do.
+	var names []string
 	for _, m := range ms {
 		iv := m.OffsetInterval()
 		note := ""
@@ -68,37 +66,43 @@ func run(args []string, out io.Writer) error {
 			note = " (unsynchronized, ignored)"
 		} else {
 			names = append(names, m.Addr)
-			ivs = append(ivs, iv)
 		}
 		fmt.Fprintf(out, "%-22s %-4d %-28s %-12v %-10v [%.6f, %.6f]%s\n",
 			m.Addr, m.ServerID, m.C.Format(time.RFC3339Nano), m.E, m.RTT.Round(time.Microsecond),
 			iv.Lo, iv.Hi, note)
 	}
-	if len(ivs) == 0 {
+	if len(names) == 0 {
 		return fmt.Errorf("no synchronized servers answered")
 	}
 
-	var common interval.Interval
+	// Combine the way a syncer does: one pass of the rule over a clock
+	// never set, which reads the system time with no bound until then.
+	dc, err := udptime.NewDisciplinedClock(0)
+	if err != nil {
+		return err
+	}
+	var mid float64 // the applied offset interval's midpoint, seconds
 	if *doSel {
-		sel, ok := interval.Select(ivs)
-		if !ok {
-			return fmt.Errorf("selection: no majority of the %d servers agrees", len(ivs))
+		sel, err := udptime.SyncSelect(dc, ms)
+		if err != nil {
+			return fmt.Errorf("selection: no majority of the %d servers agrees", len(names))
 		}
 		for _, idx := range sel.Falsetickers {
 			fmt.Fprintf(out, "falseticker rejected: %s\n", names[idx])
 		}
-		common = sel.Interval
+		mid = sel.Interval.Midpoint()
 	} else {
-		var ok bool
-		if common, ok = interval.IntersectAll(ivs); !ok {
+		iv, err := udptime.SyncIM(dc, ms)
+		if err != nil {
 			return fmt.Errorf("servers are mutually inconsistent: at least one must be wrong (rerun with -select)")
 		}
+		mid = iv.Midpoint()
 	}
 
-	offset := time.Duration(common.Midpoint() * float64(time.Second))
-	maxErr := time.Duration(common.HalfWidth() * float64(time.Second))
+	// The bound is the clock's own, rounded outward to the nanosecond.
+	now, maxErr, _ := dc.Now()
+	offset := time.Duration(mid * float64(time.Second))
 	fmt.Fprintf(out, "\ncombined: local clock offset %v +/- %v\n", offset, maxErr)
-	fmt.Fprintf(out, "true time: %s +/- %v\n",
-		time.Now().Add(offset).Format(time.RFC3339Nano), maxErr)
+	fmt.Fprintf(out, "true time: %s +/- %v\n", now.Format(time.RFC3339Nano), maxErr)
 	return nil
 }

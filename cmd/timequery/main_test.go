@@ -89,6 +89,26 @@ func (unsyncedClock) Now() (time.Time, time.Duration, bool) {
 	return time.Now(), 0, false
 }
 
+// TestRunSelectNamesLiarAfterUnsynchronized puts an unsynchronized
+// server first: the selection's indices count synchronized measurements
+// only, so the rejected falseticker must still be named as the liar.
+func TestRunSelectNamesLiarAfterUnsynchronized(t *testing.T) {
+	unsynced := startServer(t, 1, unsyncedClock{})
+	good1 := startServer(t, 2, fixedClock{err: 10 * time.Millisecond})
+	good2 := startServer(t, 3, fixedClock{err: 10 * time.Millisecond})
+	liar := startServer(t, 4, fixedClock{offset: time.Hour, err: time.Millisecond})
+	var buf strings.Builder
+	servers := strings.Join([]string{unsynced, good1, good2, liar}, ",")
+	if err := run([]string{"-servers", servers, "-select"}, &buf); err != nil {
+		t.Fatalf("%v\n%s", err, buf.String())
+	}
+	out := buf.String()
+	if want := "falseticker rejected: " + liar + "\n"; !strings.Contains(out, want) ||
+		strings.Count(out, "falseticker rejected:") != 1 {
+		t.Errorf("want exactly %q:\n%s", want, out)
+	}
+}
+
 func TestRunAllUnsynchronized(t *testing.T) {
 	a := startServer(t, 1, unsyncedClock{})
 	var buf strings.Builder

@@ -98,7 +98,11 @@ func run(args []string, out io.Writer) error {
 		}
 		return emit(tbl)
 	case *figures:
-		_, err := fmt.Fprintln(out, experiments.Figures())
+		figs, err := experiments.Figures()
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Fprintln(out, figs)
 		return err
 	case *list:
 		fmt.Fprintf(out, "%-4s  %-22s  %s\n", "ID", "SLUG", "SOURCE")

@@ -139,102 +139,72 @@ func centerAt(text string, c, width int) string {
 	return strings.Repeat(" ", start) + text
 }
 
-// Figures renders the paper's four figures as interval diagrams,
-// regenerated from the same configurations the experiments use.
-func Figures() string {
-	var b strings.Builder
-
+// Figures renders the paper's four figures as interval diagrams, drawn
+// from the inputs E1, E2, E11 and E12 check: Figure 1 from E1's servers'
+// own readings, the others from the intervals and replies those
+// experiments declare.
+func Figures() (string, error) {
 	// Figure 1: growth of maximum errors — three servers at three epochs.
-	servers := []struct {
-		delta, drift float64
-	}{
-		{1e-5, 0.8e-5}, {3e-5, -2.5e-5}, {6e-5, 5e-5},
+	servers, err := figure1Servers()
+	if err != nil {
+		return "", err
 	}
 	fig1 := Diagram{
 		Title: "Figure 1 — Growth of Maximum Errors (t = 7200 s; offsets from the correct time, seconds)",
 		Truth: 0,
-		Width: 64,
 	}
-	for _, t := range []float64{0, 3600, 7200} {
+	for _, t := range figure1Epochs {
 		for i, s := range servers {
-			c := s.drift * t
-			e := 0.05 + s.delta*t
+			r := s.Reading(t)
 			fig1.Rows = append(fig1.Rows, DiagramRow{
 				Label:    fmt.Sprintf("S%d t=%4.0f", i+1, t),
-				Interval: interval.FromEstimate(c, e),
+				Interval: interval.FromEstimate(r.C-t, r.E),
 			})
 		}
 	}
-	b.WriteString(fig1.Render())
-	b.WriteString("\n")
+	figs := []Diagram{fig1}
 
 	// Figure 2: intersections — nested and staggered.
-	nested := Diagram{
-		Title: "Figure 2 (left) — one interval inside the other: intersection = the smaller",
-		Truth: math.NaN(),
-		Width: 64,
-		Rows: []DiagramRow{
-			{Label: "S1", Interval: interval.FromEstimate(100, 5)},
-			{Label: "S2", Interval: interval.FromEstimate(100.5, 1.5)},
-			{Label: "S1^S2", Interval: interval.FromEstimate(100.5, 1.5)},
-		},
-	}
-	b.WriteString(nested.Render())
-	b.WriteString("\n")
-	i1 := interval.FromEstimate(99, 3)
-	i2 := interval.FromEstimate(102, 3)
-	common, _ := i1.Intersect(i2)
-	staggered := Diagram{
-		Title: "Figure 2 (right) — edges from different servers: intersection smaller than both",
-		Truth: math.NaN(),
-		Width: 64,
-		Rows: []DiagramRow{
-			{Label: "S1", Interval: i1},
-			{Label: "S2", Interval: i2},
+	for _, c := range figure2Cases {
+		common, _ := interval.IntersectAll(c.ivs)
+		figs = append(figs, Diagram{Title: c.title, Truth: math.NaN(), Rows: []DiagramRow{
+			{Label: "S1", Interval: c.ivs[0]},
+			{Label: "S2", Interval: c.ivs[1]},
 			{Label: "S1^S2", Interval: common},
-		},
+		}})
 	}
-	b.WriteString(staggered.Render())
-	b.WriteString("\n")
 
 	// Figure 3: the consistent state where IM fails.
-	s2 := interval.FromEstimate(95, 4)
-	s3 := interval.FromEstimate(99.5, 2)
-	s2s3, _ := s2.Intersect(s3)
 	fig3 := Diagram{
 		Title: "Figure 3 — consistent but only S1 and S3 correct: IM adopts the incorrect S2^S3",
-		Truth: 100,
-		Width: 64,
-		Rows: []DiagramRow{
-			{Label: "S1", Interval: interval.FromEstimate(96, 6)},
-			{Label: "S2", Interval: s2},
-			{Label: "S3", Interval: s3},
-			{Label: "S2^S3", Interval: s2s3},
-		},
+		Truth: figure3Truth,
 	}
-	b.WriteString(fig3.Render())
-	b.WriteString("\n")
+	for _, r := range figure3Replies {
+		fig3.Rows = append(fig3.Rows, DiagramRow{Label: fmt.Sprintf("S%d", r.From), Interval: interval.FromEstimate(r.C, r.E)})
+	}
+	s2s3, _ := fig3.Rows[1].Interval.Intersect(fig3.Rows[2].Interval)
+	fig3.Rows = append(fig3.Rows, DiagramRow{Label: "S2^S3", Interval: s2s3})
 
 	// Figure 4: the inconsistent six-server service (three groups, S2
 	// shared).
-	ivs := []interval.Interval{
-		{Lo: 0, Hi: 3}, {Lo: 2.5, Hi: 6}, {Lo: 5, Hi: 9},
-		{Lo: 5.5, Hi: 8}, {Lo: 10, Hi: 14}, {Lo: 11, Hi: 15},
-	}
 	fig4 := Diagram{
 		Title: "Figure 4 — an inconsistent six-server service: three consistency groups",
 		Truth: math.NaN(),
-		Width: 64,
 	}
-	for i, iv := range ivs {
+	for i, iv := range figure4Intervals {
 		fig4.Rows = append(fig4.Rows, DiagramRow{Label: fmt.Sprintf("S%d", i+1), Interval: iv})
 	}
-	for gi, g := range interval.ConsistencyGroups(ivs) {
+	for gi, g := range interval.ConsistencyGroups(figure4Intervals) {
 		fig4.Rows = append(fig4.Rows, DiagramRow{
 			Label:    fmt.Sprintf("group %d", gi+1),
 			Interval: g.Intersection,
 		})
 	}
-	b.WriteString(fig4.Render())
-	return b.String()
+
+	var rendered []string
+	for _, d := range append(figs, fig3, fig4) {
+		d.Width = 64
+		rendered = append(rendered, d.Render())
+	}
+	return strings.Join(rendered, "\n"), nil
 }

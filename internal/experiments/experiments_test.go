@@ -220,7 +220,10 @@ func TestDiagramRenderDegenerate(t *testing.T) {
 }
 
 func TestFiguresContainsAllFour(t *testing.T) {
-	out := Figures()
+	out, err := Figures()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{"Figure 1", "Figure 2 (left)", "Figure 2 (right)", "Figure 3", "Figure 4", "group 3", "correct time"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Figures() missing %q", want)

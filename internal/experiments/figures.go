@@ -10,21 +10,20 @@ import (
 	"disttime/internal/interval"
 )
 
-// Figure1 reproduces "Growth of Maximum Errors": three correct time
-// servers whose intervals both grow (drift deterioration) and shift
-// (actual drift) with respect to the correct time as the system runs.
-func Figure1() (Table, error) {
-	type srv struct {
-		delta float64
-		drift float64
-	}
-	servers := []srv{
+// figure1Epochs are the real times, in seconds, at which E1 reads its
+// servers.
+var figure1Epochs = []float64{0, 3600, 7200}
+
+// figure1Servers is E1's service: three correct servers, never
+// synchronized, whose intervals both grow (rule MM-1) and shift (actual
+// drift) with respect to the correct time as the system runs.
+func figure1Servers() ([]*core.Server, error) {
+	var states []*core.Server
+	for i, s := range []struct{ delta, drift float64 }{
 		{delta: 1e-5, drift: 0.8e-5},
 		{delta: 3e-5, drift: -2.5e-5},
 		{delta: 6e-5, drift: 5e-5},
-	}
-	var states []*core.Server
-	for i, s := range servers {
+	} {
 		server, err := core.NewServer(0, core.Config{
 			ID:           i + 1,
 			Clock:        clock.NewDrifting(0, 0, s.drift),
@@ -32,11 +31,19 @@ func Figure1() (Table, error) {
 			InitialError: 0.05,
 		})
 		if err != nil {
-			return Table{}, err
+			return nil, err
 		}
 		states = append(states, server)
 	}
+	return states, nil
+}
 
+// Figure1 reproduces "Growth of Maximum Errors" over figure1Servers.
+func Figure1() (Table, error) {
+	states, err := figure1Servers()
+	if err != nil {
+		return Table{}, err
+	}
 	out := Table{
 		ID:     "E1",
 		Title:  "Growth of maximum errors (three servers, no synchronization)",
@@ -46,7 +53,7 @@ func Figure1() (Table, error) {
 	allCorrect := true
 	widthGrew := true
 	prevWidths := []float64{0, 0, 0}
-	for _, t := range []float64{0, 3600, 7200} {
+	for _, t := range figure1Epochs {
 		for i, s := range states {
 			r := s.Reading(t)
 			iv := r.Interval()
@@ -67,6 +74,24 @@ func Figure1() (Table, error) {
 	return out, nil
 }
 
+// figure2Cases are Figure 2's two pairs of intervals, the left and the
+// right.
+var figure2Cases = []struct {
+	name, title string
+	ivs         []interval.Interval
+}{
+	{
+		name:  "nested (left of Figure 2)",
+		title: "Figure 2 (left) — one interval inside the other: intersection = the smaller",
+		ivs:   []interval.Interval{interval.FromEstimate(100, 5), interval.FromEstimate(100.5, 1.5)},
+	},
+	{
+		name:  "staggered (right of Figure 2)",
+		title: "Figure 2 (right) — edges from different servers: intersection smaller than both",
+		ivs:   []interval.Interval{interval.FromEstimate(99, 3), interval.FromEstimate(102, 3)},
+	},
+}
+
 // Figure2 reproduces "Intersections of Maximum Errors" and Theorem 6: both
 // the nested case (one interval inside the other: intersection equals the
 // smaller) and the staggered case (edges from different servers: the
@@ -79,26 +104,7 @@ func Figure2() (Table, error) {
 		Header: []string{"case", "inputs", "smallest width", "intersection width", "<= smallest", "strictly smaller"},
 	}
 
-	cases := []struct {
-		name string
-		ivs  []interval.Interval
-	}{
-		{
-			name: "nested (left of Figure 2)",
-			ivs: []interval.Interval{
-				interval.FromEstimate(100, 5),
-				interval.FromEstimate(100.5, 1.5),
-			},
-		},
-		{
-			name: "staggered (right of Figure 2)",
-			ivs: []interval.Interval{
-				interval.FromEstimate(99, 3),
-				interval.FromEstimate(102, 3),
-			},
-		},
-	}
-	for _, c := range cases {
+	for _, c := range figure2Cases {
 		smallest := math.Inf(1)
 		for _, iv := range c.ivs {
 			smallest = math.Min(smallest, iv.Width())
@@ -150,16 +156,21 @@ func Figure2() (Table, error) {
 	return out, nil
 }
 
+// figure3Truth is Figure 3's correct time.
+const figure3Truth = 100.0
+
+// figure3Replies are Figure 3's consistent state, where only S1 and S3
+// are correct.
+var figure3Replies = []core.Reply{
+	{From: 1, C: 96, E: 6},   // S1: [90, 102], correct
+	{From: 2, C: 95, E: 4},   // S2: [91, 99], incorrect
+	{From: 3, C: 99.5, E: 2}, // S3: [97.5, 101.5], correct, smallest E
+}
+
 // Figure3 reproduces the consistent-but-partially-incorrect state where
 // algorithm MM recovers correctness while algorithm IM adopts the
 // incorrect region S2 ^ S3.
 func Figure3() (Table, error) {
-	const truth = 100.0
-	replies := []core.Reply{
-		{From: 1, C: 96, E: 6},   // S1: [90, 102], correct
-		{From: 2, C: 95, E: 4},   // S2: [91, 99], incorrect
-		{From: 3, C: 99.5, E: 2}, // S3: [97.5, 101.5], correct, smallest E
-	}
 	out := Table{
 		ID:     "E11",
 		Title:  "Figure 3: a consistent state where MM recovers and IM does not",
@@ -176,14 +187,14 @@ func Figure3() (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		res := fn.Sync(s, 0, replies)
+		res := fn.Sync(s, 0, figure3Replies)
 		if !res.Reset {
 			return Table{}, fmt.Errorf("figure3: %s did not reset", fn.Name())
 		}
 		iv := s.Interval(0)
 		out.Rows = append(out.Rows, []string{
 			fn.Name(), f(s.Read(0)), f(s.Epsilon()),
-			fmt.Sprintf("[%s, %s]", f(iv.Lo), f(iv.Hi)), fb(iv.Contains(truth)),
+			fmt.Sprintf("[%s, %s]", f(iv.Lo), f(iv.Hi)), fb(iv.Contains(figure3Truth)),
 		})
 	}
 	mmCorrect := out.Rows[0][4] == "yes"
@@ -196,30 +207,32 @@ func Figure3() (Table, error) {
 	return out, nil
 }
 
+// figure4Intervals are Figure 4's six servers, forming three maximal
+// consistency groups; S2 belongs to two of them, showing that
+// consistency is not transitive (which is why the paper notes a majority
+// voting scheme may not work).
+var figure4Intervals = []interval.Interval{
+	{Lo: 0, Hi: 3},   // S1
+	{Lo: 2.5, Hi: 6}, // S2: consistent with S1 and with S3, S4
+	{Lo: 5, Hi: 9},   // S3
+	{Lo: 5.5, Hi: 8}, // S4
+	{Lo: 10, Hi: 14}, // S5
+	{Lo: 11, Hi: 15}, // S6
+}
+
 // Figure4 reproduces the inconsistent six-server time service that
 // partitions into overlapping consistency groups.
 func Figure4() (Table, error) {
-	// Six servers forming three maximal consistency groups; S2 belongs to
-	// two of them, showing that consistency is not transitive (which is
-	// why the paper notes a majority voting scheme may not work).
-	ivs := []interval.Interval{
-		{Lo: 0, Hi: 3},   // S1
-		{Lo: 2.5, Hi: 6}, // S2: consistent with S1 and with S3, S4
-		{Lo: 5, Hi: 9},   // S3
-		{Lo: 5.5, Hi: 8}, // S4
-		{Lo: 10, Hi: 14}, // S5
-		{Lo: 11, Hi: 15}, // S6
-	}
 	out := Table{
 		ID:     "E12",
 		Title:  "Figure 4: an inconsistent six-server time service",
 		Claim:  "there are three sets of consistent servers whose intersections are shown by the shaded areas; it is not apparent which set is the correct one",
 		Header: []string{"group", "members", "intersection"},
 	}
-	if _, ok := interval.IntersectAll(ivs); ok {
+	if _, ok := interval.IntersectAll(figure4Intervals); ok {
 		return Table{}, fmt.Errorf("figure4: service unexpectedly consistent")
 	}
-	groups := interval.ConsistencyGroups(ivs)
+	groups := interval.ConsistencyGroups(figure4Intervals)
 	for i, g := range groups {
 		members := ""
 		for j, m := range g.Members {

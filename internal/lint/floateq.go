@@ -64,11 +64,24 @@ func checkFloatEq(pass *Pass, root ast.Node) {
 	})
 }
 
-// isFloat reports whether t's core type is a floating-point scalar.
+// isFloat reports whether t's core type is a floating-point scalar, or a
+// struct or array that == compares one inside: comparing two such values
+// compares their floats exactly.
 func isFloat(t types.Type) bool {
 	if t == nil {
 		return false
 	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		return u.Info()&types.IsFloat != 0
+	case *types.Array:
+		return isFloat(u.Elem())
+	case *types.Struct:
+		for i := range u.NumFields() {
+			if isFloat(u.Field(i).Type()) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -34,6 +34,19 @@ var packageLevelInit = func(a float64) bool {
 	return a == 0 // want `== on floating-point operands`
 }
 
+// band shows the check sees into a struct: == compares its fields, and
+// those are floats.
+type band struct{ min, max float64 }
+
+func structOfFloats(a band) bool {
+	return a == band{} // want `== on floating-point operands`
+}
+
+// arrayOfFloats shows the same for an array's elements.
+func arrayOfFloats(a, b [2]seconds) bool {
+	return a != b // want `!= on floating-point operands`
+}
+
 // ints is fine: only floating-point comparison is hazardous here.
 func ints(a, b int) bool { return a == b }
 

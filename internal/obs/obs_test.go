@@ -2,11 +2,14 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"disttime/internal/core"
 )
 
 func TestCounterAndGauge(t *testing.T) {
@@ -40,7 +43,7 @@ func TestNilHandlesAreSafe(t *testing.T) {
 	c.Add(3)
 	g.Set(1)
 	lh.Observe(1)
-	tr.Emit(SyncSpan{})
+	tr.Emit(core.Pass{})
 	if c.Value() != 0 || g.Value() != 0 || lh.Count() != 0 || tr.Spans() != 0 {
 		t.Fatal("nil metric handles must be inert")
 	}
@@ -253,32 +256,59 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// fullPass sets every field a span writes to a distinct non-zero value,
+// so a field wired to the wrong key moves the pinned line.
+var fullPass = core.Pass{
+	T: 12.5, Node: 3, Fn: "IM", Replies: 5,
+	Result:    core.Result{Reset: true, Accepted: 2, Inconsistent: []int{4}},
+	Recovered: true,
+	Before:    core.Reading{C: 12.4, E: 0.2},
+	After:     core.Reading{C: 12.45, E: 0.05},
+	Rate:      core.Rate{Steered: true, Centre: -3e-05, Age: 2.5e-07},
+	Fallback:  true,
+}
+
 func TestTracerJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
-	tr.Emit(SyncSpan{
-		T: 12.5, Node: 3, Rule: "IM-2", Replies: 4, Accepted: 3,
-		Rejected: []int{1}, Reset: true,
-		BeforeC: 12.4, BeforeE: 0.2, AfterC: 12.5, AfterE: 0.05,
-		Steered: true, Centre: -3e-05, Age: 2.5e-07,
-	})
-	tr.Emit(SyncSpan{T: 13, Node: 0, Rule: "MM-2"})
-	if tr.Spans() != 2 {
-		t.Fatalf("spans = %d, want 2", tr.Spans())
+	tr.Emit(fullPass)
+	// The four booleans read 1111, 0011 and 0101 down the three lines:
+	// no two share a column, so no two can swap keys unseen.
+	tr.Emit(core.Pass{T: 13, Fn: "MM", Rate: core.Rate{Steered: true}, Fallback: true})
+	tr.Emit(core.Pass{T: 14, Fn: "SelectIM", Recovered: true, Fallback: true})
+	if tr.Spans() != 3 {
+		t.Fatalf("spans = %d, want 3", tr.Spans())
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2:\n%s", len(lines), buf.String())
+	want := []string{
+		`{"span":"sync_round","t":12.5,"node":3,"rule":"IM-2","replies":5,` +
+			`"accepted":2,"rejected":[4],"reset":true,"recovered":true,` +
+			`"before":{"c":12.4,"e":0.2},"after":{"c":12.45,"e":0.05},` +
+			`"rate":{"steered":true,"centre":-3e-05,"age":2.5e-07,"fallback":true}}`,
+		`{"span":"sync_round","t":13,"node":0,"rule":"MM-2","replies":0,` +
+			`"accepted":0,"rejected":[],"reset":false,"recovered":false,` +
+			`"before":{"c":0,"e":0},"after":{"c":0,"e":0},` +
+			`"rate":{"steered":true,"centre":0,"age":0,"fallback":true}}`,
+		`{"span":"sync_round","t":14,"node":0,"rule":"SelectIM","replies":0,` +
+			`"accepted":0,"rejected":[],"reset":false,"recovered":true,` +
+			`"before":{"c":0,"e":0},"after":{"c":0,"e":0},` +
+			`"rate":{"steered":false,"centre":0,"age":0,"fallback":true}}`,
 	}
-	want := `{"span":"sync_round","t":12.5,"node":3,"rule":"IM-2","replies":4,` +
-		`"accepted":3,"rejected":[1],"reset":true,"recovered":false,` +
-		`"before":{"c":12.4,"e":0.2},"after":{"c":12.5,"e":0.05},` +
-		`"rate":{"steered":true,"centre":-3e-05,"age":2.5e-07,"fallback":false}}`
-	if lines[0] != want {
-		t.Fatalf("span line:\n got %s\nwant %s", lines[0], want)
+	if !slices.Equal(lines, want) {
+		t.Fatalf("span lines:\n got %s\nwant %s", strings.Join(lines, "\n"), strings.Join(want, "\n"))
 	}
 	if tr.Err() != nil {
 		t.Fatal(tr.Err())
+	}
+}
+
+// TestTracerEmitAllocationFree holds the Tracer's steady state: once its
+// buffer has grown, emitting a span allocates nothing.
+func TestTracerEmitAllocationFree(t *testing.T) {
+	tr := NewTracer(io.Discard)
+	tr.Emit(fullPass)
+	if allocs := testing.AllocsPerRun(1000, func() { tr.Emit(fullPass) }); allocs != 0 {
+		t.Fatalf("a warm Emit allocates %v per run, want 0", allocs)
 	}
 }
 
@@ -294,8 +324,8 @@ func (*writeErr) Error() string { return "write refused" }
 
 func TestTracerWriteError(t *testing.T) {
 	tr := NewTracer(failWriter{})
-	tr.Emit(SyncSpan{})
-	tr.Emit(SyncSpan{})
+	tr.Emit(core.Pass{})
+	tr.Emit(core.Pass{})
 	if tr.Err() == nil {
 		t.Fatal("tracer swallowed the write error")
 	}
@@ -323,7 +353,7 @@ func TestConcurrentUpdatesRaceClean(t *testing.T) {
 				gg.Set(float64(i))
 				lh.Observe(float64(i%97) * 1e-3)
 				if i%100 == 0 {
-					tracer.Emit(SyncSpan{T: float64(i), Node: g})
+					tracer.Emit(core.Pass{T: float64(i), Node: g})
 				}
 			}
 		}(g)

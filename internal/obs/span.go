@@ -4,61 +4,32 @@ import (
 	"io"
 	"strconv"
 	"sync"
+
+	"disttime/internal/core"
 )
 
-// SyncSpan is the structured record of one synchronization round: which
-// server ran which rule at what virtual time, how many replies it
-// consumed, which replies it rejected as inconsistent, whether it
-// adopted a new clock value, and the clock/error bounds bracketing the
-// pass. One span serializes to one JSONL line; under a seeded simulated
-// run the whole span log is byte-identical across invocations.
-//
-// The event vocabulary follows the paper's rules: a span *is* the round
-// (start through completion); Accepted counts adopt events (replies that
-// triggered or fed a reset under MM-2/IM-2), Rejected lists reject
-// events (reply indices found inconsistent, the rule's "any reply that
-// is inconsistent with S_i is ignored"), Reset records whether the clock
-// was actually set, Recovered whether the Section 3 heuristic ran, and
-// the rate fields what the rate discipline left in force.
-type SyncSpan struct {
-	// T is the virtual time at which the round completed.
-	T float64
-	// Node is the synchronizing server's ID.
-	Node int
-	// Rule names the synchronization rule that fired: "MM-2", "IM-2", or
-	// the function's own name for non-paper baselines.
-	Rule string
-	// Replies is how many replies the round handed to the rule.
-	Replies int
-	// Accepted counts replies that triggered or contributed to a reset.
-	Accepted int
-	// Rejected lists the indices of replies found inconsistent.
-	Rejected []int
-	// Reset reports whether the pass set the clock.
-	Reset bool
-	// Recovered reports whether Section 3 recovery adopted a third
-	// server during the pass.
-	Recovered bool
-	// BeforeC/BeforeE and AfterC/AfterE are the server's clock value and
-	// maximum error immediately before and after the pass: the paper's
-	// <C, E> pair bracketing the round.
-	BeforeC, BeforeE float64
-	AfterC, AfterE   float64
-	// Steered, Centre and Age are the rate discipline's state after the
-	// pass: whether the clock is steered, the drift it steers out, and
-	// the rate per local second at which the error ages (the claimed
-	// bound unsteered). Fallback reports that the pass's step found a
-	// drift bound outside the claimed one.
-	Steered, Fallback bool
-	Centre, Age       float64
+// ruleName translates a synchronization function's name into the paper's
+// rule numbering; a non-paper baseline keeps its own name.
+func ruleName(fn string) string {
+	switch fn {
+	case "MM":
+		return "MM-2"
+	case "IM":
+		return "IM-2"
+	default:
+		return fn
+	}
 }
 
-// Tracer serializes spans to an io.Writer as JSONL, one span per line.
+// Tracer writes one JSONL line per synchronization pass: a sync-round
+// span, which is the core.Pass the rules returned, keyed in the paper's
+// terms ("accepted" replies fed a reset under MM-2/IM-2, "rejected" ones
+// were inconsistent and ignored, "before"/"after" are <C, E> either side).
 // Encoding is hand-rolled onto a reused buffer (no encoding/json
 // reflection, no allocation in steady state) with floats in strconv's
-// shortest round-trip form, so a deterministic run yields deterministic
-// bytes. Emit is safe for concurrent use; the write of each line is
-// atomic with respect to other Emits.
+// shortest round-trip form, so a seeded run yields byte-identical spans.
+// Emit is safe for concurrent use; the write of each line is atomic with
+// respect to other Emits.
 type Tracer struct {
 	mu    sync.Mutex
 	w     io.Writer
@@ -94,9 +65,9 @@ func (t *Tracer) Err() error {
 	return t.err
 }
 
-// Emit serializes one span. A nil tracer discards the span, so call
+// Emit serializes one pass as a span. A nil tracer discards it, so call
 // sites need no nil checks.
-func (t *Tracer) Emit(s SyncSpan) {
+func (t *Tracer) Emit(p core.Pass) {
 	if t == nil {
 		return
 	}
@@ -104,42 +75,42 @@ func (t *Tracer) Emit(s SyncSpan) {
 	defer t.mu.Unlock()
 	b := t.buf[:0]
 	b = append(b, `{"span":"sync_round","t":`...)
-	b = appendFloat(b, s.T)
+	b = appendFloat(b, p.T)
 	b = append(b, `,"node":`...)
-	b = strconv.AppendInt(b, int64(s.Node), 10)
+	b = strconv.AppendInt(b, int64(p.Node), 10)
 	b = append(b, `,"rule":`...)
-	b = strconv.AppendQuote(b, s.Rule)
+	b = strconv.AppendQuote(b, ruleName(p.Fn))
 	b = append(b, `,"replies":`...)
-	b = strconv.AppendInt(b, int64(s.Replies), 10)
+	b = strconv.AppendInt(b, int64(p.Replies), 10)
 	b = append(b, `,"accepted":`...)
-	b = strconv.AppendInt(b, int64(s.Accepted), 10)
+	b = strconv.AppendInt(b, int64(p.Result.Accepted), 10)
 	b = append(b, `,"rejected":[`...)
-	for i, idx := range s.Rejected {
+	for i, idx := range p.Result.Inconsistent {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = strconv.AppendInt(b, int64(idx), 10)
 	}
 	b = append(b, `],"reset":`...)
-	b = strconv.AppendBool(b, s.Reset)
+	b = strconv.AppendBool(b, p.Result.Reset)
 	b = append(b, `,"recovered":`...)
-	b = strconv.AppendBool(b, s.Recovered)
+	b = strconv.AppendBool(b, p.Recovered)
 	b = append(b, `,"before":{"c":`...)
-	b = appendFloat(b, s.BeforeC)
+	b = appendFloat(b, p.Before.C)
 	b = append(b, `,"e":`...)
-	b = appendFloat(b, s.BeforeE)
+	b = appendFloat(b, p.Before.E)
 	b = append(b, `},"after":{"c":`...)
-	b = appendFloat(b, s.AfterC)
+	b = appendFloat(b, p.After.C)
 	b = append(b, `,"e":`...)
-	b = appendFloat(b, s.AfterE)
+	b = appendFloat(b, p.After.E)
 	b = append(b, `},"rate":{"steered":`...)
-	b = strconv.AppendBool(b, s.Steered)
+	b = strconv.AppendBool(b, p.Rate.Steered)
 	b = append(b, `,"centre":`...)
-	b = appendFloat(b, s.Centre)
+	b = appendFloat(b, p.Rate.Centre)
 	b = append(b, `,"age":`...)
-	b = appendFloat(b, s.Age)
+	b = appendFloat(b, p.Rate.Age)
 	b = append(b, `,"fallback":`...)
-	b = strconv.AppendBool(b, s.Fallback)
+	b = strconv.AppendBool(b, p.Fallback)
 	b = append(b, "}}\n"...)
 	t.buf = b
 	t.spans++

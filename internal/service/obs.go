@@ -18,19 +18,6 @@ import (
 // no simulator events, so an observed run and an unobserved run execute
 // the same trajectory (same Steps count, same clocks).
 
-// ruleName translates a synchronization function's name into the
-// paper's rule numbering for spans and traces.
-func ruleName(fn string) string {
-	switch fn {
-	case "MM":
-		return "MM-2"
-	case "IM":
-		return "IM-2"
-	default:
-		return fn
-	}
-}
-
 // memberMetrics holds the resolved metric handles for the membership
 // sink: gossip traffic histograms, the roster-size gauge, and the
 // eviction counters (including the false evictions the detector's
@@ -76,7 +63,7 @@ type syncMetrics struct {
 }
 
 // Observe attaches the registry and tracer to the service: counters and
-// histograms for every synchronization pass, plus one SyncSpan per pass
+// histograms for every synchronization pass, plus one span per pass
 // through tr (nil disables tracing; nil reg disables metrics). It chains
 // after any observer already installed with AddSyncDetail, and
 // also wires the simulator's event counters and the network's traffic
@@ -141,23 +128,6 @@ func (svc *Service) Observe(reg *obs.Registry, tr *obs.Tracer) {
 		m.errAfter.Observe(p.After.E)
 		m.adjust.Observe(math.Abs(p.After.C - p.Before.C))
 		m.aging.Observe(p.Rate.Age)
-		tr.Emit(obs.SyncSpan{
-			T:         p.T,
-			Node:      p.Node,
-			Rule:      ruleName(p.Fn),
-			Replies:   p.Replies,
-			Accepted:  p.Result.Accepted,
-			Rejected:  p.Result.Inconsistent,
-			Reset:     p.Result.Reset,
-			Recovered: p.Recovered,
-			BeforeC:   p.Before.C,
-			BeforeE:   p.Before.E,
-			AfterC:    p.After.C,
-			AfterE:    p.After.E,
-			Steered:   p.Rate.Steered,
-			Fallback:  p.Fallback,
-			Centre:    p.Rate.Centre,
-			Age:       p.Rate.Age,
-		})
+		tr.Emit(p)
 	})
 }

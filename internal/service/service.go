@@ -225,7 +225,7 @@ func New(cfg Config) (*Service, error) {
 	if len(cfg.Servers) == 0 {
 		return nil, fmt.Errorf("service: no servers configured")
 	}
-	if cfg.Delay == (core.Band{}) {
+	if interval.SameEdge(cfg.Delay.Min, 0) && interval.SameEdge(cfg.Delay.Max, 0) {
 		cfg.Delay = core.Band{Max: 0.05}
 	}
 	if cfg.Fn == nil {
