@@ -62,14 +62,20 @@ func run(args []string) error {
 				log.Printf("sync failed (%d measurements): %v", r.Measurements, r.Err)
 				return
 			}
+			// The pass ran over the synchronized answers; selection drops
+			// the inconsistent ones, and recovery adopts one.
+			p := r.Pass
 			now, maxErr, _ := clock.Now()
-			how := "synced"
-			if r.Recovered {
-				how = "inconsistent, recovered"
+			how, used, falsetickers := "synced", p.Replies-len(p.Result.Inconsistent), 0
+			if *doSel {
+				falsetickers = len(p.Result.Inconsistent)
+			}
+			if p.Recovered {
+				how, used = "inconsistent, recovered", 1
 			}
 			log.Printf("%s from %d/%d servers (%d falsetickers): offset %.6fs, clock %s +/- %v",
-				how, r.Survivors, r.Measurements, r.Falsetickers,
-				r.Applied.Midpoint(), now.Format(time.RFC3339Nano), maxErr)
+				how, used, r.Measurements, falsetickers,
+				p.After.C-p.Before.C, now.Format(time.RFC3339Nano), maxErr)
 		}
 	}
 

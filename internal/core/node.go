@@ -126,9 +126,7 @@ func (n *Node) Sync(t float64, replies []Reply) Pass {
 	}
 	// A reset shifts the local timeline; translate the rate samples so
 	// the estimates stay continuous across it (Section 5 bookkeeping).
-	if c := n.Server.Read(t); !interval.SameEdge(c, p.Before.C) {
-		n.Rates.ShiftLocal(c - p.Before.C)
-	}
+	n.Rates.ShiftLocal(n.Server.Read(t) - p.Before.C)
 	if n.AdaptiveDelta {
 		n.adaptDelta(t)
 	}
@@ -180,9 +178,7 @@ func (n *Node) Hear(t float64, own Reading, r Reply, open bool) (held Reply, hol
 	}
 	s.SetClock(t, before.C+shift, eps)
 	after := s.readingAt(s.resetRef) // SetClock read the clock as it set it
-	if !interval.SameEdge(after.C, before.C) {
-		n.Rates.ShiftLocal(after.C - before.C)
-	}
+	n.Rates.ShiftLocal(after.C - before.C)
 	n.heard = Pass{Node: s.ID(), T: t, Fn: n.Fn.Name(), Before: before, After: after, Sets: 1, Rate: s.Rate()}
 	return held, false, &n.heard
 }
@@ -287,8 +283,8 @@ func (n *Node) rateFilter(replies []Reply) []Reply {
 			n.RateFiltered++
 			continue
 		}
-		for r.From >= len(n.voteOf) {
-			n.voteOf = append(n.voteOf, 0)
+		if r.From >= len(n.voteOf) {
+			n.voteOf = append(n.voteOf, make([]int, r.From+1-len(n.voteOf))...)
 		}
 		if n.voteOf[r.From] == 0 {
 			n.voteOf[r.From] = len(n.votes)

@@ -231,7 +231,8 @@ func TestNodeHear(t *testing.T) {
 		if p.Before != before || p.After != after || p.Sets != 1 || p.Replies != 0 || p.Result.Reset || p.Rate != n.Server.Rate() || n.Server.Rate().Steered || n.anchor.Anchored() {
 			t.Errorf("%s: pass %+v", tc.name, p)
 		}
-		if got := n.Rates.pairs[3].first.Local; math.Abs(got-(after.C-before.C)) > 1e-15 {
+		// A sample is stored less the tracker's running offset.
+		if got := n.Rates.pairs[3].first.Local + n.Rates.off; math.Abs(got-(after.C-before.C)) > 1e-15 {
 			t.Errorf("%s: rate sample local %v, want shifted by %v", tc.name, got, after.C-before.C)
 		}
 	}

@@ -68,6 +68,9 @@ func (e RateEstimate) ConsonantWith(deltaI, deltaJ float64) bool {
 // live in a slice indexed by id, grown on demand. The zero value is empty.
 type RateTracker struct {
 	pairs []samplePair
+	// off is the sum of every ShiftLocal: a sample is stored with its
+	// Local less off, so a shift moves every stored sample at once.
+	off float64
 }
 
 // samplePair is one neighbor's first and latest samples; n counts how
@@ -80,9 +83,10 @@ type samplePair struct {
 // Observe records a sample for the given neighbor. Samples must be
 // observed in increasing Local order.
 func (rt *RateTracker) Observe(from int, s RateSample) {
-	for from >= len(rt.pairs) {
-		rt.pairs = append(rt.pairs, samplePair{})
+	if from >= len(rt.pairs) {
+		rt.pairs = append(rt.pairs, make([]samplePair, from+1-len(rt.pairs))...)
 	}
+	s.Local -= rt.off
 	p := &rt.pairs[from]
 	if p.n == 0 {
 		p.first, p.n = s, 1
@@ -99,15 +103,9 @@ func (rt *RateTracker) ResetAll() { clear(rt.pairs) }
 // the local timeline merely shifts; shifting the samples keeps the rate
 // estimates continuous across the reset instead of discarding them —
 // the bookkeeping that makes Section 5's rate maintenance practical in a
-// service whose servers reset every round.
-func (rt *RateTracker) ShiftLocal(d float64) {
-	for i := range rt.pairs {
-		if p := &rt.pairs[i]; p.n > 0 {
-			p.first.Local += d
-			p.last.Local += d
-		}
-	}
-}
+// service whose servers reset every round. It costs one addition however
+// many neighbors are tracked.
+func (rt *RateTracker) ShiftLocal(d float64) { rt.off += d }
 
 // Estimate returns the current rate estimate for a neighbor.
 //

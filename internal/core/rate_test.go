@@ -189,3 +189,15 @@ func TestShiftLocalEmptyTracker(t *testing.T) {
 		t.Error("phantom estimate")
 	}
 }
+
+// TestRateTrackerGrowsInOneStep: a first sample at a high id grows the
+// tracker in one allocation, not one per id below it.
+func TestRateTrackerGrowsInOneStep(t *testing.T) {
+	allocs := testing.AllocsPerRun(10, func() {
+		var rt RateTracker
+		rt.Observe(1000, RateSample{Local: 1})
+	})
+	if allocs > 1 {
+		t.Fatalf("a first Observe at id 1000 allocates %v times, want 1", allocs)
+	}
+}

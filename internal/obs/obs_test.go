@@ -39,11 +39,16 @@ func TestNilHandlesAreSafe(t *testing.T) {
 	var g *Gauge
 	var lh *LogHistogram
 	var tr *Tracer
+	var pm PassMetrics
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
 	lh.Observe(1)
 	tr.Emit(core.Pass{})
+	pm.Observe(fullPass)
+	if NewPassMetrics(nil, "x") != pm {
+		t.Fatal("a nil registry must give the inert sink")
+	}
 	if c.Value() != 0 || g.Value() != 0 || lh.Count() != 0 || tr.Spans() != 0 {
 		t.Fatal("nil metric handles must be inert")
 	}
@@ -256,10 +261,11 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
-// fullPass sets every field a span writes to a distinct non-zero value,
-// so a field wired to the wrong key moves the pinned line.
+// fullPass sets every field a span writes or PassMetrics reads to a
+// distinct non-zero value, so a field wired to the wrong key moves the
+// pinned line.
 var fullPass = core.Pass{
-	T: 12.5, Node: 3, Fn: "IM", Replies: 5,
+	T: 12.5, Node: 3, Fn: "IM", Replies: 5, Sets: 2,
 	Result:    core.Result{Reset: true, Accepted: 2, Inconsistent: []int{4}},
 	Recovered: true,
 	Before:    core.Reading{C: 12.4, E: 0.2},
@@ -375,24 +381,53 @@ func TestConcurrentUpdatesRaceClean(t *testing.T) {
 }
 
 // TestHotPathAllocationFree verifies PR 1's discipline: steady-state
-// metric updates, and the reads a serving loop makes of its own handles,
-// perform zero allocations.
+// metric updates, a pass through the per-pass sink, and the reads a
+// serving loop makes of its own handles, perform zero allocations. The
+// pass sets every field the sink reads, so each of its ten handles moves.
 func TestHotPathAllocationFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
 	g := r.Gauge("g")
 	lh := r.LogHistogram("lh")
-	allocs := testing.AllocsPerRun(1000, func() {
+	pm := NewPassMetrics(r, "x")
+	const runs = 1000
+	allocs := testing.AllocsPerRun(runs, func() {
 		c.Inc()
 		c.Add(2)
 		g.Set(2)
 		lh.Observe(0.25)
 		lh.ObserveN(0.25, 64)
+		pm.Observe(fullPass)
 		if c.Value() == 0 || g.Value() != 2 {
 			t.Fatalf("counter %d, gauge %v after an update", c.Value(), g.Value())
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("metric updates and reads allocate %v per run, want 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up call besides the runs.
+	n := uint64(runs + 1)
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"x_sync_rounds_total", n},
+		{"x_resets_total", n * uint64(fullPass.Sets)},
+		{"x_recoveries_total", n},
+		{"x_replies_total", n * uint64(fullPass.Replies)},
+		{"x_rejected_replies_total", n * uint64(len(fullPass.Result.Inconsistent))},
+		{"x_rate_fallbacks_total", n},
+	} {
+		if got := r.Counter(c.name).Value(); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
+	}
+	for _, name := range []string{"x_error_before_seconds", "x_error_after_seconds", "x_adjustment_seconds", "x_aging_rate"} {
+		if got := r.LogHistogram(name).Count(); got != n {
+			t.Errorf("%s count = %d, want %d", name, got, n)
+		}
+	}
+	if got, want := r.LogHistogram("x_adjustment_seconds").Quantile(1), math.Abs(fullPass.After.C-fullPass.Before.C); got < want {
+		t.Errorf("adjustment histogram's top bucket %v is below |After.C - Before.C| = %v", got, want)
 	}
 }

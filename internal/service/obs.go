@@ -1,22 +1,22 @@
 package service
 
 import (
-	"math"
-
 	"disttime/internal/core"
 	"disttime/internal/member"
 	"disttime/internal/obs"
 )
 
 // This file wires the observability layer through the service: every
-// synchronization pass emits a sync-round span through the existing
-// AddSyncDetail seam and bumps the round counters and error-bound
-// histograms the paper's Section 4 evaluation reports distributions of,
-// and the rate discipline's fallbacks and aging rates.
-// Attaching observation never changes what the service does — the hook
-// reads the pass record core.Node.Sync already returns and schedules
-// no simulator events, so an observed run and an unobserved run execute
-// the same trajectory (same Steps count, same clocks).
+// synchronization pass reaches obs.PassMetrics, the per-pass sink the
+// real syncer feeds too, under the "service" prefix (round and reset
+// counters, the error-bound and adjustment histograms the paper's
+// Section 4 evaluation reports distributions of, and the rate
+// discipline's fallbacks and aging rates), and the tracer as one span,
+// both through the AddSyncDetail seam. Attaching observation never
+// changes what the service does — the hook reads the pass record
+// core.Node.Sync already returns and schedules no simulator events, so
+// an observed run and an unobserved run execute the same trajectory
+// (same Steps count, same clocks).
 
 // memberMetrics holds the resolved metric handles for the membership
 // sink: gossip traffic histograms, the roster-size gauge, and the
@@ -47,21 +47,6 @@ func (m *memberMetrics) received(n, aliveCount int) {
 	m.alive.Set(float64(aliveCount))
 }
 
-// syncMetrics holds the resolved metric handles for the per-pass sink,
-// so the hook performs no registry lookups (allocation-free hot path).
-type syncMetrics struct {
-	rounds     *obs.Counter
-	resets     *obs.Counter
-	recoveries *obs.Counter
-	replies    *obs.Counter
-	rejected   *obs.Counter
-	fallbacks  *obs.Counter
-	errBefore  *obs.LogHistogram
-	errAfter   *obs.LogHistogram
-	adjust     *obs.LogHistogram
-	aging      *obs.LogHistogram
-}
-
 // Observe attaches the registry and tracer to the service: counters and
 // histograms for every synchronization pass, plus one span per pass
 // through tr (nil disables tracing; nil reg disables metrics). It chains
@@ -69,20 +54,8 @@ type syncMetrics struct {
 // also wires the simulator's event counters and the network's traffic
 // counters and delay histogram into reg.
 func (svc *Service) Observe(reg *obs.Registry, tr *obs.Tracer) {
-	var m syncMetrics
+	m := obs.NewPassMetrics(reg, "service")
 	if reg != nil {
-		m = syncMetrics{
-			rounds:     reg.Counter("service_sync_rounds_total"),
-			resets:     reg.Counter("service_resets_total"),
-			recoveries: reg.Counter("service_recoveries_total"),
-			replies:    reg.Counter("service_replies_total"),
-			rejected:   reg.Counter("service_rejected_replies_total"),
-			fallbacks:  reg.Counter("service_rate_fallbacks_total"),
-			errBefore:  reg.LogHistogram("service_error_before_seconds"),
-			errAfter:   reg.LogHistogram("service_error_after_seconds"),
-			adjust:     reg.LogHistogram("service_adjustment_seconds"),
-			aging:      reg.LogHistogram("service_aging_rate"),
-		}
 		svc.Sim.Observe(reg)
 		svc.Net.Observe(reg)
 		if svc.MembershipEnabled() {
@@ -114,20 +87,7 @@ func (svc *Service) Observe(reg *obs.Registry, tr *obs.Tracer) {
 		return
 	}
 	svc.AddSyncDetail(func(p core.Pass) {
-		m.rounds.Inc()
-		m.replies.Add(uint64(p.Replies))
-		m.rejected.Add(uint64(len(p.Result.Inconsistent)))
-		m.resets.Add(uint64(p.Sets))
-		if p.Recovered {
-			m.recoveries.Inc()
-		}
-		if p.Fallback {
-			m.fallbacks.Inc()
-		}
-		m.errBefore.Observe(p.Before.E)
-		m.errAfter.Observe(p.After.E)
-		m.adjust.Observe(math.Abs(p.After.C - p.Before.C))
-		m.aging.Observe(p.Rate.Age)
+		m.Observe(p)
 		tr.Emit(p)
 	})
 }

@@ -37,11 +37,12 @@
 // its order a function of the workload alone:
 //
 //   - Every event carries a key (At, From, Seq), where From is the node
-//     that created the event and Seq is that node's own monotone
-//     counter. Execution order is the lexicographic order of keys, and
-//     keys are unique, so the pending set's pop sequence depends only on
-//     its contents, never on insertion order or on the lane an event
-//     was filed in.
+//     that created the event and Seq is the kernel's one monotone
+//     counter, taken at creation. Execution order is the lexicographic
+//     order of keys, and keys are unique, so the pending set's pop
+//     sequence depends only on its contents, never on insertion order
+//     or on the lane an event was filed in. Seq decides only between
+//     one creator's events at one time, which run in creation order.
 //   - Every random draw comes from a per-node PCG stream seeded from
 //     (seed, node). A node's draws depend only on its own event order.
 package shard
@@ -63,8 +64,8 @@ type Ev struct {
 	// delay, ...). Fixed scalar payloads instead of `any` are what keep
 	// 10^7-event runs free of boxing.
 	A, B float64
-	// Seq is the per-From sequence number, assigned by the kernel at
-	// scheduling time. (At, From, Seq) is the event's unique ordering
+	// Seq is the kernel's sequence number, assigned at scheduling time
+	// in creation order. (At, From, Seq) is the event's unique ordering
 	// key.
 	Seq uint64
 	// From is the node that created the event (the sender of a message,
@@ -112,7 +113,7 @@ type Kernel struct {
 type Proc struct {
 	now     float64
 	q       pending    // scheduled events, executed in (At, From, Seq) order
-	seqs    []uint64   // per-node event sequence
+	seq     uint64     // the last Seq taken
 	rngs    []rand.PCG // per-node PCG stream
 	handler Handler
 	steps   uint64 // events executed in total
@@ -137,7 +138,6 @@ func New(cfg Config) (*Kernel, error) {
 		return nil, fmt.Errorf("shard: nil handler")
 	}
 	k := &Kernel{nodes: cfg.Nodes, p: Proc{
-		seqs:    make([]uint64, cfg.Nodes),
 		rngs:    make([]rand.PCG, cfg.Nodes),
 		handler: cfg.Handler,
 	}}
@@ -194,11 +194,10 @@ func (p *Proc) Float64(node int32) float64 {
 }
 
 // timer makes a timer event on node at absolute time at, taking the
-// node's next sequence number.
+// next sequence number.
 func (p *Proc) timer(node int32, at float64, kind uint16, tag uint32, a, b float64) Ev {
-	seq := p.seqs[node]
-	p.seqs[node] = seq + 1
-	return Ev{At: at, A: a, B: b, Seq: seq, From: node, Node: node, Tag: tag, Kind: kind}
+	p.seq++
+	return Ev{At: at, A: a, B: b, Seq: p.seq, From: node, Node: node, Tag: tag, Kind: kind}
 }
 
 // At schedules a timer on node at absolute time at. A time before now
@@ -227,9 +226,8 @@ func (p *Proc) Send(from, to int32, delay float64, kind uint16, tag uint32, a, b
 	if !(delay >= 0) {
 		panic(fmt.Sprintf("shard: delay %v is not >= 0", delay))
 	}
-	seq := p.seqs[from]
-	p.seqs[from] = seq + 1
-	p.q.push(Ev{At: p.now + delay, A: a, B: b, Seq: seq, From: from, Node: to, Tag: tag, Kind: kind})
+	p.seq++
+	p.q.push(Ev{At: p.now + delay, A: a, B: b, Seq: p.seq, From: from, Node: to, Tag: tag, Kind: kind})
 }
 
 // Run advances the kernel to virtual time `until`: every event with

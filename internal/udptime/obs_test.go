@@ -342,8 +342,9 @@ func TestHealthListenerWithoutRegistry(t *testing.T) {
 	}
 }
 
-// TestSyncerMetrics checks the syncer's observability wiring: rounds and
-// the applied error-bound histogram appear in the registry, and the
+// TestSyncerMetrics checks the syncer's observability wiring: the pass
+// counter and the applied error-bound and adjustment histograms appear
+// in the registry, and the
 // measurement deltas default from the disciplined clock's drift bound.
 func TestSyncerMetrics(t *testing.T) {
 	srv := startServer(t, 1, shiftedClock{err: 2 * time.Millisecond, synced: true})
@@ -375,8 +376,13 @@ func TestSyncerMetrics(t *testing.T) {
 	if got := reg.Counter("udptime_sync_rounds_total").Value(); got != 1 {
 		t.Errorf("rounds counter = %d, want 1", got)
 	}
-	if got := reg.LogHistogram("udptime_sync_error_bound_seconds").Count(); got != 1 {
-		t.Errorf("error-bound histogram count = %d, want 1", got)
+	for _, h := range []string{"udptime_error_after_seconds", "udptime_adjustment_seconds"} {
+		if got := reg.LogHistogram(h).Count(); got != 1 {
+			t.Errorf("%s count = %d, want 1", h, got)
+		}
+	}
+	if got := reg.Counter("udptime_sync_failures_total").Value(); got != 0 {
+		t.Errorf("failures counter = %d after a synced round, want 0", got)
 	}
 	if got := reg.Counter("udptime_client_queries_total").Value(); got == 0 {
 		t.Error("syncer's client not observed")
@@ -388,5 +394,54 @@ func TestSyncerMetrics(t *testing.T) {
 	s.client.mu.Unlock()
 	if got != want {
 		t.Errorf("client delta = %v, want %v (clock DriftPPM/1e6)", got, want)
+	}
+}
+
+// TestSyncerFailedRoundCountsNoPass: a round no server answers runs no
+// pass, so it bumps udptime_sync_failures_total and no pass metric.
+func TestSyncerFailedRoundCountsNoPass(t *testing.T) {
+	// A socket that reads nothing: the query times out.
+	mute, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	dc, err := NewDisciplinedClock(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	reports := make(chan SyncReport, 1)
+	s, err := NewSyncer(dc, SyncerConfig{
+		Servers:  []string{mute.LocalAddr().String()},
+		Interval: time.Hour,
+		Timeout:  50 * time.Millisecond,
+		Metrics:  reg,
+		OnSync:   func(r SyncReport) { reports <- r },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	select {
+	case r := <-reports:
+		if r.Err == nil || r.Pass != nil || r.Measurements != 0 {
+			t.Fatalf("unanswered round: %+v, want an error and no pass", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("first round did not complete")
+	}
+	if got := reg.Counter("udptime_sync_failures_total").Value(); got != 1 {
+		t.Errorf("failures counter = %d, want 1", got)
+	}
+	for _, c := range []string{"udptime_sync_rounds_total", "udptime_resets_total", "udptime_replies_total"} {
+		if got := reg.Counter(c).Value(); got != 0 {
+			t.Errorf("%s = %d, want 0", c, got)
+		}
+	}
+	for _, h := range []string{"udptime_error_before_seconds", "udptime_error_after_seconds", "udptime_adjustment_seconds", "udptime_aging_rate"} {
+		if got := reg.LogHistogram(h).Count(); got != 0 {
+			t.Errorf("%s count = %d, want 0", h, got)
+		}
 	}
 }

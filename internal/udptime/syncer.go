@@ -3,12 +3,10 @@ package udptime
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
 	"disttime/internal/core"
-	"disttime/internal/interval"
 	"disttime/internal/obs"
 )
 
@@ -18,10 +16,11 @@ import (
 // recovery through the clock's core.Node. It owns one background
 // goroutine; Stop signals it and waits for it to exit.
 type Syncer struct {
-	cfg     SyncerConfig
-	dc      *DisciplinedClock
-	client  *Client
-	metrics syncerMetrics
+	cfg      SyncerConfig
+	dc       *DisciplinedClock
+	client   *Client
+	passes   obs.PassMetrics // every pass, under "udptime"
+	failures *obs.Counter    // udptime_sync_failures_total: rounds with an error
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -50,36 +49,26 @@ type SyncerConfig struct {
 	// Selection enables falseticker rejection (core.SelectIM) instead of
 	// the plain intersection (core.IM).
 	Selection bool
-	// Metrics, when non-nil, receives the syncer's observability: round
-	// and failure counters, applied error-bound and offset histograms,
-	// plus the underlying client's query counters and RTT histogram.
+	// Metrics, when non-nil, receives the syncer's observability: every
+	// pass through obs.PassMetrics under the "udptime" prefix, a counter
+	// of the rounds that failed, and the underlying client's query
+	// counters and RTT histogram.
 	Metrics *obs.Registry
 	// OnSync, when non-nil, observes every completed round. It is called
 	// from the syncer's goroutine; it must not block for long.
 	OnSync func(SyncReport)
 }
 
-// SyncReport describes one synchronization round.
+// SyncReport describes one synchronization round: the pass it ran and
+// the two facts a pass cannot carry.
 type SyncReport struct {
-	// When is the wall time the round completed.
-	When time.Time
 	// Measurements is how many servers answered.
 	Measurements int
-	// Applied is the offset interval applied to the clock, valid only
-	// when Err is nil.
-	Applied interval.Interval
-	// Survivors is how many synchronized measurements the round used:
-	// every one under the plain intersection, the selected ones under
-	// Selection, the one adopted when Recovered. Unsynchronized answers
-	// count in Measurements only.
-	Survivors int
-	// Falsetickers is how many synchronized measurements Selection
-	// rejected (zero without Selection).
-	Falsetickers int
-	// Recovered is true when the rule found the clock inconsistent and
-	// Section 3 recovery reset it from one server ("any third server").
-	// A clock never set is inconsistent with nobody and does not recover.
-	Recovered bool
+	// Pass is the record of the round's pass, nil when none ran: no
+	// server answered, or no answer was synchronized. An inconsistent
+	// pass, which left the clock as it was (Before == After), is
+	// reported with Err set.
+	Pass *core.Pass
 	// Err is the round's failure, if any. The clock is untouched on
 	// failure and keeps deteriorating per its drift bound.
 	Err error
@@ -103,36 +92,18 @@ func NewSyncer(dc *DisciplinedClock, cfg SyncerConfig) (*Syncer, error) {
 		clientOpts = append(clientOpts, WithClientObservability(cfg.Metrics))
 	}
 	s := &Syncer{
-		cfg:     cfg,
-		dc:      dc,
-		client:  NewClient(cfg.Timeout, dc, clientOpts...),
-		metrics: newSyncerMetrics(cfg.Metrics),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		cfg:    cfg,
+		dc:     dc,
+		client: NewClient(cfg.Timeout, dc, clientOpts...),
+		passes: obs.NewPassMetrics(cfg.Metrics, "udptime"),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+	}
+	if cfg.Metrics != nil {
+		s.failures = cfg.Metrics.Counter("udptime_sync_failures_total")
 	}
 	go s.run()
 	return s, nil
-}
-
-// syncerMetrics is the syncer's resolved metric-handle set; the zero
-// value is inert (all obs methods are nil-safe).
-type syncerMetrics struct {
-	rounds   *obs.Counter      // udptime_sync_rounds_total
-	failures *obs.Counter      // udptime_sync_failures_total
-	errBound *obs.LogHistogram // udptime_sync_error_bound_seconds
-	offset   *obs.LogHistogram // udptime_sync_offset_seconds
-}
-
-func newSyncerMetrics(reg *obs.Registry) syncerMetrics {
-	if reg == nil {
-		return syncerMetrics{}
-	}
-	return syncerMetrics{
-		rounds:   reg.Counter("udptime_sync_rounds_total"),
-		failures: reg.Counter("udptime_sync_failures_total"),
-		errBound: reg.LogHistogram("udptime_sync_error_bound_seconds"),
-		offset:   reg.LogHistogram("udptime_sync_offset_seconds"),
-	}
 }
 
 // Stop halts the syncer, waits for its goroutine to exit, and closes the
@@ -179,7 +150,7 @@ func (s *Syncer) targets() []string {
 func (s *Syncer) round() {
 	servers := s.targets()
 	ms, qerr := s.client.QueryMany(servers)
-	report := SyncReport{When: time.Now(), Measurements: len(ms)}
+	report := SyncReport{Measurements: len(ms)}
 	switch {
 	case len(servers) == 0:
 		report.Err = errors.New("udptime: no poll targets")
@@ -190,26 +161,14 @@ func (s *Syncer) round() {
 		if s.cfg.Selection {
 			fn = core.SelectIM{}
 		}
-		p, err := s.dc.sync(fn, true, ms)
-		if err != nil {
-			report.Err = err
-			break
-		}
-		report.Applied, report.Recovered = applied(p), p.Recovered
-		report.Survivors = p.Replies - len(p.Result.Inconsistent)
-		if p.Recovered {
-			report.Survivors = 1
-		}
-		if s.cfg.Selection {
-			report.Falsetickers = len(p.Result.Inconsistent)
+		var p core.Pass
+		if p, report.Err = s.dc.sync(fn, true, ms); !errors.Is(report.Err, ErrNoMeasurements) {
+			report.Pass = &p
+			s.passes.Observe(p)
 		}
 	}
-	s.metrics.rounds.Inc()
 	if report.Err != nil {
-		s.metrics.failures.Inc()
-	} else {
-		s.metrics.errBound.Observe(report.Applied.HalfWidth())
-		s.metrics.offset.Observe(math.Abs(report.Applied.Midpoint()))
+		s.failures.Inc()
 	}
 	// Count the round before reporting it, so an OnSync receiver that
 	// reads Rounds sees its round included.

@@ -9,6 +9,12 @@ import (
 	"time"
 )
 
+// survivors is how many synchronized answers a successful round's pass
+// kept: those it ran over less the ones its function flagged.
+func survivors(r SyncReport) int {
+	return r.Pass.Replies - len(r.Pass.Result.Inconsistent)
+}
+
 func TestSyncerValidation(t *testing.T) {
 	dc, err := NewDisciplinedClock(100)
 	if err != nil {
@@ -54,7 +60,7 @@ func TestSyncerDisciplinesClock(t *testing.T) {
 			if r.Err != nil {
 				t.Fatalf("round %d failed: %v", i, r.Err)
 			}
-			if r.Measurements != 3 || r.Survivors != 3 {
+			if r.Measurements != 3 || survivors(r) != 3 {
 				t.Errorf("round %d: %+v", i, r)
 			}
 		case <-time.After(5 * time.Second):
@@ -135,8 +141,8 @@ func TestSyncerSelectionRejectsFalseticker(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("round failed: %v", r.Err)
 		}
-		if r.Falsetickers != 1 {
-			t.Errorf("falsetickers = %d, want 1", r.Falsetickers)
+		if got := len(r.Pass.Result.Inconsistent); got != 1 {
+			t.Errorf("falsetickers = %d, want 1", got)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no report")
@@ -170,8 +176,12 @@ func TestSyncerReportsFailureWithoutTouchingClock(t *testing.T) {
 
 	select {
 	case r := <-reports:
-		if r.Err == nil {
-			t.Fatal("inconsistent servers did not fail the round")
+		if !errors.Is(r.Err, ErrInconsistent) {
+			t.Fatalf("inconsistent servers: Err %v, want ErrInconsistent", r.Err)
+		}
+		// The pass ran and is reported, and it left the clock as it was.
+		if r.Pass == nil || r.Pass.Before != r.Pass.After {
+			t.Errorf("inconsistent round's pass %+v, want one with Before == After", r.Pass)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no report")
@@ -216,9 +226,9 @@ func TestSyncerSurvivorsCountsSyncedOnly(t *testing.T) {
 			if r.Err != nil {
 				t.Fatalf("selection=%v: round failed: %v", selection, r.Err)
 			}
-			if r.Measurements != 3 || r.Survivors != 2 || r.Falsetickers != 0 {
-				t.Errorf("selection=%v: Measurements %d, Survivors %d, Falsetickers %d; want 3, 2, 0",
-					selection, r.Measurements, r.Survivors, r.Falsetickers)
+			if r.Measurements != 3 || survivors(r) != 2 || len(r.Pass.Result.Inconsistent) != 0 {
+				t.Errorf("selection=%v: Measurements %d, survivors %d, falsetickers %v; want 3, 2, none",
+					selection, r.Measurements, survivors(r), r.Pass.Result.Inconsistent)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("selection=%v: no report", selection)
@@ -267,8 +277,8 @@ func TestSyncerRecoversFromThirdServer(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("round failed: %v", r.Err)
 		}
-		if !r.Recovered || r.Survivors != 1 {
-			t.Errorf("Recovered %v, Survivors %d; want true, 1", r.Recovered, r.Survivors)
+		if !r.Pass.Recovered {
+			t.Errorf("pass %+v did not recover", r.Pass)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no report")
@@ -316,8 +326,8 @@ func TestSyncerIgnoresHostileServerIDs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		select {
 		case r := <-reports:
-			if r.Err != nil || r.Survivors != 2 {
-				t.Errorf("round %d: Err %v, Survivors %d; want nil, 2", i, r.Err, r.Survivors)
+			if r.Err != nil || survivors(r) != 2 {
+				t.Errorf("round %d: Err %v, survivors %d; want nil, 2", i, r.Err, survivors(r))
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("round %d: no report", i)
