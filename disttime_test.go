@@ -242,7 +242,7 @@ func TestPeerFacade(t *testing.T) {
 	defer ref.Close()
 	reports := make(chan disttime.SyncReport, 4)
 	peer, err := disttime.NewPeer(disttime.PeerConfig{
-		Addr: "127.0.0.1:0", ID: 1, DriftPPM: 100,
+		Addr: "127.0.0.1:0", ID: 1, Clock: peerClock(t),
 		Peers:    []string{ref.Addr().String()},
 		Interval: time.Minute, Timeout: 2 * time.Second,
 		OnSync: func(r disttime.SyncReport) { reports <- r },
@@ -303,7 +303,7 @@ func TestMembershipFacade(t *testing.T) {
 	// The UDP substrate: Seeds alone make a roster-backed peer whose
 	// membership view is typed through the facade.
 	p, err := disttime.NewPeer(disttime.PeerConfig{
-		Addr: "127.0.0.1:0", ID: 1, DriftPPM: 100,
+		Addr: "127.0.0.1:0", ID: 1, Clock: peerClock(t),
 		Seeds:      []string{"127.0.0.1:9"},
 		Membership: disttime.MembershipConfig{Gossip: time.Hour},
 		Interval:   time.Hour,
@@ -352,4 +352,15 @@ func TestConsonanceFacade(t *testing.T) {
 	if dissonant[0] >= 2 || dissonant[1] >= 2 || dissonant[2] != 2 {
 		t.Errorf("dissonance counts = %v, want server 2 alone at 2", dissonant)
 	}
+}
+
+// peerClock is a fresh disciplined clock that trusts its oscillator to
+// 100 ppm, for a facade Peer to serve and steer.
+func peerClock(t *testing.T) *disttime.DisciplinedClock {
+	t.Helper()
+	dc, err := disttime.NewDisciplinedClock(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dc
 }

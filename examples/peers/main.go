@@ -89,29 +89,39 @@ func run() error {
 	defer anchor.Close()
 	fmt.Printf("anchor peer on %v (clock pre-set to +/- 5ms)\n", anchor.Addr())
 
-	// Three joiners. Peer 1 seeds to the anchor; peers 2 and 3 seed to
-	// peer 1 and must *learn* the anchor's address through gossip before
-	// they can synchronize at all — the dynamic join.
+	// Three joiners, each with a clock that has never been set, trusted
+	// to 100 ppm, and a metrics registry of its own. Peer 1 seeds to the
+	// anchor; peers 2 and 3 seed to peer 1 and must *learn* the anchor's
+	// address through gossip before they can synchronize at all — the
+	// dynamic join.
 	var peers []*disttime.Peer
+	var regs []*disttime.MetricsRegistry
 	for i := 1; i <= 3; i++ {
 		seed := addrs[0]
 		if i > 1 {
 			seed = addrs[1]
 		}
+		clock, err := disttime.NewDisciplinedClock(100)
+		if err != nil {
+			return err
+		}
+		reg := disttime.NewMetricsRegistry()
 		peer, err := disttime.NewPeer(disttime.PeerConfig{
 			Addr:       addrs[i],
 			ID:         uint64(i),
-			DriftPPM:   100,
+			Clock:      clock,
 			Seeds:      []string{seed},
 			Membership: membership,
 			Interval:   200 * time.Millisecond,
 			Timeout:    time.Second,
+			Metrics:    reg,
 		})
 		if err != nil {
 			return err
 		}
 		defer peer.Close()
 		peers = append(peers, peer)
+		regs = append(regs, reg)
 		fmt.Printf("peer %d on %v (seed: %s)\n", i, peer.Addr(), seed)
 	}
 
@@ -194,6 +204,15 @@ func run() error {
 		off := now.Sub(time.Now())
 		fmt.Printf("  peer %d: offset %-12v bound %-12v rounds %d, served %d requests\n",
 			i+1, off.Round(time.Microsecond), maxErr, p.Rounds(), p.Requests())
+	}
+
+	// Each joiner's registry holds its syncer's and its membership's
+	// metrics.
+	fmt.Println("\npeer metrics:")
+	for i, reg := range regs {
+		fmt.Printf("  peer %d: udptime_sync_rounds_total %d, udptime_member_alive_servers %g\n",
+			i+1, reg.Counter("udptime_sync_rounds_total").Value(),
+			reg.Gauge("udptime_member_alive_servers").Value())
 	}
 	return nil
 }

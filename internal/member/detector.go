@@ -18,9 +18,6 @@ import (
 type DetectorConfig struct {
 	// Period is the heartbeat interval, in the sender's clock seconds.
 	Period float64
-	// Misses is how many consecutive heartbeats may go missing before
-	// suspicion; defaults to 3.
-	Misses int
 	// LocalDelta is the observer's own claimed drift bound (the paper's
 	// delta_i): its clock accrues up to (1+LocalDelta) local seconds
 	// per real second, so deadlines measured on it must be widened by
@@ -35,6 +32,11 @@ type DetectorConfig struct {
 	// one arrived instantly, the next maximally late).
 	Xi float64
 }
+
+// misses is how many consecutive heartbeats may go missing before
+// suspicion. No substrate ever chose another value, so it is not
+// configuration.
+const misses = 3
 
 // Validate rejects configurations whose deadline formula is meaningless.
 // The dangerous case is RemoteDelta >= 1: the sender's heartbeat period
@@ -61,12 +63,12 @@ func (c DetectorConfig) Validate() error {
 // SuspectAfter returns the local-clock silence, in seconds, after which
 // a member is suspected:
 //
-//	(Misses * Period/(1-RemoteDelta) + Xi) * (1+LocalDelta)
+//	(misses * Period/(1-RemoteDelta) + Xi) * (1+LocalDelta)
 //
 // Derivation: between two heartbeats the sender's clock advances
 // Period, which is at most Period/(1-RemoteDelta) real seconds, and
 // network jitter can separate consecutive arrivals by one extra delay
-// bound — so up to Misses*Period/(1-RemoteDelta) + Xi real seconds of
+// bound — so up to misses*Period/(1-RemoteDelta) + Xi real seconds of
 // silence are innocent. Over that whole real-time span the observer's
 // clock accrues up to a factor (1+LocalDelta) more local seconds, so
 // the Xi term is widened by the observer's drift too (dropping that
@@ -85,10 +87,7 @@ func (c DetectorConfig) SuspectAfter() float64 {
 	if c.Validate() != nil {
 		return math.Inf(1)
 	}
-	if c.Misses <= 0 {
-		c.Misses = 3
-	}
-	return (float64(c.Misses)*c.Period/(1-c.RemoteDelta) + c.Xi) * (1 + c.LocalDelta)
+	return (misses*c.Period/(1-c.RemoteDelta) + c.Xi) * (1 + c.LocalDelta)
 }
 
 // EvictAfter returns the local-clock silence after which a suspect is

@@ -218,10 +218,8 @@ func TestDetectorNoFalseSuspicionAtClaimedDrift(t *testing.T) {
 		localDelta := rng.Float64() * 1e-2
 		remoteDelta := rng.Float64() * 1e-2
 		xi := rng.Float64() * 0.2
-		misses := 1 + rng.IntN(4)
 		cfg := DetectorConfig{
-			Period: period, Misses: misses,
-			LocalDelta: localDelta, RemoteDelta: remoteDelta, Xi: xi,
+			Period: period, LocalDelta: localDelta, RemoteDelta: remoteDelta, Xi: xi,
 		}
 		d, err := newDetector[int](cfg)
 		if err != nil {
@@ -266,7 +264,7 @@ func TestDetectorNoFalseSuspicionAtClaimedDrift(t *testing.T) {
 // process) is suspected once its silence exceeds SuspectAfter and
 // evicted once it exceeds EvictAfter — and not a check earlier.
 func TestDetectorEvictsStoppedClockWithinBound(t *testing.T) {
-	cfg := DetectorConfig{Period: 10, Misses: 3, LocalDelta: 1e-4, RemoteDelta: 1e-4, Xi: 0.1}
+	cfg := DetectorConfig{Period: 10, LocalDelta: 1e-4, RemoteDelta: 1e-4, Xi: 0.1}
 	d, err := newDetector[int](cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +307,7 @@ func TestDetectorEvictsStoppedClockWithinBound(t *testing.T) {
 // must then report the eviction (not silently skip it because the
 // suspect stage was never observed).
 func TestDetectorSkipsToEviction(t *testing.T) {
-	cfg := DetectorConfig{Period: 1, Misses: 1}
+	cfg := DetectorConfig{Period: 1}
 	d, err := newDetector[int](cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +322,7 @@ func TestDetectorSkipsToEviction(t *testing.T) {
 // TestDetectorVerdictOrderDeterministic: verdicts come out in ID order
 // regardless of observation order.
 func TestDetectorVerdictOrderDeterministic(t *testing.T) {
-	cfg := DetectorConfig{Period: 1, Misses: 1}
+	cfg := DetectorConfig{Period: 1}
 	d, _ := newDetector[int](cfg)
 	for _, id := range []int{5, 1, 9, 3} {
 		d.observe(id, 0)
@@ -411,8 +409,8 @@ func TestSelectDefaultsAndEmpty(t *testing.T) {
 	if got := p.Digest(nil); len(got) != 8 { // default DigestMax
 		t.Fatalf("default DigestMax sent %d entries", len(got))
 	}
-	if got := p.cfg.EvictAfter(); got != 6 { // default Misses: 2 * 3 periods
-		t.Fatalf("default Misses evicts after %v s", got)
+	if got := p.cfg.EvictAfter(); got != 6 { // 2 * misses periods
+		t.Fatalf("misses evicts after %v s", got)
 	}
 	// Exploration with everything preferred: no extra pick.
 	r2 := newRoster(0, 1, 0)

@@ -71,7 +71,7 @@ func (q *eventQueue) Pop() any {
 // over a network that may hold a datagram for a fifth of a period.
 func testConfig() DetectorConfig {
 	return DetectorConfig{
-		Period: 1, Misses: 3, LocalDelta: 1e-2, RemoteDelta: 1e-2, Xi: 0.2,
+		Period: 1, LocalDelta: 1e-2, RemoteDelta: 1e-2, Xi: 0.2,
 	}
 }
 

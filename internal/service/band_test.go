@@ -165,7 +165,7 @@ func TestRateFilteredRequestDropped(t *testing.T) {
 // request's reading is lied to as a requester is. An honest server's
 // request carries the same reading to every peer.
 func TestTwoFacedRequestsLie(t *testing.T) {
-	svc, err := New(Config{Seed: 4, Fn: core.IM{}, NoStagger: true, Delay: core.Band{Max: 0.01}, Servers: correctSpecs(3, 10)})
+	svc, err := New(Config{Seed: 4, Fn: core.IM{}, noStagger: true, Delay: core.Band{Max: 0.01}, Servers: correctSpecs(3, 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestTwoFacedRequestsLie(t *testing.T) {
 func TestSpikedRequestCreditsTheHull(t *testing.T) {
 	nominal := core.Band{Min: 0.01, Max: 0.01}
 	specs := []ServerSpec{{InitialError: 0.05, SyncEvery: 10}, {InitialError: 0.01}}
-	svc, err := New(Config{Seed: 3, Delay: nominal, Fn: core.IM{}, NoStagger: true, Servers: specs})
+	svc, err := New(Config{Seed: 3, Delay: nominal, Fn: core.IM{}, noStagger: true, Servers: specs})
 	if err != nil {
 		t.Fatal(err)
 	}

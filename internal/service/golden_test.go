@@ -73,7 +73,7 @@ func TestGoldenFingerprints(t *testing.T) {
 			// a sample time are counted in that sample.
 			name: "mm-ring-loss-lockstep",
 			cfg: Config{
-				Seed: 7, Fn: core.MM{}, Topology: Ring, Loss: 0.2, NoStagger: true,
+				Seed: 7, Fn: core.MM{}, Topology: Ring, Loss: 0.2, noStagger: true,
 				Delay:   core.Band{Min: 0.001, Max: 0.02},
 				Servers: correctSpecs(5, 10),
 			},

@@ -220,7 +220,7 @@ func TestOneTickerPerNode(t *testing.T) {
 		cfg    Config
 		script func(*Service)
 	}{
-		{"crash before the first phase", Config{Seed: 3, Servers: correctSpecs(3, 10), NoStagger: true},
+		{"crash before the first phase", Config{Seed: 3, Servers: correctSpecs(3, 10), noStagger: true},
 			func(svc *Service) {
 				svc.Crash(1) // the first phase is pending at t = 0
 				svc.Run(25)

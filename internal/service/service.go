@@ -94,16 +94,18 @@ type Config struct {
 	// so every undropped reply is included. New rejects a window that is
 	// NaN, negative or infinite.
 	CollectFor float64
-	// NoStagger starts every server's first round at time zero. Without
-	// it, New starts each server's first round at a uniform phase within
-	// its period, as unsynchronized servers would be.
-	NoStagger bool
 	// Members, when non-nil, enables dynamic membership: every server
 	// keeps a roster, gossips digests carrying its advertised <C, E>
 	// quality, detects failures under drift-widened deadlines, and polls
 	// the best-ranked live members instead of broadcasting (see
 	// MemberConfig).
 	Members *MemberConfig
+
+	// noStagger starts every server's first round at time zero, a seam
+	// for this package's lockstep tests. Otherwise New starts each
+	// server's first round at a uniform phase within its period, as
+	// unsynchronized servers would be.
+	noStagger bool
 }
 
 // Node is one running server: the transport-free core.Node (the server,
@@ -331,7 +333,7 @@ func New(cfg Config) (*Service, error) {
 			continue
 		}
 		phase := 0.0
-		if !cfg.NoStagger {
+		if !cfg.noStagger {
 			phase = s.Rand().Float64() * period
 		}
 		s.At(phase, svc.tick, uint32(node.Server.ID()), node.inc)

@@ -527,7 +527,7 @@ func TestRunSampledValidation(t *testing.T) {
 // cancelled, no round starts, and the rounds in flight die with their
 // incarnation.
 func TestStopHaltsSyncing(t *testing.T) {
-	svc, err := New(Config{Seed: 14, Servers: correctSpecs(3, 5), NoStagger: true, CollectFor: 2})
+	svc, err := New(Config{Seed: 14, Servers: correctSpecs(3, 5), noStagger: true, CollectFor: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -845,7 +845,7 @@ func TestCollectForOverride(t *testing.T) {
 func TestNoStaggerLockstep(t *testing.T) {
 	svc, err := New(Config{
 		Seed:      43,
-		NoStagger: true,
+		noStagger: true,
 		Servers:   correctSpecs(3, 10),
 	})
 	if err != nil {

@@ -102,11 +102,6 @@ type Config struct {
 	// virtual second (closed loop: the think gap between a commit and the
 	// next start is exponential with mean 1/Rate). Defaults to 1.
 	Rate float64
-	// Start is the earliest virtual time transactions may begin.
-	Start float64
-	// Until stops new transactions after this virtual time (zero: no
-	// limit; in-flight commit-waits still complete).
-	Until float64
 	// Waiter is the commit policy; defaults to CommitWait.
 	Waiter Waiter
 	// Trusted gates the external-consistency check: a commit is asserted
@@ -167,8 +162,8 @@ type client struct {
 const retryDelay = 1e-3
 
 // Attach validates cfg and schedules the workload's clients on svc. The
-// first transactions start at cfg.Start plus each client's own think
-// gap; every random draw comes from the service's simulator, so runs
+// first transactions start each client's own think gap after now, so a
+// later start is a later Attach; every random draw comes from the service's simulator, so runs
 // are deterministic in (service config, workload config).
 func Attach(svc *service.Service, cfg Config) (*Workload, error) {
 	if cfg.Clients <= 0 {
@@ -203,7 +198,7 @@ func Attach(svc *service.Service, cfg Config) (*Workload, error) {
 		c := &client{w: w, idx: k, slope: slope}
 		w.clients = append(w.clients, c)
 		gap := svc.Sim.Rand().ExpFloat64() / cfg.Rate
-		svc.Sim.At(cfg.Start+gap, w.start, uint32(k), 0)
+		svc.Sim.After(gap, w.start, uint32(k), 0)
 	}
 	return w, nil
 }
@@ -215,9 +210,6 @@ func (w *Workload) MaxCommitted() (hlc.Timestamp, int) { return w.maxTS, w.maxNo
 func (c *client) startTxn() {
 	w := c.w
 	now := w.svc.Sim.Now()
-	if w.cfg.Until > 0 && now > w.cfg.Until {
-		return // workload window over; this client retires
-	}
 	if w.svc.Crashed(c.idx) {
 		// A client cannot start a transaction on a crashed server; poll
 		// for the restart.

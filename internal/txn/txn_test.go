@@ -192,31 +192,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestUntilStopsNewTransactions pins the workload window: no
-// transaction starts after Until.
-func TestUntilStopsNewTransactions(t *testing.T) {
-	svc := testService(t, 5, 3)
-	var commits []Txn
-	_, err := Attach(svc, Config{
-		Clients:  3,
-		Rate:     2,
-		Until:    30,
-		OnCommit: func(x Txn) { commits = append(commits, x) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.Run(120)
-	if len(commits) == 0 {
-		t.Fatal("no commits")
-	}
-	for _, x := range commits {
-		if x.Start > 30 {
-			t.Fatalf("txn %d/%d started at %v, after Until", x.Client, x.Seq, x.Start)
-		}
-	}
-}
-
 // TestCrashPausesClient pins the crash interaction: a client on a
 // crashed server issues nothing while it is down, and the run completes
 // without violations once it restarts.
@@ -266,7 +241,6 @@ func TestGoldenFingerprint(t *testing.T) {
 	w, err := Attach(svc, Config{
 		Clients: 4,
 		Rate:    2,
-		Start:   1,
 		OnCommit: func(x Txn) {
 			mix(uint64(x.Client))
 			mix(uint64(x.Seq))

@@ -169,6 +169,11 @@ func (c *DisciplinedClock) Set(value time.Time, maxErr time.Duration) error {
 // ErrNoMeasurements when none is synchronized and ErrInconsistent when the
 // clock is left as it was. A reply's key is its poll slot, never the
 // ServerID a remote chose: the node indexes per-neighbor slices by it.
+// No reply is recorded as a rate sample (core.Node.Observe): the node
+// runs neither the §5 rate filter nor δ maintenance, so nothing reads
+// them, and a roster-backed syncer re-ranks its targets every round, so
+// one slot names different members across rounds and could not key a
+// neighbor's samples.
 func (c *DisciplinedClock) sync(fn core.SyncFunc, recovery bool, ms []Measurement) (core.Pass, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -185,9 +190,7 @@ func (c *DisciplinedClock) sync(fn core.SyncFunc, recovery bool, ms []Measuremen
 		if !m.recv.IsZero() {
 			age = host.Sub(m.recv).Seconds()
 		}
-		r := core.Reply{From: m.slot, C: ci - age + m.C.Sub(m.LocalRecv).Seconds(), E: m.E.Seconds(), RTT: m.RTT.Seconds(), Age: age}
-		n.Observe(r, ci-age)
-		replies = append(replies, r)
+		replies = append(replies, core.Reply{From: m.slot, C: ci - age + m.C.Sub(m.LocalRecv).Seconds(), E: m.E.Seconds(), RTT: m.RTT.Seconds(), Age: age})
 	}
 	if len(replies) == 0 {
 		return core.Pass{}, ErrNoMeasurements

@@ -32,21 +32,17 @@ import (
 type MembershipConfig struct {
 	// Gossip is the heartbeat/advertise period. Defaults to one second.
 	Gossip time.Duration
-	// Misses is how many consecutive heartbeats a member may stay silent
-	// before suspicion. Zero picks member.DetectorConfig's default.
-	Misses int
-	// DelayBound is the one-way network delay bound the detector charges
-	// (the paper's xi). Defaults to 500 ms.
-	DelayBound time.Duration
 }
+
+// delayBound is the one-way network delay bound the detector charges
+// (the paper's ξ). No peer ever chose another value, so it is not
+// configuration.
+const delayBound = 500 * time.Millisecond
 
 // withDefaults fills the zero fields.
 func (c MembershipConfig) withDefaults() MembershipConfig {
 	if c.Gossip <= 0 {
 		c.Gossip = time.Second
-	}
-	if c.DelayBound <= 0 {
-		c.DelayBound = 500 * time.Millisecond
 	}
 	return c
 }
@@ -137,10 +133,9 @@ func (m *membership) bind(conn *net.UDPConn, id uint64, seeds []string) error {
 	c, e := m.reading()
 	proto, err := member.NewProtocol(conn.LocalAddr().String(), uint64(time.Now().UnixNano()), member.DetectorConfig{
 		Period:      m.cfg.Gossip.Seconds(),
-		Misses:      m.cfg.Misses,
 		LocalDelta:  m.delta,
 		RemoteDelta: m.delta,
-		Xi:          m.cfg.DelayBound.Seconds(),
+		Xi:          delayBound.Seconds(),
 	}, c, e)
 	if err != nil {
 		return fmt.Errorf("udptime: membership detector: %w", err)

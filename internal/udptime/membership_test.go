@@ -11,15 +11,12 @@ import (
 	"disttime/internal/wire"
 )
 
-// fastMembership is the test-speed gossip/detector configuration:
-// deadlines in the hundreds of milliseconds so the eviction and
-// re-admission waits stay bounded.
+// fastMembership is the test-speed gossip configuration: a 50 ms period
+// puts the eviction deadline near a second (the detector's delay bound
+// is the fixed 500 ms), so the eviction and re-admission waits stay
+// bounded.
 func fastMembership() MembershipConfig {
-	return MembershipConfig{
-		Gossip:     50 * time.Millisecond,
-		Misses:     3,
-		DelayBound: 150 * time.Millisecond,
-	}
+	return MembershipConfig{Gossip: 50 * time.Millisecond}
 }
 
 // reserveAddrs binds n loopback UDP sockets to learn n free ports, then
@@ -109,10 +106,9 @@ func (p *Peer) EvictAfter() time.Duration {
 	}
 	cfg := member.DetectorConfig{
 		Period:      m.cfg.Gossip.Seconds(),
-		Misses:      m.cfg.Misses,
 		LocalDelta:  m.delta,
 		RemoteDelta: m.delta,
-		Xi:          m.cfg.DelayBound.Seconds(),
+		Xi:          delayBound.Seconds(),
 	}
 	return time.Duration(cfg.EvictAfter() * float64(time.Second))
 }
@@ -138,7 +134,7 @@ func testClusterConvergeEvictReadmit(t *testing.T, listen newServerFunc) {
 		cfg := PeerConfig{
 			Addr:       addrs[i],
 			ID:         uint64(i + 1),
-			DriftPPM:   100,
+			Clock:      mustClock(t),
 			Seeds:      []string{seed},
 			Membership: fastMembership(),
 			Interval:   100 * time.Millisecond,
@@ -250,7 +246,7 @@ func testClusterConvergeEvictReadmit(t *testing.T, listen newServerFunc) {
 	reborn, err := newPeer(PeerConfig{
 		Addr:       addrs[2],
 		ID:         3,
-		DriftPPM:   100,
+		Clock:      mustClock(t),
 		Seeds:      []string{addrs[0]},
 		Membership: fastMembership(),
 		Interval:   100 * time.Millisecond,
@@ -286,7 +282,7 @@ func TestClusterVoluntaryLeave(t *testing.T) {
 		p, err := NewPeer(PeerConfig{
 			Addr:       addrs[i],
 			ID:         uint64(i + 1),
-			DriftPPM:   100,
+			Clock:      mustClock(t),
 			Seeds:      []string{seed},
 			Membership: fastMembership(),
 			Interval:   100 * time.Millisecond,
@@ -335,7 +331,7 @@ func TestAdvertiseCreditsSourceAddress(t *testing.T) {
 	defer sender.Close()
 	p, err := NewPeer(PeerConfig{
 		Addr:       addrs[0],
-		DriftPPM:   100,
+		Clock:      mustClock(t),
 		Seeds:      []string{sender.LocalAddr().String()},
 		Membership: fastMembership(),
 		Interval:   time.Hour,
@@ -370,7 +366,7 @@ func TestAdvertiseCreditsSourceAddress(t *testing.T) {
 // fully-empty configuration still fails with the original error.
 func TestPeerConfigValidation(t *testing.T) {
 	// The original "Required" path: neither Peers nor Seeds.
-	_, err := NewPeer(PeerConfig{Addr: "127.0.0.1:0", DriftPPM: 100})
+	_, err := NewPeer(PeerConfig{Addr: "127.0.0.1:0", Clock: mustClock(t)})
 	if err == nil {
 		t.Fatal("NewPeer accepted a config with neither Peers nor Seeds")
 	}
@@ -382,7 +378,7 @@ func TestPeerConfigValidation(t *testing.T) {
 	// seed does not have to be reachable at construction time.
 	p, err := NewPeer(PeerConfig{
 		Addr:       "127.0.0.1:0",
-		DriftPPM:   100,
+		Clock:      mustClock(t),
 		Seeds:      []string{"127.0.0.1:9"},
 		Membership: fastMembership(),
 		Interval:   time.Hour,
@@ -399,7 +395,7 @@ func TestPeerConfigValidation(t *testing.T) {
 	// and stays membership-free.
 	p, err = NewPeer(PeerConfig{
 		Addr:     "127.0.0.1:0",
-		DriftPPM: 100,
+		Clock:    mustClock(t),
 		Peers:    []string{"127.0.0.1:9"},
 		Interval: time.Hour,
 	})

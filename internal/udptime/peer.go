@@ -35,11 +35,8 @@ type PeerConfig struct {
 	Addr string
 	// ID is the peer's server identity.
 	ID uint64
-	// DriftPPM is the claimed drift bound of the local oscillator.
-	// Ignored when Clock is supplied.
-	DriftPPM float64
-	// Clock, when non-nil, is the disciplined clock to serve and steer;
-	// otherwise the peer creates one from DriftPPM.
+	// Clock is the disciplined clock to serve and steer; its drift bound
+	// is the peer's claimed δ. Required.
 	Clock *DisciplinedClock
 	// Peers are the other members to synchronize against. May be empty
 	// when Seeds are given (the roster then supplies the poll targets);
@@ -51,8 +48,8 @@ type PeerConfig struct {
 	// live members instead of a static list. Peers, when also set, act
 	// as a static fallback while the roster is still empty.
 	Seeds []string
-	// Membership tunes gossip and failure detection (zero value: 1 s
-	// gossip, 3 misses, 500 ms delay bound). Ignored without Seeds.
+	// Membership tunes gossip (zero value: 1 s; the detector allows 3
+	// misses and a 500 ms delay bound). Ignored without Seeds.
 	Membership MembershipConfig
 	// Interval is the sync period (the paper's tau); defaults to 64 s.
 	Interval time.Duration
@@ -83,10 +80,7 @@ func newPeer(cfg PeerConfig, listen newServerFunc) (*Peer, error) {
 	}
 	dc := cfg.Clock
 	if dc == nil {
-		var err error
-		if dc, err = NewDisciplinedClock(cfg.DriftPPM); err != nil {
-			return nil, err
-		}
+		return nil, errors.New("udptime: peer needs a clock")
 	}
 	var m *membership
 	var opts []ServerOption

@@ -11,12 +11,12 @@ func TestNewPeerValidation(t *testing.T) {
 		t.Error("peer with no peers accepted")
 	}
 	if _, err := NewPeer(PeerConfig{
-		Addr: "127.0.0.1:0", Peers: []string{"x"}, DriftPPM: -1,
+		Addr: "127.0.0.1:0", Peers: []string{"x"},
 	}); err == nil {
-		t.Error("negative drift accepted")
+		t.Error("peer with no clock accepted")
 	}
 	if _, err := NewPeer(PeerConfig{
-		Addr: "not an address", Peers: []string{"x"},
+		Addr: "not an address", Peers: []string{"x"}, Clock: mustClock(t),
 	}); err == nil {
 		t.Error("bad address accepted")
 	}
@@ -34,7 +34,7 @@ func TestPeerAnswersUnsynchronizedBeforeFirstSync(t *testing.T) {
 	peer, err := NewPeer(PeerConfig{
 		Addr:     "127.0.0.1:0",
 		ID:       1,
-		DriftPPM: 100,
+		Clock:    mustClock(t),
 		Peers:    []string{silent.Addr().String()},
 		Interval: time.Minute,
 		Timeout:  200 * time.Millisecond,
@@ -64,7 +64,7 @@ func TestPeersConvergeOnReference(t *testing.T) {
 		peer, err := NewPeer(PeerConfig{
 			Addr:     "127.0.0.1:0",
 			ID:       id,
-			DriftPPM: 100,
+			Clock:    mustClock(t),
 			Peers:    []string{ref.Addr().String()},
 			Interval: 50 * time.Millisecond,
 			Timeout:  time.Second,
@@ -120,7 +120,7 @@ func TestPeerMeshSyncsFromEachOther(t *testing.T) {
 
 	first := make(chan SyncReport, 4)
 	p1, err := NewPeer(PeerConfig{
-		Addr: "127.0.0.1:0", ID: 1, DriftPPM: 100,
+		Addr: "127.0.0.1:0", ID: 1, Clock: mustClock(t),
 		Peers:    []string{ref.Addr().String()},
 		Interval: 50 * time.Millisecond, Timeout: time.Second,
 		OnSync: func(r SyncReport) { first <- r },
@@ -140,7 +140,7 @@ func TestPeerMeshSyncsFromEachOther(t *testing.T) {
 
 	second := make(chan SyncReport, 16)
 	p2, err := NewPeer(PeerConfig{
-		Addr: "127.0.0.1:0", ID: 2, DriftPPM: 100,
+		Addr: "127.0.0.1:0", ID: 2, Clock: mustClock(t),
 		Peers:    []string{p1.Addr().String()},
 		Interval: 50 * time.Millisecond, Timeout: time.Second,
 		OnSync: func(r SyncReport) { second <- r },
