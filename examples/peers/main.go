@@ -89,11 +89,10 @@ func run() error {
 	defer anchor.Close()
 	fmt.Printf("anchor peer on %v (clock pre-set to +/- 5ms)\n", anchor.Addr())
 
-	// Three joiners, each with a clock that has never been set, trusted
-	// to 100 ppm, and a metrics registry of its own. Peer 1 seeds to the
-	// anchor; peers 2 and 3 seed to peer 1 and must *learn* the anchor's
-	// address through gossip before they can synchronize at all — the
-	// dynamic join.
+	// Three joiners, each with an unset 100 ppm clock and its own metrics
+	// registry. Peer 1 seeds to the anchor; peers 2 and 3 seed to peer 1
+	// and must *learn* the anchor's address through gossip before they
+	// can synchronize at all — the dynamic join.
 	var peers []*disttime.Peer
 	var regs []*disttime.MetricsRegistry
 	for i := 1; i <= 3; i++ {
@@ -197,22 +196,16 @@ func run() error {
 		c.Format("15:04:05.000000"), e, len(readings))
 
 	// Peers carry chained error bounds: anchor error + transit + their
-	// own drift allowance. The bound covers the actual offset.
+	// own drift allowance. The bound covers the actual offset. Each
+	// joiner's registry holds its syncer's and its membership's metrics.
 	fmt.Println("\npeer clock quality:")
 	for i, p := range peers {
 		now, maxErr, _ := p.Clock().Now()
 		off := now.Sub(time.Now())
 		fmt.Printf("  peer %d: offset %-12v bound %-12v rounds %d, served %d requests\n",
 			i+1, off.Round(time.Microsecond), maxErr, p.Rounds(), p.Requests())
-	}
-
-	// Each joiner's registry holds its syncer's and its membership's
-	// metrics.
-	fmt.Println("\npeer metrics:")
-	for i, reg := range regs {
-		fmt.Printf("  peer %d: udptime_sync_rounds_total %d, udptime_member_alive_servers %g\n",
-			i+1, reg.Counter("udptime_sync_rounds_total").Value(),
-			reg.Gauge("udptime_member_alive_servers").Value())
+		fmt.Printf("          udptime_sync_rounds_total %d, udptime_member_alive_servers %g\n",
+			regs[i].Counter("udptime_sync_rounds_total").Value(), regs[i].Gauge("udptime_member_alive_servers").Value())
 	}
 	return nil
 }

@@ -14,7 +14,7 @@ func (r *Rates) Observe() { r.n++ }
 type Config struct {
 	Keyed     int
 	Assigned  int
-	Indexed   []int
+	Indexed   [2]int
 	Bumped    int
 	Addressed int
 	Rates     Rates
@@ -29,7 +29,7 @@ var sink *int
 
 // Use writes each field but Planted and Tagged once.
 func Use() (Config, Pair) {
-	c := Config{Keyed: 1, Indexed: make([]int, 1)}
+	c := Config{Keyed: 1}
 	c.Assigned = 2
 	c.Indexed[0] = 3
 	c.Bumped++

@@ -33,11 +33,6 @@ type DetectorConfig struct {
 	Xi float64
 }
 
-// misses is how many consecutive heartbeats may go missing before
-// suspicion. No substrate ever chose another value, so it is not
-// configuration.
-const misses = 3
-
 // Validate rejects configurations whose deadline formula is meaningless.
 // The dangerous case is RemoteDelta >= 1: the sender's heartbeat period
 // Period/(1-RemoteDelta) then divides by zero or goes negative, and a

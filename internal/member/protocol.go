@@ -17,6 +17,9 @@ const (
 	// pollK is how many quality-ranked live members a sync round polls.
 	// The exploration slot is always added on top.
 	pollK = 3
+	// misses is how many consecutive heartbeats may go missing before
+	// the detector suspects a member.
+	misses = 3
 )
 
 // Protocol is one member's side of the membership protocol: its roster,

@@ -100,11 +100,8 @@ type Config struct {
 	// the best-ranked live members instead of broadcasting (see
 	// MemberConfig).
 	Members *MemberConfig
-
-	// noStagger starts every server's first round at time zero, a seam
-	// for this package's lockstep tests. Otherwise New starts each
-	// server's first round at a uniform phase within its period, as
-	// unsynchronized servers would be.
+	// noStagger, a test seam, starts every server's first round at time
+	// zero, not at a uniform phase within its period.
 	noStagger bool
 }
 

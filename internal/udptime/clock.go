@@ -169,11 +169,9 @@ func (c *DisciplinedClock) Set(value time.Time, maxErr time.Duration) error {
 // ErrNoMeasurements when none is synchronized and ErrInconsistent when the
 // clock is left as it was. A reply's key is its poll slot, never the
 // ServerID a remote chose: the node indexes per-neighbor slices by it.
-// No reply is recorded as a rate sample (core.Node.Observe): the node
-// runs neither the §5 rate filter nor δ maintenance, so nothing reads
-// them, and a roster-backed syncer re-ranks its targets every round, so
-// one slot names different members across rounds and could not key a
-// neighbor's samples.
+// No reply becomes a rate sample (core.Node.Observe): with no §5 filter
+// and no δ maintenance nothing reads one, and a roster-backed syncer
+// re-ranks its targets every round, so a slot keys no neighbor's samples.
 func (c *DisciplinedClock) sync(fn core.SyncFunc, recovery bool, ms []Measurement) (core.Pass, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -39,14 +39,6 @@ type MembershipConfig struct {
 // configuration.
 const delayBound = 500 * time.Millisecond
 
-// withDefaults fills the zero fields.
-func (c MembershipConfig) withDefaults() MembershipConfig {
-	if c.Gossip <= 0 {
-		c.Gossip = time.Second
-	}
-	return c
-}
-
 // membershipMetrics is the resolved metric-handle set; the zero value is
 // inert (obs methods are nil-safe).
 type membershipMetrics struct {
@@ -96,8 +88,11 @@ type membership struct {
 // newMembership prepares a membership manager; bind activates it once
 // the server socket exists.
 func newMembership(clock ClockSource, deltaPPM float64, cfg MembershipConfig, reg *obs.Registry) *membership {
+	if cfg.Gossip <= 0 {
+		cfg.Gossip = time.Second
+	}
 	return &membership{
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		clock:   clock,
 		delta:   deltaPPM / 1e6,
 		start:   time.Now(),
