@@ -123,7 +123,7 @@ func TestInternalFieldsHaveWriters(t *testing.T) {
 	tree := wholeTree(t)
 	for _, name := range unwrittenInternalFields(tree.pkgs, tree.loader, tree.prefix) {
 		if _, ok := internalNameExempt[name]; !ok {
-			t.Errorf("%s: exported config, but no non-test Go sets it", name)
+			t.Errorf("%s: exported field, but no non-test Go writes it", name)
 		}
 	}
 }

@@ -161,10 +161,11 @@ type client struct {
 // advances its earliest bound.
 const retryDelay = 1e-3
 
-// Attach validates cfg and schedules the workload's clients on svc. The
-// first transactions start each client's own think gap after now, so a
-// later start is a later Attach; every random draw comes from the service's simulator, so runs
-// are deterministic in (service config, workload config).
+// Attach validates cfg and schedules the workload's clients on svc. Each
+// client's first transaction starts its own think gap after now, so a
+// later start is a later Attach. Every random draw comes from the
+// service's simulator, so runs are deterministic in (service config,
+// workload config).
 func Attach(svc *service.Service, cfg Config) (*Workload, error) {
 	if cfg.Clients <= 0 {
 		return nil, fmt.Errorf("txn: %d clients", cfg.Clients)
