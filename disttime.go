@@ -118,9 +118,6 @@ type (
 	// MetricsRegistry is the process-wide metrics registry (counters,
 	// gauges, histograms) shared by servers, clients, and syncers.
 	MetricsRegistry = obs.Registry
-	// TimeReading is an absolute-time reading <C, E> for
-	// IntersectReadings.
-	TimeReading = udptime.TimeReading
 )
 
 // UDP service constructors and synchronizers.
@@ -152,12 +149,6 @@ var (
 	WithClientObservability = udptime.WithClientObservability
 	// WithSyncOptions sets a client's IM-2 transform parameters.
 	WithSyncOptions = udptime.WithSyncOptions
-	// IntersectReadings intersects absolute-time readings and returns the
-	// midpoint and maximum error of the common interval, rounded outward
-	// to the nanosecond so that it covers the interval. ok is false when
-	// the readings are mutually inconsistent (or empty), in which case at
-	// least one reading is incorrect.
-	IntersectReadings = udptime.IntersectReadings
 )
 
 // Dynamic membership (internal/member), available on both substrates:

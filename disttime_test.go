@@ -27,59 +27,6 @@ func TestMarzulloFacade(t *testing.T) {
 	}
 }
 
-func TestIntersectReadings(t *testing.T) {
-	base := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
-	readings := []disttime.TimeReading{
-		{C: base, E: 100 * time.Millisecond},
-		{C: base.Add(50 * time.Millisecond), E: 100 * time.Millisecond},
-	}
-	c, e, ok := disttime.IntersectReadings(readings)
-	if !ok {
-		t.Fatal("consistent readings reported inconsistent")
-	}
-	// Common interval: [base-50ms, base+100ms] -> midpoint base+25ms,
-	// half-width 75ms. 0.075 s has no exact float64, and the bound rounds
-	// up, so it may come out a nanosecond wide.
-	if got := c.Sub(base); got != 25*time.Millisecond {
-		t.Errorf("midpoint offset = %v, want 25ms", got)
-	}
-	if e < 75*time.Millisecond || e > 75*time.Millisecond+time.Nanosecond {
-		t.Errorf("error = %v, want 75ms", e)
-	}
-
-	// The common interval [base, base+1ns] has its midpoint and its
-	// half-width at half a nanosecond. The midpoint truncates, and the
-	// bound takes up what that drops and rounds up, not toward zero, so
-	// the answer still covers the interval.
-	c, e, ok = disttime.IntersectReadings([]disttime.TimeReading{
-		{C: base, E: time.Nanosecond},
-		{C: base.Add(time.Nanosecond), E: time.Nanosecond},
-	})
-	if !ok {
-		t.Fatal("readings sharing [base, base+1ns] reported inconsistent")
-	}
-	if lo, hi := c.Add(-e), c.Add(e); lo.After(base) || hi.Before(base.Add(time.Nanosecond)) {
-		t.Errorf("<%v, %v> = [%v, %v] does not cover [base, base+1ns]", c.Sub(base), e, lo.Sub(base), hi.Sub(base))
-	}
-}
-
-func TestIntersectReadingsInconsistent(t *testing.T) {
-	base := time.Now()
-	readings := []disttime.TimeReading{
-		{C: base, E: time.Millisecond},
-		{C: base.Add(time.Hour), E: time.Millisecond},
-	}
-	if _, _, ok := disttime.IntersectReadings(readings); ok {
-		t.Error("inconsistent readings reported consistent")
-	}
-}
-
-func TestIntersectReadingsEmpty(t *testing.T) {
-	if _, _, ok := disttime.IntersectReadings(nil); ok {
-		t.Error("empty readings reported consistent")
-	}
-}
-
 // TestEndToEndSimulationFacade drives a complete simulated service through
 // the public API only: a five-server mesh sampled every 30 s over five
 // minutes, and an eight-server mesh over one hour of sparse syncs. Under

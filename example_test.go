@@ -63,10 +63,9 @@ func ExampleNewSimulation() {
 	// Output: after 600s: all correct=true, consistent=true
 }
 
-// IntersectReadings works directly on absolute time.Time readings.
-func ExampleIntersectReadings() {
-	// See TestIntersectReadings for the time.Time form; the seconds-based
-	// equivalent:
+// Interval.Intersect is the common part of two readings' intervals, in
+// seconds.
+func ExampleInterval_Intersect() {
 	a := disttime.FromEstimate(0, 0.100)    // now +/- 100ms
 	b := disttime.FromEstimate(0.05, 0.100) // 50ms ahead +/- 100ms
 	common, ok := a.Intersect(b)

@@ -174,7 +174,9 @@ func run() error {
 		fmt.Printf("  %-21s %-7v advertised E=%-12s%s\n", e.ID, e.Status, adv, self)
 	}
 
-	// A client queries the whole service and intersects the answers.
+	// A client queries the whole service and combines the answers as a
+	// syncer does: one pass of rule IM-2 over a clock never set, whose
+	// bound is then the combined one.
 	client := disttime.NewUDPClient(time.Second, nil)
 	defer client.Close()
 	ms, err := client.QueryMany(addrs)
@@ -182,18 +184,20 @@ func run() error {
 		return err
 	}
 	fmt.Println("\nservice answers:")
-	var readings []disttime.TimeReading
 	for _, m := range ms {
 		fmt.Printf("  server %3d: C=%s E=%-12v RTT=%v\n",
 			m.ServerID, m.C.Format("15:04:05.000000"), m.E, m.RTT.Round(time.Microsecond))
-		readings = append(readings, disttime.TimeReading{C: m.C, E: m.E + m.RTT})
 	}
-	c, e, ok := disttime.IntersectReadings(readings)
-	if !ok {
-		return fmt.Errorf("service inconsistent")
+	combined, err := disttime.NewDisciplinedClock(0)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("\nintersected: %s +/- %v (from %d servers)\n",
-		c.Format("15:04:05.000000"), e, len(readings))
+	if _, err := disttime.SyncIM(combined, ms); err != nil {
+		return fmt.Errorf("service inconsistent: %w", err)
+	}
+	c, e, _ := combined.Now()
+	fmt.Printf("\ncombined: %s +/- %v (from %d servers)\n",
+		c.Format("15:04:05.000000"), e, len(ms))
 
 	// Peers carry chained error bounds: anchor error + transit + their
 	// own drift allowance. The bound covers the actual offset. Each

@@ -245,8 +245,8 @@ func TestDeadlineNoFalseEvictions(t *testing.T) {
 			first, _ := v.First()
 			t.Errorf("schedule violates invariants: %v\n%s", first, c)
 		}
-		return reg.Counter("member_false_evictions_total").Value(),
-			reg.Counter("member_evictions_total").Value()
+		return reg.Counter("service_member_false_evictions_total").Value(),
+			reg.Counter("service_member_evictions_total").Value()
 	}
 	for _, s := range schedules {
 		falseN, evicts := falseEvicts(s.line)

@@ -107,6 +107,9 @@ func TestRosterLifecycle(t *testing.T) {
 
 func TestRosterSelfTransitions(t *testing.T) {
 	r := newRoster("a", 7, 1e-4)
+	if r.Self() != "a" {
+		t.Fatalf("Self = %q, want the owner a", r.Self())
+	}
 	r.advertise(100, 0.05)
 	adv := r.entries[r.self]
 	if adv.Seq != 1 || adv.Status != Alive || adv.C != 100 || adv.E != 0.05 {

@@ -31,11 +31,10 @@ const (
 // the rest of the package a Protocol reads no clock and draws no
 // randomness, and it is not safe for concurrent use.
 type Protocol[ID cmp.Ordered] struct {
-	cfg       DetectorConfig
-	roster    *Roster[ID]
-	det       *Detector[ID]
-	evictions uint64
-	changes   []Change[ID] // Tick's and Merge's result, reused by the next call
+	cfg     DetectorConfig
+	roster  *Roster[ID]
+	det     *Detector[ID]
+	changes []Change[ID] // Tick's and Merge's result, reused by the next call
 }
 
 // NewProtocol returns the protocol state of member self, alive at
@@ -55,11 +54,6 @@ func NewProtocol[ID cmp.Ordered](self ID, gen uint64, cfg DetectorConfig, c, e f
 // Roster returns the owner's membership view, for reading.
 func (p *Protocol[ID]) Roster() *Roster[ID] { return p.roster }
 
-// Evictions returns how many members this owner's own detector has
-// evicted: verdicts it reached and applied, not evictions it merely
-// learned through gossip.
-func (p *Protocol[ID]) Evictions() uint64 { return p.evictions }
-
 // Seed adds a bootstrap member: gossip targets come from the roster, so
 // a roster holding only its owner would never gossip. The seed joins as
 // a generation-zero entry of unknown (infinite) quality, which its
@@ -75,9 +69,10 @@ func (p *Protocol[ID]) Seed(id ID) {
 // An eviction verdict also drops the member's timing state: applied, so
 // that its next incarnation starts fresh; refused (the roster never
 // admitted the sender, or already records it Left), so that it does not
-// stay tracked forever. It returns the roster transitions, in a slice
-// the next Tick or Merge reuses; the caller then sends Digest to
-// GossipTargets.
+// stay tracked forever. It returns the roster transitions, each the
+// owner's own accusation (one to Evicted is its own verdict, as against
+// an eviction Merge learns through gossip), in a slice the next Tick or
+// Merge reuses; the caller then sends Digest to GossipTargets.
 func (p *Protocol[ID]) Tick(local, c, e float64) []Change[ID] {
 	p.roster.advertise(c, e)
 	p.changes = p.changes[:0]
@@ -87,9 +82,6 @@ func (p *Protocol[ID]) Tick(local, c, e float64) []Change[ID] {
 		}
 		if ch, changed := p.roster.accuse(v.ID, v.Status); changed {
 			p.changes = append(p.changes, ch)
-			if v.Status == Evicted {
-				p.evictions++
-			}
 		}
 	}
 	return p.changes

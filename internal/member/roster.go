@@ -24,7 +24,7 @@ type Change[ID cmp.Ordered] struct {
 // Roster is one server's membership view: a set of entries merged under
 // the Supersedes precedence, with deterministic sorted iteration. Only
 // the owning Protocol mutates it; Protocol.Roster hands everyone else
-// the read side (Get, Members, Self, AliveCount, Len).
+// the read side (Members, Self, AliveCount, Len).
 //
 // A Roster is not safe for concurrent use; the simulated substrate is
 // single-threaded and the UDP substrate guards it with its own mutex.
@@ -45,6 +45,9 @@ func newRoster[ID cmp.Ordered](self ID, gen uint64, delta float64) *Roster[ID] {
 	r.rebuildOrder()
 	return r
 }
+
+// Self returns the roster's owner.
+func (r *Roster[ID]) Self() ID { return r.self }
 
 // Len returns the number of known members, including the owner and
 // departed ones.

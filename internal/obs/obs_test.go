@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"disttime/internal/core"
+	"disttime/internal/member"
 )
 
 func TestCounterAndGauge(t *testing.T) {
@@ -429,5 +430,74 @@ func TestHotPathAllocationFree(t *testing.T) {
 	}
 	if got, want := r.LogHistogram("x_adjustment_seconds").Quantile(1), math.Abs(fullPass.After.C-fullPass.Before.C); got < want {
 		t.Errorf("adjustment histogram's top bucket %v is below |After.C - Before.C| = %v", got, want)
+	}
+}
+
+// TestMemberMetrics feeds the membership sink what member.Protocol
+// returns and reads each definition back: a Tick's transitions to
+// Evicted are the owner's own verdicts, an eviction a Merge learns is
+// not one, a Merge's own transition to Alive is the rejoin answering an
+// adopted accusation, Own counts a leave or a rejoin, and the gauges
+// follow the roster. No call allocates, and the zero value is inert.
+func TestMemberMetrics(t *testing.T) {
+	p, err := member.NewProtocol(0, 1, member.DetectorConfig{Period: 1, LocalDelta: 0.01, RemoteDelta: 0.01, Xi: 0.2}, 0, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Seed(1)
+	p.Seed(2)
+	p.Seed(3)
+	tick := []member.Change[int]{
+		{ID: 1, From: member.Alive, To: member.Suspect, Gen: 1},
+		{ID: 2, From: member.Suspect, To: member.Evicted, Gen: 1},
+	}
+	merge := []member.Change[int]{
+		{ID: 3, From: member.Alive, To: member.Evicted, Gen: 1}, // learned, not reached
+		{ID: 0, From: member.Alive, To: member.Suspect, Gen: 1}, // the adopted accusation
+		{ID: 0, From: member.Suspect, To: member.Alive, Gen: 2}, // its rejoin
+		{ID: 1, From: member.Suspect, To: member.Alive, Gen: 1},
+	}
+	leave := member.Change[int]{ID: 0, From: member.Alive, To: member.Left, Gen: 2}
+	var inert MemberMetrics[int]
+	if NewMemberMetrics[int](nil, "x") != inert {
+		t.Fatal("a nil registry must give the inert sink")
+	}
+	r := NewRegistry()
+	m := NewMemberMetrics[int](r, "x")
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, func() {
+		for _, s := range []*MemberMetrics[int]{&inert, &m} {
+			s.Sent(4)
+			s.Tick(tick, p.Roster())
+			s.Merge(5, merge, p.Roster())
+			s.Own(leave)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("the membership sink allocates %v per run, want 0", allocs)
+	}
+	n := uint64(runs + 1) // AllocsPerRun makes one warm-up call besides the runs
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"x_member_gossip_messages_total", n},
+		{"x_member_evictions_total", n},
+		{"x_member_churn_events_total", 2 * n},
+	} {
+		if got := r.Counter(c.name).Value(); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
+	}
+	for _, h := range []struct {
+		name    string
+		entries float64
+	}{{"x_member_gossip_entries_sent", 4}, {"x_member_gossip_entries_received", 5}} {
+		if lh := r.LogHistogram(h.name); lh.Count() != n || lh.Sum() != float64(n)*h.entries {
+			t.Errorf("%s: %d digests of %v entries, want %d of %v", h.name, lh.Count(), lh.Sum(), n, float64(n)*h.entries)
+		}
+	}
+	if alive, known := r.Gauge("x_member_alive_servers").Value(), r.Gauge("x_member_known_servers").Value(); alive != 4 || known != 4 {
+		t.Errorf("alive %v, known %v; want the roster's 4 and 4", alive, known)
 	}
 }

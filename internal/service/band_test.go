@@ -151,7 +151,7 @@ func TestRateFilteredRequestDropped(t *testing.T) {
 		// A reading a hair narrower than server 0's own, read as the
 		// request left d = 0.001 s ago.
 		const d = 0.001
-		n0.collect = nil
+		n0.collect.open = false
 		m := simnet.Message{From: svc.Nodes[tc.from].NetID, To: n0.NetID, Band: core.Band{Max: 0.002}}
 		n0.hear(now, r, m, core.Reading{C: r.C - d, E: r.E / 2, Delta: 1e-5})
 		if got := n0.Server.Resets() > resets; got != tc.taken || (n0.RateFiltered > filtered) == tc.taken {
@@ -173,11 +173,11 @@ func TestTwoFacedRequestsLie(t *testing.T) {
 	svc.SetTwoFaced(0, offsets)
 	// seen[from][to] is the C of each request from server from to server
 	// to, by round.
-	seen := make([][]map[uint64]float64, 3)
+	seen := make([][]map[uint32]float64, 3)
 	for from := range seen {
-		seen[from] = make([]map[uint64]float64, 3)
+		seen[from] = make([]map[uint32]float64, 3)
 		for to := range seen[from] {
-			seen[from][to] = map[uint64]float64{}
+			seen[from][to] = map[uint32]float64{}
 		}
 	}
 	for to, n := range svc.Nodes {
@@ -236,7 +236,7 @@ func TestSpikedRequestCreditsTheHull(t *testing.T) {
 	var got []core.Reply
 	svc.Net.SetHandler(a, func(m simnet.Message) {
 		n0.handle(m)
-		if _, ok := m.Payload.(*timeReply); ok && n0.collect != nil {
+		if _, ok := m.Payload.(*timeReply); ok && n0.collect.open {
 			got = append(got, n0.collect.replies[len(n0.collect.replies)-1].reply)
 		}
 	})

@@ -16,7 +16,8 @@ import (
 // here is what only the simulator has: the gossip timers, link
 // reachability as the selection filter, the pooled gossip payload with
 // its HLC stamp, the equivocation fault, the MemberEvent timeline with
-// its FalseEviction verdict, and the metrics. Churn (voluntary
+// its FalseEviction verdict, and what feeds obs.MemberMetrics, the
+// membership sink the UDP peer feeds too. Churn (voluntary
 // departure and rejoin) rides the same machinery: a departure is a
 // roster entry that gossip carries to the survivors, and a rejoin is a
 // fresh incarnation that supersedes whatever the previous life left
@@ -161,11 +162,21 @@ func (n *Node) emitMember(t float64, ch member.Change[int]) {
 		Gen:      ch.Gen,
 		Joined:   ch.Joined,
 	}
-	if ch.To == member.Evicted && ch.ID >= 0 && ch.ID < len(n.svc.Nodes) {
-		subject := n.svc.Nodes[ch.ID]
-		ev.FalseEviction = !subject.crashed && !subject.departed
-	}
+	ev.FalseEviction = ch.To == member.Evicted && n.svc.serving(ch.ID)
 	n.svc.onMember(ev)
+}
+
+// own publishes and counts one of node n's own transitions: a departure,
+// a rejoin or a restart.
+func (n *Node) own(ch member.Change[int]) {
+	n.emitMember(n.svc.Sim.Now(), ch)
+	n.svc.members.Own(ch)
+}
+
+// serving reports whether member id is a server that is in fact serving:
+// neither crashed nor departed. An eviction of one is false.
+func (svc *Service) serving(id int) bool {
+	return id >= 0 && id < len(svc.Nodes) && !svc.Nodes[id].gossipSilent()
 }
 
 // gossipSilent reports that node n does not currently participate in
@@ -184,9 +195,14 @@ func (svc *Service) gossipTick(i, inc uint32) bool {
 	now := svc.Sim.Now()
 	local := n.Server.Read(now)
 	r := n.Server.Reading(now)
-	for _, ch := range n.member.Tick(local, r.C, r.E) {
+	changes := n.member.Tick(local, r.C, r.E)
+	for _, ch := range changes {
 		n.emitMember(now, ch)
+		if ch.To == member.Evicted && svc.serving(ch.ID) {
+			svc.falseEvictions.Inc()
+		}
 	}
+	svc.members.Tick(changes, n.member.Roster())
 	n.pushDigest()
 	svc.Sim.After(svc.memberCfg.GossipEvery, svc.gossip, i, inc)
 	return true
@@ -209,9 +225,7 @@ func (n *Node) pushDigest() {
 			svc.putGossip(g)
 			continue
 		}
-		if svc.memMetrics != nil {
-			svc.memMetrics.sent(sent)
-		}
+		svc.members.Sent(sent)
 	}
 }
 
@@ -225,11 +239,8 @@ func (n *Node) handleGossip(from simnet.NodeID, g *gossipMsg, now float64) {
 	for _, ch := range changes {
 		n.emitMember(now, ch)
 	}
-	merged := len(g.entries)
+	n.svc.members.Merge(len(g.entries), changes, n.member.Roster())
 	n.svc.putGossip(g)
-	if n.svc.memMetrics != nil {
-		n.svc.memMetrics.received(merged, n.member.Roster().AliveCount())
-	}
 }
 
 // reachable reports whether a usable link currently exists from node n
@@ -256,7 +267,7 @@ func (svc *Service) Leave(i int) {
 	if n.gossipSilent() {
 		return
 	}
-	n.emitMember(svc.Sim.Now(), n.member.Leave())
+	n.own(n.member.Leave())
 	n.pushDigest() // announce the departure before going silent
 	n.departed = true
 	n.silence()
@@ -276,10 +287,9 @@ func (svc *Service) Rejoin(i int) {
 	if !n.departed {
 		return
 	}
-	now := svc.Sim.Now()
 	n.departed = false
-	r := n.Server.Reading(now)
-	n.emitMember(now, n.member.Rejoin(r.C, r.E))
+	r := n.Server.Reading(svc.Sim.Now())
+	n.own(n.member.Rejoin(r.C, r.E))
 	n.revive()
 }
 

@@ -289,16 +289,16 @@ func TestMembershipObserveMetrics(t *testing.T) {
 	svc.Observe(reg, nil)
 	at(svc, 40, func() { svc.Crash(3) })
 	svc.Run(40 + evictAfter(svc, 0) + 3*svc.memberCfg.GossipEvery)
-	if v := reg.Counter("member_gossip_messages_total").Value(); v == 0 {
+	if v := reg.Counter("service_member_gossip_messages_total").Value(); v == 0 {
 		t.Fatal("no gossip messages counted")
 	}
-	if v := reg.Counter("member_evictions_total").Value(); v == 0 {
+	if v := reg.Counter("service_member_evictions_total").Value(); v == 0 {
 		t.Fatal("no evictions counted after a crash")
 	}
-	if v := reg.Counter("member_false_evictions_total").Value(); v != 0 {
+	if v := reg.Counter("service_member_false_evictions_total").Value(); v != 0 {
 		t.Fatalf("false evictions counted: %d", v)
 	}
-	if v := reg.Gauge("member_alive_servers").Value(); !(v >= 1 && v <= 4) {
+	if v := reg.Gauge("service_member_alive_servers").Value(); !(v >= 1 && v <= 4) {
 		t.Fatalf("alive gauge out of range: %v", v)
 	}
 }

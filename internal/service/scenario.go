@@ -42,12 +42,12 @@ func (svc *Service) Crash(i int) {
 	n.silence()
 }
 
-// silence takes node n off the network, for Crash and Leave: it abandons
-// any in-flight collection and starts a new incarnation, so that its
-// pending ticks and open rounds die with the old one, and stops answering
-// requests.
+// silence takes node n off the network, for Crash and Leave: it ends
+// its open round, whose close then runs no pass, starts a new
+// incarnation, so that its pending ticks die with the old one, and stops
+// answering requests.
 func (n *Node) silence() {
-	n.collect = nil
+	n.collect.open = false
 	n.inc++
 	n.svc.Net.SetHandler(n.NetID, nil)
 }
@@ -96,7 +96,7 @@ func (svc *Service) Restart(i int) {
 		r := n.Server.Reading(svc.Sim.Now())
 		ch := n.member.Rejoin(r.C, r.E)
 		ch.From = member.Evicted
-		n.emitMember(svc.Sim.Now(), ch)
+		n.own(ch)
 	}
 	n.revive()
 }

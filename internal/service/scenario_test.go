@@ -210,6 +210,29 @@ func TestCrashDropsInFlightRound(t *testing.T) {
 	}
 }
 
+// TestSupersededRoundRunsNoPass: a node has one open round. Under a
+// period shorter than the collection window each tick finds the last
+// round still open and supersedes it, so that round's close runs no
+// pass, whatever replies it gathered. Server 0 starts a round every 1 s
+// over a 1.5 s window and completes none; server 1, every 2 s, completes
+// each of its ten.
+func TestSupersededRoundRunsNoPass(t *testing.T) {
+	specs := correctSpecs(3, 1)
+	specs[1].SyncEvery = 2
+	specs[2].SyncEvery = 0
+	svc, err := New(Config{Seed: 7, Servers: specs, CollectFor: 1.5, noStagger: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Run(19.9)
+	if got := svc.Nodes[0].Syncs; got != 0 {
+		t.Errorf("server 0 ran %d passes from rounds its next tick superseded, want 0", got)
+	}
+	if got := svc.Nodes[1].Syncs; got != 10 {
+		t.Errorf("server 1 ran %d passes from rounds nothing superseded, want 10", got)
+	}
+}
+
 // TestOneTickerPerNode: a node runs at most one sync ticker, armed only
 // while it is up. After a crash before the first phase and a restart, and
 // after a leave, a crash, a rejoin while crashed and a restart, node 1

@@ -20,6 +20,7 @@ import (
 	"disttime/internal/hlc"
 	"disttime/internal/interval"
 	"disttime/internal/member"
+	"disttime/internal/obs"
 	"disttime/internal/sim"
 	"disttime/internal/simnet"
 )
@@ -116,11 +117,10 @@ type Node struct {
 	svc     *Service
 	hclock  *hlc.Clock
 	hears   bool // takes request readings (Hear): a plain-IM server that runs rounds
-	reqSeq  uint64
 	crashed bool
-	collect *collection
-	// inc is the node's incarnation: silence bumps it, and a tick or a
-	// round's close filed under an older one dies when it fires.
+	collect collection
+	// inc is the node's incarnation: silence bumps it, and a tick filed
+	// under an older one dies when it fires.
 	inc uint32
 
 	// Dynamic membership state (nil/zero when Config.Members is unset).
@@ -132,13 +132,14 @@ type Node struct {
 	equivocate []float64 // per-destination gossip skew (SetEquivocate)
 }
 
-// collection is one in-flight request round. Collections are recycled
-// through the service's table, whose index the round's close carries: a
-// round's identity is its id (monotonic per node), so reusing the struct
-// cannot confuse stale replies.
+// collection is a node's request round: at most one is open. Its id
+// numbers the node's rounds and tags their requests, replies and close,
+// so a reply or a close of any other round finds no match. A round the
+// next tick finds still open is superseded, and silence ends it: either
+// way its close is a no-op, as scale.Engine's is.
 type collection struct {
-	node      *Node
-	id        uint64
+	id        uint32
+	open      bool
 	sentLocal float64 // local clock when the broadcast left
 	replies   []pendingReply
 }
@@ -156,28 +157,28 @@ type Service struct {
 
 	cfg       Config
 	onSync    func(core.Pass)
-	replyFree []*timeReply  // recycled reply payloads
-	cols      []*collection // round state, reused
-	colFree   []uint32      // indices of cols no open round holds
+	replyFree []*timeReply // recycled reply payloads
 
 	// The kinds of the service's events: a node's sync tick and gossip
 	// tick, tagged with the node and carrying its incarnation, a round's
-	// close, tagged with its collection, and a scheduled departure or
-	// rejoin, tagged with the node.
+	// close, tagged with the node and carrying the round's id, and a
+	// scheduled departure or rejoin, tagged with the node.
 	tick, close, gossip, leave, rejoin sim.Kind
 
-	// Dynamic membership (nil when Config.Members is unset).
-	memberCfg  *MemberConfig
-	onMember   func(MemberEvent)
-	gossipFree []*gossipMsg   // recycled gossip payloads
-	memMetrics *memberMetrics // obs wiring, set by Observe
+	// Dynamic membership (nil when Config.Members is unset), and its
+	// metrics, inert until Observe resolves them.
+	memberCfg      *MemberConfig
+	onMember       func(MemberEvent)
+	gossipFree     []*gossipMsg // recycled gossip payloads
+	members        obs.MemberMetrics[int]
+	falseEvictions *obs.Counter // service_member_false_evictions_total
 }
 
 // timeRequest carries the requester's reading, read once a round as the
 // request left, for the responder to take as a reading of its own
 // (core.Node.Hear).
 type timeRequest struct {
-	id      uint64
+	id      uint32
 	ts      hlc.Timestamp // sender's hybrid logical clock at send
 	reading core.Reading
 }
@@ -188,7 +189,7 @@ type timeRequest struct {
 // (An honest request is broadcast as one shared value, a single boxing per
 // round.)
 type timeReply struct {
-	id      uint64
+	id      uint32
 	reading core.Reading
 	ts      hlc.Timestamp // responder's hybrid logical clock at reply
 	// band is the band the request crossed (simnet.Message), for the
@@ -414,7 +415,7 @@ func (n *Node) handle(m simnet.Message) {
 		n.hclock.Update(n.hlcWall(now), p.ts)
 		id, reading, band := p.id, p.reading, p.band
 		n.svc.putReply(p)
-		if n.collect == nil || n.collect.id != id {
+		if !n.collect.open || n.collect.id != id {
 			return // stale reply from a finished round
 		}
 		local := n.Server.Read(now)
@@ -461,7 +462,7 @@ func (n *Node) hear(now float64, own core.Reading, m simnet.Message, r core.Read
 		return
 	}
 	in := core.Reply{From: int(m.From), C: r.C, E: r.E, Delta: r.Delta, Band: m.Band}
-	held, hold, set := n.Hear(now, own, in, n.collect != nil)
+	held, hold, set := n.Hear(now, own, in, n.collect.open)
 	switch {
 	case hold:
 		n.collect.replies = append(n.collect.replies, pendingReply{reply: held, arrivedLoc: own.C})
@@ -489,28 +490,20 @@ func (svc *Service) syncTick(i, inc uint32) bool {
 	return true
 }
 
-// startRound broadcasts a time request carrying the node's reading and
-// schedules the round's completion.
+// startRound opens the node's next round, superseding one still open:
+// it broadcasts a time request carrying the node's reading and schedules
+// the round's close.
 func (n *Node) startRound() {
 	svc := n.svc
 	now := svc.Sim.Now()
-	n.reqSeq++
-	var slot uint32
-	if k := len(svc.colFree); k > 0 {
-		slot, svc.colFree = svc.colFree[k-1], svc.colFree[:k-1]
-		svc.cols[slot].replies = svc.cols[slot].replies[:0]
-	} else {
-		slot = uint32(len(svc.cols))
-		svc.cols = append(svc.cols, &collection{})
-	}
-	col := svc.cols[slot]
-	col.node = n
 	reading := n.Server.Reading(now)
-	col.id = n.reqSeq
+	col := &n.collect
+	col.id++
+	col.open = true
 	col.sentLocal = reading.C
-	n.collect = col
+	col.replies = col.replies[:0]
 	sent := 0
-	req := timeRequest{id: n.reqSeq, ts: n.HLCNow(now), reading: reading}
+	req := timeRequest{id: col.id, ts: n.HLCNow(now), reading: reading}
 	switch {
 	case n.member != nil:
 		// Roster-driven polling: the few live members with the smallest
@@ -532,29 +525,24 @@ func (n *Node) startRound() {
 		sent = n.svc.Net.Broadcast(n.NetID, req)
 	}
 	if sent == 0 {
-		n.collect = nil
-		svc.colFree = append(svc.colFree, slot)
+		col.open = false
 		return
 	}
-	svc.Sim.After(svc.CollectWindow(), svc.close, slot, n.inc)
+	svc.Sim.After(svc.CollectWindow(), svc.close, uint32(n.Server.ID()), col.id)
 }
 
-// finishRound closes the round in collection slot, started under
-// incarnation inc: it ages the collected replies to the sync instant and
-// hands them to the node's sync pass (core.Node.Sync). It processes
-// exactly the round it was scheduled for, even if a faster sync period
-// has already begun the next round. A round whose node has crashed or
-// left since it started dies with that incarnation, as a run event.
-func (svc *Service) finishRound(slot, inc uint32) bool {
-	col := svc.cols[slot]
-	n := col.node
-	if n.collect == col {
-		n.collect = nil
-	}
-	if inc != n.inc {
-		svc.colFree = append(svc.colFree, slot)
+// finishRound closes node i's round id: it ages the collected replies to
+// the sync instant and hands them to the node's sync pass
+// (core.Node.Sync). A round that is no longer open, superseded by the
+// node's next round or ended by a crash or a departure, runs no pass;
+// its close is still a run event.
+func (svc *Service) finishRound(i, id uint32) bool {
+	n := svc.Nodes[i]
+	col := &n.collect
+	if !col.open || col.id != id {
 		return true
 	}
+	col.open = false
 	now := svc.Sim.Now()
 	nowLocal := n.Server.Read(now)
 	replies := n.Replies()
@@ -563,7 +551,6 @@ func (svc *Service) finishRound(slot, inc uint32) bool {
 		r.Age = nowLocal - p.arrivedLoc
 		replies = append(replies, r)
 	}
-	svc.colFree = append(svc.colFree, slot)
 	p := n.Sync(now, replies)
 	if svc.onSync != nil {
 		svc.onSync(p)

@@ -559,28 +559,3 @@ func SyncSelect(dc *DisciplinedClock, ms []Measurement) (interval.Selection, err
 	}
 	return sel, nil
 }
-
-// TimeReading is an absolute-time reading <C, E> for IntersectReadings.
-type TimeReading struct {
-	// C is the clock value.
-	C time.Time
-	// E is the maximum error.
-	E time.Duration
-}
-
-// IntersectReadings intersects absolute-time readings and returns the
-// midpoint and maximum error of the common interval, rounded outward to
-// the nanosecond as DisciplinedClock.Now rounds, so [c-e, c+e] covers it.
-// ok is false when the readings are mutually inconsistent (or empty), in
-// which case at least one reading is incorrect.
-func IntersectReadings(readings []TimeReading) (c time.Time, e time.Duration, ok bool) {
-	ivs := make([]interval.Interval, len(readings))
-	for i, r := range readings {
-		ivs[i] = interval.FromEstimate(r.C.Sub(readings[0].C).Seconds(), r.E.Seconds())
-	}
-	common, ok := interval.IntersectAll(ivs)
-	if !ok {
-		return time.Time{}, 0, false
-	}
-	return reading(readings[0].C, core.Reading{C: common.Midpoint(), E: common.HalfWidth()})
-}

@@ -21,7 +21,9 @@ import (
 // simulator drives. What is here is what only a process on a network
 // has: the mutex, the ticker goroutine, the process's monotonic clock as
 // the detector's local clock, the version-2 advertise datagram and the
-// socket it travels on, and the gauges. A roster-backed peer starts from
+// socket it travels on. What the protocol returns feeds
+// obs.MemberMetrics, the membership sink the simulator feeds too, under
+// the "udptime" prefix. A roster-backed peer starts from
 // seed addresses only, learns the rest of the cluster through
 // anti-entropy gossip, and re-resolves its poll targets from the roster
 // every sync round — the paper's "adopt the neighbor with smaller
@@ -39,29 +41,6 @@ type MembershipConfig struct {
 // configuration.
 const delayBound = 500 * time.Millisecond
 
-// membershipMetrics is the resolved metric-handle set; the zero value is
-// inert (obs methods are nil-safe).
-type membershipMetrics struct {
-	msgs      *obs.Counter      // udptime_member_gossip_messages_total
-	entries   *obs.LogHistogram // udptime_member_gossip_entries
-	alive     *obs.Gauge        // udptime_member_alive_servers
-	known     *obs.Gauge        // udptime_member_known_servers
-	evictions *obs.Counter      // udptime_member_evictions_total
-}
-
-func newMembershipMetrics(reg *obs.Registry) membershipMetrics {
-	if reg == nil {
-		return membershipMetrics{}
-	}
-	return membershipMetrics{
-		msgs:      reg.Counter("udptime_member_gossip_messages_total"),
-		entries:   reg.LogHistogram("udptime_member_gossip_entries"),
-		alive:     reg.Gauge("udptime_member_alive_servers"),
-		known:     reg.Gauge("udptime_member_known_servers"),
-		evictions: reg.Counter("udptime_member_evictions_total"),
-	}
-}
-
 // membership drives one peer's member.Protocol: the gossip loop and the
 // advertise dispatch from the peer's server socket. The protocol state
 // is guarded by mu; sends go out on the server's own connection so every
@@ -72,7 +51,7 @@ type membership struct {
 	clock   ClockSource
 	delta   float64   // claimed drift bound of the local oscillator (fraction)
 	start   time.Time // origin of the detector's monotonic local clock
-	metrics membershipMetrics
+	metrics obs.MemberMetrics[string]
 	conn    *net.UDPConn // the server's socket; set by bind before the loop starts
 
 	mu    sync.Mutex
@@ -96,7 +75,7 @@ func newMembership(clock ClockSource, deltaPPM float64, cfg MembershipConfig, re
 		clock:   clock,
 		delta:   deltaPPM / 1e6,
 		start:   time.Now(),
-		metrics: newMembershipMetrics(reg),
+		metrics: obs.NewMemberMetrics[string](reg, "udptime"),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -168,24 +147,25 @@ func (m *membership) run() {
 func (m *membership) tick() {
 	m.mu.Lock()
 	c, e := m.reading()
-	evicted := m.proto.Evictions()
-	m.proto.Tick(m.localNow(), c, e)
-	m.metrics.evictions.Add(m.proto.Evictions() - evicted)
+	m.metrics.Tick(m.proto.Tick(m.localNow(), c, e), m.proto.Roster())
 	targets := m.proto.GossipTargets(m.rng.IntN, nil)
-	payload, sent := m.encodeDigest()
-	m.metrics.alive.Set(float64(m.proto.Roster().AliveCount()))
-	m.metrics.known.Set(float64(m.proto.Roster().Len()))
-	// The handles are resolved once at construction; copy them out so the
-	// sends below need no lock.
-	metrics := m.metrics
+	payload, entries := m.encodeDigest()
+	sink := &m.metrics
 	m.mu.Unlock()
+	m.gossip(sink, targets, payload, entries)
+}
+
+// gossip sends one digest datagram of the given entries to every
+// target, counting each send the socket accepted in sink. The sink's
+// handles are resolved once at construction, so the caller takes it
+// under mu and the sends need no lock.
+func (m *membership) gossip(sink *obs.MemberMetrics[string], targets []string, payload []byte, entries int) {
 	if payload == nil {
 		return
 	}
 	for _, addr := range targets {
 		if m.send(addr, payload) {
-			metrics.msgs.Inc()
-			metrics.entries.Observe(float64(sent))
+			sink.Sent(entries)
 		}
 	}
 }
@@ -243,9 +223,7 @@ func (m *membership) handleAdvertise(from *net.UDPAddr, entries []wire.MemberEnt
 	if m.proto == nil {
 		return // datagram raced the bind; gossip repeats
 	}
-	m.proto.Merge(src, rows, m.localNow(), m.reading)
-	m.metrics.alive.Set(float64(m.proto.Roster().AliveCount()))
-	m.metrics.known.Set(float64(m.proto.Roster().Len()))
+	m.metrics.Merge(len(rows), m.proto.Merge(src, rows, m.localNow(), m.reading), m.proto.Roster())
 }
 
 // Targets returns the addresses a sync round should poll. Wired into
@@ -278,14 +256,10 @@ func (m *membership) halt() {
 func (m *membership) close() {
 	m.halt()
 	m.mu.Lock()
-	m.proto.Leave()
+	m.metrics.Own(m.proto.Leave())
 	targets := m.proto.GossipTargets(nil, nil)
-	payload, _ := m.encodeDigest()
+	payload, entries := m.encodeDigest()
+	sink := &m.metrics
 	m.mu.Unlock()
-	if payload == nil {
-		return
-	}
-	for _, addr := range targets {
-		m.send(addr, payload)
-	}
+	m.gossip(sink, targets, payload, entries)
 }

@@ -2,12 +2,15 @@ package udptime
 
 import (
 	"net"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"disttime/internal/member"
 	"disttime/internal/obs"
+	"disttime/internal/service"
 	"disttime/internal/wire"
 )
 
@@ -82,16 +85,10 @@ func aliveView(p *Peer) int {
 // fresh incarnation — once with every peer serving per-packet, once
 // with every peer's heartbeats and version-3 syncs spread over batched
 // shards.
-// Evictions returns how many members p's failure detector has evicted
-// (zero without dynamic membership).
-func (p *Peer) Evictions() uint64 {
-	m := p.membership
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.proto.Evictions()
+// evictions reads udptime_member_evictions_total from a peer's
+// registry: the members that peer's own failure detector evicted.
+func evictions(reg *obs.Registry) uint64 {
+	return reg.Counter("udptime_member_evictions_total").Value()
 }
 
 // EvictAfter returns p's failure-detector eviction deadline, the
@@ -122,7 +119,7 @@ func TestClusterConvergeEvictReadmit(t *testing.T) {
 func testClusterConvergeEvictReadmit(t *testing.T, listen newServerFunc) {
 	const n = 5
 	addrs := reserveAddrs(t, n)
-	reg := obs.NewRegistry()
+	regs := make([]*obs.Registry, n)
 	peers := make([]*Peer, n)
 	for i := 0; i < n; i++ {
 		// A star of seed knowledge: everyone seeds to peer 0, peer 0 to
@@ -131,7 +128,8 @@ func testClusterConvergeEvictReadmit(t *testing.T, listen newServerFunc) {
 		if i == 0 {
 			seed = addrs[1]
 		}
-		cfg := PeerConfig{
+		regs[i] = obs.NewRegistry()
+		p, err := newPeer(PeerConfig{
 			Addr:       addrs[i],
 			ID:         uint64(i + 1),
 			Clock:      mustClock(t),
@@ -139,11 +137,8 @@ func testClusterConvergeEvictReadmit(t *testing.T, listen newServerFunc) {
 			Membership: fastMembership(),
 			Interval:   100 * time.Millisecond,
 			Timeout:    200 * time.Millisecond,
-		}
-		if i == 0 {
-			cfg.Metrics = reg
-		}
-		p, err := newPeer(cfg, listen)
+			Metrics:    regs[i],
+		}, listen)
 		if err != nil {
 			t.Fatalf("peer %d: %v", i, err)
 		}
@@ -174,7 +169,7 @@ func testClusterConvergeEvictReadmit(t *testing.T, listen newServerFunc) {
 	})
 
 	// Membership metrics follow the roster.
-	snap := reg.Snapshot()
+	snap := regs[0].Snapshot()
 	foundAlive := false
 	for _, g := range snap.Gauges {
 		if g.Name == "udptime_member_alive_servers" {
@@ -223,7 +218,7 @@ func testClusterConvergeEvictReadmit(t *testing.T, listen newServerFunc) {
 		if i == 2 {
 			continue
 		}
-		ev := p.Evictions()
+		ev := evictions(regs[i])
 		totalEvictions += ev
 		if ev > 1 {
 			t.Errorf("peer %d evicted %d members, want at most 1 (the killed peer)", i, ev)
@@ -274,11 +269,13 @@ func testClusterConvergeEvictReadmit(t *testing.T, listen newServerFunc) {
 func TestClusterVoluntaryLeave(t *testing.T) {
 	addrs := reserveAddrs(t, 3)
 	peers := make([]*Peer, 3)
+	regs := make([]*obs.Registry, 3)
 	for i := range peers {
 		seed := addrs[0]
 		if i == 0 {
 			seed = addrs[1]
 		}
+		regs[i] = obs.NewRegistry()
 		p, err := NewPeer(PeerConfig{
 			Addr:       addrs[i],
 			ID:         uint64(i + 1),
@@ -287,6 +284,7 @@ func TestClusterVoluntaryLeave(t *testing.T) {
 			Membership: fastMembership(),
 			Interval:   100 * time.Millisecond,
 			Timeout:    200 * time.Millisecond,
+			Metrics:    regs[i],
 		})
 		if err != nil {
 			t.Fatalf("peer %d: %v", i, err)
@@ -307,9 +305,86 @@ func TestClusterVoluntaryLeave(t *testing.T) {
 		return status(peers[0], addrs[2]) == member.Left &&
 			status(peers[1], addrs[2]) == member.Left
 	})
-	if ev := peers[0].Evictions() + peers[1].Evictions(); ev != 0 {
+	if ev := evictions(regs[0]) + evictions(regs[1]); ev != 0 {
 		t.Errorf("voluntary departure caused %d evictions", ev)
 	}
+}
+
+// TestMemberMetricsOneSchema holds both substrates to one membership
+// schema: a simulated service with membership and a three-peer loopback
+// cluster, each observed into a registry, report the same member_*
+// metrics of the same kinds under their prefixes, apart from the false
+// evictions only the simulator can count (it alone knows who is really
+// serving). On both, the known-servers gauge reaches the cluster's size.
+func TestMemberMetricsOneSchema(t *testing.T) {
+	const n = 3
+	specs := make([]service.ServerSpec, n)
+	for i := range specs {
+		specs[i] = service.ServerSpec{Delta: 1e-4, InitialError: 0.05, SyncEvery: 10}
+	}
+	svc, err := service.New(service.Config{Seed: 1, Servers: specs, Members: &service.MemberConfig{GossipEvery: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	simReg := obs.NewRegistry()
+	svc.Observe(simReg, nil)
+	svc.Run(30)
+
+	addrs := reserveAddrs(t, n)
+	udpReg := obs.NewRegistry()
+	for i := range addrs {
+		cfg := PeerConfig{
+			Addr:       addrs[i],
+			ID:         uint64(i + 1),
+			Clock:      mustClock(t),
+			Seeds:      []string{addrs[(i+1)%n]},
+			Membership: fastMembership(),
+			Interval:   100 * time.Millisecond,
+			Timeout:    200 * time.Millisecond,
+		}
+		if i == 0 {
+			cfg.Metrics = udpReg
+		}
+		p, err := NewPeer(cfg)
+		if err != nil {
+			t.Fatalf("peer %d: %v", i, err)
+		}
+		defer p.Close()
+	}
+	known := udpReg.Gauge("udptime_member_known_servers")
+	waitFor(t, 10*time.Second, "peer 0 to know the cluster", func() bool { return known.Value() == n })
+	if v := simReg.Gauge("service_member_known_servers").Value(); v != n {
+		t.Errorf("service_member_known_servers = %v, want %d", v, n)
+	}
+
+	sim := memberSchema(simReg, "service_")
+	udp := memberSchema(udpReg, "udptime_")
+	sim = slices.DeleteFunc(sim, func(k string) bool { return k == "counter member_false_evictions_total" })
+	if len(udp) == 0 || !slices.Equal(sim, udp) {
+		t.Errorf("the substrates report different membership schemas:\nservice %q\nudptime %q", sim, udp)
+	}
+}
+
+// memberSchema lists reg's member_* metrics, the prefix stripped, each
+// as its kind and name, in name order within each kind.
+func memberSchema(reg *obs.Registry, prefix string) []string {
+	var keys []string
+	add := func(kind, name string) {
+		if k, ok := strings.CutPrefix(name, prefix); ok && strings.HasPrefix(k, "member_") {
+			keys = append(keys, kind+" "+k)
+		}
+	}
+	snap := reg.Snapshot()
+	for _, c := range snap.Counters {
+		add("counter", c.Name)
+	}
+	for _, g := range snap.Gauges {
+		add("gauge", g.Name)
+	}
+	for _, h := range snap.Histograms {
+		add("histogram", h.Name)
+	}
+	return keys
 }
 
 // TestAdvertiseCreditsSourceAddress is the evidence rule on a real
@@ -329,12 +404,14 @@ func TestAdvertiseCreditsSourceAddress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sender.Close()
+	reg := obs.NewRegistry()
 	p, err := NewPeer(PeerConfig{
 		Addr:       addrs[0],
 		Clock:      mustClock(t),
 		Seeds:      []string{sender.LocalAddr().String()},
 		Membership: fastMembership(),
 		Interval:   time.Hour,
+		Metrics:    reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +433,7 @@ func TestAdvertiseCreditsSourceAddress(t *testing.T) {
 	if st := status(p, sender.LocalAddr().String()); st != member.Alive {
 		t.Errorf("the sender of every datagram is recorded as %v", st)
 	}
-	if ev := p.Evictions(); ev != 1 {
+	if ev := evictions(reg); ev != 1 {
 		t.Errorf("%d evictions, want 1", ev)
 	}
 }
