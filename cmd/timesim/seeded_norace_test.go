@@ -34,7 +34,7 @@ var corpusDir = filepath.Join("..", "..", "internal", "chaos", "corpus")
 var seededRows = []seededRow{
 	{"TestSeededOutputsPinned", "-experiment S1", "be660af237101ba1", []string{"S1:", "found: skew grows with network distance"}},
 	{"TestRunChaosBatch", "-chaos -campaigns 60 -chaos-seed 1", "c4cc13590e8eeaf1", []string{"chaos: 60 campaigns ok"}},
-	{"TestChaosMetricsPassive", "-chaos -campaigns 60 -chaos-seed 1 -metrics m.json", "c4cc13590e8eeaf1 b60828f118a42b27", []string{"chaos_campaigns_total", "chaos_invariant_checks_total"}},
+	{"TestChaosMetricsPassive", "-chaos -campaigns 60 -chaos-seed 1 -metrics m.json", "c4cc13590e8eeaf1 081916339e76b76e", []string{"chaos_campaigns_total", "chaos_invariant_checks_total"}},
 	{"TestSeededOutputsPinned", "-chaos -adversarial -campaigns 10 -adv-steps 15 -chaos-seed 1", "453eb07fe73e5082", []string{"chaos: 10 adversarial searches ok"}},
 	{"TestRunChurnDeterministic", "-churn 2 -churn-seed 7", "37209a6f6854035d", []string{"false-evictions=0"}},
 	{"TestRunChurnDeterministic", "-churn 3 -churn-seed 9", "407a8e91e6de99f0", []string{"churn demo:", "alive->left", "left->alive", "false-evictions=0"}},
