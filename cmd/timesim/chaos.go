@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -15,39 +16,57 @@ type chaosOpts struct {
 	campaigns   int
 	seed        uint64
 	replay      string
-	metrics     string // when set, campaigns run observed and a snapshot is written here
+	metrics     string // when set, runs are observed and a snapshot is written here
+	traceOut    string // when set, runs are traced and their spans written here
 	adversarial bool   // hill-climb fault schedules toward a violation instead of sampling
 	advSteps    int    // mutation steps per adversarial search
 }
 
-// runChaos executes a batch of generated campaigns (or replays one
-// reproducer) and reports one line per campaign. The output is a pure
-// function of the flags: campaigns are generated from consecutive seeds
-// and every run is deterministic, so two invocations with the same flags
-// print identical bytes. The returned error is non-nil when any campaign
-// failed, which makes the exit status the CI signal.
+// runChaos executes a batch of generated campaigns (or adversarial
+// searches, or replays one reproducer) and reports one line per
+// campaign. The output is a pure function of the flags: campaigns are
+// generated from consecutive seeds and every run is deterministic, so two
+// invocations with the same flags print identical bytes. The returned
+// error is non-nil when any campaign failed, which makes the exit status
+// the CI signal.
+//
+// With -metrics and -trace-out, every observed run feeds one shared
+// registry and one span log, written whatever the verdict. Observation
+// is passive, so verdicts, step counts and stdout match an unobserved
+// run's.
 func runChaos(opts chaosOpts, out io.Writer) error {
-	if opts.replay != "" {
-		return replayReproducer(opts.replay, out)
-	}
-	if opts.campaigns <= 0 {
+	if opts.replay == "" && opts.campaigns <= 0 {
 		return fmt.Errorf("chaos: -campaigns must be positive, got %d", opts.campaigns)
 	}
-	// With -metrics, every campaign feeds one shared registry; observation
-	// is passive, so verdicts and step counts match an unobserved batch.
 	var reg *obs.Registry
 	if opts.metrics != "" {
 		reg = obs.NewRegistry()
 	}
-	runOne := func(c chaos.Campaign) (chaos.Verdict, error) {
-		if reg != nil {
-			return chaos.RunObserved(c, reg)
-		}
-		return chaos.Run(c)
+	tr, finishTrace, err := openTracer(opts.traceOut)
+	if err != nil {
+		return err
 	}
-	if opts.adversarial {
-		return runAdversarial(opts, runOne, reg, out)
+	runOne := func(c chaos.Campaign) (chaos.Verdict, error) { return chaos.RunObserved(c, reg, tr) }
+	switch {
+	case opts.replay != "":
+		err = replayReproducer(opts.replay, runOne, out)
+	case opts.adversarial:
+		err = runAdversarial(opts, runOne, out)
+	default:
+		err = runCampaigns(opts, runOne, out)
 	}
+	if werr := writeMetrics(opts.metrics, reg); werr != nil {
+		err = werr
+	}
+	if terr := finishTrace(); terr != nil {
+		err = terr
+	}
+	return err
+}
+
+// runCampaigns runs opts.campaigns generated campaigns from consecutive
+// seeds, shrinking each failure to a reproducer.
+func runCampaigns(opts chaosOpts, runOne chaos.Runner, out io.Writer) error {
 	failed := 0
 	for i := 0; i < opts.campaigns; i++ {
 		seed := opts.seed + uint64(i)
@@ -73,9 +92,6 @@ func runChaos(opts chaosOpts, out io.Writer) error {
 		fmt.Fprintf(out, "  reproducer (%d faults, %d shrink runs): %s\n",
 			len(res.Campaign.Faults), res.Runs, res.Campaign)
 	}
-	if err := writeMetrics(opts.metrics, reg); err != nil {
-		return err
-	}
 	if failed > 0 {
 		return fmt.Errorf("chaos: %d of %d campaigns violated an invariant", failed, opts.campaigns)
 	}
@@ -89,7 +105,7 @@ func runChaos(opts chaosOpts, out io.Writer) error {
 // containment margin. Output is one line per search plus the minimized
 // reproducer on failure, and is byte-identical across invocations with
 // equal flags.
-func runAdversarial(opts chaosOpts, runOne chaos.Runner, reg *obs.Registry, out io.Writer) error {
+func runAdversarial(opts chaosOpts, runOne chaos.Runner, out io.Writer) error {
 	failed := 0
 	for i := 0; i < opts.campaigns; i++ {
 		seed := opts.seed + uint64(i)
@@ -117,9 +133,6 @@ func runAdversarial(opts chaosOpts, runOne chaos.Runner, reg *obs.Registry, out 
 			fmt.Fprintf(out, "  reproducer: %s\n", res.Best)
 		}
 	}
-	if err := writeMetrics(opts.metrics, reg); err != nil {
-		return err
-	}
 	if failed > 0 {
 		return fmt.Errorf("chaos: %d of %d adversarial searches found a violation", failed, opts.campaigns)
 	}
@@ -129,9 +142,9 @@ func runAdversarial(opts chaosOpts, runOne chaos.Runner, reg *obs.Registry, out 
 
 // replayReproducer re-executes one reproducer, given either as a literal
 // line or as a path to a corpus file ('#'-comment lines are skipped). The
-// campaign is run twice and the step counts compared, so a replay also
-// re-proves determinism.
-func replayReproducer(arg string, out io.Writer) error {
+// campaign is run twice, observed through runOne and then plain, and the
+// step counts compared, so a replay also re-proves determinism.
+func replayReproducer(arg string, runOne chaos.Runner, out io.Writer) error {
 	line := arg
 	if data, err := os.ReadFile(arg); err == nil {
 		line = ""
@@ -149,7 +162,7 @@ func replayReproducer(arg string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	v, err := chaos.Run(c)
+	v, err := runOne(c)
 	if err != nil {
 		return err
 	}
@@ -169,4 +182,40 @@ func replayReproducer(arg string, out io.Writer) error {
 		fmt.Fprintf(out, "  violation: %v\n", viol)
 	}
 	return fmt.Errorf("chaos: reproducer violated %d invariant observations", len(v.Violations))
+}
+
+// openTracer opens a span tracer writing to path, with a finish that
+// closes the file and reports its first failed write or the close's
+// error; an empty path yields a nil (discarding) tracer.
+func openTracer(path string) (*obs.Tracer, func() error, error) {
+	if path == "" {
+		return nil, func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("trace: %w", err)
+	}
+	tr := obs.NewTracer(f)
+	return tr, func() error {
+		if err := errors.Join(tr.Err(), f.Close()); err != nil {
+			return fmt.Errorf("trace: %w", err)
+		}
+		return nil
+	}, nil
+}
+
+// writeMetrics snapshots reg to path as JSON; an empty path is a no-op.
+func writeMetrics(path string, reg *obs.Registry) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("metrics: %w", err)
+	}
+	defer f.Close()
+	if err := reg.WriteJSON(f); err != nil {
+		return fmt.Errorf("metrics: %w", err)
+	}
+	return f.Close()
 }

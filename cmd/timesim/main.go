@@ -12,9 +12,9 @@
 //	timesim -chaos -campaigns 60 -chaos-seed 1
 //	timesim -chaos -adversarial -campaigns 50   # hill-climb Byzantine schedules
 //	timesim -chaos -replay internal/chaos/corpus/buggy-mm-churn.repro
-//	timesim -txn -txn-seed 7           # commit-wait transaction timeline demo
-//	timesim -churn 2 -churn-seed 7     # dynamic-membership timeline demo
-//	timesim -metrics out.json -trace-out spans.jsonl   # instrumented demo run
+//	timesim -chaos -replay internal/chaos/corpus/demo-churn.repro   # leave/rejoin under membership
+//	timesim -chaos -replay internal/chaos/corpus/demo-txn.repro     # commit-wait transactions
+//	timesim -chaos -replay internal/chaos/corpus/demo-observed.repro -metrics m.json -trace-out t.jsonl
 //	timesim -chaos -campaigns 60 -metrics chaos.json   # observed campaigns
 //	timesim -scale                     # 10k/50k/100k sweep on the scale engine
 //
@@ -22,7 +22,9 @@
 // regenerated table. The exit status is nonzero when a reproduced shape
 // does not hold. The -chaos mode instead runs randomized fault campaigns
 // under the always-on theorem-invariant monitor (see internal/chaos),
-// shrinking any failure to a one-line reproducer.
+// shrinking any failure to a one-line reproducer, or replays one such
+// line: a seeded scenario, the demos included, is a corpus file. With
+// -metrics and -trace-out it also writes the runs' metrics and spans.
 package main
 
 import (
@@ -56,17 +58,16 @@ func run(args []string, out io.Writer) error {
 		replay    = fs.String("replay", "", "replay a chaos reproducer: a literal line or a corpus file path (with -chaos)")
 		advSearch = fs.Bool("adversarial", false, "hill-climb Byzantine fault schedules toward an invariant violation instead of sampling (with -chaos)")
 		advSteps  = fs.Int("adv-steps", 20, "mutation steps per adversarial search (with -chaos -adversarial)")
-		doTxn     = fs.Bool("txn", false, "run the commit-wait transaction demo: HLC-stamped transactions with external-consistency checking; prints the deterministic commit timeline")
-		txnSeed   = fs.Uint64("txn-seed", 1, "seed of the txn demo (with -txn); equal seeds give byte-identical timelines")
-		churnRate = fs.Float64("churn", 0, "run the dynamic-membership demo: voluntary leave/rejoin cycles per 100 simulated seconds; prints the deterministic membership timeline")
-		churnSeed = fs.Uint64("churn-seed", 1, "seed of the churn demo (with -churn); equal seeds give byte-identical timelines")
-		metrics   = fs.String("metrics", "", "write a deterministic metrics snapshot (JSON) to this path; alone it runs the instrumented demo scenario, with -chaos it observes the campaigns")
-		traceOut  = fs.String("trace-out", "", "write sync-round spans (JSONL) to this path; runs the instrumented demo scenario")
+		metrics   = fs.String("metrics", "", "write a deterministic metrics snapshot (JSON) of the runs to this path (with -chaos)")
+		traceOut  = fs.String("trace-out", "", "write the runs' sync-round spans (JSONL) to this path (with -chaos)")
 		doScale   = fs.Bool("scale", false, "run the S1 scale sweep (10k/50k/100k servers) on the scale engine")
 		scaleFor  = fs.Float64("scale-until", 600, "virtual duration in seconds per scale-sweep size (with -scale)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if !*doChaos && (*metrics != "" || *traceOut != "") {
+		return fmt.Errorf("-metrics and -trace-out observe -chaos runs: pass -chaos")
 	}
 	emit := func(tbl experiments.Table) error {
 		if *asCSV {
@@ -83,13 +84,10 @@ func run(args []string, out io.Writer) error {
 			seed:        *chaosSeed,
 			replay:      *replay,
 			metrics:     *metrics,
+			traceOut:    *traceOut,
 			adversarial: *advSearch,
 			advSteps:    *advSteps,
 		}, out)
-	case *doTxn:
-		return runTxn(*txnSeed, *metrics, out)
-	case *churnRate > 0:
-		return runChurn(*churnRate, *churnSeed, *metrics, out)
 	case *doScale:
 		tbl, err := experiments.ScaleSweep(experiments.ScaleConfig{Until: *scaleFor})
 		if err != nil {
@@ -127,8 +125,6 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("%s (%s): %w", e.ID, e.Source, err)
 		}
 		return emit(tbl)
-	case *metrics != "" || *traceOut != "":
-		return runObserved(*metrics, *traceOut, out)
 	default:
 		fs.Usage()
 		return fmt.Errorf("nothing to do: pass -list, -all, -ablations, -figures, -experiment, or -chaos")

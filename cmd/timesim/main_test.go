@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -105,6 +107,34 @@ func TestRunChaosBadCampaignCount(t *testing.T) {
 	}
 }
 
+// TestRunChaosBadAdvSteps: a search of no steps is refused, as a batch
+// of no campaigns is, not quietly given a default.
+func TestRunChaosBadAdvSteps(t *testing.T) {
+	for _, steps := range []string{"0", "-3"} {
+		var buf strings.Builder
+		if err := run([]string{"-chaos", "-adversarial", "-campaigns", "1", "-adv-steps", steps}, &buf); err == nil {
+			t.Errorf("-adv-steps %s accepted:\n%s", steps, buf.String())
+		}
+	}
+}
+
+// TestRunObservationNeedsChaos: -metrics and -trace-out observe -chaos
+// runs, so passing either to another mode, which would write nothing, is
+// an error.
+func TestRunObservationNeedsChaos(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-list", "-metrics", filepath.Join(dir, "m.json")},
+		{"-experiment", "fig3", "-trace-out", filepath.Join(dir, "t.jsonl")},
+		{"-metrics", filepath.Join(dir, "m.json")},
+	} {
+		var buf strings.Builder
+		if err := run(args, &buf); err == nil {
+			t.Errorf("timesim %s accepted", strings.Join(args, " "))
+		}
+	}
+}
+
 func TestRunChaosReplayLine(t *testing.T) {
 	var buf strings.Builder
 	line := "v1 seed=3 n=4 topo=star fn=IM rec=0 dur=300 sync=30 faults=-"
@@ -113,6 +143,19 @@ func TestRunChaosReplayLine(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "replay seed=3 verdict=ok") {
 		t.Errorf("unexpected replay output:\n%s", buf.String())
+	}
+}
+
+// TestRunChaosTraceWriteFails: a span log that cannot be written fails
+// the run, though every campaign passed.
+func TestRunChaosTraceWriteFails(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to refuse the writes")
+	}
+	var buf strings.Builder
+	line := "v1 seed=3 n=4 topo=star fn=IM rec=0 dur=300 sync=30 faults=-"
+	if err := run([]string{"-chaos", "-replay", line, "-trace-out", "/dev/full"}, &buf); err == nil {
+		t.Errorf("a failed span write exits zero:\n%s", buf.String())
 	}
 }
 

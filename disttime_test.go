@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"disttime"
-	"disttime/internal/member"
 	"disttime/internal/obs"
-	"disttime/internal/service"
 )
 
 func TestMarzulloFacade(t *testing.T) {
@@ -129,8 +127,8 @@ func TestTraceFacade(t *testing.T) {
 	tr := obs.NewTracer(&out)
 	sim.Observe(nil, tr)
 	sim.Run(3600)
-	if tr.Spans() == 0 || tr.Err() != nil {
-		t.Fatalf("spans = %d, err = %v: no sync rounds traced through the facade", tr.Spans(), tr.Err())
+	if out.Len() == 0 || tr.Err() != nil {
+		t.Fatalf("err = %v: no sync rounds traced through the facade", tr.Err())
 	}
 
 	var spans, resets, rejecting, recovered uint64
@@ -162,8 +160,12 @@ func TestTraceFacade(t *testing.T) {
 			recovered++
 		}
 	}
-	if spans != tr.Spans() {
-		t.Errorf("%d JSONL spans for %d emitted", spans, tr.Spans())
+	var rounds uint64
+	for _, n := range sim.Nodes {
+		rounds += uint64(n.Syncs)
+	}
+	if spans != rounds {
+		t.Errorf("%d JSONL spans for %d sync rounds", spans, rounds)
 	}
 	if resets == 0 || rejecting == 0 {
 		t.Errorf("%d resetting and %d rejecting rounds: the faulty server must cause both", resets, rejecting)
@@ -209,8 +211,8 @@ func TestPeerFacade(t *testing.T) {
 }
 
 func TestMembershipFacade(t *testing.T) {
-	// The simulated substrate: a leave/rejoin cycle produces join and
-	// status-change events, and no live server is ever evicted.
+	// The simulated substrate: a leave/rejoin cycle is two churn events,
+	// and no live server is ever evicted.
 	specs := make([]disttime.ServerSpec, 4)
 	for i := range specs {
 		specs[i] = disttime.ServerSpec{
@@ -225,26 +227,19 @@ func TestMembershipFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rejoins, leaves := 0, 0
-	sim.AddMemberChange(func(ev service.MemberEvent) {
-		if ev.From == member.Left && ev.To == disttime.MemberAlive {
-			rejoins++
-		}
-		if ev.To == member.Left {
-			leaves++
-		}
-		if ev.FalseEviction {
-			t.Errorf("false eviction: %v", ev)
-		}
-	})
-	sim.LeaveAt(60, 1)
-	sim.RejoinAt(120, 1)
+	reg := obs.NewRegistry()
+	sim.Observe(reg, nil)
+	sim.Sim.AfterCall(60, func(any) { sim.Leave(1) }, nil)
+	sim.Sim.AfterCall(120, func(any) { sim.Rejoin(1) }, nil)
 	sim.Run(300)
-	if leaves == 0 {
-		t.Error("voluntary departure produced no Left observations")
+	if n := reg.Counter("service_member_churn_events_total").Value(); n != 2 {
+		t.Errorf("%d churn events, want a leave and a rejoin", n)
 	}
-	if rejoins == 0 {
-		t.Error("rejoin produced no left->alive observations")
+	if n := reg.Counter("service_member_false_evictions_total").Value(); n != 0 {
+		t.Errorf("%d false evictions", n)
+	}
+	if n := reg.Gauge("service_member_alive_servers").Value(); n != 4 {
+		t.Errorf("the last roster read %v alive servers after the rejoin, want 4", n)
 	}
 
 	// The UDP substrate: Seeds alone make a roster-backed peer whose

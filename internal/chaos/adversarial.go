@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"math/rand/v2"
 )
 
@@ -24,7 +25,7 @@ import (
 type AdversarialConfig struct {
 	// Seed derives the starting campaign and the mutation stream.
 	Seed uint64
-	// Steps is how many mutations to try; <= 0 means 40.
+	// Steps is how many mutations to try; it must be positive.
 	Steps int
 	// Run executes candidates; nil means the production Run. Self-tests
 	// pass a RunInjected closure to search against a planted bug.
@@ -87,13 +88,12 @@ func randomLiar(rng *rand.Rand, c Campaign, tgt int) Fault {
 // Adversarial runs the hill-climbing search. It is deterministic in
 // cfg.Seed for a deterministic cfg.Run.
 func Adversarial(cfg AdversarialConfig) (AdversarialResult, error) {
+	if cfg.Steps <= 0 {
+		return AdversarialResult{}, fmt.Errorf("chaos: adversarial steps must be positive, got %d", cfg.Steps)
+	}
 	run := cfg.Run
 	if run == nil {
 		run = Run
-	}
-	steps := cfg.Steps
-	if steps <= 0 {
-		steps = 40
 	}
 	cur := GenerateAdversarial(cfg.Seed)
 	v, err := run(cur)
@@ -102,7 +102,7 @@ func Adversarial(cfg AdversarialConfig) (AdversarialResult, error) {
 	}
 	res := AdversarialResult{Best: cur, Verdict: v, Evals: 1}
 	rng := rand.New(rand.NewPCG(cfg.Seed^0x243f6a8885a308d3, cfg.Seed*0x9e3779b97f4a7c15+1))
-	for step := 0; step < steps && res.Verdict.OK; step++ {
+	for step := 0; step < cfg.Steps && res.Verdict.OK; step++ {
 		cand := mutate(rng, res.Best)
 		if cand.Validate() != nil {
 			// A clamped mutation can still straddle a bound; skip it (the

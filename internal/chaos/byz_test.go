@@ -237,7 +237,7 @@ func TestDeadlineNoFalseEvictions(t *testing.T) {
 			t.Fatalf("Parse(%q): %v", line, err)
 		}
 		reg := obs.NewRegistry()
-		v, err := RunObserved(c, reg)
+		v, err := RunObserved(c, reg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,21 +39,25 @@ func (v Verdict) First() (Violation, bool) {
 
 // Run executes the campaign with the always-on invariant monitor and
 // returns the verdict. Equal campaigns always return equal verdicts.
-func Run(c Campaign) (Verdict, error) { return run(c, plants{}, nil) }
+func Run(c Campaign) (Verdict, error) { return run(c, plants{}, nil, nil) }
 
 // RunObserved executes the campaign like Run while feeding the
-// observability registry: per-campaign invariant-check and
+// observability registry (per-campaign invariant-check and
 // fault-activation counters, plus the service, simulator, and network
-// metrics of an observed run. Observation is passive — RunObserved
-// returns exactly the verdict (including the Steps determinism
-// fingerprint) that Run would.
-func RunObserved(c Campaign, reg *obs.Registry) (Verdict, error) { return run(c, plants{}, reg) }
+// metrics) and the span tracer; either may be nil. Observation is
+// passive — RunObserved returns exactly the verdict (including the Steps
+// determinism fingerprint) that Run would.
+func RunObserved(c Campaign, reg *obs.Registry, tr *obs.Tracer) (Verdict, error) {
+	return run(c, plants{}, reg, tr)
+}
 
 // RunInjected executes the campaign with fn replacing the campaign's
 // synchronization function on every server. It exists so the harness can
 // test itself: injecting a deliberately broken rule (see BuggyMM) must
 // produce violations, or the monitor is asleep.
-func RunInjected(c Campaign, fn core.SyncFunc) (Verdict, error) { return run(c, plants{fn: fn}, nil) }
+func RunInjected(c Campaign, fn core.SyncFunc) (Verdict, error) {
+	return run(c, plants{fn: fn}, nil, nil)
+}
 
 // plants are the broken rules the harness's self-tests inject, each on
 // every server: a synchronization function, a rate discipline (on the
@@ -71,7 +75,7 @@ type plants struct {
 // every campaign commits hundreds of transactions.
 const txnRate = 0.5
 
-func run(c Campaign, p plants, reg *obs.Registry) (Verdict, error) {
+func run(c Campaign, p plants, reg *obs.Registry, tr *obs.Tracer) (Verdict, error) {
 	if err := c.Validate(); err != nil {
 		return Verdict{}, err
 	}
@@ -86,9 +90,7 @@ func run(c Campaign, p plants, reg *obs.Registry) (Verdict, error) {
 	}
 	sink := newObsSink(reg)
 	sink.campaigns.Inc()
-	if reg != nil {
-		svc.Observe(reg, nil)
-	}
+	svc.Observe(reg, tr)
 	m := newMonitor(svc, c, sink)
 	(&engine{svc: svc, sink: sink}).install(c)
 	if c.Txn {

@@ -332,7 +332,7 @@ func TestHarnessCatchesRatePlants(t *testing.T) {
 		{BuggySlew{}, "buggy-slew.repro", "containment"},
 		{BuggyAnchor{}, "buggy-anchor.repro", "re-anchor"},
 	} {
-		buggy := func(c Campaign) (Verdict, error) { return run(c, plants{rule: tc.rule}, nil) }
+		buggy := func(c Campaign) (Verdict, error) { return run(c, plants{rule: tc.rule}, nil, nil) }
 		caught := false
 		for seed := uint64(1); seed <= 120 && !caught; seed++ {
 			c := Generate(seed)

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"testing"
 
 	"disttime/internal/obs"
@@ -9,7 +10,8 @@ import (
 // TestRunObservedIsPassive checks the observability contract: observing
 // a campaign changes nothing about its trajectory — the verdict and the
 // Steps determinism fingerprint match an unobserved run exactly — while
-// the registry fills with the harness's counters.
+// the registry fills with the harness's counters and the tracer with
+// sync-round spans.
 func TestRunObservedIsPassive(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		c := Generate(seed)
@@ -18,9 +20,14 @@ func TestRunObservedIsPassive(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		reg := obs.NewRegistry()
-		observed, err := RunObserved(c, reg)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		var spans bytes.Buffer
+		tr := obs.NewTracer(&spans)
+		observed, err := RunObserved(c, reg, tr)
+		if err != nil || tr.Err() != nil {
+			t.Fatalf("seed %d: %v, trace %v", seed, err, tr.Err())
+		}
+		if !bytes.Contains(spans.Bytes(), []byte(`{"span":"sync_round"`)) {
+			t.Errorf("seed %d: no sync-round span traced", seed)
 		}
 		if observed.Steps != plain.Steps || observed.OK != plain.OK ||
 			len(observed.Violations) != len(plain.Violations) {

@@ -389,9 +389,9 @@ func TestMergeCreditsTransportSender(t *testing.T) {
 	}
 }
 
-// TestMergeSelfAccusationOrder pins the order `timesim -churn` prints: a
-// fresher claim that the owner is suspect is adopted first, then
-// answered by the rejoin — and only a Suspect or Evicted claim is.
+// TestMergeSelfAccusationOrder pins the order Merge returns: a fresher
+// claim that the owner is suspect is adopted first, then answered by the
+// rejoin — and only a Suspect or Evicted claim is.
 func TestMergeSelfAccusationOrder(t *testing.T) {
 	p, err := NewProtocol(0, 4, testConfig(), 100, 0.5)
 	if err != nil {

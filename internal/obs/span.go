@@ -31,26 +31,15 @@ func ruleName(fn string) string {
 // Emit is safe for concurrent use; the write of each line is atomic with
 // respect to other Emits.
 type Tracer struct {
-	mu    sync.Mutex
-	w     io.Writer
-	buf   []byte
-	spans uint64
-	err   error
+	mu  sync.Mutex
+	w   io.Writer
+	buf []byte
+	err error
 }
 
 // NewTracer returns a tracer writing JSONL to w.
 func NewTracer(w io.Writer) *Tracer {
 	return &Tracer{w: w}
-}
-
-// Spans returns how many spans have been emitted.
-func (t *Tracer) Spans() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.spans
 }
 
 // Err returns the first write error encountered, if any. Emit keeps
@@ -113,7 +102,6 @@ func (t *Tracer) Emit(p core.Pass) {
 	b = strconv.AppendBool(b, p.Fallback)
 	b = append(b, "}}\n"...)
 	t.buf = b
-	t.spans++
 	if t.err == nil {
 		if _, err := t.w.Write(b); err != nil {
 			t.err = err

@@ -84,12 +84,12 @@ func TestGoldenFingerprints(t *testing.T) {
 			name: "members-churn",
 			cfg:  memberTestConfig(6, 23),
 			script: func(svc *Service) {
-				svc.LeaveAt(30, 4)
+				at(svc, 30, func() { svc.Leave(4) })
 				at(svc, 45, func() { svc.Crash(1) })
-				svc.RejoinAt(90, 4)
+				at(svc, 90, func() { svc.Rejoin(4) })
 				at(svc, 120, func() { svc.Restart(1) })
 				at(svc, 150, func() { svc.Crash(2) })
-				svc.LeaveAt(150, 3)
+				at(svc, 150, func() { svc.Leave(3) })
 			},
 			samples: []float64{30, 45, 100, 150, 400},
 			want:    "194e26f42bde4565",

@@ -15,9 +15,9 @@ import (
 // member.Protocol per node, the same type the UDP peer drives. What is
 // here is what only the simulator has: the gossip timers, link
 // reachability as the selection filter, the pooled gossip payload with
-// its HLC stamp, the equivocation fault, the MemberEvent timeline with
-// its FalseEviction verdict, and what feeds obs.MemberMetrics, the
-// membership sink the UDP peer feeds too. Churn (voluntary
+// its HLC stamp, the equivocation fault, the false-eviction count, and
+// what feeds obs.MemberMetrics, the membership sink the UDP peer feeds
+// too. Churn (voluntary
 // departure and rejoin) rides the same machinery: a departure is a
 // roster entry that gossip carries to the survivors, and a rejoin is a
 // fresh incarnation that supersedes whatever the previous life left
@@ -28,41 +28,6 @@ type MemberConfig struct {
 	// GossipEvery is the gossip/heartbeat period in simulated seconds.
 	// Defaults to 5.
 	GossipEvery float64
-}
-
-// MemberEvent is one membership transition observed by one server, in
-// simulated time — the unit of the deterministic membership timeline.
-type MemberEvent struct {
-	// T is the virtual time of the observation.
-	T float64
-	// Observer is the server whose roster changed.
-	Observer int
-	// Subject is the member the change is about.
-	Subject int
-	// From and To are the statuses bracketing the change (From is zero
-	// when the subject was previously unknown to the observer).
-	From, To member.Status
-	// Gen is the subject's generation carried by the new observation.
-	Gen uint64
-	// Joined reports that the subject was previously unknown.
-	Joined bool
-	// FalseEviction reports that To is Evicted while the subject was in
-	// fact serving (neither crashed nor departed) — the detector bound
-	// was violated or the deadline misconfigured.
-	FalseEviction bool
-}
-
-// String renders the event as one deterministic timeline token.
-func (e MemberEvent) String() string {
-	tag := ""
-	if e.Joined {
-		tag = " join"
-	}
-	if e.FalseEviction {
-		tag += " FALSE-EVICTION"
-	}
-	return fmt.Sprintf("t=%.3f obs=%d member=%d %s->%s gen=%d%s",
-		e.T, e.Observer, e.Subject, e.From, e.To, e.Gen, tag)
 }
 
 // gossipMsg is one anti-entropy message: a digest of the sender's
@@ -93,21 +58,6 @@ func (svc *Service) putGossip(g *gossipMsg) {
 // MembershipEnabled reports whether the service runs with a dynamic
 // roster.
 func (svc *Service) MembershipEnabled() bool { return svc.memberCfg != nil }
-
-// AddMemberChange registers an observer invoked on every membership
-// transition any server's roster records, chained after any observer
-// already installed, as AddSyncDetail does.
-func (svc *Service) AddMemberChange(fn func(MemberEvent)) {
-	prev := svc.onMember
-	if prev == nil {
-		svc.onMember = fn
-		return
-	}
-	svc.onMember = func(e MemberEvent) {
-		prev(e)
-		fn(e)
-	}
-}
 
 // initMembership builds every node's protocol state and schedules the
 // gossip ticks. Called from New when cfg.Members is set.
@@ -148,31 +98,6 @@ func (svc *Service) initMembership() error {
 	return nil
 }
 
-// emitMember publishes one roster transition observed by node n.
-func (n *Node) emitMember(t float64, ch member.Change[int]) {
-	if n.svc.onMember == nil {
-		return
-	}
-	ev := MemberEvent{
-		T:        t,
-		Observer: n.Server.ID(),
-		Subject:  ch.ID,
-		From:     ch.From,
-		To:       ch.To,
-		Gen:      ch.Gen,
-		Joined:   ch.Joined,
-	}
-	ev.FalseEviction = ch.To == member.Evicted && n.svc.serving(ch.ID)
-	n.svc.onMember(ev)
-}
-
-// own publishes and counts one of node n's own transitions: a departure,
-// a rejoin or a restart.
-func (n *Node) own(ch member.Change[int]) {
-	n.emitMember(n.svc.Sim.Now(), ch)
-	n.svc.members.Own(ch)
-}
-
 // serving reports whether member id is a server that is in fact serving:
 // neither crashed nor departed. An eviction of one is false.
 func (svc *Service) serving(id int) bool {
@@ -197,7 +122,6 @@ func (svc *Service) gossipTick(i, inc uint32) bool {
 	r := n.Server.Reading(now)
 	changes := n.member.Tick(local, r.C, r.E)
 	for _, ch := range changes {
-		n.emitMember(now, ch)
 		if ch.To == member.Evicted && svc.serving(ch.ID) {
 			svc.falseEvictions.Inc()
 		}
@@ -236,9 +160,6 @@ func (n *Node) handleGossip(from simnet.NodeID, g *gossipMsg, now float64) {
 		r := n.Server.Reading(now)
 		return r.C, r.E
 	})
-	for _, ch := range changes {
-		n.emitMember(now, ch)
-	}
 	n.svc.members.Merge(len(g.entries), changes, n.member.Roster())
 	n.svc.putGossip(g)
 }
@@ -267,7 +188,7 @@ func (svc *Service) Leave(i int) {
 	if n.gossipSilent() {
 		return
 	}
-	n.own(n.member.Leave())
+	svc.members.Own(n.member.Leave())
 	n.pushDigest() // announce the departure before going silent
 	n.departed = true
 	n.silence()
@@ -289,12 +210,6 @@ func (svc *Service) Rejoin(i int) {
 	}
 	n.departed = false
 	r := n.Server.Reading(svc.Sim.Now())
-	n.own(n.member.Rejoin(r.C, r.E))
+	svc.members.Own(n.member.Rejoin(r.C, r.E))
 	n.revive()
 }
-
-// LeaveAt schedules a voluntary departure of server i at virtual time t.
-func (svc *Service) LeaveAt(t float64, i int) { svc.Sim.At(t, svc.leave, uint32(i), 0) }
-
-// RejoinAt schedules a rejoin of server i at virtual time t.
-func (svc *Service) RejoinAt(t float64, i int) { svc.Sim.At(t, svc.rejoin, uint32(i), 0) }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"disttime/internal/core"
-	"disttime/internal/member"
 )
 
 // This file provides scenario control: crashing and restarting servers,
@@ -90,13 +89,9 @@ func (svc *Service) Restart(i int) {
 	}
 	if n.member != nil {
 		// A restart is a new incarnation: the fresh advertisement must
-		// supersede whatever the survivors recorded about the old life
-		// (typically an eviction, which is what the event reports: the
-		// owner's own roster slept through it).
+		// supersede whatever the survivors recorded about the old life.
 		r := n.Server.Reading(svc.Sim.Now())
-		ch := n.member.Rejoin(r.C, r.E)
-		ch.From = member.Evicted
-		n.own(ch)
+		svc.members.Own(n.member.Rejoin(r.C, r.E))
 	}
 	n.revive()
 }

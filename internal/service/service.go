@@ -160,15 +160,13 @@ type Service struct {
 	replyFree []*timeReply // recycled reply payloads
 
 	// The kinds of the service's events: a node's sync tick and gossip
-	// tick, tagged with the node and carrying its incarnation, a round's
-	// close, tagged with the node and carrying the round's id, and a
-	// scheduled departure or rejoin, tagged with the node.
-	tick, close, gossip, leave, rejoin sim.Kind
+	// tick, tagged with the node and carrying its incarnation, and a
+	// round's close, tagged with the node and carrying the round's id.
+	tick, close, gossip sim.Kind
 
 	// Dynamic membership (nil when Config.Members is unset), and its
 	// metrics, inert until Observe resolves them.
 	memberCfg      *MemberConfig
-	onMember       func(MemberEvent)
 	gossipFree     []*gossipMsg // recycled gossip payloads
 	members        obs.MemberMetrics[int]
 	falseEvictions *obs.Counter // service_member_false_evictions_total
@@ -241,8 +239,6 @@ func New(cfg Config) (*Service, error) {
 	svc.tick = s.Register(svc.syncTick)
 	svc.close = s.Register(svc.finishRound)
 	svc.gossip = s.Register(svc.gossipTick)
-	svc.leave = s.Register(func(i, _ uint32) bool { svc.Leave(int(i)); return true })
-	svc.rejoin = s.Register(func(i, _ uint32) bool { svc.Rejoin(int(i)); return true })
 
 	if !(cfg.CollectFor >= 0) || math.IsInf(cfg.CollectFor, 1) {
 		return nil, fmt.Errorf("service: collection window %v not finite and non-negative", cfg.CollectFor)

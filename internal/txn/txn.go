@@ -204,10 +204,6 @@ func Attach(svc *service.Service, cfg Config) (*Workload, error) {
 	return w, nil
 }
 
-// MaxCommitted returns the largest committed timestamp and the server
-// that committed it (-1 before the first commit).
-func (w *Workload) MaxCommitted() (hlc.Timestamp, int) { return w.maxTS, w.maxNode }
-
 func (c *client) startTxn() {
 	w := c.w
 	now := w.svc.Sim.Now()
